@@ -10,27 +10,6 @@ use dp_bench::{
     unsuitable,
 };
 
-/// Knobs settable anywhere on the command line: `--entries N` scales
-/// `enginebench`'s campus workload, `--shards N` picks the sharded point
-/// on its curve (the 1-shard serial reference always runs too, for the
-/// stream-identity check), and `--seeds N` sizes the `sim` sweep.
-#[derive(Clone, Copy)]
-struct BenchOpts {
-    entries: usize,
-    shards: usize,
-    seeds: u64,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            entries: 1_000_000,
-            shards: 4,
-            seeds: 200,
-        }
-    }
-}
-
 fn parse_flag(flag: &str, value: Option<&String>) -> usize {
     match value.and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n > 0 => n,
@@ -43,16 +22,14 @@ fn parse_flag(flag: &str, value: Option<&String>) -> usize {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = BenchOpts::default();
+    // `--seeds N`, settable anywhere on the command line, sizes the `sim`
+    // sweep.
+    let mut seeds: u64 = 200;
     let mut addr = String::from("127.0.0.1:9100");
     let mut args: Vec<String> = Vec::new();
     let mut i = 0;
     while i < raw.len() {
         match raw[i].as_str() {
-            "--entries" => {
-                opts.entries = parse_flag("--entries", raw.get(i + 1));
-                i += 2;
-            }
             "--addr" => {
                 let Some(a) = raw.get(i + 1) else {
                     eprintln!("usage: repro -- [...] --addr <host:port>");
@@ -61,12 +38,8 @@ fn main() {
                 addr = a.clone();
                 i += 2;
             }
-            "--shards" => {
-                opts.shards = parse_flag("--shards", raw.get(i + 1));
-                i += 2;
-            }
             "--seeds" => {
-                opts.seeds = parse_flag("--seeds", raw.get(i + 1)) as u64;
+                seeds = parse_flag("--seeds", raw.get(i + 1)) as u64;
                 i += 2;
             }
             _ => {
@@ -76,7 +49,7 @@ fn main() {
         }
     }
     if args.is_empty() {
-        dispatch("all", opts);
+        dispatch("all");
         return;
     }
     let mut i = 0;
@@ -110,25 +83,24 @@ fn main() {
                 i += 1;
             }
             "sim" => {
-                run_sim(opts);
+                run_sim(seeds);
                 i += 1;
             }
             what => {
-                dispatch(what, opts);
+                dispatch(what);
                 i += 1;
             }
         }
     }
 }
 
-fn run_sim(opts: BenchOpts) {
+fn run_sim(seeds: u64) {
     banner(&format!(
-        "Simulation: fault-injection sweep over {} seeded scenarios",
-        opts.seeds
+        "Simulation: fault-injection sweep over {seeds} seeded scenarios"
     ));
     let corpus = std::path::Path::new("tests").join("corpus");
     let mut checked = 0u64;
-    let summary = dp_sim::run_seeds(0, opts.seeds, Some(&corpus), |seed, report| {
+    let summary = dp_sim::run_seeds(0, seeds, Some(&corpus), |seed, report| {
         checked += 1;
         if !report.passed() {
             println!(
@@ -221,7 +193,7 @@ fn run_metrics_smoke() {
     }
 }
 
-fn dispatch(what: &str, opts: BenchOpts) {
+fn dispatch(what: &str) {
     let run_all = what == "all";
     let mut ran = false;
 
@@ -262,14 +234,14 @@ fn dispatch(what: &str, opts: BenchOpts) {
         ran = true;
     }
     if run_all || what == "enginebench" {
-        run_enginebench(opts);
+        run_enginebench();
         ran = true;
     }
     if !ran {
         eprintln!(
             "unknown experiment {what:?}; available: all table1 fig5 fig6 fig7 fig8 \
              unsuitable latency mrstorage complex ablation enginebench \
-             sim [--seeds N] [--entries N] [--shards N] \
+             sim [--seeds N] \
              trace <scenario> stats <scenario> metrics <scenario> \
              serve-metrics <scenario> [--addr host:port] metrics-smoke"
         );
@@ -465,24 +437,7 @@ fn run_mrstorage() {
     }
 }
 
-fn print_shard_curve(r: &engine_bench::ShardBenchResult) {
-    for p in &r.points {
-        let loads: Vec<String> = p.shard_loads.iter().map(|l| l.to_string()).collect();
-        println!(
-            "    {} shard(s): {:.3}s, {:.0} tuples/s, {:.2}x, loads [{}], {} cross-shard msgs, {} sharded batches",
-            p.shards,
-            p.secs,
-            p.events as f64 / p.secs.max(1e-12),
-            r.speedup_at(p.shards),
-            loads.join(" "),
-            p.cross_shard_msgs,
-            p.sharded_batches
-        );
-    }
-    println!("    streams identical: {}", r.streams_identical);
-}
-
-fn run_enginebench(opts: BenchOpts) {
+fn run_enginebench() {
     banner("Engine: joins and firing disciplines (campus, 100k+ entries)");
     // Enough background traffic that packet forwarding — the workload the
     // prefix trie accelerates — carries real weight next to the one-off
@@ -500,14 +455,6 @@ fn run_enginebench(opts: BenchOpts) {
         b.batch_speedup(),
         b.speedup(),
         b.tuples_per_sec()
-    );
-    println!(
-        "  worker pool: serial {:.3}s vs {} threads {:.3}s -> {:.2}x ({} batches on the pool)",
-        b.indexed_secs,
-        b.threads,
-        b.parallel_secs,
-        b.parallel_speedup(),
-        b.parallel_batches
     );
     println!(
         "  prefix trie: {:.3}s with vs {:.3}s without -> {:.2}x batched, {:.2}x streamed ({} trie probes vs {} forced scans)",
@@ -556,26 +503,6 @@ fn run_enginebench(opts: BenchOpts) {
         "  join candidates examined: indexed {} vs naive {}, streams identical: {}",
         f.indexed_candidates, f.naive_candidates, f.streams_identical
     );
-    banner("Engine: node-sharded evaluation (100k entries, 1/2/4 shards)");
-    let shard = engine_bench::shard_bench(100_000, 400, &[1, 2, 4], 3).expect("shard bench runs");
-    print_shard_curve(&shard);
-    banner("Engine: sustained packet rate, sharded (small tables, heavy traffic)");
-    let rate = engine_bench::shard_bench(2_000, 4_000, &[1, 4], 3).expect("rate bench runs");
-    print_shard_curve(&rate);
-    println!(
-        "    {:.0} packets/s serial vs {:.0} packets/s at 4 shards",
-        rate.background_packets as f64 / rate.serial_secs().max(1e-12),
-        rate.background_packets as f64
-            / rate.points.last().map_or(1e-12, |p| p.secs).max(1e-12)
-    );
-    banner(&format!(
-        "Engine: {} entries at {} shard(s) (single pass each)",
-        opts.entries, opts.shards
-    ));
-    let counts: Vec<usize> = if opts.shards == 1 { vec![1] } else { vec![1, opts.shards] };
-    let million =
-        engine_bench::shard_bench(opts.entries, 200, &counts, 1).expect("million-entry leg runs");
-    print_shard_curve(&million);
     banner("Engine: provenance backends (graph vs annotations, 100k entries)");
     let prov = engine_bench::prov_bench(100_000, 400, 200).expect("prov bench runs");
     println!(
@@ -641,9 +568,6 @@ fn run_enginebench(opts: BenchOpts) {
         &b,
         &l,
         &f,
-        &shard,
-        &rate,
-        Some(&million),
         Some(&prov),
         Some(&durable),
         Some(&overhead),
@@ -655,9 +579,6 @@ fn run_enginebench(opts: BenchOpts) {
         b.streams_identical
             && l.streams_identical
             && f.streams_identical
-            && shard.streams_identical
-            && rate.streams_identical
-            && million.streams_identical
             && overhead.streams_identical
             && parity.iter().all(|p| p.identical),
         "engine modes disagree"

@@ -38,23 +38,6 @@ pub struct QueryTiming {
 
 /// Measures one scenario.
 pub fn measure(scenario: &Scenario) -> Result<QueryTiming> {
-    // The Figure 7/8 decomposition is defined against the serial replay
-    // path; pin one thread so a DP_THREADS run measures the same shape
-    // (on a host with fewer cores than the setting, the worker pool adds
-    // spawn overhead to the tiny scenarios without adding speed).
-    let mut scenario = Scenario {
-        name: scenario.name,
-        description: scenario.description,
-        good_exec: scenario.good_exec.clone(),
-        bad_exec: scenario.bad_exec.clone(),
-        good_event: scenario.good_event.clone(),
-        bad_event: scenario.bad_event.clone(),
-        expected_changes: scenario.expected_changes,
-        expected_rounds: scenario.expected_rounds,
-    };
-    scenario.good_exec.threads = 1;
-    scenario.bad_exec.threads = 1;
-    let scenario = &scenario;
     // Y! baseline.
     let t = Instant::now();
     let rb = scenario.bad_exec.replay()?;

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use diffprov_core::{DiffProv, Metrics, Report, Scenario};
-use dp_ndlog::{join_profile_json, shard_loads_json};
+use dp_ndlog::join_profile_json;
 use dp_trace::{Aggregate, Trace, Tracer};
 use dp_types::Result;
 
@@ -188,18 +188,14 @@ pub fn summary(run: &TraceRun) -> String {
 }
 
 /// Replays the scenario's bad execution and renders the engine's
-/// [`dp_ndlog::Stats`], per-rule join profile, and shard balance as JSON.
-/// The `shard_balance` section surfaces [`dp_ndlog::Engine::shard_loads`]
-/// (one interner size per shard, plus the max/min load ratio; `null` when
-/// any shard is empty, `1.0000` when perfectly balanced).
+/// [`dp_ndlog::Stats`] and per-rule join profile as JSON.
 pub fn stats_json(scenario: &Scenario) -> Result<String> {
     let replayed = scenario.bad_exec.replay()?;
     Ok(format!(
-        "{{\"scenario\":{},\"stats\":{},\"join_profile\":{},\"shard_balance\":{}}}",
+        "{{\"scenario\":{},\"stats\":{},\"join_profile\":{}}}",
         dp_trace::json_string(scenario.name),
         replayed.engine.stats().to_json(),
-        join_profile_json(replayed.engine.join_profile()),
-        shard_loads_json(replayed.engine.shard_loads())
+        join_profile_json(replayed.engine.join_profile())
     ))
 }
 
@@ -237,16 +233,12 @@ mod tests {
         assert!(text.contains("top rules by join effort"), "{text}");
     }
 
-    /// The stats dump names the scenario and carries all three sections,
-    /// including the shard-balance summary (satellite of the metrics PR:
-    /// `shard_loads()` existed but was never surfaced in the JSON).
+    /// The stats dump names the scenario and carries both sections.
     #[test]
     fn stats_json_shape() {
         let scenario = find_scenario("SDN1").unwrap();
         let json = stats_json(&scenario).unwrap();
         assert!(json.starts_with("{\"scenario\":\"SDN1\",\"stats\":{"), "{json}");
         assert!(json.contains("\"join_profile\":{"), "{json}");
-        assert!(json.contains("\"shard_balance\":{\"loads\":["), "{json}");
-        assert!(json.contains("\"max_over_min\":"), "{json}");
     }
 }

@@ -12,7 +12,7 @@
 //! # How it works
 //!
 //! Each item is hashed to 64 uniform bits (FNV-1a over canonical bytes —
-//! the same [`dp_types::codec::fnv64`] the shard assignment uses, so no
+//! the same [`dp_types::codec::fnv64`] the store checksums use, so no
 //! new hash primitive enters the stack). The top [`HLL_PRECISION`] bits
 //! pick one of `m` registers; the register keeps the maximum over items of
 //! `rho` = (position of the first set bit in the remaining 54 bits). A

@@ -44,7 +44,7 @@
 //!
 //! [`Metrics::absorb`] folds a [`Snapshot`] into a registry — counters and
 //! histograms add, gauges add (they meter disjoint sources when merging
-//! per-shard or per-run registries), HLL sketches take the register-wise
+//! per-run registries), HLL sketches take the register-wise
 //! max, which is exactly set union on the sketched multiset. All maps are
 //! `BTreeMap`s, so a fold of the same snapshots in any order produces the
 //! identical merged snapshot.

@@ -65,67 +65,15 @@
 //! implementation for differential tests and benchmarks; batching
 //! amortizes trigger dispatch, join scratch space, and sink writes.
 //!
-//! # Parallel batch firing
+//! # Why the engine is serial
 //!
-//! The firing phase of a batch flush never mutates node state: tables are
-//! frozen for the whole flush (mutations happen one event at a time in the
-//! serial apply loop, which is also the only place provenance events are
-//! emitted), and every firing writes only to its own delta's action
-//! buffer. That makes the firings embarrassingly parallel. With
-//! [`Engine::set_threads`] above 1 (or `DP_THREADS=n` in the environment)
-//! a flush large enough to be worth it splits the delta vector into
-//! contiguous chunks, a scoped worker pool claims chunks off a shared
-//! atomic cursor, and each worker fires its chunks against the shared
-//! read-only state ([`FireCtx`]) into per-delta buffers.
-//!
-//! Determinism survives because the merge is keyed by data, not by
-//! scheduling: per-delta buffers are written back into the batch's buffer
-//! vector at the delta's own index and then released in delta-arrival
-//! order — the (due, node, seq) order the serial path uses — with queue
-//! sequence numbers assigned serially during the release. Which thread
-//! fired a delta, and when, is unobservable. Join-effort counters are
-//! accumulated per worker and summed at the barrier (commutative, so
-//! totals match the serial path bit-for-bit), and worker-local tuple
-//! interning is re-normalized into the engine's store during the merge.
-//! `DP_THREADS=1` keeps the serial path; the differential suite in
-//! `crates/ndlog/tests/parallel_differential.rs` pins stream equality
-//! across thread counts.
-//!
-//! # Sharded evaluation
-//!
-//! Beyond the per-batch worker pool, the engine can shard its whole node
-//! universe ([`Engine::set_shards`] / `DP_SHARDS=n`): every NDlog node is
-//! pinned to one of `n` long-lived worker shards by a stable hash of its
-//! name ([`dp_types::ShardAssignment`]), and each shard owns its nodes'
-//! [`NodeState`]s, its own tuple-store interner, and a tagged provenance
-//! buffer. This works because rule *firing* is strictly node-local — a
-//! trigger joins only against its own node's tables, and natives/builtins
-//! see only the trigger node — so the only inter-node (and hence
-//! inter-shard) traffic is the `@loc`-addressed messages a firing
-//! schedules, which the merge routes through the owning shard exactly
-//! like the serial apply loop would.
-//!
-//! A sharded batch flush partitions the batch's deltas by owning shard
-//! (each shard's slice keeps its global arrival order), ships each slice
-//! to the shard's inbox along with the shard's node map and interner, and
-//! waits for all shards at the barrier. The merge is the same discipline
-//! as the thread pool's, generalized: per-delta buffers land at the
-//! delta's *global* index and are released in global arrival order,
-//! effort counters are commutative sums, errors resolve to the erroring
-//! unit with the earliest global delta index, and derived heads addressed
-//! at a node on another shard are re-interned into the destination
-//! shard's store (counted as `cross_shard_msgs`). Provenance events are
-//! emitted serially by the apply loop into the owning shard's buffer,
-//! tagged with a global emission sequence, and drained to the sink in tag
-//! order at the batch boundary — so streams, firings, fixpoints, and the
-//! dp-trace skeleton are bit-identical to the serial path at any shard
-//! count. `crates/ndlog/tests/shard_differential.rs` pins this across
-//! 1/2/4 shards, and shard×thread composition runs each shard's slice on
-//! the intra-shard chunked pool when it is large enough.
+//! One thread, one node map, one interner: replay needs a single clock, and
+//! both parallel designs tried here lost to this path on every recorded row
+//! (`BENCH_engine.json` as of PR 11: `campus.parallel_speedup` 0.96x;
+//! `shard_scaling` 0.94x, `packet_rate` 0.54x, `million_entry` 0.66x).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub mod snapshot;
@@ -133,8 +81,8 @@ pub mod snapshot;
 use dp_metrics::Metrics;
 use dp_trace::{Class, Tracer};
 use dp_types::{
-    Error, LogicalTime, NodeId, Prefix, PrefixTrie, Result, ShardAssignment, Sym, TableKind,
-    Tuple, TupleRef, TupleStore, Value,
+    Error, LogicalTime, NodeId, Prefix, PrefixTrie, Result, Sym, TableKind, Tuple, TupleRef,
+    TupleStore, Value,
 };
 
 use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
@@ -689,25 +637,12 @@ pub struct Stats {
     pub batches: u64,
     /// Deltas fired through batches (0 in unbatched mode).
     pub batched_deltas: u64,
-    /// Delta batches fired on the worker pool (0 with one thread, in
-    /// unbatched mode, or when every batch was below the parallel
-    /// threshold). An effort counter: the streams are identical either way.
+    /// Always 0; kept only because `benchmark/src/probe.rs` reads it.
     pub parallel_batches: u64,
-    /// Delta batches dispatched to the shard pool (0 with one shard or in
-    /// unbatched mode). An effort counter: the streams are identical at
-    /// any shard count.
-    pub sharded_batches: u64,
-    /// Derived tuples routed to a node owned by a different shard than the
-    /// one that fired them — the only inter-shard traffic. 0 with one
-    /// shard. An effort counter.
-    pub cross_shard_msgs: u64,
-    /// High-water mark of distinct tuples held by the engine's interner(s)
+    /// High-water mark of distinct tuples held by the engine's interner
     /// — the honest memory signal for large workloads, as opposed to
     /// [`Stats::peak_tuples`], which counts live (node, tuple) occurrences
     /// and, on insert-only workloads, simply mirrors the insert count.
-    /// Per-shard interners may each hold a copy of a tuple that crosses
-    /// shards, so this legitimately varies with the shard count: an effort
-    /// counter.
     pub peak_interned: u64,
 }
 
@@ -731,8 +666,7 @@ impl Stats {
             "{{\"events\":{},\"base_inserts\":{},\"base_deletes\":{},\"derivations\":{},\
              \"underivations\":{},\"join_probes\":{},\"join_scans\":{},\"trie_probes\":{},\
              \"trie_scans\":{},\"join_candidates\":{},\"join_matches\":{},\"peak_tuples\":{},\
-             \"batches\":{},\"batched_deltas\":{},\"parallel_batches\":{},\
-             \"sharded_batches\":{},\"cross_shard_msgs\":{},\"peak_interned\":{}}}",
+             \"batches\":{},\"batched_deltas\":{},\"peak_interned\":{}}}",
             self.events,
             self.base_inserts,
             self.base_deletes,
@@ -747,9 +681,6 @@ impl Stats {
             self.peak_tuples,
             self.batches,
             self.batched_deltas,
-            self.parallel_batches,
-            self.sharded_batches,
-            self.cross_shard_msgs,
             self.peak_interned,
         )
     }
@@ -821,39 +752,6 @@ pub fn join_profile_json(profile: &BTreeMap<Sym, RuleJoinProfile>) -> String {
     s
 }
 
-/// Renders per-shard interner sizes ([`Engine::shard_loads`]) plus a
-/// simple balance summary as one JSON object (serde-free). `max_over_min`
-/// is the load ratio between the fullest and emptiest shard (`1.0` when
-/// perfectly balanced; `null` when any shard is empty, since the ratio is
-/// undefined). Used by `repro -- stats` and pinned by the same golden
-/// test as [`Stats::to_json`].
-pub fn shard_loads_json(loads: &[u64]) -> String {
-    let total: u64 = loads.iter().sum();
-    let max = loads.iter().copied().max().unwrap_or(0);
-    let min = loads.iter().copied().min().unwrap_or(0);
-    let ratio = if min == 0 {
-        String::from("null")
-    } else {
-        format!("{:.4}", max as f64 / min as f64)
-    };
-    let mut s = String::from("{\"loads\":[");
-    for (i, l) in loads.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&l.to_string());
-    }
-    s.push_str(&format!(
-        "],\"shards\":{},\"total\":{},\"max\":{},\"min\":{},\"max_over_min\":{}}}",
-        loads.len(),
-        total,
-        max,
-        min,
-        ratio
-    ));
-    s
-}
-
 /// Counters for one join invocation.
 #[derive(Clone, Copy, Debug, Default)]
 struct JoinCounters {
@@ -875,18 +773,6 @@ struct Delta {
     at: LogicalTime,
 }
 
-/// Batches smaller than this always fire serially, whatever the thread
-/// setting: dispatching a worker pool costs more than a handful of
-/// firings, and most batches (e.g. one packet event per timestamp) are
-/// tiny. The cutover only moves work between identical code paths — the
-/// per-delta buffers, and therefore the streams, do not change.
-const PAR_MIN_DELTAS: usize = 4;
-
-/// Work-stealing granularity: target chunks per worker. More chunks
-/// balance skewed (node, table) groups across the pool; fewer keep group
-/// runs intact so the trigger list is resolved once per run.
-const PAR_CHUNKS_PER_WORKER: usize = 8;
-
 /// Fallback state for firings addressed at a node that holds no tuples
 /// (e.g. a trigger delivered to a node nothing was ever stored on):
 /// joins find no candidates and builtin/native views see an empty node,
@@ -896,331 +782,24 @@ static EMPTY_NODE_STATE: NodeState = NodeState {
     tables: BTreeMap::new(),
 };
 
-/// One shard's slice of the engine: the node states it owns and the
-/// provenance events produced for those nodes in the current batch,
-/// tagged with the global emission sequence so the multi-buffer drain
-/// can restore serial stream order (see [`Engine::drain_events`]).
-#[derive(Default)]
-struct ShardState {
-    nodes: BTreeMap<NodeId, NodeState>,
-    events: Vec<(u64, ProvEvent)>,
-}
-
-/// Read-only access to node state during firing — either the whole
-/// sharded universe (the serial and intra-batch-parallel paths, which
-/// run on the engine thread) or a single shard's map (a shard worker,
-/// which owns only its own nodes). Firing is strictly node-local, and a
-/// shard's deltas only ever name its own nodes, so both views answer
-/// every lookup a firing can make identically.
-#[derive(Clone, Copy)]
-enum StateView<'a> {
-    All {
-        shards: &'a [ShardState],
-        assign: &'a ShardAssignment,
-    },
-    One(&'a BTreeMap<NodeId, NodeState>),
-}
-
-impl<'a> StateView<'a> {
-    fn get(&self, node: &NodeId) -> Option<&'a NodeState> {
-        match self {
-            StateView::All { shards, assign } => {
-                shards[assign.shard_of(node.as_str())].nodes.get(node)
-            }
-            StateView::One(nodes) => nodes.get(node),
-        }
-    }
-}
-
 /// The read-only half of the engine a rule firing needs: the program
 /// (plans, schemas, natives, builtins) and the frozen node states.
 /// Firing never mutates node state — actions are buffered per delta and
-/// applied serially afterwards — which is what lets a batch flush share
-/// one `FireCtx` across worker threads.
+/// applied afterwards — so the context borrows the node map shared while
+/// the interner and the counters are borrowed mutably alongside it.
 struct FireCtx<'a> {
     program: &'a Program,
-    state: StateView<'a>,
+    nodes: &'a BTreeMap<NodeId, NodeState>,
     naive_join: bool,
     no_trie: bool,
 }
 
 /// Join-effort counters accumulated while firing, folded into [`Stats`]
-/// and the per-rule profile at the batch barrier
-/// ([`Engine::absorb_fire_stats`]). Each worker fills its own, so the
-/// parallel flush shares no counters; the fold is a commutative sum and
-/// the per-delta work is scheduling-independent, so the totals match the
-/// serial path exactly.
+/// and the per-rule profile once the firing is done
+/// ([`Engine::absorb_fire_stats`]).
 #[derive(Default)]
 struct FireStats {
     profile: BTreeMap<Sym, RuleJoinProfile>,
-}
-
-impl FireStats {
-    /// Folds another accumulator into this one (a commutative sum, so the
-    /// fold order at a merge barrier cannot affect the totals).
-    fn absorb(&mut self, other: FireStats) {
-        for (rule, p) in other.profile {
-            let entry = self.profile.entry(rule).or_default();
-            entry.attempts += p.attempts;
-            entry.probes += p.probes;
-            entry.scans += p.scans;
-            entry.trie_probes += p.trie_probes;
-            entry.trie_scans += p.trie_scans;
-            entry.candidates += p.candidates;
-            entry.matches += p.matches;
-        }
-    }
-}
-
-/// What one worker of a parallel flush hands back at the barrier.
-/// `(delta index, its scheduled actions)` for every delta that produced
-/// any — the unit both the chunk workers and the shard workers hand back.
-type DeltaBuffers = Vec<(usize, Vec<(LogicalTime, Action)>)>;
-
-#[derive(Default)]
-struct WorkerOutput {
-    /// `(delta index, its scheduled actions)` for every delta of the
-    /// worker's chunks that produced any.
-    buffers: DeltaBuffers,
-    fstats: FireStats,
-    /// First error of the worker's earliest erroring chunk, keyed by the
-    /// chunk's starting delta index so the merge can pick the globally
-    /// earliest chunk — a scheduling-independent choice.
-    error: Option<(usize, Error)>,
-}
-
-/// Fires a delta slice on a scoped worker pool.
-///
-/// The slice is cut into contiguous chunks (about
-/// [`PAR_CHUNKS_PER_WORKER`] per worker, so a skewed group cannot
-/// serialize the pool) and workers claim chunks off an atomic cursor.
-/// Each worker fires its chunks against the shared frozen state into
-/// per-delta buffers, interning derived heads into a worker-local store
-/// and counting join effort into worker-local accumulators. The merge is
-/// deterministic by construction: buffers land at their delta's slice
-/// index and counter folds are commutative sums, so nothing about thread
-/// scheduling can reach the output. Derived heads are left in their
-/// worker-local allocations — the caller re-normalizes them into the
-/// proper interner (the engine's, or a shard's).
-///
-/// Errors: within a chunk, firing stops at the first error exactly like
-/// the serial walk; across chunks the earliest (lowest slice index)
-/// erroring chunk wins — a scheduling-independent choice, returned keyed
-/// by the chunk's starting slice index.
-fn fire_chunked(
-    ctx: &FireCtx<'_>,
-    deltas: &[Delta],
-    threads: usize,
-    fstats: &mut FireStats,
-    buf: &mut [Vec<(LogicalTime, Action)>],
-) -> Option<(usize, Error)> {
-    let chunk = deltas
-        .len()
-        .div_ceil(threads * PAR_CHUNKS_PER_WORKER)
-        .max(1);
-    let chunks = deltas.len().div_ceil(chunk);
-    let workers = threads.min(chunks);
-    let cursor = AtomicUsize::new(0);
-    let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut wo = WorkerOutput::default();
-                    let mut store = TupleStore::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        let hi = deltas.len().min(lo + chunk);
-                        let mut local: Vec<Vec<(LogicalTime, Action)>> =
-                            vec![Vec::new(); hi - lo];
-                        let res = ctx.fire_deltas(
-                            &deltas[lo..hi],
-                            &mut store,
-                            &mut wo.fstats,
-                            &mut local,
-                        );
-                        for (off, actions) in local.into_iter().enumerate() {
-                            if !actions.is_empty() {
-                                wo.buffers.push((lo + off, actions));
-                            }
-                        }
-                        if let Err(e) = res {
-                            // Keep draining chunks (some worker must
-                            // claim every chunk so the earliest error
-                            // is found), but remember only the
-                            // earliest one this worker saw.
-                            if wo.error.as_ref().is_none_or(|&(at, _)| lo < at) {
-                                wo.error = Some((lo, e));
-                            }
-                        }
-                    }
-                    wo
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut first_error: Option<(usize, Error)> = None;
-    for wo in outputs {
-        fstats.absorb(wo.fstats);
-        if let Some((at, e)) = wo.error {
-            if first_error.as_ref().is_none_or(|&(best, _)| at < best) {
-                first_error = Some((at, e));
-            }
-        }
-        for (idx, actions) in wo.buffers {
-            buf[idx] = actions;
-        }
-    }
-    first_error
-}
-
-/// One batch's work for one shard: the shard's slice of the delta vector
-/// (in global arrival order), the global index of each slice entry, and
-/// the shard's own node map and interner, moved in for the duration of
-/// the firing and moved back in the [`ShardDone`].
-struct ShardJob {
-    nodes: BTreeMap<NodeId, NodeState>,
-    store: TupleStore,
-    deltas: Vec<Delta>,
-    idxs: Vec<usize>,
-    naive_join: bool,
-    no_trie: bool,
-    threads: usize,
-}
-
-/// What a shard worker hands back at the batch barrier.
-struct ShardDone {
-    nodes: BTreeMap<NodeId, NodeState>,
-    store: TupleStore,
-    /// `(global delta index, its scheduled actions)` for every delta of
-    /// the shard's slice that produced any.
-    buffers: DeltaBuffers,
-    fstats: FireStats,
-    /// Error of the erroring unit with the smallest global delta index
-    /// this shard saw, if any.
-    error: Option<(usize, Error)>,
-    /// True when the shard ran its slice on the intra-shard chunked pool.
-    engaged: bool,
-}
-
-/// Fires one shard's slice of a batch. Runs on the shard's long-lived
-/// worker thread; the node map is frozen for the call (firing never
-/// mutates state) and derived heads are interned into the shard's own
-/// store. Slices large enough engage the intra-shard chunked pool —
-/// shard×thread composition — and are then re-normalized into the shard
-/// store, exactly like the single-shard parallel merge.
-fn shard_worker(program: &Program, job: ShardJob) -> ShardDone {
-    let ShardJob {
-        nodes,
-        mut store,
-        deltas,
-        idxs,
-        naive_join,
-        no_trie,
-        threads,
-    } = job;
-    let mut fstats = FireStats::default();
-    let mut local: Vec<Vec<(LogicalTime, Action)>> = vec![Vec::new(); deltas.len()];
-    let mut error: Option<(usize, Error)> = None;
-    let mut engaged = false;
-    {
-        let ctx = FireCtx {
-            program,
-            state: StateView::One(&nodes),
-            naive_join,
-            no_trie,
-        };
-        if threads > 1 && deltas.len() >= PAR_MIN_DELTAS {
-            engaged = true;
-            if let Some((lo, e)) = fire_chunked(&ctx, &deltas, threads, &mut fstats, &mut local) {
-                error = Some((idxs[lo], e));
-            }
-            for actions in &mut local {
-                for (_, action) in actions {
-                    if let Action::InsertDerived { tuple, .. } = action {
-                        *tuple = store.intern_arc(Arc::clone(tuple));
-                    }
-                }
-            }
-        } else if let Err(e) = ctx.fire_deltas(&deltas, &mut store, &mut fstats, &mut local) {
-            error = Some((idxs[0], e));
-        }
-    }
-    let buffers = local
-        .into_iter()
-        .enumerate()
-        .filter(|(_, a)| !a.is_empty())
-        .map(|(off, a)| (idxs[off], a))
-        .collect();
-    ShardDone {
-        nodes,
-        store,
-        buffers,
-        fstats,
-        error,
-        engaged,
-    }
-}
-
-/// The long-lived shard worker pool: one thread per shard, fed through a
-/// per-shard job channel (the shard's inbox) and drained through one
-/// shared completion channel. Spawned lazily at the first sharded flush
-/// and kept for the engine's lifetime, so pinning nodes to shards costs
-/// two channel hops per active shard per batch, not a thread spawn.
-struct ShardPool {
-    txs: Vec<std::sync::mpsc::Sender<ShardJob>>,
-    done_rx: std::sync::mpsc::Receiver<(usize, std::thread::Result<ShardDone>)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardPool {
-    fn spawn(shards: usize, program: &Arc<Program>) -> Self {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut txs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (tx, rx) = std::sync::mpsc::channel::<ShardJob>();
-            let done_tx = done_tx.clone();
-            let program = Arc::clone(program);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // A panic inside firing is caught and surfaced at the
-                    // barrier (the engine re-panics there); letting it
-                    // kill the worker silently would deadlock the recv
-                    // loop of the flush that sent the job.
-                    let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shard_worker(&program, job)
-                    }));
-                    if done_tx.send((s, done)).is_err() {
-                        break;
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        ShardPool {
-            txs,
-            done_rx,
-            handles,
-        }
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the inboxes ends each worker's recv loop.
-        self.txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 /// True when the `DP_UNBATCHED` environment variable selects the tuple-at-
@@ -1239,56 +818,15 @@ fn default_no_trie() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("DP_NO_TRIE").is_some_and(|v| v != *"0"))
 }
 
-/// Worker-thread default for newly built engines: the `DP_THREADS`
-/// environment variable when it parses to a positive count, else the
-/// machine's available parallelism capped at 8 (batch firing saturates
-/// long before wide machines run out of deltas). Read once per process so
-/// a test run is homogeneous.
-fn default_threads() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        let env = std::env::var("DP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        env.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)))
-    })
-}
-
-/// Shard-count default for newly built engines: the `DP_SHARDS`
-/// environment variable when it parses to a positive count, else 1 (the
-/// serial single-universe engine — sharding is opt-in). Read once per
-/// process so a test run is homogeneous.
-fn default_shards() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("DP_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
-}
-
 /// The evaluator. See the module docs for semantics.
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
-    /// The node universe, partitioned by `assign`. One entry with one
-    /// shard (the default serial engine).
-    shards: Vec<ShardState>,
-    /// Per-shard tuple interners, parallel to `shards`. Kept as a
-    /// separate field so a firing can borrow a store mutably while the
-    /// node states are borrowed shared.
-    stores: Vec<TupleStore>,
-    assign: ShardAssignment,
-    /// The long-lived shard workers, spawned at the first sharded flush.
-    pool: Option<ShardPool>,
-    /// Deltas fired per shard (the per-shard load curve the bench legs
-    /// report).
-    shard_deltas: Vec<u64>,
-    /// Global provenance emission sequence, tagging buffered events so
-    /// the multi-buffer drain restores serial stream order.
-    emit_seq: u64,
+    nodes: BTreeMap<NodeId, NodeState>,
+    /// The tuple interner: one allocation per distinct tuple.
+    store: TupleStore,
+    /// Provenance events of the current batch, in emission order, awaiting
+    /// the flush (always empty in unbatched mode and at quiescence).
+    events: Vec<ProvEvent>,
     /// body tuple -> heads whose derivations reference it.
     dependents: BTreeMap<TupleRef, Vec<TupleRef>>,
     queue: BinaryHeap<Reverse<Scheduled>>,
@@ -1302,8 +840,6 @@ pub struct Engine<S: ProvenanceSink> {
     naive_join: bool,
     no_trie: bool,
     unbatched: bool,
-    /// Worker threads for batch firing (1 = the serial reference path).
-    threads: usize,
     /// Trace sink (disabled by default; see [`Engine::set_tracer`]).
     tracer: Tracer,
     /// Live-metrics registry handle (the `DP_METRICS` global unless
@@ -1319,10 +855,6 @@ pub struct Engine<S: ProvenanceSink> {
     flush_buf: Vec<Vec<(LogicalTime, Action)>>,
     /// Reusable action buffer for the unbatched reference path.
     fire_scratch: Vec<(LogicalTime, Action)>,
-    /// Reusable scratch for the ordered multi-buffer provenance drain.
-    drain_pairs: Vec<(u64, ProvEvent)>,
-    /// Reusable event vector handed to [`ProvenanceSink::record_batch`].
-    drain_buf: Vec<ProvEvent>,
     /// Safety valve against runaway programs.
     pub max_events: u64,
 }
@@ -1337,8 +869,6 @@ struct EngineMeters {
     run_seconds: dp_metrics::Histogram,
     /// Deltas per batch flush.
     batch_deltas: dp_metrics::Histogram,
-    /// Cross-shard messages routed per sharded flush (inbox pressure).
-    inbox_depth: dp_metrics::Histogram,
     /// Scheduled events awaiting dispatch, sampled at each flush.
     queue_depth: dp_metrics::Gauge,
     /// HLL sketch over stable hashes of every distinct interned tuple.
@@ -1363,10 +893,6 @@ impl EngineMeters {
                 "dp_engine_batch_deltas",
                 "Appearance deltas fired per batch flush",
             ),
-            inbox_depth: metrics.size_histogram(
-                "dp_engine_inbox_depth",
-                "Cross-shard messages routed per sharded batch flush",
-            ),
             queue_depth: metrics.gauge(
                 "dp_engine_queue_depth",
                 "Scheduled events awaiting dispatch, sampled at each flush",
@@ -1386,16 +912,12 @@ impl EngineMeters {
 impl<S: ProvenanceSink> Engine<S> {
     /// Creates an engine over `program`, streaming provenance into `sink`.
     pub fn new(program: Arc<Program>, sink: S) -> Self {
-        let shards = default_shards();
         let metrics = Metrics::global().clone();
         Engine {
             program,
-            shards: (0..shards).map(|_| ShardState::default()).collect(),
-            stores: (0..shards).map(|_| TupleStore::new()).collect(),
-            assign: ShardAssignment::new(shards),
-            pool: None,
-            shard_deltas: vec![0; shards],
-            emit_seq: 0,
+            nodes: BTreeMap::new(),
+            store: TupleStore::new(),
+            events: Vec::new(),
             dependents: BTreeMap::new(),
             queue: BinaryHeap::new(),
             clock: 0,
@@ -1408,39 +930,14 @@ impl<S: ProvenanceSink> Engine<S> {
             naive_join: false,
             no_trie: default_no_trie(),
             unbatched: default_unbatched(),
-            threads: default_threads(),
             tracer: Tracer::from_env(),
             meters: EngineMeters::register(&metrics),
             metrics,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             fire_scratch: Vec::new(),
-            drain_pairs: Vec::new(),
-            drain_buf: Vec::new(),
             max_events: 50_000_000,
         }
-    }
-
-    /// The shard that owns `node` under the current assignment.
-    fn shard_of(&self, node: &NodeId) -> usize {
-        self.assign.shard_of(node.as_str())
-    }
-
-    /// The state of `node`, wherever its shard keeps it.
-    fn node_state(&self, node: &NodeId) -> Option<&NodeState> {
-        self.shards[self.shard_of(node)].nodes.get(node)
-    }
-
-    /// Mutable state of `node`, if it has any.
-    fn node_state_mut(&mut self, node: &NodeId) -> Option<&mut NodeState> {
-        let s = self.shard_of(node);
-        self.shards[s].nodes.get_mut(node)
-    }
-
-    /// The (possibly fresh) state of `node` on its owning shard.
-    fn node_entry(&mut self, node: NodeId) -> &mut NodeState {
-        let s = self.shard_of(&node);
-        self.shards[s].nodes.entry(node).or_default()
     }
 
     /// The program being executed.
@@ -1507,10 +1004,11 @@ impl<S: ProvenanceSink> Engine<S> {
     /// which is how `scripts/check.sh` runs the suite in both modes.
     ///
     /// Call before [`Engine::run`]; switching modes mid-batch would
-    /// strand deferred firings.
+    /// strand deferred firings, so it panics when a batch is in flight
+    /// (only reachable after a run that ended in an error).
     pub fn set_unbatched(&mut self, unbatched: bool) {
-        debug_assert!(
-            self.pending.is_empty() && self.shards.iter().all(|s| s.events.is_empty()),
+        assert!(
+            self.pending.is_empty() && self.events.is_empty(),
             "mode switch with a batch in flight"
         );
         self.unbatched = unbatched;
@@ -1521,71 +1019,10 @@ impl<S: ProvenanceSink> Engine<S> {
         self.unbatched
     }
 
-    /// Sets the worker-thread count for batch firing. `1` (the serial
-    /// reference path) fires every batch inline; higher counts fan large
-    /// batches out over a scoped worker pool with a deterministic merge at
-    /// the barrier — the provenance stream, the scheduled-event order, and
-    /// every join counter are bit-identical at any setting (see the module
-    /// docs). Only the batched path is affected; unbatched mode is always
-    /// serial. `DP_THREADS=n` in the environment sets the default for
-    /// every engine in the process, which is how `scripts/check.sh` runs
-    /// the suite at 1 and 4. A count of 0 is clamped to 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count for batch firing.
+    /// Always 1; kept only because `benchmark/src/timed.rs` and
+    /// `benchmark/src/probe.rs` read it.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the shard count for node-sharded evaluation. `1` (the
-    /// default) is the serial single-universe engine; higher counts pin
-    /// every node to one of `n` long-lived worker shards by a stable hash
-    /// of its name, each owning its nodes' states and its own tuple
-    /// interner, with batches fired per shard and merged deterministically
-    /// at the barrier (see the module docs, "Sharded evaluation"). The
-    /// provenance stream, the scheduled-event order, the fixpoint, and
-    /// the trace skeleton are bit-identical at any setting. Composes with
-    /// [`Engine::set_threads`]: a shard's slice large enough to be worth
-    /// it fires on the intra-shard chunked pool. `DP_SHARDS=n` in the
-    /// environment sets the default for every engine in the process. A
-    /// count of 0 is clamped to 1.
-    ///
-    /// Call before [`Engine::run`]; existing node state is redistributed
-    /// under the new assignment, and the interners restart cold.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        debug_assert!(
-            self.pending.is_empty() && self.shards.iter().all(|s| s.events.is_empty()),
-            "shard change with a batch in flight"
-        );
-        if shards == self.shards.len() {
-            return;
-        }
-        self.pool = None;
-        self.assign = ShardAssignment::new(shards);
-        let old: Vec<ShardState> = std::mem::take(&mut self.shards);
-        self.shards = (0..shards).map(|_| ShardState::default()).collect();
-        self.stores = (0..shards).map(|_| TupleStore::new()).collect();
-        self.shard_deltas = vec![0; shards];
-        for sh in old {
-            for (node, state) in sh.nodes {
-                let s = self.assign.shard_of(node.as_str());
-                self.shards[s].nodes.insert(node, state);
-            }
-        }
-    }
-
-    /// The number of shards the node universe is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deltas fired per shard so far — the per-shard load curve the
-    /// benchmark legs report. All zeros until a sharded flush runs.
-    pub fn shard_loads(&self) -> &[u64] {
-        &self.shard_deltas
+        1
     }
 
     /// Attaches a tracer (`dp-trace`). Engines trace at phase granularity
@@ -1597,13 +1034,12 @@ impl<S: ProvenanceSink> Engine<S> {
     ///   closed with a deterministic counter snapshot (events, deriva-
     ///   tions, per-rule firings and matches, per-node live tuples);
     /// * `Class::Effort` spans around each batch flush (`engine.flush`,
-    ///   `engine.fire.serial` / `engine.fire.parallel` + `engine.merge`,
-    ///   `engine.sink`) and effort counters (probes, scans, trie decisions,
-    ///   candidates, batching) that legitimately differ between engine
-    ///   configurations.
+    ///   `engine.fire`, `engine.sink`) and effort counters (probes, scans,
+    ///   trie decisions, candidates, batching) that legitimately differ
+    ///   between engine configurations.
     ///
     /// The skeleton rendering of the resulting trace is bit-identical
-    /// across unbatched/batched/parallel/no-trie/naive configurations —
+    /// across unbatched/batched/no-trie/naive configurations —
     /// `crates/ndlog/tests/trace_differential.rs` proves it. The default
     /// tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
     /// aggregate-only, anything else full recording), read once per
@@ -1672,18 +1108,8 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.pending.len()
             )));
         }
-        // Shard node maps merge back into the one serial map: node
-        // ownership is disjoint, so a sharded engine round-trips through
-        // the same `EngineSnapshot` as a serial one, and a snapshot taken
-        // at one shard count restores at any other.
-        let mut nodes = BTreeMap::new();
-        for sh in &self.shards {
-            for (node, state) in &sh.nodes {
-                nodes.insert(node.clone(), state.clone());
-            }
-        }
         Ok(EngineSnapshot {
-            nodes,
+            nodes: self.nodes.clone(),
             dependents: self.dependents.clone(),
             clock: self.clock,
             seq: self.seq,
@@ -1726,25 +1152,12 @@ impl<S: ProvenanceSink> Engine<S> {
             state.reindex(&program);
         }
         let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
-        // Distribute the serial snapshot map across this process's
-        // default shard layout; `set_shards` can re-partition afterwards.
-        let nshards = default_shards();
         let metrics = Metrics::global().clone();
-        let assign = ShardAssignment::new(nshards);
-        let mut shards: Vec<ShardState> = (0..nshards).map(|_| ShardState::default()).collect();
-        for (node, state) in nodes {
-            shards[assign.shard_of(node.as_str())]
-                .nodes
-                .insert(node, state);
-        }
         Ok(Engine {
             program,
-            shards,
-            stores: (0..nshards).map(|_| TupleStore::new()).collect(),
-            assign,
-            pool: None,
-            shard_deltas: vec![0; nshards],
-            emit_seq: 0,
+            nodes,
+            store: TupleStore::new(),
+            events: Vec::new(),
             dependents: snap.dependents,
             queue: BinaryHeap::new(),
             clock: snap.clock,
@@ -1760,22 +1173,19 @@ impl<S: ProvenanceSink> Engine<S> {
             naive_join: false,
             no_trie: default_no_trie(),
             unbatched: default_unbatched(),
-            threads: default_threads(),
             tracer: Tracer::from_env(),
             meters: EngineMeters::register(&metrics),
             metrics,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             fire_scratch: Vec::new(),
-            drain_pairs: Vec::new(),
-            drain_buf: Vec::new(),
             max_events: 50_000_000,
         })
     }
 
     /// A read-only view of `node`, if it has any state.
     pub fn view<'a>(&'a self, node: &'a NodeId) -> Option<NodeView<'a>> {
-        self.node_state(node).map(|state| NodeView {
+        self.nodes.get(node).map(|state| NodeView {
             node,
             state,
             as_of: LogicalTime::MAX,
@@ -1785,20 +1195,12 @@ impl<S: ProvenanceSink> Engine<S> {
 
     /// The state of `tuple` at `node`, if currently present.
     pub fn lookup(&self, node: &NodeId, tuple: &Tuple) -> Option<&TupleState> {
-        self.node_state(node)?.get(tuple)
+        self.nodes.get(node)?.get(tuple)
     }
 
-    /// Iterates over all nodes with state, in node order — collected
-    /// across shards and re-sorted, so the order is identical at any
-    /// shard count.
+    /// Iterates over all nodes with state, in node order.
     pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, &NodeState)> {
-        let mut all: Vec<(&NodeId, &NodeState)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.nodes.iter())
-            .collect();
-        all.sort_unstable_by_key(|(n, _)| *n);
-        all.into_iter()
+        self.nodes.iter()
     }
 
     /// Schedules a base-tuple insertion not earlier than `due`.
@@ -1812,8 +1214,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 m.distinct_flows.observe_hash(h);
             }
         }
-        let s = self.shard_of(&node);
-        let tuple = self.stores[s].intern(tuple);
+        let tuple = self.store.intern(tuple);
         self.push(due, Action::InsertBase(node, tuple));
         Ok(())
     }
@@ -1821,8 +1222,7 @@ impl<S: ProvenanceSink> Engine<S> {
     /// Schedules a base-tuple deletion not earlier than `due`.
     pub fn schedule_delete(&mut self, due: LogicalTime, node: NodeId, tuple: Tuple) -> Result<()> {
         self.check_base(&tuple)?;
-        let s = self.shard_of(&node);
-        let tuple = self.stores[s].intern(tuple);
+        let tuple = self.store.intern(tuple);
         self.push(due, Action::DeleteBase(node, tuple));
         Ok(())
     }
@@ -1856,7 +1256,6 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.stats,
                 self.rule_firings.clone(),
                 self.join_profile.clone(),
-                self.shard_deltas.clone(),
             )
         });
         // The metrics summary wants the same per-run deltas; snapshot the
@@ -1864,25 +1263,23 @@ impl<S: ProvenanceSink> Engine<S> {
         let metered = self
             .meters
             .is_some()
-            .then(|| (std::time::Instant::now(), self.stats, self.rule_firings.clone(), self.shard_deltas.clone()));
+            .then(|| (std::time::Instant::now(), self.stats, self.rule_firings.clone()));
         let result = self.run_inner();
         if result.is_err() {
             // Don't swallow provenance already produced by applied
             // mutations: the unbatched path would have recorded it
-            // before the failure. The drain merges every shard's buffer
-            // in emission order, exactly as a batch boundary would.
+            // before the failure.
             self.drain_events();
         }
-        // The interners only grow during a run (nothing is GC'd here), so
-        // the quiescent sum is the run's high-water mark.
-        let interned: u64 = self.stores.iter().map(|st| st.len() as u64).sum();
-        self.stats.peak_interned = self.stats.peak_interned.max(interned);
-        if let Some((span, s0, firings0, profile0, sd0)) = traced {
-            self.trace_run_summary(s0, &firings0, &profile0, &sd0);
+        // The interner only grows during a run (nothing is GC'd here), so
+        // the quiescent size is the run's high-water mark.
+        self.stats.peak_interned = self.stats.peak_interned.max(self.store.len() as u64);
+        if let Some((span, s0, firings0, profile0)) = traced {
+            self.trace_run_summary(s0, &firings0, &profile0);
             span.end(Some(self.clock), &[("events", self.stats.events - s0.events)]);
         }
-        if let Some((started, s0, firings0, sd0)) = metered {
-            self.metrics_run_summary(started.elapsed(), s0, &firings0, &sd0);
+        if let Some((started, s0, firings0)) = metered {
+            self.metrics_run_summary(started.elapsed(), s0, &firings0);
         }
         result.map(|()| self.stats)
     }
@@ -1897,7 +1294,6 @@ impl<S: ProvenanceSink> Engine<S> {
         elapsed: std::time::Duration,
         s0: Stats,
         firings0: &BTreeMap<Sym, u64>,
-        sd0: &[u64],
     ) {
         let Some(meters) = &self.meters else { return };
         meters.run_seconds.observe_duration(elapsed);
@@ -1934,43 +1330,24 @@ impl<S: ProvenanceSink> Engine<S> {
             ("dp_engine_join_matches_total", "Join matches found", s.join_matches - s0.join_matches),
             ("dp_engine_batches_total", "Batch flushes", s.batches - s0.batches),
             ("dp_engine_batched_deltas_total", "Deltas fired through batches", s.batched_deltas - s0.batched_deltas),
-            ("dp_engine_parallel_batches_total", "Batches fired on the thread pool", s.parallel_batches - s0.parallel_batches),
-            ("dp_engine_sharded_batches_total", "Batches dispatched to shard workers", s.sharded_batches - s0.sharded_batches),
-            ("dp_engine_cross_shard_msgs_total", "Derived heads crossing a shard boundary", s.cross_shard_msgs - s0.cross_shard_msgs),
         ] {
             m.counter(name, help).add(v);
-        }
-        if self.shard_deltas.len() > 1 {
-            for (i, &n) in self.shard_deltas.iter().enumerate() {
-                let prev = sd0.get(i).copied().unwrap_or(0);
-                if n > prev {
-                    let label = i.to_string();
-                    m.counter_with(
-                        "dp_engine_shard_deltas_total",
-                        "Deltas fired per shard",
-                        &[("shard", &label)],
-                    )
-                    .add(n - prev);
-                }
-            }
         }
         // Levels at quiescence: high-water marks and the live fixpoint.
         m.gauge("dp_engine_peak_tuples", "High-water mark of live tuples")
             .raise_to(s.peak_tuples as i64);
-        m.gauge("dp_engine_peak_interned", "High-water mark of interned tuples across shards")
+        m.gauge("dp_engine_peak_interned", "High-water mark of interned tuples")
             .raise_to(s.peak_interned as i64);
         m.gauge("dp_engine_live_tuples", "Live tuples at last quiescence")
             .set(self.live_tuples as i64);
-        // Distinct interned tuples: the interners hold exactly the
+        // Distinct interned tuples: the interner holds exactly the
         // distinct tuples that materialized, and HLL observation is
         // idempotent, so sketching them at quiescence costs one stable
         // hash per interned tuple per run and nothing on the hot path.
-        for store in &self.stores {
-            for tuple in store.iter() {
-                meters
-                    .distinct_tuples
-                    .observe_hash(dp_types::codec::tuple_fnv64(tuple));
-            }
+        for tuple in self.store.iter() {
+            meters
+                .distinct_tuples
+                .observe_hash(dp_types::codec::tuple_fnv64(tuple));
         }
     }
 
@@ -1983,7 +1360,6 @@ impl<S: ProvenanceSink> Engine<S> {
         s0: Stats,
         firings0: &BTreeMap<Sym, u64>,
         profile0: &BTreeMap<Sym, RuleJoinProfile>,
-        sd0: &[u64],
     ) {
         let t = &self.tracer;
         let s = self.stats;
@@ -2005,8 +1381,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         // Per-node live-tuple snapshots: the fixpoint is identical in
         // every configuration, so the absolute counts are deterministic.
-        // `nodes()` re-sorts across shards, so the emission order — and
-        // with it the rendered skeleton — matches the serial engine.
         for (node, state) in self.nodes() {
             t.counter(&format!("node.live.{node}"), Class::Skeleton, state.len() as u64);
         }
@@ -2024,22 +1398,9 @@ impl<S: ProvenanceSink> Engine<S> {
             ("engine.join_matches", s.join_matches - s0.join_matches),
             ("engine.batches", s.batches - s0.batches),
             ("engine.batched_deltas", s.batched_deltas - s0.batched_deltas),
-            ("engine.parallel_batches", s.parallel_batches - s0.parallel_batches),
-            ("engine.sharded_batches", s.sharded_batches - s0.sharded_batches),
-            ("engine.cross_shard_msgs", s.cross_shard_msgs - s0.cross_shard_msgs),
             ("engine.peak_interned", s.peak_interned - s0.peak_interned),
         ] {
             t.counter(name, Class::Effort, v);
-        }
-        // Per-shard delta loads: each shard's counter folds into the one
-        // shared aggregate, so a bench leg reads the whole curve with a
-        // single prefix scan (`Aggregate::counters_prefixed`). Effort
-        // class — the curve is a property of the shard layout.
-        if self.shard_deltas.len() > 1 {
-            for (i, &n) in self.shard_deltas.iter().enumerate() {
-                let prev = sd0.get(i).copied().unwrap_or(0);
-                t.counter(&format!("shard.deltas.{i}"), Class::Effort, n - prev);
-            }
         }
         for (rule, p) in &self.join_profile {
             let prev = profile0.get(rule).copied().unwrap_or_default();
@@ -2072,7 +1433,7 @@ impl<S: ProvenanceSink> Engine<S> {
             if self.stats.events >= self.max_events {
                 // Requeue before erroring: dropping the in-flight event
                 // would let a cascade whose queue holds exactly one event
-                // at a time (a cross-shard ping-pong, say) error into a
+                // at a time (a two-node ping-pong, say) error into a
                 // state with an *empty* queue, which `snapshot()` would
                 // then certify as quiescent — silently losing the event
                 // from every replay resumed from the checkpoint. With the
@@ -2131,55 +1492,39 @@ impl<S: ProvenanceSink> Engine<S> {
                 );
             }
         }
-        debug_assert!(
-            self.pending.is_empty() && self.shards.iter().all(|s| s.events.is_empty())
-        );
+        debug_assert!(self.pending.is_empty() && self.events.is_empty());
         Ok(())
     }
 
     /// Records a provenance event — directly in unbatched mode, buffered
-    /// on the owning shard for the next batch flush otherwise. The global
-    /// emission sequence tags every buffered event so the multi-buffer
-    /// drain ([`Engine::drain_events`]) restores serial stream order.
+    /// for the next batch flush otherwise.
     fn emit_event(&mut self, event: ProvEvent) {
         if self.unbatched {
             self.sink.record(event);
         } else {
-            let s = self.assign.shard_of(event.node().as_str());
-            let tag = self.emit_seq;
-            self.emit_seq += 1;
-            self.shards[s].events.push((tag, event));
+            self.events.push(event);
         }
     }
 
-    /// Releases every shard's buffered provenance events to the sink in
-    /// emission order. With one shard the buffer is already in order and
-    /// the sort is skipped; with several, the emission-sequence tags
-    /// restore exactly the order one serial buffer would have held.
+    /// Releases the buffered provenance events to the sink in emission
+    /// order.
     fn drain_events(&mut self) {
-        if self.shards.iter().all(|s| s.events.is_empty()) {
+        if self.events.is_empty() {
             return;
-        }
-        let mut pairs = std::mem::take(&mut self.drain_pairs);
-        for sh in &mut self.shards {
-            pairs.append(&mut sh.events);
-        }
-        if self.shards.len() > 1 {
-            pairs.sort_unstable_by_key(|&(tag, _)| tag);
         }
         let span = self.tracer.is_enabled().then(|| {
             (
                 self.tracer
                     .span("engine.sink", Class::Effort, Some(self.clock)),
-                pairs.len() as u64,
+                self.events.len() as u64,
             )
         });
-        let mut events = std::mem::take(&mut self.drain_buf);
-        events.extend(pairs.drain(..).map(|(_, e)| e));
+        // The sink may take the vector; hand the (cleared) allocation back
+        // either way so the next batch reuses it.
+        let mut events = std::mem::take(&mut self.events);
         self.sink.record_batch(&mut events);
         events.clear();
-        self.drain_buf = events;
-        self.drain_pairs = pairs;
+        self.events = events;
         if let Some((span, n)) = span {
             span.end(Some(self.clock), &[("events", n)]);
         }
@@ -2198,7 +1543,7 @@ impl<S: ProvenanceSink> Engine<S> {
         let now = self.clock;
         let specs = self.program.index_specs_for(&tuple.table).cloned();
         let tries = self.program.trie_specs_for(&tuple.table).cloned();
-        let state = self.node_entry(node.clone());
+        let state = self.nodes.entry(node.clone()).or_default();
         let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
         if entry.base {
             return Ok(()); // idempotent re-insert
@@ -2238,7 +1583,7 @@ impl<S: ProvenanceSink> Engine<S> {
             self.flush_batch()?;
         }
         let now = self.clock;
-        let Some(state) = self.node_state_mut(&node) else {
+        let Some(state) = self.nodes.get_mut(&node) else {
             return Ok(());
         };
         let Some(entry) = state.get_mut(&tuple) else {
@@ -2256,7 +1601,7 @@ impl<S: ProvenanceSink> Engine<S> {
             tuple: Arc::clone(&tuple),
         });
         if gone {
-            if let Some(state) = self.node_state_mut(&node) {
+            if let Some(state) = self.nodes.get_mut(&node) {
                 state.remove(&tuple);
             }
             self.note_disappear();
@@ -2284,7 +1629,8 @@ impl<S: ProvenanceSink> Engine<S> {
         // between scheduling and delivery (in-flight message semantics).
         for b in &body {
             let alive = self
-                .node_state(&b.node)
+                .nodes
+                .get(&b.node)
                 .is_some_and(|n| n.contains(&b.tuple));
             if !alive {
                 return Ok(());
@@ -2292,7 +1638,7 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         let specs = self.program.index_specs_for(&tuple.table).cloned();
         let tries = self.program.trie_specs_for(&tuple.table).cloned();
-        let state = self.node_entry(node.clone());
+        let state = self.nodes.entry(node.clone()).or_default();
         let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
         let record = DerivRecord {
             rule: rule.clone(),
@@ -2355,7 +1701,7 @@ impl<S: ProvenanceSink> Engine<S> {
             return Ok(());
         };
         for head in heads {
-            let Some(state) = self.node_state_mut(&head.node) else {
+            let Some(state) = self.nodes.get_mut(&head.node) else {
                 continue;
             };
             let Some(entry) = state.get_mut(&head.tuple) else {
@@ -2382,11 +1728,12 @@ impl<S: ProvenanceSink> Engine<S> {
                 });
             }
             let support = self
-                .node_state(&head.node)
+                .nodes
+                .get(&head.node)
                 .and_then(|s| s.get(&head.tuple))
                 .map_or(0, |e| e.support());
             if support == 0 {
-                if let Some(state) = self.node_state_mut(&head.node) {
+                if let Some(state) = self.nodes.get_mut(&head.node) {
                     state.remove(&head.tuple);
                 }
                 self.note_disappear();
@@ -2407,27 +1754,13 @@ impl<S: ProvenanceSink> Engine<S> {
     fn fire_triggers(&mut self, now: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> Result<()> {
         let mut out = std::mem::take(&mut self.fire_scratch);
         let mut fstats = FireStats::default();
-        // The unbatched path never dispatches to the shard pool, but
-        // derived heads must still land in their owning shard's interner:
-        // with one shard the engine's store is used directly; otherwise
-        // heads go through a scratch store and are re-normalized into the
-        // destination shard's store before the push.
-        let multi = self.shards.len() > 1;
-        let mut scratch = TupleStore::new();
         let ctx = FireCtx {
             program: &self.program,
-            state: StateView::All {
-                shards: &self.shards,
-                assign: &self.assign,
-            },
+            nodes: &self.nodes,
             naive_join: self.naive_join,
             no_trie: self.no_trie,
         };
-        let store = if multi {
-            &mut scratch
-        } else {
-            &mut self.stores[0]
-        };
+        let store = &mut self.store;
         let mut res = Ok(());
         'firings: {
             for &(ri, ai) in ctx.program.rule_triggers(&tuple.table) {
@@ -2483,18 +1816,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         self.absorb_fire_stats(fstats);
         res?;
-        if multi {
-            let src = self.shard_of(node);
-            for (_, action) in &mut out {
-                if let Action::InsertDerived { node: head, tuple, .. } = action {
-                    let target = self.shard_of(head);
-                    if target != src {
-                        self.stats.cross_shard_msgs += 1;
-                    }
-                    *tuple = self.stores[target].intern_arc(Arc::clone(tuple));
-                }
-            }
-        }
         for (due, action) in out.drain(..) {
             self.push(due, action);
         }
@@ -2503,8 +1824,7 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Folds firing-time join counters into the run stats and the per-rule
-    /// profile. The sums are commutative, so one accumulator filled
-    /// serially and several filled by workers produce identical totals.
+    /// profile.
     fn absorb_fire_stats(&mut self, fstats: FireStats) {
         for (rule, p) in fstats.profile {
             self.stats.join_probes += p.probes;
@@ -2537,12 +1857,6 @@ impl<S: ProvenanceSink> Engine<S> {
     /// delta fires with its own `now` and `as_of` horizon so joins,
     /// builtins, and natives observe the state as of that delta's
     /// appearance.
-    ///
-    /// Node state is frozen for the whole firing phase, so a batch above
-    /// the [`PAR_MIN_DELTAS`] threshold fans its deltas out over a worker
-    /// pool when [`Engine::threads`] exceeds 1; the per-delta buffers and
-    /// the push order — and hence the provenance stream — are identical
-    /// either way.
     fn flush_batch(&mut self) -> Result<()> {
         if !self.pending.is_empty() {
             // Effort-class instrumentation only: batch structure is a
@@ -2566,62 +1880,27 @@ impl<S: ProvenanceSink> Engine<S> {
             if buf.len() < deltas.len() {
                 buf.resize_with(deltas.len(), Vec::new);
             }
-            let fired = if self.shards.len() > 1 {
-                // Sharding always routes through the shard inboxes — the
-                // inbox protocol *is* the architecture, so even a tiny
-                // batch takes it rather than silently collapsing into the
-                // serial path with a different state layout.
-                let span = traced.then(|| {
-                    self.tracer
-                        .span("engine.fire.sharded", Class::Effort, Some(self.clock))
-                });
-                let res = self.fire_batch_sharded(&deltas, &mut buf[..deltas.len()]);
-                if let Some(span) = span {
-                    span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
-                }
-                if let Some(m) = &self.meters {
-                    // Inbox pressure: boundary crossings this flush routed.
-                    m.inbox_depth
-                        .observe(self.stats.cross_shard_msgs - s0.cross_shard_msgs);
-                }
-                res
-            } else if self.threads > 1 && deltas.len() >= PAR_MIN_DELTAS {
-                let span = traced.then(|| {
-                    self.tracer
-                        .span("engine.fire.parallel", Class::Effort, Some(self.clock))
-                });
-                let res = self.fire_batch_parallel(&deltas, &mut buf[..deltas.len()]);
-                if let Some(span) = span {
-                    span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
-                }
-                res
-            } else {
-                let span = traced.then(|| {
-                    self.tracer
-                        .span("engine.fire.serial", Class::Effort, Some(self.clock))
-                });
-                let mut fstats = FireStats::default();
-                let ctx = FireCtx {
-                    program: &self.program,
-                    state: StateView::All {
-                        shards: &self.shards,
-                        assign: &self.assign,
-                    },
-                    naive_join: self.naive_join,
-                    no_trie: self.no_trie,
-                };
-                let res = ctx.fire_deltas(
-                    &deltas,
-                    &mut self.stores[0],
-                    &mut fstats,
-                    &mut buf[..deltas.len()],
-                );
-                self.absorb_fire_stats(fstats);
-                if let Some(span) = span {
-                    span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
-                }
-                res
+            let span = traced.then(|| {
+                self.tracer
+                    .span("engine.fire", Class::Effort, Some(self.clock))
+            });
+            let mut fstats = FireStats::default();
+            let ctx = FireCtx {
+                program: &self.program,
+                nodes: &self.nodes,
+                naive_join: self.naive_join,
+                no_trie: self.no_trie,
             };
+            let fired = ctx.fire_deltas(
+                &deltas,
+                &mut self.store,
+                &mut fstats,
+                &mut buf[..deltas.len()],
+            );
+            self.absorb_fire_stats(fstats);
+            if let Some(span) = span {
+                span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
+            }
             if let Err(e) = fired {
                 self.flush_buf = buf;
                 return Err(e);
@@ -2647,198 +1926,16 @@ impl<S: ProvenanceSink> Engine<S> {
         self.drain_events();
         Ok(())
     }
-
-    /// Fires one batch's deltas on the scoped chunk pool ([`fire_chunked`])
-    /// against the engine's whole frozen state. Only taken with a single
-    /// shard; sharded engines go through [`Engine::fire_batch_sharded`].
-    ///
-    /// The merge re-interns worker-local derived heads into the engine's
-    /// store so cross-batch deduplication keeps one allocation per
-    /// distinct tuple (identity only — all tuple comparisons are by
-    /// value). Errors follow [`fire_chunked`]'s discipline: the earliest
-    /// (lowest delta index) erroring chunk wins, which may legitimately
-    /// differ from the serial path's pick (the serial walk would have
-    /// stopped before reaching a later group); either way no action of
-    /// the failed batch is released, and the provenance of
-    /// already-applied events is flushed by [`Engine::run`] just as on
-    /// the serial path.
-    fn fire_batch_parallel(
-        &mut self,
-        deltas: &[Delta],
-        buf: &mut [Vec<(LogicalTime, Action)>],
-    ) -> Result<()> {
-        self.stats.parallel_batches += 1;
-        let mut fstats = FireStats::default();
-        let ctx = FireCtx {
-            program: &self.program,
-            state: StateView::All {
-                shards: &self.shards,
-                assign: &self.assign,
-            },
-            naive_join: self.naive_join,
-            no_trie: self.no_trie,
-        };
-        let first_error = fire_chunked(&ctx, deltas, self.threads, &mut fstats, buf);
-        self.absorb_fire_stats(fstats);
-        let merge_span = self
-            .tracer
-            .is_enabled()
-            .then(|| self.tracer.span("engine.merge", Class::Effort, Some(self.clock)));
-        for actions in buf.iter_mut() {
-            for (_, action) in actions {
-                if let Action::InsertDerived { tuple, .. } = action {
-                    *tuple = self.stores[0].intern_arc(Arc::clone(tuple));
-                }
-            }
-        }
-        if let Some(span) = merge_span {
-            let chunk = deltas
-                .len()
-                .div_ceil(self.threads * PAR_CHUNKS_PER_WORKER)
-                .max(1);
-            let workers = self.threads.min(deltas.len().div_ceil(chunk));
-            span.end(Some(self.clock), &[("workers", workers as u64)]);
-        }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Fires one batch's deltas across the long-lived shard pool.
-    ///
-    /// The batch is partitioned by owning shard — each shard's slice
-    /// keeps its global arrival order — and each non-empty slice is
-    /// shipped to the shard's inbox together with the shard's node map
-    /// and interner (moved, not copied: the engine thread holds no state
-    /// a worker could race on). After the barrier the merge restores
-    /// every shard's state, lands per-delta buffers at their *global*
-    /// index (the caller releases them in global arrival order, exactly
-    /// like the serial path), folds effort counters, resolves errors to
-    /// the erroring unit with the earliest global delta index, and
-    /// re-interns derived heads addressed at another shard's node into
-    /// the destination shard's store — the only inter-shard traffic,
-    /// counted as [`Stats::cross_shard_msgs`].
-    fn fire_batch_sharded(
-        &mut self,
-        deltas: &[Delta],
-        buf: &mut [Vec<(LogicalTime, Action)>],
-    ) -> Result<()> {
-        self.stats.sharded_batches += 1;
-        let nshards = self.shards.len();
-        let mut parts: Vec<(Vec<Delta>, Vec<usize>)> =
-            (0..nshards).map(|_| (Vec::new(), Vec::new())).collect();
-        for (i, d) in deltas.iter().enumerate() {
-            let s = self.shard_of(&d.node);
-            self.shard_deltas[s] += 1;
-            parts[s].0.push(Delta {
-                node: d.node.clone(),
-                tuple: Arc::clone(&d.tuple),
-                at: d.at,
-            });
-            parts[s].1.push(i);
-        }
-        let pool = match self.pool.take() {
-            Some(p) => p,
-            None => ShardPool::spawn(nshards, &self.program),
-        };
-        let mut outstanding = 0;
-        for (s, (part, idxs)) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let job = ShardJob {
-                nodes: std::mem::take(&mut self.shards[s].nodes),
-                store: std::mem::replace(&mut self.stores[s], TupleStore::new()),
-                deltas: part,
-                idxs,
-                naive_join: self.naive_join,
-                no_trie: self.no_trie,
-                threads: self.threads,
-            };
-            pool.txs[s].send(job).expect("shard worker exited");
-            outstanding += 1;
-        }
-        let mut dones: Vec<(usize, ShardDone)> = Vec::with_capacity(outstanding);
-        for _ in 0..outstanding {
-            let (s, done) = pool.done_rx.recv().expect("shard worker exited");
-            match done {
-                Ok(done) => dones.push((s, done)),
-                // The worker caught the panic so the barrier would not
-                // deadlock; resume it on the engine thread.
-                Err(_) => panic!("shard worker panicked"),
-            }
-        }
-        self.pool = Some(pool);
-        // Completion order is scheduling-dependent; everything below is
-        // keyed by data (shard index, global delta index), and the sort
-        // makes the walk itself deterministic too.
-        dones.sort_unstable_by_key(|&(s, _)| s);
-        let merge_span = self
-            .tracer
-            .is_enabled()
-            .then(|| self.tracer.span("engine.merge", Class::Effort, Some(self.clock)));
-        let mut first_error: Option<(usize, Error)> = None;
-        let mut engaged = false;
-        // Restore every shard's state before touching the buffers: a
-        // cross-shard head must re-intern into the *returned* destination
-        // store, not the placeholder left while its job was in flight.
-        let mut merged: Vec<(usize, DeltaBuffers)> = Vec::with_capacity(dones.len());
-        for (s, done) in dones {
-            self.shards[s].nodes = done.nodes;
-            self.stores[s] = done.store;
-            engaged |= done.engaged;
-            self.absorb_fire_stats(done.fstats);
-            if let Some((at, e)) = done.error {
-                if first_error.as_ref().is_none_or(|&(best, _)| at < best) {
-                    first_error = Some((at, e));
-                }
-            }
-            merged.push((s, done.buffers));
-        }
-        for (s, buffers) in merged {
-            for (gidx, mut actions) in buffers {
-                for (_, action) in &mut actions {
-                    if let Action::InsertDerived { node, tuple, .. } = action {
-                        let target = self.assign.shard_of(node.as_str());
-                        if target != s {
-                            self.stats.cross_shard_msgs += 1;
-                            *tuple = self.stores[target].intern_arc(Arc::clone(tuple));
-                        }
-                    }
-                }
-                buf[gidx] = actions;
-            }
-        }
-        if engaged {
-            // At least one shard's slice ran on the intra-shard chunked
-            // pool: shard×thread composition in one batch.
-            self.stats.parallel_batches += 1;
-        }
-        if let Some(span) = merge_span {
-            span.end(Some(self.clock), &[("shards", outstanding as u64)]);
-        }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
 }
 
 impl FireCtx<'_> {
-    /// Fires every rule and native triggered by `deltas` — a contiguous
-    /// slice of one batch — appending each delta's scheduled actions to
-    /// the `buf` entry of the same index. Both the serial flush (the whole
-    /// batch in one call) and each parallel chunk run exactly this walk.
+    /// Fires every rule and native triggered by `deltas` — one batch —
+    /// appending each delta's scheduled actions to the `buf` entry of the
+    /// same index.
     ///
     /// Evaluation is grouped over consecutive same-(node, table) runs so
     /// the trigger list is resolved once per run, and a whole run is
-    /// pruned for a rule whose partner table is empty. A chunk boundary
-    /// may split a run in two; that is invisible in the output — state is
-    /// frozen, so the re-resolved triggers and the re-taken pruning
-    /// decision are identical, every firing writes only to its own
-    /// delta's buffer, and pruning never affects counters (a pruned join
-    /// examines no candidates).
+    /// pruned for a rule whose partner table is empty.
     fn fire_deltas(
         &self,
         deltas: &[Delta],
@@ -2869,7 +1966,7 @@ impl FireCtx<'_> {
                 // (probes/scans/candidates) shrink; a pruned join can
                 // never have produced a match or a derivation.
                 if rule.agg.is_none() {
-                    let state = self.state.get(&group[0].node);
+                    let state = self.nodes.get(&group[0].node);
                     let dead = rule.body.iter().enumerate().any(|(bi, a)| {
                         bi != ai && state.is_none_or(|s| s.table_empty(&a.table))
                     });
@@ -2937,7 +2034,7 @@ impl FireCtx<'_> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
         {
-            let state = self.state.get(node).unwrap_or(&EMPTY_NODE_STATE);
+            let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
             let view = NodeView { node, state, as_of, no_trie: self.no_trie };
             native.fire(&view, tuple, &mut emitter)?;
         }
@@ -2992,7 +2089,7 @@ impl FireCtx<'_> {
         as_of: LogicalTime,
         fstats: &mut FireStats,
     ) -> Vec<(Env, Vec<Arc<Tuple>>)> {
-        let Some(state) = self.state.get(node) else {
+        let Some(state) = self.nodes.get(node) else {
             return Vec::new();
         };
         let plan = if self.naive_join {
@@ -3094,7 +2191,7 @@ impl FireCtx<'_> {
                         for a in args {
                             vals.push(a.eval(&env)?);
                         }
-                        let state = self.state.get(node).unwrap_or(&EMPTY_NODE_STATE);
+                        let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
                         let view = NodeView { node, state, as_of, no_trie: self.no_trie };
                         if !builtin.eval(&view, &vals)? {
                             satisfied = false;
@@ -3186,7 +2283,7 @@ impl FireCtx<'_> {
                         for a in args {
                             vals.push(a.eval(&env)?);
                         }
-                        let state = self.state.get(node).unwrap_or(&EMPTY_NODE_STATE);
+                        let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
                         let view = NodeView { node, state, as_of, no_trie: self.no_trie };
                         if !builtin.eval(&view, &vals)? {
                             continue 'bindings;
@@ -3500,7 +2597,7 @@ mod tests {
         eng.schedule_insert(0, n.clone(), tuple!("b", 1, 9, 3)).unwrap(); // y mismatch
         eng.run().unwrap();
         assert_eq!(
-            eng.node_state(&n).unwrap().table(&Sym::new("c")).count(),
+            eng.nodes.get(&n).unwrap().table(&Sym::new("c")).count(),
             0
         );
     }
@@ -3796,117 +2893,5 @@ mod tests {
         // An unforged snapshot of the same run restores fine.
         let snap = eng.snapshot().unwrap();
         assert!(Engine::restore(fig4_program(), snap, VecSink::default()).is_ok());
-    }
-
-    #[test]
-    fn parallel_flush_matches_serial_stream_and_counters() {
-        let run = |threads: usize| {
-            let mut eng = Engine::new(fig4_program(), VecSink::default());
-            // Pin the batched discipline: the worker pool only serves
-            // batch flushes, so a DP_UNBATCHED=1 run would never engage it.
-            eng.set_unbatched(false);
-            eng.set_threads(threads);
-            let n = NodeId::new("n1");
-            for i in 0..30 {
-                eng.schedule_insert(0, n.clone(), tuple!("a", i % 5, i % 3)).unwrap();
-                eng.schedule_insert(0, n.clone(), tuple!("b", i % 5, i % 3, i)).unwrap();
-            }
-            for i in 0..10 {
-                eng.schedule_delete(100, n.clone(), tuple!("b", i % 5, i % 3, i)).unwrap();
-            }
-            let stats = eng.run().unwrap();
-            let profile = eng.join_profile().clone();
-            (eng.into_sink().events, stats, profile)
-        };
-        let (serial_events, serial_stats, serial_profile) = run(1);
-        assert_eq!(serial_stats.parallel_batches, 0);
-        for threads in [2, 4] {
-            let (events, stats, profile) = run(threads);
-            assert_eq!(events, serial_events, "threads={threads}");
-            assert!(stats.parallel_batches > 0, "pool never engaged: {stats:?}");
-            assert_eq!(
-                Stats { parallel_batches: 0, ..stats },
-                Stats { parallel_batches: 0, ..serial_stats },
-                "threads={threads}"
-            );
-            assert_eq!(profile, serial_profile, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_flush_matches_serial_stream_and_counters() {
-        // Cross-node forwarding over enough nodes that 2 and 4 shards
-        // both split the universe; the per-node inserts share timestamps
-        // so the batches actually span shards.
-        let mut reg = SchemaRegistry::new();
-        reg.declare(Schema::new(
-            "ping",
-            TableKind::ImmutableBase,
-            [("v", FieldType::Int)],
-        ));
-        reg.declare(Schema::new(
-            "nbr",
-            TableKind::MutableBase,
-            [("next", FieldType::Str)],
-        ));
-        reg.declare(Schema::new("pong", TableKind::Derived, [("v", FieldType::Int)]));
-        reg.declare(Schema::new("twice", TableKind::Derived, [("v", FieldType::Int)]));
-        let program: Arc<Program> = Program::builder(reg)
-            .rules_text(
-                "fwd pong(@M, V) :- ping(@N, V), nbr(@N, M).\n\
-                 dbl twice(@N, W) :- pong(@N, V), W := V + V.",
-            )
-            .unwrap()
-            .build()
-            .unwrap();
-        let names: Vec<String> = (1..=8).map(|i| format!("w{i}")).collect();
-        let run = |shards: usize| {
-            let mut eng = Engine::new(Arc::clone(&program), VecSink::default());
-            eng.set_unbatched(false);
-            eng.set_shards(shards);
-            for (i, name) in names.iter().enumerate() {
-                let n = NodeId::new(name.as_str());
-                let next = &names[(i + 1) % names.len()];
-                eng.schedule_insert(0, n.clone(), tuple!("nbr", next.as_str())).unwrap();
-                for v in 0..6i64 {
-                    eng.schedule_insert(2, n.clone(), tuple!("ping", v + i as i64)).unwrap();
-                }
-            }
-            let stats = eng.run().unwrap();
-            let firings = eng.rule_firings().clone();
-            let profile = eng.join_profile().clone();
-            let fixpoint: Vec<(NodeId, Tuple, usize)> = eng
-                .nodes()
-                .flat_map(|(node, st)| {
-                    st.all()
-                        .map(|(t, s)| (node.clone(), t.clone(), s.support()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            (eng.into_sink().events, stats, firings, profile, fixpoint)
-        };
-        let strip = |stats: Stats| Stats {
-            parallel_batches: 0,
-            sharded_batches: 0,
-            cross_shard_msgs: 0,
-            peak_interned: 0,
-            ..stats
-        };
-        let (events1, stats1, firings1, profile1, fix1) = run(1);
-        assert_eq!(stats1.sharded_batches, 0);
-        assert_eq!(stats1.cross_shard_msgs, 0);
-        for shards in [2, 4] {
-            let (events, stats, firings, profile, fix) = run(shards);
-            assert_eq!(events, events1, "shards={shards}");
-            assert_eq!(firings, firings1, "shards={shards}");
-            assert_eq!(profile, profile1, "shards={shards}");
-            assert_eq!(fix, fix1, "shards={shards}");
-            assert_eq!(strip(stats), strip(stats1), "shards={shards}");
-            assert!(stats.sharded_batches > 0, "pool never engaged: {stats:?}");
-            assert!(
-                stats.cross_shard_msgs > 0,
-                "ring forwarding never crossed shards: {stats:?}"
-            );
-        }
     }
 }

@@ -349,15 +349,6 @@ impl PlanSet {
     }
 }
 
-// The parallel batch flush shares one `PlanSet` across workers by
-// reference; plans must stay plain data (no interior mutability, no
-// `Rc`). Breaking this is a compile error here, not a runtime surprise.
-const _: () = {
-    const fn assert_sync<T: Send + Sync>() {}
-    assert_sync::<JoinPlan>();
-    assert_sync::<PlanSet>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

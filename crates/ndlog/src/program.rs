@@ -142,10 +142,11 @@ pub struct Program {
     plans: PlanSet,
 }
 
-// Batch workers read the program concurrently through a shared
-// reference (see `engine.rs`, "Parallel batch firing"); `NativeRule`
+// Executions hand their `Arc<Program>` to other threads (the
+// `serve-metrics` replay loop, the concurrent-scrape tests); `NativeRule`
 // and `StatefulBuiltin` carry `Send + Sync` bounds for exactly this.
-// Keep the whole program thread-shareable, checked at compile time.
+// Keep the whole program — plans included — thread-shareable, checked at
+// compile time.
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<Program>();

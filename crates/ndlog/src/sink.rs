@@ -8,18 +8,14 @@
 //! specification mode replays observations through a specification program,
 //! producing the same event stream.
 //!
-//! # Sinks and the parallel batch flush
+//! # Sinks and the batch flush
 //!
-//! Sinks are deliberately *not* required to be thread-safe, and the
-//! engine never calls one from a worker thread. Under the parallel flush
-//! (`DP_THREADS`, see `engine.rs`), workers only run the read-only
-//! *firing* phase and hand back per-delta action buffers; every
-//! [`ProvEvent`] is produced in the serial *apply* phase, buffered in
-//! stream order, and flushed through [`ProvenanceSink::record_batch`] at
-//! the batch boundary. The order a sink observes is therefore keyed by
-//! the data (due time, delta arrival order, firing order) — never by
-//! thread scheduling — which is what keeps the stream bit-identical
-//! across `DP_THREADS` settings.
+//! Sinks are not required to be thread-safe: the engine is single-
+//! threaded. In the batched discipline every [`ProvEvent`] is buffered in
+//! stream order as its mutation is applied and flushed through
+//! [`ProvenanceSink::record_batch`] at the batch boundary, so a sink
+//! observes exactly the stream the tuple-at-a-time path would have
+//! recorded one event at a time.
 
 use std::sync::Arc;
 
@@ -117,19 +113,6 @@ impl ProvEvent {
             | ProvEvent::Underive { time, .. }
             | ProvEvent::Appear { time, .. }
             | ProvEvent::Disappear { time, .. } => *time,
-        }
-    }
-
-    /// The node the event concerns — the one whose table universe changed.
-    /// Under sharded evaluation this keys the event to its owning shard.
-    pub fn node(&self) -> &NodeId {
-        match self {
-            ProvEvent::InsertBase { node, .. }
-            | ProvEvent::DeleteBase { node, .. }
-            | ProvEvent::Derive { node, .. }
-            | ProvEvent::Underive { node, .. }
-            | ProvEvent::Appear { node, .. }
-            | ProvEvent::Disappear { node, .. } => node,
         }
     }
 }

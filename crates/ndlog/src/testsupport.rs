@@ -8,7 +8,7 @@
 //! observable. This module is that recipe, extracted once: the
 //! [`EngineConfig`] knob matrix, the [`ScheduledOp`]/[`Outcome`] run
 //! harness, the program/schedule generators (int-flavored, prefix-
-//! flavored, and shard-flavored), and the stat-stripping helpers that
+//! flavored, and multi-node), and the stat-stripping helpers that
 //! define which counters are *effort* (allowed to differ between
 //! configurations) rather than *semantics* (compared verbatim).
 //!
@@ -37,9 +37,8 @@ use crate::sink::{ProvEvent, ProvenanceSink, VecSink};
 /// One engine configuration of the differential matrix.
 ///
 /// `None` knobs are left untouched, so the engine still honors the
-/// `DP_UNBATCHED` / `DP_NO_TRIE` / `DP_THREADS` / `DP_SHARDS` environment
-/// legs of `scripts/check.sh`; `Some` pins the knob regardless of the
-/// environment.
+/// `DP_UNBATCHED` / `DP_NO_TRIE` environment legs of `scripts/check.sh`;
+/// `Some` pins the knob regardless of the environment.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Display label used in assertion messages.
@@ -50,10 +49,6 @@ pub struct EngineConfig {
     pub unbatched: Option<bool>,
     /// Pin the ordered-scan access path (trie disabled).
     pub no_trie: Option<bool>,
-    /// Pin the worker-thread count.
-    pub threads: Option<usize>,
-    /// Pin the shard count.
-    pub shards: Option<usize>,
 }
 
 impl EngineConfig {
@@ -64,58 +59,33 @@ impl EngineConfig {
             naive_join: None,
             unbatched: None,
             no_trie: None,
-            threads: None,
-            shards: None,
         }
     }
 
-    /// The canonical six-configuration matrix: batched serial reference,
-    /// batched at 2 and 4 worker threads, tuple-at-a-time firing, the
-    /// trie-disabled batched path, and the naive nested-loop unbatched
-    /// path. Every configuration must be observably identical; shards are
-    /// inherited so the matrix composes with a `DP_SHARDS` leg.
-    pub const fn matrix() -> [EngineConfig; 6] {
+    /// The canonical four-configuration matrix: the batched default, the
+    /// tuple-at-a-time firing path, the trie-disabled batched path, and
+    /// the naive nested-loop unbatched path. Every configuration must be
+    /// observably identical.
+    pub const fn matrix() -> [EngineConfig; 4] {
         const fn cfg(
             label: &'static str,
             naive: bool,
             unbatched: bool,
             no_trie: bool,
-            threads: usize,
         ) -> EngineConfig {
             EngineConfig {
                 label,
                 naive_join: Some(naive),
                 unbatched: Some(unbatched),
                 no_trie: Some(no_trie),
-                threads: Some(threads),
-                shards: None,
             }
         }
         [
-            cfg("batched-serial", false, false, false, 1),
-            cfg("threads-2", false, false, false, 2),
-            cfg("threads-4", false, false, false, 4),
-            cfg("unbatched", false, true, false, 1),
-            cfg("no-trie", false, false, true, 1),
-            cfg("naive-unbatched", true, true, false, 1),
+            cfg("batched", false, false, false),
+            cfg("unbatched", false, true, false),
+            cfg("no-trie", false, false, true),
+            cfg("naive-unbatched", true, true, false),
         ]
-    }
-
-    /// The shard ladder: the serial single-universe reference plus 2- and
-    /// 4-shard partitionings, batched discipline and one thread pinned so
-    /// sharding is the only variable.
-    pub const fn shard_matrix() -> [EngineConfig; 3] {
-        const fn cfg(label: &'static str, shards: usize) -> EngineConfig {
-            EngineConfig {
-                label,
-                naive_join: None,
-                unbatched: Some(false),
-                no_trie: None,
-                threads: Some(1),
-                shards: Some(shards),
-            }
-        }
-        [cfg("shards-1", 1), cfg("shards-2", 2), cfg("shards-4", 4)]
     }
 
     /// Applies the pinned knobs to an engine, leaving `None` knobs at
@@ -129,12 +99,6 @@ impl EngineConfig {
         }
         if let Some(no_trie) = self.no_trie {
             eng.set_no_trie(no_trie);
-        }
-        if let Some(threads) = self.threads {
-            eng.set_threads(threads);
-        }
-        if let Some(shards) = self.shards {
-            eng.set_shards(shards);
         }
     }
 }
@@ -258,13 +222,6 @@ pub fn strip_batch_counters(stats: Stats) -> Stats {
     Stats {
         batches: 0,
         batched_deltas: 0,
-        parallel_batches: 0,
-        // Sharded batches only form on the batched path, and per-shard
-        // interners fill differently between the disciplines (the
-        // unbatched path re-interns derived heads only into their owning
-        // shard), so these effort counters differ under `DP_SHARDS>1`.
-        sharded_batches: 0,
-        peak_interned: 0,
         join_probes: 0,
         join_scans: 0,
         join_candidates: 0,
@@ -283,43 +240,12 @@ pub fn strip_effort_counters(stats: Stats) -> Stats {
     Stats {
         batches: 0,
         batched_deltas: 0,
-        parallel_batches: 0,
-        sharded_batches: 0,
-        cross_shard_msgs: 0,
-        peak_interned: 0,
         join_probes: 0,
         join_scans: 0,
         join_candidates: 0,
         join_matches: 0,
         trie_probes: 0,
         trie_scans: 0,
-        ..stats
-    }
-}
-
-/// Zeroes only `parallel_batches`: chunking a batch over worker threads
-/// changes neither the joins that run nor what they examine (state is
-/// frozen, chunks are per-delta), so unlike the batching/trie comparisons
-/// even the join *effort* counters must agree across thread counts.
-pub fn strip_parallel_counter(stats: Stats) -> Stats {
-    Stats {
-        parallel_batches: 0,
-        ..stats
-    }
-}
-
-/// Zeroes the shard effort counters: `sharded_batches` only ticks when
-/// the shard pool is dispatched, `cross_shard_msgs` counts boundary
-/// crossings that a single universe never has, and `peak_interned` sums
-/// per-shard interners that fill differently once derived heads are
-/// re-interned at their destination. Everything semantic — including the
-/// join effort profile, since firing is node-local either way — must
-/// agree exactly across shard counts.
-pub fn strip_shard_counters(stats: Stats) -> Stats {
-    Stats {
-        sharded_batches: 0,
-        cross_shard_msgs: 0,
-        peak_interned: 0,
         ..stats
     }
 }
@@ -500,7 +426,7 @@ pub mod intgen {
     }
 }
 
-/// The prefix-flavored generator shared by the trie, parallel, and trace
+/// The prefix-flavored generator shared by the trie, trace, and metrics
 /// differential suites: route tables with prefix columns, packet tables
 /// with IP columns, and rules carrying `prefix_contains` constraints —
 /// every shape the planner turns into a trie probe, a constant probe, a
@@ -642,8 +568,7 @@ pub mod prefixgen {
     /// deep. Some ops expand to a delete+insert *replacement* of one
     /// route entry at a single timestamp. The op count and due domain are
     /// the knobs the suites differ on (trie: 4–30 ops over 6 ticks;
-    /// parallel/trace: 8–40 ops over 4 ticks, deep enough to clear the
-    /// parallel threshold).
+    /// trace/metrics: 8–40 ops over 4 ticks).
     pub fn arb_ops(rng: &mut DetRng, min_ops: usize, max_ops: usize, max_due: u64) -> Vec<Op> {
         let mut ops = Vec::new();
         for _ in 0..rng.gen_range_usize(min_ops, max_ops) {
@@ -686,7 +611,7 @@ pub mod prefixgen {
 
     /// Lowers prefix ops alternating between nodes `n` and `n2` (every
     /// third op), so group runs inside a batch actually break — the
-    /// parallel and trace suites' shape.
+    /// trace and metrics suites' shape.
     pub fn alternating_schedule(ops: &[Op]) -> Vec<ScheduledOp> {
         ops.iter()
             .enumerate()
@@ -700,11 +625,10 @@ pub mod prefixgen {
     }
 }
 
-/// The shard-flavored generator from the shard differential suite: a
-/// six-node roster with random neighbour links, local rules plus a
-/// guaranteed cross-node forward (the only traffic that crosses shard
-/// boundaries) and an optional second hop.
-pub mod shardgen {
+/// The multi-node generator: a six-node roster with random neighbour
+/// links, local rules plus a guaranteed cross-node forward and an optional
+/// second hop.
+pub mod nodegen {
     use std::sync::Arc;
 
     use dp_types::{tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, TableKind};
@@ -712,8 +636,7 @@ pub mod shardgen {
     use super::ScheduledOp;
     use crate::program::Program;
 
-    /// Six nodes so that 2 and 4 shards both split the roster
-    /// non-trivially under the stable FNV-1a assignment.
+    /// The node roster.
     pub const NODES: [&str; 6] = ["n0", "n1", "n2", "n3", "n4", "n5"];
     const VARS: [&str; 2] = ["X", "Y"];
 
@@ -759,8 +682,8 @@ pub mod shardgen {
 
     /// Local rule shapes: single-atom projections, self-joins, arithmetic
     /// heads, and aggregation fences. Cross-node traffic is added
-    /// separately so every generated program exercises the shard
-    /// boundary.
+    /// separately so every generated program sends messages between
+    /// nodes.
     fn arb_rule(rng: &mut DetRng, i: usize) -> String {
         match rng.gen_range_usize(0, 5) {
             0 | 1 => {
@@ -784,7 +707,7 @@ pub mod shardgen {
 
     /// A random program of local rules plus the guaranteed cross-node
     /// forward `fwd msg(@M, X) :- ln(@N, X, _), nbr(@N, M).` — and, half
-    /// the time, a second hop so a message received from another shard
+    /// the time, a second hop so a message received from another node
     /// re-fires and emits again within the same batch cascade.
     pub fn arb_program(rng: &mut DetRng) -> Option<Arc<Program>> {
         let mut text = String::new();
@@ -808,7 +731,7 @@ pub mod shardgen {
 
     /// Random `ln` churn over the roster. Dues come from a tiny domain so
     /// most events share a timestamp (deep batches spanning several
-    /// shards), and deletes land in the same tick as inserts.
+    /// nodes), and deletes land in the same tick as inserts.
     pub fn arb_ops(rng: &mut DetRng) -> Vec<Op> {
         let mut ops = Vec::new();
         for _ in 0..rng.gen_range_usize(4, 30) {
@@ -830,9 +753,9 @@ pub mod shardgen {
 
     /// The topology schedule at tick 0: every node exists (one seed fact)
     /// and points at 1–2 random neighbours, so `@M` heads always name
-    /// declared nodes and most forwards cross a shard boundary; half the
-    /// nodes drop an aggregation fence mid-run. Built once per case from
-    /// the topology seed so all shard counts see the identical schedule.
+    /// declared nodes; half the nodes drop an aggregation fence mid-run.
+    /// Built once per case from the topology seed so all configurations
+    /// see the identical schedule.
     pub fn topology_schedule(rng_topo: &mut DetRng) -> Vec<ScheduledOp> {
         let mut sched = Vec::new();
         for (i, name) in NODES.iter().enumerate() {

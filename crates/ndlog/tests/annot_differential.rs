@@ -8,11 +8,11 @@
 //! agree on episode intervals, and the reconstruction must pass the tree
 //! well-formedness checker.
 //!
-//! The matrix covers batched/unbatched × trie/no-trie × naive joins ×
-//! 1/2/4 worker threads plus the 1/2/4-shard ladder, over the int-, the
-//! prefix- (constraints, builtins, aggregations — the report-mode rules),
-//! and the shard-flavored generators, and the full repro scenario corpus
-//! (4 SDN + 4 MapReduce + the campus network). Any inexactness in the
+//! The matrix covers batched/unbatched × trie/no-trie × naive joins,
+//! over the int-, the prefix- (constraints, builtins, aggregations — the
+//! report-mode rules), and the multi-node generators, and the full repro
+//! scenario corpus (4 SDN + 4 MapReduce + the campus network). Any
+//! inexactness in the
 //! annotation backend's height-bounded body search — a wrong trigger pin,
 //! a visibility leak, a lex tie broken differently than the engine broke
 //! it — shows up here as a render divergence.
@@ -24,7 +24,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dp_ndlog::testsupport::{intgen, prefixgen, shardgen, EngineConfig, ScheduledOp};
+use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, EngineConfig, ScheduledOp};
 use dp_ndlog::{Engine, Program};
 use dp_provenance::{
     extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest,
@@ -154,11 +154,12 @@ fn cross_check(graph: &ProvGraph, store: &AnnotationStore, label: &str) -> usize
     checked
 }
 
-/// Runs one case through every configuration in `configs`, cross-checking
-/// the backends under each; returns the total trees compared.
-fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], configs: &[EngineConfig], case: &str) -> usize {
+/// Runs one case through every configuration of the engine matrix,
+/// cross-checking the backends under each; returns the total trees
+/// compared.
+fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) -> usize {
     let mut checked = 0;
-    for cfg in configs {
+    for cfg in &EngineConfig::matrix() {
         let (graph, store) = run_backends(program, ops, cfg);
         checked += cross_check(&graph, &store, &format!("{case} [{}]", cfg.label));
     }
@@ -166,8 +167,8 @@ fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], configs: &[EngineConf
 }
 
 /// Int-flavored random programs (joins, assignments, comparison
-/// constraints, derived-on-derived chaining) across the full six-way
-/// engine matrix.
+/// constraints, derived-on-derived chaining) across the full engine
+/// matrix.
 #[test]
 fn annot_matches_graph_on_random_int_programs() {
     let mut rng = DetRng::seed_from_u64(0xA901_7D1F);
@@ -179,12 +180,7 @@ fn annot_matches_graph_on_random_int_programs() {
         };
         let ops = intgen::schedule(&intgen::batch_ops(&mut rng));
         cases += 1;
-        checked += check_case(
-            &program,
-            &ops,
-            &EngineConfig::matrix(),
-            &format!("int case {cases}"),
-        );
+        checked += check_case(&program, &ops, &format!("int case {cases}"));
     }
     assert!(checked > 500, "suite barely reconstructed: {checked} trees");
 }
@@ -204,39 +200,27 @@ fn annot_matches_graph_on_random_prefix_programs() {
         };
         let ops = prefixgen::alternating_schedule(&prefixgen::arb_ops(&mut rng, 8, 30, 4));
         cases += 1;
-        checked += check_case(
-            &program,
-            &ops,
-            &EngineConfig::matrix(),
-            &format!("prefix case {cases}"),
-        );
+        checked += check_case(&program, &ops, &format!("prefix case {cases}"));
     }
     assert!(checked > 500, "suite barely reconstructed: {checked} trees");
 }
 
-/// Shard-flavored random programs (cross-node forwards, link delays)
-/// across the 1/2/4-shard ladder: the annotation recorder's sharded
-/// `emit_seq` draining must deliver the same stream the graph recorder
-/// sees, and reconstruction must pin remote triggers through the
+/// Multi-node random programs (cross-node forwards, link delays) across
+/// the engine matrix: reconstruction must pin remote triggers through the
 /// `fired_at + delay` filter.
 #[test]
-fn annot_matches_graph_across_shard_counts() {
+fn annot_matches_graph_on_random_multi_node_programs() {
     let mut rng = DetRng::seed_from_u64(0xA902_54AD);
     let mut cases = 0usize;
     let mut checked = 0usize;
     while cases < 16 {
-        let Some(program) = shardgen::arb_program(&mut rng) else {
+        let Some(program) = nodegen::arb_program(&mut rng) else {
             continue;
         };
-        let mut ops = shardgen::topology_schedule(&mut rng);
-        ops.extend(shardgen::schedule(&shardgen::arb_ops(&mut rng)));
+        let mut ops = nodegen::topology_schedule(&mut rng);
+        ops.extend(nodegen::schedule(&nodegen::arb_ops(&mut rng)));
         cases += 1;
-        checked += check_case(
-            &program,
-            &ops,
-            &EngineConfig::shard_matrix(),
-            &format!("shard case {cases}"),
-        );
+        checked += check_case(&program, &ops, &format!("multi-node case {cases}"));
     }
     assert!(checked > 300, "suite barely reconstructed: {checked} trees");
 }

@@ -740,8 +740,8 @@ fn trie_pick_breaks_estimate_ties_by_column() {
     // Two trie-eligible columns on one scan step, engineered so their
     // `count_matches` estimates tie exactly. The pick must fall to the
     // lower column slot (then the probe position) — a *data* key — so the
-    // probe counters and candidate walks are stable across platforms and
-    // thread counts. The two columns see different candidate sets under
+    // probe counters and candidate walks are stable across platforms. The
+    // two columns see different candidate sets under
     // the delta's visibility horizon (the estimate is taken on flush-time
     // state, the walk is horizon-filtered), so a pick by iteration order
     // would shift `join_candidates` and `join_matches` here.
@@ -830,32 +830,19 @@ fn messages_to_undeclared_nodes_do_not_panic() {
         .unwrap()
         .build()
         .unwrap();
-    // The same schedule must behave identically at every shard count: an
-    // undeclared destination hashes to *some* shard, which materializes
-    // the empty node state on arrival — never a worker panic and never a
-    // divergent stream.
-    let mut reference: Option<Vec<ProvEvent>> = None;
-    for shards in [1usize, 2, 4] {
-        let mut eng = Engine::new(program.clone(), VecSink::default());
-        eng.set_shards(shards);
-        let n = NodeId::new("n");
-        let ghost = NodeId::new("ghost");
-        // A deletion scheduled against a node with no state is a no-op,
-        // not a panic (the tuple can't exist there).
-        eng.schedule_delete(0, ghost.clone(), tuple!("nbr", "x")).unwrap();
-        // The fwd rule routes pong to "ghost", which has no state when the
-        // tuple arrives; the ack rule then fires *at* the undeclared node.
-        eng.schedule_insert(1, n.clone(), tuple!("nbr", "ghost")).unwrap();
-        eng.schedule_insert(2, n, tuple!("ping", 7)).unwrap();
-        eng.run().unwrap();
-        assert!(eng.lookup(&ghost, &tuple!("pong", 7)).is_some(), "{shards} shards");
-        assert!(eng.lookup(&ghost, &tuple!("echo", 7)).is_some(), "{shards} shards");
-        let events = eng.into_sink().events;
-        match &reference {
-            None => reference = Some(events),
-            Some(r) => assert_eq!(r, &events, "stream diverges at {shards} shards"),
-        }
-    }
+    let mut eng = Engine::new(program, VecSink::default());
+    let n = NodeId::new("n");
+    let ghost = NodeId::new("ghost");
+    // A deletion scheduled against a node with no state is a no-op,
+    // not a panic (the tuple can't exist there).
+    eng.schedule_delete(0, ghost.clone(), tuple!("nbr", "x")).unwrap();
+    // The fwd rule routes pong to "ghost", which has no state when the
+    // tuple arrives; the ack rule then fires *at* the undeclared node.
+    eng.schedule_insert(1, n.clone(), tuple!("nbr", "ghost")).unwrap();
+    eng.schedule_insert(2, n, tuple!("ping", 7)).unwrap();
+    eng.run().unwrap();
+    assert!(eng.lookup(&ghost, &tuple!("pong", 7)).is_some());
+    assert!(eng.lookup(&ghost, &tuple!("echo", 7)).is_some());
 }
 
 #[test]
@@ -863,9 +850,9 @@ fn event_budget_errors_cleanly_with_provenance_flushed() {
     // A runaway program against a small `max_events` budget: the run must
     // end in a clean typed error (no hang, no panic), with the provenance
     // of everything actually applied already flushed to the sink — and
-    // the flushed stream must be identical across firing disciplines and
-    // thread counts, because the budget counts applied events, which are
-    // the same in every mode.
+    // the flushed stream must be identical across firing disciplines,
+    // because the budget counts applied events, which are the same in
+    // both.
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("seed", TableKind::ImmutableBase, [("x", FieldType::Int)]));
     reg.declare(Schema::new("p", TableKind::Derived, [("x", FieldType::Int)]));
@@ -877,13 +864,12 @@ fn event_budget_errors_cleanly_with_provenance_flushed() {
         .unwrap()
         .build()
         .unwrap();
-    let run = |unbatched: bool, threads: usize| {
+    let run = |unbatched: bool| {
         let mut eng = Engine::new(program.clone(), VecSink::default());
         eng.set_unbatched(unbatched);
-        eng.set_threads(threads);
         eng.max_events = 100;
-        // Several seeds in one tick so the first batches clear the
-        // parallel threshold before the budget trips.
+        // Several seeds in one tick so the first batches hold several
+        // deltas before the budget trips.
         for i in 0..8 {
             eng.schedule_insert(0, NodeId::new("n"), tuple!("seed", i * 1000)).unwrap();
         }
@@ -891,7 +877,7 @@ fn event_budget_errors_cleanly_with_provenance_flushed() {
         assert!(err.to_string().contains("event limit"), "{err}");
         eng.into_sink().events
     };
-    let reference = run(false, 1);
+    let reference = run(false);
     // Everything applied before the budget tripped is in the sink, not
     // stuck in the batch buffer.
     assert!(
@@ -899,35 +885,42 @@ fn event_budget_errors_cleanly_with_provenance_flushed() {
         "provenance up to the budget must be flushed: {} events",
         reference.len()
     );
-    for (label, unbatched, threads) in
-        [("unbatched", true, 1), ("2 threads", false, 2), ("4 threads", false, 4)]
-    {
-        assert_eq!(reference, run(unbatched, threads), "{label}: flushed streams diverge");
-    }
-}
-
-/// Picks node names that land on distinct shards under both 2-way and
-/// 4-way FNV-1a assignment, so the tests below are guaranteed to cross
-/// a shard boundary at every count they run at.
-fn cross_shard_pair() -> (NodeId, NodeId) {
-    let a2 = dp_types::ShardAssignment::new(2);
-    let a4 = dp_types::ShardAssignment::new(4);
-    let names: Vec<String> = (0..64).map(|i| format!("w{i}")).collect();
-    let a = &names[0];
-    let b = names
-        .iter()
-        .find(|b| a2.shard_of(b) != a2.shard_of(a) && a4.shard_of(b) != a4.shard_of(a))
-        .expect("some name must hash away from w0");
-    (NodeId::new(a.as_str()), NodeId::new(b.as_str()))
+    assert_eq!(reference, run(true), "unbatched: flushed streams diverge");
 }
 
 #[test]
-fn cross_shard_message_within_one_batch_matches_serial() {
-    // Both shards contribute deltas to the *same* batch, and firing one
-    // shard's delta produces a derived head owned by the other — the
-    // exact case where the merge must restore every shard's store before
-    // re-interning cross-shard heads, and where the inbox routing could
-    // reorder emissions. The stream must stay byte-identical to serial.
+#[should_panic(expected = "mode switch with a batch in flight")]
+fn mode_switch_with_a_batch_in_flight_panics() {
+    // The only way to hold an engine with a batch in flight is a run that
+    // ended in an error: the budget trips between two same-tick events, so
+    // the first tick's deltas are still pending their firings. Flipping
+    // the discipline now would strand them; the guard must fire in release
+    // builds too (every `scripts/check.sh` leg is `--release`).
+    let program = Program::builder(base_reg())
+        .rules_text("r d(@N, X) :- e(@N, X).")
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut eng = Engine::new(program, NullSink);
+    eng.set_unbatched(false);
+    eng.max_events = 2;
+    for i in 0..4 {
+        eng.schedule_insert(0, NodeId::new("n"), tuple!("e", i)).unwrap();
+    }
+    eng.run().expect_err("the budget must trip mid-tick");
+    eng.set_unbatched(true);
+}
+
+/// The two mutually-neighbouring nodes the messaging tests below run on.
+fn node_pair() -> (NodeId, NodeId) {
+    (NodeId::new("w0"), NodeId::new("w1"))
+}
+
+#[test]
+fn cross_node_messages_within_one_batch_match_unbatched() {
+    // Both nodes contribute deltas to the *same* batch, and firing one
+    // node's delta produces a derived head addressed at the other. The
+    // batched stream must stay byte-identical to the tuple-at-a-time one.
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("ping", TableKind::ImmutableBase, [("v", FieldType::Int)]));
     reg.declare(Schema::new("nbr", TableKind::MutableBase, [("next", FieldType::Str)]));
@@ -941,16 +934,12 @@ fn cross_shard_message_within_one_batch_matches_serial() {
         .unwrap()
         .build()
         .unwrap();
-    let (a, b) = cross_shard_pair();
-    let run = |shards: usize| {
+    let (a, b) = node_pair();
+    let run = |unbatched: bool| {
         let mut eng = Engine::new(program.clone(), VecSink::default());
-        // Sharding lives in the batched flush (tuple-at-a-time is always
-        // serial), so pin the discipline: the dispatch-count assertions
-        // below must hold even under a DP_UNBATCHED=1 test leg.
-        eng.set_unbatched(false);
-        eng.set_shards(shards);
+        eng.set_unbatched(unbatched);
         // Mutual neighbours, so due-5 ping batches on *both* nodes send
-        // heads across the boundary in both directions at once.
+        // heads to the other node in both directions at once.
         eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
         eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
         for v in 0..6i64 {
@@ -958,32 +947,24 @@ fn cross_shard_message_within_one_batch_matches_serial() {
             eng.schedule_insert(5, b.clone(), tuple!("ping", v + 100)).unwrap();
         }
         eng.run().unwrap();
-        assert!(eng.lookup(&b, &tuple!("pong", 0)).is_some(), "{shards} shards");
-        assert!(eng.lookup(&a, &tuple!("echo", 101)).is_some(), "{shards} shards");
+        assert!(eng.lookup(&b, &tuple!("pong", 0)).is_some());
+        assert!(eng.lookup(&a, &tuple!("echo", 101)).is_some());
         let stats = eng.stats();
         (eng.into_sink().events, stats)
     };
-    let (serial_events, serial_stats) = run(1);
-    assert_eq!(serial_stats.cross_shard_msgs, 0);
-    for shards in [2usize, 4] {
-        let (events, stats) = run(shards);
-        assert_eq!(serial_events, events, "stream diverges at {shards} shards");
-        assert!(stats.sharded_batches > 0, "{shards} shards never dispatched the pool");
-        assert!(
-            stats.cross_shard_msgs >= 12,
-            "{shards} shards: expected every pong head to cross, saw {}",
-            stats.cross_shard_msgs
-        );
-    }
+    let (batched_events, stats) = run(false);
+    assert!(
+        stats.batched_deltas > stats.batches,
+        "the two nodes' pings never shared a batch: {stats:?}"
+    );
+    assert_eq!(batched_events, run(true).0, "batched stream diverges from unbatched");
 }
 
 #[test]
-fn sharded_snapshot_round_trips_through_the_serial_snapshot() {
-    // A snapshot taken from a sharded engine is the same serial
-    // `EngineSnapshot` a 1-shard engine produces: node ownership is
-    // disjoint, so the shard maps merge losslessly — and restoring it at
-    // *any* shard count, then finishing the schedule, must reach the
-    // fixpoint of an uninterrupted serial run.
+fn snapshot_restore_reaches_the_uninterrupted_fixpoint() {
+    // Snapshotting a two-node engine at quiescence, restoring it, and
+    // finishing the schedule must reach the fixpoint of an uninterrupted
+    // run.
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("ping", TableKind::ImmutableBase, [("v", FieldType::Int)]));
     reg.declare(Schema::new("nbr", TableKind::MutableBase, [("next", FieldType::Str)]));
@@ -993,7 +974,7 @@ fn sharded_snapshot_round_trips_through_the_serial_snapshot() {
         .unwrap()
         .build()
         .unwrap();
-    let (a, b) = cross_shard_pair();
+    let (a, b) = node_pair();
     let phase1 = |eng: &mut Engine<VecSink>| {
         eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
         eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
@@ -1016,7 +997,7 @@ fn sharded_snapshot_round_trips_through_the_serial_snapshot() {
             .collect()
     };
 
-    // Uninterrupted serial reference.
+    // Uninterrupted reference.
     let mut reference = Engine::new(program.clone(), VecSink::default());
     phase1(&mut reference);
     reference.run().unwrap();
@@ -1024,25 +1005,20 @@ fn sharded_snapshot_round_trips_through_the_serial_snapshot() {
     reference.run().unwrap();
     let want = fixpoint(&reference);
 
-    // Sharded run → snapshot → restore at 1, 2, and 4 shards.
+    // Run → snapshot → restore → finish.
     let mut first = Engine::new(program.clone(), VecSink::default());
-    first.set_shards(4);
     phase1(&mut first);
     first.run().unwrap();
     let snap = first.snapshot().unwrap();
     assert_eq!(snap.time(), first.snapshot().unwrap().time());
-    for shards in [1usize, 2, 4] {
-        let mut resumed =
-            Engine::restore(program.clone(), snap.clone(), VecSink::default()).unwrap();
-        resumed.set_shards(shards);
-        phase2(&mut resumed);
-        resumed.run().unwrap();
-        assert_eq!(want, fixpoint(&resumed), "restored at {shards} shards");
-        assert!(resumed.lookup(&a, &tuple!("pong", 53)).is_some(), "{shards} shards");
-    }
+    let mut resumed = Engine::restore(program, snap, VecSink::default()).unwrap();
+    phase2(&mut resumed);
+    resumed.run().unwrap();
+    assert_eq!(want, fixpoint(&resumed));
+    assert!(resumed.lookup(&a, &tuple!("pong", 53)).is_some());
 }
 
-/// A cross-shard ping-pong cascade whose queue holds exactly one event at
+/// A two-node ping-pong cascade whose queue holds exactly one event at
 /// a time — the shape that used to let the event budget drop the
 /// in-flight event on the floor and leave a silently-truncated engine
 /// that `snapshot()` certified as quiescent.
@@ -1064,16 +1040,15 @@ fn ping_pong_program() -> Arc<Program> {
 #[test]
 fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
     // A node restart injected while the engine still holds in-flight
-    // cross-shard messages must not be able to checkpoint: the snapshot
-    // has to reject *deterministically* — same decision, same message —
-    // at every shard count, because the queue evolution is bit-identical.
+    // cross-node messages must not be able to checkpoint: the snapshot
+    // has to reject.
     // And the failed engine must still hold the complete frontier: a
     // re-run under a raised budget has to drain to exactly the fixpoint
     // of an engine that never tripped. (Regression: the budget check used
     // to pop-then-drop the in-flight event, so a one-event-deep cascade
     // erred into an *empty* queue and `snapshot()` certified the loss.)
     let program = ping_pong_program();
-    let (a, b) = cross_shard_pair();
+    let (a, b) = node_pair();
     let schedule = |eng: &mut Engine<VecSink>| {
         eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
         eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
@@ -1090,66 +1065,50 @@ fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
             })
             .collect()
     };
-    let mut reject_msgs: Vec<String> = Vec::new();
-    let mut fixpoints = Vec::new();
-    for shards in [1usize, 2, 4] {
-        // Uninterrupted reference at this shard count.
-        let mut reference = Engine::new(program.clone(), VecSink::default());
-        reference.set_unbatched(false);
-        reference.set_shards(shards);
-        schedule(&mut reference);
-        reference.run().unwrap();
+    // Uninterrupted reference.
+    let mut reference = Engine::new(program.clone(), VecSink::default());
+    reference.set_unbatched(false);
+    schedule(&mut reference);
+    reference.run().unwrap();
 
-        let mut eng = Engine::new(program.clone(), VecSink::default());
-        eng.set_unbatched(false);
-        eng.set_shards(shards);
-        eng.max_events = 60;
-        schedule(&mut eng);
-        let err = eng.run().expect_err("the budget must trip mid-cascade");
-        assert!(err.to_string().contains("event limit"), "{err}");
-        let reject = eng
-            .snapshot()
-            .expect_err("a mid-cascade engine must refuse to checkpoint");
-        assert!(reject.to_string().contains("quiescent"), "{reject}");
-        reject_msgs.push(reject.to_string());
+    let mut eng = Engine::new(program, VecSink::default());
+    eng.set_unbatched(false);
+    eng.max_events = 60;
+    schedule(&mut eng);
+    let err = eng.run().expect_err("the budget must trip mid-cascade");
+    assert!(err.to_string().contains("event limit"), "{err}");
+    let reject = eng
+        .snapshot()
+        .expect_err("a mid-cascade engine must refuse to checkpoint");
+    assert!(reject.to_string().contains("quiescent"), "{reject}");
 
-        // The frontier survived the error: resuming drains to the
-        // uninterrupted fixpoint, with the identical event total.
-        eng.max_events = 50_000_000;
-        eng.run().unwrap();
-        assert_eq!(
-            fixpoint(&reference),
-            fixpoint(&eng),
-            "resumed run diverges from uninterrupted at {shards} shards"
-        );
-        assert_eq!(
-            reference.stats().events,
-            eng.stats().events,
-            "resume lost or duplicated events at {shards} shards"
-        );
-        fixpoints.push(fixpoint(&eng));
-    }
-    // Deterministic reject: the same queue depth tripped at the same
-    // point everywhere, so even the counts in the message agree.
-    assert!(
-        reject_msgs.windows(2).all(|w| w[0] == w[1]),
-        "snapshot reject differs across shard counts: {reject_msgs:?}"
+    // The frontier survived the error: resuming drains to the
+    // uninterrupted fixpoint, with the identical event total.
+    eng.max_events = 50_000_000;
+    eng.run().unwrap();
+    assert_eq!(
+        fixpoint(&reference),
+        fixpoint(&eng),
+        "resumed run diverges from uninterrupted"
     );
-    assert!(fixpoints.windows(2).all(|w| w[0] == w[1]));
+    assert_eq!(
+        reference.stats().events,
+        eng.stats().events,
+        "resume lost or duplicated events"
+    );
 }
 
 #[test]
 fn mid_schedule_restart_replays_the_stream_suffix() {
     // The drain half of restart determinism: a restart taken at
-    // quiescence between due-groups — after cross-shard traffic has
+    // quiescence between due-groups — after cross-node traffic has
     // flowed — must be *stream-transparent*, not merely fixpoint-
     // equivalent. The snapshot preserves the logical clock and sequence
     // counter, so the provenance emitted after the restore must be
-    // byte-identical to the suffix an uninterrupted engine emits, at
-    // every restore shard count. This is the invariant dp-sim's
-    // NodeRestart injection leans on.
+    // byte-identical to the suffix an uninterrupted engine emits. This is
+    // the invariant dp-sim's NodeRestart injection leans on.
     let program = ping_pong_program();
-    let (a, b) = cross_shard_pair();
+    let (a, b) = node_pair();
     let phase1 = |eng: &mut Engine<VecSink>| {
         eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
         eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
@@ -1168,8 +1127,8 @@ fn mid_schedule_restart_replays_the_stream_suffix() {
             .collect()
     };
 
-    // Uninterrupted serial reference, two run() calls at the same due
-    // boundary the restart uses.
+    // Uninterrupted reference, two run() calls at the same due boundary
+    // the restart uses.
     let mut reference = Engine::new(program.clone(), VecSink::default());
     reference.set_unbatched(false);
     phase1(&mut reference);
@@ -1182,32 +1141,23 @@ fn mid_schedule_restart_replays_the_stream_suffix() {
     let (want_prefix, want_suffix) = all_events.split_at(prefix_len);
     assert!(!want_suffix.is_empty(), "phase 2 produced no provenance");
 
-    // Restart: sharded phase-1 run, checkpoint, restore at every count.
+    // Restart: phase-1 run, checkpoint, restore, phase 2.
     let mut first = Engine::new(program.clone(), VecSink::default());
     first.set_unbatched(false);
-    first.set_shards(4);
     phase1(&mut first);
     first.run().unwrap();
     let snap = first.snapshot().unwrap();
     assert_eq!(want_prefix, &first.into_sink().events[..], "phase-1 streams diverge");
-    for shards in [1usize, 2, 4] {
-        let mut resumed =
-            Engine::restore(program.clone(), snap.clone(), VecSink::default()).unwrap();
-        resumed.set_unbatched(false);
-        resumed.set_shards(shards);
-        phase2(&mut resumed);
-        resumed.run().unwrap();
-        assert_eq!(
-            want_fix,
-            fixpoint(&resumed),
-            "restored fixpoint diverges at {shards} shards"
-        );
-        assert_eq!(
-            want_suffix,
-            &resumed.into_sink().events[..],
-            "post-restart stream diverges at {shards} shards"
-        );
-    }
+    let mut resumed = Engine::restore(program, snap, VecSink::default()).unwrap();
+    resumed.set_unbatched(false);
+    phase2(&mut resumed);
+    resumed.run().unwrap();
+    assert_eq!(want_fix, fixpoint(&resumed), "restored fixpoint diverges");
+    assert_eq!(
+        want_suffix,
+        &resumed.into_sink().events[..],
+        "post-restart stream diverges"
+    );
 }
 
 /// A tuple deleted and re-derived inside one delivery batch — the support

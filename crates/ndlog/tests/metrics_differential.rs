@@ -4,7 +4,7 @@
 //! byte-identical with metrics enabled and disabled, in every engine
 //! configuration — the registry observes counters, sketches, and
 //! histograms off to the side, but never influences scheduling, join
-//! order, batching, sharding, or the sink.
+//! order, batching, or the sink.
 //!
 //! Both legs pin the metrics handle explicitly ([`Metrics::disabled`] vs
 //! a fresh [`Metrics::enabled`] registry per run), because `DP_METRICS`
@@ -22,18 +22,7 @@ use dp_ndlog::{Engine, Program, ProvEvent, VecSink};
 use dp_trace::Tracer;
 use dp_types::DetRng;
 
-/// The canonical six-config matrix plus the sharded-and-threaded point
-/// the issue calls out explicitly (shards=2, threads=2): sharding routes
-/// deltas through per-shard inboxes and the thread pool merges batches,
-/// both of which the registry meters — neither may change the stream.
-fn configs() -> Vec<EngineConfig> {
-    let mut v: Vec<EngineConfig> = EngineConfig::matrix().to_vec();
-    let mut sharded = EngineConfig::matrix()[1]; // threads-2, knobs pinned
-    sharded.label = "shards2-threads2";
-    sharded.shards = Some(2);
-    v.push(sharded);
-    v
-}
+const CONFIGS: [EngineConfig; 4] = EngineConfig::matrix();
 
 /// One traced run with an explicit metrics handle; returns the stream,
 /// the skeleton, and the handle (for populated-registry assertions).
@@ -62,11 +51,11 @@ fn run(
 }
 
 fn assert_passive(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) {
-    for cfg in configs() {
+    for cfg in &CONFIGS {
         let (dark_events, dark_skel, _) =
-            run(program, ops, &cfg, Metrics::disabled());
+            run(program, ops, cfg, Metrics::disabled());
         let (lit_events, lit_skel, metrics) =
-            run(program, ops, &cfg, Metrics::enabled());
+            run(program, ops, cfg, Metrics::enabled());
         assert_eq!(
             dark_events, lit_events,
             "{case}: stream diverges with metrics enabled under {}",
@@ -94,7 +83,7 @@ fn assert_passive(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) {
 }
 
 /// Random prefix-flavored programs: streams and skeletons are identical
-/// with and without a live registry, in all seven configurations.
+/// with and without a live registry, in all four configurations.
 #[test]
 fn metrics_are_passive_on_random_programs() {
     let mut rng = DetRng::seed_from_u64(0x0D5E_781C_0A11_D1FF);
@@ -110,16 +99,15 @@ fn metrics_are_passive_on_random_programs() {
 }
 
 /// All 9 repro scenarios, good and bad executions: enabling metrics
-/// leaves both bit-identical in the serial reference and in the
-/// sharded-threaded configuration.
+/// leaves both bit-identical in the batched default and in the
+/// tuple-at-a-time configuration.
 #[test]
 fn metrics_are_passive_on_all_repro_scenarios() {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
     scenarios.extend(dp_mapreduce::all_mr_scenarios());
     scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
-    let configs = configs();
-    let picked = [&configs[0], &configs[6]]; // batched-serial, shards2-threads2
+    let picked = [&CONFIGS[0], &CONFIGS[1]]; // batched, unbatched
     for s in &scenarios {
         for (label, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
             for cfg in picked {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use dp_ndlog::{join_profile_json, shard_loads_json, RuleJoinProfile, Stats};
+use dp_ndlog::{join_profile_json, RuleJoinProfile, Stats};
 use dp_types::Sym;
 
 #[test]
@@ -25,26 +25,22 @@ fn stats_json_golden() {
         peak_tuples: 12,
         batches: 13,
         batched_deltas: 14,
-        parallel_batches: 15,
-        sharded_batches: 16,
-        cross_shard_msgs: 17,
-        peak_interned: 18,
+        peak_interned: 15,
+        ..Stats::default()
     };
     assert_eq!(
         s.to_json(),
         "{\"events\":1,\"base_inserts\":2,\"base_deletes\":3,\"derivations\":4,\
          \"underivations\":5,\"join_probes\":6,\"join_scans\":7,\"trie_probes\":8,\
          \"trie_scans\":9,\"join_candidates\":10,\"join_matches\":11,\"peak_tuples\":12,\
-         \"batches\":13,\"batched_deltas\":14,\"parallel_batches\":15,\
-         \"sharded_batches\":16,\"cross_shard_msgs\":17,\"peak_interned\":18}"
+         \"batches\":13,\"batched_deltas\":14,\"peak_interned\":15}"
     );
     assert_eq!(
         Stats::default().to_json(),
         "{\"events\":0,\"base_inserts\":0,\"base_deletes\":0,\"derivations\":0,\
          \"underivations\":0,\"join_probes\":0,\"join_scans\":0,\"trie_probes\":0,\
          \"trie_scans\":0,\"join_candidates\":0,\"join_matches\":0,\"peak_tuples\":0,\
-         \"batches\":0,\"batched_deltas\":0,\"parallel_batches\":0,\
-         \"sharded_batches\":0,\"cross_shard_msgs\":0,\"peak_interned\":0}"
+         \"batches\":0,\"batched_deltas\":0,\"peak_interned\":0}"
     );
 }
 
@@ -94,33 +90,4 @@ fn join_profile_map_json_golden() {
          \"trie_scans\":0,\"candidates\":9,\"matches\":4}}"
     );
     assert_eq!(join_profile_json(&BTreeMap::new()), "{}");
-}
-
-#[test]
-fn shard_loads_json_golden() {
-    // Multi-shard with imbalance: ratio is max/min to four decimals.
-    assert_eq!(
-        shard_loads_json(&[300, 100, 200]),
-        "{\"loads\":[300,100,200],\"shards\":3,\"total\":600,\
-         \"max\":300,\"min\":100,\"max_over_min\":3.0000}"
-    );
-    // Single shard: perfectly balanced by definition.
-    assert_eq!(
-        shard_loads_json(&[42]),
-        "{\"loads\":[42],\"shards\":1,\"total\":42,\"max\":42,\"min\":42,\
-         \"max_over_min\":1.0000}"
-    );
-    // An empty shard makes the ratio undefined.
-    assert_eq!(
-        shard_loads_json(&[5, 0]),
-        "{\"loads\":[5,0],\"shards\":2,\"total\":5,\"max\":5,\"min\":0,\
-         \"max_over_min\":null}"
-    );
-    // Degenerate empty slice (an engine always has >= 1 shard, but the
-    // helper must not panic on one).
-    assert_eq!(
-        shard_loads_json(&[]),
-        "{\"loads\":[],\"shards\":0,\"total\":0,\"max\":0,\"min\":0,\
-         \"max_over_min\":null}"
-    );
 }

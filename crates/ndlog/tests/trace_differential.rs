@@ -3,18 +3,17 @@
 //! skeleton counter values, tick instants — must be bit-identical in
 //! every engine configuration, because it depends only on the program
 //! and its input log. Effort events (flush structure, probe/scan
-//! counts, parallel merges) are excluded from the skeleton and free to
-//! differ; wall times are excluded everywhere.
+//! counts) are excluded from the skeleton and free to differ; wall times
+//! are excluded everywhere.
 //!
-//! Six configurations are compared against the batched serial reference
-//! (`EngineConfig::matrix()` in `dp_ndlog::testsupport`): batched at
-//! 1/2/4 worker threads, tuple-at-a-time firing, the trie-disabled
-//! batched path, and the naive nested-loop unbatched path. Alongside the
-//! skeletons, the provenance streams must stay bit-identical — tracing
-//! must never perturb evaluation. The corpus is the shared prefix-
-//! flavored program generator (as in `parallel_differential.rs`) plus
-//! all 9 repro scenarios, plus one end-to-end DiffProv diagnosis traced
-//! through the whole pipeline.
+//! Three configurations are compared against the batched default
+//! (`EngineConfig::matrix()` in `dp_ndlog::testsupport`): tuple-at-a-time
+//! firing, the trie-disabled batched path, and the naive nested-loop
+//! unbatched path. Alongside the skeletons, the provenance streams must
+//! stay bit-identical — tracing must never perturb evaluation. The corpus
+//! is the shared prefix-flavored program generator plus all 9 repro
+//! scenarios, plus one end-to-end DiffProv diagnosis traced through the
+//! whole pipeline.
 
 use std::sync::Arc;
 
@@ -23,10 +22,10 @@ use dp_ndlog::{Engine, ProvEvent, VecSink};
 use dp_trace::Tracer;
 use dp_types::DetRng;
 
-const CONFIGS: [EngineConfig; 6] = EngineConfig::matrix();
+const CONFIGS: [EngineConfig; 4] = EngineConfig::matrix();
 
 /// Random programs: skeletons and provenance streams are bit-identical
-/// across all six configurations.
+/// across all four configurations.
 #[test]
 fn skeletons_agree_on_random_programs() {
     let mut rng = DetRng::seed_from_u64(0x7BAC_E5EE);
@@ -64,7 +63,7 @@ fn skeletons_agree_on_random_programs() {
 }
 
 /// All 9 repro scenarios, good and bad executions: skeletons and
-/// provenance streams are bit-identical across all six configurations.
+/// provenance streams are bit-identical across all four configurations.
 #[test]
 fn skeletons_agree_on_all_repro_scenarios() {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
@@ -119,7 +118,6 @@ fn diagnosis_skeleton_agrees_across_configurations() {
             e.naive_join = cfg.naive_join.unwrap();
             e.unbatched = cfg.unbatched.unwrap();
             e.no_trie = cfg.no_trie.unwrap();
-            e.threads = cfg.threads.unwrap();
             e.tracer = tracer.clone();
             e
         };

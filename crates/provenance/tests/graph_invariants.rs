@@ -126,14 +126,14 @@ fn live_tuples_have_well_formed_trees() {
     }
 }
 
-/// Node-sharded evaluation records the same provenance graph as the
-/// serial engine, vertex for vertex: same kinds, nodes, tuples, times,
-/// child lists, and vertex numbering. The schedule spans several nodes
-/// and forwards derived tuples across them, so at 2 and 4 shards the
-/// recorder is fed from per-shard buffers merged at batch boundaries —
-/// and none of that may be visible in the finished graph.
+/// Batched evaluation records the same provenance graph as the
+/// tuple-at-a-time reference, vertex for vertex: same kinds, nodes,
+/// tuples, times, child lists, and vertex numbering. The schedule spans
+/// several nodes and forwards derived tuples across them, so the batched
+/// recorder is fed whole multi-node batches at the flush boundaries — and
+/// none of that may be visible in the finished graph.
 #[test]
-fn sharded_recording_builds_an_identical_graph() {
+fn batched_multi_node_recording_builds_an_identical_graph() {
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("obs", TableKind::MutableBase, [("x", FieldType::Int)]));
     reg.declare(Schema::new("nbr", TableKind::MutableBase, [("next", FieldType::Str)]));
@@ -151,9 +151,9 @@ fn sharded_recording_builds_an_identical_graph() {
             .map(|(i, v)| format!("{i} {v} <- {:?}\n", v.children))
             .collect()
     };
-    let run = |shards: usize| -> (String, dp_provenance::GraphStats) {
+    let run = |unbatched: bool| -> (String, dp_provenance::GraphStats) {
         let mut eng = Engine::new(Arc::clone(&program), GraphRecorder::new());
-        eng.set_shards(shards);
+        eng.set_unbatched(unbatched);
         let mut rng = DetRng::seed_from_u64(0x6A4F_0004);
         for (i, n) in nodes.iter().enumerate() {
             let next = &nodes[(i + 1) % nodes.len()];
@@ -173,11 +173,9 @@ fn sharded_recording_builds_an_identical_graph() {
         let g = eng.into_sink().finish();
         (render(&g), g.stats())
     };
-    let (serial, serial_stats) = run(1);
-    assert!(serial_stats.total() > 100, "schedule too quiet: {serial_stats:?}");
-    for shards in [2usize, 4] {
-        let (sharded, stats) = run(shards);
-        assert_eq!(serial_stats, stats, "graph stats diverge at {shards} shards");
-        assert_eq!(serial, sharded, "graph diverges at {shards} shards");
-    }
+    let (reference, reference_stats) = run(true);
+    assert!(reference_stats.total() > 100, "schedule too quiet: {reference_stats:?}");
+    let (batched, stats) = run(false);
+    assert_eq!(reference_stats, stats, "graph stats diverge under batching");
+    assert_eq!(reference, batched, "graph diverges under batching");
 }

@@ -97,18 +97,6 @@ pub struct Execution {
     /// the prefix trie. Like the other flags, both modes are observably
     /// identical; the flag exists for differential checks and benchmarks.
     pub no_trie: bool,
-    /// Worker threads for the engines this execution builds. `0` (the
-    /// default) leaves the engine's own default in place — the `DP_THREADS`
-    /// environment variable, or the machine's available parallelism. Like
-    /// the other flags, every setting replays the identical provenance
-    /// stream; `1` pins the serial reference path for differential checks.
-    pub threads: usize,
-    /// Shard count for the engines this execution builds. `0` (the
-    /// default) leaves the engine's own default in place — the `DP_SHARDS`
-    /// environment variable, or 1. Like the other flags, every setting
-    /// replays the identical provenance stream; `1` pins the serial
-    /// single-universe engine for differential checks.
-    pub shards: usize,
     /// Tracer threaded into every engine, recorder, and tree extraction
     /// this execution performs (disabled by default, in which case each
     /// engine falls back to its own `DP_TRACE` default). Cloned freely —
@@ -291,8 +279,6 @@ impl Execution {
             naive_join: false,
             unbatched: false,
             no_trie: false,
-            threads: 0,
-            shards: 0,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             provenance_backend: ProvBackend::default_from_env(),
@@ -301,19 +287,13 @@ impl Execution {
     }
 
     /// Applies this execution's engine knobs (join path, firing
-    /// discipline, trie, threads, tracer) to a freshly built engine. Env
+    /// discipline, trie, tracer, metrics) to a freshly built engine. Env
     /// defaults already on the engine are kept unless this execution
     /// overrides them.
     pub(crate) fn configure<S: ProvenanceSink>(&self, engine: &mut Engine<S>) {
         engine.set_naive_join(self.naive_join);
         engine.set_unbatched(self.unbatched || engine.unbatched());
         engine.set_no_trie(self.no_trie || engine.no_trie());
-        if self.threads != 0 {
-            engine.set_threads(self.threads);
-        }
-        if self.shards != 0 {
-            engine.set_shards(self.shards);
-        }
         if self.tracer.is_enabled() {
             engine.set_tracer(self.tracer.clone());
         }
@@ -388,7 +368,7 @@ impl Execution {
     ///
     /// The digest is the determinism fingerprint the simulation harness
     /// leans on: replaying the same execution twice — or at different
-    /// thread/shard/trie/firing settings — must produce the same value,
+    /// join/trie/firing settings — must produce the same value,
     /// because the stream itself is bit-identical in every configuration.
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
@@ -416,8 +396,6 @@ impl Execution {
             naive_join: self.naive_join,
             unbatched: self.unbatched,
             no_trie: self.no_trie,
-            threads: self.threads,
-            shards: self.shards,
             tracer: self.tracer.clone(),
             metrics: self.metrics.clone(),
             provenance_backend: self.provenance_backend,

@@ -490,7 +490,7 @@ impl Execution {
     /// checkpointing process produces when it is never killed. With no
     /// durable checkpoints the whole layer stack replays from scratch and
     /// the reference is [`Execution::stream_digest`] itself. Both hold at
-    /// any shard/thread/config setting.
+    /// any engine configuration.
     pub fn recovered_stream_digest(&self, store: &DurableStore) -> Result<(u64, u64)> {
         let timer = store_timer();
         let mut engine = match store.latest_checkpoint() {

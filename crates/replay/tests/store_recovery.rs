@@ -5,11 +5,11 @@
 //! state), reopen the store from its directory alone, restore the newest
 //! checkpoint and replay the on-disk tail — the resulting provenance
 //! stream digest must be **bit-identical** to the crash-free run of the
-//! same checkpointing process, across 1/2/4 shards. (Snapshot cuts
-//! quiesce the derived cascade, so the checkpointing process's stream is
-//! the well-defined recovery reference; without checkpoints the layer
-//! stack must reproduce the uncut `stream_digest` exactly.) Corruption of
-//! any store file must surface as a typed `Error::Codec`, never a panic.
+//! same checkpointing process. (Snapshot cuts quiesce the derived
+//! cascade, so the checkpointing process's stream is the well-defined
+//! recovery reference; without checkpoints the layer stack must reproduce
+//! the uncut `stream_digest` exactly.) Corruption of any store file must
+//! surface as a typed `Error::Codec`, never a panic.
 
 use std::sync::Arc;
 
@@ -52,30 +52,27 @@ fn execution(seed: u64) -> Execution {
 }
 
 /// Recovery is bit-identical: newest durable checkpoint + on-disk tail
-/// reproduces the crash-free checkpointing run's stream digest, at 1, 2,
-/// and 4 shards — and the tail is genuinely replayed, not vacuously empty.
+/// reproduces the crash-free checkpointing run's stream digest — and the
+/// tail is genuinely replayed, not vacuously empty.
 #[test]
-fn recovery_digest_is_bit_identical_across_shards() {
-    for shards in [1usize, 2, 4] {
-        let mut exec = execution(0xD15C_0001);
-        exec.shards = shards;
-        let (store, reference) = exec.spill_temp(16).unwrap();
-        assert!(store.checkpoint_count() >= 2, "fixture must span checkpoints");
-        assert!(store.layer_count() >= 3, "fixture must span layer files");
-        let latest = store.latest_checkpoint().unwrap();
-        assert!(
-            latest.count < reference.1,
-            "fixture must leave a non-empty tail past the last checkpoint"
-        );
-        // "Kill": reopen from the directory alone, with no in-memory state.
-        let recovered = DurableStore::open(store.dir()).unwrap();
-        assert_eq!(recovered.event_count(), exec.log.len() as u64);
-        let digest = exec.recovered_stream_digest(&recovered).unwrap();
-        assert_eq!(
-            digest, reference,
-            "recovery digest diverged from the crash-free run at {shards} shard(s)"
-        );
-    }
+fn recovery_digest_is_bit_identical() {
+    let exec = execution(0xD15C_0001);
+    let (store, reference) = exec.spill_temp(16).unwrap();
+    assert!(store.checkpoint_count() >= 2, "fixture must span checkpoints");
+    assert!(store.layer_count() >= 3, "fixture must span layer files");
+    let latest = store.latest_checkpoint().unwrap();
+    assert!(
+        latest.count < reference.1,
+        "fixture must leave a non-empty tail past the last checkpoint"
+    );
+    // "Kill": reopen from the directory alone, with no in-memory state.
+    let recovered = DurableStore::open(store.dir()).unwrap();
+    assert_eq!(recovered.event_count(), exec.log.len() as u64);
+    let digest = exec.recovered_stream_digest(&recovered).unwrap();
+    assert_eq!(
+        digest, reference,
+        "recovery digest diverged from the crash-free run"
+    );
 }
 
 /// Without any checkpoint, recovery replays the whole layer stack from

@@ -4,10 +4,9 @@
 //! recorder, replay, DiffProv — and checked against invariants that hold
 //! for *every* seed, not just the hand-built repro scenarios:
 //!
-//! 1. **Digest determinism** — replaying an execution twice, and at
-//!    1/2/4 shards, 2 worker threads, tuple-at-a-time firing, the
-//!    trie-disabled path, and the naive join path, folds to one and the
-//!    same provenance stream digest.
+//! 1. **Digest determinism** — replaying an execution twice, and under
+//!    tuple-at-a-time firing, the trie-disabled path, and the naive join
+//!    path, folds to one and the same provenance stream digest.
 //! 2. **Graph well-formedness** — the recorded temporal provenance graph
 //!    obeys the vertex grammar and episode ordering
 //!    ([`dp_provenance::well_formedness_violations`]).
@@ -15,11 +14,11 @@
 //!    packet at the `dst` host, and nowhere else.
 //! 4. **Verdict invariance** — when the injections produce a diagnosable
 //!    misdelivery, DiffProv's verdict (success/failure, the change set,
-//!    round count, tree sizes) is identical under all six engine
-//!    configurations and under sharded replay.
+//!    round count, tree sizes) is identical under all four engine
+//!    configurations.
 //! 5. **Restart transparency** — a scenario with a `NodeRestart` replays
 //!    to a bit-identical stream when the engine is snapshotted and
-//!    restored at the cut, at any restore shard count.
+//!    restored at the cut.
 //! 6. **Duplicate invisibility** — a duplicated packet is absorbed by
 //!    idempotent base insertion: dropping the `DupPacket` injections from
 //!    the schedule must not change the bad execution's digest.
@@ -103,14 +102,6 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
             ("base".to_string(), exec.stream_digest()?),
             ("rerun".to_string(), exec.stream_digest()?),
         ];
-        for shards in [2usize, 4] {
-            let mut e = exec.clone();
-            e.shards = shards;
-            out.push((format!("shards-{shards}"), e.stream_digest()?));
-        }
-        let mut threads2 = exec.clone();
-        threads2.threads = 2;
-        out.push(("threads-2".to_string(), threads2.stream_digest()?));
         let mut unbatched = exec.clone();
         unbatched.unbatched = true;
         out.push(("unbatched".to_string(), unbatched.stream_digest()?));
@@ -254,20 +245,11 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
                         e.naive_join = cfg.naive_join.unwrap_or(e.naive_join);
                         e.unbatched = cfg.unbatched.unwrap_or(e.unbatched);
                         e.no_trie = cfg.no_trie.unwrap_or(e.no_trie);
-                        e.threads = cfg.threads.unwrap_or(e.threads);
                         e
                     };
                     (cfg.label.to_string(), adapt(&sc.good), adapt(&sc.bad))
                 })
                 .collect();
-            let sharded = |exec: &Execution| {
-                let mut e = exec.clone();
-                e.unbatched = false;
-                e.threads = 1;
-                e.shards = 2;
-                e
-            };
-            configs.push(("shards-2".to_string(), sharded(&sc.good), sharded(&sc.bad)));
             // Reconstruction equivalence: pin the annotation backend, so
             // every tree the diagnosis consumes is reconstructed on demand
             // instead of extracted from a recorded graph. The verdict must
@@ -276,7 +258,6 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
             let pinned = |exec: &Execution, backend: ProvBackend| {
                 let mut e = exec.clone();
                 e.unbatched = false;
-                e.threads = 1;
                 e.provenance_backend = backend;
                 e
             };
@@ -460,29 +441,25 @@ fn render_verdict(r: &diffprov_core::Report) -> Vec<String> {
 }
 
 /// Replays `exec` uninterrupted and with snapshot/restore restarts at
-/// every cut (cycling the restore shard count through 1, 2, 4), and
-/// compares the provenance streams. Returns a divergence description, or
-/// `None` when the restarted stream is bit-identical.
+/// every cut, and compares the provenance streams. Returns a divergence
+/// description, or `None` when the restarted stream is bit-identical.
 fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>> {
     let reference = {
-        let mut eng = serial_engine(exec);
+        let mut eng = batched_engine(exec);
         schedule_range(&mut eng, &exec.log, None, None)?;
         eng.run()?;
         eng.into_sink().events
     };
-    let shard_cycle = [1usize, 2, 4];
     let mut restarted: Vec<ProvEvent> = Vec::new();
-    let mut eng = serial_engine(exec);
+    let mut eng = batched_engine(exec);
     let mut prev: Option<LogicalTime> = None;
-    for (i, &cut) in cuts.iter().enumerate() {
+    for &cut in cuts {
         schedule_range(&mut eng, &exec.log, prev, Some(cut))?;
         eng.run()?;
         let snap = eng.snapshot()?;
         restarted.append(&mut eng.into_sink().events);
         eng = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default())?;
         eng.set_unbatched(false);
-        eng.set_threads(1);
-        eng.set_shards(shard_cycle[i % shard_cycle.len()]);
         prev = Some(cut);
     }
     schedule_range(&mut eng, &exec.log, prev, None)?;
@@ -504,11 +481,9 @@ fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>>
     )))
 }
 
-fn serial_engine(exec: &Execution) -> Engine<VecSink> {
+fn batched_engine(exec: &Execution) -> Engine<VecSink> {
     let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
     eng.set_unbatched(false);
-    eng.set_threads(1);
-    eng.set_shards(1);
     eng
 }
 

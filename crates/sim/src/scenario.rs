@@ -107,8 +107,7 @@ pub enum Injection {
     /// The whole engine is snapshotted and restored mid-schedule at
     /// `cut` (a quiescent boundary) — the paper's node-restart fault.
     /// Restart transparency requires the provenance stream to be
-    /// bit-identical to an uninterrupted run, at any restore shard
-    /// count.
+    /// bit-identical to an uninterrupted run.
     NodeRestart {
         /// Quiescent boundary at which the restart happens.
         cut: LogicalTime,

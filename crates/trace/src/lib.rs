@@ -17,13 +17,12 @@
 //!
 //! * [`Class::Skeleton`] events are **deterministic**: their names, logical
 //!   timestamps, and argument values depend only on the program and its
-//!   input log — not on thread count, batching discipline, or join access
-//!   path. The rendering produced by [`Trace::skeleton`] is bit-identical
-//!   across all engine configurations; the differential suites assert this.
+//!   input log — not on batching discipline or join access path. The
+//!   rendering produced by [`Trace::skeleton`] is bit-identical across all
+//!   engine configurations; the differential suites assert this.
 //! * [`Class::Effort`] events describe *how much work a particular
-//!   configuration did* (batch flushes, probe/scan counts, parallel merge
-//!   phases). They are free to differ between configurations and are
-//!   excluded from the skeleton.
+//!   configuration did* (batch flushes, probe/scan counts). They are free
+//!   to differ between configurations and are excluded from the skeleton.
 //!
 //! Wall-clock durations are non-deterministic by nature and are therefore
 //! carried outside the skeleton on **every** event class.
@@ -51,10 +50,10 @@ use dp_types::{LogicalTime, SpanId, TraceId};
 /// Determinism class of a trace event. See the crate docs for the contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Class {
-    /// Deterministic: identical across thread counts and engine
-    /// configurations; part of the diffable skeleton.
+    /// Deterministic: identical across engine configurations; part of the
+    /// diffable skeleton.
     Skeleton,
-    /// Configuration-dependent effort (batching, probes, scans, merges);
+    /// Configuration-dependent effort (batching, probes, scans);
     /// excluded from the skeleton.
     Effort,
 }
@@ -229,17 +228,6 @@ impl Aggregate {
     /// Current total of counter `name` (0 if never seen).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters whose names start with `prefix`, in name order. Used
-    /// for families of per-instance counters (e.g. `shard.deltas.<i>`)
-    /// where the instance count is not known to the reader up front.
-    pub fn counters_prefixed(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(name, v)| (name.clone(), *v))
-            .collect()
     }
 
     /// Hand-rolled JSON rendering of the full aggregate (no histogram
@@ -909,26 +897,6 @@ mod tests {
         assert_eq!(trace.events[1].name(), "from.b");
         // Finishing drained the shared buffer.
         assert!(t2.finish().events.is_empty());
-    }
-
-    #[test]
-    fn counters_prefixed_selects_a_family_in_order() {
-        let t = Tracer::aggregate_only();
-        t.counter("shard.deltas.0", Class::Effort, 5);
-        t.counter("shard.deltas.2", Class::Effort, 7);
-        t.counter("shard.deltas.1", Class::Effort, 6);
-        t.counter("shard.msgs", Class::Effort, 9);
-        t.counter("other", Class::Effort, 1);
-        let agg = t.aggregate();
-        assert_eq!(
-            agg.counters_prefixed("shard.deltas."),
-            vec![
-                ("shard.deltas.0".to_string(), 5),
-                ("shard.deltas.1".to_string(), 6),
-                ("shard.deltas.2".to_string(), 7),
-            ]
-        );
-        assert!(agg.counters_prefixed("absent.").is_empty());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// Stable FNV-1a checksum of a tuple's canonical encoding: the same
 /// value on every platform, every run, and every engine configuration.
 /// This is what the metric HLL sketches hash, so distinct-tuple counts
-/// are comparable across shards and processes (a pointer- or
+/// are comparable across runs and processes (a pointer- or
 /// `RandomState`-based hash would not be).
 pub fn tuple_fnv64(t: &Tuple) -> u64 {
     let mut e = Enc::new();

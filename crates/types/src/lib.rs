@@ -26,7 +26,6 @@ pub mod error;
 pub mod prefix;
 pub mod rng;
 pub mod schema;
-pub mod shard;
 pub mod sym;
 pub mod trace;
 pub mod trie;
@@ -38,7 +37,6 @@ pub use error::{Error, Result};
 pub use prefix::Prefix;
 pub use rng::DetRng;
 pub use schema::{FieldDecl, FieldType, Schema, SchemaRegistry, TableKind};
-pub use shard::ShardAssignment;
 pub use sym::Sym;
 pub use trace::{SpanId, TraceId};
 pub use trie::PrefixTrie;

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite in both engine firing
-# disciplines, with the prefix-trie access path disabled, under both
-# batch-flush paths, with tracing enabled, and lint-clean clippy. Run
-# from the repository root before sending a change out.
+# Full local gate: release build; the whole workspace suite under the
+# default engine and under each process-wide switch that selects a
+# reference path, an instrumentation system, a provenance backend, or a
+# store (seven passes); the diagbench package's own tests; the metrics
+# scrape smoke test; one fault-injection sweep; and lint-clean clippy.
+# Run from the repository root before sending a change out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,29 +14,22 @@ cargo build --release
 # cargo's fingerprints, so nothing is rebuilt between legs (a debug pass
 # here used to pay a full second compilation of the workspace).
 cargo test --release --workspace -q
-# Second pass through the tuple-at-a-time reference path (DP_UNBATCHED=1
-# makes it the default discipline; the differential suites still compare
-# both explicitly).
+# The tuple-at-a-time reference path (DP_UNBATCHED=1 makes it the default
+# discipline; the differential suites still compare both explicitly).
 DP_UNBATCHED=1 cargo test --release --workspace -q
-# Third pass with the prefix-trie join access path disabled (DP_NO_TRIE=1
-# forces every trie-eligible step back onto the ordered scan), so the
-# whole suite also vouches for the fallback path.
+# The prefix-trie join access path disabled (DP_NO_TRIE=1 forces every
+# trie-eligible step back onto the ordered scan), so the whole suite also
+# vouches for the fallback path.
 DP_NO_TRIE=1 cargo test --release --workspace -q
-# Fourth and fifth passes pin the batch-flush path: DP_THREADS=1 forces
-# the serial reference flush everywhere, DP_THREADS=4 runs every engine
-# the suite builds (minus those that pin their own thread count) through
-# the parallel worker-pool flush.
-DP_THREADS=1 cargo test --release --workspace -q
-DP_THREADS=4 cargo test --release --workspace -q
-# Sixth pass with full tracing as the process-wide default: every engine
-# the suite builds records spans and counters, and the differential
-# suites (which compare provenance streams byte-for-byte) double as the
-# proof that tracing never perturbs evaluation.
+# Full tracing as the process-wide default: every engine the suite builds
+# records spans and counters, and the differential suites (which compare
+# provenance streams byte-for-byte) double as the proof that tracing
+# never perturbs evaluation.
 DP_TRACE=1 cargo test --release --workspace -q
-# Metrics pass: the process-wide dp-metrics registry is live for every
-# engine the suite builds. The differential suites (streams and
-# skeletons compared byte-for-byte) double as the proof that metering —
-# counters, histograms, HLL sketches — never perturbs evaluation, and
+# The process-wide dp-metrics registry live for every engine the suite
+# builds. The differential suites (streams and skeletons compared
+# byte-for-byte) double as the proof that metering — counters,
+# histograms, HLL sketches — never perturbs evaluation, and
 # metrics_differential.rs additionally compares explicit enabled vs
 # disabled handles within one process.
 DP_METRICS=1 cargo test --release --workspace -q
@@ -42,37 +37,28 @@ DP_METRICS=1 cargo test --release --workspace -q
 # loop mutates it, validate every scraped exposition, shut down over
 # HTTP.
 cargo run --release -p dp-bench --bin repro -- metrics-smoke
-# Seventh pass with node-sharded evaluation as the default: every engine
-# the suite builds (minus those that pin their own shard count)
-# partitions its node universe across 4 shard workers, and the
-# differential suites prove the shard merge is invisible.
-DP_SHARDS=4 cargo test --release --workspace -q
-# Eighth pass composes sharding with the intra-shard worker pool: each of
-# 2 shards fires large batches on 2 chunk workers.
-DP_SHARDS=2 DP_THREADS=2 cargo test --release --workspace -q
-# Ninth pass with the compact annotation provenance backend as the
-# replay-wide default: every diagnosis reconstructs its proof trees from
-# episode annotations instead of reading the materialized graph (suites
-# that inspect graph internals pin ProvBackend::Graph explicitly).
+# The compact annotation provenance backend as the replay-wide default:
+# every diagnosis reconstructs its proof trees from episode annotations
+# instead of reading the materialized graph (suites that inspect graph
+# internals pin ProvBackend::Graph explicitly).
 DP_PROV=annot cargo test --release --workspace -q
-# Tenth pass composes the annotation backend with sharded + pooled
-# evaluation, so reconstruction is also exercised against the merged
-# multi-shard provenance stream.
-DP_PROV=annot DP_SHARDS=2 DP_THREADS=2 cargo test --release --workspace -q
-# Eleventh pass routes every replay through the durable layer stack
-# (DP_STORE=disk seals each schedule into on-disk layer files and merges
-# them back), composed with sharded + pooled evaluation; the differential
-# suites prove the disk path is byte-identical to the in-memory path.
-# The stores live in per-process tempdirs (dp-store-*) that are removed
-# on drop; sweep any leftovers from crashed runs afterwards.
-DP_STORE=disk DP_SHARDS=2 DP_THREADS=2 cargo test --release --workspace -q
+# Every replay routed through the durable layer stack (DP_STORE=disk
+# seals each schedule into on-disk layer files and merges them back); the
+# differential suites prove the disk path is byte-identical to the
+# in-memory path. The stores live in per-process tempdirs (dp-store-*)
+# that are removed on drop; sweep any leftovers from crashed runs
+# afterwards.
+DP_STORE=disk cargo test --release --workspace -q
 rm -rf "${TMPDIR:-/tmp}"/dp-store-* 2>/dev/null || true
+# diagbench is its own workspace (benchmark/), so the passes above never
+# compile it: build it and run its smoke tests against the crates as they
+# are now, so an engine API change that breaks the benchmark is caught
+# here instead of by the pipeline.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Fault-injection sweep: 32 generated scenarios through the dp-sim
 # invariant battery (digest determinism, graph well-formedness, verdict
-# invariance, restart transparency, duplicate invisibility), once under
-# the default configuration and once with sharding and the worker pool as
-# the process-wide default. Failing seeds are ddmin-shrunk into
-# tests/corpus/ automatically.
+# invariance, restart transparency, duplicate invisibility, durable
+# recovery). Failing seeds are ddmin-shrunk into tests/corpus/
+# automatically.
 cargo run --release -p dp-bench --bin repro -- sim --seeds 32
-DP_SHARDS=2 DP_THREADS=2 cargo run --release -p dp-bench --bin repro -- sim --seeds 32
 cargo clippy --workspace --all-targets -- -D warnings
