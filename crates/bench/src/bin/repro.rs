@@ -6,8 +6,7 @@
 //! ```
 
 use dp_bench::{
-    ablation, complex, engine_bench, latency, metrics_cmd, query, storage, table1, trace_cmd,
-    unsuitable,
+    ablation, complex, latency, metrics_cmd, query, storage, table1, trace_cmd, unsuitable,
 };
 
 fn parse_flag(flag: &str, value: Option<&String>) -> usize {
@@ -233,14 +232,10 @@ fn dispatch(what: &str) {
         run_ablation();
         ran = true;
     }
-    if run_all || what == "enginebench" {
-        run_enginebench();
-        ran = true;
-    }
     if !ran {
         eprintln!(
             "unknown experiment {what:?}; available: all table1 fig5 fig6 fig7 fig8 \
-             unsuitable latency mrstorage complex ablation enginebench \
+             unsuitable latency mrstorage complex ablation \
              sim [--seeds N] \
              trace <scenario> stats <scenario> metrics <scenario> \
              serve-metrics <scenario> [--addr host:port] metrics-smoke"
@@ -435,164 +430,6 @@ fn run_mrstorage() {
             m.log_bytes as f64 / m.corpus_bytes as f64 * 100.0
         );
     }
-}
-
-fn run_enginebench() {
-    banner("Engine: joins and firing disciplines (campus, 100k+ entries)");
-    // Enough background traffic that packet forwarding — the workload the
-    // prefix trie accelerates — carries real weight next to the one-off
-    // bulk configuration load.
-    let b = engine_bench::engine_bench(100_000, 400).expect("benchmark runs");
-    println!(
-        "  {} entries, {} background packets, {} events",
-        b.entries, b.background_packets, b.events
-    );
-    println!(
-        "  batched {:.3}s vs streamed {:.3}s vs naive {:.3}s -> {:.2}x batch, {:.1}x total, {:.0} tuples/s",
-        b.indexed_secs,
-        b.unbatched_secs,
-        b.naive_secs,
-        b.batch_speedup(),
-        b.speedup(),
-        b.tuples_per_sec()
-    );
-    println!(
-        "  prefix trie: {:.3}s with vs {:.3}s without -> {:.2}x batched, {:.2}x streamed ({} trie probes vs {} forced scans)",
-        b.indexed_secs,
-        b.scan_secs,
-        b.trie_speedup(),
-        b.unbatched_trie_speedup(),
-        b.trie_probes,
-        b.trie_scans
-    );
-    println!(
-        "  probes {} / scans {} (hit rate {:.1}%), {} deltas in {} batches, peak tuples {} (interned {}), streams identical: {}",
-        b.join_probes,
-        b.join_scans,
-        b.index_hit_rate * 100.0,
-        b.batched_deltas,
-        b.batches,
-        b.peak_tuples,
-        b.peak_interned,
-        b.streams_identical
-    );
-    banner("Engine: bulk configuration load (the batched firing path)");
-    let l = engine_bench::load_bench(100_000).expect("load bench runs");
-    println!(
-        "  {} entries, no traffic: batched {:.3}s vs streamed {:.3}s -> {:.2}x",
-        l.entries,
-        l.batched_secs,
-        l.streamed_secs,
-        l.batch_speedup()
-    );
-    println!(
-        "  join steps run: batched {} vs streamed {}, streams identical: {}",
-        l.batched_steps, l.streamed_steps, l.streams_identical
-    );
-    banner("Engine: FIB-lookup equality join (the indexed access path)");
-    let f = engine_bench::fib_bench(100_000, 200).expect("fib bench runs");
-    println!(
-        "  {} cfgEntry rows, {} lookups: indexed {:.3}s vs naive {:.3}s -> {:.0}x",
-        f.entries,
-        f.queries,
-        f.indexed_secs,
-        f.naive_secs,
-        f.speedup()
-    );
-    println!(
-        "  join candidates examined: indexed {} vs naive {}, streams identical: {}",
-        f.indexed_candidates, f.naive_candidates, f.streams_identical
-    );
-    banner("Engine: provenance backends (graph vs annotations, 100k entries)");
-    let prov = engine_bench::prov_bench(100_000, 400, 200).expect("prov bench runs");
-    println!(
-        "  live records: graph {} vs annotations {} -> {:.1}x reduction",
-        prov.graph_records,
-        prov.annot_records,
-        prov.reduction()
-    );
-    println!(
-        "  recording: graph {:.3}s vs annotations {:.3}s",
-        prov.graph_record_secs, prov.annot_record_secs
-    );
-    println!(
-        "  reconstruction: {} trees, avg {:.3}ms / max {:.3}ms per tree (extraction avg {:.3}ms), trees match: {}",
-        prov.trees_sampled,
-        prov.reconstruct_avg_ms,
-        prov.reconstruct_max_ms,
-        prov.extract_avg_ms,
-        prov.trees_match
-    );
-    banner("Engine: durable layered store (spill, kill, recover)");
-    let durable =
-        engine_bench::durable_bench(100_000, 400, 8_192).expect("durable bench runs");
-    println!(
-        "  {} base events sealed into {} layer files ({} B) + {} checkpoints ({} B), {:.2} B/event on disk",
-        durable.events,
-        durable.layer_files,
-        durable.layer_bytes,
-        durable.checkpoint_files,
-        durable.checkpoint_bytes,
-        durable.bytes_per_event()
-    );
-    println!(
-        "  spill {:.3}s; recovery (newest checkpoint + {} tail events) {:.3}s vs cold full replay {:.3}s -> {:.1}x, digest match: {}",
-        durable.spill_secs,
-        durable.tail_events,
-        durable.recovery_secs,
-        durable.cold_replay_secs,
-        durable.recovery_speedup(),
-        durable.digest_match
-    );
-    banner("Engine: metrics subsystem overhead (enabled vs disabled)");
-    let overhead =
-        engine_bench::metrics_overhead_bench(100_000, 400, 3).expect("overhead bench runs");
-    println!(
-        "  disabled {:.3}s vs enabled {:.3}s -> {:.2}x ({} families, ~{} distinct flows), streams identical: {}",
-        overhead.disabled_secs,
-        overhead.enabled_secs,
-        overhead.overhead_ratio(),
-        overhead.metric_families,
-        overhead.distinct_flows,
-        overhead.streams_identical
-    );
-    println!("  checking cross-mode parity on all scenarios...");
-    let parity = engine_bench::scenario_parity().expect("parity runs");
-    for p in &parity {
-        println!(
-            "    {:<8} good {:>4} / bad {:>4} vertexes, identical: {}",
-            p.name, p.good_vertexes, p.bad_vertexes, p.identical
-        );
-    }
-    let json = engine_bench::to_json(
-        &b,
-        &l,
-        &f,
-        Some(&prov),
-        Some(&durable),
-        Some(&overhead),
-        &parity,
-    );
-    std::fs::write("BENCH_engine.json", &json).expect("BENCH_engine.json is writable");
-    println!("  wrote BENCH_engine.json");
-    assert!(
-        b.streams_identical
-            && l.streams_identical
-            && f.streams_identical
-            && overhead.streams_identical
-            && parity.iter().all(|p| p.identical),
-        "engine modes disagree"
-    );
-    assert!(
-        durable.digest_match,
-        "durable recovery digest diverged from the crash-free reference"
-    );
-    assert!(prov.trees_match, "provenance backends disagree on sampled trees");
-    assert!(
-        prov.reduction() >= 5.0,
-        "annotation store only {:.1}x smaller than the graph",
-        prov.reduction()
-    );
 }
 
 fn run_complex() {

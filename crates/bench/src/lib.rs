@@ -20,7 +20,6 @@
 //! | `mrstorage`  | §6.5 — MapReduce log sizes                            |
 //! | `complex`    | §6.7 — campus network with faults and noise           |
 //! | `ablation`   | design-choice ablations (butterfly, noise, checkpoints)|
-//! | `enginebench`| indexed vs. naive joins at scale → `BENCH_engine.json` |
 //! | `trace <s>`  | one scenario under a full tracer → summary + trace files|
 //! | `stats <s>`  | engine counters/join profile of one scenario, as JSON  |
 
@@ -29,7 +28,6 @@
 
 pub mod ablation;
 pub mod complex;
-pub mod engine_bench;
 pub mod harness;
 pub mod latency;
 pub mod metrics_cmd;
@@ -172,16 +170,24 @@ mod tests {
     /// Y! query (it replays more).
     #[test]
     fn query_times_are_replay_dominated() {
-        let timings = query::all_timings().unwrap();
+        // These are sub-millisecond wall times on a machine that runs
+        // other tests beside this one: compare each quantity's minimum
+        // over three measurements, so one descheduled thread cannot flip
+        // a comparison.
+        let runs: Vec<_> = (0..3).map(|_| query::all_timings().unwrap()).collect();
+        let timings = &runs[0];
         assert_eq!(timings.len(), 8);
-        for t in &timings {
+        let min = |i: usize, f: fn(&query::QueryTiming) -> std::time::Duration| {
+            runs.iter().map(|r| f(&r[i])).min().unwrap()
+        };
+        for (i, t) in timings.iter().enumerate() {
             assert!(
-                t.diffprov_replay >= t.diffprov_reasoning,
+                min(i, |t| t.diffprov_replay) >= min(i, |t| t.diffprov_reasoning),
                 "{}: reasoning dominates?",
                 t.name
             );
             assert!(
-                t.diffprov_total >= t.ybang,
+                min(i, |t| t.diffprov_total) >= min(i, |t| t.ybang),
                 "{}: DiffProv faster than a single provenance query?",
                 t.name
             );

@@ -73,8 +73,7 @@ pub struct DiffProv {
     /// [`Metrics`] breakdown is *always* derived from span aggregates, so
     /// metrics and traces cannot disagree. The pipeline spans are
     /// deterministic ([`dp_trace::Class::Skeleton`]): their sequence
-    /// depends only on the executions and events under diagnosis, not on
-    /// any engine configuration.
+    /// depends only on the executions and events under diagnosis.
     pub tracer: Tracer,
 }
 

@@ -37,7 +37,7 @@
 //! registry itself there are two determinism classes, mirroring
 //! `dp-trace`'s skeleton-vs-effort split: counts derived from the event
 //! stream (engine semantic counters, HLL register contents) are
-//! reproducible across runs and configurations, while latency histograms
+//! reproducible across runs, while latency histograms
 //! and queue-depth gauges are wall-clock effort and legitimately vary.
 //!
 //! # Merging

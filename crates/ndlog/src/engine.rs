@@ -13,31 +13,45 @@
 //! already present. Deletions cascade through support counting, emitting
 //! the negative vertex events (DELETE/UNDERIVE/DISAPPEAR) of Section 3.2.
 //!
+//! # The engine and its oracle
+//!
+//! This engine is the fast implementation: batched, indexed and
+//! trie-probed, always. What it must compute is defined by the small
+//! reference evaluator in [`crate::reference`] — serial, tuple-at-a-time,
+//! nested-loop joins over full table scans — and
+//! `tests/reference_differential.rs` holds the two to identical
+//! provenance streams and final tables. Each optimization below is
+//! stated as the argument for why it cannot change that stream.
+//!
 //! # Join evaluation
 //!
 //! Joins run the build-time plans of [`crate::plan`]: each non-trigger body
 //! atom is joined in most-bound-first order, probing a secondary hash index
 //! keyed on its bound columns (falling back to a full ordered scan when no
 //! column is bound). Indexes are maintained incrementally by
-//! [`NodeState`] on insert/delete. A per-candidate bind/undo trail replaces
-//! the old environment-clone-per-candidate pattern, and tuples are interned
-//! behind `Arc` so derivation records and provenance events share one
-//! allocation per distinct tuple.
+//! [`NodeState`] on insert/delete. A per-candidate bind/undo trail avoids
+//! an environment clone per candidate, and tuples are interned behind
+//! `Arc` so derivation records and provenance events share one allocation
+//! per distinct tuple.
 //!
 //! Reordered probing discovers the same matches in a different order, so
-//! the engine restores determinism by sorting the collected matches by
-//! their body-tuple vector before acting on them. The naive nested-loop
-//! evaluator enumerates matches in exactly that order (depth-first over
-//! body atoms, each table scanned in BTree tuple order, the trigger slot
-//! constant), so the indexed join schedules byte-identical event streams.
-//! The naive path is kept behind [`Engine::set_naive_join`] as the
-//! reference for differential tests and before/after benchmarks.
+//! the engine sorts the collected matches by their body-tuple vector
+//! before acting on them. That is exactly the order the oracle's nested
+//! loop enumerates them in (depth-first over body atoms, each table
+//! scanned in BTree tuple order, the trigger slot constant).
+//!
+//! A scan step constrained by `prefix_contains(Col, Addr)` with a bound
+//! IP address walks a per-(table, column) prefix trie instead of the
+//! table: the trie yields only tuples whose prefix contains the address —
+//! the ones the constraint would accept — plus every tuple whose column
+//! is not prefix-like, so a type error surfaces exactly as it would under
+//! a scan.
 //!
 //! # Semi-naive delta batching
 //!
-//! By default the engine does not fire rules tuple-at-a-time. Deltas that
-//! share a scheduled timestamp (`due`) are applied to the tables first —
-//! one event at a time, so base provenance events and logical clocks are
+//! The engine does not fire rules tuple-at-a-time. Deltas that share a
+//! scheduled timestamp (`due`) are applied to the tables first — one
+//! event at a time, so base provenance events and logical clocks are
 //! unchanged — and accumulate per (node, table) as the *delta relation* of
 //! classic semi-naive evaluation. At the batch boundary (the next queued
 //! event has a different `due`, or a deletion arrives) each triggered rule
@@ -46,31 +60,25 @@
 //! tuples are already inserted when the joins run, each join carries an
 //! `as_of` horizon — a body tuple qualifies only if it appeared no later
 //! than the delta being fired (`TupleState::appeared_at <= as_of`) — which
-//! reproduces exactly the state each tuple-at-a-time firing would have
-//! seen. Scheduled actions are buffered per delta and released in arrival
-//! order, so the queue (and hence every downstream timestamp) evolves
-//! byte-identically to the unbatched path. Deletions flush the pending
-//! batch before they cascade, keeping "in-flight" semantics intact.
+//! reproduces exactly the state a tuple-at-a-time firing would have seen.
+//! Scheduled actions are buffered per delta and released in arrival
+//! order, so the queue (and hence every downstream timestamp) evolves as
+//! the oracle's does. Deletions flush the pending batch before they
+//! cascade, keeping "in-flight" semantics intact. Provenance events are
+//! buffered in emission order and handed to the sink at each flush.
 //!
 //! Because tables only ever grow within a batch (deletions flush first),
 //! the flush can prune a whole delta group for a rule whose partner table
-//! is empty — the join could not have completed for any delta — which is
-//! where batching beats the reference path on bulk loads: the 100 k-entry
-//! campus configuration push runs its doomed trigger joins zero times
-//! instead of once per tuple.
-//!
-//! The tuple-at-a-time path remains available behind
-//! [`Engine::set_unbatched`] (or the `DP_UNBATCHED=1` environment toggle,
-//! which flips the default for a whole test run) as the reference
-//! implementation for differential tests and benchmarks; batching
-//! amortizes trigger dispatch, join scratch space, and sink writes.
+//! is empty — the join could not have completed for any delta: a bulk
+//! configuration push runs its doomed trigger joins zero times instead of
+//! once per tuple.
 //!
 //! # Why the engine is serial
 //!
 //! One thread, one node map, one interner: replay needs a single clock, and
-//! both parallel designs tried here lost to this path on every recorded row
-//! (`BENCH_engine.json` as of PR 11: `campus.parallel_speedup` 0.96x;
-//! `shard_scaling` 0.94x, `packet_rate` 0.54x, `million_entry` 0.66x).
+//! both parallel designs tried here lost to this path on every row
+//! recorded before PR 12 deleted them (worker pool 0.96x; shards 0.94x /
+//! 0.54x / 0.66x).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
@@ -89,6 +97,7 @@ use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
 use crate::expr::Env;
 use crate::plan::{IndexSpecs, IpSource, JoinPlan, TrieSpecs};
 use crate::program::{Emitter, Program};
+use crate::reference::ScheduledOp;
 use crate::sink::{ProvEvent, ProvenanceSink};
 
 /// One recorded derivation of a tuple (used for support counting, cascade
@@ -106,7 +115,7 @@ pub struct DerivRecord {
 }
 
 /// Per-tuple bookkeeping.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TupleState {
     /// True if the tuple was inserted as a base tuple (counts as support).
     pub base: bool,
@@ -381,8 +390,8 @@ impl NodeState {
     /// first the trie walk (prefixes containing `ip`, shortest first), then
     /// the non-prefix-like bucket (whose members the constraint will reject
     /// with exactly the error the scan path would have raised). Candidate
-    /// order is deterministic; final matches are re-sorted into naive
-    /// enumeration order by the caller, like hash-index probes.
+    /// order is deterministic; final matches are re-sorted into nested-
+    /// loop enumeration order by the caller, like hash-index probes.
     /// Upper bound on the candidates [`NodeState::probe_prefix`] yields for
     /// `(table, slot, ip)` — bucket sizes along the trie path plus the
     /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
@@ -415,7 +424,7 @@ impl NodeState {
             })
     }
 
-    fn entry(
+    pub(crate) fn entry(
         &mut self,
         tuple: &Arc<Tuple>,
         specs: Option<&IndexSpecs>,
@@ -433,13 +442,13 @@ impl NodeState {
             .insert(tuple, now)
     }
 
-    fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
+    pub(crate) fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
         self.tables
             .get_mut(&tuple.table)
             .and_then(|t| t.tuples.get_mut(tuple))
     }
 
-    fn remove(&mut self, tuple: &Tuple) {
+    pub(crate) fn remove(&mut self, tuple: &Tuple) {
         if let Some(t) = self.tables.get_mut(&tuple.table) {
             t.remove(tuple);
             if t.tuples.is_empty() {
@@ -463,16 +472,34 @@ impl NodeState {
 /// The view carries the `as_of` horizon of the firing it serves: when the
 /// engine evaluates a batched delta, tuples that appeared later in the
 /// same batch are hidden so natives and builtins observe exactly the
-/// state the tuple-at-a-time reference path would have shown them.
+/// state a tuple-at-a-time firing would have shown them.
 pub struct NodeView<'a> {
     /// The node being viewed.
     pub node: &'a NodeId,
     state: &'a NodeState,
     as_of: LogicalTime,
-    no_trie: bool,
 }
 
 impl<'a> NodeView<'a> {
+    /// A view of `node` hiding whatever appeared after `as_of`. `None`
+    /// is a node that holds no tuples (e.g. a trigger delivered to a node
+    /// nothing was ever stored on): joins find no candidates and
+    /// builtins and natives see empty tables.
+    pub(crate) fn new(
+        node: &'a NodeId,
+        state: Option<&'a NodeState>,
+        as_of: LogicalTime,
+    ) -> Self {
+        static EMPTY: NodeState = NodeState {
+            tables: BTreeMap::new(),
+        };
+        NodeView {
+            node,
+            state: state.unwrap_or(&EMPTY),
+            as_of,
+        }
+    }
+
     /// Live tuples of `table` on this node.
     pub fn table(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
         let as_of = self.as_of;
@@ -491,34 +518,30 @@ impl<'a> NodeView<'a> {
     /// result is a *superset* of the tuples the caller wants (only one
     /// pair is used for pruning, and non-prefix-like column values are
     /// always included), so callers must re-check every column exactly as
-    /// a scan would. With the trie disabled — or none maintained for any
-    /// of the columns — every live tuple of the table is returned, which
-    /// is precisely the scan the caller would otherwise have written.
+    /// a scan would. With no trie maintained for any of the columns every
+    /// live tuple of the table is returned, which is precisely the scan
+    /// the caller would otherwise have written.
     /// Either way the caller's filtered result is identical, so stateful
     /// builtins like OpenFlow priority resolution can use this on their
     /// hot path without perturbing replay.
     pub fn prefix_candidates(&self, table: &Sym, probes: &[(usize, u32)]) -> Vec<&'a Tuple> {
-        let slot = if self.no_trie {
-            None
-        } else {
-            self.state.tables.get(table).and_then(|t| {
-                probes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pi, &(col, ip))| {
-                        let slot = t.trie_specs.iter().position(|&c| c == col)?;
-                        Some((slot, ip, pi))
-                    })
-                    // Estimate ties break on the trie slot (column order)
-                    // and then the caller's probe order — a total key, so
-                    // the pick (and the trie counters it drives) is stable
-                    // across platforms and std implementations.
-                    .min_by_key(|&(slot, ip, pi)| {
-                        (self.state.estimate_prefix(table, slot, ip), slot, pi)
-                    })
-                    .map(|(slot, ip, _)| (slot, ip))
-            })
-        };
+        let slot = self.state.tables.get(table).and_then(|t| {
+            probes
+                .iter()
+                .enumerate()
+                .filter_map(|(pi, &(col, ip))| {
+                    let slot = t.trie_specs.iter().position(|&c| c == col)?;
+                    Some((slot, ip, pi))
+                })
+                // Estimate ties break on the trie slot (column order)
+                // and then the caller's probe order — a total key, so
+                // the pick (and the trie counters it drives) is stable
+                // across platforms and std implementations.
+                .min_by_key(|&(slot, ip, pi)| {
+                    (self.state.estimate_prefix(table, slot, ip), slot, pi)
+                })
+                .map(|(slot, ip, _)| (slot, ip))
+        });
         match slot {
             Some((slot, ip)) => {
                 let mut out: Vec<&'a Tuple> = self
@@ -624,8 +647,8 @@ pub struct Stats {
     pub join_scans: u64,
     /// Join steps answered by a prefix-trie walk.
     pub trie_probes: u64,
-    /// Trie-eligible join steps answered by a full scan instead (the trie
-    /// was disabled, or the bound address was not an IP).
+    /// Trie-eligible join steps answered by a full scan instead (the
+    /// bound address was not an IP).
     pub trie_scans: u64,
     /// Candidate tuples examined across all join steps.
     pub join_candidates: u64,
@@ -633,9 +656,9 @@ pub struct Stats {
     pub join_matches: u64,
     /// High-water mark of live tuples across all nodes.
     pub peak_tuples: u64,
-    /// Delta batches flushed (0 in unbatched mode).
+    /// Delta batches flushed.
     pub batches: u64,
-    /// Deltas fired through batches (0 in unbatched mode).
+    /// Deltas fired through batches (every appearance is one).
     pub batched_deltas: u64,
     /// Always 0; kept only because `benchmark/src/probe.rs` reads it.
     pub parallel_batches: u64,
@@ -773,15 +796,6 @@ struct Delta {
     at: LogicalTime,
 }
 
-/// Fallback state for firings addressed at a node that holds no tuples
-/// (e.g. a trigger delivered to a node nothing was ever stored on):
-/// joins find no candidates and builtin/native views see an empty node,
-/// exactly what a node whose tables were all emptied would show. This
-/// replaces the old `expect("node has state")` panics on those paths.
-static EMPTY_NODE_STATE: NodeState = NodeState {
-    tables: BTreeMap::new(),
-};
-
 /// The read-only half of the engine a rule firing needs: the program
 /// (plans, schemas, natives, builtins) and the frozen node states.
 /// Firing never mutates node state — actions are buffered per delta and
@@ -790,8 +804,6 @@ static EMPTY_NODE_STATE: NodeState = NodeState {
 struct FireCtx<'a> {
     program: &'a Program,
     nodes: &'a BTreeMap<NodeId, NodeState>,
-    naive_join: bool,
-    no_trie: bool,
 }
 
 /// Join-effort counters accumulated while firing, folded into [`Stats`]
@@ -802,22 +814,6 @@ struct FireStats {
     profile: BTreeMap<Sym, RuleJoinProfile>,
 }
 
-/// True when the `DP_UNBATCHED` environment variable selects the tuple-at-
-/// a-time reference path as the default for newly built engines (any value
-/// but `0` counts). Read once per process so a test run is homogeneous.
-fn default_unbatched() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("DP_UNBATCHED").is_some_and(|v| v != *"0"))
-}
-
-/// True when the `DP_NO_TRIE` environment variable disables the prefix-trie
-/// access path as the default for newly built engines (any value but `0`
-/// counts). Read once per process so a test run is homogeneous.
-fn default_no_trie() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("DP_NO_TRIE").is_some_and(|v| v != *"0"))
-}
-
 /// The evaluator. See the module docs for semantics.
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
@@ -825,7 +821,7 @@ pub struct Engine<S: ProvenanceSink> {
     /// The tuple interner: one allocation per distinct tuple.
     store: TupleStore,
     /// Provenance events of the current batch, in emission order, awaiting
-    /// the flush (always empty in unbatched mode and at quiescence).
+    /// the flush (always empty at quiescence).
     events: Vec<ProvEvent>,
     /// body tuple -> heads whose derivations reference it.
     dependents: BTreeMap<TupleRef, Vec<TupleRef>>,
@@ -837,9 +833,6 @@ pub struct Engine<S: ProvenanceSink> {
     live_tuples: u64,
     rule_firings: BTreeMap<Sym, u64>,
     join_profile: BTreeMap<Sym, RuleJoinProfile>,
-    naive_join: bool,
-    no_trie: bool,
-    unbatched: bool,
     /// Trace sink (disabled by default; see [`Engine::set_tracer`]).
     tracer: Tracer,
     /// Live-metrics registry handle (the `DP_METRICS` global unless
@@ -849,12 +842,10 @@ pub struct Engine<S: ProvenanceSink> {
     /// pure atomic ops. `None` exactly when `metrics` is disabled.
     meters: Option<EngineMeters>,
     /// Appearances of the current same-`due` batch, awaiting their rule
-    /// firings (always empty in unbatched mode and at quiescence).
+    /// firings (always empty at quiescence).
     pending: Vec<Delta>,
     /// Reusable per-delta action buffers for [`Engine::flush_batch`].
     flush_buf: Vec<Vec<(LogicalTime, Action)>>,
-    /// Reusable action buffer for the unbatched reference path.
-    fire_scratch: Vec<(LogicalTime, Action)>,
     /// Safety valve against runaway programs.
     pub max_events: u64,
 }
@@ -927,15 +918,11 @@ impl<S: ProvenanceSink> Engine<S> {
             live_tuples: 0,
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
-            naive_join: false,
-            no_trie: default_no_trie(),
-            unbatched: default_unbatched(),
             tracer: Tracer::from_env(),
             meters: EngineMeters::register(&metrics),
             metrics,
             pending: Vec::new(),
             flush_buf: Vec::new(),
-            fire_scratch: Vec::new(),
             max_events: 50_000_000,
         }
     }
@@ -965,60 +952,6 @@ impl<S: ProvenanceSink> Engine<S> {
         &self.join_profile
     }
 
-    /// Selects the join evaluator: `true` runs the naive nested-loop
-    /// reference (the pre-index implementation, kept for differential
-    /// testing and benchmarking); `false` (the default) runs the planned,
-    /// index-probing join. Both produce byte-identical event streams.
-    pub fn set_naive_join(&mut self, naive: bool) {
-        self.naive_join = naive;
-    }
-
-    /// True when the naive reference join is selected.
-    pub fn naive_join(&self) -> bool {
-        self.naive_join
-    }
-
-    /// Disables (`true`) or enables (`false`, the default) the prefix-trie
-    /// access path for `prefix_contains`-constrained scan steps. With the
-    /// trie disabled those steps fall back to the full ordered scan (and
-    /// count as `trie_scans` in [`Stats`]); the planned probe order, match
-    /// sorting, and event stream are unaffected — both settings produce
-    /// byte-identical provenance. Setting `DP_NO_TRIE=1` in the environment
-    /// flips the default for every engine in the process, which is how
-    /// `scripts/check.sh` runs the suite in both modes.
-    pub fn set_no_trie(&mut self, no_trie: bool) {
-        self.no_trie = no_trie;
-    }
-
-    /// True when the prefix-trie access path is disabled.
-    pub fn no_trie(&self) -> bool {
-        self.no_trie
-    }
-
-    /// Selects the firing discipline: `true` runs the tuple-at-a-time
-    /// reference path (every appearance fires its rules immediately);
-    /// `false` (the default) defers firings to same-timestamp delta
-    /// batches, semi-naive style. Both produce byte-identical event
-    /// streams — see the module docs. Setting `DP_UNBATCHED=1` in the
-    /// environment flips the default for every engine in the process,
-    /// which is how `scripts/check.sh` runs the suite in both modes.
-    ///
-    /// Call before [`Engine::run`]; switching modes mid-batch would
-    /// strand deferred firings, so it panics when a batch is in flight
-    /// (only reachable after a run that ended in an error).
-    pub fn set_unbatched(&mut self, unbatched: bool) {
-        assert!(
-            self.pending.is_empty() && self.events.is_empty(),
-            "mode switch with a batch in flight"
-        );
-        self.unbatched = unbatched;
-    }
-
-    /// True when the tuple-at-a-time reference path is selected.
-    pub fn unbatched(&self) -> bool {
-        self.unbatched
-    }
-
     /// Always 1; kept only because `benchmark/src/timed.rs` and
     /// `benchmark/src/probe.rs` read it.
     pub fn threads(&self) -> usize {
@@ -1035,13 +968,13 @@ impl<S: ProvenanceSink> Engine<S> {
     ///   tions, per-rule firings and matches, per-node live tuples);
     /// * `Class::Effort` spans around each batch flush (`engine.flush`,
     ///   `engine.fire`, `engine.sink`) and effort counters (probes, scans,
-    ///   trie decisions, candidates, batching) that legitimately differ
-    ///   between engine configurations.
+    ///   trie decisions, candidates, batching) that describe how the
+    ///   engine got there, not what the program computed.
     ///
-    /// The skeleton rendering of the resulting trace is bit-identical
-    /// across unbatched/batched/no-trie/naive configurations —
-    /// `crates/ndlog/tests/trace_differential.rs` proves it. The default
-    /// tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
+    /// The skeleton rendering of the resulting trace depends only on the
+    /// program and its input; `crates/ndlog/tests/trace_differential.rs`
+    /// pins that, and that tracing never perturbs the provenance stream.
+    /// The default tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
     /// aggregate-only, anything else full recording), read once per
     /// process. Cloning one tracer into several engines (and the DiffProv
     /// pipeline) interleaves their events in a single stream.
@@ -1170,27 +1103,20 @@ impl<S: ProvenanceSink> Engine<S> {
             live_tuples: live,
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
-            naive_join: false,
-            no_trie: default_no_trie(),
-            unbatched: default_unbatched(),
             tracer: Tracer::from_env(),
             meters: EngineMeters::register(&metrics),
             metrics,
             pending: Vec::new(),
             flush_buf: Vec::new(),
-            fire_scratch: Vec::new(),
             max_events: 50_000_000,
         })
     }
 
     /// A read-only view of `node`, if it has any state.
     pub fn view<'a>(&'a self, node: &'a NodeId) -> Option<NodeView<'a>> {
-        self.nodes.get(node).map(|state| NodeView {
-            node,
-            state,
-            as_of: LogicalTime::MAX,
-            no_trie: self.no_trie,
-        })
+        self.nodes
+            .get(node)
+            .map(|state| NodeView::new(node, Some(state), LogicalTime::MAX))
     }
 
     /// The state of `tuple` at `node`, if currently present.
@@ -1225,6 +1151,15 @@ impl<S: ProvenanceSink> Engine<S> {
         let tuple = self.store.intern(tuple);
         self.push(due, Action::DeleteBase(node, tuple));
         Ok(())
+    }
+
+    /// Schedules one [`ScheduledOp`]: its insertion or deletion.
+    pub fn schedule(&mut self, op: &ScheduledOp) -> Result<()> {
+        if op.delete {
+            self.schedule_delete(op.due, op.node.clone(), op.tuple.clone())
+        } else {
+            self.schedule_insert(op.due, op.node.clone(), op.tuple.clone())
+        }
     }
 
     fn check_base(&self, tuple: &Tuple) -> Result<()> {
@@ -1267,8 +1202,7 @@ impl<S: ProvenanceSink> Engine<S> {
         let result = self.run_inner();
         if result.is_err() {
             // Don't swallow provenance already produced by applied
-            // mutations: the unbatched path would have recorded it
-            // before the failure.
+            // mutations: it belongs to the stream up to the failure.
             self.drain_events();
         }
         // The interner only grows during a run (nothing is GC'd here), so
@@ -1299,7 +1233,7 @@ impl<S: ProvenanceSink> Engine<S> {
         meters.run_seconds.observe_duration(elapsed);
         let m = &self.metrics;
         let s = self.stats;
-        // Semantic counters: identical in every engine configuration.
+        // Semantic counters: what the program computed.
         for (name, help, v) in [
             ("dp_engine_events_total", "Events processed", s.events - s0.events),
             ("dp_engine_base_inserts_total", "Base tuples inserted", s.base_inserts - s0.base_inserts),
@@ -1320,7 +1254,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 .add(n - prev);
             }
         }
-        // Effort counters: configuration-dependent join/batching work.
+        // Effort counters: the join/batching work it took.
         for (name, help, v) in [
             ("dp_engine_join_probes_total", "Index probes during joins", s.join_probes - s0.join_probes),
             ("dp_engine_join_scans_total", "Full scans during joins", s.join_scans - s0.join_scans),
@@ -1352,9 +1286,9 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Emits the quiescence counter snapshot closing an `engine.run` span.
-    /// Skeleton counters are the configuration-independent ones (a pruned
-    /// or trie-probed join finds the same matches, just cheaper); probe/
-    /// scan/batching effort is configuration-dependent and tagged so.
+    /// Skeleton counters are the ones the program and its input determine
+    /// (a pruned or trie-probed join finds the same derivations, just
+    /// cheaper); probe/scan/batching effort is tagged as such.
     fn trace_run_summary(
         &self,
         s0: Stats,
@@ -1379,16 +1313,15 @@ impl<S: ProvenanceSink> Engine<S> {
                 t.counter(&format!("rule.fired.{rule}"), Class::Skeleton, n - prev);
             }
         }
-        // Per-node live-tuple snapshots: the fixpoint is identical in
-        // every configuration, so the absolute counts are deterministic.
+        // Per-node live-tuple snapshots: the fixpoint is the program's, so
+        // the absolute counts are deterministic.
         for (node, state) in self.nodes() {
             t.counter(&format!("node.live.{node}"), Class::Skeleton, state.len() as u64);
         }
         // `join_matches` (and the per-rule `matches`) are effort, not
         // skeleton: a scan pattern-matches route entries whose prefix the
         // trie would never surface (the constraint rejects them after the
-        // match), so the counts shift with the access path — see the
-        // trie differential suite.
+        // match), so the counts depend on the access path.
         for (name, v) in [
             ("engine.join_probes", s.join_probes - s0.join_probes),
             ("engine.join_scans", s.join_scans - s0.join_scans),
@@ -1464,20 +1397,16 @@ impl<S: ProvenanceSink> Engine<S> {
             // timestamp, so the current delta batch is complete. (The
             // flush may push same-`due` events; they simply open the next
             // batch — visibility is governed by clocks, not `due`.)
-            if !self.unbatched
-                && self
-                    .queue
-                    .peek()
-                    .is_none_or(|Reverse(next)| next.due != ev.due)
+            if self
+                .queue
+                .peek()
+                .is_none_or(|Reverse(next)| next.due != ev.due)
             {
                 self.flush_batch()?;
             }
             // Deterministic tick: this event closed its due-group. The
-            // boundary is (re-)evaluated after the flush — whose firings
-            // and the unbatched path's immediate firings may both push
-            // same-`due` actions extending the group — and queue evolution
-            // is bit-identical across configurations, so every engine
-            // configuration ticks at the same points with the same clocks.
+            // boundary is (re-)evaluated after the flush, whose firings
+            // may push same-`due` actions extending the group.
             if self.tracer.is_enabled()
                 && self
                     .queue
@@ -1494,16 +1423,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         debug_assert!(self.pending.is_empty() && self.events.is_empty());
         Ok(())
-    }
-
-    /// Records a provenance event — directly in unbatched mode, buffered
-    /// for the next batch flush otherwise.
-    fn emit_event(&mut self, event: ProvEvent) {
-        if self.unbatched {
-            self.sink.record(event);
-        } else {
-            self.events.push(event);
-        }
     }
 
     /// Releases the buffered provenance events to the sink in emission
@@ -1554,23 +1473,19 @@ impl<S: ProvenanceSink> Engine<S> {
             entry.appeared_at = now;
         }
         self.stats.base_inserts += 1;
-        self.emit_event(ProvEvent::InsertBase {
+        self.events.push(ProvEvent::InsertBase {
             time: now,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
         });
         if !was_present {
             self.note_appear();
-            self.emit_event(ProvEvent::Appear {
+            self.events.push(ProvEvent::Appear {
                 time: now,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
             });
-            if self.unbatched {
-                self.fire_triggers(now, &node, &tuple)?;
-            } else {
-                self.pending.push(Delta { node, tuple, at: now });
-            }
+            self.pending.push(Delta { node, tuple, at: now });
         }
         Ok(())
     }
@@ -1578,10 +1493,8 @@ impl<S: ProvenanceSink> Engine<S> {
     fn do_delete_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         // A deletion must not overtake firings still pending in the
         // current batch: flush them first so the cascade sees exactly the
-        // state the tuple-at-a-time path would have built by now.
-        if !self.unbatched {
-            self.flush_batch()?;
-        }
+        // state tuple-at-a-time firing would have built by now.
+        self.flush_batch()?;
         let now = self.clock;
         let Some(state) = self.nodes.get_mut(&node) else {
             return Ok(());
@@ -1595,7 +1508,7 @@ impl<S: ProvenanceSink> Engine<S> {
         entry.base = false;
         let gone = entry.support() == 0;
         self.stats.base_deletes += 1;
-        self.emit_event(ProvEvent::DeleteBase {
+        self.events.push(ProvEvent::DeleteBase {
             time: now,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
@@ -1605,7 +1518,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 state.remove(&tuple);
             }
             self.note_disappear();
-            self.emit_event(ProvEvent::Disappear {
+            self.events.push(ProvEvent::Disappear {
                 time: now,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
@@ -1668,7 +1581,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 .or_default()
                 .push(head_ref.clone());
         }
-        self.emit_event(ProvEvent::Derive {
+        self.events.push(ProvEvent::Derive {
             time: now,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
@@ -1680,16 +1593,12 @@ impl<S: ProvenanceSink> Engine<S> {
         });
         if !was_present {
             self.note_appear();
-            self.emit_event(ProvEvent::Appear {
+            self.events.push(ProvEvent::Appear {
                 time: now,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
             });
-            if self.unbatched {
-                self.fire_triggers(now, &node, &tuple)?;
-            } else {
-                self.pending.push(Delta { node, tuple, at: now });
-            }
+            self.pending.push(Delta { node, tuple, at: now });
         }
         Ok(())
     }
@@ -1720,7 +1629,7 @@ impl<S: ProvenanceSink> Engine<S> {
             }
             for d in &removed {
                 self.stats.underivations += 1;
-                self.emit_event(ProvEvent::Underive {
+                self.events.push(ProvEvent::Underive {
                     time: now,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
@@ -1737,7 +1646,7 @@ impl<S: ProvenanceSink> Engine<S> {
                     state.remove(&head.tuple);
                 }
                 self.note_disappear();
-                self.emit_event(ProvEvent::Disappear {
+                self.events.push(ProvEvent::Disappear {
                     time: now,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
@@ -1745,81 +1654,6 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.cascade(now, head)?;
             }
         }
-        Ok(())
-    }
-
-    /// Fires all declarative and native rules triggered by `tuple`
-    /// appearing at `node`, immediately (the tuple-at-a-time reference
-    /// path). The batched path goes through [`Engine::flush_batch`].
-    fn fire_triggers(&mut self, now: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> Result<()> {
-        let mut out = std::mem::take(&mut self.fire_scratch);
-        let mut fstats = FireStats::default();
-        let ctx = FireCtx {
-            program: &self.program,
-            nodes: &self.nodes,
-            naive_join: self.naive_join,
-            no_trie: self.no_trie,
-        };
-        let store = &mut self.store;
-        let mut res = Ok(());
-        'firings: {
-            for &(ri, ai) in ctx.program.rule_triggers(&tuple.table) {
-                let rule = ctx.program.rule_at(ri);
-                res = if rule.agg.is_some() {
-                    // Aggregation rules fire only on their fence (atom 0).
-                    if ai != 0 {
-                        continue;
-                    }
-                    ctx.fire_agg_rule(
-                        now,
-                        node,
-                        tuple,
-                        rule,
-                        ri,
-                        LogicalTime::MAX,
-                        store,
-                        &mut fstats,
-                        &mut out,
-                    )
-                } else {
-                    ctx.fire_rule(
-                        now,
-                        node,
-                        tuple,
-                        rule,
-                        ri,
-                        ai,
-                        LogicalTime::MAX,
-                        store,
-                        &mut fstats,
-                        &mut out,
-                    )
-                };
-                if res.is_err() {
-                    break 'firings;
-                }
-            }
-            for &ni in ctx.program.native_triggers(&tuple.table) {
-                res = ctx.fire_native(
-                    now,
-                    node,
-                    tuple,
-                    ni,
-                    LogicalTime::MAX,
-                    store,
-                    &mut out,
-                );
-                if res.is_err() {
-                    break 'firings;
-                }
-            }
-        }
-        self.absorb_fire_stats(fstats);
-        res?;
-        for (due, action) in out.drain(..) {
-            self.push(due, action);
-        }
-        self.fire_scratch = out;
         Ok(())
     }
 
@@ -1853,15 +1687,15 @@ impl<S: ProvenanceSink> Engine<S> {
     /// join plans once instead of once per tuple (see [`fire_deltas`]).
     /// Scheduled actions are buffered per delta and pushed in
     /// delta-arrival order afterwards, which reproduces the exact push
-    /// (and therefore pop) sequence of the tuple-at-a-time path; each
+    /// (and therefore pop) sequence of tuple-at-a-time firing; each
     /// delta fires with its own `now` and `as_of` horizon so joins,
     /// builtins, and natives observe the state as of that delta's
     /// appearance.
     fn flush_batch(&mut self) -> Result<()> {
         if !self.pending.is_empty() {
             // Effort-class instrumentation only: batch structure is a
-            // property of the configuration, not of the program, so none
-            // of these spans belong to the deterministic skeleton.
+            // property of the engine, not of the program, so none of
+            // these spans belong to the deterministic skeleton.
             let traced = self.tracer.is_enabled();
             let s0 = self.stats;
             let flush_span =
@@ -1888,8 +1722,6 @@ impl<S: ProvenanceSink> Engine<S> {
             let ctx = FireCtx {
                 program: &self.program,
                 nodes: &self.nodes,
-                naive_join: self.naive_join,
-                no_trie: self.no_trie,
             };
             let fired = ctx.fire_deltas(
                 &deltas,
@@ -2018,8 +1850,7 @@ impl FireCtx<'_> {
     }
 
     /// Fires native rule `ni` for `tuple` at `node`, appending the
-    /// scheduled actions to `out`. A node without state gets an empty
-    /// view (see [`EMPTY_NODE_STATE`]).
+    /// scheduled actions to `out`.
     #[allow(clippy::too_many_arguments)]
     fn fire_native(
         &self,
@@ -2033,11 +1864,7 @@ impl FireCtx<'_> {
     ) -> Result<()> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
-        {
-            let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
-            let view = NodeView { node, state, as_of, no_trie: self.no_trie };
-            native.fire(&view, tuple, &mut emitter)?;
-        }
+        native.fire(&NodeView::new(node, self.nodes.get(node), as_of), tuple, &mut emitter)?;
         for em in emitter.emissions {
             self.program.schemas.check(&em.tuple)?;
             let head = store.intern(em.tuple);
@@ -2074,8 +1901,8 @@ impl FireCtx<'_> {
     }
 
     /// Runs the join for `(rule, trigger)` from `env`, returning complete
-    /// matches in the naive nested-loop enumeration order (see module
-    /// docs), and records the join counters against the rule in `fstats`.
+    /// matches in nested-loop enumeration order (see module docs), and
+    /// records the join counters against the rule in `fstats`.
     /// Only body tuples that appeared no later than `as_of` participate.
     #[allow(clippy::too_many_arguments)]
     fn collect_matches(
@@ -2092,11 +1919,7 @@ impl FireCtx<'_> {
         let Some(state) = self.nodes.get(node) else {
             return Vec::new();
         };
-        let plan = if self.naive_join {
-            self.program.naive_join_plan(ri, trigger_idx)
-        } else {
-            self.program.join_plan(ri, trigger_idx)
-        };
+        let plan = self.program.join_plan(ri, trigger_idx);
         let mut matches: Vec<(Env, Vec<Arc<Tuple>>)> = Vec::new();
         let mut partial: Vec<Option<Arc<Tuple>>> = vec![None; rule.body.len()];
         partial[trigger_idx] = Some(Arc::clone(tuple));
@@ -2109,20 +1932,17 @@ impl FireCtx<'_> {
             0,
             trigger_idx,
             as_of,
-            !self.no_trie,
             &mut env,
             &mut trail,
             &mut partial,
             &mut matches,
             &mut counters,
         );
-        if !self.naive_join {
-            // Index probing discovers matches in plan order; restore the
-            // naive enumeration order (lexicographic by body vector — the
-            // trigger slot is constant, so this compares the remaining
-            // atoms in body order exactly as the nested loop emits them).
-            matches.sort_by(|a, b| a.1.cmp(&b.1));
-        }
+        // Index probing discovers matches in plan order; restore the
+        // nested-loop enumeration order (lexicographic by body vector — the
+        // trigger slot is constant, so this compares the remaining atoms
+        // in body order exactly as the oracle's nested loop emits them).
+        matches.sort_by(|a, b| a.1.cmp(&b.1));
         let profile = fstats.profile.entry(rule.name.clone()).or_default();
         profile.attempts += 1;
         profile.probes += counters.probes;
@@ -2191,8 +2011,7 @@ impl FireCtx<'_> {
                         for a in args {
                             vals.push(a.eval(&env)?);
                         }
-                        let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
-                        let view = NodeView { node, state, as_of, no_trie: self.no_trie };
+                        let view = NodeView::new(node, self.nodes.get(node), as_of);
                         if !builtin.eval(&view, &vals)? {
                             satisfied = false;
                             break;
@@ -2283,8 +2102,7 @@ impl FireCtx<'_> {
                         for a in args {
                             vals.push(a.eval(&env)?);
                         }
-                        let state = self.nodes.get(node).unwrap_or(&EMPTY_NODE_STATE);
-                        let view = NodeView { node, state, as_of, no_trie: self.no_trie };
+                        let view = NodeView::new(node, self.nodes.get(node), as_of);
                         if !builtin.eval(&view, &vals)? {
                             continue 'bindings;
                         }
@@ -2402,7 +2220,6 @@ fn join_with_plan(
     step_idx: usize,
     trigger_idx: usize,
     as_of: LogicalTime,
-    use_trie: bool,
     env: &mut Env,
     trail: &mut Vec<Sym>,
     partial: &mut Vec<Option<Arc<Tuple>>>,
@@ -2428,8 +2245,8 @@ fn join_with_plan(
     // The candidate loop, monomorphized per access path. Filtering by the
     // trie removes only candidates the `prefix_contains` constraint would
     // reject in `fire_rule` (or that cannot match the atom at all), and the
-    // collected matches are re-sorted into naive enumeration order before
-    // acting, so every access path schedules byte-identical event streams.
+    // collected matches are re-sorted into nested-loop enumeration order
+    // before acting, so every access path schedules the same event stream.
     macro_rules! join_candidates {
         ($candidates:expr) => {
             for candidate in $candidates {
@@ -2447,7 +2264,6 @@ fn join_with_plan(
                         step_idx + 1,
                         trigger_idx,
                         as_of,
-                        use_trie,
                         env,
                         trail,
                         partial,
@@ -2479,9 +2295,8 @@ fn join_with_plan(
         return;
     }
     // A scan step carrying prefix probes walks a trie instead, when the
-    // trie is enabled and the bound address is actually an IP (a non-IP
-    // value falls back to the scan so the constraint raises the same type
-    // error the reference path would). With several constrained columns the
+    // bound address is actually an IP (a non-IP value falls back to the
+    // scan so the constraint raises the type error the oracle raises). With several constrained columns the
     // most selective trie — fewest candidates for this execution's address,
     // estimated by an O(32) bucket-count walk — is probed. Estimate ties
     // break on the trie slot (column order) and then on constraint order:
@@ -2489,27 +2304,24 @@ fn join_with_plan(
     // split it drives — is stable across platforms. The choice only prunes
     // differently, never changes the re-sorted match set, so any pick is
     // stream-identical; only the counters demand the fixed tie-break.
-    let trie_probe = if use_trie {
-        step.prefixes
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, p)| {
-                let addr = match &p.ip {
-                    IpSource::Var(v) => env
-                        .get(v)
-                        .expect("planner guarantees probe address is bound")
-                        .clone(),
-                    IpSource::Const(v) => v.clone(),
-                };
-                match addr {
-                    Value::Ip(ip) => Some((p.trie_slot, ip, pi)),
-                    _ => None,
-                }
-            })
-            .min_by_key(|&(slot, ip, pi)| (state.estimate_prefix(&atom.table, slot, ip), slot, pi))
-    } else {
-        None
-    };
+    let trie_probe = step
+        .prefixes
+        .iter()
+        .enumerate()
+        .filter_map(|(pi, p)| {
+            let addr = match &p.ip {
+                IpSource::Var(v) => env
+                    .get(v)
+                    .expect("planner guarantees probe address is bound")
+                    .clone(),
+                IpSource::Const(v) => v.clone(),
+            };
+            match addr {
+                Value::Ip(ip) => Some((p.trie_slot, ip, pi)),
+                _ => None,
+            }
+        })
+        .min_by_key(|&(slot, ip, pi)| (state.estimate_prefix(&atom.table, slot, ip), slot, pi));
     if let Some((slot, ip, _)) = trie_probe {
         counters.trie_probes += 1;
         join_candidates!(state.probe_prefix(&atom.table, slot, ip, as_of));
@@ -2657,25 +2469,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_naive_joins_emit_identical_streams() {
-        let run = |naive: bool| {
-            let mut eng = Engine::new(fig4_program(), VecSink::default());
-            eng.set_naive_join(naive);
-            let n = NodeId::new("n1");
-            for i in 0..30 {
-                eng.schedule_insert(0, n.clone(), tuple!("a", i % 5, i % 3)).unwrap();
-                eng.schedule_insert(0, n.clone(), tuple!("b", i % 5, i % 3, i)).unwrap();
-            }
-            for i in 0..10 {
-                eng.schedule_delete(100, n.clone(), tuple!("b", i % 5, i % 3, i)).unwrap();
-            }
-            eng.run().unwrap();
-            eng.into_sink().events
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn indexed_join_probes_instead_of_scanning() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
@@ -2693,22 +2486,6 @@ mod tests {
         // Indexed probing examines only matching candidates: each probe
         // yields at most one candidate here.
         assert!(profile.candidates <= profile.probes);
-    }
-
-    #[test]
-    fn naive_join_scans_full_tables() {
-        let mut eng = Engine::new(fig4_program(), VecSink::default());
-        eng.set_naive_join(true);
-        let n = NodeId::new("n1");
-        for i in 0..10 {
-            eng.schedule_insert(0, n.clone(), tuple!("a", i, i)).unwrap();
-            eng.schedule_insert(0, n.clone(), tuple!("b", i, i, i)).unwrap();
-        }
-        eng.run().unwrap();
-        let stats = eng.stats();
-        assert_eq!(stats.join_probes, 0);
-        assert!(stats.join_scans > 0);
-        assert!(stats.join_candidates > stats.join_matches);
     }
 
     #[test]

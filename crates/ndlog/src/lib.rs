@@ -9,6 +9,8 @@
 //!   taint/formula machinery (Sections 4.3–4.5) relies on;
 //! * a deterministic, discrete-event, distributed [`engine`] with trigger
 //!   semantics, support counting, and cascading deletions;
+//! * the [`reference`] evaluator, the small oracle the engine's
+//!   provenance stream and final tables are checked against;
 //! * the [`sink`] event stream from which temporal provenance graphs are
 //!   built; and
 //! * extension points for imperative code ([`program::NativeRule`], the
@@ -28,6 +30,7 @@ pub mod expr;
 pub mod parser;
 pub mod plan;
 pub mod program;
+pub mod reference;
 pub mod sink;
 #[cfg(feature = "testing")]
 pub mod testsupport;
@@ -43,4 +46,5 @@ pub use plan::{IpSource, JoinPlan, JoinStep, PlanSet, PrefixProbe};
 pub use program::{
     Emission, Emitter, NativeRule, Program, ProgramBuilder, StatefulBuiltin, TupleChange,
 };
+pub use reference::ScheduledOp;
 pub use sink::{HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};

@@ -28,10 +28,11 @@
 //!   `Value::Ip` promotion to `/32`) surface exactly as on the scan path.
 //!
 //! Reordering joins does not endanger determinism: the engine sorts the
-//! collected matches back into the naive nested-loop enumeration order
-//! before acting on them (see `crate::engine` — the naive order is exactly
-//! the lexicographic order of the body-tuple vector, which is independent
-//! of the order in which matches were discovered).
+//! collected matches back into nested-loop enumeration order — the order
+//! `crate::reference` produces them in — before acting on them (see
+//! `crate::engine`: that order is exactly the lexicographic order of the
+//! body-tuple vector, which is independent of the order in which matches
+//! were discovered).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -245,30 +246,11 @@ fn plan_one(rule: &Rule, trigger: usize, registry: &mut IndexRegistry) -> JoinPl
     JoinPlan { steps }
 }
 
-/// A naive reference plan: body order, full scans. This reproduces the
-/// original nested-loop evaluator exactly and is kept as the differential-
-/// testing and benchmarking baseline.
-fn plan_naive(rule: &Rule, trigger: usize) -> JoinPlan {
-    JoinPlan {
-        steps: (0..rule.body.len())
-            .filter(|&i| i != trigger)
-            .map(|atom| JoinStep {
-                atom,
-                key_cols: Vec::new(),
-                index_slot: None,
-                prefixes: Vec::new(),
-            })
-            .collect(),
-    }
-}
-
 /// All join plans of a program, plus the index specs they rely on.
 #[derive(Clone, Debug, Default)]
 pub struct PlanSet {
     /// Indexed plans, keyed by `(rule index, trigger atom index)`.
     plans: BTreeMap<(usize, usize), JoinPlan>,
-    /// Reference plans (body order, full scans), same keys.
-    naive: BTreeMap<(usize, usize), JoinPlan>,
     /// Per-table index column sets, slot-ordered.
     specs: BTreeMap<Sym, IndexSpecs>,
     /// Per-table prefix-trie columns, slot-ordered.
@@ -281,7 +263,6 @@ impl PlanSet {
     pub fn build(rules: &[Rule]) -> PlanSet {
         let mut registry = IndexRegistry::default();
         let mut plans = BTreeMap::new();
-        let mut naive = BTreeMap::new();
         for (ri, rule) in rules.iter().enumerate() {
             let triggers: Vec<usize> = if rule.agg.is_some() {
                 vec![0]
@@ -290,7 +271,6 @@ impl PlanSet {
             };
             for t in triggers {
                 plans.insert((ri, t), plan_one(rule, t, &mut registry));
-                naive.insert((ri, t), plan_naive(rule, t));
             }
         }
         let (specs, tries) = registry.freeze();
@@ -312,7 +292,6 @@ impl PlanSet {
         }
         PlanSet {
             plans,
-            naive,
             specs,
             tries,
         }
@@ -321,11 +300,6 @@ impl PlanSet {
     /// The indexed plan for `(rule, trigger)`.
     pub fn plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
         &self.plans[&(rule, trigger)]
-    }
-
-    /// The naive reference plan for `(rule, trigger)`.
-    pub fn naive_plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
-        &self.naive[&(rule, trigger)]
     }
 
     /// The index column sets registered for `table` (empty if none).
@@ -420,16 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_plan_preserves_body_order() {
-        let rs = rules("rc c(@N, X, Y) :- a(@N, X), b(@N, X, Y), d(@N, X, X).");
-        let set = PlanSet::build(&rs);
-        let plan = set.naive_plan(0, 1);
-        let atoms: Vec<usize> = plan.steps.iter().map(|s| s.atom).collect();
-        assert_eq!(atoms, vec![0, 2]);
-        assert!(plan.steps.iter().all(|s| s.index_slot.is_none()));
-    }
-
-    #[test]
     fn prefix_constraint_turns_scan_into_trie_probe() {
         // Triggering on p binds Src; f shares no variable, so the step on f
         // is a scan — rescued by the prefix_contains constraint on M.
@@ -450,8 +414,6 @@ mod tests {
         // Triggering on f: the step on p has no applicable constraint (M is
         // not a column of p), so no probe.
         assert!(set.plan(0, 1).steps[0].prefixes.is_empty());
-        // The naive reference plan stays a pure scan.
-        assert!(set.naive_plan(0, 0).steps[0].prefixes.is_empty());
     }
 
     #[test]

@@ -220,12 +220,6 @@ impl Program {
         self.plans.plan(rule, trigger)
     }
 
-    /// The naive body-order join plan for `(rule, trigger atom)` — the
-    /// nested-loop reference evaluator.
-    pub fn naive_join_plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
-        self.plans.naive_plan(rule, trigger)
-    }
-
     /// The index key specs registered for `table`, if any rule probes it.
     pub fn index_specs_for(&self, table: &Sym) -> Option<&IndexSpecs> {
         self.plans.specs_for(table)

@@ -11,11 +11,11 @@
 //! # Sinks and the batch flush
 //!
 //! Sinks are not required to be thread-safe: the engine is single-
-//! threaded. In the batched discipline every [`ProvEvent`] is buffered in
-//! stream order as its mutation is applied and flushed through
+//! threaded. The engine buffers every [`ProvEvent`] in stream order as its
+//! mutation is applied and flushes the buffer through
 //! [`ProvenanceSink::record_batch`] at the batch boundary, so a sink
-//! observes exactly the stream the tuple-at-a-time path would have
-//! recorded one event at a time.
+//! observes exactly the stream the reference evaluator
+//! ([`crate::reference`]) records one event at a time.
 
 use std::sync::Arc;
 
@@ -123,9 +123,9 @@ pub trait ProvenanceSink {
     fn record(&mut self, event: ProvEvent);
 
     /// Records a batch of events, draining `events`. The batch is already
-    /// in stream order and implementations must preserve it — the batched
-    /// engine produces the same stream as the tuple-at-a-time path, just
-    /// delivered at delta-batch boundaries. The default forwards to
+    /// in stream order and implementations must preserve it — the engine
+    /// produces the reference evaluator's stream, just delivered at
+    /// delta-batch boundaries. The default forwards to
     /// [`ProvenanceSink::record`] one event at a time; sinks with cheap
     /// bulk appends (e.g. [`VecSink`]) override it.
     fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
@@ -169,14 +169,15 @@ impl ProvenanceSink for VecSink {
 /// A sink that folds the stream into an order-sensitive digest plus an
 /// event count, without retaining the events.
 ///
-/// The million-entry benchmark legs compare provenance streams across
-/// engine configurations; buffering several million events per leg just
-/// to compare them would dominate the memory profile, so the comparison
-/// runs over digests instead. The digest hashes `(index, event)` pairs,
-/// so it distinguishes reorderings, not just multisets. `DefaultHasher`'s
-/// *seed* is fixed (only `RandomState` randomizes), so two sinks in one
-/// process — or across processes on the same build — agree iff their
-/// streams are byte-identical.
+/// Replays of large executions are compared with each other (rerun,
+/// restart, disk store) and with the reference evaluator; buffering
+/// several million events per run just to compare them would dominate
+/// the memory profile, so the comparison runs over digests instead. The
+/// digest hashes `(index, event)` pairs, so it distinguishes reorderings,
+/// not just multisets. `DefaultHasher`'s *seed* is fixed (only
+/// `RandomState` randomizes), so two sinks in one process — or across
+/// processes on the same build — agree iff their streams are
+/// byte-identical.
 #[derive(Clone, Debug, Default)]
 pub struct HashSink {
     /// Events observed so far.

@@ -1,28 +1,24 @@
-//! Shared scaffolding for the seeded differential suites and `dp-sim`.
+//! Shared scaffolding for the seeded differential suites.
 //!
-//! Every differential suite in `crates/ndlog/tests/` — and the `dp-sim`
-//! fault-injection harness built on top of them — follows one recipe:
+//! Every differential suite in `crates/ndlog/tests/` follows one recipe:
 //! generate a random program and a random event schedule from a
-//! [`DetRng`](dp_types::DetRng) seed, run them under several engine
-//! configurations, and require the runs to agree on everything
-//! observable. This module is that recipe, extracted once: the
-//! [`EngineConfig`] knob matrix, the [`ScheduledOp`]/[`Outcome`] run
-//! harness, the program/schedule generators (int-flavored, prefix-
-//! flavored, and multi-node), and the stat-stripping helpers that
-//! define which counters are *effort* (allowed to differ between
-//! configurations) rather than *semantics* (compared verbatim).
+//! [`DetRng`](dp_types::DetRng) seed, run them through the engine and
+//! through the reference evaluator ([`crate::reference`]) — or through
+//! the engine twice, with some observer on and off — and require the
+//! runs to agree on everything observable. This module is that recipe,
+//! extracted once: the [`Outcome`] run harness for both evaluators and
+//! the program/schedule generators (int-flavored, prefix-flavored, and
+//! multi-node).
 //!
-//! The generators are moved here **verbatim** from the suites that
-//! introduced them: their RNG consumption order is part of the test
-//! contract, because every pinned seed in the differential suites and in
-//! the `dp-sim` corpus reproduces its case only as long as the stream of
-//! draws is unchanged. Extend by *appending* draws (or by forking a
-//! child stream with [`DetRng::fork`](dp_types::DetRng::fork)), never by
-//! reordering existing ones.
+//! The generators' RNG consumption order is part of the test contract,
+//! because every pinned seed in the differential suites reproduces its
+//! case only as long as the stream of draws is unchanged. Extend by
+//! *appending* draws (or by forking a child stream with
+//! [`DetRng::fork`](dp_types::DetRng::fork)), never by reordering
+//! existing ones.
 //!
-//! Compiled only with the `testing` feature: the crate's own integration
-//! tests enable it through the self-referential dev-dependency, and
-//! `dp-sim` enables it as a regular dependency.
+//! Compiled only with the `testing` feature, which the crate's own
+//! integration tests enable through the self-referential dev-dependency.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,118 +26,31 @@ use std::sync::Arc;
 use dp_trace::Tracer;
 use dp_types::{NodeId, Sym, Tuple};
 
-use crate::engine::{Engine, Stats};
+use crate::engine::{Engine, NodeState, Stats, TupleState};
 use crate::program::Program;
+pub use crate::reference::ScheduledOp;
 use crate::sink::{ProvEvent, ProvenanceSink, VecSink};
 
-/// One engine configuration of the differential matrix.
-///
-/// `None` knobs are left untouched, so the engine still honors the
-/// `DP_UNBATCHED` / `DP_NO_TRIE` environment legs of `scripts/check.sh`;
-/// `Some` pins the knob regardless of the environment.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Display label used in assertion messages.
-    pub label: &'static str,
-    /// Pin the naive nested-loop join reference path.
-    pub naive_join: Option<bool>,
-    /// Pin the tuple-at-a-time firing discipline.
-    pub unbatched: Option<bool>,
-    /// Pin the ordered-scan access path (trie disabled).
-    pub no_trie: Option<bool>,
+/// The final tables of a run, flattened for comparison: every live tuple
+/// with its full bookkeeping (base flag, derivation records, appearance
+/// time).
+pub type Tables = Vec<(NodeId, Tuple, TupleState)>;
+
+/// Flattens a node map into [`Tables`].
+pub fn tables<'a>(nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>) -> Tables {
+    nodes
+        .flat_map(|(node, st)| st.all().map(move |(t, s)| (node.clone(), t.clone(), s.clone())))
+        .collect()
 }
 
-impl EngineConfig {
-    /// A configuration that inherits every knob from the environment.
-    pub const fn inherit(label: &'static str) -> Self {
-        EngineConfig {
-            label,
-            naive_join: None,
-            unbatched: None,
-            no_trie: None,
-        }
-    }
-
-    /// The canonical four-configuration matrix: the batched default, the
-    /// tuple-at-a-time firing path, the trie-disabled batched path, and
-    /// the naive nested-loop unbatched path. Every configuration must be
-    /// observably identical.
-    pub const fn matrix() -> [EngineConfig; 4] {
-        const fn cfg(
-            label: &'static str,
-            naive: bool,
-            unbatched: bool,
-            no_trie: bool,
-        ) -> EngineConfig {
-            EngineConfig {
-                label,
-                naive_join: Some(naive),
-                unbatched: Some(unbatched),
-                no_trie: Some(no_trie),
-            }
-        }
-        [
-            cfg("batched", false, false, false),
-            cfg("unbatched", false, true, false),
-            cfg("no-trie", false, false, true),
-            cfg("naive-unbatched", true, true, false),
-        ]
-    }
-
-    /// Applies the pinned knobs to an engine, leaving `None` knobs at
-    /// whatever the engine inherited from the environment.
-    pub fn apply<S: ProvenanceSink>(&self, eng: &mut Engine<S>) {
-        if let Some(naive) = self.naive_join {
-            eng.set_naive_join(naive);
-        }
-        if let Some(unbatched) = self.unbatched {
-            eng.set_unbatched(unbatched);
-        }
-        if let Some(no_trie) = self.no_trie {
-            eng.set_no_trie(no_trie);
-        }
+/// Feeds `ops` into an engine's schedule.
+pub fn schedule_all<S: ProvenanceSink>(eng: &mut Engine<S>, ops: &[ScheduledOp]) {
+    for op in ops {
+        eng.schedule(op).unwrap();
     }
 }
 
-/// One scheduled base-table event: the unit every generator lowers to and
-/// the unit the shrinker in `dp-sim` removes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScheduledOp {
-    /// Delivery timestamp.
-    pub due: u64,
-    /// Destination node.
-    pub node: NodeId,
-    /// The base tuple inserted or deleted.
-    pub tuple: Tuple,
-    /// `true` for a deletion, `false` for an insertion.
-    pub delete: bool,
-}
-
-impl ScheduledOp {
-    /// An insertion.
-    pub fn insert(due: u64, node: impl Into<NodeId>, tuple: Tuple) -> Self {
-        ScheduledOp {
-            due,
-            node: node.into(),
-            tuple,
-            delete: false,
-        }
-    }
-
-    /// A deletion.
-    pub fn delete(due: u64, node: impl Into<NodeId>, tuple: Tuple) -> Self {
-        ScheduledOp {
-            due,
-            node: node.into(),
-            tuple,
-            delete: true,
-        }
-    }
-}
-
-/// Everything observable about one engine run. Two configurations agree
-/// when their outcomes agree (modulo the documented effort counters —
-/// see the `strip_*` helpers).
+/// Everything observable about one engine run.
 pub struct Outcome {
     /// The raw provenance event stream, byte-for-byte comparable.
     pub events: Vec<ProvEvent>,
@@ -149,109 +58,98 @@ pub struct Outcome {
     pub skeleton: Option<String>,
     /// Per-rule firing counts.
     pub firings: BTreeMap<Sym, u64>,
-    /// Raw stat counters (strip effort counters before comparing across
-    /// configurations that legitimately differ in effort).
+    /// Raw stat counters.
     pub stats: Stats,
-    /// The final fixpoint: every live tuple with its support count.
-    pub fixpoint: Vec<(NodeId, Tuple, usize)>,
+    /// The final tables.
+    pub tables: Tables,
 }
 
-/// Runs a schedule under one configuration and collects the [`Outcome`].
-pub fn run_schedule(program: &Arc<Program>, ops: &[ScheduledOp], cfg: &EngineConfig) -> Outcome {
-    run_impl(program, ops, cfg, false)
+/// Runs a schedule through the engine and collects the [`Outcome`].
+pub fn run_schedule(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
+    run_impl(program, ops, false)
 }
 
 /// Like [`run_schedule`], but with a fully recording tracer attached;
 /// `Outcome::skeleton` carries the rendered deterministic skeleton.
-pub fn run_schedule_traced(
-    program: &Arc<Program>,
-    ops: &[ScheduledOp],
-    cfg: &EngineConfig,
-) -> Outcome {
-    run_impl(program, ops, cfg, true)
+pub fn run_schedule_traced(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
+    run_impl(program, ops, true)
 }
 
-fn run_impl(
-    program: &Arc<Program>,
-    ops: &[ScheduledOp],
-    cfg: &EngineConfig,
-    traced: bool,
-) -> Outcome {
+fn run_impl(program: &Arc<Program>, ops: &[ScheduledOp], traced: bool) -> Outcome {
     let mut eng = Engine::new(Arc::clone(program), VecSink::default());
-    cfg.apply(&mut eng);
     let tracer = traced.then(Tracer::full);
     if let Some(t) = &tracer {
         eng.set_tracer(t.clone());
     }
-    for op in ops {
-        if op.delete {
-            eng.schedule_delete(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        } else {
-            eng.schedule_insert(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        }
-    }
+    schedule_all(&mut eng, ops);
     eng.run().unwrap();
     let firings = eng.rule_firings().clone();
     let stats = eng.stats();
-    let fixpoint = eng
-        .nodes()
-        .flat_map(|(node, st)| {
-            st.all()
-                .map(|(t, s)| (node.clone(), t.clone(), s.support()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let tables = tables(eng.nodes());
     Outcome {
         events: eng.into_sink().events,
         skeleton: tracer.map(|t| t.finish().skeleton()),
         firings,
         stats,
-        fixpoint,
+        tables,
     }
 }
 
-/// Zeroes the counters that legitimately differ between the batched and
-/// tuple-at-a-time disciplines: the batch bookkeeping itself, plus the
-/// join effort counters (the batched flush prunes whole delta groups
-/// whose join cannot complete, so it runs fewer probe/scan steps — but a
-/// pruned join can never have produced a match, so `join_matches` and
-/// every semantic counter must still agree exactly).
-pub fn strip_batch_counters(stats: Stats) -> Stats {
-    Stats {
-        batches: 0,
-        batched_deltas: 0,
-        join_probes: 0,
-        join_scans: 0,
-        join_candidates: 0,
-        ..stats
-    }
+/// Runs a schedule through the reference evaluator: its provenance stream
+/// and final tables.
+pub fn run_reference(program: &Program, ops: &[ScheduledOp]) -> (Vec<ProvEvent>, Tables) {
+    let mut sink = VecSink::default();
+    let nodes = crate::reference::evaluate(program, ops, &mut sink).unwrap();
+    (sink.events, tables(nodes.iter()))
 }
 
-/// Zeroes every effort counter that shifts between access paths *and*
-/// firing disciplines: a trie probe replaces a scan, the batched
-/// discipline prunes delta groups, and `join_matches` shifts because a
-/// route entry whose prefix does not contain the probed address still
-/// *pattern*-matches the atom under a scan (the constraint rejects it
-/// afterwards) whereas the trie never surfaces it. None of that may
-/// change what the rules fire.
-pub fn strip_effort_counters(stats: Stats) -> Stats {
-    Stats {
-        batches: 0,
-        batched_deltas: 0,
-        join_probes: 0,
-        join_scans: 0,
-        join_candidates: 0,
-        join_matches: 0,
-        trie_probes: 0,
-        trie_scans: 0,
-        ..stats
-    }
+/// Runs one case through the engine and holds it to the oracle
+/// ([`assert_matches_reference`]).
+pub fn run_checked(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) -> Outcome {
+    let got = run_schedule(program, ops);
+    assert_matches_reference(program, ops, &got, case);
+    got
 }
 
-/// The int-flavored generator shared by the join and batch differential
-/// suites: tiny two-column integer base tables, rules with shared join
+/// Asserts that an engine run reproduced the oracle: the same provenance
+/// stream, the same final tables, and semantic counters (`Stats` and
+/// per-rule firings) that count exactly what the oracle's stream holds.
+pub fn assert_matches_reference(program: &Program, ops: &[ScheduledOp], got: &Outcome, case: &str) {
+    let (events, tables) = run_reference(program, ops);
+    assert_eq!(got.events, events, "provenance stream diverges from the oracle ({case})");
+    assert_eq!(got.tables, tables, "final tables diverge from the oracle ({case})");
+    let mut firings: BTreeMap<Sym, u64> = BTreeMap::new();
+    let mut counts = [0u64; 4];
+    let (mut live, mut peak) = (0u64, 0u64);
+    for e in &events {
+        match e {
+            ProvEvent::InsertBase { .. } => counts[0] += 1,
+            ProvEvent::DeleteBase { .. } => counts[1] += 1,
+            ProvEvent::Derive { rule, .. } => {
+                counts[2] += 1;
+                *firings.entry(rule.clone()).or_default() += 1;
+            }
+            ProvEvent::Underive { .. } => counts[3] += 1,
+            ProvEvent::Appear { .. } => {
+                live += 1;
+                peak = peak.max(live);
+            }
+            ProvEvent::Disappear { .. } => live -= 1,
+        }
+    }
+    assert_eq!(got.firings, firings, "per-rule firings ({case})");
+    let s = got.stats;
+    assert_eq!(
+        [s.base_inserts, s.base_deletes, s.derivations, s.underivations],
+        counts,
+        "semantic counters ({case})"
+    );
+    assert_eq!(s.peak_tuples, peak, "peak live tuples ({case})");
+}
+
+/// The int-flavored generator of the reference and annotation
+/// differential suites: tiny two-column integer base tables, rules with
+/// shared join
 /// variables, assignments, and comparison constraints, and derived-on-
 /// derived chaining through `d` into `e`.
 pub mod intgen {
@@ -330,7 +228,7 @@ pub mod intgen {
         let mut tail = String::new();
         // Sometimes route the head through an assignment, and sometimes
         // add a comparison constraint between two bound variables — both
-        // evaluate during the join, so every configuration must treat
+        // evaluate during the join, so both evaluators must treat
         // them identically.
         let head = if rng.gen_bool(0.3) {
             tail.push_str(&format!(", W := {head_var} + 1"));
@@ -368,7 +266,7 @@ pub mod intgen {
     /// `(is_delete, base table index, x, y, due, second node)`.
     pub type Op = (bool, usize, i64, i64, u64, bool);
 
-    /// The join suite's schedule: values from a tiny domain so joins
+    /// The sparse schedule: values from a tiny domain so joins
     /// actually match and deletes often hit previously inserted tuples,
     /// with dues spread over a wide domain.
     pub fn join_ops(rng: &mut DetRng) -> Vec<Op> {
@@ -386,7 +284,7 @@ pub mod intgen {
             .collect()
     }
 
-    /// The batch suite's schedule: dues from a *tiny* domain so most
+    /// The dense schedule: dues from a *tiny* domain so most
     /// events share a timestamp with others (deep delta batches), deletes
     /// routinely land in the same timestamp as inserts, and some ops
     /// expand to a delete+insert *replacement* pair at one timestamp —
@@ -426,8 +324,9 @@ pub mod intgen {
     }
 }
 
-/// The prefix-flavored generator shared by the trie, trace, and metrics
-/// differential suites: route tables with prefix columns, packet tables
+/// The prefix-flavored generator shared by the reference, trace, metrics
+/// and annotation differential suites: route tables with prefix columns,
+/// packet tables
 /// with IP columns, and rules carrying `prefix_contains` constraints —
 /// every shape the planner turns into a trie probe, a constant probe, a
 /// hash-index join, or (with `with_agg`) an aggregation fence.
@@ -567,7 +466,7 @@ pub mod prefixgen {
     /// so deletes land in the same tick as inserts and delta batches go
     /// deep. Some ops expand to a delete+insert *replacement* of one
     /// route entry at a single timestamp. The op count and due domain are
-    /// the knobs the suites differ on (trie: 4–30 ops over 6 ticks;
+    /// the knobs the suites differ on (reference: 4–30 ops over 6 ticks;
     /// trace/metrics: 8–40 ops over 4 ticks).
     pub fn arb_ops(rng: &mut DetRng, min_ops: usize, max_ops: usize, max_due: u64) -> Vec<Op> {
         let mut ops = Vec::new();
@@ -596,8 +495,8 @@ pub mod prefixgen {
         ops
     }
 
-    /// Lowers prefix ops onto the single node `n` (the trie suite's
-    /// shape: one node, so the trie is the only variable).
+    /// Lowers prefix ops onto the single node `n`, so every packet meets
+    /// every route entry.
     pub fn single_node_schedule(ops: &[Op]) -> Vec<ScheduledOp> {
         ops.iter()
             .map(|(is_delete, due, tup)| ScheduledOp {
@@ -754,8 +653,8 @@ pub mod nodegen {
     /// The topology schedule at tick 0: every node exists (one seed fact)
     /// and points at 1–2 random neighbours, so `@M` heads always name
     /// declared nodes; half the nodes drop an aggregation fence mid-run.
-    /// Built once per case from the topology seed so all configurations
-    /// see the identical schedule.
+    /// Built once per case from the topology seed so both evaluators see
+    /// the identical schedule.
     pub fn topology_schedule(rng_topo: &mut DetRng) -> Vec<ScheduledOp> {
         let mut sched = Vec::new();
         for (i, name) in NODES.iter().enumerate() {

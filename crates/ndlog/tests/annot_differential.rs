@@ -2,17 +2,16 @@
 //! temporal graph ([`GraphRecorder`]) against the compact annotation
 //! store ([`AnnotRecorder`]) whose proof trees are *reconstructed* on
 //! demand by re-running rule bodies. The same schedule is executed twice
-//! per engine configuration — once into each backend — and then every
+//! — once into each backend — and then every
 //! query point the graph can answer is asked of both: the reconstructed
 //! tree must render byte-identically to the extracted one, both must
 //! agree on episode intervals, and the reconstruction must pass the tree
 //! well-formedness checker.
 //!
-//! The matrix covers batched/unbatched × trie/no-trie × naive joins,
-//! over the int-, the prefix- (constraints, builtins, aggregations — the
-//! report-mode rules), and the multi-node generators, and the full repro
-//! scenario corpus (4 SDN + 4 MapReduce + the campus network). Any
-//! inexactness in the
+//! The cases come from the int-, the prefix- (constraints, builtins,
+//! aggregations — the report-mode rules), and the multi-node generators,
+//! and the full repro scenario corpus (4 SDN + 4 MapReduce + the campus
+//! network). Any inexactness in the
 //! annotation backend's height-bounded body search — a wrong trigger pin,
 //! a visibility leak, a lex tie broken differently than the engine broke
 //! it — shows up here as a render divergence.
@@ -24,7 +23,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, EngineConfig, ScheduledOp};
+use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, schedule_all, ScheduledOp};
 use dp_ndlog::{Engine, Program};
 use dp_provenance::{
     extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest,
@@ -37,42 +36,15 @@ use dp_types::{DetRng, LogicalTime, TupleRef};
 /// k-th point, deterministically) so the suite stays fast.
 const QUERY_CAP: usize = 400;
 
-/// Runs one schedule into both backends under one configuration.
-fn run_backends(
-    program: &Arc<Program>,
-    ops: &[ScheduledOp],
-    cfg: &EngineConfig,
-) -> (ProvGraph, AnnotationStore) {
+/// Runs one schedule into both backends.
+fn run_backends(program: &Arc<Program>, ops: &[ScheduledOp]) -> (ProvGraph, AnnotationStore) {
     let mut graph_eng = Engine::new(Arc::clone(program), GraphRecorder::new());
     let mut annot_eng = Engine::new(Arc::clone(program), AnnotRecorder::new(Arc::clone(program)));
-    cfg.apply(&mut graph_eng);
-    cfg.apply(&mut annot_eng);
-    for op in ops {
-        for run in [&mut graph_eng as &mut dyn Schedulable, &mut annot_eng] {
-            run.schedule(op);
-        }
-    }
+    schedule_all(&mut graph_eng, ops);
+    schedule_all(&mut annot_eng, ops);
     graph_eng.run().unwrap();
     annot_eng.run().unwrap();
     (graph_eng.into_sink().finish(), annot_eng.into_sink().finish())
-}
-
-/// Object-safe scheduling shim so both engines (different sink types)
-/// share one loop.
-trait Schedulable {
-    fn schedule(&mut self, op: &ScheduledOp);
-}
-
-impl<S: dp_ndlog::ProvenanceSink> Schedulable for Engine<S> {
-    fn schedule(&mut self, op: &ScheduledOp) {
-        if op.delete {
-            self.schedule_delete(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        } else {
-            self.schedule_insert(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        }
-    }
 }
 
 /// Every query point the graph can answer, asked of both backends. The
@@ -154,21 +126,15 @@ fn cross_check(graph: &ProvGraph, store: &AnnotationStore, label: &str) -> usize
     checked
 }
 
-/// Runs one case through every configuration of the engine matrix,
-/// cross-checking the backends under each; returns the total trees
-/// compared.
+/// Runs one case into both backends and cross-checks them; returns the
+/// trees compared.
 fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) -> usize {
-    let mut checked = 0;
-    for cfg in &EngineConfig::matrix() {
-        let (graph, store) = run_backends(program, ops, cfg);
-        checked += cross_check(&graph, &store, &format!("{case} [{}]", cfg.label));
-    }
-    checked
+    let (graph, store) = run_backends(program, ops);
+    cross_check(&graph, &store, case)
 }
 
 /// Int-flavored random programs (joins, assignments, comparison
-/// constraints, derived-on-derived chaining) across the full engine
-/// matrix.
+/// constraints, derived-on-derived chaining).
 #[test]
 fn annot_matches_graph_on_random_int_programs() {
     let mut rng = DetRng::seed_from_u64(0xA901_7D1F);
@@ -182,7 +148,7 @@ fn annot_matches_graph_on_random_int_programs() {
         cases += 1;
         checked += check_case(&program, &ops, &format!("int case {cases}"));
     }
-    assert!(checked > 500, "suite barely reconstructed: {checked} trees");
+    assert!(checked > 120, "suite barely reconstructed: {checked} trees");
 }
 
 /// Prefix-flavored random programs: `prefix_contains` builtins force the
@@ -202,12 +168,12 @@ fn annot_matches_graph_on_random_prefix_programs() {
         cases += 1;
         checked += check_case(&program, &ops, &format!("prefix case {cases}"));
     }
-    assert!(checked > 500, "suite barely reconstructed: {checked} trees");
+    assert!(checked > 120, "suite barely reconstructed: {checked} trees");
 }
 
-/// Multi-node random programs (cross-node forwards, link delays) across
-/// the engine matrix: reconstruction must pin remote triggers through the
-/// `fired_at + delay` filter.
+/// Multi-node random programs (cross-node forwards, link delays):
+/// reconstruction must pin remote triggers through the `fired_at + delay`
+/// filter.
 #[test]
 fn annot_matches_graph_on_random_multi_node_programs() {
     let mut rng = DetRng::seed_from_u64(0xA902_54AD);
@@ -222,7 +188,7 @@ fn annot_matches_graph_on_random_multi_node_programs() {
         cases += 1;
         checked += check_case(&program, &ops, &format!("multi-node case {cases}"));
     }
-    assert!(checked > 300, "suite barely reconstructed: {checked} trees");
+    assert!(checked > 75, "suite barely reconstructed: {checked} trees");
 }
 
 /// All 9 repro scenarios (4 SDN, 4 MapReduce, campus), both the good and
@@ -237,19 +203,46 @@ fn annot_matches_graph_on_all_repro_scenarios() {
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
     for s in &scenarios {
         for (label, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
-            let mut graph_eng = Engine::new(Arc::clone(&exec.program), GraphRecorder::new());
-            let mut annot_eng = Engine::new(
-                Arc::clone(&exec.program),
-                AnnotRecorder::new(Arc::clone(&exec.program)),
+            let checked = check_case(
+                &exec.program,
+                &exec.log.to_schedule(),
+                &format!("{} ({label})", s.name),
             );
-            exec.log.schedule_into(&mut graph_eng, None).unwrap();
-            exec.log.schedule_into(&mut annot_eng, None).unwrap();
-            graph_eng.run().unwrap();
-            annot_eng.run().unwrap();
-            let graph = graph_eng.into_sink().finish();
-            let store = annot_eng.into_sink().finish();
-            let checked = cross_check(&graph, &store, &format!("{} ({label})", s.name));
             assert!(checked > 0, "scenario {} ({label}): no trees compared", s.name);
         }
     }
+}
+
+/// DESIGN §8's trade, at small campus scale: under route and traffic
+/// churn the annotation store keeps at least 5x fewer live records than
+/// the graph (its vertices plus one episode-index entry per episode and
+/// extra support).
+#[test]
+fn annotation_store_is_5x_smaller_under_campus_churn() {
+    let c = dp_sdn::campus(&dp_sdn::CampusConfig {
+        bulk_entries_per_router: 9,
+        background_packets: 10,
+        update_churn_rounds: 4,
+        ..Default::default()
+    });
+    assert!(c.entry_count >= 2_000, "campus too small: {}", c.entry_count);
+    let exec = &c.scenario.bad_exec;
+    let (graph, store) = run_backends(&exec.program, &exec.log.to_schedule());
+    let tuples: BTreeSet<TupleRef> = graph
+        .vertices()
+        .iter()
+        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+        .collect();
+    let index_records: u64 = tuples
+        .iter()
+        .flat_map(|t| graph.episodes(t))
+        .map(|ep| 1 + ep.extra_support.len() as u64)
+        .sum();
+    let graph_records = graph.stats().total() + index_records;
+    let annot_records = store.stats().total();
+    assert!(
+        graph_records >= 5 * annot_records,
+        "annotation store only {:.1}x smaller ({graph_records} vs {annot_records})",
+        graph_records as f64 / annot_records as f64
+    );
 }

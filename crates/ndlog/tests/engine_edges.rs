@@ -2,12 +2,28 @@
 
 use std::sync::Arc;
 
+use dp_ndlog::testsupport::{self, Outcome, ScheduledOp};
 use dp_ndlog::{
     parse_rules, Emitter, Engine, NativeRule, NodeView, NullSink, Program, ProvEvent,
     RuleJoinProfile, StatefulBuiltin, VecSink,
 };
 use dp_types::{tuple, FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, TableKind, Tuple,
     TupleRef, Value};
+
+/// Runs `ops` through the engine and holds the run to the oracle: same
+/// provenance stream, same final tables.
+fn run_checked(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
+    testsupport::run_checked(program, ops, "engine vs oracle")
+}
+
+/// The live tuples of `table` at `node`, in tuple order.
+fn table_of(got: &Outcome, node: &str, table: &str) -> Vec<Tuple> {
+    got.tables
+        .iter()
+        .filter(|(n, t, _)| n.as_str() == node && t.table == table)
+        .map(|(_, t, _)| t.clone())
+        .collect()
+}
 
 fn base_reg() -> SchemaRegistry {
     let mut reg = SchemaRegistry::new();
@@ -344,29 +360,23 @@ fn same_timestamp_insert_then_delete_leaves_no_residue() {
     // Insert and delete of the same tuple scheduled at the same timestamp:
     // the insert is processed first (push order breaks the tie), so the
     // tuple briefly exists, but the delete must retract it and no derived
-    // tuple may survive -- in either firing discipline. In batched mode the
-    // delete forces a flush, so the rule still fires against the pre-delete
-    // state and the in-flight derivation is dropped by the liveness check.
-    let run = |unbatched: bool| {
-        let program = Program::builder(base_reg())
-            .rules_text("r d(@N, V) :- k(@N, V).")
-            .unwrap()
-            .build()
-            .unwrap();
-        let mut eng = Engine::new(program, VecSink::default());
-        eng.set_unbatched(unbatched);
-        let n = NodeId::new("n");
-        eng.schedule_insert(5, n.clone(), tuple!("k", 1)).unwrap();
-        eng.schedule_delete(5, n.clone(), tuple!("k", 1)).unwrap();
-        eng.run().unwrap();
-        let view = eng.view(&n).unwrap();
-        assert_eq!(view.table(&Sym::new("k")).count(), 0, "base must be gone");
-        assert_eq!(view.table(&Sym::new("d")).count(), 0, "no derived residue");
-        eng.sink().events.clone()
-    };
-    let batched = run(false);
-    let unbatched = run(true);
-    assert_eq!(batched, unbatched, "streams must be bit-identical");
+    // tuple may survive. The delete forces a batch flush, so the rule still
+    // fires against the pre-delete state and the in-flight derivation is
+    // dropped by the liveness check — exactly the oracle's stream.
+    let program = Program::builder(base_reg())
+        .rules_text("r d(@N, V) :- k(@N, V).")
+        .unwrap()
+        .build()
+        .unwrap();
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(5, "n", tuple!("k", 1)),
+            ScheduledOp::delete(5, "n", tuple!("k", 1)),
+        ],
+    );
+    assert!(got.tables.is_empty(), "base must be gone, no derived residue");
+    let batched = got.events;
     // The tuple's whole life is visible in the stream: it appeared and
     // disappeared, but the derived tuple never appeared at all.
     let appears: Vec<&str> = batched
@@ -389,9 +399,9 @@ fn head_feeds_own_body_within_one_batch() {
     // timed so both seeds arrive at the remote node at the SAME timestamp,
     // forming one delta batch -- the recursion then unfolds entirely
     // through batch flushes. The stratification bound `Z < L` keeps the
-    // closure finite. Both disciplines must produce the same stream and
-    // the same fixpoint.
-    let build = || {
+    // closure finite. The engine must produce the oracle's stream and
+    // fixpoint.
+    let program = {
         let mut reg = SchemaRegistry::new();
         reg.declare(Schema::new("a", TableKind::ImmutableBase, [("x", FieldType::Int)]));
         reg.declare(Schema::new("b", TableKind::ImmutableBase, [("x", FieldType::Int)]));
@@ -414,31 +424,23 @@ fn head_feeds_own_body_within_one_batch() {
             .link_delay = 2;
         Program::builder(reg).rules(rules).build().unwrap()
     };
-    let run = |unbatched: bool| {
-        let mut eng = Engine::new(build(), VecSink::default());
-        eng.set_unbatched(unbatched);
-        let n1 = NodeId::new("n1");
-        let n2 = NodeId::new("n2");
-        eng.schedule_insert(0, n1.clone(), tuple!("dst", "n2")).unwrap();
-        eng.schedule_insert(0, n2.clone(), tuple!("lim", 10)).unwrap();
-        eng.schedule_insert(10, n1.clone(), tuple!("a", 1)).unwrap();
-        eng.schedule_insert(10, n1, tuple!("b", 5)).unwrap();
-        eng.run().unwrap();
-        let fixpoint: Vec<i64> = eng
-            .view(&n2)
-            .unwrap()
-            .table(&Sym::new("q"))
-            .filter_map(|t| match t.args[0] {
-                Value::Int(x) => Some(x),
-                _ => None,
-            })
-            .collect();
-        (eng.sink().events.clone(), fixpoint, eng.stats())
-    };
-    let (ev_b, fix_b, stats_b) = run(false);
-    let (ev_u, fix_u, _) = run(true);
-    assert_eq!(ev_b, ev_u, "streams must be bit-identical");
-    assert_eq!(fix_b, fix_u, "fixpoints must agree");
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n1", tuple!("dst", "n2")),
+            ScheduledOp::insert(0, "n2", tuple!("lim", 10)),
+            ScheduledOp::insert(10, "n1", tuple!("a", 1)),
+            ScheduledOp::insert(10, "n1", tuple!("b", 5)),
+        ],
+    );
+    let fix_b: Vec<i64> = table_of(&got, "n2", "q")
+        .iter()
+        .filter_map(|t| match t.args[0] {
+            Value::Int(x) => Some(x),
+            _ => None,
+        })
+        .collect();
+    let stats_b = got.stats;
     // Expected fixpoint: the closure of {1, 5} under pairwise sums below
     // the limit.
     let mut expected = std::collections::BTreeSet::from([1i64, 5]);
@@ -471,29 +473,22 @@ fn head_feeds_own_body_within_one_batch() {
 fn batched_flush_prunes_joins_with_empty_partner_tables() {
     // Within a batch tables only grow, so when a rule's partner table is
     // empty at flush time the whole delta group is pruned without running
-    // the join. The reference path still attempts (and fails) each join,
-    // so only the effort counters differ -- streams stay identical.
-    let run = |unbatched: bool| {
-        let program = Program::builder(base_reg())
-            .rules_text("r d(@N, X) :- e(@N, X), k(@N, X).")
-            .unwrap()
-            .build()
-            .unwrap();
-        let mut eng = Engine::new(program, VecSink::default());
-        eng.set_unbatched(unbatched);
-        let n = NodeId::new("n");
-        for i in 0..10i64 {
-            eng.schedule_insert(5, n.clone(), tuple!("e", i)).unwrap();
-        }
-        eng.run().unwrap();
-        let steps = eng.stats().join_probes + eng.stats().join_scans;
-        (eng.sink().events.clone(), steps)
-    };
-    let (ev_b, steps_b) = run(false);
-    let (ev_u, steps_u) = run(true);
-    assert_eq!(ev_b, ev_u);
-    assert_eq!(steps_b, 0, "batched flush must prune the doomed joins");
-    assert!(steps_u > 0, "the reference path attempts each join");
+    // the join. The oracle attempts (and fails) each join; the stream is
+    // the same.
+    let program = Program::builder(base_reg())
+        .rules_text("r d(@N, X) :- e(@N, X), k(@N, X).")
+        .unwrap()
+        .build()
+        .unwrap();
+    let ops: Vec<ScheduledOp> = (0..10i64)
+        .map(|i| ScheduledOp::insert(5, "n", tuple!("e", i)))
+        .collect();
+    let got = run_checked(&program, &ops);
+    assert_eq!(
+        got.stats.join_probes + got.stats.join_scans,
+        0,
+        "batched flush must prune the doomed joins"
+    );
 }
 
 #[test]
@@ -519,53 +514,49 @@ fn self_join_counters_count_each_body_once() {
         .unwrap()
         .build()
         .unwrap();
-    for unbatched in [false, true] {
-        let mut eng = Engine::new(program.clone(), NullSink);
-        eng.set_unbatched(unbatched);
-        let n = NodeId::new("n");
-        eng.schedule_insert(0, n.clone(), tuple!("s", 1, 5)).unwrap();
-        eng.schedule_insert(100, n.clone(), tuple!("s", 1, 7)).unwrap();
-        eng.run().unwrap();
-        let pairs: Vec<Tuple> = eng
-            .view(&n)
-            .unwrap()
-            .table(&Sym::new("two"))
-            .cloned()
-            .collect();
-        assert_eq!(
-            pairs,
-            vec![
-                tuple!("two", 5, 5),
-                tuple!("two", 5, 7),
-                tuple!("two", 7, 5),
-                tuple!("two", 7, 7),
-            ]
-        );
-        // Each body found exactly once: the diagonal bodies (5,5) and
-        // (7,7) carry a single derivation, not two.
-        assert_eq!(eng.lookup(&n, &tuple!("two", 5, 5)).unwrap().derivations.len(), 1);
-        assert_eq!(eng.lookup(&n, &tuple!("two", 7, 7)).unwrap().derivations.len(), 1);
-        // First insert: 1 candidate per trigger position, 1 match (the
-        // trigger occurrence is skipped at position 1). Second insert: 2
-        // candidates per position, 2 + 1 matches. Candidates count the
-        // skipped occurrences; matches and derivations do not.
-        let profile = eng.join_profile()[&Sym::new("r")];
-        assert_eq!(
-            profile,
-            RuleJoinProfile {
-                attempts: 4,
-                probes: 4,
-                scans: 0,
-                trie_probes: 0,
-                trie_scans: 0,
-                candidates: 6,
-                matches: 4
-            },
-            "unbatched={unbatched}"
-        );
-        assert_eq!(eng.stats().derivations, 4, "unbatched={unbatched}");
-        assert_eq!(eng.stats().join_matches, 4, "unbatched={unbatched}");
-    }
+    let mut eng = Engine::new(program, NullSink);
+    let n = NodeId::new("n");
+    eng.schedule_insert(0, n.clone(), tuple!("s", 1, 5)).unwrap();
+    eng.schedule_insert(100, n.clone(), tuple!("s", 1, 7)).unwrap();
+    eng.run().unwrap();
+    let pairs: Vec<Tuple> = eng
+        .view(&n)
+        .unwrap()
+        .table(&Sym::new("two"))
+        .cloned()
+        .collect();
+    assert_eq!(
+        pairs,
+        vec![
+            tuple!("two", 5, 5),
+            tuple!("two", 5, 7),
+            tuple!("two", 7, 5),
+            tuple!("two", 7, 7),
+        ]
+    );
+    // Each body found exactly once: the diagonal bodies (5,5) and
+    // (7,7) carry a single derivation, not two.
+    assert_eq!(eng.lookup(&n, &tuple!("two", 5, 5)).unwrap().derivations.len(), 1);
+    assert_eq!(eng.lookup(&n, &tuple!("two", 7, 7)).unwrap().derivations.len(), 1);
+    // First insert: 1 candidate per trigger position, 1 match (the
+    // trigger occurrence is skipped at position 1). Second insert: 2
+    // candidates per position, 2 + 1 matches. Candidates count the
+    // skipped occurrences; matches and derivations do not.
+    let profile = eng.join_profile()[&Sym::new("r")];
+    assert_eq!(
+        profile,
+        RuleJoinProfile {
+            attempts: 4,
+            probes: 4,
+            scans: 0,
+            trie_probes: 0,
+            trie_scans: 0,
+            candidates: 6,
+            matches: 4
+        }
+    );
+    assert_eq!(eng.stats().derivations, 4);
+    assert_eq!(eng.stats().join_matches, 4);
 }
 
 #[test]
@@ -574,60 +565,37 @@ fn flow_entry_replacement_keeps_trie_consistent() {
     // controller "refreshing" an entry, then later replacing it) cascades
     // through the install rule into the flowEntry trie. The trie must end
     // up holding exactly the surviving entries: later packets join against
-    // them and nothing else, byte-identically to the scan path, in both
-    // firing disciplines.
+    // them and nothing else, exactly as under the oracle's full scans.
     use dp_sdn::{cfg_entry, pkt_in, sdn_program};
     use dp_types::prefix::{cidr, ip};
 
-    let run = |no_trie: bool, unbatched: bool| {
-        let mut eng = Engine::new(sdn_program("c").unwrap(), VecSink::default());
-        eng.set_no_trie(no_trie);
-        eng.set_unbatched(unbatched);
-        let c = NodeId::new("c");
-        let s1 = NodeId::new("s1");
-        eng.schedule_insert(0, s1.clone(), tuple!("hello", 1, "c")).unwrap();
-        let any = cidr("0.0.0.0/0");
-        let e1 = cfg_entry(1, "s1", 1, cidr("10.0.0.0/8"), any, 2);
-        let e2 = cfg_entry(2, "s1", 1, cidr("10.1.0.0/16"), any, 3);
-        eng.schedule_insert(10, c.clone(), e1.clone()).unwrap();
-        // Same-tick refresh: the entry vanishes and reappears within one
-        // timestamp. Support counting and the trie must both end at one.
-        eng.schedule_delete(20, c.clone(), e1.clone()).unwrap();
-        eng.schedule_insert(20, c.clone(), e1.clone()).unwrap();
-        // Same-tick replacement: e1 out, the narrower e2 in.
-        eng.schedule_delete(30, c.clone(), e1).unwrap();
-        eng.schedule_insert(30, c.clone(), e2).unwrap();
-        // 10.1.2.3 matches e2; 10.2.0.1 matched only the departed e1.
-        eng.schedule_insert(50, s1.clone(), pkt_in(7, ip("10.1.2.3"), ip("1.1.1.1"), 6, 100))
-            .unwrap();
-        eng.schedule_insert(60, s1.clone(), pkt_in(8, ip("10.2.0.1"), ip("1.1.1.1"), 6, 100))
-            .unwrap();
-        eng.run().unwrap();
-        let outs: Vec<Tuple> = eng
-            .view(&s1)
-            .unwrap()
-            .table(&Sym::new("pktOut"))
-            .cloned()
-            .collect();
-        let stats = eng.stats();
-        (eng.into_sink().events, outs, stats)
-    };
-
-    let (events, outs, stats) = run(false, false);
+    let any = cidr("0.0.0.0/0");
+    let e1 = cfg_entry(1, "s1", 1, cidr("10.0.0.0/8"), any, 2);
+    let e2 = cfg_entry(2, "s1", 1, cidr("10.1.0.0/16"), any, 3);
+    let got = run_checked(
+        &sdn_program("c").unwrap(),
+        &[
+            ScheduledOp::insert(0, "s1", tuple!("hello", 1, "c")),
+            ScheduledOp::insert(10, "c", e1.clone()),
+            // Same-tick refresh: the entry vanishes and reappears within
+            // one timestamp. Support counting and the trie must both end
+            // at one.
+            ScheduledOp::delete(20, "c", e1.clone()),
+            ScheduledOp::insert(20, "c", e1.clone()),
+            // Same-tick replacement: e1 out, the narrower e2 in.
+            ScheduledOp::delete(30, "c", e1),
+            ScheduledOp::insert(30, "c", e2),
+            // 10.1.2.3 matches e2; 10.2.0.1 matched only the departed e1.
+            ScheduledOp::insert(50, "s1", pkt_in(7, ip("10.1.2.3"), ip("1.1.1.1"), 6, 100)),
+            ScheduledOp::insert(60, "s1", pkt_in(8, ip("10.2.0.1"), ip("1.1.1.1"), 6, 100)),
+        ],
+    );
+    let outs = table_of(&got, "s1", "pktOut");
     // Only packet 7 is forwarded, out e2's port; packet 8's entry is gone.
     assert_eq!(outs.len(), 1, "exactly one packet forwarded: {outs:?}");
     assert_eq!(outs[0].args[0], Value::Int(7));
     assert_eq!(outs[0].args[5], Value::Int(3), "must use e2's port");
-    assert!(stats.trie_probes > 0, "the fwd rule must go through the trie");
-    for (label, no_trie, unbatched) in [
-        ("scan", true, false),
-        ("trie+unbatched", false, true),
-        ("scan+unbatched", true, true),
-    ] {
-        let (e, o, _) = run(no_trie, unbatched);
-        assert_eq!(events, e, "{label}: streams diverge");
-        assert_eq!(outs, o, "{label}: forwarding diverges");
-    }
+    assert!(got.stats.trie_probes > 0, "the fwd rule must go through the trie");
 }
 
 #[test]
@@ -636,56 +604,39 @@ fn overlapping_priorities_pick_best_match_through_the_trie() {
     // a narrow high-priority diversion. The trie surfaces *both* matching
     // entries (shortest prefix first); OpenFlow priority resolution is
     // still `best_match!`'s job, and it must see the same candidates it
-    // would under a scan — the diverted packet takes only the
+    // would under the oracle's scan — the diverted packet takes only the
     // high-priority port, traffic outside the overlap only the broad one.
     use dp_sdn::{cfg_entry, pkt_in, sdn_program};
     use dp_types::prefix::{cidr, ip};
 
-    let run = |no_trie: bool| {
-        let mut eng = Engine::new(sdn_program("c").unwrap(), VecSink::default());
-        eng.set_no_trie(no_trie);
-        let c = NodeId::new("c");
-        let s1 = NodeId::new("s1");
-        eng.schedule_insert(0, s1.clone(), tuple!("hello", 1, "c")).unwrap();
-        let any = cidr("0.0.0.0/0");
-        eng.schedule_insert(10, c.clone(), cfg_entry(1, "s1", 1, any, any, 2))
-            .unwrap();
-        eng.schedule_insert(10, c.clone(), cfg_entry(2, "s1", 9, cidr("10.0.0.0/8"), any, 5))
-            .unwrap();
-        eng.schedule_insert(50, s1.clone(), pkt_in(1, ip("10.9.9.9"), ip("1.1.1.1"), 6, 100))
-            .unwrap();
-        eng.schedule_insert(60, s1.clone(), pkt_in(2, ip("9.9.9.9"), ip("1.1.1.1"), 6, 100))
-            .unwrap();
-        eng.run().unwrap();
-        let mut ports: Vec<(i64, i64)> = eng
-            .view(&s1)
-            .unwrap()
-            .table(&Sym::new("pktOut"))
-            .map(|t| match (&t.args[0], &t.args[5]) {
-                (Value::Int(pid), Value::Int(pt)) => (*pid, *pt),
-                other => panic!("unexpected pktOut shape: {other:?}"),
-            })
-            .collect();
-        ports.sort_unstable();
-        let stats = eng.stats();
-        (eng.into_sink().events, ports, stats)
-    };
-
-    let (events, ports, stats) = run(false);
+    let any = cidr("0.0.0.0/0");
+    let got = run_checked(
+        &sdn_program("c").unwrap(),
+        &[
+            ScheduledOp::insert(0, "s1", tuple!("hello", 1, "c")),
+            ScheduledOp::insert(10, "c", cfg_entry(1, "s1", 1, any, any, 2)),
+            ScheduledOp::insert(10, "c", cfg_entry(2, "s1", 9, cidr("10.0.0.0/8"), any, 5)),
+            ScheduledOp::insert(50, "s1", pkt_in(1, ip("10.9.9.9"), ip("1.1.1.1"), 6, 100)),
+            ScheduledOp::insert(60, "s1", pkt_in(2, ip("9.9.9.9"), ip("1.1.1.1"), 6, 100)),
+        ],
+    );
+    let mut ports: Vec<(i64, i64)> = table_of(&got, "s1", "pktOut")
+        .iter()
+        .map(|t| match (&t.args[0], &t.args[5]) {
+            (Value::Int(pid), Value::Int(pt)) => (*pid, *pt),
+            other => panic!("unexpected pktOut shape: {other:?}"),
+        })
+        .collect();
+    ports.sort_unstable();
     assert_eq!(ports, vec![(1, 5), (2, 2)], "priority resolution broke");
-    assert!(stats.trie_probes > 0);
-    let (scan_events, scan_ports, scan_stats) = run(true);
-    assert_eq!(events, scan_events, "trie and scan streams diverge");
-    assert_eq!(ports, scan_ports);
-    assert_eq!(scan_stats.trie_probes, 0);
-    assert!(scan_stats.trie_scans > 0);
+    assert!(got.stats.trie_probes > 0);
 }
 
 #[test]
 fn trie_counters_are_pinned() {
-    // Pin the exact trie counter values for a minimal prefix-join program,
-    // in all four configurations. Any change to when the engine consults
-    // the trie (or claims to) shows up here.
+    // Pin the exact trie counter values for a minimal prefix-join program.
+    // Any change to when the engine consults the trie (or claims to) shows
+    // up here.
     use dp_types::prefix::{cidr, ip};
 
     let mut reg = SchemaRegistry::new();
@@ -701,38 +652,24 @@ fn trie_counters_are_pinned() {
         .unwrap()
         .build()
         .unwrap();
-    for unbatched in [false, true] {
-        for no_trie in [false, true] {
-            let mut eng = Engine::new(program.clone(), NullSink);
-            eng.set_unbatched(unbatched);
-            eng.set_no_trie(no_trie);
-            let n = NodeId::new("n");
-            for (p, v) in [("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("0.0.0.0/0", 3)] {
-                eng.schedule_insert(0, n.clone(), tuple!("rt", cidr(p), v)).unwrap();
-            }
-            // Two packet triggers: each runs the rt step once, as a trie
-            // probe (or, disabled, as a forced scan).
-            eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("10.1.2.3")))).unwrap();
-            eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("11.0.0.1")))).unwrap();
-            // An rt trigger scans pk (the constraint column is already
-            // bound) — not trie-eligible, so it moves neither counter.
-            eng.schedule_insert(2, n.clone(), tuple!("rt", cidr("12.0.0.0/8"), 4)).unwrap();
-            eng.run().unwrap();
-            let stats = eng.stats();
-            let label = format!("unbatched={unbatched} no_trie={no_trie}");
-            if no_trie {
-                assert_eq!(stats.trie_probes, 0, "{label}");
-                assert_eq!(stats.trie_scans, 2, "{label}");
-            } else {
-                assert_eq!(stats.trie_probes, 2, "{label}");
-                assert_eq!(stats.trie_scans, 0, "{label}");
-            }
-            // The access path never changes what is derived: 10.1.2.3
-            // matches /0, /8, and /16; 11.0.0.1 matches only /0.
-            let o: Vec<Tuple> = eng.view(&n).unwrap().table(&Sym::new("o")).cloned().collect();
-            assert_eq!(o, vec![tuple!("o", 1), tuple!("o", 2), tuple!("o", 3)], "{label}");
-        }
+    let mut eng = Engine::new(program, NullSink);
+    let n = NodeId::new("n");
+    for (p, v) in [("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("0.0.0.0/0", 3)] {
+        eng.schedule_insert(0, n.clone(), tuple!("rt", cidr(p), v)).unwrap();
     }
+    // Two packet triggers: each runs the rt step once, as a trie probe.
+    eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("10.1.2.3")))).unwrap();
+    eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("11.0.0.1")))).unwrap();
+    // An rt trigger scans pk (the constraint column is already
+    // bound) — not trie-eligible, so it moves neither counter.
+    eng.schedule_insert(2, n.clone(), tuple!("rt", cidr("12.0.0.0/8"), 4)).unwrap();
+    eng.run().unwrap();
+    let stats = eng.stats();
+    assert_eq!(stats.trie_probes, 2);
+    assert_eq!(stats.trie_scans, 0);
+    // 10.1.2.3 matches /0, /8, and /16; 11.0.0.1 matches only /0.
+    let o: Vec<Tuple> = eng.view(&n).unwrap().table(&Sym::new("o")).cloned().collect();
+    assert_eq!(o, vec![tuple!("o", 1), tuple!("o", 2), tuple!("o", 3)]);
 }
 
 #[test]
@@ -768,10 +705,6 @@ fn trie_pick_breaks_estimate_ties_by_column() {
         .build()
         .unwrap();
     let mut eng = Engine::new(program, NullSink);
-    // The counters below are pinned for the default configuration; hold
-    // it against DP_UNBATCHED=1 / DP_NO_TRIE=1 runs of the suite.
-    eng.set_unbatched(false);
-    eng.set_no_trie(false);
     let n = NodeId::new("n");
     // S = 10.0.0.1 probes column m1, D = 10.1.0.1 probes column m2.
     // Containment per entry, written (m1 hit, m2 hit):
@@ -847,68 +780,42 @@ fn messages_to_undeclared_nodes_do_not_panic() {
 
 #[test]
 fn event_budget_errors_cleanly_with_provenance_flushed() {
-    // A runaway program against a small `max_events` budget: the run must
-    // end in a clean typed error (no hang, no panic), with the provenance
-    // of everything actually applied already flushed to the sink — and
-    // the flushed stream must be identical across firing disciplines,
-    // because the budget counts applied events, which are the same in
-    // both.
+    // A long-running program against a small `max_events` budget: the run
+    // must end in a clean typed error (no hang, no panic), with the
+    // provenance of everything actually applied already flushed to the
+    // sink, not stuck in the batch buffer: exactly the oracle's stream up
+    // to the event the budget tripped on. (The program counts each seed
+    // up to a bound, so the oracle, which has no budget to set, finishes.)
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("seed", TableKind::ImmutableBase, [("x", FieldType::Int)]));
     reg.declare(Schema::new("p", TableKind::Derived, [("x", FieldType::Int)]));
     let program = Program::builder(reg)
         .rules_text(
             "init p(@N, X) :- seed(@N, X).\n\
-             step p(@N, X1) :- p(@N, X), X1 := X + 1.",
+             step p(@N, X1) :- p(@N, X), X1 := X + 1, X1 - (X1 / 1000) * 1000 < 50.",
         )
         .unwrap()
         .build()
         .unwrap();
-    let run = |unbatched: bool| {
-        let mut eng = Engine::new(program.clone(), VecSink::default());
-        eng.set_unbatched(unbatched);
-        eng.max_events = 100;
-        // Several seeds in one tick so the first batches hold several
-        // deltas before the budget trips.
-        for i in 0..8 {
-            eng.schedule_insert(0, NodeId::new("n"), tuple!("seed", i * 1000)).unwrap();
-        }
-        let err = eng.run().expect_err("the budget must stop a runaway program");
-        assert!(err.to_string().contains("event limit"), "{err}");
-        eng.into_sink().events
-    };
-    let reference = run(false);
-    // Everything applied before the budget tripped is in the sink, not
-    // stuck in the batch buffer.
+    // Several seeds in one tick so the first batches hold several deltas
+    // before the budget trips.
+    let ops: Vec<ScheduledOp> = (0..8)
+        .map(|i| ScheduledOp::insert(0, "n", tuple!("seed", i * 1000)))
+        .collect();
+    let mut eng = Engine::new(program.clone(), VecSink::default());
+    eng.max_events = 100;
+    testsupport::schedule_all(&mut eng, &ops);
+    let err = eng.run().expect_err("the budget must stop the run");
+    assert!(err.to_string().contains("event limit"), "{err}");
+    let flushed = eng.into_sink().events;
     assert!(
-        reference.len() >= 100,
+        flushed.len() >= 100,
         "provenance up to the budget must be flushed: {} events",
-        reference.len()
+        flushed.len()
     );
-    assert_eq!(reference, run(true), "unbatched: flushed streams diverge");
-}
-
-#[test]
-#[should_panic(expected = "mode switch with a batch in flight")]
-fn mode_switch_with_a_batch_in_flight_panics() {
-    // The only way to hold an engine with a batch in flight is a run that
-    // ended in an error: the budget trips between two same-tick events, so
-    // the first tick's deltas are still pending their firings. Flipping
-    // the discipline now would strand them; the guard must fire in release
-    // builds too (every `scripts/check.sh` leg is `--release`).
-    let program = Program::builder(base_reg())
-        .rules_text("r d(@N, X) :- e(@N, X).")
-        .unwrap()
-        .build()
-        .unwrap();
-    let mut eng = Engine::new(program, NullSink);
-    eng.set_unbatched(false);
-    eng.max_events = 2;
-    for i in 0..4 {
-        eng.schedule_insert(0, NodeId::new("n"), tuple!("e", i)).unwrap();
-    }
-    eng.run().expect_err("the budget must trip mid-tick");
-    eng.set_unbatched(true);
+    let (reference, _) = testsupport::run_reference(&program, &ops);
+    assert!(reference.len() > flushed.len(), "the budget never tripped early");
+    assert_eq!(flushed, reference[..flushed.len()], "flushed stream is not the oracle's prefix");
 }
 
 /// The two mutually-neighbouring nodes the messaging tests below run on.
@@ -917,10 +824,11 @@ fn node_pair() -> (NodeId, NodeId) {
 }
 
 #[test]
-fn cross_node_messages_within_one_batch_match_unbatched() {
+fn cross_node_messages_within_one_batch_match_the_oracle() {
     // Both nodes contribute deltas to the *same* batch, and firing one
     // node's delta produces a derived head addressed at the other. The
-    // batched stream must stay byte-identical to the tuple-at-a-time one.
+    // batched stream must stay byte-identical to the oracle's
+    // tuple-at-a-time one.
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("ping", TableKind::ImmutableBase, [("v", FieldType::Int)]));
     reg.declare(Schema::new("nbr", TableKind::MutableBase, [("next", FieldType::Str)]));
@@ -935,29 +843,24 @@ fn cross_node_messages_within_one_batch_match_unbatched() {
         .build()
         .unwrap();
     let (a, b) = node_pair();
-    let run = |unbatched: bool| {
-        let mut eng = Engine::new(program.clone(), VecSink::default());
-        eng.set_unbatched(unbatched);
-        // Mutual neighbours, so due-5 ping batches on *both* nodes send
-        // heads to the other node in both directions at once.
-        eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
-        eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
-        for v in 0..6i64 {
-            eng.schedule_insert(5, a.clone(), tuple!("ping", v)).unwrap();
-            eng.schedule_insert(5, b.clone(), tuple!("ping", v + 100)).unwrap();
-        }
-        eng.run().unwrap();
-        assert!(eng.lookup(&b, &tuple!("pong", 0)).is_some());
-        assert!(eng.lookup(&a, &tuple!("echo", 101)).is_some());
-        let stats = eng.stats();
-        (eng.into_sink().events, stats)
-    };
-    let (batched_events, stats) = run(false);
+    // Mutual neighbours, so due-5 ping batches on *both* nodes send heads
+    // to the other node in both directions at once.
+    let mut ops = vec![
+        ScheduledOp::insert(0, a.clone(), tuple!("nbr", b.as_str())),
+        ScheduledOp::insert(0, b.clone(), tuple!("nbr", a.as_str())),
+    ];
+    for v in 0..6i64 {
+        ops.push(ScheduledOp::insert(5, a.clone(), tuple!("ping", v)));
+        ops.push(ScheduledOp::insert(5, b.clone(), tuple!("ping", v + 100)));
+    }
+    let got = run_checked(&program, &ops);
+    assert!(table_of(&got, b.as_str(), "pong").contains(&tuple!("pong", 0)));
+    assert!(table_of(&got, a.as_str(), "echo").contains(&tuple!("echo", 101)));
     assert!(
-        stats.batched_deltas > stats.batches,
-        "the two nodes' pings never shared a batch: {stats:?}"
+        got.stats.batched_deltas > got.stats.batches,
+        "the two nodes' pings never shared a batch: {:?}",
+        got.stats
     );
-    assert_eq!(batched_events, run(true).0, "batched stream diverges from unbatched");
 }
 
 #[test]
@@ -1067,12 +970,10 @@ fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
     };
     // Uninterrupted reference.
     let mut reference = Engine::new(program.clone(), VecSink::default());
-    reference.set_unbatched(false);
     schedule(&mut reference);
     reference.run().unwrap();
 
     let mut eng = Engine::new(program, VecSink::default());
-    eng.set_unbatched(false);
     eng.max_events = 60;
     schedule(&mut eng);
     let err = eng.run().expect_err("the budget must trip mid-cascade");
@@ -1130,7 +1031,6 @@ fn mid_schedule_restart_replays_the_stream_suffix() {
     // Uninterrupted reference, two run() calls at the same due boundary
     // the restart uses.
     let mut reference = Engine::new(program.clone(), VecSink::default());
-    reference.set_unbatched(false);
     phase1(&mut reference);
     reference.run().unwrap();
     let prefix_len = reference.sink().events.len();
@@ -1143,13 +1043,11 @@ fn mid_schedule_restart_replays_the_stream_suffix() {
 
     // Restart: phase-1 run, checkpoint, restore, phase 2.
     let mut first = Engine::new(program.clone(), VecSink::default());
-    first.set_unbatched(false);
     phase1(&mut first);
     first.run().unwrap();
     let snap = first.snapshot().unwrap();
     assert_eq!(want_prefix, &first.into_sink().events[..], "phase-1 streams diverge");
     let mut resumed = Engine::restore(program, snap, VecSink::default()).unwrap();
-    resumed.set_unbatched(false);
     phase2(&mut resumed);
     resumed.run().unwrap();
     assert_eq!(want_fix, fixpoint(&resumed), "restored fixpoint diverges");

@@ -1,10 +1,9 @@
 //! Differential test of the dp-metrics **passivity contract**: attaching
 //! a live metrics registry must not perturb evaluation. The provenance
 //! event stream and the deterministic trace skeleton must be
-//! byte-identical with metrics enabled and disabled, in every engine
-//! configuration — the registry observes counters, sketches, and
-//! histograms off to the side, but never influences scheduling, join
-//! order, batching, or the sink.
+//! byte-identical with metrics enabled and disabled — the registry
+//! observes counters, sketches, and histograms off to the side, but never
+//! influences scheduling, join order, batching, or the sink.
 //!
 //! Both legs pin the metrics handle explicitly ([`Metrics::disabled`] vs
 //! a fresh [`Metrics::enabled`] registry per run), because `DP_METRICS`
@@ -17,73 +16,53 @@
 use std::sync::Arc;
 
 use dp_metrics::Metrics;
-use dp_ndlog::testsupport::{prefixgen, EngineConfig, ScheduledOp};
+use dp_ndlog::testsupport::{prefixgen, schedule_all, ScheduledOp};
 use dp_ndlog::{Engine, Program, ProvEvent, VecSink};
 use dp_trace::Tracer;
 use dp_types::DetRng;
-
-const CONFIGS: [EngineConfig; 4] = EngineConfig::matrix();
 
 /// One traced run with an explicit metrics handle; returns the stream,
 /// the skeleton, and the handle (for populated-registry assertions).
 fn run(
     program: &Arc<Program>,
     ops: &[ScheduledOp],
-    cfg: &EngineConfig,
     metrics: Metrics,
 ) -> (Vec<ProvEvent>, String, Metrics) {
     let mut eng = Engine::new(Arc::clone(program), VecSink::default());
-    cfg.apply(&mut eng);
     let tracer = Tracer::full();
     eng.set_tracer(tracer.clone());
     eng.set_metrics(metrics.clone());
-    for op in ops {
-        if op.delete {
-            eng.schedule_delete(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        } else {
-            eng.schedule_insert(op.due, op.node.clone(), op.tuple.clone())
-                .unwrap();
-        }
-    }
+    schedule_all(&mut eng, ops);
     eng.run().unwrap();
     (eng.into_sink().events, tracer.finish().skeleton(), metrics)
 }
 
 fn assert_passive(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) {
-    for cfg in &CONFIGS {
-        let (dark_events, dark_skel, _) =
-            run(program, ops, cfg, Metrics::disabled());
-        let (lit_events, lit_skel, metrics) =
-            run(program, ops, cfg, Metrics::enabled());
-        assert_eq!(
-            dark_events, lit_events,
-            "{case}: stream diverges with metrics enabled under {}",
-            cfg.label
+    let (dark_events, dark_skel, _) = run(program, ops, Metrics::disabled());
+    let (lit_events, lit_skel, metrics) = run(program, ops, Metrics::enabled());
+    assert_eq!(
+        dark_events, lit_events,
+        "{case}: stream diverges with metrics enabled"
+    );
+    assert_eq!(
+        dark_skel, lit_skel,
+        "{case}: skeleton diverges with metrics enabled"
+    );
+    let snap = metrics.snapshot();
+    if !ops.is_empty() {
+        assert!(
+            snap.counter_value("dp_engine_events_total", &[]) > 0,
+            "{case}: enabled leg metered nothing — vacuous comparison"
         );
-        assert_eq!(
-            dark_skel, lit_skel,
-            "{case}: skeleton diverges with metrics enabled under {}",
-            cfg.label
+        assert!(
+            snap.histogram("dp_engine_run_seconds", &[]).is_some(),
+            "{case}: run-time histogram never observed"
         );
-        let snap = metrics.snapshot();
-        if !ops.is_empty() {
-            assert!(
-                snap.counter_value("dp_engine_events_total", &[]) > 0,
-                "{case}: enabled leg metered nothing under {} — vacuous comparison",
-                cfg.label
-            );
-            assert!(
-                snap.histogram("dp_engine_run_seconds", &[]).is_some(),
-                "{case}: run-time histogram never observed under {}",
-                cfg.label
-            );
-        }
     }
 }
 
 /// Random prefix-flavored programs: streams and skeletons are identical
-/// with and without a live registry, in all four configurations.
+/// with and without a live registry.
 #[test]
 fn metrics_are_passive_on_random_programs() {
     let mut rng = DetRng::seed_from_u64(0x0D5E_781C_0A11_D1FF);
@@ -99,46 +78,20 @@ fn metrics_are_passive_on_random_programs() {
 }
 
 /// All 9 repro scenarios, good and bad executions: enabling metrics
-/// leaves both bit-identical in the batched default and in the
-/// tuple-at-a-time configuration.
+/// leaves both bit-identical.
 #[test]
 fn metrics_are_passive_on_all_repro_scenarios() {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
     scenarios.extend(dp_mapreduce::all_mr_scenarios());
     scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
-    let picked = [&CONFIGS[0], &CONFIGS[1]]; // batched, unbatched
     for s in &scenarios {
         for (label, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
-            for cfg in picked {
-                let mut legs = Vec::new();
-                for metrics in [Metrics::disabled(), Metrics::enabled()] {
-                    let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
-                    cfg.apply(&mut eng);
-                    let tracer = Tracer::full();
-                    eng.set_tracer(tracer.clone());
-                    eng.set_metrics(metrics.clone());
-                    exec.log.schedule_into(&mut eng, None).unwrap();
-                    eng.run().unwrap();
-                    legs.push((eng.into_sink().events, tracer.finish().skeleton(), metrics));
-                }
-                let (dark, lit) = (&legs[0], &legs[1]);
-                assert_eq!(
-                    dark.0, lit.0,
-                    "scenario {} ({label}): stream diverges with metrics under {}",
-                    s.name, cfg.label
-                );
-                assert_eq!(
-                    dark.1, lit.1,
-                    "scenario {} ({label}): skeleton diverges with metrics under {}",
-                    s.name, cfg.label
-                );
-                assert!(
-                    lit.2.snapshot().counter_value("dp_engine_events_total", &[]) > 0,
-                    "scenario {} ({label}): enabled leg metered nothing under {}",
-                    s.name, cfg.label
-                );
-            }
+            assert_passive(
+                &exec.program,
+                &exec.log.to_schedule(),
+                &format!("scenario {} ({label})", s.name),
+            );
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Satellite coverage for two observability-adjacent contracts:
 //!
-//! * [`ProvenanceSink::record_batch`] delivers the *same stream* as the
-//!   tuple-at-a-time path, chunked at delta-batch boundaries with order
-//!   preserved — asserted against a batch-boundary-recording sink.
+//! * [`ProvenanceSink::record_batch`] delivers the *same stream* the
+//!   reference evaluator records one event at a time, chunked at
+//!   delta-batch boundaries with order preserved — asserted against a
+//!   batch-boundary-recording sink.
 //! * [`Engine::join_profile`] accumulates across `run()` calls: a bulk
 //!   load and a later churn phase driven as two runs must produce the
 //!   same per-rule profile as one run fed the whole schedule.
 
 use std::sync::Arc;
 
+use dp_ndlog::testsupport::{run_reference, schedule_all, ScheduledOp};
 use dp_ndlog::{Engine, Program, ProvEvent, ProvenanceSink, VecSink};
 use dp_types::{
     prefix::cidr, tuple, FieldType, NodeId, Schema, SchemaRegistry, TableKind, Value,
@@ -62,50 +64,42 @@ impl ProvenanceSink for BatchSink {
 /// The op schedule: a bulk route load in one tick (one deep batch),
 /// packet churn spread over later ticks (small batches), and same-tick
 /// delete/insert replacements.
-fn schedule(eng: &mut Engine<impl ProvenanceSink>) {
-    let n = NodeId::new("n");
+fn schedule() -> Vec<ScheduledOp> {
+    let mut ops = Vec::new();
     for i in 0..40u8 {
         let p = cidr(&format!("10.{}.{}.0/24", i % 4, i));
-        eng.schedule_insert(0, n.clone(), tuple!("rt", p, i as i64))
-            .unwrap();
+        ops.push(ScheduledOp::insert(0, "n", tuple!("rt", p, i as i64)));
     }
     for i in 0..12u8 {
         let src = format!("10.{}.{}.7", i % 4, i % 8);
         let dst = format!("10.{}.{}.9", (i + 1) % 4, (i + 2) % 8);
-        eng.schedule_insert(
+        ops.push(ScheduledOp::insert(
             (i as u64 % 3) + 1,
-            n.clone(),
+            "n",
             tuple!(
                 "pk",
                 Value::Ip(dp_types::prefix::ip(&src)),
                 Value::Ip(dp_types::prefix::ip(&dst))
             ),
-        )
-        .unwrap();
+        ));
     }
     // A replacement inside an already-populated tick.
-    eng.schedule_delete(2, n.clone(), tuple!("rt", cidr("10.1.1.0/24"), 1))
-        .unwrap();
-    eng.schedule_insert(2, n, tuple!("rt", cidr("10.1.1.0/25"), 99))
-        .unwrap();
+    ops.push(ScheduledOp::delete(2, "n", tuple!("rt", cidr("10.1.1.0/24"), 1)));
+    ops.push(ScheduledOp::insert(2, "n", tuple!("rt", cidr("10.1.1.0/25"), 99)));
+    ops
 }
 
-/// Batched delivery must concatenate to the unbatched reference stream:
-/// same events, same order, just chunked — and really chunked (at least
-/// one multi-event batch), with no stray `record` fallbacks.
+/// Batched delivery must concatenate to the oracle's stream: same events,
+/// same order, just chunked — and really chunked (at least one
+/// multi-event batch), with no stray `record` fallbacks.
 #[test]
 fn record_batch_preserves_stream_order() {
     let prog = program();
-
-    let mut reference = Engine::new(Arc::clone(&prog), VecSink::default());
-    reference.set_unbatched(true);
-    schedule(&mut reference);
-    reference.run().unwrap();
-    let reference = reference.into_sink().events;
+    let ops = schedule();
+    let (reference, _) = run_reference(&prog, &ops);
 
     let mut batched = Engine::new(Arc::clone(&prog), BatchSink::default());
-    batched.set_unbatched(false);
-    schedule(&mut batched);
+    schedule_all(&mut batched, &ops);
     batched.run().unwrap();
     let sink = batched.into_sink();
 
@@ -125,7 +119,6 @@ fn record_batch_preserves_stream_order() {
 fn two_phase(split_runs: bool) -> Engine<VecSink> {
     let prog = program();
     let mut eng = Engine::new(prog, VecSink::default());
-    eng.set_unbatched(false);
     let n = NodeId::new("n");
     for i in 0..40u8 {
         let p = cidr(&format!("10.{}.{}.0/24", i % 4, i));

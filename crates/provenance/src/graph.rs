@@ -508,7 +508,7 @@ impl GraphRecorder {
 
     /// A recorder that times its batched folds into `tracer` (as
     /// `Class::Effort` `prov.record_batch` spans — batch structure is a
-    /// property of the engine configuration, not of the program).
+    /// property of the engine, not of the program).
     pub fn with_tracer(tracer: dp_trace::Tracer) -> Self {
         GraphRecorder {
             graph: ProvGraph::default(),

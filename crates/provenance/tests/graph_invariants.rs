@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dp_ndlog::{Engine, Program};
+use dp_ndlog::{Engine, Program, ScheduledOp};
 use dp_provenance::{
     extract_tree, well_formedness_violations, GraphRecorder, ProvGraph, VertexKind,
 };
@@ -126,12 +126,13 @@ fn live_tuples_have_well_formed_trees() {
     }
 }
 
-/// Batched evaluation records the same provenance graph as the
-/// tuple-at-a-time reference, vertex for vertex: same kinds, nodes,
-/// tuples, times, child lists, and vertex numbering. The schedule spans
-/// several nodes and forwards derived tuples across them, so the batched
-/// recorder is fed whole multi-node batches at the flush boundaries — and
-/// none of that may be visible in the finished graph.
+/// The engine's batched evaluation records the same provenance graph as
+/// the tuple-at-a-time reference evaluator, vertex for vertex: same kinds,
+/// nodes, tuples, times, child lists, and vertex numbering. The schedule
+/// spans several nodes and forwards derived tuples across them, so the
+/// engine's recorder is fed whole multi-node batches at the flush
+/// boundaries while the oracle's sees one event at a time — and none of
+/// that may be visible in the finished graph.
 #[test]
 fn batched_multi_node_recording_builds_an_identical_graph() {
     let mut reg = SchemaRegistry::new();
@@ -151,31 +152,39 @@ fn batched_multi_node_recording_builds_an_identical_graph() {
             .map(|(i, v)| format!("{i} {v} <- {:?}\n", v.children))
             .collect()
     };
-    let run = |unbatched: bool| -> (String, dp_provenance::GraphStats) {
-        let mut eng = Engine::new(Arc::clone(&program), GraphRecorder::new());
-        eng.set_unbatched(unbatched);
-        let mut rng = DetRng::seed_from_u64(0x6A4F_0004);
-        for (i, n) in nodes.iter().enumerate() {
-            let next = &nodes[(i + 1) % nodes.len()];
-            eng.schedule_insert(0, n.clone(), tuple!("nbr", next.as_str())).unwrap();
-        }
-        for _ in 0..60 {
-            let n = &nodes[rng.gen_range_usize(0, nodes.len())];
-            let x = rng.gen_range_i64(0, 4);
-            let due = rng.gen_range_u64(1, 6);
-            if rng.gen_bool(0.25) {
-                eng.schedule_delete(due, n.clone(), tuple!("obs", x)).unwrap();
-            } else {
-                eng.schedule_insert(due, n.clone(), tuple!("obs", x)).unwrap();
-            }
-        }
-        eng.run().unwrap();
-        let g = eng.into_sink().finish();
-        (render(&g), g.stats())
-    };
-    let (reference, reference_stats) = run(true);
-    assert!(reference_stats.total() > 100, "schedule too quiet: {reference_stats:?}");
-    let (batched, stats) = run(false);
-    assert_eq!(reference_stats, stats, "graph stats diverge under batching");
-    assert_eq!(reference, batched, "graph diverges under batching");
+    let mut rng = DetRng::seed_from_u64(0x6A4F_0004);
+    let mut ops = Vec::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let next = &nodes[(i + 1) % nodes.len()];
+        ops.push(ScheduledOp::insert(0, n.clone(), tuple!("nbr", next.as_str())));
+    }
+    for _ in 0..60 {
+        let n = &nodes[rng.gen_range_usize(0, nodes.len())];
+        let x = rng.gen_range_i64(0, 4);
+        let due = rng.gen_range_u64(1, 6);
+        ops.push(ScheduledOp {
+            due,
+            node: n.clone(),
+            tuple: tuple!("obs", x),
+            delete: rng.gen_bool(0.25),
+        });
+    }
+
+    let mut recorder = GraphRecorder::new();
+    dp_ndlog::reference::evaluate(&program, &ops, &mut recorder).unwrap();
+    let reference = recorder.finish();
+    assert!(
+        reference.stats().total() > 100,
+        "schedule too quiet: {:?}",
+        reference.stats()
+    );
+
+    let mut eng = Engine::new(Arc::clone(&program), GraphRecorder::new());
+    for op in &ops {
+        eng.schedule(op).unwrap();
+    }
+    eng.run().unwrap();
+    let batched = eng.into_sink().finish();
+    assert_eq!(reference.stats(), batched.stats(), "graph stats diverge under batching");
+    assert_eq!(render(&reference), render(&batched), "graph diverges under batching");
 }

@@ -7,6 +7,7 @@
 //! execution (Section 4.6 — changes never touch the running system), and
 //! fast state reconstruction from checkpoints (Section 4.8).
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use dp_ndlog::{
@@ -18,7 +19,7 @@ use dp_provenance::{
 };
 use dp_metrics::Metrics;
 use dp_trace::{Class, Tracer};
-use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
+use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::layers::StoreMode;
 use crate::log::{BaseOp, EventLog};
@@ -82,21 +83,6 @@ pub struct Execution {
     pub program: Arc<Program>,
     /// The logged base events.
     pub log: EventLog,
-    /// When true, every engine this execution builds evaluates joins with
-    /// the naive nested-loop reference path instead of the hash indexes.
-    /// Both paths are observably identical (same event stream, same
-    /// fixpoint); the flag exists for differential checks and benchmarks.
-    pub naive_join: bool,
-    /// When true, every engine this execution builds fires rules tuple-at-
-    /// a-time instead of batching same-timestamp deltas. Like
-    /// `naive_join`, both modes are observably identical; the flag exists
-    /// for differential checks and benchmarks.
-    pub unbatched: bool,
-    /// When true, every engine this execution builds answers
-    /// `prefix_contains`-constrained join steps with a full scan instead of
-    /// the prefix trie. Like the other flags, both modes are observably
-    /// identical; the flag exists for differential checks and benchmarks.
-    pub no_trie: bool,
     /// Tracer threaded into every engine, recorder, and tree extraction
     /// this execution performs (disabled by default, in which case each
     /// engine falls back to its own `DP_TRACE` default). Cloned freely —
@@ -248,8 +234,8 @@ impl Replayed {
     }
 
     /// Opens a `prov.extract` span when the replaying engine is traced.
-    /// Tree extraction reads the recorded graph only, and the graph is
-    /// bit-identical in every engine configuration, so the span (and its
+    /// Tree extraction reads the recorded graph only, and the graph is a
+    /// function of the program and its log, so the span (and its
     /// found/size payload) belongs to the deterministic skeleton.
     fn extract_span(&self, at: LogicalTime) -> Option<dp_trace::Span> {
         let t = self.engine.tracer();
@@ -276,9 +262,6 @@ impl Execution {
         Execution {
             program,
             log: EventLog::new(),
-            naive_join: false,
-            unbatched: false,
-            no_trie: false,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             provenance_backend: ProvBackend::default_from_env(),
@@ -286,14 +269,10 @@ impl Execution {
         }
     }
 
-    /// Applies this execution's engine knobs (join path, firing
-    /// discipline, trie, tracer, metrics) to a freshly built engine. Env
-    /// defaults already on the engine are kept unless this execution
-    /// overrides them.
+    /// Attaches this execution's observers (tracer, metrics) to a freshly
+    /// built engine. Env defaults already on the engine are kept unless
+    /// this execution overrides them.
     pub(crate) fn configure<S: ProvenanceSink>(&self, engine: &mut Engine<S>) {
-        engine.set_naive_join(self.naive_join);
-        engine.set_unbatched(self.unbatched || engine.unbatched());
-        engine.set_no_trie(self.no_trie || engine.no_trie());
         if self.tracer.is_enabled() {
             engine.set_tracer(self.tracer.clone());
         }
@@ -321,8 +300,8 @@ impl Execution {
     }
 
     /// Opens a skeleton span around scheduling the log into an engine.
-    /// The log is configuration-independent, so the span and its event
-    /// count are deterministic.
+    /// The span and its event count depend on the log alone, so they are
+    /// deterministic.
     pub(crate) fn schedule_span(&self) -> Option<dp_trace::Span> {
         self.tracer.is_enabled().then(|| {
             self.tracer
@@ -367,9 +346,9 @@ impl Execution {
     /// number of events folded into it.
     ///
     /// The digest is the determinism fingerprint the simulation harness
-    /// leans on: replaying the same execution twice — or at different
-    /// join/trie/firing settings — must produce the same value,
-    /// because the stream itself is bit-identical in every configuration.
+    /// leans on: replaying the same execution twice, from memory or from
+    /// disk, straight through or across a restart, must produce the same
+    /// value — and so must [`Execution::reference_stream_digest`].
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
@@ -385,6 +364,16 @@ impl Execution {
         Ok((sink.digest(), sink.count))
     }
 
+    /// Runs the full log through the reference evaluator
+    /// ([`dp_ndlog::reference`]) instead of the engine, folding its
+    /// provenance stream through the same [`HashSink`]: the `(digest,
+    /// count)` pair [`Execution::stream_digest`] must equal.
+    pub fn reference_stream_digest(&self) -> Result<(u64, u64)> {
+        let mut sink = HashSink::default();
+        dp_ndlog::reference::evaluate(&self.program, &self.log.to_schedule(), &mut sink)?;
+        Ok((sink.digest(), sink.count))
+    }
+
     /// Replays a **clone** of this execution with `changes` applied
     /// (Section 4.6). Pure insertions are injected at `inject_at`, i.e.
     /// "shortly before they are needed for the first time".
@@ -393,9 +382,6 @@ impl Execution {
         let clone = Execution {
             program: Arc::clone(&self.program),
             log: patched,
-            naive_join: self.naive_join,
-            unbatched: self.unbatched,
-            no_trie: self.no_trie,
             tracer: self.tracer.clone(),
             metrics: self.metrics.clone(),
             provenance_backend: self.provenance_backend,
@@ -405,9 +391,10 @@ impl Execution {
     }
 
     /// Builds checkpoints by replaying once and snapshotting the quiescent
-    /// state after every `every` base events.
+    /// state after every `every` base events. `every == 0` is an error.
     pub fn build_checkpoints(&self, every: usize) -> Result<CheckpointStore> {
-        assert!(every > 0, "checkpoint interval must be positive");
+        let every = NonZeroUsize::new(every)
+            .ok_or_else(|| Error::Engine("checkpoint interval must be positive".into()))?;
         let mut store = CheckpointStore { snaps: Vec::new() };
         let mut engine = Engine::new(Arc::clone(&self.program), NullSink);
         self.configure(&mut engine);
@@ -499,10 +486,14 @@ impl Execution {
 
 /// The end of the chunk starting at `i` with nominal length `every`,
 /// extended so chunks break only on due-time boundaries — a snapshot cut
-/// must never split simultaneous events.
-pub(crate) fn chunk_end(events: &[crate::log::BaseEvent], i: usize, every: usize) -> usize {
-    assert!(every > 0, "checkpoint interval must be positive");
-    let mut end = (i + every).min(events.len());
+/// must never split simultaneous events. (A zero `every` would never
+/// advance, hence the type.)
+pub(crate) fn chunk_end(
+    events: &[crate::log::BaseEvent],
+    i: usize,
+    every: NonZeroUsize,
+) -> usize {
+    let mut end = (i + every.get()).min(events.len());
     while end < events.len() && events[end].due == events[end - 1].due {
         end += 1;
     }
@@ -744,6 +735,17 @@ mod tests {
             .graph()
             .episode_at(&TupleRef::new(n, tuple!("out", 11)), fast.now())
             .is_none());
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_an_error_not_a_panic() {
+        let err = execution()
+            .build_checkpoints(0)
+            .err()
+            .expect("a zero interval cannot make progress");
+        assert!(err.to_string().contains("interval must be positive"), "{err}");
+        // Also on an empty log, where the chunk loop never runs.
+        assert!(Execution::new(program()).build_checkpoints(0).is_err());
     }
 
     #[test]

@@ -435,9 +435,9 @@ impl Execution {
         let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
         self.configure(&mut engine);
         let mut i = 0;
-        if checkpoint_every > 0 {
+        if let Some(every) = std::num::NonZeroUsize::new(checkpoint_every) {
             while i < events.len() {
-                let end = crate::exec::chunk_end(&events, i, checkpoint_every);
+                let end = crate::exec::chunk_end(&events, i, every);
                 if end == events.len() {
                     break; // the newest interval is still open: tail, not a cut
                 }
@@ -489,8 +489,7 @@ impl Execution {
     /// [`Execution::spill_into`] returned — the stream the same
     /// checkpointing process produces when it is never killed. With no
     /// durable checkpoints the whole layer stack replays from scratch and
-    /// the reference is [`Execution::stream_digest`] itself. Both hold at
-    /// any engine configuration.
+    /// the reference is [`Execution::stream_digest`] itself.
     pub fn recovered_stream_digest(&self, store: &DurableStore) -> Result<(u64, u64)> {
         let timer = store_timer();
         let mut engine = match store.latest_checkpoint() {

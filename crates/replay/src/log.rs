@@ -253,6 +253,20 @@ impl EventLog {
         before - self.events.len()
     }
 
+    /// The whole log as the reference evaluator's input
+    /// ([`dp_ndlog::reference::evaluate`]), in replay order.
+    pub fn to_schedule(&self) -> Vec<dp_ndlog::ScheduledOp> {
+        self.events()
+            .iter()
+            .map(|e| dp_ndlog::ScheduledOp {
+                due: e.due,
+                node: e.node.clone(),
+                tuple: e.tuple.clone(),
+                delete: e.op == BaseOp::Delete,
+            })
+            .collect()
+    }
+
     /// Feeds the whole log (or the prefix with `due <= until`, if given)
     /// into an engine's schedule.
     pub fn schedule_into<S: dp_ndlog::ProvenanceSink>(

@@ -4,9 +4,10 @@
 //! recorder, replay, DiffProv — and checked against invariants that hold
 //! for *every* seed, not just the hand-built repro scenarios:
 //!
-//! 1. **Digest determinism** — replaying an execution twice, and under
-//!    tuple-at-a-time firing, the trie-disabled path, and the naive join
-//!    path, folds to one and the same provenance stream digest.
+//! 1. **Digest determinism** — replaying an execution twice through the
+//!    engine, and once through the reference evaluator
+//!    (`dp_ndlog::reference`), folds to one and the same provenance
+//!    stream digest.
 //! 2. **Graph well-formedness** — the recorded temporal provenance graph
 //!    obeys the vertex grammar and episode ordering
 //!    ([`dp_provenance::well_formedness_violations`]).
@@ -14,15 +15,15 @@
 //!    packet at the `dst` host, and nowhere else.
 //! 4. **Verdict invariance** — when the injections produce a diagnosable
 //!    misdelivery, DiffProv's verdict (success/failure, the change set,
-//!    round count, tree sizes) is identical under all four engine
-//!    configurations.
+//!    round count, tree sizes) is identical under both provenance
+//!    backends (see 7).
 //! 5. **Restart transparency** — a scenario with a `NodeRestart` replays
 //!    to a bit-identical stream when the engine is snapshotted and
 //!    restored at the cut.
 //! 6. **Duplicate invisibility** — a duplicated packet is absorbed by
 //!    idempotent base insertion: dropping the `DupPacket` injections from
 //!    the schedule must not change the bad execution's digest.
-//! 7. **Reconstruction equivalence** — the verdict-invariance leg also
+//! 7. **Reconstruction equivalence** — the verdict-invariance leg
 //!    runs the diagnosis with the compact annotation backend pinned
 //!    (`ProvBackend::Annot`), where every proof tree is *reconstructed*
 //!    by re-running rule bodies instead of extracted from a recorded
@@ -37,7 +38,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use diffprov_core::{DiffProv, QueryEvent};
-use dp_ndlog::testsupport::EngineConfig;
 use dp_ndlog::{Engine, ProvEvent, VecSink};
 use dp_provenance::well_formedness_violations;
 use dp_replay::{BaseOp, DurableStore, EventLog, Execution, ProvBackend};
@@ -98,20 +98,11 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
 
     // --- 1. Digest determinism -------------------------------------------
     let digests = |exec: &Execution| -> Result<Vec<(String, (u64, u64))>> {
-        let mut out = vec![
+        Ok(vec![
             ("base".to_string(), exec.stream_digest()?),
             ("rerun".to_string(), exec.stream_digest()?),
-        ];
-        let mut unbatched = exec.clone();
-        unbatched.unbatched = true;
-        out.push(("unbatched".to_string(), unbatched.stream_digest()?));
-        let mut no_trie = exec.clone();
-        no_trie.no_trie = true;
-        out.push(("no-trie".to_string(), no_trie.stream_digest()?));
-        let mut naive = exec.clone();
-        naive.naive_join = true;
-        out.push(("naive-join".to_string(), naive.stream_digest()?));
-        Ok(out)
+            ("reference".to_string(), exec.reference_stream_digest()?),
+        ])
     };
     let mut side_digest = [0u64; 2];
     for (side_idx, (side, exec)) in [("good", &sc.good), ("bad", &sc.bad)].iter().enumerate() {
@@ -236,28 +227,13 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
                 ),
                 u64::MAX,
             );
-            let mut reference: Option<(String, Vec<String>)> = None;
-            let mut configs: Vec<(String, Execution, Execution)> = EngineConfig::matrix()
-                .iter()
-                .map(|cfg| {
-                    let adapt = |exec: &Execution| {
-                        let mut e = exec.clone();
-                        e.naive_join = cfg.naive_join.unwrap_or(e.naive_join);
-                        e.unbatched = cfg.unbatched.unwrap_or(e.unbatched);
-                        e.no_trie = cfg.no_trie.unwrap_or(e.no_trie);
-                        e
-                    };
-                    (cfg.label.to_string(), adapt(&sc.good), adapt(&sc.bad))
-                })
-                .collect();
-            // Reconstruction equivalence: pin the annotation backend, so
-            // every tree the diagnosis consumes is reconstructed on demand
-            // instead of extracted from a recorded graph. The verdict must
-            // not move (and the graph-backend rows above double as the
-            // reference whenever `DP_PROV=annot` is ambient).
+            let mut reference: Option<(&str, Vec<String>)> = None;
+            // Reconstruction equivalence: with the annotation backend
+            // pinned, every tree the diagnosis consumes is reconstructed
+            // on demand instead of extracted from a recorded graph. The
+            // verdict must not move.
             let pinned = |exec: &Execution, backend: ProvBackend| {
                 let mut e = exec.clone();
-                e.unbatched = false;
                 e.provenance_backend = backend;
                 e
             };
@@ -265,19 +241,13 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
                 ("graph-backend", ProvBackend::Graph),
                 ("annot-reconstruction", ProvBackend::Annot),
             ] {
-                configs.push((
-                    label.to_string(),
-                    pinned(&sc.good, backend),
-                    pinned(&sc.bad, backend),
-                ));
-            }
-            for (label, good, bad) in &configs {
-                match DiffProv::default().diagnose(good, &good_event, bad, &bad_event) {
+                let (good, bad) = (pinned(&sc.good, backend), pinned(&sc.bad, backend));
+                match DiffProv::default().diagnose(&good, &good_event, &bad, &bad_event) {
                     Ok(r) => {
                         report.diagnosis_succeeded |= r.succeeded();
                         let verdict = render_verdict(&r);
                         match &reference {
-                            None => reference = Some((label.clone(), verdict)),
+                            None => reference = Some((label, verdict)),
                             Some((ref_label, ref_verdict)) => {
                                 if ref_verdict != &verdict {
                                     fail(
@@ -419,7 +389,7 @@ pub fn check_seed(seed: u64) -> BatteryReport {
     check_scenario(&generate_masked(seed, None))
 }
 
-/// The configuration-independent rendering of a DiffProv report that the
+/// The backend-independent rendering of a DiffProv report that the
 /// verdict-invariance leg compares: outcome, verification, round count,
 /// tree sizes, and the change set — everything except wall-clock metrics.
 fn render_verdict(r: &diffprov_core::Report) -> Vec<String> {
@@ -445,13 +415,13 @@ fn render_verdict(r: &diffprov_core::Report) -> Vec<String> {
 /// description, or `None` when the restarted stream is bit-identical.
 fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>> {
     let reference = {
-        let mut eng = batched_engine(exec);
+        let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
         schedule_range(&mut eng, &exec.log, None, None)?;
         eng.run()?;
         eng.into_sink().events
     };
     let mut restarted: Vec<ProvEvent> = Vec::new();
-    let mut eng = batched_engine(exec);
+    let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
     let mut prev: Option<LogicalTime> = None;
     for &cut in cuts {
         schedule_range(&mut eng, &exec.log, prev, Some(cut))?;
@@ -459,7 +429,6 @@ fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>>
         let snap = eng.snapshot()?;
         restarted.append(&mut eng.into_sink().events);
         eng = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default())?;
-        eng.set_unbatched(false);
         prev = Some(cut);
     }
     schedule_range(&mut eng, &exec.log, prev, None)?;
@@ -479,12 +448,6 @@ fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>>
         reference.len(),
         restarted.len()
     )))
-}
-
-fn batched_engine(exec: &Execution) -> Engine<VecSink> {
-    let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
-    eng.set_unbatched(false);
-    eng
 }
 
 /// Schedules the log events with `after < due <= until` into `eng`.

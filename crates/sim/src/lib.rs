@@ -10,8 +10,9 @@
 //! order flips the forwarding decision (the native good/bad pair). Each
 //! scenario runs end-to-end through the deterministic engine, the
 //! provenance recorder, the replay layer, and DiffProv, and is held to
-//! an invariant battery (see [`battery`]): stream-digest determinism
-//! across every engine configuration, provenance-graph well-formedness,
+//! an invariant battery (see [`battery`]): stream-digest agreement
+//! between the engine and its reference evaluator, provenance-graph
+//! well-formedness,
 //! verdict invariance of the diagnosis, restart transparency, and
 //! duplicate invisibility.
 //!

@@ -17,12 +17,12 @@
 //!
 //! * [`Class::Skeleton`] events are **deterministic**: their names, logical
 //!   timestamps, and argument values depend only on the program and its
-//!   input log — not on batching discipline or join access path. The
-//!   rendering produced by [`Trace::skeleton`] is bit-identical across all
-//!   engine configurations; the differential suites assert this.
-//! * [`Class::Effort`] events describe *how much work a particular
-//!   configuration did* (batch flushes, probe/scan counts). They are free
-//!   to differ between configurations and are excluded from the skeleton.
+//!   input log — not on how the engine batches or which access path a
+//!   join takes. The rendering produced by [`Trace::skeleton`] is
+//!   reproducible bit for bit; the differential suites assert this.
+//! * [`Class::Effort`] events describe *how much work the engine did*
+//!   (batch flushes, probe/scan counts). They would move with any change
+//!   to its batching or access paths and are excluded from the skeleton.
 //!
 //! Wall-clock durations are non-deterministic by nature and are therefore
 //! carried outside the skeleton on **every** event class.
@@ -50,11 +50,11 @@ use dp_types::{LogicalTime, SpanId, TraceId};
 /// Determinism class of a trace event. See the crate docs for the contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Class {
-    /// Deterministic: identical across engine configurations; part of the
-    /// diffable skeleton.
+    /// Deterministic: a function of the program and its input; part of
+    /// the diffable skeleton.
     Skeleton,
-    /// Configuration-dependent effort (batching, probes, scans);
-    /// excluded from the skeleton.
+    /// Effort the engine spent (batching, probes, scans); excluded from
+    /// the skeleton.
     Effort,
 }
 
@@ -529,7 +529,7 @@ impl Trace {
     /// event's kind, name, logical clock, and arguments — and nothing
     /// non-deterministic (no wall times, no span/trace ids, no effort
     /// events). Two runs of the same program on the same log produce
-    /// bit-identical skeletons in every engine configuration.
+    /// bit-identical skeletons.
     pub fn skeleton(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {

@@ -79,7 +79,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Stable FNV-1a checksum of a tuple's canonical encoding: the same
-/// value on every platform, every run, and every engine configuration.
+/// value on every platform and every run.
 /// This is what the metric HLL sketches hash, so distinct-tuple counts
 /// are comparable across runs and processes (a pointer- or
 /// `RandomState`-based hash would not be).

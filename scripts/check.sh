@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Full local gate: release build; the whole workspace suite under the
-# default engine and under each process-wide switch that selects a
-# reference path, an instrumentation system, a provenance backend, or a
-# store (seven passes); the diagbench package's own tests; the metrics
-# scrape smoke test; one fault-injection sweep; and lint-clean clippy.
+# Full local gate: release build; the whole workspace suite five times —
+# default, DP_TRACE, DP_METRICS (plus the metrics scrape smoke test),
+# DP_PROV=annot, DP_STORE=disk — one pass per process-wide switch that
+# turns on an instrumentation system or selects a provenance backend or a
+# store; the diagbench package's own tests; one fault-injection sweep; and
+# lint-clean clippy. There is one engine: it is checked against the
+# reference evaluator inside the suite (reference_differential.rs), not by
+# re-running the suite under another evaluation path.
 # Run from the repository root before sending a change out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,13 +17,6 @@ cargo build --release
 # cargo's fingerprints, so nothing is rebuilt between legs (a debug pass
 # here used to pay a full second compilation of the workspace).
 cargo test --release --workspace -q
-# The tuple-at-a-time reference path (DP_UNBATCHED=1 makes it the default
-# discipline; the differential suites still compare both explicitly).
-DP_UNBATCHED=1 cargo test --release --workspace -q
-# The prefix-trie join access path disabled (DP_NO_TRIE=1 forces every
-# trie-eligible step back onto the ordered scan), so the whole suite also
-# vouches for the fallback path.
-DP_NO_TRIE=1 cargo test --release --workspace -q
 # Full tracing as the process-wide default: every engine the suite builds
 # records spans and counters, and the differential suites (which compare
 # provenance streams byte-for-byte) double as the proof that tracing
@@ -56,9 +52,9 @@ rm -rf "${TMPDIR:-/tmp}"/dp-store-* 2>/dev/null || true
 # here instead of by the pipeline.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Fault-injection sweep: 32 generated scenarios through the dp-sim
-# invariant battery (digest determinism, graph well-formedness, verdict
-# invariance, restart transparency, duplicate invisibility, durable
-# recovery). Failing seeds are ddmin-shrunk into tests/corpus/
-# automatically.
+# invariant battery (digest determinism against the reference evaluator,
+# graph well-formedness, verdict invariance, restart transparency,
+# duplicate invisibility, durable recovery). Failing seeds are
+# ddmin-shrunk into tests/corpus/ automatically.
 cargo run --release -p dp-bench --bin repro -- sim --seeds 32
 cargo clippy --workspace --all-targets -- -D warnings

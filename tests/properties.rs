@@ -6,13 +6,15 @@
 //! each test is an exhaustive seeded sweep, fully reproducible.
 
 use diffprov::core::{DiffProv, Formula, QueryEvent};
-use diffprov::ndlog::{BinOp, Engine, Env, Expr, NullSink, Program};
+use diffprov::ndlog::{
+    reference, BinOp, Engine, Env, Expr, NodeState, NullSink, Program, TupleState, VecSink,
+};
 use diffprov::netcore::{compile, to_cfg_entries, Action, Policy, Pred};
 use diffprov::replay::Execution;
 use diffprov::sdn::{deliver_at, pkt_in, sdn_program, Topology};
 use diffprov::types::prefix::{cidr, ip, Prefix};
 use diffprov::types::{
-    tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, Sym, TableKind, Value,
+    tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, Sym, TableKind, Tuple, Value,
 };
 use std::sync::Arc;
 
@@ -222,15 +224,16 @@ fn deletion_drains_derived_state() {
     }
 }
 
-/// DiffProv's tree diff is invariant under the engine's firing discipline:
-/// diagnosing the policy-debugging scenario over batched and tuple-at-a-
-/// time replays yields the identical report — same change set, same
-/// verification outcome, same rendering.
+/// DiffProv's diagnosis stands on an execution the engine's batching
+/// cannot have bent: the policy-debugging scenario diagnoses to the one
+/// expected fix, and on that same execution the batched engine's
+/// provenance stream and final tables are exactly the tuple-at-a-time
+/// reference evaluator's.
 #[test]
 fn diffprov_report_is_invariant_under_batching() {
     // The SDN1 policy network with the /24-instead-of-/23 predicate bug
     // (same build as tests/policy_debugging.rs).
-    let build = |unbatched: bool| -> Execution {
+    let exec = {
         let mut topo = Topology::new("ctl");
         topo.switches(&["S1", "S2", "S6"]);
         topo.link("S1", "S2");
@@ -250,7 +253,6 @@ fn diffprov_report_is_invariant_under_batching() {
         ]);
         let program = sdn_program("ctl").expect("program builds");
         let mut exec = Execution::new(program);
-        exec.unbatched = unbatched;
         topo.emit(&mut exec.log, 10);
         let ctl = NodeId::new("ctl");
         for (sw, rid, policy) in [("S1", 100, &s1), ("S2", 200, &s2), ("S6", 600, &s6)] {
@@ -266,18 +268,34 @@ fn diffprov_report_is_invariant_under_batching() {
     let dst = ip("10.0.0.80");
     let good = QueryEvent::new(deliver_at("web1", 1, ip("4.3.2.1"), dst, 6, 512), u64::MAX);
     let bad = QueryEvent::new(deliver_at("web2", 2, ip("4.3.3.1"), dst, 6, 512), u64::MAX);
-    let renderings: Vec<String> = [false, true]
-        .into_iter()
-        .map(|unbatched| {
-            let exec = build(unbatched);
-            let report = DiffProv::default().diagnose(&exec, &good, &exec, &bad).unwrap();
-            assert!(report.succeeded(), "unbatched={unbatched}: {report}");
-            assert!(report.verified, "unbatched={unbatched}");
-            assert_eq!(report.delta.len(), 1, "unbatched={unbatched}: {report}");
-            let fix = report.delta[0].after.as_ref().unwrap();
-            assert_eq!(fix.args[3], Value::Prefix(cidr("4.3.2.0/23")));
-            format!("{report}")
-        })
-        .collect();
-    assert_eq!(renderings[0], renderings[1], "reports must not depend on batching");
+    let report = DiffProv::default().diagnose(&exec, &good, &exec, &bad).unwrap();
+    assert!(report.succeeded(), "{report}");
+    assert!(report.verified);
+    assert_eq!(report.delta.len(), 1, "{report}");
+    let fix = report.delta[0].after.as_ref().unwrap();
+    assert_eq!(fix.args[3], Value::Prefix(cidr("4.3.2.0/23")));
+
+    fn flatten<'a>(
+        nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>,
+    ) -> Vec<(NodeId, Tuple, TupleState)> {
+        nodes
+            .flat_map(|(n, st)| st.all().map(move |(t, s)| (n.clone(), t.clone(), s.clone())))
+            .collect()
+    }
+    let mut engine = Engine::new(exec.program.clone(), VecSink::default());
+    exec.log.schedule_into(&mut engine, None).unwrap();
+    engine.run().unwrap();
+    let mut oracle_stream = VecSink::default();
+    let oracle_nodes =
+        reference::evaluate(&exec.program, &exec.log.to_schedule(), &mut oracle_stream).unwrap();
+    assert_eq!(
+        flatten(engine.nodes()),
+        flatten(oracle_nodes.iter()),
+        "final tables must not depend on batching"
+    );
+    assert_eq!(
+        engine.into_sink().events,
+        oracle_stream.events,
+        "the stream must not depend on batching"
+    );
 }

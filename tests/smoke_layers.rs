@@ -1,6 +1,6 @@
 //! Tier-1 smoke test of the layers the workspace suites cover in depth:
-//! one small SDN scenario (SDN1) through every surviving evaluation
-//! path, both provenance backends, both stores, and a restart. `cargo
+//! one small SDN scenario (SDN1) through the engine and its reference
+//! evaluator, both provenance backends, both stores, and a restart. `cargo
 //! test -q` builds only the facade package, so without this file nothing
 //! in Tier-1 would notice an engine, recorder, or store change going
 //! wrong; the full differentials stay in `crates/*/tests` behind
@@ -17,21 +17,13 @@ fn execution() -> Execution {
     sdn::sdn1().bad_exec
 }
 
-/// The three reference paths are stream-identical to the default engine.
+/// The reference evaluator's stream is the engine's, event for event.
 #[test]
 fn reference_paths_digest_the_default_stream() {
     let exec = execution();
     let want = exec.stream_digest().unwrap();
     assert!(want.1 > 0, "empty provenance stream");
-    let mut unbatched = exec.clone();
-    unbatched.unbatched = true;
-    let mut no_trie = exec.clone();
-    no_trie.no_trie = true;
-    let mut naive = exec;
-    naive.naive_join = true;
-    for (label, e) in [("unbatched", unbatched), ("no_trie", no_trie), ("naive_join", naive)] {
-        assert_eq!(want, e.stream_digest().unwrap(), "{label} diverges");
-    }
+    assert_eq!(want, exec.reference_stream_digest().unwrap());
 }
 
 /// Reconstructed (annotation) trees render exactly like extracted
