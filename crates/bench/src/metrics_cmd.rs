@@ -1,13 +1,10 @@
 //! `repro -- metrics <scenario>` / `repro -- serve-metrics <scenario>` /
-//! `repro -- metrics-smoke`: the command-line surfaces of the dp-metrics
-//! registry.
+//! `repro -- metrics-smoke`: the exposition renderings of the one
+//! instrumentation aggregate ([`dp_trace::Aggregate`]).
 //!
-//! * `metrics <scenario>` replays both executions of the scenario, each
-//!   with its **own** private registry, folds them into one master via
-//!   [`Metrics::absorb`] (the same merge path a multi-process deployment
-//!   would use — counters and histograms add, sketches take the register
-//!   max), and prints the JSON snapshot plus the Prometheus text
-//!   exposition.
+//! * `metrics <scenario>` replays both executions of the scenario and
+//!   runs one diagnosis, all reporting to one aggregate-only tracer, and
+//!   prints the aggregate as JSON plus the Prometheus text exposition.
 //! * `serve-metrics <scenario>` binds a std-only HTTP endpoint
 //!   ([`MetricsServer`]) and keeps replaying the scenario on a worker
 //!   thread so `curl /metrics` observes counters moving live; `GET
@@ -15,7 +12,7 @@
 //! * `metrics-smoke` is the in-process end-to-end check the CI script
 //!   runs: server on an ephemeral port, workload on a worker thread, a
 //!   scrape loop that validates every body with
-//!   [`dp_metrics::validate_exposition`], key-metric assertions, and a
+//!   [`dp_trace::validate_exposition`], key-series assertions, and a
 //!   clean HTTP-initiated shutdown.
 
 use std::io::{Read as _, Write as _};
@@ -24,42 +21,43 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use diffprov_core::Scenario;
-use dp_metrics::{render_prometheus, validate_exposition, Metrics, MetricsServer, Snapshot};
+use diffprov_core::{DiffProv, Scenario};
+use dp_trace::{render_prometheus, validate_exposition, Aggregate, MetricsServer, Tracer};
 use dp_types::{Error, Result};
 
-/// Replays both executions of `scenario`, each against a private live
-/// registry, and merges the two snapshots (plus whatever the process-global
-/// registry gathered, when `DP_METRICS=1` enabled it) into one.
-///
-/// The per-execution registries are deliberate: they exercise
-/// [`Metrics::absorb`], the cross-registry merge path, on every invocation
-/// rather than only in unit tests.
-pub fn scenario_snapshot(scenario: &Scenario) -> Result<Snapshot> {
-    let master = Metrics::enabled();
-    for exec in [&scenario.good_exec, &scenario.bad_exec] {
+/// Replays both executions of `scenario` with one tracer cloned into
+/// them and extracts each one's event tree — engine, recorder,
+/// extraction and (under `StoreMode::Disk`) store series — then
+/// diagnoses the scenario with the same tracer as the pipeline's, for
+/// the `diffprov.*` series. The diagnosis replays the scenario's own,
+/// untraced executions, so every engine counter reads exactly the two
+/// replays above.
+pub fn scenario_aggregate(scenario: &Scenario) -> Result<Aggregate> {
+    let tracer = Tracer::aggregate_only();
+    for (exec, event) in [
+        (&scenario.good_exec, &scenario.good_event),
+        (&scenario.bad_exec, &scenario.bad_event),
+    ] {
         let mut exec = exec.clone();
-        let private = Metrics::enabled();
-        exec.metrics = private.clone();
-        exec.replay()?;
-        master.absorb(&private.snapshot());
+        exec.tracer = tracer.clone();
+        exec.replay()?.query_at(&event.tref, event.at);
     }
-    if Metrics::global().is_enabled() {
-        // Under DP_METRICS=1 the store/recorder/pipeline layers metered
-        // the process-global registry during those replays; fold it in.
-        master.absorb(&Metrics::global().snapshot());
-    }
-    Ok(master.snapshot())
+    let dp = DiffProv {
+        tracer: tracer.clone(),
+        ..DiffProv::default()
+    };
+    scenario.diagnose_with(&dp)?;
+    Ok(tracer.aggregate())
 }
 
-/// Renders the one-shot `metrics <scenario>` report: the JSON snapshot
+/// Renders the one-shot `metrics <scenario>` report: the JSON rendering
 /// followed by the Prometheus text exposition (validated before printing,
 /// so a malformed exposition fails loudly here rather than at scrape time).
 pub fn one_shot(scenario: &Scenario) -> Result<String> {
-    let snap = scenario_snapshot(scenario)?;
-    let prom = render_prometheus(&snap);
+    let agg = scenario_aggregate(scenario)?;
+    let prom = render_prometheus(&agg);
     validate_exposition(&prom).map_err(|e| Error::Engine(format!("bad exposition: {e}")))?;
-    Ok(format!("{}\n{}", snap.to_json(), prom))
+    Ok(format!("{}\n{}", agg.to_json(), prom))
 }
 
 /// Serves `/metrics` on `addr` while a worker thread replays `scenario` in
@@ -67,14 +65,14 @@ pub fn one_shot(scenario: &Scenario) -> Result<String> {
 /// (or [`MetricsServer::shutdown`] via Ctrl-C-less automation), reporting
 /// how many replay rounds the workload completed.
 pub fn serve(scenario: &Scenario, addr: &str) -> Result<u64> {
-    let metrics = Metrics::enabled();
-    let server = MetricsServer::serve(metrics.clone(), addr)
+    let tracer = Tracer::aggregate_only();
+    let server = MetricsServer::serve(tracer.clone(), addr)
         .map_err(|e| Error::Engine(format!("binding {addr}: {e}")))?;
     println!(
         "  serving http://{0}/metrics  (also /metrics.json, /healthz; GET /shutdown stops)",
         server.local_addr()
     );
-    let (worker, stop) = spawn_workload(scenario, &metrics);
+    let (worker, stop) = spawn_workload(scenario, &tracer);
     while !server.stop_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -90,11 +88,11 @@ pub fn serve(scenario: &Scenario, addr: &str) -> Result<u64> {
 /// and shut down over HTTP. Exits nonzero (via the returned error) on any
 /// failure.
 pub fn smoke(scenario: &Scenario) -> Result<()> {
-    let metrics = Metrics::enabled();
-    let server = MetricsServer::serve(metrics.clone(), "127.0.0.1:0")
+    let tracer = Tracer::aggregate_only();
+    let server = MetricsServer::serve(tracer.clone(), "127.0.0.1:0")
         .map_err(|e| Error::Engine(format!("binding ephemeral port: {e}")))?;
     let addr = server.local_addr();
-    let (worker, stop) = spawn_workload(scenario, &metrics);
+    let (worker, stop) = spawn_workload(scenario, &tracer);
 
     let mut scrapes = 0u32;
     let mut last_events = 0u64;
@@ -130,16 +128,16 @@ pub fn smoke(scenario: &Scenario) -> Result<()> {
     stop.store(true, Ordering::SeqCst);
     let rounds = worker.join().map_err(|_| worker_panic())??;
 
-    // The workload must have actually registered: events counted, the
-    // run-time histogram populated, and the tuple sketch non-empty.
-    let snap = metrics.snapshot();
-    if snap.counter_value("dp_engine_events_total", &[]) == 0 {
-        return Err(Error::Engine("no engine events metered".into()));
+    // The workload must have actually reported: events counted, the
+    // run span timed, and the tuple sketch non-empty.
+    let agg = tracer.aggregate();
+    if agg.counter("engine.events") == 0 {
+        return Err(Error::Engine("no engine events counted".into()));
     }
-    if snap.histogram("dp_engine_run_seconds", &[]).is_none() {
-        return Err(Error::Engine("dp_engine_run_seconds never observed".into()));
+    if agg.span_count("engine.run") == 0 {
+        return Err(Error::Engine("engine.run never timed".into()));
     }
-    if snap.hll_estimate("dp_engine_distinct_tuples", &[]) < 1.0 {
+    if agg.sketch_estimate("engine.distinct_tuples") < 1.0 {
         return Err(Error::Engine("distinct-tuple sketch is empty".into()));
     }
     if last_events == 0 {
@@ -156,22 +154,22 @@ pub fn smoke(scenario: &Scenario) -> Result<()> {
     println!(
         "  metrics-smoke: {scrapes} valid scrapes over {rounds} replay round(s); \
          {} families, ~{:.0} distinct tuples; HTTP shutdown clean",
-        snap.families.len(),
-        snap.hll_estimate("dp_engine_distinct_tuples", &[])
+        render_prometheus(&agg).matches("# TYPE").count(),
+        agg.sketch_estimate("engine.distinct_tuples")
     );
     Ok(())
 }
 
 /// Spawns the serve/smoke workload: replay `scenario`'s bad execution in a
-/// loop against `metrics` until `stop` is raised; returns the round count.
+/// loop against `tracer` until `stop` is raised; returns the round count.
 fn spawn_workload(
     scenario: &Scenario,
-    metrics: &Metrics,
+    tracer: &Tracer,
 ) -> (std::thread::JoinHandle<Result<u64>>, Arc<AtomicBool>) {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_worker = Arc::clone(&stop);
     let mut exec = scenario.bad_exec.clone();
-    exec.metrics = metrics.clone();
+    exec.tracer = tracer.clone();
     let handle = std::thread::spawn(move || -> Result<u64> {
         let mut rounds = 0u64;
         while !stop_worker.load(Ordering::SeqCst) {
@@ -219,38 +217,71 @@ fn get(addr: SocketAddr, path: &str) -> Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::trace_cmd::find_scenario;
+    use dp_replay::StoreMode;
 
-    /// The one-shot report carries both surfaces, and the merged registry
-    /// shows engine activity from both executions.
+    /// From a clean environment the one-shot report carries both
+    /// renderings and every layer's families — engine, recorder,
+    /// extraction, pipeline — not the engine's alone.
     #[test]
-    fn one_shot_report_shape() {
+    fn one_shot_report_covers_every_layer() {
         let scenario = find_scenario("SDN1").unwrap();
-        let snap = scenario_snapshot(&scenario).unwrap();
-        assert!(snap.counter_value("dp_engine_events_total", &[]) > 0);
-        assert!(snap.histogram("dp_engine_run_seconds", &[]).is_some());
-        assert!(snap.hll_estimate("dp_engine_distinct_tuples", &[]) >= 1.0);
         let text = one_shot(&scenario).unwrap();
-        assert!(text.starts_with('{'), "{text}");
-        assert!(text.contains("# TYPE dp_engine_events_total counter"), "{text}");
+        assert!(text.starts_with("{\"families\":["), "{text}");
+        for family in [
+            "dp_engine_events_total counter",
+            "dp_engine_run_seconds histogram",
+            "dp_engine_distinct_tuples gauge",
+            "dp_prov_events_total counter",
+            "dp_prov_live_records gauge",
+            "dp_prov_extract_seconds histogram",
+            "dp_prov_tree_vertices histogram",
+            "dp_diffprov_diagnoses_total counter",
+            "dp_diffprov_rounds_total counter",
+            "dp_diffprov_find_seeds_seconds histogram",
+            "dp_diffprov_delta_changes histogram",
+        ] {
+            assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
+        }
+        assert!(text.contains("dp_diffprov_diagnoses_total{outcome=\"verified\"} 1\n"), "{text}");
     }
 
-    /// Merging two per-execution registries at least sums the event
-    /// counters of the individual replays.
+    /// The engine counters read the two replays and nothing else: the
+    /// diagnosis riding along on the same tracer replays untraced.
     #[test]
-    fn absorb_merges_both_executions() {
+    fn engine_counters_read_exactly_the_two_replays() {
         let scenario = find_scenario("SDN1").unwrap();
-        let solo = {
-            let mut exec = scenario.bad_exec.clone();
-            let m = Metrics::enabled();
-            exec.metrics = m.clone();
-            exec.replay().unwrap();
-            m.snapshot().counter_value("dp_engine_events_total", &[])
-        };
-        let merged = scenario_snapshot(&scenario)
-            .unwrap()
-            .counter_value("dp_engine_events_total", &[]);
-        assert!(solo > 0);
-        assert!(merged > solo, "merged {merged} vs solo {solo}");
+        let events = |exec: &dp_replay::Execution| exec.replay().unwrap().engine.stats().events;
+        let agg = scenario_aggregate(&scenario).unwrap();
+        assert_eq!(
+            agg.counter("engine.events"),
+            events(&scenario.good_exec) + events(&scenario.bad_exec)
+        );
+        assert_eq!(agg.span_count("engine.run"), 2);
+    }
+
+    /// A durable replay reports its temp store on the execution's tracer.
+    #[test]
+    fn durable_replay_reports_the_store_families() {
+        let scenario = find_scenario("SDN1").unwrap();
+        let tracer = Tracer::aggregate_only();
+        let mut exec = scenario.bad_exec.clone();
+        exec.tracer = tracer.clone();
+        exec.store_mode = StoreMode::Disk;
+        exec.replay().unwrap();
+        let agg = tracer.aggregate();
+        assert_eq!(agg.counter("store.sealed_events"), exec.log.len() as u64);
+        assert!(agg.level("store.layer_files") > 0 && agg.level("store.layer_bytes") > 0);
+        let text = render_prometheus(&agg);
+        for family in [
+            "dp_store_seal_seconds histogram",
+            "dp_store_sealed_events_total counter",
+            "dp_store_layer_files gauge",
+            "dp_store_layer_bytes gauge",
+            "dp_store_checkpoint_files gauge",
+            "dp_store_checkpoint_bytes gauge",
+        ] {
+            assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
+        }
     }
 
     /// The full smoke path passes in-process.

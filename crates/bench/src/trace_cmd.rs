@@ -139,31 +139,33 @@ pub fn summary(run: &TraceRun) -> String {
 
     let _ = writeln!(s, "\n  span totals:");
     let mut spans: Vec<_> = agg.spans.iter().collect();
-    spans.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
+    spans.sort_by(|a, b| b.1.sum.cmp(&a.1.sum).then(a.0.cmp(b.0)));
     for (name, st) in spans {
         let _ = writeln!(
             s,
-            "    {:<24} x{:<6} {:>10.3} ms  (mean {:>8.1} µs)",
+            "    {:<28} x{:<6} {:>10.3} ms  (mean {:>8.1} µs)",
             name,
             st.count,
-            ms(st.total_ns),
-            st.mean_ns() as f64 / 1e3
+            ms(st.sum),
+            st.mean() as f64 / 1e3
         );
     }
 
-    // rule.candidates.<r> counts every tuple pairing a join examined for
-    // rule <r> — the paper's measure of join effort.
+    // engine.rule_candidates{rule=<r>} counts every tuple pairing a join
+    // examined for rule <r> — the paper's measure of join effort.
     let mut rules: BTreeMap<&str, [u64; 4]> = BTreeMap::new();
     for (name, v) in &agg.counters {
-        if let Some(r) = name.strip_prefix("rule.candidates.") {
-            rules.entry(r).or_default()[0] = *v;
-        } else if let Some(r) = name.strip_prefix("rule.matches.") {
-            rules.entry(r).or_default()[1] = *v;
-        } else if let Some(r) = name.strip_prefix("rule.fired.") {
-            rules.entry(r).or_default()[2] = *v;
-        } else if let Some(r) = name.strip_prefix("rule.attempts.") {
-            rules.entry(r).or_default()[3] = *v;
-        }
+        let (family, Some(("rule", r))) = dp_trace::split_series(name) else {
+            continue;
+        };
+        let column = match family {
+            "engine.rule_candidates" => 0,
+            "engine.rule_matches" => 1,
+            "engine.rule_fired" => 2,
+            "engine.rule_attempts" => 3,
+            _ => continue,
+        };
+        rules.entry(r).or_default()[column] = *v;
     }
     let mut rows: Vec<_> = rules.into_iter().collect();
     rows.sort_by(|a, b| b.1[0].cmp(&a.1[0]).then(a.0.cmp(b.0)));

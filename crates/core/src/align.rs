@@ -67,13 +67,14 @@ pub struct DiffProv {
     pub map_seed_nodes: bool,
     /// Tracer for the pipeline-stage spans (`diffprov.replay`,
     /// `diffprov.find_seeds`, `diffprov.detect_divergence`,
-    /// `diffprov.make_appear`, `diffprov.update_tree`, `diffprov.verify`).
-    /// When disabled (the default), [`DiffProv::diagnose`] still times
-    /// itself through a private aggregate-only tracer — the
-    /// [`Metrics`] breakdown is *always* derived from span aggregates, so
-    /// metrics and traces cannot disagree. The pipeline spans are
-    /// deterministic ([`dp_trace::Class::Skeleton`]): their sequence
-    /// depends only on the executions and events under diagnosis.
+    /// `diffprov.make_appear`, `diffprov.update_tree`, `diffprov.verify`)
+    /// and each diagnosis's outcome, round count, tree sizes and
+    /// change-set size. When disabled (the default),
+    /// [`DiffProv::diagnose`] still times itself through a private
+    /// aggregate-only tracer — the [`Metrics`] breakdown is *always* read
+    /// off the span aggregate. The pipeline spans are deterministic
+    /// ([`dp_trace::Class::Skeleton`]): their sequence depends only on the
+    /// executions and events under diagnosis.
     pub tracer: Tracer,
 }
 
@@ -209,7 +210,7 @@ impl DiffProv {
                     bad: Tuple::clone(&bad_seed.tuple),
                 });
                 report.metrics = Metrics::from_aggregate_delta(&agg0, &tracer.aggregate());
-                observe_report(&report);
+                self.publish(&report);
                 return Ok(report);
             }
         };
@@ -354,62 +355,34 @@ impl DiffProv {
             }
         }
         report.metrics = Metrics::from_aggregate_delta(&agg0, &tracer.aggregate());
-        observe_report(&report);
+        self.publish(&report);
         Ok(report)
     }
 }
 
-/// Folds one finished diagnosis into the process-wide metrics registry.
-///
-/// The per-phase timing is read back off [`Report::metrics`] — which is
-/// itself derived from the span aggregate — so the trace surface and the
-/// metrics surface can never disagree about where DiffProv spent its time
-/// (there is exactly one producer for each quantity). No-op when
-/// `DP_METRICS` is off.
-fn observe_report(report: &Report) {
-    let m = dp_metrics::Metrics::global();
-    if !m.is_enabled() {
-        return;
+impl DiffProv {
+    /// Publishes one finished diagnosis on the caller's tracer: outcome,
+    /// rounds, tree sizes and change-set size. (Phase times need no
+    /// publishing — they are the `diffprov.*` span histograms the report's
+    /// own breakdown is read from.) Nothing is published to the private
+    /// tracer an uninstrumented diagnosis times itself with.
+    fn publish(&self, report: &Report) {
+        let outcome = if report.failure.is_some() {
+            "diffprov.diagnoses{outcome=failed}"
+        } else if report.verified {
+            "diffprov.diagnoses{outcome=verified}"
+        } else {
+            "diffprov.diagnoses{outcome=unverified}"
+        };
+        self.tracer.counter(outcome, Class::Skeleton, 1);
+        self.tracer
+            .counter("diffprov.rounds", Class::Skeleton, report.rounds.len() as u64);
+        self.tracer.update(|agg| {
+            agg.observe_size("diffprov.tree_vertices{side=good}", report.good_tree_size as u64);
+            agg.observe_size("diffprov.tree_vertices{side=bad}", report.bad_tree_size as u64);
+            agg.observe_size("diffprov.delta_changes", report.delta.len() as u64);
+        });
     }
-    let outcome = if report.failure.is_some() {
-        "failed"
-    } else if report.verified {
-        "verified"
-    } else {
-        "unverified"
-    };
-    m.counter_with(
-        "dp_diffprov_diagnoses_total",
-        "DiffProv diagnoses by outcome.",
-        &[("outcome", outcome)],
-    )
-    .inc();
-    m.counter(
-        "dp_diffprov_rounds_total",
-        "Alignment rounds across all diagnoses.",
-    )
-    .add(report.rounds.len() as u64);
-    let phase_help = "Time spent per DiffProv pipeline phase.";
-    for (phase, d) in [
-        ("replay", report.metrics.replay),
-        ("find_seeds", report.metrics.find_seeds),
-        ("detect_divergence", report.metrics.detect_divergence),
-        ("make_appear", report.metrics.make_appear),
-        ("update_tree", report.metrics.update_tree),
-    ] {
-        m.time_histogram_with("dp_diffprov_phase_seconds", phase_help, &[("phase", phase)])
-            .observe_duration(d);
-    }
-    let size_help = "Vertex count of the provenance trees under diagnosis.";
-    m.size_histogram_with("dp_diffprov_tree_vertices", size_help, &[("side", "good")])
-        .observe(report.good_tree_size as u64);
-    m.size_histogram_with("dp_diffprov_tree_vertices", size_help, &[("side", "bad")])
-        .observe(report.bad_tree_size as u64);
-    m.size_histogram(
-        "dp_diffprov_delta_changes",
-        "Size of the estimated root-cause change set per diagnosis.",
-    )
-    .observe(report.delta.len() as u64);
 }
 
 /// The logical due time at which the bad seed was inserted (used to inject

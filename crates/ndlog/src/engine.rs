@@ -86,8 +86,7 @@ use std::sync::Arc;
 
 pub mod snapshot;
 
-use dp_metrics::Metrics;
-use dp_trace::{Class, Tracer};
+use dp_trace::{series, Class, HllCell, Tracer};
 use dp_types::{
     Error, LogicalTime, NodeId, Prefix, PrefixTrie, Result, Sym, TableKind, Tuple, TupleRef,
     TupleStore, Value,
@@ -833,14 +832,13 @@ pub struct Engine<S: ProvenanceSink> {
     live_tuples: u64,
     rule_firings: BTreeMap<Sym, u64>,
     join_profile: BTreeMap<Sym, RuleJoinProfile>,
-    /// Trace sink (disabled by default; see [`Engine::set_tracer`]).
+    /// The instrumentation handle (disabled by default; see
+    /// [`Engine::set_tracer`]).
     tracer: Tracer,
-    /// Live-metrics registry handle (the `DP_METRICS` global unless
-    /// injected; see [`Engine::set_metrics`]).
-    metrics: Metrics,
-    /// Hot-path metric handles, pre-registered so per-batch updates are
-    /// pure atomic ops. `None` exactly when `metrics` is disabled.
-    meters: Option<EngineMeters>,
+    /// Sketch over the flow identities (IP-field hashes) of scheduled base
+    /// tuples: plain memory, fed only while the tracer is enabled and
+    /// handed to it at quiescence.
+    flows: Option<HllCell>,
     /// Appearances of the current same-`due` batch, awaiting their rule
     /// firings (always empty at quiescence).
     pending: Vec<Delta>,
@@ -850,60 +848,9 @@ pub struct Engine<S: ProvenanceSink> {
     pub max_events: u64,
 }
 
-/// Pre-registered `dp-metrics` handles for the engine's per-batch hot
-/// path. Quiescence-summary counters are looked up by name per run (one
-/// registration-mutex hold each — negligible at run granularity); these
-/// are the ones touched per flush or per scheduled event, cached so an
-/// enabled registry costs atomic ops only.
-struct EngineMeters {
-    /// Wall time of each [`Engine::run`] to quiescence.
-    run_seconds: dp_metrics::Histogram,
-    /// Deltas per batch flush.
-    batch_deltas: dp_metrics::Histogram,
-    /// Scheduled events awaiting dispatch, sampled at each flush.
-    queue_depth: dp_metrics::Gauge,
-    /// HLL sketch over stable hashes of every distinct interned tuple.
-    distinct_tuples: dp_metrics::Hll,
-    /// HLL sketch over flow identities (IP-field hashes) of scheduled
-    /// base tuples that carry IP fields.
-    distinct_flows: dp_metrics::Hll,
-}
-
-impl EngineMeters {
-    /// Registers the hot-path instruments; `None` on a disabled handle.
-    fn register(metrics: &Metrics) -> Option<Self> {
-        if !metrics.is_enabled() {
-            return None;
-        }
-        Some(EngineMeters {
-            run_seconds: metrics.time_histogram(
-                "dp_engine_run_seconds",
-                "Wall time of each engine run to quiescence",
-            ),
-            batch_deltas: metrics.size_histogram(
-                "dp_engine_batch_deltas",
-                "Appearance deltas fired per batch flush",
-            ),
-            queue_depth: metrics.gauge(
-                "dp_engine_queue_depth",
-                "Scheduled events awaiting dispatch, sampled at each flush",
-            ),
-            distinct_tuples: metrics.hll(
-                "dp_engine_distinct_tuples",
-                "HLL estimate of distinct interned tuples (stable content hash)",
-            ),
-            distinct_flows: metrics.hll(
-                "dp_engine_distinct_flows",
-                "HLL estimate of distinct flows among scheduled base tuples (IP-field hash)",
-            ),
-        })
-    }
-}
-
 impl<S: ProvenanceSink> Engine<S> {
     /// Creates an engine over `program`, streaming provenance into `sink`.
     pub fn new(program: Arc<Program>, sink: S) -> Self {
-        let metrics = Metrics::global().clone();
         Engine {
             program,
             nodes: BTreeMap::new(),
@@ -919,8 +866,7 @@ impl<S: ProvenanceSink> Engine<S> {
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
             tracer: Tracer::from_env(),
-            meters: EngineMeters::register(&metrics),
-            metrics,
+            flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             max_events: 50_000_000,
@@ -958,23 +904,24 @@ impl<S: ProvenanceSink> Engine<S> {
         1
     }
 
-    /// Attaches a tracer (`dp-trace`). Engines trace at phase granularity
-    /// only — never per tuple or per join step — so an enabled tracer
-    /// costs a handful of mutex-guarded appends per batch:
+    /// Attaches the instrumentation handle (`dp-trace`). Engines report
+    /// at phase granularity only — never per tuple or per join step — so
+    /// an enabled tracer costs a handful of mutex-guarded updates per
+    /// batch:
     ///
     /// * a `Class::Skeleton` `engine.run` span per [`Engine::run`], ticked
-    ///   by an `engine.tick` instant at every completed due-group and
-    ///   closed with a deterministic counter snapshot (events, deriva-
-    ///   tions, per-rule firings and matches, per-node live tuples);
+    ///   by an `engine.tick` instant at every completed due-group; at
+    ///   quiescence the run's [`Stats`] deltas, per-rule firings and join
+    ///   effort, per-node live counts and the distinct-tuple/flow sketches
+    ///   are published once, from the one table in `publish_run`;
     /// * `Class::Effort` spans around each batch flush (`engine.flush`,
-    ///   `engine.fire`, `engine.sink`) and effort counters (probes, scans,
-    ///   trie decisions, candidates, batching) that describe how the
-    ///   engine got there, not what the program computed.
+    ///   `engine.fire`, `engine.sink`); the batch-depth histogram and the
+    ///   queue-depth level ride the close of `engine.flush`.
     ///
-    /// The skeleton rendering of the resulting trace depends only on the
-    /// program and its input; `crates/ndlog/tests/trace_differential.rs`
-    /// pins that, and that tracing never perturbs the provenance stream.
-    /// The default tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
+    /// Instrumentation is strictly passive, and the skeleton rendering of
+    /// the resulting trace depends only on the program and its input;
+    /// `crates/ndlog/tests/trace_differential.rs` pins both. The default
+    /// tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
     /// aggregate-only, anything else full recording), read once per
     /// process. Cloning one tracer into several engines (and the DiffProv
     /// pipeline) interleaves their events in a single stream.
@@ -986,28 +933,6 @@ impl<S: ProvenanceSink> Engine<S> {
     /// [`Engine::set_tracer`] was called).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Attaches a live-metrics registry handle (`dp-metrics`).
-    ///
-    /// Engines default to [`Metrics::global`] — enabled process-wide by
-    /// `DP_METRICS=1`, disabled (one branch per update site) otherwise.
-    /// Metrics are strictly passive: semantic counters mirror the
-    /// quiescence deltas the tracer reports, hot-path instruments
-    /// (batch-depth histograms, queue gauge, HLL sketches) are cached
-    /// atomics, and nothing observable about evaluation — streams,
-    /// firings, fixpoints, the trace skeleton — moves when the registry
-    /// is enabled. `crates/ndlog/tests/metrics_differential.rs` pins
-    /// that.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.meters = EngineMeters::register(&metrics);
-        self.metrics = metrics;
-    }
-
-    /// The engine's metrics handle (the `DP_METRICS` global unless
-    /// [`Engine::set_metrics`] was called).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Consumes the engine, returning its sink (e.g. a finished graph
@@ -1085,7 +1010,6 @@ impl<S: ProvenanceSink> Engine<S> {
             state.reindex(&program);
         }
         let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
-        let metrics = Metrics::global().clone();
         Ok(Engine {
             program,
             nodes,
@@ -1104,8 +1028,7 @@ impl<S: ProvenanceSink> Engine<S> {
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
             tracer: Tracer::from_env(),
-            meters: EngineMeters::register(&metrics),
-            metrics,
+            flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             max_events: 50_000_000,
@@ -1133,11 +1056,10 @@ impl<S: ProvenanceSink> Engine<S> {
     pub fn schedule_insert(&mut self, due: LogicalTime, node: NodeId, tuple: Tuple) -> Result<()> {
         self.check_base(&tuple)?;
         // Flow identity: the IP endpoints of a packet-shaped base tuple.
-        // Hashed only when metrics are live, before interning moves the
-        // tuple.
-        if let Some(m) = &self.meters {
+        // Hashed only when traced, before interning moves the tuple.
+        if self.tracer.is_enabled() {
             if let Some(h) = dp_types::codec::flow_fnv64(&tuple) {
-                m.distinct_flows.observe_hash(h);
+                self.flows.get_or_insert_with(HllCell::new).observe_hash(h);
             }
         }
         let tuple = self.store.intern(tuple);
@@ -1193,12 +1115,6 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.join_profile.clone(),
             )
         });
-        // The metrics summary wants the same per-run deltas; snapshot the
-        // counters (and the clock) only when a registry is live.
-        let metered = self
-            .meters
-            .is_some()
-            .then(|| (std::time::Instant::now(), self.stats, self.rule_firings.clone()));
         let result = self.run_inner();
         if result.is_err() {
             // Don't swallow provenance already produced by applied
@@ -1209,156 +1125,99 @@ impl<S: ProvenanceSink> Engine<S> {
         // the quiescent size is the run's high-water mark.
         self.stats.peak_interned = self.stats.peak_interned.max(self.store.len() as u64);
         if let Some((span, s0, firings0, profile0)) = traced {
-            self.trace_run_summary(s0, &firings0, &profile0);
+            self.publish_run(s0, &firings0, &profile0);
             span.end(Some(self.clock), &[("events", self.stats.events - s0.events)]);
-        }
-        if let Some((started, s0, firings0)) = metered {
-            self.metrics_run_summary(started.elapsed(), s0, &firings0);
         }
         result.map(|()| self.stats)
     }
 
-    /// Folds this run's deltas into the live-metrics registry at
-    /// quiescence — the metrics twin of [`Engine::trace_run_summary`],
-    /// and the registry's *only* producer for these quantities (the
-    /// trace aggregate keeps its own copies; neither is derived from the
-    /// other, so one scrape never double-counts).
-    fn metrics_run_summary(
-        &self,
-        elapsed: std::time::Duration,
-        s0: Stats,
-        firings0: &BTreeMap<Sym, u64>,
-    ) {
-        let Some(meters) = &self.meters else { return };
-        meters.run_seconds.observe_duration(elapsed);
-        let m = &self.metrics;
-        let s = self.stats;
-        // Semantic counters: what the program computed.
-        for (name, help, v) in [
-            ("dp_engine_events_total", "Events processed", s.events - s0.events),
-            ("dp_engine_base_inserts_total", "Base tuples inserted", s.base_inserts - s0.base_inserts),
-            ("dp_engine_base_deletes_total", "Base tuples deleted", s.base_deletes - s0.base_deletes),
-            ("dp_engine_derivations_total", "Rule derivations", s.derivations - s0.derivations),
-            ("dp_engine_underivations_total", "Derivations invalidated", s.underivations - s0.underivations),
-        ] {
-            m.counter(name, help).add(v);
-        }
-        for (rule, &n) in &self.rule_firings {
-            let prev = firings0.get(rule).copied().unwrap_or(0);
-            if n > prev {
-                m.counter_with(
-                    "dp_engine_rule_fired_total",
-                    "Rule firings by rule",
-                    &[("rule", rule.as_str())],
-                )
-                .add(n - prev);
-            }
-        }
-        // Effort counters: the join/batching work it took.
-        for (name, help, v) in [
-            ("dp_engine_join_probes_total", "Index probes during joins", s.join_probes - s0.join_probes),
-            ("dp_engine_join_scans_total", "Full scans during joins", s.join_scans - s0.join_scans),
-            ("dp_engine_trie_probes_total", "Prefix-trie probes", s.trie_probes - s0.trie_probes),
-            ("dp_engine_trie_scans_total", "Prefix-trie fallback scans", s.trie_scans - s0.trie_scans),
-            ("dp_engine_join_candidates_total", "Join candidates examined", s.join_candidates - s0.join_candidates),
-            ("dp_engine_join_matches_total", "Join matches found", s.join_matches - s0.join_matches),
-            ("dp_engine_batches_total", "Batch flushes", s.batches - s0.batches),
-            ("dp_engine_batched_deltas_total", "Deltas fired through batches", s.batched_deltas - s0.batched_deltas),
-        ] {
-            m.counter(name, help).add(v);
-        }
-        // Levels at quiescence: high-water marks and the live fixpoint.
-        m.gauge("dp_engine_peak_tuples", "High-water mark of live tuples")
-            .raise_to(s.peak_tuples as i64);
-        m.gauge("dp_engine_peak_interned", "High-water mark of interned tuples")
-            .raise_to(s.peak_interned as i64);
-        m.gauge("dp_engine_live_tuples", "Live tuples at last quiescence")
-            .set(self.live_tuples as i64);
-        // Distinct interned tuples: the interner holds exactly the
-        // distinct tuples that materialized, and HLL observation is
-        // idempotent, so sketching them at quiescence costs one stable
-        // hash per interned tuple per run and nothing on the hot path.
-        for tuple in self.store.iter() {
-            meters
-                .distinct_tuples
-                .observe_hash(dp_types::codec::tuple_fnv64(tuple));
-        }
-    }
-
-    /// Emits the quiescence counter snapshot closing an `engine.run` span.
-    /// Skeleton counters are the ones the program and its input determine
-    /// (a pruned or trie-probed join finds the same derivations, just
-    /// cheaper); probe/scan/batching effort is tagged as such.
-    fn trace_run_summary(
+    /// Publishes this run to the tracer at quiescence, before its
+    /// `engine.run` span closes: the one place the engine's quantities get
+    /// their names. Counters carry this run's deltas, so several runs (or
+    /// engines) sharing one tracer add up; levels are absolute readings
+    /// and are set or raised instead. Skeleton rows are the ones the
+    /// program and its input determine (a pruned or trie-probed join finds
+    /// the same derivations, just cheaper); probe/scan/batching effort is
+    /// tagged as such — `join_matches` included: a scan pattern-matches
+    /// route entries whose prefix the trie would never surface (the
+    /// constraint rejects them after the match), so the count depends on
+    /// the access path.
+    fn publish_run(
         &self,
         s0: Stats,
         firings0: &BTreeMap<Sym, u64>,
         profile0: &BTreeMap<Sym, RuleJoinProfile>,
     ) {
-        let t = &self.tracer;
-        let s = self.stats;
-        for (name, v) in [
-            ("engine.events", s.events - s0.events),
-            ("engine.base_inserts", s.base_inserts - s0.base_inserts),
-            ("engine.base_deletes", s.base_deletes - s0.base_deletes),
-            ("engine.derivations", s.derivations - s0.derivations),
-            ("engine.underivations", s.underivations - s0.underivations),
-            ("engine.peak_tuples", s.peak_tuples - s0.peak_tuples),
-        ] {
-            t.counter(name, Class::Skeleton, v);
+        use Class::{Effort, Skeleton};
+        /// How a [`Stats`] field reaches the aggregate.
+        enum Publish {
+            /// Monotone: this run's delta is added to a counter.
+            Delta,
+            /// High-water mark: the level is raised to the field.
+            Peak,
         }
-        for (rule, &n) in &self.rule_firings {
-            let prev = firings0.get(rule).copied().unwrap_or(0);
-            if n > prev {
-                t.counter(&format!("rule.fired.{rule}"), Class::Skeleton, n - prev);
+        /// One [`Stats`] field: how to read it, its name, its class, how
+        /// it is published.
+        type Row = (fn(&Stats) -> u64, &'static str, Class, Publish);
+        const STATS: [Row; 15] = [
+            (|s| s.events, "engine.events", Skeleton, Publish::Delta),
+            (|s| s.base_inserts, "engine.base_inserts", Skeleton, Publish::Delta),
+            (|s| s.base_deletes, "engine.base_deletes", Skeleton, Publish::Delta),
+            (|s| s.derivations, "engine.derivations", Skeleton, Publish::Delta),
+            (|s| s.underivations, "engine.underivations", Skeleton, Publish::Delta),
+            (|s| s.peak_tuples, "engine.peak_tuples", Skeleton, Publish::Peak),
+            (|s| s.join_probes, "engine.join_probes", Effort, Publish::Delta),
+            (|s| s.join_scans, "engine.join_scans", Effort, Publish::Delta),
+            (|s| s.trie_probes, "engine.trie_probes", Effort, Publish::Delta),
+            (|s| s.trie_scans, "engine.trie_scans", Effort, Publish::Delta),
+            (|s| s.join_candidates, "engine.join_candidates", Effort, Publish::Delta),
+            (|s| s.join_matches, "engine.join_matches", Effort, Publish::Delta),
+            (|s| s.batches, "engine.batches", Effort, Publish::Delta),
+            (|s| s.batched_deltas, "engine.batched_deltas", Effort, Publish::Delta),
+            (|s| s.peak_interned, "engine.peak_interned", Effort, Publish::Peak),
+        ];
+        let t = &self.tracer;
+        for (field, name, class, publish) in STATS {
+            match publish {
+                Publish::Delta => t.counter(name, class, field(&self.stats) - field(&s0)),
+                Publish::Peak => t.level_max(name, class, field(&self.stats)),
             }
         }
-        // Per-node live-tuple snapshots: the fixpoint is the program's, so
-        // the absolute counts are deterministic.
+        // The fixpoint is the program's, so the live counts are
+        // deterministic.
+        t.level("engine.live_tuples", Skeleton, self.live_tuples);
         for (node, state) in self.nodes() {
-            t.counter(&format!("node.live.{node}"), Class::Skeleton, state.len() as u64);
+            t.level(&series("engine.node_live", "node", node), Skeleton, state.len() as u64);
         }
-        // `join_matches` (and the per-rule `matches`) are effort, not
-        // skeleton: a scan pattern-matches route entries whose prefix the
-        // trie would never surface (the constraint rejects them after the
-        // match), so the counts depend on the access path.
-        for (name, v) in [
-            ("engine.join_probes", s.join_probes - s0.join_probes),
-            ("engine.join_scans", s.join_scans - s0.join_scans),
-            ("engine.trie_probes", s.trie_probes - s0.trie_probes),
-            ("engine.trie_scans", s.trie_scans - s0.trie_scans),
-            ("engine.join_candidates", s.join_candidates - s0.join_candidates),
-            ("engine.join_matches", s.join_matches - s0.join_matches),
-            ("engine.batches", s.batches - s0.batches),
-            ("engine.batched_deltas", s.batched_deltas - s0.batched_deltas),
-            ("engine.peak_interned", s.peak_interned - s0.peak_interned),
-        ] {
-            t.counter(name, Class::Effort, v);
+        let per_rule = |family: &str, class, rule: &Sym, now: u64, before: u64| {
+            if now > before {
+                t.counter(&series(family, "rule", rule), class, now - before);
+            }
+        };
+        for (rule, &n) in &self.rule_firings {
+            let prev = firings0.get(rule).copied().unwrap_or(0);
+            per_rule("engine.rule_fired", Skeleton, rule, n, prev);
         }
         for (rule, p) in &self.join_profile {
             let prev = profile0.get(rule).copied().unwrap_or_default();
-            if p.attempts > prev.attempts {
-                t.counter(
-                    &format!("rule.attempts.{rule}"),
-                    Class::Effort,
-                    p.attempts - prev.attempts,
-                );
-            }
-            if p.candidates > prev.candidates {
-                t.counter(
-                    &format!("rule.candidates.{rule}"),
-                    Class::Effort,
-                    p.candidates - prev.candidates,
-                );
-            }
-            if p.matches > prev.matches {
-                t.counter(
-                    &format!("rule.matches.{rule}"),
-                    Class::Effort,
-                    p.matches - prev.matches,
-                );
-            }
+            per_rule("engine.rule_attempts", Effort, rule, p.attempts, prev.attempts);
+            per_rule("engine.rule_candidates", Effort, rule, p.candidates, prev.candidates);
+            per_rule("engine.rule_matches", Effort, rule, p.matches, prev.matches);
         }
+        // Distinct interned tuples: the interner holds exactly the
+        // distinct tuples that materialized, and sketch observation is
+        // idempotent, so sketching them at quiescence costs one stable
+        // hash per interned tuple per run and nothing on the hot path.
+        let mut tuples = HllCell::new();
+        for tuple in self.store.iter() {
+            tuples.observe_hash(dp_types::codec::tuple_fnv64(tuple));
+        }
+        t.update(|agg| {
+            agg.merge_sketch("engine.distinct_tuples", &tuples);
+            if let Some(flows) = &self.flows {
+                agg.merge_sketch("engine.distinct_flows", flows);
+            }
+        });
     }
 
     fn run_inner(&mut self) -> Result<()> {
@@ -1703,10 +1562,6 @@ impl<S: ProvenanceSink> Engine<S> {
             let deltas = std::mem::take(&mut self.pending);
             self.stats.batches += 1;
             self.stats.batched_deltas += deltas.len() as u64;
-            if let Some(m) = &self.meters {
-                m.batch_deltas.observe(deltas.len() as u64);
-                m.queue_depth.set(self.queue.len() as i64);
-            }
             let mut buf = std::mem::take(&mut self.flush_buf);
             for b in &mut buf {
                 b.clear();
@@ -1745,13 +1600,18 @@ impl<S: ProvenanceSink> Engine<S> {
             self.flush_buf = buf;
             if let Some(span) = flush_span {
                 let s = self.stats;
-                span.end(
+                let (depth, queued) = (deltas.len() as u64, self.queue.len() as u64);
+                span.end_with(
                     Some(self.clock),
                     &[
-                        ("deltas", deltas.len() as u64),
+                        ("deltas", depth),
                         ("candidates", s.join_candidates - s0.join_candidates),
                         ("matches", s.join_matches - s0.join_matches),
                     ],
+                    |agg| {
+                        agg.observe_size("engine.batch_deltas", depth);
+                        agg.set_level("engine.queue_depth", queued);
+                    },
                 );
             }
         }

@@ -324,10 +324,9 @@ pub mod intgen {
     }
 }
 
-/// The prefix-flavored generator shared by the reference, trace, metrics
-/// and annotation differential suites: route tables with prefix columns,
-/// packet tables
-/// with IP columns, and rules carrying `prefix_contains` constraints —
+/// The prefix-flavored generator shared by the reference, trace and
+/// annotation differential suites: route tables with prefix columns,
+/// packet tables with IP columns, and rules carrying `prefix_contains` constraints —
 /// every shape the planner turns into a trie probe, a constant probe, a
 /// hash-index join, or (with `with_agg`) an aggregation fence.
 pub mod prefixgen {
@@ -467,7 +466,7 @@ pub mod prefixgen {
     /// deep. Some ops expand to a delete+insert *replacement* of one
     /// route entry at a single timestamp. The op count and due domain are
     /// the knobs the suites differ on (reference: 4–30 ops over 6 ticks;
-    /// trace/metrics: 8–40 ops over 4 ticks).
+    /// trace: 8–40 ops over 4 ticks).
     pub fn arb_ops(rng: &mut DetRng, min_ops: usize, max_ops: usize, max_due: u64) -> Vec<Op> {
         let mut ops = Vec::new();
         for _ in 0..rng.gen_range_usize(min_ops, max_ops) {
@@ -510,7 +509,7 @@ pub mod prefixgen {
 
     /// Lowers prefix ops alternating between nodes `n` and `n2` (every
     /// third op), so group runs inside a batch actually break — the
-    /// trace and metrics suites' shape.
+    /// trace suite's shape.
     pub fn alternating_schedule(ops: &[Op]) -> Vec<ScheduledOp> {
         ops.iter()
             .enumerate()

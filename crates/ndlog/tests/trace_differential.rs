@@ -5,20 +5,97 @@
 //! skeleton. Effort events (flush structure, probe/scan counts) are
 //! excluded from the skeleton; wall times are excluded everywhere.
 //!
-//! Alongside the skeletons, the provenance stream of a traced run must be
-//! bit-identical to an untraced one — tracing must never perturb
-//! evaluation. (Both pin their tracer explicitly, so the comparison also
-//! holds under the `DP_TRACE=1` leg of `scripts/check.sh`.) The corpus is
-//! the shared prefix-flavored program generator plus all 9 repro
-//! scenarios, plus one end-to-end DiffProv diagnosis traced through the
-//! whole pipeline.
+//! Alongside the skeletons, the provenance stream of an instrumented run
+//! must be bit-identical to a dark one — the handle is strictly passive,
+//! in every mode (disabled, aggregate-only, full). (Every leg pins its
+//! tracer explicitly, so the comparison also holds under the `DP_TRACE=1`
+//! leg of `scripts/check.sh`.) And the views of one run cannot disagree:
+//! on the enabled legs every [`Stats`] field equals its aggregate entry
+//! equals the value parsed back out of the Prometheus rendering. The
+//! corpus is the shared prefix-flavored program generator plus all 9
+//! repro scenarios, plus one end-to-end DiffProv diagnosis traced through
+//! the whole pipeline.
 
 use std::sync::Arc;
 
-use dp_ndlog::testsupport::{prefixgen, run_schedule_traced, schedule_all};
-use dp_ndlog::{Engine, ProvEvent, VecSink};
-use dp_trace::Tracer;
+use dp_ndlog::testsupport::{prefixgen, run_schedule_traced, schedule_all, ScheduledOp};
+use dp_ndlog::{Engine, Program, ProvEvent, Stats, VecSink};
+use dp_trace::{exposition_name, render_prometheus, validate_exposition, Kind, Tracer};
 use dp_types::DetRng;
+
+/// One run under an explicit handle: the stream, the engine's counters,
+/// and the drained trace.
+fn run_with(
+    program: &Arc<Program>,
+    ops: &[ScheduledOp],
+    tracer: Tracer,
+) -> (Vec<ProvEvent>, Stats, dp_trace::Trace) {
+    let mut eng = Engine::new(Arc::clone(program), VecSink::default());
+    eng.set_tracer(tracer.clone());
+    schedule_all(&mut eng, ops);
+    eng.run().unwrap();
+    let stats = eng.stats();
+    (eng.into_sink().events, stats, tracer.finish())
+}
+
+/// The sample line `name value` of an unlabeled series in a Prometheus
+/// body.
+fn exposed(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample for {name} in\n{body}"))
+}
+
+/// One case under every handle mode. Disabled, aggregate-only and full
+/// runs emit byte-identical provenance streams; two full runs render
+/// byte-identical skeletons; and on both enabled legs the three views of
+/// the run — the engine's own [`Stats`], the tracer's aggregate, the
+/// Prometheus text rendered from it — hold the same numbers.
+fn assert_one_source(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) {
+    let (dark, _, _) = run_with(program, ops, Tracer::disabled());
+    let (_, _, again) = run_with(program, ops, Tracer::full());
+    for (mode, tracer) in [("agg", Tracer::aggregate_only()), ("full", Tracer::full())] {
+        let (events, s, trace) = run_with(program, ops, tracer);
+        assert_eq!(dark, events, "{case}: stream moves under a {mode} handle");
+        if mode == "full" {
+            assert_eq!(
+                trace.skeleton(),
+                again.skeleton(),
+                "{case}: skeleton is not reproducible"
+            );
+        }
+        let agg = &trace.aggregate;
+        let body = render_prometheus(agg);
+        validate_exposition(&body).unwrap_or_else(|e| panic!("{case}: {e}\n{body}"));
+        for (field, name, kind) in [
+            (s.events, "engine.events", Kind::Counter),
+            (s.base_inserts, "engine.base_inserts", Kind::Counter),
+            (s.base_deletes, "engine.base_deletes", Kind::Counter),
+            (s.derivations, "engine.derivations", Kind::Counter),
+            (s.underivations, "engine.underivations", Kind::Counter),
+            (s.join_probes, "engine.join_probes", Kind::Counter),
+            (s.join_scans, "engine.join_scans", Kind::Counter),
+            (s.trie_probes, "engine.trie_probes", Kind::Counter),
+            (s.trie_scans, "engine.trie_scans", Kind::Counter),
+            (s.join_candidates, "engine.join_candidates", Kind::Counter),
+            (s.join_matches, "engine.join_matches", Kind::Counter),
+            (s.batches, "engine.batches", Kind::Counter),
+            (s.batched_deltas, "engine.batched_deltas", Kind::Counter),
+            (s.peak_tuples, "engine.peak_tuples", Kind::Level),
+            (s.peak_interned, "engine.peak_interned", Kind::Level),
+        ] {
+            let held = if kind == Kind::Counter { agg.counter(name) } else { agg.level(name) };
+            assert_eq!(field, held, "{case} ({mode}): Stats vs aggregate on {name}");
+            let shown = exposed(&body, &exposition_name(name, kind));
+            assert_eq!(field, shown, "{case} ({mode}): Stats vs exposition on {name}");
+        }
+        if !ops.is_empty() {
+            assert!(s.events > 0, "{case} ({mode}): nothing ran — vacuous comparison");
+            assert_eq!(agg.span_count("engine.run"), 1, "{case} ({mode}): run never timed");
+            assert_eq!(exposed(&body, "dp_engine_run_seconds_count"), 1);
+        }
+    }
+}
 
 /// Random programs: the skeleton is reproducible, and the provenance
 /// stream does not move when the tracer is attached.
@@ -59,7 +136,57 @@ fn skeletons_agree_on_random_programs() {
     }
 }
 
-/// All 9 repro scenarios, good and bad executions: same two properties.
+/// Random prefix-flavored programs under every handle mode: passive, and
+/// one source for every view.
+#[test]
+fn handle_views_agree_on_random_programs() {
+    let mut rng = DetRng::seed_from_u64(0x0D5E_781C_0A11_D1FF);
+    let mut cases = 0usize;
+    while cases < 24 {
+        let Some(program) = prefixgen::arb_program(&mut rng, true) else {
+            continue;
+        };
+        let ops = prefixgen::alternating_schedule(&prefixgen::arb_ops(&mut rng, 8, 40, 4));
+        cases += 1;
+        assert_one_source(&program, &ops, &format!("case {cases}"));
+    }
+}
+
+/// Levels are readings, not increments: two runs of one engine on one
+/// shared tracer leave each node's live count at the node's size, not at
+/// the sum of the two quiescence snapshots.
+#[test]
+fn levels_are_not_summed_across_runs() {
+    let mut rng = DetRng::seed_from_u64(0x0D5E_781C_0A11_D1FF);
+    let (program, ops) = loop {
+        if let Some(program) = prefixgen::arb_program(&mut rng, true) {
+            break (program, prefixgen::arb_ops(&mut rng, 8, 40, 4));
+        }
+    };
+    let ops = prefixgen::alternating_schedule(&ops);
+    let tracer = Tracer::aggregate_only();
+    let mut eng = Engine::new(Arc::clone(&program), VecSink::default());
+    eng.set_tracer(tracer.clone());
+    let (first, second) = ops.split_at(ops.len() / 2);
+    for half in [first, second] {
+        schedule_all(&mut eng, half);
+        eng.run().unwrap();
+    }
+    let agg = tracer.aggregate();
+    assert_eq!(agg.span_count("engine.run"), 2);
+    assert_eq!(agg.counter("engine.events"), eng.stats().events);
+    assert!(eng.nodes().count() > 0, "the case populated no node");
+    let mut live = 0;
+    for (node, state) in eng.nodes() {
+        let name = dp_trace::series("engine.node_live", "node", node);
+        assert_eq!(agg.level(&name), state.len() as u64, "{name}");
+        live += state.len() as u64;
+    }
+    assert_eq!(agg.level("engine.live_tuples"), live);
+    assert_eq!(agg.level("engine.peak_tuples"), eng.stats().peak_tuples);
+}
+
+/// All 9 repro scenarios, good and bad executions: the same properties.
 #[test]
 fn skeletons_agree_on_all_repro_scenarios() {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
@@ -68,25 +195,10 @@ fn skeletons_agree_on_all_repro_scenarios() {
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
     for s in &scenarios {
         for (label, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
-            let run = |tracer: Tracer| -> (String, Vec<ProvEvent>) {
-                let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
-                eng.set_tracer(tracer.clone());
-                exec.log.schedule_into(&mut eng, None).unwrap();
-                eng.run().unwrap();
-                (tracer.finish().skeleton(), eng.into_sink().events)
-            };
-            let traced = run(Tracer::full());
-            let again = run(Tracer::full());
-            let dark = run(Tracer::disabled());
-            assert_eq!(
-                traced.0, again.0,
-                "scenario {} ({label} trace): skeleton is not reproducible",
-                s.name
-            );
-            assert_eq!(
-                traced.1, dark.1,
-                "scenario {} ({label} trace): stream moves under tracing",
-                s.name
+            assert_one_source(
+                &exec.program,
+                &exec.log.to_schedule(),
+                &format!("scenario {} ({label})", s.name),
             );
         }
     }

@@ -740,7 +740,6 @@ pub struct AnnotRecorder {
     /// The store under construction.
     pub store: AnnotationStore,
     tracer: dp_trace::Tracer,
-    meters: Option<crate::graph::RecorderMeters>,
 }
 
 impl AnnotRecorder {
@@ -749,17 +748,16 @@ impl AnnotRecorder {
         AnnotRecorder {
             store: AnnotationStore::new(program),
             tracer: dp_trace::Tracer::default(),
-            meters: crate::graph::RecorderMeters::register("annot"),
         }
     }
 
     /// A recorder that times its batched folds into `tracer`, mirroring
-    /// `GraphRecorder::with_tracer`.
+    /// `GraphRecorder::with_tracer` (its series carry `backend=annot`; the
+    /// live records are annotated tuple slots).
     pub fn with_tracer(program: Arc<Program>, tracer: dp_trace::Tracer) -> Self {
         AnnotRecorder {
             store: AnnotationStore::new(program),
             tracer,
-            meters: crate::graph::RecorderMeters::register("annot"),
         }
     }
 
@@ -778,9 +776,6 @@ impl fmt::Debug for AnnotRecorder {
 impl ProvenanceSink for AnnotRecorder {
     fn record(&mut self, event: ProvEvent) {
         self.store.record_event(event);
-        if let Some(m) = &self.meters {
-            m.observe(1, self.store.store.slot_count() as u64);
-        }
     }
 
     fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
@@ -791,15 +786,15 @@ impl ProvenanceSink for AnnotRecorder {
                 events.len() as u64,
             )
         });
-        let n = events.len() as u64;
         for event in events.drain(..) {
             self.store.record_event(event);
         }
-        if let Some(m) = &self.meters {
-            m.observe(n, self.store.store.slot_count() as u64);
-        }
         if let Some((span, n)) = span {
-            span.end(None, &[("events", n)]);
+            let live = self.store.store.slot_count() as u64;
+            span.end_with(None, &[("events", n)], |agg| {
+                agg.add("prov.events{backend=annot}", n);
+                agg.set_level("prov.live_records{backend=annot}", live);
+            });
         }
     }
 }

@@ -457,43 +457,6 @@ pub struct GraphRecorder {
     /// The graph under construction.
     pub graph: ProvGraph,
     tracer: dp_trace::Tracer,
-    meters: Option<RecorderMeters>,
-}
-
-/// Pre-resolved handles into the process-wide metrics registry, `None`
-/// when `DP_METRICS` is off (the disabled path then costs one branch per
-/// batch). Labeled `backend="graph"` so graph and annotation recording
-/// stay comparable on one scrape.
-#[derive(Clone, Debug)]
-pub(crate) struct RecorderMeters {
-    events: dp_metrics::Counter,
-    live: dp_metrics::Gauge,
-}
-
-impl RecorderMeters {
-    /// Resolves the per-backend handles when the global registry is live.
-    pub(crate) fn register(backend: &'static str) -> Option<RecorderMeters> {
-        let m = dp_metrics::Metrics::global();
-        m.is_enabled().then(|| RecorderMeters {
-            events: m.counter_with(
-                "dp_prov_events_total",
-                "Provenance events folded into a recorder by backend.",
-                &[("backend", backend)],
-            ),
-            live: m.gauge_with(
-                "dp_prov_live_records",
-                "Records held by the most recent recorder by backend \
-                 (graph: vertices; annot: annotated tuple slots).",
-                &[("backend", backend)],
-            ),
-        })
-    }
-
-    /// Folds one delivery of `n` events and the recorder's current size.
-    pub(crate) fn observe(&self, n: u64, live: u64) {
-        self.events.add(n);
-        self.live.set(live as i64);
-    }
 }
 
 impl GraphRecorder {
@@ -502,18 +465,19 @@ impl GraphRecorder {
         GraphRecorder {
             graph: ProvGraph::default(),
             tracer: dp_trace::Tracer::default(),
-            meters: RecorderMeters::register("graph"),
         }
     }
 
     /// A recorder that times its batched folds into `tracer` (as
     /// `Class::Effort` `prov.record_batch` spans — batch structure is a
-    /// property of the engine, not of the program).
+    /// property of the engine, not of the program). The events folded and
+    /// the graph's size ride each span's close as
+    /// `prov.events{backend=graph}` / `prov.live_records{backend=graph}`,
+    /// so graph and annotation recording stay comparable on one scrape.
     pub fn with_tracer(tracer: dp_trace::Tracer) -> Self {
         GraphRecorder {
             graph: ProvGraph::default(),
             tracer,
-            meters: RecorderMeters::register("graph"),
         }
     }
 
@@ -526,9 +490,6 @@ impl GraphRecorder {
 impl ProvenanceSink for GraphRecorder {
     fn record(&mut self, event: ProvEvent) {
         self.graph.record_event(event);
-        if let Some(m) = &self.meters {
-            m.observe(1, self.graph.len() as u64);
-        }
     }
 
     /// Batched delivery from the engine's delta flush. The batch arrives
@@ -543,15 +504,15 @@ impl ProvenanceSink for GraphRecorder {
                 events.len() as u64,
             )
         });
-        let n = events.len() as u64;
         for event in events.drain(..) {
             self.graph.record_event(event);
         }
-        if let Some(m) = &self.meters {
-            m.observe(n, self.graph.len() as u64);
-        }
         if let Some((span, n)) = span {
-            span.end(None, &[("events", n)]);
+            let live = self.graph.len() as u64;
+            span.end_with(None, &[("events", n)], |agg| {
+                agg.add("prov.events{backend=graph}", n);
+                agg.set_level("prov.live_records{backend=graph}", live);
+            });
         }
     }
 }

@@ -17,7 +17,6 @@ use dp_provenance::{
     extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest, AnnotRecorder,
     AnnotationStore, GraphRecorder, ProvGraph, ProvTree,
 };
-use dp_metrics::Metrics;
 use dp_trace::{Class, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef};
 
@@ -83,18 +82,14 @@ pub struct Execution {
     pub program: Arc<Program>,
     /// The logged base events.
     pub log: EventLog,
-    /// Tracer threaded into every engine, recorder, and tree extraction
-    /// this execution performs (disabled by default, in which case each
-    /// engine falls back to its own `DP_TRACE` default). Cloned freely —
-    /// clones share one event stream, so the UPDATETREE replays of a
-    /// cloned execution land in the same trace as the original's.
+    /// The instrumentation handle threaded into every engine, recorder,
+    /// temp store and tree extraction this execution performs (disabled by
+    /// default, in which case each engine falls back to its own `DP_TRACE`
+    /// default). Cloned freely — clones share one aggregate and one event
+    /// stream, so the UPDATETREE replays of a cloned execution land in the
+    /// same trace as the original's. Strictly passive: every setting
+    /// replays the identical provenance stream.
     pub tracer: Tracer,
-    /// Metrics registry threaded into every engine this execution builds
-    /// (disabled by default, in which case each engine falls back to the
-    /// process-wide [`Metrics::global`] default, i.e. the `DP_METRICS`
-    /// environment variable). Metrics are strictly passive observers —
-    /// every setting replays the identical provenance stream.
-    pub metrics: Metrics,
     /// The provenance backend every replay of this execution records into.
     /// Defaults to the `DP_PROV` environment variable (see
     /// [`ProvBackend::default_from_env`]). Both backends answer queries
@@ -167,13 +162,11 @@ impl Replayed {
     pub fn query(&self, root: &TupleRef) -> Option<ProvTree> {
         let now = self.now();
         let span = self.extract_span(now);
-        let timer = self.extract_timer();
         let tree = match self.engine.sink() {
             BackendRecorder::Graph(g) => extract_tree(&g.graph, root, now),
             BackendRecorder::Annot(a) => reconstruct_tree(&a.store, root, now),
         };
-        self.observe_extract(timer, tree.as_ref());
-        close_extract_span(span, now, tree.as_ref());
+        self.close_extract_span(span, now, tree.as_ref());
         tree
     }
 
@@ -181,77 +174,50 @@ impl Replayed {
     /// tuples that have since disappeared).
     pub fn query_at(&self, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
         let span = self.extract_span(at);
-        let timer = self.extract_timer();
         let tree = match self.engine.sink() {
             BackendRecorder::Graph(g) => extract_tree_latest(&g.graph, root, at),
             BackendRecorder::Annot(a) => reconstruct_tree_latest(&a.store, root, at),
         };
-        self.observe_extract(timer, tree.as_ref());
-        close_extract_span(span, at, tree.as_ref());
+        self.close_extract_span(span, at, tree.as_ref());
         tree
     }
 
-    /// The exposition label for the backend this replay recorded into.
-    fn backend_label(&self) -> &'static str {
+    /// The extraction series of the backend this replay recorded into —
+    /// `(span, tree-size histogram)` — labeled so graph extraction and
+    /// annotation reconstruction stay comparable on one scrape.
+    fn extract_series(&self) -> (&'static str, &'static str) {
         match self.engine.sink() {
-            BackendRecorder::Graph(_) => "graph",
-            BackendRecorder::Annot(_) => "annot",
+            BackendRecorder::Graph(_) => {
+                ("prov.extract{backend=graph}", "prov.tree_vertices{backend=graph}")
+            }
+            BackendRecorder::Annot(_) => {
+                ("prov.extract{backend=annot}", "prov.tree_vertices{backend=annot}")
+            }
         }
     }
 
-    /// Starts a wall-clock timer for a tree extraction when the replaying
-    /// engine is metered. Timing is a passive observation — it never feeds
-    /// back into the tree.
-    fn extract_timer(&self) -> Option<std::time::Instant> {
-        self.engine
-            .metrics()
-            .is_enabled()
-            .then(std::time::Instant::now)
-    }
-
-    /// Folds one extraction into `dp_prov_extract_seconds{backend=..}` and
-    /// the tree-size histogram, keyed by the recording backend so graph
-    /// extraction and annotation reconstruction latency stay comparable on
-    /// one scrape.
-    fn observe_extract(&self, timer: Option<std::time::Instant>, tree: Option<&ProvTree>) {
-        let Some(t0) = timer else { return };
-        let m = self.engine.metrics();
-        let backend = self.backend_label();
-        m.time_histogram_with(
-            "dp_prov_extract_seconds",
-            "Provenance tree extraction/reconstruction latency by backend.",
-            &[("backend", backend)],
-        )
-        .observe_duration(t0.elapsed());
-        if let Some(tree) = tree {
-            m.size_histogram_with(
-                "dp_prov_tree_vertices",
-                "Vertices per extracted provenance tree by backend.",
-                &[("backend", backend)],
-            )
-            .observe(tree.len() as u64);
-        }
-    }
-
-    /// Opens a `prov.extract` span when the replaying engine is traced.
-    /// Tree extraction reads the recorded graph only, and the graph is a
+    /// Opens the extraction span on the replaying engine's tracer (inert
+    /// when that is disabled): the one stopwatch around a tree extraction.
+    /// Extraction reads the recorded provenance only, and that is a
     /// function of the program and its log, so the span (and its
     /// found/size payload) belongs to the deterministic skeleton.
-    fn extract_span(&self, at: LogicalTime) -> Option<dp_trace::Span> {
-        let t = self.engine.tracer();
-        t.is_enabled()
-            .then(|| t.span("prov.extract", Class::Skeleton, Some(at)))
+    fn extract_span(&self, at: LogicalTime) -> dp_trace::Span {
+        self.engine
+            .tracer()
+            .span(self.extract_series().0, Class::Skeleton, Some(at))
     }
-}
 
-fn close_extract_span(span: Option<dp_trace::Span>, at: LogicalTime, tree: Option<&ProvTree>) {
-    if let Some(span) = span {
-        span.end(
+    /// Closes the extraction span; a found tree's size rides the close.
+    fn close_extract_span(&self, span: dp_trace::Span, at: LogicalTime, tree: Option<&ProvTree>) {
+        let size = tree.map(|t| t.len() as u64);
+        span.end_with(
             Some(at),
-            &[
-                ("found", tree.is_some() as u64),
-                ("size", tree.map_or(0, |t| t.len() as u64)),
-            ],
+            &[("found", size.is_some() as u64), ("size", size.unwrap_or(0))],
+            |agg| {
+                if let Some(size) = size {
+                    agg.observe_size(self.extract_series().1, size);
+                }
+            },
         );
     }
 }
@@ -263,21 +229,17 @@ impl Execution {
             program,
             log: EventLog::new(),
             tracer: Tracer::disabled(),
-            metrics: Metrics::disabled(),
             provenance_backend: ProvBackend::default_from_env(),
             store_mode: StoreMode::default_from_env(),
         }
     }
 
-    /// Attaches this execution's observers (tracer, metrics) to a freshly
-    /// built engine. Env defaults already on the engine are kept unless
-    /// this execution overrides them.
+    /// Attaches this execution's tracer to a freshly built engine. The
+    /// engine's `DP_TRACE` default is kept unless this execution overrides
+    /// it.
     pub(crate) fn configure<S: ProvenanceSink>(&self, engine: &mut Engine<S>) {
         if self.tracer.is_enabled() {
             engine.set_tracer(self.tracer.clone());
-        }
-        if self.metrics.is_enabled() {
-            engine.set_metrics(self.metrics.clone());
         }
     }
 
@@ -383,7 +345,6 @@ impl Execution {
             program: Arc::clone(&self.program),
             log: patched,
             tracer: self.tracer.clone(),
-            metrics: self.metrics.clone(),
             provenance_backend: self.provenance_backend,
             store_mode: self.store_mode,
         };

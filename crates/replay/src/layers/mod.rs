@@ -47,8 +47,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dp_metrics::Metrics;
 use dp_ndlog::{Engine, EngineSnapshot, HashSink, ProvenanceSink};
+use dp_trace::{Class, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result};
 
 pub use self::checkpoint::DurableCheckpoint;
@@ -94,17 +94,6 @@ pub fn default_layer_events() -> usize {
     })
 }
 
-/// Starts a wall-clock timer when the process-wide metrics registry is
-/// enabled. Store metering always goes through [`Metrics::global`]: a
-/// store has no per-execution identity (temp stores come and go per
-/// replay), so its gauges describe "the store this process touched last"
-/// and its histograms accumulate across all of them.
-fn store_timer() -> Option<std::time::Instant> {
-    Metrics::global()
-        .is_enabled()
-        .then(std::time::Instant::now)
-}
-
 /// An owned scratch directory under the system temp dir, removed on drop.
 ///
 /// Directories are named `dp-store-{pid}-{n}` so stray ones from killed
@@ -145,6 +134,11 @@ pub struct DurableStore {
     layers: Vec<Layer>,
     checkpoints: Vec<DurableCheckpoint>,
     next_seq: u64,
+    /// The tracer of the [`Execution`] that last spilled into this store
+    /// (disabled until one does): times seals and checkpoint writes
+    /// (`store.*` spans, all `Class::Effort` — where the log lives is
+    /// configuration, not program) and carries the store's size levels.
+    tracer: Tracer,
     _temp: Option<TempDir>,
 }
 
@@ -180,6 +174,7 @@ impl DurableStore {
             layers,
             checkpoints,
             next_seq,
+            tracer: Tracer::disabled(),
             _temp: None,
         })
     }
@@ -206,7 +201,7 @@ impl DurableStore {
         if events.is_empty() {
             return Ok(0);
         }
-        let timer = store_timer();
+        let span = self.tracer.span("store.seal", Class::Effort, None);
         let base = self.next_seq;
         let mut by_node: BTreeMap<NodeId, Vec<SeqEvent>> = BTreeMap::new();
         for (i, e) in events.iter().enumerate() {
@@ -222,20 +217,11 @@ impl DurableStore {
         }
         self.layers.sort_by_key(|l| l.first_seq);
         self.next_seq = base + events.len() as u64;
-        if let Some(t0) = timer {
-            let m = Metrics::global();
-            m.time_histogram(
-                "dp_store_seal_seconds",
-                "Latency of sealing one event chunk into layer files.",
-            )
-            .observe_duration(t0.elapsed());
-            m.counter(
-                "dp_store_sealed_events_total",
-                "Base events sealed into durable layers.",
-            )
-            .add(events.len() as u64);
-            self.observe_sizes(m);
-        }
+        let sealed = events.len() as u64;
+        span.end_with(None, &[("events", sealed), ("files", files as u64)], |agg| {
+            agg.add("store.sealed_events", sealed);
+            self.observe_sizes(agg);
+        });
         Ok(files)
     }
 
@@ -254,41 +240,23 @@ impl DurableStore {
             snapshot,
             file_bytes: 0,
         };
-        let timer = store_timer();
+        let span = self.tracer.span("store.checkpoint", Class::Effort, None);
         let path = self.dir.join(checkpoint::checkpoint_file_name(cut));
         cp.file_bytes = checkpoint::write_checkpoint(&path, &cp)?;
         self.checkpoints.push(cp);
         self.checkpoints.sort_by_key(|c| c.cut);
-        if let Some(t0) = timer {
-            let m = Metrics::global();
-            m.time_histogram(
-                "dp_store_checkpoint_seconds",
-                "Latency of writing one durable checkpoint file.",
-            )
-            .observe_duration(t0.elapsed());
-            self.observe_sizes(m);
-        }
+        span.end_with(Some(cut), &[], |agg| self.observe_sizes(agg));
         Ok(())
     }
 
-    /// Folds the store's current file counts and on-disk bytes into the
-    /// size gauges. Called after every seal and checkpoint, so a scrape
-    /// mid-spill watches the store grow.
-    fn observe_sizes(&self, m: &Metrics) {
-        m.gauge("dp_store_layer_files", "Sealed layer files in the store.")
-            .set(self.layer_count() as i64);
-        m.gauge("dp_store_layer_bytes", "On-disk bytes across sealed layer files.")
-            .set(self.layer_bytes() as i64);
-        m.gauge(
-            "dp_store_checkpoint_files",
-            "Durable checkpoint files in the store.",
-        )
-        .set(self.checkpoint_count() as i64);
-        m.gauge(
-            "dp_store_checkpoint_bytes",
-            "On-disk bytes across durable checkpoint files.",
-        )
-        .set(self.checkpoint_bytes() as i64);
+    /// Sets the store's size levels — file counts and on-disk bytes of
+    /// the store this tracer touched last. Rides the close of every seal
+    /// and checkpoint span, so a scrape mid-spill watches the store grow.
+    fn observe_sizes(&self, agg: &mut dp_trace::Aggregate) {
+        agg.set_level("store.layer_files", self.layer_count() as u64);
+        agg.set_level("store.layer_bytes", self.layer_bytes());
+        agg.set_level("store.checkpoint_files", self.checkpoint_count() as u64);
+        agg.set_level("store.checkpoint_bytes", self.checkpoint_bytes());
     }
 
     /// The newest durable checkpoint, if any.
@@ -428,6 +396,7 @@ impl Execution {
         store: &mut DurableStore,
         checkpoint_every: usize,
     ) -> Result<(u64, u64)> {
+        store.tracer = self.tracer.clone();
         let events = self.log.events();
         for chunk in events.chunks(default_layer_events()) {
             store.seal_events(chunk)?;
@@ -491,7 +460,7 @@ impl Execution {
     /// durable checkpoints the whole layer stack replays from scratch and
     /// the reference is [`Execution::stream_digest`] itself.
     pub fn recovered_stream_digest(&self, store: &DurableStore) -> Result<(u64, u64)> {
-        let timer = store_timer();
+        let span = self.tracer.span("store.recovery", Class::Effort, None);
         let mut engine = match store.latest_checkpoint() {
             Some(cp) => {
                 let mut engine = Engine::restore(
@@ -512,14 +481,7 @@ impl Execution {
         };
         engine.run()?;
         let sink = engine.into_sink();
-        if let Some(t0) = timer {
-            Metrics::global()
-                .time_histogram(
-                    "dp_store_recovery_seconds",
-                    "Latency of checkpoint restore plus on-disk tail replay.",
-                )
-                .observe_duration(t0.elapsed());
-        }
+        span.end(None, &[("events", sink.count)]);
         Ok((sink.digest(), sink.count))
     }
 
@@ -567,6 +529,7 @@ impl Execution {
             StoreMode::Mem => self.log.schedule_into(engine, until),
             StoreMode::Disk => {
                 let mut store = DurableStore::temp()?;
+                store.tracer = self.tracer.clone();
                 let events = self.log.events();
                 for chunk in events.chunks(default_layer_events()) {
                     store.seal_events(chunk)?;

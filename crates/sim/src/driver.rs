@@ -48,44 +48,9 @@ pub fn run_seeds(
         seeds: count,
         ..SimSummary::default()
     };
-    // Per-sweep handles into the process-wide registry (None when
-    // `DP_METRICS` is off). A scrape mid-sweep sees seeds tick up one by
-    // one; the distinct-seed sketch survives across sweeps, so re-running
-    // overlapping seed blocks does not inflate it.
-    let meters = {
-        let m = dp_metrics::Metrics::global();
-        m.is_enabled().then(|| {
-            (
-                m.counter("dp_sim_seeds_total", "Fault-injection seeds checked."),
-                m.counter(
-                    "dp_sim_violations_total",
-                    "Invariant violations found across all sweeps.",
-                ),
-                m.hll(
-                    "dp_sim_distinct_seeds",
-                    "Approximate distinct seeds ever checked (HLL sketch).",
-                ),
-                m.time_histogram(
-                    "dp_sim_seed_seconds",
-                    "Wall-clock latency of one seed's full battery check.",
-                ),
-            )
-        })
-    };
     for seed in start..start.saturating_add(count) {
-        let timer = meters
-            .as_ref()
-            .map(|_| std::time::Instant::now());
         let sc = generate_masked(seed, None);
         let report = check_scenario(&sc);
-        if let Some((seeds, violations, distinct, seed_secs)) = &meters {
-            seeds.inc();
-            violations.add(report.violations.len() as u64);
-            distinct.observe_u64(seed);
-            if let Some(t0) = timer {
-                seed_secs.observe_duration(t0.elapsed());
-            }
-        }
         summary.divergent += usize::from(report.divergent);
         summary.diagnosed += usize::from(report.diagnosed);
         summary.diagnosis_succeeded += usize::from(report.diagnosis_succeeded);

@@ -6,8 +6,8 @@
 //! the same question in [`HLL_REGISTERS`] bytes with a known accuracy: the
 //! standard error of the estimate is `1.04 / sqrt(m)` — about **3.25%**
 //! at the `m = 1024` registers used here — independent of the true
-//! cardinality. The `dp-metrics` property tests pin that bound at 1e2,
-//! 1e4, and 1e6 distinct items.
+//! cardinality. The property tests (`tests/hll_properties.rs`) pin that
+//! bound at 1e2, 1e4, and 1e6 distinct items.
 //!
 //! # How it works
 //!
@@ -20,16 +20,16 @@
 //! having landed there; the harmonic mean across registers — with the
 //! standard small-range linear-counting correction — gives the estimate.
 //!
-//! # Concurrency and merging
+//! # Merging
 //!
-//! Registers are `AtomicU8`s updated with `fetch_max`, so concurrent
-//! observers never need a lock and the final register state is independent
-//! of interleaving — max is commutative and associative. For the same
-//! reason, merging two sketches (element-wise register max) is *exactly*
-//! the sketch of the union of their item sets: `sketch(A) ∪ sketch(B) =
-//! sketch(A ∪ B)`, associatively. The property suite pins both laws.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! A sketch is plain memory: whoever observes owns it (the engine keeps
+//! its flow sketch beside its counters and hands the registers to the
+//! tracer at quiescence). The register state is independent of
+//! observation order — max is commutative and associative — and for the
+//! same reason merging two sketches (element-wise register max) is
+//! *exactly* the sketch of the union of their item sets: `sketch(A) ∪
+//! sketch(B) = sketch(A ∪ B)`, associatively. The property suite pins
+//! both laws.
 
 use dp_types::codec::fnv64;
 
@@ -39,10 +39,10 @@ pub const HLL_PRECISION: u32 = 10;
 /// Number of registers per sketch (1024 → ~3.25% standard error).
 pub const HLL_REGISTERS: usize = 1 << HLL_PRECISION;
 
-/// A lock-free HyperLogLog sketch cell.
-#[derive(Debug)]
+/// A HyperLogLog sketch.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HllCell {
-    registers: Vec<AtomicU8>,
+    registers: Vec<u8>,
 }
 
 impl Default for HllCell {
@@ -55,48 +55,45 @@ impl HllCell {
     /// An empty sketch.
     pub fn new() -> Self {
         HllCell {
-            registers: (0..HLL_REGISTERS).map(|_| AtomicU8::new(0)).collect(),
+            registers: vec![0; HLL_REGISTERS],
         }
     }
 
     /// Observes an item by its (uniform) 64-bit hash.
-    pub fn observe_hash(&self, h: u64) {
+    pub fn observe_hash(&mut self, h: u64) {
         let idx = (h >> (64 - HLL_PRECISION)) as usize;
         let rest = h << HLL_PRECISION;
         // rho: 1-based position of the first set bit among the remaining
         // 64 - P bits; an all-zero remainder saturates at its maximum.
         let rho = (rest.leading_zeros() + 1).min(64 - HLL_PRECISION + 1) as u8;
-        self.registers[idx].fetch_max(rho, Ordering::Relaxed);
+        self.registers[idx] = self.registers[idx].max(rho);
     }
 
     /// Observes a byte-string item.
-    pub fn observe_bytes(&self, bytes: &[u8]) {
+    pub fn observe_bytes(&mut self, bytes: &[u8]) {
         self.observe_hash(fnv64(bytes));
     }
 
     /// Observes a `u64` item (hashed over its little-endian bytes).
-    pub fn observe_u64(&self, v: u64) {
+    pub fn observe_u64(&mut self, v: u64) {
         self.observe_hash(fnv64(&v.to_le_bytes()));
     }
 
     /// A copy of the raw registers.
     pub fn registers(&self) -> Vec<u8> {
-        self.registers
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect()
+        self.registers.clone()
     }
 
-    /// Folds another sketch's registers in (element-wise max = set union).
-    pub fn merge_registers(&self, other: &[u8]) {
-        for (mine, theirs) in self.registers.iter().zip(other) {
-            mine.fetch_max(*theirs, Ordering::Relaxed);
+    /// Folds another sketch in (element-wise max = set union).
+    pub fn merge(&mut self, other: &HllCell) {
+        for (mine, theirs) in self.registers.iter_mut().zip(&other.registers) {
+            *mine = (*mine).max(*theirs);
         }
     }
 
     /// The current cardinality estimate.
     pub fn estimate(&self) -> f64 {
-        estimate(&self.registers())
+        estimate(&self.registers)
     }
 }
 
@@ -142,7 +139,7 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_inflate() {
-        let s = HllCell::new();
+        let mut s = HllCell::new();
         for _ in 0..10_000 {
             s.observe_u64(42);
         }
@@ -152,8 +149,8 @@ mod tests {
 
     #[test]
     fn observe_is_idempotent_on_registers() {
-        let a = HllCell::new();
-        let b = HllCell::new();
+        let mut a = HllCell::new();
+        let mut b = HllCell::new();
         for v in 0..100u64 {
             a.observe_u64(v);
             b.observe_u64(v);

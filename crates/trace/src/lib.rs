@@ -1,15 +1,32 @@
-//! # dp-trace — deterministic tracing and metrics for the DiffProv stack
+//! # dp-trace — the one instrumentation handle of the DiffProv stack
 //!
-//! A zero-overhead-when-disabled span/event tracer shared by the NDlog
-//! engine, the provenance recorder, the replay layer, the DiffProv
-//! pipeline, and the benchmark harness. One subsystem, three sinks:
+//! A zero-overhead-when-disabled [`Tracer`] shared by the NDlog engine,
+//! the provenance recorders, the replay layer and its durable store, the
+//! DiffProv pipeline, and the benchmark harness. One handle, one
+//! accumulator ([`Aggregate`]), several renderings of it:
 //!
 //! * a JSONL event stream ([`Trace::to_jsonl`]);
 //! * a Chrome `trace_event` export loadable in Perfetto / `chrome://tracing`
 //!   ([`Trace::to_chrome`]);
-//! * an in-process [`Aggregate`] with per-span timing histograms and
-//!   counter totals, from which the bench crate derives its numbers so
-//!   BENCH output and traces can never disagree.
+//! * the Prometheus text exposition ([`render_prometheus`], checked by
+//!   [`validate_exposition`]) and its JSON twin ([`Aggregate::to_json`]),
+//!   served live by [`MetricsServer`].
+//!
+//! The [`Aggregate`] holds five kinds of series, all keyed by name:
+//! time histograms (one per span name), counters, levels (gauges: set or
+//! raised), size histograms (same log2 buckets as the time histograms),
+//! and HyperLogLog sketches ([`hll`]). The bench crate derives its numbers
+//! from it, so BENCH output, traces and scrapes read one set of values.
+//!
+//! ## Names and labels
+//!
+//! A series name is a dotted family (`engine.join_probes`) optionally
+//! followed by one label in braces (`engine.rule_fired{rule=r1}`, built by
+//! [`series`]). The exposition name is derived from it by one rule
+//! ([`exposition_name`]): `dp_` + the family with dots turned into
+//! underscores + a suffix fixed by the kind (`_total` for counters,
+//! `_seconds` for span time histograms, nothing for levels, sizes and
+//! sketches); the label, if any, becomes a Prometheus label.
 //!
 //! ## The determinism contract
 //!
@@ -31,14 +48,19 @@
 //!
 //! A disabled tracer ([`Tracer::disabled`], the default) holds no
 //! allocation at all; every operation is a branch on an `Option`. An
-//! aggregate-only tracer ([`Tracer::aggregate_only`]) updates histograms
-//! but buffers no events. A full tracer ([`Tracer::full`]) records the
-//! event stream as well. Instrumented code must still keep tracing off
-//! per-tuple hot paths — the engine only emits spans at batch/phase
-//! granularity and counters at quiescence.
+//! aggregate-only tracer ([`Tracer::aggregate_only`]) updates the
+//! aggregate but buffers no events. A full tracer ([`Tracer::full`])
+//! records the event stream as well. Instrumented code must still keep
+//! tracing off per-tuple hot paths — the engine only emits spans at
+//! batch/phase granularity and publishes its counters at quiescence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod hll;
+
+mod expose;
+mod server;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -46,6 +68,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use dp_types::{LogicalTime, SpanId, TraceId};
+
+pub use expose::{exposition_name, render_prometheus, validate_exposition, Kind};
+pub use hll::{HllCell, HLL_PRECISION, HLL_REGISTERS};
+pub use server::MetricsServer;
 
 /// Determinism class of a trace event. See the crate docs for the contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,6 +149,18 @@ pub enum TraceEvent {
         /// Wall-clock nanoseconds since the tracer epoch (non-deterministic).
         wall_ns: u64,
     },
+    /// A level (gauge) reading: the aggregate keeps the value itself, or
+    /// the maximum seen, rather than a running sum.
+    Level {
+        /// Level name.
+        name: String,
+        /// Determinism class.
+        class: Class,
+        /// The reading.
+        value: u64,
+        /// Wall-clock nanoseconds since the tracer epoch (non-deterministic).
+        wall_ns: u64,
+    },
 }
 
 impl TraceEvent {
@@ -132,7 +170,8 @@ impl TraceEvent {
             TraceEvent::SpanBegin { class, .. }
             | TraceEvent::SpanEnd { class, .. }
             | TraceEvent::Instant { class, .. }
-            | TraceEvent::Counter { class, .. } => *class,
+            | TraceEvent::Counter { class, .. }
+            | TraceEvent::Level { class, .. } => *class,
         }
     }
 
@@ -142,77 +181,98 @@ impl TraceEvent {
             TraceEvent::SpanBegin { name, .. }
             | TraceEvent::SpanEnd { name, .. }
             | TraceEvent::Instant { name, .. }
-            | TraceEvent::Counter { name, .. } => name,
+            | TraceEvent::Counter { name, .. }
+            | TraceEvent::Level { name, .. } => name,
         }
     }
 }
 
-/// Number of power-of-two latency buckets in a [`SpanStat`] histogram.
+/// Number of power-of-two buckets in a [`Hist`].
 pub const HIST_BUCKETS: usize = 40;
 
-/// Aggregated timing for one span name.
+/// A log2 histogram with count, sum and extremes: nanoseconds for the
+/// per-span timing in [`Aggregate::spans`], raw units (batch depths, tree
+/// sizes) for [`Aggregate::sizes`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Number of completed spans.
+pub struct Hist {
+    /// Number of observations.
     pub count: u64,
-    /// Total wall time across all completions, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest completion, nanoseconds.
-    pub min_ns: u64,
-    /// Longest completion, nanoseconds.
-    pub max_ns: u64,
-    /// Log2 latency histogram: bucket `i` counts durations in
-    /// `[2^(i-1), 2^i)` ns (bucket 0 is `[0, 1)`).
+    /// Sum of the observed values.
+    pub sum: u64,
+    /// Smallest observation.
+    pub min: u64,
+    /// Largest observation.
+    pub max: u64,
+    /// Bucket `i` counts values in `[2^(i-1), 2^i)` (bucket 0 is `[0, 1)`).
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-impl Default for SpanStat {
+impl Default for Hist {
     fn default() -> Self {
-        SpanStat {
+        Hist {
             count: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
             buckets: [0; HIST_BUCKETS],
         }
     }
 }
 
-impl SpanStat {
-    fn observe(&mut self, ns: u64) {
+impl Hist {
+    fn observe(&mut self, v: u64) {
         self.count += 1;
-        self.total_ns += ns;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-        self.buckets[Self::bucket_index(ns)] += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.buckets[Self::bucket_index(v)] += 1;
     }
 
-    /// The histogram bucket a duration falls into.
-    pub fn bucket_index(ns: u64) -> usize {
-        ((64 - u64::leading_zeros(ns)) as usize).min(HIST_BUCKETS - 1)
+    /// The histogram bucket a value falls into.
+    pub fn bucket_index(v: u64) -> usize {
+        ((64 - u64::leading_zeros(v)) as usize).min(HIST_BUCKETS - 1)
     }
 
-    /// Mean completion time in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
+    /// Mean observation (0 when empty).
+    pub fn mean(&self) -> u64 {
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
 
-/// In-process aggregation: per-span-name timing histograms plus counter
-/// totals. Snapshots are cheap clones; the bench harness derives its
-/// figures by differencing two snapshots.
+/// Builds the name of a labeled series: `family{label=value}`.
+pub fn series(family: &str, label: &str, value: impl std::fmt::Display) -> String {
+    format!("{family}{{{label}={value}}}")
+}
+
+/// Splits a series name into its family and its label pair, if any.
+pub fn split_series(name: &str) -> (&str, Option<(&str, &str)>) {
+    name.strip_suffix('}')
+        .and_then(|n| n.split_once('{'))
+        .and_then(|(family, label)| Some((family, Some(label.split_once('=')?))))
+        .unwrap_or((name, None))
+}
+
+/// The one accumulator: every series the stack reports, keyed by name.
+/// Snapshots are cheap clones; the bench harness derives its figures by
+/// differencing two snapshots, and every exposition renders one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Aggregate {
-    /// Timing per span name, keyed deterministically.
-    pub spans: BTreeMap<String, SpanStat>,
+    /// Wall time per span name, nanoseconds.
+    pub spans: BTreeMap<String, Hist>,
     /// Counter totals (accumulated across [`Tracer::counter`] calls).
     pub counters: BTreeMap<String, u64>,
+    /// Levels: the last value set, or the highest value raised to.
+    pub levels: BTreeMap<String, u64>,
+    /// Size histograms (dimensionless observations).
+    pub sizes: BTreeMap<String, Hist>,
+    /// Distinct-count sketches.
+    pub sketches: BTreeMap<String, HllCell>,
 }
 
 impl Aggregate {
     /// Total nanoseconds spent in spans of `name` (0 if never seen).
     pub fn total_ns(&self, name: &str) -> u64 {
-        self.spans.get(name).map_or(0, |s| s.total_ns)
+        self.spans.get(name).map_or(0, |s| s.sum)
     }
 
     /// Total seconds spent in spans of `name`.
@@ -230,34 +290,51 @@ impl Aggregate {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Hand-rolled JSON rendering of the full aggregate (no histogram
-    /// buckets with zero entries are elided; bucket arrays are kept as-is
-    /// for simplicity of downstream tooling).
+    /// Current reading of level `name` (0 if never seen).
+    pub fn level(&self, name: &str) -> u64 {
+        self.levels.get(name).copied().unwrap_or(0)
+    }
+
+    /// Cardinality estimate of sketch `name` (0.0 if never seen).
+    pub fn sketch_estimate(&self, name: &str) -> f64 {
+        self.sketches.get(name).map_or(0.0, HllCell::estimate)
+    }
+
+    /// Adds `value` to counter `name`.
+    pub fn add(&mut self, name: &str, value: u64) {
+        *self.counters.entry(name.to_string()).or_insert(0) += value;
+    }
+
+    /// Sets level `name` to `value`.
+    pub fn set_level(&mut self, name: &str, value: u64) {
+        self.levels.insert(name.to_string(), value);
+    }
+
+    /// Raises level `name` to `value` if it is below it.
+    pub fn raise_level(&mut self, name: &str, value: u64) {
+        let level = self.levels.entry(name.to_string()).or_insert(0);
+        *level = (*level).max(value);
+    }
+
+    /// Records one observation in size histogram `name`.
+    pub fn observe_size(&mut self, name: &str, value: u64) {
+        self.sizes.entry(name.to_string()).or_default().observe(value);
+    }
+
+    /// Folds `sketch` into sketch `name` (register-wise max = set union).
+    pub fn merge_sketch(&mut self, name: &str, sketch: &HllCell) {
+        self.sketches
+            .entry(name.to_string())
+            .or_default()
+            .merge(sketch);
+    }
+
+    /// JSON rendering of the whole aggregate (hand-rolled, like every
+    /// other JSON emitter in the stack): one entry per family, in
+    /// exposition-name order, each `{name, kind, help, series: [{labels,
+    /// value|count…|estimate…}]}`.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"spans\":{");
-        for (i, (name, st)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                json_string(name),
-                st.count,
-                st.total_ns,
-                if st.count == 0 { 0 } else { st.min_ns },
-                st.max_ns
-            );
-        }
-        s.push_str("},\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{}", json_string(name), v);
-        }
-        s.push_str("}}");
-        s
+        expose::aggregate_json(self)
     }
 }
 
@@ -424,7 +501,7 @@ impl Tracer {
         let Some(inner) = &self.inner else { return };
         let mut g = inner.lock().expect("tracer poisoned");
         let wall_ns = g.now_ns();
-        *g.agg.counters.entry(name.to_string()).or_insert(0) += value;
+        g.agg.add(name, value);
         if g.record {
             g.events.push(TraceEvent::Counter {
                 name: name.to_string(),
@@ -432,6 +509,42 @@ impl Tracer {
                 value,
                 wall_ns,
             });
+        }
+    }
+
+    /// Sets level `name` to `value` (and records a level event when fully
+    /// recording). Levels are absolute readings: several runs sharing one
+    /// tracer overwrite each other instead of adding up.
+    pub fn level(&self, name: &str, class: Class, value: u64) {
+        self.level_event(name, class, value, Aggregate::set_level);
+    }
+
+    /// Raises level `name` to `value` if it is below it — a high-water
+    /// mark across every run sharing the tracer.
+    pub fn level_max(&self, name: &str, class: Class, value: u64) {
+        self.level_event(name, class, value, Aggregate::raise_level);
+    }
+
+    fn level_event(&self, name: &str, class: Class, value: u64, apply: fn(&mut Aggregate, &str, u64)) {
+        let Some(inner) = &self.inner else { return };
+        let mut g = inner.lock().expect("tracer poisoned");
+        let wall_ns = g.now_ns();
+        apply(&mut g.agg, name, value);
+        if g.record {
+            g.events.push(TraceEvent::Level {
+                name: name.to_string(),
+                class,
+                value,
+                wall_ns,
+            });
+        }
+    }
+
+    /// Applies `f` to the aggregate under one lock hold — for updates that
+    /// have no place in the event stream (size observations, sketches).
+    pub fn update(&self, f: impl FnOnce(&mut Aggregate)) {
+        if let Some(inner) = &self.inner {
+            f(&mut inner.lock().expect("tracer poisoned").agg);
         }
     }
 
@@ -484,15 +597,33 @@ impl Span {
     /// Closes the span, tagging the end event with a logical clock and a
     /// deterministic argument payload.
     pub fn end(mut self, lt: Option<LogicalTime>, args: &[(&'static str, u64)]) {
-        self.close(lt, args);
+        self.close(lt, args, |_| {});
     }
 
-    fn close(&mut self, lt: Option<LogicalTime>, args: &[(&'static str, u64)]) {
+    /// [`Span::end`], then `f` on the aggregate under the same lock hold:
+    /// per-span size observations and levels ride the close instead of
+    /// taking the lock again.
+    pub fn end_with(
+        mut self,
+        lt: Option<LogicalTime>,
+        args: &[(&'static str, u64)],
+        f: impl FnOnce(&mut Aggregate),
+    ) {
+        self.close(lt, args, f);
+    }
+
+    fn close(
+        &mut self,
+        lt: Option<LogicalTime>,
+        args: &[(&'static str, u64)],
+        f: impl FnOnce(&mut Aggregate),
+    ) {
         let Some(live) = self.live.take() else { return };
         let mut g = live.inner.lock().expect("tracer poisoned");
         let wall_ns = g.now_ns();
         let dur = wall_ns.saturating_sub(live.start_ns);
         g.agg.spans.entry(live.name.clone()).or_default().observe(dur);
+        f(&mut g.agg);
         if g.record {
             g.events.push(TraceEvent::SpanEnd {
                 id: live.id,
@@ -508,7 +639,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close(None, &[]);
+        self.close(None, &[], |_| {});
     }
 }
 
@@ -554,6 +685,9 @@ impl Trace {
                 TraceEvent::Counter { name, value, .. } => {
                     let _ = write!(out, "C {name} +{value}");
                 }
+                TraceEvent::Level { name, value, .. } => {
+                    let _ = write!(out, "L {name} ={value}");
+                }
             }
             out.push('\n');
         }
@@ -594,10 +728,12 @@ impl Trace {
                     );
                     jsonl_tail(&mut out, *lt, args, *wall_ns);
                 }
-                TraceEvent::Counter { name, class, value, wall_ns } => {
+                TraceEvent::Counter { name, class, value, wall_ns }
+                | TraceEvent::Level { name, class, value, wall_ns } => {
+                    let tag = if matches!(ev, TraceEvent::Level { .. }) { 'L' } else { 'C' };
                     let _ = write!(
                         out,
-                        "{{\"ev\":\"C\",\"name\":{},\"class\":\"{}\",\"value\":{}",
+                        "{{\"ev\":\"{tag}\",\"name\":{},\"class\":\"{}\",\"value\":{}",
                         json_string(name),
                         class.label(),
                         value
@@ -631,7 +767,10 @@ impl Trace {
                 TraceEvent::Instant { name, class, lt, args, wall_ns } => {
                     chrome_event(&mut out, "i", name, class.label(), *lt, args, *wall_ns, None);
                 }
-                TraceEvent::Counter { name, class, value, wall_ns } => {
+                // A Chrome counter track plots the values it is given, so
+                // increments and level readings share the `C` phase.
+                TraceEvent::Counter { name, class, value, wall_ns }
+                | TraceEvent::Level { name, class, value, wall_ns } => {
                     chrome_event(
                         &mut out,
                         "C",
@@ -764,8 +903,7 @@ mod tests {
         span.end(Some(2), &[("n", 3)]);
         let trace = t.finish();
         assert!(trace.events.is_empty());
-        assert!(trace.aggregate.spans.is_empty());
-        assert!(trace.aggregate.counters.is_empty());
+        assert_eq!(trace.aggregate, Aggregate::default());
         assert_eq!(trace.skeleton(), "");
     }
 
@@ -869,19 +1007,19 @@ mod tests {
 
     #[test]
     fn histogram_buckets_cover_durations() {
-        assert_eq!(SpanStat::bucket_index(0), 0);
-        assert_eq!(SpanStat::bucket_index(1), 1);
-        assert_eq!(SpanStat::bucket_index(2), 2);
-        assert_eq!(SpanStat::bucket_index(3), 2);
-        assert_eq!(SpanStat::bucket_index(u64::MAX), HIST_BUCKETS - 1);
-        let mut st = SpanStat::default();
+        assert_eq!(Hist::bucket_index(0), 0);
+        assert_eq!(Hist::bucket_index(1), 1);
+        assert_eq!(Hist::bucket_index(2), 2);
+        assert_eq!(Hist::bucket_index(3), 2);
+        assert_eq!(Hist::bucket_index(u64::MAX), HIST_BUCKETS - 1);
+        let mut st = Hist::default();
         st.observe(100);
         st.observe(200);
         assert_eq!(st.count, 2);
-        assert_eq!(st.total_ns, 300);
-        assert_eq!(st.min_ns, 100);
-        assert_eq!(st.max_ns, 200);
-        assert_eq!(st.mean_ns(), 150);
+        assert_eq!(st.sum, 300);
+        assert_eq!(st.min, 100);
+        assert_eq!(st.max, 200);
+        assert_eq!(st.mean(), 150);
         assert_eq!(st.buckets.iter().sum::<u64>(), 2);
     }
 
@@ -900,13 +1038,49 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_json_shape() {
+    fn levels_are_set_or_raised_never_summed() {
+        let t = Tracer::full();
+        t.level("node.live", Class::Skeleton, 5);
+        t.level("node.live", Class::Skeleton, 3);
+        t.level_max("peak", Class::Effort, 9);
+        t.level_max("peak", Class::Effort, 4);
+        let trace = t.finish();
+        assert_eq!(trace.aggregate.level("node.live"), 3);
+        assert_eq!(trace.aggregate.level("peak"), 9);
+        assert_eq!(trace.aggregate.level("never"), 0);
+        assert_eq!(trace.skeleton(), "L node.live =5\nL node.live =3\n");
+        assert_eq!(trace.to_jsonl().matches("\"ev\":\"L\"").count(), 4);
+    }
+
+    #[test]
+    fn span_close_carries_aggregate_updates() {
         let t = Tracer::aggregate_only();
-        t.span("p", Class::Skeleton, None).end(None, &[]);
-        t.counter("c", Class::Skeleton, 3);
-        let j = t.aggregate().to_json();
-        assert!(j.starts_with("{\"spans\":{\"p\":{\"count\":1,"));
-        assert!(j.contains("\"counters\":{\"c\":3}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        t.span("flush", Class::Effort, None).end_with(None, &[], |a| {
+            a.observe_size("flush.deltas", 6);
+            a.set_level("queue", 2);
+        });
+        let mut sketch = HllCell::new();
+        sketch.observe_u64(1);
+        t.update(|a| a.merge_sketch("distinct", &sketch));
+        let agg = t.aggregate();
+        assert_eq!(agg.span_count("flush"), 1);
+        assert_eq!(agg.sizes["flush.deltas"].sum, 6);
+        assert_eq!(agg.level("queue"), 2);
+        assert!(agg.sketch_estimate("distinct") >= 0.5);
+        // A disabled tracer runs neither closure.
+        let off = Tracer::disabled();
+        off.span("flush", Class::Effort, None)
+            .end_with(None, &[], |_| unreachable!());
+        off.update(|_| unreachable!());
+    }
+
+    #[test]
+    fn series_names_split_back_into_family_and_label() {
+        let name = series("engine.rule_fired", "rule", "r1");
+        assert_eq!(name, "engine.rule_fired{rule=r1}");
+        assert_eq!(split_series(&name), ("engine.rule_fired", Some(("rule", "r1"))));
+        assert_eq!(split_series("engine.events"), ("engine.events", None));
+        // A value may hold anything, braces and equals signs included.
+        assert_eq!(split_series("a.b{k=x{=}y}"), ("a.b", Some(("k", "x{=}y"))));
     }
 }

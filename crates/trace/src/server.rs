@@ -1,7 +1,7 @@
 //! A std-only HTTP `/metrics` endpoint.
 //!
-//! The registry must be scrapeable while a replay or sim sweep is running,
-//! and the container has no HTTP crate — so this is a deliberately small
+//! The aggregate must be scrapeable while a replay is running, and the
+//! container has no HTTP crate — so this is a deliberately small
 //! HTTP/1.1 server on [`std::net::TcpListener`]: one accept thread,
 //! requests handled serially (a scrape is a few kilobytes; Prometheus
 //! scrapes one target at a time anyway), connections closed after each
@@ -10,7 +10,7 @@
 //! Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition 0.0.4,
-//! * `GET /metrics.json` — the JSON snapshot shape,
+//! * `GET /metrics.json` — the same snapshot as JSON ([`crate::Aggregate::to_json`]),
 //! * `GET /healthz` — liveness probe (`ok`),
 //! * `GET /shutdown` — requests a clean stop; the accept loop exits after
 //!   responding and [`MetricsServer::stop_requested`] turns true so the
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::{render_prometheus, Metrics};
+use crate::{render_prometheus, Tracer};
 
 /// A running `/metrics` endpoint. Dropping the handle without calling
 /// [`MetricsServer::shutdown`] leaves the serving thread running for the
@@ -41,16 +41,16 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// serving `metrics` on a background thread.
-    pub fn serve(metrics: Metrics, addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
+    /// serving `tracer`'s aggregate on a background thread.
+    pub fn serve(tracer: Tracer, addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("dp-metrics-http".into())
-            .spawn(move || accept_loop(listener, metrics, stop_thread))?;
+            .name("dp-trace-http".into())
+            .spawn(move || accept_loop(listener, tracer, stop_thread))?;
         Ok(MetricsServer {
             addr,
             stop,
@@ -78,10 +78,10 @@ impl MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, metrics: Metrics, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, tracer: Tracer, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, &metrics, &stop),
+            Ok((stream, _)) => handle_connection(stream, &tracer, &stop),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -90,7 +90,7 @@ fn accept_loop(listener: TcpListener, metrics: Metrics, stop: Arc<AtomicBool>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, metrics: &Metrics, stop: &Arc<AtomicBool>) {
+fn handle_connection(mut stream: TcpStream, tracer: &Tracer, stop: &Arc<AtomicBool>) {
     // The accepted socket may inherit the listener's non-blocking mode on
     // some platforms; force blocking reads bounded by a timeout instead.
     let _ = stream.set_nonblocking(false);
@@ -102,7 +102,7 @@ fn handle_connection(mut stream: TcpStream, metrics: &Metrics, stop: &Arc<Atomic
     };
     match path.as_str() {
         "/metrics" => {
-            let body = render_prometheus(&metrics.snapshot());
+            let body = render_prometheus(&tracer.aggregate());
             let _ = respond(
                 &mut stream,
                 200,
@@ -111,7 +111,7 @@ fn handle_connection(mut stream: TcpStream, metrics: &Metrics, stop: &Arc<Atomic
             );
         }
         "/metrics.json" => {
-            let body = metrics.snapshot().to_json();
+            let body = tracer.aggregate().to_json();
             let _ = respond(&mut stream, 200, "application/json", &body);
         }
         "/healthz" => {
@@ -185,7 +185,7 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_exposition;
+    use crate::{validate_exposition, Class};
 
     /// A minimal scrape client over raw `TcpStream` — the same shape the
     /// smoke test and the scrape-under-load test use.
@@ -209,19 +209,19 @@ mod tests {
 
     #[test]
     fn serves_scrapes_and_shuts_down() {
-        let m = Metrics::enabled();
-        m.counter("dp_test_total", "a counter").add(42);
-        let server = MetricsServer::serve(m.clone(), "127.0.0.1:0").unwrap();
+        let t = Tracer::aggregate_only();
+        t.counter("test.hits", Class::Skeleton, 42);
+        let server = MetricsServer::serve(t.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
         let (status, body) = http_get(addr, "/metrics").unwrap();
         assert_eq!(status, 200);
         validate_exposition(&body).unwrap();
-        assert!(body.contains("dp_test_total 42"));
+        assert!(body.contains("dp_test_hits_total 42"));
 
         let (status, body) = http_get(addr, "/metrics.json").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"dp_test_total\""));
+        assert!(body.contains("\"dp_test_hits_total\""));
 
         let (status, _) = http_get(addr, "/healthz").unwrap();
         assert_eq!(status, 200);
@@ -238,14 +238,13 @@ mod tests {
 
     #[test]
     fn scrape_sees_live_updates() {
-        let m = Metrics::enabled();
-        let server = MetricsServer::serve(m.clone(), "127.0.0.1:0").unwrap();
+        let t = Tracer::aggregate_only();
+        let server = MetricsServer::serve(t.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
-        let c = m.counter("dp_live_total", "live updates");
         for i in 1..=3u64 {
-            c.inc();
+            t.counter("live.updates", Class::Skeleton, 1);
             let (_, body) = http_get(addr, "/metrics").unwrap();
-            assert!(body.contains(&format!("dp_live_total {i}")));
+            assert!(body.contains(&format!("dp_live_updates_total {i}")));
         }
         server.shutdown();
     }

@@ -9,8 +9,8 @@
 //! (bad alpha, wrong rho, biased hash use) fails these long before a
 //! human would notice a wrong gauge.
 
-use dp_metrics::hll::{self, HllCell};
-use dp_metrics::{HLL_PRECISION, HLL_REGISTERS};
+use dp_trace::hll::{self, HllCell};
+use dp_trace::{HLL_PRECISION, HLL_REGISTERS};
 use dp_types::DetRng;
 
 /// Sketches `n` distinct items drawn from a seeded stream. Items are
@@ -18,7 +18,7 @@ use dp_types::DetRng;
 /// negligible (~n²/2⁶⁴) and `n` is the true cardinality.
 fn sketch_of(seed: u64, n: u64) -> HllCell {
     let mut rng = DetRng::seed_from_u64(seed);
-    let cell = HllCell::new();
+    let mut cell = HllCell::new();
     for _ in 0..n {
         cell.observe_u64(rng.next_u64());
     }
@@ -93,17 +93,17 @@ fn merge_equals_union() {
     let items_a: Vec<u64> = (0..4_000).map(|_| rng.next_u64()).collect();
     let items_b: Vec<u64> = (0..4_000).map(|_| rng.next_u64()).collect();
 
-    let sa = HllCell::new();
+    let mut sa = HllCell::new();
     for &v in &items_a {
         sa.observe_u64(v);
     }
-    let sb = HllCell::new();
+    let mut sb = HllCell::new();
     // Half of B's stream overlaps A, so the union is smaller than the sum.
     for &v in items_b.iter().chain(items_a.iter().take(2_000)) {
         sb.observe_u64(v);
     }
 
-    let union = HllCell::new();
+    let mut union = HllCell::new();
     for &v in items_a.iter().chain(items_b.iter()) {
         union.observe_u64(v);
     }
@@ -121,7 +121,7 @@ fn merge_equals_union() {
 }
 
 /// Pinned vectors: the sketch is part of the observable surface (it is
-/// exposed on `/metrics` and merged across registries), so its exact
+/// exposed on `/metrics` and merged across runs), so its exact
 /// behavior for a known input stream is pinned — a change to the hash,
 /// the precision, or the rho computation must show up here, not as a
 /// silent accuracy drift.
@@ -131,7 +131,7 @@ fn pinned_vectors() {
     assert_eq!(HLL_REGISTERS, 1024);
 
     // Single known item: exactly one register set, at a pinned position.
-    let one = HllCell::new();
+    let mut one = HllCell::new();
     one.observe_u64(0);
     let regs = one.registers();
     let set: Vec<(usize, u8)> = regs

@@ -80,7 +80,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Stable FNV-1a checksum of a tuple's canonical encoding: the same
 /// value on every platform and every run.
-/// This is what the metric HLL sketches hash, so distinct-tuple counts
+/// This is what the engine's HLL sketches hash, so distinct-tuple counts
 /// are comparable across runs and processes (a pointer- or
 /// `RandomState`-based hash would not be).
 pub fn tuple_fnv64(t: &Tuple) -> u64 {
@@ -90,9 +90,10 @@ pub fn tuple_fnv64(t: &Tuple) -> u64 {
 }
 
 /// Stable FNV-1a checksum over only the IP-typed fields of a tuple (the
-/// tuple's table name is mixed in first). The metric layer uses this as
-/// its flow identity: for packet-shaped base tuples the IP endpoints are
-/// the flow key, while per-packet serials and payload sizes are not.
+/// tuple's table name is mixed in first). The engine's flow sketch uses
+/// this as its flow identity: for packet-shaped base tuples the IP
+/// endpoints are the flow key, while per-packet serials and payload sizes
+/// are not.
 /// Returns `None` when the tuple carries no IP field — such tuples are
 /// not flows.
 pub fn flow_fnv64(t: &Tuple) -> Option<u64> {

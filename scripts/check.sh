@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Full local gate: release build; the whole workspace suite five times —
-# default, DP_TRACE, DP_METRICS (plus the metrics scrape smoke test),
-# DP_PROV=annot, DP_STORE=disk — one pass per process-wide switch that
-# turns on an instrumentation system or selects a provenance backend or a
-# store; the diagbench package's own tests; one fault-injection sweep; and
-# lint-clean clippy. There is one engine: it is checked against the
-# reference evaluator inside the suite (reference_differential.rs), not by
-# re-running the suite under another evaluation path.
+# Full local gate: release build; the whole workspace suite four times —
+# default, DP_TRACE, DP_PROV=annot, DP_STORE=disk — one pass per
+# process-wide switch that turns on the instrumentation handle or selects
+# a provenance backend or a store; the /metrics scrape smoke test; the
+# diagbench package's own tests; one fault-injection sweep; a grep gate
+# against the deleted second instrumentation system; and lint-clean
+# clippy. There is one engine: it is checked against the reference
+# evaluator inside the suite (reference_differential.rs), not by
+# re-running the suite under another evaluation path. There is one
+# instrumentation handle: trace_differential.rs compares it disabled,
+# aggregate-only and full within one process.
 # Run from the repository root before sending a change out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,21 +20,15 @@ cargo build --release
 # cargo's fingerprints, so nothing is rebuilt between legs (a debug pass
 # here used to pay a full second compilation of the workspace).
 cargo test --release --workspace -q
-# Full tracing as the process-wide default: every engine the suite builds
-# records spans and counters, and the differential suites (which compare
-# provenance streams byte-for-byte) double as the proof that tracing
-# never perturbs evaluation.
+# The instrumentation handle fully recording as the process-wide default:
+# every engine the suite builds records spans, counters, levels, size
+# histograms and sketches, and the differential suites (which compare
+# provenance streams byte-for-byte) double as the proof that
+# instrumentation never perturbs evaluation.
 DP_TRACE=1 cargo test --release --workspace -q
-# The process-wide dp-metrics registry live for every engine the suite
-# builds. The differential suites (streams and skeletons compared
-# byte-for-byte) double as the proof that metering — counters,
-# histograms, HLL sketches — never perturbs evaluation, and
-# metrics_differential.rs additionally compares explicit enabled vs
-# disabled handles within one process.
-DP_METRICS=1 cargo test --release --workspace -q
-# Scrape smoke test: serve /metrics from a live registry while a replay
-# loop mutates it, validate every scraped exposition, shut down over
-# HTTP.
+# Scrape smoke test: serve /metrics from a live tracer while a replay
+# loop mutates its aggregate, validate every scraped exposition, shut down
+# over HTTP.
 cargo run --release -p dp-bench --bin repro -- metrics-smoke
 # The compact annotation provenance backend as the replay-wide default:
 # every diagnosis reconstructs its proof trees from episode annotations
@@ -57,4 +54,12 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # duplicate invisibility, durable recovery). Failing seeds are
 # ddmin-shrunk into tests/corpus/ automatically.
 cargo run --release -p dp-bench --bin repro -- sim --seeds 32
+# The separate metrics registry folded into dp-trace's aggregate in PR 14;
+# a second instrumentation system must not grow back beside it. (The
+# names are spelled in halves so this script passes its own gate.)
+gone="dp_""metrics|DP_""METRICS|set_""metrics|Engine""Meters|Recorder""Meters"
+if grep -rnE "$gone" crates src tests examples scripts; then
+    echo "check.sh: a deleted instrumentation name reappeared (see above)" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings

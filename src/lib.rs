@@ -22,6 +22,9 @@
 //! * [`sim`] — the seeded fault-injection simulation harness generating
 //!   hundreds of diagnosis scenarios and holding them to an invariant
 //!   battery;
+//! * [`trace`] — the one instrumentation handle every layer reports to,
+//!   with its renderings (JSONL, Chrome trace, Prometheus text, the
+//!   `/metrics` server);
 //! * [`mapreduce`] — WordCount in declarative and instrumented-imperative
 //!   form, scenarios MR1/MR2;
 //! * [`netcore`] — a NetCore-style policy front-end.
@@ -52,13 +55,13 @@
 
 pub use diffprov_core as core;
 pub use dp_mapreduce as mapreduce;
-pub use dp_metrics as metrics;
 pub use dp_ndlog as ndlog;
 pub use dp_netcore as netcore;
 pub use dp_provenance as provenance;
 pub use dp_replay as replay;
 pub use dp_sdn as sdn;
 pub use dp_sim as sim;
+pub use dp_trace as trace;
 pub use dp_types as types;
 
 pub use diffprov_core::{DiffProv, Failure, QueryEvent, Report, Scenario};

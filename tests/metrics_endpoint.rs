@@ -1,11 +1,11 @@
 //! Integration test of the live `/metrics` endpoint **under load**: a
 //! scraper thread hammers the std-only HTTP server every few
-//! milliseconds while the main thread replays the campus scenario with a
-//! live registry attached. Every scraped body must be a valid Prometheus
-//! 0.0.4 exposition — the registry takes snapshots while counters,
-//! histograms, and HLL sketches are being updated concurrently, and a
-//! torn or malformed exposition here is exactly the bug this test
-//! exists to catch.
+//! milliseconds while the main thread replays the campus scenario with
+//! the served tracer attached. Every scraped body must be a valid
+//! Prometheus 0.0.4 exposition — the server snapshots the aggregate
+//! while counters, histograms, and HLL sketches are being updated
+//! concurrently, and a torn or malformed exposition here is exactly the
+//! bug this test exists to catch.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use diffprov::metrics::{validate_exposition, Metrics, MetricsServer};
+use diffprov::trace::{validate_exposition, MetricsServer, Tracer};
 
 fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
@@ -36,12 +36,12 @@ fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-/// Scrapes stay valid while a replay mutates the registry concurrently,
+/// Scrapes stay valid while a replay mutates the aggregate concurrently,
 /// the scraper observes counters actually moving, and shutdown is clean.
 #[test]
 fn concurrent_scrapes_stay_valid_under_replay_load() {
-    let metrics = Metrics::enabled();
-    let server = MetricsServer::serve(metrics.clone(), "127.0.0.1:0").unwrap();
+    let tracer = Tracer::aggregate_only();
+    let server = MetricsServer::serve(tracer.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -68,11 +68,11 @@ fn concurrent_scrapes_stay_valid_under_replay_load() {
     });
 
     // The workload: repeated campus replays, each engine wired to the
-    // served registry — counters move while the scraper reads them.
+    // served tracer — counters move while the scraper reads them.
     let scenario = diffprov::sdn::campus(&diffprov::sdn::CampusConfig::default()).scenario;
     for _ in 0..3 {
         let mut exec = scenario.bad_exec.clone();
-        exec.metrics = metrics.clone();
+        exec.tracer = tracer.clone();
         exec.replay().unwrap();
     }
 
