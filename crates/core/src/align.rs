@@ -151,9 +151,13 @@ impl DiffProv {
                 ))
             })?;
 
+        // A diagnosis holds one recording at a time. A separate reference
+        // execution is done with once its tree is out: release it before
+        // the bad execution's replay allocates a recording of its own.
         let mut replayed_bad = if shared {
             replayed_good
         } else {
+            drop(replayed_good);
             let span = tracer.span("diffprov.replay", Class::Skeleton, None);
             let r = bad.replay()?;
             span.end(None, &[("shared", 0)]);
@@ -300,8 +304,13 @@ impl DiffProv {
                 changes: new_changes,
             });
 
-            // UPDATETREE: cloned replay with the accumulated changes.
+            // UPDATETREE: cloned replay with the accumulated changes. The
+            // round is done reading the previous recording; drop it first
+            // (inside the span, which has always paid for that drop) so
+            // the new replay reuses its pages instead of growing the heap
+            // by a second full graph.
             let span = tracer.span("diffprov.update_tree", Class::Skeleton, None);
+            drop(replayed_bad);
             replayed_bad = bad.replay_with(&delta, inject_at)?;
             span.end(
                 None,

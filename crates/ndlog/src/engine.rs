@@ -52,26 +52,47 @@
 //! The engine does not fire rules tuple-at-a-time. Deltas that share a
 //! scheduled timestamp (`due`) are applied to the tables first — one
 //! event at a time, so base provenance events and logical clocks are
-//! unchanged — and accumulate per (node, table) as the *delta relation* of
-//! classic semi-naive evaluation. At the batch boundary (the next queued
-//! event has a different `due`, or a deletion arrives) each triggered rule
-//! is evaluated once per delta group: the batch supplies the trigger
-//! tuples, the indexed tables supply the rest. Because all of a batch's
-//! tuples are already inserted when the joins run, each join carries an
-//! `as_of` horizon — a body tuple qualifies only if it appeared no later
-//! than the delta being fired (`TupleState::appeared_at <= as_of`) — which
-//! reproduces exactly the state a tuple-at-a-time firing would have seen.
-//! Scheduled actions are buffered per delta and released in arrival
-//! order, so the queue (and hence every downstream timestamp) evolves as
-//! the oracle's does. Deletions flush the pending batch before they
-//! cascade, keeping "in-flight" semantics intact. Provenance events are
-//! buffered in emission order and handed to the sink at each flush.
+//! unchanged — and accumulate as the *delta relation* of classic
+//! semi-naive evaluation. At the batch boundary (the next queued event
+//! has a different `due`, or a deletion arrives) the batch is flushed:
+//! the deltas supply the trigger tuples, the indexed tables supply the
+//! rest. Because all of a batch's tuples are already inserted when the
+//! joins run, each join carries an `as_of` horizon — a body tuple
+//! qualifies only if it appeared no later than the delta being fired
+//! (`TupleState::appeared_at <= as_of`) — which reproduces exactly the
+//! state a tuple-at-a-time firing would have seen. Deletions flush the
+//! pending batch before they cascade, keeping "in-flight" semantics
+//! intact. Provenance events are buffered in emission order and handed to
+//! the sink at each flush.
 //!
-//! Because tables only ever grow within a batch (deletions flush first),
-//! the flush can prune a whole delta group for a rule whose partner table
-//! is empty — the join could not have completed for any delta: a bulk
-//! configuration push runs its doomed trigger joins zero times instead of
-//! once per tuple.
+//! The flush fires **delta-major**. Consecutive deltas of one (node,
+//! table) form a group; the group's trigger list is resolved once, and
+//! because tables only ever grow within a batch (deletions flush first) a
+//! rule whose partner table is empty is dropped for the whole group — the
+//! join could not have completed for any delta: a bulk configuration push
+//! runs its doomed trigger joins zero times instead of once per tuple.
+//! Then, for each delta in arrival order, the surviving rules fire in
+//! program order and the natives after them, every scheduled action
+//! appended to one flat buffer. That is the order the oracle pushes in —
+//! it pops one tuple, fires all its rules, then its natives, before it
+//! touches the next — so the buffer is drained into the queue as it
+//! stands, sequence numbers (and hence every downstream timestamp where
+//! two heads share a `due`) come out the oracle's, and a flush costs what
+//! its own deltas and actions cost: nothing is kept, reset or walked per
+//! delta of an earlier, larger batch. A firing error discards the buffer:
+//! none of the failed batch's actions is queued, then or later.
+//!
+//! # Where the state lives
+//!
+//! [`NodeState`] and the tables under it are in `engine/state.rs`. Each
+//! live tuple owns one slot of its table: the public [`TupleState`]
+//! (base flag, derivation records, appearance time) and, beside it, the
+//! tuple's reverse-dependency list — the heads whose derivations used it.
+//! A derivation registers its head with a lookup in each body tuple's own
+//! table; the `remove` that retires a tuple hands its list to the
+//! cascade. There is no engine-wide `(node, tuple)`-keyed dependency map.
+//! Snapshots (`engine/snapshot.rs`) write the lists as their own section,
+//! in table order.
 //!
 //! # Why the engine is serial
 //!
@@ -81,20 +102,22 @@
 //! 0.54x / 0.66x).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 pub mod snapshot;
+mod state;
+
+pub use state::{NodeState, NodeView};
 
 use dp_trace::{series, Class, HllCell, Tracer};
 use dp_types::{
-    Error, LogicalTime, NodeId, Prefix, PrefixTrie, Result, Sym, TableKind, Tuple, TupleRef,
-    TupleStore, Value,
+    Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore, Value,
 };
 
 use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
 use crate::expr::Env;
-use crate::plan::{IndexSpecs, IpSource, JoinPlan, TrieSpecs};
+use crate::plan::{IpSource, JoinPlan};
 use crate::program::{Emitter, Program};
 use crate::reference::ScheduledOp;
 use crate::sink::{ProvEvent, ProvenanceSink};
@@ -131,441 +154,13 @@ impl TupleState {
     }
 }
 
-/// One prefix-trie access path of a table (see [`crate::plan::PrefixProbe`]).
-///
-/// The trie holds the tuples whose value at the indexed column is
-/// prefix-like under the exact promotion rule of `prefix_contains`
-/// (`Value::Prefix` as-is, `Value::Ip` as a `/32` host prefix). Everything
-/// else — wrong arity aside — goes into the `other` bucket, which every
-/// probe returns alongside the trie walk: the scan path would have fed
-/// those tuples to the constraint and surfaced a type error, so the trie
-/// path must produce them too for byte-identical behavior.
-#[derive(Clone, Debug, Default)]
-struct TrieIndex {
-    trie: PrefixTrie<Arc<Tuple>>,
-    other: BTreeSet<Arc<Tuple>>,
-}
-
-impl TrieIndex {
-    /// Routes `tuple` to the trie or the `other` bucket. `None` means the
-    /// column is out of range — such a tuple can never match the atom the
-    /// trie serves, so it is indexed nowhere (like a failed `index_key`).
-    fn route(tuple: &Tuple, col: usize) -> Option<std::result::Result<Prefix, ()>> {
-        match tuple.args.get(col) {
-            Some(Value::Prefix(p)) => Some(Ok(*p)),
-            Some(Value::Ip(ip)) => Some(Ok(Prefix::host(*ip))),
-            Some(_) => Some(Err(())),
-            None => None,
-        }
+/// The state of `node`, created empty on first use. Looked up by
+/// reference: the `NodeId` is cloned only when the node is new.
+fn node_state<'a>(nodes: &'a mut BTreeMap<NodeId, NodeState>, node: &NodeId) -> &'a mut NodeState {
+    if !nodes.contains_key(node) {
+        nodes.insert(node.clone(), NodeState::default());
     }
-
-    fn insert(&mut self, tuple: &Arc<Tuple>, col: usize) {
-        match Self::route(tuple, col) {
-            Some(Ok(p)) => {
-                self.trie.insert(p, Arc::clone(tuple));
-            }
-            Some(Err(())) => {
-                self.other.insert(Arc::clone(tuple));
-            }
-            None => {}
-        }
-    }
-
-    fn remove(&mut self, tuple: &Tuple, col: usize) {
-        match Self::route(tuple, col) {
-            Some(Ok(p)) => {
-                self.trie.remove(p, tuple);
-            }
-            Some(Err(())) => {
-                self.other.remove(tuple);
-            }
-            None => {}
-        }
-    }
-}
-
-/// One table of one node: the tuples in deterministic BTree order, plus the
-/// secondary hash indexes the program's join plans registered for it.
-///
-/// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
-/// bucket of live tuples with those values, kept as a `BTreeSet` so index
-/// probes still enumerate candidates in tuple order. The `HashMap` layer is
-/// only ever probed by key, never iterated, so its nondeterministic
-/// iteration order cannot leak into the event stream.
-///
-/// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
-/// answering `prefix_contains` probes in O(32) instead of a full scan.
-#[derive(Clone, Debug, Default)]
-struct Table {
-    specs: IndexSpecs,
-    trie_specs: TrieSpecs,
-    tuples: BTreeMap<Arc<Tuple>, TupleState>,
-    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
-    tries: Vec<TrieIndex>,
-    /// Clock of the most recent appearance in this table. Lets `as_of`-
-    /// horizon probes (see the module docs on batching) skip the per-
-    /// candidate `appeared_at` check entirely whenever nothing in the
-    /// table is newer than the horizon — the common case, since only
-    /// same-batch insertions into a probed table can be "too new".
-    last_appear: LogicalTime,
-}
-
-/// The values of `cols` in `tuple`, or `None` if any column is out of
-/// range (such a tuple can never match the atom the index serves).
-fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    cols.iter().map(|&c| tuple.args.get(c).cloned()).collect()
-}
-
-impl Table {
-    fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
-        let indexes = vec![HashMap::new(); specs.len()];
-        let tries = vec![TrieIndex::default(); trie_specs.len()];
-        Table {
-            specs,
-            trie_specs,
-            tuples: BTreeMap::new(),
-            indexes,
-            tries,
-            last_appear: 0,
-        }
-    }
-
-    fn insert(&mut self, tuple: &Arc<Tuple>, now: LogicalTime) -> &mut TupleState {
-        if !self.tuples.contains_key(&**tuple) {
-            self.last_appear = self.last_appear.max(now);
-            for (slot, cols) in self.specs.iter().enumerate() {
-                if let Some(key) = index_key(tuple, cols) {
-                    self.indexes[slot]
-                        .entry(key)
-                        .or_default()
-                        .insert(Arc::clone(tuple));
-                }
-            }
-            for (slot, &col) in self.trie_specs.iter().enumerate() {
-                self.tries[slot].insert(tuple, col);
-            }
-        }
-        self.tuples.entry(Arc::clone(tuple)).or_default()
-    }
-
-    fn remove(&mut self, tuple: &Tuple) {
-        if self.tuples.remove(tuple).is_none() {
-            return;
-        }
-        for (slot, cols) in self.specs.iter().enumerate() {
-            if let Some(key) = index_key(tuple, cols) {
-                if let Some(bucket) = self.indexes[slot].get_mut(&key) {
-                    bucket.remove(tuple);
-                    if bucket.is_empty() {
-                        self.indexes[slot].remove(&key);
-                    }
-                }
-            }
-        }
-        for (slot, &col) in self.trie_specs.iter().enumerate() {
-            self.tries[slot].remove(tuple, col);
-        }
-    }
-
-    /// Re-derives every index from the tuple set under (possibly new)
-    /// specs. Used when restoring a checkpoint under a program whose index
-    /// requirements may differ from the one that took it.
-    fn rebuild(&mut self, specs: IndexSpecs, trie_specs: TrieSpecs) {
-        self.indexes = vec![HashMap::new(); specs.len()];
-        self.specs = specs;
-        self.tries = vec![TrieIndex::default(); trie_specs.len()];
-        self.trie_specs = trie_specs;
-        for tuple in self.tuples.keys() {
-            for (slot, cols) in self.specs.iter().enumerate() {
-                if let Some(key) = index_key(tuple, cols) {
-                    self.indexes[slot]
-                        .entry(key)
-                        .or_default()
-                        .insert(Arc::clone(tuple));
-                }
-            }
-            for (slot, &col) in self.trie_specs.iter().enumerate() {
-                self.tries[slot].insert(tuple, col);
-            }
-        }
-    }
-}
-
-/// The tables of a single node.
-#[derive(Clone, Debug, Default)]
-pub struct NodeState {
-    tables: BTreeMap<Sym, Table>,
-}
-
-impl NodeState {
-    /// Looks up the state of a tuple.
-    pub fn get(&self, tuple: &Tuple) -> Option<&TupleState> {
-        self.tables
-            .get(&tuple.table)
-            .and_then(|t| t.tuples.get(tuple))
-    }
-
-    /// True if the tuple is currently present (support > 0).
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.get(tuple).is_some()
-    }
-
-    /// Iterates over the live tuples of one table, in tuple order.
-    pub fn table(&self, table: &Sym) -> impl Iterator<Item = (&Tuple, &TupleState)> {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, v)))
-    }
-
-    /// Iterates over all live tuples on the node.
-    pub fn all(&self) -> impl Iterator<Item = (&Tuple, &TupleState)> {
-        self.tables
-            .values()
-            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, v)))
-    }
-
-    /// Total live tuples on the node.
-    pub fn len(&self) -> usize {
-        self.tables.values().map(|t| t.tuples.len()).sum()
-    }
-
-    /// True when the node holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tables.values().all(|t| t.tuples.is_empty())
-    }
-
-    /// True when the node holds no live tuples of `table` at all.
-    fn table_empty(&self, table: &Sym) -> bool {
-        self.tables.get(table).is_none_or(|t| t.tuples.is_empty())
-    }
-
-    /// Live tuples of `table` that appeared no later than `as_of`, in
-    /// tuple order. `LogicalTime::MAX` sees everything.
-    fn table_arcs(
-        &self,
-        table: &Sym,
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.tuples.iter())
-            .filter(move |(_, s)| s.appeared_at <= as_of)
-            .map(|(k, _)| k)
-    }
-
-    /// Live tuples of `table` whose `specs[slot]` columns equal `key` and
-    /// which appeared no later than `as_of`, in tuple order. The index
-    /// buckets hold only tuple keys, so the `appeared_at` check needs a
-    /// map lookup per candidate — `Table::last_appear` gates it so the
-    /// lookup only happens when the table actually holds something newer
-    /// than the horizon.
-    fn probe(
-        &self,
-        table: &Sym,
-        slot: usize,
-        key: &[Value],
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        let table = self.tables.get(table);
-        let horizon = table.filter(|t| t.last_appear > as_of);
-        table
-            .and_then(|t| t.indexes.get(slot))
-            .and_then(|ix| ix.get(key))
-            .into_iter()
-            .flatten()
-            .filter(move |c| match horizon {
-                None => true,
-                Some(t) => t
-                    .tuples
-                    .get(c.as_ref())
-                    .is_some_and(|s| s.appeared_at <= as_of),
-            })
-    }
-
-    /// Live tuples of `table` that can satisfy a `prefix_contains(_, ip)`
-    /// constraint on trie slot `slot`, respecting the `as_of` horizon:
-    /// first the trie walk (prefixes containing `ip`, shortest first), then
-    /// the non-prefix-like bucket (whose members the constraint will reject
-    /// with exactly the error the scan path would have raised). Candidate
-    /// order is deterministic; final matches are re-sorted into nested-
-    /// loop enumeration order by the caller, like hash-index probes.
-    /// Upper bound on the candidates [`NodeState::probe_prefix`] yields for
-    /// `(table, slot, ip)` — bucket sizes along the trie path plus the
-    /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
-    /// the most selective trie when a step has several probe candidates.
-    fn estimate_prefix(&self, table: &Sym, slot: usize, ip: u32) -> usize {
-        self.tables
-            .get(table)
-            .and_then(|t| t.tries.get(slot))
-            .map_or(0, |ti| ti.trie.count_matches(ip) + ti.other.len())
-    }
-
-    fn probe_prefix(
-        &self,
-        table: &Sym,
-        slot: usize,
-        ip: u32,
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        let table = self.tables.get(table);
-        let horizon = table.filter(|t| t.last_appear > as_of);
-        let trie = table.and_then(|t| t.tries.get(slot));
-        trie.into_iter()
-            .flat_map(move |ti| ti.trie.matches(ip).chain(ti.other.iter()))
-            .filter(move |c| match horizon {
-                None => true,
-                Some(t) => t
-                    .tuples
-                    .get(c.as_ref())
-                    .is_some_and(|s| s.appeared_at <= as_of),
-            })
-    }
-
-    pub(crate) fn entry(
-        &mut self,
-        tuple: &Arc<Tuple>,
-        specs: Option<&IndexSpecs>,
-        trie_specs: Option<&TrieSpecs>,
-        now: LogicalTime,
-    ) -> &mut TupleState {
-        self.tables
-            .entry(tuple.table.clone())
-            .or_insert_with(|| {
-                Table::with_specs(
-                    specs.cloned().unwrap_or_default(),
-                    trie_specs.cloned().unwrap_or_default(),
-                )
-            })
-            .insert(tuple, now)
-    }
-
-    pub(crate) fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
-        self.tables
-            .get_mut(&tuple.table)
-            .and_then(|t| t.tuples.get_mut(tuple))
-    }
-
-    pub(crate) fn remove(&mut self, tuple: &Tuple) {
-        if let Some(t) = self.tables.get_mut(&tuple.table) {
-            t.remove(tuple);
-            if t.tuples.is_empty() {
-                self.tables.remove(&tuple.table);
-            }
-        }
-    }
-
-    fn reindex(&mut self, program: &Program) {
-        for (name, table) in &mut self.tables {
-            let specs = program.index_specs_for(name).cloned().unwrap_or_default();
-            let tries = program.trie_specs_for(name).cloned().unwrap_or_default();
-            table.rebuild(specs, tries);
-        }
-    }
-}
-
-/// A read-only view of one node's tables, handed to native rules and
-/// stateful builtins.
-///
-/// The view carries the `as_of` horizon of the firing it serves: when the
-/// engine evaluates a batched delta, tuples that appeared later in the
-/// same batch are hidden so natives and builtins observe exactly the
-/// state a tuple-at-a-time firing would have shown them.
-pub struct NodeView<'a> {
-    /// The node being viewed.
-    pub node: &'a NodeId,
-    state: &'a NodeState,
-    as_of: LogicalTime,
-}
-
-impl<'a> NodeView<'a> {
-    /// A view of `node` hiding whatever appeared after `as_of`. `None`
-    /// is a node that holds no tuples (e.g. a trigger delivered to a node
-    /// nothing was ever stored on): joins find no candidates and
-    /// builtins and natives see empty tables.
-    pub(crate) fn new(
-        node: &'a NodeId,
-        state: Option<&'a NodeState>,
-        as_of: LogicalTime,
-    ) -> Self {
-        static EMPTY: NodeState = NodeState {
-            tables: BTreeMap::new(),
-        };
-        NodeView {
-            node,
-            state: state.unwrap_or(&EMPTY),
-            as_of,
-        }
-    }
-
-    /// Live tuples of `table` on this node.
-    pub fn table(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
-        let as_of = self.as_of;
-        self.state
-            .table(table)
-            .filter(move |(_, s)| s.appeared_at <= as_of)
-            .map(|(t, _)| t)
-    }
-
-    /// Live tuples of `table` that can satisfy a
-    /// `prefix_contains(args[col], ip)` check for at least one of the
-    /// given `(col, ip)` pairs, in table (scan) order.
-    ///
-    /// When the engine maintains a prefix trie on one of the columns this
-    /// probes the most selective of them instead of walking the table; the
-    /// result is a *superset* of the tuples the caller wants (only one
-    /// pair is used for pruning, and non-prefix-like column values are
-    /// always included), so callers must re-check every column exactly as
-    /// a scan would. With no trie maintained for any of the columns every
-    /// live tuple of the table is returned, which is precisely the scan
-    /// the caller would otherwise have written.
-    /// Either way the caller's filtered result is identical, so stateful
-    /// builtins like OpenFlow priority resolution can use this on their
-    /// hot path without perturbing replay.
-    pub fn prefix_candidates(&self, table: &Sym, probes: &[(usize, u32)]) -> Vec<&'a Tuple> {
-        let slot = self.state.tables.get(table).and_then(|t| {
-            probes
-                .iter()
-                .enumerate()
-                .filter_map(|(pi, &(col, ip))| {
-                    let slot = t.trie_specs.iter().position(|&c| c == col)?;
-                    Some((slot, ip, pi))
-                })
-                // Estimate ties break on the trie slot (column order)
-                // and then the caller's probe order — a total key, so
-                // the pick (and the trie counters it drives) is stable
-                // across platforms and std implementations.
-                .min_by_key(|&(slot, ip, pi)| {
-                    (self.state.estimate_prefix(table, slot, ip), slot, pi)
-                })
-                .map(|(slot, ip, _)| (slot, ip))
-        });
-        match slot {
-            Some((slot, ip)) => {
-                let mut out: Vec<&'a Tuple> = self
-                    .state
-                    .probe_prefix(table, slot, ip, self.as_of)
-                    .map(|t| t.as_ref())
-                    .collect();
-                out.sort_unstable();
-                out
-            }
-            None => self.table(table).collect(),
-        }
-    }
-
-    /// True if `tuple` is currently present on this node.
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.get(tuple).is_some()
-    }
-
-    /// The state record of `tuple`, if present.
-    pub fn get(&self, tuple: &Tuple) -> Option<&'a TupleState> {
-        self.state
-            .get(tuple)
-            .filter(|s| s.appeared_at <= self.as_of)
-    }
+    nodes.get_mut(node).expect("inserted above if absent")
 }
 
 #[derive(Clone, Debug)]
@@ -615,7 +210,6 @@ impl Ord for Scheduled {
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
     nodes: BTreeMap<NodeId, NodeState>,
-    dependents: BTreeMap<TupleRef, Vec<TupleRef>>,
     clock: LogicalTime,
     seq: u64,
 }
@@ -797,9 +391,9 @@ struct Delta {
 
 /// The read-only half of the engine a rule firing needs: the program
 /// (plans, schemas, natives, builtins) and the frozen node states.
-/// Firing never mutates node state — actions are buffered per delta and
-/// applied afterwards — so the context borrows the node map shared while
-/// the interner and the counters are borrowed mutably alongside it.
+/// Firing never mutates node state — actions are buffered and queued
+/// afterwards — so the context borrows the node map shared while the
+/// interner and the counters are borrowed mutably alongside it.
 struct FireCtx<'a> {
     program: &'a Program,
     nodes: &'a BTreeMap<NodeId, NodeState>,
@@ -822,8 +416,6 @@ pub struct Engine<S: ProvenanceSink> {
     /// Provenance events of the current batch, in emission order, awaiting
     /// the flush (always empty at quiescence).
     events: Vec<ProvEvent>,
-    /// body tuple -> heads whose derivations reference it.
-    dependents: BTreeMap<TupleRef, Vec<TupleRef>>,
     queue: BinaryHeap<Reverse<Scheduled>>,
     clock: LogicalTime,
     seq: u64,
@@ -842,8 +434,9 @@ pub struct Engine<S: ProvenanceSink> {
     /// Appearances of the current same-`due` batch, awaiting their rule
     /// firings (always empty at quiescence).
     pending: Vec<Delta>,
-    /// Reusable per-delta action buffers for [`Engine::flush_batch`].
-    flush_buf: Vec<Vec<(LogicalTime, Action)>>,
+    /// The actions one flush's firings schedule, in push order; empty
+    /// between flushes, kept for its allocation.
+    flush_buf: Vec<(LogicalTime, Action)>,
     /// Safety valve against runaway programs.
     pub max_events: u64,
 }
@@ -856,7 +449,6 @@ impl<S: ProvenanceSink> Engine<S> {
             nodes: BTreeMap::new(),
             store: TupleStore::new(),
             events: Vec::new(),
-            dependents: BTreeMap::new(),
             queue: BinaryHeap::new(),
             clock: 0,
             seq: 0,
@@ -968,7 +560,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         Ok(EngineSnapshot {
             nodes: self.nodes.clone(),
-            dependents: self.dependents.clone(),
             clock: self.clock,
             seq: self.seq,
         })
@@ -1015,7 +606,6 @@ impl<S: ProvenanceSink> Engine<S> {
             nodes,
             store: TupleStore::new(),
             events: Vec::new(),
-            dependents: snap.dependents,
             queue: BinaryHeap::new(),
             clock: snap.clock,
             seq: snap.seq,
@@ -1319,10 +909,12 @@ impl<S: ProvenanceSink> Engine<S> {
 
     fn do_insert_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let now = self.clock;
-        let specs = self.program.index_specs_for(&tuple.table).cloned();
-        let tries = self.program.trie_specs_for(&tuple.table).cloned();
-        let state = self.nodes.entry(node.clone()).or_default();
-        let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
+        let entry = node_state(&mut self.nodes, &node).entry(
+            &tuple,
+            self.program.index_specs_for(&tuple.table),
+            self.program.trie_specs_for(&tuple.table),
+            now,
+        );
         if entry.base {
             return Ok(()); // idempotent re-insert
         }
@@ -1373,16 +965,14 @@ impl<S: ProvenanceSink> Engine<S> {
             tuple: Arc::clone(&tuple),
         });
         if gone {
-            if let Some(state) = self.nodes.get_mut(&node) {
-                state.remove(&tuple);
-            }
+            let dependents = state.remove(&tuple);
             self.note_disappear();
             self.events.push(ProvEvent::Disappear {
                 time: now,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
             });
-            self.cascade(now, TupleRef::new(node, tuple))?;
+            self.cascade(now, &TupleRef::new(node, tuple), dependents);
         }
         Ok(())
     }
@@ -1408,37 +998,40 @@ impl<S: ProvenanceSink> Engine<S> {
                 return Ok(());
             }
         }
-        let specs = self.program.index_specs_for(&tuple.table).cloned();
-        let tries = self.program.trie_specs_for(&tuple.table).cloned();
-        let state = self.nodes.entry(node.clone()).or_default();
-        let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
-        let record = DerivRecord {
-            rule: rule.clone(),
-            body: body.clone(),
-            trigger,
-            time: now,
-        };
+        let entry = node_state(&mut self.nodes, &node).entry(
+            &tuple,
+            self.program.index_specs_for(&tuple.table),
+            self.program.trie_specs_for(&tuple.table),
+            now,
+        );
         // The same (rule, body) derivation only counts once.
         if entry
             .derivations
             .iter()
-            .any(|d| d.rule == record.rule && d.body == record.body)
+            .any(|d| d.rule == rule && d.body == body)
         {
             return Ok(());
         }
         let was_present = entry.support() > 0;
-        entry.derivations.push(record);
+        entry.derivations.push(DerivRecord {
+            rule: rule.clone(),
+            body: body.clone(),
+            trigger,
+            time: now,
+        });
         if !was_present {
             entry.appeared_at = now;
         }
         self.stats.derivations += 1;
         *self.rule_firings.entry(rule.clone()).or_insert(0) += 1;
+        // Each body tuple (alive: re-checked above) learns of the head in
+        // its own slot, so its disappearance finds this derivation.
         let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
         for b in &body {
-            self.dependents
-                .entry(b.clone())
-                .or_default()
-                .push(head_ref.clone());
+            self.nodes
+                .get_mut(&b.node)
+                .expect("body re-checked alive above")
+                .add_dependent(&b.tuple, head_ref.clone());
         }
         self.events.push(ProvEvent::Derive {
             time: now,
@@ -1462,12 +1055,10 @@ impl<S: ProvenanceSink> Engine<S> {
         Ok(())
     }
 
-    /// Removes every derivation that used `gone` as a body tuple,
-    /// recursively deleting tuples whose support drops to zero.
-    fn cascade(&mut self, now: LogicalTime, gone: TupleRef) -> Result<()> {
-        let Some(heads) = self.dependents.remove(&gone) else {
-            return Ok(());
-        };
+    /// `gone` has disappeared and `heads` is the reverse-dependency list
+    /// its slot held: removes every derivation that used it as a body
+    /// tuple, recursively retiring tuples whose support drops to zero.
+    fn cascade(&mut self, now: LogicalTime, gone: &TupleRef, heads: Vec<TupleRef>) {
         for head in heads {
             let Some(state) = self.nodes.get_mut(&head.node) else {
                 continue;
@@ -1475,45 +1066,37 @@ impl<S: ProvenanceSink> Engine<S> {
             let Some(entry) = state.get_mut(&head.tuple) else {
                 continue;
             };
-            let before = entry.derivations.len();
-            let removed: Vec<DerivRecord> = entry
-                .derivations
-                .iter()
-                .filter(|d| d.body.contains(&gone))
-                .cloned()
-                .collect();
-            entry.derivations.retain(|d| !d.body.contains(&gone));
-            if entry.derivations.len() == before {
+            let mut underived: Vec<Sym> = Vec::new();
+            entry.derivations.retain(|d| {
+                let hit = d.body.contains(gone);
+                if hit {
+                    underived.push(d.rule.clone());
+                }
+                !hit
+            });
+            if underived.is_empty() {
                 continue;
             }
-            for d in &removed {
+            let retired = (entry.support() == 0).then(|| state.remove(&head.tuple));
+            for rule in underived {
                 self.stats.underivations += 1;
                 self.events.push(ProvEvent::Underive {
                     time: now,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
-                    rule: d.rule.clone(),
+                    rule,
                 });
             }
-            let support = self
-                .nodes
-                .get(&head.node)
-                .and_then(|s| s.get(&head.tuple))
-                .map_or(0, |e| e.support());
-            if support == 0 {
-                if let Some(state) = self.nodes.get_mut(&head.node) {
-                    state.remove(&head.tuple);
-                }
+            if let Some(dependents) = retired {
                 self.note_disappear();
                 self.events.push(ProvEvent::Disappear {
                     time: now,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
                 });
-                self.cascade(now, head)?;
+                self.cascade(now, &head, dependents);
             }
         }
-        Ok(())
     }
 
     /// Folds firing-time join counters into the run stats and the per-rule
@@ -1538,18 +1121,16 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Fires the rules of every delta accumulated in the current batch,
-    /// then releases the buffered provenance events to the sink.
+    /// queues what they scheduled, then releases the buffered provenance
+    /// events to the sink.
     ///
-    /// Evaluation is grouped: consecutive deltas of one (node, table) run
-    /// — the delta relation of semi-naive evaluation — share one walk of
-    /// the trigger list, so a bulk insertion resolves its rule set and
-    /// join plans once instead of once per tuple (see [`fire_deltas`]).
-    /// Scheduled actions are buffered per delta and pushed in
-    /// delta-arrival order afterwards, which reproduces the exact push
-    /// (and therefore pop) sequence of tuple-at-a-time firing; each
-    /// delta fires with its own `now` and `as_of` horizon so joins,
-    /// builtins, and natives observe the state as of that delta's
-    /// appearance.
+    /// [`FireCtx::fire_deltas`] leaves the batch's actions in one flat
+    /// buffer already in push order — delta by delta, which is the push
+    /// (and therefore pop) sequence of tuple-at-a-time firing — so they
+    /// are queued as they stand. Each delta fires with its own `now` and
+    /// `as_of` horizon so joins, builtins, and natives observe the state
+    /// as of that delta's appearance. A firing error queues none of the
+    /// batch's actions.
     fn flush_batch(&mut self) -> Result<()> {
         if !self.pending.is_empty() {
             // Effort-class instrumentation only: batch structure is a
@@ -1562,13 +1143,7 @@ impl<S: ProvenanceSink> Engine<S> {
             let deltas = std::mem::take(&mut self.pending);
             self.stats.batches += 1;
             self.stats.batched_deltas += deltas.len() as u64;
-            let mut buf = std::mem::take(&mut self.flush_buf);
-            for b in &mut buf {
-                b.clear();
-            }
-            if buf.len() < deltas.len() {
-                buf.resize_with(deltas.len(), Vec::new);
-            }
+            let mut actions = std::mem::take(&mut self.flush_buf);
             let span = traced.then(|| {
                 self.tracer
                     .span("engine.fire", Class::Effort, Some(self.clock))
@@ -1578,26 +1153,22 @@ impl<S: ProvenanceSink> Engine<S> {
                 program: &self.program,
                 nodes: &self.nodes,
             };
-            let fired = ctx.fire_deltas(
-                &deltas,
-                &mut self.store,
-                &mut fstats,
-                &mut buf[..deltas.len()],
-            );
+            let fired = ctx.fire_deltas(&deltas, &mut self.store, &mut fstats, &mut actions);
             self.absorb_fire_stats(fstats);
             if let Some(span) = span {
                 span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
             }
             if let Err(e) = fired {
-                self.flush_buf = buf;
+                // What the deltas before the failing one scheduled is
+                // dropped here, not left for the next flush to queue.
+                actions.clear();
+                self.flush_buf = actions;
                 return Err(e);
             }
-            for actions in buf.iter_mut().take(deltas.len()) {
-                for (due, action) in actions.drain(..) {
-                    self.push(due, action);
-                }
+            for (due, action) in actions.drain(..) {
+                self.push(due, action);
             }
-            self.flush_buf = buf;
+            self.flush_buf = actions;
             if let Some(span) = flush_span {
                 let s = self.stats;
                 let (depth, queued) = (deltas.len() as u64, self.queue.len() as u64);
@@ -1622,19 +1193,21 @@ impl<S: ProvenanceSink> Engine<S> {
 
 impl FireCtx<'_> {
     /// Fires every rule and native triggered by `deltas` — one batch —
-    /// appending each delta's scheduled actions to the `buf` entry of the
-    /// same index.
+    /// appending the scheduled actions to `out` in push order.
     ///
-    /// Evaluation is grouped over consecutive same-(node, table) runs so
-    /// the trigger list is resolved once per run, and a whole run is
-    /// pruned for a rule whose partner table is empty.
+    /// Consecutive same-(node, table) deltas form a group. The group's
+    /// live trigger list is resolved once — a rule whose partner table is
+    /// empty is dropped for the whole group — and then the group fires
+    /// delta-major: for each delta those rules in program order, then the
+    /// natives. That is the order tuple-at-a-time firing schedules in.
     fn fire_deltas(
         &self,
         deltas: &[Delta],
         store: &mut TupleStore,
         fstats: &mut FireStats,
-        buf: &mut [Vec<(LogicalTime, Action)>],
+        out: &mut Vec<(LogicalTime, Action)>,
     ) -> Result<()> {
+        let mut live: Vec<(usize, usize, &Rule)> = Vec::new();
         let mut start = 0;
         while start < deltas.len() {
             let mut end = start + 1;
@@ -1646,62 +1219,45 @@ impl FireCtx<'_> {
             }
             let group = &deltas[start..end];
             let table = &group[0].tuple.table;
-            for &(ri, ai) in self.program.rule_triggers(table) {
-                let rule = self.program.rule_at(ri);
-                // Batch-level pruning: within a batch tables only ever
-                // grow (deletions force a flush first, and there is no
-                // in-place replacement), so a body table that is empty
-                // at flush time was empty at every delta's horizon —
-                // the join cannot complete for any delta in the group.
-                // Skipping it here saves one trigger match and one
-                // doomed join per delta. Only join effort counters
-                // (probes/scans/candidates) shrink; a pruned join can
-                // never have produced a match or a derivation.
-                if rule.agg.is_none() {
-                    let state = self.nodes.get(&group[0].node);
-                    let dead = rule.body.iter().enumerate().any(|(bi, a)| {
-                        bi != ai && state.is_none_or(|s| s.table_empty(&a.table))
-                    });
-                    if dead {
-                        continue;
-                    }
-                }
-                if rule.agg.is_some() {
-                    if ai == 0 {
-                        for (di, d) in group.iter().enumerate() {
-                            self.fire_agg_rule(
-                                d.at,
-                                &d.node,
-                                &d.tuple,
-                                rule,
-                                ri,
-                                d.at,
-                                store,
-                                fstats,
-                                &mut buf[start + di],
-                            )?;
+            let state = self.nodes.get(&group[0].node);
+            live.clear();
+            live.extend(
+                self.program
+                    .rule_triggers(table)
+                    .iter()
+                    .map(|&(ri, ai)| (ri, ai, self.program.rule_at(ri)))
+                    .filter(|&(_, ai, rule)| {
+                        if rule.agg.is_some() {
+                            // Aggregates fire on their fence (atom 0) only.
+                            return ai == 0;
                         }
-                    }
-                } else {
-                    for (di, d) in group.iter().enumerate() {
-                        self.fire_rule(
-                            d.at,
-                            &d.node,
-                            &d.tuple,
-                            rule,
-                            ri,
-                            ai,
-                            d.at,
-                            store,
-                            fstats,
-                            &mut buf[start + di],
-                        )?;
+                        // Batch-level pruning: within a batch tables only
+                        // ever grow (deletions force a flush first, and
+                        // there is no in-place replacement), so a body
+                        // table that is empty at flush time was empty at
+                        // every delta's horizon — the join cannot
+                        // complete for any delta in the group. Skipping
+                        // it here saves one trigger match and one doomed
+                        // join per delta. Only join effort counters
+                        // (probes/scans/candidates) shrink; a pruned join
+                        // can never have produced a match or a
+                        // derivation.
+                        !rule.body.iter().enumerate().any(|(bi, a)| {
+                            bi != ai && state.is_none_or(|s| s.table_empty(&a.table))
+                        })
+                    }),
+            );
+            let natives = self.program.native_triggers(table);
+            for d in group {
+                for &(ri, ai, rule) in &live {
+                    if rule.agg.is_some() {
+                        self.fire_agg_rule(d.at, &d.node, &d.tuple, rule, ri, d.at, store, fstats, out)?;
+                    } else {
+                        self.fire_rule(d.at, &d.node, &d.tuple, rule, ri, ai, d.at, store, fstats, out)?;
                     }
                 }
-            }
-            for &ni in self.program.native_triggers(table) {
-                for (di, d) in group.iter().enumerate() {
-                    self.fire_native(d.at, &d.node, &d.tuple, ni, d.at, store, &mut buf[start + di])?;
+                for &ni in natives {
+                    self.fire_native(d.at, &d.node, &d.tuple, ni, d.at, store, out)?;
                 }
             }
             start = end;

@@ -1,0 +1,510 @@
+//! The engine's state: what each node holds.
+//!
+//! A [`NodeState`] is a node's tables; a [`Table`] keeps its live tuples
+//! in deterministic BTree order, each in a [`Slot`] — the public
+//! [`TupleState`] bookkeeping plus the tuple's reverse-dependency list —
+//! beside the secondary hash indexes and prefix tries the program's join
+//! plans registered for the table. [`NodeView`] is the read-only window
+//! natives and stateful builtins get. The reference evaluator uses
+//! [`NodeState`] as plain storage (no index or trie specs, and it never
+//! registers a dependent: it keeps its own lists).
+
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
+
+use dp_types::{LogicalTime, NodeId, Prefix, PrefixTrie, Sym, Tuple, TupleRef, Value};
+
+use super::TupleState;
+use crate::plan::{IndexSpecs, TrieSpecs};
+use crate::program::Program;
+
+/// What a table holds per live tuple.
+///
+/// `dependents` is the tuple's reverse-dependency list: one entry per
+/// (derivation, body position) that used this tuple, naming the derived
+/// head, in registration order. It lives and dies with the tuple — the
+/// `remove` that retires the tuple hands the list to the cascade — so
+/// registering a dependent is a lookup in the body tuple's own table, not
+/// an insert into an engine-wide map keyed by `(node, tuple)`. Entries are
+/// never pruned: a head that has since lost that derivation (or vanished)
+/// is simply found unaffected when the cascade gets to it. The list is
+/// kept out of [`TupleState`], which is public, shared with the oracle and
+/// compared by the differential suites.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Slot {
+    pub(super) state: TupleState,
+    pub(super) dependents: Vec<TupleRef>,
+}
+
+/// One prefix-trie access path of a table (see [`crate::plan::PrefixProbe`]).
+///
+/// The trie holds the tuples whose value at the indexed column is
+/// prefix-like under the exact promotion rule of `prefix_contains`
+/// (`Value::Prefix` as-is, `Value::Ip` as a `/32` host prefix). Everything
+/// else — wrong arity aside — goes into the `other` bucket, which every
+/// probe returns alongside the trie walk: the scan path would have fed
+/// those tuples to the constraint and surfaced a type error, so the trie
+/// path must produce them too for byte-identical behavior.
+#[derive(Clone, Debug, Default)]
+struct TrieIndex {
+    trie: PrefixTrie<Arc<Tuple>>,
+    other: BTreeSet<Arc<Tuple>>,
+}
+
+impl TrieIndex {
+    /// Routes `tuple` to the trie or the `other` bucket. `None` means the
+    /// column is out of range — such a tuple can never match the atom the
+    /// trie serves, so it is indexed nowhere (like a failed `index_key`).
+    fn route(tuple: &Tuple, col: usize) -> Option<std::result::Result<Prefix, ()>> {
+        match tuple.args.get(col) {
+            Some(Value::Prefix(p)) => Some(Ok(*p)),
+            Some(Value::Ip(ip)) => Some(Ok(Prefix::host(*ip))),
+            Some(_) => Some(Err(())),
+            None => None,
+        }
+    }
+
+    fn insert(&mut self, tuple: &Arc<Tuple>, col: usize) {
+        match Self::route(tuple, col) {
+            Some(Ok(p)) => {
+                self.trie.insert(p, Arc::clone(tuple));
+            }
+            Some(Err(())) => {
+                self.other.insert(Arc::clone(tuple));
+            }
+            None => {}
+        }
+    }
+
+    fn remove(&mut self, tuple: &Tuple, col: usize) {
+        match Self::route(tuple, col) {
+            Some(Ok(p)) => {
+                self.trie.remove(p, tuple);
+            }
+            Some(Err(())) => {
+                self.other.remove(tuple);
+            }
+            None => {}
+        }
+    }
+}
+
+/// One table of one node: the tuples in deterministic BTree order, plus the
+/// secondary hash indexes the program's join plans registered for it.
+///
+/// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
+/// bucket of live tuples with those values, kept as a `BTreeSet` so index
+/// probes still enumerate candidates in tuple order. The `HashMap` layer is
+/// only ever probed by key, never iterated, so its nondeterministic
+/// iteration order cannot leak into the event stream.
+///
+/// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
+/// answering `prefix_contains` probes in O(32) instead of a full scan.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Table {
+    specs: IndexSpecs,
+    trie_specs: TrieSpecs,
+    pub(super) tuples: BTreeMap<Arc<Tuple>, Slot>,
+    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
+    tries: Vec<TrieIndex>,
+    /// Clock of the most recent appearance in this table. Lets `as_of`-
+    /// horizon probes (see the module docs on batching) skip the per-
+    /// candidate `appeared_at` check entirely whenever nothing in the
+    /// table is newer than the horizon — the common case, since only
+    /// same-batch insertions into a probed table can be "too new".
+    pub(super) last_appear: LogicalTime,
+}
+
+/// The values of `cols` in `tuple`, or `None` if any column is out of
+/// range (such a tuple can never match the atom the index serves).
+fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
+    cols.iter().map(|&c| tuple.args.get(c).cloned()).collect()
+}
+
+impl Table {
+    /// An empty table with no index or trie, whose newest appearance was
+    /// at `last_appear`: what a snapshot decodes into, pending
+    /// [`NodeState::reindex`].
+    pub(super) fn unindexed(last_appear: LogicalTime) -> Self {
+        Table {
+            last_appear,
+            ..Default::default()
+        }
+    }
+
+    fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
+        let indexes = vec![HashMap::new(); specs.len()];
+        let tries = vec![TrieIndex::default(); trie_specs.len()];
+        Table {
+            specs,
+            trie_specs,
+            tuples: BTreeMap::new(),
+            indexes,
+            tries,
+            last_appear: 0,
+        }
+    }
+
+    /// The state of `tuple`, inserted empty (and indexed) if absent: one
+    /// descent of the tuple map either way.
+    fn insert(&mut self, tuple: &Arc<Tuple>, now: LogicalTime) -> &mut TupleState {
+        match self.tuples.entry(Arc::clone(tuple)) {
+            Entry::Occupied(slot) => &mut slot.into_mut().state,
+            Entry::Vacant(slot) => {
+                self.last_appear = self.last_appear.max(now);
+                for (slot, cols) in self.specs.iter().enumerate() {
+                    if let Some(key) = index_key(tuple, cols) {
+                        self.indexes[slot]
+                            .entry(key)
+                            .or_default()
+                            .insert(Arc::clone(tuple));
+                    }
+                }
+                for (slot, &col) in self.trie_specs.iter().enumerate() {
+                    self.tries[slot].insert(tuple, col);
+                }
+                &mut slot.insert(Slot::default()).state
+            }
+        }
+    }
+
+    /// Retires `tuple`, returning its reverse-dependency list (empty if
+    /// the tuple was not there).
+    fn remove(&mut self, tuple: &Tuple) -> Vec<TupleRef> {
+        let Some(slot) = self.tuples.remove(tuple) else {
+            return Vec::new();
+        };
+        for (slot, cols) in self.specs.iter().enumerate() {
+            if let Some(key) = index_key(tuple, cols) {
+                if let Some(bucket) = self.indexes[slot].get_mut(&key) {
+                    bucket.remove(tuple);
+                    if bucket.is_empty() {
+                        self.indexes[slot].remove(&key);
+                    }
+                }
+            }
+        }
+        for (slot, &col) in self.trie_specs.iter().enumerate() {
+            self.tries[slot].remove(tuple, col);
+        }
+        slot.dependents
+    }
+
+    /// Re-derives every index from the tuple set under (possibly new)
+    /// specs. Used when restoring a checkpoint under a program whose index
+    /// requirements may differ from the one that took it.
+    fn rebuild(&mut self, specs: IndexSpecs, trie_specs: TrieSpecs) {
+        self.indexes = vec![HashMap::new(); specs.len()];
+        self.specs = specs;
+        self.tries = vec![TrieIndex::default(); trie_specs.len()];
+        self.trie_specs = trie_specs;
+        for tuple in self.tuples.keys() {
+            for (slot, cols) in self.specs.iter().enumerate() {
+                if let Some(key) = index_key(tuple, cols) {
+                    self.indexes[slot]
+                        .entry(key)
+                        .or_default()
+                        .insert(Arc::clone(tuple));
+                }
+            }
+            for (slot, &col) in self.trie_specs.iter().enumerate() {
+                self.tries[slot].insert(tuple, col);
+            }
+        }
+    }
+}
+
+/// The tables of a single node.
+#[derive(Clone, Debug, Default)]
+pub struct NodeState {
+    pub(super) tables: BTreeMap<Sym, Table>,
+}
+
+impl NodeState {
+    /// Looks up the state of a tuple.
+    pub fn get(&self, tuple: &Tuple) -> Option<&TupleState> {
+        self.tables
+            .get(&tuple.table)
+            .and_then(|t| t.tuples.get(tuple))
+            .map(|slot| &slot.state)
+    }
+
+    /// True if the tuple is currently present (support > 0).
+    pub fn contains(&self, tuple: &Tuple) -> bool {
+        self.get(tuple).is_some()
+    }
+
+    /// Iterates over the live tuples of one table, in tuple order.
+    pub fn table(&self, table: &Sym) -> impl Iterator<Item = (&Tuple, &TupleState)> {
+        self.tables
+            .get(table)
+            .into_iter()
+            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, &v.state)))
+    }
+
+    /// Iterates over all live tuples on the node.
+    pub fn all(&self) -> impl Iterator<Item = (&Tuple, &TupleState)> {
+        self.tables
+            .values()
+            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, &v.state)))
+    }
+
+    /// Total live tuples on the node.
+    pub fn len(&self) -> usize {
+        self.tables.values().map(|t| t.tuples.len()).sum()
+    }
+
+    /// True when the node holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.tables.values().all(|t| t.tuples.is_empty())
+    }
+
+    /// True when the node holds no live tuples of `table` at all.
+    pub(super) fn table_empty(&self, table: &Sym) -> bool {
+        self.tables.get(table).is_none_or(|t| t.tuples.is_empty())
+    }
+
+    /// Live tuples of `table` that appeared no later than `as_of`, in
+    /// tuple order. `LogicalTime::MAX` sees everything.
+    pub(super) fn table_arcs(
+        &self,
+        table: &Sym,
+        as_of: LogicalTime,
+    ) -> impl Iterator<Item = &Arc<Tuple>> {
+        self.tables
+            .get(table)
+            .into_iter()
+            .flat_map(|t| t.tuples.iter())
+            .filter(move |(_, s)| s.state.appeared_at <= as_of)
+            .map(|(k, _)| k)
+    }
+
+    /// Live tuples of `table` whose `specs[slot]` columns equal `key` and
+    /// which appeared no later than `as_of`, in tuple order. The index
+    /// buckets hold only tuple keys, so the `appeared_at` check needs a
+    /// map lookup per candidate — `Table::last_appear` gates it so the
+    /// lookup only happens when the table actually holds something newer
+    /// than the horizon.
+    pub(super) fn probe(
+        &self,
+        table: &Sym,
+        slot: usize,
+        key: &[Value],
+        as_of: LogicalTime,
+    ) -> impl Iterator<Item = &Arc<Tuple>> {
+        let table = self.tables.get(table);
+        let horizon = table.filter(|t| t.last_appear > as_of);
+        table
+            .and_then(|t| t.indexes.get(slot))
+            .and_then(|ix| ix.get(key))
+            .into_iter()
+            .flatten()
+            .filter(move |c| match horizon {
+                None => true,
+                Some(t) => t
+                    .tuples
+                    .get(c.as_ref())
+                    .is_some_and(|s| s.state.appeared_at <= as_of),
+            })
+    }
+
+    /// Live tuples of `table` that can satisfy a `prefix_contains(_, ip)`
+    /// constraint on trie slot `slot`, respecting the `as_of` horizon:
+    /// first the trie walk (prefixes containing `ip`, shortest first), then
+    /// the non-prefix-like bucket (whose members the constraint will reject
+    /// with exactly the error the scan path would have raised). Candidate
+    /// order is deterministic; final matches are re-sorted into nested-
+    /// loop enumeration order by the caller, like hash-index probes.
+    /// Upper bound on the candidates [`NodeState::probe_prefix`] yields for
+    /// `(table, slot, ip)` — bucket sizes along the trie path plus the
+    /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
+    /// the most selective trie when a step has several probe candidates.
+    pub(super) fn estimate_prefix(&self, table: &Sym, slot: usize, ip: u32) -> usize {
+        self.tables
+            .get(table)
+            .and_then(|t| t.tries.get(slot))
+            .map_or(0, |ti| ti.trie.count_matches(ip) + ti.other.len())
+    }
+
+    pub(super) fn probe_prefix(
+        &self,
+        table: &Sym,
+        slot: usize,
+        ip: u32,
+        as_of: LogicalTime,
+    ) -> impl Iterator<Item = &Arc<Tuple>> {
+        let table = self.tables.get(table);
+        let horizon = table.filter(|t| t.last_appear > as_of);
+        let trie = table.and_then(|t| t.tries.get(slot));
+        trie.into_iter()
+            .flat_map(move |ti| ti.trie.matches(ip).chain(ti.other.iter()))
+            .filter(move |c| match horizon {
+                None => true,
+                Some(t) => t
+                    .tuples
+                    .get(c.as_ref())
+                    .is_some_and(|s| s.state.appeared_at <= as_of),
+            })
+    }
+
+    pub(crate) fn entry(
+        &mut self,
+        tuple: &Arc<Tuple>,
+        specs: Option<&IndexSpecs>,
+        trie_specs: Option<&TrieSpecs>,
+        now: LogicalTime,
+    ) -> &mut TupleState {
+        self.tables
+            .entry(tuple.table.clone())
+            .or_insert_with(|| {
+                Table::with_specs(
+                    specs.cloned().unwrap_or_default(),
+                    trie_specs.cloned().unwrap_or_default(),
+                )
+            })
+            .insert(tuple, now)
+    }
+
+    pub(crate) fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
+        self.tables
+            .get_mut(&tuple.table)
+            .and_then(|t| t.tuples.get_mut(tuple))
+            .map(|slot| &mut slot.state)
+    }
+
+    /// Retires `tuple`, returning its reverse-dependency list for the
+    /// cascade (empty if the tuple was not there or nothing used it).
+    pub(crate) fn remove(&mut self, tuple: &Tuple) -> Vec<TupleRef> {
+        let Some(t) = self.tables.get_mut(&tuple.table) else {
+            return Vec::new();
+        };
+        let dependents = t.remove(tuple);
+        if t.tuples.is_empty() {
+            self.tables.remove(&tuple.table);
+        }
+        dependents
+    }
+
+    /// Registers `head` as derived from the live tuple `body` of this
+    /// node: if `body` disappears, `head` is where the cascade looks.
+    pub(super) fn add_dependent(&mut self, body: &Tuple, head: TupleRef) {
+        self.tables
+            .get_mut(&body.table)
+            .and_then(|t| t.tuples.get_mut(body))
+            .expect("a derivation is recorded only over live body tuples")
+            .dependents
+            .push(head);
+    }
+
+    pub(super) fn reindex(&mut self, program: &Program) {
+        for (name, table) in &mut self.tables {
+            let specs = program.index_specs_for(name).cloned().unwrap_or_default();
+            let tries = program.trie_specs_for(name).cloned().unwrap_or_default();
+            table.rebuild(specs, tries);
+        }
+    }
+}
+
+/// A read-only view of one node's tables, handed to native rules and
+/// stateful builtins.
+///
+/// The view carries the `as_of` horizon of the firing it serves: when the
+/// engine evaluates a batched delta, tuples that appeared later in the
+/// same batch are hidden so natives and builtins observe exactly the
+/// state a tuple-at-a-time firing would have shown them.
+pub struct NodeView<'a> {
+    /// The node being viewed.
+    pub node: &'a NodeId,
+    state: &'a NodeState,
+    as_of: LogicalTime,
+}
+
+impl<'a> NodeView<'a> {
+    /// A view of `node` hiding whatever appeared after `as_of`. `None`
+    /// is a node that holds no tuples (e.g. a trigger delivered to a node
+    /// nothing was ever stored on): joins find no candidates and
+    /// builtins and natives see empty tables.
+    pub(crate) fn new(
+        node: &'a NodeId,
+        state: Option<&'a NodeState>,
+        as_of: LogicalTime,
+    ) -> Self {
+        static EMPTY: NodeState = NodeState {
+            tables: BTreeMap::new(),
+        };
+        NodeView {
+            node,
+            state: state.unwrap_or(&EMPTY),
+            as_of,
+        }
+    }
+
+    /// Live tuples of `table` on this node.
+    pub fn table(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let as_of = self.as_of;
+        self.state
+            .table(table)
+            .filter(move |(_, s)| s.appeared_at <= as_of)
+            .map(|(t, _)| t)
+    }
+
+    /// Live tuples of `table` that can satisfy a
+    /// `prefix_contains(args[col], ip)` check for at least one of the
+    /// given `(col, ip)` pairs, in table (scan) order.
+    ///
+    /// When the engine maintains a prefix trie on one of the columns this
+    /// probes the most selective of them instead of walking the table; the
+    /// result is a *superset* of the tuples the caller wants (only one
+    /// pair is used for pruning, and non-prefix-like column values are
+    /// always included), so callers must re-check every column exactly as
+    /// a scan would. With no trie maintained for any of the columns every
+    /// live tuple of the table is returned, which is precisely the scan
+    /// the caller would otherwise have written.
+    /// Either way the caller's filtered result is identical, so stateful
+    /// builtins like OpenFlow priority resolution can use this on their
+    /// hot path without perturbing replay.
+    pub fn prefix_candidates(&self, table: &Sym, probes: &[(usize, u32)]) -> Vec<&'a Tuple> {
+        let slot = self.state.tables.get(table).and_then(|t| {
+            probes
+                .iter()
+                .enumerate()
+                .filter_map(|(pi, &(col, ip))| {
+                    let slot = t.trie_specs.iter().position(|&c| c == col)?;
+                    Some((slot, ip, pi))
+                })
+                // Estimate ties break on the trie slot (column order)
+                // and then the caller's probe order — a total key, so
+                // the pick (and the trie counters it drives) is stable
+                // across platforms and std implementations.
+                .min_by_key(|&(slot, ip, pi)| {
+                    (self.state.estimate_prefix(table, slot, ip), slot, pi)
+                })
+                .map(|(slot, ip, _)| (slot, ip))
+        });
+        match slot {
+            Some((slot, ip)) => {
+                let mut out: Vec<&'a Tuple> = self
+                    .state
+                    .probe_prefix(table, slot, ip, self.as_of)
+                    .map(|t| t.as_ref())
+                    .collect();
+                out.sort_unstable();
+                out
+            }
+            None => self.table(table).collect(),
+        }
+    }
+
+    /// True if `tuple` is currently present on this node.
+    pub fn contains(&self, tuple: &Tuple) -> bool {
+        self.get(tuple).is_some()
+    }
+
+    /// The state record of `tuple`, if present.
+    pub fn get(&self, tuple: &Tuple) -> Option<&'a TupleState> {
+        self.state
+            .get(tuple)
+            .filter(|s| s.appeared_at <= self.as_of)
+    }
+}

@@ -1133,3 +1133,164 @@ fn same_batch_support_swap_opens_a_fresh_annotation_episode() {
     assert_ne!(first, second, "fresh episode re-used the dead proof");
     assert!(second.contains("a(1,2)"), "{second}");
 }
+
+/// A native triggered by `e`: reports `g(X)` back to its own node, two
+/// ticks late, with the trigger as its only dependency.
+struct EchoLate;
+impl NativeRule for EchoLate {
+    fn name(&self) -> Sym {
+        Sym::new("nat")
+    }
+    fn triggers(&self) -> Vec<Sym> {
+        vec![Sym::new("e")]
+    }
+    fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
+        out.emit_delayed(
+            view.node.clone(),
+            Tuple::new("g", vec![trigger.args[0].clone()]),
+            vec![TupleRef::new(view.node.clone(), trigger.clone())],
+            2,
+        );
+        Ok(())
+    }
+}
+
+#[test]
+fn same_due_deltas_fire_delta_major() {
+    // One table (`e`) triggers two declarative rules, an aggregate and a
+    // native; three `e` tuples share a due, so they fire in one flush at
+    // clocks 5, 6 and 7. The rules' delays differ (far +2, near +1, the
+    // local aggregate +0, the native +2), so heads of *different* deltas
+    // collide on one due — and there only the push order decides who runs
+    // first. The oracle fires tuple-at-a-time: everything the first delta
+    // scheduled is pushed before anything of the second, each delta's
+    // declarative rules in program order and then its natives. The
+    // expected stream below is worked out by hand from that rule; a
+    // rule-major flush would run `nat`'s g(1) after cnt's tot(3,10) at
+    // due 7 (and g(2) after near's f(3) at due 8).
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("e", TableKind::ImmutableBase, [("x", FieldType::Int)]));
+    reg.declare(Schema::new("obs", TableKind::ImmutableBase, [("c", FieldType::Int)]));
+    reg.declare(Schema::new("peer", TableKind::MutableBase, [("next", FieldType::Str)]));
+    for head in ["d", "f", "g"] {
+        reg.declare(Schema::new(head, TableKind::Derived, [("x", FieldType::Int)]));
+    }
+    reg.declare(Schema::new(
+        "tot",
+        TableKind::Derived,
+        [("x", FieldType::Int), ("sum", FieldType::Int)],
+    ));
+    let mut rules = parse_rules(
+        "far d(@M, X) :- e(@N, X), peer(@N, M).\n\
+         near f(@M, X) :- e(@N, X), peer(@N, M).\n\
+         cnt tot(@N, X, agg_sum(C)) :- e(@N, X), obs(@N, C).",
+    )
+    .unwrap();
+    rules[0].link_delay = 2;
+    let program = Program::builder(reg)
+        .rules(rules)
+        .native(Arc::new(EchoLate))
+        .build()
+        .unwrap();
+    let ops = [
+        ScheduledOp::insert(0, "n", tuple!("peer", "m")),
+        ScheduledOp::insert(0, "n", tuple!("obs", 4)),
+        ScheduledOp::insert(0, "n", tuple!("obs", 6)),
+        ScheduledOp::insert(5, "n", tuple!("e", 1)),
+        ScheduledOp::insert(5, "n", tuple!("e", 2)),
+        ScheduledOp::insert(5, "n", tuple!("e", 3)),
+    ];
+    let got = run_checked(&program, &ops);
+    let derived: Vec<(u64, u64, &str, Tuple, &str)> = got
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ProvEvent::Derive { time, node, tuple, rule, fired_at, redundant, .. } => {
+                assert!(!redundant, "{tuple} derived twice");
+                Some((*fired_at, *time, node.as_str(), (**tuple).clone(), rule.as_str()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        derived,
+        vec![
+            // due 5: only the first delta's local aggregate.
+            (5, 8, "n", tuple!("tot", 1, 10), "cnt"),
+            // due 6: first delta's near (pushed before the second delta's cnt).
+            (5, 9, "m", tuple!("f", 1), "near"),
+            (6, 10, "n", tuple!("tot", 2, 10), "cnt"),
+            // due 7: four heads of three deltas, in push order — the first
+            // delta's far and native, the second's near, the third's cnt.
+            (5, 11, "m", tuple!("d", 1), "far"),
+            (5, 12, "n", tuple!("g", 1), "nat"),
+            (6, 13, "m", tuple!("f", 2), "near"),
+            (7, 14, "n", tuple!("tot", 3, 10), "cnt"),
+            // due 8.
+            (6, 15, "m", tuple!("d", 2), "far"),
+            (6, 16, "n", tuple!("g", 2), "nat"),
+            (7, 17, "m", tuple!("f", 3), "near"),
+            // due 9.
+            (7, 18, "m", tuple!("d", 3), "far"),
+            (7, 19, "n", tuple!("g", 3), "nat"),
+        ]
+    );
+    assert_eq!(got.stats.batched_deltas, 6 + 12);
+}
+
+#[test]
+fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
+    // Three deltas in one batch; the constraint raises a type error (not
+    // an arithmetic one, which would only suppress the firing) on the
+    // second. The first delta's head was already buffered when the flush
+    // failed: it must neither reach the queue nor sit in the engine's
+    // reusable action buffer until the next flush picks it up.
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("q", TableKind::MutableBase, [("v", FieldType::Any)]));
+    reg.declare(Schema::new("d", TableKind::Derived, [("v", FieldType::Int)]));
+    let program = Program::builder(reg)
+        .rules_text("r d(@N, V) :- q(@N, V), V > 0.")
+        .unwrap()
+        .build()
+        .unwrap();
+    let n = NodeId::new("n");
+    let mut eng = Engine::new(program, VecSink::default());
+    eng.schedule_insert(3, n.clone(), tuple!("q", 1)).unwrap();
+    eng.schedule_insert(3, n.clone(), tuple!("q", "oops")).unwrap();
+    eng.schedule_insert(3, n.clone(), tuple!("q", 3)).unwrap();
+    let err = eng.run().expect_err("comparing a string with an integer is a type error");
+    assert!(matches!(err, dp_types::Error::Type { .. }), "{err}");
+    // The applied insertions are in the stream; no derivation is.
+    let at_failure = eng.sink().events.len();
+    assert_eq!(at_failure, 6, "{:?}", eng.sink().events);
+    // Nothing was queued (a quiescent engine snapshots), and nothing runs.
+    assert!(eng.snapshot().is_ok(), "the failed flush left events queued");
+    assert_eq!(eng.run().unwrap().events, 3);
+    assert_eq!(eng.sink().events.len(), at_failure);
+
+    // A later stimulus fires on its own: d(5) only, at the next ticks —
+    // d(1) from the failed batch does not ride along.
+    eng.schedule_insert(100, n.clone(), tuple!("q", 5)).unwrap();
+    eng.run().unwrap();
+    let q5 = || TupleRef::new(n.clone(), tuple!("q", 5));
+    assert_eq!(
+        eng.sink().events[at_failure..],
+        [
+            ProvEvent::InsertBase { time: 100, node: n.clone(), tuple: Arc::new(tuple!("q", 5)) },
+            ProvEvent::Appear { time: 100, node: n.clone(), tuple: Arc::new(tuple!("q", 5)) },
+            ProvEvent::Derive {
+                time: 101,
+                node: n.clone(),
+                tuple: Arc::new(tuple!("d", 5)),
+                rule: Sym::new("r"),
+                fired_at: 100,
+                body: vec![q5()],
+                trigger: 0,
+                redundant: false,
+            },
+            ProvEvent::Appear { time: 101, node: n.clone(), tuple: Arc::new(tuple!("d", 5)) },
+        ]
+    );
+    assert!(eng.lookup(&n, &tuple!("d", 1)).is_none());
+    assert_eq!(eng.stats().events, 5);
+}

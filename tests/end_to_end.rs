@@ -162,3 +162,83 @@ fn graph_statistics_are_consistent() {
     assert!(stats.total() as usize >= tree.len());
     assert!(stats.derives > 0 && stats.inserts > 0);
 }
+
+/// The eight reports, field by field: Δ as rendered, real rounds, both
+/// tree sizes, the verdict. The values were taken at PR 14, before
+/// `diagnose` began releasing each recording as soon as it is done with it
+/// (the reference execution's after the good tree is out — MR1/MR2 — and
+/// the previous one before every UPDATETREE replay), so a tree or a verdict
+/// that depended on a recording staying alive would show here.
+#[test]
+fn reports_are_pinned() {
+    let mut scenarios = sdn::all_sdn_scenarios();
+    scenarios.extend(mapreduce::all_mr_scenarios());
+    /// Name, Δ, rounds, good tree size, bad tree size, verified.
+    type Row<'a, D> = (&'a str, D, usize, usize, usize, bool);
+    let got: Vec<Row<'_, Vec<String>>> = scenarios
+        .iter()
+        .map(|s| {
+            let r = s.diagnose().unwrap();
+            (
+                s.name,
+                r.delta.iter().map(|c| c.to_string()).collect(),
+                r.rounds.len(),
+                r.good_tree_size,
+                r.bad_tree_size,
+                r.verified,
+            )
+        })
+        .collect();
+    const REDUCES: &str = "change mrConfig(mapreduce.job.reduces,5)@drv \
+                           to mrConfig(mapreduce.job.reduces,4)";
+    let want: [Row<'_, &[&str]>; 8] = [
+        (
+            "SDN1",
+            &["change cfgEntry(1,S2,10,4.3.2.0/24,0.0.0.0/0,3)@ctl \
+               to cfgEntry(1,S2,10,4.3.2.0/23,0.0.0.0/0,3)"],
+            1,
+            69,
+            90,
+            true,
+        ),
+        (
+            "SDN2",
+            &["change cfgEntry(20,S1,10,66.0.0.0/7,0.0.0.0/0,3)@ctl \
+               to cfgEntry(20,S1,10,66.0.0.0/8,0.0.0.0/0,3)"],
+            1,
+            48,
+            48,
+            true,
+        ),
+        ("SDN3", &["insert cfgEntry(20,S1,10,0.0.0.0/0,239.1.1.1/32,2)@ctl"], 1, 48, 48, true),
+        (
+            "SDN4",
+            &[
+                "change cfgEntry(1,S2,10,4.3.2.0/24,0.0.0.0/0,2)@ctl \
+                 to cfgEntry(1,S2,10,4.3.2.0/23,0.0.0.0/0,2)",
+                "change cfgEntry(3,S3,10,4.3.2.0/24,0.0.0.0/0,3)@ctl \
+                 to cfgEntry(3,S3,10,4.3.2.0/23,0.0.0.0/0,3)",
+            ],
+            2,
+            90,
+            69,
+            true,
+        ),
+        ("MR1-D", &[REDUCES], 1, 492, 492, true),
+        ("MR2-D", &["change mapperParam(1)@drv to mapperParam(0)"], 1, 1419, 954, true),
+        ("MR1-I", &[REDUCES], 1, 492, 492, true),
+        (
+            "MR2-I",
+            &["change mapperCode(#bad0bad0bad0bad0)@drv to mapperCode(#600d600d600d600d)"],
+            1,
+            1419,
+            954,
+            true,
+        ),
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, delta, rounds, good, bad, verified), w) in got.iter().zip(want) {
+        let delta: Vec<&str> = delta.iter().map(String::as_str).collect();
+        assert_eq!((*name, delta.as_slice(), *rounds, *good, *bad, *verified), w);
+    }
+}
