@@ -284,6 +284,33 @@ mod tests {
         }
     }
 
+    /// UPDATETREE's roll-forward reports on the execution's tracer: the
+    /// fork fraction (`fork_events` ÷ `log_events`), the path taken and
+    /// the two phase spans are scrapeable.
+    #[test]
+    fn rolled_replay_reports_the_fork_families() {
+        let scenario = find_scenario("SDN1").unwrap();
+        let delta = scenario.diagnose().unwrap().delta;
+        let tracer = Tracer::aggregate_only();
+        let mut exec = scenario.bad_exec.clone();
+        exec.tracer = tracer.clone();
+        exec.replay().unwrap().roll_forward(&exec, &delta, 0).unwrap();
+        let agg = tracer.aggregate();
+        assert_eq!(agg.counter("replay.log_events"), exec.log.len() as u64);
+        assert!(agg.counter("replay.fork_events") > 0);
+        let text = render_prometheus(&agg);
+        for family in [
+            "dp_replay_fork_events_total counter",
+            "dp_replay_log_events_total counter",
+            "dp_replay_rolled_total counter",
+            "dp_replay_withdraw_seconds histogram",
+            "dp_replay_reissue_seconds histogram",
+        ] {
+            assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
+        }
+        assert!(text.contains("dp_replay_rolled_total{path=\"roll\"} 1\n"), "{text}");
+    }
+
     /// The full smoke path passes in-process.
     #[test]
     fn smoke_passes() {

@@ -16,8 +16,10 @@
 //!    ensures the derivation's children exist, repairing violated
 //!    constraints by inverting them against mutable base tuples
 //!    (MAKEAPPEAR, Section 4.5) and accumulating `Δ_{B→G}`;
-//! 6. replays a clone of the bad execution with the changes applied
-//!    (UPDATETREE, Section 4.6) and repeats until the trees align.
+//! 6. rolls its replay of the bad execution forward to the changes — the
+//!    running system is never touched, and the log is patched only from
+//!    the first event a change rewrites (UPDATETREE, Section 4.6) — and
+//!    repeats until the trees align.
 //!
 //! The number of steps is linear in the size of the good tree (Section
 //! 4.7): the good tree tells DiffProv exactly which tuple to create and
@@ -304,14 +306,12 @@ impl DiffProv {
                 changes: new_changes,
             });
 
-            // UPDATETREE: cloned replay with the accumulated changes. The
-            // round is done reading the previous recording; drop it first
-            // (inside the span, which has always paid for that drop) so
-            // the new replay reuses its pages instead of growing the heap
-            // by a second full graph.
+            // UPDATETREE: roll the held replay forward to the accumulated
+            // changes — from the first log position they touch, on the
+            // recording already held (or, when that position is early, by
+            // releasing it and replaying the patched log).
             let span = tracer.span("diffprov.update_tree", Class::Skeleton, None);
-            drop(replayed_bad);
-            replayed_bad = bad.replay_with(&delta, inject_at)?;
+            replayed_bad.roll_forward(bad, &delta, inject_at)?;
             span.end(
                 None,
                 &[

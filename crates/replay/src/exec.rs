@@ -7,21 +7,23 @@
 //! execution (Section 4.6 — changes never touch the running system), and
 //! fast state reconstruction from checkpoints (Section 4.8).
 
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use dp_ndlog::{
-    Engine, EngineSnapshot, HashSink, NullSink, Program, ProvEvent, ProvenanceSink, TupleChange,
+    Constraint, Engine, EngineSnapshot, HashSink, NullSink, Program, ProvEvent, ProvenanceSink,
+    TupleChange,
 };
 use dp_provenance::{
     extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest, AnnotRecorder,
     AnnotationStore, GraphRecorder, ProvGraph, ProvTree,
 };
 use dp_trace::{Class, Tracer};
-use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef};
+use dp_types::{Error, LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
 use crate::layers::StoreMode;
-use crate::log::{BaseOp, EventLog};
+use crate::log::{BaseEvent, BaseOp, EventLog};
 
 /// Which provenance backend a replay records into: the full temporal
 /// graph, or the compact annotation store with on-demand proof-tree
@@ -110,9 +112,223 @@ pub struct Execution {
 pub struct Replayed {
     /// The engine at quiescence (final state; usable for existence checks).
     pub engine: Engine<BackendRecorder>,
+    /// The change set (and its inject point) this state was last rolled
+    /// to by [`Replayed::roll_forward`]; empty after a plain replay. The
+    /// log the held state reflects is the execution's log with these
+    /// changes applied.
+    rolled: (Vec<TupleChange>, LogicalTime),
 }
 
 impl Replayed {
+    /// Wraps a quiescent engine whose state reflects the execution's log
+    /// as it stands.
+    pub(crate) fn new(engine: Engine<BackendRecorder>) -> Self {
+        Replayed {
+            engine,
+            rolled: (Vec::new(), 0),
+        }
+    }
+
+    /// UPDATETREE (Section 4.6): brings this replay of `exec` to the state
+    /// and provenance of `exec.replay_with(delta, inject_at)` by change
+    /// propagation instead of a second replay. `self` must come from
+    /// `exec.replay()`, possibly rolled before.
+    ///
+    /// The patched log is the one [`Execution::replay_with`] replays
+    /// ([`apply_changes`]), read as a stream instead of built. The **fork**
+    /// is the first replay-order position where it differs from the log the
+    /// held state reflects; everything before it is shared and stays as it
+    /// is. On the same engine and recorder, the held log's events from the
+    /// fork on are **withdrawn** — the inverse of each op the engine acted
+    /// on, in reverse order, scheduled at the current clock and run to
+    /// quiescence, so the engine's own cascade is the rewind — and the
+    /// patched suffix is **re-issued**, shifted in time so that its first
+    /// event is due just after the current clock and the spacing between
+    /// its dues is kept. (A finished replay's clock has overrun every
+    /// logged due: at their original dues all re-issued base events —
+    /// phase fences included — would pop before any derived work.)
+    ///
+    /// Two fixed rules, read off the log and the held state and not
+    /// options, send a call to a from-scratch replay of the patched log
+    /// instead (the held engine is released first). When the suffix is the
+    /// larger part of the log (the fork lies in its first half),
+    /// withdrawing and re-issuing costs more than starting over. And when
+    /// the withdrawn state cannot be trusted to be the prefix's own — a
+    /// rule that reads state without depending on it (a stateful builtin,
+    /// an aggregate, a native) may have fired on prefix tuples while
+    /// suffix tuples were there, and the cascade cannot re-fire what those
+    /// suppressed — the rewind is abandoned.
+    ///
+    /// Live tuples and the trees [`Replayed::query`] returns equal the
+    /// from-scratch replay's up to timestamps
+    /// (`roll_forward_differential.rs`); the recording additionally keeps
+    /// the history of what was withdrawn. After an `Err` the state is
+    /// unspecified.
+    pub fn roll_forward(
+        &mut self,
+        exec: &Execution,
+        delta: &[TupleChange],
+        inject_at: LogicalTime,
+    ) -> Result<()> {
+        self.roll(exec, delta, inject_at, false)
+    }
+
+    /// Test-only entry: [`Replayed::roll_forward`] without the cost rule,
+    /// so differentials can drive the withdraw path on logs whose early
+    /// fork sends them to a from-scratch replay.
+    #[doc(hidden)]
+    pub fn roll_forward_withdrawing(
+        &mut self,
+        exec: &Execution,
+        delta: &[TupleChange],
+        inject_at: LogicalTime,
+    ) -> Result<()> {
+        self.roll(exec, delta, inject_at, true)
+    }
+
+    fn roll(
+        &mut self,
+        exec: &Execution,
+        delta: &[TupleChange],
+        inject_at: LogicalTime,
+        always_withdraw: bool,
+    ) -> Result<()> {
+        let tracer = self.engine.tracer().clone();
+        if self.rewind(exec, delta, inject_at, always_withdraw, &tracer)? {
+            tracer.counter("replay.rolled{path=roll}", Class::Skeleton, 1);
+        } else {
+            tracer.counter("replay.rolled{path=scratch}", Class::Skeleton, 1);
+            // Release the held recording before the replay builds its log
+            // and allocates its own, so the two never coexist.
+            self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+            *self = exec.replay_with(delta, inject_at)?;
+        }
+        self.rolled = (delta.to_vec(), inject_at);
+        Ok(())
+    }
+
+    /// The roll path: finds the fork and, if the cost rule allows,
+    /// withdraws and re-issues. `false` when the caller has to replay from
+    /// scratch — nothing this borrowed or built is alive by then.
+    fn rewind(
+        &mut self,
+        exec: &Execution,
+        delta: &[TupleChange],
+        inject_at: LogicalTime,
+        always_withdraw: bool,
+        tracer: &Tracer,
+    ) -> Result<bool> {
+        // Both logs are read as streams over the execution's own: the
+        // held recording is alive, and a materialized copy of a campus log
+        // beside it would raise the diagnosis's peak memory.
+        let log = exec.log.events();
+        let (rolled, rolled_at) = std::mem::take(&mut self.rolled);
+        let held = Patched::new(&log, &rolled, rolled_at);
+        let patched = Patched::new(&log, delta, inject_at);
+        let held_len = held.events().count();
+        let fork = held
+            .events()
+            .zip(patched.events())
+            .take_while(|(h, p)| h == p)
+            .count();
+        tracer.counter("replay.fork_events", Class::Skeleton, (held_len - fork) as u64);
+        tracer.counter("replay.log_events", Class::Skeleton, held_len as u64);
+        if !always_withdraw && 2 * fork < held_len {
+            return Ok(false);
+        }
+
+        let owned = |p: &Patched| p.events().skip(fork).map(Cow::into_owned).collect();
+        let (withdrawn, suffix): (Vec<BaseEvent>, Vec<BaseEvent>) = (owned(&held), owned(&patched));
+        // The due the two (sorted) logs part at: nothing a suffix event
+        // caused appeared before it.
+        let since = withdrawn.first().into_iter().chain(suffix.first()).map(|e| e.due).min();
+        let prefix = held.events().take(fork);
+        let trusted = self.withdraw(prefix, &withdrawn, since.unwrap_or(0), tracer)?;
+        if trusted {
+            self.reissue(&suffix, tracer)?;
+        }
+        Ok(trusted)
+    }
+
+    /// Re-issues `suffix`, shifted so that its first event is due just
+    /// after the current clock and the spacing between its dues is kept.
+    fn reissue(&mut self, suffix: &[BaseEvent], tracer: &Tracer) -> Result<()> {
+        let span = tracer.span("replay.reissue", Class::Skeleton, Some(self.now()));
+        if let Some(first) = suffix.first() {
+            let base = self.now() + 1;
+            for e in suffix {
+                e.schedule_as(&mut self.engine, base + (e.due - first.due), e.op)?;
+            }
+            self.engine.run()?;
+        }
+        span.end(Some(self.now()), &[("events", suffix.len() as u64)]);
+        Ok(())
+    }
+
+    /// Withdraws `withdrawn` — the held log from the fork on, `prefix`
+    /// being the held log before it — from the held state: the inverse of
+    /// each op the engine acted on, in reverse order, at the current
+    /// clock. Reports whether what is left is the prefix's own state.
+    ///
+    /// The cascade retracts everything that *depended on* a withdrawn
+    /// tuple. It cannot re-fire what a withdrawn tuple *suppressed*: a
+    /// stateful builtin, an aggregate and a native read the node's tables
+    /// without depending on what they read (a flow entry that lost
+    /// `best_match` to a withdrawn one is not matched again when that one
+    /// goes). Such a rule can only have read a suffix tuple if it fired at
+    /// or after `since` on tuples that are all still there, so the rewind
+    /// is trusted only when no node holds, for any such rule, a live tuple
+    /// in every body table with one of them appeared at or after `since`.
+    fn withdraw<'a>(
+        &mut self,
+        prefix: impl Iterator<Item = Cow<'a, BaseEvent>>,
+        withdrawn: &[BaseEvent],
+        since: LogicalTime,
+        tracer: &Tracer,
+    ) -> Result<bool> {
+        let span = tracer.span("replay.withdraw", Class::Skeleton, Some(self.now()));
+        let undo = effective_ops(prefix, withdrawn);
+        let at = self.now();
+        for e in undo.iter().rev() {
+            let inverse = match e.op {
+                BaseOp::Insert => BaseOp::Delete,
+                BaseOp::Delete => BaseOp::Insert,
+            };
+            e.schedule_as(&mut self.engine, at, inverse)?;
+        }
+        self.engine.run()?;
+
+        let program = self.engine.program();
+        let readers: Vec<Vec<&Sym>> = program
+            .rules()
+            .iter()
+            .filter(|r| {
+                r.agg.is_some()
+                    || r.constraints.iter().any(|c| matches!(c, Constraint::Builtin { .. }))
+            })
+            .map(|r| r.body.iter().map(|a| &a.table).collect())
+            .chain(
+                program
+                    .schemas
+                    .iter()
+                    .filter(|s| !program.native_triggers(&s.name).is_empty())
+                    .map(|s| vec![&s.name]),
+            )
+            .collect();
+        let settled = self.engine.nodes().all(|(_, state)| {
+            readers.iter().all(|tables| {
+                let live = |t: &&Sym| state.table(t).next().is_some();
+                let late = |t: &&Sym| state.table(t).any(|(_, ts)| ts.appeared_at >= since);
+                !(tables.iter().all(live) && tables.iter().any(late))
+            })
+        });
+        span.end(
+            Some(self.now()),
+            &[("events", undo.len() as u64), ("settled", settled as u64)],
+        );
+        Ok(settled)
+    }
+
     /// The recorded provenance graph.
     ///
     /// # Panics
@@ -286,7 +502,7 @@ impl Execution {
             span.end(None, &[("events", self.log.len() as u64)]);
         }
         engine.run()?;
-        Ok(Replayed { engine })
+        Ok(Replayed::new(engine))
     }
 
     /// Replays without recording provenance — the "logging disabled"
@@ -339,6 +555,10 @@ impl Execution {
     /// Replays a **clone** of this execution with `changes` applied
     /// (Section 4.6). Pure insertions are injected at `inject_at`, i.e.
     /// "shortly before they are needed for the first time".
+    ///
+    /// This is the from-scratch path: [`Replayed::roll_forward`] reaches the
+    /// same state from a replay already held, falls back to this when the
+    /// change sits early in the log, and is checked against it.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
         let patched = apply_changes(&self.log, changes, inject_at);
         let clone = Execution {
@@ -364,14 +584,7 @@ impl Execution {
         while i < events.len() {
             let end = chunk_end(&events, i, every);
             for e in &events[i..end] {
-                match e.op {
-                    BaseOp::Insert => {
-                        engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?
-                    }
-                    BaseOp::Delete => {
-                        engine.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?
-                    }
-                }
+                e.schedule_as(&mut engine, e.due, e.op)?;
             }
             engine.run()?;
             store.snaps.push(Checkpoint {
@@ -428,21 +641,43 @@ impl Execution {
                     if e.due <= cp.cut {
                         continue;
                     }
-                    match e.op {
-                        BaseOp::Insert => {
-                            engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?
-                        }
-                        BaseOp::Delete => {
-                            engine.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?
-                        }
-                    }
+                    e.schedule_as(&mut engine, e.due, e.op)?;
                 }
                 engine.run()?;
-                Ok(Replayed { engine })
+                Ok(Replayed::new(engine))
             }
             None => self.replay(),
         }
     }
+}
+
+/// The events of `suffix` the engine acted on when it ran them after
+/// `prefix`. Re-inserting a base tuple that is present, or deleting one
+/// that is absent, is a no-op to the engine, and inverting a no-op would
+/// undo the *prefix's* event instead — so base presence is simulated over
+/// the prefix, for exactly the located tuples the suffix touches.
+fn effective_ops<'a, 's>(
+    prefix: impl Iterator<Item = Cow<'a, BaseEvent>>,
+    suffix: &'s [BaseEvent],
+) -> Vec<&'s BaseEvent> {
+    let mut touched: Vec<(&NodeId, &Tuple)> = suffix.iter().map(|e| (&e.node, &e.tuple)).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let slot = |e: &BaseEvent| touched.binary_search_by(|k| k.cmp(&(&e.node, &e.tuple))).ok();
+    let mut present = vec![false; touched.len()];
+    for e in prefix {
+        if let Some(i) = slot(&e) {
+            present[i] = e.op == BaseOp::Insert;
+        }
+    }
+    suffix
+        .iter()
+        .filter(|e| {
+            let p = &mut present[slot(e).expect("keyed from the suffix")];
+            let wanted = e.op == BaseOp::Insert;
+            std::mem::replace(p, wanted) != wanted
+        })
+        .collect()
 }
 
 /// The end of the chunk starting at `i` with nominal length `every`,
@@ -450,7 +685,7 @@ impl Execution {
 /// must never split simultaneous events. (A zero `every` would never
 /// advance, hence the type.)
 pub(crate) fn chunk_end(
-    events: &[crate::log::BaseEvent],
+    events: &[BaseEvent],
     i: usize,
     every: NonZeroUsize,
 ) -> usize {
@@ -514,42 +749,89 @@ impl CheckpointStore {
 }
 
 /// Applies `Δ_{B→G}` to a log, producing the patched log for the cloned
-/// replay.
+/// replay, in replay order.
 ///
 /// * replacements rewrite every insert/delete event of the `before` tuple
 ///   to the `after` tuple;
 /// * deletions drop the `before` tuple's events;
 /// * pure insertions (no `before`), and replacements whose `before` never
-///   occurs in the log, add an insertion at `inject_at`.
+///   occurs in the log, add an insertion at `inject_at`, behind the logged
+///   events of that due.
 pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: LogicalTime) -> EventLog {
+    let events = log.events();
     let mut out = EventLog::new();
-    let mut matched = vec![false; changes.len()];
-    'events: for e in log.events().iter() {
-        for (ci, c) in changes.iter().enumerate() {
-            if let Some(before) = &c.before {
-                if c.node == e.node && *before == e.tuple {
-                    matched[ci] = true;
-                    if let Some(after) = &c.after { out.push(crate::log::BaseEvent {
+    for e in Patched::new(&events, changes, inject_at).events() {
+        out.push(e.into_owned());
+    }
+    out
+}
+
+/// A log with a change set applied ([`apply_changes`]), read in replay
+/// order without being built: logged events are borrowed, rewritten and
+/// injected ones owned.
+struct Patched<'a> {
+    log: &'a [BaseEvent],
+    changes: &'a [TupleChange],
+    /// The insertions at `inject_at`, in change order.
+    injected: Vec<BaseEvent>,
+    /// Where they go: behind the last logged event due at or before
+    /// `inject_at` (where a stable sort would leave late appends).
+    at: usize,
+}
+
+impl<'a> Patched<'a> {
+    /// `log` must be in replay order.
+    fn new(log: &'a [BaseEvent], changes: &'a [TupleChange], inject_at: LogicalTime) -> Self {
+        let mut patched = Patched {
+            log,
+            changes,
+            injected: Vec::new(),
+            at: log.partition_point(|e| e.due <= inject_at),
+        };
+        let mut matched = vec![false; changes.len()];
+        for ci in log.iter().filter_map(|e| patched.change_of(e)) {
+            matched[ci] = true;
+        }
+        let unmatched = changes.iter().zip(matched).filter(|(_, m)| !m);
+        patched.injected = unmatched
+            .filter_map(|(c, _)| {
+                c.after.as_ref().map(|after| BaseEvent {
+                    due: inject_at,
+                    node: c.node.clone(),
+                    tuple: after.clone(),
+                    op: BaseOp::Insert,
+                })
+            })
+            .collect();
+        patched
+    }
+
+    /// The first change whose `before` is `e`'s located tuple.
+    fn change_of(&self, e: &BaseEvent) -> Option<usize> {
+        self.changes
+            .iter()
+            .position(|c| c.node == e.node && c.before.as_ref() == Some(&e.tuple))
+    }
+
+    fn events(&self) -> impl Iterator<Item = Cow<'_, BaseEvent>> {
+        let logged = |events: &'a [BaseEvent]| {
+            events.iter().filter_map(|e| match self.change_of(e) {
+                None => Some(Cow::Borrowed(e)),
+                Some(ci) => self.changes[ci].after.as_ref().map(|after| {
+                    Cow::Owned(BaseEvent {
                         due: e.due,
                         node: e.node.clone(),
                         tuple: after.clone(),
                         op: e.op,
-                    }) }
-                    continue 'events;
-                }
-            }
-        }
-        out.push(e.clone());
+                    })
+                }),
+            })
+        };
+        let (early, late) = self.log.split_at(self.at);
+        logged(early)
+            .chain(self.injected.iter().map(Cow::Borrowed))
+            .chain(logged(late))
     }
-    for (ci, c) in changes.iter().enumerate() {
-        if matched[ci] {
-            continue;
-        }
-        if let Some(after) = &c.after {
-            out.insert(inject_at, c.node.clone(), after.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub use self::checkpoint::DurableCheckpoint;
 pub use self::layer::{Layer, SeqEvent};
 
 use crate::exec::{Execution, Replayed};
-use crate::log::{BaseEvent, BaseOp, EventLog};
+use crate::log::{BaseEvent, EventLog};
 
 /// Where an execution's replays read their base events from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -333,14 +333,7 @@ impl DurableStore {
                 }
             }
             let s = &self.layers[li].events[pos[li]];
-            match s.event.op {
-                BaseOp::Insert => {
-                    engine.schedule_insert(s.event.due, s.event.node.clone(), s.event.tuple.clone())?
-                }
-                BaseOp::Delete => {
-                    engine.schedule_delete(s.event.due, s.event.node.clone(), s.event.tuple.clone())?
-                }
-            }
+            s.event.schedule_as(engine, s.event.due, s.event.op)?;
             scheduled += 1;
             pos[li] += 1;
             if let Some(next) = self.layers[li].events.get(pos[li]) {
@@ -411,14 +404,7 @@ impl Execution {
                     break; // the newest interval is still open: tail, not a cut
                 }
                 for e in &events[i..end] {
-                    match e.op {
-                        BaseOp::Insert => {
-                            engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?
-                        }
-                        BaseOp::Delete => {
-                            engine.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?
-                        }
-                    }
+                    e.schedule_as(&mut engine, e.due, e.op)?;
                 }
                 engine.run()?;
                 store.add_checkpoint(
@@ -431,10 +417,7 @@ impl Execution {
             }
         }
         for e in &events[i..] {
-            match e.op {
-                BaseOp::Insert => engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?,
-                BaseOp::Delete => engine.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?,
-            }
+            e.schedule_as(&mut engine, e.due, e.op)?;
         }
         engine.run()?;
         let sink = engine.into_sink();
@@ -513,7 +496,7 @@ impl Execution {
             }
         };
         engine.run()?;
-        Ok(Replayed { engine })
+        Ok(Replayed::new(engine))
     }
 
     /// Schedules this execution's base events into `engine`, honoring the

@@ -44,6 +44,23 @@ pub struct BaseEvent {
     pub op: BaseOp,
 }
 
+impl BaseEvent {
+    /// Schedules `op` on this event's located tuple, not earlier than
+    /// `due`: the event's own op and due for a replay; a roll-forward
+    /// inverts the one and shifts the other.
+    pub(crate) fn schedule_as<S: dp_ndlog::ProvenanceSink>(
+        &self,
+        engine: &mut dp_ndlog::Engine<S>,
+        due: LogicalTime,
+        op: BaseOp,
+    ) -> Result<()> {
+        match op {
+            BaseOp::Insert => engine.schedule_insert(due, self.node.clone(), self.tuple.clone()),
+            BaseOp::Delete => engine.schedule_delete(due, self.node.clone(), self.tuple.clone()),
+        }
+    }
+}
+
 /// An append-only log of base events, read back sorted by `due` (stable
 /// for equal times, preserving arrival order — determinism again).
 ///
@@ -280,10 +297,7 @@ impl EventLog {
                     break;
                 }
             }
-            match e.op {
-                BaseOp::Insert => engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?,
-                BaseOp::Delete => engine.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?,
-            }
+            e.schedule_as(engine, e.due, e.op)?;
         }
         Ok(())
     }

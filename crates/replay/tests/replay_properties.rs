@@ -117,6 +117,93 @@ fn apply_changes_preserves_counts() {
     }
 }
 
+/// Regression fence: a pure insertion at `inject_at` used to be appended
+/// behind later-due events, and `apply_changes` returned the log like
+/// that — unsorted, so every later `events()` read cloned and re-sorted
+/// all of it. The patched log is built in replay order and never sorted.
+#[test]
+fn apply_changes_returns_a_normalized_log() {
+    let mut log = EventLog::new();
+    for due in 0..1_000u64 {
+        log.insert(due, "n", tuple!("e", due as i64));
+    }
+    let insert = [TupleChange {
+        node: NodeId::new("n"),
+        before: None,
+        after: Some(tuple!("k", 77)),
+    }];
+    let mut patched = apply_changes(&log, &insert, 500);
+    let events = patched.events();
+    assert!(events.windows(2).all(|w| w[0].due <= w[1].due));
+    // Last within its due: the insertion arrived after the logged event.
+    assert_eq!(events[501].tuple, tuple!("k", 77));
+    drop(events);
+    patched.normalize();
+    assert_eq!(patched.reorder_effort(), 0, "the log came back awaiting a sort");
+}
+
+/// `apply_changes` streams the patched log out in replay order; this is
+/// the definition it must agree with, event for event — rewrite or drop
+/// matched events in place, append the unmatched insertions at
+/// `inject_at`, stable-sort by due — on logs with repeated dues and change
+/// sets that mix replacements (matched and not), deletions and insertions.
+#[test]
+fn apply_changes_is_rewrite_append_and_stable_sort() {
+    let mut rng = DetRng::seed_from_u64(0x4E91_0005);
+    let n = NodeId::new("n");
+    for _ in 0..256 {
+        let mut log = EventLog::new();
+        for _ in 0..rng.gen_range_usize(0, 24) {
+            let (due, k) = (rng.gen_range_u64(0, 6), rng.gen_range_i64(0, 5));
+            if rng.gen_range_usize(0, 4) == 0 {
+                log.delete(due, "n", tuple!("k", k));
+            } else {
+                log.insert(due, "n", tuple!("k", k));
+            }
+        }
+        let changes: Vec<TupleChange> = (0..rng.gen_range_usize(0, 4))
+            .map(|_| {
+                let side = |rng: &mut DetRng| {
+                    (rng.gen_range_usize(0, 3) > 0).then(|| tuple!("k", rng.gen_range_i64(0, 8)))
+                };
+                TupleChange {
+                    node: n.clone(),
+                    before: side(&mut rng),
+                    after: side(&mut rng),
+                }
+            })
+            .collect();
+        let inject_at = rng.gen_range_u64(0, 7);
+
+        let mut want = Vec::new();
+        let mut matched = vec![false; changes.len()];
+        for e in log.events().iter() {
+            let hit = changes.iter().position(|c| c.before.as_ref() == Some(&e.tuple));
+            match hit {
+                None => want.push(e.clone()),
+                Some(ci) => {
+                    matched[ci] = true;
+                    if let Some(after) = &changes[ci].after {
+                        want.push(dp_replay::BaseEvent { tuple: after.clone(), ..e.clone() });
+                    }
+                }
+            }
+        }
+        for (c, _) in changes.iter().zip(&matched).filter(|(_, m)| !**m) {
+            if let Some(after) = &c.after {
+                want.push(dp_replay::BaseEvent {
+                    due: inject_at,
+                    node: n.clone(),
+                    tuple: after.clone(),
+                    op: dp_replay::BaseOp::Insert,
+                });
+            }
+        }
+        want.sort_by_key(|e| e.due);
+        assert_eq!(apply_changes(&log, &changes, inject_at).events(), want[..]);
+    }
+}
+
 /// End-to-end: replaying with a replacement change produces exactly the
 /// state of an execution built with the replacement from the start.
 #[test]

@@ -1,0 +1,191 @@
+//! Differential test of `Replayed::roll_forward` against its oracle,
+//! `Execution::replay_with`.
+//!
+//! UPDATETREE no longer replays the patched log from t = 0: it withdraws
+//! the held replay's events from the first patched position on and
+//! re-issues the patched suffix, on the same engine and recorder. What
+//! DiffProv reads off the result is the final state (`exists`, node views)
+//! and the trees of live tuples, so that is what must not move: for every
+//! repro scenario — the eight of Table 1, the extensions, the default
+//! campus and a churning one — under both provenance backends, after each
+//! round's Δ the rolled replay holds exactly the `(node, tuple)` set the
+//! from-scratch replay holds, and `query()` of every one of them renders
+//! the same tree once the ` t=` stamps are stripped (a rolled replay runs
+//! at later logical times, and nothing else may differ).
+//!
+//! Each scenario goes through twice: once as DiffProv calls it (the cost
+//! rule sends an early fork — MR1's 10 of 424 — to a from-scratch replay,
+//! which must then agree trivially), once through the test-only entry that
+//! skips the cost rule, so the withdraw path also sees logs it rewinds
+//! almost entirely.
+
+use std::collections::BTreeSet;
+
+use diffprov_core::Scenario;
+use dp_ndlog::TupleChange;
+use dp_replay::{apply_changes, Execution, ProvBackend, Replayed};
+use dp_sdn::{campus, CampusConfig};
+use dp_trace::Tracer;
+use dp_types::{LogicalTime, TupleRef};
+
+fn scenarios() -> Vec<Scenario> {
+    let mut all = dp_sdn::all_sdn_scenarios();
+    all.extend(dp_mapreduce::all_mr_scenarios());
+    assert_eq!(all.len(), 8, "Table 1 has eight scenarios");
+    all.extend([dp_sdn::flapping(), dp_sdn::ecmp_same_branch(), dp_sdn::nat_rewrite()]);
+    all.push(campus(&CampusConfig::default()).scenario);
+    all.push(
+        campus(&CampusConfig {
+            update_churn_rounds: 3,
+            ..CampusConfig::default()
+        })
+        .scenario,
+    );
+    all
+}
+
+/// Where DiffProv injects pure insertions: just before the bad seed's
+/// first logged event.
+fn inject_at(exec: &Execution, seed: &TupleRef) -> LogicalTime {
+    exec.log
+        .events()
+        .iter()
+        .find(|e| e.node == seed.node && e.tuple == *seed.tuple)
+        .map_or(0, |e| e.due)
+        .saturating_sub(1)
+}
+
+/// The accumulated Δ after each round of the scenario's diagnosis — the
+/// change sets its UPDATETREE calls see, in order.
+fn round_deltas(s: &Scenario) -> (Vec<Vec<TupleChange>>, LogicalTime) {
+    let report = s.diagnose().unwrap_or_else(|e| panic!("{}: {e}", s.name));
+    assert!(report.succeeded(), "{}: {report}", s.name);
+    let mut acc = Vec::new();
+    let deltas = report
+        .rounds
+        .iter()
+        .map(|r| {
+            acc.extend(r.changes.iter().cloned());
+            acc.clone()
+        })
+        .collect();
+    let seed = report.bad_seed.expect("a succeeded diagnosis names its seed");
+    (deltas, inject_at(&s.bad_exec, &seed))
+}
+
+fn live(r: &Replayed) -> BTreeSet<TupleRef> {
+    r.engine
+        .nodes()
+        .flat_map(|(node, state)| {
+            state.all().map(move |(t, _)| TupleRef::new(node.clone(), t.clone()))
+        })
+        .collect()
+}
+
+/// A rendered tree without its timestamps.
+fn unstamped(tree: &str) -> String {
+    tree.lines()
+        .map(|l| l.rsplit_once(" t=").map_or(l, |(head, _)| head))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Every live located tuple with its unstamped tree.
+fn trees(case: &str, r: &Replayed) -> Vec<(TupleRef, String)> {
+    live(r)
+        .into_iter()
+        .map(|root| {
+            let t = r.query(&root).unwrap_or_else(|| panic!("{case}: live {root} has no tree"));
+            let rendered = unstamped(&t.render());
+            (root, rendered)
+        })
+        .collect()
+}
+
+fn assert_same(case: &str, rolled: &Replayed, scratch: &[(TupleRef, String)]) {
+    let want: BTreeSet<_> = scratch.iter().map(|(root, _)| root.clone()).collect();
+    assert_eq!(live(rolled), want, "{case}: live tuples differ");
+    for ((root, got), (_, want)) in trees(case, rolled).iter().zip(scratch) {
+        assert_eq!(got, want, "{case}: tree of {root}");
+    }
+}
+
+type Roll = fn(&mut Replayed, &Execution, &[TupleChange], LogicalTime) -> dp_types::Result<()>;
+
+const ENTRIES: [(&str, Roll); 2] = [
+    ("cost rule", Replayed::roll_forward),
+    ("withdraw", Replayed::roll_forward_withdrawing),
+];
+
+fn rolled_replays_equal_from_scratch_replays(backend: ProvBackend) {
+    let (mut roll_paths, mut forced) = (0, 0);
+    for s in scenarios() {
+        let (deltas, at) = round_deltas(&s);
+        assert_eq!(deltas.len(), s.expected_rounds, "{}", s.name);
+        let mut exec = s.bad_exec.clone();
+        exec.provenance_backend = backend;
+        exec.tracer = Tracer::aggregate_only();
+        let scratch: Vec<_> = deltas
+            .iter()
+            .map(|delta| trees(s.name, &exec.replay_with(delta, at).unwrap()))
+            .collect();
+        for (entry, roll) in ENTRIES {
+            let mut rolled = exec.replay().unwrap();
+            for (round, delta) in deltas.iter().enumerate() {
+                let case = format!("{} {backend:?} {entry} round {}", s.name, round + 1);
+                roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_same(&case, &rolled, &scratch[round]);
+            }
+        }
+        roll_paths += exec.tracer.aggregate().counter("replay.rolled{path=roll}");
+        forced += deltas.len() as u64;
+    }
+    // The forced calls roll (none of these scenarios trips the trust
+    // rule); the cost rule must let some through too, or DiffProv never
+    // takes the path this file is about.
+    assert!(roll_paths > forced, "the cost rule never rolled: {roll_paths} of {forced} forced");
+}
+
+#[test]
+fn graph_backend_rolls_to_the_from_scratch_state() {
+    rolled_replays_equal_from_scratch_replays(ProvBackend::Graph);
+}
+
+#[test]
+fn annot_backend_rolls_to_the_from_scratch_state() {
+    rolled_replays_equal_from_scratch_replays(ProvBackend::Annot);
+}
+
+/// SDN4 needs two rounds. The second UPDATETREE forks from the state the
+/// first left — the log with round 1's Δ applied — so its fork is where
+/// round 2's *new* change lands, not where round 1's did.
+#[test]
+fn sdn4_round_two_forks_from_round_one() {
+    let s = dp_sdn::sdn4();
+    let (deltas, at) = round_deltas(&s);
+    assert_eq!(deltas.len(), 2, "SDN4 is the two-round scenario");
+    let mut exec = s.bad_exec.clone();
+    exec.tracer = Tracer::aggregate_only();
+    let suffix_of = |held: &dp_replay::EventLog, patched: &dp_replay::EventLog| {
+        let (h, p) = (held.events(), patched.events());
+        h.len() - h.iter().zip(p.iter()).take_while(|(a, b)| a == b).count()
+    };
+    let round1 = apply_changes(&exec.log, &deltas[0], at);
+    let round2 = apply_changes(&exec.log, &deltas[1], at);
+    let from_round1 = suffix_of(&round1, &round2);
+    let from_original = suffix_of(&exec.log, &round2);
+    assert!(
+        from_round1 < from_original,
+        "fixture: round 2's change must land after round 1's ({from_round1} vs {from_original})"
+    );
+
+    let forked = |exec: &Execution| exec.tracer.aggregate().counter("replay.fork_events") as usize;
+    let mut rolled = exec.replay().unwrap();
+    rolled.roll_forward_withdrawing(&exec, &deltas[0], at).unwrap();
+    let after_round1 = forked(&exec);
+    assert_eq!(after_round1, suffix_of(&exec.log, &round1));
+    rolled.roll_forward_withdrawing(&exec, &deltas[1], at).unwrap();
+    assert_eq!(forked(&exec) - after_round1, from_round1);
+    let scratch = exec.replay_with(&deltas[1], at).unwrap();
+    assert_same("SDN4 round 2", &rolled, &trees("SDN4 scratch", &scratch));
+}

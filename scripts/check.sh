@@ -3,13 +3,14 @@
 # default, DP_TRACE, DP_PROV=annot, DP_STORE=disk — one pass per
 # process-wide switch that turns on the instrumentation handle or selects
 # a provenance backend or a store; the /metrics scrape smoke test; the
-# diagbench package's own tests; one fault-injection sweep; a grep gate
-# against the deleted second instrumentation system; and lint-clean
-# clippy. There is one engine: it is checked against the reference
-# evaluator inside the suite (reference_differential.rs), not by
-# re-running the suite under another evaluation path. There is one
-# instrumentation handle: trace_differential.rs compares it disabled,
-# aggregate-only and full within one process.
+# diagbench package's own tests; one fault-injection sweep; grep gates
+# against the deleted second instrumentation system and against a second
+# UPDATETREE path in crates/core; and lint-clean clippy. There is one
+# engine: it is checked against the reference evaluator inside the suite
+# (reference_differential.rs), not by re-running the suite under another
+# evaluation path. There is one instrumentation handle:
+# trace_differential.rs compares it disabled, aggregate-only and full
+# within one process.
 # Run from the repository root before sending a change out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,6 +61,15 @@ cargo run --release -p dp-bench --bin repro -- sim --seeds 32
 gone="dp_""metrics|DP_""METRICS|set_""metrics|Engine""Meters|Recorder""Meters"
 if grep -rnE "$gone" crates src tests examples scripts; then
     echo "check.sh: a deleted instrumentation name reappeared (see above)" >&2
+    exit 1
+fi
+# DiffProv has one UPDATETREE path: Replayed::roll_forward, which decides
+# by itself between rolling the held replay forward and replaying the
+# patched log from scratch. A direct call of the from-scratch entry from
+# crates/core would be a second path beside it. (Spelled in halves so this
+# script passes its own gate.)
+if grep -rn "replay""_with" crates/core; then
+    echo "check.sh: crates/core calls the from-scratch replay directly (see above)" >&2
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings

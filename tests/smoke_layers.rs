@@ -1,6 +1,7 @@
 //! Tier-1 smoke test of the layers the workspace suites cover in depth:
 //! one small SDN scenario (SDN1) through the engine and its reference
-//! evaluator, both provenance backends, both stores, and a restart. `cargo
+//! evaluator, both provenance backends, both stores, a restart, and
+//! UPDATETREE's roll-forward against a from-scratch replay. `cargo
 //! test -q` builds only the facade package, so without this file nothing
 //! in Tier-1 would notice an engine, recorder, or store change going
 //! wrong; the full differentials stay in `crates/*/tests` behind
@@ -9,8 +10,9 @@
 use std::sync::Arc;
 
 use diffprov::ndlog::{Engine, HashSink};
-use diffprov::replay::{BaseOp, Execution, ProvBackend, StoreMode};
+use diffprov::replay::{BaseOp, Execution, ProvBackend, Replayed, StoreMode};
 use diffprov::sdn;
+use diffprov::types::TupleRef;
 
 /// SDN1's execution (its good and bad events live in the same run).
 fn execution() -> Execution {
@@ -92,4 +94,38 @@ fn restart_resumes_to_the_uncut_digest() {
         (resumed.digest(), resumed.count),
         "restarted stream diverges from the uncut run"
     );
+}
+
+/// UPDATETREE by roll-forward — through the cost rule, as DiffProv calls
+/// it, and through the entry that always withdraws and re-issues — leaves
+/// the live tuples of a from-scratch replay of the patched log, and the
+/// same tree for each of them up to timestamps.
+#[test]
+fn roll_forward_reaches_the_from_scratch_state() {
+    let s = sdn::sdn1();
+    let delta = s.diagnose().unwrap().delta;
+    assert_eq!(delta.len(), 1);
+    let exec = &s.bad_exec;
+    let trees = |r: &Replayed| -> Vec<(TupleRef, String)> {
+        let live = r.engine.nodes().flat_map(|(node, state)| {
+            state.all().map(move |(t, _)| TupleRef::new(node.clone(), t.clone()))
+        });
+        live.map(|root| {
+            let tree = r.query(&root).expect("a live tuple has a tree").render();
+            let unstamped: Vec<_> = tree
+                .lines()
+                .map(|l| l.rsplit_once(" t=").map_or(l, |(head, _)| head))
+                .collect();
+            (root, unstamped.join("\n"))
+        })
+        .collect()
+    };
+    let want = trees(&exec.replay_with(&delta, 0).unwrap());
+    assert!(!want.is_empty());
+    let mut rolled = exec.replay().unwrap();
+    rolled.roll_forward(exec, &delta, 0).unwrap();
+    assert_eq!(trees(&rolled), want, "through the cost rule");
+    let mut rolled = exec.replay().unwrap();
+    rolled.roll_forward_withdrawing(exec, &delta, 0).unwrap();
+    assert_eq!(trees(&rolled), want, "withdrawn and re-issued");
 }
