@@ -227,7 +227,7 @@ mod tests {
         let scenario = find_scenario("SDN1").unwrap();
         let text = one_shot(&scenario).unwrap();
         assert!(text.starts_with("{\"families\":["), "{text}");
-        for family in [
+        let mut families = vec![
             "dp_engine_events_total counter",
             "dp_engine_run_seconds histogram",
             "dp_engine_distinct_tuples gauge",
@@ -239,7 +239,12 @@ mod tests {
             "dp_diffprov_rounds_total counter",
             "dp_diffprov_find_seeds_seconds histogram",
             "dp_diffprov_delta_changes histogram",
-        ] {
+        ];
+        // What the records cost is the graph recorder's to report.
+        if dp_replay::ProvBackend::default_from_env() == dp_replay::ProvBackend::Graph {
+            families.extend(["dp_prov_bytes gauge", "dp_prov_bytes_per_record gauge"]);
+        }
+        for family in families {
             assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
         }
         assert!(text.contains("dp_diffprov_diagnoses_total{outcome=\"verified\"} 1\n"), "{text}");
@@ -303,6 +308,7 @@ mod tests {
             "dp_replay_fork_events_total counter",
             "dp_replay_log_events_total counter",
             "dp_replay_rolled_total counter",
+            "dp_replay_fork_seconds histogram",
             "dp_replay_withdraw_seconds histogram",
             "dp_replay_reissue_seconds histogram",
         ] {

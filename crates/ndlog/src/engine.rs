@@ -120,7 +120,7 @@ use crate::expr::Env;
 use crate::plan::{IpSource, JoinPlan};
 use crate::program::{Emitter, Program};
 use crate::reference::ScheduledOp;
-use crate::sink::{ProvEvent, ProvenanceSink};
+use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
 
 /// One recorded derivation of a tuple (used for support counting, cascade
 /// deletion, and DiffProv's "derived using the expected rule" checks).
@@ -923,9 +923,11 @@ impl<S: ProvenanceSink> Engine<S> {
         if !was_present {
             entry.appeared_at = now;
         }
+        let since = entry.appeared_at;
         self.stats.base_inserts += 1;
         self.events.push(ProvEvent::InsertBase {
             time: now,
+            since,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
         });
@@ -958,9 +960,11 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         entry.base = false;
         let gone = entry.support() == 0;
+        let since = entry.appeared_at;
         self.stats.base_deletes += 1;
         self.events.push(ProvEvent::DeleteBase {
             time: now,
+            since,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
         });
@@ -969,6 +973,7 @@ impl<S: ProvenanceSink> Engine<S> {
             self.note_disappear();
             self.events.push(ProvEvent::Disappear {
                 time: now,
+                since,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
             });
@@ -989,14 +994,17 @@ impl<S: ProvenanceSink> Engine<S> {
         let now = self.clock;
         // Re-check the body: a cascade may have removed a precondition
         // between scheduling and delivery (in-flight message semantics).
+        // The same lookup reads the episode each body tuple is in now,
+        // which is what the event reports it under.
+        let mut stamped = Vec::with_capacity(body.len());
         for b in &body {
-            let alive = self
-                .nodes
-                .get(&b.node)
-                .is_some_and(|n| n.contains(&b.tuple));
-            if !alive {
+            let Some(state) = self.nodes.get(&b.node).and_then(|n| n.get(&b.tuple)) else {
                 return Ok(());
-            }
+            };
+            stamped.push(BodyRef {
+                tref: b.clone(),
+                since: state.appeared_at,
+            });
         }
         let entry = node_state(&mut self.nodes, &node).entry(
             &tuple,
@@ -1015,33 +1023,34 @@ impl<S: ProvenanceSink> Engine<S> {
         let was_present = entry.support() > 0;
         entry.derivations.push(DerivRecord {
             rule: rule.clone(),
-            body: body.clone(),
+            body,
             trigger,
             time: now,
         });
         if !was_present {
             entry.appeared_at = now;
         }
+        let since = entry.appeared_at;
         self.stats.derivations += 1;
         *self.rule_firings.entry(rule.clone()).or_insert(0) += 1;
         // Each body tuple (alive: re-checked above) learns of the head in
         // its own slot, so its disappearance finds this derivation.
         let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
-        for b in &body {
+        for b in &stamped {
             self.nodes
-                .get_mut(&b.node)
+                .get_mut(&b.tref.node)
                 .expect("body re-checked alive above")
-                .add_dependent(&b.tuple, head_ref.clone());
+                .add_dependent(&b.tref.tuple, head_ref.clone());
         }
         self.events.push(ProvEvent::Derive {
             time: now,
+            since,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
             rule,
             fired_at,
-            body,
+            body: stamped,
             trigger,
-            redundant: was_present,
         });
         if !was_present {
             self.note_appear();
@@ -1077,11 +1086,13 @@ impl<S: ProvenanceSink> Engine<S> {
             if underived.is_empty() {
                 continue;
             }
+            let since = entry.appeared_at;
             let retired = (entry.support() == 0).then(|| state.remove(&head.tuple));
             for rule in underived {
                 self.stats.underivations += 1;
                 self.events.push(ProvEvent::Underive {
                     time: now,
+                    since,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
                     rule,
@@ -1091,6 +1102,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.note_disappear();
                 self.events.push(ProvEvent::Disappear {
                     time: now,
+                    since,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
                 });

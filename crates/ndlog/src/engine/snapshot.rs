@@ -166,6 +166,21 @@ impl EngineSnapshot {
             }
             nodes.insert(node, state);
         }
+        // The clock a tuple appeared at names its episode in the provenance
+        // stream (`ProvEvent`'s `since`), and an engine stamps each
+        // appearance with a clock of its own: two live tuples sharing one
+        // would let a resumed stream point into the wrong tuple's history.
+        let mut stamps: Vec<_> = nodes
+            .values()
+            .flat_map(|state| state.all().map(|(_, ts)| ts.appeared_at))
+            .collect();
+        stamps.sort_unstable();
+        if let Some(w) = stamps.windows(2).find(|w| w[0] == w[1]) {
+            return Err(dp_types::Error::Codec {
+                context: "snapshot",
+                detail: format!("two live tuples appeared at the same clock, {}", w[0]),
+            });
+        }
         let ndeps = d.u32("dependents count")?;
         for _ in 0..ndeps {
             let key = dec_tuple_ref(d, &mut tuples)?;
@@ -343,6 +358,22 @@ mod tests {
                 assert!(detail.contains("not live"), "{detail}")
             }
             other => panic!("stale dependents entry gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn live_tuples_sharing_an_appearance_clock_are_rejected() {
+        // `reach` at S2 restamped with the clock `flowEntry` at S1 appeared
+        // at: the tables decode, the key they would forge does not.
+        let mut snap = sample();
+        let s2 = snap.nodes.get_mut(&NodeId::new("S2")).unwrap();
+        let reach = s2.tables.get_mut(&Sym::new("reach")).unwrap();
+        reach.tuples.values_mut().next().unwrap().state.appeared_at = 3;
+        match EngineSnapshot::decode(&snap.encode()) {
+            Err(Error::Codec { context: "snapshot", detail }) => {
+                assert!(detail.contains("same clock, 3"), "{detail}")
+            }
+            other => panic!("a shared appearance clock gave {other:?}"),
         }
     }
 

@@ -47,4 +47,4 @@ pub use program::{
     Emission, Emitter, NativeRule, Program, ProgramBuilder, StatefulBuiltin, TupleChange,
 };
 pub use reference::ScheduledOp;
-pub use sink::{HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};
+pub use sink::{BodyRef, HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};

@@ -44,7 +44,7 @@ use crate::ast::{BodyAtom, Constraint, Rule};
 use crate::engine::{DerivRecord, NodeState, NodeView};
 use crate::expr::Env;
 use crate::program::{Emitter, Program};
-use crate::sink::{ProvEvent, ProvenanceSink};
+use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
 
 /// Runaway guard: the same budget [`crate::engine::Engine::max_events`]
 /// defaults to.
@@ -174,10 +174,13 @@ impl Oracle<'_> {
         self.seq += 1;
     }
 
-    fn alive(&self, r: &TupleRef) -> bool {
-        self.nodes
-            .get(&r.node)
-            .is_some_and(|n| n.contains(&r.tuple))
+    /// `r` with the episode it is in now, or `None` if it is not live.
+    fn stamped(&self, r: &TupleRef) -> Option<BodyRef> {
+        let state = self.nodes.get(&r.node)?.get(&r.tuple)?;
+        Some(BodyRef {
+            tref: r.clone(),
+            since: state.appeared_at,
+        })
     }
 
     fn insert_base(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
@@ -196,6 +199,7 @@ impl Oracle<'_> {
         }
         self.sink.record(ProvEvent::InsertBase {
             time: now,
+            since: entry.appeared_at,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
         });
@@ -216,6 +220,7 @@ impl Oracle<'_> {
         let gone = entry.support() == 0;
         self.sink.record(ProvEvent::DeleteBase {
             time: now,
+            since: entry.appeared_at,
             node: node.clone(),
             tuple: Arc::clone(&tuple),
         });
@@ -226,10 +231,12 @@ impl Oracle<'_> {
 
     fn deliver(&mut self, now: LogicalTime, d: Delivery) -> Result<()> {
         // In-flight re-check: a body tuple may have disappeared between
-        // the firing and the delivery.
-        if !d.body.iter().all(|b| self.alive(b)) {
+        // the firing and the delivery. The ones that are there are
+        // reported under the episode they are in now.
+        let Some(body) = d.body.iter().map(|b| self.stamped(b)).collect::<Option<Vec<_>>>()
+        else {
             return Ok(());
-        }
+        };
         let entry = self
             .nodes
             .entry(d.node.clone())
@@ -252,6 +259,7 @@ impl Oracle<'_> {
         if appears {
             entry.appeared_at = now;
         }
+        let since = entry.appeared_at;
         let head = TupleRef::new(d.node.clone(), Arc::clone(&d.tuple));
         for b in &d.body {
             self.used_by
@@ -261,13 +269,13 @@ impl Oracle<'_> {
         }
         self.sink.record(ProvEvent::Derive {
             time: now,
+            since,
             node: d.node.clone(),
             tuple: Arc::clone(&d.tuple),
             rule: d.rule,
             fired_at: d.fired_at,
-            body: d.body,
+            body,
             trigger: d.trigger,
-            redundant: !appears,
         });
         if appears {
             self.appear(now, d.node, d.tuple)?;
@@ -291,11 +299,18 @@ impl Oracle<'_> {
     /// `gone` just lost its last support: remove and report it, then
     /// withdraw every derivation that used it, recursively.
     fn disappear(&mut self, now: LogicalTime, gone: TupleRef) {
-        if let Some(state) = self.nodes.get_mut(&gone.node) {
-            state.remove(&gone.tuple);
-        }
+        let state = self
+            .nodes
+            .get_mut(&gone.node)
+            .expect("only a live tuple disappears");
+        let since = state
+            .get(&gone.tuple)
+            .expect("only a live tuple disappears")
+            .appeared_at;
+        state.remove(&gone.tuple);
         self.sink.record(ProvEvent::Disappear {
             time: now,
+            since,
             node: gone.node.clone(),
             tuple: Arc::clone(&gone.tuple),
         });
@@ -315,9 +330,11 @@ impl Oracle<'_> {
                 continue;
             }
             let orphaned = entry.support() == 0;
+            let since = entry.appeared_at;
             for r in withdrawn {
                 self.sink.record(ProvEvent::Underive {
                     time: now,
+                    since,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
                     rule: r.rule,
@@ -601,21 +618,28 @@ mod tests {
     use crate::sink::VecSink;
     use dp_types::{tuple, FieldType, Schema, SchemaRegistry};
 
-    fn at(node: &str, tuple: Tuple) -> TupleRef {
-        TupleRef::new(node, tuple)
+    /// A body tuple read in the episode that opened at `since`.
+    fn at(node: &str, tuple: Tuple, since: LogicalTime) -> BodyRef {
+        BodyRef {
+            tref: TupleRef::new(node, tuple),
+            since,
+        }
     }
 
+    /// A base insertion that makes its tuple appear (`since == time`).
     fn ins(time: LogicalTime, node: &str, tuple: Tuple) -> ProvEvent {
         ProvEvent::InsertBase {
             time,
+            since: time,
             node: node.into(),
             tuple: Arc::new(tuple),
         }
     }
 
-    fn del(time: LogicalTime, node: &str, tuple: Tuple) -> ProvEvent {
+    fn del((since, time): (LogicalTime, LogicalTime), node: &str, tuple: Tuple) -> ProvEvent {
         ProvEvent::DeleteBase {
             time,
+            since,
             node: node.into(),
             tuple: Arc::new(tuple),
         }
@@ -629,41 +653,48 @@ mod tests {
         }
     }
 
-    fn dis(time: LogicalTime, node: &str, tuple: Tuple) -> ProvEvent {
+    fn dis((since, time): (LogicalTime, LogicalTime), node: &str, tuple: Tuple) -> ProvEvent {
         ProvEvent::Disappear {
             time,
+            since,
             node: node.into(),
             tuple: Arc::new(tuple),
         }
     }
 
-    fn und(time: LogicalTime, node: &str, tuple: Tuple, rule: &str) -> ProvEvent {
+    fn und(
+        (since, time): (LogicalTime, LogicalTime),
+        node: &str,
+        tuple: Tuple,
+        rule: &str,
+    ) -> ProvEvent {
         ProvEvent::Underive {
             time,
+            since,
             node: node.into(),
             tuple: Arc::new(tuple),
             rule: Sym::new(rule),
         }
     }
 
-    /// A derivation triggered at body position 0.
+    /// A derivation triggered at body position 0, fired at `fired_at`,
+    /// delivered at `time` into the head episode that opened at `since`.
     fn der(
-        (fired_at, time): (LogicalTime, LogicalTime),
+        (fired_at, time, since): (LogicalTime, LogicalTime, LogicalTime),
         node: &str,
         tuple: Tuple,
         rule: &str,
-        body: Vec<TupleRef>,
-        redundant: bool,
+        body: Vec<BodyRef>,
     ) -> ProvEvent {
         ProvEvent::Derive {
             time,
+            since,
             node: node.into(),
             tuple: Arc::new(tuple),
             rule: Sym::new(rule),
             fired_at,
             body,
             trigger: 0,
-            redundant,
         }
     }
 
@@ -671,7 +702,9 @@ mod tests {
     /// and engine cannot drift together: three rules (a cross-node
     /// forward, a constrained local rule, an aggregate) over two nodes,
     /// with one redundant derivation, one deletion that only removes a
-    /// support, and one that cascades two levels deep.
+    /// support, and one that cascades two levels deep. Every `since` —
+    /// the events' and the body entries' — is the time of the `Appear`
+    /// line that opened the episode, read off this listing.
     #[test]
     fn hand_written_stream_is_reproduced() {
         let mut reg = SchemaRegistry::new();
@@ -724,7 +757,8 @@ mod tests {
             ScheduledOp::delete(30, "a", tuple!("obs", 2, 10)),
         ];
 
-        let link = || at("a", tuple!("link", "b"));
+        // The link appears at 1 and never goes.
+        let link = || at("a", tuple!("link", "b"), 1);
         let want = vec![
             // Each event takes the next tick, or its due time if later.
             ins(1, "a", tuple!("link", "b")),
@@ -739,41 +773,37 @@ mod tests {
             app(4, "a", tuple!("obs", 2, 10)),
             // Deliveries due 3, 4, 5 run at 5, 6, 7. seen(1) fails `X > 1`.
             der(
-                (2, 5),
+                (2, 5, 5),
                 "b",
                 tuple!("seen", 1),
                 "fwd",
-                vec![at("a", tuple!("obs", 1, 10)), link()],
-                false,
+                vec![at("a", tuple!("obs", 1, 10), 2), link()],
             ),
             app(5, "b", tuple!("seen", 1)),
-            // Second support for a tuple that is already there: no APPEAR,
-            // no firing.
+            // Second support for a tuple that is already there, since 5: no
+            // APPEAR, no firing.
             der(
-                (3, 6),
+                (3, 6, 5),
                 "b",
                 tuple!("seen", 1),
                 "fwd",
-                vec![at("a", tuple!("obs", 1, 20)), link()],
-                true,
+                vec![at("a", tuple!("obs", 1, 20), 3), link()],
             ),
             der(
-                (4, 7),
+                (4, 7, 7),
                 "b",
                 tuple!("seen", 2),
                 "fwd",
-                vec![at("a", tuple!("obs", 2, 10)), link()],
-                false,
+                vec![at("a", tuple!("obs", 2, 10), 4), link()],
             ),
             app(7, "b", tuple!("seen", 2)),
             // Local head: no delay, delivered at the next tick.
             der(
-                (7, 8),
+                (7, 8, 8),
                 "b",
                 tuple!("big", 2),
                 "loc",
-                vec![at("b", tuple!("seen", 2))],
-                false,
+                vec![at("b", tuple!("seen", 2), 7)],
             ),
             app(8, "b", tuple!("big", 2)),
             // The fence counts both seen tuples; the body is the fence plus
@@ -781,32 +811,33 @@ mod tests {
             ins(10, "b", tuple!("fence", 0)),
             app(10, "b", tuple!("fence", 0)),
             der(
-                (10, 11),
+                (10, 11, 11),
                 "b",
                 tuple!("total", 2),
                 "cnt",
                 vec![
-                    at("b", tuple!("fence", 0)),
-                    at("b", tuple!("seen", 1)),
-                    at("b", tuple!("seen", 2)),
+                    at("b", tuple!("fence", 0), 10),
+                    at("b", tuple!("seen", 1), 5),
+                    at("b", tuple!("seen", 2), 7),
                 ],
-                false,
             ),
             app(11, "b", tuple!("total", 2)),
-            // seen(1) loses one of its two supports and stays.
-            del(20, "a", tuple!("obs", 1, 10)),
-            dis(20, "a", tuple!("obs", 1, 10)),
-            und(20, "b", tuple!("seen", 1), "fwd"),
-            // seen(2) loses its only support; big(2) and total(2), derived
-            // from it in that order, go with it, all at time 30.
-            del(30, "a", tuple!("obs", 2, 10)),
-            dis(30, "a", tuple!("obs", 2, 10)),
-            und(30, "b", tuple!("seen", 2), "fwd"),
-            dis(30, "b", tuple!("seen", 2)),
-            und(30, "b", tuple!("big", 2), "loc"),
-            dis(30, "b", tuple!("big", 2)),
-            und(30, "b", tuple!("total", 2), "cnt"),
-            dis(30, "b", tuple!("total", 2)),
+            // obs(1, 10), there since 2, goes; seen(1), there since 5, loses
+            // one of its two supports and stays.
+            del((2, 20), "a", tuple!("obs", 1, 10)),
+            dis((2, 20), "a", tuple!("obs", 1, 10)),
+            und((5, 20), "b", tuple!("seen", 1), "fwd"),
+            // obs(2, 10), there since 4, goes; seen(2) (since 7) loses its
+            // only support; big(2) (since 8) and total(2) (since 11),
+            // derived from it in that order, go with it, all at time 30.
+            del((4, 30), "a", tuple!("obs", 2, 10)),
+            dis((4, 30), "a", tuple!("obs", 2, 10)),
+            und((7, 30), "b", tuple!("seen", 2), "fwd"),
+            dis((7, 30), "b", tuple!("seen", 2)),
+            und((8, 30), "b", tuple!("big", 2), "loc"),
+            dis((8, 30), "b", tuple!("big", 2)),
+            und((11, 30), "b", tuple!("total", 2), "cnt"),
+            dis((11, 30), "b", tuple!("total", 2)),
         ];
 
         let mut sink = VecSink::default();
@@ -873,11 +904,11 @@ mod tests {
             .filter_map(|e| match e {
                 ProvEvent::Derive {
                     time,
+                    since,
                     tuple,
                     trigger,
-                    redundant,
                     ..
-                } => Some((*time, (**tuple).clone(), *trigger, *redundant)),
+                } => Some((*time, (**tuple).clone(), *trigger, since < time)),
                 _ => None,
             })
             .collect();

@@ -16,6 +16,25 @@
 //! [`ProvenanceSink::record_batch`] at the batch boundary, so a sink
 //! observes exactly the stream the reference evaluator
 //! ([`crate::reference`]) records one event at a time.
+//!
+//! # Events name their episode
+//!
+//! Every event says which *episode* of its tuple — which APPEAR-to-
+//! DISAPPEAR lifetime — it belongs to, as `since`: the logical time of that
+//! episode's APPEAR, which is the [`TupleState::appeared_at`] the evaluator
+//! holds for the tuple while it handles the event. Clocks are unique per
+//! processed event and one event makes at most one tuple appear, so `since`
+//! identifies one episode in the whole stream and a consumer can keep its
+//! per-episode state under an integer key instead of searching for the
+//! tuple by value. An `Appear` opens the episode named by its own `time`;
+//! an `InsertBase` or `Derive` with `since == time` is the cause of the
+//! `Appear` that immediately follows it, and one with `since < time` adds
+//! support to an episode that is already open. After a checkpoint resume
+//! `since` may predate the first event the sink sees: the snapshot carries
+//! `appeared_at`, so a restored engine emits the uninterrupted run's
+//! stamps.
+//!
+//! [`TupleState::appeared_at`]: crate::engine::TupleState::appeared_at
 
 use std::sync::Arc;
 
@@ -34,6 +53,9 @@ pub enum ProvEvent {
     InsertBase {
         /// Logical time of the insertion.
         time: LogicalTime,
+        /// The episode the insertion supports: `time` when it makes the
+        /// tuple appear, earlier when the tuple was already there.
+        since: LogicalTime,
         /// Node where the tuple lives.
         node: NodeId,
         /// The tuple.
@@ -43,6 +65,8 @@ pub enum ProvEvent {
     DeleteBase {
         /// Logical time of the deletion.
         time: LogicalTime,
+        /// The episode losing its base support.
+        since: LogicalTime,
         /// Node where the tuple lived.
         node: NodeId,
         /// The tuple.
@@ -52,6 +76,10 @@ pub enum ProvEvent {
     Derive {
         /// Logical time of the derivation.
         time: LogicalTime,
+        /// The episode the derivation supports: `time` when it makes the
+        /// tuple appear, earlier when the tuple already existed (extra
+        /// support only).
+        since: LogicalTime,
         /// Node where the derived tuple lives.
         node: NodeId,
         /// The derived tuple.
@@ -64,18 +92,19 @@ pub enum ProvEvent {
         /// what lets the annotation backend re-run the join at query time
         /// and land on the identical match.
         fired_at: LogicalTime,
-        /// The body tuples used, in rule-body order.
-        body: Vec<TupleRef>,
+        /// The body tuples used, in rule-body order, each with the
+        /// episode it was in when the derivation was delivered.
+        body: Vec<BodyRef>,
         /// Index into `body` of the tuple whose appearance triggered the
         /// derivation (the paper's "last precondition", Section 4.2).
         trigger: usize,
-        /// True when the tuple already existed (extra support only).
-        redundant: bool,
     },
     /// A derivation became invalid because a body tuple disappeared.
     Underive {
         /// Logical time of the invalidation.
         time: LogicalTime,
+        /// The episode losing the derivation.
+        since: LogicalTime,
         /// Node of the (formerly) derived tuple.
         node: NodeId,
         /// The tuple losing support.
@@ -83,7 +112,8 @@ pub enum ProvEvent {
         /// The rule whose derivation was invalidated.
         rule: Sym,
     },
-    /// A tuple's support went from zero to positive.
+    /// A tuple's support went from zero to positive: the episode named
+    /// `time` opens.
     Appear {
         /// Logical time.
         time: LogicalTime,
@@ -96,11 +126,23 @@ pub enum ProvEvent {
     Disappear {
         /// Logical time.
         time: LogicalTime,
+        /// The episode that ends: the `time` of the `Appear` it closes.
+        since: LogicalTime,
         /// Node.
         node: NodeId,
         /// The tuple.
         tuple: Arc<Tuple>,
     },
+}
+
+/// One body tuple of a derivation, with the episode it was read in.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct BodyRef {
+    /// The located body tuple.
+    pub tref: TupleRef,
+    /// The `time` of the `Appear` that opened the episode the tuple was in
+    /// when the derivation was delivered.
+    pub since: LogicalTime,
 }
 
 impl ProvEvent {

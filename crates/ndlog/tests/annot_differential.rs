@@ -54,8 +54,7 @@ fn run_backends(program: &Arc<Program>, ops: &[ScheduledOp]) -> (ProvGraph, Anno
 fn cross_check(graph: &ProvGraph, store: &AnnotationStore, label: &str) -> usize {
     let trefs: BTreeSet<TupleRef> = graph
         .vertices()
-        .iter()
-        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(v.tuple)))
         .collect();
     // Collect all (tref, time, latest?) query points first so large runs
     // can be sampled deterministically instead of silently truncated.
@@ -230,8 +229,7 @@ fn annotation_store_is_5x_smaller_under_campus_churn() {
     let (graph, store) = run_backends(&exec.program, &exec.log.to_schedule());
     let tuples: BTreeSet<TupleRef> = graph
         .vertices()
-        .iter()
-        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(v.tuple)))
         .collect();
     let index_records: u64 = tuples
         .iter()

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dp_ndlog::testsupport::{self, Outcome, ScheduledOp};
 use dp_ndlog::{
-    parse_rules, Emitter, Engine, NativeRule, NodeView, NullSink, Program, ProvEvent,
+    parse_rules, BodyRef, Emitter, Engine, NativeRule, NodeView, NullSink, Program, ProvEvent,
     RuleJoinProfile, StatefulBuiltin, VecSink,
 };
 use dp_types::{tuple, FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, TableKind, Tuple,
@@ -1205,8 +1205,8 @@ fn same_due_deltas_fire_delta_major() {
         .events
         .iter()
         .filter_map(|e| match e {
-            ProvEvent::Derive { time, node, tuple, rule, fired_at, redundant, .. } => {
-                assert!(!redundant, "{tuple} derived twice");
+            ProvEvent::Derive { time, since, node, tuple, rule, fired_at, .. } => {
+                assert_eq!(since, time, "{tuple} derived twice");
                 Some((*fired_at, *time, node.as_str(), (**tuple).clone(), rule.as_str()))
             }
             _ => None,
@@ -1272,25 +1272,140 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
     // d(1) from the failed batch does not ride along.
     eng.schedule_insert(100, n.clone(), tuple!("q", 5)).unwrap();
     eng.run().unwrap();
-    let q5 = || TupleRef::new(n.clone(), tuple!("q", 5));
+    let q5 = || BodyRef {
+        tref: TupleRef::new(n.clone(), tuple!("q", 5)),
+        since: 100,
+    };
     assert_eq!(
         eng.sink().events[at_failure..],
         [
-            ProvEvent::InsertBase { time: 100, node: n.clone(), tuple: Arc::new(tuple!("q", 5)) },
+            ProvEvent::InsertBase {
+                time: 100,
+                since: 100,
+                node: n.clone(),
+                tuple: Arc::new(tuple!("q", 5)),
+            },
             ProvEvent::Appear { time: 100, node: n.clone(), tuple: Arc::new(tuple!("q", 5)) },
             ProvEvent::Derive {
                 time: 101,
+                since: 101,
                 node: n.clone(),
                 tuple: Arc::new(tuple!("d", 5)),
                 rule: Sym::new("r"),
                 fired_at: 100,
                 body: vec![q5()],
                 trigger: 0,
-                redundant: false,
             },
             ProvEvent::Appear { time: 101, node: n.clone(), tuple: Arc::new(tuple!("d", 5)) },
         ]
     );
     assert!(eng.lookup(&n, &tuple!("d", 1)).is_none());
     assert_eq!(eng.stats().events, 5);
+}
+
+/// Base support that comes and goes inside one episode. A native's report
+/// keeps `m(1)` — a tuple of a *base* table — alive; a base insertion
+/// while it is there is extra support for the open episode (`since` names
+/// it, no APPEAR), a base deletion while the report still holds is a
+/// DELETE with no DISAPPEAR, and when the report is withdrawn the
+/// DISAPPEAR's cause is that later UNDERIVE, not the DELETE left over
+/// from before.
+#[test]
+fn base_support_comes_and_goes_inside_one_episode() {
+    use dp_ndlog::ProvenanceSink;
+    use dp_provenance::{GraphRecorder, VertexKind};
+
+    /// Reports `m(X)` at the trigger's node, one tick late.
+    struct Mirror;
+    impl NativeRule for Mirror {
+        fn name(&self) -> Sym {
+            Sym::new("mirror")
+        }
+        fn triggers(&self) -> Vec<Sym> {
+            vec![Sym::new("e")]
+        }
+        fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
+            out.emit(
+                view.node.clone(),
+                Tuple::new("m", vec![trigger.args[0].clone()]),
+                vec![TupleRef::new(view.node.clone(), trigger.clone())],
+            );
+            Ok(())
+        }
+    }
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("e", TableKind::MutableBase, [("x", FieldType::Int)]));
+    reg.declare(Schema::new("m", TableKind::MutableBase, [("x", FieldType::Int)]));
+    let program = Program::builder(reg).native(Arc::new(Mirror)).build().unwrap();
+    let ops = [
+        ScheduledOp::insert(0, "n", tuple!("e", 1)),  // e(1) at 1, m(1) reported at 2
+        ScheduledOp::insert(10, "n", tuple!("m", 1)), // a second, base, support
+        ScheduledOp::delete(20, "n", tuple!("m", 1)), // ... gone again; the report holds
+        ScheduledOp::delete(30, "n", tuple!("e", 1)), // the report goes, and m(1) with it
+    ];
+    let got = run_checked(&program, &ops);
+    // What happens to m(1), as (event, since, time).
+    let of_m: Vec<(&str, u64, u64)> = got
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ProvEvent::InsertBase { time, since, tuple, .. }
+            | ProvEvent::DeleteBase { time, since, tuple, .. }
+            | ProvEvent::Derive { time, since, tuple, .. }
+            | ProvEvent::Underive { time, since, tuple, .. }
+            | ProvEvent::Disappear { time, since, tuple, .. }
+                if tuple.table == "m" =>
+            {
+                let kind = match e {
+                    ProvEvent::InsertBase { .. } => "INSERT",
+                    ProvEvent::DeleteBase { .. } => "DELETE",
+                    ProvEvent::Derive { .. } => "DERIVE",
+                    ProvEvent::Underive { .. } => "UNDERIVE",
+                    _ => "DISAPPEAR",
+                };
+                Some((kind, *since, *time))
+            }
+            ProvEvent::Appear { time, tuple, .. } if tuple.table == "m" => {
+                Some(("APPEAR", *time, *time))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        of_m,
+        [
+            ("DERIVE", 2, 2),
+            ("APPEAR", 2, 2),
+            ("INSERT", 2, 10),
+            ("DELETE", 2, 20),
+            ("UNDERIVE", 2, 30),
+            ("DISAPPEAR", 2, 30),
+        ]
+    );
+
+    let mut recorder = GraphRecorder::new();
+    for e in &got.events {
+        recorder.record(e.clone());
+    }
+    let graph = recorder.finish();
+    let eps = graph.episodes(&TupleRef::new("n", tuple!("m", 1)));
+    assert_eq!(eps.len(), 1, "one episode throughout");
+    let ep = &eps[0];
+    assert_eq!((ep.start, ep.end), (2, Some(30)));
+    assert!(matches!(graph.vertex(ep.cause).kind, VertexKind::Derive { .. }));
+    let [extra] = ep.extra_support[..] else {
+        panic!("one extra support expected: {:?}", ep.extra_support)
+    };
+    let extra = graph.vertex(extra);
+    assert!(matches!(extra.kind, VertexKind::Insert) && extra.time == 10, "{extra}");
+    let disappear = graph.vertex(ep.disappear.expect("closed"));
+    let [negative] = disappear.children[..] else {
+        panic!("one negative cause expected: {:?}", disappear.children)
+    };
+    let negative = graph.vertex(negative);
+    assert!(
+        matches!(negative.kind, VertexKind::Underive { .. }) && negative.time == 30,
+        "the DISAPPEAR hangs off {negative}"
+    );
+    assert_eq!(dp_provenance::well_formedness_violations(&graph), Vec::<String>::new());
 }

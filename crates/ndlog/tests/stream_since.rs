@@ -1,0 +1,205 @@
+//! The provenance stream names its episodes consistently.
+//!
+//! Every [`ProvEvent`] carries `since`, the clock of the APPEAR that
+//! opened the episode it belongs to, and every DERIVE body entry carries
+//! the same stamp for the body tuple. A recorder keys its per-episode
+//! state by that clock and never searches for a tuple by value, so the
+//! stamps have to be right *as a property of the stream alone*: each one
+//! must equal the `time` of the latest `Appear` of that located tuple
+//! seen so far — or, for a stream that resumes from a checkpoint, the
+//! `appeared_at` the snapshot held for the tuple. This suite checks
+//! exactly that, over every generator of `dp_ndlog::testsupport`, the
+//! nine repro scenarios, and one run cut in two by a snapshot that went
+//! through its byte encoding. (That the oracle emits the same stamps is
+//! `reference_differential.rs`'s business: it compares whole events.)
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, run_schedule, schedule_all, ScheduledOp};
+use dp_ndlog::{Engine, EngineSnapshot, Program, ProvEvent, VecSink};
+use dp_types::{DetRng, LogicalTime, NodeId, Tuple, TupleRef};
+
+/// Holds `events` to the property, starting from the episodes in `open`
+/// (empty for a stream recorded from the start). Returns how many stamps
+/// — events' and body entries' — it checked against an earlier `Appear`.
+fn assert_since_names_the_latest_appear(
+    events: &[ProvEvent],
+    mut open: BTreeMap<TupleRef, LogicalTime>,
+    case: &str,
+) -> usize {
+    let mut checked = 0;
+    let mut last_appear = open.values().copied().max();
+    let at = |node: &NodeId, tuple: &Arc<Tuple>| TupleRef::new(node.clone(), Arc::clone(tuple));
+    for (i, event) in events.iter().enumerate() {
+        // The episode an event names must be the one its tuple is in.
+        let mut named = |tref: &TupleRef, since: LogicalTime, what: &str| {
+            assert_eq!(
+                open.get(tref),
+                Some(&since),
+                "{case}: event {i} ({what}) names the episode of {tref} since {since}"
+            );
+            checked += 1;
+        };
+        if let ProvEvent::Derive { body, .. } = event {
+            for b in body {
+                named(&b.tref, b.since, "body entry");
+            }
+        }
+        match event {
+            // A positive event either supports an open episode or is the
+            // cause of the APPEAR that follows it.
+            ProvEvent::InsertBase { time, since, node, tuple }
+            | ProvEvent::Derive { time, since, node, tuple, .. } => {
+                let tref = at(node, tuple);
+                if since < time {
+                    named(&tref, *since, "extra support");
+                } else {
+                    assert_eq!(since, time, "{case}: event {i} is stamped from the future");
+                    match events.get(i + 1) {
+                        Some(ProvEvent::Appear { time: t, node, tuple })
+                            if t == time && at(node, tuple) == tref => {}
+                        next => panic!("{case}: cause {i} of {tref} is followed by {next:?}"),
+                    }
+                }
+            }
+            ProvEvent::DeleteBase { since, node, tuple, .. } => {
+                named(&at(node, tuple), *since, "DELETE");
+            }
+            ProvEvent::Underive { since, node, tuple, .. } => {
+                named(&at(node, tuple), *since, "UNDERIVE");
+            }
+            ProvEvent::Disappear { since, node, tuple, .. } => {
+                let tref = at(node, tuple);
+                named(&tref, *since, "DISAPPEAR");
+                // Nothing may name the tuple again until it reappears.
+                open.remove(&tref);
+            }
+            ProvEvent::Appear { time, node, tuple } => {
+                // One APPEAR per clock: that is what makes the clock a key.
+                assert!(
+                    last_appear.is_none_or(|t| t < *time),
+                    "{case}: APPEAR {i} at {time} does not follow {last_appear:?}"
+                );
+                last_appear = Some(*time);
+                let reopened = open.insert(at(node, tuple), *time);
+                assert_eq!(reopened, None, "{case}: APPEAR {i} of a tuple that is there");
+            }
+        }
+    }
+    checked
+}
+
+fn check(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) -> usize {
+    let got = run_schedule(program, ops);
+    assert_since_names_the_latest_appear(&got.events, BTreeMap::new(), case)
+}
+
+#[test]
+fn since_names_the_latest_appear_on_every_generator() {
+    let mut checked = 0;
+    let mut rng = DetRng::seed_from_u64(0x51CE_0001);
+    let mut cases = 0;
+    while cases < 64 {
+        let Some(program) = intgen::arb_program(&mut rng) else {
+            continue;
+        };
+        cases += 1;
+        let sparse = intgen::schedule(&intgen::join_ops(&mut rng));
+        checked += check(&program, &sparse, &format!("int sparse {cases}"));
+        let dense = intgen::schedule(&intgen::batch_ops(&mut rng));
+        checked += check(&program, &dense, &format!("int dense {cases}"));
+    }
+    let mut rng = DetRng::seed_from_u64(0x51CE_0002);
+    let mut cases = 0;
+    while cases < 64 {
+        // Alternate plain and aggregate-carrying programs, one and two nodes.
+        let with_agg = cases % 2 == 1;
+        let Some(program) = prefixgen::arb_program(&mut rng, with_agg) else {
+            continue;
+        };
+        cases += 1;
+        let ops = prefixgen::arb_ops(&mut rng, 8, 30, 4);
+        let ops = if with_agg {
+            prefixgen::alternating_schedule(&ops)
+        } else {
+            prefixgen::single_node_schedule(&ops)
+        };
+        checked += check(&program, &ops, &format!("prefix {cases}"));
+    }
+    let mut rng = DetRng::seed_from_u64(0x51CE_0003);
+    let mut cases = 0;
+    while cases < 32 {
+        let Some(program) = nodegen::arb_program(&mut rng) else {
+            continue;
+        };
+        cases += 1;
+        let mut ops = nodegen::topology_schedule(&mut rng);
+        ops.extend(nodegen::schedule(&nodegen::arb_ops(&mut rng)));
+        checked += check(&program, &ops, &format!("multi-node {cases}"));
+    }
+    // The generators must produce episodes that get named again (extra
+    // supports, deletions, cascades, joins), or the suite proves nothing.
+    assert!(checked > 5_000, "only {checked} stamps checked");
+}
+
+#[test]
+fn since_names_the_latest_appear_on_all_repro_scenarios() {
+    let mut scenarios = dp_sdn::all_sdn_scenarios();
+    scenarios.extend(dp_mapreduce::all_mr_scenarios());
+    scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
+    assert_eq!(scenarios.len(), 9, "repro corpus changed size");
+    for s in &scenarios {
+        for (label, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
+            let case = format!("scenario {} ({label} trace)", s.name);
+            let checked = check(&exec.program, &exec.log.to_schedule(), &case);
+            assert!(checked > 0, "{case}: nothing to check");
+        }
+    }
+}
+
+/// A run cut at a quiescent point, its snapshot taken through the byte
+/// encoding: the resumed stream names episodes the recording never saw
+/// open, by the clocks the snapshot carried over.
+#[test]
+fn since_survives_a_checkpoint_resume() {
+    let exec = dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario.bad_exec;
+    let ops = exec.log.to_schedule();
+    // Cut between two dues, two thirds in: tables installed, packets on
+    // both sides.
+    let mut cut = ops.len() * 2 / 3;
+    while ops[cut].due == ops[cut - 1].due {
+        cut += 1;
+    }
+    let mut first = Engine::new(Arc::clone(&exec.program), VecSink::default());
+    schedule_all(&mut first, &ops[..cut]);
+    first.run().unwrap();
+    let open: BTreeMap<TupleRef, LogicalTime> = first
+        .nodes()
+        .flat_map(|(node, state)| {
+            state
+                .all()
+                .map(move |(t, ts)| (TupleRef::new(node.clone(), t.clone()), ts.appeared_at))
+        })
+        .collect();
+    let snap = EngineSnapshot::decode(&first.snapshot().unwrap().encode()).unwrap();
+    let mut resumed = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default()).unwrap();
+    schedule_all(&mut resumed, &ops[cut..]);
+    resumed.run().unwrap();
+    let tail = resumed.into_sink().events;
+    // The resumed stream is, stamps included, what the first engine emits
+    // when it carries on itself (a cut quiesces the cascade, so it is the
+    // run cut there that the resumed one continues).
+    let before = first.sink().events.len();
+    schedule_all(&mut first, &ops[cut..]);
+    first.run().unwrap();
+    assert!(tail == first.sink().events[before..], "the resumed stream diverges");
+    let old = open.values().copied().max().unwrap();
+    let from_before = tail.iter().any(|e| match e {
+        ProvEvent::Derive { body, .. } => body.iter().any(|b| b.since <= old),
+        _ => false,
+    });
+    assert!(from_before, "no resumed derivation read a tuple from before the cut");
+    let checked = assert_since_names_the_latest_appear(&tail, open, "campus, resumed");
+    assert!(checked > 0);
+}

@@ -39,10 +39,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use dp_ndlog::{Constraint, Env, Expr, Program, ProvEvent, ProvenanceSink, Rule};
+use dp_ndlog::{BodyRef, Constraint, Env, Expr, Program, ProvEvent, ProvenanceSink, Rule};
 use dp_types::{Error, LogicalTime, NodeId, Sym, Tuple, TupleRef, TupleStore, Value};
 
-use crate::graph::VertexKind;
+use crate::graph::{VertexId, VertexKind};
 use crate::tree::{ProvTree, TreeIdx, TreeNode};
 
 /// How an episode came to exist — the compact counterpart of the graph's
@@ -71,8 +71,9 @@ pub enum CauseAnn {
         rule: Sym,
         /// Index of the triggering body tuple.
         trigger: usize,
-        /// The body tuples, in reported order.
-        body: Vec<TupleRef>,
+        /// The body tuples, in reported order (as the stream delivered
+        /// them; reconstruction reads the located tuples only).
+        body: Vec<BodyRef>,
     },
 }
 
@@ -288,15 +289,16 @@ impl AnnotationStore {
                 fired_at,
                 body,
                 trigger,
-                redundant,
-                ..
+                time,
+                since,
             } => {
-                if redundant {
+                if since < time {
+                    // Extra support for an episode that is already open.
                     return;
                 }
                 let mut height = 0u32;
                 for b in &body {
-                    height = height.max(self.open_height_or_boundary(b) + 1);
+                    height = height.max(self.open_height_or_boundary(&b.tref) + 1);
                 }
                 let cause = if self.must_report(&rule) {
                     CauseAnn::Reported {
@@ -332,7 +334,7 @@ impl AnnotationStore {
                     cause,
                 });
             }
-            ProvEvent::Disappear { time, node, tuple } => {
+            ProvEvent::Disappear { time, node, tuple, .. } => {
                 let key = self.key(&node, &tuple);
                 if let Some(ep) = self.episodes.get_mut(&key).and_then(|v| v.last_mut()) {
                     if ep.end.is_none() {
@@ -391,7 +393,7 @@ fn push_node(
         children: Vec::new(),
         // Reconstructed trees have no source graph; the tree index itself
         // serves as the origin, which keeps origins unique per tree.
-        origin: idx,
+        origin: idx as VertexId,
     });
     if let Some(p) = parent {
         tree.nodes_mut()[p].children.push(idx);
@@ -428,8 +430,8 @@ fn build_exist(
                 Some(appear),
             );
             for b in body {
-                let child = body_episode(store, b, ep.start, tref, rule);
-                build_exist(store, b, child, Some(derive), tree);
+                let child = body_episode(store, &b.tref, ep.start, tref, rule);
+                build_exist(store, &b.tref, child, Some(derive), tree);
             }
         }
         CauseAnn::Fired {

@@ -7,6 +7,27 @@
 //! APPEAR/DISAPPEAR. The temporal dimension — EXIST intervals and per-event
 //! timestamps — is what lets a *past* event serve as the reference
 //! (scenario SDN3).
+//!
+//! # Layout
+//!
+//! Recording never looks a tuple up by value. Every event names the
+//! episode it belongs to by the clock of that episode's APPEAR (`since`,
+//! see [`dp_ndlog::sink`]), so the recorder keeps one **row** per episode,
+//! in APPEAR order, behind one integer-keyed `since → row` index (the
+//! APPEAR clocks themselves, which only increase: a sorted array). A row
+//! owns the episode's located tuple — the one `NodeId`/`Arc<Tuple>` pair
+//! its three or more vertices share — its interval, and the links the
+//! stream fills in later (the DISAPPEAR, the pending negative cause).
+//! Vertices are plain columns (kind and rule, row, time, child range) over
+//! one child arena, and the extra supports of all episodes are one side
+//! list, so a graph of any size is a fixed number of allocations and
+//! dropping it frees those and releases the rows' tuples.
+//!
+//! The index is trusted only as far as it can be checked: a key that leads
+//! to a row holding a different located tuple (a spliced or forged stream)
+//! is treated like a key that leads nowhere (recording started mid-stream,
+//! after a checkpoint resume) — the tuple gets a *boundary episode*, open
+//! since time 0, never a link into another tuple's history.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,8 +36,15 @@ use std::sync::Arc;
 use dp_ndlog::{ProvEvent, ProvenanceSink};
 use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
 
-/// Index of a vertex within a [`ProvGraph`].
-pub type VertexId = usize;
+/// Index of a vertex within a [`ProvGraph`]. A graph holds fewer than
+/// 2^32 vertices; recording past that panics.
+pub type VertexId = u32;
+
+/// Index of an episode row.
+type RowId = u32;
+
+/// "No vertex" in a row's optional links.
+const NONE: VertexId = VertexId::MAX;
 
 /// The seven vertex types of the temporal provenance graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,23 +91,24 @@ impl VertexKind {
     }
 }
 
-/// One vertex of the provenance graph.
+/// One vertex of the provenance graph: a view assembled from the graph's
+/// columns and the episode row that owns the tuple.
 #[derive(Clone, Debug)]
-pub struct Vertex {
+pub struct Vertex<'a> {
     /// Vertex type (and type-specific payload).
     pub kind: VertexKind,
     /// The node the tuple lives on.
-    pub node: NodeId,
+    pub node: &'a NodeId,
     /// The tuple the vertex describes (shared with the engine's interner,
     /// so a graph holds one allocation per distinct tuple).
-    pub tuple: Arc<Tuple>,
+    pub tuple: &'a Arc<Tuple>,
     /// Event time (for EXIST: interval start).
     pub time: LogicalTime,
     /// Direct causes of this vertex.
-    pub children: Vec<VertexId>,
+    pub children: &'a [VertexId],
 }
 
-impl fmt::Display for Vertex {
+impl fmt::Display for Vertex<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
             VertexKind::Exist { end } => write!(
@@ -130,17 +159,79 @@ impl Episode {
     }
 }
 
+/// The stored form of [`VertexKind`]: `Copy`, with the rule as an index
+/// into the graph's rule table and the EXIST interval left to the row.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Insert,
+    Delete,
+    Exist,
+    Derive { rule: u32, trigger: u32 },
+    Underive { rule: u32 },
+    Appear,
+    Disappear,
+}
+
+/// One episode of one located tuple.
+#[derive(Clone, Debug)]
+struct Row {
+    node: NodeId,
+    tuple: Arc<Tuple>,
+    /// The INSERT or DERIVE vertex that caused the appearance.
+    cause: VertexId,
+    /// The APPEAR vertex; the EXIST vertex is the one after it. [`NONE`]
+    /// while the row waits for the APPEAR that follows its cause.
+    appear: VertexId,
+    start: LogicalTime,
+    end: Option<LogicalTime>,
+    /// The DISAPPEAR vertex, or [`NONE`] while the episode is open.
+    disappear: VertexId,
+    /// The latest DELETE/UNDERIVE vertex no DISAPPEAR has taken yet, or
+    /// [`NONE`].
+    negative: VertexId,
+}
+
+impl Row {
+    fn holds(&self, node: &NodeId, tuple: &Arc<Tuple>) -> bool {
+        // `Arc`'s equality is pointer first, content second; the engine
+        // interns, so its streams never get to the content.
+        self.tuple == *tuple && self.node == *node
+    }
+}
+
 /// The append-only temporal provenance graph.
 #[derive(Clone, Debug, Default)]
 pub struct ProvGraph {
-    vertices: Vec<Vertex>,
-    /// All episodes of each located tuple, in start order.
-    episodes: BTreeMap<TupleRef, Vec<Episode>>,
-    /// Pending cause vertex between an INSERT/DERIVE event and the APPEAR
-    /// that immediately follows it in the stream.
-    pending_cause: BTreeMap<TupleRef, VertexId>,
-    /// Pending negative cause (DELETE/UNDERIVE) before a DISAPPEAR.
-    pending_negative: BTreeMap<TupleRef, VertexId>,
+    // Vertex columns, indexed by `VertexId`.
+    kinds: Vec<Kind>,
+    rows_of: Vec<RowId>,
+    times: Vec<LogicalTime>,
+    /// Where each vertex's children end in `children`; they start where
+    /// the previous vertex's end.
+    child_ends: Vec<u32>,
+    /// The child arena.
+    children: Vec<VertexId>,
+    /// Rule names, indexed by the `rule` of [`Kind`]; a handful per
+    /// program.
+    rules: Vec<Sym>,
+    /// The episodes, in APPEAR order.
+    rows: Vec<Row>,
+    /// `since → row`: the APPEAR clock of every opened episode (for a
+    /// boundary episode, the clock the stream names it by). A stream's
+    /// APPEAR clocks only increase, so the index is the sorted run of
+    /// them: appended to, searched by bisection.
+    index: Vec<(LogicalTime, RowId)>,
+    /// The index entries whose key arrived out of that order: a boundary
+    /// episode is named by a clock from before the recording started.
+    /// Empty unless it started mid-stream.
+    strays: BTreeMap<LogicalTime, RowId>,
+    /// Additional supports as `(row, vertex)`, in arrival order.
+    extra_support: Vec<(RowId, VertexId)>,
+    /// The row opened by the latest INSERT/DERIVE cause, until the APPEAR
+    /// that immediately follows it in the stream takes it.
+    pending_cause: Option<RowId>,
+    /// Scratch for the children of the DERIVE being recorded.
+    body: Vec<VertexId>,
 }
 
 impl ProvGraph {
@@ -149,249 +240,342 @@ impl ProvGraph {
         ProvGraph::default()
     }
 
-    /// All vertices, indexable by [`VertexId`].
-    pub fn vertices(&self) -> &[Vertex] {
-        &self.vertices
+    /// All vertices, in [`VertexId`] order.
+    pub fn vertices(&self) -> impl ExactSizeIterator<Item = Vertex<'_>> {
+        (0..self.kinds.len()).map(|i| self.vertex(i as VertexId))
     }
 
     /// A vertex by id.
-    pub fn vertex(&self, id: VertexId) -> &Vertex {
-        &self.vertices[id]
+    pub fn vertex(&self, id: VertexId) -> Vertex<'_> {
+        let i = id as usize;
+        let row = &self.rows[self.rows_of[i] as usize];
+        let rule = |r: u32| self.rules[r as usize].clone();
+        let kind = match self.kinds[i] {
+            Kind::Insert => VertexKind::Insert,
+            Kind::Delete => VertexKind::Delete,
+            Kind::Exist => VertexKind::Exist { end: row.end },
+            Kind::Derive { rule: r, trigger } => VertexKind::Derive {
+                rule: rule(r),
+                trigger: trigger as usize,
+            },
+            Kind::Underive { rule: r } => VertexKind::Underive { rule: rule(r) },
+            Kind::Appear => VertexKind::Appear,
+            Kind::Disappear => VertexKind::Disappear,
+        };
+        let from = if i == 0 { 0 } else { self.child_ends[i - 1] };
+        Vertex {
+            kind,
+            node: &row.node,
+            tuple: &row.tuple,
+            time: self.times[i],
+            children: &self.children[from as usize..self.child_ends[i] as usize],
+        }
     }
 
     /// Total vertex count.
     pub fn len(&self) -> usize {
-        self.vertices.len()
+        self.kinds.len()
     }
 
     /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
+        self.kinds.is_empty()
+    }
+
+    /// Heap bytes the graph holds (its columns, arena, rows and index at
+    /// their allocated capacities; the tuples belong to the interner).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.kinds.capacity() * size_of::<Kind>()
+            + self.rows_of.capacity() * size_of::<RowId>()
+            + self.times.capacity() * size_of::<LogicalTime>()
+            + self.child_ends.capacity() * size_of::<u32>()
+            + (self.children.capacity() + self.body.capacity()) * size_of::<VertexId>()
+            + self.rules.capacity() * size_of::<Sym>()
+            + self.rows.capacity() * size_of::<Row>()
+            + (self.index.capacity() + self.strays.len()) * size_of::<(LogicalTime, RowId)>()
+            + self.extra_support.capacity() * size_of::<(RowId, VertexId)>()
+    }
+
+    /// The EXIST vertex of the episode of `tref` that opened at `since`:
+    /// the keyed lookup, for callers that hold the tuple's
+    /// `appeared_at` (a live tuple's is in the engine's table).
+    pub fn exist_since(&self, tref: &TupleRef, since: LogicalTime) -> Option<VertexId> {
+        let row = &self.rows[self.row_at(since)? as usize];
+        row.holds(&tref.node, &tref.tuple).then_some(row.appear + 1)
+    }
+
+    /// The row indexed under `since`.
+    fn row_at(&self, since: LogicalTime) -> Option<RowId> {
+        match self.index.binary_search_by_key(&since, |&(key, _)| key) {
+            Ok(at) => Some(self.index[at].1),
+            Err(_) => self.strays.get(&since).copied(),
+        }
+    }
+
+    /// Indexes `row` under `since`, unless another row already is.
+    fn index_row(&mut self, since: LogicalTime, row: RowId) {
+        match self.index.last() {
+            Some(&(latest, _)) if latest >= since => {
+                if self.row_at(since).is_none() {
+                    self.strays.insert(since, row);
+                }
+            }
+            _ => self.index.push((since, row)),
+        }
+    }
+
+    /// The opened rows of `tref`, in APPEAR order: a linear scan of every
+    /// episode in the graph.
+    fn rows_for<'a>(&'a self, tref: &'a TupleRef) -> impl DoubleEndedIterator<Item = RowId> + 'a {
+        (0..self.rows.len() as RowId).filter(move |&r| {
+            let row = &self.rows[r as usize];
+            row.appear != NONE && row.holds(&tref.node, &tref.tuple)
+        })
+    }
+
+    /// The public view of an opened row, given its extra supports.
+    fn episode_of(row: &Row, extra_support: Vec<VertexId>) -> Episode {
+        Episode {
+            appear: row.appear,
+            exist: row.appear + 1,
+            cause: row.cause,
+            extra_support,
+            start: row.start,
+            end: row.end,
+            disappear: (row.disappear != NONE).then_some(row.disappear),
+        }
+    }
+
+    fn episode(&self, r: RowId) -> Episode {
+        let of_row = self.extra_support.iter().filter(|&&(of, _)| of == r);
+        Self::episode_of(&self.rows[r as usize], of_row.map(|&(_, v)| v).collect())
+    }
+
+    /// Every episode in the graph with its located tuple, in APPEAR
+    /// order.
+    pub fn all_episodes(&self) -> Vec<(TupleRef, Episode)> {
+        let mut extra = vec![Vec::new(); self.rows.len()];
+        for &(r, v) in &self.extra_support {
+            extra[r as usize].push(v);
+        }
+        let opened = (0..self.rows.len()).filter(|&r| self.rows[r].appear != NONE);
+        opened
+            .map(|r| {
+                let row = &self.rows[r];
+                let episode = Self::episode_of(row, std::mem::take(&mut extra[r]));
+                (TupleRef::new(row.node.clone(), Arc::clone(&row.tuple)), episode)
+            })
+            .collect()
     }
 
     /// The episodes of a located tuple, in chronological order.
-    pub fn episodes(&self, tref: &TupleRef) -> &[Episode] {
-        self.episodes.get(tref).map(Vec::as_slice).unwrap_or(&[])
+    ///
+    /// This and the two lookups below find the tuple by value with a
+    /// linear scan over every episode in the graph — they serve tests, the
+    /// CLI and `why_not`. Recording and [`ProvGraph::exist_since`] go by
+    /// key.
+    pub fn episodes(&self, tref: &TupleRef) -> Vec<Episode> {
+        self.rows_for(tref).map(|r| self.episode(r)).collect()
     }
 
-    /// The episode of `tref` covering time `t`, if any.
-    pub fn episode_at(&self, tref: &TupleRef, t: LogicalTime) -> Option<&Episode> {
-        self.episodes(tref).iter().rev().find(|e| e.covers(t))
+    /// The episode of `tref` covering time `t`, if any (linear scan).
+    pub fn episode_at(&self, tref: &TupleRef, t: LogicalTime) -> Option<Episode> {
+        self.last_episode(tref, |row| row.start <= t && row.end.is_none_or(|e| t < e))
     }
 
     /// The most recent episode of `tref` that started no later than `t`
-    /// (used to locate reference events in the past).
-    pub fn last_episode_starting_by(&self, tref: &TupleRef, t: LogicalTime) -> Option<&Episode> {
-        self.episodes(tref).iter().rev().find(|e| e.start <= t)
+    /// (used to locate reference events in the past; linear scan).
+    pub fn last_episode_starting_by(&self, tref: &TupleRef, t: LogicalTime) -> Option<Episode> {
+        self.last_episode(tref, |row| row.start <= t)
+    }
+
+    fn last_episode(&self, tref: &TupleRef, wanted: impl Fn(&Row) -> bool) -> Option<Episode> {
+        let mut rows = self.rows_for(tref).rev();
+        rows.find(|&r| wanted(&self.rows[r as usize])).map(|r| self.episode(r))
     }
 
     /// Per-kind vertex counts — a quick profile of what the recorder
     /// captured (useful for sizing and for the CLI).
     pub fn stats(&self) -> GraphStats {
         let mut s = GraphStats::default();
-        for v in &self.vertices {
-            match v.kind {
-                VertexKind::Insert => s.inserts += 1,
-                VertexKind::Delete => s.deletes += 1,
-                VertexKind::Exist { .. } => s.exists += 1,
-                VertexKind::Derive { .. } => s.derives += 1,
-                VertexKind::Underive { .. } => s.underives += 1,
-                VertexKind::Appear => s.appears += 1,
-                VertexKind::Disappear => s.disappears += 1,
+        for kind in &self.kinds {
+            match kind {
+                Kind::Insert => s.inserts += 1,
+                Kind::Delete => s.deletes += 1,
+                Kind::Exist => s.exists += 1,
+                Kind::Derive { .. } => s.derives += 1,
+                Kind::Underive { .. } => s.underives += 1,
+                Kind::Appear => s.appears += 1,
+                Kind::Disappear => s.disappears += 1,
             }
         }
         s
     }
 
-    fn push(&mut self, v: Vertex) -> VertexId {
-        self.vertices.push(v);
-        self.vertices.len() - 1
+    /// Appends a vertex of `row` whose children are `children`.
+    fn push(&mut self, kind: Kind, row: RowId, time: LogicalTime, children: &[VertexId]) -> VertexId {
+        let id = VertexId::try_from(self.kinds.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("a provenance graph holds fewer than 2^32 vertices");
+        self.kinds.push(kind);
+        self.rows_of.push(row);
+        self.times.push(time);
+        self.children.extend_from_slice(children);
+        let end = u32::try_from(self.children.len())
+            .expect("a provenance graph holds fewer than 2^32 child links");
+        self.child_ends.push(end);
+        id
     }
 
-    /// Creates an INSERT → APPEAR → EXIST chain for a tuple that predates
-    /// the start of recording (checkpoint resume). The episode is opened at
-    /// time 0 to reflect "existed since before we started watching".
-    fn synthesize_boundary_episode(&mut self, tref: &TupleRef, _seen_at: LogicalTime) -> VertexId {
-        let insert = self.push(Vertex {
-            kind: VertexKind::Insert,
-            node: tref.node.clone(),
-            tuple: tref.tuple.clone(),
-            time: 0,
-            children: Vec::new(),
-        });
-        let appear = self.push(Vertex {
-            kind: VertexKind::Appear,
-            node: tref.node.clone(),
-            tuple: tref.tuple.clone(),
-            time: 0,
-            children: vec![insert],
-        });
-        let exist = self.push(Vertex {
-            kind: VertexKind::Exist { end: None },
-            node: tref.node.clone(),
-            tuple: tref.tuple.clone(),
-            time: 0,
-            children: vec![appear],
-        });
-        self.episodes.entry(tref.clone()).or_default().push(Episode {
-            appear,
-            exist,
-            cause: insert,
-            extra_support: Vec::new(),
+    /// Appends a row for `node`/`tuple` that no APPEAR has opened yet.
+    fn push_row(&mut self, node: NodeId, tuple: Arc<Tuple>) -> RowId {
+        self.rows.push(Row {
+            node,
+            tuple,
+            cause: NONE,
+            appear: NONE,
             start: 0,
             end: None,
-            disappear: None,
+            disappear: NONE,
+            negative: NONE,
         });
-        exist
+        (self.rows.len() - 1) as RowId
     }
 
-    fn open_exist(&mut self, tref: &TupleRef) -> Option<VertexId> {
-        let ep = self.episodes.get(tref)?.last()?;
-        if ep.end.is_none() {
-            Some(ep.exist)
-        } else {
-            None
+    /// Opens `row` at `time`: its APPEAR and EXIST vertices.
+    fn open(&mut self, row: RowId, time: LogicalTime) {
+        let cause = self.rows[row as usize].cause;
+        let appear = self.push(Kind::Appear, row, time, &[cause]);
+        self.push(Kind::Exist, row, time, &[appear]);
+        let r = &mut self.rows[row as usize];
+        r.appear = appear;
+        r.start = time;
+    }
+
+    fn rule_id(&mut self, rule: Sym) -> u32 {
+        let known = self.rules.iter().position(|r| *r == rule);
+        known.unwrap_or_else(|| {
+            self.rules.push(rule);
+            self.rules.len() - 1
+        }) as u32
+    }
+
+    /// Creates an INSERT → APPEAR → EXIST chain for a tuple whose episode
+    /// the stream names by a `since` this graph has no (matching) row for:
+    /// it predates the start of recording (checkpoint resume). The episode
+    /// is opened at time 0 to reflect "existed since before we started
+    /// watching", and indexed under `since` unless another tuple's episode
+    /// already is.
+    fn boundary_episode(&mut self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
+        let row = self.push_row(node.clone(), Arc::clone(tuple));
+        self.rows[row as usize].cause = self.push(Kind::Insert, row, 0, &[]);
+        self.open(row, 0);
+        self.index_row(since, row);
+        row
+    }
+
+    /// The row of the episode of `node`/`tuple` that opened at `since`.
+    fn row_since(&mut self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
+        match self.row_at(since) {
+            Some(r) if self.rows[r as usize].holds(node, tuple) => r,
+            _ => self.boundary_episode(since, node, tuple),
         }
+    }
+
+    /// A positive event (INSERT or DERIVE) of kind `kind` with children
+    /// `self.body`: the cause of the APPEAR that follows when it opens its
+    /// episode (`since == time`), an extra support of the episode it names
+    /// otherwise.
+    fn record_support(
+        &mut self,
+        kind: Kind,
+        (time, since): (LogicalTime, LogicalTime),
+        node: NodeId,
+        tuple: Arc<Tuple>,
+    ) {
+        let body = std::mem::take(&mut self.body);
+        if since == time {
+            let row = self.push_row(node, tuple);
+            self.rows[row as usize].cause = self.push(kind, row, time, &body);
+            self.pending_cause = Some(row);
+        } else {
+            let row = self.row_since(since, &node, &tuple);
+            let id = self.push(kind, row, time, &body);
+            self.extra_support.push((row, id));
+        }
+        self.body = body;
     }
 
     fn record_event(&mut self, event: ProvEvent) {
         match event {
-            ProvEvent::InsertBase { time, node, tuple } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                let id = self.push(Vertex {
-                    kind: VertexKind::Insert,
-                    node,
-                    tuple,
-                    time,
-                    children: Vec::new(),
-                });
-                if let Some(ep) = self.episodes.get_mut(&tref).and_then(|v| v.last_mut()) {
-                    if ep.end.is_none() {
-                        // Base re-inserted while alive: extra support.
-                        ep.extra_support.push(id);
-                        return;
-                    }
-                }
-                self.pending_cause.insert(tref, id);
+            ProvEvent::InsertBase { time, since, node, tuple } => {
+                self.body.clear();
+                self.record_support(Kind::Insert, (time, since), node, tuple);
             }
             ProvEvent::Derive {
                 time,
+                since,
                 node,
                 tuple,
                 rule,
                 fired_at: _,
                 body,
                 trigger,
-                redundant,
             } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                // Children: the EXIST vertices of the body tuples' episodes
-                // open at derivation time. A body tuple without an open
-                // episode means recording started mid-stream (checkpoint
-                // resume); synthesize a boundary episode for it so the
+                // Children: the EXIST vertices of the episodes the body
+                // tuples were in at derivation time. A body episode this
+                // graph has no row for means recording started mid-stream
+                // (checkpoint resume); it gets a boundary episode so the
                 // graph remains well-formed.
-                let mut children: Vec<VertexId> = Vec::with_capacity(body.len());
+                self.body.clear();
                 for b in &body {
-                    let exist = match self.open_exist(b) {
-                        Some(e) => e,
-                        None => self.synthesize_boundary_episode(b, time),
-                    };
-                    children.push(exist);
+                    let row = self.row_since(b.since, &b.tref.node, &b.tref.tuple);
+                    let exist = self.rows[row as usize].appear + 1;
+                    self.body.push(exist);
                 }
-                let id = self.push(Vertex {
-                    kind: VertexKind::Derive { rule, trigger },
-                    node,
-                    tuple,
-                    time,
-                    children,
-                });
-                if redundant {
-                    if let Some(ep) = self.episodes.get_mut(&tref).and_then(|v| v.last_mut()) {
-                        ep.extra_support.push(id);
-                    }
-                } else {
-                    self.pending_cause.insert(tref, id);
-                }
+                let kind = Kind::Derive {
+                    rule: self.rule_id(rule),
+                    // Out of range stays out of range.
+                    trigger: u32::try_from(trigger).unwrap_or(u32::MAX),
+                };
+                self.record_support(kind, (time, since), node, tuple);
             }
             ProvEvent::Appear { time, node, tuple } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                let cause = match self.pending_cause.remove(&tref) {
-                    Some(c) => c,
+                let row = match self.pending_cause.take() {
+                    Some(r) if self.rows[r as usize].holds(&node, &tuple) => r,
                     // An APPEAR without a recorded cause can only happen if
                     // recording started mid-stream; synthesize an INSERT.
-                    None => self.push(Vertex {
-                        kind: VertexKind::Insert,
-                        node: node.clone(),
-                        tuple: tuple.clone(),
-                        time,
-                        children: Vec::new(),
-                    }),
-                };
-                let appear = self.push(Vertex {
-                    kind: VertexKind::Appear,
-                    node: node.clone(),
-                    tuple: tuple.clone(),
-                    time,
-                    children: vec![cause],
-                });
-                let exist = self.push(Vertex {
-                    kind: VertexKind::Exist { end: None },
-                    node,
-                    tuple,
-                    time,
-                    children: vec![appear],
-                });
-                self.episodes.entry(tref).or_default().push(Episode {
-                    appear,
-                    exist,
-                    cause,
-                    extra_support: Vec::new(),
-                    start: time,
-                    end: None,
-                    disappear: None,
-                });
-            }
-            ProvEvent::DeleteBase { time, node, tuple } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                let id = self.push(Vertex {
-                    kind: VertexKind::Delete,
-                    node,
-                    tuple,
-                    time,
-                    children: Vec::new(),
-                });
-                self.pending_negative.insert(tref, id);
-            }
-            ProvEvent::Underive { time, node, tuple, rule } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                let id = self.push(Vertex {
-                    kind: VertexKind::Underive { rule },
-                    node,
-                    tuple,
-                    time,
-                    children: Vec::new(),
-                });
-                self.pending_negative.insert(tref, id);
-            }
-            ProvEvent::Disappear { time, node, tuple } => {
-                let tref = TupleRef::new(node.clone(), tuple.clone());
-                let cause = self.pending_negative.remove(&tref);
-                let id = self.push(Vertex {
-                    kind: VertexKind::Disappear,
-                    node,
-                    tuple,
-                    time,
-                    children: cause.into_iter().collect(),
-                });
-                if let Some(ep) = self.episodes.get_mut(&tref).and_then(|v| v.last_mut()) {
-                    if ep.end.is_none() {
-                        ep.end = Some(time);
-                        ep.disappear = Some(id);
-                        let exist = ep.exist;
-                        if let VertexKind::Exist { end } = &mut self.vertices[exist].kind {
-                            *end = Some(time);
-                        }
+                    _ => {
+                        let row = self.push_row(node, tuple);
+                        self.rows[row as usize].cause = self.push(Kind::Insert, row, time, &[]);
+                        row
                     }
+                };
+                self.open(row, time);
+                self.index_row(time, row);
+            }
+            ProvEvent::DeleteBase { time, since, node, tuple } => {
+                let row = self.row_since(since, &node, &tuple);
+                self.rows[row as usize].negative = self.push(Kind::Delete, row, time, &[]);
+            }
+            ProvEvent::Underive { time, since, node, tuple, rule } => {
+                let row = self.row_since(since, &node, &tuple);
+                let kind = Kind::Underive {
+                    rule: self.rule_id(rule),
+                };
+                self.rows[row as usize].negative = self.push(kind, row, time, &[]);
+            }
+            ProvEvent::Disappear { time, since, node, tuple } => {
+                let row = self.row_since(since, &node, &tuple);
+                let cause = [std::mem::replace(&mut self.rows[row as usize].negative, NONE)];
+                let children = if cause[0] == NONE { &[] } else { &cause[..] };
+                let id = self.push(Kind::Disappear, row, time, children);
+                let r = &mut self.rows[row as usize];
+                if r.end.is_none() {
+                    r.end = Some(time);
+                    r.disappear = id;
                 }
             }
         }
@@ -473,7 +657,9 @@ impl GraphRecorder {
     /// property of the engine, not of the program). The events folded and
     /// the graph's size ride each span's close as
     /// `prov.events{backend=graph}` / `prov.live_records{backend=graph}`,
-    /// so graph and annotation recording stay comparable on one scrape.
+    /// so graph and annotation recording stay comparable on one scrape,
+    /// and with them what the records cost: `prov.bytes{backend=graph}`
+    /// ([`ProvGraph::bytes`]) and `prov.bytes_per_record{backend=graph}`.
     pub fn with_tracer(tracer: dp_trace::Tracer) -> Self {
         GraphRecorder {
             graph: ProvGraph::default(),
@@ -508,10 +694,12 @@ impl ProvenanceSink for GraphRecorder {
             self.graph.record_event(event);
         }
         if let Some((span, n)) = span {
-            let live = self.graph.len() as u64;
+            let (live, bytes) = (self.graph.len() as u64, self.graph.bytes() as u64);
             span.end_with(None, &[("events", n)], |agg| {
                 agg.add("prov.events{backend=graph}", n);
                 agg.set_level("prov.live_records{backend=graph}", live);
+                agg.set_level("prov.bytes{backend=graph}", bytes);
+                agg.set_level("prov.bytes_per_record{backend=graph}", bytes / live.max(1));
             });
         }
     }
@@ -568,10 +756,10 @@ mod tests {
         let ep = &eps[0];
         assert!(matches!(g.vertex(ep.exist).kind, VertexKind::Exist { end: None }));
         assert!(matches!(g.vertex(ep.appear).kind, VertexKind::Appear));
-        match &g.vertex(ep.cause).kind {
+        match g.vertex(ep.cause).kind {
             VertexKind::Derive { rule, trigger } => {
-                assert_eq!(rule, &dp_types::Sym::new("rc"));
-                assert_eq!(*trigger, 1);
+                assert_eq!(rule, dp_types::Sym::new("rc"));
+                assert_eq!(trigger, 1);
             }
             other => panic!("expected DERIVE, got {other:?}"),
         }
@@ -645,6 +833,58 @@ mod tests {
         assert_eq!(s.appears, 3);
         assert_eq!(s.disappears, 2); // b and the cascaded c
         assert!(s.to_string().contains("DERIVE 1"));
+    }
+
+    /// A stream whose `since` leads to another tuple's row — spliced,
+    /// forged, or resumed under a key the recording already uses — must
+    /// not link the two histories: the named tuple gets a boundary
+    /// episode of its own.
+    #[test]
+    fn a_since_naming_another_tuples_row_gets_a_boundary_episode() {
+        use dp_ndlog::BodyRef;
+        let n = NodeId::new("n1");
+        let (a, z, c) = (
+            Arc::new(tuple!("a", 1, 2)),
+            Arc::new(tuple!("b", 9, 9, 9)),
+            Arc::new(tuple!("c", 1, 4, 4)),
+        );
+        let at = |tuple: &Arc<Tuple>, since| BodyRef {
+            tref: TupleRef::new(n.clone(), Arc::clone(tuple)),
+            since,
+        };
+        let mut rec = GraphRecorder::new();
+        for event in [
+            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&a) },
+            ProvEvent::Appear { time: 1, node: n.clone(), tuple: Arc::clone(&a) },
+            // The second body entry claims the episode that opened at 1:
+            // that is a(1, 2)'s.
+            ProvEvent::Derive {
+                time: 2,
+                since: 2,
+                node: n.clone(),
+                tuple: Arc::clone(&c),
+                rule: Sym::new("rc"),
+                fired_at: 1,
+                body: vec![at(&a, 1), at(&z, 1)],
+                trigger: 0,
+            },
+            ProvEvent::Appear { time: 2, node: n.clone(), tuple: Arc::clone(&c) },
+        ] {
+            rec.record(event);
+        }
+        let g = rec.finish();
+        let z_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&z)));
+        assert_eq!(z_eps.len(), 1);
+        assert_eq!((z_eps[0].start, z_eps[0].end), (0, None), "a boundary episode");
+        assert!(matches!(g.vertex(z_eps[0].cause).kind, VertexKind::Insert));
+        let a_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&a)));
+        let c_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&c)));
+        assert_eq!(g.vertex(c_eps[0].cause).children, [a_eps[0].exist, z_eps[0].exist]);
+        assert_eq!(**g.vertex(z_eps[0].exist).tuple, *z);
+        // The key still leads to the episode that owns it, and only there.
+        assert_eq!(g.exist_since(&TupleRef::new(n.clone(), a), 1), Some(a_eps[0].exist));
+        assert_eq!(g.exist_since(&TupleRef::new(n, z), 1), None);
+        assert_eq!(crate::well_formedness_violations(&g), Vec::<String>::new());
     }
 
     #[test]

@@ -14,25 +14,25 @@
 //! checker *collects* violations instead of panicking — a fuzzing driver
 //! wants to report and shrink, not die on the first bad vertex.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use dp_types::TupleRef;
 
-use crate::graph::{ProvGraph, VertexKind};
+use crate::graph::{Episode, ProvGraph, VertexId, VertexKind};
 use crate::tree::ProvTree;
 
 /// Checks every structural invariant of `g`, returning a human-readable
 /// description of each violation (empty means the graph is well-formed).
 pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
     let mut out = Vec::new();
-    let len = g.len();
-    for (i, v) in g.vertices().iter().enumerate() {
-        for &c in &v.children {
-            if c >= len {
+    let in_range = |c: VertexId| (c as usize) < g.len();
+    for (i, v) in g.vertices().enumerate() {
+        for &c in v.children {
+            if !in_range(c) {
                 out.push(format!("vertex {i} ({v}) has out-of-range child {c}"));
             }
         }
-        if v.children.iter().any(|&c| c >= len) {
+        if !v.children.iter().all(|&c| in_range(c)) {
             continue; // Child-kind checks below would index out of range.
         }
         match &v.kind {
@@ -66,7 +66,7 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
                 }
             }
             VertexKind::Derive { .. } => {
-                for &c in &v.children {
+                for &c in v.children {
                     if !matches!(g.vertex(c).kind, VertexKind::Exist { .. }) {
                         out.push(format!(
                             "DERIVE vertex {i} ({v}) child {} is not an EXIST",
@@ -76,7 +76,7 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
                 }
             }
             VertexKind::Disappear => {
-                for &c in &v.children {
+                for &c in v.children {
                     if !matches!(
                         g.vertex(c).kind,
                         VertexKind::Delete | VertexKind::Underive { .. }
@@ -98,13 +98,14 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
             }
         }
     }
-    // Episode structure, per tuple reference seen anywhere in the graph.
-    let mut seen = BTreeSet::new();
-    for v in g.vertices() {
-        seen.insert(TupleRef::new(v.node.clone(), v.tuple.as_ref().clone()));
+    // Episode structure, per located tuple: the graph keeps its episodes
+    // in APPEAR order and finds them by key, so they are grouped by tuple
+    // here, once.
+    let mut by_tuple: BTreeMap<TupleRef, Vec<Episode>> = BTreeMap::new();
+    for (tref, episode) in g.all_episodes() {
+        by_tuple.entry(tref).or_default().push(episode);
     }
-    for tref in seen {
-        let eps = g.episodes(&tref);
+    for (tref, eps) in &by_tuple {
         for w in eps.windows(2) {
             match w[0].end {
                 Some(end) if end <= w[1].start => {}

@@ -27,7 +27,7 @@ pub use invariants::{
     check_well_formed, tree_well_formedness_violations, well_formedness_violations,
 };
 pub use tree::{
-    extract_tree, extract_tree_latest, tuple_view, ProvTree, TreeIdx, TreeNode, TupleNode,
-    TupleTree,
+    extract_tree, extract_tree_latest, extract_tree_since, tuple_view, ProvTree, TreeIdx,
+    TreeNode, TupleNode, TupleTree,
 };
 pub use whynot::{why_not, FailReason, RuleFailure, WhyNot};

@@ -121,37 +121,49 @@ impl ProvTree {
 /// DERIVE's children are resolved against the episodes that were open at
 /// the derivation time, which is what makes extraction *temporal*: asking
 /// about a past event walks the past state.
+///
+/// The episode is found with [`ProvGraph::episode_at`]'s linear scan; a
+/// caller that knows when the episode opened uses [`extract_tree_since`].
 pub fn extract_tree(graph: &ProvGraph, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
-    let episode = graph.episode_at(root, at)?;
-    let mut tree = ProvTree { nodes: Vec::new() };
-    project(graph, episode.exist, None, &mut tree);
-    Some(tree)
+    Some(tree_under(graph, graph.episode_at(root, at)?.exist))
+}
+
+/// Extracts the provenance tree of the episode of `root` that opened at
+/// `since` — the keyed form of [`extract_tree`]: no search, the graph's
+/// index leads to the episode. For a live tuple `since` is the
+/// `appeared_at` the engine's table holds.
+pub fn extract_tree_since(graph: &ProvGraph, root: &TupleRef, since: LogicalTime) -> Option<ProvTree> {
+    Some(tree_under(graph, graph.exist_since(root, since)?))
 }
 
 /// Like [`extract_tree`], but accepts tuples that have since disappeared:
 /// uses the last episode starting at or before `at` (needed when the
 /// reference event lies in the past, as in scenario SDN3).
 pub fn extract_tree_latest(graph: &ProvGraph, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
-    let episode = graph.last_episode_starting_by(root, at)?;
+    Some(tree_under(graph, graph.last_episode_starting_by(root, at)?.exist))
+}
+
+/// The projection of `graph` rooted at `vertex`.
+fn tree_under(graph: &ProvGraph, vertex: VertexId) -> ProvTree {
     let mut tree = ProvTree { nodes: Vec::new() };
-    project(graph, episode.exist, None, &mut tree);
-    Some(tree)
+    project(graph, vertex, None, &mut tree);
+    tree
 }
 
 fn project(graph: &ProvGraph, vertex: VertexId, parent: Option<TreeIdx>, tree: &mut ProvTree) -> TreeIdx {
     let v = graph.vertex(vertex);
     let idx = tree.nodes.len();
     tree.nodes.push(TreeNode {
-        kind: v.kind.clone(),
+        kind: v.kind,
         node: v.node.clone(),
-        tuple: v.tuple.clone(),
+        tuple: Arc::clone(v.tuple),
         time: v.time,
         parent,
-        children: Vec::new(),
+        children: Vec::with_capacity(v.children.len()),
         origin: vertex,
     });
-    let children: Vec<VertexId> = v.children.clone();
-    for c in children {
+    // The slice borrows the graph's child arena, not the tree.
+    for &c in v.children {
         let child_idx = project(graph, c, Some(idx), tree);
         tree.nodes[idx].children.push(child_idx);
     }

@@ -125,8 +125,7 @@ fn assert_heights_exact(graph: &ProvGraph, store: &AnnotationStore, label: &str)
     let mut checked = 0;
     let trefs: Vec<TupleRef> = graph
         .vertices()
-        .iter()
-        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(v.tuple)))
         .collect();
     for tref in &trefs {
         for ep in store.episodes(tref) {
@@ -253,8 +252,7 @@ fn cyclic_churn_stays_exact() {
         checked += assert_heights_exact(&graph, &store, "cyclic churn");
         for tref in graph
             .vertices()
-            .iter()
-            .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+            .map(|v| TupleRef::new(v.node.clone(), Arc::clone(v.tuple)))
         {
             for ep in store.episodes(&tref) {
                 assert_eq!(

@@ -147,7 +147,6 @@ fn batched_multi_node_recording_builds_an_identical_graph() {
     let nodes: Vec<NodeId> = (0..5).map(|i| NodeId::new(format!("s{i}").as_str())).collect();
     let render = |g: &ProvGraph| -> String {
         g.vertices()
-            .iter()
             .enumerate()
             .map(|(i, v)| format!("{i} {v} <- {:?}\n", v.children))
             .collect()

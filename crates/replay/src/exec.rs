@@ -16,8 +16,8 @@ use dp_ndlog::{
     TupleChange,
 };
 use dp_provenance::{
-    extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest, AnnotRecorder,
-    AnnotationStore, GraphRecorder, ProvGraph, ProvTree,
+    extract_tree, extract_tree_latest, extract_tree_since, reconstruct_tree,
+    reconstruct_tree_latest, AnnotRecorder, AnnotationStore, GraphRecorder, ProvGraph, ProvTree,
 };
 use dp_trace::{Class, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
@@ -223,27 +223,38 @@ impl Replayed {
         // beside it would raise the diagnosis's peak memory.
         let log = exec.log.events();
         let (rolled, rolled_at) = std::mem::take(&mut self.rolled);
+        let span = tracer.span("replay.fork", Class::Skeleton, Some(self.now()));
         let held = Patched::new(&log, &rolled, rolled_at);
         let patched = Patched::new(&log, delta, inject_at);
-        let held_len = held.events().count();
-        let fork = held
-            .events()
-            .zip(patched.events())
-            .take_while(|(h, p)| h == p)
-            .count();
+        let held_len = held.len();
+        // One walk down both streams: side by side to the first pair that
+        // differs, then each on its own to its end.
+        let (mut h, mut p) = (held.events(), patched.events());
+        let mut fork = 0;
+        let parted = loop {
+            match (h.next(), p.next()) {
+                // Identity first: mostly both borrow the one logged event.
+                (Some(a), Some(b)) if std::ptr::eq(&*a, &*b) || a == b => fork += 1,
+                pair => break pair,
+            }
+        };
         tracer.counter("replay.fork_events", Class::Skeleton, (held_len - fork) as u64);
         tracer.counter("replay.log_events", Class::Skeleton, held_len as u64);
         if !always_withdraw && 2 * fork < held_len {
+            span.end(Some(self.now()), &[("events", held_len as u64), ("fork", fork as u64)]);
             return Ok(false);
         }
+        let rest = |first: Option<Cow<BaseEvent>>, rest: PatchedEvents| -> Vec<BaseEvent> {
+            first.into_iter().chain(rest).map(Cow::into_owned).collect()
+        };
+        let (withdrawn, suffix) = (rest(parted.0, h), rest(parted.1, p));
+        let undo = effective_ops(held.events().take(fork), &withdrawn);
+        span.end(Some(self.now()), &[("events", held_len as u64), ("fork", fork as u64)]);
 
-        let owned = |p: &Patched| p.events().skip(fork).map(Cow::into_owned).collect();
-        let (withdrawn, suffix): (Vec<BaseEvent>, Vec<BaseEvent>) = (owned(&held), owned(&patched));
         // The due the two (sorted) logs part at: nothing a suffix event
         // caused appeared before it.
         let since = withdrawn.first().into_iter().chain(suffix.first()).map(|e| e.due).min();
-        let prefix = held.events().take(fork);
-        let trusted = self.withdraw(prefix, &withdrawn, since.unwrap_or(0), tracer)?;
+        let trusted = self.withdraw(&undo, since.unwrap_or(0), tracer)?;
         if trusted {
             self.reissue(&suffix, tracer)?;
         }
@@ -265,10 +276,10 @@ impl Replayed {
         Ok(())
     }
 
-    /// Withdraws `withdrawn` — the held log from the fork on, `prefix`
-    /// being the held log before it — from the held state: the inverse of
-    /// each op the engine acted on, in reverse order, at the current
-    /// clock. Reports whether what is left is the prefix's own state.
+    /// Withdraws `undo` — the events of the held log from the fork on
+    /// that the engine acted on ([`effective_ops`]) — from the held state:
+    /// the inverse of each op, in reverse order, at the current clock.
+    /// Reports whether what is left is the prefix's own state.
     ///
     /// The cascade retracts everything that *depended on* a withdrawn
     /// tuple. It cannot re-fire what a withdrawn tuple *suppressed*: a
@@ -279,15 +290,8 @@ impl Replayed {
     /// or after `since` on tuples that are all still there, so the rewind
     /// is trusted only when no node holds, for any such rule, a live tuple
     /// in every body table with one of them appeared at or after `since`.
-    fn withdraw<'a>(
-        &mut self,
-        prefix: impl Iterator<Item = Cow<'a, BaseEvent>>,
-        withdrawn: &[BaseEvent],
-        since: LogicalTime,
-        tracer: &Tracer,
-    ) -> Result<bool> {
+    fn withdraw(&mut self, undo: &[&BaseEvent], since: LogicalTime, tracer: &Tracer) -> Result<bool> {
         let span = tracer.span("replay.withdraw", Class::Skeleton, Some(self.now()));
-        let undo = effective_ops(prefix, withdrawn);
         let at = self.now();
         for e in undo.iter().rev() {
             let inverse = match e.op {
@@ -375,11 +379,20 @@ impl Replayed {
     /// The provenance tree of `root` as of the final state — extracted
     /// from the graph, or reconstructed from annotations; the two are
     /// byte-identical (see `annot_differential.rs`).
+    ///
+    /// The graph finds the episode by key, not by search: an episode
+    /// covering the final state is open, so the tuple is live and the
+    /// engine's own table holds the clock it appeared at.
     pub fn query(&self, root: &TupleRef) -> Option<ProvTree> {
         let now = self.now();
         let span = self.extract_span(now);
         let tree = match self.engine.sink() {
-            BackendRecorder::Graph(g) => extract_tree(&g.graph, root, now),
+            BackendRecorder::Graph(g) => self.live_since(root).and_then(|since| {
+                // A miss is a live tuple whose episode the recording does
+                // not have under its key (it started mid-stream).
+                extract_tree_since(&g.graph, root, since)
+                    .or_else(|| extract_tree(&g.graph, root, now))
+            }),
             BackendRecorder::Annot(a) => reconstruct_tree(&a.store, root, now),
         };
         self.close_extract_span(span, now, tree.as_ref());
@@ -388,14 +401,29 @@ impl Replayed {
 
     /// The provenance tree of `root` as of `at` (temporal query; tolerates
     /// tuples that have since disappeared).
+    ///
+    /// The wanted episode is the last one that started by `at`. For a
+    /// tuple that is live and appeared by `at` that is its current one,
+    /// found by key like [`Replayed::query`]'s; only a tuple that is gone,
+    /// or that reappeared after `at`, costs the graph a scan of its
+    /// episodes.
     pub fn query_at(&self, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
         let span = self.extract_span(at);
         let tree = match self.engine.sink() {
-            BackendRecorder::Graph(g) => extract_tree_latest(&g.graph, root, at),
+            BackendRecorder::Graph(g) => self
+                .live_since(root)
+                .filter(|&since| since <= at)
+                .and_then(|since| extract_tree_since(&g.graph, root, since))
+                .or_else(|| extract_tree_latest(&g.graph, root, at)),
             BackendRecorder::Annot(a) => reconstruct_tree_latest(&a.store, root, at),
         };
         self.close_extract_span(span, at, tree.as_ref());
         tree
+    }
+
+    /// When the live tuple `root` appeared: the key of its open episode.
+    fn live_since(&self, root: &TupleRef) -> Option<LogicalTime> {
+        Some(self.engine.lookup(&root.node, &root.tuple)?.appeared_at)
     }
 
     /// The extraction series of the backend this replay recorded into —
@@ -768,10 +796,14 @@ pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: Logical
 
 /// A log with a change set applied ([`apply_changes`]), read in replay
 /// order without being built: logged events are borrowed, rewritten and
-/// injected ones owned.
+/// injected ones owned. The set-up scan is the only pass that compares
+/// events with changes; what it found is kept as a sparse edit list.
 struct Patched<'a> {
     log: &'a [BaseEvent],
     changes: &'a [TupleChange],
+    /// The logged events a change rewrites or drops, as `(log index,
+    /// change index)` in log order.
+    hits: Vec<(usize, usize)>,
     /// The insertions at `inject_at`, in change order.
     injected: Vec<BaseEvent>,
     /// Where they go: behind the last logged event due at or before
@@ -782,19 +814,22 @@ struct Patched<'a> {
 impl<'a> Patched<'a> {
     /// `log` must be in replay order.
     fn new(log: &'a [BaseEvent], changes: &'a [TupleChange], inject_at: LogicalTime) -> Self {
-        let mut patched = Patched {
-            log,
-            changes,
-            injected: Vec::new(),
-            at: log.partition_point(|e| e.due <= inject_at),
+        // The first change whose `before` is `e`'s located tuple.
+        let change_of = |e: &BaseEvent| {
+            changes
+                .iter()
+                .position(|c| c.node == e.node && c.before.as_ref() == Some(&e.tuple))
         };
-        let mut matched = vec![false; changes.len()];
-        for ci in log.iter().filter_map(|e| patched.change_of(e)) {
-            matched[ci] = true;
-        }
-        let unmatched = changes.iter().zip(matched).filter(|(_, m)| !m);
-        patched.injected = unmatched
-            .filter_map(|(c, _)| {
+        let hits: Vec<(usize, usize)> = log
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((i, change_of(e)?)))
+            .collect();
+        let unmatched = |ci: &usize| !hits.iter().any(|&(_, hit)| hit == *ci);
+        let injected = (0..changes.len())
+            .filter(unmatched)
+            .filter_map(|ci| {
+                let c = &changes[ci];
                 c.after.as_ref().map(|after| BaseEvent {
                     due: inject_at,
                     node: c.node.clone(),
@@ -803,34 +838,68 @@ impl<'a> Patched<'a> {
                 })
             })
             .collect();
-        patched
+        Patched {
+            log,
+            changes,
+            hits,
+            injected,
+            at: log.partition_point(|e| e.due <= inject_at),
+        }
     }
 
-    /// The first change whose `before` is `e`'s located tuple.
-    fn change_of(&self, e: &BaseEvent) -> Option<usize> {
-        self.changes
-            .iter()
-            .position(|c| c.node == e.node && c.before.as_ref() == Some(&e.tuple))
+    /// How many events [`Patched::events`] yields.
+    fn len(&self) -> usize {
+        let dropped = self.hits.iter().filter(|&&(_, ci)| self.changes[ci].after.is_none());
+        self.log.len() - dropped.count() + self.injected.len()
     }
 
-    fn events(&self) -> impl Iterator<Item = Cow<'_, BaseEvent>> {
-        let logged = |events: &'a [BaseEvent]| {
-            events.iter().filter_map(|e| match self.change_of(e) {
-                None => Some(Cow::Borrowed(e)),
-                Some(ci) => self.changes[ci].after.as_ref().map(|after| {
-                    Cow::Owned(BaseEvent {
-                        due: e.due,
-                        node: e.node.clone(),
-                        tuple: after.clone(),
-                        op: e.op,
-                    })
-                }),
-            })
-        };
-        let (early, late) = self.log.split_at(self.at);
-        logged(early)
-            .chain(self.injected.iter().map(Cow::Borrowed))
-            .chain(logged(late))
+    fn events(&self) -> PatchedEvents<'_> {
+        PatchedEvents {
+            of: self,
+            next: 0,
+            hit: 0,
+            injected: 0,
+        }
+    }
+}
+
+/// [`Patched::events`]: the cursor into the log, into the edit list and
+/// into the injected insertions.
+struct PatchedEvents<'a> {
+    of: &'a Patched<'a>,
+    next: usize,
+    hit: usize,
+    injected: usize,
+}
+
+impl<'a> Iterator for PatchedEvents<'a> {
+    type Item = Cow<'a, BaseEvent>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let of = self.of;
+        loop {
+            if self.next == of.at && self.injected < of.injected.len() {
+                self.injected += 1;
+                return Some(Cow::Borrowed(&of.injected[self.injected - 1]));
+            }
+            let e = of.log.get(self.next)?;
+            self.next += 1;
+            match of.hits.get(self.hit) {
+                Some(&(i, ci)) if i + 1 == self.next => {
+                    self.hit += 1;
+                    // A change without an `after` drops the event.
+                    if let Some(after) = &of.changes[ci].after {
+                        return Some(Cow::Owned(BaseEvent {
+                            due: e.due,
+                            node: e.node.clone(),
+                            tuple: after.clone(),
+                            op: e.op,
+                        }));
+                    }
+                }
+                _ => return Some(Cow::Borrowed(e)),
+            }
+        }
     }
 }
 

@@ -1,0 +1,114 @@
+//! The two ways to find an episode in a recorded graph agree.
+//!
+//! `Replayed::query` / `query_at` resolve a root through the engine's own
+//! table: a live tuple's `appeared_at` is the key of its open episode in
+//! the graph's index, and only a tuple that is gone (or reappeared after
+//! the time asked about) costs a scan. `ProvGraph::episode_at` /
+//! `last_episode_starting_by` find the tuple by value with a linear scan
+//! over every episode. For every located tuple a replay ever recorded,
+//! at every instant its history makes interesting, both must name the same
+//! episode — on a campus with three rounds of route and traffic churn
+//! (tuples with several episodes, live and gone) and on SDN3, whose
+//! reference event lies in the past.
+
+use std::collections::BTreeMap;
+
+use dp_provenance::Episode;
+use dp_replay::{BaseOp, Execution, ProvBackend, Replayed};
+use dp_sdn::{campus, sdn3, CampusConfig};
+use dp_types::{LogicalTime, TupleRef};
+
+/// What the cases covered, so a run that exercised nothing fails.
+#[derive(Default)]
+struct Coverage {
+    tuples: usize,
+    /// Tuples with two or more episodes.
+    recurring: usize,
+    /// Tuples that are not live at the end.
+    gone: usize,
+    /// Queries about a time before a live tuple's latest appearance.
+    before_reappearance: usize,
+}
+
+/// The EXIST vertex a query's tree is rooted at.
+fn root_of(r: &Replayed, tref: &TupleRef, at: Option<LogicalTime>) -> Option<u32> {
+    let tree = match at {
+        None => r.query(tref),
+        Some(at) => r.query_at(tref, at),
+    };
+    tree.map(|t| t.root().origin)
+}
+
+/// Replays `exec` (its events due by `until`, if given) and holds every
+/// recorded tuple's queries to the scan.
+fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Coverage) {
+    let mut exec = exec.clone();
+    exec.provenance_backend = ProvBackend::Graph;
+    let r = exec.replay_until(until).unwrap();
+    let (graph, now) = (r.graph(), r.now());
+    let mut by_tuple: BTreeMap<TupleRef, Vec<Episode>> = BTreeMap::new();
+    for (tref, episode) in graph.all_episodes() {
+        by_tuple.entry(tref).or_default().push(episode);
+    }
+    for (tref, eps) in &by_tuple {
+        let live = r.exists(&tref.node, &tref.tuple);
+        cov.tuples += 1;
+        cov.recurring += usize::from(eps.len() >= 2);
+        cov.gone += usize::from(!live);
+        // The scan sees the episodes the grouping does.
+        let scanned: Vec<_> = graph.episodes(tref).iter().map(|e| e.exist).collect();
+        assert_eq!(scanned, eps.iter().map(|e| e.exist).collect::<Vec<_>>(), "{case}: {tref}");
+        assert_eq!(
+            root_of(&r, tref, None),
+            graph.episode_at(tref, now).map(|e| e.exist),
+            "{case}: query({tref})"
+        );
+        assert_eq!(live, eps.last().is_some_and(|e| e.end.is_none()), "{case}: {tref}");
+        // Around every boundary of the tuple's history, and now.
+        let mut instants = vec![0, now, LogicalTime::MAX];
+        for e in eps {
+            instants.extend([e.start.saturating_sub(1), e.start, e.start + 1]);
+            instants.extend(e.end.into_iter().flat_map(|end| [end - 1, end]));
+        }
+        for at in instants {
+            assert_eq!(
+                root_of(&r, tref, Some(at)),
+                graph.last_episode_starting_by(tref, at).map(|e| e.exist),
+                "{case}: query_at({tref}, {at})"
+            );
+            let latest = eps.last().expect("grouped from episodes");
+            cov.before_reappearance +=
+                usize::from(live && eps.len() >= 2 && at < latest.start && eps[0].start <= at);
+        }
+    }
+}
+
+#[test]
+fn engine_resolved_queries_name_the_rows_the_scan_finds() {
+    let mut cov = Coverage::default();
+    let churned = campus(&CampusConfig {
+        bulk_entries_per_router: 2,
+        background_packets: 24,
+        update_churn_rounds: 3,
+        ..CampusConfig::default()
+    });
+    let exec = &churned.scenario.bad_exec;
+    check(exec, None, "churn campus", &mut cov);
+    // Stopped after the last withdrawal, before what it withdrew is
+    // re-issued: the routes and the traffic of that round are gone.
+    let events = exec.log.events();
+    let withdrawn = events.iter().rev().find(|e| e.op == BaseOp::Delete).expect("churn deletes");
+    check(exec, Some(withdrawn.due), "churn campus, mid-round", &mut cov);
+    let s = sdn3();
+    check(&s.good_exec, None, "SDN3 good", &mut cov);
+    check(&s.bad_exec, None, "SDN3 bad", &mut cov);
+    // SDN3's reference is historical: gone now, found by the scan.
+    let r = s.good_exec.replay().unwrap();
+    assert!(!r.exists(&s.good_event.tref.node, &s.good_event.tref.tuple));
+    assert!(r.query_at(&s.good_event.tref, s.good_event.at).is_some());
+
+    assert!(cov.tuples > 1_000, "{} tuples", cov.tuples);
+    assert!(cov.recurring > 100, "{} tuples with several episodes", cov.recurring);
+    assert!(cov.gone > 100, "{} tuples gone at the end", cov.gone);
+    assert!(cov.before_reappearance > 100, "{} early queries", cov.before_reappearance);
+}
