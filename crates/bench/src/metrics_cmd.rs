@@ -26,12 +26,11 @@ use dp_trace::{render_prometheus, validate_exposition, Aggregate, MetricsServer,
 use dp_types::{Error, Result};
 
 /// Replays both executions of `scenario` with one tracer cloned into
-/// them and extracts each one's event tree — engine, recorder,
-/// extraction and (under `StoreMode::Disk`) store series — then
-/// diagnoses the scenario with the same tracer as the pipeline's, for
-/// the `diffprov.*` series. The diagnosis replays the scenario's own,
-/// untraced executions, so every engine counter reads exactly the two
-/// replays above.
+/// them and extracts each one's event tree — engine, recorder and
+/// extraction series — then diagnoses the scenario with the same tracer
+/// as the pipeline's, for the `diffprov.*` series. The diagnosis replays
+/// the scenario's own, untraced executions, so every engine counter reads
+/// exactly the two replays above.
 pub fn scenario_aggregate(scenario: &Scenario) -> Result<Aggregate> {
     let tracer = Tracer::aggregate_only();
     for (exec, event) in [
@@ -217,7 +216,7 @@ fn get(addr: SocketAddr, path: &str) -> Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::trace_cmd::find_scenario;
-    use dp_replay::StoreMode;
+    use dp_replay::DurableStore;
 
     /// From a clean environment the one-shot report carries both
     /// renderings and every layer's families — engine, recorder,
@@ -264,26 +263,28 @@ mod tests {
         assert_eq!(agg.span_count("engine.run"), 2);
     }
 
-    /// A durable replay reports its temp store on the execution's tracer.
+    /// A spill and a recovery report the store on the execution's tracer.
     #[test]
     fn durable_replay_reports_the_store_families() {
         let scenario = find_scenario("SDN1").unwrap();
         let tracer = Tracer::aggregate_only();
         let mut exec = scenario.bad_exec.clone();
         exec.tracer = tracer.clone();
-        exec.store_mode = StoreMode::Disk;
-        exec.replay().unwrap();
+        let mut store = DurableStore::temp().unwrap();
+        exec.spill_into(&mut store).unwrap();
+        let reopened = DurableStore::open(store.dir()).unwrap();
+        exec.recovered_stream_digest(&reopened).unwrap();
         let agg = tracer.aggregate();
         assert_eq!(agg.counter("store.sealed_events"), exec.log.len() as u64);
         assert!(agg.level("store.layer_files") > 0 && agg.level("store.layer_bytes") > 0);
+        assert_eq!(agg.span_count("store.recovery"), 1);
         let text = render_prometheus(&agg);
         for family in [
             "dp_store_seal_seconds histogram",
             "dp_store_sealed_events_total counter",
             "dp_store_layer_files gauge",
             "dp_store_layer_bytes gauge",
-            "dp_store_checkpoint_files gauge",
-            "dp_store_checkpoint_bytes gauge",
+            "dp_store_recovery_seconds histogram",
         ] {
             assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
         }

@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dp_mapreduce::{build_job, generate as gen_corpus, CorpusConfig, JobConfig, Pipeline};
-use dp_replay::layers::default_layer_events;
+use dp_replay::layers::LAYER_EVENTS;
 use dp_replay::{DurableStore, EventLog, Execution, StorageModel};
 use dp_sdn::{generate as gen_trace, sdn_program, TraceConfig, Topology};
 use dp_types::{NodeId, Result, Sym};
@@ -83,7 +83,7 @@ pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost>
     // and take the measured file sizes.
     let mut store = DurableStore::temp()?;
     let border_events = border_log.events();
-    for chunk in border_events.chunks(default_layer_events()) {
+    for chunk in border_events.chunks(LAYER_EVENTS) {
         store.seal_events(chunk)?;
     }
     let disk_bytes = store.layer_bytes() as f64;

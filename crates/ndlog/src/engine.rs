@@ -91,8 +91,6 @@
 //! A derivation registers its head with a lookup in each body tuple's own
 //! table; the `remove` that retires a tuple hands its list to the
 //! cascade. There is no engine-wide `(node, tuple)`-keyed dependency map.
-//! Snapshots (`engine/snapshot.rs`) write the lists as their own section,
-//! in table order.
 //!
 //! # Why the engine is serial
 //!
@@ -105,7 +103,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-pub mod snapshot;
 mod state;
 
 pub use state::{NodeState, NodeView};
@@ -457,7 +454,7 @@ impl<S: ProvenanceSink> Engine<S> {
             live_tuples: 0,
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
-            tracer: Tracer::from_env(),
+            tracer: Tracer::disabled(),
             flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),
@@ -512,17 +509,15 @@ impl<S: ProvenanceSink> Engine<S> {
     ///
     /// Instrumentation is strictly passive, and the skeleton rendering of
     /// the resulting trace depends only on the program and its input;
-    /// `crates/ndlog/tests/trace_differential.rs` pins both. The default
-    /// tracer is selected by `DP_TRACE` (unset/`0` disabled, `agg`
-    /// aggregate-only, anything else full recording), read once per
-    /// process. Cloning one tracer into several engines (and the DiffProv
-    /// pipeline) interleaves their events in a single stream.
+    /// `crates/ndlog/tests/trace_differential.rs` pins both. Cloning one
+    /// tracer into several engines (and the DiffProv pipeline) interleaves
+    /// their events in a single stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// The engine's tracer (disabled unless `DP_TRACE` is set or
-    /// [`Engine::set_tracer`] was called).
+    /// The engine's tracer (disabled unless [`Engine::set_tracer`] was
+    /// called).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -617,7 +612,7 @@ impl<S: ProvenanceSink> Engine<S> {
             live_tuples: live,
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
-            tracer: Tracer::from_env(),
+            tracer: Tracer::disabled(),
             flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),

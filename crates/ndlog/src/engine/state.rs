@@ -32,9 +32,9 @@ use crate::program::Program;
 /// kept out of [`TupleState`], which is public, shared with the oracle and
 /// compared by the differential suites.
 #[derive(Clone, Debug, Default)]
-pub(super) struct Slot {
-    pub(super) state: TupleState,
-    pub(super) dependents: Vec<TupleRef>,
+struct Slot {
+    state: TupleState,
+    dependents: Vec<TupleRef>,
 }
 
 /// One prefix-trie access path of a table (see [`crate::plan::PrefixProbe`]).
@@ -102,10 +102,10 @@ impl TrieIndex {
 /// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
 /// answering `prefix_contains` probes in O(32) instead of a full scan.
 #[derive(Clone, Debug, Default)]
-pub(super) struct Table {
+struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
-    pub(super) tuples: BTreeMap<Arc<Tuple>, Slot>,
+    tuples: BTreeMap<Arc<Tuple>, Slot>,
     indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
     tries: Vec<TrieIndex>,
     /// Clock of the most recent appearance in this table. Lets `as_of`-
@@ -113,7 +113,7 @@ pub(super) struct Table {
     /// candidate `appeared_at` check entirely whenever nothing in the
     /// table is newer than the horizon — the common case, since only
     /// same-batch insertions into a probed table can be "too new".
-    pub(super) last_appear: LogicalTime,
+    last_appear: LogicalTime,
 }
 
 /// The values of `cols` in `tuple`, or `None` if any column is out of
@@ -123,16 +123,6 @@ fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 }
 
 impl Table {
-    /// An empty table with no index or trie, whose newest appearance was
-    /// at `last_appear`: what a snapshot decodes into, pending
-    /// [`NodeState::reindex`].
-    pub(super) fn unindexed(last_appear: LogicalTime) -> Self {
-        Table {
-            last_appear,
-            ..Default::default()
-        }
-    }
-
     fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
         let indexes = vec![HashMap::new(); specs.len()];
         let tries = vec![TrieIndex::default(); trie_specs.len()];
@@ -218,7 +208,7 @@ impl Table {
 /// The tables of a single node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeState {
-    pub(super) tables: BTreeMap<Sym, Table>,
+    tables: BTreeMap<Sym, Table>,
 }
 
 impl NodeState {

@@ -238,9 +238,9 @@ impl HashSink {
     /// The digest is a left fold over the stream, so a sink resumed from
     /// the state recorded at event `count` and fed the remaining events
     /// finishes with exactly the digest of the uninterrupted stream. This
-    /// is what lets a durable checkpoint carry its prefix's digest: the
-    /// recovery path replays only the tail yet still proves bit-identity
-    /// against a full in-memory run.
+    /// is what lets a restart carry its prefix's digest across the cut: an
+    /// engine restored from a snapshot replays only the tail yet still
+    /// proves bit-identity against the uncut run.
     pub fn resume(digest: u64, count: u64) -> Self {
         HashSink { count, digest }
     }

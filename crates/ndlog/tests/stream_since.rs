@@ -9,15 +9,15 @@
 //! seen so far — or, for a stream that resumes from a checkpoint, the
 //! `appeared_at` the snapshot held for the tuple. This suite checks
 //! exactly that, over every generator of `dp_ndlog::testsupport`, the
-//! nine repro scenarios, and one run cut in two by a snapshot that went
-//! through its byte encoding. (That the oracle emits the same stamps is
+//! nine repro scenarios, and one run cut in two by a snapshot and a
+//! restore. (That the oracle emits the same stamps is
 //! `reference_differential.rs`'s business: it compares whole events.)
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, run_schedule, schedule_all, ScheduledOp};
-use dp_ndlog::{Engine, EngineSnapshot, Program, ProvEvent, VecSink};
+use dp_ndlog::{Engine, Program, ProvEvent, VecSink};
 use dp_types::{DetRng, LogicalTime, NodeId, Tuple, TupleRef};
 
 /// Holds `events` to the property, starting from the episodes in `open`
@@ -158,9 +158,9 @@ fn since_names_the_latest_appear_on_all_repro_scenarios() {
     }
 }
 
-/// A run cut at a quiescent point, its snapshot taken through the byte
-/// encoding: the resumed stream names episodes the recording never saw
-/// open, by the clocks the snapshot carried over.
+/// A run cut at a quiescent point and restored from its snapshot: the
+/// resumed stream names episodes the recording never saw open, by the
+/// clocks the snapshot carried over.
 #[test]
 fn since_survives_a_checkpoint_resume() {
     let exec = dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario.bad_exec;
@@ -182,7 +182,7 @@ fn since_survives_a_checkpoint_resume() {
                 .map(move |(t, ts)| (TupleRef::new(node.clone(), t.clone()), ts.appeared_at))
         })
         .collect();
-    let snap = EngineSnapshot::decode(&first.snapshot().unwrap().encode()).unwrap();
+    let snap = first.snapshot().unwrap();
     let mut resumed = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default()).unwrap();
     schedule_all(&mut resumed, &ops[cut..]);
     resumed.run().unwrap();

@@ -7,19 +7,20 @@
 //!
 //! Alongside the skeletons, the provenance stream of an instrumented run
 //! must be bit-identical to a dark one — the handle is strictly passive,
-//! in every mode (disabled, aggregate-only, full). (Every leg pins its
-//! tracer explicitly, so the comparison also holds under the `DP_TRACE=1`
-//! leg of `scripts/check.sh`.) And the views of one run cannot disagree:
-//! on the enabled legs every [`Stats`] field equals its aggregate entry
-//! equals the value parsed back out of the Prometheus rendering. The
-//! corpus is the shared prefix-flavored program generator plus all 9
-//! repro scenarios, plus one end-to-end DiffProv diagnosis traced through
-//! the whole pipeline.
+//! in every mode (disabled, aggregate-only, full); no process-wide switch
+//! attaches a handle, so this file is where that is held. And the views of
+//! one run cannot disagree: on the enabled legs every [`Stats`] field
+//! equals its aggregate entry equals the value parsed back out of the
+//! Prometheus rendering. The corpus is the shared prefix-flavored program
+//! generator plus all 9 repro scenarios, each also diagnosed end to end by
+//! DiffProv, traced through the whole pipeline, under both provenance
+//! backends.
 
 use std::sync::Arc;
 
 use dp_ndlog::testsupport::{prefixgen, run_schedule_traced, schedule_all, ScheduledOp};
 use dp_ndlog::{Engine, Program, ProvEvent, Stats, VecSink};
+use dp_replay::ProvBackend;
 use dp_trace::{exposition_name, render_prometheus, validate_exposition, Kind, Tracer};
 use dp_types::DetRng;
 
@@ -204,47 +205,58 @@ fn skeletons_agree_on_all_repro_scenarios() {
     }
 }
 
-/// End-to-end: a full DiffProv diagnosis of SDN1, traced through the
-/// engine, the provenance recorder, the replay layer, and the pipeline,
-/// renders a reproducible skeleton and the report an untraced diagnosis
-/// gives.
+/// End-to-end: a full DiffProv diagnosis of each of the 9 scenarios under
+/// each provenance backend, traced through the engine, the provenance
+/// recorder, the replay layer, and the pipeline, renders a reproducible
+/// skeleton and the report — everything in it but the wall times — an
+/// untraced diagnosis gives.
 #[test]
 fn diagnosis_skeleton_is_reproducible() {
-    let base = dp_sdn::all_sdn_scenarios()
-        .into_iter()
-        .find(|s| s.name == "SDN1")
-        .unwrap();
-    let diagnose = |tracer: Tracer| {
-        let with_tracer = |exec: &dp_replay::Execution| {
-            let mut e = exec.clone();
-            e.tracer = tracer.clone();
-            e
-        };
-        let scenario = diffprov_core::Scenario {
-            name: base.name,
-            description: base.description,
-            good_exec: with_tracer(&base.good_exec),
-            bad_exec: with_tracer(&base.bad_exec),
-            good_event: base.good_event.clone(),
-            bad_event: base.bad_event.clone(),
-            expected_changes: base.expected_changes,
-            expected_rounds: base.expected_rounds,
-        };
-        let dp = diffprov_core::DiffProv {
-            tracer: tracer.clone(),
-            ..diffprov_core::DiffProv::default()
-        };
-        let report = scenario.diagnose_with(&dp).unwrap();
-        assert!(report.succeeded(), "{report}");
-        (tracer.finish().skeleton(), report.delta)
-    };
-    let (skel, delta) = diagnose(Tracer::full());
-    assert!(
-        skel.contains("B diffprov.detect_divergence") && skel.contains("B prov.extract"),
-        "pipeline spans missing from the skeleton:\n{skel}"
-    );
-    let (again, _) = diagnose(Tracer::full());
-    assert_eq!(skel, again, "diagnosis skeleton is not reproducible");
-    let (_, dark_delta) = diagnose(Tracer::disabled());
-    assert_eq!(delta, dark_delta, "diagnosis moves under tracing");
+    let mut scenarios = dp_sdn::all_sdn_scenarios();
+    scenarios.extend(dp_mapreduce::all_mr_scenarios());
+    scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
+    assert_eq!(scenarios.len(), 9, "repro corpus changed size");
+    for base in &scenarios {
+        for backend in [ProvBackend::Graph, ProvBackend::Annot] {
+            let case = format!("scenario {} ({backend:?})", base.name);
+            let diagnose = |tracer: Tracer| {
+                let with_tracer = |exec: &dp_replay::Execution| {
+                    let mut e = exec.clone();
+                    e.tracer = tracer.clone();
+                    e.provenance_backend = backend;
+                    e
+                };
+                let scenario = diffprov_core::Scenario {
+                    name: base.name,
+                    description: base.description,
+                    good_exec: with_tracer(&base.good_exec),
+                    bad_exec: with_tracer(&base.bad_exec),
+                    good_event: base.good_event.clone(),
+                    bad_event: base.bad_event.clone(),
+                    expected_changes: base.expected_changes,
+                    expected_rounds: base.expected_rounds,
+                };
+                let dp = diffprov_core::DiffProv {
+                    tracer: tracer.clone(),
+                    ..diffprov_core::DiffProv::default()
+                };
+                let r = scenario.diagnose_with(&dp).unwrap();
+                assert!(r.succeeded(), "{case}: {r}");
+                let rendered = format!(
+                    "{r}rounds {:?}\nseeds {:?} {:?}\ntrees {} {}",
+                    r.rounds, r.good_seed, r.bad_seed, r.good_tree_size, r.bad_tree_size
+                );
+                (tracer.finish().skeleton(), rendered)
+            };
+            let (skel, report) = diagnose(Tracer::full());
+            assert!(
+                skel.contains("B diffprov.detect_divergence") && skel.contains("B prov.extract"),
+                "{case}: pipeline spans missing from the skeleton:\n{skel}"
+            );
+            let (again, _) = diagnose(Tracer::full());
+            assert!(skel == again, "{case}: diagnosis skeleton is not reproducible");
+            let (_, dark) = diagnose(Tracer::disabled());
+            assert_eq!(report, dark, "{case}: diagnosis moves under tracing");
+        }
+    }
 }

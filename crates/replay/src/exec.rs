@@ -22,7 +22,6 @@ use dp_provenance::{
 use dp_trace::{Class, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
-use crate::layers::StoreMode;
 use crate::log::{BaseEvent, BaseOp, EventLog};
 
 /// Which provenance backend a replay records into: the full temporal
@@ -85,8 +84,7 @@ pub struct Execution {
     /// The logged base events.
     pub log: EventLog,
     /// The instrumentation handle threaded into every engine, recorder,
-    /// temp store and tree extraction this execution performs (disabled by
-    /// default, in which case each engine falls back to its own `DP_TRACE`
+    /// store and tree extraction this execution performs (disabled by
     /// default). Cloned freely — clones share one aggregate and one event
     /// stream, so the UPDATETREE replays of a cloned execution land in the
     /// same trace as the original's. Strictly passive: every setting
@@ -98,12 +96,6 @@ pub struct Execution {
     /// with byte-identical trees; graph-dependent callers (whole-graph
     /// statistics, episode enumeration) should pin [`ProvBackend::Graph`].
     pub provenance_backend: ProvBackend,
-    /// Where this execution's replays read their base events from.
-    /// Defaults to the `DP_STORE` environment variable (see
-    /// [`StoreMode::default_from_env`]). [`StoreMode::Disk`] round-trips
-    /// every replay through a sealed on-disk layer stack; both modes
-    /// replay the identical provenance stream.
-    pub store_mode: StoreMode,
 }
 
 /// The outcome of a replay: a quiescent engine plus the provenance
@@ -122,7 +114,7 @@ pub struct Replayed {
 impl Replayed {
     /// Wraps a quiescent engine whose state reflects the execution's log
     /// as it stands.
-    pub(crate) fn new(engine: Engine<BackendRecorder>) -> Self {
+    fn new(engine: Engine<BackendRecorder>) -> Self {
         Replayed {
             engine,
             rolled: (Vec::new(), 0),
@@ -474,23 +466,18 @@ impl Execution {
             log: EventLog::new(),
             tracer: Tracer::disabled(),
             provenance_backend: ProvBackend::default_from_env(),
-            store_mode: StoreMode::default_from_env(),
         }
     }
 
-    /// Attaches this execution's tracer to a freshly built engine. The
-    /// engine's `DP_TRACE` default is kept unless this execution overrides
-    /// it.
+    /// Attaches this execution's tracer to a freshly built engine.
     pub(crate) fn configure<S: ProvenanceSink>(&self, engine: &mut Engine<S>) {
-        if self.tracer.is_enabled() {
-            engine.set_tracer(self.tracer.clone());
-        }
+        engine.set_tracer(self.tracer.clone());
     }
 
     /// The recorder for a replaying engine: the execution's chosen backend,
     /// sharing the execution's tracer so batched provenance folds show up
     /// in the same trace.
-    pub(crate) fn recorder(&self) -> BackendRecorder {
+    fn recorder(&self) -> BackendRecorder {
         match self.provenance_backend {
             ProvBackend::Graph => BackendRecorder::Graph(if self.tracer.is_enabled() {
                 GraphRecorder::with_tracer(self.tracer.clone())
@@ -508,7 +495,7 @@ impl Execution {
     /// Opens a skeleton span around scheduling the log into an engine.
     /// The span and its event count depend on the log alone, so they are
     /// deterministic.
-    pub(crate) fn schedule_span(&self) -> Option<dp_trace::Span> {
+    fn schedule_span(&self) -> Option<dp_trace::Span> {
         self.tracer.is_enabled().then(|| {
             self.tracer
                 .span("replay.schedule", Class::Skeleton, None)
@@ -525,7 +512,7 @@ impl Execution {
         let mut engine = Engine::new(Arc::clone(&self.program), self.recorder());
         self.configure(&mut engine);
         let span = self.schedule_span();
-        self.schedule_log(&mut engine, until)?;
+        self.log.schedule_into(&mut engine, until)?;
         if let Some(span) = span {
             span.end(None, &[("events", self.log.len() as u64)]);
         }
@@ -539,7 +526,7 @@ impl Execution {
         let mut engine = Engine::new(Arc::clone(&self.program), NullSink);
         self.configure(&mut engine);
         let span = self.schedule_span();
-        self.schedule_log(&mut engine, None)?;
+        self.log.schedule_into(&mut engine, None)?;
         if let Some(span) = span {
             span.end(None, &[("events", self.log.len() as u64)]);
         }
@@ -561,7 +548,7 @@ impl Execution {
         let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
         self.configure(&mut engine);
         let span = self.schedule_span();
-        self.schedule_log(&mut engine, None)?;
+        self.log.schedule_into(&mut engine, None)?;
         if let Some(span) = span {
             span.end(None, &[("events", self.log.len() as u64)]);
         }
@@ -594,7 +581,6 @@ impl Execution {
             log: patched,
             tracer: self.tracer.clone(),
             provenance_backend: self.provenance_backend,
-            store_mode: self.store_mode,
         };
         clone.replay()
     }
@@ -712,7 +698,7 @@ fn effective_ops<'a, 's>(
 /// extended so chunks break only on due-time boundaries — a snapshot cut
 /// must never split simultaneous events. (A zero `every` would never
 /// advance, hence the type.)
-pub(crate) fn chunk_end(
+fn chunk_end(
     events: &[BaseEvent],
     i: usize,
     every: NonZeroUsize,

@@ -111,24 +111,30 @@ pub fn write_layer(path: &Path, node: &NodeId, events: &[SeqEvent]) -> Result<La
     })
 }
 
+/// The fewest bytes a record can take: seq, due, op, and a tuple with an
+/// empty table name and no fields.
+const MIN_RECORD_BYTES: usize = 8 + 8 + 1 + 4 + 4;
+
 /// Reads a layer back, verifying the whole-file checksum before decoding
-/// a single record.
+/// a single record, and then everything the merge takes for granted: at
+/// least one record, records strictly increasing in `(due, seq)`, and
+/// header fields that describe them. The checksum is no secret, so a file
+/// that passes it is still outside input; each violation is a typed
+/// [`Error::Codec`].
 pub fn read_layer(path: &Path) -> Result<Layer> {
     let bytes = std::fs::read(path).map_err(|err| io_err("reading layer", path, err))?;
+    let malformed = |detail: String| Error::Codec {
+        context: "layer file",
+        detail: format!("{}: {detail}", path.display()),
+    };
     if bytes.len() < 8 {
-        return Err(Error::Codec {
-            context: "layer file",
-            detail: format!("{} is too short to hold a checksum", path.display()),
-        });
+        return Err(malformed("too short to hold a checksum".into()));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let mut d = Dec::new(tail);
     let stored = d.u64("layer checksum")?;
     if fnv64(body) != stored {
-        return Err(Error::Codec {
-            context: "layer file",
-            detail: format!("checksum mismatch in {}", path.display()),
-        });
+        return Err(malformed("checksum mismatch".into()));
     }
     let mut d = Dec::new(body);
     d.header(LAYER_MAGIC, LAYER_VERSION)?;
@@ -136,8 +142,15 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
     let first_seq = d.u64("layer first-seq")?;
     let min_due = d.u64("layer min-due")?;
     let max_due = d.u64("layer max-due")?;
-    let count = d.u32("layer record count")?;
-    let mut events = Vec::with_capacity(count as usize);
+    let count = d.u32("layer record count")? as usize;
+    // Refuse before reserving: the count is a header field's word.
+    if count == 0 || count > d.remaining() / MIN_RECORD_BYTES {
+        return Err(malformed(format!(
+            "record count {count} is zero or exceeds what the {} bytes left can hold",
+            d.remaining()
+        )));
+    }
+    let mut events: Vec<SeqEvent> = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = d.u64("record seq")?;
         let due = d.u64("record due")?;
@@ -152,6 +165,12 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
             }
         };
         let tuple = d.tuple()?;
+        if events.last().is_some_and(|p| (p.event.due, p.seq) >= (due, seq)) {
+            return Err(malformed(format!(
+                "record {} (due {due}, seq {seq}) does not follow its predecessor in replay order",
+                events.len()
+            )));
+        }
         events.push(SeqEvent {
             seq,
             event: BaseEvent {
@@ -163,10 +182,18 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
         });
     }
     if !d.is_exhausted() {
-        return Err(Error::Codec {
-            context: "layer file",
-            detail: format!("{} trailing byte(s) before the checksum", d.remaining()),
-        });
+        return Err(malformed(format!(
+            "{} trailing byte(s) before the checksum",
+            d.remaining()
+        )));
+    }
+    let (first, last) = (&events[0], &events[count - 1]);
+    if (first_seq, min_due, max_due) != (first.seq, first.event.due, last.event.due) {
+        return Err(malformed(format!(
+            "header (first-seq {first_seq}, dues {min_due}..={max_due}) does not describe its \
+             records (first-seq {}, dues {}..={})",
+            first.seq, first.event.due, last.event.due
+        )));
     }
     Ok(Layer {
         node,

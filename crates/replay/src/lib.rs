@@ -3,10 +3,10 @@
 //! The logging and replay engines of the DiffProv prototype (Section 5):
 //! a base-event [`log`] written at runtime, query-time provenance
 //! reconstruction by deterministic replay ([`exec`]), cloned replay with
-//! tuple changes applied (the UPDATETREE step of the algorithm), engine
-//! checkpoints for fast state reconstruction, the durable [`layers`]
-//! store (sealed on-disk layer files plus durable checkpoints with real
-//! crash recovery), and the [`storage`] cost model behind the Figure 5/6
+//! tuple changes applied (the UPDATETREE step of the algorithm), in-memory
+//! engine checkpoints for fast state reconstruction, the durable
+//! [`layers`] store (sealed on-disk layer files, recovered by opening and
+//! replaying them), and the [`storage`] cost model behind the Figure 5/6
 //! experiments.
 
 #![forbid(unsafe_code)]
@@ -20,6 +20,6 @@ pub mod storage;
 pub use exec::{
     apply_changes, BackendRecorder, Checkpoint, CheckpointStore, Execution, ProvBackend, Replayed,
 };
-pub use layers::{DurableCheckpoint, DurableStore, Layer, SeqEvent, StoreMode};
+pub use layers::{DurableStore, Layer, SeqEvent};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};
 pub use storage::StorageModel;

@@ -64,7 +64,7 @@ mod server;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dp_types::{LogicalTime, SpanId, TraceId};
@@ -369,16 +369,6 @@ pub struct Tracer {
     record: bool,
 }
 
-fn env_trace_mode() -> u8 {
-    static MODE: OnceLock<u8> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("DP_TRACE") {
-        Err(_) => 0,
-        Ok(v) if v.is_empty() || v == "0" => 0,
-        Ok(v) if v == "agg" => 1,
-        Ok(_) => 2,
-    })
-}
-
 impl Tracer {
     fn with_mode(record: bool) -> Self {
         Tracer {
@@ -411,19 +401,6 @@ impl Tracer {
     /// A fully recording tracer: aggregate plus the complete event stream.
     pub fn full() -> Self {
         Self::with_mode(true)
-    }
-
-    /// The process-wide default selected by the `DP_TRACE` environment
-    /// variable, read once per process: unset/`0` → disabled, `agg` →
-    /// aggregate-only, anything else → full recording. Each call returns
-    /// a **fresh** tracer of that mode (callers that want one shared
-    /// stream clone a single tracer instead).
-    pub fn from_env() -> Self {
-        match env_trace_mode() {
-            0 => Self::disabled(),
-            1 => Self::aggregate_only(),
-            _ => Self::full(),
-        }
     }
 
     /// Whether any recording or aggregation is active.

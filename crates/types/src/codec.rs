@@ -1,9 +1,8 @@
 //! A versioned binary codec for the foundation types.
 //!
-//! The durable layer files and checkpoint files of the replay store
-//! (Section 5's base-event logs and Section 4.8's checkpoints) encode
-//! [`Value`]s and [`Tuple`]s with the primitives here. The design goals,
-//! in order:
+//! The durable layer files of the replay store (Section 5's base-event
+//! logs) encode [`Value`]s and [`Tuple`]s with the primitives here. The
+//! design goals, in order:
 //!
 //! * **Determinism** — the same value encodes to the same bytes on every
 //!   platform (all integers little-endian, no padding), so on-disk layer
@@ -36,7 +35,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a checksum over a byte stream.
 ///
-/// Used as the integrity check at the end of layer and checkpoint files.
+/// Used as the integrity check at the end of layer files.
 /// It is not cryptographic — it defends against truncation and bit rot,
 /// not adversaries, exactly like the paper's prototype assumes a trusted
 /// logging substrate.

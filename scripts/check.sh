@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
-# Full local gate: release build; the whole workspace suite four times —
-# default, DP_TRACE, DP_PROV=annot, DP_STORE=disk — one pass per
-# process-wide switch that turns on the instrumentation handle or selects
-# a provenance backend or a store; the /metrics scrape smoke test; the
-# diagbench package's own tests; one fault-injection sweep; grep gates
-# against the deleted second instrumentation system, against a second
-# UPDATETREE path in crates/core and against a tuple-keyed map in the
-# graph recorder; and lint-clean clippy. There is one engine: it is
-# checked against the reference evaluator inside the suite
-# (reference_differential.rs), not by re-running the suite under another
-# evaluation path. There is one instrumentation handle:
-# trace_differential.rs compares it disabled, aggregate-only and full
-# within one process.
+# Full local gate: release build; the whole workspace suite twice — the
+# default, and DP_PROV=annot, the one process-wide switch left (it selects
+# the provenance backend); the /metrics scrape smoke test; the diagbench
+# package's own tests; one fault-injection sweep; grep gates against the
+# deleted second instrumentation system, against the deleted store and
+# tracer routings and on-disk checkpoints, against a second UPDATETREE
+# path in crates/core and against a tuple-keyed map in the graph recorder;
+# and lint-clean clippy. What used to be a pass of its own is one
+# in-process differential inside the suite: the engine against the
+# reference evaluator (reference_differential.rs), the instrumentation
+# handle disabled, aggregate-only and full (trace_differential.rs), the
+# log recovered from a store directory against the log in memory
+# (store_recovery.rs).
 # Run from the repository root before sending a change out. The last
 # thing printed is the wall time of each step.
 set -euo pipefail
@@ -41,16 +41,10 @@ absent() {
 
 step "build" cargo build --release
 # Every test pass runs --release so the legs share the artifacts of the
-# build above: the DP_* variables only steer runtime defaults, never
-# cargo's fingerprints, so nothing is rebuilt between legs (a debug pass
-# here used to pay a full second compilation of the workspace).
+# build above: DP_PROV only steers a runtime default, never cargo's
+# fingerprints, so nothing is rebuilt between legs (a debug pass here used
+# to pay a full second compilation of the workspace).
 step "suite" cargo test --release --workspace -q
-# The instrumentation handle fully recording as the process-wide default:
-# every engine the suite builds records spans, counters, levels, size
-# histograms and sketches, and the differential suites (which compare
-# provenance streams byte-for-byte) double as the proof that
-# instrumentation never perturbs evaluation.
-step "suite DP_TRACE=1" env DP_TRACE=1 cargo test --release --workspace -q
 # Scrape smoke test: serve /metrics from a live tracer while a replay
 # loop mutates its aggregate, validate every scraped exposition, shut down
 # over HTTP.
@@ -60,13 +54,9 @@ step "metrics-smoke" cargo run --release -p dp-bench --bin repro -- metrics-smok
 # instead of reading the materialized graph (suites that inspect graph
 # internals pin ProvBackend::Graph explicitly).
 step "suite DP_PROV=annot" env DP_PROV=annot cargo test --release --workspace -q
-# Every replay routed through the durable layer stack (DP_STORE=disk
-# seals each schedule into on-disk layer files and merges them back); the
-# differential suites prove the disk path is byte-identical to the
-# in-memory path. The stores live in per-process tempdirs (dp-store-*)
-# that are removed on drop; sweep any leftovers from crashed runs
-# afterwards.
-step "suite DP_STORE=disk" env DP_STORE=disk cargo test --release --workspace -q
+# The stores the suites spill into live in per-process tempdirs
+# (dp-store-*) that are removed on drop; sweep any leftovers from crashed
+# runs.
 rm -rf "${TMPDIR:-/tmp}"/dp-store-* 2>/dev/null || true
 # diagbench is its own workspace (benchmark/), so the passes above never
 # compile it: build it and run its smoke tests against the crates as they
@@ -85,6 +75,15 @@ step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 32
 step "gate: one instrumentation system" absent \
     "a deleted instrumentation name reappeared" \
     "dp_""metrics|DP_""METRICS|set_""metrics|Engine""Meters|Recorder""Meters" \
+    crates src tests examples scripts
+# The store has one recovery path (open the layers, replay them) and one
+# stream identity; no environment variable or Execution field routes
+# replays through it, none attaches a tracer, the seal threshold is a
+# constant, and no on-disk checkpoint format exists. None of them may grow
+# back. (Spelled in halves so this script passes its own gate.)
+step "gate: one store, one recovery path" absent \
+    "a deleted store or tracer routing reappeared" \
+    "DP_""STORE|Store""Mode|store_""mode|DP_LAYER_""EVENTS|DP_""TRACE|dp""ck|checkpoint_""every" \
     crates src tests examples scripts
 # DiffProv has one UPDATETREE path: Replayed::roll_forward, which decides
 # by itself between rolling the held replay forward and replaying the

@@ -1,6 +1,6 @@
 //! Tier-1 smoke test of the layers the workspace suites cover in depth:
 //! one small SDN scenario (SDN1) through the engine and its reference
-//! evaluator, both provenance backends, both stores, a restart, and
+//! evaluator, both provenance backends, the durable store, a restart, and
 //! UPDATETREE's roll-forward against a from-scratch replay. `cargo
 //! test -q` builds only the facade package, so without this file nothing
 //! in Tier-1 would notice an engine, recorder, or store change going
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use diffprov::ndlog::{Engine, HashSink};
-use diffprov::replay::{BaseOp, Execution, ProvBackend, Replayed, StoreMode};
+use diffprov::replay::{BaseOp, DurableStore, Execution, ProvBackend, Replayed};
 use diffprov::sdn;
 use diffprov::types::TupleRef;
 
@@ -47,15 +47,18 @@ fn annot_trees_render_like_graph_trees() {
     }
 }
 
-/// A replay routed through sealed on-disk layers (`DP_STORE=disk`) digests
-/// the same stream as the in-memory log.
+/// The log spilled into sealed on-disk layers and recovered from the
+/// directory alone digests the same stream as the in-memory log.
 #[test]
 fn disk_store_digests_the_memory_stream() {
-    let mut mem = execution();
-    mem.store_mode = StoreMode::Mem;
-    let mut disk = execution();
-    disk.store_mode = StoreMode::Disk;
-    assert_eq!(mem.stream_digest().unwrap(), disk.stream_digest().unwrap());
+    let exec = execution();
+    let mut store = DurableStore::temp().unwrap();
+    exec.spill_into(&mut store).unwrap();
+    let reopened = DurableStore::open(store.dir()).unwrap();
+    assert_eq!(
+        exec.recovered_stream_digest(&reopened).unwrap(),
+        exec.stream_digest().unwrap()
+    );
 }
 
 /// Snapshot at the quiescent boundary before the last packet, restore,
