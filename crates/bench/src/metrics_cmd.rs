@@ -226,12 +226,14 @@ mod tests {
         let scenario = find_scenario("SDN1").unwrap();
         let text = one_shot(&scenario).unwrap();
         assert!(text.starts_with("{\"families\":["), "{text}");
-        let mut families = vec![
+        let families = [
             "dp_engine_events_total counter",
             "dp_engine_run_seconds histogram",
             "dp_engine_distinct_tuples gauge",
             "dp_prov_events_total counter",
             "dp_prov_live_records gauge",
+            "dp_prov_bytes gauge",
+            "dp_prov_bytes_per_record gauge",
             "dp_prov_extract_seconds histogram",
             "dp_prov_tree_vertices histogram",
             "dp_diffprov_diagnoses_total counter",
@@ -239,10 +241,6 @@ mod tests {
             "dp_diffprov_find_seeds_seconds histogram",
             "dp_diffprov_delta_changes histogram",
         ];
-        // What the records cost is the graph recorder's to report.
-        if dp_replay::ProvBackend::default_from_env() == dp_replay::ProvBackend::Graph {
-            families.extend(["dp_prov_bytes gauge", "dp_prov_bytes_per_record gauge"]);
-        }
         for family in families {
             assert!(text.contains(&format!("# TYPE {family}\n")), "no {family} in\n{text}");
         }

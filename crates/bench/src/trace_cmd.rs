@@ -104,17 +104,14 @@ pub fn summary(run: &TraceRun) -> String {
         "  trees: good {} / bad {} vertexes",
         run.report.good_tree_size, run.report.bad_tree_size
     );
-    // What the graph recorder of the latest replay holds (the annotation
-    // backend publishes no byte count).
-    let records = agg.level("prov.live_records{backend=graph}");
-    if records > 0 {
-        let _ = writeln!(
-            s,
-            "  recorder: {records} graph records in {} bytes ({} per record)",
-            agg.level("prov.bytes{backend=graph}"),
-            agg.level("prov.bytes_per_record{backend=graph}")
-        );
-    }
+    // What the graph recorder of the latest replay holds.
+    let _ = writeln!(
+        s,
+        "  recorder: {} graph records in {} bytes ({} per record)",
+        agg.level("prov.live_records"),
+        agg.level("prov.bytes"),
+        agg.level("prov.bytes_per_record")
+    );
 
     let _ = writeln!(s, "\n  phase breakdown (the Figure 7/8 decomposition):");
     let update_ns = agg.total_ns("diffprov.update_tree");
@@ -243,10 +240,8 @@ mod tests {
         assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
         let text = summary(&run);
         assert!(text.contains("phase breakdown"), "{text}");
-        if dp_replay::ProvBackend::default_from_env() == dp_replay::ProvBackend::Graph {
-            let bytes = run.trace.aggregate.level("prov.bytes{backend=graph}");
-            assert!(bytes > 0 && text.contains(&format!(" graph records in {bytes} bytes (")), "{text}");
-        }
+        let bytes = run.trace.aggregate.level("prov.bytes");
+        assert!(bytes > 0 && text.contains(&format!(" graph records in {bytes} bytes (")), "{text}");
         assert!(text.contains("top rules by join effort"), "{text}");
     }
 

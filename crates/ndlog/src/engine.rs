@@ -168,7 +168,6 @@ enum Action {
         node: NodeId,
         tuple: Arc<Tuple>,
         rule: Sym,
-        fired_at: LogicalTime,
         body: Vec<TupleRef>,
         trigger: usize,
     },
@@ -832,10 +831,9 @@ impl<S: ProvenanceSink> Engine<S> {
                     node,
                     tuple,
                     rule,
-                    fired_at,
                     body,
                     trigger,
-                } => self.do_insert_derived(node, tuple, rule, fired_at, body, trigger)?,
+                } => self.do_insert_derived(node, tuple, rule, body, trigger)?,
             }
             // Batch boundary: the next event (if any) carries a different
             // timestamp, so the current delta batch is complete. (The
@@ -982,7 +980,6 @@ impl<S: ProvenanceSink> Engine<S> {
         node: NodeId,
         tuple: Arc<Tuple>,
         rule: Sym,
-        fired_at: LogicalTime,
         body: Vec<TupleRef>,
         trigger: usize,
     ) -> Result<()> {
@@ -1043,7 +1040,6 @@ impl<S: ProvenanceSink> Engine<S> {
             node: node.clone(),
             tuple: Arc::clone(&tuple),
             rule,
-            fired_at,
             body: stamped,
             trigger,
         });
@@ -1297,7 +1293,6 @@ impl FireCtx<'_> {
                     node: em.node,
                     tuple: head,
                     rule: native.name(),
-                    fired_at: now,
                     body: em.body,
                     trigger: 0,
                 },
@@ -1465,7 +1460,6 @@ impl FireCtx<'_> {
                     node: head_node,
                     tuple: head,
                     rule: rule.name.clone(),
-                    fired_at: now,
                     body,
                     trigger: trigger_idx,
                 },
@@ -1576,7 +1570,6 @@ impl FireCtx<'_> {
                     node: head_node,
                     tuple: head,
                     rule: rule.name.clone(),
-                    fired_at: now,
                     body,
                     trigger: 0,
                 },

@@ -92,7 +92,6 @@ struct Delivery {
     node: NodeId,
     tuple: Arc<Tuple>,
     rule: Sym,
-    fired_at: LogicalTime,
     body: Vec<TupleRef>,
     trigger: usize,
 }
@@ -273,7 +272,6 @@ impl Oracle<'_> {
             node: d.node.clone(),
             tuple: Arc::clone(&d.tuple),
             rule: d.rule,
-            fired_at: d.fired_at,
             body,
             trigger: d.trigger,
         });
@@ -379,7 +377,6 @@ impl Oracle<'_> {
                         node: em.node,
                         tuple: Arc::new(em.tuple),
                         rule: native.name(),
-                        fired_at: now,
                         body: em.body,
                         trigger: 0,
                     },
@@ -475,7 +472,6 @@ impl Oracle<'_> {
                 node: to,
                 tuple: Arc::new(head),
                 rule: rule.name.clone(),
-                fired_at: now,
                 body,
                 trigger,
             },
@@ -677,10 +673,10 @@ mod tests {
         }
     }
 
-    /// A derivation triggered at body position 0, fired at `fired_at`,
-    /// delivered at `time` into the head episode that opened at `since`.
+    /// A derivation triggered at body position 0, delivered at `time`
+    /// into the head episode that opened at `since`.
     fn der(
-        (fired_at, time, since): (LogicalTime, LogicalTime, LogicalTime),
+        (time, since): (LogicalTime, LogicalTime),
         node: &str,
         tuple: Tuple,
         rule: &str,
@@ -692,7 +688,6 @@ mod tests {
             node: node.into(),
             tuple: Arc::new(tuple),
             rule: Sym::new(rule),
-            fired_at,
             body,
             trigger: 0,
         }
@@ -773,7 +768,7 @@ mod tests {
             app(4, "a", tuple!("obs", 2, 10)),
             // Deliveries due 3, 4, 5 run at 5, 6, 7. seen(1) fails `X > 1`.
             der(
-                (2, 5, 5),
+                (5, 5),
                 "b",
                 tuple!("seen", 1),
                 "fwd",
@@ -783,14 +778,14 @@ mod tests {
             // Second support for a tuple that is already there, since 5: no
             // APPEAR, no firing.
             der(
-                (3, 6, 5),
+                (6, 5),
                 "b",
                 tuple!("seen", 1),
                 "fwd",
                 vec![at("a", tuple!("obs", 1, 20), 3), link()],
             ),
             der(
-                (4, 7, 7),
+                (7, 7),
                 "b",
                 tuple!("seen", 2),
                 "fwd",
@@ -799,7 +794,7 @@ mod tests {
             app(7, "b", tuple!("seen", 2)),
             // Local head: no delay, delivered at the next tick.
             der(
-                (7, 8, 8),
+                (8, 8),
                 "b",
                 tuple!("big", 2),
                 "loc",
@@ -811,7 +806,7 @@ mod tests {
             ins(10, "b", tuple!("fence", 0)),
             app(10, "b", tuple!("fence", 0)),
             der(
-                (10, 11, 11),
+                (11, 11),
                 "b",
                 tuple!("total", 2),
                 "cnt",

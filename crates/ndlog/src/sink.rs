@@ -86,12 +86,6 @@ pub enum ProvEvent {
         tuple: Arc<Tuple>,
         /// The rule that fired.
         rule: Sym,
-        /// The visibility horizon the firing join ran under: the logical
-        /// time of the triggering tuple's appearance (the delta's `as_of`).
-        /// Body tuples were judged visible against this horizon, which is
-        /// what lets the annotation backend re-run the join at query time
-        /// and land on the identical match.
-        fired_at: LogicalTime,
         /// The body tuples used, in rule-body order, each with the
         /// episode it was in when the derivation was delivered.
         body: Vec<BodyRef>,

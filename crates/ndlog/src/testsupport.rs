@@ -147,10 +147,9 @@ pub fn assert_matches_reference(program: &Program, ops: &[ScheduledOp], got: &Ou
     assert_eq!(s.peak_tuples, peak, "peak live tuples ({case})");
 }
 
-/// The int-flavored generator of the reference and annotation
-/// differential suites: tiny two-column integer base tables, rules with
-/// shared join
-/// variables, assignments, and comparison constraints, and derived-on-
+/// The int-flavored generator of the reference differential and the
+/// extracted-tree suites: tiny two-column integer base tables, rules with
+/// shared join variables, assignments, and comparison constraints, and derived-on-
 /// derived chaining through `d` into `e`.
 pub mod intgen {
     use std::sync::Arc;
@@ -324,8 +323,8 @@ pub mod intgen {
     }
 }
 
-/// The prefix-flavored generator shared by the reference, trace and
-/// annotation differential suites: route tables with prefix columns,
+/// The prefix-flavored generator shared by the reference and trace
+/// differentials and the extracted-tree suite: route tables with prefix columns,
 /// packet tables with IP columns, and rules carrying `prefix_contains` constraints —
 /// every shape the planner turns into a trie probe, a constant probe, a
 /// hash-index join, or (with `with_agg`) an aggregation fence.

@@ -322,13 +322,14 @@ fn engine_matches_oracle_on_fan_out_bursts() {
         let program = fanout::arb_program(&mut rng);
         let ops = fanout::arb_schedule(&mut rng);
         let got = run_checked(&program, &ops, &format!("case {case}"));
-        // A head delivered after one that was fired later: the heads of
-        // different deltas really do interleave in the queue.
+        // A head delivered after one that was fired later (the firing
+        // clock is the trigger's appearance): the heads of different
+        // deltas really do interleave in the queue.
         let fired: Vec<u64> = got
             .events
             .iter()
             .filter_map(|e| match e {
-                ProvEvent::Derive { fired_at, .. } => Some(*fired_at),
+                ProvEvent::Derive { body, trigger, .. } => Some(body[*trigger].since),
                 _ => None,
             })
             .collect();

@@ -13,14 +13,12 @@
 //! equals its aggregate entry equals the value parsed back out of the
 //! Prometheus rendering. The corpus is the shared prefix-flavored program
 //! generator plus all 9 repro scenarios, each also diagnosed end to end by
-//! DiffProv, traced through the whole pipeline, under both provenance
-//! backends.
+//! DiffProv, traced through the whole pipeline.
 
 use std::sync::Arc;
 
 use dp_ndlog::testsupport::{prefixgen, run_schedule_traced, schedule_all, ScheduledOp};
 use dp_ndlog::{Engine, Program, ProvEvent, Stats, VecSink};
-use dp_replay::ProvBackend;
 use dp_trace::{exposition_name, render_prometheus, validate_exposition, Kind, Tracer};
 use dp_types::DetRng;
 
@@ -205,11 +203,10 @@ fn skeletons_agree_on_all_repro_scenarios() {
     }
 }
 
-/// End-to-end: a full DiffProv diagnosis of each of the 9 scenarios under
-/// each provenance backend, traced through the engine, the provenance
-/// recorder, the replay layer, and the pipeline, renders a reproducible
-/// skeleton and the report — everything in it but the wall times — an
-/// untraced diagnosis gives.
+/// End-to-end: a full DiffProv diagnosis of each of the 9 scenarios,
+/// traced through the engine, the provenance recorder, the replay layer,
+/// and the pipeline, renders a reproducible skeleton and the report —
+/// everything in it but the wall times — an untraced diagnosis gives.
 #[test]
 fn diagnosis_skeleton_is_reproducible() {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
@@ -217,46 +214,43 @@ fn diagnosis_skeleton_is_reproducible() {
     scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
     for base in &scenarios {
-        for backend in [ProvBackend::Graph, ProvBackend::Annot] {
-            let case = format!("scenario {} ({backend:?})", base.name);
-            let diagnose = |tracer: Tracer| {
-                let with_tracer = |exec: &dp_replay::Execution| {
-                    let mut e = exec.clone();
-                    e.tracer = tracer.clone();
-                    e.provenance_backend = backend;
-                    e
-                };
-                let scenario = diffprov_core::Scenario {
-                    name: base.name,
-                    description: base.description,
-                    good_exec: with_tracer(&base.good_exec),
-                    bad_exec: with_tracer(&base.bad_exec),
-                    good_event: base.good_event.clone(),
-                    bad_event: base.bad_event.clone(),
-                    expected_changes: base.expected_changes,
-                    expected_rounds: base.expected_rounds,
-                };
-                let dp = diffprov_core::DiffProv {
-                    tracer: tracer.clone(),
-                    ..diffprov_core::DiffProv::default()
-                };
-                let r = scenario.diagnose_with(&dp).unwrap();
-                assert!(r.succeeded(), "{case}: {r}");
-                let rendered = format!(
-                    "{r}rounds {:?}\nseeds {:?} {:?}\ntrees {} {}",
-                    r.rounds, r.good_seed, r.bad_seed, r.good_tree_size, r.bad_tree_size
-                );
-                (tracer.finish().skeleton(), rendered)
+        let case = format!("scenario {}", base.name);
+        let diagnose = |tracer: Tracer| {
+            let with_tracer = |exec: &dp_replay::Execution| {
+                let mut e = exec.clone();
+                e.tracer = tracer.clone();
+                e
             };
-            let (skel, report) = diagnose(Tracer::full());
-            assert!(
-                skel.contains("B diffprov.detect_divergence") && skel.contains("B prov.extract"),
-                "{case}: pipeline spans missing from the skeleton:\n{skel}"
+            let scenario = diffprov_core::Scenario {
+                name: base.name,
+                description: base.description,
+                good_exec: with_tracer(&base.good_exec),
+                bad_exec: with_tracer(&base.bad_exec),
+                good_event: base.good_event.clone(),
+                bad_event: base.bad_event.clone(),
+                expected_changes: base.expected_changes,
+                expected_rounds: base.expected_rounds,
+            };
+            let dp = diffprov_core::DiffProv {
+                tracer: tracer.clone(),
+                ..diffprov_core::DiffProv::default()
+            };
+            let r = scenario.diagnose_with(&dp).unwrap();
+            assert!(r.succeeded(), "{case}: {r}");
+            let rendered = format!(
+                "{r}rounds {:?}\nseeds {:?} {:?}\ntrees {} {}",
+                r.rounds, r.good_seed, r.bad_seed, r.good_tree_size, r.bad_tree_size
             );
-            let (again, _) = diagnose(Tracer::full());
-            assert!(skel == again, "{case}: diagnosis skeleton is not reproducible");
-            let (_, dark) = diagnose(Tracer::disabled());
-            assert_eq!(report, dark, "{case}: diagnosis moves under tracing");
-        }
+            (tracer.finish().skeleton(), rendered)
+        };
+        let (skel, report) = diagnose(Tracer::full());
+        assert!(
+            skel.contains("B diffprov.detect_divergence") && skel.contains("B prov.extract"),
+            "{case}: pipeline spans missing from the skeleton:\n{skel}"
+        );
+        let (again, _) = diagnose(Tracer::full());
+        assert!(skel == again, "{case}: diagnosis skeleton is not reproducible");
+        let (_, dark) = diagnose(Tracer::disabled());
+        assert_eq!(report, dark, "{case}: diagnosis moves under tracing");
     }
 }

@@ -520,7 +520,6 @@ impl ProvGraph {
                 node,
                 tuple,
                 rule,
-                fired_at: _,
                 body,
                 trigger,
             } => {
@@ -656,10 +655,9 @@ impl GraphRecorder {
     /// `Class::Effort` `prov.record_batch` spans — batch structure is a
     /// property of the engine, not of the program). The events folded and
     /// the graph's size ride each span's close as
-    /// `prov.events{backend=graph}` / `prov.live_records{backend=graph}`,
-    /// so graph and annotation recording stay comparable on one scrape,
-    /// and with them what the records cost: `prov.bytes{backend=graph}`
-    /// ([`ProvGraph::bytes`]) and `prov.bytes_per_record{backend=graph}`.
+    /// `prov.events` / `prov.live_records`, and with them what the records
+    /// cost: `prov.bytes` ([`ProvGraph::bytes`]) and
+    /// `prov.bytes_per_record`.
     pub fn with_tracer(tracer: dp_trace::Tracer) -> Self {
         GraphRecorder {
             graph: ProvGraph::default(),
@@ -696,10 +694,10 @@ impl ProvenanceSink for GraphRecorder {
         if let Some((span, n)) = span {
             let (live, bytes) = (self.graph.len() as u64, self.graph.bytes() as u64);
             span.end_with(None, &[("events", n)], |agg| {
-                agg.add("prov.events{backend=graph}", n);
-                agg.set_level("prov.live_records{backend=graph}", live);
-                agg.set_level("prov.bytes{backend=graph}", bytes);
-                agg.set_level("prov.bytes_per_record{backend=graph}", bytes / live.max(1));
+                agg.add("prov.events", n);
+                agg.set_level("prov.live_records", live);
+                agg.set_level("prov.bytes", bytes);
+                agg.set_level("prov.bytes_per_record", bytes / live.max(1));
             });
         }
     }
@@ -864,7 +862,6 @@ mod tests {
                 node: n.clone(),
                 tuple: Arc::clone(&c),
                 rule: Sym::new("rc"),
-                fired_at: 1,
                 body: vec![at(&a, 1), at(&z, 1)],
                 trigger: 0,
             },

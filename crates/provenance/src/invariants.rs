@@ -147,14 +147,12 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
     out
 }
 
-/// Checks the structural invariants of an extracted or reconstructed
-/// provenance *tree*: the same vertex grammar as the graph (EXIST → one
-/// APPEAR → one INSERT or DERIVE, DERIVE children all EXISTs, leaves bare),
-/// plus tree-specific rules — parent/child links mutually consistent, the
+/// Checks the structural invariants of an extracted provenance *tree*:
+/// the same vertex grammar as the graph (EXIST → one APPEAR → one INSERT
+/// or DERIVE, DERIVE children all EXISTs, leaves bare), plus tree-specific
+/// rules — parent/child links mutually consistent, the
 /// root parentless, every EXIST sharing its tuple and time with its APPEAR,
 /// and each DERIVE's body EXIST intervals covering the derivation time.
-/// Reconstructed trees (the annotation backend) must pass this checker
-/// byte-for-byte as often as extracted ones do.
 pub fn tree_well_formedness_violations(tree: &ProvTree) -> Vec<String> {
     let mut out = Vec::new();
     if tree.is_empty() {

@@ -10,17 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod annot;
 pub mod diff;
 pub mod graph;
 pub mod invariants;
 pub mod tree;
 pub mod whynot;
 
-pub use annot::{
-    reconstruct_tree, reconstruct_tree_latest, AnnotRecorder, AnnotStats, AnnotationStore,
-    CauseAnn, EpisodeAnn,
-};
 pub use diff::{plain_tree_diff, ybang_answer_size, PlainDiff, VertexSig};
 pub use graph::{Episode, GraphRecorder, GraphStats, ProvGraph, Vertex, VertexId, VertexKind};
 pub use invariants::{

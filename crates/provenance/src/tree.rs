@@ -44,17 +44,6 @@ impl ProvTree {
     /// The root index (always 0).
     pub const ROOT: TreeIdx = 0;
 
-    /// An empty tree for programmatic construction. Used by the annotation
-    /// backend's reconstructor, which builds trees without a source graph.
-    pub(crate) fn empty() -> ProvTree {
-        ProvTree { nodes: Vec::new() }
-    }
-
-    /// Mutable access to the node vector, for tree builders in this crate.
-    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<TreeNode> {
-        &mut self.nodes
-    }
-
     /// All nodes; index with [`TreeIdx`].
     pub fn nodes(&self) -> &[TreeNode] {
         &self.nodes

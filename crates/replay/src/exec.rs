@@ -12,68 +12,24 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use dp_ndlog::{
-    Constraint, Engine, EngineSnapshot, HashSink, NullSink, Program, ProvEvent, ProvenanceSink,
-    TupleChange,
+    Constraint, Engine, EngineSnapshot, HashSink, NullSink, Program, ProvenanceSink, TupleChange,
 };
 use dp_provenance::{
-    extract_tree, extract_tree_latest, extract_tree_since, reconstruct_tree,
-    reconstruct_tree_latest, AnnotRecorder, AnnotationStore, GraphRecorder, ProvGraph, ProvTree,
+    extract_tree, extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree,
 };
 use dp_trace::{Class, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
 
-/// Which provenance backend a replay records into: the full temporal
-/// graph, or the compact annotation store with on-demand proof-tree
-/// reconstruction. Both answer `query`/`query_at` with byte-identical
-/// trees; they differ in memory footprint and query latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Shim for the frozen `benchmark/` (ROADMAP item 7): there is one
+/// provenance backend, and both values record the graph.
+#[derive(Clone, Copy)]
 pub enum ProvBackend {
-    /// Record the append-only [`ProvGraph`]; queries extract trees.
-    #[default]
+    /// The temporal provenance graph.
     Graph,
-    /// Record per-episode annotations; queries reconstruct trees by
-    /// re-running rule bodies top-down.
+    /// Also the graph.
     Annot,
-}
-
-impl ProvBackend {
-    /// The process-wide default: the `DP_PROV` environment variable
-    /// (`graph` or `annot`), read once, defaulting to [`ProvBackend::Graph`].
-    pub fn default_from_env() -> ProvBackend {
-        static BACKEND: std::sync::OnceLock<ProvBackend> = std::sync::OnceLock::new();
-        *BACKEND.get_or_init(|| match std::env::var("DP_PROV").as_deref() {
-            Ok("annot") => ProvBackend::Annot,
-            _ => ProvBackend::Graph,
-        })
-    }
-}
-
-/// The sink a replaying engine records into: one of the two provenance
-/// backends behind a single [`ProvenanceSink`] face, so `Engine` stays
-/// monomorphic over the replay layer.
-pub enum BackendRecorder {
-    /// Full-graph recording.
-    Graph(GraphRecorder),
-    /// Compact annotation recording.
-    Annot(AnnotRecorder),
-}
-
-impl ProvenanceSink for BackendRecorder {
-    fn record(&mut self, event: ProvEvent) {
-        match self {
-            BackendRecorder::Graph(g) => g.record(event),
-            BackendRecorder::Annot(a) => a.record(event),
-        }
-    }
-
-    fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
-        match self {
-            BackendRecorder::Graph(g) => g.record_batch(events),
-            BackendRecorder::Annot(a) => a.record_batch(events),
-        }
-    }
 }
 
 /// A program plus the logged base events of one run.
@@ -90,20 +46,15 @@ pub struct Execution {
     /// same trace as the original's. Strictly passive: every setting
     /// replays the identical provenance stream.
     pub tracer: Tracer,
-    /// The provenance backend every replay of this execution records into.
-    /// Defaults to the `DP_PROV` environment variable (see
-    /// [`ProvBackend::default_from_env`]). Both backends answer queries
-    /// with byte-identical trees; graph-dependent callers (whole-graph
-    /// statistics, episode enumeration) should pin [`ProvBackend::Graph`].
+    /// Shim for the frozen `benchmark/` (ROADMAP item 7): read by nothing.
     pub provenance_backend: ProvBackend,
 }
 
-/// The outcome of a replay: a quiescent engine plus the provenance
-/// recorded during re-execution (graph or annotation store, depending on
-/// the execution's backend).
+/// The outcome of a replay: a quiescent engine plus the provenance graph
+/// recorded during re-execution.
 pub struct Replayed {
     /// The engine at quiescence (final state; usable for existence checks).
-    pub engine: Engine<BackendRecorder>,
+    pub engine: Engine<GraphRecorder>,
     /// The change set (and its inject point) this state was last rolled
     /// to by [`Replayed::roll_forward`]; empty after a plain replay. The
     /// log the held state reflects is the execution's log with these
@@ -114,7 +65,7 @@ pub struct Replayed {
 impl Replayed {
     /// Wraps a quiescent engine whose state reflects the execution's log
     /// as it stands.
-    fn new(engine: Engine<BackendRecorder>) -> Self {
+    fn new(engine: Engine<GraphRecorder>) -> Self {
         Replayed {
             engine,
             rolled: (Vec::new(), 0),
@@ -326,36 +277,13 @@ impl Replayed {
     }
 
     /// The recorded provenance graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the replay recorded into the annotation backend
-    /// (`DP_PROV=annot`): there is no graph to return. Callers that need
-    /// whole-graph access must pin `provenance_backend = ProvBackend::Graph`
-    /// on their execution.
     pub fn graph(&self) -> &ProvGraph {
-        match self.engine.sink() {
-            BackendRecorder::Graph(g) => &g.graph,
-            BackendRecorder::Annot(_) => panic!(
-                "replay recorded into the annotation backend (DP_PROV=annot); \
-                 pin ProvBackend::Graph on the execution for graph access"
-            ),
-        }
+        &self.engine.sink().graph
     }
 
-    /// The recorded annotation store.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the replay recorded into the graph backend.
-    pub fn annotations(&self) -> &AnnotationStore {
-        match self.engine.sink() {
-            BackendRecorder::Annot(a) => &a.store,
-            BackendRecorder::Graph(_) => panic!(
-                "replay recorded into the graph backend; \
-                 pin ProvBackend::Annot on the execution for annotation access"
-            ),
-        }
+    /// Shim for the frozen `benchmark/` (ROADMAP item 7): [`Replayed::graph`].
+    pub fn annotations(&self) -> &ProvGraph {
+        self.graph()
     }
 
     /// The logical time at quiescence.
@@ -368,9 +296,7 @@ impl Replayed {
         self.engine.lookup(node, tuple).is_some()
     }
 
-    /// The provenance tree of `root` as of the final state — extracted
-    /// from the graph, or reconstructed from annotations; the two are
-    /// byte-identical (see `annot_differential.rs`).
+    /// The provenance tree of `root` as of the final state.
     ///
     /// The graph finds the episode by key, not by search: an episode
     /// covering the final state is open, so the tuple is live and the
@@ -378,15 +304,12 @@ impl Replayed {
     pub fn query(&self, root: &TupleRef) -> Option<ProvTree> {
         let now = self.now();
         let span = self.extract_span(now);
-        let tree = match self.engine.sink() {
-            BackendRecorder::Graph(g) => self.live_since(root).and_then(|since| {
-                // A miss is a live tuple whose episode the recording does
-                // not have under its key (it started mid-stream).
-                extract_tree_since(&g.graph, root, since)
-                    .or_else(|| extract_tree(&g.graph, root, now))
-            }),
-            BackendRecorder::Annot(a) => reconstruct_tree(&a.store, root, now),
-        };
+        let tree = self.live_since(root).and_then(|since| {
+            // A miss is a live tuple whose episode the recording does
+            // not have under its key (it started mid-stream).
+            extract_tree_since(self.graph(), root, since)
+                .or_else(|| extract_tree(self.graph(), root, now))
+        });
         self.close_extract_span(span, now, tree.as_ref());
         tree
     }
@@ -401,14 +324,11 @@ impl Replayed {
     /// episodes.
     pub fn query_at(&self, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
         let span = self.extract_span(at);
-        let tree = match self.engine.sink() {
-            BackendRecorder::Graph(g) => self
-                .live_since(root)
-                .filter(|&since| since <= at)
-                .and_then(|since| extract_tree_since(&g.graph, root, since))
-                .or_else(|| extract_tree_latest(&g.graph, root, at)),
-            BackendRecorder::Annot(a) => reconstruct_tree_latest(&a.store, root, at),
-        };
+        let tree = self
+            .live_since(root)
+            .filter(|&since| since <= at)
+            .and_then(|since| extract_tree_since(self.graph(), root, since))
+            .or_else(|| extract_tree_latest(self.graph(), root, at));
         self.close_extract_span(span, at, tree.as_ref());
         tree
     }
@@ -416,20 +336,6 @@ impl Replayed {
     /// When the live tuple `root` appeared: the key of its open episode.
     fn live_since(&self, root: &TupleRef) -> Option<LogicalTime> {
         Some(self.engine.lookup(&root.node, &root.tuple)?.appeared_at)
-    }
-
-    /// The extraction series of the backend this replay recorded into —
-    /// `(span, tree-size histogram)` — labeled so graph extraction and
-    /// annotation reconstruction stay comparable on one scrape.
-    fn extract_series(&self) -> (&'static str, &'static str) {
-        match self.engine.sink() {
-            BackendRecorder::Graph(_) => {
-                ("prov.extract{backend=graph}", "prov.tree_vertices{backend=graph}")
-            }
-            BackendRecorder::Annot(_) => {
-                ("prov.extract{backend=annot}", "prov.tree_vertices{backend=annot}")
-            }
-        }
     }
 
     /// Opens the extraction span on the replaying engine's tracer (inert
@@ -440,7 +346,7 @@ impl Replayed {
     fn extract_span(&self, at: LogicalTime) -> dp_trace::Span {
         self.engine
             .tracer()
-            .span(self.extract_series().0, Class::Skeleton, Some(at))
+            .span("prov.extract", Class::Skeleton, Some(at))
     }
 
     /// Closes the extraction span; a found tree's size rides the close.
@@ -451,7 +357,7 @@ impl Replayed {
             &[("found", size.is_some() as u64), ("size", size.unwrap_or(0))],
             |agg| {
                 if let Some(size) = size {
-                    agg.observe_size(self.extract_series().1, size);
+                    agg.observe_size("prov.tree_vertices", size);
                 }
             },
         );
@@ -465,7 +371,7 @@ impl Execution {
             program,
             log: EventLog::new(),
             tracer: Tracer::disabled(),
-            provenance_backend: ProvBackend::default_from_env(),
+            provenance_backend: ProvBackend::Graph,
         }
     }
 
@@ -474,32 +380,24 @@ impl Execution {
         engine.set_tracer(self.tracer.clone());
     }
 
-    /// The recorder for a replaying engine: the execution's chosen backend,
-    /// sharing the execution's tracer so batched provenance folds show up
-    /// in the same trace.
-    fn recorder(&self) -> BackendRecorder {
-        match self.provenance_backend {
-            ProvBackend::Graph => BackendRecorder::Graph(if self.tracer.is_enabled() {
-                GraphRecorder::with_tracer(self.tracer.clone())
-            } else {
-                GraphRecorder::new()
-            }),
-            ProvBackend::Annot => BackendRecorder::Annot(if self.tracer.is_enabled() {
-                AnnotRecorder::with_tracer(Arc::clone(&self.program), self.tracer.clone())
-            } else {
-                AnnotRecorder::new(Arc::clone(&self.program))
-            }),
-        }
+    /// The recorder for a replaying engine, sharing the execution's tracer
+    /// so batched provenance folds show up in the same trace.
+    fn recorder(&self) -> GraphRecorder {
+        GraphRecorder::with_tracer(self.tracer.clone())
     }
 
-    /// Opens a skeleton span around scheduling the log into an engine.
-    /// The span and its event count depend on the log alone, so they are
-    /// deterministic.
-    fn schedule_span(&self) -> Option<dp_trace::Span> {
-        self.tracer.is_enabled().then(|| {
-            self.tracer
-                .span("replay.schedule", Class::Skeleton, None)
-        })
+    /// A fresh engine over `sink` with the log's prefix up to `until`
+    /// (all of it when `None`) scheduled and run to quiescence.
+    fn run_into<S: ProvenanceSink>(&self, sink: S, until: Option<LogicalTime>) -> Result<Engine<S>> {
+        let mut engine = Engine::new(Arc::clone(&self.program), sink);
+        self.configure(&mut engine);
+        // The span and its event count depend on the log alone, so they
+        // belong to the deterministic skeleton.
+        let span = self.tracer.span("replay.schedule", Class::Skeleton, None);
+        self.log.schedule_into(&mut engine, until)?;
+        span.end(None, &[("events", self.log.len() as u64)]);
+        engine.run()?;
+        Ok(engine)
     }
 
     /// Replays the full log, recording provenance.
@@ -509,29 +407,13 @@ impl Execution {
 
     /// Replays the prefix of the log with `due <= until` (if given).
     pub fn replay_until(&self, until: Option<LogicalTime>) -> Result<Replayed> {
-        let mut engine = Engine::new(Arc::clone(&self.program), self.recorder());
-        self.configure(&mut engine);
-        let span = self.schedule_span();
-        self.log.schedule_into(&mut engine, until)?;
-        if let Some(span) = span {
-            span.end(None, &[("events", self.log.len() as u64)]);
-        }
-        engine.run()?;
-        Ok(Replayed::new(engine))
+        Ok(Replayed::new(self.run_into(self.recorder(), until)?))
     }
 
     /// Replays without recording provenance — the "logging disabled"
     /// baseline used to measure capture overhead (Section 6.4).
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
-        let mut engine = Engine::new(Arc::clone(&self.program), NullSink);
-        self.configure(&mut engine);
-        let span = self.schedule_span();
-        self.log.schedule_into(&mut engine, None)?;
-        if let Some(span) = span {
-            span.end(None, &[("events", self.log.len() as u64)]);
-        }
-        engine.run()?;
-        Ok(engine)
+        self.run_into(NullSink, None)
     }
 
     /// Replays the full log through a [`HashSink`], returning the
@@ -545,15 +427,7 @@ impl Execution {
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
-        let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
-        self.configure(&mut engine);
-        let span = self.schedule_span();
-        self.log.schedule_into(&mut engine, None)?;
-        if let Some(span) = span {
-            span.end(None, &[("events", self.log.len() as u64)]);
-        }
-        engine.run()?;
-        let sink = engine.into_sink();
+        let sink = self.run_into(HashSink::default(), None)?.into_sink();
         Ok((sink.digest(), sink.count))
     }
 
@@ -575,13 +449,9 @@ impl Execution {
     /// same state from a replay already held, falls back to this when the
     /// change sits early in the log, and is checked against it.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
-        let patched = apply_changes(&self.log, changes, inject_at);
-        let clone = Execution {
-            program: Arc::clone(&self.program),
-            log: patched,
-            tracer: self.tracer.clone(),
-            provenance_backend: self.provenance_backend,
-        };
+        let mut clone = Execution::new(Arc::clone(&self.program));
+        clone.log = apply_changes(&self.log, changes, inject_at);
+        clone.tracer = self.tracer.clone();
         clone.replay()
     }
 
@@ -908,36 +778,10 @@ mod tests {
 
     fn execution() -> Execution {
         let mut exec = Execution::new(program());
-        // These tests inspect the recorded graph directly; pin the graph
-        // backend so they hold under a DP_PROV=annot environment too.
-        exec.provenance_backend = ProvBackend::Graph;
         exec.log.insert(0, "n1", tuple!("cfg", 10));
         exec.log.insert(5, "n1", tuple!("in", 1));
         exec.log.insert(9, "n1", tuple!("in", 2));
         exec
-    }
-
-    #[test]
-    fn annotation_backend_answers_identical_queries() {
-        let graph = execution();
-        let mut annot = execution();
-        annot.provenance_backend = ProvBackend::Annot;
-        let g = graph.replay().unwrap();
-        let a = annot.replay().unwrap();
-        assert_eq!(g.now(), a.now());
-        let n = NodeId::new("n1");
-        for x in [11, 12] {
-            let root = TupleRef::new(n.clone(), tuple!("out", x));
-            assert_eq!(
-                g.query(&root).expect("graph tree").render(),
-                a.query(&root).expect("annot tree").render()
-            );
-            assert_eq!(
-                g.query_at(&root, 7).map(|t| t.render()),
-                a.query_at(&root, 7).map(|t| t.render())
-            );
-        }
-        assert!(a.annotations().stats().total() > 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod log;
 pub mod storage;
 
 pub use exec::{
-    apply_changes, BackendRecorder, Checkpoint, CheckpointStore, Execution, ProvBackend, Replayed,
+    apply_changes, Checkpoint, CheckpointStore, Execution, ProvBackend, Replayed,
 };
 pub use layers::{DurableStore, Layer, SeqEvent};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};

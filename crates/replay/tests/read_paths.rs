@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use dp_provenance::Episode;
-use dp_replay::{BaseOp, Execution, ProvBackend, Replayed};
+use dp_replay::{BaseOp, Execution, Replayed};
 use dp_sdn::{campus, sdn3, CampusConfig};
 use dp_types::{LogicalTime, TupleRef};
 
@@ -42,8 +42,6 @@ fn root_of(r: &Replayed, tref: &TupleRef, at: Option<LogicalTime>) -> Option<u32
 /// Replays `exec` (its events due by `until`, if given) and holds every
 /// recorded tuple's queries to the scan.
 fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Coverage) {
-    let mut exec = exec.clone();
-    exec.provenance_backend = ProvBackend::Graph;
     let r = exec.replay_until(until).unwrap();
     let (graph, now) = (r.graph(), r.now());
     let mut by_tuple: BTreeMap<TupleRef, Vec<Episode>> = BTreeMap::new();

@@ -7,11 +7,11 @@
 //! DiffProv reads off the result is the final state (`exists`, node views)
 //! and the trees of live tuples, so that is what must not move: for every
 //! repro scenario — the eight of Table 1, the extensions, the default
-//! campus and a churning one — under both provenance backends, after each
-//! round's Δ the rolled replay holds exactly the `(node, tuple)` set the
-//! from-scratch replay holds, and `query()` of every one of them renders
-//! the same tree once the ` t=` stamps are stripped (a rolled replay runs
-//! at later logical times, and nothing else may differ).
+//! campus and a churning one — after each round's Δ the rolled replay
+//! holds exactly the `(node, tuple)` set the from-scratch replay holds,
+//! and `query()` of every one of them renders the same tree once the
+//! ` t=` stamps are stripped (a rolled replay runs at later logical
+//! times, and nothing else may differ).
 //!
 //! Each scenario goes through twice: once as DiffProv calls it (the cost
 //! rule sends an early fork — MR1's 10 of 424 — to a from-scratch replay,
@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 
 use diffprov_core::Scenario;
 use dp_ndlog::TupleChange;
-use dp_replay::{apply_changes, Execution, ProvBackend, Replayed};
+use dp_replay::{apply_changes, Execution, Replayed};
 use dp_sdn::{campus, CampusConfig};
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, TupleRef};
@@ -117,13 +117,13 @@ const ENTRIES: [(&str, Roll); 2] = [
     ("withdraw", Replayed::roll_forward_withdrawing),
 ];
 
-fn rolled_replays_equal_from_scratch_replays(backend: ProvBackend) {
+#[test]
+fn rolled_replays_equal_from_scratch_replays() {
     let (mut roll_paths, mut forced) = (0, 0);
     for s in scenarios() {
         let (deltas, at) = round_deltas(&s);
         assert_eq!(deltas.len(), s.expected_rounds, "{}", s.name);
         let mut exec = s.bad_exec.clone();
-        exec.provenance_backend = backend;
         exec.tracer = Tracer::aggregate_only();
         let scratch: Vec<_> = deltas
             .iter()
@@ -132,7 +132,7 @@ fn rolled_replays_equal_from_scratch_replays(backend: ProvBackend) {
         for (entry, roll) in ENTRIES {
             let mut rolled = exec.replay().unwrap();
             for (round, delta) in deltas.iter().enumerate() {
-                let case = format!("{} {backend:?} {entry} round {}", s.name, round + 1);
+                let case = format!("{} {entry} round {}", s.name, round + 1);
                 roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert_same(&case, &rolled, &scratch[round]);
             }
@@ -144,16 +144,6 @@ fn rolled_replays_equal_from_scratch_replays(backend: ProvBackend) {
     // rule); the cost rule must let some through too, or DiffProv never
     // takes the path this file is about.
     assert!(roll_paths > forced, "the cost rule never rolled: {roll_paths} of {forced} forced");
-}
-
-#[test]
-fn graph_backend_rolls_to_the_from_scratch_state() {
-    rolled_replays_equal_from_scratch_replays(ProvBackend::Graph);
-}
-
-#[test]
-fn annot_backend_rolls_to_the_from_scratch_state() {
-    rolled_replays_equal_from_scratch_replays(ProvBackend::Annot);
 }
 
 /// SDN4 needs two rounds. The second UPDATETREE forks from the state the

@@ -463,11 +463,9 @@ mod tests {
 
     #[test]
     fn flapping_route_is_reinstalled_from_a_past_up_period() {
-        let mut s = flapping();
+        let s = flapping();
         // Both events have provenance; the reference's is historical (the
-        // second withdrawal cascaded its delivery away). Episode
-        // enumeration below needs the explicit graph backend.
-        s.good_exec.provenance_backend = dp_replay::ProvBackend::Graph;
+        // second withdrawal cascaded its delivery away).
         let r = s.good_exec.replay().unwrap();
         assert!(!r.exists(&s.good_event.tref.node, &s.good_event.tref.tuple));
         assert!(r.query_at(&s.good_event.tref, s.good_event.at).is_some());
@@ -497,9 +495,7 @@ mod tests {
         // reach web1? The recursive explanation must reach the failing
         // match constraint on S2 — the very entry DiffProv ends up fixing.
         use dp_provenance::why_not;
-        let mut s = sdn1();
-        // `why_not` walks the recorded graph: pin the graph backend.
-        s.bad_exec.provenance_backend = dp_replay::ProvBackend::Graph;
+        let s = sdn1();
         let r = s.bad_exec.replay().unwrap();
         let wanted = deliver_at("web1", 2, ip("4.3.3.1"), ip("10.0.0.80"), 6, 512);
         assert!(!r.exists(&wanted.node, &wanted.tuple));
@@ -518,9 +514,7 @@ mod tests {
         // SDN2: the legitimate packet missed the web rule because the
         // higher-priority scrubber rule shadows it — best_match rejects.
         use dp_provenance::why_not;
-        let mut s = sdn2();
-        // `why_not` walks the recorded graph: pin the graph backend.
-        s.bad_exec.provenance_backend = dp_replay::ProvBackend::Graph;
+        let s = sdn2();
         let r = s.bad_exec.replay().unwrap();
         let wanted = deliver_at("web", 2, ip("67.1.2.3"), ip("10.0.0.80"), 6, 512);
         let rendered = why_not(&r.engine, Some(r.graph()), &wanted, 8).render();

@@ -46,9 +46,8 @@ pub struct CampusConfig {
     /// and re-issues them a beat later. Behaviourally neutral for the
     /// probes (the shadows mirror their aggregates and churn settles
     /// before the probe times), but it cycles every affected episode —
-    /// the long-running-network regime where an append-only provenance
-    /// graph keeps growing while episode annotations stay one record per
-    /// lifetime. At most 25 rounds fit before the probe window.
+    /// the long-running-network regime where the append-only provenance
+    /// graph keeps growing. At most 25 rounds fit before the probe window.
     pub update_churn_rounds: usize,
 }
 

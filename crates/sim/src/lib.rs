@@ -12,9 +12,8 @@
 //! provenance recorder, the replay layer, and DiffProv, and is held to
 //! an invariant battery (see [`battery`]): stream-digest agreement
 //! between the engine and its reference evaluator, provenance-graph
-//! well-formedness,
-//! verdict invariance of the diagnosis, restart transparency, and
-//! duplicate invisibility.
+//! well-formedness, restart transparency, duplicate invisibility, and
+//! recovery from the durable store.
 //!
 //! When a seed fails, [`shrink::ddmin`] bisects the injection schedule
 //! to a 1-minimal failing subset — masked regeneration keeps topology
@@ -24,7 +23,7 @@
 //!
 //! Entry points: `repro -- sim --seeds N` (the benchmark CLI),
 //! `diffprov sim N` (the main CLI), and the default-on pinned seed block
-//! in `crates/sim/tests/sim_battery.rs` (`DP_SIM_SEEDS` scales it).
+//! in `crates/sim/tests/sim_battery.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

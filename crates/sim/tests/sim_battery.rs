@@ -1,26 +1,19 @@
 //! The default-on battery run: a pinned block of seeds swept through the
 //! full invariant battery, plus structural tests of the generator and
-//! the shrinking machinery. `DP_SIM_SEEDS` scales the block (the CI gate
-//! runs 32; `repro -- sim --seeds 200` sweeps wider).
+//! the shrinking machinery. `repro -- sim --seeds N` is the form that
+//! scales (`scripts/check.sh` sweeps 200).
 
 use dp_sim::{check_scenario, generate, generate_masked, run_seeds, Injection};
 
-/// How many seeds the pinned block covers by default.
-const DEFAULT_SEEDS: u64 = 32;
-
-fn seed_count() -> u64 {
-    std::env::var("DP_SIM_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEEDS)
-}
+/// How many seeds the pinned block covers.
+const SEEDS: u64 = 32;
 
 /// The pinned seed block passes the whole battery, and the sweep is not
 /// vacuous: every injection kind occurs, misdeliveries happen, and
 /// DiffProv actually aligns some of them.
 #[test]
 fn pinned_seed_block_passes_the_battery() {
-    let summary = run_seeds(0, seed_count(), None, |_, _| {});
+    let summary = run_seeds(0, SEEDS, None, |_, _| {});
     assert!(
         summary.passed(),
         "battery violations:\n{}",

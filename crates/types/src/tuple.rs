@@ -1,6 +1,6 @@
 //! Tuples, node identities, and the tuple interner.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,11 +131,6 @@ impl PartialEq<Arc<Tuple>> for Tuple {
 #[derive(Clone, Debug, Default)]
 pub struct TupleStore {
     set: HashSet<Arc<Tuple>>,
-    /// Dense annotation slots: `slots[id]` is the tuple assigned slot `id`.
-    /// Slot ids are stable for the life of the store — `gc` never drops a
-    /// slotted tuple because the slot table itself holds a strong reference.
-    slots: Vec<Arc<Tuple>>,
-    slot_ids: HashMap<Arc<Tuple>, u32>,
 }
 
 impl TupleStore {
@@ -184,43 +179,10 @@ impl TupleStore {
 
     /// Drops interned tuples no longer referenced anywhere else, returning
     /// how many were released. Useful between long replay segments.
-    /// Slotted tuples survive: the slot table's own strong reference keeps
-    /// their count above the retention threshold.
     pub fn gc(&mut self) -> usize {
         let before = self.set.len();
         self.set.retain(|a| Arc::strong_count(a) > 1);
         before - self.set.len()
-    }
-
-    /// Returns the dense annotation slot for `tuple`, assigning the next
-    /// free id on first sight. Slot ids are small, stable, and contiguous,
-    /// which lets annotation backends key per-tuple metadata by `u32`
-    /// instead of by hashing whole tuples.
-    pub fn slot(&mut self, tuple: Arc<Tuple>) -> u32 {
-        let tuple = self.intern_arc(tuple);
-        if let Some(&id) = self.slot_ids.get(&tuple) {
-            return id;
-        }
-        let id = u32::try_from(self.slots.len()).expect("slot table overflow");
-        self.slots.push(Arc::clone(&tuple));
-        self.slot_ids.insert(tuple, id);
-        id
-    }
-
-    /// The slot previously assigned to `tuple`, if any.
-    pub fn slot_of(&self, tuple: &Tuple) -> Option<u32> {
-        self.slot_ids.get(tuple).copied()
-    }
-
-    /// The tuple occupying `slot`. Panics on an unassigned slot, which is
-    /// a logic error: slot ids only come from [`TupleStore::slot`].
-    pub fn tuple_at(&self, slot: u32) -> &Arc<Tuple> {
-        &self.slots[slot as usize]
-    }
-
-    /// Number of assigned annotation slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -324,42 +286,6 @@ mod tests {
         drop(keep);
         assert_eq!(store.gc(), 1);
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn slots_are_dense_and_stable() {
-        let mut store = TupleStore::new();
-        let a = store.intern(tuple!("t", 1));
-        let b = store.intern(tuple!("t", 2));
-        assert_eq!(store.slot(Arc::clone(&a)), 0);
-        assert_eq!(store.slot(Arc::clone(&b)), 1);
-        assert_eq!(store.slot(Arc::clone(&a)), 0);
-        assert_eq!(store.slot_of(&tuple!("t", 2)), Some(1));
-        assert_eq!(store.slot_of(&tuple!("t", 3)), None);
-        assert!(Arc::ptr_eq(store.tuple_at(0), &a));
-        assert_eq!(store.slot_count(), 2);
-    }
-
-    #[test]
-    fn gc_keeps_slotted_tuples() {
-        let mut store = TupleStore::new();
-        let a = store.intern(tuple!("t", 1));
-        store.slot(Arc::clone(&a));
-        store.intern(tuple!("t", 2));
-        drop(a);
-        assert_eq!(store.gc(), 1);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.slot_of(&tuple!("t", 1)), Some(0));
-    }
-
-    #[test]
-    fn slot_interns_unseen_tuples() {
-        let mut store = TupleStore::new();
-        let id = store.slot(Arc::new(tuple!("t", 9)));
-        assert_eq!(id, 0);
-        assert_eq!(store.len(), 1);
-        let again = store.intern(tuple!("t", 9));
-        assert!(Arc::ptr_eq(store.tuple_at(0), &again));
     }
 
     #[test]

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
-# Full local gate: release build; the whole workspace suite twice — the
-# default, and DP_PROV=annot, the one process-wide switch left (it selects
-# the provenance backend); the /metrics scrape smoke test; the diagbench
+# Full local gate: release build; the whole workspace suite, once — no
+# environment variable selects anything, so there is no second
+# configuration to cover; the /metrics scrape smoke test; the diagbench
 # package's own tests; one fault-injection sweep; grep gates against the
 # deleted second instrumentation system, against the deleted store and
-# tracer routings and on-disk checkpoints, against a second UPDATETREE
-# path in crates/core and against a tuple-keyed map in the graph recorder;
-# and lint-clean clippy. What used to be a pass of its own is one
-# in-process differential inside the suite: the engine against the
-# reference evaluator (reference_differential.rs), the instrumentation
-# handle disabled, aggregate-only and full (trace_differential.rs), the
-# log recovered from a store directory against the log in memory
-# (store_recovery.rs).
+# tracer routings and on-disk checkpoints, against the deleted second
+# provenance backend, against a second UPDATETREE path in crates/core and
+# against a tuple-keyed map in the graph recorder; and lint-clean clippy.
+# What used to be a pass of its own is one in-process differential inside
+# the suite: the engine against the reference evaluator
+# (reference_differential.rs), the instrumentation handle disabled,
+# aggregate-only and full (trace_differential.rs), the log recovered from
+# a store directory against the log in memory (store_recovery.rs).
 # Run from the repository root before sending a change out. The last
 # thing printed is the wall time of each step.
 set -euo pipefail
@@ -40,20 +40,14 @@ absent() {
 }
 
 step "build" cargo build --release
-# Every test pass runs --release so the legs share the artifacts of the
-# build above: DP_PROV only steers a runtime default, never cargo's
-# fingerprints, so nothing is rebuilt between legs (a debug pass here used
-# to pay a full second compilation of the workspace).
+# The suite runs --release so it shares the artifacts of the build above
+# (a debug pass here used to pay a full second compilation of the
+# workspace).
 step "suite" cargo test --release --workspace -q
 # Scrape smoke test: serve /metrics from a live tracer while a replay
 # loop mutates its aggregate, validate every scraped exposition, shut down
 # over HTTP.
 step "metrics-smoke" cargo run --release -p dp-bench --bin repro -- metrics-smoke
-# The compact annotation provenance backend as the replay-wide default:
-# every diagnosis reconstructs its proof trees from episode annotations
-# instead of reading the materialized graph (suites that inspect graph
-# internals pin ProvBackend::Graph explicitly).
-step "suite DP_PROV=annot" env DP_PROV=annot cargo test --release --workspace -q
 # The stores the suites spill into live in per-process tempdirs
 # (dp-store-*) that are removed on drop; sweep any leftovers from crashed
 # runs.
@@ -63,12 +57,13 @@ rm -rf "${TMPDIR:-/tmp}"/dp-store-* 2>/dev/null || true
 # are now, so an engine API change that breaks the benchmark is caught
 # here instead of by the pipeline.
 step "benchmark tests" cargo test --release --offline --manifest-path benchmark/Cargo.toml
-# Fault-injection sweep: 32 generated scenarios through the dp-sim
+# Fault-injection sweep: 200 generated scenarios through the dp-sim
 # invariant battery (digest determinism against the reference evaluator,
-# graph well-formedness, verdict invariance, restart transparency,
-# duplicate invisibility, durable recovery). Failing seeds are
-# ddmin-shrunk into tests/corpus/ automatically.
-step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 32
+# graph well-formedness, baseline deliveries, restart transparency,
+# duplicate invisibility, durable recovery) — the suite's sim_battery.rs
+# covers seeds 0..32, and it took the wider sweep to catch seed 144 in
+# PR 16. Failing seeds are ddmin-shrunk into tests/corpus/ automatically.
+step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
 # The separate metrics registry folded into dp-trace's aggregate in PR 14;
 # a second instrumentation system must not grow back beside it. (The
 # names are spelled in halves so this script passes its own gate.)
@@ -84,6 +79,14 @@ step "gate: one instrumentation system" absent \
 step "gate: one store, one recovery path" absent \
     "a deleted store or tracer routing reappeared" \
     "DP_""STORE|Store""Mode|store_""mode|DP_LAYER_""EVENTS|DP_""TRACE|dp""ck|checkpoint_""every" \
+    crates src tests examples scripts
+# There is one provenance backend — the graph recorder, trees extracted
+# from it — and the stream carries nothing only the annotation store read;
+# no environment variable selects a backend or scales a test. (Spelled in
+# halves so this script passes its own gate.)
+step "gate: one provenance backend" absent \
+    "a name of the deleted annotation backend reappeared" \
+    "DP_""PROV|DP_SIM_""SEEDS|Annot""Recorder|Annotation""Store|reconstruct_""tree|Backend""Recorder|default_from_""env|fired_""at" \
     crates src tests examples scripts
 # DiffProv has one UPDATETREE path: Replayed::roll_forward, which decides
 # by itself between rolling the held replay forward and replaying the

@@ -152,9 +152,7 @@ fn extension_scenarios_diagnose() {
 /// breakdown sums to the total.
 #[test]
 fn graph_statistics_are_consistent() {
-    let mut s = sdn::sdn1();
-    // Whole-graph statistics need the explicit graph backend.
-    s.good_exec.provenance_backend = diffprov::replay::ProvBackend::Graph;
+    let s = sdn::sdn1();
     let r = s.good_exec.replay().unwrap();
     let stats = r.graph().stats();
     assert_eq!(stats.total() as usize, r.graph().len());

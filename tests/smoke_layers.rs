@@ -1,7 +1,7 @@
 //! Tier-1 smoke test of the layers the workspace suites cover in depth:
 //! one small SDN scenario (SDN1) through the engine and its reference
-//! evaluator, both provenance backends, the durable store, a restart, and
-//! UPDATETREE's roll-forward against a from-scratch replay. `cargo
+//! evaluator, the durable store, a restart, and UPDATETREE's
+//! roll-forward against a from-scratch replay. `cargo
 //! test -q` builds only the facade package, so without this file nothing
 //! in Tier-1 would notice an engine, recorder, or store change going
 //! wrong; the full differentials stay in `crates/*/tests` behind
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use diffprov::ndlog::{Engine, HashSink};
-use diffprov::replay::{BaseOp, DurableStore, Execution, ProvBackend, Replayed};
+use diffprov::replay::{BaseOp, DurableStore, Execution, Replayed};
 use diffprov::sdn;
 use diffprov::types::TupleRef;
 
@@ -26,25 +26,6 @@ fn reference_paths_digest_the_default_stream() {
     let want = exec.stream_digest().unwrap();
     assert!(want.1 > 0, "empty provenance stream");
     assert_eq!(want, exec.reference_stream_digest().unwrap());
-}
-
-/// Reconstructed (annotation) trees render exactly like extracted
-/// (graph) ones, for the good and the bad event.
-#[test]
-fn annot_trees_render_like_graph_trees() {
-    let s = sdn::sdn1();
-    for (side, exec, event) in [
-        ("good", &s.good_exec, &s.good_event),
-        ("bad", &s.bad_exec, &s.bad_event),
-    ] {
-        let render = |backend: ProvBackend| {
-            let mut e = exec.clone();
-            e.provenance_backend = backend;
-            let tree = e.replay().unwrap().query_at(&event.tref, event.at);
-            tree.unwrap_or_else(|| panic!("{side}: event has no tree")).render()
-        };
-        assert_eq!(render(ProvBackend::Graph), render(ProvBackend::Annot), "{side}");
-    }
 }
 
 /// The log spilled into sealed on-disk layers and recovered from the
