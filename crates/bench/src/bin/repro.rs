@@ -5,9 +5,7 @@
 //! cargo run -p dp-bench --release --bin repro -- table1
 //! ```
 
-use dp_bench::{
-    ablation, complex, latency, metrics_cmd, query, storage, table1, trace_cmd, unsuitable,
-};
+use dp_bench::{ablation, complex, latency, query, storage, table1, trace_cmd, unsuitable};
 
 fn parse_flag(flag: &str, value: Option<&String>) -> usize {
     match value.and_then(|v| v.parse::<usize>().ok()) {
@@ -24,19 +22,10 @@ fn main() {
     // `--seeds N`, settable anywhere on the command line, sizes the `sim`
     // sweep.
     let mut seeds: u64 = 200;
-    let mut addr = String::from("127.0.0.1:9100");
     let mut args: Vec<String> = Vec::new();
     let mut i = 0;
     while i < raw.len() {
         match raw[i].as_str() {
-            "--addr" => {
-                let Some(a) = raw.get(i + 1) else {
-                    eprintln!("usage: repro -- [...] --addr <host:port>");
-                    std::process::exit(2);
-                };
-                addr = a.clone();
-                i += 2;
-            }
             "--seeds" => {
                 seeds = parse_flag("--seeds", raw.get(i + 1)) as u64;
                 i += 2;
@@ -54,7 +43,7 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            cmd @ ("trace" | "stats" | "metrics" | "serve-metrics") => {
+            cmd @ ("trace" | "stats") => {
                 let Some(name) = args.get(i + 1) else {
                     eprintln!(
                         "usage: repro -- {cmd} <scenario>; scenarios: {}",
@@ -69,17 +58,12 @@ fn main() {
                     );
                     std::process::exit(2);
                 };
-                match cmd {
-                    "trace" => run_trace(&scenario),
-                    "stats" => run_stats(&scenario),
-                    "metrics" => run_metrics(&scenario),
-                    _ => run_serve_metrics(&scenario, &addr),
+                if cmd == "trace" {
+                    run_trace(&scenario);
+                } else {
+                    run_stats(&scenario);
                 }
                 i += 2;
-            }
-            "metrics-smoke" => {
-                run_metrics_smoke();
-                i += 1;
             }
             "sim" => {
                 run_sim(seeds);
@@ -162,36 +146,6 @@ fn run_stats(scenario: &diffprov_core::Scenario) {
     );
 }
 
-fn run_metrics(scenario: &diffprov_core::Scenario) {
-    match metrics_cmd::one_shot(scenario) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            eprintln!("metrics {} failed: {e}", scenario.name);
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_serve_metrics(scenario: &diffprov_core::Scenario, addr: &str) {
-    banner(&format!(
-        "Serve: live /metrics endpoint while replaying {}",
-        scenario.name
-    ));
-    if let Err(e) = metrics_cmd::serve(scenario, addr) {
-        eprintln!("serve-metrics failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run_metrics_smoke() {
-    banner("Smoke: scrape a live /metrics endpoint under replay load");
-    let scenario = trace_cmd::find_scenario("SDN1").expect("SDN1 exists");
-    if let Err(e) = metrics_cmd::smoke(&scenario) {
-        eprintln!("metrics-smoke failed: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn dispatch(what: &str) {
     let run_all = what == "all";
     let mut ran = false;
@@ -237,8 +191,7 @@ fn dispatch(what: &str) {
             "unknown experiment {what:?}; available: all table1 fig5 fig6 fig7 fig8 \
              unsuitable latency mrstorage complex ablation \
              sim [--seeds N] \
-             trace <scenario> stats <scenario> metrics <scenario> \
-             serve-metrics <scenario> [--addr host:port] metrics-smoke"
+             trace <scenario> stats <scenario>"
         );
         std::process::exit(2);
     }
@@ -325,18 +278,20 @@ fn run_fig7_fig8(fig7: bool, fig8: bool) {
     if fig7 {
         banner("Figure 7: query turnaround, DiffProv vs. Y!");
         println!(
-            "  {:<8} {:>12} {:>12} {:>12} {:>12} {:>7}",
-            "query", "Y! (ms)", "DiffProv", "replay", "reasoning", "rounds"
+            "  {:<8} {:>12} {:>12} {:>12} {:>12} {:>7} {:>10} {:>10}",
+            "query", "Y! (ms)", "DiffProv", "replay", "reasoning", "rounds", "Y! events", "DiffProv"
         );
         for t in &timings {
             println!(
-                "  {:<8} {:>12.2} {:>12.2} {:>12.2} {:>12.3} {:>7}",
+                "  {:<8} {:>12.2} {:>12.2} {:>12.2} {:>12.3} {:>7} {:>10} {:>10}",
                 t.name,
                 query::ms(t.ybang),
                 query::ms(t.diffprov_total),
                 query::ms(t.diffprov_replay),
                 query::ms(t.diffprov_reasoning),
-                t.rounds
+                t.rounds,
+                t.ybang_events,
+                t.diffprov_events
             );
         }
         println!("  (all times dominated by replay; reasoning is negligible)");

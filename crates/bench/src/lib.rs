@@ -28,9 +28,7 @@
 
 pub mod ablation;
 pub mod complex;
-pub mod harness;
 pub mod latency;
-pub mod metrics_cmd;
 pub mod query;
 pub mod storage;
 pub mod table1;
@@ -165,32 +163,30 @@ mod tests {
         }
     }
 
-    /// Figure 7/8's shape: turnaround is replay-dominated, reasoning is
-    /// orders of magnitude smaller, and DiffProv costs more than a single
-    /// Y! query (it replays more).
+    /// Figure 7's shape, read off engine-event counts — exact and
+    /// load-independent, where the wall times beside them are
+    /// sub-millisecond: a DiffProv query evaluates more than the one
+    /// replay a Y! query is; a shared execution (SDN) costs at most one
+    /// more replay per round; with a separate reference execution the
+    /// paper's "≈ 3x" holds where UPDATETREE replays from scratch (MR1)
+    /// and is beaten where it rolls forward (MR2).
     #[test]
     fn query_times_are_replay_dominated() {
-        // These are sub-millisecond wall times on a machine that runs
-        // other tests beside this one: compare each quantity's minimum
-        // over three measurements, so one descheduled thread cannot flip
-        // a comparison.
-        let runs: Vec<_> = (0..3).map(|_| query::all_timings().unwrap()).collect();
-        let timings = &runs[0];
+        let timings = query::all_timings().unwrap();
         assert_eq!(timings.len(), 8);
-        let min = |i: usize, f: fn(&query::QueryTiming) -> std::time::Duration| {
-            runs.iter().map(|r| f(&r[i])).min().unwrap()
+        let ratio = |name: &str| {
+            let t = timings.iter().find(|t| t.name == name).unwrap();
+            t.diffprov_events as f64 / t.ybang_events as f64
         };
-        for (i, t) in timings.iter().enumerate() {
-            assert!(
-                min(i, |t| t.diffprov_replay) >= min(i, |t| t.diffprov_reasoning),
-                "{}: reasoning dominates?",
-                t.name
-            );
-            assert!(
-                min(i, |t| t.diffprov_total) >= min(i, |t| t.ybang),
-                "{}: DiffProv faster than a single provenance query?",
-                t.name
-            );
+        for t in &timings {
+            assert!(t.diffprov_events > t.ybang_events, "{}: no UPDATETREE?", t.name);
+            if t.name.starts_with("SDN") {
+                assert!(ratio(&t.name) <= 1.0 + t.rounds as f64, "{}: {}", t.name, ratio(&t.name));
+            }
+        }
+        for (scratch, rolled) in [("MR1-D", "MR2-D"), ("MR1-I", "MR2-I")] {
+            assert!((2.9..=3.1).contains(&ratio(scratch)), "{scratch}: {}", ratio(scratch));
+            assert!((2.0..=2.5).contains(&ratio(rolled)), "{rolled}: {}", ratio(rolled));
         }
         // SDN4 runs two rounds.
         let sdn4 = timings.iter().find(|t| t.name == "SDN4").unwrap();

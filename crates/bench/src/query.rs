@@ -10,7 +10,8 @@
 
 use std::time::{Duration, Instant};
 
-use diffprov_core::Scenario;
+use diffprov_core::{DiffProv, Scenario};
+use dp_trace::Tracer;
 use dp_types::Result;
 
 /// One scenario's timing results.
@@ -20,8 +21,13 @@ pub struct QueryTiming {
     pub name: String,
     /// Y! baseline: replay the bad execution and extract the bad tree.
     pub ybang: Duration,
+    /// Engine events that Y! replay evaluated.
+    pub ybang_events: u64,
     /// DiffProv total turnaround.
     pub diffprov_total: Duration,
+    /// Engine events the diagnosis evaluated: its initial replay(s) plus
+    /// every UPDATETREE. Exact and load-independent, unlike the times.
+    pub diffprov_events: u64,
     /// Of which: replay (including the UPDATETREE replays).
     pub diffprov_replay: Duration,
     /// Of which: pure reasoning.
@@ -45,15 +51,26 @@ pub fn measure(scenario: &Scenario) -> Result<QueryTiming> {
         .query_at(&scenario.bad_event.tref, scenario.bad_event.at)
         .ok_or_else(|| dp_types::Error::Engine("bad event missing".into()))?;
     let ybang = t.elapsed();
+    let ybang_events = rb.engine.stats().events;
     drop(rb);
 
-    // DiffProv.
+    // DiffProv, timed dark.
     let report = scenario.diagnose()?;
     let m = report.metrics;
+
+    // The same diagnosis under a counting handle on both executions.
+    let counting = Tracer::aggregate_only();
+    let (mut good, mut bad) = (scenario.good_exec.clone(), scenario.bad_exec.clone());
+    good.tracer = counting.clone();
+    bad.tracer = counting.clone();
+    DiffProv::default().diagnose(&good, &scenario.good_event, &bad, &scenario.bad_event)?;
+
     Ok(QueryTiming {
         name: scenario.name.to_string(),
         ybang,
+        ybang_events,
         diffprov_total: m.total(),
+        diffprov_events: counting.aggregate().counter("engine.events"),
         diffprov_replay: m.replay,
         diffprov_reasoning: m.reasoning(),
         find_seeds: m.find_seeds,

@@ -77,9 +77,12 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
+/// Heading of the summary's tail section.
+const SERIES_HEADING: &str = "every series the aggregate holds, by name:";
+
 /// Renders the human-readable summary of a traced run: verdict, the
-/// Figure 7/8 phase breakdown, per-span timing, and the rules ranked by
-/// join effort.
+/// Figure 7/8 phase breakdown, per-span timing, the rules ranked by join
+/// effort, and every other series the aggregate holds, by name.
 pub fn summary(run: &TraceRun) -> String {
     let agg = &run.trace.aggregate;
     let m = Metrics::from_aggregate_delta(&Aggregate::default(), agg);
@@ -194,6 +197,20 @@ pub fn summary(run: &TraceRun) -> String {
             "    {rule:<16} {cand:>12} {matches:>10} {fired:>8} {attempts:>10}"
         );
     }
+
+    // The tail: whatever else reports to the handle is readable here, in
+    // the aggregate's own (name) order, so no series lacks a reader.
+    let _ = writeln!(s, "\n  {SERIES_HEADING}");
+    for (kind, readings) in [("counters", &agg.counters), ("levels", &agg.levels)] {
+        let _ = writeln!(s, "    {kind}:");
+        for (name, v) in readings {
+            let _ = writeln!(s, "      {name} {v}");
+        }
+    }
+    let _ = writeln!(s, "    size histograms (count sum):");
+    for (name, h) in &agg.sizes {
+        let _ = writeln!(s, "      {name} {} {}", h.count, h.sum);
+    }
     s
 }
 
@@ -212,6 +229,31 @@ pub fn stats_json(scenario: &Scenario) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_replay::DurableStore;
+
+    /// Replays both executions of `scenario` with one tracer cloned into
+    /// them and extracts each one's event tree — engine, recorder and
+    /// extraction series — then diagnoses the scenario with the same tracer
+    /// as the pipeline's, for the `diffprov.*` series. The diagnosis replays
+    /// the scenario's own, untraced executions, so every engine counter reads
+    /// exactly the two replays above.
+    fn scenario_aggregate(scenario: &Scenario) -> Aggregate {
+        let tracer = Tracer::aggregate_only();
+        for (exec, event) in [
+            (&scenario.good_exec, &scenario.good_event),
+            (&scenario.bad_exec, &scenario.bad_event),
+        ] {
+            let mut exec = exec.clone();
+            exec.tracer = tracer.clone();
+            exec.replay().unwrap().query_at(&event.tref, event.at);
+        }
+        let dp = DiffProv {
+            tracer: tracer.clone(),
+            ..DiffProv::default()
+        };
+        scenario.diagnose_with(&dp).unwrap();
+        tracer.aggregate()
+    }
 
     /// Every advertised name resolves, and an unknown one does not.
     #[test]
@@ -243,6 +285,115 @@ mod tests {
         let bytes = run.trace.aggregate.level("prov.bytes");
         assert!(bytes > 0 && text.contains(&format!(" graph records in {bytes} bytes (")), "{text}");
         assert!(text.contains("top rules by join effort"), "{text}");
+    }
+
+    /// The summary's tail names every counter, level and size histogram
+    /// of the aggregate exactly once, each group in name order — a series
+    /// added later cannot be unreadable.
+    #[test]
+    fn summary_tail_lists_every_series_once() {
+        for name in ["SDN1", "campus"] {
+            let run = trace_scenario(&find_scenario(name).unwrap()).unwrap();
+            let agg = &run.trace.aggregate;
+            let text = summary(&run);
+            let (_, tail) = text.split_once(SERIES_HEADING).expect(name);
+            let mut groups: Vec<Vec<&str>> = Vec::new();
+            for line in tail.lines().skip(1) {
+                match line.strip_prefix("      ") {
+                    Some(entry) => groups
+                        .last_mut()
+                        .unwrap()
+                        .push(entry.split(' ').next().unwrap()),
+                    None => groups.push(Vec::new()),
+                }
+            }
+            // A map's key order is name order, so equality below is also
+            // "sorted, each name once, nothing else".
+            let held: [Vec<&str>; 3] = [
+                agg.counters.keys().map(String::as_str).collect(),
+                agg.levels.keys().map(String::as_str).collect(),
+                agg.sizes.keys().map(String::as_str).collect(),
+            ];
+            assert!(held.iter().all(|keys| !keys.is_empty()), "{name}: vacuous");
+            assert_eq!(groups, held, "{name}:\n{tail}");
+        }
+    }
+
+    /// Every layer reports to an attached handle — engine, recorder,
+    /// extraction, pipeline — not the engine alone.
+    #[test]
+    fn every_layer_reports_to_an_attached_handle() {
+        let agg = scenario_aggregate(&find_scenario("SDN1").unwrap());
+        for span in ["engine.run", "prov.extract", "diffprov.find_seeds"] {
+            assert!(agg.span_count(span) > 0, "no {span} span");
+        }
+        for counter in ["engine.events", "prov.events", "diffprov.rounds"] {
+            assert!(agg.counter(counter) > 0, "no {counter} counter");
+        }
+        for level in [
+            "engine.peak_interned",
+            "prov.live_records",
+            "prov.bytes",
+            "prov.bytes_per_record",
+        ] {
+            assert!(agg.level(level) > 0, "no {level} level");
+        }
+        for size in ["prov.tree_vertices", "diffprov.delta_changes"] {
+            assert!(agg.sizes.contains_key(size), "no {size} histogram");
+        }
+        assert_eq!(agg.counter("diffprov.diagnoses{outcome=verified}"), 1);
+    }
+
+    /// The engine counters read the two replays and nothing else: the
+    /// diagnosis riding along on the same tracer replays untraced.
+    #[test]
+    fn engine_counters_read_exactly_the_two_replays() {
+        let scenario = find_scenario("SDN1").unwrap();
+        let events = |exec: &dp_replay::Execution| exec.replay().unwrap().engine.stats().events;
+        let agg = scenario_aggregate(&scenario);
+        assert_eq!(
+            agg.counter("engine.events"),
+            events(&scenario.good_exec) + events(&scenario.bad_exec)
+        );
+        assert_eq!(agg.span_count("engine.run"), 2);
+    }
+
+    /// A spill and a recovery report the store on the execution's tracer.
+    #[test]
+    fn durable_replay_reports_the_store_families() {
+        let scenario = find_scenario("SDN1").unwrap();
+        let tracer = Tracer::aggregate_only();
+        let mut exec = scenario.bad_exec.clone();
+        exec.tracer = tracer.clone();
+        let mut store = DurableStore::temp().unwrap();
+        exec.spill_into(&mut store).unwrap();
+        let reopened = DurableStore::open(store.dir()).unwrap();
+        exec.recovered_stream_digest(&reopened).unwrap();
+        let agg = tracer.aggregate();
+        assert_eq!(agg.counter("store.sealed_events"), exec.log.len() as u64);
+        assert!(agg.level("store.layer_files") > 0 && agg.level("store.layer_bytes") > 0);
+        assert!(agg.span_count("store.seal") > 0);
+        assert_eq!(agg.span_count("store.recovery"), 1);
+    }
+
+    /// UPDATETREE's roll-forward reports on the execution's tracer: the
+    /// fork fraction (`fork_events` ÷ `log_events`), the path taken and
+    /// the phase spans.
+    #[test]
+    fn rolled_replay_reports_the_fork_families() {
+        let scenario = find_scenario("SDN1").unwrap();
+        let delta = scenario.diagnose().unwrap().delta;
+        let tracer = Tracer::aggregate_only();
+        let mut exec = scenario.bad_exec.clone();
+        exec.tracer = tracer.clone();
+        exec.replay().unwrap().roll_forward(&exec, &delta, 0).unwrap();
+        let agg = tracer.aggregate();
+        assert_eq!(agg.counter("replay.log_events"), exec.log.len() as u64);
+        assert!(agg.counter("replay.fork_events") > 0);
+        assert_eq!(agg.counter("replay.rolled{path=roll}"), 1);
+        for span in ["replay.fork", "replay.withdraw", "replay.reissue"] {
+            assert_eq!(agg.span_count(span), 1, "no {span} span");
+        }
     }
 
     /// The stats dump names the scenario and carries both sections.

@@ -107,7 +107,7 @@ mod state;
 
 pub use state::{NodeState, NodeView};
 
-use dp_trace::{series, Class, HllCell, Tracer};
+use dp_trace::{series, Class, Tracer};
 use dp_types::{
     Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore, Value,
 };
@@ -423,10 +423,6 @@ pub struct Engine<S: ProvenanceSink> {
     /// The instrumentation handle (disabled by default; see
     /// [`Engine::set_tracer`]).
     tracer: Tracer,
-    /// Sketch over the flow identities (IP-field hashes) of scheduled base
-    /// tuples: plain memory, fed only while the tracer is enabled and
-    /// handed to it at quiescence.
-    flows: Option<HllCell>,
     /// Appearances of the current same-`due` batch, awaiting their rule
     /// firings (always empty at quiescence).
     pending: Vec<Delta>,
@@ -454,7 +450,6 @@ impl<S: ProvenanceSink> Engine<S> {
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
             tracer: Tracer::disabled(),
-            flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             max_events: 50_000_000,
@@ -500,8 +495,8 @@ impl<S: ProvenanceSink> Engine<S> {
     /// * a `Class::Skeleton` `engine.run` span per [`Engine::run`], ticked
     ///   by an `engine.tick` instant at every completed due-group; at
     ///   quiescence the run's [`Stats`] deltas, per-rule firings and join
-    ///   effort, per-node live counts and the distinct-tuple/flow sketches
-    ///   are published once, from the one table in `publish_run`;
+    ///   effort and per-node live counts are published once, from the one
+    ///   table in `publish_run`;
     /// * `Class::Effort` spans around each batch flush (`engine.flush`,
     ///   `engine.fire`, `engine.sink`); the batch-depth histogram and the
     ///   queue-depth level ride the close of `engine.flush`.
@@ -612,7 +607,6 @@ impl<S: ProvenanceSink> Engine<S> {
             rule_firings: BTreeMap::new(),
             join_profile: BTreeMap::new(),
             tracer: Tracer::disabled(),
-            flows: None,
             pending: Vec::new(),
             flush_buf: Vec::new(),
             max_events: 50_000_000,
@@ -639,13 +633,6 @@ impl<S: ProvenanceSink> Engine<S> {
     /// Schedules a base-tuple insertion not earlier than `due`.
     pub fn schedule_insert(&mut self, due: LogicalTime, node: NodeId, tuple: Tuple) -> Result<()> {
         self.check_base(&tuple)?;
-        // Flow identity: the IP endpoints of a packet-shaped base tuple.
-        // Hashed only when traced, before interning moves the tuple.
-        if self.tracer.is_enabled() {
-            if let Some(h) = dp_types::codec::flow_fnv64(&tuple) {
-                self.flows.get_or_insert_with(HllCell::new).observe_hash(h);
-            }
-        }
         let tuple = self.store.intern(tuple);
         self.push(due, Action::InsertBase(node, tuple));
         Ok(())
@@ -788,20 +775,6 @@ impl<S: ProvenanceSink> Engine<S> {
             per_rule("engine.rule_candidates", Effort, rule, p.candidates, prev.candidates);
             per_rule("engine.rule_matches", Effort, rule, p.matches, prev.matches);
         }
-        // Distinct interned tuples: the interner holds exactly the
-        // distinct tuples that materialized, and sketch observation is
-        // idempotent, so sketching them at quiescence costs one stable
-        // hash per interned tuple per run and nothing on the hot path.
-        let mut tuples = HllCell::new();
-        for tuple in self.store.iter() {
-            tuples.observe_hash(dp_types::codec::tuple_fnv64(tuple));
-        }
-        t.update(|agg| {
-            agg.merge_sketch("engine.distinct_tuples", &tuples);
-            if let Some(flows) = &self.flows {
-                agg.merge_sketch("engine.distinct_flows", flows);
-            }
-        });
     }
 
     fn run_inner(&mut self) -> Result<()> {

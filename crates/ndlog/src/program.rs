@@ -142,11 +142,10 @@ pub struct Program {
     plans: PlanSet,
 }
 
-// Executions hand their `Arc<Program>` to other threads (the
-// `serve-metrics` replay loop, the concurrent-scrape tests); `NativeRule`
-// and `StatefulBuiltin` carry `Send + Sync` bounds for exactly this.
-// Keep the whole program — plans included — thread-shareable, checked at
-// compile time.
+// Executions share their program as an `Arc<Program>`, and a caller may
+// move one to another thread; `NativeRule` and `StatefulBuiltin` carry
+// `Send + Sync` bounds for exactly this. Keep the whole program — plans
+// included — thread-shareable, checked at compile time.
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<Program>();

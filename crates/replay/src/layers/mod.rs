@@ -188,7 +188,7 @@ impl DurableStore {
         span.end_with(None, &[("events", sealed), ("files", files as u64)], |agg| {
             agg.add("store.sealed_events", sealed);
             // The size levels ride the close of every seal span, so a
-            // scrape mid-spill watches the store grow.
+            // snapshot taken mid-spill sees the store as grown so far.
             agg.set_level("store.layer_files", self.layer_count() as u64);
             agg.set_level("store.layer_bytes", self.layer_bytes());
         });

@@ -1,32 +1,27 @@
 //! # dp-trace — the one instrumentation handle of the DiffProv stack
 //!
 //! A zero-overhead-when-disabled [`Tracer`] shared by the NDlog engine,
-//! the provenance recorders, the replay layer and its durable store, the
+//! the provenance recorder, the replay layer and its durable store, the
 //! DiffProv pipeline, and the benchmark harness. One handle, one
-//! accumulator ([`Aggregate`]), several renderings of it:
+//! accumulator ([`Aggregate`]), read in-process; three renderings:
 //!
 //! * a JSONL event stream ([`Trace::to_jsonl`]);
 //! * a Chrome `trace_event` export loadable in Perfetto / `chrome://tracing`
 //!   ([`Trace::to_chrome`]);
-//! * the Prometheus text exposition ([`render_prometheus`], checked by
-//!   [`validate_exposition`]) and its JSON twin ([`Aggregate::to_json`]),
-//!   served live by [`MetricsServer`].
+//! * the `repro trace <scenario>` summary (`dp-bench`), whose tail lists
+//!   every counter, level and size histogram the aggregate holds.
 //!
-//! The [`Aggregate`] holds five kinds of series, all keyed by name:
+//! The [`Aggregate`] holds four kinds of series, all keyed by name:
 //! time histograms (one per span name), counters, levels (gauges: set or
-//! raised), size histograms (same log2 buckets as the time histograms),
-//! and HyperLogLog sketches ([`hll`]). The bench crate derives its numbers
-//! from it, so BENCH output, traces and scrapes read one set of values.
+//! raised), and size histograms (same log2 buckets as the time
+//! histograms). The bench crate derives its numbers from it, so BENCH
+//! output, traces and the summary read one set of values.
 //!
 //! ## Names and labels
 //!
 //! A series name is a dotted family (`engine.join_probes`) optionally
 //! followed by one label in braces (`engine.rule_fired{rule=r1}`, built by
-//! [`series`]). The exposition name is derived from it by one rule
-//! ([`exposition_name`]): `dp_` + the family with dots turned into
-//! underscores + a suffix fixed by the kind (`_total` for counters,
-//! `_seconds` for span time histograms, nothing for levels, sizes and
-//! sketches); the label, if any, becomes a Prometheus label.
+//! [`series`], taken apart by [`split_series`]).
 //!
 //! ## The determinism contract
 //!
@@ -57,21 +52,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hll;
-
-mod expose;
-mod server;
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dp_types::{LogicalTime, SpanId, TraceId};
-
-pub use expose::{exposition_name, render_prometheus, validate_exposition, Kind};
-pub use hll::{HllCell, HLL_PRECISION, HLL_REGISTERS};
-pub use server::MetricsServer;
 
 /// Determinism class of a trace event. See the crate docs for the contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -254,7 +240,7 @@ pub fn split_series(name: &str) -> (&str, Option<(&str, &str)>) {
 
 /// The one accumulator: every series the stack reports, keyed by name.
 /// Snapshots are cheap clones; the bench harness derives its figures by
-/// differencing two snapshots, and every exposition renders one.
+/// differencing two snapshots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Aggregate {
     /// Wall time per span name, nanoseconds.
@@ -265,8 +251,6 @@ pub struct Aggregate {
     pub levels: BTreeMap<String, u64>,
     /// Size histograms (dimensionless observations).
     pub sizes: BTreeMap<String, Hist>,
-    /// Distinct-count sketches.
-    pub sketches: BTreeMap<String, HllCell>,
 }
 
 impl Aggregate {
@@ -295,11 +279,6 @@ impl Aggregate {
         self.levels.get(name).copied().unwrap_or(0)
     }
 
-    /// Cardinality estimate of sketch `name` (0.0 if never seen).
-    pub fn sketch_estimate(&self, name: &str) -> f64 {
-        self.sketches.get(name).map_or(0.0, HllCell::estimate)
-    }
-
     /// Adds `value` to counter `name`.
     pub fn add(&mut self, name: &str, value: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += value;
@@ -319,22 +298,6 @@ impl Aggregate {
     /// Records one observation in size histogram `name`.
     pub fn observe_size(&mut self, name: &str, value: u64) {
         self.sizes.entry(name.to_string()).or_default().observe(value);
-    }
-
-    /// Folds `sketch` into sketch `name` (register-wise max = set union).
-    pub fn merge_sketch(&mut self, name: &str, sketch: &HllCell) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .merge(sketch);
-    }
-
-    /// JSON rendering of the whole aggregate (hand-rolled, like every
-    /// other JSON emitter in the stack): one entry per family, in
-    /// exposition-name order, each `{name, kind, help, series: [{labels,
-    /// value|count…|estimate…}]}`.
-    pub fn to_json(&self) -> String {
-        expose::aggregate_json(self)
     }
 }
 
@@ -518,7 +481,7 @@ impl Tracer {
     }
 
     /// Applies `f` to the aggregate under one lock hold — for updates that
-    /// have no place in the event stream (size observations, sketches).
+    /// have no place in the event stream (size observations).
     pub fn update(&self, f: impl FnOnce(&mut Aggregate)) {
         if let Some(inner) = &self.inner {
             f(&mut inner.lock().expect("tracer poisoned").agg);
@@ -1036,14 +999,11 @@ mod tests {
             a.observe_size("flush.deltas", 6);
             a.set_level("queue", 2);
         });
-        let mut sketch = HllCell::new();
-        sketch.observe_u64(1);
-        t.update(|a| a.merge_sketch("distinct", &sketch));
+        t.update(|a| a.observe_size("flush.deltas", 4));
         let agg = t.aggregate();
         assert_eq!(agg.span_count("flush"), 1);
-        assert_eq!(agg.sizes["flush.deltas"].sum, 6);
+        assert_eq!(agg.sizes["flush.deltas"].sum, 10);
         assert_eq!(agg.level("queue"), 2);
-        assert!(agg.sketch_estimate("distinct") >= 0.5);
         // A disabled tracer runs neither closure.
         let off = Tracer::disabled();
         off.span("flush", Class::Effort, None)

@@ -77,37 +77,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.digest()
 }
 
-/// Stable FNV-1a checksum of a tuple's canonical encoding: the same
-/// value on every platform and every run.
-/// This is what the engine's HLL sketches hash, so distinct-tuple counts
-/// are comparable across runs and processes (a pointer- or
-/// `RandomState`-based hash would not be).
-pub fn tuple_fnv64(t: &Tuple) -> u64 {
-    let mut e = Enc::new();
-    e.tuple(t);
-    fnv64(e.bytes())
-}
-
-/// Stable FNV-1a checksum over only the IP-typed fields of a tuple (the
-/// tuple's table name is mixed in first). The engine's flow sketch uses
-/// this as its flow identity: for packet-shaped base tuples the IP
-/// endpoints are the flow key, while per-packet serials and payload sizes
-/// are not.
-/// Returns `None` when the tuple carries no IP field — such tuples are
-/// not flows.
-pub fn flow_fnv64(t: &Tuple) -> Option<u64> {
-    let mut e = Enc::new();
-    e.str(t.table.as_str());
-    let mut saw_ip = false;
-    for v in &t.args {
-        if let Value::Ip(ip) = v {
-            e.u32(*ip);
-            saw_ip = true;
-        }
-    }
-    saw_ip.then(|| fnv64(e.bytes()))
-}
-
 /// An append-only encoder over a growable byte buffer.
 #[derive(Clone, Debug, Default)]
 pub struct Enc {

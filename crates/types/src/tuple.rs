@@ -169,14 +169,6 @@ impl TupleStore {
         self.set.is_empty()
     }
 
-    /// Iterates over every distinct interned tuple, in arbitrary order.
-    /// Consumers needing a deterministic order must sort; the metric
-    /// layer's HLL sketches hash each tuple independently, so this order
-    /// never becomes observable.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<Tuple>> {
-        self.set.iter()
-    }
-
     /// Drops interned tuples no longer referenced anywhere else, returning
     /// how many were released. Useful between long replay segments.
     pub fn gc(&mut self) -> usize {

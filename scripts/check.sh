@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Full local gate: release build; the whole workspace suite, once — no
 # environment variable selects anything, so there is no second
-# configuration to cover; the /metrics scrape smoke test; the diagbench
-# package's own tests; one fault-injection sweep; grep gates against the
-# deleted second instrumentation system, against the deleted store and
-# tracer routings and on-disk checkpoints, against the deleted second
-# provenance backend, against a second UPDATETREE path in crates/core and
-# against a tuple-keyed map in the graph recorder; and lint-clean clippy.
+# configuration to cover; the diagbench package's own tests; one
+# fault-injection sweep; grep gates against the deleted second
+# instrumentation system, against the deleted scrape surface (server,
+# exposition, sketches — the workspace opens no socket and spawns no
+# thread), against the deleted store and tracer routings and on-disk
+# checkpoints, against the deleted second provenance backend, against a
+# second UPDATETREE path in crates/core and against a tuple-keyed map in
+# the graph recorder; and lint-clean clippy.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
 # (reference_differential.rs), the instrumentation handle disabled,
@@ -44,10 +46,6 @@ step "build" cargo build --release
 # (a debug pass here used to pay a full second compilation of the
 # workspace).
 step "suite" cargo test --release --workspace -q
-# Scrape smoke test: serve /metrics from a live tracer while a replay
-# loop mutates its aggregate, validate every scraped exposition, shut down
-# over HTTP.
-step "metrics-smoke" cargo run --release -p dp-bench --bin repro -- metrics-smoke
 # The stores the suites spill into live in per-process tempdirs
 # (dp-store-*) that are removed on drop; sweep any leftovers from crashed
 # runs.
@@ -70,6 +68,16 @@ step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
 step "gate: one instrumentation system" absent \
     "a deleted instrumentation name reappeared" \
     "dp_""metrics|DP_""METRICS|set_""metrics|Engine""Meters|Recorder""Meters" \
+    crates src tests examples scripts
+# The aggregate is read in-process — `repro trace`, Stats JSON,
+# Report::metrics — and nothing renders it for a scraper: the /metrics
+# server, the Prometheus exposition and its validator, the HyperLogLog
+# sketches and their hashes went in PR 21 with every socket and spawned
+# thread of the workspace. (Spelled in halves so this script passes its
+# own gate.)
+step "gate: no scrape surface" absent \
+    "a name of the deleted scrape surface reappeared" \
+    "Metrics""Server|render_""prometheus|validate_""exposition|exposition_""name|Hll""Cell|merge_""sketch|sketch_""estimate|tuple_""fnv64|flow_""fnv64|serve-""metrics|metrics-""smoke|Tcp""Listener|thread::""spawn" \
     crates src tests examples scripts
 # The store has one recovery path (open the layers, replay them) and one
 # stream identity; no environment variable or Execution field routes

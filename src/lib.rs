@@ -22,9 +22,9 @@
 //! * [`sim`] — the seeded fault-injection simulation harness generating
 //!   hundreds of diagnosis scenarios and holding them to an invariant
 //!   battery;
-//! * [`trace`] — the one instrumentation handle every layer reports to,
-//!   with its renderings (JSONL, Chrome trace, Prometheus text, the
-//!   `/metrics` server);
+//! * [`trace`] — the one instrumentation handle every layer reports to:
+//!   one aggregate read in-process, and the JSONL and Chrome renderings
+//!   of the event stream;
 //! * [`mapreduce`] — WordCount in declarative and instrumented-imperative
 //!   form, scenarios MR1/MR2;
 //! * [`netcore`] — a NetCore-style policy front-end.
