@@ -222,7 +222,7 @@ pub fn stats_json(scenario: &Scenario) -> Result<String> {
         "{{\"scenario\":{},\"stats\":{},\"join_profile\":{}}}",
         dp_trace::json_string(scenario.name),
         replayed.engine.stats().to_json(),
-        join_profile_json(replayed.engine.join_profile())
+        join_profile_json(&replayed.engine.join_profile())
     ))
 }
 

@@ -298,7 +298,7 @@ mod tests {
     fn pattern_matching_extends_env() {
         let mut env = Env::new();
         assert!(Pattern::Var(Sym::new("x")).matches(&Value::Int(3), &mut env));
-        assert_eq!(env.get("x" as &str), Some(&Value::Int(3)));
+        assert_eq!(env.get(&Sym::new("x")), Some(&Value::Int(3)));
         // Re-matching the same variable requires equality (join semantics).
         assert!(Pattern::Var(Sym::new("x")).matches(&Value::Int(3), &mut env));
         assert!(!Pattern::Var(Sym::new("x")).matches(&Value::Int(4), &mut env));
@@ -333,7 +333,7 @@ mod tests {
         };
         let mut env = Env::new();
         rule.run_assigns(&mut env).unwrap();
-        assert_eq!(env.get("b" as &str), Some(&Value::Int(6)));
+        assert_eq!(env.get(&Sym::new("b")), Some(&Value::Int(6)));
     }
 
     #[test]

@@ -82,15 +82,49 @@
 //! delta of an earlier, larger batch. A firing error discards the buffer:
 //! none of the failed batch's actions is queued, then or later.
 //!
+//! # The event queue
+//!
+//! Events pop in ascending `(due, seq)` order, `seq` being the push
+//! counter — the one total order the oracle's single heap defines. The
+//! queue holds them in two places. A replayed log is scheduled in
+//! ascending order before the run starts, so it goes into a **run** — a
+//! `VecDeque` that `push` appends to whenever the new key exceeds the
+//! run's back, and that is popped front to back, sequentially, at no
+//! more than a move per event. Everything else — derived events, due now
+//! or a link delay from now, which sort *before* the log's tail — goes
+//! into a small **heap**. The run is sorted because only keys above its
+//! back are appended to it; the heap's top is its least key; every queued
+//! event is in exactly one of the two: so the lesser of the two fronts is
+//! the least key queued, and `pop` and `next_due` take it. The pop
+//! sequence is therefore the single heap's by construction — for any
+//! interleaving of pushes and pops, not only a replay's — and the heap
+//! holds what is in flight (a batch's derivations) instead of the whole
+//! log. The event budget is checked *before* the pop, so the event it
+//! refuses stays queued and a budget-tripped engine is visibly not
+//! quiescent.
+//!
 //! # Where the state lives
 //!
 //! [`NodeState`] and the tables under it are in `engine/state.rs`. Each
 //! live tuple owns one slot of its table: the public [`TupleState`]
 //! (base flag, derivation records, appearance time) and, beside it, the
 //! tuple's reverse-dependency list — the heads whose derivations used it.
-//! A derivation registers its head with a lookup in each body tuple's own
-//! table; the `remove` that retires a tuple hands its list to the
-//! cascade. There is no engine-wide `(node, tuple)`-keyed dependency map.
+//! Delivering a derivation makes one pass over its body with one lookup
+//! per body tuple, in the tuple's own table: the lookup that re-checks the
+//! tuple is still there also reads the episode it is in and registers the
+//! head in its slot. When the derivation turns out not to be recorded —
+//! a later body tuple was retracted in flight, or the same `(rule, body)`
+//! is already there — the registrations are taken back last-first, so
+//! the lists hold exactly the recorded derivations' heads in recording
+//! order, which is the order a cascade walks them in. The `remove` that
+//! retires a tuple hands its list to the cascade. There is no engine-wide
+//! `(node, tuple)`-keyed dependency map. The hash tables under all this —
+//! the interner and the join indexes — use `dp_types::WordHasher`: no
+//! per-process seed, probed and never iterated for order.
+//!
+//! Per-rule counters (firings, join effort) are arrays indexed by the
+//! rule's program index, natives after rules; they get their names when
+//! [`Engine::rule_firings`] or [`Engine::join_profile`] is called.
 //!
 //! # Why the engine is serial
 //!
@@ -100,7 +134,7 @@
 //! 0.54x / 0.66x).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 mod state;
@@ -151,13 +185,10 @@ impl TupleState {
     }
 }
 
-/// The state of `node`, created empty on first use. Looked up by
-/// reference: the `NodeId` is cloned only when the node is new.
+/// The state of `node`, created empty on first use: one descent of the
+/// node map (the key it takes is a reference-count bump).
 fn node_state<'a>(nodes: &'a mut BTreeMap<NodeId, NodeState>, node: &NodeId) -> &'a mut NodeState {
-    if !nodes.contains_key(node) {
-        nodes.insert(node.clone(), NodeState::default());
-    }
-    nodes.get_mut(node).expect("inserted above if absent")
+    nodes.entry(node.clone()).or_default()
 }
 
 #[derive(Clone, Debug)]
@@ -168,8 +199,11 @@ enum Action {
         node: NodeId,
         tuple: Arc<Tuple>,
         rule: Sym,
+        /// The rule's slot in the per-rule counters: its program index,
+        /// natives after rules.
+        slot: u32,
         body: Vec<TupleRef>,
-        trigger: usize,
+        trigger: u32,
     },
 }
 
@@ -194,6 +228,62 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.due, self.seq).cmp(&(other.due, other.seq))
+    }
+}
+
+/// The event queue: a sorted run beside a heap (see the module docs).
+///
+/// `run` is ascending by `(due, seq)` — `push` appends to it only what
+/// exceeds its back — and `heap` takes the rest, so the least queued event
+/// is the lesser of the two fronts.
+#[derive(Default)]
+struct Queue {
+    run: VecDeque<Scheduled>,
+    heap: BinaryHeap<Reverse<Scheduled>>,
+}
+
+impl Queue {
+    fn push(&mut self, ev: Scheduled) {
+        if self.run.back().is_none_or(|back| *back < ev) {
+            self.run.push_back(ev);
+        } else {
+            self.heap.push(Reverse(ev));
+        }
+    }
+
+    /// True when the next event to pop is the heap's.
+    fn heap_first(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(Reverse(heap))) => heap < run,
+            (None, heap) => heap.is_some(),
+            (Some(_), None) => false,
+        }
+    }
+
+    /// The least `(due, seq)` event, removed.
+    fn pop(&mut self) -> Option<Scheduled> {
+        if self.heap_first() {
+            self.heap.pop().map(|Reverse(ev)| ev)
+        } else {
+            self.run.pop_front()
+        }
+    }
+
+    /// The `due` of the event [`Queue::pop`] would return.
+    fn next_due(&self) -> Option<LogicalTime> {
+        if self.heap_first() {
+            self.heap.peek().map(|Reverse(ev)| ev.due)
+        } else {
+            self.run.front().map(|ev| ev.due)
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -328,6 +418,17 @@ impl RuleJoinProfile {
         }
     }
 
+    /// Adds `other`'s counts to these.
+    fn absorb(&mut self, other: &RuleJoinProfile) {
+        self.attempts += other.attempts;
+        self.probes += other.probes;
+        self.scans += other.scans;
+        self.trie_probes += other.trie_probes;
+        self.trie_scans += other.trie_scans;
+        self.candidates += other.candidates;
+        self.matches += other.matches;
+    }
+
     /// Hand-rolled JSON rendering (serde-free). Field names and order
     /// mirror the struct declaration; the shape is pinned by a golden
     /// test and consumed by `repro -- stats`.
@@ -364,17 +465,6 @@ pub fn join_profile_json(profile: &BTreeMap<Sym, RuleJoinProfile>) -> String {
     s
 }
 
-/// Counters for one join invocation.
-#[derive(Clone, Copy, Debug, Default)]
-struct JoinCounters {
-    probes: u64,
-    scans: u64,
-    trie_probes: u64,
-    trie_scans: u64,
-    candidates: u64,
-    matches: u64,
-}
-
 /// One tuple appearance whose rule firings are deferred to the current
 /// batch boundary. `at` is the logical clock of the appearance; it serves
 /// both as the firing's `now` (derived-event scheduling) and its `as_of`
@@ -388,19 +478,21 @@ struct Delta {
 /// The read-only half of the engine a rule firing needs: the program
 /// (plans, schemas, natives, builtins) and the frozen node states.
 /// Firing never mutates node state — actions are buffered and queued
-/// afterwards — so the context borrows the node map shared while the
-/// interner and the counters are borrowed mutably alongside it.
+/// afterwards — so the context borrows the node map shared while
+/// [`FireOut`] borrows what a firing writes alongside it.
 struct FireCtx<'a> {
     program: &'a Program,
     nodes: &'a BTreeMap<NodeId, NodeState>,
 }
 
-/// Join-effort counters accumulated while firing, folded into [`Stats`]
-/// and the per-rule profile once the firing is done
-/// ([`Engine::absorb_fire_stats`]).
-#[derive(Default)]
-struct FireStats {
-    profile: BTreeMap<Sym, RuleJoinProfile>,
+/// The half of the engine a rule firing writes: the interner its heads
+/// go through, the join-effort counters (run-wide and per rule slot) and
+/// the flat buffer of scheduled actions, in push order.
+struct FireOut<'a> {
+    store: &'a mut TupleStore,
+    stats: &'a mut Stats,
+    profile: &'a mut [RuleJoinProfile],
+    actions: &'a mut Vec<(LogicalTime, Action)>,
 }
 
 /// The evaluator. See the module docs for semantics.
@@ -412,14 +504,18 @@ pub struct Engine<S: ProvenanceSink> {
     /// Provenance events of the current batch, in emission order, awaiting
     /// the flush (always empty at quiescence).
     events: Vec<ProvEvent>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: Queue,
     clock: LogicalTime,
     seq: u64,
     sink: S,
     stats: Stats,
     live_tuples: u64,
-    rule_firings: BTreeMap<Sym, u64>,
-    join_profile: BTreeMap<Sym, RuleJoinProfile>,
+    /// Firings and join effort per rule slot — the program's rule index,
+    /// natives after rules — so counting is an array index, not a descent
+    /// by rule name; [`Engine::rule_firings`] and [`Engine::join_profile`]
+    /// name the slots on call.
+    rule_firings: Vec<u64>,
+    join_profile: Vec<RuleJoinProfile>,
     /// The instrumentation handle (disabled by default; see
     /// [`Engine::set_tracer`]).
     tracer: Tracer,
@@ -436,19 +532,20 @@ pub struct Engine<S: ProvenanceSink> {
 impl<S: ProvenanceSink> Engine<S> {
     /// Creates an engine over `program`, streaming provenance into `sink`.
     pub fn new(program: Arc<Program>, sink: S) -> Self {
+        let slots = program.rule_slots();
         Engine {
             program,
             nodes: BTreeMap::new(),
             store: TupleStore::new(),
             events: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: Queue::default(),
             clock: 0,
             seq: 0,
             sink,
             stats: Stats::default(),
             live_tuples: 0,
-            rule_firings: BTreeMap::new(),
-            join_profile: BTreeMap::new(),
+            rule_firings: vec![0; slots],
+            join_profile: vec![RuleJoinProfile::default(); slots],
             tracer: Tracer::disabled(),
             pending: Vec::new(),
             flush_buf: Vec::new(),
@@ -471,14 +568,28 @@ impl<S: ProvenanceSink> Engine<S> {
         self.stats
     }
 
-    /// How many times each rule (declarative or native) has fired.
-    pub fn rule_firings(&self) -> &BTreeMap<Sym, u64> {
-        &self.rule_firings
+    /// How many times each rule (declarative or native) has fired, by
+    /// rule name; rules that never fired are absent.
+    pub fn rule_firings(&self) -> BTreeMap<Sym, u64> {
+        let mut by_name = BTreeMap::new();
+        for (slot, &n) in self.rule_firings.iter().enumerate() {
+            if n > 0 {
+                *by_name.entry(self.program.slot_name(slot)).or_insert(0) += n;
+            }
+        }
+        by_name
     }
 
-    /// Per-rule join counters (probes, scans, candidates, matches).
-    pub fn join_profile(&self) -> &BTreeMap<Sym, RuleJoinProfile> {
-        &self.join_profile
+    /// Per-rule join counters (probes, scans, candidates, matches), by
+    /// rule name; rules whose join never ran are absent.
+    pub fn join_profile(&self) -> BTreeMap<Sym, RuleJoinProfile> {
+        let mut by_name: BTreeMap<Sym, RuleJoinProfile> = BTreeMap::new();
+        for (slot, p) in self.join_profile.iter().enumerate() {
+            if p.attempts > 0 {
+                by_name.entry(self.program.slot_name(slot)).or_default().absorb(p);
+            }
+        }
+        by_name
     }
 
     /// Always 1; kept only because `benchmark/src/timed.rs` and
@@ -591,25 +702,15 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
         Ok(Engine {
-            program,
             nodes,
-            store: TupleStore::new(),
-            events: Vec::new(),
-            queue: BinaryHeap::new(),
             clock: snap.clock,
             seq: snap.seq,
-            sink,
             stats: Stats {
                 peak_tuples: live,
                 ..Stats::default()
             },
             live_tuples: live,
-            rule_firings: BTreeMap::new(),
-            join_profile: BTreeMap::new(),
-            tracer: Tracer::disabled(),
-            pending: Vec::new(),
-            flush_buf: Vec::new(),
-            max_events: 50_000_000,
+            ..Engine::new(program, sink)
         })
     }
 
@@ -669,7 +770,7 @@ impl<S: ProvenanceSink> Engine<S> {
     fn push(&mut self, due: LogicalTime, action: Action) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled { due, seq, action }));
+        self.queue.push(Scheduled { due, seq, action });
     }
 
     /// Drains the event queue to quiescence.
@@ -682,8 +783,8 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.tracer
                     .span("engine.run", Class::Skeleton, Some(self.clock)),
                 self.stats,
-                self.rule_firings.clone(),
-                self.join_profile.clone(),
+                self.rule_firings(),
+                self.join_profile(),
             )
         });
         let result = self.run_inner();
@@ -765,11 +866,11 @@ impl<S: ProvenanceSink> Engine<S> {
                 t.counter(&series(family, "rule", rule), class, now - before);
             }
         };
-        for (rule, &n) in &self.rule_firings {
+        for (rule, &n) in &self.rule_firings() {
             let prev = firings0.get(rule).copied().unwrap_or(0);
             per_rule("engine.rule_fired", Skeleton, rule, n, prev);
         }
-        for (rule, p) in &self.join_profile {
+        for (rule, p) in &self.join_profile() {
             let prev = profile0.get(rule).copied().unwrap_or_default();
             per_rule("engine.rule_attempts", Effort, rule, p.attempts, prev.attempts);
             per_rule("engine.rule_candidates", Effort, rule, p.candidates, prev.candidates);
@@ -778,23 +879,23 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     fn run_inner(&mut self) -> Result<()> {
-        while let Some(Reverse(ev)) = self.queue.pop() {
+        while !self.queue.is_empty() {
             if self.stats.events >= self.max_events {
-                // Requeue before erroring: dropping the in-flight event
-                // would let a cascade whose queue holds exactly one event
-                // at a time (a two-node ping-pong, say) error into a
-                // state with an *empty* queue, which `snapshot()` would
-                // then certify as quiescent — silently losing the event
-                // from every replay resumed from the checkpoint. With the
-                // event back in the queue the failed engine stays honest:
-                // `snapshot()` rejects it, and a re-run under a raised
-                // budget resumes exactly where the budget tripped.
-                self.queue.push(Reverse(ev));
+                // Checked before the pop, so the event the budget refused
+                // is still queued: a cascade whose queue holds exactly one
+                // event at a time (a two-node ping-pong, say) must not
+                // error into a state with an *empty* queue, which
+                // `snapshot()` would then certify as quiescent — silently
+                // losing the event from every replay resumed from the
+                // checkpoint. The failed engine stays honest: `snapshot()`
+                // rejects it, and a re-run under a raised budget resumes
+                // exactly where the budget tripped.
                 return Err(Error::Engine(format!(
                     "event limit {} exceeded (runaway program?)",
                     self.max_events
                 )));
             }
+            let ev = self.queue.pop().expect("checked non-empty above");
             self.stats.events += 1;
             self.clock = self.clock.wrapping_add(1).max(ev.due);
             match ev.action {
@@ -804,30 +905,22 @@ impl<S: ProvenanceSink> Engine<S> {
                     node,
                     tuple,
                     rule,
+                    slot,
                     body,
                     trigger,
-                } => self.do_insert_derived(node, tuple, rule, body, trigger)?,
+                } => self.do_insert_derived(node, tuple, rule, slot, body, trigger)?,
             }
             // Batch boundary: the next event (if any) carries a different
             // timestamp, so the current delta batch is complete. (The
             // flush may push same-`due` events; they simply open the next
             // batch — visibility is governed by clocks, not `due`.)
-            if self
-                .queue
-                .peek()
-                .is_none_or(|Reverse(next)| next.due != ev.due)
-            {
+            if self.queue.next_due() != Some(ev.due) {
                 self.flush_batch()?;
             }
             // Deterministic tick: this event closed its due-group. The
             // boundary is (re-)evaluated after the flush, whose firings
             // may push same-`due` actions extending the group.
-            if self.tracer.is_enabled()
-                && self
-                    .queue
-                    .peek()
-                    .is_none_or(|Reverse(next)| next.due != ev.due)
-            {
+            if self.tracer.is_enabled() && self.queue.next_due() != Some(ev.due) {
                 self.tracer.instant(
                     "engine.tick",
                     Class::Skeleton,
@@ -875,12 +968,7 @@ impl<S: ProvenanceSink> Engine<S> {
 
     fn do_insert_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let now = self.clock;
-        let entry = node_state(&mut self.nodes, &node).entry(
-            &tuple,
-            self.program.index_specs_for(&tuple.table),
-            self.program.trie_specs_for(&tuple.table),
-            now,
-        );
+        let entry = node_state(&mut self.nodes, &node).entry(&tuple, Some(&self.program), now);
         if entry.base {
             return Ok(()); // idempotent re-insert
         }
@@ -953,36 +1041,44 @@ impl<S: ProvenanceSink> Engine<S> {
         node: NodeId,
         tuple: Arc<Tuple>,
         rule: Sym,
+        slot: u32,
         body: Vec<TupleRef>,
-        trigger: usize,
+        trigger: u32,
     ) -> Result<()> {
         let now = self.clock;
-        // Re-check the body: a cascade may have removed a precondition
-        // between scheduling and delivery (in-flight message semantics).
-        // The same lookup reads the episode each body tuple is in now,
-        // which is what the event reports it under.
+        let trigger = trigger as usize;
+        // One pass over the body, one lookup per body tuple, doing three
+        // things. It re-checks the body: a cascade may have removed a
+        // precondition between scheduling and delivery (in-flight message
+        // semantics). It reads the episode each body tuple is in now,
+        // which is what the event reports it under. And it registers the
+        // head in the body tuple's own slot, so its disappearance finds
+        // this derivation — taken back, last first, if the derivation
+        // turns out not to be recorded after all.
+        let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
         let mut stamped = Vec::with_capacity(body.len());
         for b in &body {
-            let Some(state) = self.nodes.get(&b.node).and_then(|n| n.get(&b.tuple)) else {
+            let since = self
+                .nodes
+                .get_mut(&b.node)
+                .and_then(|n| n.depend(&b.tuple, &head_ref));
+            let Some(since) = since else {
+                self.undepend(&stamped);
                 return Ok(());
             };
             stamped.push(BodyRef {
                 tref: b.clone(),
-                since: state.appeared_at,
+                since,
             });
         }
-        let entry = node_state(&mut self.nodes, &node).entry(
-            &tuple,
-            self.program.index_specs_for(&tuple.table),
-            self.program.trie_specs_for(&tuple.table),
-            now,
-        );
+        let entry = node_state(&mut self.nodes, &node).entry(&tuple, Some(&self.program), now);
         // The same (rule, body) derivation only counts once.
         if entry
             .derivations
             .iter()
             .any(|d| d.rule == rule && d.body == body)
         {
+            self.undepend(&stamped);
             return Ok(());
         }
         let was_present = entry.support() > 0;
@@ -997,16 +1093,7 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         let since = entry.appeared_at;
         self.stats.derivations += 1;
-        *self.rule_firings.entry(rule.clone()).or_insert(0) += 1;
-        // Each body tuple (alive: re-checked above) learns of the head in
-        // its own slot, so its disappearance finds this derivation.
-        let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
-        for b in &stamped {
-            self.nodes
-                .get_mut(&b.tref.node)
-                .expect("body re-checked alive above")
-                .add_dependent(&b.tref.tuple, head_ref.clone());
-        }
+        self.rule_firings[slot as usize] += 1;
         self.events.push(ProvEvent::Derive {
             time: now,
             since,
@@ -1026,6 +1113,17 @@ impl<S: ProvenanceSink> Engine<S> {
             self.pending.push(Delta { node, tuple, at: now });
         }
         Ok(())
+    }
+
+    /// Takes back the registrations [`Engine::do_insert_derived`] made for
+    /// the body tuples in `registered`, last first: each is the last entry
+    /// of its list, so the lists are left exactly as they were found.
+    fn undepend(&mut self, registered: &[BodyRef]) {
+        for b in registered.iter().rev() {
+            if let Some(state) = self.nodes.get_mut(&b.tref.node) {
+                state.undepend(&b.tref.tuple);
+            }
+        }
     }
 
     /// `gone` has disappeared and `heads` is the reverse-dependency list
@@ -1075,27 +1173,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
     }
 
-    /// Folds firing-time join counters into the run stats and the per-rule
-    /// profile.
-    fn absorb_fire_stats(&mut self, fstats: FireStats) {
-        for (rule, p) in fstats.profile {
-            self.stats.join_probes += p.probes;
-            self.stats.join_scans += p.scans;
-            self.stats.trie_probes += p.trie_probes;
-            self.stats.trie_scans += p.trie_scans;
-            self.stats.join_candidates += p.candidates;
-            self.stats.join_matches += p.matches;
-            let entry = self.join_profile.entry(rule).or_default();
-            entry.attempts += p.attempts;
-            entry.probes += p.probes;
-            entry.scans += p.scans;
-            entry.trie_probes += p.trie_probes;
-            entry.trie_scans += p.trie_scans;
-            entry.candidates += p.candidates;
-            entry.matches += p.matches;
-        }
-    }
-
     /// Fires the rules of every delta accumulated in the current batch,
     /// queues what they scheduled, then releases the buffered provenance
     /// events to the sink.
@@ -1124,13 +1201,17 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.tracer
                     .span("engine.fire", Class::Effort, Some(self.clock))
             });
-            let mut fstats = FireStats::default();
             let ctx = FireCtx {
                 program: &self.program,
                 nodes: &self.nodes,
             };
-            let fired = ctx.fire_deltas(&deltas, &mut self.store, &mut fstats, &mut actions);
-            self.absorb_fire_stats(fstats);
+            let mut out = FireOut {
+                store: &mut self.store,
+                stats: &mut self.stats,
+                profile: &mut self.join_profile,
+                actions: &mut actions,
+            };
+            let fired = ctx.fire_deltas(&deltas, &mut out);
             if let Some(span) = span {
                 span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
             }
@@ -1169,7 +1250,7 @@ impl<S: ProvenanceSink> Engine<S> {
 
 impl FireCtx<'_> {
     /// Fires every rule and native triggered by `deltas` — one batch —
-    /// appending the scheduled actions to `out` in push order.
+    /// appending the scheduled actions to `out.actions` in push order.
     ///
     /// Consecutive same-(node, table) deltas form a group. The group's
     /// live trigger list is resolved once — a rule whose partner table is
@@ -1179,9 +1260,7 @@ impl FireCtx<'_> {
     fn fire_deltas(
         &self,
         deltas: &[Delta],
-        store: &mut TupleStore,
-        fstats: &mut FireStats,
-        out: &mut Vec<(LogicalTime, Action)>,
+        out: &mut FireOut<'_>,
     ) -> Result<()> {
         let mut live: Vec<(usize, usize, &Rule)> = Vec::new();
         let mut start = 0;
@@ -1227,13 +1306,13 @@ impl FireCtx<'_> {
             for d in group {
                 for &(ri, ai, rule) in &live {
                     if rule.agg.is_some() {
-                        self.fire_agg_rule(d.at, &d.node, &d.tuple, rule, ri, d.at, store, fstats, out)?;
+                        self.fire_agg_rule(d.at, &d.node, &d.tuple, rule, ri, d.at, out)?;
                     } else {
-                        self.fire_rule(d.at, &d.node, &d.tuple, rule, ri, ai, d.at, store, fstats, out)?;
+                        self.fire_rule(d.at, &d.node, &d.tuple, rule, ri, ai, d.at, out)?;
                     }
                 }
                 for &ni in natives {
-                    self.fire_native(d.at, &d.node, &d.tuple, ni, d.at, store, out)?;
+                    self.fire_native(d.at, &d.node, &d.tuple, ni, d.at, out)?;
                 }
             }
             start = end;
@@ -1242,8 +1321,7 @@ impl FireCtx<'_> {
     }
 
     /// Fires native rule `ni` for `tuple` at `node`, appending the
-    /// scheduled actions to `out`.
-    #[allow(clippy::too_many_arguments)]
+    /// scheduled actions to `out.actions`.
     fn fire_native(
         &self,
         now: LogicalTime,
@@ -1251,21 +1329,21 @@ impl FireCtx<'_> {
         tuple: &Arc<Tuple>,
         ni: usize,
         as_of: LogicalTime,
-        store: &mut TupleStore,
-        out: &mut Vec<(LogicalTime, Action)>,
+        out: &mut FireOut<'_>,
     ) -> Result<()> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
         native.fire(&NodeView::new(node, self.nodes.get(node), as_of), tuple, &mut emitter)?;
         for em in emitter.emissions {
             self.program.schemas.check(&em.tuple)?;
-            let head = store.intern(em.tuple);
-            out.push((
+            let head = out.store.intern(em.tuple);
+            out.actions.push((
                 now + em.delay,
                 Action::InsertDerived {
                     node: em.node,
                     tuple: head,
                     rule: native.name(),
+                    slot: (self.program.rules().len() + ni) as u32,
                     body: em.body,
                     trigger: 0,
                 },
@@ -1293,7 +1371,7 @@ impl FireCtx<'_> {
 
     /// Runs the join for `(rule, trigger)` from `env`, returning complete
     /// matches in nested-loop enumeration order (see module docs), and
-    /// records the join counters against the rule in `fstats`.
+    /// adds the join counters to the run's and to the rule's own.
     /// Only body tuples that appeared no later than `as_of` participate.
     #[allow(clippy::too_many_arguments)]
     fn collect_matches(
@@ -1305,7 +1383,7 @@ impl FireCtx<'_> {
         trigger_idx: usize,
         mut env: Env,
         as_of: LogicalTime,
-        fstats: &mut FireStats,
+        out: &mut FireOut<'_>,
     ) -> Vec<(Env, Vec<Arc<Tuple>>)> {
         let Some(state) = self.nodes.get(node) else {
             return Vec::new();
@@ -1315,7 +1393,11 @@ impl FireCtx<'_> {
         let mut partial: Vec<Option<Arc<Tuple>>> = vec![None; rule.body.len()];
         partial[trigger_idx] = Some(Arc::clone(tuple));
         let mut trail: Vec<Sym> = Vec::new();
-        let mut counters = JoinCounters::default();
+        // This firing's join effort: one attempt, counted by the join.
+        let mut counters = RuleJoinProfile {
+            attempts: 1,
+            ..RuleJoinProfile::default()
+        };
         join_with_plan(
             state,
             rule,
@@ -1334,14 +1416,13 @@ impl FireCtx<'_> {
         // trigger slot is constant, so this compares the remaining atoms
         // in body order exactly as the oracle's nested loop emits them).
         matches.sort_by(|a, b| a.1.cmp(&b.1));
-        let profile = fstats.profile.entry(rule.name.clone()).or_default();
-        profile.attempts += 1;
-        profile.probes += counters.probes;
-        profile.scans += counters.scans;
-        profile.trie_probes += counters.trie_probes;
-        profile.trie_scans += counters.trie_scans;
-        profile.candidates += counters.candidates;
-        profile.matches += counters.matches;
+        out.profile[ri].absorb(&counters);
+        out.stats.join_probes += counters.probes;
+        out.stats.join_scans += counters.scans;
+        out.stats.trie_probes += counters.trie_probes;
+        out.stats.trie_scans += counters.trie_scans;
+        out.stats.join_candidates += counters.candidates;
+        out.stats.join_matches += counters.matches;
         matches
     }
 
@@ -1358,14 +1439,12 @@ impl FireCtx<'_> {
         ri: usize,
         trigger_idx: usize,
         as_of: LogicalTime,
-        store: &mut TupleStore,
-        fstats: &mut FireStats,
-        out: &mut Vec<(LogicalTime, Action)>,
+        out: &mut FireOut<'_>,
     ) -> Result<()> {
         let Some(env) = Self::match_trigger(node, tuple, rule, trigger_idx) else {
             return Ok(());
         };
-        let matches = self.collect_matches(node, tuple, rule, ri, trigger_idx, env, as_of, fstats);
+        let matches = self.collect_matches(node, tuple, rule, ri, trigger_idx, env, as_of, out);
 
         for (mut env, body_tuples) in matches {
             if let Err(e) = rule.run_assigns(&mut env) {
@@ -1421,20 +1500,21 @@ impl FireCtx<'_> {
             }
             let head = Tuple::new(rule.head.table.clone(), head_args);
             self.program.schemas.check(&head)?;
-            let head = store.intern(head);
+            let head = out.store.intern(head);
             let body: Vec<TupleRef> = body_tuples
                 .into_iter()
                 .map(|t| TupleRef::new(node.clone(), t))
                 .collect();
             let delay = if head_node == *node { 0 } else { rule.link_delay };
-            out.push((
+            out.actions.push((
                 now + delay,
                 Action::InsertDerived {
                     node: head_node,
                     tuple: head,
                     rule: rule.name.clone(),
+                    slot: ri as u32,
                     body,
-                    trigger: trigger_idx,
+                    trigger: trigger_idx as u32,
                 },
             ));
         }
@@ -1454,15 +1534,13 @@ impl FireCtx<'_> {
         rule: &Rule,
         ri: usize,
         as_of: LogicalTime,
-        store: &mut TupleStore,
-        fstats: &mut FireStats,
-        out: &mut Vec<(LogicalTime, Action)>,
+        out: &mut FireOut<'_>,
     ) -> Result<()> {
         let spec = rule.agg.clone().expect("caller checked");
         let Some(env) = Self::match_trigger(node, tuple, rule, 0) else {
             return Ok(());
         };
-        let matches = self.collect_matches(node, tuple, rule, ri, 0, env, as_of, fstats);
+        let matches = self.collect_matches(node, tuple, rule, ri, 0, env, as_of, out);
 
         // Group the bindings. Key: head location + non-aggregate head args.
         type Group = (Vec<Value>, Option<i64>, Vec<TupleRef>);
@@ -1535,14 +1613,15 @@ impl FireCtx<'_> {
             let head_node = NodeId(loc.as_str()?.clone());
             let head = Tuple::new(rule.head.table.clone(), head_args);
             self.program.schemas.check(&head)?;
-            let head = store.intern(head);
+            let head = out.store.intern(head);
             let delay = if head_node == *node { 0 } else { rule.link_delay };
-            out.push((
+            out.actions.push((
                 now + delay,
                 Action::InsertDerived {
                     node: head_node,
                     tuple: head,
                     rule: rule.name.clone(),
+                    slot: ri as u32,
                     body,
                     trigger: 0,
                 },
@@ -1613,7 +1692,7 @@ fn join_with_plan(
     trail: &mut Vec<Sym>,
     partial: &mut Vec<Option<Arc<Tuple>>>,
     out: &mut Vec<(Env, Vec<Arc<Tuple>>)>,
-    counters: &mut JoinCounters,
+    counters: &mut RuleJoinProfile,
 ) {
     if step_idx == plan.steps.len() {
         counters.matches += 1;
@@ -1758,6 +1837,81 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    fn queued(due: LogicalTime, seq: u64) -> Scheduled {
+        let action = Action::InsertBase(NodeId::new("n"), Arc::new(tuple!("a", 1, 1)));
+        Scheduled { due, seq, action }
+    }
+
+    /// The run-beside-heap queue against one plain heap of `(due, seq)`
+    /// keys: seeded interleavings of pushes with non-monotone dues and
+    /// pops must agree on every pop, every `next_due` and every `len`.
+    #[test]
+    fn queue_pops_in_the_order_of_one_heap() {
+        for seed in 0..32 {
+            let mut rng = dp_types::DetRng::seed_from_u64(seed);
+            let (mut queue, mut model) = (Queue::default(), BinaryHeap::new());
+            let push_bias = 0.35 + 0.1 * (seed % 4) as f64;
+            let (mut seq, mut pops, mut via_heap) = (0, 0, 0);
+            for step in 0..4_000 {
+                // Drain completely now and then: an empty run is a case.
+                let draining = step % 1_000 >= 900;
+                if !draining && rng.gen_bool(push_bias) {
+                    // Ascending stretches (the log's shape) broken by
+                    // dues from anywhere (derived events' shape).
+                    let due = if rng.gen_bool(0.5) { seq / 3 } else { rng.gen_range_u64(0, 60) };
+                    queue.push(queued(due, seq));
+                    model.push(Reverse((due, seq)));
+                    seq += 1;
+                } else {
+                    let want = model.pop().map(|Reverse(key)| key);
+                    assert_eq!(queue.pop().map(|ev| (ev.due, ev.seq)), want, "seed {seed}");
+                    pops += 1;
+                }
+                via_heap += usize::from(!queue.heap.is_empty());
+                let peek = model.peek().map(|&Reverse((due, _))| due);
+                assert_eq!(queue.next_due(), peek, "seed {seed} step {step}");
+                assert_eq!(queue.len(), model.len(), "seed {seed} step {step}");
+                assert_eq!(queue.is_empty(), model.is_empty());
+            }
+            assert!(pops > 1_000 && via_heap > 100, "seed {seed}: both halves exercised");
+        }
+    }
+
+    /// The replay's shape: the log scheduled in ascending order, then
+    /// derived events pushed between pops, due at or just after the event
+    /// that caused them. The log stays the run, popped front to back, and
+    /// the heap only ever holds what is in flight.
+    #[test]
+    fn queue_keeps_a_replayed_log_out_of_the_heap() {
+        let n = 20_000;
+        let mut rng = dp_types::DetRng::seed_from_u64(7);
+        let (mut queue, mut model) = (Queue::default(), BinaryHeap::new());
+        let mut seq = 0;
+        for i in 0..n {
+            queue.push(queued(10 + i / 4, seq));
+            model.push(Reverse((10 + i / 4, seq)));
+            seq += 1;
+        }
+        assert_eq!((queue.run.len(), queue.heap.len()), (n as usize, 0));
+        let mut high_water = 0;
+        while let Some(ev) = queue.pop() {
+            assert_eq!(model.pop(), Some(Reverse((ev.due, ev.seq))));
+            // Base events derive a few heads; heads derive fewer.
+            let fanout = if ev.seq < n { 3 } else { 1 };
+            for _ in 0..fanout {
+                if rng.gen_bool(0.4) {
+                    let due = ev.due + rng.gen_range_u64(0, 2);
+                    queue.push(queued(due, seq));
+                    model.push(Reverse((due, seq)));
+                    seq += 1;
+                }
+            }
+            high_water = high_water.max(queue.heap.len());
+        }
+        assert!(model.is_empty() && seq > n + n / 2, "{seq} events in all");
+        assert!(high_water * 100 < n as usize, "heap held {high_water} of {n}");
     }
 
     #[test]

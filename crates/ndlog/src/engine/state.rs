@@ -13,7 +13,9 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use dp_types::{LogicalTime, NodeId, Prefix, PrefixTrie, Sym, Tuple, TupleRef, Value};
+use dp_types::{
+    LogicalTime, NodeId, Prefix, PrefixTrie, Sym, Tuple, TupleRef, Value, WordBuildHasher,
+};
 
 use super::TupleState;
 use crate::plan::{IndexSpecs, TrieSpecs};
@@ -96,8 +98,9 @@ impl TrieIndex {
 /// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
 /// bucket of live tuples with those values, kept as a `BTreeSet` so index
 /// probes still enumerate candidates in tuple order. The `HashMap` layer is
-/// only ever probed by key, never iterated, so its nondeterministic
-/// iteration order cannot leak into the event stream.
+/// hashed by `dp_types::WordHasher` (seedless, a word per step) and only
+/// ever probed by key, never iterated, so its iteration order cannot leak
+/// into the event stream.
 ///
 /// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
 /// answering `prefix_contains` probes in O(32) instead of a full scan.
@@ -106,7 +109,7 @@ struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
     tuples: BTreeMap<Arc<Tuple>, Slot>,
-    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
+    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>, WordBuildHasher>>,
     tries: Vec<TrieIndex>,
     /// Clock of the most recent appearance in this table. Lets `as_of`-
     /// horizon probes (see the module docs on batching) skip the per-
@@ -124,7 +127,7 @@ fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 
 impl Table {
     fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
-        let indexes = vec![HashMap::new(); specs.len()];
+        let indexes = vec![HashMap::default(); specs.len()];
         let tries = vec![TrieIndex::default(); trie_specs.len()];
         Table {
             specs,
@@ -185,7 +188,7 @@ impl Table {
     /// specs. Used when restoring a checkpoint under a program whose index
     /// requirements may differ from the one that took it.
     fn rebuild(&mut self, specs: IndexSpecs, trie_specs: TrieSpecs) {
-        self.indexes = vec![HashMap::new(); specs.len()];
+        self.indexes = vec![HashMap::default(); specs.len()];
         self.specs = specs;
         self.tries = vec![TrieIndex::default(); trie_specs.len()];
         self.trie_specs = trie_specs;
@@ -338,19 +341,24 @@ impl NodeState {
             })
     }
 
+    /// The state of `tuple`, inserted empty if absent. The table is
+    /// created on first use with the access paths `program`'s join plans
+    /// registered for it — looked up then, not per insert — or with none
+    /// (`None`: the oracle's plain storage).
     pub(crate) fn entry(
         &mut self,
         tuple: &Arc<Tuple>,
-        specs: Option<&IndexSpecs>,
-        trie_specs: Option<&TrieSpecs>,
+        program: Option<&Program>,
         now: LogicalTime,
     ) -> &mut TupleState {
         self.tables
             .entry(tuple.table.clone())
             .or_insert_with(|| {
+                let specs = program.and_then(|p| p.index_specs_for(&tuple.table));
+                let tries = program.and_then(|p| p.trie_specs_for(&tuple.table));
                 Table::with_specs(
                     specs.cloned().unwrap_or_default(),
-                    trie_specs.cloned().unwrap_or_default(),
+                    tries.cloned().unwrap_or_default(),
                 )
             })
             .insert(tuple, now)
@@ -376,15 +384,27 @@ impl NodeState {
         dependents
     }
 
-    /// Registers `head` as derived from the live tuple `body` of this
-    /// node: if `body` disappears, `head` is where the cascade looks.
-    pub(super) fn add_dependent(&mut self, body: &Tuple, head: TupleRef) {
-        self.tables
+    /// Registers `head` as derived from the tuple `body` of this node —
+    /// if `body` disappears, `head` is where the cascade looks — and
+    /// returns when `body` appeared. `None`, and nothing registered, when
+    /// `body` is not live here: re-check, episode and registration are one
+    /// lookup.
+    pub(super) fn depend(&mut self, body: &Tuple, head: &TupleRef) -> Option<LogicalTime> {
+        let slot = self.tables.get_mut(&body.table)?.tuples.get_mut(body)?;
+        slot.dependents.push(head.clone());
+        Some(slot.state.appeared_at)
+    }
+
+    /// Takes back the latest [`NodeState::depend`] on `body`. Callers undo
+    /// in reverse order of registration, so the entry popped is theirs.
+    pub(super) fn undepend(&mut self, body: &Tuple) {
+        if let Some(slot) = self
+            .tables
             .get_mut(&body.table)
             .and_then(|t| t.tuples.get_mut(body))
-            .expect("a derivation is recorded only over live body tuples")
-            .dependents
-            .push(head);
+        {
+            slot.dependents.pop();
+        }
     }
 
     pub(super) fn reindex(&mut self, program: &Program) {

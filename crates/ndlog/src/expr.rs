@@ -10,14 +10,130 @@
 //! [`Error::NonInvertible`] for computations like hashes — in which case
 //! DiffProv reports the attempted change as a diagnostic clue instead of a
 //! fix (Section 4.7, "false negatives").
+//!
+//! # The environment
+//!
+//! [`Env`] — a rule firing's variable bindings — is one flat row of
+//! `(name, value)` pairs kept sorted by name. A rule binds a handful of
+//! variables, so a row beats a tree on every operation the evaluator
+//! repeats per candidate tuple (look up, bind, undo, clone per match).
+//! It is *sorted* because its iteration order is observable: DiffProv
+//! walks the good derivation's environment to build the bad one
+//! (`diffprov-core`'s `align.rs`), and the order it meets the variables in
+//! must not depend on the order a join happened to bind them. Name order
+//! is what the `BTreeMap` this row replaced gave, so every iteration sees
+//! what it saw before.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use dp_types::{Error, Prefix, Result, Sym, Value};
 
-/// A variable binding environment.
-pub type Env = BTreeMap<Sym, Value>;
+/// A variable binding environment: `(name, value)` pairs sorted by name,
+/// with the map operations the workspace uses (see the module docs).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Env {
+    row: Vec<(Sym, Value)>,
+}
+
+impl Clone for Env {
+    /// A clone has the room its source had: the join clones one
+    /// environment per match and the rule's assignments bind into the
+    /// clone, which an exact-fit copy would make reallocate.
+    fn clone(&self) -> Self {
+        let mut row = Vec::with_capacity(self.row.capacity());
+        row.extend(self.row.iter().cloned());
+        Env { row }
+    }
+}
+
+impl Env {
+    /// Room for a typical rule's variables (the SDN model's widest rule
+    /// binds eleven), taken on the first binding so that building an
+    /// environment up is one allocation, not one per doubling from four.
+    const FIRST_ROOM: usize = 12;
+
+    /// An empty environment (no allocation until something is bound).
+    pub fn new() -> Self {
+        Env::default()
+    }
+
+    /// Where `name` is (`Ok`) or would be inserted (`Err`). A rule's own
+    /// `Sym` for the variable is usually the one that bound it, so the
+    /// one-word pointer test runs first and the string compares only on
+    /// a miss.
+    fn find(&self, name: &Sym) -> std::result::Result<usize, usize> {
+        match self.row.iter().position(|(k, _)| k.ptr_eq(name)) {
+            Some(i) => Ok(i),
+            None => self.row.binary_search_by(|(k, _)| k.as_str().cmp(name.as_str())),
+        }
+    }
+
+    /// The value bound to `name`, if any.
+    pub fn get(&self, name: &Sym) -> Option<&Value> {
+        self.find(name).ok().map(|i| &self.row[i].1)
+    }
+
+    /// True if `name` is bound.
+    pub fn contains_key(&self, name: &Sym) -> bool {
+        self.find(name).is_ok()
+    }
+
+    /// Binds `name` to `value`, returning the value it replaces. A
+    /// re-bound name keeps its first key, as a map does.
+    pub fn insert(&mut self, name: Sym, value: Value) -> Option<Value> {
+        match self.find(&name) {
+            Ok(i) => Some(std::mem::replace(&mut self.row[i].1, value)),
+            Err(i) => {
+                if self.row.capacity() == 0 {
+                    self.row.reserve_exact(Self::FIRST_ROOM);
+                }
+                self.row.insert(i, (name, value));
+                None
+            }
+        }
+    }
+
+    /// Unbinds `name`, returning its value.
+    pub fn remove(&mut self, name: &Sym) -> Option<Value> {
+        self.find(name).ok().map(|i| self.row.remove(i).1)
+    }
+
+    /// The bindings in name order.
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// Number of bound names.
+    pub fn len(&self) -> usize {
+        self.row.len()
+    }
+
+    /// True when nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.row.is_empty()
+    }
+}
+
+impl FromIterator<(Sym, Value)> for Env {
+    /// Later pairs win over earlier ones with the same name.
+    fn from_iter<I: IntoIterator<Item = (Sym, Value)>>(iter: I) -> Self {
+        let mut env = Env::new();
+        for (k, v) in iter {
+            env.insert(k, v);
+        }
+        env
+    }
+}
+
+impl<'a> IntoIterator for &'a Env {
+    type Item = (&'a Sym, &'a Value);
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, (Sym, Value)>, fn(&'a (Sym, Value)) -> Self::Item>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.row.iter().map(|(k, v)| (k, v))
+    }
+}
 
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -621,6 +737,58 @@ mod tests {
 
     fn env(pairs: &[(&str, Value)]) -> Env {
         pairs.iter().map(|(k, v)| (Sym::new(k), v.clone())).collect()
+    }
+
+    /// The row against the map it replaced: seeded insert/remove/re-insert
+    /// sequences must leave both with the same bindings in the same
+    /// iteration order, and every call must return what the map's does.
+    #[test]
+    fn env_is_a_name_sorted_map() {
+        use std::collections::BTreeMap;
+        // Two `Sym`s per name: equal content, distinct allocations.
+        let names: Vec<[Sym; 2]> = ["Z", "a", "Dst", "Prio", "S", "Src", "X", "Y", "aa", "Pt", "b", "Next"]
+            .iter()
+            .map(|n| [Sym::new(n), Sym::new(n)])
+            .collect();
+        for seed in 0..64 {
+            let mut rng = dp_types::DetRng::seed_from_u64(seed);
+            let (mut env, mut map) = (Env::new(), BTreeMap::<Sym, Value>::new());
+            for step in 0..400 {
+                let name = &names[rng.gen_range_usize(0, names.len())];
+                let (key, probe) = (&name[step % 2], &name[(step + 1) % 2]);
+                assert!(!key.ptr_eq(probe) && key == probe);
+                match rng.gen_range_usize(0, 3) {
+                    0 => {
+                        let v = Value::Int(rng.gen_range_i64(0, 1_000));
+                        assert_eq!(env.insert(key.clone(), v.clone()), map.insert(key.clone(), v));
+                    }
+                    1 => assert_eq!(env.remove(probe), map.remove(probe)),
+                    _ => {
+                        assert_eq!(env.get(probe), map.get(probe));
+                        assert_eq!(env.get(key), map.get(key));
+                        assert_eq!(env.contains_key(probe), map.contains_key(probe));
+                    }
+                }
+                assert_eq!(env.len(), map.len());
+                assert_eq!(env.is_empty(), map.is_empty());
+                assert!(env.iter().eq(map.iter()), "seed {seed} step {step}: {env:?} vs {map:?}");
+                assert!((&env).into_iter().eq(&map), "seed {seed} step {step}");
+            }
+            let rebuilt: Env = map.iter().rev().map(|(k, v)| (k.clone(), v.clone())).collect();
+            assert_eq!(rebuilt, env, "seed {seed}: collected in any order, sorted all the same");
+        }
+    }
+
+    #[test]
+    fn env_insert_returns_the_value_it_replaces() {
+        let mut env = Env::new();
+        assert_eq!(env.insert(Sym::new("x"), Value::Int(1)), None);
+        assert_eq!(env.insert(Sym::new("x"), Value::Int(2)), Some(Value::Int(1)));
+        assert_eq!(env.len(), 1);
+        assert_eq!(env.get(&Sym::new("x")), Some(&Value::Int(2)));
+        assert_eq!(env.remove(&Sym::new("x")), Some(Value::Int(2)));
+        assert_eq!(env.remove(&Sym::new("x")), None);
+        assert!(env.is_empty() && !env.contains_key(&Sym::new("x")));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::expr::{BinOp, Expr, Func};
 /// Parses a whole program: a sequence of rules.
 pub fn parse_rules(src: &str) -> Result<Vec<Rule>> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, vars: Vec::new() };
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
@@ -50,7 +50,7 @@ pub fn parse_rule(src: &str) -> Result<Rule> {
 /// front-end).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, vars: Vec::new() };
     let e = p.expr()?;
     if !p.at_end() {
         return Err(Error::Parse(format!("trailing input after expression: {src:?}")));
@@ -182,6 +182,10 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// The variables of the rule being parsed: every occurrence of one
+    /// name shares one `Sym`, so an environment lookup by a rule's own
+    /// `Sym` is a pointer match (see `Env`).
+    vars: Vec<Sym>,
 }
 
 impl Parser {
@@ -231,7 +235,18 @@ impl Parser {
     }
 
     /// `name head :- body .`
+    /// The rule-wide `Sym` of variable `name`.
+    fn var(&mut self, name: &str) -> Sym {
+        if let Some(v) = self.vars.iter().find(|v| v.as_str() == name) {
+            return v.clone();
+        }
+        let v = Sym::new(name);
+        self.vars.push(v.clone());
+        v
+    }
+
     fn rule(&mut self) -> Result<Rule> {
+        self.vars.clear();
         let name = self.ident()?;
         let (head, agg) = self.head_atom()?;
         self.expect(":-")?;
@@ -299,10 +314,10 @@ impl Parser {
                     self.expect(")")?;
                     agg = Some(AggSpec {
                         func,
-                        var: Sym::new(&var),
+                        var: self.var(&var),
                         head_index: args.len(),
                     });
-                    args.push(Expr::var(var));
+                    args.push(Expr::Var(self.var(&var)));
                     continue;
                 }
             }
@@ -343,7 +358,7 @@ impl Parser {
                         self.expect(")")?;
                         body.push(BodyAtom {
                             table: Sym::new(name),
-                            loc: Sym::new(loc),
+                            loc: self.var(&loc),
                             args,
                         });
                         return Ok(());
@@ -373,7 +388,7 @@ impl Parser {
                     self.pos += 2; // ident, ':='
                     let expr = self.expr()?;
                     assigns.push(Assign {
-                        var: Sym::new(name),
+                        var: self.var(&name),
                         expr,
                     });
                     return Ok(());
@@ -400,7 +415,7 @@ impl Parser {
                     // `_` lexes as an identifier; every occurrence is an
                     // independent wildcard, not a shared variable.
                     "_" => Ok(Pattern::Wildcard),
-                    _ => Ok(Pattern::Var(Sym::new(name))),
+                    _ => Ok(Pattern::Var(self.var(&name))),
                 }
             }
             _ => {
@@ -569,7 +584,7 @@ impl Parser {
                     match name.as_str() {
                         "true" => Ok(Expr::val(true)),
                         "false" => Ok(Expr::val(false)),
-                        _ => Ok(Expr::var(name)),
+                        _ => Ok(Expr::Var(self.var(&name))),
                     }
                 }
             }
@@ -628,6 +643,33 @@ mod tests {
         assert_eq!(r.constraints.len(), 2);
         assert!(matches!(&r.constraints[1], Constraint::Builtin { name, args }
             if name == &Sym::new("best_match") && args.len() == 3));
+    }
+
+    /// Every occurrence of a variable in one rule is one `Sym` allocation
+    /// (so `Env` finds it by pointer); two rules do not share.
+    #[test]
+    fn a_rules_variables_share_one_sym() {
+        let rules = parse_rules(
+            "r1 out(@Next, Src, D) :- pkt(@S, Src, C), link(@S, C, Next), D := 2*C + Src, C > 0.\n\
+             r2 out(@S, Src, Src) :- pkt(@S, Src, _).",
+        )
+        .unwrap();
+        let r = &rules[0];
+        let (Pattern::Var(src), Pattern::Var(c)) = (&r.body[0].args[0], &r.body[0].args[1]) else {
+            panic!("patterns: {:?}", r.body[0].args);
+        };
+        assert!(r.body[0].loc.ptr_eq(&r.body[1].loc));
+        assert!(matches!(&r.body[1].args[0], Pattern::Var(v) if v.ptr_eq(c)));
+        assert!(matches!(&r.head.args[0], Expr::Var(v) if v.ptr_eq(src)));
+        let (Pattern::Var(next), Expr::Var(head_loc)) = (&r.body[1].args[1], &r.head.loc) else {
+            panic!("head location: {:?}", r.head.loc);
+        };
+        assert!(next.ptr_eq(head_loc));
+        let mut in_assign = Vec::new();
+        r.assigns[0].expr.vars(&mut in_assign);
+        assert!(in_assign.iter().any(|v| v.ptr_eq(c)) && in_assign.iter().any(|v| v.ptr_eq(src)));
+        assert!(matches!(&r.head.args[1], Expr::Var(v) if v.ptr_eq(&r.assigns[0].var)));
+        assert!(matches!(&rules[1].body[0].args[0], Pattern::Var(v) if v == src && !v.ptr_eq(src)));
     }
 
     #[test]

@@ -214,6 +214,20 @@ impl Program {
         &self.natives[idx]
     }
 
+    /// How many rule slots the engine's per-rule counters need: one per
+    /// declarative rule by index, then one per native.
+    pub(crate) fn rule_slots(&self) -> usize {
+        self.rules.len() + self.natives.len()
+    }
+
+    /// The name of the rule (or, past the rules, the native) in `slot`.
+    pub(crate) fn slot_name(&self, slot: usize) -> Sym {
+        match self.rules.get(slot) {
+            Some(rule) => rule.name.clone(),
+            None => self.natives[slot - self.rules.len()].name(),
+        }
+    }
+
     /// The planned (index-probing) join order for `(rule, trigger atom)`.
     pub fn join_plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
         self.plans.plan(rule, trigger)

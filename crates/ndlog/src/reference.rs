@@ -187,7 +187,7 @@ impl Oracle<'_> {
             .nodes
             .entry(node.clone())
             .or_default()
-            .entry(&tuple, None, None, now);
+            .entry(&tuple, None, now);
         if entry.base {
             return Ok(());
         }
@@ -240,7 +240,7 @@ impl Oracle<'_> {
             .nodes
             .entry(d.node.clone())
             .or_default()
-            .entry(&d.tuple, None, None, now);
+            .entry(&d.tuple, None, now);
         if entry
             .derivations
             .iter()

@@ -83,7 +83,7 @@ fn run_impl(program: &Arc<Program>, ops: &[ScheduledOp], traced: bool) -> Outcom
     }
     schedule_all(&mut eng, ops);
     eng.run().unwrap();
-    let firings = eng.rule_firings().clone();
+    let firings = eng.rule_firings();
     let stats = eng.stats();
     let tables = tables(eng.nodes());
     Outcome {

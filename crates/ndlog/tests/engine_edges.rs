@@ -1375,3 +1375,113 @@ fn base_support_comes_and_goes_inside_one_episode() {
     );
     assert_eq!(dp_provenance::well_formedness_violations(&graph), Vec::<String>::new());
 }
+
+/// `a(x)`, `b(y)`, and two rules over them: `g(x)` from `a` alone and
+/// `h(x, y)` from the pair, body order `a` then `b`.
+fn pair_program() -> Arc<Program> {
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("a", TableKind::MutableBase, [("x", FieldType::Int)]));
+    reg.declare(Schema::new("b", TableKind::MutableBase, [("y", FieldType::Int)]));
+    reg.declare(Schema::new("g", TableKind::Derived, [("x", FieldType::Int)]));
+    reg.declare(Schema::new(
+        "h",
+        TableKind::Derived,
+        [("x", FieldType::Int), ("y", FieldType::Int)],
+    ));
+    Program::builder(reg)
+        .rules_text(
+            "rg g(@N, X) :- a(@N, X).\n\
+             rh h(@N, X, Y) :- a(@N, X), b(@N, Y).",
+        )
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The heads underived from `since` on, in stream order.
+fn underived(got: &Outcome, since: u64) -> Vec<Tuple> {
+    got.events
+        .iter()
+        .filter_map(|e| match e {
+            ProvEvent::Underive { time, tuple, .. } if *time >= since => Some((**tuple).clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A derivation registers its head with each body tuple in the same
+/// lookup that re-checks the tuple. When a later body tuple turns out to
+/// have been retracted in flight, the registrations already made are taken
+/// back: `a(1)`'s list must read as if `h(1,2)` had never been tried, so
+/// that when `h(1,2)` is derived for real — after `h(1,3)` — the cascade
+/// that retires `a(1)` meets the heads in the order they were recorded.
+#[test]
+fn body_retracted_in_flight_registers_no_dependent() {
+    let program = pair_program();
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(1, "n", tuple!("a", 1)),
+            ScheduledOp::insert(5, "n", tuple!("b", 1)),
+            // b(2) triggers h(1,2) and is gone before it is delivered:
+            // the delete flushes the firing, then pops ahead of it.
+            ScheduledOp::insert(10, "n", tuple!("b", 2)),
+            ScheduledOp::delete(10, "n", tuple!("b", 2)),
+            ScheduledOp::insert(20, "n", tuple!("b", 3)),
+            ScheduledOp::insert(25, "n", tuple!("b", 2)),
+            ScheduledOp::delete(30, "n", tuple!("a", 1)),
+        ],
+    );
+    let derives_of_h12 = got
+        .events
+        .iter()
+        .filter(|e| matches!(e, ProvEvent::Derive { tuple, .. } if **tuple == tuple!("h", 1, 2)))
+        .count();
+    assert_eq!(derives_of_h12, 1, "the in-flight derivation must have been dropped");
+    assert_eq!(
+        underived(&got, 30),
+        vec![tuple!("g", 1), tuple!("h", 1, 1), tuple!("h", 1, 3), tuple!("h", 1, 2)],
+        "a(1)'s dependents, in registration order"
+    );
+    assert_eq!(table_of(&got, "n", "b").len(), 3);
+    assert!(table_of(&got, "n", "h").is_empty() && table_of(&got, "n", "g").is_empty());
+}
+
+/// The same `(rule, body)` delivered twice counts once — and registers
+/// once. `b(1)` is inserted, deleted and re-inserted inside one due: the
+/// delete flushes the first firing, whose delivery finds `b(1)` back and
+/// is recorded; the re-insert's own firing then delivers the identical
+/// derivation, which must take both of its registrations back and leave
+/// the first one's in place, on `a(1)` and on `b(1)` alike.
+#[test]
+fn duplicate_delivery_registers_its_head_once() {
+    let program = pair_program();
+    let ops = [
+        ScheduledOp::insert(1, "n", tuple!("a", 1)),
+        ScheduledOp::insert(10, "n", tuple!("b", 1)),
+        ScheduledOp::delete(10, "n", tuple!("b", 1)),
+        ScheduledOp::insert(10, "n", tuple!("b", 1)),
+        ScheduledOp::insert(20, "n", tuple!("b", 3)),
+    ];
+    let mut eng = Engine::new(Arc::clone(&program), VecSink::default());
+    testsupport::schedule_all(&mut eng, &ops);
+    eng.run().unwrap();
+    assert_eq!(eng.stats().join_matches, 4, "rg once; rh for b(1) twice and b(3)");
+    assert_eq!(eng.stats().derivations, 3, "the second h(1,1) is a duplicate");
+    let h11 = eng.lookup(&NodeId::new("n"), &tuple!("h", 1, 1)).unwrap();
+    assert_eq!(h11.derivations.len(), 1);
+
+    // Retiring b(1) must still find h(1,1) (its registration survived the
+    // duplicate's undo), and retiring a(1) the rest, in order.
+    let mut all = ops.to_vec();
+    all.push(ScheduledOp::delete(30, "n", tuple!("b", 1)));
+    all.push(ScheduledOp::insert(35, "n", tuple!("b", 1)));
+    all.push(ScheduledOp::delete(40, "n", tuple!("a", 1)));
+    let got = run_checked(&program, &all);
+    assert_eq!(underived(&got, 30), vec![
+        tuple!("h", 1, 1), // b(1) goes at 30
+        tuple!("g", 1),    // a(1) goes at 40: registration order
+        tuple!("h", 1, 1),
+        tuple!("h", 1, 3),
+    ]);
+}

@@ -60,15 +60,20 @@ pub struct Replayed {
     /// log the held state reflects is the execution's log with these
     /// changes applied.
     rolled: (Vec<TupleChange>, LogicalTime),
+    /// Base ops scheduled on the held engine so far: the replay's, then
+    /// each roll's withdrawals and re-issues. When the engine acted on as
+    /// many (`base_inserts + base_deletes`), none of them was a no-op.
+    scheduled: u64,
 }
 
 impl Replayed {
     /// Wraps a quiescent engine whose state reflects the execution's log
-    /// as it stands.
-    fn new(engine: Engine<GraphRecorder>) -> Self {
+    /// as it stands, `scheduled` base ops of it run on this engine.
+    fn new(engine: Engine<GraphRecorder>, scheduled: usize) -> Self {
         Replayed {
             engine,
             rolled: (Vec::new(), 0),
+            scheduled: scheduled as u64,
         }
     }
 
@@ -191,7 +196,20 @@ impl Replayed {
             first.into_iter().chain(rest).map(Cow::into_owned).collect()
         };
         let (withdrawn, suffix) = (rest(parted.0, h), rest(parted.1, p));
-        let undo = effective_ops(held.events().take(fork), &withdrawn);
+        // The engine counts the base ops it acted on; when that is every op
+        // it was ever given, none of the withdrawn ones was a no-op and the
+        // walk over the prefix that would find them has nothing to find.
+        let acted = self.engine.stats();
+        let undo: Vec<&BaseEvent> = if acted.base_inserts + acted.base_deletes == self.scheduled {
+            debug_assert_eq!(
+                effective_ops(held.events().take(fork), &withdrawn).len(),
+                withdrawn.len(),
+                "the engine acted on every op, so the walk must keep every op"
+            );
+            withdrawn.iter().collect()
+        } else {
+            effective_ops(held.events().take(fork), &withdrawn)
+        };
         span.end(Some(self.now()), &[("events", held_len as u64), ("fork", fork as u64)]);
 
         // The due the two (sorted) logs part at: nothing a suffix event
@@ -213,6 +231,7 @@ impl Replayed {
             for e in suffix {
                 e.schedule_as(&mut self.engine, base + (e.due - first.due), e.op)?;
             }
+            self.scheduled += suffix.len() as u64;
             self.engine.run()?;
         }
         span.end(Some(self.now()), &[("events", suffix.len() as u64)]);
@@ -243,6 +262,7 @@ impl Replayed {
             };
             e.schedule_as(&mut self.engine, at, inverse)?;
         }
+        self.scheduled += undo.len() as u64;
         self.engine.run()?;
 
         let program = self.engine.program();
@@ -388,16 +408,22 @@ impl Execution {
 
     /// A fresh engine over `sink` with the log's prefix up to `until`
     /// (all of it when `None`) scheduled and run to quiescence.
-    fn run_into<S: ProvenanceSink>(&self, sink: S, until: Option<LogicalTime>) -> Result<Engine<S>> {
+    /// Schedules the log (up to `until`) on a fresh engine over `sink` and
+    /// runs it: the quiescent engine and how many base ops it was given.
+    fn run_into<S: ProvenanceSink>(
+        &self,
+        sink: S,
+        until: Option<LogicalTime>,
+    ) -> Result<(Engine<S>, usize)> {
         let mut engine = Engine::new(Arc::clone(&self.program), sink);
         self.configure(&mut engine);
         // The span and its event count depend on the log alone, so they
         // belong to the deterministic skeleton.
         let span = self.tracer.span("replay.schedule", Class::Skeleton, None);
-        self.log.schedule_into(&mut engine, until)?;
+        let scheduled = self.log.schedule_into(&mut engine, until)?;
         span.end(None, &[("events", self.log.len() as u64)]);
         engine.run()?;
-        Ok(engine)
+        Ok((engine, scheduled))
     }
 
     /// Replays the full log, recording provenance.
@@ -407,13 +433,14 @@ impl Execution {
 
     /// Replays the prefix of the log with `due <= until` (if given).
     pub fn replay_until(&self, until: Option<LogicalTime>) -> Result<Replayed> {
-        Ok(Replayed::new(self.run_into(self.recorder(), until)?))
+        let (engine, scheduled) = self.run_into(self.recorder(), until)?;
+        Ok(Replayed::new(engine, scheduled))
     }
 
     /// Replays without recording provenance — the "logging disabled"
     /// baseline used to measure capture overhead (Section 6.4).
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
-        self.run_into(NullSink, None)
+        Ok(self.run_into(NullSink, None)?.0)
     }
 
     /// Replays the full log through a [`HashSink`], returning the
@@ -427,7 +454,7 @@ impl Execution {
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
-        let sink = self.run_into(HashSink::default(), None)?.into_sink();
+        let sink = self.run_into(HashSink::default(), None)?.0.into_sink();
         Ok((sink.digest(), sink.count))
     }
 
@@ -521,14 +548,16 @@ impl Execution {
                     self.recorder(),
                 )?;
                 self.configure(&mut engine);
+                let mut scheduled = 0;
                 for e in self.log.events().iter() {
                     if e.due <= cp.cut {
                         continue;
                     }
                     e.schedule_as(&mut engine, e.due, e.op)?;
+                    scheduled += 1;
                 }
                 engine.run()?;
-                Ok(Replayed::new(engine))
+                Ok(Replayed::new(engine, scheduled))
             }
             None => self.replay(),
         }

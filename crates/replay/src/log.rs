@@ -285,12 +285,13 @@ impl EventLog {
     }
 
     /// Feeds the whole log (or the prefix with `due <= until`, if given)
-    /// into an engine's schedule.
+    /// into an engine's schedule; returns how many events that was.
     pub fn schedule_into<S: dp_ndlog::ProvenanceSink>(
         &self,
         engine: &mut dp_ndlog::Engine<S>,
         until: Option<LogicalTime>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
+        let mut scheduled = 0;
         for e in self.events().iter() {
             if let Some(t) = until {
                 if e.due > t {
@@ -298,8 +299,9 @@ impl EventLog {
                 }
             }
             e.schedule_as(engine, e.due, e.op)?;
+            scheduled += 1;
         }
-        Ok(())
+        Ok(scheduled)
     }
 }
 

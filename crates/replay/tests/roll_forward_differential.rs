@@ -179,3 +179,68 @@ fn sdn4_round_two_forks_from_round_one() {
     let scratch = exec.replay_with(&deltas[1], at).unwrap();
     assert_same("SDN4 round 2", &rolled, &trees("SDN4 scratch", &scratch));
 }
+
+/// The roll skips the base-presence walk over the prefix when the engine
+/// acted on every op it was given. A log that re-inserts a present tuple
+/// before the fork gives the engine a no-op, so this schedule takes the
+/// walk — through both entries, rolled to Δ and back — and must land
+/// where from-scratch does.
+#[test]
+fn a_duplicate_insert_in_the_prefix_keeps_the_presence_walk() {
+    let mut s = campus(&CampusConfig::default()).scenario;
+    // The campus configures everything at one due, so the duplicate has to
+    // arrive second to land before the faulty entry.
+    let logged: Vec<_> = s.bad_exec.log.events().iter().cloned().collect();
+    let first = logged[0].clone();
+    s.bad_exec.log = dp_replay::EventLog::new();
+    for (i, e) in logged.into_iter().enumerate() {
+        s.bad_exec.log.push(e);
+        if i == 0 {
+            s.bad_exec.log.push(first.clone());
+        }
+    }
+    let (deltas, at) = round_deltas(&s);
+    let mut exec = s.bad_exec.clone();
+    exec.tracer = Tracer::aggregate_only();
+
+    let events = exec.log.events();
+    let patched = apply_changes(&exec.log, &deltas[0], at);
+    let fork = events.iter().zip(patched.events().iter()).take_while(|(a, b)| a == b).count();
+    let duplicate = events
+        .iter()
+        .rposition(|e| e.node == first.node && e.tuple == first.tuple)
+        .expect("logged above");
+    assert!(
+        0 < duplicate && duplicate < fork && 2 * fork >= events.len(),
+        "fixture: the duplicate (at {duplicate}) must sit in the rolled prefix (fork {fork} of {})",
+        events.len()
+    );
+    drop(events);
+    let held = exec.replay().unwrap();
+    let acted = held.engine.stats();
+    assert_eq!(
+        acted.base_inserts + acted.base_deletes + 1,
+        exec.log.len() as u64,
+        "fixture: the engine must have ignored exactly the duplicate"
+    );
+
+    // Forth to Δ and back to the log as it stands: the second roll starts
+    // from the counts the first one moved.
+    let targets = [
+        (&deltas[0][..], trees("campus+dup Δ", &exec.replay_with(&deltas[0], at).unwrap())),
+        (&[][..], trees("campus+dup", &exec.replay().unwrap())),
+    ];
+    for (entry, roll) in ENTRIES {
+        let mut rolled = exec.replay().unwrap();
+        for (i, (delta, scratch)) in targets.iter().enumerate() {
+            let case = format!("campus+dup {entry} roll {}", i + 1);
+            roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_same(&case, &rolled, scratch);
+        }
+    }
+    assert_eq!(
+        exec.tracer.aggregate().counter("replay.rolled{path=roll}"),
+        4,
+        "every call rolled"
+    );
+}

@@ -91,7 +91,7 @@ pub fn spec_program() -> Result<Arc<Program>> {
         )
         .with_key([0]),
     );
-    let best_match: Arc<dyn StatefulBuiltin> = Arc::new(BestMatch { config: None });
+    let best_match: Arc<dyn StatefulBuiltin> = Arc::new(BestMatch::new(None));
     Program::builder(reg)
         .rules_text(
             "\

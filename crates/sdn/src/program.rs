@@ -205,9 +205,7 @@ pub fn sdn_schemas() -> SchemaRegistry {
 pub fn sdn_program(controller: &str) -> Result<Arc<Program>> {
     Program::builder(sdn_schemas())
         .rules_text(SDN_RULES)?
-        .builtin(Arc::new(BestMatch {
-            config: Some(NodeId::new(controller)),
-        }))
+        .builtin(Arc::new(BestMatch::new(Some(NodeId::new(controller)))))
         .build()
 }
 
@@ -226,9 +224,21 @@ pub struct BestMatch {
     /// the `flowEntry` table directly (useful for models where entries are
     /// base tuples).
     pub config: Option<NodeId>,
+    /// The table the predicate reads, named once: `eval` runs per `fwd`
+    /// match, and a `Sym` built there is an allocation and a free each.
+    flow_entry: Sym,
 }
 
 impl BestMatch {
+    /// The predicate, directing repairs at `config`'s `cfgEntry` table
+    /// (see [`BestMatch::config`]).
+    pub fn new(config: Option<NodeId>) -> Self {
+        BestMatch {
+            config,
+            flow_entry: Sym::new("flowEntry"),
+        }
+    }
+
     fn blockers<'a>(
         &self,
         view: &NodeView<'a>,
@@ -236,7 +246,6 @@ impl BestMatch {
         dst: u32,
         prio: i64,
     ) -> Result<Vec<&'a Tuple>> {
-        let fe = Sym::new("flowEntry");
         let mut out = Vec::new();
         // The engine keeps prefix tries on the srcMatch and dstMatch
         // columns for the `fwd` rule; priority resolution rides whichever
@@ -244,7 +253,7 @@ impl BestMatch {
         // superset of the entries that match it, in table order, so the
         // filter below is unchanged and the result is identical to a full
         // scan.
-        for t in view.prefix_candidates(&fe, &[(2, src), (3, dst)]) {
+        for t in view.prefix_candidates(&self.flow_entry, &[(2, src), (3, dst)]) {
             let eprio = t.args[1].as_int()?;
             let sm = t.args[2].as_prefix()?;
             let dm = t.args[3].as_prefix()?;

@@ -40,7 +40,7 @@ pub use schema::{FieldDecl, FieldType, Schema, SchemaRegistry, TableKind};
 pub use sym::Sym;
 pub use trace::{SpanId, TraceId};
 pub use trie::PrefixTrie;
-pub use tuple::{NodeId, Tuple, TupleRef, TupleStore};
+pub use tuple::{NodeId, Tuple, TupleRef, TupleStore, WordBuildHasher, WordHasher};
 pub use value::Value;
 
 /// A logical timestamp assigned by the deterministic engine clock.

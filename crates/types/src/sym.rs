@@ -24,6 +24,13 @@ impl Sym {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// True when both symbols share one allocation — a one-word test that,
+    /// when it holds, spares the content compare (equal content does not
+    /// imply it: two `Sym::new("x")` are equal and distinct).
+    pub fn ptr_eq(&self, other: &Sym) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl fmt::Display for Sym {
@@ -85,6 +92,15 @@ mod tests {
         let b = Sym::new(String::from("flowEntry"));
         assert_eq!(a, b);
         assert_eq!(a, "flowEntry");
+    }
+
+    #[test]
+    fn ptr_eq_is_by_allocation() {
+        let a = Sym::new("flowEntry");
+        let b = Sym::new("flowEntry");
+        assert!(a.ptr_eq(&a.clone()));
+        assert!(!a.ptr_eq(&b));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,7 +1,28 @@
-//! Tuples, node identities, and the tuple interner.
+//! Tuples, node identities, the tuple interner and the hasher behind it.
+//!
+//! # The word hasher
+//!
+//! The interner and the engine's join indexes are the two hash tables on
+//! the evaluator's hot path: every scheduled, derived or emitted tuple is
+//! hashed once to be interned, and every index probe hashes its key.
+//! Their keys are a table name and a few machine-word fields, which
+//! SipHash — `std`'s keyed, DoS-resistant default — digests a byte at a
+//! time behind a per-process random seed. [`WordHasher`] folds one word
+//! per step (rotate, xor, multiply) and carries two obligations:
+//!
+//! * **Deterministic.** No seed, no address, no process state goes in:
+//!   two stores, two runs and two machines hash one tuple to one value,
+//!   so nothing about a table's layout can differ between a run and its
+//!   replay.
+//! * **Never iterated for order.** It is not collision-resistant against
+//!   an adversary and its tables' iteration order means nothing. A map
+//!   built on it is probed by key (`get`, `insert`, `remove`) or folded
+//!   order-insensitively (`len`, `retain`); whatever must come out in a
+//!   defined order is kept in a `BTreeMap`/`BTreeSet` beside it.
 
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::sym::Sym;
@@ -121,6 +142,77 @@ impl PartialEq<Arc<Tuple>> for Tuple {
     }
 }
 
+/// A seedless multiply-rotate hasher over machine words (see the module
+/// docs for what it may and may not be used for).
+///
+/// Each word is folded as `h = (rotl(h, 5) ^ word) * K` with an odd `K`,
+/// so two inputs differing in one word never collide; byte strings are
+/// folded eight bytes at a time. `finish` rotates the well-mixed high
+/// bits down to where a power-of-two table takes its bucket index from.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WordHasher {
+    hash: u64,
+}
+
+/// [`WordHasher`] as a map's `BuildHasher`: stateless, so every map built
+/// with it hashes alike.
+pub type WordBuildHasher = BuildHasherDefault<WordHasher>;
+
+impl WordHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ w).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("chunks of 8")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 /// An interner for tuples.
 ///
 /// The engine's hot path used to clone whole `Tuple`s per derivation record
@@ -128,9 +220,12 @@ impl PartialEq<Arc<Tuple>> for Tuple {
 /// heap allocation shared by reference count; equality-checked re-insertions
 /// return the existing `Arc`, so derivation records, index buckets, and
 /// provenance events all point at one copy.
+///
+/// The set is hashed by [`WordHasher`] and only ever probed, counted or
+/// `retain`ed — never iterated for order.
 #[derive(Clone, Debug, Default)]
 pub struct TupleStore {
-    set: HashSet<Arc<Tuple>>,
+    set: HashSet<Arc<Tuple>, WordBuildHasher>,
 }
 
 impl TupleStore {
@@ -157,6 +252,12 @@ impl TupleStore {
         }
         self.set.insert(Arc::clone(&tuple));
         tuple
+    }
+
+    /// The hash this store files `tuple` under. A function of the tuple
+    /// alone: every store, in every process, returns the same value.
+    pub fn hash_of(&self, tuple: &Tuple) -> u64 {
+        self.set.hasher().hash_one(tuple)
     }
 
     /// Number of distinct tuples interned.
@@ -266,6 +367,48 @@ mod tests {
         let c = store.intern(tuple!("t", 2));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn two_stores_hash_one_tuple_equally() {
+        // The property `RandomState` lacks: each `HashSet::new()` draws its
+        // own keys, so two default-hashed stores disagree.
+        let (a, mut b) = (TupleStore::new(), TupleStore::new());
+        b.intern(tuple!("warm", 1));
+        for t in [
+            tuple!("t", 1),
+            tuple!("flowEntry", 5, 8, Value::Ip(ip("1.2.3.4"))),
+            tuple!("cfg", "reducers", true),
+            tuple!("empty"),
+        ] {
+            assert_eq!(a.hash_of(&t), b.hash_of(&t), "{t}");
+            let again = WordBuildHasher::default().hash_one(&t);
+            assert_eq!(a.hash_of(&t), again, "{t}");
+        }
+        // Field order, arity and table all reach the hash.
+        let h = |t: Tuple| a.hash_of(&t);
+        assert_ne!(h(tuple!("t", 1, 2)), h(tuple!("t", 2, 1)));
+        assert_ne!(h(tuple!("t", 1)), h(tuple!("t", 1, 0)));
+        assert_ne!(h(tuple!("t", 1)), h(tuple!("u", 1)));
+        assert_ne!(h(tuple!("t", Value::Int(1))), h(tuple!("t", Value::Time(1))));
+    }
+
+    #[test]
+    fn word_hasher_folds_bytes_eight_at_a_time() {
+        let hash = |bytes: &[u8]| {
+            let mut h = WordHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        // A tail shorter than a word still counts, and where it sits
+        // matters.
+        assert_ne!(hash(b"flowEntry"), hash(b"flowEntr"));
+        assert_ne!(hash(b"12345678a"), hash(b"a12345678"));
+        assert_eq!(hash(b"packetIn"), hash(b"packetIn"));
+        // One word in, one word folded: `write_u64` and eight bytes agree.
+        let mut h = WordHasher::default();
+        h.write_u64(u64::from_le_bytes(*b"packetIn"));
+        assert_eq!(h.finish(), hash(b"packetIn"));
     }
 
     #[test]

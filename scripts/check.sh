@@ -7,8 +7,10 @@
 # exposition, sketches — the workspace opens no socket and spawns no
 # thread), against the deleted store and tracer routings and on-disk
 # checkpoints, against the deleted second provenance backend, against a
-# second UPDATETREE path in crates/core and against a tuple-keyed map in
-# the graph recorder; and lint-clean clippy.
+# second UPDATETREE path in crates/core, against a tuple-keyed map in the
+# graph recorder and against the searches the engine stopped repeating
+# (B-tree environment, second body walk, per-flush profile map); and
+# lint-clean clippy.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
 # (reference_differential.rs), the instrumentation handle disabled,
@@ -112,6 +114,16 @@ step "gate: no tuple-keyed map in the recorder" absent \
     "crates/provenance/src/graph.rs keys a map by TupleRef" \
     "(Map|Set)<[[:space:]]*\(?[[:space:]]*&?(dp_types::)?TupleRef" \
     crates/provenance/src/graph.rs
+# The engine finds each thing once (PR 22): bindings live in one flat
+# name-sorted row, a derivation registers its head in the lookup that
+# re-checks the body tuple, and join counters are arrays indexed by rule.
+# The B-tree environment, the second walk over the body and the per-flush
+# profile map must not grow back. (Spelled in halves so this script passes
+# its own gate.)
+step "gate: the engine finds once" absent \
+    "a search the engine stopped repeating reappeared" \
+    "type Env = BTree""Map|fn add_""dependent|struct Fire""Stats" \
+    crates
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo
