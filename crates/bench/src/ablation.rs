@@ -7,10 +7,7 @@
 //! 2. **Noise insensitivity** — scales the campus network's forwarding
 //!    tables and background traffic; the change set stays fixed because
 //!    provenance only follows causally related state.
-//! 3. **Checkpoint interval** — the replay-time/storage trade-off behind
-//!    the query-time capture approach.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use diffprov_core::{QueryEvent, Scenario};
@@ -154,66 +151,6 @@ pub fn noise(scales: &[(usize, usize)]) -> Result<Vec<NoiseRow>> {
             delta: report.delta.len(),
             names_root_cause,
             elapsed,
-        });
-    }
-    Ok(out)
-}
-
-/// One row of the checkpoint-interval ablation.
-#[derive(Clone, Debug)]
-pub struct CheckpointRow {
-    /// Checkpoint interval in base events (`None` = no checkpoints).
-    pub interval: Option<usize>,
-    /// Checkpoints stored.
-    pub checkpoints: usize,
-    /// Time to answer a query at the log horizon.
-    pub replay_time: Duration,
-}
-
-/// Sweeps the checkpoint interval on a packet-heavy execution.
-pub fn checkpoints(packets: usize, intervals: &[usize]) -> Result<Vec<CheckpointRow>> {
-    // Reuse the two-switch pipeline from the storage experiments.
-    let mut topo = Topology::new("ctl");
-    topo.switches(&["S1", "S2"]);
-    topo.link("S1", "S2");
-    let p_host = topo.host("S2", "sink");
-    let program = sdn_program("ctl")?;
-    let mut exec = Execution::new(Arc::clone(&program));
-    topo.emit(&mut exec.log, 10);
-    let ctl = NodeId::new("ctl");
-    let any = cidr("0.0.0.0/0");
-    exec.log.insert(
-        10,
-        ctl.clone(),
-        cfg_entry(1, "S1", 1, any, any, topo.port_towards("S1", "S2")),
-    );
-    exec.log
-        .insert(10, ctl, cfg_entry(2, "S2", 1, any, any, p_host));
-    let trace = dp_sdn::generate(&dp_sdn::TraceConfig {
-        packets,
-        ..Default::default()
-    });
-    for (i, p) in trace.packets.into_iter().enumerate() {
-        exec.log.insert(100 + i as u64, "S1", p);
-    }
-    let horizon = exec.log.horizon();
-
-    let mut out = Vec::new();
-    let t0 = Instant::now();
-    exec.replay()?;
-    out.push(CheckpointRow {
-        interval: None,
-        checkpoints: 0,
-        replay_time: t0.elapsed(),
-    });
-    for &iv in intervals {
-        let store = exec.build_checkpoints(iv)?;
-        let t0 = Instant::now();
-        exec.replay_from_checkpoint(&store, horizon)?;
-        out.push(CheckpointRow {
-            interval: Some(iv),
-            checkpoints: store.len(),
-            replay_time: t0.elapsed(),
         });
     }
     Ok(out)

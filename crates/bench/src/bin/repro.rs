@@ -223,16 +223,6 @@ fn run_ablation() {
         );
     }
 
-    banner("Ablation 3: checkpoint interval vs. query-time replay");
-    println!("  {:>10} {:>12} {:>14}", "interval", "checkpoints", "replay time");
-    for r in ablation::checkpoints(10_000, &[4096, 1024, 256]).expect("checkpoints run") {
-        println!(
-            "  {:>10} {:>12} {:>14.2?}",
-            r.interval.map_or("none".to_string(), |i| i.to_string()),
-            r.checkpoints,
-            r.replay_time
-        );
-    }
 }
 
 fn banner(title: &str) {

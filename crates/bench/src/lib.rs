@@ -19,7 +19,7 @@
 //! | `latency`    | §6.4 — logging latency overhead                       |
 //! | `mrstorage`  | §6.5 — MapReduce log sizes                            |
 //! | `complex`    | §6.7 — campus network with faults and noise           |
-//! | `ablation`   | design-choice ablations (butterfly, noise, checkpoints)|
+//! | `ablation`   | design-choice ablations (butterfly, noise)            |
 //! | `trace <s>`  | one scenario under a full tracer → summary + trace files|
 //! | `stats <s>`  | engine counters/join profile of one scenario, as JSON  |
 
@@ -219,16 +219,6 @@ mod tests {
             assert!(r.names_root_cause, "{rows:?}");
         }
         assert!(rows[1].entries > rows[0].entries * 2);
-    }
-
-    /// Ablation: checkpoints reduce query-time replay.
-    #[test]
-    fn checkpoints_speed_up_replay() {
-        let rows = ablation::checkpoints(2_000, &[256]).unwrap();
-        let full = rows[0].replay_time;
-        let fast = rows[1].replay_time;
-        assert!(rows[1].checkpoints > 0);
-        assert!(fast < full, "checkpointed {fast:?} !< full {full:?}");
     }
 
     /// Section 6.7: the root cause is found despite 20 extra faults and

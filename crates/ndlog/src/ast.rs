@@ -256,16 +256,6 @@ impl Rule {
         }
         Ok(())
     }
-
-    /// The indexes of body atoms whose table is `table`.
-    pub fn atoms_for_table(&self, table: &Sym) -> Vec<usize> {
-        self.body
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| &a.table == table)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl fmt::Display for Rule {

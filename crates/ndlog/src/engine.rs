@@ -287,26 +287,6 @@ impl Queue {
     }
 }
 
-/// A quiescent engine state captured by [`Engine::snapshot`].
-///
-/// Checkpoints are the replay engine's optimization (Section 4.8 of the
-/// paper, "keeping a log of tuple updates along with some checkpoints ...
-/// so that the system state at any point in the past can be efficiently
-/// reconstructed").
-#[derive(Clone, Debug)]
-pub struct EngineSnapshot {
-    nodes: BTreeMap<NodeId, NodeState>,
-    clock: LogicalTime,
-    seq: u64,
-}
-
-impl EngineSnapshot {
-    /// The logical time the snapshot was taken at.
-    pub fn time(&self) -> LogicalTime {
-        self.clock
-    }
-}
-
 /// Counters describing one engine run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -643,77 +623,6 @@ impl<S: ProvenanceSink> Engine<S> {
         &mut self.sink
     }
 
-    /// Captures the engine's quiescent state for checkpointing.
-    ///
-    /// Errors if events are still queued or a delta batch is still pending
-    /// — checkpoints are only meaningful at quiescence (call
-    /// [`Engine::run`] first): a snapshot that ignored in-flight events
-    /// would silently drop them from every replay resumed from it.
-    pub fn snapshot(&self) -> Result<EngineSnapshot> {
-        if !self.queue.is_empty() || !self.pending.is_empty() {
-            return Err(Error::Engine(format!(
-                "snapshot requires a quiescent engine: {} event(s) still queued and {} \
-                 delta(s) pending a flush (run to quiescence first)",
-                self.queue.len(),
-                self.pending.len()
-            )));
-        }
-        Ok(EngineSnapshot {
-            nodes: self.nodes.clone(),
-            clock: self.clock,
-            seq: self.seq,
-        })
-    }
-
-    /// Reconstructs an engine from a checkpoint.
-    ///
-    /// The sink starts fresh: provenance recorded before the checkpoint is
-    /// not replayed into it (the caller pairs the snapshot with the graph
-    /// recorded up to that point). Secondary indexes are rebuilt against
-    /// `program`'s index specs, so a snapshot taken under one program can
-    /// be resumed under another with different plans.
-    ///
-    /// Errors if the snapshot's clock is behind events its own state has
-    /// already scheduled — a tuple appearance or derivation stamped later
-    /// than the clock. Resuming from such a (corrupt or hand-edited) state
-    /// would hand out logical times its tuples have already consumed,
-    /// breaking the strictly-increasing-timestamp invariant replay-based
-    /// provenance depends on.
-    pub fn restore(program: Arc<Program>, snap: EngineSnapshot, sink: S) -> Result<Self> {
-        for (node, state) in &snap.nodes {
-            for (tuple, ts) in state.all() {
-                let latest = ts
-                    .derivations
-                    .iter()
-                    .map(|d| d.time)
-                    .fold(ts.appeared_at, LogicalTime::max);
-                if latest > snap.clock {
-                    return Err(Error::Engine(format!(
-                        "snapshot clock {} is behind already-scheduled events: {tuple} at \
-                         {node} was recorded at {latest}",
-                        snap.clock
-                    )));
-                }
-            }
-        }
-        let mut nodes = snap.nodes;
-        for state in nodes.values_mut() {
-            state.reindex(&program);
-        }
-        let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
-        Ok(Engine {
-            nodes,
-            clock: snap.clock,
-            seq: snap.seq,
-            stats: Stats {
-                peak_tuples: live,
-                ..Stats::default()
-            },
-            live_tuples: live,
-            ..Engine::new(program, sink)
-        })
-    }
-
     /// A read-only view of `node`, if it has any state.
     pub fn view<'a>(&'a self, node: &'a NodeId) -> Option<NodeView<'a>> {
         self.nodes
@@ -884,12 +793,10 @@ impl<S: ProvenanceSink> Engine<S> {
                 // Checked before the pop, so the event the budget refused
                 // is still queued: a cascade whose queue holds exactly one
                 // event at a time (a two-node ping-pong, say) must not
-                // error into a state with an *empty* queue, which
-                // `snapshot()` would then certify as quiescent — silently
-                // losing the event from every replay resumed from the
-                // checkpoint. The failed engine stays honest: `snapshot()`
-                // rejects it, and a re-run under a raised budget resumes
-                // exactly where the budget tripped.
+                // error into a state with an *empty* queue, from which a
+                // second `run()` would return `Ok` with the event lost. A
+                // re-run under a raised budget resumes exactly where the
+                // budget tripped.
                 return Err(Error::Engine(format!(
                     "event limit {} exceeded (runaway program?)",
                     self.max_events
@@ -2169,49 +2076,5 @@ mod tests {
         eng.schedule_delete(200, n.clone(), tuple!("b", 1, 0, 1)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("d", 1)).is_none());
-    }
-
-    #[test]
-    fn indexes_survive_snapshot_restore() {
-        let mut eng = Engine::new(fig4_program(), VecSink::default());
-        let n = NodeId::new("n1");
-        for i in 0..5 {
-            eng.schedule_insert(0, n.clone(), tuple!("a", i, i)).unwrap();
-        }
-        eng.run().unwrap();
-        let snap = eng.snapshot().unwrap();
-        let mut eng2 = Engine::restore(fig4_program(), snap, VecSink::default()).unwrap();
-        for i in 0..5 {
-            eng2.schedule_insert(1000, n.clone(), tuple!("b", i, i, i)).unwrap();
-        }
-        eng2.run().unwrap();
-        for i in 0..5i64 {
-            assert!(eng2.lookup(&n, &tuple!("c", i, i * i, i + 1)).is_some());
-        }
-        // The restored engine's joins still probe indexes.
-        assert!(eng2.stats().join_probes > 0);
-    }
-
-    #[test]
-    fn restore_rejects_snapshot_with_lagging_clock() {
-        let mut eng = Engine::new(fig4_program(), VecSink::default());
-        let n = NodeId::new("n1");
-        eng.schedule_insert(10, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(10, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
-        eng.run().unwrap();
-        let mut snap = eng.snapshot().unwrap();
-        // Forge a clock behind the events the snapshot's own state has
-        // already scheduled (tuples appeared/derived later than it).
-        snap.clock = 0;
-        let err = Engine::restore(fig4_program(), snap, VecSink::default())
-            .err()
-            .expect("restore with a lagging clock must fail");
-        assert!(
-            err.to_string().contains("behind already-scheduled events"),
-            "{err}"
-        );
-        // An unforged snapshot of the same run restores fine.
-        let snap = eng.snapshot().unwrap();
-        assert!(Engine::restore(fig4_program(), snap, VecSink::default()).is_ok());
     }
 }

@@ -33,7 +33,7 @@ use crate::program::Program;
 /// is simply found unaffected when the cascade gets to it. The list is
 /// kept out of [`TupleState`], which is public, shared with the oracle and
 /// compared by the differential suites.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Slot {
     state: TupleState,
     dependents: Vec<TupleRef>,
@@ -48,7 +48,7 @@ struct Slot {
 /// probe returns alongside the trie walk: the scan path would have fed
 /// those tuples to the constraint and surfaced a type error, so the trie
 /// path must produce them too for byte-identical behavior.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct TrieIndex {
     trie: PrefixTrie<Arc<Tuple>>,
     other: BTreeSet<Arc<Tuple>>,
@@ -104,7 +104,7 @@ impl TrieIndex {
 ///
 /// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
 /// answering `prefix_contains` probes in O(32) instead of a full scan.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
@@ -127,8 +127,8 @@ fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 
 impl Table {
     fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
-        let indexes = vec![HashMap::default(); specs.len()];
-        let tries = vec![TrieIndex::default(); trie_specs.len()];
+        let indexes = specs.iter().map(|_| HashMap::default()).collect();
+        let tries = trie_specs.iter().map(|_| TrieIndex::default()).collect();
         Table {
             specs,
             trie_specs,
@@ -183,33 +183,10 @@ impl Table {
         }
         slot.dependents
     }
-
-    /// Re-derives every index from the tuple set under (possibly new)
-    /// specs. Used when restoring a checkpoint under a program whose index
-    /// requirements may differ from the one that took it.
-    fn rebuild(&mut self, specs: IndexSpecs, trie_specs: TrieSpecs) {
-        self.indexes = vec![HashMap::default(); specs.len()];
-        self.specs = specs;
-        self.tries = vec![TrieIndex::default(); trie_specs.len()];
-        self.trie_specs = trie_specs;
-        for tuple in self.tuples.keys() {
-            for (slot, cols) in self.specs.iter().enumerate() {
-                if let Some(key) = index_key(tuple, cols) {
-                    self.indexes[slot]
-                        .entry(key)
-                        .or_default()
-                        .insert(Arc::clone(tuple));
-                }
-            }
-            for (slot, &col) in self.trie_specs.iter().enumerate() {
-                self.tries[slot].insert(tuple, col);
-            }
-        }
-    }
 }
 
 /// The tables of a single node.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct NodeState {
     tables: BTreeMap<Sym, Table>,
 }
@@ -404,14 +381,6 @@ impl NodeState {
             .and_then(|t| t.tuples.get_mut(body))
         {
             slot.dependents.pop();
-        }
-    }
-
-    pub(super) fn reindex(&mut self, program: &Program) {
-        for (name, table) in &mut self.tables {
-            let specs = program.index_specs_for(name).cloned().unwrap_or_default();
-            let tries = program.trie_specs_for(name).cloned().unwrap_or_default();
-            table.rebuild(specs, tries);
         }
     }
 }

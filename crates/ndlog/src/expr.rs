@@ -177,14 +177,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for operators producing booleans.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::And | BinOp::Or
-        )
-    }
-
     /// The surface syntax of the operator.
     pub fn symbol(self) -> &'static str {
         match self {

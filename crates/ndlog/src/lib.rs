@@ -37,8 +37,8 @@ pub mod testsupport;
 
 pub use ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};
 pub use engine::{
-    join_profile_json, DerivRecord, Engine, EngineSnapshot, NodeState, NodeView, RuleJoinProfile,
-    Stats, TupleState,
+    join_profile_json, DerivRecord, Engine, NodeState, NodeView, RuleJoinProfile, Stats,
+    TupleState,
 };
 pub use expr::{BinOp, Env, Expr, Func};
 pub use parser::{parse_expr, parse_rule, parse_rules};

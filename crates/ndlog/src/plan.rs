@@ -307,11 +307,6 @@ impl PlanSet {
         self.specs.get(table)
     }
 
-    /// All per-table index specs, for diagnostics.
-    pub fn all_specs(&self) -> &BTreeMap<Sym, IndexSpecs> {
-        &self.specs
-    }
-
     /// The prefix-trie columns registered for `table` (empty if none).
     pub fn trie_specs_for(&self, table: &Sym) -> Option<&TrieSpecs> {
         self.tries.get(table)

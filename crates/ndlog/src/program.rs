@@ -238,11 +238,6 @@ impl Program {
         self.plans.specs_for(table)
     }
 
-    /// All registered index specs, by table (diagnostics).
-    pub fn all_index_specs(&self) -> impl Iterator<Item = (&Sym, &IndexSpecs)> {
-        self.plans.all_specs().iter()
-    }
-
     /// The prefix-trie columns registered for `table`, if any rule probes
     /// a `prefix_contains` constraint against it.
     pub fn trie_specs_for(&self, table: &Sym) -> Option<&TrieSpecs> {

@@ -29,10 +29,9 @@
 //! tuple by value. An `Appear` opens the episode named by its own `time`;
 //! an `InsertBase` or `Derive` with `since == time` is the cause of the
 //! `Appear` that immediately follows it, and one with `since < time` adds
-//! support to an episode that is already open. After a checkpoint resume
-//! `since` may predate the first event the sink sees: the snapshot carries
-//! `appeared_at`, so a restored engine emits the uninterrupted run's
-//! stamps.
+//! support to an episode that is already open. In a stream that starts
+//! mid-run `since` may predate the first event the sink sees: the engine
+//! stamps the `appeared_at` it holds, whoever was listening then.
 //!
 //! [`TupleState::appeared_at`]: crate::engine::TupleState::appeared_at
 
@@ -225,18 +224,6 @@ impl HashSink {
     /// The running order-sensitive digest of the stream.
     pub fn digest(&self) -> u64 {
         self.digest
-    }
-
-    /// Resumes the fold from a previously observed `(digest, count)` pair.
-    ///
-    /// The digest is a left fold over the stream, so a sink resumed from
-    /// the state recorded at event `count` and fed the remaining events
-    /// finishes with exactly the digest of the uninterrupted stream. This
-    /// is what lets a restart carry its prefix's digest across the cut: an
-    /// engine restored from a snapshot replays only the tail yet still
-    /// proves bit-identity against the uncut run.
-    pub fn resume(digest: u64, count: u64) -> Self {
-        HashSink { count, digest }
     }
 }
 

@@ -233,21 +233,6 @@ fn remote_delivery_respects_link_delay_ordering() {
 }
 
 #[test]
-fn snapshot_requires_quiescence() {
-    let program = Program::builder(base_reg()).build().unwrap();
-    let mut eng = Engine::new(program, NullSink);
-    eng.schedule_insert(0, NodeId::new("n"), tuple!("e", 1)).unwrap();
-    let err = eng.snapshot().expect_err("snapshot with queued events must fail");
-    assert!(
-        err.to_string().contains("quiescent"),
-        "error should say the engine is not quiescent: {err}"
-    );
-    eng.run().unwrap();
-    let snap = eng.snapshot().unwrap();
-    assert!(snap.time() > 0);
-}
-
-#[test]
 fn aggregation_rules_group_and_fold() {
     // wordCount-style: total(@N, W, agg_sum(C)) :- fence(@N, G), obs(@N, W, C).
     let mut reg = SchemaRegistry::new();
@@ -863,68 +848,10 @@ fn cross_node_messages_within_one_batch_match_the_oracle() {
     );
 }
 
-#[test]
-fn snapshot_restore_reaches_the_uninterrupted_fixpoint() {
-    // Snapshotting a two-node engine at quiescence, restoring it, and
-    // finishing the schedule must reach the fixpoint of an uninterrupted
-    // run.
-    let mut reg = SchemaRegistry::new();
-    reg.declare(Schema::new("ping", TableKind::ImmutableBase, [("v", FieldType::Int)]));
-    reg.declare(Schema::new("nbr", TableKind::MutableBase, [("next", FieldType::Str)]));
-    reg.declare(Schema::new("pong", TableKind::Derived, [("v", FieldType::Int)]));
-    let program = Program::builder(reg)
-        .rules_text("fwd pong(@M, V) :- ping(@N, V), nbr(@N, M).")
-        .unwrap()
-        .build()
-        .unwrap();
-    let (a, b) = node_pair();
-    let phase1 = |eng: &mut Engine<VecSink>| {
-        eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
-        eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
-        for v in 0..4i64 {
-            eng.schedule_insert(2, a.clone(), tuple!("ping", v)).unwrap();
-        }
-    };
-    let phase2 = |eng: &mut Engine<VecSink>| {
-        for v in 0..4i64 {
-            eng.schedule_insert(100, b.clone(), tuple!("ping", v + 50)).unwrap();
-        }
-    };
-    let fixpoint = |eng: &Engine<VecSink>| -> Vec<(NodeId, Tuple, usize)> {
-        eng.nodes()
-            .flat_map(|(node, st)| {
-                st.all()
-                    .map(|(t, s)| (node.clone(), t.clone(), s.support()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-
-    // Uninterrupted reference.
-    let mut reference = Engine::new(program.clone(), VecSink::default());
-    phase1(&mut reference);
-    reference.run().unwrap();
-    phase2(&mut reference);
-    reference.run().unwrap();
-    let want = fixpoint(&reference);
-
-    // Run → snapshot → restore → finish.
-    let mut first = Engine::new(program.clone(), VecSink::default());
-    phase1(&mut first);
-    first.run().unwrap();
-    let snap = first.snapshot().unwrap();
-    assert_eq!(snap.time(), first.snapshot().unwrap().time());
-    let mut resumed = Engine::restore(program, snap, VecSink::default()).unwrap();
-    phase2(&mut resumed);
-    resumed.run().unwrap();
-    assert_eq!(want, fixpoint(&resumed));
-    assert!(resumed.lookup(&a, &tuple!("pong", 53)).is_some());
-}
-
 /// A two-node ping-pong cascade whose queue holds exactly one event at
 /// a time — the shape that used to let the event budget drop the
 /// in-flight event on the floor and leave a silently-truncated engine
-/// that `snapshot()` certified as quiescent.
+/// with an empty queue.
 fn ping_pong_program() -> Arc<Program> {
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("seed", TableKind::ImmutableBase, [("v", FieldType::Int)]));
@@ -941,15 +868,13 @@ fn ping_pong_program() -> Arc<Program> {
 }
 
 #[test]
-fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
-    // A node restart injected while the engine still holds in-flight
-    // cross-node messages must not be able to checkpoint: the snapshot
-    // has to reject.
-    // And the failed engine must still hold the complete frontier: a
-    // re-run under a raised budget has to drain to exactly the fixpoint
-    // of an engine that never tripped. (Regression: the budget check used
-    // to pop-then-drop the in-flight event, so a one-event-deep cascade
-    // erred into an *empty* queue and `snapshot()` certified the loss.)
+fn budget_tripped_mid_cascade_resumes_cleanly() {
+    // The failed engine must still hold the complete frontier: a re-run
+    // under a raised budget has to drain to exactly the fixpoint of an
+    // engine that never tripped. (Regression: the budget check used to
+    // pop-then-drop the in-flight event, so a one-event-deep cascade
+    // erred into an *empty* queue and the next `run()` returned `Ok`
+    // with the event lost.)
     let program = ping_pong_program();
     let (a, b) = node_pair();
     let schedule = |eng: &mut Engine<VecSink>| {
@@ -978,10 +903,6 @@ fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
     schedule(&mut eng);
     let err = eng.run().expect_err("the budget must trip mid-cascade");
     assert!(err.to_string().contains("event limit"), "{err}");
-    let reject = eng
-        .snapshot()
-        .expect_err("a mid-cascade engine must refuse to checkpoint");
-    assert!(reject.to_string().contains("quiescent"), "{reject}");
 
     // The frontier survived the error: resuming drains to the
     // uninterrupted fixpoint, with the identical event total.
@@ -1000,14 +921,14 @@ fn budget_tripped_mid_cascade_rejects_snapshot_and_resumes_cleanly() {
 }
 
 #[test]
-fn mid_schedule_restart_replays_the_stream_suffix() {
-    // The drain half of restart determinism: a restart taken at
-    // quiescence between due-groups — after cross-node traffic has
-    // flowed — must be *stream-transparent*, not merely fixpoint-
-    // equivalent. The snapshot preserves the logical clock and sequence
-    // counter, so the provenance emitted after the restore must be
-    // byte-identical to the suffix an uninterrupted engine emits. This is
-    // the invariant dp-sim's NodeRestart injection leans on.
+fn a_run_paused_at_quiescence_emits_the_uninterrupted_stream() {
+    // Schedule, `run`, schedule more, `run`: when the pause falls at
+    // quiescence between due-groups — after cross-node traffic has flowed
+    // — the two runs together emit, byte for byte, the stream of
+    // everything scheduled up front and run once. The engine keeps its
+    // logical clock and sequence counter across `run()` calls, which is
+    // what `Replayed::reissue` and every test that calls `run()` twice
+    // lean on.
     let program = ping_pong_program();
     let (a, b) = node_pair();
     let phase1 = |eng: &mut Engine<VecSink>| {
@@ -1018,43 +939,27 @@ fn mid_schedule_restart_replays_the_stream_suffix() {
     let phase2 = |eng: &mut Engine<VecSink>| {
         eng.schedule_insert(2000, b.clone(), tuple!("seed", 398i64)).unwrap();
     };
-    let fixpoint = |eng: &Engine<VecSink>| -> Vec<(NodeId, Tuple, usize)> {
-        eng.nodes()
-            .flat_map(|(node, st)| {
-                st.all()
-                    .map(|(t, s)| (node.clone(), t.clone(), s.support()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
 
-    // Uninterrupted reference, two run() calls at the same due boundary
-    // the restart uses.
-    let mut reference = Engine::new(program.clone(), VecSink::default());
-    phase1(&mut reference);
-    reference.run().unwrap();
-    let prefix_len = reference.sink().events.len();
-    phase2(&mut reference);
-    reference.run().unwrap();
-    let want_fix = fixpoint(&reference);
-    let all_events = reference.into_sink().events;
-    let (want_prefix, want_suffix) = all_events.split_at(prefix_len);
-    assert!(!want_suffix.is_empty(), "phase 2 produced no provenance");
+    let mut once = Engine::new(program.clone(), VecSink::default());
+    phase1(&mut once);
+    phase2(&mut once);
+    once.run().unwrap();
 
-    // Restart: phase-1 run, checkpoint, restore, phase 2.
-    let mut first = Engine::new(program.clone(), VecSink::default());
-    phase1(&mut first);
-    first.run().unwrap();
-    let snap = first.snapshot().unwrap();
-    assert_eq!(want_prefix, &first.into_sink().events[..], "phase-1 streams diverge");
-    let mut resumed = Engine::restore(program, snap, VecSink::default()).unwrap();
-    phase2(&mut resumed);
-    resumed.run().unwrap();
-    assert_eq!(want_fix, fixpoint(&resumed), "restored fixpoint diverges");
+    let mut paused = Engine::new(program, VecSink::default());
+    phase1(&mut paused);
+    paused.run().unwrap();
+    let prefix_len = paused.sink().events.len();
+    phase2(&mut paused);
+    paused.run().unwrap();
+    assert!(
+        paused.sink().events.len() > prefix_len,
+        "phase 2 produced no provenance"
+    );
+    assert_eq!(once.stats().events, paused.stats().events);
     assert_eq!(
-        want_suffix,
-        &resumed.into_sink().events[..],
-        "post-restart stream diverges"
+        once.into_sink().events,
+        paused.into_sink().events,
+        "the paused run's stream diverges"
     );
 }
 
@@ -1230,9 +1135,8 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
     // The applied insertions are in the stream; no derivation is.
     let at_failure = eng.sink().events.len();
     assert_eq!(at_failure, 6, "{:?}", eng.sink().events);
-    // Nothing was queued (a quiescent engine snapshots), and nothing runs.
-    assert!(eng.snapshot().is_ok(), "the failed flush left events queued");
-    assert_eq!(eng.run().unwrap().events, 3);
+    // Nothing was queued, and nothing runs.
+    assert_eq!(eng.run().unwrap().events, 3, "the failed flush left events queued");
     assert_eq!(eng.sink().events.len(), at_failure);
 
     // A later stimulus fires on its own: d(5) only, at the next ticks —

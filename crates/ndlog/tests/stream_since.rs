@@ -6,11 +6,11 @@
 //! state by that clock and never searches for a tuple by value, so the
 //! stamps have to be right *as a property of the stream alone*: each one
 //! must equal the `time` of the latest `Appear` of that located tuple
-//! seen so far — or, for a stream that resumes from a checkpoint, the
-//! `appeared_at` the snapshot held for the tuple. This suite checks
+//! seen so far — or, for a stream that starts mid-run, the `appeared_at`
+//! the engine held for the tuple when it started. This suite checks
 //! exactly that, over every generator of `dp_ndlog::testsupport`, the
-//! nine repro scenarios, and one run cut in two by a snapshot and a
-//! restore. (That the oracle emits the same stamps is
+//! nine repro scenarios, and the second half of one run paused at a
+//! quiescent boundary. (That the oracle emits the same stamps is
 //! `reference_differential.rs`'s business: it compares whole events.)
 
 use std::collections::BTreeMap;
@@ -158,23 +158,23 @@ fn since_names_the_latest_appear_on_all_repro_scenarios() {
     }
 }
 
-/// A run cut at a quiescent point and restored from its snapshot: the
-/// resumed stream names episodes the recording never saw open, by the
-/// clocks the snapshot carried over.
+/// A stream that starts mid-run — what a run paused at a quiescent point
+/// emits once it carries on: it names episodes its reader never saw open,
+/// by the clocks the engine held at the pause.
 #[test]
-fn since_survives_a_checkpoint_resume() {
+fn since_holds_in_a_stream_that_starts_mid_run() {
     let exec = dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario.bad_exec;
     let ops = exec.log.to_schedule();
-    // Cut between two dues, two thirds in: tables installed, packets on
+    // Pause between two dues, two thirds in: tables installed, packets on
     // both sides.
     let mut cut = ops.len() * 2 / 3;
     while ops[cut].due == ops[cut - 1].due {
         cut += 1;
     }
-    let mut first = Engine::new(Arc::clone(&exec.program), VecSink::default());
-    schedule_all(&mut first, &ops[..cut]);
-    first.run().unwrap();
-    let open: BTreeMap<TupleRef, LogicalTime> = first
+    let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
+    schedule_all(&mut eng, &ops[..cut]);
+    eng.run().unwrap();
+    let open: BTreeMap<TupleRef, LogicalTime> = eng
         .nodes()
         .flat_map(|(node, state)| {
             state
@@ -182,24 +182,16 @@ fn since_survives_a_checkpoint_resume() {
                 .map(move |(t, ts)| (TupleRef::new(node.clone(), t.clone()), ts.appeared_at))
         })
         .collect();
-    let snap = first.snapshot().unwrap();
-    let mut resumed = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default()).unwrap();
-    schedule_all(&mut resumed, &ops[cut..]);
-    resumed.run().unwrap();
-    let tail = resumed.into_sink().events;
-    // The resumed stream is, stamps included, what the first engine emits
-    // when it carries on itself (a cut quiesces the cascade, so it is the
-    // run cut there that the resumed one continues).
-    let before = first.sink().events.len();
-    schedule_all(&mut first, &ops[cut..]);
-    first.run().unwrap();
-    assert!(tail == first.sink().events[before..], "the resumed stream diverges");
+    let before = eng.sink().events.len();
+    schedule_all(&mut eng, &ops[cut..]);
+    eng.run().unwrap();
+    let tail = &eng.sink().events[before..];
     let old = open.values().copied().max().unwrap();
     let from_before = tail.iter().any(|e| match e {
         ProvEvent::Derive { body, .. } => body.iter().any(|b| b.since <= old),
         _ => false,
     });
-    assert!(from_before, "no resumed derivation read a tuple from before the cut");
-    let checked = assert_since_names_the_latest_appear(&tail, open, "campus, resumed");
+    assert!(from_before, "no later derivation read a tuple from before the pause");
+    let checked = assert_since_names_the_latest_appear(tail, open, "campus, second half");
     assert!(checked > 0);
 }

@@ -25,9 +25,9 @@
 //!
 //! The index is trusted only as far as it can be checked: a key that leads
 //! to a row holding a different located tuple (a spliced or forged stream)
-//! is treated like a key that leads nowhere (recording started mid-stream,
-//! after a checkpoint resume) — the tuple gets a *boundary episode*, open
-//! since time 0, never a link into another tuple's history.
+//! is treated like a key that leads nowhere (a stream that starts
+//! mid-run) — the tuple gets a *boundary episode*, open since time 0,
+//! never a link into another tuple's history.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -464,8 +464,8 @@ impl ProvGraph {
 
     /// Creates an INSERT → APPEAR → EXIST chain for a tuple whose episode
     /// the stream names by a `since` this graph has no (matching) row for:
-    /// it predates the start of recording (checkpoint resume). The episode
-    /// is opened at time 0 to reflect "existed since before we started
+    /// it predates the start of recording (a stream that starts mid-run).
+    /// The episode is opened at time 0 to reflect "existed since before we started
     /// watching", and indexed under `since` unless another tuple's episode
     /// already is.
     fn boundary_episode(&mut self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
@@ -525,9 +525,9 @@ impl ProvGraph {
             } => {
                 // Children: the EXIST vertices of the episodes the body
                 // tuples were in at derivation time. A body episode this
-                // graph has no row for means recording started mid-stream
-                // (checkpoint resume); it gets a boundary episode so the
-                // graph remains well-formed.
+                // graph has no row for means a stream that starts mid-run;
+                // it gets a boundary episode so the graph remains
+                // well-formed.
                 self.body.clear();
                 for b in &body {
                     let row = self.row_since(b.since, &b.tref.node, &b.tref.tuple);

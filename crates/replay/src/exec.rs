@@ -3,22 +3,18 @@
 //! An [`Execution`] bundles a program with the base-event log of one run of
 //! the primary system. Everything DiffProv needs is derived from it by
 //! *replay* (Section 5): reconstructing provenance at query time,
-//! re-running with a set of tuple changes applied to a **clone** of the
-//! execution (Section 4.6 — changes never touch the running system), and
-//! fast state reconstruction from checkpoints (Section 4.8).
+//! and re-running with a set of tuple changes applied to a **clone** of
+//! the execution (Section 4.6 — changes never touch the running system).
 
 use std::borrow::Cow;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use dp_ndlog::{
-    Constraint, Engine, EngineSnapshot, HashSink, NullSink, Program, ProvenanceSink, TupleChange,
-};
+use dp_ndlog::{Constraint, Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
 use dp_provenance::{
     extract_tree, extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree,
 };
 use dp_trace::{Class, Tracer};
-use dp_types::{Error, LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
+use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
 
@@ -406,10 +402,9 @@ impl Execution {
         GraphRecorder::with_tracer(self.tracer.clone())
     }
 
-    /// A fresh engine over `sink` with the log's prefix up to `until`
-    /// (all of it when `None`) scheduled and run to quiescence.
-    /// Schedules the log (up to `until`) on a fresh engine over `sink` and
-    /// runs it: the quiescent engine and how many base ops it was given.
+    /// Schedules the log (its prefix with `due <= until`, if given) on a
+    /// fresh engine over `sink` and runs it: the quiescent engine and how
+    /// many base ops it was given.
     fn run_into<S: ProvenanceSink>(
         &self,
         sink: S,
@@ -421,7 +416,7 @@ impl Execution {
         // belong to the deterministic skeleton.
         let span = self.tracer.span("replay.schedule", Class::Skeleton, None);
         let scheduled = self.log.schedule_into(&mut engine, until)?;
-        span.end(None, &[("events", self.log.len() as u64)]);
+        span.end(None, &[("events", scheduled as u64)]);
         engine.run()?;
         Ok((engine, scheduled))
     }
@@ -449,8 +444,8 @@ impl Execution {
     ///
     /// The digest is the determinism fingerprint the simulation harness
     /// leans on: replaying the same execution twice, from memory or from
-    /// disk, straight through or across a restart, must produce the same
-    /// value — and so must [`Execution::reference_stream_digest`].
+    /// a store sealed in one session or across restarts, must produce the
+    /// same value — and so must [`Execution::reference_stream_digest`].
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
@@ -481,87 +476,6 @@ impl Execution {
         clone.tracer = self.tracer.clone();
         clone.replay()
     }
-
-    /// Builds checkpoints by replaying once and snapshotting the quiescent
-    /// state after every `every` base events. `every == 0` is an error.
-    pub fn build_checkpoints(&self, every: usize) -> Result<CheckpointStore> {
-        let every = NonZeroUsize::new(every)
-            .ok_or_else(|| Error::Engine("checkpoint interval must be positive".into()))?;
-        let mut store = CheckpointStore { snaps: Vec::new() };
-        let mut engine = Engine::new(Arc::clone(&self.program), NullSink);
-        self.configure(&mut engine);
-        let events = self.log.events();
-        let mut i = 0;
-        while i < events.len() {
-            let end = chunk_end(&events, i, every);
-            for e in &events[i..end] {
-                e.schedule_as(&mut engine, e.due, e.op)?;
-            }
-            engine.run()?;
-            store.snaps.push(Checkpoint {
-                cut: events[end - 1].due,
-                snapshot: engine.snapshot()?,
-            });
-            i = end;
-        }
-        Ok(store)
-    }
-
-    /// Ages out the log prefix covered by the latest checkpoint with
-    /// `cut < before`: the events are deleted and the checkpoint becomes
-    /// the replay starting point (Section 6.5's log aging). Returns the
-    /// cut time and the number of events dropped, or `None` when no
-    /// suitable checkpoint exists (nothing is dropped then — aging never
-    /// loses information that is not in a checkpoint).
-    pub fn age_out(
-        &mut self,
-        store: &CheckpointStore,
-        before: LogicalTime,
-    ) -> Option<(LogicalTime, usize)> {
-        let cp = store.latest_before(before)?;
-        let dropped = self.log.retain_after(cp.cut);
-        Some((cp.cut, dropped))
-    }
-
-    /// Replays only the log suffix after the latest checkpoint with
-    /// `cut <= from`, restoring engine state from the snapshot. The
-    /// recorded graph covers the suffix only — this is the "selective
-    /// reconstruction" optimization the paper's query-time approach
-    /// enables.
-    ///
-    /// The boundary is inclusive to match [`EventLog::retain_after`]'s
-    /// exclusive drop (`due <= cut`): after aging through a checkpoint's
-    /// cut, resuming *exactly at* that cut must pick the checkpoint whose
-    /// tail the log still holds. A strict bound here used to skip back to
-    /// the previous checkpoint and silently replay over the aged-out gap
-    /// (see `resume_exactly_at_a_checkpoint_cut_survives_aging`).
-    pub fn replay_from_checkpoint(
-        &self,
-        store: &CheckpointStore,
-        from: LogicalTime,
-    ) -> Result<Replayed> {
-        match store.latest_at_or_before(from) {
-            Some(cp) => {
-                let mut engine = Engine::restore(
-                    Arc::clone(&self.program),
-                    cp.snapshot.clone(),
-                    self.recorder(),
-                )?;
-                self.configure(&mut engine);
-                let mut scheduled = 0;
-                for e in self.log.events().iter() {
-                    if e.due <= cp.cut {
-                        continue;
-                    }
-                    e.schedule_as(&mut engine, e.due, e.op)?;
-                    scheduled += 1;
-                }
-                engine.run()?;
-                Ok(Replayed::new(engine, scheduled))
-            }
-            None => self.replay(),
-        }
-    }
 }
 
 /// The events of `suffix` the engine acted on when it ran them after
@@ -591,74 +505,6 @@ fn effective_ops<'a, 's>(
             std::mem::replace(p, wanted) != wanted
         })
         .collect()
-}
-
-/// The end of the chunk starting at `i` with nominal length `every`,
-/// extended so chunks break only on due-time boundaries — a snapshot cut
-/// must never split simultaneous events. (A zero `every` would never
-/// advance, hence the type.)
-fn chunk_end(
-    events: &[BaseEvent],
-    i: usize,
-    every: NonZeroUsize,
-) -> usize {
-    let mut end = (i + every.get()).min(events.len());
-    while end < events.len() && events[end].due == events[end - 1].due {
-        end += 1;
-    }
-    end
-}
-
-/// One checkpoint: all events with `due <= cut` are reflected in the
-/// snapshot.
-#[derive(Clone)]
-pub struct Checkpoint {
-    /// The due-time boundary of the snapshot.
-    pub cut: LogicalTime,
-    /// The quiescent engine state.
-    pub snapshot: EngineSnapshot,
-}
-
-/// A series of checkpoints in time order.
-#[derive(Clone, Default)]
-pub struct CheckpointStore {
-    snaps: Vec<Checkpoint>,
-}
-
-impl CheckpointStore {
-    /// Number of checkpoints.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// True when no checkpoints were taken.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// The latest checkpoint strictly before `t`.
-    ///
-    /// Used by [`Execution::age_out`]: aging "up to `before`" must keep
-    /// the events a checkpoint *at* `before` would not cover for replays
-    /// resumed below it.
-    pub fn latest_before(&self, t: LogicalTime) -> Option<&Checkpoint> {
-        self.snaps.iter().rev().find(|c| c.cut < t)
-    }
-
-    /// The latest checkpoint at or before `t`.
-    ///
-    /// Used by [`Execution::replay_from_checkpoint`]: resumption is
-    /// inclusive so that resuming exactly at an aged-out cut lands on the
-    /// checkpoint covering the dropped prefix (and, as a bonus, skips a
-    /// pointless re-execution of the cut's own chunk).
-    pub fn latest_at_or_before(&self, t: LogicalTime) -> Option<&Checkpoint> {
-        self.snaps.iter().rev().find(|c| c.cut <= t)
-    }
-
-    /// The checkpoints in time order.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.snaps
-    }
 }
 
 /// Applies `Δ_{B→G}` to a log, producing the patched log for the cloned
@@ -880,140 +726,6 @@ mod tests {
         }];
         let r = exec.replay_with(&delta, 1).unwrap();
         assert!(r.exists(&n, &tuple!("out", 31)));
-    }
-
-    #[test]
-    fn checkpoint_replay_matches_full_replay_state() {
-        let exec = execution();
-        let store = exec.build_checkpoints(2).unwrap();
-        assert!(!store.is_empty());
-        let n = NodeId::new("n1");
-        // Resume from between the cuts (5 and 9): the cut-5 snapshot is
-        // restored and the due-9 chunk replays as the suffix. Resuming at
-        // exactly 9 would pick the cut-9 checkpoint (inclusive boundary)
-        // and replay nothing.
-        let fast = exec.replay_from_checkpoint(&store, 7).unwrap();
-        // Final state agrees with the full replay.
-        assert!(fast.exists(&n, &tuple!("out", 12)));
-        assert!(fast.exists(&n, &tuple!("out", 11)));
-        // But the recorded graph covers only the suffix: out(12)'s
-        // provenance is there, out(11)'s is not.
-        assert!(fast
-            .graph()
-            .episode_at(&TupleRef::new(n.clone(), tuple!("out", 12)), fast.now())
-            .is_some());
-        assert!(fast
-            .graph()
-            .episode_at(&TupleRef::new(n, tuple!("out", 11)), fast.now())
-            .is_none());
-    }
-
-    #[test]
-    fn zero_checkpoint_interval_is_an_error_not_a_panic() {
-        let err = execution()
-            .build_checkpoints(0)
-            .err()
-            .expect("a zero interval cannot make progress");
-        assert!(err.to_string().contains("interval must be positive"), "{err}");
-        // Also on an empty log, where the chunk loop never runs.
-        assert!(Execution::new(program()).build_checkpoints(0).is_err());
-    }
-
-    #[test]
-    fn aging_out_preserves_checkpointed_state() {
-        let mut exec = execution();
-        let store = exec.build_checkpoints(2).unwrap();
-        let full = exec.replay().unwrap();
-        let n = NodeId::new("n1");
-        let (cut, dropped) = exec.age_out(&store, 9).unwrap();
-        assert!(dropped > 0);
-        assert!(cut < 9);
-        // The aged log alone is no longer sufficient...
-        assert!(exec.log.len() < 3);
-        // ...but checkpoint + suffix reproduces the full final state.
-        let resumed = exec.replay_from_checkpoint(&store, 9).unwrap();
-        assert_eq!(
-            full.exists(&n, &tuple!("out", 11)),
-            resumed.exists(&n, &tuple!("out", 11))
-        );
-        assert_eq!(
-            full.exists(&n, &tuple!("out", 12)),
-            resumed.exists(&n, &tuple!("out", 12))
-        );
-    }
-
-    /// Regression fence for the `due == cut` off-by-one: `retain_after`
-    /// drops `due <= cut` while resumption used to pick strictly-earlier
-    /// checkpoints, so resuming *exactly at* an aged cut replayed over a
-    /// gap the log no longer held. Resuming at the cut must answer the
-    /// same before and after aging.
-    #[test]
-    fn resume_exactly_at_a_checkpoint_cut_survives_aging() {
-        let mut exec = execution();
-        let store = exec.build_checkpoints(2).unwrap();
-        let cut = store.checkpoints()[0].cut;
-        assert_eq!(cut, 5, "fixture: first chunk covers dues 0 and 5");
-        let n = NodeId::new("n1");
-        let before = exec.replay_from_checkpoint(&store, cut).unwrap();
-        let (cut_aged, dropped) = exec.age_out(&store, 9).unwrap();
-        assert_eq!(cut_aged, cut);
-        assert!(dropped > 0);
-        let after = exec.replay_from_checkpoint(&store, cut).unwrap();
-        for x in [11, 12] {
-            assert_eq!(
-                before.exists(&n, &tuple!("out", x)),
-                after.exists(&n, &tuple!("out", x)),
-                "state at out({x}) changed across aging"
-            );
-            assert!(after.exists(&n, &tuple!("out", x)));
-        }
-        assert_eq!(before.now(), after.now());
-    }
-
-    /// The other direction of the boundary: aging itself stays strict.
-    /// `age_out(store, t)` with `t` equal to a checkpoint's cut must pick
-    /// the checkpoint *before* it, keeping the events that replays resumed
-    /// below `t` still need.
-    #[test]
-    fn aging_at_a_cut_keeps_the_cut_chunk() {
-        let mut exec = execution();
-        let store = exec.build_checkpoints(1).unwrap();
-        let cuts: Vec<_> = store.checkpoints().iter().map(|c| c.cut).collect();
-        assert_eq!(cuts, [0, 5, 9], "fixture: one checkpoint per due");
-        let (cut, _) = exec.age_out(&store, 5).unwrap();
-        assert_eq!(cut, 0, "aging at cut 5 must stop at the checkpoint before it");
-        // The due-5 event is still in the log, so resuming below 5 works.
-        assert!(exec.log.events().iter().any(|e| e.due == 5));
-    }
-
-    /// Regression fence for the horizon bug at the execution level: age
-    /// out the entire log, then resumption at the horizon plus fresh
-    /// appends must keep the clock monotone (the horizon used to fall back
-    /// to 0, resuming from nothing).
-    #[test]
-    fn clock_stays_monotone_after_total_age_out() {
-        let mut exec = execution();
-        let store = exec.build_checkpoints(1).unwrap();
-        let full_clock = exec.replay().unwrap().now();
-        exec.age_out(&store, 100).unwrap();
-        assert!(exec.log.is_empty());
-        assert_eq!(exec.log.horizon(), 9, "horizon must hold at the aged cut");
-        let resumed = exec.replay_from_checkpoint(&store, exec.log.horizon()).unwrap();
-        assert_eq!(resumed.now(), full_clock, "resumption clock regressed");
-        // Fresh appends after the horizon replay on top of the checkpoint.
-        let n = NodeId::new("n1");
-        exec.log.insert(exec.log.horizon() + 1, n.clone(), tuple!("in", 3));
-        let grown = exec.replay_from_checkpoint(&store, 9).unwrap();
-        assert!(grown.now() > full_clock);
-        assert!(grown.exists(&n, &tuple!("out", 13)));
-    }
-
-    #[test]
-    fn aging_without_checkpoint_is_a_noop() {
-        let mut exec = execution();
-        let empty = CheckpointStore::default();
-        assert!(exec.age_out(&empty, 100).is_none());
-        assert_eq!(exec.log.len(), 3);
     }
 
     #[test]

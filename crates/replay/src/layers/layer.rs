@@ -28,6 +28,8 @@
 //! truncation and bit rot surface as [`Error::Codec`] before any event is
 //! replayed, never as a panic mid-recovery.
 
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dp_types::codec::{fnv64, Dec, Enc};
@@ -72,7 +74,9 @@ fn io_err(context: &'static str, path: &Path, e: std::io::Error) -> Error {
     Error::Engine(format!("{context} {}: {e}", path.display()))
 }
 
-/// Encodes one node's slice of the replay order and writes it to `path`.
+/// Encodes one node's slice of the replay order and writes it to `path`,
+/// which must not exist: a sealed layer is never overwritten, so a handle
+/// numbering its seal from a stale count gets an error, not the file.
 /// `events` must be non-empty, all on one node, in `(due, seq)` order.
 pub fn write_layer(path: &Path, node: &NodeId, events: &[SeqEvent]) -> Result<Layer> {
     assert!(!events.is_empty(), "a layer holds at least one event");
@@ -99,7 +103,12 @@ pub fn write_layer(path: &Path, node: &NodeId, events: &[SeqEvent]) -> Result<La
     let sum = fnv64(e.bytes());
     e.u64(sum);
     let bytes = e.into_bytes();
-    std::fs::write(path, &bytes).map_err(|err| io_err("writing layer", path, err))?;
+    OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(path)
+        .and_then(|mut file| file.write_all(&bytes))
+        .map_err(|err| io_err("writing layer", path, err))?;
     Ok(Layer {
         node: node.clone(),
         min_due: events.first().map_or(0, |s| s.event.due),

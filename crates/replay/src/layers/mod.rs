@@ -46,7 +46,7 @@ use dp_types::{Error, LogicalTime, NodeId, Result};
 
 pub use self::layer::{Layer, SeqEvent};
 
-use crate::exec::{Checkpoint, Execution};
+use crate::exec::Execution;
 use crate::log::{BaseEvent, EventLog};
 
 /// The seal threshold: events per sealed layer chunk.
@@ -163,7 +163,10 @@ impl DurableStore {
     /// Seals `events` — the next run of the log's replay order — into
     /// immutable layer files, one per node touched. Returns the number of
     /// files written. Events receive consecutive global sequence numbers
-    /// continuing from the previous seal.
+    /// continuing from the stack this handle sees. A handle behind its
+    /// directory (another one sealed after it was opened) would number a
+    /// seal the directory already holds: that is an `Err` with nothing
+    /// written, never a replaced layer.
     pub fn seal_events(&mut self, events: &[BaseEvent]) -> Result<usize> {
         if events.is_empty() {
             return Ok(0);
@@ -179,7 +182,10 @@ impl DurableStore {
             });
         }
         let files = by_node.len();
-        for (node, evs) in by_node {
+        // The file named for `base` goes first: a handle behind its
+        // directory collides on that one, before it has written any other.
+        let lead = by_node.remove_entry(&events[0].node);
+        for (node, evs) in lead.into_iter().chain(by_node) {
             let path = self.dir.join(format!("layer-{:020}.dply", evs[0].seq));
             self.layers.push(layer::write_layer(&path, &node, &evs)?);
         }
@@ -268,6 +274,13 @@ impl DurableStore {
     pub fn checkpoint_bytes(&self) -> u64 {
         0
     }
+}
+
+/// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it): what
+/// [`DurableStore::latest_checkpoint`] would return, if it ever did.
+pub struct Checkpoint {
+    /// The one field `benchmark/src/probe.rs` reads.
+    pub cut: LogicalTime,
 }
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it):

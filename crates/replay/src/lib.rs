@@ -3,11 +3,11 @@
 //! The logging and replay engines of the DiffProv prototype (Section 5):
 //! a base-event [`log`] written at runtime, query-time provenance
 //! reconstruction by deterministic replay ([`exec`]), cloned replay with
-//! tuple changes applied (the UPDATETREE step of the algorithm), in-memory
-//! engine checkpoints for fast state reconstruction, the durable
-//! [`layers`] store (sealed on-disk layer files, recovered by opening and
-//! replaying them), and the [`storage`] cost model behind the Figure 5/6
-//! experiments.
+//! tuple changes applied (the UPDATETREE step of the algorithm), the
+//! durable [`layers`] store (sealed on-disk layer files, recovered by
+//! opening and replaying them), and the [`storage`] cost model behind the
+//! Figure 5/6 experiments. An engine state is reached by replaying a log,
+//! or by rolling a replay forward — there is no checkpoint image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,9 +17,7 @@ pub mod layers;
 pub mod log;
 pub mod storage;
 
-pub use exec::{
-    apply_changes, Checkpoint, CheckpointStore, Execution, ProvBackend, Replayed,
-};
-pub use layers::{DurableStore, Layer, SeqEvent};
+pub use exec::{apply_changes, Execution, ProvBackend, Replayed};
+pub use layers::{Checkpoint, DurableStore, Layer, SeqEvent};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};
 pub use storage::StorageModel;

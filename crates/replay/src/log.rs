@@ -74,11 +74,8 @@ pub struct EventLog {
     events: Vec<BaseEvent>,
     /// True when `events` is already in replay order.
     sorted: bool,
-    /// Largest `due` ever pushed (not reduced by aging).
+    /// Largest `due` ever pushed.
     max_due: LogicalTime,
-    /// Largest cut ever passed to [`EventLog::retain_after`]. The horizon
-    /// never regresses below this, even when aging empties the log.
-    aged_cut: LogicalTime,
     /// Elements moved while maintaining replay order (one per sorted
     /// element per in-place normalize). An effort counter for regression
     /// tests: a linear-ish ingest keeps this O(n), the old per-push
@@ -92,7 +89,6 @@ impl Default for EventLog {
             events: Vec::new(),
             sorted: true,
             max_due: 0,
-            aged_cut: 0,
             effort: 0,
         }
     }
@@ -204,22 +200,9 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// The replay horizon: the largest due time ever logged, floored at
-    /// the aged-out cut.
-    ///
-    /// The floor is what keeps resumption clocks monotone: after
-    /// [`EventLog::retain_after`] drops the *entire* tail, a horizon
-    /// computed from the remaining (empty) log would regress below the
-    /// checkpoint cut, and a replay resumed "at the horizon" would pick a
-    /// checkpoint older than the state the log already reflects.
+    /// The replay horizon: the largest due time ever logged.
     pub fn horizon(&self) -> LogicalTime {
-        self.aged_cut.max(self.max_due)
-    }
-
-    /// The largest cut ever aged out ([`EventLog::retain_after`]); 0 if
-    /// the log was never aged.
-    pub fn aged_cut(&self) -> LogicalTime {
-        self.aged_cut
+        self.max_due
     }
 
     /// Appends an event in O(1); replay order is restored lazily.
@@ -251,23 +234,6 @@ impl EventLog {
             tuple,
             op: BaseOp::Delete,
         });
-    }
-
-    /// Drops every event with `due <= cut`, returning how many were
-    /// removed. The cut is remembered: [`EventLog::horizon`] never
-    /// regresses below it.
-    ///
-    /// This is the aging mechanism of Section 6.5 ("the logs do not
-    /// necessarily have to be maintained for an extensive period of time,
-    /// and old entries can be gradually aged out"): once a checkpoint
-    /// covers a prefix of the log, the prefix can be discarded and replay
-    /// resumes from the checkpoint instead
-    /// ([`crate::Execution::age_out`]).
-    pub fn retain_after(&mut self, cut: LogicalTime) -> usize {
-        let before = self.events.len();
-        self.events.retain(|e| e.due > cut);
-        self.aged_cut = self.aged_cut.max(cut);
-        before - self.events.len()
     }
 
     /// The whole log as the reference evaluator's input
@@ -363,23 +329,5 @@ mod tests {
         let events = log.events();
         assert_eq!(events.len(), N as usize);
         assert!(events.windows(2).all(|w| w[0].due <= w[1].due));
-    }
-
-    /// Regression fence for the horizon bug: aging out the entire log used
-    /// to make `horizon()` fall back to 0, regressing below the cut.
-    #[test]
-    fn horizon_survives_total_age_out() {
-        let mut log = EventLog::new();
-        log.insert(5, "a", tuple!("t", 1));
-        log.insert(9, "a", tuple!("t", 2));
-        assert_eq!(log.horizon(), 9);
-        let dropped = log.retain_after(9);
-        assert_eq!(dropped, 2);
-        assert!(log.is_empty());
-        assert_eq!(log.horizon(), 9, "horizon regressed below the aged cut");
-        assert_eq!(log.aged_cut(), 9);
-        // Fresh appends move the horizon forward, never backward.
-        log.insert(11, "a", tuple!("t", 3));
-        assert_eq!(log.horizon(), 11);
     }
 }

@@ -59,18 +59,22 @@ fn execution(seed: u64) -> Execution {
     exec
 }
 
-/// Seals `log` into a fresh temp store straight through `seal_events`, in
-/// chunks of 7–16 events of its replay order: several layers per node,
-/// with due ranges that overlap across nodes and across chunk boundaries.
-fn seal_in_small_chunks(log: &EventLog, rng: &mut DetRng) -> DurableStore {
-    let mut store = DurableStore::temp().unwrap();
-    let events = log.events();
-    let mut rest: &[BaseEvent] = &events;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(rng.gen_range_usize(7, 17).min(rest.len()));
+/// Seals `events` — the next run of a log's replay order — into `store`
+/// straight through `seal_events`, in chunks of 7–16 events: several
+/// layers per node, with due ranges that overlap across nodes and across
+/// chunk boundaries.
+fn seal_in_small_chunks(store: &mut DurableStore, mut events: &[BaseEvent], rng: &mut DetRng) {
+    while !events.is_empty() {
+        let (chunk, tail) = events.split_at(rng.gen_range_usize(7, 17).min(events.len()));
         store.seal_events(chunk).unwrap();
-        rest = tail;
+        events = tail;
     }
+}
+
+/// `log` sealed into a fresh temp store by one handle, in small chunks.
+fn sealed(log: &EventLog, rng: &mut DetRng) -> DurableStore {
+    let mut store = DurableStore::temp().unwrap();
+    seal_in_small_chunks(&mut store, &log.events(), rng);
     store
 }
 
@@ -94,14 +98,18 @@ fn assert_codec_error(dir: &Path, case: &str) {
 }
 
 /// Seals `exec`'s log in small chunks and recovers it from the directory
-/// alone — the recovering side is handed the program and the path — then
-/// holds the recovered log and stream to the sealed ones. ORs into `shape`
+/// alone ([`assert_recovered`]).
+fn assert_recovers(exec: &Execution, rng: &mut DetRng, shape: &mut (bool, bool), case: &str) {
+    let store = sealed(&exec.log, rng);
+    assert_recovered(store.dir(), exec, shape, case);
+}
+
+/// Recovers the store at `dir` from the directory alone — the recovering
+/// side is handed the program and the path — and holds the recovered log
+/// and stream to `exec`'s, which was sealed there. ORs into `shape`
 /// whether the stack was more than a concatenation: some node owned
 /// several layers, two layers covered overlapping due ranges.
-fn assert_recovers(exec: &Execution, rng: &mut DetRng, shape: &mut (bool, bool), case: &str) {
-    let store = seal_in_small_chunks(&exec.log, rng);
-    let dir = store.dir();
-
+fn assert_recovered(dir: &Path, exec: &Execution, shape: &mut (bool, bool), case: &str) {
     // "Kill": nothing below reads `exec`'s log or the sealing store.
     let reopened = DurableStore::open(dir).unwrap_or_else(|e| panic!("{case}: {e}"));
     let loaded = reopened.load_log();
@@ -129,14 +137,20 @@ fn assert_recovers(exec: &Execution, rng: &mut DetRng, shape: &mut (bool, bool),
     }
 }
 
-/// The store differential: the good and the bad execution of all nine
-/// repro scenarios, recovered from a directory of small layers.
-#[test]
-fn every_scenario_recovers_from_the_directory_alone() {
+/// The nine repro scenarios.
+fn repro_scenarios() -> Vec<diffprov_core::Scenario> {
     let mut scenarios = dp_sdn::all_sdn_scenarios();
     scenarios.extend(dp_mapreduce::all_mr_scenarios());
     scenarios.push(dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario);
     assert_eq!(scenarios.len(), 9, "repro corpus changed size");
+    scenarios
+}
+
+/// The store differential: the good and the bad execution of all nine
+/// repro scenarios, recovered from a directory of small layers.
+#[test]
+fn every_scenario_recovers_from_the_directory_alone() {
+    let scenarios = repro_scenarios();
     let mut rng = DetRng::seed_from_u64(0xD15C_0001);
     for s in &scenarios {
         let mut shape = (false, false);
@@ -148,38 +162,121 @@ fn every_scenario_recovers_from_the_directory_alone() {
     }
 }
 
-/// The same on generated multi-node schedules — unsorted ingest, a tiny
-/// due domain (most events share a timestamp, so the `seq` tiebreak
-/// decides the order), deletes in the tick of their inserts — and on this
-/// file's own fixture.
+/// A generated multi-node schedule as an execution — unsorted ingest, a
+/// tiny due domain (most events share a timestamp, so the `seq` tiebreak
+/// decides the order), deletes in the tick of their inserts.
+fn nodegen_execution(rng: &mut DetRng) -> Execution {
+    let program = loop {
+        if let Some(program) = nodegen::arb_program(rng) {
+            break program;
+        }
+    };
+    let mut ops = nodegen::topology_schedule(rng);
+    ops.extend(nodegen::schedule(&nodegen::arb_ops(rng)));
+    let mut exec = Execution::new(program);
+    for op in ops {
+        let op_kind = if op.delete { BaseOp::Delete } else { BaseOp::Insert };
+        exec.log.push(BaseEvent {
+            due: op.due,
+            node: op.node,
+            tuple: op.tuple,
+            op: op_kind,
+        });
+    }
+    exec
+}
+
+/// The same on generated multi-node schedules and on this file's own
+/// fixture.
 #[test]
 fn generated_schedules_recover_from_the_directory_alone() {
     let mut rng = DetRng::seed_from_u64(0xD15C_0002);
     let mut shape = (false, false);
-    let mut cases = 0usize;
-    while cases < 48 {
-        let Some(program) = nodegen::arb_program(&mut rng) else {
-            continue;
-        };
-        cases += 1;
-        let mut ops = nodegen::topology_schedule(&mut rng);
-        ops.extend(nodegen::schedule(&nodegen::arb_ops(&mut rng)));
-        let mut exec = Execution::new(program);
-        for op in ops {
-            let op_kind = if op.delete { BaseOp::Delete } else { BaseOp::Insert };
-            exec.log.push(BaseEvent {
-                due: op.due,
-                node: op.node,
-                tuple: op.tuple,
-                op: op_kind,
-            });
-        }
-        assert_recovers(&exec, &mut rng, &mut shape, &format!("nodegen case {cases}"));
+    for case in 1..=48 {
+        let exec = nodegen_execution(&mut rng);
+        assert_recovers(&exec, &mut rng, &mut shape, &format!("nodegen case {case}"));
     }
     assert_eq!(shape, (true, true), "no generated case had a non-trivial layer stack");
     for seed in [0xD15C_0003, 0xD15C_0004] {
         assert_recovers(&execution(seed), &mut rng, &mut shape, &format!("fixture {seed:#x}"));
     }
+}
+
+/// A store written by several processes: a prefix of the log sealed in
+/// small chunks, the handle dropped, the directory opened, the rest sealed
+/// behind what it found, dropped again — and recovered like any other.
+/// Returns whether the cut fell inside a group of equal dues, where only
+/// the persisted `seq` keeps the two sessions' events in order.
+fn assert_recovers_across_a_restart(exec: &Execution, rng: &mut DetRng, case: &str) -> bool {
+    let scratch = DurableStore::temp().unwrap();
+    let events = exec.log.events();
+    let cut = rng.gen_range_usize(1, events.len());
+    for session in [&events[..cut], &events[cut..]] {
+        let mut store = DurableStore::open(scratch.dir()).unwrap_or_else(|e| panic!("{case}: {e}"));
+        seal_in_small_chunks(&mut store, session, rng);
+    }
+    assert_recovered(scratch.dir(), exec, &mut (false, false), &format!("{case}, cut at {cut}"));
+    events[cut - 1].due == events[cut].due
+}
+
+/// Sealing continues a stack it did not write: every repro scenario and
+/// the generated schedules, each cut in two sessions at a random event.
+#[test]
+fn a_store_sealed_across_restarts_recovers_the_uncut_log() {
+    let scenarios = repro_scenarios();
+    let mut rng = DetRng::seed_from_u64(0xD15C_0009);
+    for s in &scenarios {
+        for (side, exec) in [("good", &s.good_exec), ("bad", &s.bad_exec)] {
+            assert_recovers_across_a_restart(exec, &mut rng, &format!("scenario {} ({side})", s.name));
+        }
+    }
+    let mut split_equal_dues = 0;
+    for case in 1..=48 {
+        let exec = nodegen_execution(&mut rng);
+        let split = assert_recovers_across_a_restart(&exec, &mut rng, &format!("nodegen case {case}"));
+        split_equal_dues += usize::from(split);
+    }
+    for seed in [0xD15C_000A, 0xD15C_000B] {
+        assert_recovers_across_a_restart(&execution(seed), &mut rng, &format!("fixture {seed:#x}"));
+    }
+    assert!(split_equal_dues >= 8, "only {split_equal_dues} cuts split a group of equal dues");
+}
+
+/// A handle that is behind its directory — opened before another handle
+/// sealed, the shape of a process that restarted while its predecessor
+/// was still writing — numbers its next seal from a count the directory
+/// has passed. That seal is an error and writes nothing: the directory
+/// still opens to the log the first handle sealed.
+#[test]
+fn a_stale_handle_cannot_overwrite_a_sealed_layer() {
+    let mut exec = Execution::new(program());
+    exec.log.insert(0, "n1", tuple!("cfg", 10));
+    exec.log.insert(1, "n1", tuple!("in", 1));
+    exec.log.insert(2, "n2", tuple!("in", 2));
+    let scratch = DurableStore::temp().unwrap();
+    let mut first = DurableStore::open(scratch.dir()).unwrap();
+    let mut stale = DurableStore::open(scratch.dir()).unwrap();
+    // One file per node, named for its first sequence number: 0 and 2.
+    assert_eq!(first.seal_events(&exec.log.events()).unwrap(), 2);
+    let before = layer_files(scratch.dir());
+
+    // Different events under the numbers the first handle used. The seal
+    // is led by `n2`, so in node order its first file would be `n1`'s,
+    // under number 1 — a name the directory does not hold.
+    let mut other = EventLog::new();
+    other.insert(0, "n2", tuple!("in", 7));
+    other.insert(1, "n1", tuple!("in", 8));
+    let err = stale.seal_events(&other.events()).expect_err("the seal must be refused");
+    assert!(matches!(err, Error::Engine(_)), "{err}");
+    assert!(err.to_string().contains("writing layer"), "{err}");
+
+    assert_eq!(layer_files(scratch.dir()), before, "the refused seal left a file behind");
+    let reopened = DurableStore::open(scratch.dir()).unwrap();
+    assert!(reopened.load_log().events() == exec.log.events(), "the sealed log changed");
+    assert_eq!(
+        exec.recovered_stream_digest(&reopened).unwrap(),
+        exec.stream_digest().unwrap()
+    );
 }
 
 /// Every byte of every layer file is covered by its checksum: flipping
@@ -192,7 +289,7 @@ fn generated_schedules_recover_from_the_directory_alone() {
 fn corrupted_store_files_fail_closed_with_typed_errors() {
     let exec = execution(0xD15C_0005);
     let mut rng = DetRng::seed_from_u64(0xD15C_0006);
-    let store = seal_in_small_chunks(&exec.log, &mut rng);
+    let store = sealed(&exec.log, &mut rng);
     let dir = store.dir();
     let files = layer_files(dir);
     assert!(files.len() >= 6, "fixture must span layer files");
@@ -288,7 +385,7 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
 #[test]
 fn a_missing_or_duplicated_layer_is_a_typed_error() {
     let exec = execution(0xD15C_0007);
-    let store = seal_in_small_chunks(&exec.log, &mut DetRng::seed_from_u64(0xD15C_0008));
+    let store = sealed(&exec.log, &mut DetRng::seed_from_u64(0xD15C_0008));
     let dir = store.dir();
     let files = layer_files(dir);
     let victim = &files[files.len() / 2];

@@ -18,7 +18,7 @@
 use diffprov_core::{QueryEvent, Scenario};
 use dp_replay::Execution;
 use dp_types::prefix::{cidr, ip};
-use dp_types::{LogicalTime, NodeId, TupleRef};
+use dp_types::{LogicalTime, NodeId};
 
 use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program};
 use crate::topology::Topology;
@@ -368,13 +368,6 @@ impl CfgLog for dp_replay::EventLog {
     fn push_cfg(&mut self, at: LogicalTime, ctl: NodeId, entry: dp_types::Tuple) {
         self.insert(at, ctl, entry);
     }
-}
-
-/// The located `deliver` tuple of the *actual* outcome of the bad packet,
-/// useful when a scenario's bad event is a non-delivery (the packet is the
-/// query instead).
-pub fn bad_packet_event(sw: &str, pid: i64, src: u32, dst: u32, proto: i64, len: i64) -> TupleRef {
-    TupleRef::new(sw, pkt_in(pid, src, dst, proto, len))
 }
 
 #[cfg(test)]

@@ -92,11 +92,6 @@ impl Topology {
         &self.switches
     }
 
-    /// All declared hosts.
-    pub fn host_names(&self) -> &[String] {
-        &self.hosts
-    }
-
     /// Neighbor switches of `sw`.
     pub fn neighbors(&self, sw: &str) -> Vec<&str> {
         self.links

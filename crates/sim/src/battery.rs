@@ -13,30 +13,30 @@
 //!    ([`dp_provenance::well_formedness_violations`]).
 //! 3. **Baseline sanity** — the fault-free execution delivers every probe
 //!    packet at the `dst` host, and nowhere else.
-//! 4. **Restart transparency** — a scenario with a `NodeRestart` replays
-//!    to a bit-identical stream when the engine is snapshotted and
-//!    restored at the cut.
-//! 5. **Duplicate invisibility** — a duplicated packet is absorbed by
+//! 4. **Duplicate invisibility** — a duplicated packet is absorbed by
 //!    idempotent base insertion: dropping the `DupPacket` injections from
 //!    the schedule must not change the bad execution's digest.
-//! 6. **Durable recovery** — the bad execution spilled to an on-disk
+//! 5. **Durable recovery** — the bad execution sealed into an on-disk
 //!    layered store, "killed", and recovered from the directory alone
 //!    (reopened, the merged layer stack replayed) folds to exactly the
-//!    in-memory stream digest of invariant 1.
+//!    in-memory stream digest of invariant 1. A `NodeRestart` is a kill
+//!    *during* the sealing: the log is sealed in sessions split at the
+//!    restart cuts, each through a handle opened on the directory the
+//!    last one left behind, so a store continuing a stack it did not
+//!    write is part of what has to recover.
 //!
 //! When the injections produce a diagnosable misdelivery DiffProv runs on
 //! it, once. Whether it aligns the trees is a counted outcome, not an
 //! invariant; a typed error out of it is reported as a violation.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::path::Path;
 
 use diffprov_core::{DiffProv, QueryEvent};
-use dp_ndlog::{Engine, ProvEvent, VecSink};
 use dp_provenance::well_formedness_violations;
-use dp_replay::{BaseOp, DurableStore, EventLog, Execution};
+use dp_replay::{BaseEvent, DurableStore, Execution};
 use dp_sdn::deliver_at;
-use dp_types::{LogicalTime, Result};
+use dp_types::Result;
 
 use crate::scenario::{
     generate_masked, Injection, SimScenario, PROBE_LEN, PROTO_TCP,
@@ -228,24 +228,7 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
         }
     }
 
-    // --- 4. Restart transparency -----------------------------------------
-    if !sc.restart_cuts.is_empty() {
-        match restart_leg(&sc.bad, &sc.restart_cuts) {
-            Ok(None) => {}
-            Ok(Some(detail)) => fail(
-                "restart-transparency",
-                format!("seed {}: {detail}", sc.seed),
-                &mut report,
-            ),
-            Err(e) => fail(
-                "restart-transparency",
-                format!("seed {}: restart replay failed: {e}", sc.seed),
-                &mut report,
-            ),
-        }
-    }
-
-    // --- 5. Duplicate invisibility ---------------------------------------
+    // --- 4. Duplicate invisibility ---------------------------------------
     let dup_free: Vec<usize> = sc
         .applied
         .iter()
@@ -276,14 +259,23 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
         }
     }
 
-    // --- 6. Durable recovery ---------------------------------------------
-    // "Kill": recovery sees only the store directory (the spilling store
-    // lives on as the owner of its temp dir, nothing more). Its digest must
-    // equal the in-memory stream digest from leg 1, which is already held
-    // equal to the oracle's there.
-    let recovered = DurableStore::temp().and_then(|mut store| {
-        sc.bad.spill_into(&mut store)?;
-        let reopened = DurableStore::open(store.dir())?;
+    // --- 5. Durable recovery ---------------------------------------------
+    // The bad log is sealed in sessions split at the restart cuts: at each
+    // cut the process dies — its handle is dropped — and the next session
+    // opens the directory it left and seals on (no cut, one session). Then
+    // "kill" once more: recovery sees only the directory (`scratch` owns
+    // it and seals nothing). Its digest must equal the in-memory stream
+    // digest from leg 1, which is already held equal to the oracle's there.
+    let recovered = DurableStore::temp().and_then(|scratch| {
+        let events = sc.bad.log.events();
+        let mut rest = &events[..];
+        for &cut in &sc.restart_cuts {
+            let (session, later) = rest.split_at(rest.partition_point(|e| e.due <= cut));
+            seal_session(scratch.dir(), session)?;
+            rest = later;
+        }
+        seal_session(scratch.dir(), rest)?;
+        let reopened = DurableStore::open(scratch.dir())?;
         sc.bad.recovered_stream_digest(&reopened)
     });
     match recovered {
@@ -299,7 +291,7 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
         ),
         Err(e) => fail(
             "durable-recovery",
-            format!("seed {}: spill or recovery failed: {e}", sc.seed),
+            format!("seed {}: sealing or recovery failed: {e}", sc.seed),
             &mut report,
         ),
     }
@@ -312,64 +304,8 @@ pub fn check_seed(seed: u64) -> BatteryReport {
     check_scenario(&generate_masked(seed, None))
 }
 
-/// Replays `exec` uninterrupted and with snapshot/restore restarts at
-/// every cut, and compares the provenance streams. Returns a divergence
-/// description, or `None` when the restarted stream is bit-identical.
-fn restart_leg(exec: &Execution, cuts: &[LogicalTime]) -> Result<Option<String>> {
-    let reference = {
-        let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
-        schedule_range(&mut eng, &exec.log, None, None)?;
-        eng.run()?;
-        eng.into_sink().events
-    };
-    let mut restarted: Vec<ProvEvent> = Vec::new();
-    let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
-    let mut prev: Option<LogicalTime> = None;
-    for &cut in cuts {
-        schedule_range(&mut eng, &exec.log, prev, Some(cut))?;
-        eng.run()?;
-        let snap = eng.snapshot()?;
-        restarted.append(&mut eng.into_sink().events);
-        eng = Engine::restore(Arc::clone(&exec.program), snap, VecSink::default())?;
-        prev = Some(cut);
-    }
-    schedule_range(&mut eng, &exec.log, prev, None)?;
-    eng.run()?;
-    restarted.append(&mut eng.into_sink().events);
-    if restarted == reference {
-        return Ok(None);
-    }
-    let first = reference
-        .iter()
-        .zip(&restarted)
-        .position(|(a, b)| a != b)
-        .unwrap_or(reference.len().min(restarted.len()));
-    Ok(Some(format!(
-        "restarted stream diverges from the uninterrupted one at event {first} \
-         ({} vs {} events; cuts {cuts:?})",
-        reference.len(),
-        restarted.len()
-    )))
-}
-
-/// Schedules the log events with `after < due <= until` into `eng`.
-fn schedule_range(
-    eng: &mut Engine<VecSink>,
-    log: &EventLog,
-    after: Option<LogicalTime>,
-    until: Option<LogicalTime>,
-) -> Result<()> {
-    for e in log.events().iter() {
-        if after.is_some_and(|a| e.due <= a) {
-            continue;
-        }
-        if until.is_some_and(|u| e.due > u) {
-            break; // The log is sorted by due.
-        }
-        match e.op {
-            BaseOp::Insert => eng.schedule_insert(e.due, e.node.clone(), e.tuple.clone())?,
-            BaseOp::Delete => eng.schedule_delete(e.due, e.node.clone(), e.tuple.clone())?,
-        }
-    }
-    Ok(())
+/// One process lifetime of the store at `dir`: opens what is there and
+/// seals `events` — the next run of the log — behind it.
+fn seal_session(dir: &Path, events: &[BaseEvent]) -> Result<()> {
+    DurableStore::open(dir)?.seal_events(events).map(drop)
 }

@@ -5,15 +5,15 @@
 //! of them. From a single `u64` seed it synthesizes a random SDN
 //! topology, a probe-packet workload, and a fault-injection schedule —
 //! rule withdrawals and recoveries, delayed and reordered control-plane
-//! installs, duplicated packets, engine restarts through the real
-//! snapshot/restore path, and racing controller updates whose arrival
+//! installs, duplicated packets, process restarts that leave only the
+//! durable store behind, and racing controller updates whose arrival
 //! order flips the forwarding decision (the native good/bad pair). Each
 //! scenario runs end-to-end through the deterministic engine, the
 //! provenance recorder, the replay layer, and DiffProv, and is held to
 //! an invariant battery (see [`battery`]): stream-digest agreement
 //! between the engine and its reference evaluator, provenance-graph
-//! well-formedness, restart transparency, duplicate invisibility, and
-//! recovery from the durable store.
+//! well-formedness, duplicate invisibility, and recovery from the
+//! durable store — sealed across the scenario's restarts.
 //!
 //! When a seed fails, [`shrink::ddmin`] bisects the injection schedule
 //! to a 1-minimal failing subset — masked regeneration keeps topology

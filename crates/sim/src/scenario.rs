@@ -104,10 +104,11 @@ pub enum Injection {
         /// Arrival time of the duplicate.
         at: LogicalTime,
     },
-    /// The whole engine is snapshotted and restored mid-schedule at
-    /// `cut` (a quiescent boundary) — the paper's node-restart fault.
-    /// Restart transparency requires the provenance stream to be
-    /// bit-identical to an uninterrupted run.
+    /// The logging process dies at `cut` (a quiescent boundary) and a
+    /// new one carries on — the paper's node-restart fault. What survives
+    /// is the durable store: the battery seals the log in sessions split
+    /// at the cut, each opening the directory the last one left, and the
+    /// recovered stream must be bit-identical to an uninterrupted run's.
     NodeRestart {
         /// Quiescent boundary at which the restart happens.
         cut: LogicalTime,
@@ -153,7 +154,7 @@ impl fmt::Display for Injection {
             }
             Injection::ReorderInstalls { a, b } => write!(f, "swap installs #{a} and #{b}"),
             Injection::DupPacket { packet, at } => write!(f, "duplicate packet #{packet} at {at}"),
-            Injection::NodeRestart { cut } => write!(f, "snapshot/restore restart at {cut}"),
+            Injection::NodeRestart { cut } => write!(f, "restart (store reopened) at {cut}"),
             Injection::RaceInstall { sw, at } => {
                 write!(f, "racing rule installs on S{sw} at {at}")
             }

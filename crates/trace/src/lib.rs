@@ -259,11 +259,6 @@ impl Aggregate {
         self.spans.get(name).map_or(0, |s| s.sum)
     }
 
-    /// Total seconds spent in spans of `name`.
-    pub fn total_secs(&self, name: &str) -> f64 {
-        self.total_ns(name) as f64 / 1e9
-    }
-
     /// Completion count for spans of `name`.
     pub fn span_count(&self, name: &str) -> u64 {
         self.spans.get(name).map_or(0, |s| s.count)

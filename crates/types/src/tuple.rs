@@ -244,16 +244,6 @@ impl TupleStore {
         arc
     }
 
-    /// Returns the shared handle for an already-shared tuple, deduplicating
-    /// equal allocations.
-    pub fn intern_arc(&mut self, tuple: Arc<Tuple>) -> Arc<Tuple> {
-        if let Some(existing) = self.set.get(&*tuple) {
-            return Arc::clone(existing);
-        }
-        self.set.insert(Arc::clone(&tuple));
-        tuple
-    }
-
     /// The hash this store files `tuple` under. A function of the tuple
     /// alone: every store, in every process, returns the same value.
     pub fn hash_of(&self, tuple: &Tuple) -> u64 {

@@ -6,11 +6,14 @@
 # instrumentation system, against the deleted scrape surface (server,
 # exposition, sketches — the workspace opens no socket and spawns no
 # thread), against the deleted store and tracer routings and on-disk
-# checkpoints, against the deleted second provenance backend, against a
-# second UPDATETREE path in crates/core, against a tuple-keyed map in the
-# graph recorder and against the searches the engine stopped repeating
-# (B-tree environment, second body walk, per-flush profile map); and
-# lint-clean clippy.
+# checkpoints, against the deleted in-memory checkpoint (a second way to
+# reach an engine state), against the deleted second provenance backend,
+# against a second UPDATETREE path in crates/core, against a tuple-keyed
+# map in the graph recorder and against the searches the engine stopped
+# repeating (B-tree environment, second body walk, per-flush profile map);
+# and lint-clean clippy. The sweep holds five invariants: digest
+# determinism, graph well-formedness, baseline deliveries, duplicate
+# invisibility, durable recovery.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
 # (reference_differential.rs), the instrumentation handle disabled,
@@ -58,9 +61,10 @@ rm -rf "${TMPDIR:-/tmp}"/dp-store-* 2>/dev/null || true
 # here instead of by the pipeline.
 step "benchmark tests" cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Fault-injection sweep: 200 generated scenarios through the dp-sim
-# invariant battery (digest determinism against the reference evaluator,
-# graph well-formedness, baseline deliveries, restart transparency,
-# duplicate invisibility, durable recovery) — the suite's sim_battery.rs
+# invariant battery's five invariants (digest determinism against the
+# reference evaluator, graph well-formedness, baseline deliveries,
+# duplicate invisibility, durable recovery — the store sealed in sessions
+# split at the scenario's node restarts) — the suite's sim_battery.rs
 # covers seeds 0..32, and it took the wider sweep to catch seed 144 in
 # PR 16. Failing seeds are ddmin-shrunk into tests/corpus/ automatically.
 step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
@@ -89,6 +93,16 @@ step "gate: no scrape surface" absent \
 step "gate: one store, one recovery path" absent \
     "a deleted store or tracer routing reappeared" \
     "DP_""STORE|Store""Mode|store_""mode|DP_LAYER_""EVENTS|DP_""TRACE|dp""ck|checkpoint_""every" \
+    crates src tests examples scripts
+# An engine state is reached by scheduling a log on a fresh engine and
+# running it, or by rolling such a replay forward — never by restoring an
+# image: the in-memory checkpoint (engine snapshot and restore, the
+# checkpoint store, resumed replay, log aging, the resumable digest sink)
+# went in PR 23, and a restart is a reopened store. (Spelled in halves so
+# this script passes its own gate.)
+step "gate: one way to reach an engine state" absent \
+    "a name of the deleted in-memory checkpoint reappeared" \
+    "Engine""Snapshot|fn snap""shot|Engine::res""tore|Checkpoint""Store|build_""checkpoints|replay_from_""checkpoint|fn age_""out|retain_""after|fn re""index|HashSink::res""ume" \
     crates src tests examples scripts
 # There is one provenance backend — the graph recorder, trees extracted
 # from it — and the stream carries nothing only the annotation store read;

@@ -13,8 +13,8 @@
 //!   builtins;
 //! * [`provenance`] — the temporal provenance graph, tree extraction, and
 //!   the Y!/plain-diff baselines;
-//! * [`replay`] — base-event logging, deterministic replay, in-memory
-//!   checkpoints, the durable layer store, and the storage-cost model;
+//! * [`replay`] — base-event logging, deterministic replay, the durable
+//!   layer store, and the storage-cost model;
 //! * [`core`] — **DiffProv itself**: seeds, taints and formulae, the
 //!   alignment loop, constraint repair, and `Δ_{B→G}`;
 //! * [`sdn`] — the OpenFlow network model, scenarios SDN1–SDN4, and the

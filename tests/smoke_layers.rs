@@ -7,10 +7,7 @@
 //! wrong; the full differentials stay in `crates/*/tests` behind
 //! `scripts/check.sh`.
 
-use std::sync::Arc;
-
-use diffprov::ndlog::{Engine, HashSink};
-use diffprov::replay::{BaseOp, DurableStore, Execution, Replayed};
+use diffprov::replay::{DurableStore, Execution, Replayed};
 use diffprov::sdn;
 use diffprov::types::TupleRef;
 
@@ -42,40 +39,27 @@ fn disk_store_digests_the_memory_stream() {
     );
 }
 
-/// Snapshot at the quiescent boundary before the last packet, restore,
-/// resume: the folded digest equals the uncut run's.
+/// A restart is the process dying and the store surviving: seal up to the
+/// boundary before the last packet, drop the handle, open the directory,
+/// seal the rest, and recover from the directory alone — the digest is
+/// the uncut run's.
 #[test]
 fn restart_resumes_to_the_uncut_digest() {
     let exec = execution();
     let events = exec.log.events();
-    let cut = events[events.len() - 2].due;
-    assert!(cut < events[events.len() - 1].due, "no boundary to cut at");
+    let cut = events.len() - 1;
+    assert!(events[cut - 1].due < events[cut].due, "no boundary to cut at");
 
-    let mut eng = Engine::new(Arc::clone(&exec.program), HashSink::default());
-    exec.log.schedule_into(&mut eng, Some(cut)).unwrap();
-    eng.run().unwrap();
-    let snap = eng.snapshot().unwrap();
-    let prefix = eng.into_sink();
-    assert!(prefix.count > 0, "nothing ran before the cut");
-
-    let mut eng = Engine::restore(
-        Arc::clone(&exec.program),
-        snap,
-        HashSink::resume(prefix.digest(), prefix.count),
-    )
-    .unwrap();
-    for e in events.iter().filter(|e| e.due > cut) {
-        match e.op {
-            BaseOp::Insert => eng.schedule_insert(e.due, e.node.clone(), e.tuple.clone()),
-            BaseOp::Delete => eng.schedule_delete(e.due, e.node.clone(), e.tuple.clone()),
-        }
-        .unwrap();
+    let scratch = DurableStore::temp().unwrap();
+    for session in [&events[..cut], &events[cut..]] {
+        let mut store = DurableStore::open(scratch.dir()).unwrap();
+        store.seal_events(session).unwrap();
     }
-    eng.run().unwrap();
-    let resumed = eng.into_sink();
+    let recovered = DurableStore::open(scratch.dir()).unwrap();
+    assert_eq!(recovered.load_log().events()[..], events[..], "the log changed");
     assert_eq!(
+        exec.recovered_stream_digest(&recovered).unwrap(),
         exec.stream_digest().unwrap(),
-        (resumed.digest(), resumed.count),
         "restarted stream diverges from the uncut run"
     );
 }
