@@ -63,7 +63,11 @@
 //! state a tuple-at-a-time firing would have seen. Deletions flush the
 //! pending batch before they cascade, keeping "in-flight" semantics
 //! intact. Provenance events are buffered in emission order and handed to
-//! the sink at each flush.
+//! the sink at each flush — and, inside a batch, whenever the buffer
+//! reaches `EVENT_HANDOFF` events, so it is sized by what is in flight
+//! and not by the largest same-`due` batch of the log (a bulk
+//! configuration load is one batch). Order is emission order either way:
+//! the stream cannot tell where the hand-offs fell.
 //!
 //! The flush fires **delta-major**. Consecutive deltas of one (node,
 //! table) form a group; the group's trigger list is resolved once, and
@@ -152,6 +156,11 @@ use crate::plan::{IpSource, JoinPlan};
 use crate::program::{Emitter, Program};
 use crate::reference::ScheduledOp;
 use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
+
+/// How many buffered provenance events make the engine hand them to the
+/// sink without waiting for the batch's flush: ≈360 KB of events, which
+/// stay in cache between being written and being read.
+const EVENT_HANDOFF: usize = 4096;
 
 /// One recorded derivation of a tuple (used for support counting, cascade
 /// deletion, and DiffProv's "derived using the expected rule" checks).
@@ -481,8 +490,9 @@ pub struct Engine<S: ProvenanceSink> {
     nodes: BTreeMap<NodeId, NodeState>,
     /// The tuple interner: one allocation per distinct tuple.
     store: TupleStore,
-    /// Provenance events of the current batch, in emission order, awaiting
-    /// the flush (always empty at quiescence).
+    /// Provenance events not yet handed to the sink, in emission order:
+    /// at most [`EVENT_HANDOFF`] plus one engine event's emissions, and
+    /// none at quiescence.
     events: Vec<ProvEvent>,
     queue: Queue,
     clock: LogicalTime,
@@ -640,18 +650,32 @@ impl<S: ProvenanceSink> Engine<S> {
         self.nodes.iter()
     }
 
-    /// Schedules a base-tuple insertion not earlier than `due`.
-    pub fn schedule_insert(&mut self, due: LogicalTime, node: NodeId, tuple: Tuple) -> Result<()> {
+    /// Schedules a base-tuple insertion not earlier than `due`. A tuple
+    /// handed over behind an `Arc` is adopted: the engine holds the
+    /// caller's allocation, not a copy of it.
+    pub fn schedule_insert(
+        &mut self,
+        due: LogicalTime,
+        node: NodeId,
+        tuple: impl Into<Arc<Tuple>>,
+    ) -> Result<()> {
+        let tuple = tuple.into();
         self.check_base(&tuple)?;
-        let tuple = self.store.intern(tuple);
+        let tuple = self.store.adopt(tuple);
         self.push(due, Action::InsertBase(node, tuple));
         Ok(())
     }
 
     /// Schedules a base-tuple deletion not earlier than `due`.
-    pub fn schedule_delete(&mut self, due: LogicalTime, node: NodeId, tuple: Tuple) -> Result<()> {
+    pub fn schedule_delete(
+        &mut self,
+        due: LogicalTime,
+        node: NodeId,
+        tuple: impl Into<Arc<Tuple>>,
+    ) -> Result<()> {
+        let tuple = tuple.into();
         self.check_base(&tuple)?;
-        let tuple = self.store.intern(tuple);
+        let tuple = self.store.adopt(tuple);
         self.push(due, Action::DeleteBase(node, tuple));
         Ok(())
     }
@@ -659,9 +683,9 @@ impl<S: ProvenanceSink> Engine<S> {
     /// Schedules one [`ScheduledOp`]: its insertion or deletion.
     pub fn schedule(&mut self, op: &ScheduledOp) -> Result<()> {
         if op.delete {
-            self.schedule_delete(op.due, op.node.clone(), op.tuple.clone())
+            self.schedule_delete(op.due, op.node.clone(), Arc::clone(&op.tuple))
         } else {
-            self.schedule_insert(op.due, op.node.clone(), op.tuple.clone())
+            self.schedule_insert(op.due, op.node.clone(), Arc::clone(&op.tuple))
         }
     }
 
@@ -816,6 +840,9 @@ impl<S: ProvenanceSink> Engine<S> {
                     body,
                     trigger,
                 } => self.do_insert_derived(node, tuple, rule, slot, body, trigger)?,
+            }
+            if self.events.len() >= EVENT_HANDOFF {
+                self.drain_events();
             }
             // Batch boundary: the next event (if any) carries a different
             // timestamp, so the current delta batch is complete. (The
@@ -989,6 +1016,11 @@ impl<S: ProvenanceSink> Engine<S> {
             return Ok(());
         }
         let was_present = entry.support() > 0;
+        // Most tuples have exactly one derivation: the first gets a block
+        // of its own size, not `push`'s first step of four.
+        if entry.derivations.is_empty() {
+            entry.derivations.reserve_exact(1);
+        }
         entry.derivations.push(DerivRecord {
             rule: rule.clone(),
             body,

@@ -117,12 +117,19 @@ struct Table {
     /// table is newer than the horizon — the common case, since only
     /// same-batch insertions into a probed table can be "too new".
     last_appear: LogicalTime,
+    /// Scratch for the index key of the tuple being inserted or removed:
+    /// buckets are probed with it as a slice, and only a new bucket takes
+    /// an owned copy.
+    key_buf: Vec<Value>,
 }
 
-/// The values of `cols` in `tuple`, or `None` if any column is out of
-/// range (such a tuple can never match the atom the index serves).
-fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    cols.iter().map(|&c| tuple.args.get(c).cloned()).collect()
+/// Fills `key` with the values of `cols` in `tuple`; `false` if any
+/// column is out of range (such a tuple can never match the atom the
+/// index serves).
+fn index_key(tuple: &Tuple, cols: &[usize], key: &mut Vec<Value>) -> bool {
+    key.clear();
+    key.extend(cols.iter().map_while(|&c| tuple.args.get(c).cloned()));
+    key.len() == cols.len()
 }
 
 impl Table {
@@ -136,6 +143,7 @@ impl Table {
             indexes,
             tries,
             last_appear: 0,
+            key_buf: Vec::new(),
         }
     }
 
@@ -146,13 +154,15 @@ impl Table {
             Entry::Occupied(slot) => &mut slot.into_mut().state,
             Entry::Vacant(slot) => {
                 self.last_appear = self.last_appear.max(now);
-                for (slot, cols) in self.specs.iter().enumerate() {
-                    if let Some(key) = index_key(tuple, cols) {
-                        self.indexes[slot]
-                            .entry(key)
-                            .or_default()
-                            .insert(Arc::clone(tuple));
+                let key = &mut self.key_buf;
+                for (index, cols) in self.indexes.iter_mut().zip(self.specs.iter()) {
+                    if !index_key(tuple, cols, key) {
+                        continue;
                     }
+                    match index.get_mut(key.as_slice()) {
+                        Some(bucket) => bucket.insert(Arc::clone(tuple)),
+                        None => index.entry(key.clone()).or_default().insert(Arc::clone(tuple)),
+                    };
                 }
                 for (slot, &col) in self.trie_specs.iter().enumerate() {
                     self.tries[slot].insert(tuple, col);
@@ -168,13 +178,15 @@ impl Table {
         let Some(slot) = self.tuples.remove(tuple) else {
             return Vec::new();
         };
-        for (slot, cols) in self.specs.iter().enumerate() {
-            if let Some(key) = index_key(tuple, cols) {
-                if let Some(bucket) = self.indexes[slot].get_mut(&key) {
-                    bucket.remove(tuple);
-                    if bucket.is_empty() {
-                        self.indexes[slot].remove(&key);
-                    }
+        let key = &mut self.key_buf;
+        for (index, cols) in self.indexes.iter_mut().zip(self.specs.iter()) {
+            if !index_key(tuple, cols, key) {
+                continue;
+            }
+            if let Some(bucket) = index.get_mut(key.as_slice()) {
+                bucket.remove(tuple);
+                if bucket.is_empty() {
+                    index.remove(key.as_slice());
                 }
             }
         }
@@ -368,6 +380,11 @@ impl NodeState {
     /// lookup.
     pub(super) fn depend(&mut self, body: &Tuple, head: &TupleRef) -> Option<LogicalTime> {
         let slot = self.tables.get_mut(&body.table)?.tuples.get_mut(body)?;
+        // Most body tuples have exactly one dependent: the first gets a
+        // block of its own size, not `push`'s first step of four.
+        if slot.dependents.is_empty() {
+            slot.dependents.reserve_exact(1);
+        }
         slot.dependents.push(head.clone());
         Some(slot.state.appeared_at)
     }

@@ -59,29 +59,30 @@ pub struct ScheduledOp {
     pub due: u64,
     /// Destination node.
     pub node: NodeId,
-    /// The base tuple inserted or deleted.
-    pub tuple: Tuple,
+    /// The base tuple inserted or deleted: a shared handle, so a schedule
+    /// built from a log points at the log's own tuples.
+    pub tuple: Arc<Tuple>,
     /// `true` for a deletion, `false` for an insertion.
     pub delete: bool,
 }
 
 impl ScheduledOp {
     /// An insertion.
-    pub fn insert(due: u64, node: impl Into<NodeId>, tuple: Tuple) -> Self {
+    pub fn insert(due: u64, node: impl Into<NodeId>, tuple: impl Into<Arc<Tuple>>) -> Self {
         ScheduledOp {
             due,
             node: node.into(),
-            tuple,
+            tuple: tuple.into(),
             delete: false,
         }
     }
 
     /// A deletion.
-    pub fn delete(due: u64, node: impl Into<NodeId>, tuple: Tuple) -> Self {
+    pub fn delete(due: u64, node: impl Into<NodeId>, tuple: impl Into<Arc<Tuple>>) -> Self {
         ScheduledOp {
             due,
             node: node.into(),
-            tuple,
+            tuple: tuple.into(),
             delete: true,
         }
     }
@@ -140,7 +141,7 @@ pub fn evaluate(
                 message: "cannot insert/delete into a derived table".into(),
             });
         }
-        let tuple = Arc::new(op.tuple.clone());
+        let tuple = Arc::clone(&op.tuple);
         let action = if op.delete {
             Action::Delete(op.node.clone(), tuple)
         } else {

@@ -8,14 +8,17 @@
 //! specification mode replays observations through a specification program,
 //! producing the same event stream.
 //!
-//! # Sinks and the batch flush
+//! # Sinks and the hand-off
 //!
 //! Sinks are not required to be thread-safe: the engine is single-
 //! threaded. The engine buffers every [`ProvEvent`] in stream order as its
-//! mutation is applied and flushes the buffer through
-//! [`ProvenanceSink::record_batch`] at the batch boundary, so a sink
-//! observes exactly the stream the reference evaluator
-//! ([`crate::reference`]) records one event at a time.
+//! mutation is applied and hands the buffer to
+//! [`ProvenanceSink::record_batch`] at each delta-batch boundary and, in
+//! between, whenever it has grown to a few thousand events — a hand-off is
+//! a run of consecutive stream events, not a delta batch, and where the
+//! runs are cut carries no meaning. Concatenated, they are exactly the
+//! stream the reference evaluator ([`crate::reference`]) records one event
+//! at a time.
 //!
 //! # Events name their episode
 //!
@@ -157,12 +160,14 @@ pub trait ProvenanceSink {
     /// Records one event. Events arrive in non-decreasing time order.
     fn record(&mut self, event: ProvEvent);
 
-    /// Records a batch of events, draining `events`. The batch is already
-    /// in stream order and implementations must preserve it — the engine
-    /// produces the reference evaluator's stream, just delivered at
-    /// delta-batch boundaries. The default forwards to
-    /// [`ProvenanceSink::record`] one event at a time; sinks with cheap
-    /// bulk appends (e.g. [`VecSink`]) override it.
+    /// Records a run of consecutive stream events, draining `events`. The
+    /// run is already in stream order and implementations must preserve
+    /// it — the engine produces the reference evaluator's stream, just
+    /// delivered a run at a time. A run ends where the engine chose to
+    /// hand its buffer over (a delta-batch boundary, or the buffer's size
+    /// bound inside a large batch): nothing may be read into its length.
+    /// The default forwards to [`ProvenanceSink::record`] one event at a
+    /// time; sinks with cheap bulk appends (e.g. [`VecSink`]) override it.
     fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
         for event in events.drain(..) {
             self.record(event);

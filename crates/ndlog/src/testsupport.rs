@@ -316,7 +316,7 @@ pub mod intgen {
             .map(|&(is_delete, t, x, y, due, second)| ScheduledOp {
                 due,
                 node: NodeId::new(if second { "m" } else { "n" }),
-                tuple: tuple!(BASE_TABLES[t], x, y),
+                tuple: tuple!(BASE_TABLES[t], x, y).into(),
                 delete: is_delete,
             })
             .collect()
@@ -500,7 +500,7 @@ pub mod prefixgen {
             .map(|(is_delete, due, tup)| ScheduledOp {
                 due: *due,
                 node: NodeId::new("n"),
-                tuple: tup.clone(),
+                tuple: tup.clone().into(),
                 delete: *is_delete,
             })
             .collect()
@@ -515,7 +515,7 @@ pub mod prefixgen {
             .map(|(i, (is_delete, due, tup))| ScheduledOp {
                 due: *due,
                 node: NodeId::new(if i % 3 == 0 { "n2" } else { "n" }),
-                tuple: tup.clone(),
+                tuple: tup.clone().into(),
                 delete: *is_delete,
             })
             .collect()
@@ -683,7 +683,7 @@ pub mod nodegen {
             .map(|&(is_delete, n, x, y, due)| ScheduledOp {
                 due,
                 node: NodeId::new(NODES[n]),
-                tuple: tuple!("ln", x, y),
+                tuple: tuple!("ln", x, y).into(),
                 delete: is_delete,
             })
             .collect()

@@ -1173,6 +1173,85 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
     assert_eq!(eng.stats().events, 5);
 }
 
+/// The engine hands buffered provenance events to the sink whenever they
+/// reach its hand-off size, not only at a flush, so a bulk load — one
+/// same-`due` batch however long — never sits in the buffer whole. Where
+/// the hand-offs fall is invisible in the stream: the runs concatenate to
+/// the oracle's, and a firing error still leaves exactly the events of the
+/// applied mutations behind.
+#[test]
+fn a_bulk_load_is_handed_off_in_bounded_runs() {
+    use dp_ndlog::ProvenanceSink;
+    /// `EVENT_HANDOFF`, private to `engine.rs`.
+    const HANDOFF: usize = 4096;
+    /// A `VecSink` that also notes the length of every hand-off.
+    #[derive(Default)]
+    struct Runs {
+        events: Vec<ProvEvent>,
+        runs: Vec<usize>,
+    }
+    impl ProvenanceSink for Runs {
+        fn record(&mut self, event: ProvEvent) {
+            self.runs.push(1);
+            self.events.push(event);
+        }
+        fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
+            self.runs.push(events.len());
+            self.events.append(events);
+        }
+    }
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("q", TableKind::MutableBase, [("v", FieldType::Any)]));
+    reg.declare(Schema::new("d", TableKind::Derived, [("v", FieldType::Int)]));
+    let program = Program::builder(reg)
+        .rules_text("r d(@N, V) :- q(@N, V), V > 0.")
+        .unwrap()
+        .build()
+        .unwrap();
+
+    // One batch of 3 x HANDOFF inserts, two events each; each of the
+    // derivations behind it is due at its own delta's clock, a batch of
+    // its own.
+    let ops: Vec<ScheduledOp> = (1..=3 * HANDOFF as i64)
+        .map(|i| ScheduledOp::insert(3, "n", tuple!("q", i)))
+        .collect();
+    let mut eng = Engine::new(Arc::clone(&program), Runs::default());
+    testsupport::schedule_all(&mut eng, &ops);
+    let stats = eng.run().unwrap();
+    assert_eq!(stats.batches, 1 + 3 * HANDOFF as u64);
+    let got = eng.into_sink();
+    // A hand-off is due once an engine event leaves HANDOFF events or
+    // more buffered, and an event here emits at most two.
+    assert!(got.runs.iter().all(|&n| n <= HANDOFF + 1), "{:?}", &got.runs[..8]);
+    assert_eq!(got.runs[..6], [HANDOFF; 6], "the load's hand-offs");
+    assert_eq!(got.runs.iter().sum::<usize>(), got.events.len());
+    assert_eq!(got.events.len(), 12 * HANDOFF);
+    assert_eq!(got.events, testsupport::run_reference(&program, &ops).0);
+
+    // The same load with a type error in the middle of it: every insert
+    // is applied before the flush fails, and nothing else is in the sink.
+    let n = NodeId::new("n");
+    let load = 2 * HANDOFF as u64;
+    let mut eng = Engine::new(program, Runs::default());
+    for i in 0..load {
+        let v = if i == load / 2 { Value::str("oops") } else { Value::Int(i as i64 + 1) };
+        eng.schedule_insert(3, n.clone(), Tuple::new("q", vec![v])).unwrap();
+    }
+    let err = eng.run().expect_err("comparing a string with an integer is a type error");
+    assert!(matches!(err, dp_types::Error::Type { .. }), "{err}");
+    let got = eng.sink();
+    assert!(got.runs.len() >= 4 && got.runs.iter().all(|&n| n <= HANDOFF + 1), "{:?}", got.runs);
+    assert_eq!(got.events.len() as u64, 2 * load);
+    for (i, pair) in got.events.chunks(2).enumerate() {
+        let time = 3 + i as u64;
+        assert!(
+            matches!(&pair[0], ProvEvent::InsertBase { time: t, since, .. } if (*t, *since) == (time, time))
+                && matches!(&pair[1], ProvEvent::Appear { time: t, .. } if *t == time),
+            "events of insert {i}: {pair:?}"
+        );
+    }
+}
+
 /// Base support that comes and goes inside one episode. A native's report
 /// keeps `m(1)` — a tuple of a *base* table — alive; a base insertion
 /// while it is there is extra support for the open episode (`since` names

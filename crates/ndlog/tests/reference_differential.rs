@@ -135,7 +135,7 @@ fn dense_three_way_join(seed: u64, p_delete: f64, values: i64, ticks: u64) {
                 ScheduledOp {
                     due,
                     node: "n".into(),
-                    tuple: tuple!(table, k, v),
+                    tuple: tuple!(table, k, v).into(),
                     delete,
                 }
             })

@@ -676,9 +676,9 @@ impl ProvenanceSink for GraphRecorder {
         self.graph.record_event(event);
     }
 
-    /// Batched delivery from the engine's delta flush. The batch arrives
-    /// in stream order and is folded into the graph one event at a time,
-    /// in order — the resulting graph is identical to the one built by
+    /// Batched delivery from the engine's hand-off. The run arrives in
+    /// stream order and is folded into the graph one event at a time, in
+    /// order — the resulting graph is identical to the one built by
     /// per-event delivery.
     fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
         let span = self.tracer.is_enabled().then(|| {

@@ -15,36 +15,48 @@
 //! # The engine's own budget
 //!
 //! The second test pins what the evaluator itself costs on the same
-//! campus, into a null sink, in three counts (ROADMAP item 2, step 1: a
-//! budget before a design). Each is asserted at the value measured when it
-//! was last moved, plus 2 %, and the classes behind it are these, by their
+//! campus, into a null sink (ROADMAP item 2: a budget before a design,
+//! then classes removed one at a time). Three counts of allocator calls
+//! are asserted at the value measured when each was last moved, plus 2 %,
+//! and beside them what the quiescent engine **holds** per live tuple —
+//! bytes and blocks allocated since the engine was created and not freed
+//! by quiescence, item 2's yardstick. The classes behind them, by their
 //! arithmetic on this campus (2 246 base events in the log, 5 741 engine
 //! events, 11 482 provenance events, 5 170 distinct tuples interned,
-//! 3 495 derivations out of 3 507 join matches found by 1 910 rule
-//! firings, 1 725 flushes of which 1 510 fire a join):
+//! 5 741 live, 3 495 derivations out of 3 507 join matches found by 1 910
+//! rule firings, 1 725 flushes of which 1 510 fire a join):
 //!
-//! * **Scheduling the log: 2.0 per base event** (4 502) — the `Vec<Value>`
-//!   the logged tuple is cloned into and the `Arc<Tuple>` the interner
-//!   wraps it in; the run's and the interner's doublings are the rest.
-//! * **Running it: 54 257**, 9.5 per engine event. Per join match
+//! * **Scheduling the log: 0.011 per base event** (24) — the doublings of
+//!   the queue's run and of the interner, nothing per tuple: a logged
+//!   tuple lives behind an `Arc` the interner adopts as it is. (2.004
+//!   before PR 24: a deep copy of the tuple's `Vec<Value>` and a fresh
+//!   `Arc<Tuple>` per base event.)
+//! * **Running it: 51 883**, 9.0 per engine event. Per join match
 //!   (3 507): the cloned `Env`, the body vector of the match, the head's
 //!   `Vec<Value>`, the `Vec<TupleRef>` of the scheduled action — and, for
 //!   a head not interned before, its `Arc<Tuple>`.
 //!   Per derivation (3 495): `stamped` (the event's `Vec<BodyRef>`), and
 //!   per tuple derived for the first time its `derivations` vector; per
-//!   body tuple used for the first time its dependents vector. Per rule
+//!   body tuple used for the first time its dependents vector — each of
+//!   the two exactly one slot wide until a second entry arrives. Per rule
 //!   firing (1 910): the trigger's `Env`, the partial-match and trail
-//!   vectors, the matches vector, an index-probe key. Per tuple stored
-//!   (5 170): an index key and bucket per registered index, and, amortised,
-//!   B-tree nodes of the table, its buckets and its tries. What the
-//!   parent paid on top: a per-flush join-profile map (one node per firing
-//!   flush), a `Sym` per `best_match!` evaluation, and an `Env` that was
-//!   a B-tree (60 918 in all, 5.306 per provenance event, against 58 759
-//!   and 5.117 now).
-//! * **Dropping the quiescent engine: 29 046 blocks** — everything above
-//!   that outlives the run: 2 per interned tuple, the body vector and,
-//!   amortised, the `derivations` vector per derivation, the dependents
-//!   vectors, the index keys and buckets, the B-tree and trie nodes.
+//!   vectors, the matches vector, an index-probe key. Per tuple stored: a
+//!   bucket — and its owned key — per registered index only when the
+//!   bucket is new (the key of a tuple joining a bucket is built in the
+//!   table's scratch buffer: 2 352 allocations fewer than PR 22's 54 257,
+//!   5.117 → 4.521 per provenance event), and, amortised, B-tree nodes of
+//!   the table, its buckets and its tries.
+//! * **Dropping the quiescent engine: 24 630 blocks** — everything above
+//!   that outlives the run, minus the base tuples, which the log still
+//!   holds (29 046 before, 2 per base tuple more): 2 per derived tuple,
+//!   the body vector and the `derivations` vector per derivation, the
+//!   dependents vectors, the index keys and buckets, the B-tree and trie
+//!   nodes.
+//! * **Held at quiescence: 630.7 bytes in 4.29 blocks per live tuple** —
+//!   the same blocks weighed (853.3 bytes in 5.06 blocks before PR 24).
+//!   The provenance-event buffer is not among the large ones: it is handed
+//!   to the sink every 4 096 events, so it stays under 1 MB however large
+//!   the same-`due` batch.
 //!
 //! Item 2's target is ≤ 2 allocations per tuple on this pin; a change
 //! that removes a class lowers the constants below in the same commit.
@@ -61,20 +73,39 @@ use dp_ndlog::{Engine, HashSink, NullSink, ProvenanceSink};
 use dp_provenance::GraphRecorder;
 use dp_sdn::{campus, CampusConfig};
 
+/// What one thread asked of the allocator while counting was on.
+#[derive(Clone, Copy)]
+struct Counts {
+    on: bool,
+    /// Calls that may have produced a block (`alloc` and `realloc`).
+    allocs: u64,
+    /// Calls to `dealloc`.
+    frees: u64,
+    /// Blocks and bytes allocated and not freed since: signed, so what is
+    /// freed of an earlier window's blocks reads as negative.
+    held_blocks: i64,
+    held_bytes: i64,
+}
+
+impl Counts {
+    /// Nothing counted, counting off.
+    const OFF: Counts = Counts { on: false, allocs: 0, frees: 0, held_blocks: 0, held_bytes: 0 };
+}
+
 thread_local! {
-    /// `(counting, allocations, deallocations)` of this thread.
-    static COUNTS: Cell<(bool, u64, u64)> = const { Cell::new((false, 0, 0)) };
+    static COUNTS: Cell<Counts> = const { Cell::new(Counts::OFF) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn note(alloc: bool) {
+    fn note(f: impl FnOnce(&mut Counts)) {
         // `try_with`: the allocator outlives the thread-local.
         let _ = COUNTS.try_with(|c| {
-            let (on, a, d) = c.get();
-            if on {
-                c.set((on, a + u64::from(alloc), d + u64::from(!alloc)));
+            let mut counts = c.get();
+            if counts.on {
+                f(&mut counts);
+                c.set(counts);
             }
         });
     }
@@ -86,18 +117,30 @@ impl Counting {
 // allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(true);
+        Self::note(|c| {
+            c.allocs += 1;
+            c.held_blocks += 1;
+            c.held_bytes += layout.size() as i64;
+        });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::note(false);
+        Self::note(|c| {
+            c.frees += 1;
+            c.held_blocks -= 1;
+            c.held_bytes -= layout.size() as i64;
+        });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A growing vector: counted as the allocation it may turn into.
-        Self::note(true);
+        // A growing vector: counted as the allocation it may turn into;
+        // it stays one block, at its new size.
+        Self::note(|c| {
+            c.allocs += 1;
+            c.held_bytes += new_size as i64 - layout.size() as i64;
+        });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -106,13 +149,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f`, returning its result and the `(allocations, deallocations)`
-/// this thread made meanwhile.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
-    COUNTS.with(|c| c.set((true, 0, 0)));
+/// Runs `f`, returning its result and what this thread asked of the
+/// allocator meanwhile.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    COUNTS.with(|c| c.set(Counts { on: true, ..Counts::OFF }));
     let out = f();
-    let (_, allocs, deallocs) = COUNTS.with(|c| c.replace((false, 0, 0)));
-    (out, (allocs, deallocs))
+    (out, COUNTS.with(|c| c.replace(Counts::OFF)))
 }
 
 /// The 2 000-entry campus both budgets are taken on.
@@ -132,13 +174,13 @@ fn recording_allocates_per_growth_not_per_event() {
     let exec = &c.scenario.bad_exec;
     /// Replays `exec` into `sink`; the engine and the allocations it took.
     fn replay<S: ProvenanceSink>(exec: &dp_replay::Execution, sink: S) -> (Engine<S>, u64) {
-        let (engine, (allocs, _)) = counted(|| {
+        let (engine, counts) = counted(|| {
             let mut engine = Engine::new(Arc::clone(&exec.program), sink);
             exec.log.schedule_into(&mut engine, None).unwrap();
             engine.run().unwrap();
             engine
         });
-        (engine, allocs)
+        (engine, counts.allocs)
     }
     let events = replay(exec, HashSink::default()).0.into_sink().count;
     let (null, null_allocs) = replay(exec, NullSink);
@@ -151,7 +193,7 @@ fn recording_allocates_per_growth_not_per_event() {
     // so only the graph's own memory goes.
     let graph = std::mem::take(&mut recorded.sink_mut().graph);
     let (vertices, bytes) = (graph.len(), graph.bytes());
-    let ((), (_, graph_frees)) = counted(|| drop(graph));
+    let graph_frees = counted(|| drop(graph)).1.frees;
     println!(
         "alloc budget: {events} provenance events, {vertices} vertices, {bytes} graph bytes; \
          replay allocations {null_allocs} into a null sink, {recorded_allocs} recorded: \
@@ -164,15 +206,22 @@ fn recording_allocates_per_growth_not_per_event() {
     drop(recorded);
 }
 
-/// Replay allocations per provenance event, into a null sink: 58 759 over
-/// 11 482 events = 5.117 when last moved (PR 22; 5.306 before), + 2 %.
-const ENGINE_ALLOCS_PER_EVENT: f64 = 5.22;
-/// Allocations to schedule the log, per base event: 4 502 over 2 246 =
-/// 2.004 when last moved, + 2 %.
-const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 2.045;
-/// Blocks freed by dropping the quiescent engine: 29 046 when last moved,
-/// + 2 %.
-const ENGINE_DROP_FREES: u64 = 29_627;
+/// Replay allocations per provenance event, into a null sink: 51 907 over
+/// 11 482 events = 4.521 when last moved (PR 24; 5.117 before), + 2 %.
+const ENGINE_ALLOCS_PER_EVENT: f64 = 4.62;
+/// Allocations to schedule the log, per base event: 24 over 2 246 = 0.011
+/// when last moved (PR 24; 2.004 before) — nothing per tuple, so the bound
+/// leaves room for a doubling or two, not for a class.
+const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.02;
+/// Blocks freed by dropping the quiescent engine: 24 630 when last moved
+/// (PR 24; 29 046 before), + 2 %.
+const ENGINE_DROP_FREES: u64 = 25_200;
+/// Bytes the quiescent engine holds per live tuple: 3 620 668 over 5 741 =
+/// 630.7 when last moved (PR 24; 853.3 before), + 2 %.
+const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 644.0;
+/// Blocks the quiescent engine holds per live tuple: 24 630 over 5 741 =
+/// 4.290 when last moved (PR 24; 5.059 before), + 2 %.
+const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 4.38;
 
 #[test]
 fn the_engine_allocates_within_its_budget() {
@@ -184,42 +233,60 @@ fn the_engine_allocates_within_its_budget() {
         engine.run().unwrap();
         engine.into_sink().count
     };
-    let (mut engine, (scheduling, _)) = counted(|| {
+    let (mut engine, scheduling) = counted(|| {
         let mut engine = Engine::new(Arc::clone(&exec.program), NullSink);
         exec.log.schedule_into(&mut engine, None).unwrap();
         engine
     });
-    let ((), (running, _)) = counted(|| {
+    let ((), running) = counted(|| {
         engine.run().unwrap();
     });
     let stats = engine.stats();
     let firings: u64 = engine.join_profile().values().map(|p| p.attempts).sum();
-    let ((), (_, drop_frees)) = counted(|| drop(engine));
+    let live: usize = engine.nodes().map(|(_, state)| state.len()).sum();
+    let drop_frees = counted(|| drop(engine)).1.frees;
 
     let base_events = exec.log.len() as u64;
-    let per_event = (scheduling + running) as f64 / events as f64;
-    let per_base_event = scheduling as f64 / base_events as f64;
+    let allocs = scheduling.allocs + running.allocs;
+    let per_event = allocs as f64 / events as f64;
+    let per_base_event = scheduling.allocs as f64 / base_events as f64;
+    let held_bytes = scheduling.held_bytes + running.held_bytes;
+    let held_blocks = scheduling.held_blocks + running.held_blocks;
+    let bytes_per_tuple = held_bytes as f64 / live as f64;
+    let blocks_per_tuple = held_blocks as f64 / live as f64;
     println!(
         "engine alloc budget: {base_events} base events, {} engine events, {events} provenance \
-         events, {} tuples interned, {} derivations of {} matches by {firings} rule firings, {} \
-         flushes; \
-         {scheduling} allocations to schedule ({per_base_event:.3} per base event), {running} to \
-         run: {per_event:.3} per provenance event; dropping the engine frees {drop_frees} blocks",
+         events, {} tuples interned, {live} live, {} derivations of {} matches by {firings} rule \
+         firings, {} flushes; \
+         {} allocations to schedule ({per_base_event:.3} per base event), {} to \
+         run: {per_event:.3} per provenance event; the quiescent engine holds {held_bytes} bytes \
+         in {held_blocks} blocks: {bytes_per_tuple:.1} bytes and {blocks_per_tuple:.3} blocks per \
+         live tuple; dropping it frees {drop_frees} blocks",
         stats.events,
         stats.peak_interned,
         stats.derivations,
         stats.join_matches,
         stats.batches,
+        scheduling.allocs,
+        running.allocs,
     );
     assert!(events > 10_000, "{events} events");
     assert!(
         per_event <= ENGINE_ALLOCS_PER_EVENT,
-        "{} replay allocations over {events} provenance events: {per_event:.3} each",
-        scheduling + running
+        "{allocs} replay allocations over {events} provenance events: {per_event:.3} each"
     );
     assert!(
         per_base_event <= SCHEDULE_ALLOCS_PER_BASE_EVENT,
-        "{scheduling} allocations to schedule {base_events} base events: {per_base_event:.3} each"
+        "{} allocations to schedule {base_events} base events: {per_base_event:.3} each",
+        scheduling.allocs
     );
     assert!(drop_frees <= ENGINE_DROP_FREES, "dropping the engine took {drop_frees} frees");
+    assert!(
+        bytes_per_tuple <= ENGINE_HELD_BYTES_PER_TUPLE,
+        "{held_bytes} bytes held for {live} live tuples: {bytes_per_tuple:.1} each"
+    );
+    assert!(
+        blocks_per_tuple <= ENGINE_HELD_BLOCKS_PER_TUPLE,
+        "{held_blocks} blocks held for {live} live tuples: {blocks_per_tuple:.3} each"
+    );
 }

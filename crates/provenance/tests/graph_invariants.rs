@@ -164,7 +164,7 @@ fn batched_multi_node_recording_builds_an_identical_graph() {
         ops.push(ScheduledOp {
             due,
             node: n.clone(),
-            tuple: tuple!("obs", x),
+            tuple: tuple!("obs", x).into(),
             delete: rng.gen_bool(0.25),
         });
     }

@@ -5,6 +5,9 @@
 //! *replay* (Section 5): reconstructing provenance at query time,
 //! and re-running with a set of tuple changes applied to a **clone** of
 //! the execution (Section 4.6 — changes never touch the running system).
+//! The clone is cheap and shared: a log holds its tuples behind `Arc`s, so
+//! a cloned or patched log, every engine replaying either and every
+//! recording made of them point at one allocation per base tuple.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -487,10 +490,10 @@ fn effective_ops<'a, 's>(
     prefix: impl Iterator<Item = Cow<'a, BaseEvent>>,
     suffix: &'s [BaseEvent],
 ) -> Vec<&'s BaseEvent> {
-    let mut touched: Vec<(&NodeId, &Tuple)> = suffix.iter().map(|e| (&e.node, &e.tuple)).collect();
+    let mut touched: Vec<(&NodeId, &Tuple)> = suffix.iter().map(|e| (&e.node, &*e.tuple)).collect();
     touched.sort_unstable();
     touched.dedup();
-    let slot = |e: &BaseEvent| touched.binary_search_by(|k| k.cmp(&(&e.node, &e.tuple))).ok();
+    let slot = |e: &BaseEvent| touched.binary_search_by(|k| k.cmp(&(&e.node, &*e.tuple))).ok();
     let mut present = vec![false; touched.len()];
     for e in prefix {
         if let Some(i) = slot(&e) {
@@ -531,7 +534,9 @@ pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: Logical
 /// events with changes; what it found is kept as a sparse edit list.
 struct Patched<'a> {
     log: &'a [BaseEvent],
-    changes: &'a [TupleChange],
+    /// Each change's `after` tuple, allocated once: every event the change
+    /// rewrites or injects, on every read, shares it.
+    afters: Vec<Option<Arc<Tuple>>>,
     /// The logged events a change rewrites or drops, as `(log index,
     /// change index)` in log order.
     hits: Vec<(usize, usize)>,
@@ -556,22 +561,23 @@ impl<'a> Patched<'a> {
             .enumerate()
             .filter_map(|(i, e)| Some((i, change_of(e)?)))
             .collect();
+        let afters: Vec<Option<Arc<Tuple>>> =
+            changes.iter().map(|c| c.after.as_ref().map(Arc::from)).collect();
         let unmatched = |ci: &usize| !hits.iter().any(|&(_, hit)| hit == *ci);
         let injected = (0..changes.len())
             .filter(unmatched)
             .filter_map(|ci| {
-                let c = &changes[ci];
-                c.after.as_ref().map(|after| BaseEvent {
+                afters[ci].as_ref().map(|after| BaseEvent {
                     due: inject_at,
-                    node: c.node.clone(),
-                    tuple: after.clone(),
+                    node: changes[ci].node.clone(),
+                    tuple: Arc::clone(after),
                     op: BaseOp::Insert,
                 })
             })
             .collect();
         Patched {
             log,
-            changes,
+            afters,
             hits,
             injected,
             at: log.partition_point(|e| e.due <= inject_at),
@@ -580,7 +586,7 @@ impl<'a> Patched<'a> {
 
     /// How many events [`Patched::events`] yields.
     fn len(&self) -> usize {
-        let dropped = self.hits.iter().filter(|&&(_, ci)| self.changes[ci].after.is_none());
+        let dropped = self.hits.iter().filter(|&&(_, ci)| self.afters[ci].is_none());
         self.log.len() - dropped.count() + self.injected.len()
     }
 
@@ -619,11 +625,11 @@ impl<'a> Iterator for PatchedEvents<'a> {
                 Some(&(i, ci)) if i + 1 == self.next => {
                     self.hit += 1;
                     // A change without an `after` drops the event.
-                    if let Some(after) = &of.changes[ci].after {
+                    if let Some(after) = &of.afters[ci] {
                         return Some(Cow::Owned(BaseEvent {
                             due: e.due,
                             node: e.node.clone(),
-                            tuple: after.clone(),
+                            tuple: Arc::clone(after),
                             op: e.op,
                         }));
                     }

@@ -31,6 +31,7 @@
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use dp_types::codec::{fnv64, Dec, Enc};
 use dp_types::{Error, LogicalTime, NodeId, Result};
@@ -185,7 +186,7 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
             event: BaseEvent {
                 due,
                 node: node.clone(),
-                tuple,
+                tuple: Arc::new(tuple),
                 op,
             },
         });

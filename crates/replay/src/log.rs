@@ -7,6 +7,11 @@
 //! time. This favors runtime performance: diagnostic queries take longer,
 //! but they are rare.
 //!
+//! An event holds its tuple behind an `Arc`, and everything downstream —
+//! a clone of the log, a patched log, the schedule handed to an engine or
+//! to the reference evaluator, the engine's interner — takes that handle,
+//! not a copy: a base tuple is one allocation per process.
+//!
 //! Appends are O(1): the log buffers arrivals in arrival order and
 //! restores the replay order — stable sort by `due`, arrival order within
 //! a due — lazily, either in place ([`EventLog::normalize`]) or in the
@@ -18,6 +23,7 @@
 //! time.
 
 use std::ops::Deref;
+use std::sync::Arc;
 
 use dp_types::{LogicalTime, NodeId, Result, Tuple};
 
@@ -31,7 +37,8 @@ pub enum BaseOp {
     Delete,
 }
 
-/// One logged base event.
+/// One logged base event. Cloning it shares the tuple (see the module
+/// docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BaseEvent {
     /// Earliest logical time the event may execute.
@@ -39,7 +46,7 @@ pub struct BaseEvent {
     /// Node the tuple lives on.
     pub node: NodeId,
     /// The tuple.
-    pub tuple: Tuple,
+    pub tuple: Arc<Tuple>,
     /// Insert or delete.
     pub op: BaseOp,
 }
@@ -54,9 +61,10 @@ impl BaseEvent {
         due: LogicalTime,
         op: BaseOp,
     ) -> Result<()> {
+        let (node, tuple) = (self.node.clone(), Arc::clone(&self.tuple));
         match op {
-            BaseOp::Insert => engine.schedule_insert(due, self.node.clone(), self.tuple.clone()),
-            BaseOp::Delete => engine.schedule_delete(due, self.node.clone(), self.tuple.clone()),
+            BaseOp::Insert => engine.schedule_insert(due, node, tuple),
+            BaseOp::Delete => engine.schedule_delete(due, node, tuple),
         }
     }
 }
@@ -217,21 +225,31 @@ impl EventLog {
     }
 
     /// Convenience: log an insertion.
-    pub fn insert(&mut self, due: LogicalTime, node: impl Into<NodeId>, tuple: Tuple) {
+    pub fn insert(
+        &mut self,
+        due: LogicalTime,
+        node: impl Into<NodeId>,
+        tuple: impl Into<Arc<Tuple>>,
+    ) {
         self.push(BaseEvent {
             due,
             node: node.into(),
-            tuple,
+            tuple: tuple.into(),
             op: BaseOp::Insert,
         });
     }
 
     /// Convenience: log a deletion.
-    pub fn delete(&mut self, due: LogicalTime, node: impl Into<NodeId>, tuple: Tuple) {
+    pub fn delete(
+        &mut self,
+        due: LogicalTime,
+        node: impl Into<NodeId>,
+        tuple: impl Into<Arc<Tuple>>,
+    ) {
         self.push(BaseEvent {
             due,
             node: node.into(),
-            tuple,
+            tuple: tuple.into(),
             op: BaseOp::Delete,
         });
     }
@@ -244,7 +262,7 @@ impl EventLog {
             .map(|e| dp_ndlog::ScheduledOp {
                 due: e.due,
                 node: e.node.clone(),
-                tuple: e.tuple.clone(),
+                tuple: Arc::clone(&e.tuple),
                 delete: e.op == BaseOp::Delete,
             })
             .collect()

@@ -118,13 +118,13 @@ mod tests {
         let small = BaseEvent {
             due: 0,
             node: "s1".into(),
-            tuple: tuple!("pktIn", 64),
+            tuple: tuple!("pktIn", 64).into(),
             op: crate::log::BaseOp::Insert,
         };
         let large = BaseEvent {
             due: 0,
             node: "s1".into(),
-            tuple: tuple!("pktIn", 1500),
+            tuple: tuple!("pktIn", 1500).into(),
             op: crate::log::BaseOp::Insert,
         };
         assert_eq!(m.event_bytes(&small), m.event_bytes(&large));

@@ -2,10 +2,12 @@
 //! and storage accounting. Inputs come from the in-repo deterministic
 //! generator (offline build — no property-testing framework).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dp_ndlog::{Program, TupleChange};
-use dp_replay::{apply_changes, EventLog, Execution, StorageModel};
+use dp_replay::{apply_changes, EventLog, Execution, Replayed, StorageModel};
+use dp_sdn::{campus, CampusConfig};
 use dp_types::{tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, TableKind, Tuple, Value};
 
 fn program() -> Arc<Program> {
@@ -184,7 +186,7 @@ fn apply_changes_is_rewrite_append_and_stable_sort() {
                 Some(ci) => {
                     matched[ci] = true;
                     if let Some(after) = &changes[ci].after {
-                        want.push(dp_replay::BaseEvent { tuple: after.clone(), ..e.clone() });
+                        want.push(dp_replay::BaseEvent { tuple: after.into(), ..e.clone() });
                     }
                 }
             }
@@ -194,7 +196,7 @@ fn apply_changes_is_rewrite_append_and_stable_sort() {
                 want.push(dp_replay::BaseEvent {
                     due: inject_at,
                     node: n.clone(),
-                    tuple: after.clone(),
+                    tuple: after.into(),
                     op: dp_replay::BaseOp::Insert,
                 });
             }
@@ -241,6 +243,72 @@ fn patched_replay_equals_rebuilt_execution() {
         };
         assert_eq!(dump(&patched), dump(&rebuilt));
     }
+}
+
+/// How many live base tuples `r`'s engine holds, each checked to be the
+/// allocation `log` holds for it (the first event of an equal tuple: the
+/// interner keeps the handle it saw first). Base tuples `log` never names —
+/// a change's `after` — are skipped.
+fn shared_base_tuples(r: &Replayed, log: &EventLog, case: &str) -> usize {
+    let events = log.events();
+    let mut logged: BTreeMap<&Tuple, *const Tuple> = BTreeMap::new();
+    for e in events.iter() {
+        logged.entry(&e.tuple).or_insert(Arc::as_ptr(&e.tuple));
+    }
+    let mut shared = 0;
+    for (node, state) in r.engine.nodes() {
+        for (held, _) in state.all().filter(|(_, st)| st.base) {
+            let Some(&in_log) = logged.get(held) else { continue };
+            assert!(std::ptr::eq(held, in_log), "{case}: {held}@{node} is a copy");
+            shared += 1;
+        }
+    }
+    shared
+}
+
+/// A base tuple is held once: what a replay's engine stores, indexes and
+/// records is the log's own allocation — a cloned execution's too — and a
+/// patched log shares every event its changes left alone.
+#[test]
+fn a_replay_shares_the_logs_tuples() {
+    let c = campus(&CampusConfig {
+        bulk_entries_per_router: 2,
+        background_packets: 30,
+        update_churn_rounds: 1,
+        ..CampusConfig::default()
+    });
+    let (good, bad) = (&c.scenario.good_exec, &c.scenario.bad_exec);
+    // `campus()` clones one execution into the other: one set of tuples.
+    for (g, b) in good.log.events().iter().zip(bad.log.events().iter()) {
+        assert!(Arc::ptr_eq(&g.tuple, &b.tuple), "{} copied by the clone", g.tuple);
+    }
+    let replayed = good.replay().unwrap();
+    assert!(shared_base_tuples(&replayed, &good.log, "replay") > 100);
+    let of_clone = bad.clone().replay().unwrap();
+    assert!(shared_base_tuples(&of_clone, &good.log, "clone") > 100);
+
+    // Rewrite one logged entry: every other event of the patched log is
+    // the original's allocation, and so is what its replay holds.
+    let log = good.log.events();
+    let at = log.iter().position(|e| e.tuple.table.as_str() == "cfgEntry").unwrap();
+    let mut after = Tuple::clone(&log[at].tuple);
+    after.args[0] = Value::Int(-1);
+    let change = [TupleChange {
+        node: log[at].node.clone(),
+        before: Some(Tuple::clone(&log[at].tuple)),
+        after: Some(after.clone()),
+    }];
+    let patched = apply_changes(&good.log, &change, 0);
+    assert_eq!(patched.len(), log.len());
+    for (i, (p, e)) in patched.events().iter().zip(log.iter()).enumerate() {
+        if e.tuple == log[at].tuple {
+            assert_eq!(p.tuple, after, "event {i} is rewritten");
+        } else {
+            assert!(Arc::ptr_eq(&p.tuple, &e.tuple), "event {i} ({}) was copied", e.tuple);
+        }
+    }
+    let rolled = good.replay_with(&change, 0).unwrap();
+    assert!(shared_base_tuples(&rolled, &good.log, "replay_with") > 100);
 }
 
 #[test]

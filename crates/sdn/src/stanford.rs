@@ -12,6 +12,8 @@
 //! additional faulty rules (10 on-path, 10 off-path) and heavy background
 //! traffic; provenance keeps DiffProv from being distracted by either.
 
+use std::sync::Arc;
+
 use dp_types::DetRng;
 
 use diffprov_core::QueryEvent;
@@ -132,9 +134,11 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     let any = cidr("0.0.0.0/0");
     let mut rid = 1_000i64;
     let mut entry_count = 0usize;
-    let mut churn_entries: Vec<dp_types::Tuple> = Vec::new();
-    let mut churn_packets: Vec<(NodeId, dp_types::Tuple)> = Vec::new();
-    let push = |exec: &mut Execution, e| {
+    // Churned tuples are logged several times over; every event of one
+    // shares its allocation.
+    let mut churn_entries: Vec<Arc<dp_types::Tuple>> = Vec::new();
+    let mut churn_packets: Vec<(NodeId, Arc<dp_types::Tuple>)> = Vec::new();
+    let push = |exec: &mut Execution, e: dp_types::Tuple| {
         exec.log.insert(T_CONFIG, ctl.clone(), e);
     };
 
@@ -160,11 +164,11 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             for j in 0..cfg.bulk_entries_per_router {
                 let sub = Prefix::new(zone.addr() | ((j as u32 & 0xff) << 8), 24)
                     .expect("static prefix");
-                let e = cfg_entry(rid, r, 6, any, sub, port);
+                let e = Arc::new(cfg_entry(rid, r, 6, any, sub, port));
                 if cfg.update_churn_rounds > 0 {
-                    churn_entries.push(e.clone());
+                    churn_entries.push(Arc::clone(&e));
                 }
-                push(&mut exec, e);
+                exec.log.insert(T_CONFIG, ctl.clone(), e);
                 rid += 1;
                 entry_count += 1;
             }
@@ -219,9 +223,9 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         let dst = dz.addr() | rng.gen_range_u32(1, 0xffff);
         let proto = if rng.gen_bool(0.8) { 6 } else { 17 };
         let len = [64i64, 512, 1500][rng.gen_range_usize(0, 3)];
-        let p = pkt_in(500_000 + b as i64, src, dst, proto, len);
+        let p = Arc::new(pkt_in(500_000 + b as i64, src, dst, proto, len));
         if cfg.update_churn_rounds > 0 {
-            churn_packets.push((NodeId::new(s_owner), p.clone()));
+            churn_packets.push((NodeId::new(s_owner), Arc::clone(&p)));
         }
         exec.log.insert(T_TRAFFIC + b as u64, NodeId::new(s_owner), p);
     }
@@ -240,12 +244,12 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             let t_del = t_churn + round as u64 * 100;
             let t_re = t_del + 50;
             for e in &churn_entries {
-                exec.log.delete(t_del, ctl.clone(), e.clone());
-                exec.log.insert(t_re, ctl.clone(), e.clone());
+                exec.log.delete(t_del, ctl.clone(), Arc::clone(e));
+                exec.log.insert(t_re, ctl.clone(), Arc::clone(e));
             }
             for (n, p) in &churn_packets {
-                exec.log.delete(t_del, n.clone(), p.clone());
-                exec.log.insert(t_re, n.clone(), p.clone());
+                exec.log.delete(t_del, n.clone(), Arc::clone(p));
+                exec.log.insert(t_re, n.clone(), Arc::clone(p));
             }
         }
     }

@@ -17,7 +17,7 @@
 //! * **Never iterated for order.** It is not collision-resistant against
 //!   an adversary and its tables' iteration order means nothing. A map
 //!   built on it is probed by key (`get`, `insert`, `remove`) or folded
-//!   order-insensitively (`len`, `retain`); whatever must come out in a
+//!   order-insensitively (`len`); whatever must come out in a
 //!   defined order is kept in a `BTreeMap`/`BTreeSet` beside it.
 
 use std::collections::HashSet;
@@ -219,10 +219,13 @@ impl Hasher for WordHasher {
 /// and per provenance event. Interning makes each distinct tuple a single
 /// heap allocation shared by reference count; equality-checked re-insertions
 /// return the existing `Arc`, so derivation records, index buckets, and
-/// provenance events all point at one copy.
+/// provenance events all point at one copy. A tuple that already lives
+/// behind an `Arc` — a logged base tuple — is [`TupleStore::adopt`]ed as
+/// it is, so the log and the store share that one copy too; only
+/// [`TupleStore::intern`], which derived heads go through, allocates.
 ///
-/// The set is hashed by [`WordHasher`] and only ever probed, counted or
-/// `retain`ed — never iterated for order.
+/// The set is hashed by [`WordHasher`] and only ever probed or counted —
+/// never iterated for order.
 #[derive(Clone, Debug, Default)]
 pub struct TupleStore {
     set: HashSet<Arc<Tuple>, WordBuildHasher>,
@@ -244,6 +247,17 @@ impl TupleStore {
         arc
     }
 
+    /// Returns the shared handle for `tuple`: the resident one if an equal
+    /// tuple is interned, otherwise `tuple` itself, filed as it is — no
+    /// allocation either way.
+    pub fn adopt(&mut self, tuple: Arc<Tuple>) -> Arc<Tuple> {
+        if let Some(existing) = self.set.get(&*tuple) {
+            return Arc::clone(existing);
+        }
+        self.set.insert(Arc::clone(&tuple));
+        tuple
+    }
+
     /// The hash this store files `tuple` under. A function of the tuple
     /// alone: every store, in every process, returns the same value.
     pub fn hash_of(&self, tuple: &Tuple) -> u64 {
@@ -258,14 +272,6 @@ impl TupleStore {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.set.is_empty()
-    }
-
-    /// Drops interned tuples no longer referenced anywhere else, returning
-    /// how many were released. Useful between long replay segments.
-    pub fn gc(&mut self) -> usize {
-        let before = self.set.len();
-        self.set.retain(|a| Arc::strong_count(a) > 1);
-        before - self.set.len()
     }
 }
 
@@ -374,6 +380,9 @@ mod tests {
             assert_eq!(a.hash_of(&t), b.hash_of(&t), "{t}");
             let again = WordBuildHasher::default().hash_one(&t);
             assert_eq!(a.hash_of(&t), again, "{t}");
+            // Adopted or interned, a resident tuple is filed under it.
+            let adopted = b.adopt(Arc::new(t.clone()));
+            assert_eq!(b.hash_of(&adopted), again, "{t}");
         }
         // Field order, arity and table all reach the hash.
         let h = |t: Tuple| a.hash_of(&t);
@@ -402,15 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn store_gc_releases_unreferenced() {
+    fn store_adopts_the_given_allocation() {
         let mut store = TupleStore::new();
-        let keep = store.intern(tuple!("t", 1));
-        store.intern(tuple!("t", 2));
-        assert_eq!(store.gc(), 1);
+        // A miss files the caller's allocation as it is.
+        let logged = Arc::new(tuple!("t", 1));
+        let a = store.adopt(Arc::clone(&logged));
+        assert!(Arc::ptr_eq(&a, &logged));
         assert_eq!(store.len(), 1);
-        drop(keep);
-        assert_eq!(store.gc(), 1);
-        assert!(store.is_empty());
+        // A hit returns the resident handle, whoever asks and however.
+        let b = store.adopt(Arc::new(tuple!("t", 1)));
+        assert!(Arc::ptr_eq(&b, &logged));
+        assert!(Arc::ptr_eq(&store.intern(tuple!("t", 1)), &logged));
+        assert_eq!(store.len(), 1);
+        let derived = store.intern(tuple!("t", 2));
+        assert!(Arc::ptr_eq(&store.adopt(Arc::new(tuple!("t", 2))), &derived));
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

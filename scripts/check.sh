@@ -10,8 +10,9 @@
 # reach an engine state), against the deleted second provenance backend,
 # against a second UPDATETREE path in crates/core, against a tuple-keyed
 # map in the graph recorder and against the searches the engine stopped
-# repeating (B-tree environment, second body walk, per-flush profile map);
-# and lint-clean clippy. The sweep holds five invariants: digest
+# repeating (B-tree environment, second body walk, per-flush profile map),
+# against a second copy of a logged base tuple; and lint-clean clippy.
+# The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery.
 # What used to be a pass of its own is one in-process differential inside
@@ -138,6 +139,18 @@ step "gate: the engine finds once" absent \
     "a search the engine stopped repeating reappeared" \
     "type Env = BTree""Map|fn add_""dependent|struct Fire""Stats" \
     crates
+# A base tuple is held once per process (PR 24): the log keeps it behind
+# an `Arc`, and scheduling, patching and the layer reader hand that handle
+# on — the interner adopts it — instead of copying the tuple out of it.
+# (Spelled in halves so this script passes its own gate.)
+held_once() {
+    absent "the log holds its tuples by value again" \
+        "pub tuple: Tu""ple" crates/replay/src/log.rs &&
+        absent "a logged tuple is deep-copied out of its handle" \
+            "\(\*[a-z_.]*tuple\)\.clo""ne\(\)|\.tuple\.as_ref\(\)\.clo""ne\(\)" \
+            crates/replay/src crates/ndlog/src/engine.rs
+}
+step "gate: a base tuple is held once" held_once
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo
