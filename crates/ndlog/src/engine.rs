@@ -29,10 +29,14 @@
 //! atom is joined in most-bound-first order, probing a secondary hash index
 //! keyed on its bound columns (falling back to a full ordered scan when no
 //! column is bound). Indexes are maintained incrementally by
-//! [`NodeState`] on insert/delete. A per-candidate bind/undo trail avoids
-//! an environment clone per candidate, and tuples are interned behind
-//! `Arc` so derivation records and provenance events share one allocation
-//! per distinct tuple.
+//! [`NodeState`] on insert/delete, and a table compares its rows by their
+//! arguments alone (every row carries the table's name). Tuples are
+//! interned behind `Arc` so derivation records and provenance events share
+//! one allocation per distinct tuple.
+//!
+//! A rule fires in its compiled form (`crate::compile`): its variables are
+//! slots of one reused frame, bound and undone off a trail per candidate,
+//! and nothing on the firing path is looked up by name (`engine/fire.rs`).
 //!
 //! Reordered probing discovers the same matches in a different order, so
 //! the engine sorts the collected matches by their body-tuple vector
@@ -141,21 +145,20 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
+mod fire;
 mod state;
 
 pub use state::{NodeState, NodeView};
 
 use dp_trace::{series, Class, Tracer};
 use dp_types::{
-    Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore, Value,
+    Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore,
 };
 
-use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
-use crate::expr::Env;
-use crate::plan::{IpSource, JoinPlan};
-use crate::program::{Emitter, Program};
+use crate::program::Program;
 use crate::reference::ScheduledOp;
 use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
+use fire::{FireCtx, FireOut, Scratch};
 
 /// How many buffered provenance events make the engine hand them to the
 /// sink without waiting for the batch's flush: ≈360 KB of events, which
@@ -464,26 +467,6 @@ struct Delta {
     at: LogicalTime,
 }
 
-/// The read-only half of the engine a rule firing needs: the program
-/// (plans, schemas, natives, builtins) and the frozen node states.
-/// Firing never mutates node state — actions are buffered and queued
-/// afterwards — so the context borrows the node map shared while
-/// [`FireOut`] borrows what a firing writes alongside it.
-struct FireCtx<'a> {
-    program: &'a Program,
-    nodes: &'a BTreeMap<NodeId, NodeState>,
-}
-
-/// The half of the engine a rule firing writes: the interner its heads
-/// go through, the join-effort counters (run-wide and per rule slot) and
-/// the flat buffer of scheduled actions, in push order.
-struct FireOut<'a> {
-    store: &'a mut TupleStore,
-    stats: &'a mut Stats,
-    profile: &'a mut [RuleJoinProfile],
-    actions: &'a mut Vec<(LogicalTime, Action)>,
-}
-
 /// The evaluator. See the module docs for semantics.
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
@@ -515,6 +498,8 @@ pub struct Engine<S: ProvenanceSink> {
     /// The actions one flush's firings schedule, in push order; empty
     /// between flushes, kept for its allocation.
     flush_buf: Vec<(LogicalTime, Action)>,
+    /// What rule firing reuses from one firing to the next.
+    scratch: Scratch,
     /// Safety valve against runaway programs.
     pub max_events: u64,
 }
@@ -539,6 +524,7 @@ impl<S: ProvenanceSink> Engine<S> {
             tracer: Tracer::disabled(),
             pending: Vec::new(),
             flush_buf: Vec::new(),
+            scratch: Scratch::default(),
             max_events: 50_000_000,
         }
     }
@@ -1149,6 +1135,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 stats: &mut self.stats,
                 profile: &mut self.join_profile,
                 actions: &mut actions,
+                scratch: &mut self.scratch,
             };
             let fired = ctx.fire_deltas(&deltas, &mut out);
             if let Some(span) = span {
@@ -1184,560 +1171,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         self.drain_events();
         Ok(())
-    }
-}
-
-impl FireCtx<'_> {
-    /// Fires every rule and native triggered by `deltas` — one batch —
-    /// appending the scheduled actions to `out.actions` in push order.
-    ///
-    /// Consecutive same-(node, table) deltas form a group. The group's
-    /// live trigger list is resolved once — a rule whose partner table is
-    /// empty is dropped for the whole group — and then the group fires
-    /// delta-major: for each delta those rules in program order, then the
-    /// natives. That is the order tuple-at-a-time firing schedules in.
-    fn fire_deltas(
-        &self,
-        deltas: &[Delta],
-        out: &mut FireOut<'_>,
-    ) -> Result<()> {
-        let mut live: Vec<(usize, usize, &Rule)> = Vec::new();
-        let mut start = 0;
-        while start < deltas.len() {
-            let mut end = start + 1;
-            while end < deltas.len()
-                && deltas[end].node == deltas[start].node
-                && deltas[end].tuple.table == deltas[start].tuple.table
-            {
-                end += 1;
-            }
-            let group = &deltas[start..end];
-            let table = &group[0].tuple.table;
-            let state = self.nodes.get(&group[0].node);
-            live.clear();
-            live.extend(
-                self.program
-                    .rule_triggers(table)
-                    .iter()
-                    .map(|&(ri, ai)| (ri, ai, self.program.rule_at(ri)))
-                    .filter(|&(_, ai, rule)| {
-                        if rule.agg.is_some() {
-                            // Aggregates fire on their fence (atom 0) only.
-                            return ai == 0;
-                        }
-                        // Batch-level pruning: within a batch tables only
-                        // ever grow (deletions force a flush first, and
-                        // there is no in-place replacement), so a body
-                        // table that is empty at flush time was empty at
-                        // every delta's horizon — the join cannot
-                        // complete for any delta in the group. Skipping
-                        // it here saves one trigger match and one doomed
-                        // join per delta. Only join effort counters
-                        // (probes/scans/candidates) shrink; a pruned join
-                        // can never have produced a match or a
-                        // derivation.
-                        !rule.body.iter().enumerate().any(|(bi, a)| {
-                            bi != ai && state.is_none_or(|s| s.table_empty(&a.table))
-                        })
-                    }),
-            );
-            let natives = self.program.native_triggers(table);
-            for d in group {
-                for &(ri, ai, rule) in &live {
-                    if rule.agg.is_some() {
-                        self.fire_agg_rule(d.at, &d.node, &d.tuple, rule, ri, d.at, out)?;
-                    } else {
-                        self.fire_rule(d.at, &d.node, &d.tuple, rule, ri, ai, d.at, out)?;
-                    }
-                }
-                for &ni in natives {
-                    self.fire_native(d.at, &d.node, &d.tuple, ni, d.at, out)?;
-                }
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// Fires native rule `ni` for `tuple` at `node`, appending the
-    /// scheduled actions to `out.actions`.
-    fn fire_native(
-        &self,
-        now: LogicalTime,
-        node: &NodeId,
-        tuple: &Arc<Tuple>,
-        ni: usize,
-        as_of: LogicalTime,
-        out: &mut FireOut<'_>,
-    ) -> Result<()> {
-        let native = self.program.native_at(ni);
-        let mut emitter = Emitter::default();
-        native.fire(&NodeView::new(node, self.nodes.get(node), as_of), tuple, &mut emitter)?;
-        for em in emitter.emissions {
-            self.program.schemas.check(&em.tuple)?;
-            let head = out.store.intern(em.tuple);
-            out.actions.push((
-                now + em.delay,
-                Action::InsertDerived {
-                    node: em.node,
-                    tuple: head,
-                    rule: native.name(),
-                    slot: (self.program.rules().len() + ni) as u32,
-                    body: em.body,
-                    trigger: 0,
-                },
-            ));
-        }
-        Ok(())
-    }
-
-    /// Matches `tuple` against body atom `idx` of `rule`, returning the
-    /// initial environment (location + trigger bindings) on success.
-    fn match_trigger(node: &NodeId, tuple: &Tuple, rule: &Rule, idx: usize) -> Option<Env> {
-        let atom = &rule.body[idx];
-        if atom.args.len() != tuple.arity() {
-            return None;
-        }
-        let mut env = Env::new();
-        env.insert(atom.loc.clone(), Value::Str(node.0.clone()));
-        for (pat, val) in atom.args.iter().zip(&tuple.args) {
-            if !pat.matches(val, &mut env) {
-                return None;
-            }
-        }
-        Some(env)
-    }
-
-    /// Runs the join for `(rule, trigger)` from `env`, returning complete
-    /// matches in nested-loop enumeration order (see module docs), and
-    /// adds the join counters to the run's and to the rule's own.
-    /// Only body tuples that appeared no later than `as_of` participate.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_matches(
-        &self,
-        node: &NodeId,
-        tuple: &Arc<Tuple>,
-        rule: &Rule,
-        ri: usize,
-        trigger_idx: usize,
-        mut env: Env,
-        as_of: LogicalTime,
-        out: &mut FireOut<'_>,
-    ) -> Vec<(Env, Vec<Arc<Tuple>>)> {
-        let Some(state) = self.nodes.get(node) else {
-            return Vec::new();
-        };
-        let plan = self.program.join_plan(ri, trigger_idx);
-        let mut matches: Vec<(Env, Vec<Arc<Tuple>>)> = Vec::new();
-        let mut partial: Vec<Option<Arc<Tuple>>> = vec![None; rule.body.len()];
-        partial[trigger_idx] = Some(Arc::clone(tuple));
-        let mut trail: Vec<Sym> = Vec::new();
-        // This firing's join effort: one attempt, counted by the join.
-        let mut counters = RuleJoinProfile {
-            attempts: 1,
-            ..RuleJoinProfile::default()
-        };
-        join_with_plan(
-            state,
-            rule,
-            plan,
-            0,
-            trigger_idx,
-            as_of,
-            &mut env,
-            &mut trail,
-            &mut partial,
-            &mut matches,
-            &mut counters,
-        );
-        // Index probing discovers matches in plan order; restore the
-        // nested-loop enumeration order (lexicographic by body vector — the
-        // trigger slot is constant, so this compares the remaining atoms
-        // in body order exactly as the oracle's nested loop emits them).
-        matches.sort_by(|a, b| a.1.cmp(&b.1));
-        out.profile[ri].absorb(&counters);
-        out.stats.join_probes += counters.probes;
-        out.stats.join_scans += counters.scans;
-        out.stats.trie_probes += counters.trie_probes;
-        out.stats.trie_scans += counters.trie_scans;
-        out.stats.join_candidates += counters.candidates;
-        out.stats.join_matches += counters.matches;
-        matches
-    }
-
-    /// Attempts to fire `rule` with `tuple` matched at body position
-    /// `trigger_idx`, joining the remaining atoms against the state as of
-    /// `as_of`, appending the scheduled actions to `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_rule(
-        &self,
-        now: LogicalTime,
-        node: &NodeId,
-        tuple: &Arc<Tuple>,
-        rule: &Rule,
-        ri: usize,
-        trigger_idx: usize,
-        as_of: LogicalTime,
-        out: &mut FireOut<'_>,
-    ) -> Result<()> {
-        let Some(env) = Self::match_trigger(node, tuple, rule, trigger_idx) else {
-            return Ok(());
-        };
-        let matches = self.collect_matches(node, tuple, rule, ri, trigger_idx, env, as_of, out);
-
-        for (mut env, body_tuples) in matches {
-            if let Err(e) = rule.run_assigns(&mut env) {
-                // Arithmetic failure in an assignment suppresses this
-                // firing only (e.g. header fields out of range).
-                if matches!(e, Error::Arith(_)) {
-                    continue;
-                }
-                return Err(e);
-            }
-            let mut satisfied = true;
-            for c in &rule.constraints {
-                match c {
-                    Constraint::Expr(e) => match e.eval(&env) {
-                        Ok(Value::Bool(true)) => {}
-                        Ok(Value::Bool(false)) => {
-                            satisfied = false;
-                            break;
-                        }
-                        Ok(other) => {
-                            return Err(Error::Engine(format!(
-                                "constraint {e} evaluated to non-boolean {other}"
-                            )))
-                        }
-                        Err(Error::Arith(_)) => {
-                            satisfied = false;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Constraint::Builtin { name, args } => {
-                        let builtin = self.program.builtin(name)?;
-                        let mut vals = Vec::with_capacity(args.len());
-                        for a in args {
-                            vals.push(a.eval(&env)?);
-                        }
-                        let view = NodeView::new(node, self.nodes.get(node), as_of);
-                        if !builtin.eval(&view, &vals)? {
-                            satisfied = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !satisfied {
-                continue;
-            }
-            let head_loc = rule.head.loc.eval(&env)?;
-            let head_node = NodeId(head_loc.as_str()?.clone());
-            let mut head_args = Vec::with_capacity(rule.head.args.len());
-            for a in &rule.head.args {
-                head_args.push(a.eval(&env)?);
-            }
-            let head = Tuple::new(rule.head.table.clone(), head_args);
-            self.program.schemas.check(&head)?;
-            let head = out.store.intern(head);
-            let body: Vec<TupleRef> = body_tuples
-                .into_iter()
-                .map(|t| TupleRef::new(node.clone(), t))
-                .collect();
-            let delay = if head_node == *node { 0 } else { rule.link_delay };
-            out.actions.push((
-                now + delay,
-                Action::InsertDerived {
-                    node: head_node,
-                    tuple: head,
-                    rule: rule.name.clone(),
-                    slot: ri as u32,
-                    body,
-                    trigger: trigger_idx as u32,
-                },
-            ));
-        }
-        Ok(())
-    }
-    /// Fires an aggregation rule: the fence `tuple` appeared at `node`;
-    /// scan and join the remaining body atoms against the node's current
-    /// state, group the bindings by the non-aggregate head arguments, fold
-    /// the aggregate, and derive one head tuple per group. The reported
-    /// body of each derivation is the fence plus every contributing tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_agg_rule(
-        &self,
-        now: LogicalTime,
-        node: &NodeId,
-        tuple: &Arc<Tuple>,
-        rule: &Rule,
-        ri: usize,
-        as_of: LogicalTime,
-        out: &mut FireOut<'_>,
-    ) -> Result<()> {
-        let spec = rule.agg.clone().expect("caller checked");
-        let Some(env) = Self::match_trigger(node, tuple, rule, 0) else {
-            return Ok(());
-        };
-        let matches = self.collect_matches(node, tuple, rule, ri, 0, env, as_of, out);
-
-        // Group the bindings. Key: head location + non-aggregate head args.
-        type Group = (Vec<Value>, Option<i64>, Vec<TupleRef>);
-        let mut groups: BTreeMap<(Value, Vec<Value>), Group> = BTreeMap::new();
-        'bindings: for (mut env, body_tuples) in matches {
-            if let Err(e) = rule.run_assigns(&mut env) {
-                if matches!(e, Error::Arith(_)) {
-                    continue;
-                }
-                return Err(e);
-            }
-            for c in &rule.constraints {
-                match c {
-                    Constraint::Expr(e) => match e.eval(&env) {
-                        Ok(Value::Bool(true)) => {}
-                        Ok(Value::Bool(false)) | Err(Error::Arith(_)) => continue 'bindings,
-                        Ok(other) => {
-                            return Err(Error::Engine(format!(
-                                "constraint {e} evaluated to non-boolean {other}"
-                            )))
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Constraint::Builtin { name, args } => {
-                        let builtin = self.program.builtin(name)?;
-                        let mut vals = Vec::with_capacity(args.len());
-                        for a in args {
-                            vals.push(a.eval(&env)?);
-                        }
-                        let view = NodeView::new(node, self.nodes.get(node), as_of);
-                        if !builtin.eval(&view, &vals)? {
-                            continue 'bindings;
-                        }
-                    }
-                }
-            }
-            let loc = rule.head.loc.eval(&env)?;
-            let mut head_args = Vec::with_capacity(rule.head.args.len());
-            for (i, a) in rule.head.args.iter().enumerate() {
-                if i == spec.head_index {
-                    head_args.push(Value::Int(0)); // placeholder
-                } else {
-                    head_args.push(a.eval(&env)?);
-                }
-            }
-            let agg_input = env
-                .get(&spec.var)
-                .ok_or_else(|| Error::Engine(format!("aggregate variable {} unbound", spec.var)))?
-                .as_int()?;
-            let mut key_args = head_args.clone();
-            key_args.remove(spec.head_index);
-            let entry = groups.entry((loc, key_args)).or_insert_with(|| {
-                (
-                    head_args.clone(),
-                    None,
-                    vec![TupleRef::new(node.clone(), Arc::clone(tuple))],
-                )
-            });
-            entry.1 = Some(spec.func.fold(entry.1, agg_input));
-            for bt in body_tuples.iter().skip(1) {
-                let r = TupleRef::new(node.clone(), Arc::clone(bt));
-                if !entry.2.contains(&r) {
-                    entry.2.push(r);
-                }
-            }
-        }
-        for ((loc, _), (mut head_args, acc, body)) in groups {
-            let Some(acc) = acc else { continue };
-            head_args[spec.head_index] = Value::Int(acc);
-            let head_node = NodeId(loc.as_str()?.clone());
-            let head = Tuple::new(rule.head.table.clone(), head_args);
-            self.program.schemas.check(&head)?;
-            let head = out.store.intern(head);
-            let delay = if head_node == *node { 0 } else { rule.link_delay };
-            out.actions.push((
-                now + delay,
-                Action::InsertDerived {
-                    node: head_node,
-                    tuple: head,
-                    rule: rule.name.clone(),
-                    slot: ri as u32,
-                    body,
-                    trigger: 0,
-                },
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Removes the bindings made since `start` (their names sit on the trail).
-fn undo(env: &mut Env, trail: &mut Vec<Sym>, start: usize) {
-    for sym in trail.drain(start..) {
-        env.remove(&sym);
-    }
-}
-
-/// Matches `candidate` against `atom` under `env`, binding new variables
-/// and pushing their names onto `trail`. On mismatch the partial bindings
-/// are rolled back and `false` is returned.
-fn match_atom(atom: &BodyAtom, candidate: &Tuple, env: &mut Env, trail: &mut Vec<Sym>) -> bool {
-    if candidate.arity() != atom.args.len() {
-        return false;
-    }
-    let start = trail.len();
-    for (pat, val) in atom.args.iter().zip(&candidate.args) {
-        let ok = match pat {
-            Pattern::Wildcard => true,
-            Pattern::Const(c) => c == val,
-            Pattern::Var(v) => match env.get(v) {
-                Some(bound) => bound == val,
-                None => {
-                    env.insert(v.clone(), val.clone());
-                    trail.push(v.clone());
-                    true
-                }
-            },
-        };
-        if !ok {
-            undo(env, trail, start);
-            return false;
-        }
-    }
-    true
-}
-
-/// Depth-first join following `plan`, with scoped bind/undo instead of an
-/// environment clone per candidate. Matches are pushed in plan-enumeration
-/// order; the caller re-sorts into the canonical order if the plan deviates
-/// from body order. Candidates that appeared after `as_of` are invisible
-/// (see the module docs on batching).
-///
-/// When the rule mentions the trigger's table at an *earlier* body
-/// position than `trigger_idx`, the trigger tuple itself is excluded from
-/// that position's candidates: the identical body is enumerated — and its
-/// derivation recorded — by the firing at the earlier trigger position,
-/// so admitting it here would schedule a duplicate derivation (silently
-/// deduplicated at delivery) and double-count the join's candidates and
-/// matches in [`Stats`] and the per-rule profile.
-#[allow(clippy::too_many_arguments)]
-fn join_with_plan(
-    state: &NodeState,
-    rule: &Rule,
-    plan: &JoinPlan,
-    step_idx: usize,
-    trigger_idx: usize,
-    as_of: LogicalTime,
-    env: &mut Env,
-    trail: &mut Vec<Sym>,
-    partial: &mut Vec<Option<Arc<Tuple>>>,
-    out: &mut Vec<(Env, Vec<Arc<Tuple>>)>,
-    counters: &mut RuleJoinProfile,
-) {
-    if step_idx == plan.steps.len() {
-        counters.matches += 1;
-        let body: Vec<Arc<Tuple>> = partial
-            .iter()
-            .map(|slot| Arc::clone(slot.as_ref().expect("all body slots filled")))
-            .collect();
-        out.push((env.clone(), body));
-        return;
-    }
-    let step = &plan.steps[step_idx];
-    let atom = &rule.body[step.atom];
-    let skip_trigger = if step.atom < trigger_idx && atom.table == rule.body[trigger_idx].table {
-        partial[trigger_idx].clone()
-    } else {
-        None
-    };
-    // The candidate loop, monomorphized per access path. Filtering by the
-    // trie removes only candidates the `prefix_contains` constraint would
-    // reject in `fire_rule` (or that cannot match the atom at all), and the
-    // collected matches are re-sorted into nested-loop enumeration order
-    // before acting, so every access path schedules the same event stream.
-    macro_rules! join_candidates {
-        ($candidates:expr) => {
-            for candidate in $candidates {
-                counters.candidates += 1;
-                if skip_trigger.as_deref().is_some_and(|t| **candidate == *t) {
-                    continue;
-                }
-                let start = trail.len();
-                if match_atom(atom, candidate, env, trail) {
-                    partial[step.atom] = Some(Arc::clone(candidate));
-                    join_with_plan(
-                        state,
-                        rule,
-                        plan,
-                        step_idx + 1,
-                        trigger_idx,
-                        as_of,
-                        env,
-                        trail,
-                        partial,
-                        out,
-                        counters,
-                    );
-                    partial[step.atom] = None;
-                    undo(env, trail, start);
-                }
-            }
-        };
-    }
-    let index_slot = step.index_slot.filter(|_| !step.key_cols.is_empty());
-    if let Some(slot) = index_slot {
-        let mut key = Vec::with_capacity(step.key_cols.len());
-        for &c in &step.key_cols {
-            match &atom.args[c] {
-                Pattern::Const(v) => key.push(v.clone()),
-                Pattern::Var(v) => key.push(
-                    env.get(v)
-                        .expect("planner guarantees key variables are bound")
-                        .clone(),
-                ),
-                Pattern::Wildcard => unreachable!("wildcards are never key columns"),
-            }
-        }
-        counters.probes += 1;
-        join_candidates!(state.probe(&atom.table, slot, &key, as_of));
-        return;
-    }
-    // A scan step carrying prefix probes walks a trie instead, when the
-    // bound address is actually an IP (a non-IP value falls back to the
-    // scan so the constraint raises the type error the oracle raises). With several constrained columns the
-    // most selective trie — fewest candidates for this execution's address,
-    // estimated by an O(32) bucket-count walk — is probed. Estimate ties
-    // break on the trie slot (column order) and then on constraint order:
-    // a total, value-determined key, so the pick — and the trie-counter
-    // split it drives — is stable across platforms. The choice only prunes
-    // differently, never changes the re-sorted match set, so any pick is
-    // stream-identical; only the counters demand the fixed tie-break.
-    let trie_probe = step
-        .prefixes
-        .iter()
-        .enumerate()
-        .filter_map(|(pi, p)| {
-            let addr = match &p.ip {
-                IpSource::Var(v) => env
-                    .get(v)
-                    .expect("planner guarantees probe address is bound")
-                    .clone(),
-                IpSource::Const(v) => v.clone(),
-            };
-            match addr {
-                Value::Ip(ip) => Some((p.trie_slot, ip, pi)),
-                _ => None,
-            }
-        })
-        .min_by_key(|&(slot, ip, pi)| (state.estimate_prefix(&atom.table, slot, ip), slot, pi));
-    if let Some((slot, ip, _)) = trie_probe {
-        counters.trie_probes += 1;
-        join_candidates!(state.probe_prefix(&atom.table, slot, ip, as_of));
-    } else {
-        counters.scans += 1;
-        if !step.prefixes.is_empty() {
-            counters.trie_scans += 1;
-        }
-        join_candidates!(state.table_arcs(&atom.table, as_of));
     }
 }
 

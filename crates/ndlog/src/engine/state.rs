@@ -8,7 +8,17 @@
 //! natives and stateful builtins get. The reference evaluator uses
 //! [`NodeState`] as plain storage (no index or trie specs, and it never
 //! registers a dependent: it keeps its own lists).
+//!
+//! Every row of a table carries the table's name, so a table compares its
+//! rows by value alone: the tuple map and every access-path bucket are
+//! keyed by [`Row`], ordered by `args` and probed with `args` as a slice.
+//! Because the name is the first field of `Tuple`'s order and equal
+//! within a table, that is the order `Tuple`'s `Ord` gives — every
+//! iteration, candidate walk and stream is what it would be under it — and
+//! no comparison inside a table starts with a string compare of the name.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -20,6 +30,37 @@ use dp_types::{
 use super::TupleState;
 use crate::plan::{IndexSpecs, TrieSpecs};
 use crate::program::Program;
+
+/// A row of one table: its tuple, compared by `args` alone (see the
+/// module docs), and found by `tuple.args.as_slice()`.
+#[derive(Debug)]
+struct Row(Arc<Tuple>);
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.args == other.0.args
+    }
+}
+
+impl Eq for Row {}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.args.cmp(&other.0.args)
+    }
+}
+
+impl Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.0.args
+    }
+}
 
 /// What a table holds per live tuple.
 ///
@@ -50,8 +91,8 @@ struct Slot {
 /// path must produce them too for byte-identical behavior.
 #[derive(Debug, Default)]
 struct TrieIndex {
-    trie: PrefixTrie<Arc<Tuple>>,
-    other: BTreeSet<Arc<Tuple>>,
+    trie: PrefixTrie<Row>,
+    other: BTreeSet<Row>,
 }
 
 impl TrieIndex {
@@ -70,10 +111,10 @@ impl TrieIndex {
     fn insert(&mut self, tuple: &Arc<Tuple>, col: usize) {
         match Self::route(tuple, col) {
             Some(Ok(p)) => {
-                self.trie.insert(p, Arc::clone(tuple));
+                self.trie.insert(p, Row(Arc::clone(tuple)));
             }
             Some(Err(())) => {
-                self.other.insert(Arc::clone(tuple));
+                self.other.insert(Row(Arc::clone(tuple)));
             }
             None => {}
         }
@@ -82,25 +123,36 @@ impl TrieIndex {
     fn remove(&mut self, tuple: &Tuple, col: usize) {
         match Self::route(tuple, col) {
             Some(Ok(p)) => {
-                self.trie.remove(p, tuple);
+                self.trie.remove(p, tuple.args.as_slice());
             }
             Some(Err(())) => {
-                self.other.remove(tuple);
+                self.other.remove(tuple.args.as_slice());
             }
             None => {}
         }
     }
 }
 
+/// True when `row` is visible at the `as_of` horizon. `horizon` is the
+/// row's table when something in it appeared after `as_of` (only then is
+/// the row's own `appeared_at` looked up), `None` when all of it is older.
+fn visible(horizon: Option<&Table>, row: &Row, as_of: LogicalTime) -> bool {
+    horizon.is_none_or(|t| {
+        t.tuples
+            .get(row.0.args.as_slice())
+            .is_some_and(|s| s.state.appeared_at <= as_of)
+    })
+}
+
 /// One table of one node: the tuples in deterministic BTree order, plus the
 /// secondary hash indexes the program's join plans registered for it.
 ///
 /// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
-/// bucket of live tuples with those values, kept as a `BTreeSet` so index
-/// probes still enumerate candidates in tuple order. The `HashMap` layer is
-/// hashed by `dp_types::WordHasher` (seedless, a word per step) and only
-/// ever probed by key, never iterated, so its iteration order cannot leak
-/// into the event stream.
+/// bucket of live tuples with those values, kept as a `BTreeSet` of rows
+/// so index probes still enumerate candidates in tuple order. The
+/// `HashMap` layer is hashed by `dp_types::WordHasher` (seedless, a word
+/// per step) and only ever probed by key, never iterated, so its iteration
+/// order cannot leak into the event stream.
 ///
 /// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
 /// answering `prefix_contains` probes in O(32) instead of a full scan.
@@ -108,8 +160,8 @@ impl TrieIndex {
 struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
-    tuples: BTreeMap<Arc<Tuple>, Slot>,
-    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>, WordBuildHasher>>,
+    tuples: BTreeMap<Row, Slot>,
+    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Row>, WordBuildHasher>>,
     tries: Vec<TrieIndex>,
     /// Clock of the most recent appearance in this table. Lets `as_of`-
     /// horizon probes (see the module docs on batching) skip the per-
@@ -150,7 +202,7 @@ impl Table {
     /// The state of `tuple`, inserted empty (and indexed) if absent: one
     /// descent of the tuple map either way.
     fn insert(&mut self, tuple: &Arc<Tuple>, now: LogicalTime) -> &mut TupleState {
-        match self.tuples.entry(Arc::clone(tuple)) {
+        match self.tuples.entry(Row(Arc::clone(tuple))) {
             Entry::Occupied(slot) => &mut slot.into_mut().state,
             Entry::Vacant(slot) => {
                 self.last_appear = self.last_appear.max(now);
@@ -159,9 +211,10 @@ impl Table {
                     if !index_key(tuple, cols, key) {
                         continue;
                     }
+                    let row = Row(Arc::clone(tuple));
                     match index.get_mut(key.as_slice()) {
-                        Some(bucket) => bucket.insert(Arc::clone(tuple)),
-                        None => index.entry(key.clone()).or_default().insert(Arc::clone(tuple)),
+                        Some(bucket) => bucket.insert(row),
+                        None => index.entry(key.clone()).or_default().insert(row),
                     };
                 }
                 for (slot, &col) in self.trie_specs.iter().enumerate() {
@@ -175,7 +228,7 @@ impl Table {
     /// Retires `tuple`, returning its reverse-dependency list (empty if
     /// the tuple was not there).
     fn remove(&mut self, tuple: &Tuple) -> Vec<TupleRef> {
-        let Some(slot) = self.tuples.remove(tuple) else {
+        let Some(slot) = self.tuples.remove(tuple.args.as_slice()) else {
             return Vec::new();
         };
         let key = &mut self.key_buf;
@@ -184,7 +237,7 @@ impl Table {
                 continue;
             }
             if let Some(bucket) = index.get_mut(key.as_slice()) {
-                bucket.remove(tuple);
+                bucket.remove(tuple.args.as_slice());
                 if bucket.is_empty() {
                     index.remove(key.as_slice());
                 }
@@ -208,7 +261,7 @@ impl NodeState {
     pub fn get(&self, tuple: &Tuple) -> Option<&TupleState> {
         self.tables
             .get(&tuple.table)
-            .and_then(|t| t.tuples.get(tuple))
+            .and_then(|t| t.tuples.get(tuple.args.as_slice()))
             .map(|slot| &slot.state)
     }
 
@@ -222,14 +275,14 @@ impl NodeState {
         self.tables
             .get(table)
             .into_iter()
-            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, &v.state)))
+            .flat_map(|t| t.tuples.iter().map(|(row, v)| (&*row.0, &v.state)))
     }
 
     /// Iterates over all live tuples on the node.
     pub fn all(&self) -> impl Iterator<Item = (&Tuple, &TupleState)> {
         self.tables
             .values()
-            .flat_map(|t| t.tuples.iter().map(|(k, v)| (&**k, &v.state)))
+            .flat_map(|t| t.tuples.iter().map(|(row, v)| (&*row.0, &v.state)))
     }
 
     /// Total live tuples on the node.
@@ -259,7 +312,7 @@ impl NodeState {
             .into_iter()
             .flat_map(|t| t.tuples.iter())
             .filter(move |(_, s)| s.state.appeared_at <= as_of)
-            .map(|(k, _)| k)
+            .map(|(row, _)| &row.0)
     }
 
     /// Live tuples of `table` whose `specs[slot]` columns equal `key` and
@@ -282,22 +335,10 @@ impl NodeState {
             .and_then(|ix| ix.get(key))
             .into_iter()
             .flatten()
-            .filter(move |c| match horizon {
-                None => true,
-                Some(t) => t
-                    .tuples
-                    .get(c.as_ref())
-                    .is_some_and(|s| s.state.appeared_at <= as_of),
-            })
+            .filter(move |row| visible(horizon, row, as_of))
+            .map(|row| &row.0)
     }
 
-    /// Live tuples of `table` that can satisfy a `prefix_contains(_, ip)`
-    /// constraint on trie slot `slot`, respecting the `as_of` horizon:
-    /// first the trie walk (prefixes containing `ip`, shortest first), then
-    /// the non-prefix-like bucket (whose members the constraint will reject
-    /// with exactly the error the scan path would have raised). Candidate
-    /// order is deterministic; final matches are re-sorted into nested-
-    /// loop enumeration order by the caller, like hash-index probes.
     /// Upper bound on the candidates [`NodeState::probe_prefix`] yields for
     /// `(table, slot, ip)` — bucket sizes along the trie path plus the
     /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
@@ -309,6 +350,13 @@ impl NodeState {
             .map_or(0, |ti| ti.trie.count_matches(ip) + ti.other.len())
     }
 
+    /// Live tuples of `table` that can satisfy a `prefix_contains(_, ip)`
+    /// constraint on trie slot `slot`, respecting the `as_of` horizon:
+    /// first the trie walk (prefixes containing `ip`, shortest first), then
+    /// the non-prefix-like bucket (whose members the constraint will reject
+    /// with exactly the error the scan path would have raised). Candidate
+    /// order is deterministic; final matches are re-sorted into nested-
+    /// loop enumeration order by the caller, like hash-index probes.
     pub(super) fn probe_prefix(
         &self,
         table: &Sym,
@@ -321,13 +369,8 @@ impl NodeState {
         let trie = table.and_then(|t| t.tries.get(slot));
         trie.into_iter()
             .flat_map(move |ti| ti.trie.matches(ip).chain(ti.other.iter()))
-            .filter(move |c| match horizon {
-                None => true,
-                Some(t) => t
-                    .tuples
-                    .get(c.as_ref())
-                    .is_some_and(|s| s.state.appeared_at <= as_of),
-            })
+            .filter(move |row| visible(horizon, row, as_of))
+            .map(|row| &row.0)
     }
 
     /// The state of `tuple`, inserted empty if absent. The table is
@@ -356,7 +399,7 @@ impl NodeState {
     pub(crate) fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
         self.tables
             .get_mut(&tuple.table)
-            .and_then(|t| t.tuples.get_mut(tuple))
+            .and_then(|t| t.tuples.get_mut(tuple.args.as_slice()))
             .map(|slot| &mut slot.state)
     }
 
@@ -379,7 +422,11 @@ impl NodeState {
     /// `body` is not live here: re-check, episode and registration are one
     /// lookup.
     pub(super) fn depend(&mut self, body: &Tuple, head: &TupleRef) -> Option<LogicalTime> {
-        let slot = self.tables.get_mut(&body.table)?.tuples.get_mut(body)?;
+        let slot = self
+            .tables
+            .get_mut(&body.table)?
+            .tuples
+            .get_mut(body.args.as_slice())?;
         // Most body tuples have exactly one dependent: the first gets a
         // block of its own size, not `push`'s first step of four.
         if slot.dependents.is_empty() {
@@ -395,7 +442,7 @@ impl NodeState {
         if let Some(slot) = self
             .tables
             .get_mut(&body.table)
-            .and_then(|t| t.tuples.get_mut(body))
+            .and_then(|t| t.tuples.get_mut(body.args.as_slice()))
         {
             slot.dependents.pop();
         }
@@ -485,7 +532,8 @@ impl<'a> NodeView<'a> {
                     .probe_prefix(table, slot, ip, self.as_of)
                     .map(|t| t.as_ref())
                     .collect();
-                out.sort_unstable();
+                // One table: its rows' order is their arguments'.
+                out.sort_unstable_by(|a, b| a.args.cmp(&b.args));
                 out
             }
             None => self.table(table).collect(),

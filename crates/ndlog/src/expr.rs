@@ -13,12 +13,15 @@
 //!
 //! # The environment
 //!
-//! [`Env`] — a rule firing's variable bindings — is one flat row of
-//! `(name, value)` pairs kept sorted by name. A rule binds a handful of
-//! variables, so a row beats a tree on every operation the evaluator
-//! repeats per candidate tuple (look up, bind, undo, clone per match).
-//! It is *sorted* because its iteration order is observable: DiffProv
-//! walks the good derivation's environment to build the bad one
+//! [`Env`] — a set of variable bindings by name — is one flat row of
+//! `(name, value)` pairs kept sorted by name, looked up by pointer before
+//! by string (the parser gives every occurrence of a variable in a rule
+//! one `Sym`). Its callers bind a handful of variables per rule and look
+//! each up a few times: the reference evaluator (`crate::reference`),
+//! DiffProv's taint and formula reasoning and `whynot`. The engine does
+//! not use it: a rule it fires is compiled to slots (`crate::compile`).
+//! The row is *sorted* because its iteration order is observable:
+//! DiffProv walks the good derivation's environment to build the bad one
 //! (`diffprov-core`'s `align.rs`), and the order it meets the variables in
 //! must not depend on the order a join happened to bind them. Name order
 //! is what the `BTreeMap` this row replaced gave, so every iteration sees
@@ -30,28 +33,12 @@ use dp_types::{Error, Prefix, Result, Sym, Value};
 
 /// A variable binding environment: `(name, value)` pairs sorted by name,
 /// with the map operations the workspace uses (see the module docs).
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Env {
     row: Vec<(Sym, Value)>,
 }
 
-impl Clone for Env {
-    /// A clone has the room its source had: the join clones one
-    /// environment per match and the rule's assignments bind into the
-    /// clone, which an exact-fit copy would make reallocate.
-    fn clone(&self) -> Self {
-        let mut row = Vec::with_capacity(self.row.capacity());
-        row.extend(self.row.iter().cloned());
-        Env { row }
-    }
-}
-
 impl Env {
-    /// Room for a typical rule's variables (the SDN model's widest rule
-    /// binds eleven), taken on the first binding so that building an
-    /// environment up is one allocation, not one per doubling from four.
-    const FIRST_ROOM: usize = 12;
-
     /// An empty environment (no allocation until something is bound).
     pub fn new() -> Self {
         Env::default()
@@ -84,9 +71,6 @@ impl Env {
         match self.find(&name) {
             Ok(i) => Some(std::mem::replace(&mut self.row[i].1, value)),
             Err(i) => {
-                if self.row.capacity() == 0 {
-                    self.row.reserve_exact(Self::FIRST_ROOM);
-                }
                 self.row.insert(i, (name, value));
                 None
             }
@@ -445,7 +429,9 @@ impl fmt::Debug for Expr {
     }
 }
 
-fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+/// A binary operator applied to two evaluated operands — one of the
+/// primitive operators the engine's compiled rules share with [`Expr::eval`].
+pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
     match op {
         And => Ok(Value::Bool(l.as_bool()? && r.as_bool()?)),
@@ -501,7 +487,9 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-fn eval_func(f: Func, args: &[Value]) -> Result<Value> {
+/// A built-in function applied to evaluated arguments, its arity checked
+/// first — the other primitive operator shared with the compiled rules.
+pub(crate) fn eval_func(f: Func, args: &[Value]) -> Result<Value> {
     if args.len() != f.arity() {
         return Err(Error::Engine(format!(
             "{} expects {} args, got {}",

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+mod compile;
 pub mod engine;
 pub mod expr;
 pub mod parser;

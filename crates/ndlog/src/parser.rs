@@ -184,7 +184,8 @@ struct Parser {
     pos: usize,
     /// The variables of the rule being parsed: every occurrence of one
     /// name shares one `Sym`, so an environment lookup by a rule's own
-    /// `Sym` is a pointer match (see `Env`).
+    /// `Sym` is a pointer match (see `Env`), and so is the slot-table
+    /// lookup that compiles the rule for the engine.
     vars: Vec<Sym>,
 }
 

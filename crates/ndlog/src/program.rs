@@ -7,6 +7,7 @@ use std::sync::Arc;
 use dp_types::{Error, NodeId, Result, SchemaRegistry, Sym, Tuple, TupleRef, Value};
 
 use crate::ast::Rule;
+use crate::compile::{compile, CompiledRule};
 use crate::engine::NodeView;
 use crate::parser::parse_rules;
 use crate::plan::{IndexSpecs, JoinPlan, PlanSet, TrieSpecs};
@@ -140,6 +141,8 @@ pub struct Program {
     native_triggers: BTreeMap<Sym, Vec<usize>>,
     /// Build-time join plans and the index specs they require.
     plans: PlanSet,
+    /// Each rule resolved to slots, by rule index (`crate::compile`).
+    compiled: Vec<CompiledRule>,
 }
 
 // Executions share their program as an `Arc<Program>`, and a caller may
@@ -228,6 +231,11 @@ impl Program {
         }
     }
 
+    /// Rule `idx` resolved to slots: what the engine fires.
+    pub(crate) fn compiled(&self, idx: usize) -> &CompiledRule {
+        &self.compiled[idx]
+    }
+
     /// The planned (index-probing) join order for `(rule, trigger atom)`.
     pub fn join_plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
         self.plans.plan(rule, trigger)
@@ -287,8 +295,11 @@ impl ProgramBuilder {
     ///
     /// Checks that every rule derives into a `Derived` table, that body
     /// tables are declared with matching arity, and that builtin constraints
-    /// are registered.
+    /// are registered; then plans every rule's joins and compiles it to
+    /// slots (`crate::compile`), once, for every engine the program runs.
     pub fn build(self) -> Result<Arc<Program>> {
+        let plans = PlanSet::build(&self.rules);
+        let mut compiled = Vec::with_capacity(self.rules.len());
         let mut rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>> = BTreeMap::new();
         for (ri, rule) in self.rules.iter().enumerate() {
             let head_schema = self.schemas.require(&rule.head.table)?;
@@ -324,16 +335,8 @@ impl ProgramBuilder {
                 }
                 rule_triggers.entry(atom.table.clone()).or_default().push((ri, ai));
             }
-            for c in &rule.constraints {
-                if let crate::ast::Constraint::Builtin { name, .. } = c {
-                    if !self.builtins.contains_key(name) {
-                        return Err(Error::Engine(format!(
-                            "rule {} uses unregistered builtin {name}",
-                            rule.name
-                        )));
-                    }
-                }
-            }
+            // Fails on the first unregistered builtin, in constraint order.
+            compiled.push(compile(rule, ri, &plans, &self.builtins)?);
         }
         let mut native_triggers: BTreeMap<Sym, Vec<usize>> = BTreeMap::new();
         for (ni, native) in self.natives.iter().enumerate() {
@@ -342,7 +345,6 @@ impl ProgramBuilder {
                 native_triggers.entry(t).or_default().push(ni);
             }
         }
-        let plans = PlanSet::build(&self.rules);
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
@@ -351,6 +353,7 @@ impl ProgramBuilder {
             rule_triggers,
             native_triggers,
             plans,
+            compiled,
         }))
     }
 }

@@ -10,11 +10,14 @@
 //! visibility horizons, no counters and no instrumentation.
 //!
 //! The evaluator shares no firing, join, cascade or queue code with the
-//! engine. What the two have in common is the language itself — the rule
-//! AST and expression evaluation, schema checks, the [`ProvEvent`] stream
-//! — and [`NodeState`]/[`NodeView`] used as plain storage (built with no
-//! index or trie specs), because native rules and stateful builtins are
-//! written against [`NodeView`].
+//! engine, and no binding or evaluation code either: it binds by name in
+//! an [`Env`] and evaluates with [`crate::Expr::eval`], where the engine
+//! binds rules compiled to slots. What the two have in common is the
+//! language itself — the rule AST and the primitive operators beneath
+//! expression evaluation, schema checks, the [`ProvEvent`] stream — and
+//! [`NodeState`]/[`NodeView`] used as plain storage (built with no index
+//! or trie specs), because native rules and stateful builtins are written
+//! against [`NodeView`].
 //!
 //! Semantics, stated once here because the engine's optimizations all
 //! have to preserve them:

@@ -197,7 +197,9 @@ pub mod intgen {
     }
 
     /// A random rule body over the base tables (plus, optionally, `d`
-    /// when generating the `e` rule — a derived-on-derived join).
+    /// when generating the `e` rule — a derived-on-derived join), with
+    /// assignments (a head through `W`, a division, a re-bound body
+    /// variable) and a comparison constraint, each sometimes.
     fn arb_rule(rng: &mut DetRng, name: &str, head_table: &str, allow_d: bool) -> String {
         let n_atoms = rng.gen_range_usize(1, 4);
         let mut bound: Vec<&'static str> = Vec::new();
@@ -237,6 +239,20 @@ pub mod intgen {
         };
         if bound.len() >= 2 && rng.gen_bool(0.3) {
             tail.push_str(&format!(", {} <= {}", bound[0], bound[1]));
+        }
+        // Two assignments the evaluators bind differently — one that
+        // divides by a body variable (zero is in the value domain, and an
+        // arithmetic failure drops only its match) and one that re-binds a
+        // body variable — drawn from a forked stream, so every draw above
+        // is what it was.
+        let mut extra = rng.fork(name);
+        if extra.gen_bool(0.3) {
+            let v = bound[extra.gen_range_usize(0, bound.len())];
+            tail.push_str(&format!(", Q := 12 / {v}"));
+        }
+        if extra.gen_bool(0.3) {
+            let v = bound[extra.gen_range_usize(0, bound.len())];
+            tail.push_str(&format!(", {v} := {v} - 1"));
         }
         format!("{name} {head_table}(@N, {head}) :- {}{tail}.", atoms.join(", "))
     }

@@ -183,18 +183,175 @@ fn arithmetic_failures_suppress_single_firings() {
         .unwrap()
         .build()
         .unwrap();
-    let mut eng = Engine::new(program, NullSink);
-    let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("e", 0)).unwrap(); // would divide by zero
-    eng.schedule_insert(0, n.clone(), tuple!("e", 4)).unwrap();
-    eng.run().unwrap();
-    let derived: Vec<Tuple> = eng
-        .view(&n)
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n", tuple!("e", 0)), // would divide by zero
+            ScheduledOp::insert(0, "n", tuple!("e", 4)),
+        ],
+    );
+    assert_eq!(table_of(&got, "n", "d"), vec![tuple!("d", 25)]);
+}
+
+/// Two int tables `a`/`b` (x × y), a unary one `c`, and the derived
+/// heads the compiled-rule cases below write into.
+fn slot_reg() -> SchemaRegistry {
+    let mut reg = SchemaRegistry::new();
+    for t in ["a", "b"] {
+        reg.declare(Schema::new(t, TableKind::MutableBase, [("x", FieldType::Int), ("y", FieldType::Int)]));
+    }
+    reg.declare(Schema::new("c", TableKind::MutableBase, [("x", FieldType::Int)]));
+    reg.declare(Schema::new("d", TableKind::Derived, [("v", FieldType::Int)]));
+    reg.declare(Schema::new("pair", TableKind::Derived, [("x", FieldType::Int), ("y", FieldType::Int)]));
+    reg.declare(Schema::new("tot", TableKind::Derived, [("v", FieldType::Int)]));
+    reg
+}
+
+fn slot_program(rules: &str) -> Arc<Program> {
+    Program::builder(slot_reg()).rules_text(rules).unwrap().build().unwrap()
+}
+
+/// Runs `ops` through the engine and the oracle, both of which must
+/// fail: with the same error, after the same stream. Returns the error.
+fn fails_like_the_oracle(program: &Arc<Program>, ops: &[ScheduledOp]) -> String {
+    let mut eng = Engine::new(Arc::clone(program), VecSink::default());
+    testsupport::schedule_all(&mut eng, ops);
+    let err = eng.run().expect_err("the engine must fail").to_string();
+    let mut sink = VecSink::default();
+    let oracle = dp_ndlog::reference::evaluate(program, ops, &mut sink)
+        .expect_err("the oracle must fail")
+        .to_string();
+    assert_eq!(err, oracle, "the engine fails otherwise than the oracle");
+    assert_eq!(eng.into_sink().events, sink.events, "the stream up to the failure diverges");
+    err
+}
+
+#[test]
+fn an_assignment_may_rebind_a_body_variable() {
+    // `X := X * 10` overwrites a variable the trigger bound. Each match
+    // starts from its own row again, so the second match of one firing
+    // sees X as the row has it, not as the first match left it.
+    let program = slot_program(
+        "r pair(@N, X, Y) :- a(@N, X, _), b(@N, X, Y), X := X * 10.\n\
+         s d(@N, X) :- c(@N, X), X := X + 1.",
+    );
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n", tuple!("b", 1, 5)),
+            ScheduledOp::insert(0, "n", tuple!("b", 1, 6)),
+            ScheduledOp::insert(0, "n", tuple!("b", 2, 7)),
+            ScheduledOp::insert(5, "n", tuple!("a", 1, 0)),
+            ScheduledOp::insert(6, "n", tuple!("a", 2, 0)),
+            ScheduledOp::insert(7, "n", tuple!("c", 3)),
+        ],
+    );
+    assert_eq!(
+        table_of(&got, "n", "pair"),
+        vec![tuple!("pair", 10, 5), tuple!("pair", 10, 6), tuple!("pair", 20, 7)]
+    );
+    assert_eq!(table_of(&got, "n", "d"), vec![tuple!("d", 4)]);
+}
+
+#[test]
+fn repeated_shared_constant_and_wildcard_patterns_bind_like_the_oracle() {
+    // X twice in the trigger-side atom and again in a joined one, a
+    // literal and a wildcard: every atom triggers in turn, and only the
+    // tuples that agree everywhere join.
+    let program = slot_program("r d(@N, Y) :- a(@N, X, X), b(@N, X, Y), c(@N, 7), b(@N, _, 9).");
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 1)),
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 2)), // X disagrees with itself
+            ScheduledOp::insert(10, "n", tuple!("b", 1, 5)),
+            ScheduledOp::insert(10, "n", tuple!("b", 2, 6)), // no a(2, 2) yet
+            ScheduledOp::insert(20, "n", tuple!("c", 8)),    // not the literal
+            ScheduledOp::insert(30, "n", tuple!("c", 7)),
+            ScheduledOp::insert(40, "n", tuple!("b", 4, 9)), // the wildcard atom: d(5)
+            ScheduledOp::insert(50, "n", tuple!("a", 2, 2)), // d(6)
+            ScheduledOp::delete(60, "n", tuple!("b", 1, 5)), // d(5) goes
+        ],
+    );
+    assert_eq!(table_of(&got, "n", "d"), vec![tuple!("d", 6)]);
+    assert_eq!(got.stats.derivations, 2, "{:?}", got.stats);
+}
+
+#[test]
+fn an_arithmetic_failure_drops_only_its_match() {
+    // One firing, three matches: the one whose divisor is 0 is dropped,
+    // the others derive.
+    let program = slot_program("r d(@N, Q) :- c(@N, K), a(@N, K, X), Q := 100 / X.");
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 0)),
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 4)),
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 5)),
+            ScheduledOp::insert(5, "n", tuple!("c", 1)),
+        ],
+    );
+    assert_eq!(table_of(&got, "n", "d"), vec![tuple!("d", 20), tuple!("d", 25)]);
+    assert_eq!(got.stats.join_matches, 3);
+}
+
+#[test]
+fn a_non_boolean_constraint_fails_the_run_as_the_oracle_does() {
+    let program = slot_program("r d(@N, X) :- c(@N, X), X + 1.");
+    let err = fails_like_the_oracle(
+        &program,
+        &[ScheduledOp::insert(0, "n", tuple!("a", 1, 1)), ScheduledOp::insert(5, "n", tuple!("c", 1))],
+    );
+    assert!(err.contains("non-boolean"), "{err}");
+}
+
+#[test]
+fn a_variable_no_atom_binds_fails_the_run_as_the_oracle_does() {
+    // Z is named by the head and by a constraint, bound by nothing.
+    let program = slot_program("r d(@N, Z) :- c(@N, X).\ns d(@N, X) :- b(@N, X, _), Z > 0.");
+    let err = fails_like_the_oracle(&program, &[ScheduledOp::insert(3, "n", tuple!("c", 1))]);
+    assert!(err.contains("unbound variable Z"), "{err}");
+    let err = fails_like_the_oracle(&program, &[ScheduledOp::insert(3, "n", tuple!("b", 1, 2))]);
+    assert!(err.contains("unbound variable Z"), "{err}");
+}
+
+#[test]
+fn builtin_arguments_are_evaluated_expressions() {
+    /// `lt!(A, B)`: A < B on integers.
+    struct Lt;
+    impl StatefulBuiltin for Lt {
+        fn name(&self) -> Sym {
+            Sym::new("lt")
+        }
+        fn eval(&self, _view: &NodeView<'_>, args: &[Value]) -> Result<bool> {
+            Ok(args[0].as_int()? < args[1].as_int()?)
+        }
+    }
+    let program = Program::builder(slot_reg())
+        .rules_text("r d(@N, X) :- c(@N, X), a(@N, X, Y), lt!(X * 2, Y + 3).")
         .unwrap()
-        .table(&Sym::new("d"))
-        .cloned()
-        .collect();
-    assert_eq!(derived, vec![tuple!("d", 25)]);
+        .builtin(Arc::new(Lt))
+        .build()
+        .unwrap();
+    let mut ops: Vec<ScheduledOp> = (0..5i64).map(|x| ScheduledOp::insert(0, "n", tuple!("a", x, x))).collect();
+    ops.extend((0..5i64).map(|x| ScheduledOp::insert(5, "n", tuple!("c", x))));
+    let got = run_checked(&program, &ops);
+    // 2X < X + 3 for X in 0, 1, 2.
+    assert_eq!(table_of(&got, "n", "d"), vec![tuple!("d", 0), tuple!("d", 1), tuple!("d", 2)]);
+}
+
+#[test]
+fn an_aggregate_may_fold_an_assigned_variable() {
+    let program = slot_program("r tot(@N, agg_sum(V)) :- c(@N, G), a(@N, X, Y), V := X * 10 + Y.");
+    let got = run_checked(
+        &program,
+        &[
+            ScheduledOp::insert(0, "n", tuple!("a", 1, 2)),
+            ScheduledOp::insert(0, "n", tuple!("a", 3, 4)),
+            ScheduledOp::insert(5, "n", tuple!("c", 0)),
+        ],
+    );
+    assert_eq!(table_of(&got, "n", "tot"), vec![tuple!("tot", 46)]);
 }
 
 #[test]

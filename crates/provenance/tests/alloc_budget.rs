@@ -31,28 +31,33 @@
 //!   tuple lives behind an `Arc` the interner adopts as it is. (2.004
 //!   before PR 24: a deep copy of the tuple's `Vec<Value>` and a fresh
 //!   `Arc<Tuple>` per base event.)
-//! * **Running it: 51 883**, 9.0 per engine event. Per join match
-//!   (3 507): the cloned `Env`, the body vector of the match, the head's
-//!   `Vec<Value>`, the `Vec<TupleRef>` of the scheduled action — and, for
-//!   a head not interned before, its `Arc<Tuple>`.
-//!   Per derivation (3 495): `stamped` (the event's `Vec<BodyRef>`), and
-//!   per tuple derived for the first time its `derivations` vector; per
-//!   body tuple used for the first time its dependents vector — each of
-//!   the two exactly one slot wide until a second entry arrives. Per rule
-//!   firing (1 910): the trigger's `Env`, the partial-match and trail
-//!   vectors, the matches vector, an index-probe key. Per tuple stored: a
-//!   bucket — and its owned key — per registered index only when the
-//!   bucket is new (the key of a tuple joining a bucket is built in the
-//!   table's scratch buffer: 2 352 allocations fewer than PR 22's 54 257,
-//!   5.117 → 4.521 per provenance event), and, amortised, B-tree nodes of
-//!   the table, its buckets and its tries.
-//! * **Dropping the quiescent engine: 24 630 blocks** — everything above
+//! * **Running it: 32 934**, 5.7 per engine event. Per join match
+//!   (3 507): the head's `Vec<Value>` and the `Vec<TupleRef>` of the
+//!   scheduled action — and, for a head not interned before, its
+//!   `Arc<Tuple>`. Per derivation (3 495): `stamped` (the event's
+//!   `Vec<BodyRef>`), and per tuple derived for the first time its
+//!   `derivations` vector; per body tuple used for the first time its
+//!   dependents vector — each of the two exactly one slot wide until a
+//!   second entry arrives. Per tuple stored: a bucket — and its owned key
+//!   — per registered index only when the bucket is new (the key of a
+//!   tuple joining a bucket is built in the table's scratch buffer), and,
+//!   amortised, B-tree nodes of the table, its buckets and its tries.
+//!   Nothing per rule firing or per flush: a rule is compiled to slots
+//!   when the program is built, and a firing binds into the engine's
+//!   reused scratch — frame, trail, partial row, probe keys, the flat
+//!   buffer of matched rows, the live-rule list, the builtin arguments
+//!   (51 883 before PR 25: per match a cloned `Env` and a body vector, per
+//!   firing the trigger's `Env`, the partial-match, trail, matches and key
+//!   vectors, per flush the live-rule list, per builtin call its argument
+//!   vector; 4.521 → 2.870 per provenance event).
+//! * **Dropping the quiescent engine: 24 639 blocks** — everything above
 //!   that outlives the run, minus the base tuples, which the log still
-//!   holds (29 046 before, 2 per base tuple more): 2 per derived tuple,
+//!   holds (29 046 before PR 24, 2 per base tuple more; 24 630 before PR 25,
+//!   which added the firing scratch's nine buffers): 2 per derived tuple,
 //!   the body vector and the `derivations` vector per derivation, the
 //!   dependents vectors, the index keys and buckets, the B-tree and trie
 //!   nodes.
-//! * **Held at quiescence: 630.7 bytes in 4.29 blocks per live tuple** —
+//! * **Held at quiescence: 631.7 bytes in 4.29 blocks per live tuple** —
 //!   the same blocks weighed (853.3 bytes in 5.06 blocks before PR 24).
 //!   The provenance-event buffer is not among the large ones: it is handed
 //!   to the sink every 4 096 events, so it stays under 1 MB however large
@@ -206,9 +211,9 @@ fn recording_allocates_per_growth_not_per_event() {
     drop(recorded);
 }
 
-/// Replay allocations per provenance event, into a null sink: 51 907 over
-/// 11 482 events = 4.521 when last moved (PR 24; 5.117 before), + 2 %.
-const ENGINE_ALLOCS_PER_EVENT: f64 = 4.62;
+/// Replay allocations per provenance event, into a null sink: 32 958 over
+/// 11 482 events = 2.870 when last moved (PR 25; 4.521 before), + 2 %.
+const ENGINE_ALLOCS_PER_EVENT: f64 = 2.93;
 /// Allocations to schedule the log, per base event: 24 over 2 246 = 0.011
 /// when last moved (PR 24; 2.004 before) — nothing per tuple, so the bound
 /// leaves room for a doubling or two, not for a class.

@@ -11,7 +11,8 @@
 # against a second UPDATETREE path in crates/core, against a tuple-keyed
 # map in the graph recorder and against the searches the engine stopped
 # repeating (B-tree environment, second body walk, per-flush profile map),
-# against a second copy of a logged base tuple; and lint-clean clippy.
+# against a second copy of a logged base tuple, against name-keyed
+# bindings or whole-tuple table keys in the engine; and lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery.
@@ -129,16 +130,27 @@ step "gate: no tuple-keyed map in the recorder" absent \
     "crates/provenance/src/graph.rs keys a map by TupleRef" \
     "(Map|Set)<[[:space:]]*\(?[[:space:]]*&?(dp_types::)?TupleRef" \
     crates/provenance/src/graph.rs
-# The engine finds each thing once (PR 22): bindings live in one flat
-# name-sorted row, a derivation registers its head in the lookup that
-# re-checks the body tuple, and join counters are arrays indexed by rule.
-# The B-tree environment, the second walk over the body and the per-flush
-# profile map must not grow back. (Spelled in halves so this script passes
-# its own gate.)
+# The engine finds each thing once (PR 22): a derivation registers its
+# head in the lookup that re-checks the body tuple, and join counters are
+# arrays indexed by rule. The B-tree environment, the second walk over the
+# body and the per-flush profile map must not grow back. (Spelled in halves
+# so this script passes its own gate.)
 step "gate: the engine finds once" absent \
     "a search the engine stopped repeating reappeared" \
     "type Env = BTree""Map|fn add_""dependent|struct Fire""Stats" \
     crates
+# The engine binds by slot (PR 25): a rule is compiled to slots when the
+# program is built and fires into one reused frame, so nothing on the
+# firing path looks a variable up by name, and a table compares its rows by
+# their arguments, not by a tuple whose first field is the table's own name.
+# Name-keyed bindings (`Env`, `Rule::run_assigns`, `Expr::eval` over an
+# environment) belong to the oracle and DiffProv's reasoning; in the engine
+# they would be the second path this change deleted. (Spelled in halves so
+# this script passes its own gate.)
+step "gate: the engine binds by slot" absent \
+    "the engine binds by name or keys a table by whole tuples again" \
+    "\\bE""nv\\b|run_""assigns|\\.eval\\(&""env|BTreeMap<Arc<Tu""ple>, Slot>" \
+    crates/ndlog/src/engine.rs crates/ndlog/src/engine
 # A base tuple is held once per process (PR 24): the log keeps it behind
 # an `Arc`, and scheduling, patching and the layer reader hand that handle
 # on — the interner adopts it — instead of copying the tuple out of it.
