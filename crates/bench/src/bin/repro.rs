@@ -129,14 +129,6 @@ fn run_trace(scenario: &diffprov_core::Scenario) {
     ));
     let run = trace_cmd::trace_scenario(scenario).expect("traced diagnosis runs");
     print!("{}", trace_cmd::summary(&run));
-    let jsonl = format!("TRACE_{}.jsonl", scenario.name);
-    let chrome = format!("TRACE_{}.trace.json", scenario.name);
-    std::fs::write(&jsonl, run.trace.to_jsonl()).expect("trace file is writable");
-    std::fs::write(&chrome, run.trace.to_chrome()).expect("trace file is writable");
-    println!(
-        "  wrote {jsonl} ({} events) and {chrome} (load in Perfetto or chrome://tracing)",
-        run.trace.events.len()
-    );
 }
 
 fn run_stats(scenario: &diffprov_core::Scenario) {

@@ -1,21 +1,20 @@
 //! `repro -- trace <scenario>` / `repro -- stats <scenario>`: run one
-//! diagnostic scenario with a fully recording tracer (or dump the engine's
+//! diagnostic scenario with a tracer attached (or dump the engine's
 //! counters) for a single named scenario.
 //!
 //! The trace subcommand threads **one** shared [`Tracer`] through the good
 //! execution, the bad execution, and the DiffProv pipeline, so engine
 //! phases, provenance recording, tree extraction, and the alignment rounds
-//! interleave in a single stream. The text summary mirrors the Figure 7/8
-//! decomposition (and is derived from the very same aggregate the BENCH
-//! numbers come from); the raw stream is written as JSONL and as a Chrome
-//! `trace_event` file loadable in Perfetto / `chrome://tracing`.
+//! accumulate in a single aggregate. The text summary mirrors the Figure
+//! 7/8 decomposition (and is derived from the very same aggregate the
+//! BENCH numbers come from).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use diffprov_core::{DiffProv, Metrics, Report, Scenario};
 use dp_ndlog::join_profile_json;
-use dp_trace::{Aggregate, Trace, Tracer};
+use dp_trace::{Aggregate, Tracer};
 use dp_types::Result;
 
 /// The nine scenario names accepted by `trace` and `stats`.
@@ -36,18 +35,18 @@ pub fn find_scenario(name: &str) -> Option<Scenario> {
         .find(|s| s.name == name)
 }
 
-/// One traced diagnosis: the DiffProv report plus the full event stream.
+/// One traced diagnosis: the DiffProv report plus the aggregate.
 pub struct TraceRun {
     /// The diagnosis result.
     pub report: Report,
-    /// The drained trace (events + aggregate).
-    pub trace: Trace,
+    /// Every series the diagnosis reported.
+    pub aggregate: Aggregate,
 }
 
-/// Runs DiffProv on `scenario` with a fully recording tracer shared by
-/// both executions and the pipeline, and drains the trace.
+/// Runs DiffProv on `scenario` with one tracer shared by both executions
+/// and the pipeline, and reads its aggregate.
 pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
-    let tracer = Tracer::full();
+    let tracer = Tracer::aggregate_only();
     let mut good_exec = scenario.good_exec.clone();
     let mut bad_exec = scenario.bad_exec.clone();
     good_exec.tracer = tracer.clone();
@@ -69,7 +68,7 @@ pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
     let report = scenario.diagnose_with(&dp)?;
     Ok(TraceRun {
         report,
-        trace: tracer.finish(),
+        aggregate: tracer.aggregate(),
     })
 }
 
@@ -84,7 +83,7 @@ const SERIES_HEADING: &str = "every series the aggregate holds, by name:";
 /// Figure 7/8 phase breakdown, per-span timing, the rules ranked by join
 /// effort, and every other series the aggregate holds, by name.
 pub fn summary(run: &TraceRun) -> String {
-    let agg = &run.trace.aggregate;
+    let agg = &run.aggregate;
     let m = Metrics::from_aggregate_delta(&Aggregate::default(), agg);
     let mut s = String::new();
 
@@ -266,23 +265,18 @@ mod tests {
         assert!(find_scenario("SDN9").is_none());
     }
 
-    /// A traced diagnosis yields a skeleton, both export formats, and a
-    /// summary whose phase totals derive from the same aggregate.
+    /// A traced diagnosis yields a summary whose phase totals derive from
+    /// its aggregate.
     #[test]
     fn traced_diagnosis_produces_outputs() {
         let scenario = find_scenario("SDN1").unwrap();
         let run = trace_scenario(&scenario).unwrap();
         assert!(run.report.succeeded());
-        assert!(!run.trace.events.is_empty());
-        assert!(run.trace.aggregate.span_count("engine.run") > 0);
-        assert!(run.trace.aggregate.span_count("diffprov.find_seeds") == 1);
-        let skel = run.trace.skeleton();
-        assert!(skel.contains("B diffprov.replay"), "{skel}");
-        let chrome = run.trace.to_chrome();
-        assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
+        assert!(run.aggregate.span_count("engine.run") > 0);
+        assert!(run.aggregate.span_count("diffprov.find_seeds") == 1);
         let text = summary(&run);
         assert!(text.contains("phase breakdown"), "{text}");
-        let bytes = run.trace.aggregate.level("prov.bytes");
+        let bytes = run.aggregate.level("prov.bytes");
         assert!(bytes > 0 && text.contains(&format!(" graph records in {bytes} bytes (")), "{text}");
         assert!(text.contains("top rules by join effort"), "{text}");
     }
@@ -294,7 +288,7 @@ mod tests {
     fn summary_tail_lists_every_series_once() {
         for name in ["SDN1", "campus"] {
             let run = trace_scenario(&find_scenario(name).unwrap()).unwrap();
-            let agg = &run.trace.aggregate;
+            let agg = &run.aggregate;
             let text = summary(&run);
             let (_, tail) = text.split_once(SERIES_HEADING).expect(name);
             let mut groups: Vec<Vec<&str>> = Vec::new();

@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dp_ndlog::{Constraint, Env, Expr, Func, Program, TupleChange};
-use dp_trace::{Class, Tracer};
+use dp_trace::Tracer;
 use dp_provenance::{tuple_view, TreeIdx, TupleTree};
 use dp_replay::{Execution, Replayed};
 use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef, Value};
@@ -74,9 +74,7 @@ pub struct DiffProv {
     /// change-set size. When disabled (the default),
     /// [`DiffProv::diagnose`] still times itself through a private
     /// aggregate-only tracer — the [`Metrics`] breakdown is *always* read
-    /// off the span aggregate. The pipeline spans are deterministic
-    /// ([`dp_trace::Class::Skeleton`]): their sequence depends only on the
-    /// executions and events under diagnosis.
+    /// off the span aggregate.
     pub tracer: Tracer,
 }
 
@@ -140,9 +138,9 @@ impl DiffProv {
         // serves both trees — the paper's batching (Section 6.6).
         let shared =
             Arc::ptr_eq(&good.program, &bad.program) && good.log.events() == bad.log.events();
-        let span = tracer.span("diffprov.replay", Class::Skeleton, None);
+        let span = tracer.span("diffprov.replay");
         let replayed_good = good.replay()?;
-        span.end(None, &[("shared", shared as u64)]);
+        span.end();
 
         let good_tree = replayed_good
             .query_at(&good_event.tref, good_event.at)
@@ -160,9 +158,9 @@ impl DiffProv {
             replayed_good
         } else {
             drop(replayed_good);
-            let span = tracer.span("diffprov.replay", Class::Skeleton, None);
+            let span = tracer.span("diffprov.replay");
             let r = bad.replay()?;
-            span.end(None, &[("shared", 0)]);
+            span.end();
             r
         };
         let bad_tree = replayed_bad
@@ -177,18 +175,12 @@ impl DiffProv {
         let bad_view = tuple_view(&bad_tree);
 
         // Phase 2: find the seeds.
-        let span = tracer.span("diffprov.find_seeds", Class::Skeleton, None);
+        let span = tracer.span("diffprov.find_seeds");
         let good_seed_idx = good_view.seed();
         let bad_seed_idx = bad_view.seed();
         let good_seed = good_view.node(good_seed_idx).tref.clone();
         let bad_seed = bad_view.node(bad_seed_idx).tref.clone();
-        span.end(
-            None,
-            &[
-                ("good_tree", good_tree.len() as u64),
-                ("bad_tree", bad_tree.len() as u64),
-            ],
-        );
+        span.end();
 
         let mut report = Report {
             delta: Vec::new(),
@@ -229,13 +221,7 @@ impl DiffProv {
         // Phases 4–6: align, round by round.
         let mut outcome: std::result::Result<(), Failure> = Ok(());
         for _round in 0..self.max_rounds {
-            tracer.instant(
-                "diffprov.round",
-                Class::Skeleton,
-                None,
-                &[("round", report.rounds.len() as u64)],
-            );
-            let span = tracer.span("diffprov.detect_divergence", Class::Skeleton, None);
+            let span = tracer.span("diffprov.detect_divergence");
             let mut divergence: Option<(TreeIdx, TupleRef)> = None;
             let mut walk_result: AResult<()> = Ok(());
             for &idx in &chain {
@@ -252,7 +238,7 @@ impl DiffProv {
                     }
                 }
             }
-            span.end(None, &[("diverged", divergence.is_some() as u64)]);
+            span.end();
             if let Err(e) = walk_result {
                 match e {
                     AlignError::Fail(f) => {
@@ -266,16 +252,11 @@ impl DiffProv {
             let Some((div_idx, div_exp)) = divergence else {
                 // No divergence: the trees are aligned.
                 outcome = Ok(());
-                report.rounds.push(Round {
-                    divergence: good_view.node(*chain.last().expect("nonempty")).tref.clone(),
-                    changes: Vec::new(),
-                });
-                report.rounds.pop(); // only real rounds are recorded
                 break;
             };
 
             let before_len = delta.len();
-            let span = tracer.span("diffprov.make_appear", Class::Skeleton, None);
+            let span = tracer.span("diffprov.make_appear");
             let ma = {
                 let mut ctx = AlignCtx {
                     view: &good_view,
@@ -287,7 +268,7 @@ impl DiffProv {
                 };
                 ctx.make_appear(div_idx)
             };
-            span.end(None, &[("changes", (delta.len() - before_len) as u64)]);
+            span.end();
             match ma {
                 Ok(()) => {}
                 Err(AlignError::Fail(f)) => {
@@ -310,15 +291,9 @@ impl DiffProv {
             // changes — from the first log position they touch, on the
             // recording already held (or, when that position is early, by
             // releasing it and replaying the patched log).
-            let span = tracer.span("diffprov.update_tree", Class::Skeleton, None);
+            let span = tracer.span("diffprov.update_tree");
             replayed_bad.roll_forward(bad, &delta, inject_at)?;
-            span.end(
-                None,
-                &[
-                    ("round", report.rounds.len() as u64),
-                    ("changes", delta.len() as u64),
-                ],
-            );
+            span.end();
             promised.clear();
 
             if report.rounds.len() >= self.max_rounds {
@@ -339,7 +314,7 @@ impl DiffProv {
                 // the bad seed preserved. Field values legitimately differ
                 // wherever taints or repairs apply, so the check is
                 // structural (Definition 1's "equivalence").
-                let span = tracer.span("diffprov.verify", Class::Skeleton, None);
+                let span = tracer.span("diffprov.verify");
                 report.verified = (|| {
                     let root_exp = taint.expected_tref(TupleTree::ROOT).ok()?;
                     let new_tree = replayed_bad.query(&root_exp)?;
@@ -356,7 +331,7 @@ impl DiffProv {
                         .then_some(())
                 })()
                 .is_some();
-                span.end(None, &[("verified", report.verified as u64)]);
+                span.end();
             }
             Err(f) => {
                 report.delta = delta;
@@ -383,9 +358,8 @@ impl DiffProv {
         } else {
             "diffprov.diagnoses{outcome=unverified}"
         };
-        self.tracer.counter(outcome, Class::Skeleton, 1);
-        self.tracer
-            .counter("diffprov.rounds", Class::Skeleton, report.rounds.len() as u64);
+        self.tracer.counter(outcome, 1);
+        self.tracer.counter("diffprov.rounds", report.rounds.len() as u64);
         self.tracer.update(|agg| {
             agg.observe_size("diffprov.tree_vertices{side=good}", report.good_tree_size as u64);
             agg.observe_size("diffprov.tree_vertices{side=bad}", report.bad_tree_size as u64);

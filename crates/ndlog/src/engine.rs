@@ -150,7 +150,7 @@ mod state;
 
 pub use state::{NodeState, NodeView};
 
-use dp_trace::{series, Class, Tracer};
+use dp_trace::{series, Tracer};
 use dp_types::{
     Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore,
 };
@@ -579,20 +579,19 @@ impl<S: ProvenanceSink> Engine<S> {
     /// an enabled tracer costs a handful of mutex-guarded updates per
     /// batch:
     ///
-    /// * a `Class::Skeleton` `engine.run` span per [`Engine::run`], ticked
-    ///   by an `engine.tick` instant at every completed due-group; at
-    ///   quiescence the run's [`Stats`] deltas, per-rule firings and join
-    ///   effort and per-node live counts are published once, from the one
-    ///   table in `publish_run`;
-    /// * `Class::Effort` spans around each batch flush (`engine.flush`,
-    ///   `engine.fire`, `engine.sink`); the batch-depth histogram and the
-    ///   queue-depth level ride the close of `engine.flush`.
+    /// * an `engine.run` span per [`Engine::run`]; at quiescence the run's
+    ///   [`Stats`] deltas, per-rule firings and join effort and per-node
+    ///   live counts are published once, from the one table in
+    ///   `publish_run`;
+    /// * spans around each batch flush (`engine.flush`, `engine.fire`,
+    ///   `engine.sink`); the batch-depth histogram and the queue-depth
+    ///   level ride the close of `engine.flush`.
     ///
-    /// Instrumentation is strictly passive, and the skeleton rendering of
-    /// the resulting trace depends only on the program and its input;
+    /// Instrumentation is strictly passive, and every series but span wall
+    /// time depends only on the program and its input;
     /// `crates/ndlog/tests/trace_differential.rs` pins both. Cloning one
-    /// tracer into several engines (and the DiffProv pipeline) interleaves
-    /// their events in a single stream.
+    /// tracer into several engines (and the DiffProv pipeline) accumulates
+    /// their series in one aggregate.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -699,8 +698,7 @@ impl<S: ProvenanceSink> Engine<S> {
         // tracer then accumulate correctly in the aggregate.
         let traced = self.tracer.is_enabled().then(|| {
             (
-                self.tracer
-                    .span("engine.run", Class::Skeleton, Some(self.clock)),
+                self.tracer.span("engine.run"),
                 self.stats,
                 self.rule_firings(),
                 self.join_profile(),
@@ -717,7 +715,7 @@ impl<S: ProvenanceSink> Engine<S> {
         self.stats.peak_interned = self.stats.peak_interned.max(self.store.len() as u64);
         if let Some((span, s0, firings0, profile0)) = traced {
             self.publish_run(s0, &firings0, &profile0);
-            span.end(Some(self.clock), &[("events", self.stats.events - s0.events)]);
+            span.end();
         }
         result.map(|()| self.stats)
     }
@@ -726,20 +724,13 @@ impl<S: ProvenanceSink> Engine<S> {
     /// `engine.run` span closes: the one place the engine's quantities get
     /// their names. Counters carry this run's deltas, so several runs (or
     /// engines) sharing one tracer add up; levels are absolute readings
-    /// and are set or raised instead. Skeleton rows are the ones the
-    /// program and its input determine (a pruned or trie-probed join finds
-    /// the same derivations, just cheaper); probe/scan/batching effort is
-    /// tagged as such — `join_matches` included: a scan pattern-matches
-    /// route entries whose prefix the trie would never surface (the
-    /// constraint rejects them after the match), so the count depends on
-    /// the access path.
+    /// and are set or raised instead.
     fn publish_run(
         &self,
         s0: Stats,
         firings0: &BTreeMap<Sym, u64>,
         profile0: &BTreeMap<Sym, RuleJoinProfile>,
     ) {
-        use Class::{Effort, Skeleton};
         /// How a [`Stats`] field reaches the aggregate.
         enum Publish {
             /// Monotone: this run's delta is added to a counter.
@@ -747,53 +738,51 @@ impl<S: ProvenanceSink> Engine<S> {
             /// High-water mark: the level is raised to the field.
             Peak,
         }
-        /// One [`Stats`] field: how to read it, its name, its class, how
-        /// it is published.
-        type Row = (fn(&Stats) -> u64, &'static str, Class, Publish);
+        /// One [`Stats`] field: how to read it, its name, how it is
+        /// published.
+        type Row = (fn(&Stats) -> u64, &'static str, Publish);
         const STATS: [Row; 15] = [
-            (|s| s.events, "engine.events", Skeleton, Publish::Delta),
-            (|s| s.base_inserts, "engine.base_inserts", Skeleton, Publish::Delta),
-            (|s| s.base_deletes, "engine.base_deletes", Skeleton, Publish::Delta),
-            (|s| s.derivations, "engine.derivations", Skeleton, Publish::Delta),
-            (|s| s.underivations, "engine.underivations", Skeleton, Publish::Delta),
-            (|s| s.peak_tuples, "engine.peak_tuples", Skeleton, Publish::Peak),
-            (|s| s.join_probes, "engine.join_probes", Effort, Publish::Delta),
-            (|s| s.join_scans, "engine.join_scans", Effort, Publish::Delta),
-            (|s| s.trie_probes, "engine.trie_probes", Effort, Publish::Delta),
-            (|s| s.trie_scans, "engine.trie_scans", Effort, Publish::Delta),
-            (|s| s.join_candidates, "engine.join_candidates", Effort, Publish::Delta),
-            (|s| s.join_matches, "engine.join_matches", Effort, Publish::Delta),
-            (|s| s.batches, "engine.batches", Effort, Publish::Delta),
-            (|s| s.batched_deltas, "engine.batched_deltas", Effort, Publish::Delta),
-            (|s| s.peak_interned, "engine.peak_interned", Effort, Publish::Peak),
+            (|s| s.events, "engine.events", Publish::Delta),
+            (|s| s.base_inserts, "engine.base_inserts", Publish::Delta),
+            (|s| s.base_deletes, "engine.base_deletes", Publish::Delta),
+            (|s| s.derivations, "engine.derivations", Publish::Delta),
+            (|s| s.underivations, "engine.underivations", Publish::Delta),
+            (|s| s.peak_tuples, "engine.peak_tuples", Publish::Peak),
+            (|s| s.join_probes, "engine.join_probes", Publish::Delta),
+            (|s| s.join_scans, "engine.join_scans", Publish::Delta),
+            (|s| s.trie_probes, "engine.trie_probes", Publish::Delta),
+            (|s| s.trie_scans, "engine.trie_scans", Publish::Delta),
+            (|s| s.join_candidates, "engine.join_candidates", Publish::Delta),
+            (|s| s.join_matches, "engine.join_matches", Publish::Delta),
+            (|s| s.batches, "engine.batches", Publish::Delta),
+            (|s| s.batched_deltas, "engine.batched_deltas", Publish::Delta),
+            (|s| s.peak_interned, "engine.peak_interned", Publish::Peak),
         ];
         let t = &self.tracer;
-        for (field, name, class, publish) in STATS {
+        for (field, name, publish) in STATS {
             match publish {
-                Publish::Delta => t.counter(name, class, field(&self.stats) - field(&s0)),
-                Publish::Peak => t.level_max(name, class, field(&self.stats)),
+                Publish::Delta => t.counter(name, field(&self.stats) - field(&s0)),
+                Publish::Peak => t.level_max(name, field(&self.stats)),
             }
         }
-        // The fixpoint is the program's, so the live counts are
-        // deterministic.
-        t.level("engine.live_tuples", Skeleton, self.live_tuples);
+        t.level("engine.live_tuples", self.live_tuples);
         for (node, state) in self.nodes() {
-            t.level(&series("engine.node_live", "node", node), Skeleton, state.len() as u64);
+            t.level(&series("engine.node_live", "node", node), state.len() as u64);
         }
-        let per_rule = |family: &str, class, rule: &Sym, now: u64, before: u64| {
+        let per_rule = |family: &str, rule: &Sym, now: u64, before: u64| {
             if now > before {
-                t.counter(&series(family, "rule", rule), class, now - before);
+                t.counter(&series(family, "rule", rule), now - before);
             }
         };
         for (rule, &n) in &self.rule_firings() {
             let prev = firings0.get(rule).copied().unwrap_or(0);
-            per_rule("engine.rule_fired", Skeleton, rule, n, prev);
+            per_rule("engine.rule_fired", rule, n, prev);
         }
         for (rule, p) in &self.join_profile() {
             let prev = profile0.get(rule).copied().unwrap_or_default();
-            per_rule("engine.rule_attempts", Effort, rule, p.attempts, prev.attempts);
-            per_rule("engine.rule_candidates", Effort, rule, p.candidates, prev.candidates);
-            per_rule("engine.rule_matches", Effort, rule, p.matches, prev.matches);
+            per_rule("engine.rule_attempts", rule, p.attempts, prev.attempts);
+            per_rule("engine.rule_candidates", rule, p.candidates, prev.candidates);
+            per_rule("engine.rule_matches", rule, p.matches, prev.matches);
         }
     }
 
@@ -837,17 +826,6 @@ impl<S: ProvenanceSink> Engine<S> {
             if self.queue.next_due() != Some(ev.due) {
                 self.flush_batch()?;
             }
-            // Deterministic tick: this event closed its due-group. The
-            // boundary is (re-)evaluated after the flush, whose firings
-            // may push same-`due` actions extending the group.
-            if self.tracer.is_enabled() && self.queue.next_due() != Some(ev.due) {
-                self.tracer.instant(
-                    "engine.tick",
-                    Class::Skeleton,
-                    Some(self.clock),
-                    &[("due", ev.due), ("events", self.stats.events)],
-                );
-            }
         }
         debug_assert!(self.pending.is_empty() && self.events.is_empty());
         Ok(())
@@ -859,22 +837,14 @@ impl<S: ProvenanceSink> Engine<S> {
         if self.events.is_empty() {
             return;
         }
-        let span = self.tracer.is_enabled().then(|| {
-            (
-                self.tracer
-                    .span("engine.sink", Class::Effort, Some(self.clock)),
-                self.events.len() as u64,
-            )
-        });
+        let span = self.tracer.span("engine.sink");
         // The sink may take the vector; hand the (cleared) allocation back
         // either way so the next batch reuses it.
         let mut events = std::mem::take(&mut self.events);
         self.sink.record_batch(&mut events);
         events.clear();
         self.events = events;
-        if let Some((span, n)) = span {
-            span.end(Some(self.clock), &[("events", n)]);
-        }
+        span.end();
     }
 
     fn note_appear(&mut self) {
@@ -1111,21 +1081,12 @@ impl<S: ProvenanceSink> Engine<S> {
     /// batch's actions.
     fn flush_batch(&mut self) -> Result<()> {
         if !self.pending.is_empty() {
-            // Effort-class instrumentation only: batch structure is a
-            // property of the engine, not of the program, so none of
-            // these spans belong to the deterministic skeleton.
-            let traced = self.tracer.is_enabled();
-            let s0 = self.stats;
-            let flush_span =
-                traced.then(|| self.tracer.span("engine.flush", Class::Effort, Some(self.clock)));
+            let flush_span = self.tracer.span("engine.flush");
             let deltas = std::mem::take(&mut self.pending);
             self.stats.batches += 1;
             self.stats.batched_deltas += deltas.len() as u64;
             let mut actions = std::mem::take(&mut self.flush_buf);
-            let span = traced.then(|| {
-                self.tracer
-                    .span("engine.fire", Class::Effort, Some(self.clock))
-            });
+            let span = self.tracer.span("engine.fire");
             let ctx = FireCtx {
                 program: &self.program,
                 nodes: &self.nodes,
@@ -1138,9 +1099,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 scratch: &mut self.scratch,
             };
             let fired = ctx.fire_deltas(&deltas, &mut out);
-            if let Some(span) = span {
-                span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
-            }
+            span.end();
             if let Err(e) = fired {
                 // What the deltas before the failing one scheduled is
                 // dropped here, not left for the next flush to queue.
@@ -1152,22 +1111,11 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.push(due, action);
             }
             self.flush_buf = actions;
-            if let Some(span) = flush_span {
-                let s = self.stats;
-                let (depth, queued) = (deltas.len() as u64, self.queue.len() as u64);
-                span.end_with(
-                    Some(self.clock),
-                    &[
-                        ("deltas", depth),
-                        ("candidates", s.join_candidates - s0.join_candidates),
-                        ("matches", s.join_matches - s0.join_matches),
-                    ],
-                    |agg| {
-                        agg.observe_size("engine.batch_deltas", depth);
-                        agg.set_level("engine.queue_depth", queued);
-                    },
-                );
-            }
+            let (depth, queued) = (deltas.len() as u64, self.queue.len() as u64);
+            flush_span.end_with(|agg| {
+                agg.observe_size("engine.batch_deltas", depth);
+                agg.set_level("engine.queue_depth", queued);
+            });
         }
         self.drain_events();
         Ok(())

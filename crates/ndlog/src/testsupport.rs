@@ -23,7 +23,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dp_trace::Tracer;
 use dp_types::{NodeId, Sym, Tuple};
 
 use crate::engine::{Engine, NodeState, Stats, TupleState};
@@ -54,8 +53,6 @@ pub fn schedule_all<S: ProvenanceSink>(eng: &mut Engine<S>, ops: &[ScheduledOp])
 pub struct Outcome {
     /// The raw provenance event stream, byte-for-byte comparable.
     pub events: Vec<ProvEvent>,
-    /// The rendered deterministic trace skeleton, when the run was traced.
-    pub skeleton: Option<String>,
     /// Per-rule firing counts.
     pub firings: BTreeMap<Sym, u64>,
     /// Raw stat counters.
@@ -66,21 +63,7 @@ pub struct Outcome {
 
 /// Runs a schedule through the engine and collects the [`Outcome`].
 pub fn run_schedule(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
-    run_impl(program, ops, false)
-}
-
-/// Like [`run_schedule`], but with a fully recording tracer attached;
-/// `Outcome::skeleton` carries the rendered deterministic skeleton.
-pub fn run_schedule_traced(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
-    run_impl(program, ops, true)
-}
-
-fn run_impl(program: &Arc<Program>, ops: &[ScheduledOp], traced: bool) -> Outcome {
     let mut eng = Engine::new(Arc::clone(program), VecSink::default());
-    let tracer = traced.then(Tracer::full);
-    if let Some(t) = &tracer {
-        eng.set_tracer(t.clone());
-    }
     schedule_all(&mut eng, ops);
     eng.run().unwrap();
     let firings = eng.rule_firings();
@@ -88,7 +71,6 @@ fn run_impl(program: &Arc<Program>, ops: &[ScheduledOp], traced: bool) -> Outcom
     let tables = tables(eng.nodes());
     Outcome {
         events: eng.into_sink().events,
-        skeleton: tracer.map(|t| t.finish().skeleton()),
         firings,
         stats,
         tables,

@@ -652,8 +652,7 @@ impl GraphRecorder {
     }
 
     /// A recorder that times its batched folds into `tracer` (as
-    /// `Class::Effort` `prov.record_batch` spans — batch structure is a
-    /// property of the engine, not of the program). The events folded and
+    /// `prov.record_batch` spans). The events folded and
     /// the graph's size ride each span's close as
     /// `prov.events` / `prov.live_records`, and with them what the records
     /// cost: `prov.bytes` ([`ProvGraph::bytes`]) and
@@ -681,25 +680,18 @@ impl ProvenanceSink for GraphRecorder {
     /// order — the resulting graph is identical to the one built by
     /// per-event delivery.
     fn record_batch(&mut self, events: &mut Vec<ProvEvent>) {
-        let span = self.tracer.is_enabled().then(|| {
-            (
-                self.tracer
-                    .span("prov.record_batch", dp_trace::Class::Effort, None),
-                events.len() as u64,
-            )
-        });
+        let (span, n) = (self.tracer.span("prov.record_batch"), events.len() as u64);
         for event in events.drain(..) {
             self.graph.record_event(event);
         }
-        if let Some((span, n)) = span {
-            let (live, bytes) = (self.graph.len() as u64, self.graph.bytes() as u64);
-            span.end_with(None, &[("events", n)], |agg| {
-                agg.add("prov.events", n);
-                agg.set_level("prov.live_records", live);
-                agg.set_level("prov.bytes", bytes);
-                agg.set_level("prov.bytes_per_record", bytes / live.max(1));
-            });
-        }
+        let graph = &self.graph;
+        span.end_with(|agg| {
+            let (live, bytes) = (graph.len() as u64, graph.bytes() as u64);
+            agg.add("prov.events", n);
+            agg.set_level("prov.live_records", live);
+            agg.set_level("prov.bytes", bytes);
+            agg.set_level("prov.bytes_per_record", bytes / live.max(1));
+        });
     }
 }
 

@@ -16,7 +16,7 @@ use dp_ndlog::{Constraint, Engine, HashSink, NullSink, Program, ProvenanceSink, 
 use dp_provenance::{
     extract_tree, extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree,
 };
-use dp_trace::{Class, Tracer};
+use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
@@ -40,9 +40,9 @@ pub struct Execution {
     pub log: EventLog,
     /// The instrumentation handle threaded into every engine, recorder,
     /// store and tree extraction this execution performs (disabled by
-    /// default). Cloned freely — clones share one aggregate and one event
-    /// stream, so the UPDATETREE replays of a cloned execution land in the
-    /// same trace as the original's. Strictly passive: every setting
+    /// default). Cloned freely — clones share one aggregate, so the
+    /// UPDATETREE replays of a cloned execution add up with the
+    /// original's. Strictly passive: every setting
     /// replays the identical provenance stream.
     pub tracer: Tracer,
     /// Shim for the frozen `benchmark/` (ROADMAP item 7): read by nothing.
@@ -142,9 +142,9 @@ impl Replayed {
     ) -> Result<()> {
         let tracer = self.engine.tracer().clone();
         if self.rewind(exec, delta, inject_at, always_withdraw, &tracer)? {
-            tracer.counter("replay.rolled{path=roll}", Class::Skeleton, 1);
+            tracer.counter("replay.rolled{path=roll}", 1);
         } else {
-            tracer.counter("replay.rolled{path=scratch}", Class::Skeleton, 1);
+            tracer.counter("replay.rolled{path=scratch}", 1);
             // Release the held recording before the replay builds its log
             // and allocates its own, so the two never coexist.
             self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
@@ -170,7 +170,7 @@ impl Replayed {
         // beside it would raise the diagnosis's peak memory.
         let log = exec.log.events();
         let (rolled, rolled_at) = std::mem::take(&mut self.rolled);
-        let span = tracer.span("replay.fork", Class::Skeleton, Some(self.now()));
+        let span = tracer.span("replay.fork");
         let held = Patched::new(&log, &rolled, rolled_at);
         let patched = Patched::new(&log, delta, inject_at);
         let held_len = held.len();
@@ -185,10 +185,10 @@ impl Replayed {
                 pair => break pair,
             }
         };
-        tracer.counter("replay.fork_events", Class::Skeleton, (held_len - fork) as u64);
-        tracer.counter("replay.log_events", Class::Skeleton, held_len as u64);
+        tracer.counter("replay.fork_events", (held_len - fork) as u64);
+        tracer.counter("replay.log_events", held_len as u64);
         if !always_withdraw && 2 * fork < held_len {
-            span.end(Some(self.now()), &[("events", held_len as u64), ("fork", fork as u64)]);
+            span.end();
             return Ok(false);
         }
         let rest = |first: Option<Cow<BaseEvent>>, rest: PatchedEvents| -> Vec<BaseEvent> {
@@ -209,7 +209,7 @@ impl Replayed {
         } else {
             effective_ops(held.events().take(fork), &withdrawn)
         };
-        span.end(Some(self.now()), &[("events", held_len as u64), ("fork", fork as u64)]);
+        span.end();
 
         // The due the two (sorted) logs part at: nothing a suffix event
         // caused appeared before it.
@@ -224,7 +224,7 @@ impl Replayed {
     /// Re-issues `suffix`, shifted so that its first event is due just
     /// after the current clock and the spacing between its dues is kept.
     fn reissue(&mut self, suffix: &[BaseEvent], tracer: &Tracer) -> Result<()> {
-        let span = tracer.span("replay.reissue", Class::Skeleton, Some(self.now()));
+        let span = tracer.span("replay.reissue");
         if let Some(first) = suffix.first() {
             let base = self.now() + 1;
             for e in suffix {
@@ -233,7 +233,7 @@ impl Replayed {
             self.scheduled += suffix.len() as u64;
             self.engine.run()?;
         }
-        span.end(Some(self.now()), &[("events", suffix.len() as u64)]);
+        span.end();
         Ok(())
     }
 
@@ -252,7 +252,7 @@ impl Replayed {
     /// is trusted only when no node holds, for any such rule, a live tuple
     /// in every body table with one of them appeared at or after `since`.
     fn withdraw(&mut self, undo: &[&BaseEvent], since: LogicalTime, tracer: &Tracer) -> Result<bool> {
-        let span = tracer.span("replay.withdraw", Class::Skeleton, Some(self.now()));
+        let span = tracer.span("replay.withdraw");
         let at = self.now();
         for e in undo.iter().rev() {
             let inverse = match e.op {
@@ -288,10 +288,7 @@ impl Replayed {
                 !(tables.iter().all(live) && tables.iter().any(late))
             })
         });
-        span.end(
-            Some(self.now()),
-            &[("events", undo.len() as u64), ("settled", settled as u64)],
-        );
+        span.end();
         Ok(settled)
     }
 
@@ -322,15 +319,14 @@ impl Replayed {
     /// engine's own table holds the clock it appeared at.
     pub fn query(&self, root: &TupleRef) -> Option<ProvTree> {
         let now = self.now();
-        let span = self.extract_span(now);
-        let tree = self.live_since(root).and_then(|since| {
-            // A miss is a live tuple whose episode the recording does
-            // not have under its key (it started mid-stream).
-            extract_tree_since(self.graph(), root, since)
-                .or_else(|| extract_tree(self.graph(), root, now))
-        });
-        self.close_extract_span(span, now, tree.as_ref());
-        tree
+        self.timed_extract(|| {
+            self.live_since(root).and_then(|since| {
+                // A miss is a live tuple whose episode the recording does
+                // not have under its key (it started mid-stream).
+                extract_tree_since(self.graph(), root, since)
+                    .or_else(|| extract_tree(self.graph(), root, now))
+            })
+        })
     }
 
     /// The provenance tree of `root` as of `at` (temporal query; tolerates
@@ -342,14 +338,12 @@ impl Replayed {
     /// or that reappeared after `at`, costs the graph a scan of its
     /// episodes.
     pub fn query_at(&self, root: &TupleRef, at: LogicalTime) -> Option<ProvTree> {
-        let span = self.extract_span(at);
-        let tree = self
-            .live_since(root)
-            .filter(|&since| since <= at)
-            .and_then(|since| extract_tree_since(self.graph(), root, since))
-            .or_else(|| extract_tree_latest(self.graph(), root, at));
-        self.close_extract_span(span, at, tree.as_ref());
-        tree
+        self.timed_extract(|| {
+            self.live_since(root)
+                .filter(|&since| since <= at)
+                .and_then(|since| extract_tree_since(self.graph(), root, since))
+                .or_else(|| extract_tree_latest(self.graph(), root, at))
+        })
     }
 
     /// When the live tuple `root` appeared: the key of its open episode.
@@ -357,29 +351,18 @@ impl Replayed {
         Some(self.engine.lookup(&root.node, &root.tuple)?.appeared_at)
     }
 
-    /// Opens the extraction span on the replaying engine's tracer (inert
-    /// when that is disabled): the one stopwatch around a tree extraction.
-    /// Extraction reads the recorded provenance only, and that is a
-    /// function of the program and its log, so the span (and its
-    /// found/size payload) belongs to the deterministic skeleton.
-    fn extract_span(&self, at: LogicalTime) -> dp_trace::Span {
-        self.engine
-            .tracer()
-            .span("prov.extract", Class::Skeleton, Some(at))
-    }
-
-    /// Closes the extraction span; a found tree's size rides the close.
-    fn close_extract_span(&self, span: dp_trace::Span, at: LogicalTime, tree: Option<&ProvTree>) {
-        let size = tree.map(|t| t.len() as u64);
-        span.end_with(
-            Some(at),
-            &[("found", size.is_some() as u64), ("size", size.unwrap_or(0))],
-            |agg| {
-                if let Some(size) = size {
-                    agg.observe_size("prov.tree_vertices", size);
-                }
-            },
-        );
+    /// Runs `extract` in a `prov.extract` span on the replaying engine's
+    /// tracer (inert when that is disabled): the one stopwatch around a
+    /// tree extraction. A found tree's size rides the close.
+    fn timed_extract(&self, extract: impl FnOnce() -> Option<ProvTree>) -> Option<ProvTree> {
+        let span = self.engine.tracer().span("prov.extract");
+        let tree = extract();
+        span.end_with(|agg| {
+            if let Some(tree) = &tree {
+                agg.observe_size("prov.tree_vertices", tree.len() as u64);
+            }
+        });
+        tree
     }
 }
 
@@ -415,11 +398,9 @@ impl Execution {
     ) -> Result<(Engine<S>, usize)> {
         let mut engine = Engine::new(Arc::clone(&self.program), sink);
         self.configure(&mut engine);
-        // The span and its event count depend on the log alone, so they
-        // belong to the deterministic skeleton.
-        let span = self.tracer.span("replay.schedule", Class::Skeleton, None);
+        let span = self.tracer.span("replay.schedule");
         let scheduled = self.log.schedule_into(&mut engine, until)?;
-        span.end(None, &[("events", scheduled as u64)]);
+        span.end_with(|agg| agg.add("replay.scheduled", scheduled as u64));
         engine.run()?;
         Ok((engine, scheduled))
     }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, HashSink};
-use dp_trace::{Class, Tracer};
+use dp_trace::Tracer;
 use dp_types::{Error, LogicalTime, NodeId, Result};
 
 pub use self::layer::{Layer, SeqEvent};
@@ -90,9 +90,8 @@ pub struct DurableStore {
     dir: PathBuf,
     layers: Vec<Layer>,
     /// The tracer of the [`Execution`] that last spilled into this store
-    /// (disabled until one does): times seals (`store.seal` spans,
-    /// `Class::Effort` — where the log lives is configuration, not
-    /// program) and carries the store's size levels.
+    /// (disabled until one does): times seals (`store.seal` spans) and
+    /// carries the store's size levels.
     tracer: Tracer,
     _temp: Option<TempDir>,
 }
@@ -171,7 +170,7 @@ impl DurableStore {
         if events.is_empty() {
             return Ok(0);
         }
-        let span = self.tracer.span("store.seal", Class::Effort, None);
+        let span = self.tracer.span("store.seal");
         // The stack holds sequence numbers `0..n` exactly, so the next is n.
         let base = self.event_count();
         let mut by_node: BTreeMap<NodeId, Vec<SeqEvent>> = BTreeMap::new();
@@ -191,7 +190,7 @@ impl DurableStore {
         }
         self.layers.sort_by_key(|l| l.first_seq);
         let sealed = events.len() as u64;
-        span.end_with(None, &[("events", sealed), ("files", files as u64)], |agg| {
+        span.end_with(|agg| {
             agg.add("store.sealed_events", sealed);
             // The size levels ride the close of every seal span, so a
             // snapshot taken mid-spill sees the store as grown so far.
@@ -318,7 +317,7 @@ impl Execution {
     /// was sealed into, the result is bit-identical to
     /// [`Execution::stream_digest`].
     pub fn recovered_stream_digest(&self, store: &DurableStore) -> Result<(u64, u64)> {
-        let span = self.tracer.span("store.recovery", Class::Effort, None);
+        let span = self.tracer.span("store.recovery");
         let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
         self.configure(&mut engine);
         for e in store.merged() {
@@ -326,7 +325,7 @@ impl Execution {
         }
         engine.run()?;
         let sink = engine.into_sink();
-        span.end(None, &[("events", sink.count)]);
+        span.end();
         Ok((sink.digest(), sink.count))
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use dp_provenance::Episode;
 use dp_replay::{BaseOp, Execution, Replayed};
 use dp_sdn::{campus, sdn3, CampusConfig};
-use dp_trace::{TraceEvent, Tracer};
+use dp_trace::Tracer;
 use dp_types::{LogicalTime, TupleRef};
 
 /// What the cases covered, so a run that exercised nothing fails.
@@ -42,21 +42,17 @@ fn root_of(r: &Replayed, tref: &TupleRef, at: Option<LogicalTime>) -> Option<u32
 
 /// Replays `exec` (its events due by `until`, if given) and holds every
 /// recorded tuple's queries to the scan. The replay is traced: its
-/// `replay.schedule` span must report the events it scheduled, not the
-/// log's length.
+/// `replay.scheduled` counter must report the events it scheduled, not
+/// the log's length.
 fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Coverage) {
     let mut exec = exec.clone();
-    exec.tracer = Tracer::full();
+    exec.tracer = Tracer::aggregate_only();
     let r = exec.replay_until(until).unwrap();
     let due_by = until.unwrap_or(LogicalTime::MAX);
     let scheduled = exec.log.events().partition_point(|e| e.due <= due_by) as u64;
-    let reported = exec.tracer.finish().events.into_iter().find_map(|e| match e {
-        TraceEvent::SpanEnd { name, args, .. } if name == "replay.schedule" => {
-            args.iter().find(|(key, _)| *key == "events").map(|&(_, n)| n)
-        }
-        _ => None,
-    });
-    assert_eq!(reported, Some(scheduled), "{case}: replay.schedule");
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.span_count("replay.schedule"), 1, "{case}: replay.schedule");
+    assert_eq!(agg.counter("replay.scheduled"), scheduled, "{case}: replay.scheduled");
     let (graph, now) = (r.graph(), r.now());
     let mut by_tuple: BTreeMap<TupleRef, Vec<Episode>> = BTreeMap::new();
     for (tref, episode) in graph.all_episodes() {

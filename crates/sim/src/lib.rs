@@ -21,9 +21,8 @@
 //! result is persisted as a [`corpus::CorpusCase`] file that the
 //! regression suite replays forever after.
 //!
-//! Entry points: `repro -- sim --seeds N` (the benchmark CLI),
-//! `diffprov sim N` (the main CLI), and the default-on pinned seed block
-//! in `crates/sim/tests/sim_battery.rs`.
+//! Entry points: `repro -- sim --seeds N` (the benchmark CLI) and the
+//! default-on pinned seed block in `crates/sim/tests/sim_battery.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

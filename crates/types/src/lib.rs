@@ -27,7 +27,6 @@ pub mod prefix;
 pub mod rng;
 pub mod schema;
 pub mod sym;
-pub mod trace;
 pub mod trie;
 pub mod tuple;
 pub mod value;
@@ -38,7 +37,6 @@ pub use prefix::Prefix;
 pub use rng::DetRng;
 pub use schema::{FieldDecl, FieldType, Schema, SchemaRegistry, TableKind};
 pub use sym::Sym;
-pub use trace::{SpanId, TraceId};
 pub use trie::PrefixTrie;
 pub use tuple::{NodeId, Tuple, TupleRef, TupleStore, WordBuildHasher, WordHasher};
 pub use value::Value;

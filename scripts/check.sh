@@ -12,14 +12,16 @@
 # map in the graph recorder and against the searches the engine stopped
 # repeating (B-tree environment, second body walk, per-flush profile map),
 # against a second copy of a logged base tuple, against name-keyed
-# bindings or whole-tuple table keys in the engine; and lint-clean clippy.
+# bindings or whole-tuple table keys in the engine, against the tracer's
+# deleted event stream (its renderings, determinism classes, span and
+# trace ids, instants); and lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
-# (reference_differential.rs), the instrumentation handle disabled,
-# aggregate-only and full (trace_differential.rs), the log recovered from
+# (reference_differential.rs), the instrumentation handle disabled and
+# enabled (trace_differential.rs), the log recovered from
 # a store directory against the log in memory (store_recovery.rs).
 # Run from the repository root before sending a change out. The last
 # thing printed is the wall time of each step.
@@ -163,6 +165,16 @@ held_once() {
             crates/replay/src crates/ndlog/src/engine.rs
 }
 step "gate: a base tuple is held once" held_once
+# The tracer is its aggregate: a handle is disabled or updates the one
+# aggregate, and nothing records an event stream beside it — no
+# recording mode, no event type, no skeleton, JSONL or Chrome rendering, no
+# determinism class (with one engine every series but span wall time is a
+# function of program and log), no span or trace ids, no instants. (Spelled
+# in halves so this script passes its own gate.)
+step "gate: the tracer is its aggregate" absent \
+    "a name of the deleted trace event stream reappeared" \
+    "Tracer::fu""ll|Trace""Event|to_js""onl|to_chr""ome|fn skel""eton|Class::Skel""eton|Class::Eff""ort|Span""Id|Trace""Id|\\.inst""ant\\(" \
+    crates src tests examples scripts
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo

@@ -45,7 +45,6 @@ fn main() {
         Some("tree") => cmd_tree(arg(&args, 1), arg(&args, 2)),
         Some("chain") => cmd_chain(arg(&args, 1), arg(&args, 2)),
         Some("whynot") => cmd_whynot(arg(&args, 1)),
-        Some("sim") => cmd_sim(args.get(1).map(String::as_str)),
         _ => {
             eprintln!(
                 "usage: diffprov <command>\n\
@@ -55,8 +54,7 @@ fn main() {
                  \x20 run <name>           run DiffProv on a scenario\n\
                  \x20 tree <name> good|bad print an event's provenance tree\n\
                  \x20 chain <name> good|bad print an event's trigger chain\n\
-                 \x20 whynot <name>        explain the scenario's missing delivery\n\
-                 \x20 sim [seeds]          sweep generated fault-injection scenarios"
+                 \x20 whynot <name>        explain the scenario's missing delivery"
             );
             std::process::exit(2);
         }
@@ -148,37 +146,6 @@ fn cmd_chain(name: &str, which: &str) {
             Some(rule) => println!("  {}  [via rule {}]", n.tref, rule),
             None => println!("  {}  [stimulus]", n.tref),
         }
-    }
-}
-
-fn cmd_sim(seeds: Option<&str>) {
-    let count: u64 = match seeds {
-        None => 32,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("expected a seed count, got {s:?}");
-            std::process::exit(2);
-        }),
-    };
-    println!("sweeping {count} generated fault-injection scenarios...");
-    let summary = diffprov::sim::run_seeds(0, count, None, |seed, report| {
-        if !report.passed() {
-            println!("  seed {seed}: {} violation(s)", report.violations.len());
-        }
-    });
-    println!(
-        "{} seeds: {} divergent, {} diagnosed, {} aligned by DiffProv",
-        summary.seeds, summary.divergent, summary.diagnosed, summary.diagnosis_succeeded
-    );
-    for (kind, n) in &summary.kind_counts {
-        println!("  {kind:<18} x{n}");
-    }
-    if summary.passed() {
-        println!("all invariants held");
-    } else {
-        for (seed, v) in &summary.violations {
-            eprintln!("seed {seed}: {v}");
-        }
-        std::process::exit(1);
     }
 }
 

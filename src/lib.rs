@@ -23,8 +23,8 @@
 //!   hundreds of diagnosis scenarios and holding them to an invariant
 //!   battery;
 //! * [`trace`] — the one instrumentation handle every layer reports to:
-//!   one aggregate read in-process, and the JSONL and Chrome renderings
-//!   of the event stream;
+//!   one aggregate of span times, counters, levels and sizes, read
+//!   in-process;
 //! * [`mapreduce`] — WordCount in declarative and instrumented-imperative
 //!   form, scenarios MR1/MR2;
 //! * [`netcore`] — a NetCore-style policy front-end.
