@@ -168,8 +168,9 @@ mod tests {
     /// sub-millisecond: a DiffProv query evaluates more than the one
     /// replay a Y! query is; a shared execution (SDN) costs at most one
     /// more replay per round; with a separate reference execution the
-    /// paper's "≈ 3x" holds where UPDATETREE replays from scratch (MR1)
-    /// and is beaten where it rolls forward (MR2).
+    /// paper's "≈ 3x" (a from-scratch UPDATETREE) is beaten on every
+    /// MapReduce row, since the roll re-issues only what Δ reaches and so
+    /// rolls MR1 as well as MR2.
     #[test]
     fn query_times_are_replay_dominated() {
         let timings = query::all_timings().unwrap();
@@ -184,8 +185,7 @@ mod tests {
                 assert!(ratio(&t.name) <= 1.0 + t.rounds as f64, "{}: {}", t.name, ratio(&t.name));
             }
         }
-        for (scratch, rolled) in [("MR1-D", "MR2-D"), ("MR1-I", "MR2-I")] {
-            assert!((2.9..=3.1).contains(&ratio(scratch)), "{scratch}: {}", ratio(scratch));
+        for rolled in ["MR1-D", "MR2-D", "MR1-I", "MR2-I"] {
             assert!((2.0..=2.5).contains(&ratio(rolled)), "{rolled}: {}", ratio(rolled));
         }
         // SDN4 runs two rounds.

@@ -124,6 +124,18 @@ pub fn summary(run: &TraceRun) -> String {
         ms(agg.total_ns("diffprov.replay")),
         ms(update_ns)
     );
+    // UPDATETREE's path and what it moved: the suffix from the fork on,
+    // and the part of it the change reached.
+    let _ = writeln!(
+        s,
+        "      update-tree: path roll x{} / scratch x{}; \
+         {} fork events of {} logged, {} affected",
+        agg.counter("replay.rolled{path=roll}"),
+        agg.counter("replay.rolled{path=scratch}"),
+        agg.counter("replay.fork_events"),
+        agg.counter("replay.log_events"),
+        agg.counter("replay.affected_events")
+    );
     let _ = writeln!(
         s,
         "    find seeds        {:>10.3} ms",
@@ -371,8 +383,9 @@ mod tests {
     }
 
     /// UPDATETREE's roll-forward reports on the execution's tracer: the
-    /// fork fraction (`fork_events` ÷ `log_events`), the path taken and
-    /// the phase spans.
+    /// fork fraction (`fork_events` ÷ `log_events`), the part of the
+    /// suffix the change reached (`affected_events`), the path taken and
+    /// the phase spans; the summary's update-tree line reads them.
     #[test]
     fn rolled_replay_reports_the_fork_families() {
         let scenario = find_scenario("SDN1").unwrap();
@@ -383,11 +396,32 @@ mod tests {
         exec.replay().unwrap().roll_forward(&exec, &delta, 0).unwrap();
         let agg = tracer.aggregate();
         assert_eq!(agg.counter("replay.log_events"), exec.log.len() as u64);
-        assert!(agg.counter("replay.fork_events") > 0);
+        let fork = agg.counter("replay.fork_events");
+        let affected = agg.counter("replay.affected_events");
+        assert!(0 < affected && affected < fork, "{affected} affected of {fork}");
         assert_eq!(agg.counter("replay.rolled{path=roll}"), 1);
-        for span in ["replay.fork", "replay.withdraw", "replay.reissue"] {
+        for span in [
+            "replay.fork",
+            "replay.apply",
+            "replay.affect",
+            "replay.withdraw",
+            "replay.reissue",
+            "replay.settle",
+        ] {
             assert_eq!(agg.span_count(span), 1, "no {span} span");
         }
+
+        let run = trace_scenario(&find_scenario("campus").unwrap()).unwrap();
+        let text = summary(&run);
+        let agg = &run.aggregate;
+        let line = format!(
+            "update-tree: path roll x1 / scratch x0; {} fork events of {} logged, {} affected",
+            agg.counter("replay.fork_events"),
+            agg.counter("replay.log_events"),
+            agg.counter("replay.affected_events")
+        );
+        assert!(text.contains(&line), "{text}");
+        assert!(agg.counter("replay.affected_events") < agg.counter("replay.fork_events"));
     }
 
     /// The stats dump names the scenario and carries both sections.

@@ -45,7 +45,7 @@ pub use expr::{BinOp, Env, Expr, Func};
 pub use parser::{parse_expr, parse_rule, parse_rules};
 pub use plan::{IpSource, JoinPlan, JoinStep, PlanSet, PrefixProbe};
 pub use program::{
-    Emission, Emitter, NativeRule, Program, ProgramBuilder, StatefulBuiltin, TupleChange,
+    Emission, Emitter, NativeRule, Program, ProgramBuilder, Reads, StatefulBuiltin, TupleChange,
 };
 pub use reference::ScheduledOp;
 pub use sink::{BodyRef, HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};

@@ -40,8 +40,50 @@ use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
 /// 2^32 vertices; recording past that panics.
 pub type VertexId = u32;
 
-/// Index of an episode row.
-type RowId = u32;
+/// Index of an episode row: one contiguous lifetime of one located tuple,
+/// in APPEAR order.
+pub type RowId = u32;
+
+/// One vertex as a walk over the whole recording reads it
+/// ([`ProvGraph::step`]): its kind without the rule name cloned, and for
+/// a DERIVE its children (the EXIST vertices of its body episodes).
+#[derive(Clone, Copy, Debug)]
+pub enum Step<'a> {
+    /// A base insertion.
+    Insert,
+    /// A base deletion.
+    Delete,
+    /// A derivation.
+    Derive {
+        /// The rule that fired.
+        rule: &'a Sym,
+        /// Index into `body` of the triggering body tuple.
+        trigger: usize,
+        /// The EXIST vertices of the body episodes, in body order.
+        body: &'a [VertexId],
+    },
+    /// An episode opens.
+    Appear,
+    /// An episode closes.
+    Disappear,
+    /// EXIST or UNDERIVE.
+    Other,
+}
+
+/// An episode row as a walk reads it ([`ProvGraph::row`]).
+#[derive(Clone, Copy, Debug)]
+pub struct RowView<'a> {
+    /// The node the tuple lives on.
+    pub node: &'a NodeId,
+    /// The tuple.
+    pub tuple: &'a Arc<Tuple>,
+    /// The INSERT or DERIVE vertex that opened the episode.
+    pub cause: VertexId,
+    /// When the episode opened.
+    pub start: LogicalTime,
+    /// When it closed, if it did.
+    pub end: Option<LogicalTime>,
+}
 
 /// "No vertex" in a row's optional links.
 const NONE: VertexId = VertexId::MAX;
@@ -269,6 +311,45 @@ impl ProvGraph {
             tuple: &row.tuple,
             time: self.times[i],
             children: &self.children[from as usize..self.child_ends[i] as usize],
+        }
+    }
+
+    /// Vertex `id` as a walk over the recording reads it, with the row it
+    /// belongs to: the cheap form of [`ProvGraph::vertex`].
+    pub fn step(&self, id: VertexId) -> (RowId, Step<'_>) {
+        let i = id as usize;
+        let step = match self.kinds[i] {
+            Kind::Insert => Step::Insert,
+            Kind::Delete => Step::Delete,
+            Kind::Derive { rule, trigger } => {
+                let from = if i == 0 { 0 } else { self.child_ends[i - 1] };
+                Step::Derive {
+                    rule: &self.rules[rule as usize],
+                    trigger: trigger as usize,
+                    body: &self.children[from as usize..self.child_ends[i] as usize],
+                }
+            }
+            Kind::Appear => Step::Appear,
+            Kind::Disappear => Step::Disappear,
+            Kind::Exist | Kind::Underive { .. } => Step::Other,
+        };
+        (self.rows_of[i], step)
+    }
+
+    /// How many rows the graph holds (opened or waiting for their APPEAR).
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Row `r`.
+    pub fn row(&self, r: RowId) -> RowView<'_> {
+        let row = &self.rows[r as usize];
+        RowView {
+            node: &row.node,
+            tuple: &row.tuple,
+            cause: row.cause,
+            start: row.start,
+            end: row.end,
         }
     }
 

@@ -17,7 +17,9 @@ pub mod tree;
 pub mod whynot;
 
 pub use diff::{plain_tree_diff, ybang_answer_size, PlainDiff, VertexSig};
-pub use graph::{Episode, GraphRecorder, GraphStats, ProvGraph, Vertex, VertexId, VertexKind};
+pub use graph::{
+    Episode, GraphRecorder, GraphStats, ProvGraph, RowId, RowView, Step, Vertex, VertexId, VertexKind,
+};
 pub use invariants::{
     check_well_formed, tree_well_formedness_violations, well_formedness_violations,
 };

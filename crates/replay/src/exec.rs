@@ -12,14 +12,16 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use dp_ndlog::{Constraint, Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
+use dp_ndlog::{Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
 use dp_provenance::{
     extract_tree, extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree,
+    Step, VertexId,
 };
 use dp_trace::Tracer;
-use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
+use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
+use crate::roll::{self, Phase, Suffix};
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 7): there is one
 /// provenance backend, and both values record the graph.
@@ -60,9 +62,12 @@ pub struct Replayed {
     /// changes applied.
     rolled: (Vec<TupleChange>, LogicalTime),
     /// Base ops scheduled on the held engine so far: the replay's, then
-    /// each roll's withdrawals and re-issues. When the engine acted on as
-    /// many (`base_inserts + base_deletes`), none of them was a no-op.
+    /// each roll's. When the engine acted on as many (`base_inserts +
+    /// base_deletes`), none of them was a no-op.
     scheduled: u64,
+    /// True until the first roll: the recording is the replay's alone, so
+    /// its base vertices are the log's events, in order.
+    fresh: bool,
 }
 
 impl Replayed {
@@ -73,6 +78,7 @@ impl Replayed {
             engine,
             rolled: (Vec::new(), 0),
             scheduled: scheduled as u64,
+            fresh: true,
         }
     }
 
@@ -85,30 +91,45 @@ impl Replayed {
     /// ([`apply_changes`]), read as a stream instead of built. The **fork**
     /// is the first replay-order position where it differs from the log the
     /// held state reflects; everything before it is shared and stays as it
-    /// is. On the same engine and recorder, the held log's events from the
-    /// fork on are **withdrawn** — the inverse of each op the engine acted
-    /// on, in reverse order, scheduled at the current clock and run to
-    /// quiescence, so the engine's own cascade is the rewind — and the
-    /// patched suffix is **re-issued**, shifted in time so that its first
-    /// event is due just after the current clock and the spacing between
-    /// its dues is kept. (A finished replay's clock has overrun every
-    /// logged due: at their original dues all re-issued base events —
-    /// phase fences included — would pop before any derived work.)
+    /// is. Of the suffix, only what the change can reach moves, on the same
+    /// engine and recorder (the module `roll` names the parts):
     ///
-    /// Two fixed rules, read off the log and the held state and not
-    /// options, send a call to a from-scratch replay of the patched log
-    /// instead (the held engine is released first). When the suffix is the
-    /// larger part of the log (the fork lies in its first half),
-    /// withdrawing and re-issuing costs more than starting over. And when
-    /// the withdrawn state cannot be trusted to be the prefix's own — a
-    /// rule that reads state without depending on it (a stateful builtin,
-    /// an aggregate, a native) may have fired on prefix tuples while
-    /// suffix tuples were there, and the cascade cannot re-fire what those
-    /// suppressed — the rewind is abandoned.
+    /// * **(A)** Δ is applied at the current clock — the located tuples a
+    ///   change names restored to the prefix's base presence, then the
+    ///   patched log's events of theirs scheduled — and run to quiescence.
+    ///   What opened or closed is what Δ touches.
+    /// * **(B)** One walk over the held recording finds the suffix's
+    ///   located tuples whose firings Δ reaches: retracted, derived from a
+    ///   withdrawn body, or reading a touched tuple through a builtin, an
+    ///   aggregate or a native ([`dp_ndlog::Program::reads`]).
+    /// * **(C)** The changed and affected located tuples are restored to
+    ///   the prefix's base presence — the engine's own cascade is the
+    ///   rewind — and the patched log's events of theirs are re-issued in
+    ///   log order, shifted so that the first is due just after the current
+    ///   clock and the spacing between their dues is kept. (A finished
+    ///   replay's clock has overrun every logged due: at their original
+    ///   dues all re-issued base events — phase fences included — would pop
+    ///   before any derived work.) Every other suffix event keeps its
+    ///   tuples and episodes.
+    ///
+    /// The whole-suffix withdraw is the case where every suffix event is
+    /// affected. Two fixed rules, read off the log and the held recording
+    /// and not options, send a call to a from-scratch replay of the patched
+    /// log instead (the held engine is released first). The cost rule: when
+    /// the affected events are half the log or more, re-issuing them costs
+    /// more than starting over. The trust rule: a prefix firing that read
+    /// state through a builtin, an aggregate or a native, and that the
+    /// change could reach, cannot be re-issued; nor may a firing outside
+    /// the re-issued events read what phase C changed, an independent
+    /// episode close, or a re-issued event join an independent one logged
+    /// after it (the relative order, and so FINDSEED, would differ).
     ///
     /// Live tuples and the trees [`Replayed::query`] returns equal the
-    /// from-scratch replay's up to timestamps
-    /// (`roll_forward_differential.rs`); the recording additionally keeps
+    /// from-scratch replay's up to timestamps, and so does every seed but
+    /// one kind: the roll runs the prefix to quiescence before it re-issues
+    /// anything, so a derivation that joined a re-issued event with prefix
+    /// work still in flight at the fork is triggered by the re-issued one
+    /// (`roll_forward_differential.rs`). The recording additionally keeps
     /// the history of what was withdrawn. After an `Err` the state is
     /// unspecified.
     pub fn roll_forward(
@@ -151,12 +172,12 @@ impl Replayed {
             *self = exec.replay_with(delta, inject_at)?;
         }
         self.rolled = (delta.to_vec(), inject_at);
+        self.fresh = false;
         Ok(())
     }
 
-    /// The roll path: finds the fork and, if the cost rule allows,
-    /// withdraws and re-issues. `false` when the caller has to replay from
-    /// scratch — nothing this borrowed or built is alive by then.
+    /// The roll path. `false` when the caller has to replay from scratch —
+    /// nothing this borrowed or built is alive by then.
     fn rewind(
         &mut self,
         exec: &Execution,
@@ -187,109 +208,139 @@ impl Replayed {
         };
         tracer.counter("replay.fork_events", (held_len - fork) as u64);
         tracer.counter("replay.log_events", held_len as u64);
-        if !always_withdraw && 2 * fork < held_len {
-            span.end();
-            return Ok(false);
-        }
-        let rest = |first: Option<Cow<BaseEvent>>, rest: PatchedEvents| -> Vec<BaseEvent> {
-            first.into_iter().chain(rest).map(Cow::into_owned).collect()
+        // Sized exactly: a buffer regrown by doubling would leave the
+        // allocator a hole beside the recording.
+        let rest = |first: Option<Cow<BaseEvent>>, rest: PatchedEvents, len| -> Vec<BaseEvent> {
+            let mut events = Vec::with_capacity(len);
+            events.extend(first.into_iter().chain(rest).map(Cow::into_owned));
+            events
         };
-        let (withdrawn, suffix) = (rest(parted.0, h), rest(parted.1, p));
+        let withdrawn = rest(parted.0, h, held_len - fork);
+        let suffix = rest(parted.1, p, patched.len() - fork);
         // The engine counts the base ops it acted on; when that is every op
         // it was ever given, none of the withdrawn ones was a no-op and the
-        // walk over the prefix that would find them has nothing to find.
+        // walk over the prefix that would find the prefix's presence has
+        // nothing to add to what the suffix's first ops say.
         let acted = self.engine.stats();
-        let undo: Vec<&BaseEvent> = if acted.base_inserts + acted.base_deletes == self.scheduled {
-            debug_assert_eq!(
-                effective_ops(held.events().take(fork), &withdrawn).len(),
-                withdrawn.len(),
-                "the engine acted on every op, so the walk must keep every op"
-            );
-            withdrawn.iter().collect()
-        } else {
-            effective_ops(held.events().take(fork), &withdrawn)
+        let every_op = acted.base_inserts + acted.base_deletes == self.scheduled;
+        let engine = &self.engine;
+        let mut suffix = Suffix::new(
+            &withdrawn,
+            suffix,
+            &[&rolled, delta],
+            (!every_op).then(|| held.events().take(fork)),
+            |node, tuple| engine.lookup(node, tuple).is_some_and(|s| s.base),
+        );
+        drop(withdrawn);
+        // A fresh replay's base vertices are the ops the engine acted on,
+        // in log order: the walk starts at the first of the suffix's.
+        let acted_ops = (acted.base_inserts + acted.base_deletes) as usize;
+        let start = match acted_ops.checked_sub(suffix.acted) {
+            Some(prefix_ops) if self.fresh => self.base_vertex(prefix_ops),
+            _ => 0,
         };
         span.end();
 
-        // The due the two (sorted) logs part at: nothing a suffix event
-        // caused appeared before it.
-        let since = withdrawn.first().into_iter().chain(suffix.first()).map(|e| e.due).min();
-        let trusted = self.withdraw(&undo, since.unwrap_or(0), tracer)?;
-        if trusted {
-            self.reissue(&suffix, tracer)?;
+        // (A) Δ at the clock.
+        let span = tracer.span("replay.apply");
+        let phase = Phase {
+            start,
+            held: self.graph().len() as VertexId,
+            at: self.now(),
+        };
+        self.restore(&suffix.restore(true))?;
+        let at = self.now();
+        let mut applied = 0;
+        for e in suffix.events(true) {
+            e.schedule_as(&mut self.engine, at, e.op)?;
+            applied += 1;
         }
-        Ok(trusted)
+        self.scheduled += applied;
+        self.engine.run()?;
+        span.end();
+
+        // (B) What Δ reaches.
+        let span = tracer.span("replay.affect");
+        let found = roll::affect(&self.engine, &mut suffix, phase);
+        let affected = suffix.events(false).count();
+        span.end();
+        tracer.counter("replay.affected_events", affected as u64);
+        let Ok(found) = found else {
+            return Ok(false);
+        };
+        if !always_withdraw && 2 * affected >= held_len {
+            return Ok(false);
+        }
+
+        // (C) Withdraw and re-issue what Δ reaches.
+        let from = self.graph().len() as VertexId;
+        let span = tracer.span("replay.withdraw");
+        self.restore(&suffix.restore(false))?;
+        span.end();
+        self.reissue(suffix.events(false), tracer)?;
+        let span = tracer.span("replay.settle");
+        let settled = roll::settled(&self.engine, &suffix, found, from).is_ok();
+        span.end();
+        Ok(settled)
     }
 
-    /// Re-issues `suffix`, shifted so that its first event is due just
-    /// after the current clock and the spacing between its dues is kept.
-    fn reissue(&mut self, suffix: &[BaseEvent], tracer: &Tracer) -> Result<()> {
-        let span = tracer.span("replay.reissue");
-        if let Some(first) = suffix.first() {
-            let base = self.now() + 1;
-            for e in suffix {
-                e.schedule_as(&mut self.engine, base + (e.due - first.due), e.op)?;
+    /// The vertex of the `n`th base insertion or deletion the recording
+    /// holds (its length when it holds fewer).
+    fn base_vertex(&self, n: usize) -> VertexId {
+        let graph = self.graph();
+        let mut seen = 0;
+        for v in 0..graph.len() as VertexId {
+            if matches!(graph.step(v).1, Step::Insert | Step::Delete) {
+                if seen == n {
+                    return v;
+                }
+                seen += 1;
             }
-            self.scheduled += suffix.len() as u64;
-            self.engine.run()?;
         }
+        graph.len() as VertexId
+    }
+
+    /// Re-issues `events` (in log order), shifted so that the first is due
+    /// just after the current clock and the spacing between their dues is
+    /// kept.
+    fn reissue<'e>(
+        &mut self,
+        events: impl Iterator<Item = &'e BaseEvent>,
+        tracer: &Tracer,
+    ) -> Result<()> {
+        let span = tracer.span("replay.reissue");
+        let base = self.now() + 1;
+        let mut first = None;
+        for e in events {
+            let first = *first.get_or_insert(e.due);
+            e.schedule_as(&mut self.engine, base + (e.due - first), e.op)?;
+            self.scheduled += 1;
+        }
+        self.engine.run()?;
         span.end();
         Ok(())
     }
 
-    /// Withdraws `undo` — the events of the held log from the fork on
-    /// that the engine acted on ([`effective_ops`]) — from the held state:
-    /// the inverse of each op, in reverse order, at the current clock.
-    /// Reports whether what is left is the prefix's own state.
-    ///
-    /// The cascade retracts everything that *depended on* a withdrawn
-    /// tuple. It cannot re-fire what a withdrawn tuple *suppressed*: a
-    /// stateful builtin, an aggregate and a native read the node's tables
-    /// without depending on what they read (a flow entry that lost
-    /// `best_match` to a withdrawn one is not matched again when that one
-    /// goes). Such a rule can only have read a suffix tuple if it fired at
-    /// or after `since` on tuples that are all still there, so the rewind
-    /// is trusted only when no node holds, for any such rule, a live tuple
-    /// in every body table with one of them appeared at or after `since`.
-    fn withdraw(&mut self, undo: &[&BaseEvent], since: LogicalTime, tracer: &Tracer) -> Result<bool> {
-        let span = tracer.span("replay.withdraw");
+    /// Sets each located tuple's base presence to the one given, at the
+    /// current clock, last logged first, and runs to quiescence: the
+    /// engine's cascade retracts what depended on a tuple that goes, and a
+    /// tuple that comes back fires as it would have.
+    fn restore(&mut self, tuples: &[(&TupleRef, bool)]) -> Result<()> {
         let at = self.now();
-        for e in undo.iter().rev() {
-            let inverse = match e.op {
-                BaseOp::Insert => BaseOp::Delete,
-                BaseOp::Delete => BaseOp::Insert,
-            };
-            e.schedule_as(&mut self.engine, at, inverse)?;
+        for &(t, present) in tuples {
+            if self.engine.lookup(&t.node, &t.tuple).is_some_and(|s| s.base) == present {
+                continue;
+            }
+            let (node, tuple) = (t.node.clone(), Arc::clone(&t.tuple));
+            if present {
+                self.engine.schedule_insert(at, node, tuple)?;
+            } else {
+                self.engine.schedule_delete(at, node, tuple)?;
+            }
+            self.scheduled += 1;
         }
-        self.scheduled += undo.len() as u64;
         self.engine.run()?;
-
-        let program = self.engine.program();
-        let readers: Vec<Vec<&Sym>> = program
-            .rules()
-            .iter()
-            .filter(|r| {
-                r.agg.is_some()
-                    || r.constraints.iter().any(|c| matches!(c, Constraint::Builtin { .. }))
-            })
-            .map(|r| r.body.iter().map(|a| &a.table).collect())
-            .chain(
-                program
-                    .schemas
-                    .iter()
-                    .filter(|s| !program.native_triggers(&s.name).is_empty())
-                    .map(|s| vec![&s.name]),
-            )
-            .collect();
-        let settled = self.engine.nodes().all(|(_, state)| {
-            readers.iter().all(|tables| {
-                let live = |t: &&Sym| state.table(t).next().is_some();
-                let late = |t: &&Sym| state.table(t).any(|(_, ts)| ts.appeared_at >= since);
-                !(tables.iter().all(live) && tables.iter().any(late))
-            })
-        });
-        span.end();
-        Ok(settled)
+        Ok(())
     }
 
     /// The recorded provenance graph.
@@ -460,35 +511,6 @@ impl Execution {
         clone.tracer = self.tracer.clone();
         clone.replay()
     }
-}
-
-/// The events of `suffix` the engine acted on when it ran them after
-/// `prefix`. Re-inserting a base tuple that is present, or deleting one
-/// that is absent, is a no-op to the engine, and inverting a no-op would
-/// undo the *prefix's* event instead — so base presence is simulated over
-/// the prefix, for exactly the located tuples the suffix touches.
-fn effective_ops<'a, 's>(
-    prefix: impl Iterator<Item = Cow<'a, BaseEvent>>,
-    suffix: &'s [BaseEvent],
-) -> Vec<&'s BaseEvent> {
-    let mut touched: Vec<(&NodeId, &Tuple)> = suffix.iter().map(|e| (&e.node, &*e.tuple)).collect();
-    touched.sort_unstable();
-    touched.dedup();
-    let slot = |e: &BaseEvent| touched.binary_search_by(|k| k.cmp(&(&e.node, &*e.tuple))).ok();
-    let mut present = vec![false; touched.len()];
-    for e in prefix {
-        if let Some(i) = slot(&e) {
-            present[i] = e.op == BaseOp::Insert;
-        }
-    }
-    suffix
-        .iter()
-        .filter(|e| {
-            let p = &mut present[slot(e).expect("keyed from the suffix")];
-            let wanted = e.op == BaseOp::Insert;
-            std::mem::replace(p, wanted) != wanted
-        })
-        .collect()
 }
 
 /// Applies `Δ_{B→G}` to a log, producing the patched log for the cloned

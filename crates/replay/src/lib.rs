@@ -15,6 +15,7 @@
 pub mod exec;
 pub mod layers;
 pub mod log;
+mod roll;
 pub mod storage;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};

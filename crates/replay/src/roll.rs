@@ -1,0 +1,702 @@
+//! What UPDATETREE's roll withdraws and re-issues: the suffix's located
+//! tuples, and which of them a change can reach, read off the recording
+//! the held replay already has (Section 4.6; "Provenance Traces": the
+//! recorded trace is the dependency slice change propagation follows).
+//!
+//! A base event belongs to its *located tuple*: every suffix event of one
+//! located tuple is withdrawn and re-issued together, or none is. A
+//! located tuple is **changed** when a change names it (its `before` or
+//! its `after`) and **affected** when it is changed or the walk below finds
+//! that the change reaches what it caused. Everything else in the suffix
+//! is **independent**: its tuples and episodes stay as they are.
+//!
+//! Every episode (row) of the recording has an **origin**: the base tuple
+//! at the bottom of its trigger chain — the seed FINDSEED would find. An
+//! independent located tuple becomes affected when a live firing it
+//! triggered (its origin is the trigger's)
+//!
+//! * was retracted by the change (a body episode closed when Δ landed);
+//! * used a body that will be withdrawn: one of an affected origin, or one
+//!   derived (at any depth) from such a body — the forward closure, a bit
+//!   per row;
+//! * read through a stateful builtin, an aggregate or a native a tuple the
+//!   change opened or closed at its node ([`dp_ndlog::Program::reads`]);
+//!
+//! or when a firing the change itself caused joined one of its tuples (a
+//! packet that matched nothing until Δ's entry arrived), or when its tuple
+//! sits where an aggregate or a native fires at a node the change touched
+//! (their firings that emitted nothing leave no record to ask).
+//!
+//! A prefix firing cannot be re-issued. One that read through a builtin,
+//! an aggregate or a native and that the change could reach — it depended
+//! on a withdrawn body, or it ran after the fork and read what Δ touched —
+//! sends the roll to a from-scratch replay instead (the trust rule).
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use dp_ndlog::{Engine, Program, TupleChange};
+use dp_provenance::{GraphRecorder, ProvGraph, RowId, Step, VertexId};
+use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
+
+use crate::log::{BaseEvent, BaseOp};
+
+/// The origin of a row no suffix event re-creates.
+const PREFIX: u32 = u32::MAX;
+
+/// Why a roll goes back to a from-scratch replay.
+pub(crate) type Refusal = &'static str;
+
+/// The suffix's located tuples, by id, and the patched suffix.
+pub(crate) struct Suffix {
+    /// The located tuples, sorted: a tuple's id is its place here.
+    keys: Vec<TupleRef>,
+    /// Per id: its first position in the patched suffix (past its end for
+    /// a tuple only the held suffix logs).
+    first: Vec<usize>,
+    changed: Vec<bool>,
+    affected: Vec<bool>,
+    /// Per id: whether the prefix leaves it inserted as a base tuple.
+    presence: Vec<bool>,
+    /// The patched suffix, and each event's tuple's id.
+    patched: Vec<BaseEvent>,
+    patched_ids: Vec<u32>,
+    /// How many of the held suffix's ops the engine acted on: those that
+    /// changed their tuple's base presence.
+    pub(crate) acted: usize,
+}
+
+impl Suffix {
+    /// The located tuples of `held` (the held log's events from the fork
+    /// on) and of `patched` (the patched log's), classified by `changes`.
+    /// A tuple's prefix presence is read off `prefix` (the held log's
+    /// events before the fork) when given; without it the engine acted on
+    /// every op it was given, so a tuple's first held op says what was
+    /// there before it, and one the held suffix never logs is as `current`
+    /// finds it.
+    pub(crate) fn new<'e>(
+        held: &[BaseEvent],
+        patched: Vec<BaseEvent>,
+        changes: &[&[TupleChange]],
+        prefix: Option<impl Iterator<Item = std::borrow::Cow<'e, BaseEvent>>>,
+        current: impl Fn(&NodeId, &Tuple) -> bool,
+    ) -> Self {
+        let mut keys = Vec::with_capacity(patched.len() + held.len());
+        keys.extend(
+            patched
+                .iter()
+                .chain(held)
+                .map(|e| TupleRef::new(e.node.clone(), Arc::clone(&e.tuple))),
+        );
+        keys.sort_unstable();
+        keys.dedup();
+        let n = keys.len();
+        let mut s = Suffix {
+            keys,
+            first: vec![patched.len(); n],
+            changed: vec![false; n],
+            affected: Vec::new(),
+            presence: Vec::new(),
+            patched_ids: Vec::with_capacity(patched.len()),
+            patched,
+            acted: 0,
+        };
+        let id = |s: &Suffix, e: &BaseEvent| s.id_of(&e.node, &e.tuple);
+        s.patched_ids = s.patched.iter().map(|e| id(&s, e)).collect();
+        for (pos, &id) in s.patched_ids.iter().enumerate().rev() {
+            s.first[id as usize] = pos;
+        }
+        let held_ids: Vec<u32> = held.iter().map(|e| id(&s, e)).collect();
+        for c in changes.iter().copied().flatten() {
+            for t in c.before.iter().chain(&c.after) {
+                let key = TupleRef::new(c.node.clone(), t.clone());
+                if let Ok(id) = s.keys.binary_search(&key) {
+                    s.changed[id] = true;
+                }
+            }
+        }
+        s.affected.clone_from(&s.changed);
+        // The independent events are the same events, in the same order, on
+        // both sides; where they are not, nothing is independent.
+        let independent_held = held
+            .iter()
+            .zip(&held_ids)
+            .filter(|(_, &id)| !s.changed[id as usize]);
+        let independent_patched = s
+            .patched
+            .iter()
+            .zip(&s.patched_ids)
+            .filter(|(_, &id)| !s.changed[id as usize]);
+        if !independent_held
+            .map(|(e, _)| e)
+            .eq(independent_patched.map(|(e, _)| e))
+        {
+            s.affected.fill(true);
+        }
+        let mut presence: Vec<Option<bool>> = vec![None; n];
+        match prefix {
+            Some(prefix) => {
+                for e in prefix {
+                    if let Some(id) = s.find(&e.node, &e.tuple) {
+                        presence[id as usize] = Some(e.op == BaseOp::Insert);
+                    }
+                }
+                presence
+                    .iter_mut()
+                    .for_each(|p| *p = Some(p.unwrap_or(false)));
+            }
+            None => {
+                for (e, &id) in held.iter().zip(&held_ids) {
+                    presence[id as usize].get_or_insert(e.op == BaseOp::Delete);
+                }
+            }
+        }
+        s.presence = (0..n)
+            .map(|id| presence[id].unwrap_or_else(|| current(&s.keys[id].node, &s.keys[id].tuple)))
+            .collect();
+        let mut present = s.presence.clone();
+        for (e, &id) in held.iter().zip(&held_ids) {
+            let now = e.op == BaseOp::Insert;
+            s.acted += usize::from(std::mem::replace(&mut present[id as usize], now) != now);
+        }
+        s
+    }
+
+    /// The id of a located tuple the suffix logs.
+    fn find(&self, node: &NodeId, tuple: &Tuple) -> Option<u32> {
+        let at = self
+            .keys
+            .binary_search_by(|k| k.node.cmp(node).then_with(|| (*k.tuple).cmp(tuple)))
+            .ok()?;
+        Some(at as u32)
+    }
+
+    /// The id of a located tuple, or [`PREFIX`] when the suffix does not
+    /// log it.
+    fn id_of(&self, node: &NodeId, tuple: &Tuple) -> u32 {
+        self.find(node, tuple).unwrap_or(PREFIX)
+    }
+
+    fn independent(&self, origin: u32) -> bool {
+        origin != PREFIX && !self.affected[origin as usize]
+    }
+
+    /// The patched suffix's events whose located tuple is changed (`true`)
+    /// or affected (`false`), in log order.
+    pub(crate) fn events(&self, changed_only: bool) -> impl Iterator<Item = &BaseEvent> {
+        let pick = if changed_only {
+            &self.changed
+        } else {
+            &self.affected
+        };
+        self.patched
+            .iter()
+            .zip(&self.patched_ids)
+            .filter(|(_, &id)| pick[id as usize])
+            .map(|(e, _)| e)
+    }
+
+    /// The changed (`true`) or affected (`false`) located tuples, last
+    /// logged first, each with the base presence the prefix leaves it in:
+    /// what restoring them to the prefix's state sets.
+    pub(crate) fn restore(&self, changed_only: bool) -> Vec<(&TupleRef, bool)> {
+        let pick = if changed_only {
+            &self.changed
+        } else {
+            &self.affected
+        };
+        let mut ids: Vec<usize> = (0..self.keys.len()).filter(|&id| pick[id]).collect();
+        ids.sort_by_key(|&id| std::cmp::Reverse(self.first[id]));
+        ids.into_iter()
+            .map(|id| (&self.keys[id], self.presence[id]))
+            .collect()
+    }
+}
+
+/// Where the walk reads a state: the recording's vertices before phase A
+/// (`held`, from `start`), and the clock phase A began at.
+#[derive(Clone, Copy)]
+pub(crate) struct Phase {
+    /// The first vertex that can belong to the suffix: every row opened
+    /// before it is the prefix's.
+    pub(crate) start: VertexId,
+    /// The first vertex phase A recorded.
+    pub(crate) held: VertexId,
+    /// The clock phase A began at.
+    pub(crate) at: LogicalTime,
+}
+
+/// What phase B leaves for the checks after phase C.
+pub(crate) struct Found {
+    /// Row origins ([`PREFIX`] or a located tuple's id), by row.
+    origin: Vec<u32>,
+    /// Tables a native or an aggregate fires on.
+    watched: Vec<Sym>,
+    /// Where the walk read.
+    phase: Phase,
+}
+
+/// Located tuples by node, then by table.
+type ByNode<'g> = BTreeMap<&'g NodeId, BTreeMap<&'g Sym, Vec<&'g Tuple>>>;
+
+/// True when what the firing of `rule` over the body `rows` at `node`
+/// read could change with one of `tuples` (the tuples changed there, by
+/// table). The firing is re-evaluated only when its rule reads one of
+/// those tables at all.
+fn reads_any(
+    program: &Program,
+    graph: &ProvGraph,
+    (rule, node, rows): (&Sym, &NodeId, &[RowId]),
+    tuples: &BTreeMap<&Sym, Vec<&Tuple>>,
+) -> bool {
+    let mut read = tuples
+        .iter()
+        .filter(|(table, _)| program.reads_table(rule, table))
+        .peekable();
+    if read.peek().is_none() {
+        return false;
+    }
+    let body: Vec<&Tuple> = rows.iter().map(|&b| &**graph.row(b).tuple).collect();
+    let reads = program.reads(rule, node, &body);
+    read.any(|(table, ts)| reads.reads_table(table) && ts.iter().any(|t| reads.may_read(t)))
+}
+
+/// Fills `rows` with the rows of a derivation's `body` (its EXIST
+/// vertices) and returns the trigger's; `None` for an empty body.
+fn body_rows(
+    graph: &ProvGraph,
+    body: &[VertexId],
+    trigger: usize,
+    rows: &mut Vec<RowId>,
+) -> Option<RowId> {
+    rows.clear();
+    rows.extend(body.iter().map(|&x| graph.step(x).0));
+    rows.get(trigger.min(rows.len().saturating_sub(1))).copied()
+}
+
+/// The located tuples a step opened or closed, from vertex `from` on:
+/// phase A's `D`.
+fn touched(graph: &ProvGraph, from: VertexId) -> ByNode<'_> {
+    let mut by_node = ByNode::new();
+    for v in from..graph.len() as VertexId {
+        if let (row, Step::Appear | Step::Disappear) = graph.step(v) {
+            let row = graph.row(row);
+            by_node
+                .entry(row.node)
+                .or_default()
+                .entry(&row.tuple.table)
+                .or_default()
+                .push(row.tuple);
+        }
+    }
+    by_node
+}
+
+/// The tables an aggregate or a native fires on.
+fn watched(program: &Program) -> Vec<Sym> {
+    let fences = program
+        .rules()
+        .iter()
+        .filter(|r| r.agg.is_some())
+        .map(|r| r.body[0].table.clone());
+    let natives = program
+        .schemas
+        .iter()
+        .filter(|s| !program.native_triggers(&s.name).is_empty())
+        .map(|s| s.name.clone());
+    let mut tables: Vec<Sym> = fences.chain(natives).collect();
+    tables.sort();
+    tables.dedup();
+    tables
+}
+
+/// Which tables something that reads state beyond its body could read
+/// ([`Program::reads_table`]), asked once per table.
+struct ReadTables<'p> {
+    program: &'p Program,
+    /// A native reads anything.
+    natives: bool,
+    readers: Vec<&'p Sym>,
+    known: Vec<(Sym, bool)>,
+}
+
+impl<'p> ReadTables<'p> {
+    fn new(program: &'p Program) -> Self {
+        ReadTables {
+            program,
+            natives: program
+                .schemas
+                .iter()
+                .any(|s| !program.native_triggers(&s.name).is_empty()),
+            readers: program
+                .rules()
+                .iter()
+                .map(|r| &r.name)
+                .filter(|r| program.reads_state(r))
+                .collect(),
+            known: Vec::new(),
+        }
+    }
+
+    fn any(&mut self, table: &Sym) -> bool {
+        if let Some(&(_, r)) = self.known.iter().find(|(t, _)| t == table) {
+            return r;
+        }
+        let r = self.natives
+            || self
+                .readers
+                .iter()
+                .any(|rule| self.program.reads_table(rule, table));
+        self.known.push((table.clone(), r));
+        r
+    }
+}
+
+/// Per rule name the recording holds: does it read state beyond its body
+/// ([`Program::reads_state`])? Rules are a handful per program.
+struct ReaderCache<'p> {
+    program: &'p Program,
+    known: Vec<(Sym, bool)>,
+}
+
+impl ReaderCache<'_> {
+    fn reads_state(&mut self, rule: &Sym) -> bool {
+        if let Some(&(_, r)) = self.known.iter().find(|(s, _)| s == rule) {
+            return r;
+        }
+        let r = self.program.reads_state(rule);
+        self.known.push((rule.clone(), r));
+        r
+    }
+}
+
+/// Phase B: marks in `suffix` the independent located tuples the change
+/// reaches (see the module docs), or refuses the roll.
+pub(crate) fn affect(
+    engine: &Engine<GraphRecorder>,
+    suffix: &mut Suffix,
+    phase: Phase,
+) -> Result<Found, Refusal> {
+    let graph = &engine.sink().graph;
+    let program = engine.program();
+    let d = touched(graph, phase.held);
+    let mut walk = Walk {
+        graph,
+        program,
+        readers: ReaderCache {
+            program,
+            known: Vec::new(),
+        },
+        origin: vec![PREFIX; graph.row_count()],
+        taint: vec![false; graph.row_count()],
+        used_by_other: vec![false; suffix.keys.len()],
+        rows: Vec::new(),
+    };
+    let watched = watched(program);
+    // One pass in vertex order marks what it can; a tuple marked after a
+    // firing of another origin had already used its rows needs the pass
+    // again, with the mark in place. Nothing is ever unmarked.
+    loop {
+        let mut again = false;
+        walk.pass(suffix, &d, &watched, phase, &mut again)?;
+        if !again {
+            break;
+        }
+    }
+    Ok(Found {
+        origin: walk.origin,
+        watched,
+        phase,
+    })
+}
+
+struct Walk<'g> {
+    graph: &'g ProvGraph,
+    program: &'g Program,
+    readers: ReaderCache<'g>,
+    origin: Vec<u32>,
+    /// Per row: derived from a body the roll withdraws.
+    taint: Vec<bool>,
+    /// Per located tuple: a row of its was a body of a firing of another
+    /// origin.
+    used_by_other: Vec<bool>,
+    /// The body rows of the firing being read.
+    rows: Vec<RowId>,
+}
+
+impl Walk<'_> {
+    fn pass(
+        &mut self,
+        suffix: &mut Suffix,
+        d: &ByNode<'_>,
+        watched: &[Sym],
+        phase: Phase,
+        again: &mut bool,
+    ) -> Result<(), Refusal> {
+        let graph = self.graph;
+        let mut mark = |suffix: &mut Suffix, used: &[bool], k: u32| {
+            let k = k as usize;
+            if !suffix.affected[k] {
+                suffix.affected[k] = true;
+                *again |= used[k];
+            }
+        };
+        for v in phase.start..graph.len() as VertexId {
+            let (row, step) = graph.step(v);
+            let r = row as usize;
+            match step {
+                Step::Insert if graph.row(row).cause == v => {
+                    let view = graph.row(row);
+                    self.origin[r] = suffix.id_of(view.node, view.tuple);
+                }
+                Step::Appear if v < phase.held && !watched.is_empty() => {
+                    // A live tuple an aggregate or a native fires on, at a
+                    // node the change touched.
+                    let view = graph.row(row);
+                    let live = view.end.is_none_or(|end| end >= phase.at);
+                    if live && d.contains_key(view.node) && watched.contains(&view.tuple.table) {
+                        match self.origin[r] {
+                            PREFIX => {
+                                return Err("a native or an aggregate fires on the prefix there")
+                            }
+                            k if suffix.independent(k) => mark(suffix, &self.used_by_other, k),
+                            _ => {}
+                        }
+                    }
+                }
+                Step::Derive {
+                    rule,
+                    trigger,
+                    body,
+                } => {
+                    let Some(trow) = body_rows(graph, body, trigger, &mut self.rows) else {
+                        continue;
+                    };
+                    let t_origin = self.origin[trow as usize];
+                    if graph.row(row).cause == v {
+                        self.origin[r] = t_origin;
+                    }
+                    if v >= phase.held {
+                        // Phase A's own firing: a body of an independent
+                        // origin was there before Δ's tuple that triggered
+                        // it, where the from-scratch replay has Δ first.
+                        for (i, &b) in self.rows.iter().enumerate() {
+                            let o = self.origin[b as usize];
+                            if i != trigger && suffix.independent(o) {
+                                mark(suffix, &self.used_by_other, o);
+                            }
+                        }
+                        continue;
+                    }
+                    let ends = self.rows.iter().map(|&b| graph.row(b).end);
+                    if ends.clone().any(|end| end.is_some_and(|e| e < phase.at)) {
+                        continue; // retracted before: not a live firing
+                    }
+                    let retracted = ends.clone().any(|end| end.is_some());
+                    let tainted = retracted
+                        || self.rows.iter().any(|&b| {
+                            let o = self.origin[b as usize];
+                            self.taint[b as usize] || (o != PREFIX && suffix.affected[o as usize])
+                        });
+                    if tainted {
+                        self.taint[r] = true;
+                    }
+                    for &b in &self.rows {
+                        let o = self.origin[b as usize];
+                        if o != PREFIX && o != t_origin {
+                            self.used_by_other[o as usize] = true;
+                        }
+                    }
+                    if t_origin != PREFIX && suffix.affected[t_origin as usize] && !tainted {
+                        continue;
+                    }
+                    if !self.readers.reads_state(rule) {
+                        if tainted && suffix.independent(t_origin) {
+                            mark(suffix, &self.used_by_other, t_origin);
+                        }
+                        continue;
+                    }
+                    let node = graph.row(trow).node;
+                    let reads = !tainted
+                        && d.get(node).is_some_and(|ds| {
+                            reads_any(self.program, graph, (rule, node, &self.rows), ds)
+                        });
+                    match t_origin {
+                        PREFIX if tainted || reads => {
+                            return Err(
+                                "a prefix firing that read state depends on what the roll changes",
+                            )
+                        }
+                        k if suffix.independent(k) && (tainted || reads) => {
+                            mark(suffix, &self.used_by_other, k)
+                        }
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Row origins: the walk's, then those of the rows opened after it.
+struct Origins {
+    walked: Vec<u32>,
+    opened: Vec<u32>,
+}
+
+impl Origins {
+    fn get(&self, r: RowId) -> u32 {
+        let r = r as usize;
+        match r.checked_sub(self.walked.len()) {
+            Some(i) => self.opened[i],
+            None => self.walked[r],
+        }
+    }
+
+    fn set(&mut self, r: RowId, origin: u32) {
+        let r = r as usize;
+        match r.checked_sub(self.walked.len()) {
+            Some(i) => self.opened[i] = origin,
+            None => self.walked[r] = origin,
+        }
+    }
+}
+
+/// The checks after phase C, over what it recorded from vertex `from` on.
+/// The roll keeps its result only when no independent episode closed, no
+/// re-issued event joined an independent one logged after it (the
+/// from-scratch replay has that one as the trigger, and FINDSEED would
+/// descend elsewhere), and nothing that read state outside the re-issued
+/// events could have read what phase C changed.
+pub(crate) fn settled(
+    engine: &Engine<GraphRecorder>,
+    suffix: &Suffix,
+    mut found: Found,
+    from: VertexId,
+) -> Result<(), Refusal> {
+    let graph = &engine.sink().graph;
+    // The rows phase C opened get their origins beside the walk's.
+    let opened = vec![PREFIX; graph.row_count() - found.origin.len()];
+    let mut origins = Origins {
+        walked: std::mem::take(&mut found.origin),
+        opened,
+    };
+    // Net opens minus closes per located tuple, of the tables something
+    // that reads state could read: what phase C changed that a firing
+    // outside it could have seen.
+    let program = engine.program();
+    let mut read = ReadTables::new(program);
+    let mut net: Vec<(&NodeId, *const Tuple, i32, &Arc<Tuple>)> = Vec::new();
+    let mut rows = Vec::new();
+    for v in from..graph.len() as VertexId {
+        let (row, step) = graph.step(v);
+        let view = graph.row(row);
+        match step {
+            Step::Insert if view.cause == v => {
+                origins.set(row, suffix.id_of(view.node, view.tuple))
+            }
+            Step::Derive { trigger, body, .. } if view.cause == v => {
+                let Some(trow) = body_rows(graph, body, trigger, &mut rows) else {
+                    continue;
+                };
+                let t = origins.get(trow);
+                origins.set(row, t);
+                if view.end.is_some() || t == PREFIX {
+                    continue;
+                }
+                let later = rows.iter().any(|&b| {
+                    let o = origins.get(b);
+                    suffix.independent(o) && suffix.first[o as usize] > suffix.first[t as usize]
+                });
+                if later {
+                    return Err("a re-issued event joined an independent one logged after it");
+                }
+            }
+            Step::Appear | Step::Disappear => {
+                let opens = matches!(step, Step::Appear);
+                if !opens && suffix.independent(origins.get(row)) {
+                    return Err("an independent episode closed");
+                }
+                if read.any(&view.tuple.table) {
+                    net.push((
+                        view.node,
+                        Arc::as_ptr(view.tuple),
+                        if opens { 1 } else { -1 },
+                        view.tuple,
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    net.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    let mut changed = ByNode::new();
+    for same in net.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if same.iter().map(|e| e.2).sum::<i32>() != 0 {
+            let (node, _, _, tuple) = same[0];
+            changed
+                .entry(node)
+                .or_default()
+                .entry(&tuple.table)
+                .or_default()
+                .push(tuple);
+        }
+    }
+    if changed.is_empty() {
+        return Ok(());
+    }
+    // A firing outside the re-issued events that is still live and read
+    // state — triggered by an independent tuple, or by the prefix after
+    // the fork — must not have read what phase C changed.
+    let phase = found.phase;
+    let mut rules = ReaderCache {
+        program,
+        known: Vec::new(),
+    };
+    for v in phase.start..phase.held {
+        let (
+            _,
+            Step::Derive {
+                rule,
+                trigger,
+                body,
+            },
+        ) = graph.step(v)
+        else {
+            continue;
+        };
+        let Some(trow) = body_rows(graph, body, trigger, &mut rows) else {
+            continue;
+        };
+        let t = origins.get(trow);
+        let outside = t == PREFIX || suffix.independent(t);
+        if !outside || rows.iter().any(|&b| graph.row(b).end.is_some()) || !rules.reads_state(rule)
+        {
+            continue;
+        }
+        let node = graph.row(trow).node;
+        if changed
+            .get(node)
+            .is_some_and(|ts| reads_any(program, graph, (rule, node, &rows), ts))
+        {
+            return Err("a firing outside the re-issued events read what phase C changed");
+        }
+    }
+    if !found.watched.is_empty() {
+        for row in 0..graph.row_count() as RowId {
+            let view = graph.row(row);
+            let o = origins.get(row);
+            let outside = suffix.independent(o) || (o == PREFIX && view.cause >= phase.start);
+            if view.end.is_none()
+                && outside
+                && changed.contains_key(view.node)
+                && found.watched.contains(&view.tuple.table)
+            {
+                return Err("a native or an aggregate fires where phase C changed its node");
+            }
+        }
+    }
+    Ok(())
+}

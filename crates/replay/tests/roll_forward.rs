@@ -1,14 +1,15 @@
-//! The four facts `Replayed::roll_forward` is built around, each on the
+//! The facts `Replayed::roll_forward` is built around, each on the
 //! smallest program that shows it. For (a)–(c) a mapper node ships `item`s
 //! to a reducer node over a link, and a `start` fence at the reducer sums
 //! what has arrived by then (aggregates fire on their fence only — the
-//! MapReduce scenarios' `reduceStart` in miniature); (d) is two switches
-//! of the SDN model and its `best_match` priority resolution.
+//! MapReduce scenarios' `reduceStart` in miniature), and (f) reuses it;
+//! (d) and (e) are switches of the SDN model and its `best_match` priority
+//! resolution, whose read footprint (g) pins.
 //!
 //! The whole-scenario differential is `roll_forward_differential.rs`;
-//! these pin *why* the method withdraws what it withdraws, re-issues when
-//! it re-issues, keeps `apply_changes`' semantics, and when it does not
-//! trust its own rewind.
+//! these pin *why* the method withdraws what it withdraws, re-issues what
+//! it re-issues and nothing else, keeps `apply_changes`' semantics, and
+//! when it does not trust its own roll.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -80,17 +81,22 @@ fn totals(r: &Replayed) -> Vec<Tuple> {
         .unwrap_or_default()
 }
 
-/// Rolls a fresh replay of `exec` to `delta`, checks that the cost rule
-/// took the withdraw path and that the live state is the from-scratch
-/// replay's, and returns it.
-fn rolled(exec: &Execution, delta: &[TupleChange], inject_at: u64) -> Replayed {
+/// Rolls a fresh replay of `exec` to `delta`, checks that the call took
+/// `path` (`roll` or `scratch`) and that the live state is the
+/// from-scratch replay's, and returns it.
+fn rolled_by(exec: &Execution, delta: &[TupleChange], inject_at: u64, path: &str) -> Replayed {
     let mut r = exec.replay().unwrap();
     r.roll_forward(exec, delta, inject_at).unwrap();
     let agg = exec.tracer.aggregate();
-    assert_eq!(agg.counter("replay.rolled{path=roll}"), 1, "fixture: the fork must be late");
-    assert_eq!(agg.counter("replay.rolled{path=scratch}"), 0);
+    assert_eq!(agg.counter(&format!("replay.rolled{{path={path}}}")), 1, "took the {path} path");
+    let paths = ["replay.rolled{path=roll}", "replay.rolled{path=scratch}"];
+    assert_eq!(paths.map(|p| agg.counter(p)).iter().sum::<u64>(), 1);
     assert_eq!(live(&r), live(&exec.replay_with(delta, inject_at).unwrap()));
     r
+}
+
+fn rolled(exec: &Execution, delta: &[TupleChange], inject_at: u64) -> Replayed {
+    rolled_by(exec, delta, inject_at, "roll")
 }
 
 /// (a) The re-issued suffix is shifted in time. After a replay the clock
@@ -177,7 +183,8 @@ fn changes_land_at_their_events_own_dues_not_at_the_inject_point() {
     let rewritten = patched.events().iter().position(|e| e.tuple == tuple!("item", 2, 5));
     assert_eq!(rewritten, Some(18), "the replacement keeps item 2's place and due");
     assert_eq!(patched.events()[18].due, ITEMS + 2);
-    assert_eq!(totals(&rolled(&exec, &delta, inject_at)), [tuple!("total", 9)]);
+    // The re-issued fence would sum the later item too: see (f).
+    assert_eq!(totals(&rolled_by(&exec, &delta, inject_at, "scratch")), [tuple!("total", 9)]);
 
     // Inject-point semantics: the old tuple's events go, the new tuple is
     // inserted at `inject_at`.
@@ -197,10 +204,10 @@ fn changes_land_at_their_events_own_dues_not_at_the_inject_point() {
 /// entry was installed there: `best_match` picks that one and the prefix's
 /// own low-priority entry never fires. Withdrawing the high-priority entry
 /// retracts the forwarding it caused, and nothing matches the packet
-/// against the low-priority entry again — so a prefix holding such a
-/// packet (live tuples in every body table of a rule with a stateful
-/// builtin, one of them appeared since the fork's due) is not trusted
-/// after the rewind: the patched log is replayed from scratch.
+/// against the low-priority entry again: the packet is the prefix's, so no
+/// re-issue can. The recording shows it — a prefix firing that read state
+/// through a builtin used the changed entry — and the trust rule sends
+/// the patched log to a from-scratch replay.
 #[test]
 fn a_prefix_that_read_the_suffix_is_replayed_not_rewound() {
     use dp_sdn::{cfg_entry, deliver_at, pkt_in, sdn_program, Topology};
@@ -239,8 +246,9 @@ fn a_prefix_that_read_the_suffix_is_replayed_not_rewound() {
     assert_eq!(live(&r), live(&scratch));
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.fork_events"), 1, "fixture: the fork is the last event");
-    assert_eq!(agg.span_count("replay.withdraw"), 1, "the cost rule chose to rewind");
-    assert_eq!(agg.counter("replay.rolled{path=scratch}"), 1, "the rewound prefix was not trusted");
+    assert_eq!(agg.span_count("replay.affect"), 1, "the roll read the recording");
+    assert_eq!(agg.span_count("replay.withdraw"), 0, "and withdrew nothing");
+    assert_eq!(agg.counter("replay.rolled{path=scratch}"), 1, "the prefix was not trusted");
 
     // The rewind and re-issue by hand: the packet is delivered nowhere.
     let mut naive = exec.replay().unwrap();
@@ -250,4 +258,196 @@ fn a_prefix_that_read_the_suffix_is_replayed_not_rewound() {
     naive.engine.schedule_insert(now + 1, ctl, high(cidr("0.0.0.0/4"))).unwrap();
     naive.engine.run().unwrap();
     assert!(!delivered(&naive, "a") && !delivered(&naive, "b"));
+}
+
+/// Every live tuple's FINDSEED seed, for the tuples a packet seeds: a
+/// packet's tree must spring from the packet in a roll as it does from
+/// scratch.
+fn packet_seeds(r: &Replayed) -> BTreeSet<(NodeId, Tuple, Tuple)> {
+    live(r)
+        .into_iter()
+        .filter_map(|(node, tuple)| {
+            let tree = r.query(&dp_types::TupleRef::new(node.clone(), tuple.clone()))?;
+            let view = dp_provenance::tuple_view(&tree);
+            let seed = Tuple::clone(&view.node(view.seed()).tref.tuple);
+            (seed.table.as_str() == "pktIn").then_some((node, tuple, seed))
+        })
+        .collect()
+}
+
+/// (e) Δ lands first, at the clock, and what it reaches is re-issued. A
+/// packet that matched no entry before Δ is parked at the switch: when
+/// Δ's wider entry arrives it is the entry that triggers the forwarding,
+/// where from scratch the entry was there first and the packet triggers.
+/// A packet a lower-priority entry forwarded reads Δ's entry through
+/// `best_match` (it now wins). Both are re-issued, in log order after
+/// Δ's entry, so each packet's tree springs from the packet; the packet
+/// no entry Δ touches keeps what it had.
+#[test]
+fn what_the_change_reaches_is_reissued_and_nothing_else() {
+    use dp_sdn::{cfg_entry, deliver_at, pkt_in, sdn_program, Topology};
+    use dp_types::prefix::{cidr, ip};
+
+    let mut topo = Topology::new("ctl");
+    topo.switches(&["S1"]);
+    let (to_a, to_b, to_c) = (topo.host("S1", "a"), topo.host("S1", "b"), topo.host("S1", "c"));
+    let mut exec = Execution::new(sdn_program("ctl").unwrap());
+    exec.tracer = Tracer::aggregate_only();
+    topo.emit(&mut exec.log, 10);
+    let any = cidr("0.0.0.0/0");
+    exec.log.insert(10, "ctl", cfg_entry(1, "S1", 5, any, cidr("10.9.0.0/16"), to_c));
+    exec.log.insert(10, "ctl", cfg_entry(2, "S1", 3, any, cidr("10.0.2.0/24"), to_b));
+    let entry = |dst| cfg_entry(3, "S1", 5, any, cidr(dst), to_a);
+    exec.log.insert(10, "ctl", entry("10.0.0.0/24")); // the fork: Δ widens it
+    let src = ip("19.0.0.1");
+    let packets = [(1, "10.0.1.5"), (2, "10.0.2.9"), (3, "10.9.0.1")];
+    for (pid, dst) in packets {
+        exec.log.insert(1_000 + pid as u64, "S1", pkt_in(pid, src, ip(dst), 6, 64));
+    }
+    let delta = [TupleChange {
+        node: NodeId::new("ctl"),
+        before: Some(entry("10.0.0.0/24")),
+        after: Some(entry("10.0.0.0/22")),
+    }];
+    let delivered = |r: &Replayed, host, pid, dst| {
+        let at = deliver_at(host, pid, src, ip(dst), 6, 64);
+        r.exists(&at.node, &at.tuple)
+    };
+    let held = exec.replay().unwrap();
+    assert!(!delivered(&held, "a", 1, "10.0.1.5"), "fixture: packet 1 matches nothing");
+    assert!(delivered(&held, "b", 2, "10.0.2.9"), "fixture: packet 2 takes the low entry");
+
+    let r = rolled(&exec, &delta, 0);
+    let scratch = exec.replay_with(&delta, 0).unwrap();
+    assert!(delivered(&r, "a", 1, "10.0.1.5") && delivered(&r, "a", 2, "10.0.2.9"));
+    assert!(delivered(&r, "c", 3, "10.9.0.1"));
+    assert_eq!(packet_seeds(&r), packet_seeds(&scratch));
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.fork_events"), 4, "the entry and three packets");
+    assert_eq!(agg.counter("replay.affected_events"), 3, "the entry and packets 1 and 2");
+}
+
+/// (f) An independent event logged after an affected one that joins it is
+/// included or the roll falls back — never kept with the order flipped.
+/// Replacing item 2 reaches the fence (its sum read item 2). A re-issued
+/// fence would find the later item 9 already there and sum it, where from
+/// scratch the fence fired first; phase C's recording shows the join and
+/// the patched log is replayed from scratch, through both entries.
+#[test]
+fn an_affected_event_never_joins_a_later_independent_one() {
+    let mut exec = execution();
+    exec.log.insert(FENCE + 10, "m", tuple!("item", 9, 7));
+    let delta = replace_item(2, 5);
+    let scratch = exec.replay_with(&delta, 0).unwrap();
+    assert_eq!(totals(&scratch), [tuple!("total", 1 + 5 + 3)]);
+    for withdrawing in [false, true] {
+        let mut r = exec.replay().unwrap();
+        let before = exec.tracer.aggregate();
+        if withdrawing {
+            r.roll_forward_withdrawing(&exec, &delta, 0).unwrap();
+        } else {
+            r.roll_forward(&exec, &delta, 0).unwrap();
+        }
+        let agg = exec.tracer.aggregate();
+        let scratch_rolls = |a: &dp_trace::Aggregate| a.counter("replay.rolled{path=scratch}");
+        assert_eq!(scratch_rolls(&agg) - scratch_rolls(&before), 1, "withdrawing: {withdrawing}");
+        assert_eq!(live(&r), live(&scratch));
+        assert_eq!(totals(&r), totals(&scratch));
+    }
+    // Each call found item 2 and the fence, and neither item 3 nor item 9.
+    assert_eq!(exec.tracer.aggregate().counter("replay.affected_events"), 2 * 2);
+}
+
+/// (g) `best_match`'s read footprint: an entry matters to a packet's
+/// priority resolution exactly when it matches the packet — source and
+/// destination both — whatever its priority, and nothing but a flow
+/// entry matters at all.
+#[test]
+fn best_match_reads_the_entries_that_match_the_packet() {
+    use dp_ndlog::StatefulBuiltin;
+    use dp_sdn::BestMatch;
+    use dp_types::prefix::{cidr, ip};
+    use dp_types::Value;
+
+    let bm = BestMatch::new(None);
+    let (src, dst) = (Value::Ip(ip("10.1.2.3")), Value::Ip(ip("172.16.0.9")));
+    let args = [Value::str("S1"), src, dst, Value::Int(5)];
+    let entry = |prio: i64, sm: &str, dm: &str| {
+        let (sm, dm) = (Value::Prefix(cidr(sm)), Value::Prefix(cidr(dm)));
+        Tuple::new("flowEntry", vec![Value::Int(1), Value::Int(prio), sm, dm, Value::Int(2)])
+    };
+    for (prio, sm, dm, reads) in [
+        (5, "10.0.0.0/8", "172.16.0.0/12", true),
+        (9, "0.0.0.0/0", "172.16.0.9/32", true),
+        (1, "10.1.2.3/32", "0.0.0.0/0", true),
+        (5, "11.0.0.0/8", "172.16.0.0/12", false),
+        (5, "10.0.0.0/8", "172.17.0.0/16", false),
+        (9, "11.0.0.0/8", "10.0.0.0/8", false),
+    ] {
+        assert_eq!(bm.may_read(&args, &entry(prio, sm, dm)), reads, "prio {prio} {sm} {dm}");
+    }
+    assert!(!bm.may_read(&args, &tuple!("pktAt", 1, 2, 3, 4, 5)));
+}
+
+/// `unlisted!(X)`: no `deny(X)` at the node. A `deny` tuple rejects a
+/// match without taking part in any firing.
+struct Unlisted;
+
+impl dp_ndlog::StatefulBuiltin for Unlisted {
+    fn name(&self) -> dp_types::Sym {
+        dp_types::Sym::new("unlisted")
+    }
+
+    fn eval(
+        &self,
+        view: &dp_ndlog::NodeView<'_>,
+        args: &[dp_types::Value],
+    ) -> dp_types::Result<bool> {
+        let deny = dp_types::Sym::new("deny");
+        Ok(!view.table(&deny).any(|t| t.args.first() == args.first()))
+    }
+
+    fn may_read(&self, args: &[dp_types::Value], tuple: &Tuple) -> bool {
+        tuple.table.as_str() == "deny" && tuple.args.first() == args.first()
+    }
+}
+
+/// (h) A tuple Δ adds can reject a match it takes no part in: `deny(3)`
+/// triggers nothing, so no firing of phase A names the item it blocks.
+/// The item's recorded firing called `unlisted!` with arguments `deny(3)`
+/// now falsifies — `may_read` over the tuples Δ *opened* finds it — and
+/// only that item is re-issued, and blocked.
+#[test]
+fn a_tuple_the_change_adds_rejects_what_it_takes_no_part_in() {
+    use FieldType::Int;
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("pad", TableKind::ImmutableBase, [("x", Int)]));
+    reg.declare(Schema::new("in", TableKind::ImmutableBase, [("x", Int)]));
+    reg.declare(Schema::new("deny", TableKind::MutableBase, [("x", Int)]));
+    reg.declare(Schema::new("out", TableKind::Derived, [("x", Int)]));
+    let program = Program::builder(reg)
+        .rules_text("pass out(@N, X) :- in(@N, X), unlisted!(X).")
+        .unwrap()
+        .builtin(Arc::new(Unlisted))
+        .build()
+        .unwrap();
+    let mut exec = Execution::new(program);
+    exec.tracer = Tracer::aggregate_only();
+    for x in 0..16 {
+        exec.log.insert(0, "n", tuple!("pad", x));
+    }
+    for x in 1..=4 {
+        exec.log.insert(ITEMS + x as u64, "n", tuple!("in", x));
+    }
+    let delta = [TupleChange {
+        node: NodeId::new("n"),
+        before: None,
+        after: Some(tuple!("deny", 3)),
+    }];
+    let r = rolled(&exec, &delta, ITEMS); // injected before every item
+    let n = NodeId::new("n");
+    assert!(!r.exists(&n, &tuple!("out", 3)) && r.exists(&n, &tuple!("out", 4)));
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.fork_events"), 4, "the held log's four items");
+    assert_eq!(agg.counter("replay.affected_events"), 2, "deny(3) and item 3");
 }

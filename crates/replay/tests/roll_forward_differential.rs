@@ -23,10 +23,23 @@ use std::collections::BTreeSet;
 
 use diffprov_core::Scenario;
 use dp_ndlog::TupleChange;
+use dp_provenance::tuple_view;
 use dp_replay::{apply_changes, Execution, Replayed};
 use dp_sdn::{campus, CampusConfig};
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, TupleRef};
+
+/// A campus shaped like diagbench's `campus_traffic`: the faulty entry
+/// sits in the configuration, before all the traffic, so nearly the whole
+/// log is suffix, and few packets cross the changed switch.
+fn traffic_campus() -> Scenario {
+    campus(&CampusConfig {
+        bulk_entries_per_router: 2,
+        background_packets: 300,
+        ..CampusConfig::default()
+    })
+    .scenario
+}
 
 fn scenarios() -> Vec<Scenario> {
     let mut all = dp_sdn::all_sdn_scenarios();
@@ -41,6 +54,7 @@ fn scenarios() -> Vec<Scenario> {
         })
         .scenario,
     );
+    all.push(traffic_campus());
     all
 }
 
@@ -90,23 +104,60 @@ fn unstamped(tree: &str) -> String {
         .join("\n")
 }
 
-/// Every live located tuple with its unstamped tree.
-fn trees(case: &str, r: &Replayed) -> Vec<(TupleRef, String)> {
+/// A live located tuple, its unstamped tree and its FINDSEED seed.
+type Tree = (TupleRef, String, TupleRef);
+
+/// Every live located tuple with its unstamped tree and its seed: the
+/// trigger descent `diagnose` verifies a repaired tree against. A rendered
+/// tree names each derivation's body but not which body was the trigger,
+/// so only the seed sees a roll that reorders two appearances.
+fn trees(case: &str, r: &Replayed) -> Vec<Tree> {
     live(r)
         .into_iter()
         .map(|root| {
             let t = r.query(&root).unwrap_or_else(|| panic!("{case}: live {root} has no tree"));
-            let rendered = unstamped(&t.render());
-            (root, rendered)
+            let view = tuple_view(&t);
+            let seed = view.node(view.seed()).tref.clone();
+            (root, unstamped(&t.render()), seed)
         })
         .collect()
 }
 
-fn assert_same(case: &str, rolled: &Replayed, scratch: &[(TupleRef, String)]) {
-    let want: BTreeSet<_> = scratch.iter().map(|(root, _)| root.clone()).collect();
+/// The located tuples a roll from `exec`'s log patched to `held` to it
+/// patched to `delta` re-issues: the patched log's events from the first
+/// position where the two part on.
+fn reissued(
+    exec: &Execution,
+    held: &[TupleChange],
+    delta: &[TupleChange],
+    at: LogicalTime,
+) -> Located {
+    let (held, patched) = (apply_changes(&exec.log, held, at), apply_changes(&exec.log, delta, at));
+    let (h, p) = (held.events(), patched.events());
+    let fork = h.iter().zip(p.iter()).take_while(|(a, b)| a == b).count();
+    p[fork..].iter().map(|e| TupleRef::new(e.node.clone(), e.tuple.clone())).collect()
+}
+
+type Located = BTreeSet<TupleRef>;
+
+/// The rolled replay holds the from-scratch replay's live tuples, each with
+/// its tree and its seed. One reorder is excused: a seed no roll so far
+/// re-issued (`reissued`, accumulated over this replay's rolls) may become
+/// one a roll re-issued. A roll runs the prefix to quiescence before it
+/// re-issues anything, so a derivation that joined a re-issued event with
+/// prefix work still in flight at the fork (a switch's `switchUp` crossing
+/// its link after the configuration batch) is triggered by the re-issued
+/// event instead.
+fn assert_same(case: &str, rolled: &Replayed, scratch: &[Tree], reissued: &Located) {
+    let want: Located = scratch.iter().map(|(root, ..)| root.clone()).collect();
     assert_eq!(live(rolled), want, "{case}: live tuples differ");
-    for ((root, got), (_, want)) in trees(case, rolled).iter().zip(scratch) {
+    let in_flight =
+        |want: &TupleRef, got: &TupleRef| !reissued.contains(want) && reissued.contains(got);
+    for ((root, got, seed), (_, want, want_seed)) in trees(case, rolled).iter().zip(scratch) {
         assert_eq!(got, want, "{case}: tree of {root}");
+        if !in_flight(want_seed, seed) {
+            assert_eq!(seed, want_seed, "{case}: seed of {root}");
+        }
     }
 }
 
@@ -130,11 +181,14 @@ fn rolled_replays_equal_from_scratch_replays() {
             .map(|delta| trees(s.name, &exec.replay_with(delta, at).unwrap()))
             .collect();
         for (entry, roll) in ENTRIES {
-            let mut rolled = exec.replay().unwrap();
+            let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
+            let mut moved = Located::new();
             for (round, delta) in deltas.iter().enumerate() {
                 let case = format!("{} {entry} round {}", s.name, round + 1);
                 roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
-                assert_same(&case, &rolled, &scratch[round]);
+                moved.extend(reissued(&exec, held, delta, at));
+                assert_same(&case, &rolled, &scratch[round], &moved);
+                held = delta;
             }
         }
         roll_paths += exec.tracer.aggregate().counter("replay.rolled{path=roll}");
@@ -144,6 +198,28 @@ fn rolled_replays_equal_from_scratch_replays() {
     // rule); the cost rule must let some through too, or DiffProv never
     // takes the path this file is about.
     assert!(roll_paths > forced, "the cost rule never rolled: {roll_paths} of {forced} forced");
+}
+
+/// On the traffic-shaped campus DiffProv's own UPDATETREE rolls, and it
+/// re-issues only the events the change reaches: the entry and the
+/// packets that cross `oz4` toward a prefix either changed entry covers.
+#[test]
+fn a_traffic_campus_rolls_only_what_the_change_reaches() {
+    let s = traffic_campus();
+    let mut exec = s.bad_exec.clone();
+    exec.tracer = Tracer::aggregate_only();
+    let diffprov = diffprov_core::DiffProv {
+        tracer: exec.tracer.clone(),
+        ..Default::default()
+    };
+    let report = diffprov.diagnose(&exec, &s.good_event, &exec, &s.bad_event).unwrap();
+    assert!(report.succeeded() && report.verified, "{report}");
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.rolled{path=roll}"), 1, "DiffProv's call rolled");
+    assert_eq!(agg.counter("replay.rolled{path=scratch}"), 0);
+    let fork = agg.counter("replay.fork_events");
+    let affected = agg.counter("replay.affected_events");
+    assert!(0 < affected && affected < fork, "{affected} affected of {fork} suffix events");
 }
 
 /// SDN4 needs two rounds. The second UPDATETREE forks from the state the
@@ -177,7 +253,9 @@ fn sdn4_round_two_forks_from_round_one() {
     rolled.roll_forward_withdrawing(&exec, &deltas[1], at).unwrap();
     assert_eq!(forked(&exec) - after_round1, from_round1);
     let scratch = exec.replay_with(&deltas[1], at).unwrap();
-    assert_same("SDN4 round 2", &rolled, &trees("SDN4 scratch", &scratch));
+    let mut moved = reissued(&exec, &[], &deltas[0], at);
+    moved.extend(reissued(&exec, &deltas[0], &deltas[1], at));
+    assert_same("SDN4 round 2", &rolled, &trees("SDN4 scratch", &scratch), &moved);
 }
 
 /// The roll skips the base-presence walk over the prefix when the engine
@@ -231,11 +309,14 @@ fn a_duplicate_insert_in_the_prefix_keeps_the_presence_walk() {
         (&[][..], trees("campus+dup", &exec.replay().unwrap())),
     ];
     for (entry, roll) in ENTRIES {
-        let mut rolled = exec.replay().unwrap();
+        let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
+        let mut moved = Located::new();
         for (i, (delta, scratch)) in targets.iter().enumerate() {
             let case = format!("campus+dup {entry} roll {}", i + 1);
             roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
-            assert_same(&case, &rolled, scratch);
+            moved.extend(reissued(&exec, held, delta, at));
+            assert_same(&case, &rolled, scratch, &moved);
+            held = delta;
         }
     }
     assert_eq!(

@@ -279,6 +279,29 @@ impl StatefulBuiltin for BestMatch {
             .is_empty())
     }
 
+    /// Only a flow entry that matches the packet — its `srcMatch` contains
+    /// `Src` and its `dstMatch` contains `Dst` — can block or unblock a
+    /// match, whatever its priority: a lower one can still be the entry a
+    /// change leaves on top. Arguments that are not a packet's header
+    /// answer `true`.
+    fn may_read(&self, args: &[Value], tuple: &Tuple) -> bool {
+        if !self.reads_table(&tuple.table) {
+            return false;
+        }
+        let (Some(src), Some(dst)) = (args.get(1), args.get(2)) else {
+            return true;
+        };
+        let contains = |col: usize, ip: &Value| match (tuple.args.get(col), ip) {
+            (Some(Value::Prefix(p)), Value::Ip(ip)) => p.contains(*ip),
+            _ => true,
+        };
+        contains(2, src) && contains(3, dst)
+    }
+
+    fn reads_table(&self, table: &Sym) -> bool {
+        *table == self.flow_entry
+    }
+
     fn repair(&self, view: &NodeView<'_>, args: &[Value]) -> Result<Vec<TupleChange>> {
         let [sw, src, dst, prio] = args else {
             return Err(Error::Engine("best_match expects 4 arguments".into()));

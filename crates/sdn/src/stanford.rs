@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dp_types::DetRng;
 
 use diffprov_core::QueryEvent;
-use dp_replay::Execution;
+use dp_replay::{BaseEvent, BaseOp, EventLog, Execution};
 use dp_types::prefix::{cidr, ip};
 use dp_types::{LogicalTime, NodeId, Prefix, TupleRef};
 
@@ -213,6 +213,16 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         entry_count += 1;
     }
 
+    // The probe packets: H1 sits in oz3's zone (172.18.0.0/16). They are
+    // logged in replay order among the traffic (`log_probes_before`).
+    let h1 = ip("172.18.7.7");
+    let good_dst = ip("172.19.254.9");
+    let bad_dst = ip("172.20.10.33");
+    let mut probes = vec![
+        (T_BAD, pkt_in(2, h1, bad_dst, 6, 512)),
+        (T_GOOD, pkt_in(1, h1, good_dst, 6, 512)),
+    ];
+
     // Background traffic between random zones (HTTP-ish and bulk flows).
     for b in 0..cfg.background_packets {
         let szi = rng.gen_range_usize(0, zones.len());
@@ -227,6 +237,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         if cfg.update_churn_rounds > 0 {
             churn_packets.push((NodeId::new(s_owner), Arc::clone(&p)));
         }
+        log_probes_before(&mut exec.log, &mut probes, T_TRAFFIC + b as u64);
         exec.log.insert(T_TRAFFIC + b as u64, NodeId::new(s_owner), p);
     }
 
@@ -243,23 +254,25 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         for round in 0..cfg.update_churn_rounds {
             let t_del = t_churn + round as u64 * 100;
             let t_re = t_del + 50;
-            for e in &churn_entries {
-                exec.log.delete(t_del, ctl.clone(), Arc::clone(e));
-                exec.log.insert(t_re, ctl.clone(), Arc::clone(e));
-            }
-            for (n, p) in &churn_packets {
-                exec.log.delete(t_del, n.clone(), Arc::clone(p));
-                exec.log.insert(t_re, n.clone(), Arc::clone(p));
+            // A round's withdrawals, then its re-issues: each due's events
+            // in the order entries, packets.
+            for (t, op) in [(t_del, BaseOp::Delete), (t_re, BaseOp::Insert)] {
+                let entries = churn_entries.iter().map(|e| (&ctl, e));
+                for (node, tuple) in entries.chain(churn_packets.iter().map(|(n, p)| (n, p))) {
+                    exec.log.push(BaseEvent {
+                        due: t,
+                        node: node.clone(),
+                        tuple: Arc::clone(tuple),
+                        op,
+                    });
+                }
             }
         }
     }
-
-    // The probe packets: H1 sits in oz3's zone (172.18.0.0/16).
-    let h1 = ip("172.18.7.7");
-    let good_dst = ip("172.19.254.9");
-    let bad_dst = ip("172.20.10.33");
-    exec.log.insert(T_GOOD, "oz3", pkt_in(1, h1, good_dst, 6, 512));
-    exec.log.insert(T_BAD, "oz3", pkt_in(2, h1, bad_dst, 6, 512));
+    log_probes_before(&mut exec.log, &mut probes, LogicalTime::MAX);
+    // Everything above was logged in replay order, so this sorts nothing;
+    // it keeps every read of the log a borrow instead of a sorted copy.
+    exec.log.normalize();
 
     let scenario = Scenario {
         name: "Campus",
@@ -289,6 +302,20 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         scenario,
         topology: topo,
         entry_count,
+    }
+}
+
+/// Logs the probes (`(due, pktIn)`, latest first) due before `due` at
+/// `oz3`: a probe goes behind everything logged at its own due, as a
+/// stable sort by due would place it, so the log stays in replay order.
+fn log_probes_before(
+    log: &mut EventLog,
+    probes: &mut Vec<(LogicalTime, dp_types::Tuple)>,
+    due: LogicalTime,
+) {
+    while probes.last().is_some_and(|&(at, _)| at < due) {
+        let (at, probe) = probes.pop().expect("checked above");
+        log.insert(at, "oz3", probe);
     }
 }
 
@@ -328,6 +355,33 @@ mod tests {
             "the misconfigured oz4 entry must be named: {report}"
         );
         assert!(report.verified, "{report}");
+    }
+
+    /// The generator appends in replay order — probes among traffic due
+    /// later, churn rounds' withdrawals before their re-issues — so the
+    /// log it hands out is normalized without a sort, and every read of
+    /// it borrows.
+    #[test]
+    fn campus_logs_in_replay_order() {
+        for (background_packets, update_churn_rounds) in [(4_500, 0), (60, 3), (2_000, 2)] {
+            let campus = campus(&CampusConfig {
+                bulk_entries_per_router: 1,
+                background_packets,
+                update_churn_rounds,
+                ..Default::default()
+            });
+            let log = &campus.scenario.bad_exec.log;
+            assert_eq!(log.reorder_effort(), 0, "{background_packets} packets: sorted");
+            let events = log.events();
+            assert!(events.windows(2).all(|w| w[0].due <= w[1].due));
+            let probe = |pid| {
+                let pkt = |e: &&dp_replay::BaseEvent| e.tuple.table.as_str() == "pktIn";
+                events.iter().position(|e| pkt(&e) && e.tuple.args[0] == Value::Int(pid))
+            };
+            let last_at = |due| events.iter().rposition(|e| e.due == due);
+            assert_eq!(probe(1), last_at(T_GOOD), "the good probe is last at its due");
+            assert_eq!(probe(2), last_at(T_BAD));
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 # Full local gate: release build; the whole workspace suite, once — no
 # environment variable selects anything, so there is no second
 # configuration to cover; the diagbench package's own tests; one
-# fault-injection sweep; grep gates against the deleted second
+# fault-injection sweep; a check that UPDATETREE rolls the campus and
+# re-issues only what the change reaches; grep gates against the deleted second
 # instrumentation system, against the deleted scrape surface (server,
 # exposition, sketches — the workspace opens no socket and spawns no
 # thread), against the deleted store and tracer routings and on-disk
@@ -72,6 +73,24 @@ step "benchmark tests" cargo test --release --offline --manifest-path benchmark/
 # covers seeds 0..32, and it took the wider sweep to catch seed 144 in
 # PR 16. Failing seeds are ddmin-shrunk into tests/corpus/ automatically.
 step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
+# UPDATETREE re-issues only what the change reaches: on the default
+# campus DiffProv's own call must roll (not replay from scratch), and the
+# events it re-issues must be fewer than the suffix from the fork on. Both
+# are read off the tail of `repro trace campus`.
+rolls_what_the_change_reaches() {
+    local tail roll fork affected
+    tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
+    read_counter() { awk -v name="$1" '$1 == name { print $2 }' <<<"$tail"; }
+    roll="$(read_counter 'replay.rolled{path=roll}')"
+    fork="$(read_counter replay.fork_events)"
+    affected="$(read_counter replay.affected_events)"
+    echo "repro trace campus: roll ${roll:-0}, ${affected:-?} affected of ${fork:-?} fork events"
+    if [[ "$roll" != 1 || -z "$affected" || -z "$fork" || "$affected" -ge "$fork" ]]; then
+        echo "check.sh: the campus did not roll only what the change reaches" >&2
+        return 1
+    fi
+}
+step "campus rolls what the change reaches" rolls_what_the_change_reaches
 # The separate metrics registry folded into dp-trace's aggregate in PR 14;
 # a second instrumentation system must not grow back beside it. (The
 # names are spelled in halves so this script passes its own gate.)
@@ -116,11 +135,16 @@ step "gate: one provenance backend" absent \
     "a name of the deleted annotation backend reappeared" \
     "DP_""PROV|DP_SIM_""SEEDS|Annot""Recorder|Annotation""Store|reconstruct_""tree|Backend""Recorder|default_from_""env|fired_""at" \
     crates src tests examples scripts
-# DiffProv has one UPDATETREE path: Replayed::roll_forward, which decides
-# by itself between rolling the held replay forward and replaying the
-# patched log from scratch. A direct call of the from-scratch entry from
-# crates/core would be a second path beside it. (Spelled in halves so this
-# script passes its own gate.)
+# DiffProv has one UPDATETREE path: Replayed::roll_forward. It rolls the
+# held replay forward selectively — Δ applied at the clock, then only the
+# suffix events Δ reaches withdrawn and re-issued, the whole suffix being
+# the case where Δ reaches everything — and decides by itself, by two
+# fixed rules, when to replay the patched log from scratch instead: the
+# cost rule (the affected events are half the log or more) and the trust
+# rule (what the roll keeps could have read what it changed, or a
+# re-issued event joined an independent one logged after it). A direct
+# call of the from-scratch entry from crates/core would be a second path
+# beside it. (Spelled in halves so this script passes its own gate.)
 step "gate: one UPDATETREE path" absent \
     "crates/core calls the from-scratch replay directly" \
     "replay""_with" crates/core
