@@ -124,16 +124,19 @@ pub fn summary(run: &TraceRun) -> String {
         ms(agg.total_ns("diffprov.replay")),
         ms(update_ns)
     );
-    // UPDATETREE's path and what it moved: the suffix from the fork on,
+    // UPDATETREE's path, why it replayed from scratch if it did, and what
+    // it moved: the suffix from the fork on, its distinct located tuples,
     // and the part of it the change reached.
     let _ = writeln!(
         s,
-        "      update-tree: path roll x{} / scratch x{}; \
-         {} fork events of {} logged, {} affected",
+        "      update-tree: path roll x{} / scratch x{}{}; \
+         {} fork events of {} logged, {} suffix tuples, {} affected",
         agg.counter("replay.rolled{path=roll}"),
         agg.counter("replay.rolled{path=scratch}"),
+        refusals(agg),
         agg.counter("replay.fork_events"),
         agg.counter("replay.log_events"),
+        agg.counter("replay.suffix_tuples"),
         agg.counter("replay.affected_events")
     );
     let _ = writeln!(
@@ -223,6 +226,24 @@ pub fn summary(run: &TraceRun) -> String {
         let _ = writeln!(s, "      {name} {} {}", h.count, h.sum);
     }
     s
+}
+
+/// The reasons UPDATETREE gave for replaying from scratch, as
+/// ` (refused: order x1)`; empty when it gave none.
+fn refusals(agg: &Aggregate) -> String {
+    let why: Vec<String> = agg
+        .counters
+        .iter()
+        .filter_map(|(name, n)| match dp_trace::split_series(name) {
+            ("replay.refused", Some(("why", why))) => Some(format!("{why} x{n}")),
+            _ => None,
+        })
+        .collect();
+    if why.is_empty() {
+        String::new()
+    } else {
+        format!(" (refused: {})", why.join(", "))
+    }
 }
 
 /// Replays the scenario's bad execution and renders the engine's
@@ -383,9 +404,11 @@ mod tests {
     }
 
     /// UPDATETREE's roll-forward reports on the execution's tracer: the
-    /// fork fraction (`fork_events` ÷ `log_events`), the part of the
-    /// suffix the change reached (`affected_events`), the path taken and
-    /// the phase spans; the summary's update-tree line reads them.
+    /// fork fraction (`fork_events` ÷ `log_events`), the suffix's distinct
+    /// located tuples (`suffix_tuples`), the part of the suffix the change
+    /// reached (`affected_events`), the path taken, why a from-scratch
+    /// replay was chosen, and the phase spans; the summary's update-tree
+    /// line reads them.
     #[test]
     fn rolled_replay_reports_the_fork_families() {
         let scenario = find_scenario("SDN1").unwrap();
@@ -399,6 +422,13 @@ mod tests {
         let fork = agg.counter("replay.fork_events");
         let affected = agg.counter("replay.affected_events");
         assert!(0 < affected && affected < fork, "{affected} affected of {fork}");
+        // A located tuple is counted once, however often the suffix logs
+        // it; only a tuple Δ brings can be missing from the held suffix.
+        let tuples = agg.counter("replay.suffix_tuples");
+        assert!(
+            0 < tuples && tuples <= fork + delta.len() as u64,
+            "{tuples} tuples, {fork} events"
+        );
         assert_eq!(agg.counter("replay.rolled{path=roll}"), 1);
         for span in [
             "replay.fork",
@@ -415,13 +445,24 @@ mod tests {
         let text = summary(&run);
         let agg = &run.aggregate;
         let line = format!(
-            "update-tree: path roll x1 / scratch x0; {} fork events of {} logged, {} affected",
+            "update-tree: path roll x1 / scratch x0; {} fork events of {} logged, \
+             {} suffix tuples, {} affected",
             agg.counter("replay.fork_events"),
             agg.counter("replay.log_events"),
+            agg.counter("replay.suffix_tuples"),
             agg.counter("replay.affected_events")
         );
         assert!(text.contains(&line), "{text}");
         assert!(agg.counter("replay.affected_events") < agg.counter("replay.fork_events"));
+        let changes = run.report.delta.len() as u64;
+        assert!(agg.counter("replay.suffix_tuples") <= agg.counter("replay.fork_events") + changes);
+
+        // A from-scratch replay names its reasons on the same line.
+        let tracer = Tracer::aggregate_only();
+        tracer.counter("replay.refused{why=order}", 1);
+        tracer.counter("replay.refused{why=cost}", 2);
+        tracer.counter("replay.rolled{path=roll}", 1);
+        assert_eq!(refusals(&tracer.aggregate()), " (refused: cost x2, order x1)");
     }
 
     /// The stats dump names the scenario and carries both sections.

@@ -21,7 +21,7 @@ use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
-use crate::roll::{self, Phase, Suffix};
+use crate::roll::{self, Phase, Refusal, Suffix};
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 7): there is one
 /// provenance backend, and both values record the graph.
@@ -91,8 +91,10 @@ impl Replayed {
     /// ([`apply_changes`]), read as a stream instead of built. The **fork**
     /// is the first replay-order position where it differs from the log the
     /// held state reflects; everything before it is shared and stays as it
-    /// is. Of the suffix, only what the change can reach moves, on the same
-    /// engine and recorder (the module `roll` names the parts):
+    /// is. The suffixes from the fork on borrow the log's events, and each
+    /// event's located tuple is keyed once. Of the suffix, only what the
+    /// change can reach moves, on the same engine and recorder (the module
+    /// `roll` names the parts):
     ///
     /// * **(A)** Δ is applied at the current clock — the located tuples a
     ///   change names restored to the prefix's base presence, then the
@@ -122,7 +124,8 @@ impl Replayed {
     /// change could reach, cannot be re-issued; nor may a firing outside
     /// the re-issued events read what phase C changed, an independent
     /// episode close, or a re-issued event join an independent one logged
-    /// after it (the relative order, and so FINDSEED, would differ).
+    /// after it (the relative order, and so FINDSEED, would differ). Each
+    /// refusal is counted under `replay.refused{why}`.
     ///
     /// Live tuples and the trees [`Replayed::query`] returns equal the
     /// from-scratch replay's up to timestamps, and so does every seed but
@@ -138,57 +141,36 @@ impl Replayed {
         delta: &[TupleChange],
         inject_at: LogicalTime,
     ) -> Result<()> {
-        self.roll(exec, delta, inject_at, false)
-    }
-
-    /// Test-only entry: [`Replayed::roll_forward`] without the cost rule,
-    /// so differentials can drive the withdraw path on logs whose early
-    /// fork sends them to a from-scratch replay.
-    #[doc(hidden)]
-    pub fn roll_forward_withdrawing(
-        &mut self,
-        exec: &Execution,
-        delta: &[TupleChange],
-        inject_at: LogicalTime,
-    ) -> Result<()> {
-        self.roll(exec, delta, inject_at, true)
-    }
-
-    fn roll(
-        &mut self,
-        exec: &Execution,
-        delta: &[TupleChange],
-        inject_at: LogicalTime,
-        always_withdraw: bool,
-    ) -> Result<()> {
         let tracer = self.engine.tracer().clone();
-        if self.rewind(exec, delta, inject_at, always_withdraw, &tracer)? {
-            tracer.counter("replay.rolled{path=roll}", 1);
-        } else {
-            tracer.counter("replay.rolled{path=scratch}", 1);
-            // Release the held recording before the replay builds its log
-            // and allocates its own, so the two never coexist.
-            self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-            *self = exec.replay_with(delta, inject_at)?;
+        match self.rewind(exec, delta, inject_at, &tracer)? {
+            Ok(()) => tracer.counter("replay.rolled{path=roll}", 1),
+            Err(why) => {
+                tracer.counter(why.series(), 1);
+                tracer.counter("replay.rolled{path=scratch}", 1);
+                // Release the held recording before the replay builds its
+                // log and allocates its own, so the two never coexist.
+                self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+                *self = exec.replay_with(delta, inject_at)?;
+            }
         }
         self.rolled = (delta.to_vec(), inject_at);
         self.fresh = false;
         Ok(())
     }
 
-    /// The roll path. `false` when the caller has to replay from scratch —
+    /// The roll path, or why the caller has to replay from scratch —
     /// nothing this borrowed or built is alive by then.
     fn rewind(
         &mut self,
         exec: &Execution,
         delta: &[TupleChange],
         inject_at: LogicalTime,
-        always_withdraw: bool,
         tracer: &Tracer,
-    ) -> Result<bool> {
-        // Both logs are read as streams over the execution's own: the
-        // held recording is alive, and a materialized copy of a campus log
-        // beside it would raise the diagnosis's peak memory.
+    ) -> Result<std::result::Result<(), Refusal>> {
+        // Both logs are read as streams over the execution's own, and the
+        // suffixes borrow its events: the held recording is alive, and a
+        // materialized copy of a campus log beside it would raise the
+        // diagnosis's peak memory.
         let log = exec.log.events();
         let (rolled, rolled_at) = std::mem::take(&mut self.rolled);
         let span = tracer.span("replay.fork");
@@ -201,22 +183,13 @@ impl Replayed {
         let mut fork = 0;
         let parted = loop {
             match (h.next(), p.next()) {
-                // Identity first: mostly both borrow the one logged event.
-                (Some(a), Some(b)) if std::ptr::eq(&*a, &*b) || a == b => fork += 1,
+                // Mostly both borrow the one logged event.
+                (Some(a), Some(b)) if (a.0.is_some() && a.0 == b.0) || a.1 == b.1 => fork += 1,
                 pair => break pair,
             }
         };
         tracer.counter("replay.fork_events", (held_len - fork) as u64);
         tracer.counter("replay.log_events", held_len as u64);
-        // Sized exactly: a buffer regrown by doubling would leave the
-        // allocator a hole beside the recording.
-        let rest = |first: Option<Cow<BaseEvent>>, rest: PatchedEvents, len| -> Vec<BaseEvent> {
-            let mut events = Vec::with_capacity(len);
-            events.extend(first.into_iter().chain(rest).map(Cow::into_owned));
-            events
-        };
-        let withdrawn = rest(parted.0, h, held_len - fork);
-        let suffix = rest(parted.1, p, patched.len() - fork);
         // The engine counts the base ops it acted on; when that is every op
         // it was ever given, none of the withdrawn ones was a no-op and the
         // walk over the prefix that would find the prefix's presence has
@@ -225,13 +198,14 @@ impl Replayed {
         let every_op = acted.base_inserts + acted.base_deletes == self.scheduled;
         let engine = &self.engine;
         let mut suffix = Suffix::new(
-            &withdrawn,
-            suffix,
+            log.len(),
+            parted.0.into_iter().chain(h),
+            parted.1.into_iter().chain(p),
             &[&rolled, delta],
-            (!every_op).then(|| held.events().take(fork)),
+            (!every_op).then(|| held.events().take(fork).map(|(_, e)| e)),
             |node, tuple| engine.lookup(node, tuple).is_some_and(|s| s.base),
         );
-        drop(withdrawn);
+        tracer.counter("replay.suffix_tuples", suffix.tuples() as u64);
         // A fresh replay's base vertices are the ops the engine acted on,
         // in log order: the walk starts at the first of the suffix's.
         let acted_ops = (acted.base_inserts + acted.base_deletes) as usize;
@@ -265,12 +239,11 @@ impl Replayed {
         let affected = suffix.events(false).count();
         span.end();
         tracer.counter("replay.affected_events", affected as u64);
-        let Ok(found) = found else {
-            return Ok(false);
+        let found = match found {
+            Ok(_) if 2 * affected >= held_len => return Ok(Err(Refusal::Cost)),
+            Ok(found) => found,
+            Err(why) => return Ok(Err(why)),
         };
-        if !always_withdraw && 2 * affected >= held_len {
-            return Ok(false);
-        }
 
         // (C) Withdraw and re-issue what Δ reaches.
         let from = self.graph().len() as VertexId;
@@ -279,7 +252,7 @@ impl Replayed {
         span.end();
         self.reissue(suffix.events(false), tracer)?;
         let span = tracer.span("replay.settle");
-        let settled = roll::settled(&self.engine, &suffix, found, from).is_ok();
+        let settled = roll::settled(&self.engine, &suffix, found, from);
         span.end();
         Ok(settled)
     }
@@ -525,17 +498,21 @@ impl Execution {
 pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: LogicalTime) -> EventLog {
     let events = log.events();
     let mut out = EventLog::new();
-    for e in Patched::new(&events, changes, inject_at).events() {
+    for (_, e) in Patched::new(&events, changes, inject_at).events() {
         out.push(e.into_owned());
     }
     out
 }
 
+/// One event of a [`Patched`] log, with the log slot it borrows: `None`
+/// for an event a change rewrote or injected (owned).
+pub(crate) type Slotted<'a> = (Option<usize>, Cow<'a, BaseEvent>);
+
 /// A log with a change set applied ([`apply_changes`]), read in replay
 /// order without being built: logged events are borrowed, rewritten and
 /// injected ones owned. The set-up scan is the only pass that compares
 /// events with changes; what it found is kept as a sparse edit list.
-struct Patched<'a> {
+pub(crate) struct Patched<'a> {
     log: &'a [BaseEvent],
     /// Each change's `after` tuple, allocated once: every event the change
     /// rewrites or injects, on every read, shares it.
@@ -552,7 +529,11 @@ struct Patched<'a> {
 
 impl<'a> Patched<'a> {
     /// `log` must be in replay order.
-    fn new(log: &'a [BaseEvent], changes: &'a [TupleChange], inject_at: LogicalTime) -> Self {
+    pub(crate) fn new(
+        log: &'a [BaseEvent],
+        changes: &'a [TupleChange],
+        inject_at: LogicalTime,
+    ) -> Self {
         // The first change whose `before` is `e`'s located tuple.
         let change_of = |e: &BaseEvent| {
             changes
@@ -593,34 +574,34 @@ impl<'a> Patched<'a> {
         self.log.len() - dropped.count() + self.injected.len()
     }
 
-    fn events(&self) -> PatchedEvents<'_> {
+    pub(crate) fn events(&self) -> PatchedEvents<'_> {
         PatchedEvents {
             of: self,
             next: 0,
             hit: 0,
             injected: 0,
+            left: self.len(),
         }
     }
 }
 
 /// [`Patched::events`]: the cursor into the log, into the edit list and
-/// into the injected insertions.
-struct PatchedEvents<'a> {
+/// into the injected insertions, and how many events are left.
+pub(crate) struct PatchedEvents<'a> {
     of: &'a Patched<'a>,
     next: usize,
     hit: usize,
     injected: usize,
+    left: usize,
 }
 
-impl<'a> Iterator for PatchedEvents<'a> {
-    type Item = Cow<'a, BaseEvent>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> PatchedEvents<'a> {
+    fn step(&mut self) -> Option<Slotted<'a>> {
         let of = self.of;
         loop {
             if self.next == of.at && self.injected < of.injected.len() {
                 self.injected += 1;
-                return Some(Cow::Borrowed(&of.injected[self.injected - 1]));
+                return Some((None, Cow::Borrowed(&of.injected[self.injected - 1])));
             }
             let e = of.log.get(self.next)?;
             self.next += 1;
@@ -629,17 +610,32 @@ impl<'a> Iterator for PatchedEvents<'a> {
                     self.hit += 1;
                     // A change without an `after` drops the event.
                     if let Some(after) = &of.afters[ci] {
-                        return Some(Cow::Owned(BaseEvent {
+                        let e = BaseEvent {
                             due: e.due,
                             node: e.node.clone(),
                             tuple: Arc::clone(after),
                             op: e.op,
-                        }));
+                        };
+                        return Some((None, Cow::Owned(e)));
                     }
                 }
-                _ => return Some(Cow::Borrowed(e)),
+                _ => return Some((Some(self.next - 1), Cow::Borrowed(e))),
             }
         }
+    }
+}
+
+impl<'a> Iterator for PatchedEvents<'a> {
+    type Item = Slotted<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let e = self.step()?;
+        self.left -= 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 

@@ -31,26 +31,160 @@
 //! an aggregate or a native and that the change could reach — it depended
 //! on a withdrawn body, or it ran after the fork and read what Δ touched —
 //! sends the roll to a from-scratch replay instead (the trust rule).
+//!
+//! Each suffix event is keyed once: a located tuple's id is found by hash
+//! on the event's first read (by log slot, so an event both suffixes
+//! borrow from one slot is hashed once), and every later question — an
+//! episode's origin, a change's tuple, the prefix's presence — probes the
+//! same map. The ids are then renumbered into content order, which is
+//! what `restore` breaks its ties by.
 
-use std::collections::BTreeMap;
+use std::borrow::{Borrow, Cow};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, Program, TupleChange};
 use dp_provenance::{GraphRecorder, ProvGraph, RowId, Step, VertexId};
-use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
+use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef, WordBuildHasher};
 
+use crate::exec::Slotted;
 use crate::log::{BaseEvent, BaseOp};
 
 /// The origin of a row no suffix event re-creates.
 const PREFIX: u32 = u32::MAX;
 
 /// Why a roll goes back to a from-scratch replay.
-pub(crate) type Refusal = &'static str;
+#[derive(Clone, Copy)]
+pub(crate) enum Refusal {
+    /// The affected events are half the log or more: re-issuing them costs
+    /// more than starting over.
+    Cost,
+    /// A prefix firing that read state depends on what the roll changes.
+    TrustPrefix,
+    /// A re-issued event joined an independent one logged after it.
+    Order,
+    /// An independent episode closed.
+    Closed,
+    /// A firing outside the re-issued events read what phase C changed.
+    OutsideRead,
+    /// A native or an aggregate fires on the prefix at a node the change
+    /// touched, or where phase C changed its node.
+    Native,
+}
+
+impl Refusal {
+    /// The counter a refusal is counted under.
+    pub(crate) fn series(self) -> &'static str {
+        match self {
+            Refusal::Cost => "replay.refused{why=cost}",
+            Refusal::TrustPrefix => "replay.refused{why=trust-prefix}",
+            Refusal::Order => "replay.refused{why=order}",
+            Refusal::Closed => "replay.refused{why=closed}",
+            Refusal::OutsideRead => "replay.refused{why=outside-read}",
+            Refusal::Native => "replay.refused{why=native}",
+        }
+    }
+}
+
+/// A located tuple as the suffix's id map sees it: hashed and compared by
+/// node and tuple content, so a probe borrows the two parts instead of
+/// building a [`TupleRef`].
+trait Located {
+    fn parts(&self) -> (&NodeId, &Tuple);
+}
+
+impl Located for (&NodeId, &Tuple) {
+    fn parts(&self) -> (&NodeId, &Tuple) {
+        *self
+    }
+}
+
+impl Hash for dyn Located + '_ {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.parts().hash(h);
+    }
+}
+
+impl PartialEq for dyn Located + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let ((node, tuple), (other_node, other_tuple)) = (self.parts(), other.parts());
+        // Mostly the one allocation: a located tuple's events share it.
+        node == other_node && (std::ptr::eq(tuple, other_tuple) || tuple == other_tuple)
+    }
+}
+
+impl Eq for dyn Located + '_ {}
+
+/// The id map's key.
+struct Key(TupleRef);
+
+impl Located for Key {
+    fn parts(&self) -> (&NodeId, &Tuple) {
+        (&self.0.node, &self.0.tuple)
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self as &dyn Located).hash(h);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn Located) == (other as &dyn Located)
+    }
+}
+
+impl Eq for Key {}
+
+impl<'q> Borrow<dyn Located + 'q> for Key {
+    fn borrow(&self) -> &(dyn Located + 'q) {
+        self
+    }
+}
+
+/// Located tuples to ids, in the order first read, while the suffixes are
+/// read.
+struct Keying {
+    ids: HashMap<Key, u32, WordBuildHasher>,
+    keys: Vec<TupleRef>,
+    /// Per log slot: the id of its event's located tuple ([`PREFIX`] until
+    /// read).
+    slots: Vec<u32>,
+}
+
+impl Keying {
+    /// The id of a suffix event's located tuple: its log slot's, once the
+    /// slot has been read; otherwise found by hash, or new.
+    fn id(&mut self, (slot, e): &Slotted<'_>) -> u32 {
+        if let Some(&id) = slot.map(|s| &self.slots[s]).filter(|&&id| id != PREFIX) {
+            return id;
+        }
+        let id = match self.ids.get(&(&e.node, &*e.tuple) as &dyn Located) {
+            Some(&id) => id,
+            None => {
+                let id = self.keys.len() as u32;
+                let key = TupleRef::new(e.node.clone(), Arc::clone(&e.tuple));
+                self.keys.push(key.clone());
+                self.ids.insert(Key(key), id);
+                id
+            }
+        };
+        if let Some(s) = *slot {
+            self.slots[s] = id;
+        }
+        id
+    }
+}
 
 /// The suffix's located tuples, by id, and the patched suffix.
-pub(crate) struct Suffix {
+pub(crate) struct Suffix<'a> {
     /// The located tuples, sorted: a tuple's id is its place here.
     keys: Vec<TupleRef>,
+    /// The same, hashed: what every lookup probes.
+    ids: HashMap<Key, u32, WordBuildHasher>,
     /// Per id: its first position in the patched suffix (past its end for
     /// a tuple only the held suffix logs).
     first: Vec<usize>,
@@ -58,78 +192,105 @@ pub(crate) struct Suffix {
     affected: Vec<bool>,
     /// Per id: whether the prefix leaves it inserted as a base tuple.
     presence: Vec<bool>,
-    /// The patched suffix, and each event's tuple's id.
-    patched: Vec<BaseEvent>,
+    /// The patched suffix — logged events borrowed, rewritten and injected
+    /// ones owned — and each event's tuple's id.
+    patched: Vec<Cow<'a, BaseEvent>>,
     patched_ids: Vec<u32>,
     /// How many of the held suffix's ops the engine acted on: those that
     /// changed their tuple's base presence.
     pub(crate) acted: usize,
 }
 
-impl Suffix {
+impl<'a> Suffix<'a> {
     /// The located tuples of `held` (the held log's events from the fork
-    /// on) and of `patched` (the patched log's), classified by `changes`.
-    /// A tuple's prefix presence is read off `prefix` (the held log's
-    /// events before the fork) when given; without it the engine acted on
-    /// every op it was given, so a tuple's first held op says what was
-    /// there before it, and one the held suffix never logs is as `current`
-    /// finds it.
+    /// on) and of `patched` (the patched log's), both read off a log of
+    /// `slots` events, classified by `changes`. A tuple's prefix presence
+    /// is read off `prefix` (the held log's events before the fork) when
+    /// given; without it the engine acted on every op it was given, so a
+    /// tuple's first held op says what was there before it, and one the
+    /// held suffix never logs is as `current` finds it.
     pub(crate) fn new<'e>(
-        held: &[BaseEvent],
-        patched: Vec<BaseEvent>,
+        slots: usize,
+        held: impl Iterator<Item = Slotted<'a>>,
+        patched: impl Iterator<Item = Slotted<'a>>,
         changes: &[&[TupleChange]],
-        prefix: Option<impl Iterator<Item = std::borrow::Cow<'e, BaseEvent>>>,
+        prefix: Option<impl Iterator<Item = Cow<'e, BaseEvent>>>,
         current: impl Fn(&NodeId, &Tuple) -> bool,
     ) -> Self {
-        let mut keys = Vec::with_capacity(patched.len() + held.len());
-        keys.extend(
-            patched
-                .iter()
-                .chain(held)
-                .map(|e| TupleRef::new(e.node.clone(), Arc::clone(&e.tuple))),
-        );
-        keys.sort_unstable();
-        keys.dedup();
+        let mut keying = Keying {
+            ids: HashMap::default(),
+            keys: Vec::new(),
+            slots: vec![PREFIX; slots],
+        };
+        // Sized exactly, as the streams know their lengths: a buffer
+        // regrown by doubling would leave the allocator a hole beside the
+        // recording.
+        let len = patched.size_hint().0;
+        let (mut events, mut patched_ids) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        for e in patched {
+            patched_ids.push(keying.id(&e));
+            events.push(e.1);
+        }
+        // The held suffix is read for its ops alone.
+        let mut held_ops = Vec::with_capacity(held.size_hint().0);
+        held_ops.extend(held.map(|e| (keying.id(&e), e.1.due, e.1.op)));
+        let Keying { mut ids, keys, .. } = keying;
+        // Renumbered into content order: a tuple's id is its place among
+        // the suffix's sorted tuples, as if they had been sorted and
+        // searched.
         let n = keys.len();
+        let mut sorted: Vec<(TupleRef, u32)> = keys.into_iter().zip(0..).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rank = vec![0; n];
+        let keys = sorted
+            .into_iter()
+            .zip(0..)
+            .map(|((key, read), id)| {
+                rank[read as usize] = id;
+                key
+            })
+            .collect();
+        let ops = held_ops.iter_mut().map(|(id, ..)| id);
+        for id in patched_ids.iter_mut().chain(ops) {
+            *id = rank[*id as usize];
+        }
+        // Order-insensitive: every value is rewritten on its own.
+        ids.values_mut().for_each(|id| *id = rank[*id as usize]);
         let mut s = Suffix {
             keys,
-            first: vec![patched.len(); n],
+            ids,
+            first: vec![events.len(); n],
             changed: vec![false; n],
             affected: Vec::new(),
             presence: Vec::new(),
-            patched_ids: Vec::with_capacity(patched.len()),
-            patched,
+            patched: events,
+            patched_ids,
             acted: 0,
         };
-        let id = |s: &Suffix, e: &BaseEvent| s.id_of(&e.node, &e.tuple);
-        s.patched_ids = s.patched.iter().map(|e| id(&s, e)).collect();
         for (pos, &id) in s.patched_ids.iter().enumerate().rev() {
             s.first[id as usize] = pos;
         }
-        let held_ids: Vec<u32> = held.iter().map(|e| id(&s, e)).collect();
         for c in changes.iter().copied().flatten() {
             for t in c.before.iter().chain(&c.after) {
-                let key = TupleRef::new(c.node.clone(), t.clone());
-                if let Ok(id) = s.keys.binary_search(&key) {
-                    s.changed[id] = true;
+                if let Some(id) = s.find(&c.node, t) {
+                    s.changed[id as usize] = true;
                 }
             }
         }
         s.affected.clone_from(&s.changed);
         // The independent events are the same events, in the same order, on
-        // both sides; where they are not, nothing is independent.
-        let independent_held = held
-            .iter()
-            .zip(&held_ids)
-            .filter(|(_, &id)| !s.changed[id as usize]);
+        // both sides; where they are not, nothing is independent. (One id
+        // is one located tuple, so an event is its id, due and op.)
+        let independent_held = held_ops.iter().copied();
         let independent_patched = s
-            .patched
+            .patched_ids
             .iter()
-            .zip(&s.patched_ids)
-            .filter(|(_, &id)| !s.changed[id as usize]);
+            .zip(&s.patched)
+            .map(|(&id, e)| (id, e.due, e.op));
+        let independent = |&(id, ..): &(u32, LogicalTime, BaseOp)| !s.changed[id as usize];
         if !independent_held
-            .map(|(e, _)| e)
-            .eq(independent_patched.map(|(e, _)| e))
+            .filter(independent)
+            .eq(independent_patched.filter(independent))
         {
             s.affected.fill(true);
         }
@@ -146,8 +307,8 @@ impl Suffix {
                     .for_each(|p| *p = Some(p.unwrap_or(false)));
             }
             None => {
-                for (e, &id) in held.iter().zip(&held_ids) {
-                    presence[id as usize].get_or_insert(e.op == BaseOp::Delete);
+                for &(id, _, op) in &held_ops {
+                    presence[id as usize].get_or_insert(op == BaseOp::Delete);
                 }
             }
         }
@@ -155,20 +316,21 @@ impl Suffix {
             .map(|id| presence[id].unwrap_or_else(|| current(&s.keys[id].node, &s.keys[id].tuple)))
             .collect();
         let mut present = s.presence.clone();
-        for (e, &id) in held.iter().zip(&held_ids) {
-            let now = e.op == BaseOp::Insert;
+        for &(id, _, op) in &held_ops {
+            let now = op == BaseOp::Insert;
             s.acted += usize::from(std::mem::replace(&mut present[id as usize], now) != now);
         }
         s
     }
 
+    /// How many distinct located tuples the two suffixes log.
+    pub(crate) fn tuples(&self) -> usize {
+        self.keys.len()
+    }
+
     /// The id of a located tuple the suffix logs.
     fn find(&self, node: &NodeId, tuple: &Tuple) -> Option<u32> {
-        let at = self
-            .keys
-            .binary_search_by(|k| k.node.cmp(node).then_with(|| (*k.tuple).cmp(tuple)))
-            .ok()?;
-        Some(at as u32)
+        self.ids.get(&(node, tuple) as &dyn Located).copied()
     }
 
     /// The id of a located tuple, or [`PREFIX`] when the suffix does not
@@ -193,7 +355,7 @@ impl Suffix {
             .iter()
             .zip(&self.patched_ids)
             .filter(|(_, &id)| pick[id as usize])
-            .map(|(e, _)| e)
+            .map(|(e, _)| &**e)
     }
 
     /// The changed (`true`) or affected (`false`) located tuples, last
@@ -374,7 +536,7 @@ impl ReaderCache<'_> {
 /// reaches (see the module docs), or refuses the roll.
 pub(crate) fn affect(
     engine: &Engine<GraphRecorder>,
-    suffix: &mut Suffix,
+    suffix: &mut Suffix<'_>,
     phase: Phase,
 ) -> Result<Found, Refusal> {
     let graph = &engine.sink().graph;
@@ -427,14 +589,14 @@ struct Walk<'g> {
 impl Walk<'_> {
     fn pass(
         &mut self,
-        suffix: &mut Suffix,
+        suffix: &mut Suffix<'_>,
         d: &ByNode<'_>,
         watched: &[Sym],
         phase: Phase,
         again: &mut bool,
     ) -> Result<(), Refusal> {
         let graph = self.graph;
-        let mut mark = |suffix: &mut Suffix, used: &[bool], k: u32| {
+        let mut mark = |suffix: &mut Suffix<'_>, used: &[bool], k: u32| {
             let k = k as usize;
             if !suffix.affected[k] {
                 suffix.affected[k] = true;
@@ -456,9 +618,7 @@ impl Walk<'_> {
                     let live = view.end.is_none_or(|end| end >= phase.at);
                     if live && d.contains_key(view.node) && watched.contains(&view.tuple.table) {
                         match self.origin[r] {
-                            PREFIX => {
-                                return Err("a native or an aggregate fires on the prefix there")
-                            }
+                            PREFIX => return Err(Refusal::Native),
                             k if suffix.independent(k) => mark(suffix, &self.used_by_other, k),
                             _ => {}
                         }
@@ -522,11 +682,7 @@ impl Walk<'_> {
                             reads_any(self.program, graph, (rule, node, &self.rows), ds)
                         });
                     match t_origin {
-                        PREFIX if tainted || reads => {
-                            return Err(
-                                "a prefix firing that read state depends on what the roll changes",
-                            )
-                        }
+                        PREFIX if tainted || reads => return Err(Refusal::TrustPrefix),
                         k if suffix.independent(k) && (tainted || reads) => {
                             mark(suffix, &self.used_by_other, k)
                         }
@@ -572,7 +728,7 @@ impl Origins {
 /// events could have read what phase C changed.
 pub(crate) fn settled(
     engine: &Engine<GraphRecorder>,
-    suffix: &Suffix,
+    suffix: &Suffix<'_>,
     mut found: Found,
     from: VertexId,
 ) -> Result<(), Refusal> {
@@ -611,13 +767,13 @@ pub(crate) fn settled(
                     suffix.independent(o) && suffix.first[o as usize] > suffix.first[t as usize]
                 });
                 if later {
-                    return Err("a re-issued event joined an independent one logged after it");
+                    return Err(Refusal::Order);
                 }
             }
             Step::Appear | Step::Disappear => {
                 let opens = matches!(step, Step::Appear);
                 if !opens && suffix.independent(origins.get(row)) {
-                    return Err("an independent episode closed");
+                    return Err(Refusal::Closed);
                 }
                 if read.any(&view.tuple.table) {
                     net.push((
@@ -681,7 +837,7 @@ pub(crate) fn settled(
             .get(node)
             .is_some_and(|ts| reads_any(program, graph, (rule, node, &rows), ts))
         {
-            return Err("a firing outside the re-issued events read what phase C changed");
+            return Err(Refusal::OutsideRead);
         }
     }
     if !found.watched.is_empty() {
@@ -694,9 +850,271 @@ pub(crate) fn settled(
                 && changed.contains_key(view.node)
                 && found.watched.contains(&view.tuple.table)
             {
-                return Err("a native or an aggregate fires where phase C changed its node");
+                return Err(Refusal::Native);
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::Patched;
+    use crate::log::EventLog;
+    use dp_types::{DetRng, Value};
+
+    /// What [`Suffix::new`] built before it keyed by hash, kept as its
+    /// oracle: both suffixes copied, every event's located tuple sorted and
+    /// deduplicated, each id a binary search by content.
+    struct Sorted {
+        keys: Vec<TupleRef>,
+        held_ids: Vec<u32>,
+        patched_ids: Vec<u32>,
+        first: Vec<usize>,
+        changed: Vec<bool>,
+        affected: Vec<bool>,
+        presence: Vec<bool>,
+        acted: usize,
+    }
+
+    fn sorted(
+        held: &[BaseEvent],
+        patched: &[BaseEvent],
+        changes: &[&[TupleChange]],
+        prefix: Option<&[BaseEvent]>,
+        current: impl Fn(&NodeId, &Tuple) -> bool,
+    ) -> Sorted {
+        let located = |e: &BaseEvent| TupleRef::new(e.node.clone(), Arc::clone(&e.tuple));
+        let mut keys: Vec<TupleRef> = patched.iter().chain(held).map(located).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let n = keys.len();
+        let find = |node: &NodeId, tuple: &Tuple| {
+            let at =
+                keys.binary_search_by(|k| k.node.cmp(node).then_with(|| (*k.tuple).cmp(tuple)));
+            at.ok().map(|at| at as u32)
+        };
+        let id = |e: &BaseEvent| find(&e.node, &e.tuple).expect("a suffix event is keyed");
+        let patched_ids: Vec<u32> = patched.iter().map(id).collect();
+        let held_ids: Vec<u32> = held.iter().map(id).collect();
+        let mut first = vec![patched.len(); n];
+        for (pos, &id) in patched_ids.iter().enumerate().rev() {
+            first[id as usize] = pos;
+        }
+        let mut changed = vec![false; n];
+        for c in changes.iter().copied().flatten() {
+            for t in c.before.iter().chain(&c.after) {
+                if let Some(id) = find(&c.node, t) {
+                    changed[id as usize] = true;
+                }
+            }
+        }
+        let independent = |events: &[BaseEvent], ids: &[u32]| -> Vec<BaseEvent> {
+            let kept = events
+                .iter()
+                .zip(ids)
+                .filter(|(_, &id)| !changed[id as usize]);
+            kept.map(|(e, _)| e.clone()).collect()
+        };
+        let mut affected = changed.clone();
+        if independent(held, &held_ids) != independent(patched, &patched_ids) {
+            affected.fill(true);
+        }
+        let mut presence: Vec<Option<bool>> = vec![None; n];
+        match prefix {
+            Some(prefix) => {
+                for e in prefix {
+                    if let Some(id) = find(&e.node, &e.tuple) {
+                        presence[id as usize] = Some(e.op == BaseOp::Insert);
+                    }
+                }
+                presence
+                    .iter_mut()
+                    .for_each(|p| *p = Some(p.unwrap_or(false)));
+            }
+            None => {
+                for (e, &id) in held.iter().zip(&held_ids) {
+                    presence[id as usize].get_or_insert(e.op == BaseOp::Delete);
+                }
+            }
+        }
+        let presence: Vec<bool> = (0..n)
+            .map(|id| presence[id].unwrap_or_else(|| current(&keys[id].node, &keys[id].tuple)))
+            .collect();
+        let mut present = presence.clone();
+        let mut acted = 0;
+        for (e, &id) in held.iter().zip(&held_ids) {
+            let now = e.op == BaseOp::Insert;
+            acted += usize::from(std::mem::replace(&mut present[id as usize], now) != now);
+        }
+        Sorted {
+            keys,
+            held_ids,
+            patched_ids,
+            first,
+            changed,
+            affected,
+            presence,
+            acted,
+        }
+    }
+
+    impl Sorted {
+        fn restore(&self, changed_only: bool) -> Vec<(TupleRef, bool)> {
+            let pick = if changed_only {
+                &self.changed
+            } else {
+                &self.affected
+            };
+            let mut ids: Vec<usize> = (0..self.keys.len()).filter(|&id| pick[id]).collect();
+            ids.sort_by_key(|&id| std::cmp::Reverse(self.first[id]));
+            ids.into_iter()
+                .map(|id| (self.keys[id].clone(), self.presence[id]))
+                .collect()
+        }
+    }
+
+    /// A located tuple out of a small universe, so that tuples recur: each
+    /// call allocates it anew, as every logged event does.
+    fn draw(rng: &mut DetRng) -> (NodeId, Tuple) {
+        let node = NodeId::new(["n0", "n1", "n2"][rng.gen_range_usize(0, 3)]);
+        let table = ["a", "b"][rng.gen_range_usize(0, 2)];
+        (
+            node,
+            Tuple::new(table, vec![Value::Int(rng.gen_range_i64(0, 4))]),
+        )
+    }
+
+    /// Up to three changes: drops and replacements of logged tuples,
+    /// replacements of unlogged ones and pure insertions.
+    fn changes(rng: &mut DetRng, log: &[BaseEvent]) -> Vec<TupleChange> {
+        (0..rng.gen_range_usize(0, 4))
+            .map(|_| {
+                let e = &log[rng.gen_range_usize(0, log.len())];
+                let (node, drawn) = draw(rng);
+                match rng.gen_range_usize(0, 4) {
+                    0 => TupleChange {
+                        node: e.node.clone(),
+                        before: Some(Tuple::clone(&e.tuple)),
+                        after: None,
+                    },
+                    1 => TupleChange {
+                        node: e.node.clone(),
+                        before: Some(Tuple::clone(&e.tuple)),
+                        after: Some(drawn),
+                    },
+                    2 => TupleChange {
+                        node,
+                        before: Some(Tuple::new("c", vec![Value::Int(0)])),
+                        after: Some(drawn),
+                    },
+                    _ => TupleChange {
+                        node,
+                        before: None,
+                        after: Some(drawn),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// On random logs, each rolled from an earlier random Δ to a new one,
+    /// the keyed suffix equals the sorted one: the same tuples in the same
+    /// order, every event's id, first positions, presence, acted ops and
+    /// both restore orders.
+    #[test]
+    fn keyed_ids_equal_the_sorted_search() {
+        let (mut shared, mut rolled_from, mut walked, mut refused_independence) = (0, 0, 0, 0);
+        for seed in 0..300 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut log = EventLog::new();
+            let mut due = 0;
+            for _ in 0..rng.gen_range_usize(1, 60) {
+                due += rng.gen_range_u64(0, 3);
+                let (node, tuple) = draw(&mut rng);
+                if rng.gen_bool(0.7) {
+                    log.insert(due, node, tuple);
+                } else {
+                    log.delete(due, node, tuple);
+                }
+            }
+            let events = log.events();
+            let rolled = changes(&mut rng, &events);
+            let delta = changes(&mut rng, &events);
+            let (rolled_at, inject_at) =
+                (rng.gen_range_u64(0, due + 2), rng.gen_range_u64(0, due + 2));
+            let held = Patched::new(&events, &rolled, rolled_at);
+            let patched = Patched::new(&events, &delta, inject_at);
+            let same = |(a, b): &(Slotted<'_>, Slotted<'_>)| a.1 == b.1;
+            let fork = held.events().zip(patched.events()).take_while(same).count();
+            let owned = |p: &Patched<'_>, skip| -> Vec<BaseEvent> {
+                p.events().skip(skip).map(|(_, e)| e.into_owned()).collect()
+            };
+            let (held_owned, patched_owned) = (owned(&held, fork), owned(&patched, fork));
+            let prefix: Vec<BaseEvent> = owned(&held, 0).into_iter().take(fork).collect();
+            let walk = rng.gen_bool(0.5);
+            let current = |_: &NodeId, t: &Tuple| t.args[0] == Value::Int(0);
+            // Now and then classified by Δ alone: the earlier Δ's rewrites
+            // then look independent and differ, and everything is affected.
+            let both = [&rolled[..], &delta[..]];
+            let changes = if rng.gen_bool(0.2) {
+                &both[1..]
+            } else {
+                &both[..]
+            };
+
+            let want = sorted(
+                &held_owned,
+                &patched_owned,
+                changes,
+                walk.then_some(&prefix[..]),
+                current,
+            );
+            let got = Suffix::new(
+                events.len(),
+                held.events().skip(fork),
+                patched.events().skip(fork),
+                changes,
+                walk.then(|| held.events().take(fork).map(|(_, e)| e)),
+                current,
+            );
+            let case = format!("seed {seed}");
+            assert_eq!(got.keys, want.keys, "{case}");
+            assert_eq!(got.patched_ids, want.patched_ids, "{case}");
+            assert!(
+                got.patched.iter().map(|e| &**e).eq(&patched_owned),
+                "{case}"
+            );
+            for (e, &id) in held_owned.iter().zip(&want.held_ids) {
+                assert_eq!(got.find(&e.node, &e.tuple), Some(id), "{case}: {e:?}");
+            }
+            assert_eq!(got.first, want.first, "{case}");
+            assert_eq!(got.changed, want.changed, "{case}");
+            assert_eq!(got.affected, want.affected, "{case}");
+            assert_eq!(got.presence, want.presence, "{case}");
+            assert_eq!(got.acted, want.acted, "{case}");
+            for changed_only in [true, false] {
+                let order: Vec<(TupleRef, bool)> = got
+                    .restore(changed_only)
+                    .into_iter()
+                    .map(|(t, present)| (t.clone(), present))
+                    .collect();
+                assert_eq!(order, want.restore(changed_only), "{case}");
+            }
+            shared += usize::from(want.keys.len() < held_owned.len() + patched_owned.len());
+            rolled_from += usize::from(!rolled.is_empty() && !held_owned.is_empty());
+            walked += usize::from(walk && fork > 0);
+            refused_independence +=
+                usize::from(want.affected.iter().all(|&a| a) && !want.changed.iter().all(|&c| c));
+        }
+        // The draws reach every branch: tuples shared across allocations,
+        // a held side with an earlier Δ, the prefix walk, and suffixes whose
+        // independent events differ.
+        assert!(
+            shared > 100 && rolled_from > 50 && walked > 50,
+            "{shared} {rolled_from} {walked}"
+        );
+        assert!(refused_independence > 5, "{refused_independence}");
+    }
 }

@@ -3,8 +3,8 @@
 //! to a reducer node over a link, and a `start` fence at the reducer sums
 //! what has arrived by then (aggregates fire on their fence only — the
 //! MapReduce scenarios' `reduceStart` in miniature), and (f) reuses it;
-//! (d) and (e) are switches of the SDN model and its `best_match` priority
-//! resolution, whose read footprint (g) pins.
+//! (d), (e) and (i) are switches of the SDN model and its `best_match`
+//! priority resolution, whose read footprint (g) pins.
 //!
 //! The whole-scenario differential is `roll_forward_differential.rs`;
 //! these pin *why* the method withdraws what it withdraws, re-issues what
@@ -91,6 +91,16 @@ fn rolled_by(exec: &Execution, delta: &[TupleChange], inject_at: u64, path: &str
     assert_eq!(agg.counter(&format!("replay.rolled{{path={path}}}")), 1, "took the {path} path");
     let paths = ["replay.rolled{path=roll}", "replay.rolled{path=scratch}"];
     assert_eq!(paths.map(|p| agg.counter(p)).iter().sum::<u64>(), 1);
+    let refused = agg
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("replay.refused{"));
+    let refused: u64 = refused.map(|(_, n)| n).sum();
+    assert_eq!(
+        refused,
+        agg.counter(paths[1]),
+        "a from-scratch replay names one reason"
+    );
     assert_eq!(live(&r), live(&exec.replay_with(delta, inject_at).unwrap()));
     r
 }
@@ -185,6 +195,7 @@ fn changes_land_at_their_events_own_dues_not_at_the_inject_point() {
     assert_eq!(patched.events()[18].due, ITEMS + 2);
     // The re-issued fence would sum the later item too: see (f).
     assert_eq!(totals(&rolled_by(&exec, &delta, inject_at, "scratch")), [tuple!("total", 9)]);
+    assert_eq!(exec.tracer.aggregate().counter("replay.refused{why=order}"), 1);
 
     // Inject-point semantics: the old tuple's events go, the new tuple is
     // inserted at `inject_at`.
@@ -249,6 +260,7 @@ fn a_prefix_that_read_the_suffix_is_replayed_not_rewound() {
     assert_eq!(agg.span_count("replay.affect"), 1, "the roll read the recording");
     assert_eq!(agg.span_count("replay.withdraw"), 0, "and withdrew nothing");
     assert_eq!(agg.counter("replay.rolled{path=scratch}"), 1, "the prefix was not trusted");
+    assert_eq!(agg.counter("replay.refused{why=trust-prefix}"), 1);
 
     // The rewind and re-issue by hand: the packet is delivered nowhere.
     let mut naive = exec.replay().unwrap();
@@ -331,8 +343,9 @@ fn what_the_change_reaches_is_reissued_and_nothing_else() {
 /// included or the roll falls back — never kept with the order flipped.
 /// Replacing item 2 reaches the fence (its sum read item 2). A re-issued
 /// fence would find the later item 9 already there and sum it, where from
-/// scratch the fence fired first; phase C's recording shows the join and
-/// the patched log is replayed from scratch, through both entries.
+/// scratch the fence fired first; phase C's recording shows the join, and
+/// the patched log is replayed from scratch for that reason and no other:
+/// the padding keeps the cost rule's share small.
 #[test]
 fn an_affected_event_never_joins_a_later_independent_one() {
     let mut exec = execution();
@@ -340,22 +353,16 @@ fn an_affected_event_never_joins_a_later_independent_one() {
     let delta = replace_item(2, 5);
     let scratch = exec.replay_with(&delta, 0).unwrap();
     assert_eq!(totals(&scratch), [tuple!("total", 1 + 5 + 3)]);
-    for withdrawing in [false, true] {
-        let mut r = exec.replay().unwrap();
-        let before = exec.tracer.aggregate();
-        if withdrawing {
-            r.roll_forward_withdrawing(&exec, &delta, 0).unwrap();
-        } else {
-            r.roll_forward(&exec, &delta, 0).unwrap();
-        }
-        let agg = exec.tracer.aggregate();
-        let scratch_rolls = |a: &dp_trace::Aggregate| a.counter("replay.rolled{path=scratch}");
-        assert_eq!(scratch_rolls(&agg) - scratch_rolls(&before), 1, "withdrawing: {withdrawing}");
-        assert_eq!(live(&r), live(&scratch));
-        assert_eq!(totals(&r), totals(&scratch));
-    }
-    // Each call found item 2 and the fence, and neither item 3 nor item 9.
-    assert_eq!(exec.tracer.aggregate().counter("replay.affected_events"), 2 * 2);
+    let r = rolled_by(&exec, &delta, 0, "scratch");
+    assert_eq!(totals(&r), totals(&scratch));
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.refused{why=order}"), 1);
+    // The call found item 2 and the fence, and neither item 3 nor item 9.
+    assert_eq!(agg.counter("replay.affected_events"), 2);
+    assert!(
+        2 * 2 < agg.counter("replay.log_events"),
+        "fixture: the cost rule passes"
+    );
 }
 
 /// (g) `best_match`'s read footprint: an entry matters to a packet's
@@ -450,4 +457,116 @@ fn a_tuple_the_change_adds_rejects_what_it_takes_no_part_in() {
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.fork_events"), 4, "the held log's four items");
     assert_eq!(agg.counter("replay.affected_events"), 2, "deny(3) and item 3");
+}
+
+/// Every live tuple's tree, rendered without its ` t=` stamps (a roll runs
+/// at later logical times), with its FINDSEED seed.
+fn trees(r: &Replayed) -> Vec<(NodeId, Tuple, String, dp_types::TupleRef)> {
+    live(r)
+        .into_iter()
+        .map(|(node, tuple)| {
+            let root = dp_types::TupleRef::new(node.clone(), tuple.clone());
+            let tree = r.query(&root).expect("a live tuple has a tree");
+            let view = dp_provenance::tuple_view(&tree);
+            let seed = view.node(view.seed()).tref.clone();
+            let render = tree.render();
+            let unstamped = render
+                .lines()
+                .map(|l| l.rsplit_once(" t=").map_or(l, |(head, _)| head));
+            (node, tuple, unstamped.collect::<Vec<_>>().join("\n"), seed)
+        })
+        .collect()
+}
+
+/// (i) A located tuple is one id however many allocations carry it. Each
+/// `insert` and `delete` of a log allocates its own tuple: packet 3's
+/// insert and its later delete are two allocations of one located tuple,
+/// and the entry Δ widens is logged three times (installed, withdrawn,
+/// reinstalled) in three more. The roll groups each into one id: the
+/// entry's events go and come back together, interleaved with the packets
+/// they reach; packet 3, which no entry Δ touches, keeps both its events
+/// and its episodes; and the result is the from-scratch replay's.
+#[test]
+fn one_located_tuple_is_one_id_across_its_allocations() {
+    use dp_sdn::{cfg_entry, pkt_in, sdn_program, Topology};
+    use dp_types::prefix::{cidr, ip};
+
+    let mut topo = Topology::new("ctl");
+    topo.switches(&["S1"]);
+    let (to_a, to_b, to_c) = (
+        topo.host("S1", "a"),
+        topo.host("S1", "b"),
+        topo.host("S1", "c"),
+    );
+    let mut exec = Execution::new(sdn_program("ctl").unwrap());
+    exec.tracer = Tracer::aggregate_only();
+    topo.emit(&mut exec.log, 10);
+    let any = cidr("0.0.0.0/0");
+    exec.log.insert(
+        10,
+        "ctl",
+        cfg_entry(1, "S1", 5, any, cidr("10.9.0.0/16"), to_c),
+    );
+    exec.log.insert(
+        10,
+        "ctl",
+        cfg_entry(2, "S1", 3, any, cidr("10.0.2.0/24"), to_b),
+    );
+    let entry = |dst| cfg_entry(3, "S1", 5, any, cidr(dst), to_a);
+    exec.log.insert(10, "ctl", entry("10.0.0.0/24")); // the fork: Δ widens it
+    let src = ip("19.0.0.1");
+    let packet = |pid, dst| pkt_in(pid, src, ip(dst), 6, 64);
+    for (pid, dst) in [(1, "10.0.1.5"), (2, "10.0.2.9"), (3, "10.9.0.1")] {
+        exec.log.insert(1_000 + pid as u64, "S1", packet(pid, dst));
+    }
+    exec.log.delete(1_500, "S1", packet(3, "10.9.0.1"));
+    exec.log.delete(1_800, "ctl", entry("10.0.0.0/24"));
+    exec.log.insert(1_900, "ctl", entry("10.0.0.0/24"));
+    let delta = [TupleChange {
+        node: NodeId::new("ctl"),
+        before: Some(entry("10.0.0.0/24")),
+        after: Some(entry("10.0.0.0/22")),
+    }];
+    let events = exec.log.events();
+    let allocations = |t: &Tuple| {
+        let mut of: Vec<_> = events
+            .iter()
+            .filter(|e| *e.tuple == *t)
+            .map(|e| Arc::as_ptr(&e.tuple))
+            .collect();
+        of.dedup();
+        of.len()
+    };
+    assert_eq!(
+        allocations(&packet(3, "10.9.0.1")),
+        2,
+        "fixture: packet 3's two events"
+    );
+    assert_eq!(
+        allocations(&entry("10.0.0.0/24")),
+        3,
+        "fixture: the entry's three events"
+    );
+    drop(events);
+
+    let r = rolled(&exec, &delta, 0);
+    let scratch = exec.replay_with(&delta, 0).unwrap();
+    assert_eq!(trees(&r), trees(&scratch));
+    assert_eq!(packet_seeds(&r), packet_seeds(&scratch));
+    let agg = exec.tracer.aggregate();
+    assert_eq!(
+        agg.counter("replay.fork_events"),
+        7,
+        "the entry's three events, four of packets"
+    );
+    assert_eq!(
+        agg.counter("replay.suffix_tuples"),
+        5,
+        "either entry and three packets"
+    );
+    assert_eq!(
+        agg.counter("replay.affected_events"),
+        5,
+        "the new entry's three events, packets 1 and 2"
+    );
 }

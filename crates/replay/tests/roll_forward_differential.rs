@@ -2,8 +2,8 @@
 //! `Execution::replay_with`.
 //!
 //! UPDATETREE no longer replays the patched log from t = 0: it withdraws
-//! the held replay's events from the first patched position on and
-//! re-issues the patched suffix, on the same engine and recorder. What
+//! the held replay's suffix events the change reaches and re-issues their
+//! patched events, on the same engine and recorder. What
 //! DiffProv reads off the result is the final state (`exists`, node views)
 //! and the trees of live tuples, so that is what must not move: for every
 //! repro scenario — the eight of Table 1, the extensions, the default
@@ -13,11 +13,9 @@
 //! ` t=` stamps are stripped (a rolled replay runs at later logical
 //! times, and nothing else may differ).
 //!
-//! Each scenario goes through twice: once as DiffProv calls it (the cost
-//! rule sends an early fork — MR1's 10 of 424 — to a from-scratch replay,
-//! which must then agree trivially), once through the test-only entry that
-//! skips the cost rule, so the withdraw path also sees logs it rewinds
-//! almost entirely.
+//! Each scenario goes through as DiffProv calls it, cost and trust rules
+//! included, and every call must roll: a from-scratch replay would agree
+//! trivially and test nothing.
 
 use std::collections::BTreeSet;
 
@@ -161,16 +159,9 @@ fn assert_same(case: &str, rolled: &Replayed, scratch: &[Tree], reissued: &Locat
     }
 }
 
-type Roll = fn(&mut Replayed, &Execution, &[TupleChange], LogicalTime) -> dp_types::Result<()>;
-
-const ENTRIES: [(&str, Roll); 2] = [
-    ("cost rule", Replayed::roll_forward),
-    ("withdraw", Replayed::roll_forward_withdrawing),
-];
-
 #[test]
 fn rolled_replays_equal_from_scratch_replays() {
-    let (mut roll_paths, mut forced) = (0, 0);
+    let (mut roll_paths, mut calls) = (0, 0);
     for s in scenarios() {
         let (deltas, at) = round_deltas(&s);
         assert_eq!(deltas.len(), s.expected_rounds, "{}", s.name);
@@ -180,24 +171,21 @@ fn rolled_replays_equal_from_scratch_replays() {
             .iter()
             .map(|delta| trees(s.name, &exec.replay_with(delta, at).unwrap()))
             .collect();
-        for (entry, roll) in ENTRIES {
-            let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
-            let mut moved = Located::new();
-            for (round, delta) in deltas.iter().enumerate() {
-                let case = format!("{} {entry} round {}", s.name, round + 1);
-                roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
-                moved.extend(reissued(&exec, held, delta, at));
-                assert_same(&case, &rolled, &scratch[round], &moved);
-                held = delta;
-            }
+        let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
+        let mut moved = Located::new();
+        for (round, delta) in deltas.iter().enumerate() {
+            let case = format!("{} round {}", s.name, round + 1);
+            let roll = rolled.roll_forward(&exec, delta, at);
+            roll.unwrap_or_else(|e| panic!("{case}: {e}"));
+            moved.extend(reissued(&exec, held, delta, at));
+            assert_same(&case, &rolled, &scratch[round], &moved);
+            held = delta;
         }
         roll_paths += exec.tracer.aggregate().counter("replay.rolled{path=roll}");
-        forced += deltas.len() as u64;
+        calls += deltas.len() as u64;
     }
-    // The forced calls roll (none of these scenarios trips the trust
-    // rule); the cost rule must let some through too, or DiffProv never
-    // takes the path this file is about.
-    assert!(roll_paths > forced, "the cost rule never rolled: {roll_paths} of {forced} forced");
+    // Neither rule refuses any of these scenarios' rounds.
+    assert_eq!(roll_paths, calls, "every call rolled");
 }
 
 /// On the traffic-shaped campus DiffProv's own UPDATETREE rolls, and it
@@ -247,22 +235,22 @@ fn sdn4_round_two_forks_from_round_one() {
 
     let forked = |exec: &Execution| exec.tracer.aggregate().counter("replay.fork_events") as usize;
     let mut rolled = exec.replay().unwrap();
-    rolled.roll_forward_withdrawing(&exec, &deltas[0], at).unwrap();
+    rolled.roll_forward(&exec, &deltas[0], at).unwrap();
     let after_round1 = forked(&exec);
     assert_eq!(after_round1, suffix_of(&exec.log, &round1));
-    rolled.roll_forward_withdrawing(&exec, &deltas[1], at).unwrap();
+    rolled.roll_forward(&exec, &deltas[1], at).unwrap();
     assert_eq!(forked(&exec) - after_round1, from_round1);
     let scratch = exec.replay_with(&deltas[1], at).unwrap();
     let mut moved = reissued(&exec, &[], &deltas[0], at);
     moved.extend(reissued(&exec, &deltas[0], &deltas[1], at));
     assert_same("SDN4 round 2", &rolled, &trees("SDN4 scratch", &scratch), &moved);
+    assert_eq!(exec.tracer.aggregate().counter("replay.rolled{path=roll}"), 2, "both rounds rolled");
 }
 
 /// The roll skips the base-presence walk over the prefix when the engine
 /// acted on every op it was given. A log that re-inserts a present tuple
 /// before the fork gives the engine a no-op, so this schedule takes the
-/// walk — through both entries, rolled to Δ and back — and must land
-/// where from-scratch does.
+/// walk — rolled to Δ and back — and must land where from-scratch does.
 #[test]
 fn a_duplicate_insert_in_the_prefix_keeps_the_presence_walk() {
     let mut s = campus(&CampusConfig::default()).scenario;
@@ -308,20 +296,19 @@ fn a_duplicate_insert_in_the_prefix_keeps_the_presence_walk() {
         (&deltas[0][..], trees("campus+dup Δ", &exec.replay_with(&deltas[0], at).unwrap())),
         (&[][..], trees("campus+dup", &exec.replay().unwrap())),
     ];
-    for (entry, roll) in ENTRIES {
-        let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
-        let mut moved = Located::new();
-        for (i, (delta, scratch)) in targets.iter().enumerate() {
-            let case = format!("campus+dup {entry} roll {}", i + 1);
-            roll(&mut rolled, &exec, delta, at).unwrap_or_else(|e| panic!("{case}: {e}"));
-            moved.extend(reissued(&exec, held, delta, at));
-            assert_same(&case, &rolled, scratch, &moved);
-            held = delta;
-        }
+    let (mut rolled, mut held) = (exec.replay().unwrap(), &[][..]);
+    let mut moved = Located::new();
+    for (i, (delta, scratch)) in targets.iter().enumerate() {
+        let case = format!("campus+dup roll {}", i + 1);
+        let roll = rolled.roll_forward(&exec, delta, at);
+        roll.unwrap_or_else(|e| panic!("{case}: {e}"));
+        moved.extend(reissued(&exec, held, delta, at));
+        assert_same(&case, &rolled, scratch, &moved);
+        held = delta;
     }
     assert_eq!(
         exec.tracer.aggregate().counter("replay.rolled{path=roll}"),
-        4,
+        2,
         "every call rolled"
     );
 }

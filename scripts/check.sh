@@ -9,8 +9,9 @@
 # thread), against the deleted store and tracer routings and on-disk
 # checkpoints, against the deleted in-memory checkpoint (a second way to
 # reach an engine state), against the deleted second provenance backend,
-# against a second UPDATETREE path in crates/core, against a tuple-keyed
-# map in the graph recorder and against the searches the engine stopped
+# against a second UPDATETREE path in crates/core or a second roll entry,
+# against a tuple-keyed map in the graph recorder and against the
+# searches the engine stopped
 # repeating (B-tree environment, second body walk, per-flush profile map),
 # against a second copy of a logged base tuple, against name-keyed
 # bindings or whole-tuple table keys in the engine, against the tracer's
@@ -74,19 +75,28 @@ step "benchmark tests" cargo test --release --offline --manifest-path benchmark/
 # PR 16. Failing seeds are ddmin-shrunk into tests/corpus/ automatically.
 step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
 # UPDATETREE re-issues only what the change reaches: on the default
-# campus DiffProv's own call must roll (not replay from scratch), and the
-# events it re-issues must be fewer than the suffix from the fork on. Both
-# are read off the tail of `repro trace campus`.
+# campus DiffProv's own call must roll (not replay from scratch), the
+# events it re-issues must be fewer than the suffix from the fork on, and
+# the suffix's distinct located tuples no more than its events plus the
+# tuples Δ brings (a tuple is keyed once, however many events log it).
+# All are read off `repro trace campus`: its verdict line and its tail.
 rolls_what_the_change_reaches() {
-    local tail roll fork affected
+    local tail roll fork affected tuples changes
     tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
     read_counter() { awk -v name="$1" '$1 == name { print $2 }' <<<"$tail"; }
     roll="$(read_counter 'replay.rolled{path=roll}')"
     fork="$(read_counter replay.fork_events)"
     affected="$(read_counter replay.affected_events)"
-    echo "repro trace campus: roll ${roll:-0}, ${affected:-?} affected of ${fork:-?} fork events"
+    tuples="$(read_counter replay.suffix_tuples)"
+    changes="$(awk '$1 == "verdict:" { print $2 }' <<<"$tail")"
+    echo "repro trace campus: roll ${roll:-0}, ${affected:-?} affected of ${fork:-?} fork events," \
+        "${tuples:-?} suffix tuples, |Δ| ${changes:-?}"
     if [[ "$roll" != 1 || -z "$affected" || -z "$fork" || "$affected" -ge "$fork" ]]; then
         echo "check.sh: the campus did not roll only what the change reaches" >&2
+        return 1
+    fi
+    if [[ -z "$tuples" || -z "$changes" || "$tuples" -gt $((fork + changes)) ]]; then
+        echo "check.sh: the campus suffix keyed more tuples than its events and Δ hold" >&2
         return 1
     fi
 }
@@ -148,6 +158,14 @@ step "gate: one provenance backend" absent \
 step "gate: one UPDATETREE path" absent \
     "crates/core calls the from-scratch replay directly" \
     "replay""_with" crates/core
+# Every caller, tests included, reaches the roll through that one entry:
+# the test-only entry that skipped the cost rule went once no diagnosis
+# needed it to reach the roll. (Spelled in halves so this script passes
+# its own gate.)
+step "gate: one roll entry" absent \
+    "the roll's test-only entry reappeared" \
+    "roll_forward_""withdrawing|always_""withdraw" \
+    crates src tests examples scripts
 # The graph recorder finds an episode by the clock the stream names it by
 # (ProvEvent's `since`), never by the tuple's value: a map keyed by
 # TupleRef in graph.rs would be the by-value search PR 17 removed, paid

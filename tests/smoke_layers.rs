@@ -64,10 +64,9 @@ fn restart_resumes_to_the_uncut_digest() {
     );
 }
 
-/// UPDATETREE by roll-forward — through the cost rule, as DiffProv calls
-/// it, and through the entry that always withdraws and re-issues — leaves
-/// the live tuples of a from-scratch replay of the patched log, and the
-/// same tree for each of them up to timestamps.
+/// UPDATETREE by roll-forward, as DiffProv calls it, leaves the live
+/// tuples of a from-scratch replay of the patched log, and the same tree
+/// for each of them up to timestamps.
 #[test]
 fn roll_forward_reaches_the_from_scratch_state() {
     let s = sdn::sdn1();
@@ -92,8 +91,5 @@ fn roll_forward_reaches_the_from_scratch_state() {
     assert!(!want.is_empty());
     let mut rolled = exec.replay().unwrap();
     rolled.roll_forward(exec, &delta, 0).unwrap();
-    assert_eq!(trees(&rolled), want, "through the cost rule");
-    let mut rolled = exec.replay().unwrap();
-    rolled.roll_forward_withdrawing(exec, &delta, 0).unwrap();
-    assert_eq!(trees(&rolled), want, "withdrawn and re-issued");
+    assert_eq!(trees(&rolled), want);
 }
