@@ -30,9 +30,12 @@
 //! keyed on its bound columns (falling back to a full ordered scan when no
 //! column is bound). Indexes are maintained incrementally by
 //! [`NodeState`] on insert/delete, and a table compares its rows by their
-//! arguments alone (every row carries the table's name). Tuples are
-//! interned behind `Arc` so derivation records and provenance events share
-//! one allocation per distinct tuple.
+//! arguments alone (every row carries the table's name). Derived tuples
+//! are interned behind `Arc`, so every node, derivation record and
+//! provenance event naming one head shares one allocation; a base tuple is
+//! held as scheduled — the log's own allocation — and never looked up,
+//! since no head can equal it (heads are `Derived`, base operations are
+//! not, and natives are held to the same line).
 //!
 //! A rule fires in its compiled form (`crate::compile`): its variables are
 //! slots of one reused frame, bound and undone off a trail per candidate,
@@ -333,10 +336,11 @@ pub struct Stats {
     pub batched_deltas: u64,
     /// Always 0; kept only because `benchmark/src/probe.rs` reads it.
     pub parallel_batches: u64,
-    /// High-water mark of distinct tuples held by the engine's interner
-    /// — the honest memory signal for large workloads, as opposed to
-    /// [`Stats::peak_tuples`], which counts live (node, tuple) occurrences
-    /// and, on insert-only workloads, simply mirrors the insert count.
+    /// High-water mark of distinct derived tuples held by the engine's
+    /// interner: the heads the engine allocated, each once however many
+    /// nodes and episodes hold it. Base tuples are not counted — they are
+    /// the log's allocations — and [`Stats::peak_tuples`] counts live
+    /// (node, tuple) occurrences instead.
     pub peak_interned: u64,
 }
 
@@ -471,7 +475,8 @@ struct Delta {
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
     nodes: BTreeMap<NodeId, NodeState>,
-    /// The tuple interner: one allocation per distinct tuple.
+    /// The head interner: one allocation per distinct derived tuple. Base
+    /// tuples are the log's allocations, held as scheduled.
     store: TupleStore,
     /// Provenance events not yet handed to the sink, in emission order:
     /// at most [`EVENT_HANDOFF`] plus one engine event's emissions, and
@@ -636,8 +641,8 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Schedules a base-tuple insertion not earlier than `due`. A tuple
-    /// handed over behind an `Arc` is adopted: the engine holds the
-    /// caller's allocation, not a copy of it.
+    /// handed over behind an `Arc` is held as it is: the engine keeps the
+    /// caller's allocation, neither a copy nor an interned twin of it.
     pub fn schedule_insert(
         &mut self,
         due: LogicalTime,
@@ -646,12 +651,12 @@ impl<S: ProvenanceSink> Engine<S> {
     ) -> Result<()> {
         let tuple = tuple.into();
         self.check_base(&tuple)?;
-        let tuple = self.store.adopt(tuple);
         self.push(due, Action::InsertBase(node, tuple));
         Ok(())
     }
 
-    /// Schedules a base-tuple deletion not earlier than `due`.
+    /// Schedules a base-tuple deletion not earlier than `due`, holding the
+    /// caller's allocation as [`Engine::schedule_insert`] does.
     pub fn schedule_delete(
         &mut self,
         due: LogicalTime,
@@ -660,7 +665,6 @@ impl<S: ProvenanceSink> Engine<S> {
     ) -> Result<()> {
         let tuple = tuple.into();
         self.check_base(&tuple)?;
-        let tuple = self.store.adopt(tuple);
         self.push(due, Action::DeleteBase(node, tuple));
         Ok(())
     }
@@ -674,9 +678,13 @@ impl<S: ProvenanceSink> Engine<S> {
         }
     }
 
+    /// A base operation's tuple must fit its schema and belong to a
+    /// non-`Derived` table — so it can never equal a rule head or a
+    /// native's emission, which is why it skips the interner.
     fn check_base(&self, tuple: &Tuple) -> Result<()> {
-        self.program.schemas.check(tuple)?;
-        match self.program.schemas.kind(&tuple.table)? {
+        let schema = self.program.schemas.require(&tuple.table)?;
+        schema.check(tuple)?;
+        match schema.kind {
             TableKind::Derived => Err(Error::Schema {
                 table: tuple.table.clone(),
                 message: "cannot insert/delete into a derived table".into(),
@@ -710,8 +718,8 @@ impl<S: ProvenanceSink> Engine<S> {
             // mutations: it belongs to the stream up to the failure.
             self.drain_events();
         }
-        // The interner only grows during a run (nothing is GC'd here), so
-        // the quiescent size is the run's high-water mark.
+        // The head interner only grows during a run (nothing is GC'd
+        // here), so the quiescent size is the run's high-water mark.
         self.stats.peak_interned = self.stats.peak_interned.max(self.store.len() as u64);
         if let Some((span, s0, firings0, profile0)) = traced {
             self.publish_run(s0, &firings0, &profile0);

@@ -33,7 +33,9 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef, TupleStore, Value};
+use dp_types::{
+    Error, LogicalTime, NodeId, Result, TableKind, Tuple, TupleRef, TupleStore, Value,
+};
 
 use super::{Action, Delta, NodeState, NodeView, RuleJoinProfile, Stats};
 use crate::ast::Rule;
@@ -242,7 +244,9 @@ impl FireCtx<'_> {
     }
 
     /// Fires native rule `ni` for delta `d`, appending the scheduled
-    /// actions to `out.actions`.
+    /// actions to `out.actions`. An emission must fit its schema and, like
+    /// a rule head, belong to a `Derived` table: what the interner holds
+    /// never equals a base tuple.
     fn fire_native(&self, d: &Delta, ni: usize, out: &mut FireOut<'_>) -> Result<()> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
@@ -252,7 +256,14 @@ impl FireCtx<'_> {
             &mut emitter,
         )?;
         for em in emitter.emissions {
-            self.program.schemas.check(&em.tuple)?;
+            let schema = self.program.schemas.require(&em.tuple.table)?;
+            schema.check(&em.tuple)?;
+            if schema.kind != TableKind::Derived {
+                return Err(Error::Schema {
+                    table: em.tuple.table,
+                    message: format!("native {} emits into a non-derived table", native.name()),
+                });
+            }
             let head = out.store.intern(em.tuple);
             out.actions.push((
                 d.at + em.delay,
@@ -557,8 +568,9 @@ fn admits(
 
 /// Two rows of one rule's matches in nested-loop order: body position by
 /// body position, each by its tuple's arguments (a position's tuples all
-/// belong to one table). Interned tuples are equal exactly when they are
-/// one allocation, so a shared position costs a pointer compare.
+/// belong to one table, at one node). A node's table holds one allocation
+/// per tuple, so two rows naming the same tuple at a position name the
+/// same allocation, and a shared position costs a pointer compare.
 fn cmp_rows(a: &[Arc<Tuple>], b: &[Arc<Tuple>]) -> Ordering {
     for (x, y) in a.iter().zip(b) {
         if Arc::ptr_eq(x, y) {

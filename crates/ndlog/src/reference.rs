@@ -33,7 +33,9 @@
 //! * Derived heads are delivered as events (`link_delay` later when they
 //!   change node) and re-checked on delivery: if a body tuple has since
 //!   disappeared the derivation is dropped. The same `(rule, body)`
-//!   supports a tuple only once.
+//!   supports a tuple only once. Heads, a native's emissions included,
+//!   belong to `Derived` tables and base operations to the others, so
+//!   no derived tuple ever equals a base tuple.
 //! * A tuple whose support returns to zero disappears, and every
 //!   derivation that used it is withdrawn at the same logical time,
 //!   recursively.
@@ -122,7 +124,8 @@ struct Oracle<'a> {
 /// Errors are the ones the engine raises for the same input: a schedule
 /// entry that fails its schema or targets a derived table, an expression
 /// or builtin failure other than arithmetic (which only suppresses the
-/// one firing), a malformed head, or the runaway budget.
+/// one firing), a malformed head, a native emission that fails its schema
+/// or targets a base table, or the runaway budget.
 pub fn evaluate(
     program: &Program,
     schedule: &[ScheduledOp],
@@ -375,6 +378,12 @@ impl Oracle<'_> {
             native.fire(&self.view(node), tuple, &mut emitter)?;
             for em in emitter.emissions {
                 self.program.schemas.check(&em.tuple)?;
+                if self.program.schemas.kind(&em.tuple.table)? != TableKind::Derived {
+                    return Err(Error::Schema {
+                        table: em.tuple.table,
+                        message: format!("native {} emits into a non-derived table", native.name()),
+                    });
+                }
                 out.push((
                     now + em.delay,
                     Delivery {

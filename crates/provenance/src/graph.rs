@@ -141,8 +141,9 @@ pub struct Vertex<'a> {
     pub kind: VertexKind,
     /// The node the tuple lives on.
     pub node: &'a NodeId,
-    /// The tuple the vertex describes (shared with the engine's interner,
-    /// so a graph holds one allocation per distinct tuple).
+    /// The tuple the vertex describes: its episode's, shared with the
+    /// engine — the interned head for a derived tuple, the log's
+    /// allocation for a base tuple — and never copied.
     pub tuple: &'a Arc<Tuple>,
     /// Event time (for EXIST: interval start).
     pub time: LogicalTime,
@@ -235,8 +236,11 @@ struct Row {
 
 impl Row {
     fn holds(&self, node: &NodeId, tuple: &Arc<Tuple>) -> bool {
-        // `Arc`'s equality is pointer first, content second; the engine
-        // interns, so its streams never get to the content.
+        // `Arc`'s equality is pointer first, content second. A derived
+        // tuple is interned, so it stops at the pointer; a base tuple is
+        // the log event's own allocation, and one logged in several
+        // events — a delete of an insert, a re-insert — reaches the
+        // content compare.
         self.tuple == *tuple && self.node == *node
     }
 }
@@ -364,7 +368,8 @@ impl ProvGraph {
     }
 
     /// Heap bytes the graph holds (its columns, arena, rows and index at
-    /// their allocated capacities; the tuples belong to the interner).
+    /// their allocated capacities; the tuples belong to the engine's
+    /// interner or to the log).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.kinds.capacity() * size_of::<Kind>()
@@ -955,6 +960,70 @@ mod tests {
         assert_eq!(g.exist_since(&TupleRef::new(n.clone(), a), 1), Some(a_eps[0].exist));
         assert_eq!(g.exist_since(&TupleRef::new(n, z), 1), None);
         assert_eq!(crate::well_formedness_violations(&g), Vec::<String>::new());
+    }
+
+    /// Base support that comes and goes inside one episode, as a stream
+    /// states it (the engine never emits one: heads and base tuples live
+    /// in disjoint tables). A reported `m(1)` is open; an INSERT naming
+    /// its episode is extra support, not a new APPEAR; a DELETE while the
+    /// report holds closes nothing; and the DISAPPEAR's cause is the later
+    /// UNDERIVE, not the DELETE left over from before.
+    #[test]
+    fn base_support_comes_and_goes_inside_one_episode() {
+        use dp_ndlog::BodyRef;
+        let n = NodeId::new("n");
+        let (e, m) = (Arc::new(tuple!("e", 1)), Arc::new(tuple!("m", 1)));
+        let mirror = Sym::new("mirror");
+        let mut rec = GraphRecorder::new();
+        for event in [
+            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::Appear { time: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::Derive {
+                time: 2,
+                since: 2,
+                node: n.clone(),
+                tuple: Arc::clone(&m),
+                rule: mirror.clone(),
+                body: vec![BodyRef { tref: TupleRef::new(n.clone(), Arc::clone(&e)), since: 1 }],
+                trigger: 0,
+            },
+            ProvEvent::Appear { time: 2, node: n.clone(), tuple: Arc::clone(&m) },
+            ProvEvent::InsertBase { time: 10, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
+            ProvEvent::DeleteBase { time: 20, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
+            ProvEvent::DeleteBase { time: 30, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::Disappear { time: 30, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::Underive {
+                time: 30,
+                since: 2,
+                node: n.clone(),
+                tuple: Arc::clone(&m),
+                rule: mirror,
+            },
+            ProvEvent::Disappear { time: 30, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
+        ] {
+            rec.record(event);
+        }
+        let graph = rec.finish();
+        let eps = graph.episodes(&TupleRef::new(n, m));
+        assert_eq!(eps.len(), 1, "one episode throughout");
+        let ep = &eps[0];
+        assert_eq!((ep.start, ep.end), (2, Some(30)));
+        assert!(matches!(graph.vertex(ep.cause).kind, VertexKind::Derive { .. }));
+        let [extra] = ep.extra_support[..] else {
+            panic!("one extra support expected: {:?}", ep.extra_support)
+        };
+        let extra = graph.vertex(extra);
+        assert!(matches!(extra.kind, VertexKind::Insert) && extra.time == 10, "{extra}");
+        let disappear = graph.vertex(ep.disappear.expect("closed"));
+        let [negative] = disappear.children[..] else {
+            panic!("one negative cause expected: {:?}", disappear.children)
+        };
+        let negative = graph.vertex(negative);
+        assert!(
+            matches!(negative.kind, VertexKind::Underive { .. }) && negative.time == 30,
+            "the DISAPPEAR hangs off {negative}"
+        );
+        assert_eq!(crate::well_formedness_violations(&graph), Vec::<String>::new());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! episode by. Recording therefore allocates only when one of those few
 //! vectors (or the index) grows, and a graph of any size is freed by a
 //! fixed, small number of deallocations — the tuples belong to the
-//! engine's interner. Both are pinned here as counts taken by a counting
-//! global allocator, which repeat exactly from run to run: the campus
+//! engine's interner and to the log. Both are pinned here as counts taken
+//! by a counting global allocator, which repeat exactly from run to run: the campus
 //! replay into the recorder may allocate at most 0.05 times per provenance
 //! event more than the same replay into a null sink (it was 1.84 with a
 //! `Vec` of children per vertex and a B-tree entry per tuple), and
@@ -22,16 +22,18 @@
 //! bytes and blocks allocated since the engine was created and not freed
 //! by quiescence, item 2's yardstick. The classes behind them, by their
 //! arithmetic on this campus (2 246 base events in the log, 5 741 engine
-//! events, 11 482 provenance events, 5 170 distinct tuples interned,
+//! events, 11 482 provenance events, 2 938 distinct heads interned,
 //! 5 741 live, 3 495 derivations out of 3 507 join matches found by 1 910
 //! rule firings, 1 725 flushes of which 1 510 fire a join):
 //!
-//! * **Scheduling the log: 0.011 per base event** (24) — the doublings of
-//!   the queue's run and of the interner, nothing per tuple: a logged
-//!   tuple lives behind an `Arc` the interner adopts as it is. (2.004
-//!   before PR 24: a deep copy of the tuple's `Vec<Value>` and a fresh
-//!   `Arc<Tuple>` per base event.)
-//! * **Running it: 32 934**, 5.7 per engine event. Per join match
+//! * **Scheduling the log: 0.006 per base event** (13) — the doublings of
+//!   the queue's run, nothing per tuple: a logged tuple lives behind an
+//!   `Arc` the engine holds as it is, without an interner lookup. (0.011
+//!   while the interner filed every base tuple and grew with them; 2.004
+//!   while each base event cost a deep copy of the tuple's `Vec<Value>`
+//!   and a fresh `Arc<Tuple>`.)
+//! * **Running it: 32 944**, 5.7 per engine event — the interner's
+//!   doublings among them, now that heads alone fill it. Per join match
 //!   (3 507): the head's `Vec<Value>` and the `Vec<TupleRef>` of the
 //!   scheduled action — and, for a head not interned before, its
 //!   `Arc<Tuple>`. Per derivation (3 495): `stamped` (the event's
@@ -57,8 +59,10 @@
 //!   the body vector and the `derivations` vector per derivation, the
 //!   dependents vectors, the index keys and buckets, the B-tree and trie
 //!   nodes.
-//! * **Held at quiescence: 631.7 bytes in 4.29 blocks per live tuple** —
-//!   the same blocks weighed (853.3 bytes in 5.06 blocks before PR 24).
+//! * **Held at quiescence: 625.3 bytes in 4.29 blocks per live tuple** —
+//!   the same blocks weighed; the interner's table is sized by the heads
+//!   alone (631.7 bytes while it filed base tuples too; 853.3 bytes in
+//!   5.06 blocks while base tuples were copied into the engine).
 //!   The provenance-event buffer is not among the large ones: it is handed
 //!   to the sink every 4 096 events, so it stays under 1 MB however large
 //!   the same-`due` batch.
@@ -194,8 +198,8 @@ fn recording_allocates_per_growth_not_per_event() {
 
     let recorder_allocs = recorded_allocs - null_allocs;
     let per_event = recorder_allocs as f64 / events as f64;
-    // The engine stays alive: its interner and tables hold every tuple,
-    // so only the graph's own memory goes.
+    // The engine stays alive: its tables hold every tuple, so only the
+    // graph's own memory goes.
     let graph = std::mem::take(&mut recorded.sink_mut().graph);
     let (vertices, bytes) = (graph.len(), graph.bytes());
     let graph_frees = counted(|| drop(graph)).1.frees;
@@ -214,16 +218,16 @@ fn recording_allocates_per_growth_not_per_event() {
 /// Replay allocations per provenance event, into a null sink: 32 958 over
 /// 11 482 events = 2.870 when last moved (PR 25; 4.521 before), + 2 %.
 const ENGINE_ALLOCS_PER_EVENT: f64 = 2.93;
-/// Allocations to schedule the log, per base event: 24 over 2 246 = 0.011
-/// when last moved (PR 24; 2.004 before) — nothing per tuple, so the bound
-/// leaves room for a doubling or two, not for a class.
-const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.02;
+/// Allocations to schedule the log, per base event: 13 over 2 246 = 0.006
+/// when last moved (0.011 before, 2.004 before that) — nothing per tuple,
+/// so the bound leaves room for a doubling or two, not for a class.
+const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.007;
 /// Blocks freed by dropping the quiescent engine: 24 630 when last moved
 /// (PR 24; 29 046 before), + 2 %.
 const ENGINE_DROP_FREES: u64 = 25_200;
-/// Bytes the quiescent engine holds per live tuple: 3 620 668 over 5 741 =
-/// 630.7 when last moved (PR 24; 853.3 before), + 2 %.
-const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 644.0;
+/// Bytes the quiescent engine holds per live tuple: 3 589 940 over 5 741 =
+/// 625.3 when last moved (631.7 before, 853.3 before that), + 2 %.
+const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 638.0;
 /// Blocks the quiescent engine holds per live tuple: 24 630 over 5 741 =
 /// 4.290 when last moved (PR 24; 5.059 before), + 2 %.
 const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 4.38;
@@ -261,7 +265,7 @@ fn the_engine_allocates_within_its_budget() {
     let blocks_per_tuple = held_blocks as f64 / live as f64;
     println!(
         "engine alloc budget: {base_events} base events, {} engine events, {events} provenance \
-         events, {} tuples interned, {live} live, {} derivations of {} matches by {firings} rule \
+         events, {} heads interned, {live} live, {} derivations of {} matches by {firings} rule \
          firings, {} flushes; \
          {} allocations to schedule ({per_base_event:.3} per base event), {} to \
          run: {per_event:.3} per provenance event; the quiescent engine holds {held_bytes} bytes \

@@ -9,8 +9,11 @@
 //!
 //! An event holds its tuple behind an `Arc`, and everything downstream —
 //! a clone of the log, a patched log, the schedule handed to an engine or
-//! to the reference evaluator, the engine's interner — takes that handle,
-//! not a copy: a base tuple is one allocation per process.
+//! to the reference evaluator, the engine's tables, indexes and provenance
+//! events — takes that handle, not a copy: a logged base tuple is one
+//! allocation per event, per process. The engine holds it as it is, with
+//! no interner lookup; equal tuples logged by separate events stay
+//! separate allocations, and are compared by content where they meet.
 //!
 //! Appends are O(1): the log buffers arrivals in arrival order and
 //! restores the replay order — stable sort by `due`, arrival order within

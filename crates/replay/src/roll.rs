@@ -744,7 +744,9 @@ pub(crate) fn settled(
     // outside it could have seen.
     let program = engine.program();
     let mut read = ReadTables::new(program);
-    let mut net: Vec<(&NodeId, *const Tuple, i32, &Arc<Tuple>)> = Vec::new();
+    // Keyed by content: two episodes of one base tuple may hold two of the
+    // log's allocations of it.
+    let mut net: Vec<(&NodeId, &Arc<Tuple>, i32)> = Vec::new();
     let mut rows = Vec::new();
     for v in from..graph.len() as VertexId {
         let (row, step) = graph.step(v);
@@ -776,12 +778,7 @@ pub(crate) fn settled(
                     return Err(Refusal::Closed);
                 }
                 if read.any(&view.tuple.table) {
-                    net.push((
-                        view.node,
-                        Arc::as_ptr(view.tuple),
-                        if opens { 1 } else { -1 },
-                        view.tuple,
-                    ));
+                    net.push((view.node, view.tuple, if opens { 1 } else { -1 }));
                 }
             }
             _ => {}
@@ -791,7 +788,7 @@ pub(crate) fn settled(
     let mut changed = ByNode::new();
     for same in net.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
         if same.iter().map(|e| e.2).sum::<i32>() != 0 {
-            let (node, _, _, tuple) = same[0];
+            let (node, tuple, _) = same[0];
             changed
                 .entry(node)
                 .or_default()

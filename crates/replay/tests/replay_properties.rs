@@ -245,30 +245,41 @@ fn patched_replay_equals_rebuilt_execution() {
     }
 }
 
-/// How many live base tuples `r`'s engine holds, each checked to be the
-/// allocation `log` holds for it (the first event of an equal tuple: the
-/// interner keeps the handle it saw first). Base tuples `log` never names —
-/// a change's `after` — are skipped.
+/// How many live base tuples `r`'s engine holds, each checked to be one of
+/// the allocations `log`'s events hold for that located tuple — whichever
+/// event the engine kept it from, never a copy. Located tuples `log` never
+/// names — a change's `after` — are skipped.
 fn shared_base_tuples(r: &Replayed, log: &EventLog, case: &str) -> usize {
     let events = log.events();
-    let mut logged: BTreeMap<&Tuple, *const Tuple> = BTreeMap::new();
+    let mut logged: BTreeMap<(&NodeId, &Tuple), Vec<*const Tuple>> = BTreeMap::new();
     for e in events.iter() {
-        logged.entry(&e.tuple).or_insert(Arc::as_ptr(&e.tuple));
+        logged.entry((&e.node, &*e.tuple)).or_default().push(Arc::as_ptr(&e.tuple));
     }
     let mut shared = 0;
     for (node, state) in r.engine.nodes() {
         for (held, _) in state.all().filter(|(_, st)| st.base) {
-            let Some(&in_log) = logged.get(held) else { continue };
-            assert!(std::ptr::eq(held, in_log), "{case}: {held}@{node} is a copy");
+            let Some(in_log) = logged.get(&(node, held)) else { continue };
+            assert!(
+                in_log.iter().any(|&p| std::ptr::eq(held, p)),
+                "{case}: {held}@{node} is a copy"
+            );
             shared += 1;
         }
     }
     shared
 }
 
+/// The allocation `r`'s engine holds for `tuple` at `node`.
+fn held(r: &Replayed, node: &str, tuple: &Tuple) -> *const Tuple {
+    let (_, state) = r.engine.nodes().find(|(n, _)| n.as_str() == node).expect("node state");
+    let (held, _) = state.all().find(|(t, _)| *t == tuple).expect("the tuple is live");
+    held
+}
+
 /// A base tuple is held once: what a replay's engine stores, indexes and
-/// records is the log's own allocation — a cloned execution's too — and a
-/// patched log shares every event its changes left alone.
+/// records is one of the log's own allocations of that located tuple — a
+/// cloned execution's too — and a patched log shares every event its
+/// changes left alone.
 #[test]
 fn a_replay_shares_the_logs_tuples() {
     let c = campus(&CampusConfig {
@@ -309,6 +320,68 @@ fn a_replay_shares_the_logs_tuples() {
     }
     let rolled = good.replay_with(&change, 0).unwrap();
     assert!(shared_base_tuples(&rolled, &good.log, "replay_with") > 100);
+}
+
+/// Scheduling base tuples files nothing in the interner: a log whose
+/// tuples never join interns nothing, and one that derives interns its
+/// heads alone, one per distinct head.
+#[test]
+fn only_derived_heads_are_interned() {
+    let mut exec = Execution::new(program());
+    for i in 0..50 {
+        exec.log.insert(i, "n", tuple!("e", i as i64));
+        exec.log.insert(i, "m", tuple!("k", i as i64)); // no `e` at `m`: no join
+    }
+    let stats = exec.replay().unwrap().engine.stats();
+    assert_eq!((stats.peak_interned, stats.peak_tuples), (0, 100));
+
+    exec.log.insert(100, "n", tuple!("k", 0)); // d(X + 0) for every e(X) at n
+    exec.log.insert(101, "n", tuple!("k", 100)); // d(100..150)
+    let stats = exec.replay().unwrap().engine.stats();
+    assert_eq!(stats.peak_interned, 100, "one per distinct head: d(0..50), d(100..150)");
+}
+
+/// Two equal base tuples, logged by separate events at two nodes, are
+/// each held as their event gave them: two allocations, not one chosen
+/// by an interner.
+#[test]
+fn equal_base_tuples_at_two_nodes_are_each_held_as_logged() {
+    let mut exec = Execution::new(program());
+    exec.log.insert(0, "a", tuple!("k", 7));
+    exec.log.insert(0, "b", tuple!("k", 7));
+    let events = exec.log.events();
+    let logged: Vec<*const Tuple> = events.iter().map(|e| Arc::as_ptr(&e.tuple)).collect();
+    drop(events);
+    let r = exec.replay().unwrap();
+    let (at_a, at_b) = (held(&r, "a", &tuple!("k", 7)), held(&r, "b", &tuple!("k", 7)));
+    assert_eq!(logged, [at_a, at_b]);
+    assert_ne!(at_a, at_b);
+}
+
+/// A derived tuple that reaches a second node with the same content is
+/// one allocation at both: the interner shares a forwarded head across
+/// its hops, as it shares a packet's `pktAt` on the campus.
+#[test]
+fn a_head_forwarded_to_a_second_node_is_one_allocation() {
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("e", TableKind::ImmutableBase, [("x", FieldType::Int)]));
+    reg.declare(Schema::new("link", TableKind::MutableBase, [("to", FieldType::Str)]));
+    reg.declare(Schema::new("d", TableKind::Derived, [("x", FieldType::Int)]));
+    let program = Program::builder(reg)
+        .rules_text(
+            "start d(@N, X) :- e(@N, X).\n\
+             hop d(@M, X) :- d(@N, X), link(@N, M).",
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut exec = Execution::new(program);
+    exec.log.insert(0, "a", tuple!("link", "b"));
+    exec.log.insert(10, "a", tuple!("e", 1));
+    let r = exec.replay().unwrap();
+    let (at_a, at_b) = (held(&r, "a", &tuple!("d", 1)), held(&r, "b", &tuple!("d", 1)));
+    assert_eq!(at_a, at_b, "the forwarded head was copied");
+    assert_eq!(r.engine.stats().peak_interned, 1);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! # The word hasher
 //!
 //! The interner and the engine's join indexes are the two hash tables on
-//! the evaluator's hot path: every scheduled, derived or emitted tuple is
-//! hashed once to be interned, and every index probe hashes its key.
+//! the evaluator's hot path: every derived or emitted tuple is hashed
+//! once to be interned, and every index probe hashes its key.
 //! Their keys are a table name and a few machine-word fields, which
 //! SipHash — `std`'s keyed, DoS-resistant default — digests a byte at a
 //! time behind a per-process random seed. [`WordHasher`] folds one word
@@ -213,16 +213,16 @@ impl Hasher for WordHasher {
     }
 }
 
-/// An interner for tuples.
+/// An interner for derived tuples.
 ///
-/// The engine's hot path used to clone whole `Tuple`s per derivation record
-/// and per provenance event. Interning makes each distinct tuple a single
-/// heap allocation shared by reference count; equality-checked re-insertions
-/// return the existing `Arc`, so derivation records, index buckets, and
-/// provenance events all point at one copy. A tuple that already lives
-/// behind an `Arc` — a logged base tuple — is [`TupleStore::adopt`]ed as
-/// it is, so the log and the store share that one copy too; only
-/// [`TupleStore::intern`], which derived heads go through, allocates.
+/// A rule head or a native's emission is built as a fresh `Tuple`;
+/// interning makes each distinct one a single heap allocation shared by
+/// reference count, so a packet's head forwarded across hops and a head
+/// re-derived in a later episode are one copy in every table, derivation
+/// record and provenance event that names them. Base tuples never come
+/// here: they already live behind the log's `Arc`, which the engine holds
+/// as it is, and no head can equal one (heads belong to `Derived` tables,
+/// base operations to the others), so a lookup could only ever miss.
 ///
 /// The set is hashed by [`WordHasher`] and only ever probed or counted —
 /// never iterated for order.
@@ -245,17 +245,6 @@ impl TupleStore {
         let arc = Arc::new(tuple);
         self.set.insert(Arc::clone(&arc));
         arc
-    }
-
-    /// Returns the shared handle for `tuple`: the resident one if an equal
-    /// tuple is interned, otherwise `tuple` itself, filed as it is — no
-    /// allocation either way.
-    pub fn adopt(&mut self, tuple: Arc<Tuple>) -> Arc<Tuple> {
-        if let Some(existing) = self.set.get(&*tuple) {
-            return Arc::clone(existing);
-        }
-        self.set.insert(Arc::clone(&tuple));
-        tuple
     }
 
     /// The hash this store files `tuple` under. A function of the tuple
@@ -380,9 +369,9 @@ mod tests {
             assert_eq!(a.hash_of(&t), b.hash_of(&t), "{t}");
             let again = WordBuildHasher::default().hash_one(&t);
             assert_eq!(a.hash_of(&t), again, "{t}");
-            // Adopted or interned, a resident tuple is filed under it.
-            let adopted = b.adopt(Arc::new(t.clone()));
-            assert_eq!(b.hash_of(&adopted), again, "{t}");
+            // A resident tuple is filed under it.
+            let interned = b.intern(t.clone());
+            assert_eq!(b.hash_of(&interned), again, "{t}");
         }
         // Field order, arity and table all reach the hash.
         let h = |t: Tuple| a.hash_of(&t);
@@ -408,24 +397,6 @@ mod tests {
         let mut h = WordHasher::default();
         h.write_u64(u64::from_le_bytes(*b"packetIn"));
         assert_eq!(h.finish(), hash(b"packetIn"));
-    }
-
-    #[test]
-    fn store_adopts_the_given_allocation() {
-        let mut store = TupleStore::new();
-        // A miss files the caller's allocation as it is.
-        let logged = Arc::new(tuple!("t", 1));
-        let a = store.adopt(Arc::clone(&logged));
-        assert!(Arc::ptr_eq(&a, &logged));
-        assert_eq!(store.len(), 1);
-        // A hit returns the resident handle, whoever asks and however.
-        let b = store.adopt(Arc::new(tuple!("t", 1)));
-        assert!(Arc::ptr_eq(&b, &logged));
-        assert!(Arc::ptr_eq(&store.intern(tuple!("t", 1)), &logged));
-        assert_eq!(store.len(), 1);
-        let derived = store.intern(tuple!("t", 2));
-        assert!(Arc::ptr_eq(&store.adopt(Arc::new(tuple!("t", 2))), &derived));
-        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -195,16 +195,20 @@ step "gate: the engine binds by slot" absent \
     "the engine binds by name or keys a table by whole tuples again" \
     "\\bE""nv\\b|run_""assigns|\\.eval\\(&""env|BTreeMap<Arc<Tu""ple>, Slot>" \
     crates/ndlog/src/engine.rs crates/ndlog/src/engine
-# A base tuple is held once per process (PR 24): the log keeps it behind
-# an `Arc`, and scheduling, patching and the layer reader hand that handle
-# on — the interner adopts it — instead of copying the tuple out of it.
+# A base tuple is held once: the log keeps it behind an `Arc`, and
+# scheduling, patching and the layer reader hand that handle on instead of
+# copying the tuple out of it. The engine keeps the handle as scheduled,
+# with no interner lookup — no head can equal a base tuple, so the interner
+# holds derived heads alone and has no entry that files a given `Arc`.
 # (Spelled in halves so this script passes its own gate.)
 held_once() {
     absent "the log holds its tuples by value again" \
         "pub tuple: Tu""ple" crates/replay/src/log.rs &&
         absent "a logged tuple is deep-copied out of its handle" \
             "\(\*[a-z_.]*tuple\)\.clo""ne\(\)|\.tuple\.as_ref\(\)\.clo""ne\(\)" \
-            crates/replay/src crates/ndlog/src/engine.rs
+            crates/replay/src crates/ndlog/src/engine.rs &&
+        absent "the interner files base tuples again" \
+            "fn ado""pt\\b|\\.ado""pt\\(" crates
 }
 step "gate: a base tuple is held once" held_once
 # The tracer is its aggregate: a handle is disabled or updates the one
