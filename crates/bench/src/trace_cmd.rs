@@ -460,9 +460,9 @@ mod tests {
         // A from-scratch replay names its reasons on the same line.
         let tracer = Tracer::aggregate_only();
         tracer.counter("replay.refused{why=order}", 1);
-        tracer.counter("replay.refused{why=cost}", 2);
+        tracer.counter("replay.refused{why=closed}", 2);
         tracer.counter("replay.rolled{path=roll}", 1);
-        assert_eq!(refusals(&tracer.aggregate()), " (refused: cost x2, order x1)");
+        assert_eq!(refusals(&tracer.aggregate()), " (refused: closed x2, order x1)");
     }
 
     /// The stats dump names the scenario and carries both sections.

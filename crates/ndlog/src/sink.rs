@@ -32,9 +32,7 @@
 //! tuple by value. An `Appear` opens the episode named by its own `time`;
 //! an `InsertBase` or `Derive` with `since == time` is the cause of the
 //! `Appear` that immediately follows it, and one with `since < time` adds
-//! support to an episode that is already open. In a stream that starts
-//! mid-run `since` may predate the first event the sink sees: the engine
-//! stamps the `appeared_at` it holds, whoever was listening then.
+//! support to an episode that is already open.
 //!
 //! [`TupleState::appeared_at`]: crate::engine::TupleState::appeared_at
 

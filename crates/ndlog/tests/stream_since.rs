@@ -6,12 +6,11 @@
 //! state by that clock and never searches for a tuple by value, so the
 //! stamps have to be right *as a property of the stream alone*: each one
 //! must equal the `time` of the latest `Appear` of that located tuple
-//! seen so far — or, for a stream that starts mid-run, the `appeared_at`
-//! the engine held for the tuple when it started. This suite checks
-//! exactly that, over every generator of `dp_ndlog::testsupport`, the
-//! nine repro scenarios, and the second half of one run paused at a
-//! quiescent boundary. (That the oracle emits the same stamps is
-//! `reference_differential.rs`'s business: it compares whole events.)
+//! seen so far, from the stream's start. This suite checks exactly that,
+//! over every generator of `dp_ndlog::testsupport`, the nine repro
+//! scenarios, and one run continued after a quiescent pause. (That the
+//! oracle emits the same stamps is `reference_differential.rs`'s
+//! business: it compares whole events.)
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,16 +19,13 @@ use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, run_schedule, schedule_a
 use dp_ndlog::{Engine, Program, ProvEvent, VecSink};
 use dp_types::{DetRng, LogicalTime, NodeId, Tuple, TupleRef};
 
-/// Holds `events` to the property, starting from the episodes in `open`
-/// (empty for a stream recorded from the start). Returns how many stamps
-/// — events' and body entries' — it checked against an earlier `Appear`.
-fn assert_since_names_the_latest_appear(
-    events: &[ProvEvent],
-    mut open: BTreeMap<TupleRef, LogicalTime>,
-    case: &str,
-) -> usize {
+/// Holds `events`, a stream from an empty engine on, to the property.
+/// Returns how many stamps — events' and body entries' — it checked
+/// against an earlier `Appear`.
+fn assert_since_names_the_latest_appear(events: &[ProvEvent], case: &str) -> usize {
     let mut checked = 0;
-    let mut last_appear = open.values().copied().max();
+    let mut open: BTreeMap<TupleRef, LogicalTime> = BTreeMap::new();
+    let mut last_appear = None;
     let at = |node: &NodeId, tuple: &Arc<Tuple>| TupleRef::new(node.clone(), Arc::clone(tuple));
     for (i, event) in events.iter().enumerate() {
         // The episode an event names must be the one its tuple is in.
@@ -92,7 +88,7 @@ fn assert_since_names_the_latest_appear(
 
 fn check(program: &Arc<Program>, ops: &[ScheduledOp], case: &str) -> usize {
     let got = run_schedule(program, ops);
-    assert_since_names_the_latest_appear(&got.events, BTreeMap::new(), case)
+    assert_since_names_the_latest_appear(&got.events, case)
 }
 
 #[test]
@@ -158,11 +154,12 @@ fn since_names_the_latest_appear_on_all_repro_scenarios() {
     }
 }
 
-/// A stream that starts mid-run — what a run paused at a quiescent point
-/// emits once it carries on: it names episodes its reader never saw open,
-/// by the clocks the engine held at the pause.
+/// A run continued after quiescence — the shape a roll has: the engine
+/// runs part of the log to quiescence and is then given the rest. The
+/// stream is still one recording from the empty engine on, and its second
+/// half names episodes that opened in the first.
 #[test]
-fn since_holds_in_a_stream_that_starts_mid_run() {
+fn since_holds_in_a_run_continued_after_quiescence() {
     let exec = dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario.bad_exec;
     let ops = exec.log.to_schedule();
     // Pause between two dues, two thirds in: tables installed, packets on
@@ -174,24 +171,20 @@ fn since_holds_in_a_stream_that_starts_mid_run() {
     let mut eng = Engine::new(Arc::clone(&exec.program), VecSink::default());
     schedule_all(&mut eng, &ops[..cut]);
     eng.run().unwrap();
-    let open: BTreeMap<TupleRef, LogicalTime> = eng
-        .nodes()
-        .flat_map(|(node, state)| {
-            state
-                .all()
-                .map(move |(t, ts)| (TupleRef::new(node.clone(), t.clone()), ts.appeared_at))
-        })
-        .collect();
     let before = eng.sink().events.len();
     schedule_all(&mut eng, &ops[cut..]);
     eng.run().unwrap();
-    let tail = &eng.sink().events[before..];
-    let old = open.values().copied().max().unwrap();
-    let from_before = tail.iter().any(|e| match e {
+    let events = &eng.sink().events;
+    let appears = events[..before].iter().filter_map(|e| match e {
+        ProvEvent::Appear { time, .. } => Some(*time),
+        _ => None,
+    });
+    let old = appears.max().expect("the first half opened episodes");
+    let from_before = events[before..].iter().any(|e| match e {
         ProvEvent::Derive { body, .. } => body.iter().any(|b| b.since <= old),
         _ => false,
     });
     assert!(from_before, "no later derivation read a tuple from before the pause");
-    let checked = assert_since_names_the_latest_appear(tail, open, "campus, second half");
+    let checked = assert_since_names_the_latest_appear(events, "campus, continued");
     assert!(checked > 0);
 }

@@ -16,20 +16,24 @@
 //! in APPEAR order, behind one integer-keyed `since → row` index (the
 //! APPEAR clocks themselves, which only increase: a sorted array). A row
 //! owns the episode's located tuple — the one `NodeId`/`Arc<Tuple>` pair
-//! its three or more vertices share — its interval, and the links the
-//! stream fills in later (the DISAPPEAR, the pending negative cause).
+//! its three or more vertices share — its end (its start is its index
+//! entry), and the links the stream fills in later (the DISAPPEAR, the
+//! pending negative cause).
 //! Vertices are plain columns (kind and rule, row, time, child range) over
 //! one child arena, and the extra supports of all episodes are one side
 //! list, so a graph of any size is a fixed number of allocations and
 //! dropping it frees those and releases the rows' tuples.
 //!
-//! The index is trusted only as far as it can be checked: a key that leads
-//! to a row holding a different located tuple (a spliced or forged stream)
-//! is treated like a key that leads nowhere (a stream that starts
-//! mid-run) — the tuple gets a *boundary episode*, open since time 0,
-//! never a link into another tuple's history.
+//! Every recording starts at an empty engine — a replay from the log's
+//! start, possibly rolled forward on the same engine — so every row is
+//! opened by the APPEAR right after its cause, and a row's id is its rank
+//! in APPEAR order: the index holds the APPEAR clocks alone, and row `r`
+//! opened at `index[r]`. A stream that breaks that contract — a `since`
+//! that names no opened episode of its located tuple, or an APPEAR not
+//! preceded by its cause — panics with the invariant stated, as a graph
+//! past 2^32 vertices does; it is never linked into another tuple's
+//! history.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -79,8 +83,6 @@ pub struct RowView<'a> {
     pub tuple: &'a Arc<Tuple>,
     /// The INSERT or DERIVE vertex that opened the episode.
     pub cause: VertexId,
-    /// When the episode opened.
-    pub start: LogicalTime,
     /// When it closed, if it did.
     pub end: Option<LogicalTime>,
 }
@@ -225,7 +227,6 @@ struct Row {
     /// The APPEAR vertex; the EXIST vertex is the one after it. [`NONE`]
     /// while the row waits for the APPEAR that follows its cause.
     appear: VertexId,
-    start: LogicalTime,
     end: Option<LogicalTime>,
     /// The DISAPPEAR vertex, or [`NONE`] while the episode is open.
     disappear: VertexId,
@@ -260,22 +261,15 @@ pub struct ProvGraph {
     /// Rule names, indexed by the `rule` of [`Kind`]; a handful per
     /// program.
     rules: Vec<Sym>,
-    /// The episodes, in APPEAR order.
+    /// The episodes, in APPEAR order; past the opened ones, at most the
+    /// row whose cause waits for its APPEAR.
     rows: Vec<Row>,
-    /// `since → row`: the APPEAR clock of every opened episode (for a
-    /// boundary episode, the clock the stream names it by). A stream's
-    /// APPEAR clocks only increase, so the index is the sorted run of
-    /// them: appended to, searched by bisection.
-    index: Vec<(LogicalTime, RowId)>,
-    /// The index entries whose key arrived out of that order: a boundary
-    /// episode is named by a clock from before the recording started.
-    /// Empty unless it started mid-stream.
-    strays: BTreeMap<LogicalTime, RowId>,
+    /// `since → row`: the APPEAR clock of every opened row, at the row's
+    /// id. A stream's APPEAR clocks only increase, so the index is the
+    /// sorted run of them: appended to, searched by bisection.
+    index: Vec<LogicalTime>,
     /// Additional supports as `(row, vertex)`, in arrival order.
     extra_support: Vec<(RowId, VertexId)>,
-    /// The row opened by the latest INSERT/DERIVE cause, until the APPEAR
-    /// that immediately follows it in the stream takes it.
-    pending_cause: Option<RowId>,
     /// Scratch for the children of the DERIVE being recorded.
     body: Vec<VertexId>,
 }
@@ -352,7 +346,6 @@ impl ProvGraph {
             node: &row.node,
             tuple: &row.tuple,
             cause: row.cause,
-            start: row.start,
             end: row.end,
         }
     }
@@ -379,7 +372,7 @@ impl ProvGraph {
             + (self.children.capacity() + self.body.capacity()) * size_of::<VertexId>()
             + self.rules.capacity() * size_of::<Sym>()
             + self.rows.capacity() * size_of::<Row>()
-            + (self.index.capacity() + self.strays.len()) * size_of::<(LogicalTime, RowId)>()
+            + self.index.capacity() * size_of::<LogicalTime>()
             + self.extra_support.capacity() * size_of::<(RowId, VertexId)>()
     }
 
@@ -391,43 +384,27 @@ impl ProvGraph {
         row.holds(&tref.node, &tref.tuple).then_some(row.appear + 1)
     }
 
-    /// The row indexed under `since`.
+    /// The row that opened at `since`.
     fn row_at(&self, since: LogicalTime) -> Option<RowId> {
-        match self.index.binary_search_by_key(&since, |&(key, _)| key) {
-            Ok(at) => Some(self.index[at].1),
-            Err(_) => self.strays.get(&since).copied(),
-        }
-    }
-
-    /// Indexes `row` under `since`, unless another row already is.
-    fn index_row(&mut self, since: LogicalTime, row: RowId) {
-        match self.index.last() {
-            Some(&(latest, _)) if latest >= since => {
-                if self.row_at(since).is_none() {
-                    self.strays.insert(since, row);
-                }
-            }
-            _ => self.index.push((since, row)),
-        }
+        self.index.binary_search(&since).ok().map(|r| r as RowId)
     }
 
     /// The opened rows of `tref`, in APPEAR order: a linear scan of every
     /// episode in the graph.
     fn rows_for<'a>(&'a self, tref: &'a TupleRef) -> impl DoubleEndedIterator<Item = RowId> + 'a {
-        (0..self.rows.len() as RowId).filter(move |&r| {
-            let row = &self.rows[r as usize];
-            row.appear != NONE && row.holds(&tref.node, &tref.tuple)
-        })
+        let opened = 0..self.index.len() as RowId;
+        opened.filter(move |&r| self.rows[r as usize].holds(&tref.node, &tref.tuple))
     }
 
-    /// The public view of an opened row, given its extra supports.
-    fn episode_of(row: &Row, extra_support: Vec<VertexId>) -> Episode {
+    /// The public view of opened row `r`, given its extra supports.
+    fn episode_of(&self, r: RowId, extra_support: Vec<VertexId>) -> Episode {
+        let row = &self.rows[r as usize];
         Episode {
             appear: row.appear,
             exist: row.appear + 1,
             cause: row.cause,
             extra_support,
-            start: row.start,
+            start: self.index[r as usize],
             end: row.end,
             disappear: (row.disappear != NONE).then_some(row.disappear),
         }
@@ -435,21 +412,20 @@ impl ProvGraph {
 
     fn episode(&self, r: RowId) -> Episode {
         let of_row = self.extra_support.iter().filter(|&&(of, _)| of == r);
-        Self::episode_of(&self.rows[r as usize], of_row.map(|&(_, v)| v).collect())
+        self.episode_of(r, of_row.map(|&(_, v)| v).collect())
     }
 
     /// Every episode in the graph with its located tuple, in APPEAR
     /// order.
     pub fn all_episodes(&self) -> Vec<(TupleRef, Episode)> {
-        let mut extra = vec![Vec::new(); self.rows.len()];
+        let mut extra = vec![Vec::new(); self.index.len()];
         for &(r, v) in &self.extra_support {
             extra[r as usize].push(v);
         }
-        let opened = (0..self.rows.len()).filter(|&r| self.rows[r].appear != NONE);
-        opened
+        (0..self.index.len() as RowId)
             .map(|r| {
-                let row = &self.rows[r];
-                let episode = Self::episode_of(row, std::mem::take(&mut extra[r]));
+                let row = &self.rows[r as usize];
+                let episode = self.episode_of(r, std::mem::take(&mut extra[r as usize]));
                 (TupleRef::new(row.node.clone(), Arc::clone(&row.tuple)), episode)
             })
             .collect()
@@ -467,18 +443,24 @@ impl ProvGraph {
 
     /// The episode of `tref` covering time `t`, if any (linear scan).
     pub fn episode_at(&self, tref: &TupleRef, t: LogicalTime) -> Option<Episode> {
-        self.last_episode(tref, |row| row.start <= t && row.end.is_none_or(|e| t < e))
+        self.last_episode(tref, |start, end| start <= t && end.is_none_or(|e| t < e))
     }
 
     /// The most recent episode of `tref` that started no later than `t`
     /// (used to locate reference events in the past; linear scan).
     pub fn last_episode_starting_by(&self, tref: &TupleRef, t: LogicalTime) -> Option<Episode> {
-        self.last_episode(tref, |row| row.start <= t)
+        self.last_episode(tref, |start, _| start <= t)
     }
 
-    fn last_episode(&self, tref: &TupleRef, wanted: impl Fn(&Row) -> bool) -> Option<Episode> {
+    /// The last opened row of `tref` whose `(start, end)` is `wanted`.
+    fn last_episode(
+        &self,
+        tref: &TupleRef,
+        wanted: impl Fn(LogicalTime, Option<LogicalTime>) -> bool,
+    ) -> Option<Episode> {
         let mut rows = self.rows_for(tref).rev();
-        rows.find(|&r| wanted(&self.rows[r as usize])).map(|r| self.episode(r))
+        let found = rows.find(|&r| wanted(self.index[r as usize], self.rows[r as usize].end));
+        found.map(|r| self.episode(r))
     }
 
     /// Per-kind vertex counts — a quick profile of what the recorder
@@ -522,7 +504,6 @@ impl ProvGraph {
             tuple,
             cause: NONE,
             appear: NONE,
-            start: 0,
             end: None,
             disappear: NONE,
             negative: NONE,
@@ -530,14 +511,14 @@ impl ProvGraph {
         (self.rows.len() - 1) as RowId
     }
 
-    /// Opens `row` at `time`: its APPEAR and EXIST vertices.
+    /// Opens `row`, the next in APPEAR order, at `time`: its APPEAR and
+    /// EXIST vertices and its index entry.
     fn open(&mut self, row: RowId, time: LogicalTime) {
         let cause = self.rows[row as usize].cause;
         let appear = self.push(Kind::Appear, row, time, &[cause]);
         self.push(Kind::Exist, row, time, &[appear]);
-        let r = &mut self.rows[row as usize];
-        r.appear = appear;
-        r.start = time;
+        self.rows[row as usize].appear = appear;
+        self.index.push(time);
     }
 
     fn rule_id(&mut self, rule: Sym) -> u32 {
@@ -548,26 +529,10 @@ impl ProvGraph {
         }) as u32
     }
 
-    /// Creates an INSERT → APPEAR → EXIST chain for a tuple whose episode
-    /// the stream names by a `since` this graph has no (matching) row for:
-    /// it predates the start of recording (a stream that starts mid-run).
-    /// The episode is opened at time 0 to reflect "existed since before we started
-    /// watching", and indexed under `since` unless another tuple's episode
-    /// already is.
-    fn boundary_episode(&mut self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
-        let row = self.push_row(node.clone(), Arc::clone(tuple));
-        self.rows[row as usize].cause = self.push(Kind::Insert, row, 0, &[]);
-        self.open(row, 0);
-        self.index_row(since, row);
-        row
-    }
-
     /// The row of the episode of `node`/`tuple` that opened at `since`.
-    fn row_since(&mut self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
-        match self.row_at(since) {
-            Some(r) if self.rows[r as usize].holds(node, tuple) => r,
-            _ => self.boundary_episode(since, node, tuple),
-        }
+    fn row_since(&self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
+        let row = self.row_at(since).filter(|&r| self.rows[r as usize].holds(node, tuple));
+        row.expect("an event's `since` names an opened episode of its located tuple")
     }
 
     /// A positive event (INSERT or DERIVE) of kind `kind` with children
@@ -585,7 +550,6 @@ impl ProvGraph {
         if since == time {
             let row = self.push_row(node, tuple);
             self.rows[row as usize].cause = self.push(kind, row, time, &body);
-            self.pending_cause = Some(row);
         } else {
             let row = self.row_since(since, &node, &tuple);
             let id = self.push(kind, row, time, &body);
@@ -610,10 +574,7 @@ impl ProvGraph {
                 trigger,
             } => {
                 // Children: the EXIST vertices of the episodes the body
-                // tuples were in at derivation time. A body episode this
-                // graph has no row for means a stream that starts mid-run;
-                // it gets a boundary episode so the graph remains
-                // well-formed.
+                // tuples were in at derivation time.
                 self.body.clear();
                 for b in &body {
                     let row = self.row_since(b.since, &b.tref.node, &b.tref.tuple);
@@ -628,18 +589,14 @@ impl ProvGraph {
                 self.record_support(kind, (time, since), node, tuple);
             }
             ProvEvent::Appear { time, node, tuple } => {
-                let row = match self.pending_cause.take() {
-                    Some(r) if self.rows[r as usize].holds(&node, &tuple) => r,
-                    // An APPEAR without a recorded cause can only happen if
-                    // recording started mid-stream; synthesize an INSERT.
-                    _ => {
-                        let row = self.push_row(node, tuple);
-                        self.rows[row as usize].cause = self.push(Kind::Insert, row, time, &[]);
-                        row
-                    }
-                };
-                self.open(row, time);
-                self.index_row(time, row);
+                // The row its cause pushed is the one past the opened ones,
+                // and it opens later than all of them.
+                let row = self.index.len();
+                let caused = self.rows.len() == row + 1
+                    && self.rows[row].holds(&node, &tuple)
+                    && self.index.last().is_none_or(|&latest| latest < time);
+                assert!(caused, "an APPEAR follows its own cause, later than every earlier APPEAR");
+                self.open(row as RowId, time);
             }
             ProvEvent::DeleteBase { time, since, node, tuple } => {
                 let row = self.row_since(since, &node, &tuple);
@@ -912,11 +869,12 @@ mod tests {
     }
 
     /// A stream whose `since` leads to another tuple's row — spliced,
-    /// forged, or resumed under a key the recording already uses — must
-    /// not link the two histories: the named tuple gets a boundary
-    /// episode of its own.
+    /// forged, or resumed under a key the recording already uses — breaks
+    /// the contract: recording stops there, before the two histories are
+    /// linked.
     #[test]
-    fn a_since_naming_another_tuples_row_gets_a_boundary_episode() {
+    #[should_panic(expected = "an event's `since` names an opened episode of its located tuple")]
+    fn a_since_naming_another_tuples_row_panics() {
         use dp_ndlog::BodyRef;
         let n = NodeId::new("n1");
         let (a, z, c) = (
@@ -943,23 +901,25 @@ mod tests {
                 body: vec![at(&a, 1), at(&z, 1)],
                 trigger: 0,
             },
-            ProvEvent::Appear { time: 2, node: n.clone(), tuple: Arc::clone(&c) },
         ] {
             rec.record(event);
         }
-        let g = rec.finish();
-        let z_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&z)));
-        assert_eq!(z_eps.len(), 1);
-        assert_eq!((z_eps[0].start, z_eps[0].end), (0, None), "a boundary episode");
-        assert!(matches!(g.vertex(z_eps[0].cause).kind, VertexKind::Insert));
-        let a_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&a)));
-        let c_eps = g.episodes(&TupleRef::new(n.clone(), Arc::clone(&c)));
-        assert_eq!(g.vertex(c_eps[0].cause).children, [a_eps[0].exist, z_eps[0].exist]);
-        assert_eq!(**g.vertex(z_eps[0].exist).tuple, *z);
-        // The key still leads to the episode that owns it, and only there.
-        assert_eq!(g.exist_since(&TupleRef::new(n.clone(), a), 1), Some(a_eps[0].exist));
-        assert_eq!(g.exist_since(&TupleRef::new(n, z), 1), None);
-        assert_eq!(crate::well_formedness_violations(&g), Vec::<String>::new());
+    }
+
+    /// An APPEAR whose cause the stream never stated — what a recording
+    /// started mid-run would see first — breaks the contract too.
+    #[test]
+    #[should_panic(expected = "an APPEAR follows its own cause")]
+    fn an_appear_with_no_cause_panics() {
+        let (n, a, b) = (NodeId::new("n1"), Arc::new(tuple!("a", 1, 2)), Arc::new(tuple!("a", 3, 4)));
+        let mut rec = GraphRecorder::new();
+        for event in [
+            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&a) },
+            ProvEvent::Appear { time: 1, node: n.clone(), tuple: a },
+            ProvEvent::Appear { time: 2, node: n, tuple: b },
+        ] {
+            rec.record(event);
+        }
     }
 
     /// Base support that comes and goes inside one episode, as a stream

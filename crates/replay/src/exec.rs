@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use dp_ndlog::{Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
 use dp_provenance::{
-    extract_tree, extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree,
-    Step, VertexId,
+    extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree, Step, VertexId,
 };
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
@@ -115,17 +114,16 @@ impl Replayed {
     ///   tuples and episodes.
     ///
     /// The whole-suffix withdraw is the case where every suffix event is
-    /// affected. Two fixed rules, read off the log and the held recording
-    /// and not options, send a call to a from-scratch replay of the patched
-    /// log instead (the held engine is released first). The cost rule: when
-    /// the affected events are half the log or more, re-issuing them costs
-    /// more than starting over. The trust rule: a prefix firing that read
-    /// state through a builtin, an aggregate or a native, and that the
-    /// change could reach, cannot be re-issued; nor may a firing outside
-    /// the re-issued events read what phase C changed, an independent
-    /// episode close, or a re-issued event join an independent one logged
-    /// after it (the relative order, and so FINDSEED, would differ). Each
-    /// refusal is counted under `replay.refused{why}`.
+    /// affected. One fixed rule, read off the log and the held recording
+    /// and not an option, sends a call to a from-scratch replay of the
+    /// patched log instead (the held engine is released first), the trust
+    /// rule: a prefix firing that read state through a builtin, an
+    /// aggregate or a native, and that the change could reach, cannot be
+    /// re-issued; nor may a firing outside the re-issued events read what
+    /// phase C changed, an independent episode close, or a re-issued event
+    /// join an independent one logged after it (the relative order, and so
+    /// FINDSEED, would differ). Each refusal is counted under
+    /// `replay.refused{why}`.
     ///
     /// Live tuples and the trees [`Replayed::query`] returns equal the
     /// from-scratch replay's up to timestamps, and so does every seed but
@@ -236,11 +234,9 @@ impl Replayed {
         // (B) What Δ reaches.
         let span = tracer.span("replay.affect");
         let found = roll::affect(&self.engine, &mut suffix, phase);
-        let affected = suffix.events(false).count();
         span.end();
-        tracer.counter("replay.affected_events", affected as u64);
+        tracer.counter("replay.affected_events", suffix.events(false).count() as u64);
         let found = match found {
-            Ok(_) if 2 * affected >= held_len => return Ok(Err(Refusal::Cost)),
             Ok(found) => found,
             Err(why) => return Ok(Err(why)),
         };
@@ -342,15 +338,7 @@ impl Replayed {
     /// covering the final state is open, so the tuple is live and the
     /// engine's own table holds the clock it appeared at.
     pub fn query(&self, root: &TupleRef) -> Option<ProvTree> {
-        let now = self.now();
-        self.timed_extract(|| {
-            self.live_since(root).and_then(|since| {
-                // A miss is a live tuple whose episode the recording does
-                // not have under its key (it started mid-stream).
-                extract_tree_since(self.graph(), root, since)
-                    .or_else(|| extract_tree(self.graph(), root, now))
-            })
-        })
+        self.timed_extract(|| extract_tree_since(self.graph(), root, self.live_since(root)?))
     }
 
     /// The provenance tree of `root` as of `at` (temporal query; tolerates
@@ -477,7 +465,7 @@ impl Execution {
     ///
     /// This is the from-scratch path: [`Replayed::roll_forward`] reaches the
     /// same state from a replay already held, falls back to this when the
-    /// change sits early in the log, and is checked against it.
+    /// trust rule refuses the roll, and is checked against it.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
         let mut clone = Execution::new(Arc::clone(&self.program));
         clone.log = apply_changes(&self.log, changes, inject_at);

@@ -57,9 +57,6 @@ const PREFIX: u32 = u32::MAX;
 /// Why a roll goes back to a from-scratch replay.
 #[derive(Clone, Copy)]
 pub(crate) enum Refusal {
-    /// The affected events are half the log or more: re-issuing them costs
-    /// more than starting over.
-    Cost,
     /// A prefix firing that read state depends on what the roll changes.
     TrustPrefix,
     /// A re-issued event joined an independent one logged after it.
@@ -77,7 +74,6 @@ impl Refusal {
     /// The counter a refusal is counted under.
     pub(crate) fn series(self) -> &'static str {
         match self {
-            Refusal::Cost => "replay.refused{why=cost}",
             Refusal::TrustPrefix => "replay.refused{why=trust-prefix}",
             Refusal::Order => "replay.refused{why=order}",
             Refusal::Closed => "replay.refused{why=closed}",

@@ -9,13 +9,17 @@
 //! at every instant its history makes interesting, both must name the same
 //! episode — on a campus with three rounds of route and traffic churn
 //! (tuples with several episodes, live and gone) and on SDN3, whose
-//! reference event lies in the past.
+//! reference event lies in the past. A recording rolled forward is held to
+//! the same: the churned campus rolled to DiffProv's own Δ, and SDN4 after
+//! its second round's roll. On every recording, each opened row is found
+//! under its own start, so a query of a live tuple always has its key.
 
 use std::collections::BTreeMap;
 
+use diffprov_core::Scenario;
 use dp_provenance::Episode;
 use dp_replay::{BaseOp, Execution, Replayed};
-use dp_sdn::{campus, sdn3, CampusConfig};
+use dp_sdn::{campus, sdn3, sdn4, CampusConfig};
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, TupleRef};
 
@@ -53,9 +57,43 @@ fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Cov
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.span_count("replay.schedule"), 1, "{case}: replay.schedule");
     assert_eq!(agg.counter("replay.scheduled"), scheduled, "{case}: replay.scheduled");
+    check_keyed(&r, case, cov);
+}
+
+/// Replays `s`'s bad execution, rolls it as DiffProv's own UPDATETREE
+/// calls did — to each round's accumulated Δ in turn — and holds the
+/// rolled recording to the scan. Every call must roll: a from-scratch
+/// replay is a fresh recording, which `check` already covers. Returns how
+/// many rolls it made.
+fn check_rolled(s: &Scenario, cov: &mut Coverage) -> usize {
+    let report = s.diagnose().unwrap();
+    assert!(report.succeeded(), "{}: {report}", s.name);
+    let seed = report.bad_seed.expect("a succeeded diagnosis names its seed");
+    let mut exec = s.bad_exec.clone();
+    exec.tracer = Tracer::aggregate_only();
+    let events = exec.log.events();
+    let first = events.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
+    let at = first.map_or(0, |e| e.due).saturating_sub(1);
+    drop(events);
+    let (mut r, mut delta) = (exec.replay().unwrap(), Vec::new());
+    for round in &report.rounds {
+        delta.extend(round.changes.iter().cloned());
+        r.roll_forward(&exec, &delta, at).unwrap();
+    }
+    let rolled = exec.tracer.aggregate().counter("replay.rolled{path=roll}");
+    assert_eq!(rolled, report.rounds.len() as u64, "{}: every call rolled", s.name);
+    check_keyed(&r, &format!("{} rolled", s.name), cov);
+    report.rounds.len()
+}
+
+/// Holds every tuple `r` recorded to the scan: its queries, and each
+/// opened row's key.
+fn check_keyed(r: &Replayed, case: &str, cov: &mut Coverage) {
     let (graph, now) = (r.graph(), r.now());
     let mut by_tuple: BTreeMap<TupleRef, Vec<Episode>> = BTreeMap::new();
     for (tref, episode) in graph.all_episodes() {
+        let keyed = graph.exist_since(&tref, episode.start);
+        assert_eq!(keyed, Some(episode.exist), "{case}: {tref} since {}", episode.start);
         by_tuple.entry(tref).or_default().push(episode);
     }
     for (tref, eps) in &by_tuple {
@@ -67,7 +105,7 @@ fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Cov
         let scanned: Vec<_> = graph.episodes(tref).iter().map(|e| e.exist).collect();
         assert_eq!(scanned, eps.iter().map(|e| e.exist).collect::<Vec<_>>(), "{case}: {tref}");
         assert_eq!(
-            root_of(&r, tref, None),
+            root_of(r, tref, None),
             graph.episode_at(tref, now).map(|e| e.exist),
             "{case}: query({tref})"
         );
@@ -80,7 +118,7 @@ fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Cov
         }
         for at in instants {
             assert_eq!(
-                root_of(&r, tref, Some(at)),
+                root_of(r, tref, Some(at)),
                 graph.last_episode_starting_by(tref, at).map(|e| e.exist),
                 "{case}: query_at({tref}, {at})"
             );
@@ -115,6 +153,11 @@ fn engine_resolved_queries_name_the_rows_the_scan_finds() {
     let r = s.good_exec.replay().unwrap();
     assert!(!r.exists(&s.good_event.tref.node, &s.good_event.tref.tuple));
     assert!(r.query_at(&s.good_event.tref, s.good_event.at).is_some());
+
+    // DiffProv's own UPDATETREE calls: the churned campus to its Δ, SDN4
+    // through both of its rounds.
+    assert!(check_rolled(&churned.scenario, &mut cov) >= 1);
+    assert_eq!(check_rolled(&sdn4(), &mut cov), 2, "SDN4 is the two-round scenario");
 
     assert!(cov.tuples > 1_000, "{} tuples", cov.tuples);
     assert!(cov.recurring > 100, "{} tuples with several episodes", cov.recurring);

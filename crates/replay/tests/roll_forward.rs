@@ -22,7 +22,6 @@ use dp_types::{tuple, FieldType, NodeId, Schema, SchemaRegistry, TableKind, Tupl
 fn program() -> Arc<Program> {
     use FieldType::{Int, Str};
     let mut reg = SchemaRegistry::new();
-    reg.declare(Schema::new("pad", TableKind::ImmutableBase, [("x", Int)]));
     reg.declare(Schema::new("dest", TableKind::ImmutableBase, [("to", Str)]));
     reg.declare(Schema::new("item", TableKind::MutableBase, [("k", Int), ("v", Int)]));
     reg.declare(Schema::new("start", TableKind::ImmutableBase, [("gen", Int)]));
@@ -38,18 +37,14 @@ fn program() -> Arc<Program> {
         .unwrap()
 }
 
-/// Dues leave the clock room: the padding advances it by one per event.
+/// Dues leave the clock room between the link, the items and the fence.
 const ITEMS: u64 = 100;
 const FENCE: u64 = 200;
 
-/// Padding (so the interesting events sit in the log's second half and
-/// the cost rule rolls), the link, three items summing to 6, the fence.
+/// The link, three items summing to 6, the fence.
 fn execution() -> Execution {
     let mut exec = Execution::new(program());
     exec.tracer = Tracer::aggregate_only();
-    for x in 0..16 {
-        exec.log.insert(0, "m", tuple!("pad", x));
-    }
     exec.log.insert(0, "m", tuple!("dest", "r"));
     for k in 1..=3 {
         exec.log.insert(ITEMS + k as u64, "m", tuple!("item", k, k));
@@ -121,19 +116,19 @@ fn reissue_is_time_shifted_so_the_fence_follows_derived_work() {
     assert_eq!(totals(&r), [tuple!("total", 1 + 5 + 3)]);
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.fork_events"), 3, "item 2, item 3, the fence");
-    assert_eq!(agg.counter("replay.log_events"), 21);
+    assert_eq!(agg.counter("replay.log_events"), 5);
     assert_eq!((agg.span_count("replay.withdraw"), agg.span_count("replay.reissue")), (1, 1));
 
     // The same withdraw and re-issue by hand, at the original dues.
     let mut naive = exec.replay().unwrap();
     let events = exec.log.events();
     let now = naive.now();
-    for e in events[18..].iter().rev() {
+    for e in events[2..].iter().rev() {
         naive.engine.schedule_delete(now, e.node.clone(), e.tuple.clone()).unwrap();
     }
     naive.engine.run().unwrap();
     assert!(totals(&naive).is_empty(), "withdrawing the fence retires its aggregate");
-    for e in dp_replay::apply_changes(&exec.log, &delta, 0).events()[18..].iter() {
+    for e in dp_replay::apply_changes(&exec.log, &delta, 0).events()[2..].iter() {
         assert!(e.due < naive.now(), "the clock has overrun every logged due");
         naive.engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone()).unwrap();
     }
@@ -163,7 +158,7 @@ fn withdraw_inverts_only_the_ops_the_engine_acted_on() {
     let mut naive = exec.replay().unwrap();
     let now = naive.now();
     let events = exec.log.events();
-    for e in events[21..].iter().rev() {
+    for e in events[5..].iter().rev() {
         match e.op {
             BaseOp::Insert => naive.engine.schedule_delete(now, e.node.clone(), e.tuple.clone()),
             BaseOp::Delete => naive.engine.schedule_insert(now, e.node.clone(), e.tuple.clone()),
@@ -191,8 +186,8 @@ fn changes_land_at_their_events_own_dues_not_at_the_inject_point() {
     let delta = replace_item(2, 5);
     let patched = dp_replay::apply_changes(&exec.log, &delta, inject_at);
     let rewritten = patched.events().iter().position(|e| e.tuple == tuple!("item", 2, 5));
-    assert_eq!(rewritten, Some(18), "the replacement keeps item 2's place and due");
-    assert_eq!(patched.events()[18].due, ITEMS + 2);
+    assert_eq!(rewritten, Some(2), "the replacement keeps item 2's place and due");
+    assert_eq!(patched.events()[2].due, ITEMS + 2);
     // The re-issued fence would sum the later item too: see (f).
     assert_eq!(totals(&rolled_by(&exec, &delta, inject_at, "scratch")), [tuple!("total", 9)]);
     assert_eq!(exec.tracer.aggregate().counter("replay.refused{why=order}"), 1);
@@ -344,8 +339,7 @@ fn what_the_change_reaches_is_reissued_and_nothing_else() {
 /// Replacing item 2 reaches the fence (its sum read item 2). A re-issued
 /// fence would find the later item 9 already there and sum it, where from
 /// scratch the fence fired first; phase C's recording shows the join, and
-/// the patched log is replayed from scratch for that reason and no other:
-/// the padding keeps the cost rule's share small.
+/// the patched log is replayed from scratch for that reason and no other.
 #[test]
 fn an_affected_event_never_joins_a_later_independent_one() {
     let mut exec = execution();
@@ -359,10 +353,6 @@ fn an_affected_event_never_joins_a_later_independent_one() {
     assert_eq!(agg.counter("replay.refused{why=order}"), 1);
     // The call found item 2 and the fence, and neither item 3 nor item 9.
     assert_eq!(agg.counter("replay.affected_events"), 2);
-    assert!(
-        2 * 2 < agg.counter("replay.log_events"),
-        "fixture: the cost rule passes"
-    );
 }
 
 /// (g) `best_match`'s read footprint: an entry matters to a packet's
@@ -428,7 +418,6 @@ impl dp_ndlog::StatefulBuiltin for Unlisted {
 fn a_tuple_the_change_adds_rejects_what_it_takes_no_part_in() {
     use FieldType::Int;
     let mut reg = SchemaRegistry::new();
-    reg.declare(Schema::new("pad", TableKind::ImmutableBase, [("x", Int)]));
     reg.declare(Schema::new("in", TableKind::ImmutableBase, [("x", Int)]));
     reg.declare(Schema::new("deny", TableKind::MutableBase, [("x", Int)]));
     reg.declare(Schema::new("out", TableKind::Derived, [("x", Int)]));
@@ -440,9 +429,6 @@ fn a_tuple_the_change_adds_rejects_what_it_takes_no_part_in() {
         .unwrap();
     let mut exec = Execution::new(program);
     exec.tracer = Tracer::aggregate_only();
-    for x in 0..16 {
-        exec.log.insert(0, "n", tuple!("pad", x));
-    }
     for x in 1..=4 {
         exec.log.insert(ITEMS + x as u64, "n", tuple!("in", x));
     }

@@ -13,7 +13,7 @@
 //! ` t=` stamps are stripped (a rolled replay runs at later logical
 //! times, and nothing else may differ).
 //!
-//! Each scenario goes through as DiffProv calls it, cost and trust rules
+//! Each scenario goes through as DiffProv calls it, the trust rule
 //! included, and every call must roll: a from-scratch replay would agree
 //! trivially and test nothing.
 
@@ -184,7 +184,7 @@ fn rolled_replays_equal_from_scratch_replays() {
         roll_paths += exec.tracer.aggregate().counter("replay.rolled{path=roll}");
         calls += deltas.len() as u64;
     }
-    // Neither rule refuses any of these scenarios' rounds.
+    // The trust rule refuses none of these scenarios' rounds.
     assert_eq!(roll_paths, calls, "every call rolled");
 }
 

@@ -10,7 +10,8 @@
 # checkpoints, against the deleted in-memory checkpoint (a second way to
 # reach an engine state), against the deleted second provenance backend,
 # against a second UPDATETREE path in crates/core or a second roll entry,
-# against a tuple-keyed map in the graph recorder and against the
+# against a tuple-keyed map in the graph recorder, against the recorder's
+# deleted path for a stream that starts mid-run, and against the
 # searches the engine stopped
 # repeating (B-tree environment, second body walk, per-flush profile map),
 # against a second copy of a logged base tuple, against name-keyed
@@ -148,10 +149,9 @@ step "gate: one provenance backend" absent \
 # DiffProv has one UPDATETREE path: Replayed::roll_forward. It rolls the
 # held replay forward selectively — Δ applied at the clock, then only the
 # suffix events Δ reaches withdrawn and re-issued, the whole suffix being
-# the case where Δ reaches everything — and decides by itself, by two
-# fixed rules, when to replay the patched log from scratch instead: the
-# cost rule (the affected events are half the log or more) and the trust
-# rule (what the roll keeps could have read what it changed, or a
+# the case where Δ reaches everything — and decides by itself, by one
+# fixed rule, when to replay the patched log from scratch instead: the
+# trust rule (what the roll keeps could have read what it changed, or a
 # re-issued event joined an independent one logged after it). A direct
 # call of the from-scratch entry from crates/core would be a second path
 # beside it. (Spelled in halves so this script passes its own gate.)
@@ -174,6 +174,17 @@ step "gate: no tuple-keyed map in the recorder" absent \
     "crates/provenance/src/graph.rs keys a map by TupleRef" \
     "(Map|Set)<[[:space:]]*\(?[[:space:]]*&?(dp_types::)?TupleRef" \
     crates/provenance/src/graph.rs
+# A recording starts at an empty engine — a replay from the log's start,
+# possibly rolled forward on the same engine and recorder — so every row
+# is opened by the APPEAR right after its cause, and a row's id is its
+# rank in APPEAR order. A stream that breaks that panics; the path that
+# patched one up (boundary episodes at time 0, a B-tree for out-of-order
+# keys) must not grow back. (Spelled in halves so this script passes its
+# own gate.)
+step "gate: a recording starts at an empty engine" absent \
+    "the recorder's deleted mid-run path reappeared" \
+    "boundary_""episode|stra""ys" \
+    crates/provenance
 # The engine finds each thing once (PR 22): a derivation registers its
 # head in the lookup that re-checks the body tuple, and join counters are
 # arrays indexed by rule. The B-tree environment, the second walk over the
@@ -227,7 +238,7 @@ echo
 echo "check.sh: all green; wall time per step"
 total=0
 for i in "${!step_names[@]}"; do
-    printf '  %-42s %5d s\n' "${step_names[$i]}" "${step_secs[$i]}"
+    printf '  %-44s %5d s\n' "${step_names[$i]}" "${step_secs[$i]}"
     total=$((total + step_secs[i]))
 done
-printf '  %-42s %5d s\n' "total" "$total"
+printf '  %-44s %5d s\n' "total" "$total"
