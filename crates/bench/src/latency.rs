@@ -55,7 +55,7 @@ impl ProvenanceSink for RuntimeLogSink {
 /// returning the logged byte count.
 fn replay_logged(exec: &Execution) -> Result<usize> {
     let mut engine = Engine::new(Arc::clone(&exec.program), RuntimeLogSink::new());
-    exec.log.schedule_into(&mut engine, None)?;
+    exec.log.schedule_into(&mut engine)?;
     engine.run()?;
     Ok(engine.into_sink().buffer.len())
 }

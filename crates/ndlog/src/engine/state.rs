@@ -80,7 +80,7 @@ struct Slot {
     dependents: Vec<TupleRef>,
 }
 
-/// One prefix-trie access path of a table (see [`crate::plan::PrefixProbe`]).
+/// One prefix-trie access path of a table (see `crate::plan::PrefixProbe`).
 ///
 /// The trie holds the tuples whose value at the indexed column is
 /// prefix-like under the exact promotion rule of `prefix_contains`

@@ -29,7 +29,7 @@ mod compile;
 pub mod engine;
 pub mod expr;
 pub mod parser;
-pub mod plan;
+mod plan;
 pub mod program;
 pub mod reference;
 pub mod sink;
@@ -43,7 +43,6 @@ pub use engine::{
 };
 pub use expr::{BinOp, Env, Expr, Func};
 pub use parser::{parse_expr, parse_rule, parse_rules};
-pub use plan::{IpSource, JoinPlan, JoinStep, PlanSet, PrefixProbe};
 pub use program::{
     Emission, Emitter, NativeRule, Program, ProgramBuilder, Reads, StatefulBuiltin, TupleChange,
 };

@@ -252,9 +252,9 @@ pub struct PlanSet {
     /// Indexed plans, keyed by `(rule index, trigger atom index)`.
     plans: BTreeMap<(usize, usize), JoinPlan>,
     /// Per-table index column sets, slot-ordered.
-    specs: BTreeMap<Sym, IndexSpecs>,
+    pub(crate) specs: BTreeMap<Sym, IndexSpecs>,
     /// Per-table prefix-trie columns, slot-ordered.
-    tries: BTreeMap<Sym, TrieSpecs>,
+    pub(crate) tries: BTreeMap<Sym, TrieSpecs>,
 }
 
 impl PlanSet {
@@ -300,21 +300,6 @@ impl PlanSet {
     /// The indexed plan for `(rule, trigger)`.
     pub fn plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
         &self.plans[&(rule, trigger)]
-    }
-
-    /// The index column sets registered for `table` (empty if none).
-    pub fn specs_for(&self, table: &Sym) -> Option<&IndexSpecs> {
-        self.specs.get(table)
-    }
-
-    /// The prefix-trie columns registered for `table` (empty if none).
-    pub fn trie_specs_for(&self, table: &Sym) -> Option<&TrieSpecs> {
-        self.tries.get(table)
-    }
-
-    /// All per-table trie specs, for diagnostics.
-    pub fn all_trie_specs(&self) -> &BTreeMap<Sym, TrieSpecs> {
-        &self.tries
     }
 }
 
@@ -384,7 +369,7 @@ mod tests {
              r2 d(@N, X, Y) :- e(@N, X), b(@N, X, Y).",
         );
         let set = PlanSet::build(&rs);
-        let specs = set.specs_for(&Sym::new("b")).unwrap();
+        let specs = set.specs.get(&Sym::new("b")).unwrap();
         assert_eq!(specs.as_slice(), &[vec![0]]);
     }
 
@@ -405,7 +390,7 @@ mod tests {
         assert_eq!(probe.col, 0);
         assert_eq!(probe.ip, IpSource::Var(Sym::new("Src")));
         assert_eq!(probe.trie_slot, 0);
-        assert_eq!(set.trie_specs_for(&Sym::new("f")).unwrap().as_slice(), &[0]);
+        assert_eq!(set.tries.get(&Sym::new("f")).unwrap().as_slice(), &[0]);
         // Triggering on f: the step on p has no applicable constraint (M is
         // not a column of p), so no probe.
         assert!(set.plan(0, 1).steps[0].prefixes.is_empty());
@@ -428,7 +413,7 @@ mod tests {
         let rs = rules("rc o(@S) :- t(@S), f(@S, M, X), prefix_contains(M, X).");
         let set = PlanSet::build(&rs);
         assert!(set.plan(0, 0).steps[0].prefixes.is_empty());
-        assert!(set.trie_specs_for(&Sym::new("f")).is_none());
+        assert!(!set.tries.contains_key(&Sym::new("f")));
     }
 
     #[test]
@@ -457,10 +442,7 @@ mod tests {
         let slots: Vec<usize> = step.prefixes.iter().map(|p| p.trie_slot).collect();
         assert_eq!(cols, vec![0, 1]);
         assert_eq!(slots, vec![0, 1]);
-        assert_eq!(
-            set.trie_specs_for(&Sym::new("f")).unwrap().as_slice(),
-            &[0, 1]
-        );
+        assert_eq!(set.tries.get(&Sym::new("f")).unwrap().as_slice(), &[0, 1]);
     }
 
     #[test]

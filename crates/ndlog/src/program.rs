@@ -10,7 +10,7 @@ use crate::ast::{Constraint, Rule};
 use crate::compile::{compile, Check, CompiledRule};
 use crate::engine::NodeView;
 use crate::parser::parse_rules;
-use crate::plan::{IndexSpecs, JoinPlan, PlanSet, TrieSpecs};
+use crate::plan::{IndexSpecs, PlanSet, TrieSpecs};
 
 /// A proposed change to a single base tuple — the elements of the paper's
 /// `Δ_{B→G}` (Definition 1).
@@ -198,16 +198,18 @@ pub struct Program {
     rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>>,
     /// table -> native indexes triggered by it.
     native_triggers: BTreeMap<Sym, Vec<usize>>,
-    /// Build-time join plans and the index specs they require.
-    plans: PlanSet,
+    /// The index and prefix-trie specs the join plans require, by table
+    /// (the plans themselves are compiled into `compiled`).
+    index_specs: BTreeMap<Sym, IndexSpecs>,
+    trie_specs: BTreeMap<Sym, TrieSpecs>,
     /// Each rule resolved to slots, by rule index (`crate::compile`).
     compiled: Vec<CompiledRule>,
 }
 
 // Executions share their program as an `Arc<Program>`, and a caller may
 // move one to another thread; `NativeRule` and `StatefulBuiltin` carry
-// `Send + Sync` bounds for exactly this. Keep the whole program — plans
-// included — thread-shareable, checked at compile time.
+// `Send + Sync` bounds for exactly this. Keep the whole program — compiled
+// rules included — thread-shareable, checked at compile time.
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<Program>();
@@ -364,25 +366,15 @@ impl Program {
         &self.compiled[idx]
     }
 
-    /// The planned (index-probing) join order for `(rule, trigger atom)`.
-    pub fn join_plan(&self, rule: usize, trigger: usize) -> &JoinPlan {
-        self.plans.plan(rule, trigger)
-    }
-
     /// The index key specs registered for `table`, if any rule probes it.
     pub fn index_specs_for(&self, table: &Sym) -> Option<&IndexSpecs> {
-        self.plans.specs_for(table)
+        self.index_specs.get(table)
     }
 
     /// The prefix-trie columns registered for `table`, if any rule probes
     /// a `prefix_contains` constraint against it.
     pub fn trie_specs_for(&self, table: &Sym) -> Option<&TrieSpecs> {
-        self.plans.trie_specs_for(table)
-    }
-
-    /// All registered trie specs, by table (diagnostics).
-    pub fn all_trie_specs(&self) -> impl Iterator<Item = (&Sym, &TrieSpecs)> {
-        self.plans.all_trie_specs().iter()
+        self.trie_specs.get(table)
     }
 }
 
@@ -473,6 +465,7 @@ impl ProgramBuilder {
                 native_triggers.entry(t).or_default().push(ni);
             }
         }
+        let PlanSet { specs, tries, .. } = plans;
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
@@ -480,7 +473,8 @@ impl ProgramBuilder {
             builtins: self.builtins,
             rule_triggers,
             native_triggers,
-            plans,
+            index_specs: specs,
+            trie_specs: tries,
             compiled,
         }))
     }

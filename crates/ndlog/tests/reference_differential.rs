@@ -372,7 +372,7 @@ fn engine_matches_oracle_on_all_repro_scenarios() {
 fn campus_replay_exercises_the_trie() {
     let sc = dp_sdn::campus(&dp_sdn::CampusConfig::default()).scenario;
     let mut eng = Engine::new(Arc::clone(&sc.bad_exec.program), VecSink::default());
-    sc.bad_exec.log.schedule_into(&mut eng, None).unwrap();
+    sc.bad_exec.log.schedule_into(&mut eng).unwrap();
     eng.run().unwrap();
     let stats = eng.stats();
     assert!(

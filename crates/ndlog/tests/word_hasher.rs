@@ -25,7 +25,7 @@ fn campus_tuples() -> BTreeSet<Tuple> {
     });
     let exec = &c.scenario.bad_exec;
     let mut engine = Engine::new(Arc::clone(&exec.program), NullSink);
-    exec.log.schedule_into(&mut engine, None).unwrap();
+    exec.log.schedule_into(&mut engine).unwrap();
     engine.run().unwrap();
     engine
         .nodes()

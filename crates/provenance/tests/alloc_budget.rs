@@ -188,7 +188,7 @@ fn recording_allocates_per_growth_not_per_event() {
     fn replay<S: ProvenanceSink>(exec: &dp_replay::Execution, sink: S) -> (Engine<S>, u64) {
         let (engine, counts) = counted(|| {
             let mut engine = Engine::new(Arc::clone(&exec.program), sink);
-            exec.log.schedule_into(&mut engine, None).unwrap();
+            exec.log.schedule_into(&mut engine).unwrap();
             engine.run().unwrap();
             engine
         });
@@ -245,13 +245,13 @@ fn the_engine_allocates_within_its_budget() {
     let exec = &c.scenario.bad_exec;
     let events = {
         let mut engine = Engine::new(Arc::clone(&exec.program), HashSink::default());
-        exec.log.schedule_into(&mut engine, None).unwrap();
+        exec.log.schedule_into(&mut engine).unwrap();
         engine.run().unwrap();
         engine.into_sink().count
     };
     let (mut engine, scheduling) = counted(|| {
         let mut engine = Engine::new(Arc::clone(&exec.program), NullSink);
-        exec.log.schedule_into(&mut engine, None).unwrap();
+        exec.log.schedule_into(&mut engine).unwrap();
         engine
     });
     let ((), running) = counted(|| {

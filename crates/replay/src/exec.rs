@@ -400,18 +400,13 @@ impl Execution {
         GraphRecorder::with_tracer(self.tracer.clone())
     }
 
-    /// Schedules the log (its prefix with `due <= until`, if given) on a
-    /// fresh engine over `sink` and runs it: the quiescent engine and how
-    /// many base ops it was given.
-    fn run_into<S: ProvenanceSink>(
-        &self,
-        sink: S,
-        until: Option<LogicalTime>,
-    ) -> Result<(Engine<S>, usize)> {
+    /// Schedules the log on a fresh engine over `sink` and runs it: the
+    /// quiescent engine and how many base ops it was given.
+    fn run_into<S: ProvenanceSink>(&self, sink: S) -> Result<(Engine<S>, usize)> {
         let mut engine = Engine::new(Arc::clone(&self.program), sink);
         self.configure(&mut engine);
         let span = self.tracer.span("replay.schedule");
-        let scheduled = self.log.schedule_into(&mut engine, until)?;
+        let scheduled = self.log.schedule_into(&mut engine)?;
         span.end_with(|agg| agg.add("replay.scheduled", scheduled as u64));
         engine.run()?;
         Ok((engine, scheduled))
@@ -419,19 +414,14 @@ impl Execution {
 
     /// Replays the full log, recording provenance.
     pub fn replay(&self) -> Result<Replayed> {
-        self.replay_until(None)
-    }
-
-    /// Replays the prefix of the log with `due <= until` (if given).
-    pub fn replay_until(&self, until: Option<LogicalTime>) -> Result<Replayed> {
-        let (engine, scheduled) = self.run_into(self.recorder(), until)?;
+        let (engine, scheduled) = self.run_into(self.recorder())?;
         Ok(Replayed::new(engine, scheduled))
     }
 
     /// Replays without recording provenance — the "logging disabled"
     /// baseline used to measure capture overhead (Section 6.4).
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
-        Ok(self.run_into(NullSink, None)?.0)
+        Ok(self.run_into(NullSink)?.0)
     }
 
     /// Replays the full log through a [`HashSink`], returning the
@@ -445,7 +435,7 @@ impl Execution {
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
-        let sink = self.run_into(HashSink::default(), None)?.0.into_sink();
+        let sink = self.run_into(HashSink::default())?.0.into_sink();
         Ok((sink.digest(), sink.count))
     }
 

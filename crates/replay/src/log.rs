@@ -271,24 +271,17 @@ impl EventLog {
             .collect()
     }
 
-    /// Feeds the whole log (or the prefix with `due <= until`, if given)
-    /// into an engine's schedule; returns how many events that was.
+    /// Feeds the whole log into an engine's schedule; returns how many
+    /// events that was.
     pub fn schedule_into<S: dp_ndlog::ProvenanceSink>(
         &self,
         engine: &mut dp_ndlog::Engine<S>,
-        until: Option<LogicalTime>,
     ) -> Result<usize> {
-        let mut scheduled = 0;
-        for e in self.events().iter() {
-            if let Some(t) = until {
-                if e.due > t {
-                    break;
-                }
-            }
+        let events = self.events();
+        for e in events.iter() {
             e.schedule_as(engine, e.due, e.op)?;
-            scheduled += 1;
         }
-        Ok(scheduled)
+        Ok(events.len())
     }
 }
 

@@ -32,12 +32,12 @@
 //! on a withdrawn body, or it ran after the fork and read what Δ touched —
 //! sends the roll to a from-scratch replay instead (the trust rule).
 //!
-//! Each suffix event is keyed once: a located tuple's id is found by hash
-//! on the event's first read (by log slot, so an event both suffixes
-//! borrow from one slot is hashed once), and every later question — an
-//! episode's origin, a change's tuple, the prefix's presence — probes the
-//! same map. The ids are then renumbered into content order, which is
-//! what `restore` breaks its ties by.
+//! Each suffix event is keyed once: a located tuple's id is its rank in
+//! the order first read — the patched suffix's tuples, then those only the
+//! held suffix logs — found by hash (by log slot, so an event both
+//! suffixes borrow from one slot is hashed once), and every later question
+//! — an episode's origin, a change's tuple, the prefix's presence — probes
+//! the same map.
 
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashMap};
@@ -177,7 +177,8 @@ impl Keying {
 
 /// The suffix's located tuples, by id, and the patched suffix.
 pub(crate) struct Suffix<'a> {
-    /// The located tuples, sorted: a tuple's id is its place here.
+    /// The located tuples, in the order first read: a tuple's id is its
+    /// place here.
     keys: Vec<TupleRef>,
     /// The same, hashed: what every lookup probes.
     ids: HashMap<Key, u32, WordBuildHasher>,
@@ -230,28 +231,8 @@ impl<'a> Suffix<'a> {
         // The held suffix is read for its ops alone.
         let mut held_ops = Vec::with_capacity(held.size_hint().0);
         held_ops.extend(held.map(|e| (keying.id(&e), e.1.due, e.1.op)));
-        let Keying { mut ids, keys, .. } = keying;
-        // Renumbered into content order: a tuple's id is its place among
-        // the suffix's sorted tuples, as if they had been sorted and
-        // searched.
+        let Keying { ids, keys, .. } = keying;
         let n = keys.len();
-        let mut sorted: Vec<(TupleRef, u32)> = keys.into_iter().zip(0..).collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut rank = vec![0; n];
-        let keys = sorted
-            .into_iter()
-            .zip(0..)
-            .map(|((key, read), id)| {
-                rank[read as usize] = id;
-                key
-            })
-            .collect();
-        let ops = held_ops.iter_mut().map(|(id, ..)| id);
-        for id in patched_ids.iter_mut().chain(ops) {
-            *id = rank[*id as usize];
-        }
-        // Order-insensitive: every value is rewritten on its own.
-        ids.values_mut().for_each(|id| *id = rank[*id as usize]);
         let mut s = Suffix {
             keys,
             ids,
@@ -468,66 +449,6 @@ fn watched(program: &Program) -> Vec<Sym> {
     tables
 }
 
-/// Which tables something that reads state beyond its body could read
-/// ([`Program::reads_table`]), asked once per table.
-struct ReadTables<'p> {
-    program: &'p Program,
-    /// A native reads anything.
-    natives: bool,
-    readers: Vec<&'p Sym>,
-    known: Vec<(Sym, bool)>,
-}
-
-impl<'p> ReadTables<'p> {
-    fn new(program: &'p Program) -> Self {
-        ReadTables {
-            program,
-            natives: program
-                .schemas
-                .iter()
-                .any(|s| !program.native_triggers(&s.name).is_empty()),
-            readers: program
-                .rules()
-                .iter()
-                .map(|r| &r.name)
-                .filter(|r| program.reads_state(r))
-                .collect(),
-            known: Vec::new(),
-        }
-    }
-
-    fn any(&mut self, table: &Sym) -> bool {
-        if let Some(&(_, r)) = self.known.iter().find(|(t, _)| t == table) {
-            return r;
-        }
-        let r = self.natives
-            || self
-                .readers
-                .iter()
-                .any(|rule| self.program.reads_table(rule, table));
-        self.known.push((table.clone(), r));
-        r
-    }
-}
-
-/// Per rule name the recording holds: does it read state beyond its body
-/// ([`Program::reads_state`])? Rules are a handful per program.
-struct ReaderCache<'p> {
-    program: &'p Program,
-    known: Vec<(Sym, bool)>,
-}
-
-impl ReaderCache<'_> {
-    fn reads_state(&mut self, rule: &Sym) -> bool {
-        if let Some(&(_, r)) = self.known.iter().find(|(s, _)| s == rule) {
-            return r;
-        }
-        let r = self.program.reads_state(rule);
-        self.known.push((rule.clone(), r));
-        r
-    }
-}
-
 /// Phase B: marks in `suffix` the independent located tuples the change
 /// reaches (see the module docs), or refuses the roll.
 pub(crate) fn affect(
@@ -541,10 +462,6 @@ pub(crate) fn affect(
     let mut walk = Walk {
         graph,
         program,
-        readers: ReaderCache {
-            program,
-            known: Vec::new(),
-        },
         origin: vec![PREFIX; graph.row_count()],
         taint: vec![false; graph.row_count()],
         used_by_other: vec![false; suffix.keys.len()],
@@ -571,7 +488,6 @@ pub(crate) fn affect(
 struct Walk<'g> {
     graph: &'g ProvGraph,
     program: &'g Program,
-    readers: ReaderCache<'g>,
     origin: Vec<u32>,
     /// Per row: derived from a body the roll withdraws.
     taint: Vec<bool>,
@@ -666,7 +582,7 @@ impl Walk<'_> {
                     if t_origin != PREFIX && suffix.affected[t_origin as usize] && !tainted {
                         continue;
                     }
-                    if !self.readers.reads_state(rule) {
+                    if !self.program.reads_state(rule) {
                         if tainted && suffix.independent(t_origin) {
                             mark(suffix, &self.used_by_other, t_origin);
                         }
@@ -736,10 +652,26 @@ pub(crate) fn settled(
         opened,
     };
     // Net opens minus closes per located tuple, of the tables something
-    // that reads state could read: what phase C changed that a firing
-    // outside it could have seen.
+    // that reads state could read ([`Program::reads_table`]; every table
+    // when the program has a native, which `watched` lists the tables of):
+    // what phase C changed that a firing outside it could have seen.
     let program = engine.program();
-    let mut read = ReadTables::new(program);
+    let natives = found
+        .watched
+        .iter()
+        .any(|t| !program.native_triggers(t).is_empty());
+    let read: Vec<&Sym> = program
+        .schemas
+        .iter()
+        .map(|s| &s.name)
+        .filter(|&table| {
+            natives
+                || program
+                    .rules()
+                    .iter()
+                    .any(|r| program.reads_state(&r.name) && program.reads_table(&r.name, table))
+        })
+        .collect();
     // Keyed by content: two episodes of one base tuple may hold two of the
     // log's allocations of it.
     let mut net: Vec<(&NodeId, &Arc<Tuple>, i32)> = Vec::new();
@@ -773,7 +705,7 @@ pub(crate) fn settled(
                 if !opens && suffix.independent(origins.get(row)) {
                     return Err(Refusal::Closed);
                 }
-                if read.any(&view.tuple.table) {
+                if read.contains(&&view.tuple.table) {
                     net.push((view.node, view.tuple, if opens { 1 } else { -1 }));
                 }
             }
@@ -800,10 +732,6 @@ pub(crate) fn settled(
     // state — triggered by an independent tuple, or by the prefix after
     // the fork — must not have read what phase C changed.
     let phase = found.phase;
-    let mut rules = ReaderCache {
-        program,
-        known: Vec::new(),
-    };
     for v in phase.start..phase.held {
         let (
             _,
@@ -821,7 +749,9 @@ pub(crate) fn settled(
         };
         let t = origins.get(trow);
         let outside = t == PREFIX || suffix.independent(t);
-        if !outside || rows.iter().any(|&b| graph.row(b).end.is_some()) || !rules.reads_state(rule)
+        if !outside
+            || rows.iter().any(|&b| graph.row(b).end.is_some())
+            || !program.reads_state(rule)
         {
             continue;
         }
@@ -857,10 +787,10 @@ mod tests {
     use crate::log::EventLog;
     use dp_types::{DetRng, Value};
 
-    /// What [`Suffix::new`] built before it keyed by hash, kept as its
-    /// oracle: both suffixes copied, every event's located tuple sorted and
-    /// deduplicated, each id a binary search by content.
-    struct Sorted {
+    /// [`Suffix::new`]'s oracle: both suffixes copied, every event's
+    /// located tuple kept at its first occurrence, each id a linear search
+    /// by content.
+    struct Copied {
         keys: Vec<TupleRef>,
         held_ids: Vec<u32>,
         patched_ids: Vec<u32>,
@@ -871,22 +801,26 @@ mod tests {
         acted: usize,
     }
 
-    fn sorted(
+    fn copied(
         held: &[BaseEvent],
         patched: &[BaseEvent],
         changes: &[&[TupleChange]],
         prefix: Option<&[BaseEvent]>,
         current: impl Fn(&NodeId, &Tuple) -> bool,
-    ) -> Sorted {
+    ) -> Copied {
         let located = |e: &BaseEvent| TupleRef::new(e.node.clone(), Arc::clone(&e.tuple));
-        let mut keys: Vec<TupleRef> = patched.iter().chain(held).map(located).collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let mut keys: Vec<TupleRef> = Vec::new();
+        for key in patched.iter().chain(held).map(located) {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
         let n = keys.len();
         let find = |node: &NodeId, tuple: &Tuple| {
-            let at =
-                keys.binary_search_by(|k| k.node.cmp(node).then_with(|| (*k.tuple).cmp(tuple)));
-            at.ok().map(|at| at as u32)
+            let at = keys
+                .iter()
+                .position(|k| k.node == *node && *k.tuple == *tuple);
+            at.map(|at| at as u32)
         };
         let id = |e: &BaseEvent| find(&e.node, &e.tuple).expect("a suffix event is keyed");
         let patched_ids: Vec<u32> = patched.iter().map(id).collect();
@@ -941,7 +875,7 @@ mod tests {
             let now = e.op == BaseOp::Insert;
             acted += usize::from(std::mem::replace(&mut present[id as usize], now) != now);
         }
-        Sorted {
+        Copied {
             keys,
             held_ids,
             patched_ids,
@@ -953,7 +887,7 @@ mod tests {
         }
     }
 
-    impl Sorted {
+    impl Copied {
         fn restore(&self, changed_only: bool) -> Vec<(TupleRef, bool)> {
             let pick = if changed_only {
                 &self.changed
@@ -1013,11 +947,11 @@ mod tests {
     }
 
     /// On random logs, each rolled from an earlier random Δ to a new one,
-    /// the keyed suffix equals the sorted one: the same tuples in the same
+    /// the keyed suffix equals the copied one: the same tuples in the same
     /// order, every event's id, first positions, presence, acted ops and
     /// both restore orders.
     #[test]
-    fn keyed_ids_equal_the_sorted_search() {
+    fn keyed_ids_equal_the_linear_search() {
         let (mut shared, mut rolled_from, mut walked, mut refused_independence) = (0, 0, 0, 0);
         for seed in 0..300 {
             let mut rng = DetRng::seed_from_u64(seed);
@@ -1057,7 +991,7 @@ mod tests {
                 &both[..]
             };
 
-            let want = sorted(
+            let want = copied(
                 &held_owned,
                 &patched_owned,
                 changes,

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use diffprov_core::Scenario;
 use dp_provenance::Episode;
-use dp_replay::{BaseOp, Execution, Replayed};
+use dp_replay::{BaseOp, EventLog, Execution, Replayed};
 use dp_sdn::{campus, sdn3, sdn4, CampusConfig};
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, TupleRef};
@@ -44,16 +44,14 @@ fn root_of(r: &Replayed, tref: &TupleRef, at: Option<LogicalTime>) -> Option<u32
     tree.map(|t| t.root().origin)
 }
 
-/// Replays `exec` (its events due by `until`, if given) and holds every
-/// recorded tuple's queries to the scan. The replay is traced: its
-/// `replay.scheduled` counter must report the events it scheduled, not
-/// the log's length.
-fn check(exec: &Execution, until: Option<LogicalTime>, case: &str, cov: &mut Coverage) {
+/// Replays `exec` and holds every recorded tuple's queries to the scan.
+/// The replay is traced: its `replay.scheduled` counter must report the
+/// events it scheduled.
+fn check(exec: &Execution, case: &str, cov: &mut Coverage) {
     let mut exec = exec.clone();
     exec.tracer = Tracer::aggregate_only();
-    let r = exec.replay_until(until).unwrap();
-    let due_by = until.unwrap_or(LogicalTime::MAX);
-    let scheduled = exec.log.events().partition_point(|e| e.due <= due_by) as u64;
+    let r = exec.replay().unwrap();
+    let scheduled = exec.log.len() as u64;
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.span_count("replay.schedule"), 1, "{case}: replay.schedule");
     assert_eq!(agg.counter("replay.scheduled"), scheduled, "{case}: replay.scheduled");
@@ -139,16 +137,22 @@ fn engine_resolved_queries_name_the_rows_the_scan_finds() {
         ..CampusConfig::default()
     });
     let exec = &churned.scenario.bad_exec;
-    check(exec, None, "churn campus", &mut cov);
+    check(exec, "churn campus", &mut cov);
     // Stopped after the last withdrawal, before what it withdrew is
-    // re-issued: the routes and the traffic of that round are gone.
+    // re-issued: the routes and the traffic of that round are gone. The cut
+    // replays a log that holds only the events due by then.
     let events = exec.log.events();
     let withdrawn = events.iter().rev().find(|e| e.op == BaseOp::Delete).expect("churn deletes");
     assert!(events.last().is_some_and(|e| e.due > withdrawn.due), "the cut is the log's end");
-    check(exec, Some(withdrawn.due), "churn campus, mid-round", &mut cov);
+    let mut cut = exec.clone();
+    cut.log = EventLog::new();
+    for e in events.iter().take_while(|e| e.due <= withdrawn.due) {
+        cut.log.push(e.clone());
+    }
+    check(&cut, "churn campus, mid-round", &mut cov);
     let s = sdn3();
-    check(&s.good_exec, None, "SDN3 good", &mut cov);
-    check(&s.bad_exec, None, "SDN3 bad", &mut cov);
+    check(&s.good_exec, "SDN3 good", &mut cov);
+    check(&s.bad_exec, "SDN3 bad", &mut cov);
     // SDN3's reference is historical: gone now, found by the scan.
     let r = s.good_exec.replay().unwrap();
     assert!(!r.exists(&s.good_event.tref.node, &s.good_event.tref.tuple));

@@ -10,6 +10,8 @@
 # checkpoints, against the deleted in-memory checkpoint (a second way to
 # reach an engine state), against the deleted second provenance backend,
 # against a second UPDATETREE path in crates/core or a second roll entry,
+# against the roll's deleted memo copies of what the program answers and
+# the replay's deleted cut parameter,
 # against a tuple-keyed map in the graph recorder, against the recorder's
 # deleted path for a stream that starts mid-run, and against the
 # searches the engine stopped
@@ -166,6 +168,15 @@ step "gate: one roll entry" absent \
     "the roll's test-only entry reappeared" \
     "roll_forward_""withdrawing|always_""withdraw" \
     crates src tests examples scripts
+# The roll asks the program what a rule reads (Program::reads_state,
+# Program::reads_table) instead of keeping memo copies of the answers, and
+# a replay runs its whole log: a cut is a log that holds only the events
+# due by then, not a parameter of the replay. (Spelled in halves so this
+# script passes its own gate.)
+step "gate: the roll asks the program" absent \
+    "a deleted memo of the roll or the replay's cut reappeared" \
+    "Reader""Cache|Read""Tables|replay_""until" \
+    crates
 # The graph recorder finds an episode by the clock the stream names it by
 # (ProvEvent's `since`), never by the tuple's value: a map keyed by
 # TupleRef in graph.rs would be the by-value search PR 17 removed, paid

@@ -283,7 +283,7 @@ fn diffprov_report_is_invariant_under_batching() {
             .collect()
     }
     let mut engine = Engine::new(exec.program.clone(), VecSink::default());
-    exec.log.schedule_into(&mut engine, None).unwrap();
+    exec.log.schedule_into(&mut engine).unwrap();
     engine.run().unwrap();
     let mut oracle_stream = VecSink::default();
     let oracle_nodes =
