@@ -25,7 +25,7 @@
 //!
 //! # Join evaluation
 //!
-//! Joins run the build-time plans of `crate::plan`: each non-trigger body
+//! Joins run the build-time plans of `crate::compile`: each non-trigger body
 //! atom is joined in most-bound-first order, probing a secondary hash index
 //! keyed on its bound columns (falling back to a full ordered scan when no
 //! column is bound). Indexes are maintained incrementally by

@@ -667,8 +667,9 @@ impl Join<'_> {
         // scan so the constraint raises the type error the oracle raises).
         // With several constrained columns the most selective trie — fewest
         // candidates for this execution's address, estimated by an O(32)
-        // bucket-count walk — is probed. Estimate ties break on the trie
-        // slot (column order) and then on constraint order: a total,
+        // bucket-count walk — is probed. An estimate tie goes to the first
+        // candidate, which is the lowest column (`min_by_key` keeps the
+        // first, and the planner lists them in column order): a total,
         // value-determined key, so the pick — and the trie-counter split it
         // drives — is stable across platforms. The choice only prunes
         // differently, never changes the re-sorted match set, so any pick is
@@ -676,13 +677,12 @@ impl Join<'_> {
         let trie_probe = step
             .prefixes
             .iter()
-            .enumerate()
-            .filter_map(|(pi, (slot, ip))| match ip.read(&frame.vals) {
-                Value::Ip(ip) => Some((*slot, *ip, pi)),
+            .filter_map(|(slot, ip)| match ip.read(&frame.vals) {
+                Value::Ip(ip) => Some((*slot, *ip)),
                 _ => None,
             })
-            .min_by_key(|&(slot, ip, pi)| (self.state.estimate_prefix(table, slot, ip), slot, pi));
-        if let Some((slot, ip, _)) = trie_probe {
+            .min_by_key(|&(slot, ip)| self.state.estimate_prefix(table, slot, ip));
+        if let Some((slot, ip)) = trie_probe {
             counters.trie_probes += 1;
             join_candidates!(self.state.probe_prefix(table, slot, ip, self.as_of));
         } else {

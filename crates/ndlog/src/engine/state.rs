@@ -28,7 +28,7 @@ use dp_types::{
 };
 
 use super::TupleState;
-use crate::plan::{IndexSpecs, TrieSpecs};
+use crate::compile::{IndexSpecs, TrieSpecs};
 use crate::program::Program;
 
 /// A row of one table: its tuple, compared by `args` alone (see the
@@ -80,7 +80,7 @@ struct Slot {
     dependents: Vec<TupleRef>,
 }
 
-/// One prefix-trie access path of a table (see `crate::plan::PrefixProbe`).
+/// One prefix-trie access path of a table (see `crate::compile`).
 ///
 /// The trie holds the tuples whose value at the indexed column is
 /// prefix-like under the exact promotion rule of `prefix_contains`
@@ -514,16 +514,16 @@ impl<'a> NodeView<'a> {
                 .enumerate()
                 .filter_map(|(pi, &(col, ip))| {
                     let slot = t.trie_specs.iter().position(|&c| c == col)?;
-                    Some((slot, ip, pi))
+                    Some((slot, col, ip, pi))
                 })
-                // Estimate ties break on the trie slot (column order)
-                // and then the caller's probe order — a total key, so
-                // the pick (and the trie counters it drives) is stable
-                // across platforms and std implementations.
-                .min_by_key(|&(slot, ip, pi)| {
-                    (self.state.estimate_prefix(table, slot, ip), slot, pi)
+                // Estimate ties break on the column and then the caller's
+                // probe order — a total key, so the pick (and the trie
+                // counters it drives) is stable across platforms and std
+                // implementations.
+                .min_by_key(|&(slot, col, ip, pi)| {
+                    (self.state.estimate_prefix(table, slot, ip), col, pi)
                 })
-                .map(|(slot, ip, _)| (slot, ip))
+                .map(|(slot, _, ip, _)| (slot, ip))
         });
         match slot {
             Some((slot, ip)) => {

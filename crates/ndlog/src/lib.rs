@@ -8,7 +8,9 @@
 //! * an [`expr`] language with **inversion** support, which DiffProv's
 //!   taint/formula machinery (Sections 4.3–4.5) relies on;
 //! * a deterministic, discrete-event, distributed [`engine`] with trigger
-//!   semantics, support counting, and cascading deletions;
+//!   semantics, support counting, and cascading deletions, firing rules
+//!   that [`ProgramBuilder::build`] compiled to slots and planned into
+//!   indexed and trie-probed join steps in one pass;
 //! * the [`reference`] evaluator, the small oracle the engine's
 //!   provenance stream and final tables are checked against;
 //! * the [`sink`] event stream from which temporal provenance graphs are
@@ -29,7 +31,6 @@ mod compile;
 pub mod engine;
 pub mod expr;
 pub mod parser;
-mod plan;
 pub mod program;
 pub mod reference;
 pub mod sink;

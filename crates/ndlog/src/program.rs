@@ -7,10 +7,9 @@ use std::sync::Arc;
 use dp_types::{Error, NodeId, Result, SchemaRegistry, Sym, Tuple, TupleRef, Value};
 
 use crate::ast::{Constraint, Rule};
-use crate::compile::{compile, Check, CompiledRule};
+use crate::compile::{compile, Check, CompiledRule, IndexRegistry, IndexSpecs, TrieSpecs};
 use crate::engine::NodeView;
 use crate::parser::parse_rules;
-use crate::plan::{IndexSpecs, PlanSet, TrieSpecs};
 
 /// A proposed change to a single base tuple — the elements of the paper's
 /// `Δ_{B→G}` (Definition 1).
@@ -198,11 +197,12 @@ pub struct Program {
     rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>>,
     /// table -> native indexes triggered by it.
     native_triggers: BTreeMap<Sym, Vec<usize>>,
-    /// The index and prefix-trie specs the join plans require, by table
-    /// (the plans themselves are compiled into `compiled`).
+    /// The index and prefix-trie specs the join plans probe, by table
+    /// (the plans themselves are in `compiled`).
     index_specs: BTreeMap<Sym, IndexSpecs>,
     trie_specs: BTreeMap<Sym, TrieSpecs>,
-    /// Each rule resolved to slots, by rule index (`crate::compile`).
+    /// Each rule resolved to slots and planned, by rule index
+    /// (`crate::compile`).
     compiled: Vec<CompiledRule>,
 }
 
@@ -415,10 +415,10 @@ impl ProgramBuilder {
     ///
     /// Checks that every rule derives into a `Derived` table, that body
     /// tables are declared with matching arity, and that builtin constraints
-    /// are registered; then plans every rule's joins and compiles it to
-    /// slots (`crate::compile`), once, for every engine the program runs.
+    /// are registered; then compiles every rule to slots and plans its
+    /// joins (`crate::compile`), once, for every engine the program runs.
     pub fn build(self) -> Result<Arc<Program>> {
-        let plans = PlanSet::build(&self.rules);
+        let mut registry = IndexRegistry::default();
         let mut compiled = Vec::with_capacity(self.rules.len());
         let mut rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>> = BTreeMap::new();
         for (ri, rule) in self.rules.iter().enumerate() {
@@ -456,7 +456,7 @@ impl ProgramBuilder {
                 rule_triggers.entry(atom.table.clone()).or_default().push((ri, ai));
             }
             // Fails on the first unregistered builtin, in constraint order.
-            compiled.push(compile(rule, ri, &plans, &self.builtins)?);
+            compiled.push(compile(rule, &mut registry, &self.builtins)?);
         }
         let mut native_triggers: BTreeMap<Sym, Vec<usize>> = BTreeMap::new();
         for (ni, native) in self.natives.iter().enumerate() {
@@ -465,7 +465,6 @@ impl ProgramBuilder {
                 native_triggers.entry(t).or_default().push(ni);
             }
         }
-        let PlanSet { specs, tries, .. } = plans;
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
@@ -473,8 +472,8 @@ impl ProgramBuilder {
             builtins: self.builtins,
             rule_triggers,
             native_triggers,
-            index_specs: specs,
-            trie_specs: tries,
+            index_specs: registry.index_specs,
+            trie_specs: registry.trie_specs,
             compiled,
         }))
     }

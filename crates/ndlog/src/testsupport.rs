@@ -406,7 +406,7 @@ pub mod prefixgen {
     ///    campus `fwd` rule); when the *route* triggers instead, the same
     ///    rule's other plan post-filters the constraint;
     /// 1. route listed first — same two plans, opposite trigger bias;
-    /// 2. constraint against a literal address — `IpSource::Const`;
+    /// 2. constraint against a literal address — a literal trie address;
     /// 3. two route tables, two constraints — two tries on one rule;
     /// 4. two route tables equality-joined on the value column — the
     ///    hash index must win over the trie on the second atom;

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use dp_sdn::{cfg_entry, DROP_PORT};
 use dp_types::{Error, Prefix, Result, Tuple};

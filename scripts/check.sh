@@ -17,7 +17,8 @@
 # searches the engine stopped
 # repeating (B-tree environment, second body walk, per-flush profile map),
 # against a second copy of a logged base tuple, against name-keyed
-# bindings or whole-tuple table keys in the engine, against the tracer's
+# bindings or whole-tuple table keys in the engine, against a second
+# representation of a join plan beside the compiled steps, against the tracer's
 # deleted event stream (its renderings, determinism classes, span and
 # trace ids, instants); and lint-clean clippy.
 # The sweep holds five invariants: digest
@@ -217,6 +218,15 @@ step "gate: the engine binds by slot" absent \
     "the engine binds by name or keys a table by whole tuples again" \
     "\\bE""nv\\b|run_""assigns|\\.eval\\(&""env|BTreeMap<Arc<Tu""ple>, Slot>" \
     crates/ndlog/src/engine.rs crates/ndlog/src/engine
+# One plan representation: a rule is planned where it is compiled, straight
+# into the slot steps the engine runs, so no named plan (trigger plans,
+# join steps, prefix probes and their address sources) is built beside
+# them and translated. (Spelled in halves so this script passes its own
+# gate.)
+step "gate: one plan representation" absent \
+    "a named join plan reappeared beside the compiled steps" \
+    "Join""Plan|Join""Step|Plan""Set|Ip""Source|Prefix""Probe" \
+    crates/ndlog
 # A base tuple is held once: the log keeps it behind an `Arc`, and
 # scheduling, patching and the layer reader hand that handle on instead of
 # copying the tuple out of it. The engine keeps the handle as scheduled,
