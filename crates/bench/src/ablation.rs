@@ -61,7 +61,7 @@ pub fn butterfly_scenario(hops: usize) -> Scenario {
     let mut rid = 100;
     let mut cfg = |exec: &mut Execution, sw: &str, prio, sm, port| {
         exec.log
-            .insert(10, ctl.clone(), cfg_entry(rid, sw, prio, sm, any, port));
+            .insert(10, ctl, cfg_entry(rid, sw, prio, sm, any, port));
         rid += 1;
     };
     // The fault at S1: the specific rule towards the good chain is /24

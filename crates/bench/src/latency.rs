@@ -102,7 +102,7 @@ pub fn sdn_overhead(packets: usize, runs: usize) -> Result<Overhead> {
     let any = dp_types::prefix::cidr("0.0.0.0/0");
     exec.log.insert(
         10,
-        ctl.clone(),
+        ctl,
         dp_sdn::cfg_entry(1, "S1", 1, any, any, topo.port_towards("S1", "S2")),
     );
     exec.log

@@ -53,7 +53,7 @@ pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost>
     let any = dp_types::prefix::cidr("0.0.0.0/0");
     exec.log.insert(
         10,
-        ctl.clone(),
+        ctl,
         dp_sdn::cfg_entry(1, "S1", 1, any, any, topo.port_towards("S1", "S2")),
     );
     exec.log

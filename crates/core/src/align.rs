@@ -475,14 +475,14 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                 Some(f) => f.apply(self.taint.bad_seed()).map_err(AlignError::from)?,
                 None => good_val.clone(),
             };
-            bad_env.insert(var.clone(), v);
+            bad_env.insert(*var, v);
         }
         // Under node equivalence, the body location variable follows the
         // seed's node mapping.
         if let Some(atom0) = rule.body.first() {
             if let Some(Value::Str(loc)) = bad_env.get(&atom0.loc).cloned() {
                 let mapped = self.taint.map_node(&NodeId(loc));
-                bad_env.insert(atom0.loc.clone(), Value::Str(mapped.0));
+                bad_env.insert(atom0.loc, Value::Str(mapped.0));
             }
         }
 
@@ -490,7 +490,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
         // where the requirement deviates (e.g. a constraint repair decided
         // a derived flow entry needs a wider prefix: the prefix variable is
         // overridden here and pushed down into the config tuple below).
-        let head_loc_target = Value::Str(exp.node.0.clone());
+        let head_loc_target = Value::Str(exp.node.0);
         let mut targets: Vec<(&Expr, Value)> = vec![(&rule.head.loc, head_loc_target)];
         for (k, head_arg) in rule.head.args.iter().enumerate() {
             let target = exp.tuple.args.get(k).cloned().ok_or_else(|| {
@@ -501,7 +501,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
             })?;
             targets.push((head_arg, target));
         }
-        let tainted: BTreeSet<_> = denv.var_formulas.keys().cloned().collect();
+        let tainted: BTreeSet<_> = denv.var_formulas.keys().copied().collect();
         for (expr, target) in targets {
             self.unify_expr(expr, &target, &mut bad_env, rule, &tainted)?;
         }
@@ -519,7 +519,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
         }
         for a in &rule.assigns {
             if let Ok(v) = a.expr.eval(&bad_env) {
-                bad_env.insert(a.var.clone(), v);
+                bad_env.insert(a.var, v);
             }
         }
         // Consistency: the head must now evaluate to the requirement.
@@ -550,13 +550,13 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                 // switch), there is no valid solution (Section 4.7).
                 let required = bad_env
                     .get(&atom.loc)
-                    .and_then(|v| v.as_str().ok().cloned())
+                    .and_then(|v| v.as_str().ok().copied())
                     .map(NodeId);
                 if let Some(req) = required {
                     if req != seed_node {
                         return Err(AlignError::Fail(Failure::ImmutableChange {
                             needed: TupleRef {
-                                node: req.clone(),
+                                node: req,
                                 tuple: self.taint.bad_seed().clone().into(),
                             },
                             context: format!(
@@ -594,19 +594,19 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
             // head-location unification may have overridden.
             let body_node = bad_env
                 .get(&atom.loc)
-                .and_then(|v| v.as_str().ok().cloned())
+                .and_then(|v| v.as_str().ok().copied())
                 .map(NodeId)
-                .unwrap_or_else(|| child.tref.node.clone());
+                .unwrap_or_else(|| child.tref.node);
             expected_children.push(TupleRef {
                 node: body_node,
-                tuple: Tuple::new(child.tref.tuple.table.clone(), args).into(),
+                tuple: Tuple::new(child.tref.tuple.table, args).into(),
             });
         }
         // All body atoms live on one node; if the expectations disagree
         // (e.g. the bad packet entered at a different ingress), there is no
         // valid derivation.
         if let Some(first) = expected_children.first() {
-            let body_node = first.node.clone();
+            let body_node = first.node;
             for ec in &expected_children {
                 if ec.node != body_node {
                     return Err(AlignError::Fail(Failure::ImmutableChange {
@@ -689,7 +689,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
         }
         let before = self.find_by_key(exp);
         self.delta.push(TupleChange {
-            node: exp.node.clone(),
+            node: exp.node,
             before,
             after: Some(Tuple::clone(&exp.tuple)),
         });
@@ -744,7 +744,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                     // constraints; recompute them.
                     for a in &rule.assigns {
                         if let Ok(v) = a.expr.eval(bad_env) {
-                            bad_env.insert(a.var.clone(), v);
+                            bad_env.insert(a.var, v);
                         }
                     }
                 }
@@ -756,7 +756,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                     }
                     let node = expected_children
                         .first()
-                        .map(|c| c.node.clone())
+                        .map(|c| c.node)
                         .unwrap_or_else(|| NodeId::new("?"));
                     let holds = match self.replayed_bad.engine.view(&node) {
                         Some(view) => builtin.eval(&view, &vals).map_err(AlignError::from)?,
@@ -787,7 +787,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                         if let Some(after) = &r.after {
                             if !self.program.schemas.is_mutable(&after.table) {
                                 return Err(AlignError::Fail(Failure::ImmutableChange {
-                                    needed: TupleRef::new(r.node.clone(), after.clone()),
+                                    needed: TupleRef::new(r.node, after.clone()),
                                     context: format!("proposed by builtin {name} repair"),
                                 }));
                             }
@@ -795,7 +795,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                         if !self.delta.contains(&r) {
                             if let Some(after) = &r.after {
                                 self.promised
-                                    .insert(TupleRef::new(r.node.clone(), after.clone()));
+                                    .insert(TupleRef::new(r.node, after.clone()));
                             }
                             self.delta.push(r);
                         }
@@ -834,7 +834,7 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                             ))))?;
                         let cur = cur.as_prefix().map_err(AlignError::from)?;
                         let widened = Value::Prefix(cur.widen_to_contain(ip));
-                        bad_env.insert(pvar.clone(), widened.clone());
+                        bad_env.insert(*pvar, widened.clone());
                         Arc::make_mut(&mut expected_children[src.atom].tuple).args[src.field] =
                             widened;
                         return Ok(());

@@ -147,10 +147,10 @@ mod tests {
         exec.log.insert(10, "S2", pkt(100, "4.3.2.1"));
         exec.log.insert(20, "S2", pkt(200, "4.3.3.1"));
 
-        let good_ev = QueryEvent::new(TupleRef::new(s.clone(), sent(100, "4.3.2.1", 6)), u64::MAX);
+        let good_ev = QueryEvent::new(TupleRef::new(s, sent(100, "4.3.2.1", 6)), u64::MAX);
         // The bad packet produced nothing; the operator queries the packet
         // itself as the bad event (its provenance is just the INSERT).
-        let bad_ev = QueryEvent::new(TupleRef::new(s.clone(), pkt(200, "4.3.3.1")), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, pkt(200, "4.3.3.1")), u64::MAX);
 
         let report = DiffProv::default()
             .diagnose(&exec, &good_ev, &exec, &bad_ev)
@@ -182,8 +182,8 @@ mod tests {
         exec.log.insert(20, "S2", pkt(200, "4.3.2.9")); // bad: no rule
 
         // The good event is in the past; query it at its own time.
-        let good_ev = QueryEvent::new(TupleRef::new(s.clone(), sent(100, "4.3.2.1", 6)), 14);
-        let bad_ev = QueryEvent::new(TupleRef::new(s.clone(), pkt(200, "4.3.2.9")), u64::MAX);
+        let good_ev = QueryEvent::new(TupleRef::new(s, sent(100, "4.3.2.1", 6)), 14);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, pkt(200, "4.3.2.9")), u64::MAX);
 
         let report = DiffProv::default()
             .diagnose(&exec, &good_ev, &exec, &bad_ev)
@@ -208,10 +208,10 @@ mod tests {
 
         // "Good" event: the flow entry itself (a configuration tuple).
         let good_ev = QueryEvent::new(
-            TupleRef::new(s.clone(), tuple!("fe", 1, cidr("4.3.2.0/24"), 6)),
+            TupleRef::new(s, tuple!("fe", 1, cidr("4.3.2.0/24"), 6)),
             u64::MAX,
         );
-        let bad_ev = QueryEvent::new(TupleRef::new(s.clone(), pkt(200, "4.3.3.1")), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, pkt(200, "4.3.3.1")), u64::MAX);
         let report = DiffProv::default()
             .diagnose(&exec, &good_ev, &exec, &bad_ev)
             .unwrap();
@@ -252,8 +252,8 @@ mod tests {
         exec.log.insert(0, "S2", tuple!("fe", 1, cidr("4.3.2.0/24"), 6));
         exec.log.insert(10, "S2", pkt(100, "4.3.2.1"));
         exec.log.insert(20, "S2", pkt(200, "4.3.3.1"));
-        let good_ev = QueryEvent::new(TupleRef::new(s.clone(), sent(100, "4.3.2.1", 6)), u64::MAX);
-        let bad_ev = QueryEvent::new(TupleRef::new(s.clone(), pkt(200, "4.3.3.1")), u64::MAX);
+        let good_ev = QueryEvent::new(TupleRef::new(s, sent(100, "4.3.2.1", 6)), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, pkt(200, "4.3.3.1")), u64::MAX);
         let report = DiffProv::default()
             .diagnose(&exec, &good_ev, &exec, &bad_ev)
             .unwrap();
@@ -307,8 +307,8 @@ mod tests {
         bad.log.insert(0, "n1", tuple!("b", 1, 2, 3));
         bad.log.insert(5, "n1", tuple!("a", 1, 2));
 
-        let good_ev = QueryEvent::new(TupleRef::new(n.clone(), tuple!("c", 2, 4, 5)), u64::MAX);
-        let bad_ev = QueryEvent::new(TupleRef::new(n.clone(), tuple!("c", 1, 4, 4)), u64::MAX);
+        let good_ev = QueryEvent::new(TupleRef::new(n, tuple!("c", 2, 4, 5)), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(n, tuple!("c", 1, 4, 4)), u64::MAX);
         let report = DiffProv::default()
             .diagnose(&good, &good_ev, &bad, &bad_ev)
             .unwrap();
@@ -329,8 +329,8 @@ mod tests {
         exec.log.insert(0, "S2", tuple!("fe", 1, cidr("4.3.2.0/23"), 6));
         exec.log.insert(10, "S2", pkt(100, "4.3.2.1"));
         exec.log.insert(20, "S2", pkt(200, "4.3.3.1"));
-        let good_ev = QueryEvent::new(TupleRef::new(s.clone(), sent(100, "4.3.2.1", 6)), u64::MAX);
-        let bad_ev = QueryEvent::new(TupleRef::new(s.clone(), sent(200, "4.3.3.1", 6)), u64::MAX);
+        let good_ev = QueryEvent::new(TupleRef::new(s, sent(100, "4.3.2.1", 6)), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, sent(200, "4.3.3.1", 6)), u64::MAX);
         let report = DiffProv::default()
             .diagnose(&exec, &good_ev, &exec, &bad_ev)
             .unwrap();

@@ -74,7 +74,7 @@ impl<'a> TaintState<'a> {
             program,
             seed_tref: seed.tref.clone(),
             bad_seed: Tuple::clone(bad_seed),
-            bad_seed_node: bad_seed_tref.node.clone(),
+            bad_seed_node: bad_seed_tref.node,
             node_mapped: false,
             memo: BTreeMap::new(),
         })
@@ -91,9 +91,9 @@ impl<'a> TaintState<'a> {
     /// The node-equivalence map applied to expectations.
     pub fn map_node(&self, node: &NodeId) -> NodeId {
         if self.node_mapped && *node == self.seed_tref.node {
-            self.bad_seed_node.clone()
+            self.bad_seed_node
         } else {
-            node.clone()
+            *node
         }
     }
 
@@ -198,7 +198,6 @@ impl<'a> TaintState<'a> {
         let occ = self.view.node(idx);
         let rule_name = occ
             .rule
-            .clone()
             .ok_or_else(|| Error::Engine(format!("{} is a base tuple", occ.tref)))?;
         let rule = self
             .program
@@ -227,7 +226,7 @@ impl<'a> TaintState<'a> {
         if let Some(&first_child) = occ.children.first() {
             let body_node = &self.view.node(first_child).tref.node;
             denv.good_env
-                .insert(rule.body[0].loc.clone(), Value::Str(body_node.0.clone()));
+                .insert(rule.body[0].loc, Value::Str(body_node.0));
         }
         for (j, (&child_idx, atom)) in occ.children.iter().zip(&rule.body).enumerate() {
             let child = self.view.node(child_idx).clone();
@@ -238,11 +237,11 @@ impl<'a> TaintState<'a> {
                         Error::Engine(format!("arity mismatch binding {x} in {}", child.tref))
                     })?;
                     if !denv.good_env.contains_key(x) {
-                        denv.good_env.insert(x.clone(), value);
-                        denv.var_sources.insert(x.clone(), VarSource { atom: j, field: p });
+                        denv.good_env.insert(*x, value);
+                        denv.var_sources.insert(*x, VarSource { atom: j, field: p });
                         let f = &child_taints[p];
                         if f.is_tainted() {
-                            denv.var_formulas.insert(x.clone(), f.clone());
+                            denv.var_formulas.insert(*x, f.clone());
                         }
                     }
                 }
@@ -251,9 +250,9 @@ impl<'a> TaintState<'a> {
         for assign in &rule.assigns {
             let formula = substitute(&assign.expr, &denv.var_formulas, &denv.good_env)?;
             let good_value = assign.expr.eval(&denv.good_env)?;
-            denv.good_env.insert(assign.var.clone(), good_value);
+            denv.good_env.insert(assign.var, good_value);
             if formula.is_tainted() {
-                denv.var_formulas.insert(assign.var.clone(), formula);
+                denv.var_formulas.insert(assign.var, formula);
             }
         }
         Ok(denv)
@@ -271,7 +270,7 @@ impl<'a> TaintState<'a> {
         for f in &formulas {
             args.push(f.apply(&self.bad_seed)?);
         }
-        Ok(Tuple::new(occ.tref.tuple.table.clone(), args))
+        Ok(Tuple::new(occ.tref.tuple.table, args))
     }
 
     /// The node the expected equivalent lives on. Taints never relocate
@@ -279,7 +278,7 @@ impl<'a> TaintState<'a> {
     /// itself, which is wherever the bad stimulus entered the system.
     pub fn expected_node(&self, idx: TreeIdx) -> NodeId {
         if self.is_seed_like(idx) {
-            self.bad_seed_node.clone()
+            self.bad_seed_node
         } else {
             self.map_node(&self.view.node(idx).tref.node)
         }
@@ -306,7 +305,6 @@ impl<'a> TaintState<'a> {
         let occ = self.view.node(idx).clone();
         let rule_name = occ
             .rule
-            .clone()
             .ok_or_else(|| Error::Engine(format!("{} is a base tuple", occ.tref)))?;
         let Some(rule) = self
             .program
@@ -327,7 +325,7 @@ impl<'a> TaintState<'a> {
         for (&child_idx, atom) in occ.children.iter().zip(&rule.body) {
             if self.is_seed_like(child_idx) {
                 out.push(TupleRef {
-                    node: self.bad_seed_node.clone(),
+                    node: self.bad_seed_node,
                     tuple: self.bad_seed.clone().into(),
                 });
                 continue;
@@ -354,7 +352,7 @@ impl<'a> TaintState<'a> {
             }
             out.push(TupleRef {
                 node: self.map_node(&child.tref.node),
-                tuple: Tuple::new(child.tref.tuple.table.clone(), args).into(),
+                tuple: Tuple::new(child.tref.tuple.table, args).into(),
             });
         }
         Ok(out)
@@ -400,8 +398,8 @@ mod tests {
         let program = program();
         let mut eng = dp_ndlog::Engine::new(Arc::clone(&program), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("b", 2, 2, 4)).unwrap();
-        eng.schedule_insert(5, n.clone(), tuple!("a", 2, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 2, 2, 4)).unwrap();
+        eng.schedule_insert(5, n, tuple!("a", 2, 2)).unwrap();
         eng.run().unwrap();
         let now = eng.now();
         let graph = eng.into_sink().finish();

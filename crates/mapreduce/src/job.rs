@@ -90,35 +90,35 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
     // Worker registry: mappers and the reducer pool all receive job state.
     let mappers: Vec<String> = (0..cfg.mappers).map(|i| format!("m{i}")).collect();
     for m in &mappers {
-        exec.log.insert(T_CONFIG, drv.clone(), tuple!("worker", m.as_str()));
+        exec.log.insert(T_CONFIG, drv, tuple!("worker", m.as_str()));
     }
     for r in 0..REDUCER_POOL {
         exec.log
-            .insert(T_CONFIG, drv.clone(), tuple!("worker", format!("r{r}").as_str()));
+            .insert(T_CONFIG, drv, tuple!("worker", format!("r{r}").as_str()));
     }
 
     // Configuration: the entry under test plus padding entries.
     exec.log.insert(
         T_CONFIG,
-        drv.clone(),
+        drv,
         tuple!("mrConfig", "mapreduce.job.reduces", cfg.reducers),
     );
     for i in 1..cfg.config_entries {
         exec.log.insert(
             T_CONFIG,
-            drv.clone(),
+            drv,
             tuple!("mrConfig", format!("mapreduce.padding.{i:03}").as_str(), i as i64),
         );
     }
     match cfg.pipeline {
         Pipeline::Declarative => {
             exec.log
-                .insert(T_CONFIG, drv.clone(), tuple!("mapperParam", cfg.mapper_min_pos));
+                .insert(T_CONFIG, drv, tuple!("mapperParam", cfg.mapper_min_pos));
         }
         Pipeline::Imperative => {
             exec.log.insert(
                 T_CONFIG,
-                drv.clone(),
+                drv,
                 Tuple::new("mapperCode", vec![Value::Sum(cfg.mapper_code)]),
             );
         }
@@ -131,7 +131,7 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
     for f in files {
         exec.log.insert(
             T_CONFIG,
-            drv.clone(),
+            drv,
             Tuple::new(
                 "inputFile",
                 vec![
@@ -156,7 +156,7 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
                     for (pos, word) in line.split_whitespace().enumerate() {
                         exec.log.insert(
                             t,
-                            mapper.clone(),
+                            mapper,
                             tuple!("wordIn", f.name.as_str(), lineno as i64, pos as i64, word),
                         );
                     }

@@ -206,15 +206,15 @@ impl NativeRule for MapperNative {
         let line = trigger.args[1].clone();
         let text = trigger.args[2].as_str()?.as_str().to_string();
         let body = vec![
-            TupleRef::new(view.node.clone(), trigger.clone()),
-            TupleRef::new(view.node.clone(), code.clone()),
+            TupleRef::new(*view.node, trigger.clone()),
+            TupleRef::new(*view.node, code.clone()),
         ];
         for (pos, word) in text.split_whitespace().enumerate() {
             if version == BAD_MAPPER && pos == 0 {
                 continue; // the bug: first word of each line is dropped
             }
             out.emit(
-                view.node.clone(),
+                *view.node,
                 Tuple::new(
                     "mapOut",
                     vec![
@@ -271,8 +271,8 @@ impl NativeRule for PartitionNative {
             reducer,
             Tuple::new("partIn", trigger.args.clone()),
             vec![
-                TupleRef::new(view.node.clone(), trigger.clone()),
-                TupleRef::new(view.node.clone(), cfg),
+                TupleRef::new(*view.node, trigger.clone()),
+                TupleRef::new(*view.node, cfg),
             ],
             1,
         );
@@ -305,22 +305,22 @@ impl NativeRule for CombinerNative {
         }
         let mut groups: BTreeMap<Sym, (i64, Vec<TupleRef>)> = BTreeMap::new();
         for t in view.table(&sym("mapOut")) {
-            let word = t.args[0].as_str()?.clone();
+            let word = *t.args[0].as_str()?;
             let count = t.args[1].as_int()?;
             let entry = groups.entry(word).or_insert_with(|| {
                 (
                     0,
                     vec![
-                        TupleRef::new(view.node.clone(), trigger.clone()),
-                        TupleRef::new(view.node.clone(), cfg.clone()),
+                        TupleRef::new(*view.node, trigger.clone()),
+                        TupleRef::new(*view.node, cfg.clone()),
                     ],
                 )
             });
             entry.0 += count;
-            entry.1.push(TupleRef::new(view.node.clone(), t.clone()));
+            entry.1.push(TupleRef::new(*view.node, t.clone()));
         }
         for (word, (total, body)) in groups {
-            let idx = (hash_value(&Value::Str(word.clone())) % (n as u64)) as i64;
+            let idx = (hash_value(&Value::Str(word)) % (n as u64)) as i64;
             let reducer = NodeId::new(format!("r{idx}"));
             out.emit_delayed(
                 reducer,
@@ -365,17 +365,17 @@ impl NativeRule for ReduceNative {
         use std::collections::BTreeMap;
         let mut groups: BTreeMap<Sym, (i64, Vec<TupleRef>)> = BTreeMap::new();
         for t in view.table(&sym("partIn")) {
-            let word = t.args[0].as_str()?.clone();
+            let word = *t.args[0].as_str()?;
             let count = t.args[1].as_int()?;
             let entry = groups.entry(word).or_insert_with(|| {
-                (0, vec![TupleRef::new(view.node.clone(), trigger.clone())])
+                (0, vec![TupleRef::new(*view.node, trigger.clone())])
             });
             entry.0 += count;
-            entry.1.push(TupleRef::new(view.node.clone(), t.clone()));
+            entry.1.push(TupleRef::new(*view.node, t.clone()));
         }
         for (word, (total, body)) in groups {
             out.emit(
-                view.node.clone(),
+                *view.node,
                 Tuple::new("wordCount", vec![Value::Str(word), Value::Int(total)]),
                 body,
             );
@@ -399,17 +399,17 @@ impl NativeRule for OutputNative {
     }
 
     fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
-        let mut body = vec![TupleRef::new(view.node.clone(), trigger.clone())];
+        let mut body = vec![TupleRef::new(*view.node, trigger.clone())];
         let mut content = String::new();
         for t in view.table(&sym("wordCount")) {
             content.push_str(&format!("{}\t{}\n", t.args[0], t.args[1]));
-            body.push(TupleRef::new(view.node.clone(), t.clone()));
+            body.push(TupleRef::new(*view.node, t.clone()));
         }
         if body.len() == 1 {
             return Ok(()); // reducer produced nothing: no output file
         }
         out.emit(
-            view.node.clone(),
+            *view.node,
             Tuple::new("outputFile", vec![Value::Sum(fnv1a(content.as_bytes()))]),
             body,
         );

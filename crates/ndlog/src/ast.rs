@@ -45,7 +45,7 @@ impl Pattern {
             Pattern::Var(v) => match env.get(v) {
                 Some(bound) => bound == value,
                 None => {
-                    env.insert(v.clone(), value.clone());
+                    env.insert(*v, value.clone());
                     true
                 }
             },
@@ -252,7 +252,7 @@ impl Rule {
     pub fn run_assigns(&self, env: &mut Env) -> Result<()> {
         for a in &self.assigns {
             let v = a.expr.eval(env)?;
-            env.insert(a.var.clone(), v);
+            env.insert(a.var, v);
         }
         Ok(())
     }

@@ -79,13 +79,13 @@ pub(crate) struct IndexRegistry {
 impl IndexRegistry {
     /// The slot of `table`'s hash index over `cols`, added if new.
     fn index(&mut self, table: &Sym, cols: Vec<usize>) -> usize {
-        let specs = self.index_specs.entry(table.clone()).or_default();
+        let specs = self.index_specs.entry(*table).or_default();
         position_or_push(Arc::make_mut(specs), cols)
     }
 
     /// The slot of `table`'s prefix trie over column `col`, added if new.
     fn trie(&mut self, table: &Sym, col: usize) -> usize {
-        let specs = self.trie_specs.entry(table.clone()).or_default();
+        let specs = self.trie_specs.entry(*table).or_default();
         position_or_push(Arc::make_mut(specs), col)
     }
 }
@@ -272,12 +272,12 @@ struct Slots {
 impl Slots {
     /// The slot of variable `v`, added on first sight.
     fn of(&mut self, v: &Sym) -> Slot {
-        position_or_push(&mut self.names, v.clone())
+        position_or_push(&mut self.names, *v)
     }
 
     fn expr(&mut self, e: &Expr) -> SlotExpr {
         match e {
-            Expr::Var(v) => SlotExpr::Var(self.of(v), v.clone()),
+            Expr::Var(v) => SlotExpr::Var(self.of(v), *v),
             Expr::Const(c) => SlotExpr::Const(c.clone()),
             Expr::Bin(op, l, r) => {
                 SlotExpr::Bin(*op, Box::new(self.expr(l)), Box::new(self.expr(r)))

@@ -201,9 +201,9 @@ impl TupleState {
 }
 
 /// The state of `node`, created empty on first use: one descent of the
-/// node map (the key it takes is a reference-count bump).
+/// node map (the key it takes is a one-word copy).
 fn node_state<'a>(nodes: &'a mut BTreeMap<NodeId, NodeState>, node: &NodeId) -> &'a mut NodeState {
-    nodes.entry(node.clone()).or_default()
+    nodes.entry(*node).or_default()
 }
 
 #[derive(Clone, Debug)]
@@ -672,9 +672,9 @@ impl<S: ProvenanceSink> Engine<S> {
     /// Schedules one [`ScheduledOp`]: its insertion or deletion.
     pub fn schedule(&mut self, op: &ScheduledOp) -> Result<()> {
         if op.delete {
-            self.schedule_delete(op.due, op.node.clone(), Arc::clone(&op.tuple))
+            self.schedule_delete(op.due, op.node, Arc::clone(&op.tuple))
         } else {
-            self.schedule_insert(op.due, op.node.clone(), Arc::clone(&op.tuple))
+            self.schedule_insert(op.due, op.node, Arc::clone(&op.tuple))
         }
     }
 
@@ -686,7 +686,7 @@ impl<S: ProvenanceSink> Engine<S> {
         schema.check(tuple)?;
         match schema.kind {
             TableKind::Derived => Err(Error::Schema {
-                table: tuple.table.clone(),
+                table: tuple.table,
                 message: "cannot insert/delete into a derived table".into(),
             }),
             _ => Ok(()),
@@ -880,14 +880,14 @@ impl<S: ProvenanceSink> Engine<S> {
         self.events.push(ProvEvent::InsertBase {
             time: now,
             since,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
         });
         if !was_present {
             self.note_appear();
             self.events.push(ProvEvent::Appear {
                 time: now,
-                node: node.clone(),
+                node,
                 tuple: Arc::clone(&tuple),
             });
             self.pending.push(Delta { node, tuple, at: now });
@@ -917,7 +917,7 @@ impl<S: ProvenanceSink> Engine<S> {
         self.events.push(ProvEvent::DeleteBase {
             time: now,
             since,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
         });
         if gone {
@@ -926,7 +926,7 @@ impl<S: ProvenanceSink> Engine<S> {
             self.events.push(ProvEvent::Disappear {
                 time: now,
                 since,
-                node: node.clone(),
+                node,
                 tuple: Arc::clone(&tuple),
             });
             self.cascade(now, &TupleRef::new(node, tuple), dependents);
@@ -953,7 +953,7 @@ impl<S: ProvenanceSink> Engine<S> {
         // head in the body tuple's own slot, so its disappearance finds
         // this derivation — taken back, last first, if the derivation
         // turns out not to be recorded after all.
-        let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
+        let head_ref = TupleRef::new(node, Arc::clone(&tuple));
         let mut stamped = Vec::with_capacity(body.len());
         for b in &body {
             let since = self
@@ -986,7 +986,7 @@ impl<S: ProvenanceSink> Engine<S> {
             entry.derivations.reserve_exact(1);
         }
         entry.derivations.push(DerivRecord {
-            rule: rule.clone(),
+            rule,
             body,
             trigger,
             time: now,
@@ -1000,7 +1000,7 @@ impl<S: ProvenanceSink> Engine<S> {
         self.events.push(ProvEvent::Derive {
             time: now,
             since,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
             rule,
             body: stamped,
@@ -1010,7 +1010,7 @@ impl<S: ProvenanceSink> Engine<S> {
             self.note_appear();
             self.events.push(ProvEvent::Appear {
                 time: now,
-                node: node.clone(),
+                node,
                 tuple: Arc::clone(&tuple),
             });
             self.pending.push(Delta { node, tuple, at: now });
@@ -1044,7 +1044,7 @@ impl<S: ProvenanceSink> Engine<S> {
             entry.derivations.retain(|d| {
                 let hit = d.body.contains(gone);
                 if hit {
-                    underived.push(d.rule.clone());
+                    underived.push(d.rule);
                 }
                 !hit
             });
@@ -1058,7 +1058,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.events.push(ProvEvent::Underive {
                     time: now,
                     since,
-                    node: head.node.clone(),
+                    node: head.node,
                     tuple: Arc::clone(&head.tuple),
                     rule,
                 });
@@ -1068,7 +1068,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.events.push(ProvEvent::Disappear {
                     time: now,
                     since,
-                    node: head.node.clone(),
+                    node: head.node,
                     tuple: Arc::clone(&head.tuple),
                 });
                 self.cascade(now, &head, dependents);
@@ -1246,8 +1246,8 @@ mod tests {
     fn derives_fig4_example() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("c", 1, 4, 4)).is_some());
         // Trigger is the last tuple to appear: b (atom index 1).
@@ -1262,11 +1262,11 @@ mod tests {
     fn join_requires_all_preconditions() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("c", 1, 4, 4)).is_none());
         // Now the missing precondition arrives; it becomes the trigger.
-        eng.schedule_insert(10, n.clone(), tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(10, n, tuple!("a", 1, 2)).unwrap();
         eng.run().unwrap();
         let st = eng.lookup(&n, &tuple!("c", 1, 4, 4)).unwrap();
         assert_eq!(st.derivations[0].trigger, 0);
@@ -1276,8 +1276,8 @@ mod tests {
     fn join_variables_must_agree() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 9, 3)).unwrap(); // y mismatch
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 9, 3)).unwrap(); // y mismatch
         eng.run().unwrap();
         assert_eq!(
             eng.nodes.get(&n).unwrap().table(&Sym::new("c")).count(),
@@ -1289,11 +1289,11 @@ mod tests {
     fn deletion_cascades_and_emits_negative_events() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("c", 1, 4, 4)).is_some());
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("c", 1, 4, 4)).is_none());
         let events = &eng.sink.events;
@@ -1306,8 +1306,8 @@ mod tests {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
         for i in 0..10 {
-            eng.schedule_insert(0, n.clone(), tuple!("a", i, i)).unwrap();
-            eng.schedule_insert(0, n.clone(), tuple!("b", i, i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("a", i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("b", i, i, i)).unwrap();
         }
         eng.run().unwrap();
         let mut appear_times: Vec<LogicalTime> = eng
@@ -1330,8 +1330,8 @@ mod tests {
             let mut eng = Engine::new(fig4_program(), VecSink::default());
             let n = NodeId::new("n1");
             for i in 0..20 {
-                eng.schedule_insert(0, n.clone(), tuple!("a", i % 5, i % 3)).unwrap();
-                eng.schedule_insert(0, n.clone(), tuple!("b", i % 5, i % 3, i)).unwrap();
+                eng.schedule_insert(0, n, tuple!("a", i % 5, i % 3)).unwrap();
+                eng.schedule_insert(0, n, tuple!("b", i % 5, i % 3, i)).unwrap();
             }
             eng.run().unwrap();
             eng.into_sink().events
@@ -1344,8 +1344,8 @@ mod tests {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
         for i in 0..10 {
-            eng.schedule_insert(0, n.clone(), tuple!("a", i, i)).unwrap();
-            eng.schedule_insert(0, n.clone(), tuple!("b", i, i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("a", i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("b", i, i, i)).unwrap();
         }
         eng.run().unwrap();
         let stats = eng.stats();
@@ -1363,11 +1363,11 @@ mod tests {
     fn peak_tuples_tracks_high_water_mark() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert_eq!(eng.stats().peak_tuples, 3); // a, b, c
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         assert_eq!(eng.stats().peak_tuples, 3); // peak unchanged after delete
     }
@@ -1394,8 +1394,8 @@ mod tests {
         let mut eng = Engine::new(program, VecSink::default());
         let n1 = NodeId::new("n1");
         let n2 = NodeId::new("n2");
-        eng.schedule_insert(0, n1.clone(), tuple!("nbr", "n2")).unwrap();
-        eng.schedule_insert(0, n1.clone(), tuple!("ping", 7)).unwrap();
+        eng.schedule_insert(0, n1, tuple!("nbr", "n2")).unwrap();
+        eng.schedule_insert(0, n1, tuple!("ping", 7)).unwrap();
         eng.run().unwrap();
         let st = eng.lookup(&n2, &tuple!("pong", 7)).unwrap();
         assert_eq!(st.derivations[0].body[0].node, n1);
@@ -1405,7 +1405,7 @@ mod tests {
     fn rejects_base_ops_on_derived_tables() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        assert!(eng.schedule_insert(0, n.clone(), tuple!("c", 1, 2, 3)).is_err());
+        assert!(eng.schedule_insert(0, n, tuple!("c", 1, 2, 3)).is_err());
         assert!(eng.schedule_delete(0, n, tuple!("c", 1, 2, 3)).is_err());
     }
 
@@ -1413,7 +1413,7 @@ mod tests {
     fn rejects_schema_violations() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        assert!(eng.schedule_insert(0, n.clone(), tuple!("a", 1)).is_err());
+        assert!(eng.schedule_insert(0, n, tuple!("a", 1)).is_err());
         assert!(eng.schedule_insert(0, n, tuple!("nosuch", 1)).is_err());
     }
 
@@ -1448,8 +1448,8 @@ mod tests {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
         for i in 0..5 {
-            eng.schedule_insert(0, n.clone(), tuple!("a", i, i)).unwrap();
-            eng.schedule_insert(0, n.clone(), tuple!("b", i, i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("a", i, i)).unwrap();
+            eng.schedule_insert(0, n, tuple!("b", i, i, i)).unwrap();
         }
         eng.run().unwrap();
         assert_eq!(eng.rule_firings().get(&Sym::new("rc")), Some(&5));
@@ -1460,10 +1460,10 @@ mod tests {
     fn duplicate_derivation_is_counted_once() {
         let mut eng = Engine::new(fig4_program(), VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         // Re-inserting the same base tuple is idempotent; no second firing.
-        eng.schedule_insert(50, n.clone(), tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(50, n, tuple!("a", 1, 2)).unwrap();
         eng.run().unwrap();
         let st = eng.lookup(&n, &tuple!("c", 1, 4, 4)).unwrap();
         assert_eq!(st.derivations.len(), 1);
@@ -1486,15 +1486,15 @@ mod tests {
             .unwrap();
         let mut eng = Engine::new(program, VecSink::default());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 0, 0)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 0, 1)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 0, 0)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 0, 1)).unwrap();
         eng.run().unwrap();
         assert_eq!(eng.lookup(&n, &tuple!("d", 1)).unwrap().support(), 2);
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 0, 0)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 0, 0)).unwrap();
         eng.run().unwrap();
         // One support gone, tuple still alive.
         assert_eq!(eng.lookup(&n, &tuple!("d", 1)).unwrap().support(), 1);
-        eng.schedule_delete(200, n.clone(), tuple!("b", 1, 0, 1)).unwrap();
+        eng.schedule_delete(200, n, tuple!("b", 1, 0, 1)).unwrap();
         eng.run().unwrap();
         assert!(eng.lookup(&n, &tuple!("d", 1)).is_none());
     }

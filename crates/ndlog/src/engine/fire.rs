@@ -363,7 +363,7 @@ impl FireCtx<'_> {
     /// `trigger`, joining the remaining atoms against the state as of the
     /// delta's appearance, appending the scheduled actions to `out`.
     fn fire_rule(&self, d: &Delta, ri: usize, trigger: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let loc = Value::Str(d.node.0.clone());
+        let loc = Value::Str(d.node.0);
         let Some(state) = self.join(d, ri, trigger, &loc, out) else {
             return Ok(());
         };
@@ -390,17 +390,17 @@ impl FireCtx<'_> {
             if !admits(compiled, rule, frame, args, &view)? {
                 continue;
             }
-            let head_node = NodeId(compiled.head_loc.eval(&frame.vals)?.as_str()?.clone());
+            let head_node = NodeId(*compiled.head_loc.eval(&frame.vals)?.as_str()?);
             let mut head_args = Vec::with_capacity(compiled.head_args.len());
             for a in &compiled.head_args {
                 head_args.push(a.eval(&frame.vals)?);
             }
-            let head = Tuple::new(rule.head.table.clone(), head_args);
+            let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
             let head = store.intern(head);
             let body = row
                 .iter()
-                .map(|t| TupleRef::new(d.node.clone(), Arc::clone(t)))
+                .map(|t| TupleRef::new(d.node, Arc::clone(t)))
                 .collect();
             let delay = if head_node == d.node {
                 0
@@ -412,7 +412,7 @@ impl FireCtx<'_> {
                 Action::InsertDerived {
                     node: head_node,
                     tuple: head,
-                    rule: rule.name.clone(),
+                    rule: rule.name,
                     slot: ri as u32,
                     body,
                     trigger: trigger as u32,
@@ -430,7 +430,7 @@ impl FireCtx<'_> {
     /// each derivation is the fence plus every contributing tuple, each
     /// once, in first-use order.
     fn fire_agg_rule(&self, d: &Delta, ri: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let loc = Value::Str(d.node.0.clone());
+        let loc = Value::Str(d.node.0);
         let Some(state) = self.join(d, ri, 0, &loc, out) else {
             return Ok(());
         };
@@ -477,7 +477,7 @@ impl FireCtx<'_> {
                 .as_int()?;
             let used = match groups.entry((head_loc, key)) {
                 Entry::Vacant(slot) => {
-                    let fence = TupleRef::new(d.node.clone(), Arc::clone(&d.tuple));
+                    let fence = TupleRef::new(d.node, Arc::clone(&d.tuple));
                     &mut slot.insert((spec.func.fold(None, input), vec![fence])).1
                 }
                 Entry::Occupied(slot) => {
@@ -487,7 +487,7 @@ impl FireCtx<'_> {
                 }
             };
             for t in &row[1..] {
-                let r = TupleRef::new(d.node.clone(), Arc::clone(t));
+                let r = TupleRef::new(d.node, Arc::clone(t));
                 if !used.contains(&r) {
                     used.push(r);
                 }
@@ -495,8 +495,8 @@ impl FireCtx<'_> {
         }
         for ((head_loc, mut head_args), (acc, body)) in groups {
             head_args.insert(spec.head_index, Value::Int(acc));
-            let head_node = NodeId(head_loc.as_str()?.clone());
-            let head = Tuple::new(rule.head.table.clone(), head_args);
+            let head_node = NodeId(*head_loc.as_str()?);
+            let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
             let head = store.intern(head);
             let delay = if head_node == d.node {
@@ -509,7 +509,7 @@ impl FireCtx<'_> {
                 Action::InsertDerived {
                     node: head_node,
                     tuple: head,
-                    rule: rule.name.clone(),
+                    rule: rule.name,
                     slot: ri as u32,
                     body,
                     trigger: 0,

@@ -384,7 +384,7 @@ impl NodeState {
         now: LogicalTime,
     ) -> &mut TupleState {
         self.tables
-            .entry(tuple.table.clone())
+            .entry(tuple.table)
             .or_insert_with(|| {
                 let specs = program.and_then(|p| p.index_specs_for(&tuple.table));
                 let tries = program.and_then(|p| p.trie_specs_for(&tuple.table));

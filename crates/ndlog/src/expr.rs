@@ -14,10 +14,9 @@
 //! # The environment
 //!
 //! [`Env`] — a set of variable bindings by name — is one flat row of
-//! `(name, value)` pairs kept sorted by name, looked up by pointer before
-//! by string (the parser gives every occurrence of a variable in a rule
-//! one `Sym`). Its callers bind a handful of variables per rule and look
-//! each up a few times: the reference evaluator (`crate::reference`),
+//! `(name, value)` pairs kept sorted by name and found by binary search.
+//! Its callers bind a handful of variables per rule and look each up a
+//! few times: the reference evaluator (`crate::reference`),
 //! DiffProv's taint and formula reasoning and `whynot`. The engine does
 //! not use it: a rule it fires is compiled to slots (`crate::compile`).
 //! The row is *sorted* because its iteration order is observable:
@@ -44,15 +43,9 @@ impl Env {
         Env::default()
     }
 
-    /// Where `name` is (`Ok`) or would be inserted (`Err`). A rule's own
-    /// `Sym` for the variable is usually the one that bound it, so the
-    /// one-word pointer test runs first and the string compares only on
-    /// a miss.
+    /// Where `name` is (`Ok`) or would be inserted (`Err`).
     fn find(&self, name: &Sym) -> std::result::Result<usize, usize> {
-        match self.row.iter().position(|(k, _)| k.ptr_eq(name)) {
-            Some(i) => Ok(i),
-            None => self.row.binary_search_by(|(k, _)| k.as_str().cmp(name.as_str())),
-        }
+        self.row.binary_search_by(|(k, _)| k.cmp(name))
     }
 
     /// The value bound to `name`, if any.
@@ -321,7 +314,7 @@ impl Expr {
         match self {
             Expr::Var(v) => {
                 if !out.contains(v) {
-                    out.push(v.clone());
+                    out.push(*v);
                 }
             }
             Expr::Const(_) => {}
@@ -382,7 +375,7 @@ impl Expr {
                         Ok(Vec::new()) // no preimage: conflict
                     }
                 } else {
-                    Ok(vec![(v.clone(), target.clone())])
+                    Ok(vec![(*v, target.clone())])
                 }
             }
             Expr::Const(c) => {
@@ -725,10 +718,11 @@ mod tests {
     #[test]
     fn env_is_a_name_sorted_map() {
         use std::collections::BTreeMap;
-        // Two `Sym`s per name: equal content, distinct allocations.
+        // Two `Sym`s per name, one made from a `&str` and one from a
+        // `String`: equal names are one symbol.
         let names: Vec<[Sym; 2]> = ["Z", "a", "Dst", "Prio", "S", "Src", "X", "Y", "aa", "Pt", "b", "Next"]
             .iter()
-            .map(|n| [Sym::new(n), Sym::new(n)])
+            .map(|n| [Sym::new(n), Sym::from(n.to_string())])
             .collect();
         for seed in 0..64 {
             let mut rng = dp_types::DetRng::seed_from_u64(seed);
@@ -736,11 +730,11 @@ mod tests {
             for step in 0..400 {
                 let name = &names[rng.gen_range_usize(0, names.len())];
                 let (key, probe) = (&name[step % 2], &name[(step + 1) % 2]);
-                assert!(!key.ptr_eq(probe) && key == probe);
+                assert!(key == probe && key.as_str().as_ptr() == probe.as_str().as_ptr());
                 match rng.gen_range_usize(0, 3) {
                     0 => {
                         let v = Value::Int(rng.gen_range_i64(0, 1_000));
-                        assert_eq!(env.insert(key.clone(), v.clone()), map.insert(key.clone(), v));
+                        assert_eq!(env.insert(*key, v.clone()), map.insert(*key, v));
                     }
                     1 => assert_eq!(env.remove(probe), map.remove(probe)),
                     _ => {
@@ -754,7 +748,7 @@ mod tests {
                 assert!(env.iter().eq(map.iter()), "seed {seed} step {step}: {env:?} vs {map:?}");
                 assert!((&env).into_iter().eq(&map), "seed {seed} step {step}");
             }
-            let rebuilt: Env = map.iter().rev().map(|(k, v)| (k.clone(), v.clone())).collect();
+            let rebuilt: Env = map.iter().rev().map(|(k, v)| (*k, v.clone())).collect();
             assert_eq!(rebuilt, env, "seed {seed}: collected in any order, sorted all the same");
         }
     }

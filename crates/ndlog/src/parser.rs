@@ -29,7 +29,7 @@ use crate::expr::{BinOp, Expr, Func};
 /// Parses a whole program: a sequence of rules.
 pub fn parse_rules(src: &str) -> Result<Vec<Rule>> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, vars: Vec::new() };
+    let mut p = Parser { tokens, pos: 0 };
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
@@ -50,7 +50,7 @@ pub fn parse_rule(src: &str) -> Result<Rule> {
 /// front-end).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, vars: Vec::new() };
+    let mut p = Parser { tokens, pos: 0 };
     let e = p.expr()?;
     if !p.at_end() {
         return Err(Error::Parse(format!("trailing input after expression: {src:?}")));
@@ -182,11 +182,6 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
-    /// The variables of the rule being parsed: every occurrence of one
-    /// name shares one `Sym`, so an environment lookup by a rule's own
-    /// `Sym` is a pointer match (see `Env`), and so is the slot-table
-    /// lookup that compiles the rule for the engine.
-    vars: Vec<Sym>,
 }
 
 impl Parser {
@@ -236,18 +231,7 @@ impl Parser {
     }
 
     /// `name head :- body .`
-    /// The rule-wide `Sym` of variable `name`.
-    fn var(&mut self, name: &str) -> Sym {
-        if let Some(v) = self.vars.iter().find(|v| v.as_str() == name) {
-            return v.clone();
-        }
-        let v = Sym::new(name);
-        self.vars.push(v.clone());
-        v
-    }
-
     fn rule(&mut self) -> Result<Rule> {
-        self.vars.clear();
         let name = self.ident()?;
         let (head, agg) = self.head_atom()?;
         self.expect(":-")?;
@@ -265,7 +249,7 @@ impl Parser {
         if body.is_empty() {
             return Err(Error::Parse(format!("rule {name} has no body atoms")));
         }
-        let loc = body[0].loc.clone();
+        let loc = body[0].loc;
         for b in &body {
             if b.loc != loc {
                 return Err(Error::Parse(format!(
@@ -311,14 +295,14 @@ impl Parser {
                         ));
                     }
                     self.pos += 2; // marker, '('
-                    let var = self.ident()?;
+                    let var = Sym::new(self.ident()?);
                     self.expect(")")?;
                     agg = Some(AggSpec {
                         func,
-                        var: self.var(&var),
+                        var,
                         head_index: args.len(),
                     });
-                    args.push(Expr::Var(self.var(&var)));
+                    args.push(Expr::Var(var));
                     continue;
                 }
             }
@@ -359,7 +343,7 @@ impl Parser {
                         self.expect(")")?;
                         body.push(BodyAtom {
                             table: Sym::new(name),
-                            loc: self.var(&loc),
+                            loc: Sym::new(&loc),
                             args,
                         });
                         return Ok(());
@@ -389,7 +373,7 @@ impl Parser {
                     self.pos += 2; // ident, ':='
                     let expr = self.expr()?;
                     assigns.push(Assign {
-                        var: self.var(&name),
+                        var: Sym::new(name),
                         expr,
                     });
                     return Ok(());
@@ -416,7 +400,7 @@ impl Parser {
                     // `_` lexes as an identifier; every occurrence is an
                     // independent wildcard, not a shared variable.
                     "_" => Ok(Pattern::Wildcard),
-                    _ => Ok(Pattern::Var(self.var(&name))),
+                    _ => Ok(Pattern::Var(Sym::new(name))),
                 }
             }
             _ => {
@@ -585,7 +569,7 @@ impl Parser {
                     match name.as_str() {
                         "true" => Ok(Expr::val(true)),
                         "false" => Ok(Expr::val(false)),
-                        _ => Ok(Expr::Var(self.var(&name))),
+                        _ => Ok(Expr::Var(Sym::new(name))),
                     }
                 }
             }
@@ -646,8 +630,8 @@ mod tests {
             if name == &Sym::new("best_match") && args.len() == 3));
     }
 
-    /// Every occurrence of a variable in one rule is one `Sym` allocation
-    /// (so `Env` finds it by pointer); two rules do not share.
+    /// Every occurrence of a variable is one symbol — within a rule and
+    /// across rules, as for any two equal names.
     #[test]
     fn a_rules_variables_share_one_sym() {
         let rules = parse_rules(
@@ -655,22 +639,24 @@ mod tests {
              r2 out(@S, Src, Src) :- pkt(@S, Src, _).",
         )
         .unwrap();
+        let same = |a: &Sym, b: &Sym| a == b && a.as_str().as_ptr() == b.as_str().as_ptr();
         let r = &rules[0];
         let (Pattern::Var(src), Pattern::Var(c)) = (&r.body[0].args[0], &r.body[0].args[1]) else {
             panic!("patterns: {:?}", r.body[0].args);
         };
-        assert!(r.body[0].loc.ptr_eq(&r.body[1].loc));
-        assert!(matches!(&r.body[1].args[0], Pattern::Var(v) if v.ptr_eq(c)));
-        assert!(matches!(&r.head.args[0], Expr::Var(v) if v.ptr_eq(src)));
+        assert!(same(&r.body[0].loc, &r.body[1].loc));
+        assert!(matches!(&r.body[1].args[0], Pattern::Var(v) if same(v, c)));
+        assert!(matches!(&r.head.args[0], Expr::Var(v) if same(v, src)));
         let (Pattern::Var(next), Expr::Var(head_loc)) = (&r.body[1].args[1], &r.head.loc) else {
             panic!("head location: {:?}", r.head.loc);
         };
-        assert!(next.ptr_eq(head_loc));
+        assert!(same(next, head_loc));
         let mut in_assign = Vec::new();
         r.assigns[0].expr.vars(&mut in_assign);
-        assert!(in_assign.iter().any(|v| v.ptr_eq(c)) && in_assign.iter().any(|v| v.ptr_eq(src)));
-        assert!(matches!(&r.head.args[1], Expr::Var(v) if v.ptr_eq(&r.assigns[0].var)));
-        assert!(matches!(&rules[1].body[0].args[0], Pattern::Var(v) if v == src && !v.ptr_eq(src)));
+        assert!(in_assign.iter().any(|v| same(v, c)) && in_assign.iter().any(|v| same(v, src)));
+        assert!(matches!(&r.head.args[1], Expr::Var(v) if same(v, &r.assigns[0].var)));
+        assert!(matches!(&rules[1].body[0].args[0], Pattern::Var(v) if same(v, src)));
+        assert!(!same(src, c));
     }
 
     #[test]

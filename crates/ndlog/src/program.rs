@@ -303,7 +303,7 @@ impl Program {
         for (builtin, args) in builtins {
             let frame = match &frame {
                 Some(f) => f,
-                None => match compiled.frame_of(&Value::Str(node.0.clone()), body) {
+                None => match compiled.frame_of(&Value::Str(node.0), body) {
                     Some(f) => frame.insert(f),
                     None => return Reads::Anything,
                 },
@@ -356,7 +356,7 @@ impl Program {
     /// The name of the rule (or, past the rules, the native) in `slot`.
     pub(crate) fn slot_name(&self, slot: usize) -> Sym {
         match self.rules.get(slot) {
-            Some(rule) => rule.name.clone(),
+            Some(rule) => rule.name,
             None => self.natives[slot - self.rules.len()].name(),
         }
     }
@@ -425,13 +425,13 @@ impl ProgramBuilder {
             let head_schema = self.schemas.require(&rule.head.table)?;
             if head_schema.kind != dp_types::TableKind::Derived {
                 return Err(Error::Schema {
-                    table: rule.head.table.clone(),
+                    table: rule.head.table,
                     message: format!("rule {} derives into a non-derived table", rule.name),
                 });
             }
             if head_schema.arity() != rule.head.args.len() {
                 return Err(Error::Schema {
-                    table: rule.head.table.clone(),
+                    table: rule.head.table,
                     message: format!(
                         "rule {}: head arity {} != declared {}",
                         rule.name,
@@ -444,7 +444,7 @@ impl ProgramBuilder {
                 let schema = self.schemas.require(&atom.table)?;
                 if schema.arity() != atom.args.len() {
                     return Err(Error::Schema {
-                        table: atom.table.clone(),
+                        table: atom.table,
                         message: format!(
                             "rule {}: atom arity {} != declared {}",
                             rule.name,
@@ -453,7 +453,7 @@ impl ProgramBuilder {
                         ),
                     });
                 }
-                rule_triggers.entry(atom.table.clone()).or_default().push((ri, ai));
+                rule_triggers.entry(atom.table).or_default().push((ri, ai));
             }
             // Fails on the first unregistered builtin, in constraint order.
             compiled.push(compile(rule, &mut registry, &self.builtins)?);

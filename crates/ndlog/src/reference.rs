@@ -143,15 +143,15 @@ pub fn evaluate(
         program.schemas.check(&op.tuple)?;
         if program.schemas.kind(&op.tuple.table)? == TableKind::Derived {
             return Err(Error::Schema {
-                table: op.tuple.table.clone(),
+                table: op.tuple.table,
                 message: "cannot insert/delete into a derived table".into(),
             });
         }
         let tuple = Arc::clone(&op.tuple);
         let action = if op.delete {
-            Action::Delete(op.node.clone(), tuple)
+            Action::Delete(op.node, tuple)
         } else {
-            Action::Insert(op.node.clone(), tuple)
+            Action::Insert(op.node, tuple)
         };
         o.push(op.due, action);
     }
@@ -192,7 +192,7 @@ impl Oracle<'_> {
     fn insert_base(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let entry = self
             .nodes
-            .entry(node.clone())
+            .entry(node)
             .or_default()
             .entry(&tuple, None, now);
         if entry.base {
@@ -206,7 +206,7 @@ impl Oracle<'_> {
         self.sink.record(ProvEvent::InsertBase {
             time: now,
             since: entry.appeared_at,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
         });
         if appears {
@@ -227,7 +227,7 @@ impl Oracle<'_> {
         self.sink.record(ProvEvent::DeleteBase {
             time: now,
             since: entry.appeared_at,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
         });
         if gone {
@@ -245,7 +245,7 @@ impl Oracle<'_> {
         };
         let entry = self
             .nodes
-            .entry(d.node.clone())
+            .entry(d.node)
             .or_default()
             .entry(&d.tuple, None, now);
         if entry
@@ -257,7 +257,7 @@ impl Oracle<'_> {
         }
         let appears = entry.support() == 0;
         entry.derivations.push(DerivRecord {
-            rule: d.rule.clone(),
+            rule: d.rule,
             body: d.body.clone(),
             trigger: d.trigger,
             time: now,
@@ -266,7 +266,7 @@ impl Oracle<'_> {
             entry.appeared_at = now;
         }
         let since = entry.appeared_at;
-        let head = TupleRef::new(d.node.clone(), Arc::clone(&d.tuple));
+        let head = TupleRef::new(d.node, Arc::clone(&d.tuple));
         for b in &d.body {
             self.used_by
                 .entry(b.clone())
@@ -276,7 +276,7 @@ impl Oracle<'_> {
         self.sink.record(ProvEvent::Derive {
             time: now,
             since,
-            node: d.node.clone(),
+            node: d.node,
             tuple: Arc::clone(&d.tuple),
             rule: d.rule,
             body,
@@ -292,7 +292,7 @@ impl Oracle<'_> {
     fn appear(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         self.sink.record(ProvEvent::Appear {
             time: now,
-            node: node.clone(),
+            node,
             tuple: Arc::clone(&tuple),
         });
         for (due, d) in self.firings(now, &node, &tuple)? {
@@ -316,7 +316,7 @@ impl Oracle<'_> {
         self.sink.record(ProvEvent::Disappear {
             time: now,
             since,
-            node: gone.node.clone(),
+            node: gone.node,
             tuple: Arc::clone(&gone.tuple),
         });
         for head in self.used_by.remove(&gone).unwrap_or_default() {
@@ -340,7 +340,7 @@ impl Oracle<'_> {
                 self.sink.record(ProvEvent::Underive {
                     time: now,
                     since,
-                    node: head.node.clone(),
+                    node: head.node,
                     tuple: Arc::clone(&head.tuple),
                     rule: r.rule,
                 });
@@ -419,7 +419,7 @@ impl Oracle<'_> {
             return out;
         };
         let mut env = Env::new();
-        env.insert(rule.body[trigger].loc.clone(), Value::Str(node.0.clone()));
+        env.insert(rule.body[trigger].loc, Value::Str(node.0));
         if bind(&rule.body[trigger], tuple, &mut env) {
             let mut body = vec![tuple; rule.body.len()];
             extend(state, rule, trigger, 0, &env, &mut body, &mut out);
@@ -476,7 +476,7 @@ impl Oracle<'_> {
         body: Vec<TupleRef>,
         trigger: usize,
     ) -> Result<(LogicalTime, Delivery)> {
-        let head = Tuple::new(rule.head.table.clone(), args);
+        let head = Tuple::new(rule.head.table, args);
         self.program.schemas.check(&head)?;
         let delay = if to == *node { 0 } else { rule.link_delay };
         Ok((
@@ -484,7 +484,7 @@ impl Oracle<'_> {
             Delivery {
                 node: to,
                 tuple: Arc::new(head),
-                rule: rule.name.clone(),
+                rule: rule.name,
                 body,
                 trigger,
             },
@@ -504,7 +504,7 @@ impl Oracle<'_> {
             if !self.admits(node, rule, &mut env)? {
                 continue;
             }
-            let to = NodeId(rule.head.loc.eval(&env)?.as_str()?.clone());
+            let to = NodeId(*rule.head.loc.eval(&env)?.as_str()?);
             let args = rule
                 .head
                 .args
@@ -513,7 +513,7 @@ impl Oracle<'_> {
                 .collect::<Result<Vec<_>>>()?;
             let body = body
                 .into_iter()
-                .map(|t| TupleRef::new(node.clone(), t))
+                .map(|t| TupleRef::new(*node, t))
                 .collect();
             out.push(self.send(now, node, rule, to, args, body, trigger)?);
         }
@@ -555,10 +555,10 @@ impl Oracle<'_> {
                 .as_int()?;
             let (acc, used) = groups
                 .entry((loc, key))
-                .or_insert_with(|| (None, vec![TupleRef::new(node.clone(), Arc::clone(tuple))]));
+                .or_insert_with(|| (None, vec![TupleRef::new(*node, Arc::clone(tuple))]));
             *acc = Some(spec.func.fold(*acc, input));
             for t in &body[1..] {
-                let r = TupleRef::new(node.clone(), *t);
+                let r = TupleRef::new(*node, *t);
                 if !used.contains(&r) {
                     used.push(r);
                 }
@@ -567,7 +567,7 @@ impl Oracle<'_> {
         for ((loc, mut args), (acc, used)) in groups {
             let acc = acc.expect("every group folded at least one match");
             args.insert(spec.head_index, Value::Int(acc));
-            let to = NodeId(loc.as_str()?.clone());
+            let to = NodeId(*loc.as_str()?);
             out.push(self.send(now, node, rule, to, args, used, 0)?);
         }
         Ok(())

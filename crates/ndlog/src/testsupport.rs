@@ -38,7 +38,7 @@ pub type Tables = Vec<(NodeId, Tuple, TupleState)>;
 /// Flattens a node map into [`Tables`].
 pub fn tables<'a>(nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>) -> Tables {
     nodes
-        .flat_map(|(node, st)| st.all().map(move |(t, s)| (node.clone(), t.clone(), s.clone())))
+        .flat_map(|(node, st)| st.all().map(move |(t, s)| (*node, t.clone(), s.clone())))
         .collect()
 }
 
@@ -109,7 +109,7 @@ pub fn assert_matches_reference(program: &Program, ops: &[ScheduledOp], got: &Ou
             ProvEvent::DeleteBase { .. } => counts[1] += 1,
             ProvEvent::Derive { rule, .. } => {
                 counts[2] += 1;
-                *firings.entry(rule.clone()).or_default() += 1;
+                *firings.entry(*rule).or_default() += 1;
             }
             ProvEvent::Underive { .. } => counts[3] += 1,
             ProvEvent::Appear { .. } => {
@@ -657,17 +657,17 @@ pub mod nodegen {
             let node = NodeId::new(*name);
             sched.push(ScheduledOp::insert(
                 0,
-                node.clone(),
+                node,
                 tuple!("ln", i as i64, 0i64),
             ));
             for _ in 0..rng_topo.gen_range_usize(1, 3) {
                 let next = NODES[rng_topo.gen_range_usize(0, NODES.len())];
-                sched.push(ScheduledOp::insert(0, node.clone(), tuple!("nbr", next)));
+                sched.push(ScheduledOp::insert(0, node, tuple!("nbr", next)));
             }
             if rng_topo.gen_bool(0.5) {
                 sched.push(ScheduledOp::insert(
                     rng_topo.gen_range_u64(3, 7),
-                    node.clone(),
+                    node,
                     tuple!("fence", 1i64),
                 ));
             }

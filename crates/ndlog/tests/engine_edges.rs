@@ -98,7 +98,7 @@ fn stateful_builtin_gates_derivations() {
     // Spaced insertions: each derivation lands before the next stimulus,
     // so the gate sees the up-to-date count.
     for i in 0..5u64 {
-        eng.schedule_insert(i * 100, n.clone(), tuple!("e", i as i64)).unwrap();
+        eng.schedule_insert(i * 100, n, tuple!("e", i as i64)).unwrap();
     }
     eng.run().unwrap();
     let derived = eng
@@ -122,9 +122,9 @@ fn native_emissions_are_schema_checked() {
         fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
             // Wrong arity for table d.
             out.emit(
-                view.node.clone(),
+                *view.node,
                 Tuple::new("d", vec![Value::Int(1), Value::Int(2)]),
-                vec![TupleRef::new(view.node.clone(), trigger.clone())],
+                vec![TupleRef::new(*view.node, trigger.clone())],
             );
             Ok(())
         }
@@ -155,9 +155,9 @@ fn self_join_fires_for_both_trigger_positions() {
         .unwrap();
     let mut eng = Engine::new(program, VecSink::default());
     let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("p", 1)).unwrap();
-    eng.schedule_insert(10, n.clone(), tuple!("p", 2)).unwrap();
-    eng.schedule_insert(20, n.clone(), tuple!("p", 3)).unwrap();
+    eng.schedule_insert(0, n, tuple!("p", 1)).unwrap();
+    eng.schedule_insert(10, n, tuple!("p", 2)).unwrap();
+    eng.schedule_insert(20, n, tuple!("p", 3)).unwrap();
     eng.run().unwrap();
     let pairs: Vec<Tuple> = eng
         .view(&n)
@@ -367,8 +367,8 @@ fn remote_delivery_respects_link_delay_ordering() {
         .unwrap();
     let mut eng = Engine::new(program, VecSink::default());
     let n1 = NodeId::new("n1");
-    eng.schedule_insert(0, n1.clone(), tuple!("nbr", "n2")).unwrap();
-    eng.schedule_insert(100, n1.clone(), tuple!("ping", 7)).unwrap();
+    eng.schedule_insert(0, n1, tuple!("nbr", "n2")).unwrap();
+    eng.schedule_insert(100, n1, tuple!("ping", 7)).unwrap();
     eng.run().unwrap();
     // The remote pong appears strictly after the ping (link delay >= 1).
     let events = eng.sink().events.clone();
@@ -421,10 +421,10 @@ fn aggregation_rules_group_and_fold() {
         .unwrap();
     let mut eng = Engine::new(program, VecSink::default());
     let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "a", 2, 1)).unwrap();
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "a", 5, 2)).unwrap();
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "b", 7, 3)).unwrap();
-    eng.schedule_insert(1_000, n.clone(), tuple!("fence", 1)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "a", 2, 1)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "a", 5, 2)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "b", 7, 3)).unwrap();
+    eng.schedule_insert(1_000, n, tuple!("fence", 1)).unwrap();
     eng.run().unwrap();
     let view = eng.view(&n).unwrap();
     let totals: Vec<Tuple> = view.table(&Sym::new("total")).cloned().collect();
@@ -456,9 +456,9 @@ fn aggregation_provenance_reports_all_contributors() {
         .unwrap();
     let mut eng = Engine::new(program, NullSink);
     let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "a", 2, 1)).unwrap();
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "a", 5, 2)).unwrap();
-    eng.schedule_insert(1_000, n.clone(), tuple!("fence", 1)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "a", 2, 1)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "a", 5, 2)).unwrap();
+    eng.schedule_insert(1_000, n, tuple!("fence", 1)).unwrap();
     eng.run().unwrap();
     let st = eng.lookup(&n, &tuple!("total", "a", 7)).unwrap();
     assert_eq!(st.derivations.len(), 1);
@@ -489,9 +489,9 @@ fn aggregation_ignores_tuples_after_the_fence() {
         .unwrap();
     let mut eng = Engine::new(program, NullSink);
     let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("obs", "a", 2, 1)).unwrap();
-    eng.schedule_insert(100, n.clone(), tuple!("fence", 1)).unwrap();
-    eng.schedule_insert(10_000, n.clone(), tuple!("obs", "a", 40, 2)).unwrap();
+    eng.schedule_insert(0, n, tuple!("obs", "a", 2, 1)).unwrap();
+    eng.schedule_insert(100, n, tuple!("fence", 1)).unwrap();
+    eng.schedule_insert(10_000, n, tuple!("obs", "a", 40, 2)).unwrap();
     eng.run().unwrap();
     assert!(eng.lookup(&n, &tuple!("total", "a", 2)).is_some());
     assert!(eng.lookup(&n, &tuple!("total", "a", 42)).is_none());
@@ -658,8 +658,8 @@ fn self_join_counters_count_each_body_once() {
         .unwrap();
     let mut eng = Engine::new(program, NullSink);
     let n = NodeId::new("n");
-    eng.schedule_insert(0, n.clone(), tuple!("s", 1, 5)).unwrap();
-    eng.schedule_insert(100, n.clone(), tuple!("s", 1, 7)).unwrap();
+    eng.schedule_insert(0, n, tuple!("s", 1, 5)).unwrap();
+    eng.schedule_insert(100, n, tuple!("s", 1, 7)).unwrap();
     eng.run().unwrap();
     let pairs: Vec<Tuple> = eng
         .view(&n)
@@ -797,14 +797,14 @@ fn trie_counters_are_pinned() {
     let mut eng = Engine::new(program, NullSink);
     let n = NodeId::new("n");
     for (p, v) in [("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("0.0.0.0/0", 3)] {
-        eng.schedule_insert(0, n.clone(), tuple!("rt", cidr(p), v)).unwrap();
+        eng.schedule_insert(0, n, tuple!("rt", cidr(p), v)).unwrap();
     }
     // Two packet triggers: each runs the rt step once, as a trie probe.
-    eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("10.1.2.3")))).unwrap();
-    eng.schedule_insert(1, n.clone(), tuple!("pk", Value::Ip(ip("11.0.0.1")))).unwrap();
+    eng.schedule_insert(1, n, tuple!("pk", Value::Ip(ip("10.1.2.3")))).unwrap();
+    eng.schedule_insert(1, n, tuple!("pk", Value::Ip(ip("11.0.0.1")))).unwrap();
     // An rt trigger scans pk (the constraint column is already
     // bound) — not trie-eligible, so it moves neither counter.
-    eng.schedule_insert(2, n.clone(), tuple!("rt", cidr("12.0.0.0/8"), 4)).unwrap();
+    eng.schedule_insert(2, n, tuple!("rt", cidr("12.0.0.0/8"), 4)).unwrap();
     eng.run().unwrap();
     let stats = eng.stats();
     assert_eq!(stats.trie_probes, 2);
@@ -857,15 +857,15 @@ fn trie_pick_breaks_estimate_ties_by_column() {
         ("11.0.0.0/8", "10.1.0.0/16", 3),  // e3
         ("11.1.0.0/16", "10.1.0.0/24", 5), // e5
     ] {
-        eng.schedule_insert(0, n.clone(), tuple!("rt", cidr(m1), cidr(m2), v)).unwrap();
+        eng.schedule_insert(0, n, tuple!("rt", cidr(m1), cidr(m2), v)).unwrap();
     }
     // Same tick: the packet arrives, then e4 (m1 hit, m2 miss) lands. At
     // flush time both tries estimate 3 — m1 holds {e1, e2, e4}, m2 holds
     // {e2, e3, e5} — but e4 is behind the packet's horizon, so probing m1
     // walks 2 candidates where m2 would walk 3.
-    eng.schedule_insert(5, n.clone(), tuple!("pk", Value::Ip(ip("10.0.0.1")), Value::Ip(ip("10.1.0.1"))))
+    eng.schedule_insert(5, n, tuple!("pk", Value::Ip(ip("10.0.0.1")), Value::Ip(ip("10.1.0.1"))))
         .unwrap();
-    eng.schedule_insert(5, n.clone(), tuple!("rt", cidr("10.0.0.0/24"), cidr("12.1.0.0/16"), 4))
+    eng.schedule_insert(5, n, tuple!("rt", cidr("10.0.0.0/24"), cidr("12.1.0.0/16"), 4))
         .unwrap();
     eng.run().unwrap();
     let stats = eng.stats();
@@ -910,10 +910,10 @@ fn messages_to_undeclared_nodes_do_not_panic() {
     let ghost = NodeId::new("ghost");
     // A deletion scheduled against a node with no state is a no-op,
     // not a panic (the tuple can't exist there).
-    eng.schedule_delete(0, ghost.clone(), tuple!("nbr", "x")).unwrap();
+    eng.schedule_delete(0, ghost, tuple!("nbr", "x")).unwrap();
     // The fwd rule routes pong to "ghost", which has no state when the
     // tuple arrives; the ack rule then fires *at* the undeclared node.
-    eng.schedule_insert(1, n.clone(), tuple!("nbr", "ghost")).unwrap();
+    eng.schedule_insert(1, n, tuple!("nbr", "ghost")).unwrap();
     eng.schedule_insert(2, n, tuple!("ping", 7)).unwrap();
     eng.run().unwrap();
     assert!(eng.lookup(&ghost, &tuple!("pong", 7)).is_some());
@@ -988,12 +988,12 @@ fn cross_node_messages_within_one_batch_match_the_oracle() {
     // Mutual neighbours, so due-5 ping batches on *both* nodes send heads
     // to the other node in both directions at once.
     let mut ops = vec![
-        ScheduledOp::insert(0, a.clone(), tuple!("nbr", b.as_str())),
-        ScheduledOp::insert(0, b.clone(), tuple!("nbr", a.as_str())),
+        ScheduledOp::insert(0, a, tuple!("nbr", b.as_str())),
+        ScheduledOp::insert(0, b, tuple!("nbr", a.as_str())),
     ];
     for v in 0..6i64 {
-        ops.push(ScheduledOp::insert(5, a.clone(), tuple!("ping", v)));
-        ops.push(ScheduledOp::insert(5, b.clone(), tuple!("ping", v + 100)));
+        ops.push(ScheduledOp::insert(5, a, tuple!("ping", v)));
+        ops.push(ScheduledOp::insert(5, b, tuple!("ping", v + 100)));
     }
     let got = run_checked(&program, &ops);
     assert!(table_of(&got, b.as_str(), "pong").contains(&tuple!("pong", 0)));
@@ -1035,17 +1035,17 @@ fn budget_tripped_mid_cascade_resumes_cleanly() {
     let program = ping_pong_program();
     let (a, b) = node_pair();
     let schedule = |eng: &mut Engine<VecSink>| {
-        eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
-        eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
+        eng.schedule_insert(0, a, tuple!("nbr", b.as_str())).unwrap();
+        eng.schedule_insert(0, b, tuple!("nbr", a.as_str())).unwrap();
         for v in 0..4i64 {
-            eng.schedule_insert(5, a.clone(), tuple!("seed", v * 1000)).unwrap();
+            eng.schedule_insert(5, a, tuple!("seed", v * 1000)).unwrap();
         }
     };
     let fixpoint = |eng: &Engine<VecSink>| -> Vec<(NodeId, Tuple, usize)> {
         eng.nodes()
             .flat_map(|(node, st)| {
                 st.all()
-                    .map(|(t, s)| (node.clone(), t.clone(), s.support()))
+                    .map(|(t, s)| (*node, t.clone(), s.support()))
                     .collect::<Vec<_>>()
             })
             .collect()
@@ -1089,12 +1089,12 @@ fn a_run_paused_at_quiescence_emits_the_uninterrupted_stream() {
     let program = ping_pong_program();
     let (a, b) = node_pair();
     let phase1 = |eng: &mut Engine<VecSink>| {
-        eng.schedule_insert(0, a.clone(), tuple!("nbr", b.as_str())).unwrap();
-        eng.schedule_insert(0, b.clone(), tuple!("nbr", a.as_str())).unwrap();
-        eng.schedule_insert(5, a.clone(), tuple!("seed", 395i64)).unwrap();
+        eng.schedule_insert(0, a, tuple!("nbr", b.as_str())).unwrap();
+        eng.schedule_insert(0, b, tuple!("nbr", a.as_str())).unwrap();
+        eng.schedule_insert(5, a, tuple!("seed", 395i64)).unwrap();
     };
     let phase2 = |eng: &mut Engine<VecSink>| {
-        eng.schedule_insert(2000, b.clone(), tuple!("seed", 398i64)).unwrap();
+        eng.schedule_insert(2000, b, tuple!("seed", 398i64)).unwrap();
     };
 
     let mut once = Engine::new(program.clone(), VecSink::default());
@@ -1144,10 +1144,10 @@ fn same_batch_support_swap_opens_a_fresh_episode() {
     let n = NodeId::new("n");
     let mut eng = Engine::new(Arc::clone(&program), GraphRecorder::new());
     // d(1) appears, supported by a(1,1).
-    eng.schedule_insert(1, n.clone(), tuple!("a", 1, 1)).unwrap();
+    eng.schedule_insert(1, n, tuple!("a", 1, 1)).unwrap();
     // Same due: the only support dies and a replacement re-derives d(1).
-    eng.schedule_delete(10, n.clone(), tuple!("a", 1, 1)).unwrap();
-    eng.schedule_insert(10, n.clone(), tuple!("a", 1, 2)).unwrap();
+    eng.schedule_delete(10, n, tuple!("a", 1, 1)).unwrap();
+    eng.schedule_insert(10, n, tuple!("a", 1, 2)).unwrap();
     eng.run().unwrap();
     let graph = eng.into_sink().finish();
 
@@ -1173,9 +1173,9 @@ impl NativeRule for EchoLate {
     }
     fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
         out.emit_delayed(
-            view.node.clone(),
+            *view.node,
             Tuple::new("g", vec![trigger.args[0].clone()]),
-            vec![TupleRef::new(view.node.clone(), trigger.clone())],
+            vec![TupleRef::new(*view.node, trigger.clone())],
             2,
         );
         Ok(())
@@ -1284,9 +1284,9 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
         .unwrap();
     let n = NodeId::new("n");
     let mut eng = Engine::new(program, VecSink::default());
-    eng.schedule_insert(3, n.clone(), tuple!("q", 1)).unwrap();
-    eng.schedule_insert(3, n.clone(), tuple!("q", "oops")).unwrap();
-    eng.schedule_insert(3, n.clone(), tuple!("q", 3)).unwrap();
+    eng.schedule_insert(3, n, tuple!("q", 1)).unwrap();
+    eng.schedule_insert(3, n, tuple!("q", "oops")).unwrap();
+    eng.schedule_insert(3, n, tuple!("q", 3)).unwrap();
     let err = eng.run().expect_err("comparing a string with an integer is a type error");
     assert!(matches!(err, dp_types::Error::Type { .. }), "{err}");
     // The applied insertions are in the stream; no derivation is.
@@ -1298,10 +1298,10 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
 
     // A later stimulus fires on its own: d(5) only, at the next ticks —
     // d(1) from the failed batch does not ride along.
-    eng.schedule_insert(100, n.clone(), tuple!("q", 5)).unwrap();
+    eng.schedule_insert(100, n, tuple!("q", 5)).unwrap();
     eng.run().unwrap();
     let q5 = || BodyRef {
-        tref: TupleRef::new(n.clone(), tuple!("q", 5)),
+        tref: TupleRef::new(n, tuple!("q", 5)),
         since: 100,
     };
     assert_eq!(
@@ -1310,20 +1310,20 @@ fn failed_flush_queues_nothing_and_leaves_nothing_behind() {
             ProvEvent::InsertBase {
                 time: 100,
                 since: 100,
-                node: n.clone(),
+                node: n,
                 tuple: Arc::new(tuple!("q", 5)),
             },
-            ProvEvent::Appear { time: 100, node: n.clone(), tuple: Arc::new(tuple!("q", 5)) },
+            ProvEvent::Appear { time: 100, node: n, tuple: Arc::new(tuple!("q", 5)) },
             ProvEvent::Derive {
                 time: 101,
                 since: 101,
-                node: n.clone(),
+                node: n,
                 tuple: Arc::new(tuple!("d", 5)),
                 rule: Sym::new("r"),
                 body: vec![q5()],
                 trigger: 0,
             },
-            ProvEvent::Appear { time: 101, node: n.clone(), tuple: Arc::new(tuple!("d", 5)) },
+            ProvEvent::Appear { time: 101, node: n, tuple: Arc::new(tuple!("d", 5)) },
         ]
     );
     assert!(eng.lookup(&n, &tuple!("d", 1)).is_none());
@@ -1392,7 +1392,7 @@ fn a_bulk_load_is_handed_off_in_bounded_runs() {
     let mut eng = Engine::new(program, Runs::default());
     for i in 0..load {
         let v = if i == load / 2 { Value::str("oops") } else { Value::Int(i as i64 + 1) };
-        eng.schedule_insert(3, n.clone(), Tuple::new("q", vec![v])).unwrap();
+        eng.schedule_insert(3, n, Tuple::new("q", vec![v])).unwrap();
     }
     let err = eng.run().expect_err("comparing a string with an integer is a type error");
     assert!(matches!(err, dp_types::Error::Type { .. }), "{err}");
@@ -1427,9 +1427,9 @@ fn a_native_emits_only_into_a_derived_table() {
         }
         fn fire(&self, view: &NodeView<'_>, trigger: &Tuple, out: &mut Emitter) -> Result<()> {
             out.emit(
-                view.node.clone(),
+                *view.node,
                 Tuple::new("m", vec![trigger.args[0].clone()]),
-                vec![TupleRef::new(view.node.clone(), trigger.clone())],
+                vec![TupleRef::new(*view.node, trigger.clone())],
             );
             Ok(())
         }

@@ -38,7 +38,7 @@ fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], label: &str) -> usize
 
     let trefs: BTreeSet<TupleRef> = graph
         .vertices()
-        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(v.tuple)))
+        .map(|v| TupleRef::new(*v.node, Arc::clone(v.tuple)))
         .collect();
     // Collect all (tref, time, latest?) query points first so large runs
     // can be sampled deterministically instead of silently truncated.

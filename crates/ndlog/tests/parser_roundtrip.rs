@@ -36,7 +36,7 @@ fn arb_value(rng: &mut DetRng) -> Value {
 
 fn arb_pattern(rng: &mut DetRng, vars: &[Sym]) -> Pattern {
     match rng.gen_range_usize(0, 6) {
-        0..=2 => Pattern::Var(vars[rng.gen_range_usize(0, vars.len())].clone()),
+        0..=2 => Pattern::Var(vars[rng.gen_range_usize(0, vars.len())]),
         3 | 4 => Pattern::Const(arb_value(rng)),
         _ => Pattern::Wildcard,
     }
@@ -45,7 +45,7 @@ fn arb_pattern(rng: &mut DetRng, vars: &[Sym]) -> Pattern {
 fn arb_arith(rng: &mut DetRng, vars: &[Sym], depth: usize) -> Expr {
     if depth == 0 || rng.gen_bool(0.4) {
         if rng.gen_bool(0.5) {
-            Expr::Var(vars[rng.gen_range_usize(0, vars.len())].clone())
+            Expr::Var(vars[rng.gen_range_usize(0, vars.len())])
         } else {
             Expr::val(rng.gen_range_i64(-1000, 1000))
         }

@@ -231,9 +231,9 @@ mod fanout {
             out: &mut Emitter,
         ) -> dp_types::Result<()> {
             out.emit_delayed(
-                view.node.clone(),
+                *view.node,
                 Tuple::new("g", vec![trigger.args[0].clone()]),
-                vec![TupleRef::new(view.node.clone(), trigger.clone())],
+                vec![TupleRef::new(*view.node, trigger.clone())],
                 self.delay,
             );
             Ok(())

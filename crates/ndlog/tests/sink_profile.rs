@@ -122,7 +122,7 @@ fn two_phase(split_runs: bool) -> Engine<VecSink> {
     let n = NodeId::new("n");
     for i in 0..40u8 {
         let p = cidr(&format!("10.{}.{}.0/24", i % 4, i));
-        eng.schedule_insert(0, n.clone(), tuple!("rt", p, i as i64))
+        eng.schedule_insert(0, n, tuple!("rt", p, i as i64))
             .unwrap();
     }
     if split_runs {
@@ -132,7 +132,7 @@ fn two_phase(split_runs: bool) -> Engine<VecSink> {
         let src = format!("10.{}.{}.7", i % 4, i % 8);
         eng.schedule_insert(
             100 + i as u64,
-            n.clone(),
+            n,
             tuple!(
                 "pk",
                 Value::Ip(dp_types::prefix::ip(&src)),

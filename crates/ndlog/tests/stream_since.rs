@@ -26,7 +26,7 @@ fn assert_since_names_the_latest_appear(events: &[ProvEvent], case: &str) -> usi
     let mut checked = 0;
     let mut open: BTreeMap<TupleRef, LogicalTime> = BTreeMap::new();
     let mut last_appear = None;
-    let at = |node: &NodeId, tuple: &Arc<Tuple>| TupleRef::new(node.clone(), Arc::clone(tuple));
+    let at = |node: &NodeId, tuple: &Arc<Tuple>| TupleRef::new(*node, Arc::clone(tuple));
     for (i, event) in events.iter().enumerate() {
         // The episode an event names must be the one its tuple is in.
         let mut named = |tref: &TupleRef, since: LogicalTime, what: &str| {

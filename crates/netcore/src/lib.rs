@@ -366,10 +366,10 @@ mod tests {
         ]);
         let ctl = NodeId::new("ctl");
         for t in to_cfg_entries("S1", 100, &compile(&s1).unwrap()) {
-            exec.log.insert(10, ctl.clone(), t);
+            exec.log.insert(10, ctl, t);
         }
         for t in to_cfg_entries("S2", 200, &compile(&s2).unwrap()) {
-            exec.log.insert(10, ctl.clone(), t);
+            exec.log.insert(10, ctl, t);
         }
         let src = ip("1.2.3.4");
         let dst = ip("5.6.7.8");

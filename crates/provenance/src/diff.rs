@@ -33,13 +33,13 @@ pub struct VertexSig {
 
 fn signature(kind: &VertexKind, node: &NodeId, tuple: &Tuple) -> VertexSig {
     let rule = match kind {
-        VertexKind::Derive { rule, .. } | VertexKind::Underive { rule } => Some(rule.clone()),
+        VertexKind::Derive { rule, .. } | VertexKind::Underive { rule } => Some(*rule),
         _ => None,
     };
     VertexSig {
         tag: kind.tag(),
         rule,
-        node: node.clone(),
+        node: *node,
         tuple: tuple.clone(),
     }
 }
@@ -127,8 +127,8 @@ mod tests {
     fn run(cfg: i64, input: i64) -> (ProvTree, i64) {
         let mut eng = Engine::new(program(), GraphRecorder::new());
         let n = dp_types::NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("cfg", cfg)).unwrap();
-        eng.schedule_insert(5, n.clone(), tuple!("in", input)).unwrap();
+        eng.schedule_insert(0, n, tuple!("cfg", cfg)).unwrap();
+        eng.schedule_insert(5, n, tuple!("in", input)).unwrap();
         eng.run().unwrap();
         let now = eng.now();
         let g = eng.into_sink().finish();
@@ -163,8 +163,8 @@ mod tests {
         // Same logical content, different times.
         let mut eng = Engine::new(program(), GraphRecorder::new());
         let n = dp_types::NodeId::new("n1");
-        eng.schedule_insert(1000, n.clone(), tuple!("cfg", 10)).unwrap();
-        eng.schedule_insert(2000, n.clone(), tuple!("in", 1)).unwrap();
+        eng.schedule_insert(1000, n, tuple!("cfg", 10)).unwrap();
+        eng.schedule_insert(2000, n, tuple!("in", 1)).unwrap();
         eng.run().unwrap();
         let now = eng.now();
         let g = eng.into_sink().finish();

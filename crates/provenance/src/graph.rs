@@ -289,7 +289,7 @@ impl ProvGraph {
     pub fn vertex(&self, id: VertexId) -> Vertex<'_> {
         let i = id as usize;
         let row = &self.rows[self.rows_of[i] as usize];
-        let rule = |r: u32| self.rules[r as usize].clone();
+        let rule = |r: u32| self.rules[r as usize];
         let kind = match self.kinds[i] {
             Kind::Insert => VertexKind::Insert,
             Kind::Delete => VertexKind::Delete,
@@ -426,7 +426,7 @@ impl ProvGraph {
             .map(|r| {
                 let row = &self.rows[r as usize];
                 let episode = self.episode_of(r, std::mem::take(&mut extra[r as usize]));
-                (TupleRef::new(row.node.clone(), Arc::clone(&row.tuple)), episode)
+                (TupleRef::new(row.node, Arc::clone(&row.tuple)), episode)
             })
             .collect()
     }
@@ -774,8 +774,8 @@ mod tests {
     fn run_fig4() -> (ProvGraph, NodeId) {
         let mut eng = Engine::new(fig4_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         (eng.into_sink().finish(), n)
     }
@@ -783,7 +783,7 @@ mod tests {
     #[test]
     fn derivation_builds_insert_appear_exist_chain() {
         let (g, n) = run_fig4();
-        let c = TupleRef::new(n.clone(), tuple!("c", 1, 4, 4));
+        let c = TupleRef::new(n, tuple!("c", 1, 4, 4));
         let eps = g.episodes(&c);
         assert_eq!(eps.len(), 1);
         let ep = &eps[0];
@@ -811,13 +811,13 @@ mod tests {
     fn deletion_closes_episode_with_interval() {
         let mut eng = Engine::new(fig4_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         let g = eng.into_sink().finish();
-        let b = TupleRef::new(n.clone(), tuple!("b", 1, 2, 3));
+        let b = TupleRef::new(n, tuple!("b", 1, 2, 3));
         let ep = &g.episodes(&b)[0];
         assert!(ep.end.is_some());
         assert!(matches!(g.vertex(ep.exist).kind, VertexKind::Exist { end: Some(_) }));
@@ -834,10 +834,10 @@ mod tests {
     fn episode_at_respects_time() {
         let mut eng = Engine::new(fig4_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         let t_alive = eng.now();
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         let t_dead = eng.now() + 1;
         let g = eng.into_sink().finish();
@@ -851,10 +851,10 @@ mod tests {
     fn stats_count_every_vertex_kind() {
         let mut eng = Engine::new(fig4_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("a", 1, 2)).unwrap();
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
-        eng.schedule_delete(100, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(100, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         let g = eng.into_sink().finish();
         let s = g.stats();
@@ -883,19 +883,19 @@ mod tests {
             Arc::new(tuple!("c", 1, 4, 4)),
         );
         let at = |tuple: &Arc<Tuple>, since| BodyRef {
-            tref: TupleRef::new(n.clone(), Arc::clone(tuple)),
+            tref: TupleRef::new(n, Arc::clone(tuple)),
             since,
         };
         let mut rec = GraphRecorder::new();
         for event in [
-            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&a) },
-            ProvEvent::Appear { time: 1, node: n.clone(), tuple: Arc::clone(&a) },
+            ProvEvent::InsertBase { time: 1, since: 1, node: n, tuple: Arc::clone(&a) },
+            ProvEvent::Appear { time: 1, node: n, tuple: Arc::clone(&a) },
             // The second body entry claims the episode that opened at 1:
             // that is a(1, 2)'s.
             ProvEvent::Derive {
                 time: 2,
                 since: 2,
-                node: n.clone(),
+                node: n,
                 tuple: Arc::clone(&c),
                 rule: Sym::new("rc"),
                 body: vec![at(&a, 1), at(&z, 1)],
@@ -914,8 +914,8 @@ mod tests {
         let (n, a, b) = (NodeId::new("n1"), Arc::new(tuple!("a", 1, 2)), Arc::new(tuple!("a", 3, 4)));
         let mut rec = GraphRecorder::new();
         for event in [
-            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&a) },
-            ProvEvent::Appear { time: 1, node: n.clone(), tuple: a },
+            ProvEvent::InsertBase { time: 1, since: 1, node: n, tuple: Arc::clone(&a) },
+            ProvEvent::Appear { time: 1, node: n, tuple: a },
             ProvEvent::Appear { time: 2, node: n, tuple: b },
         ] {
             rec.record(event);
@@ -936,30 +936,30 @@ mod tests {
         let mirror = Sym::new("mirror");
         let mut rec = GraphRecorder::new();
         for event in [
-            ProvEvent::InsertBase { time: 1, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
-            ProvEvent::Appear { time: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::InsertBase { time: 1, since: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::Appear { time: 1, node: n, tuple: Arc::clone(&e) },
             ProvEvent::Derive {
                 time: 2,
                 since: 2,
-                node: n.clone(),
+                node: n,
                 tuple: Arc::clone(&m),
-                rule: mirror.clone(),
-                body: vec![BodyRef { tref: TupleRef::new(n.clone(), Arc::clone(&e)), since: 1 }],
+                rule: mirror,
+                body: vec![BodyRef { tref: TupleRef::new(n, Arc::clone(&e)), since: 1 }],
                 trigger: 0,
             },
-            ProvEvent::Appear { time: 2, node: n.clone(), tuple: Arc::clone(&m) },
-            ProvEvent::InsertBase { time: 10, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
-            ProvEvent::DeleteBase { time: 20, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
-            ProvEvent::DeleteBase { time: 30, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
-            ProvEvent::Disappear { time: 30, since: 1, node: n.clone(), tuple: Arc::clone(&e) },
+            ProvEvent::Appear { time: 2, node: n, tuple: Arc::clone(&m) },
+            ProvEvent::InsertBase { time: 10, since: 2, node: n, tuple: Arc::clone(&m) },
+            ProvEvent::DeleteBase { time: 20, since: 2, node: n, tuple: Arc::clone(&m) },
+            ProvEvent::DeleteBase { time: 30, since: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::Disappear { time: 30, since: 1, node: n, tuple: Arc::clone(&e) },
             ProvEvent::Underive {
                 time: 30,
                 since: 2,
-                node: n.clone(),
+                node: n,
                 tuple: Arc::clone(&m),
                 rule: mirror,
             },
-            ProvEvent::Disappear { time: 30, since: 2, node: n.clone(), tuple: Arc::clone(&m) },
+            ProvEvent::Disappear { time: 30, since: 2, node: n, tuple: Arc::clone(&m) },
         ] {
             rec.record(event);
         }
@@ -990,11 +990,11 @@ mod tests {
     fn reappearance_creates_second_episode() {
         let mut eng = Engine::new(fig4_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(0, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
-        eng.schedule_delete(10, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_delete(10, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
-        eng.schedule_insert(20, n.clone(), tuple!("b", 1, 2, 3)).unwrap();
+        eng.schedule_insert(20, n, tuple!("b", 1, 2, 3)).unwrap();
         eng.run().unwrap();
         let g = eng.into_sink().finish();
         let b = TupleRef::new(n, tuple!("b", 1, 2, 3));

@@ -144,7 +144,7 @@ fn project(graph: &ProvGraph, vertex: VertexId, parent: Option<TreeIdx>, tree: &
     let idx = tree.nodes.len();
     tree.nodes.push(TreeNode {
         kind: v.kind,
-        node: v.node.clone(),
+        node: *v.node,
         tuple: Arc::clone(v.tuple),
         time: v.time,
         parent,
@@ -265,7 +265,7 @@ fn collapse(tree: &ProvTree, exist_idx: TreeIdx, parent: Option<TreeIdx>, out: &
     let (rule, trigger, body) = match cause_idx.map(|c| tree.node(c)) {
         Some(cause) => match &cause.kind {
             VertexKind::Derive { rule, trigger } => {
-                (Some(rule.clone()), Some(*trigger), cause.children.clone())
+                (Some(*rule), Some(*trigger), cause.children.clone())
             }
             _ => (None, None, Vec::new()),
         },
@@ -273,7 +273,7 @@ fn collapse(tree: &ProvTree, exist_idx: TreeIdx, parent: Option<TreeIdx>, out: &
     };
     let idx = out.nodes.len();
     out.nodes.push(TupleNode {
-        tref: TupleRef::new(exist.node.clone(), exist.tuple.clone()),
+        tref: TupleRef::new(exist.node, exist.tuple.clone()),
         appear_time,
         rule,
         trigger,
@@ -315,8 +315,8 @@ mod tests {
     fn run_chain() -> (ProvGraph, NodeId, LogicalTime) {
         let mut eng = Engine::new(chain_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("cfg", 10)).unwrap();
-        eng.schedule_insert(5, n.clone(), tuple!("base", 1)).unwrap();
+        eng.schedule_insert(0, n, tuple!("cfg", 10)).unwrap();
+        eng.schedule_insert(5, n, tuple!("base", 1)).unwrap();
         eng.run().unwrap();
         let now = eng.now();
         (eng.into_sink().finish(), n, now)
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn extraction_projects_full_chain() {
         let (g, n, now) = run_chain();
-        let top = TupleRef::new(n.clone(), tuple!("top", 22));
+        let top = TupleRef::new(n, tuple!("top", 22));
         let tree = extract_tree(&g, &top, now).expect("top exists");
         // top: EXIST+APPEAR+DERIVE, mid: EXIST+APPEAR+DERIVE,
         // base: EXIST+APPEAR+INSERT, cfg: EXIST+APPEAR+INSERT = 12 vertexes.
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn tuple_view_collapses_chains() {
         let (g, n, now) = run_chain();
-        let top = TupleRef::new(n.clone(), tuple!("top", 22));
+        let top = TupleRef::new(n, tuple!("top", 22));
         let tree = extract_tree(&g, &top, now).unwrap();
         let view = tuple_view(&tree);
         assert_eq!(view.len(), 4); // top, mid, base, cfg
@@ -369,7 +369,7 @@ mod tests {
         // cfg was inserted first, base last; the seed must be base — the
         // external stimulus — not the config tuple.
         let (g, n, now) = run_chain();
-        let top = TupleRef::new(n.clone(), tuple!("top", 22));
+        let top = TupleRef::new(n, tuple!("top", 22));
         let tree = extract_tree(&g, &top, now).unwrap();
         let view = tuple_view(&tree);
         let seed = view.node(view.seed());
@@ -383,11 +383,11 @@ mod tests {
     fn past_reference_extraction_after_deletion() {
         let mut eng = Engine::new(chain_program(), GraphRecorder::new());
         let n = NodeId::new("n1");
-        eng.schedule_insert(0, n.clone(), tuple!("cfg", 10)).unwrap();
-        eng.schedule_insert(5, n.clone(), tuple!("base", 1)).unwrap();
+        eng.schedule_insert(0, n, tuple!("cfg", 10)).unwrap();
+        eng.schedule_insert(5, n, tuple!("base", 1)).unwrap();
         eng.run().unwrap();
         let t_good = eng.now();
-        eng.schedule_delete(t_good + 10, n.clone(), tuple!("cfg", 10)).unwrap();
+        eng.schedule_delete(t_good + 10, n, tuple!("cfg", 10)).unwrap();
         eng.run().unwrap();
         let t_after = eng.now();
         let g = eng.into_sink().finish();

@@ -112,7 +112,7 @@ pub fn why_not<S: ProvenanceSink>(
             explain_rule(engine, graph, rule, goal, depth)
         };
         failures.push(RuleFailure {
-            rule: rule.name.clone(),
+            rule: rule.name,
             reason,
         });
     }
@@ -126,10 +126,10 @@ fn unify_head(rule: &Rule, goal: &TupleRef) -> Option<Env> {
     // The head location must be the goal's node.
     match &rule.head.loc {
         dp_ndlog::Expr::Var(v) => {
-            env.insert(v.clone(), Value::Str(goal.node.0.clone()));
+            env.insert(*v, Value::Str(goal.node.0));
         }
         other => {
-            if other.eval(&env).ok()? != Value::Str(goal.node.0.clone()) {
+            if other.eval(&env).ok()? != Value::Str(goal.node.0) {
                 return None;
             }
         }
@@ -140,7 +140,7 @@ fn unify_head(rule: &Rule, goal: &TupleRef) -> Option<Env> {
                 Some(bound) if bound != value => return None,
                 Some(_) => {}
                 None => {
-                    env.insert(v.clone(), value.clone());
+                    env.insert(*v, value.clone());
                 }
             },
             dp_ndlog::Expr::Const(c) => {
@@ -177,8 +177,8 @@ fn explain_agg_rule<S: ProvenanceSink>(
         .unwrap_or(false);
     if !fence_present {
         return FailReason::MissingBody {
-            node: goal.node.clone(),
-            table: fence.table.clone(),
+            node: goal.node,
+            table: fence.table,
             pattern: fence.args.iter().map(|_| None).collect(),
             nested: None,
         };
@@ -206,13 +206,13 @@ fn explain_rule<S: ProvenanceSink>(
     // at the same location), only that node; otherwise every node.
     let loc_var = &rule.body[0].loc;
     let nodes: Vec<NodeId> = match env.get(loc_var) {
-        Some(Value::Str(s)) => vec![NodeId(s.clone())],
-        _ => engine.nodes().map(|(n, _)| n.clone()).collect(),
+        Some(Value::Str(s)) => vec![NodeId(*s)],
+        _ => engine.nodes().map(|(n, _)| *n).collect(),
     };
     let mut best: Option<(usize, FailReason)> = None;
     for node in &nodes {
         let mut env = env.clone();
-        env.insert(loc_var.clone(), Value::Str(node.0.clone()));
+        env.insert(*loc_var, Value::Str(node.0));
         let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
         match search_body(engine, graph, rule, node, &mut remaining, 0, env, depth) {
             Ok(()) => return FailReason::DerivableButAbsent,
@@ -385,9 +385,9 @@ fn search_body<S: ProvenanceSink>(
             .collect();
         let nested = if pattern.iter().all(Option::is_some) {
             let sub = TupleRef::new(
-                node.clone(),
+                *node,
                 Tuple::new(
-                    atom.table.clone(),
+                    atom.table,
                     pattern.iter().map(|v| v.clone().expect("ground")).collect(),
                 ),
             );
@@ -398,8 +398,8 @@ fn search_body<S: ProvenanceSink>(
         return Err((
             satisfied,
             FailReason::MissingBody {
-                node: node.clone(),
-                table: atom.table.clone(),
+                node: *node,
+                table: atom.table,
                 pattern,
                 nested,
             },
@@ -524,7 +524,7 @@ mod tests {
         let n = NodeId::new("n");
         for &(v, is_cfg) in inputs {
             let t = if is_cfg { tuple!("cfg", v) } else { tuple!("in", v) };
-            eng.schedule_insert(0, n.clone(), t).unwrap();
+            eng.schedule_insert(0, n, t).unwrap();
         }
         eng.run().unwrap();
         eng
@@ -551,7 +551,7 @@ mod tests {
     fn deleted_base_tuple_reports_deletion_time() {
         let mut eng = engine_with(&[(5, true)]);
         let n = NodeId::new("n");
-        eng.schedule_delete(100, n.clone(), tuple!("cfg", 5)).unwrap();
+        eng.schedule_delete(100, n, tuple!("cfg", 5)).unwrap();
         eng.run().unwrap();
         let graph = eng.sink().graph.clone();
         let goal = TupleRef::new("n", tuple!("cfg", 5));

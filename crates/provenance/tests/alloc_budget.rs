@@ -11,9 +11,10 @@
 //! event more than the same replay into a null sink (it was 1.84 with a
 //! `Vec` of children per vertex and a B-tree entry per tuple), and
 //! dropping the graph out of a live engine at most 64 times. What the
-//! graph holds, at allocated capacity, is pinned beside them: 1 573 008
-//! bytes for 17 223 vertices, + 2 % (1 704 080 while the index kept a row
-//! id beside each APPEAR clock and each row its own start).
+//! graph holds, at allocated capacity, is pinned beside them: 1 507 408
+//! bytes for 17 223 vertices, + 2 % (1 573 008 while a name was an
+//! `Arc<str>` of 16 bytes, 1 704 080 while the index kept a row id beside
+//! each APPEAR clock and each row its own start).
 //!
 //! # The engine's own budget
 //!
@@ -62,10 +63,12 @@
 //!   the body vector and the `derivations` vector per derivation, the
 //!   dependents vectors, the index keys and buckets, the B-tree and trie
 //!   nodes.
-//! * **Held at quiescence: 625.3 bytes in 4.29 blocks per live tuple** —
+//! * **Held at quiescence: 539.2 bytes in 4.29 blocks per live tuple** —
 //!   the same blocks weighed; the interner's table is sized by the heads
-//!   alone (631.7 bytes while it filed base tuples too; 853.3 bytes in
-//!   5.06 blocks while base tuples were copied into the engine).
+//!   alone, and a name in a field, a located tuple or a key is one word
+//!   (625.3 bytes while a name was a 16-byte `Arc<str>`; 631.7 bytes while
+//!   the interner filed base tuples too; 853.3 bytes in 5.06 blocks while
+//!   base tuples were copied into the engine).
 //!   The provenance-event buffer is not among the large ones: it is handed
 //!   to the sink every 4 096 events, so it stays under 1 MB however large
 //!   the same-`due` batch.
@@ -220,7 +223,7 @@ fn recording_allocates_per_growth_not_per_event() {
 }
 
 /// The graph's heap bytes on this campus when last moved, + 2 %.
-const GRAPH_BYTES: usize = 1_604_468;
+const GRAPH_BYTES: usize = 1_537_556;
 
 /// Replay allocations per provenance event, into a null sink: 32 958 over
 /// 11 482 events = 2.870 when last moved (PR 25; 4.521 before), + 2 %.
@@ -232,9 +235,10 @@ const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.007;
 /// Blocks freed by dropping the quiescent engine: 24 630 when last moved
 /// (PR 24; 29 046 before), + 2 %.
 const ENGINE_DROP_FREES: u64 = 25_200;
-/// Bytes the quiescent engine holds per live tuple: 3 589 940 over 5 741 =
-/// 625.3 when last moved (631.7 before, 853.3 before that), + 2 %.
-const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 638.0;
+/// Bytes the quiescent engine holds per live tuple: 3 095 700 over 5 741 =
+/// 539.2 when last moved (625.3 before, 631.7 and 853.3 before that),
+/// + 2 %.
+const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 550.0;
 /// Blocks the quiescent engine holds per live tuple: 24 630 over 5 741 =
 /// 4.290 when last moved (PR 24; 5.059 before), + 2 %.
 const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 4.38;

@@ -48,9 +48,9 @@ fn run_schedule(ops: &[(bool, bool, i64, u64)]) -> (ProvGraph, u64) {
     for &(is_delete, is_k, v, due) in ops {
         let t = if is_k { tuple!("k", v) } else { tuple!("e", v) };
         if is_delete && is_k {
-            eng.schedule_delete(due, n.clone(), t).unwrap();
+            eng.schedule_delete(due, n, t).unwrap();
         } else {
-            eng.schedule_insert(due, n.clone(), t).unwrap();
+            eng.schedule_insert(due, n, t).unwrap();
         }
     }
     eng.run().unwrap();
@@ -94,9 +94,9 @@ fn live_tuples_have_well_formed_trees() {
         for &(is_delete, is_k, v, due) in &ops {
             let t = if is_k { tuple!("k", v) } else { tuple!("e", v) };
             if is_delete && is_k {
-                eng.schedule_delete(due, n.clone(), t).unwrap();
+                eng.schedule_delete(due, n, t).unwrap();
             } else {
-                eng.schedule_insert(due, n.clone(), t).unwrap();
+                eng.schedule_insert(due, n, t).unwrap();
             }
         }
         eng.run().unwrap();
@@ -105,7 +105,7 @@ fn live_tuples_have_well_formed_trees() {
             .nodes()
             .flat_map(|(node, st)| {
                 st.table(&Sym::new("t"))
-                    .map(|(t, _)| TupleRef::new(node.clone(), t.clone()))
+                    .map(|(t, _)| TupleRef::new(*node, t.clone()))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -155,7 +155,7 @@ fn batched_multi_node_recording_builds_an_identical_graph() {
     let mut ops = Vec::new();
     for (i, n) in nodes.iter().enumerate() {
         let next = &nodes[(i + 1) % nodes.len()];
-        ops.push(ScheduledOp::insert(0, n.clone(), tuple!("nbr", next.as_str())));
+        ops.push(ScheduledOp::insert(0, *n, tuple!("nbr", next.as_str())));
     }
     for _ in 0..60 {
         let n = &nodes[rng.gen_range_usize(0, nodes.len())];
@@ -163,7 +163,7 @@ fn batched_multi_node_recording_builds_an_identical_graph() {
         let due = rng.gen_range_u64(1, 6);
         ops.push(ScheduledOp {
             due,
-            node: n.clone(),
+            node: *n,
             tuple: tuple!("obs", x).into(),
             delete: rng.gen_bool(0.25),
         });

@@ -300,7 +300,7 @@ impl Replayed {
             if self.engine.lookup(&t.node, &t.tuple).is_some_and(|s| s.base) == present {
                 continue;
             }
-            let (node, tuple) = (t.node.clone(), Arc::clone(&t.tuple));
+            let (node, tuple) = (t.node, Arc::clone(&t.tuple));
             if present {
                 self.engine.schedule_insert(at, node, tuple)?;
             } else {
@@ -531,7 +531,7 @@ impl<'a> Patched<'a> {
             .filter_map(|ci| {
                 afters[ci].as_ref().map(|after| BaseEvent {
                     due: inject_at,
-                    node: changes[ci].node.clone(),
+                    node: changes[ci].node,
                     tuple: Arc::clone(after),
                     op: BaseOp::Insert,
                 })
@@ -590,7 +590,7 @@ impl<'a> PatchedEvents<'a> {
                     if let Some(after) = &of.afters[ci] {
                         let e = BaseEvent {
                             due: e.due,
-                            node: e.node.clone(),
+                            node: e.node,
                             tuple: Arc::clone(after),
                             op: e.op,
                         };
@@ -665,7 +665,7 @@ mod tests {
         let exec = execution();
         let n = NodeId::new("n1");
         let delta = [TupleChange {
-            node: n.clone(),
+            node: n,
             before: Some(tuple!("cfg", 10)),
             after: Some(tuple!("cfg", 20)),
         }];
@@ -683,12 +683,12 @@ mod tests {
         let n = NodeId::new("n1");
         let delta = [
             TupleChange {
-                node: n.clone(),
+                node: n,
                 before: None,
                 after: Some(tuple!("cfg", 100)),
             },
             TupleChange {
-                node: n.clone(),
+                node: n,
                 before: Some(tuple!("cfg", 10)),
                 after: None,
             },
@@ -703,7 +703,7 @@ mod tests {
         let exec = execution();
         let n = NodeId::new("n1");
         let delta = [TupleChange {
-            node: n.clone(),
+            node: n,
             before: Some(tuple!("cfg", 77)), // never logged
             after: Some(tuple!("cfg", 30)),
         }];

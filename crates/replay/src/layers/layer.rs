@@ -111,7 +111,7 @@ pub fn write_layer(path: &Path, node: &NodeId, events: &[SeqEvent]) -> Result<La
         .and_then(|mut file| file.write_all(&bytes))
         .map_err(|err| io_err("writing layer", path, err))?;
     Ok(Layer {
-        node: node.clone(),
+        node: *node,
         min_due: events.first().map_or(0, |s| s.event.due),
         max_due: events.iter().map(|s| s.event.due).max().unwrap_or(0),
         first_seq: events[0].seq,
@@ -185,7 +185,7 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
             seq,
             event: BaseEvent {
                 due,
-                node: node.clone(),
+                node,
                 tuple: Arc::new(tuple),
                 op,
             },

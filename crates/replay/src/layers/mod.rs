@@ -175,7 +175,7 @@ impl DurableStore {
         let base = self.event_count();
         let mut by_node: BTreeMap<NodeId, Vec<SeqEvent>> = BTreeMap::new();
         for (i, e) in events.iter().enumerate() {
-            by_node.entry(e.node.clone()).or_default().push(SeqEvent {
+            by_node.entry(e.node).or_default().push(SeqEvent {
                 seq: base + i as u64,
                 event: e.clone(),
             });

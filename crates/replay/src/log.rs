@@ -64,7 +64,7 @@ impl BaseEvent {
         due: LogicalTime,
         op: BaseOp,
     ) -> Result<()> {
-        let (node, tuple) = (self.node.clone(), Arc::clone(&self.tuple));
+        let (node, tuple) = (self.node, Arc::clone(&self.tuple));
         match op {
             BaseOp::Insert => engine.schedule_insert(due, node, tuple),
             BaseOp::Delete => engine.schedule_delete(due, node, tuple),
@@ -264,7 +264,7 @@ impl EventLog {
             .iter()
             .map(|e| dp_ndlog::ScheduledOp {
                 due: e.due,
-                node: e.node.clone(),
+                node: e.node,
                 tuple: Arc::clone(&e.tuple),
                 delete: e.op == BaseOp::Delete,
             })

@@ -162,7 +162,7 @@ impl Keying {
             Some(&id) => id,
             None => {
                 let id = self.keys.len() as u32;
-                let key = TupleRef::new(e.node.clone(), Arc::clone(&e.tuple));
+                let key = TupleRef::new(e.node, Arc::clone(&e.tuple));
                 self.keys.push(key.clone());
                 self.ids.insert(Key(key), id);
                 id
@@ -437,12 +437,12 @@ fn watched(program: &Program) -> Vec<Sym> {
         .rules()
         .iter()
         .filter(|r| r.agg.is_some())
-        .map(|r| r.body[0].table.clone());
+        .map(|r| r.body[0].table);
     let natives = program
         .schemas
         .iter()
         .filter(|s| !program.native_triggers(&s.name).is_empty())
-        .map(|s| s.name.clone());
+        .map(|s| s.name);
     let mut tables: Vec<Sym> = fences.chain(natives).collect();
     tables.sort();
     tables.dedup();
@@ -808,7 +808,7 @@ mod tests {
         prefix: Option<&[BaseEvent]>,
         current: impl Fn(&NodeId, &Tuple) -> bool,
     ) -> Copied {
-        let located = |e: &BaseEvent| TupleRef::new(e.node.clone(), Arc::clone(&e.tuple));
+        let located = |e: &BaseEvent| TupleRef::new(e.node, Arc::clone(&e.tuple));
         let mut keys: Vec<TupleRef> = Vec::new();
         for key in patched.iter().chain(held).map(located) {
             if !keys.contains(&key) {
@@ -922,12 +922,12 @@ mod tests {
                 let (node, drawn) = draw(rng);
                 match rng.gen_range_usize(0, 4) {
                     0 => TupleChange {
-                        node: e.node.clone(),
+                        node: e.node,
                         before: Some(Tuple::clone(&e.tuple)),
                         after: None,
                     },
                     1 => TupleChange {
-                        node: e.node.clone(),
+                        node: e.node,
                         before: Some(Tuple::clone(&e.tuple)),
                         after: Some(drawn),
                     },

@@ -81,7 +81,7 @@ fn apply_changes_preserves_counts() {
 
         // Replacement: same length.
         let replace = [TupleChange {
-            node: n.clone(),
+            node: n,
             before: Some(tuple!("k", target)),
             after: Some(tuple!("k", 99)),
         }];
@@ -101,7 +101,7 @@ fn apply_changes_preserves_counts() {
 
         // Deletion: shrinks by the matches.
         let delete = [TupleChange {
-            node: n.clone(),
+            node: n,
             before: Some(tuple!("k", target)),
             after: None,
         }];
@@ -169,7 +169,7 @@ fn apply_changes_is_rewrite_append_and_stable_sort() {
                     (rng.gen_range_usize(0, 3) > 0).then(|| tuple!("k", rng.gen_range_i64(0, 8)))
                 };
                 TupleChange {
-                    node: n.clone(),
+                    node: n,
                     before: side(&mut rng),
                     after: side(&mut rng),
                 }
@@ -195,7 +195,7 @@ fn apply_changes_is_rewrite_append_and_stable_sort() {
             if let Some(after) = &c.after {
                 want.push(dp_replay::BaseEvent {
                     due: inject_at,
-                    node: n.clone(),
+                    node: n,
                     tuple: after.into(),
                     op: dp_replay::BaseOp::Insert,
                 });
@@ -305,7 +305,7 @@ fn a_replay_shares_the_logs_tuples() {
     let mut after = Tuple::clone(&log[at].tuple);
     after.args[0] = Value::Int(-1);
     let change = [TupleChange {
-        node: log[at].node.clone(),
+        node: log[at].node,
         before: Some(Tuple::clone(&log[at].tuple)),
         after: Some(after.clone()),
     }];

@@ -64,7 +64,7 @@ fn replace_item(k: i64, v: i64) -> [TupleChange; 1] {
 fn live(r: &Replayed) -> BTreeSet<(NodeId, Tuple)> {
     r.engine
         .nodes()
-        .flat_map(|(n, s)| s.all().map(move |(t, _)| (n.clone(), t.clone())))
+        .flat_map(|(n, s)| s.all().map(move |(t, _)| (*n, t.clone())))
         .collect()
 }
 
@@ -124,13 +124,13 @@ fn reissue_is_time_shifted_so_the_fence_follows_derived_work() {
     let events = exec.log.events();
     let now = naive.now();
     for e in events[2..].iter().rev() {
-        naive.engine.schedule_delete(now, e.node.clone(), e.tuple.clone()).unwrap();
+        naive.engine.schedule_delete(now, e.node, e.tuple.clone()).unwrap();
     }
     naive.engine.run().unwrap();
     assert!(totals(&naive).is_empty(), "withdrawing the fence retires its aggregate");
     for e in dp_replay::apply_changes(&exec.log, &delta, 0).events()[2..].iter() {
         assert!(e.due < naive.now(), "the clock has overrun every logged due");
-        naive.engine.schedule_insert(e.due, e.node.clone(), e.tuple.clone()).unwrap();
+        naive.engine.schedule_insert(e.due, e.node, e.tuple.clone()).unwrap();
     }
     naive.engine.run().unwrap();
     assert_eq!(totals(&naive), [tuple!("total", 1)], "the fence fired before any re-issued item arrived");
@@ -160,8 +160,8 @@ fn withdraw_inverts_only_the_ops_the_engine_acted_on() {
     let events = exec.log.events();
     for e in events[5..].iter().rev() {
         match e.op {
-            BaseOp::Insert => naive.engine.schedule_delete(now, e.node.clone(), e.tuple.clone()),
-            BaseOp::Delete => naive.engine.schedule_insert(now, e.node.clone(), e.tuple.clone()),
+            BaseOp::Insert => naive.engine.schedule_delete(now, e.node, e.tuple.clone()),
+            BaseOp::Delete => naive.engine.schedule_insert(now, e.node, e.tuple.clone()),
         }
         .unwrap();
     }
@@ -261,7 +261,7 @@ fn a_prefix_that_read_the_suffix_is_replayed_not_rewound() {
     let mut naive = exec.replay().unwrap();
     let now = naive.now();
     let ctl = NodeId::new("ctl");
-    naive.engine.schedule_delete(now, ctl.clone(), high(any)).unwrap();
+    naive.engine.schedule_delete(now, ctl, high(any)).unwrap();
     naive.engine.schedule_insert(now + 1, ctl, high(cidr("0.0.0.0/4"))).unwrap();
     naive.engine.run().unwrap();
     assert!(!delivered(&naive, "a") && !delivered(&naive, "b"));
@@ -274,7 +274,7 @@ fn packet_seeds(r: &Replayed) -> BTreeSet<(NodeId, Tuple, Tuple)> {
     live(r)
         .into_iter()
         .filter_map(|(node, tuple)| {
-            let tree = r.query(&dp_types::TupleRef::new(node.clone(), tuple.clone()))?;
+            let tree = r.query(&dp_types::TupleRef::new(node, tuple.clone()))?;
             let view = dp_provenance::tuple_view(&tree);
             let seed = Tuple::clone(&view.node(view.seed()).tref.tuple);
             (seed.table.as_str() == "pktIn").then_some((node, tuple, seed))
@@ -451,7 +451,7 @@ fn trees(r: &Replayed) -> Vec<(NodeId, Tuple, String, dp_types::TupleRef)> {
     live(r)
         .into_iter()
         .map(|(node, tuple)| {
-            let root = dp_types::TupleRef::new(node.clone(), tuple.clone());
+            let root = dp_types::TupleRef::new(node, tuple.clone());
             let tree = r.query(&root).expect("a live tuple has a tree");
             let view = dp_provenance::tuple_view(&tree);
             let seed = view.node(view.seed()).tref.clone();

@@ -89,7 +89,7 @@ fn live(r: &Replayed) -> BTreeSet<TupleRef> {
     r.engine
         .nodes()
         .flat_map(|(node, state)| {
-            state.all().map(move |(t, _)| TupleRef::new(node.clone(), t.clone()))
+            state.all().map(move |(t, _)| TupleRef::new(*node, t.clone()))
         })
         .collect()
 }
@@ -133,7 +133,7 @@ fn reissued(
     let (held, patched) = (apply_changes(&exec.log, held, at), apply_changes(&exec.log, delta, at));
     let (h, p) = (held.events(), patched.events());
     let fork = h.iter().zip(p.iter()).take_while(|(a, b)| a == b).count();
-    p[fork..].iter().map(|e| TupleRef::new(e.node.clone(), e.tuple.clone())).collect()
+    p[fork..].iter().map(|e| TupleRef::new(e.node, e.tuple.clone())).collect()
 }
 
 type Located = BTreeSet<TupleRef>;

@@ -83,19 +83,19 @@ pub fn ecmp_network() -> (Execution, i64, i64, i64) {
     // S2a is healthy.
     exec.log.insert(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(10, "S2a", 1, any, any, topo.port_towards("S2a", "S3")),
     );
     // S2b has the bug: the specific rule (/24 instead of /23) forwards to
     // S3; everything else is "mirrored for inspection" to the decoy.
     exec.log.insert(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(20, "S2b", 10, cidr("4.3.2.0/24"), any, topo.port_towards("S2b", "S3")),
     );
     exec.log.insert(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(21, "S2b", 1, any, any, p_decoy),
     );
     // S3 delivers.

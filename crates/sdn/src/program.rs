@@ -22,7 +22,7 @@
 //! expressed (scenario SDN3 and the DPI mirror of Figure 1). A `port` of
 //! [`DROP_PORT`] sends the packet nowhere — an ACL drop.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dp_ndlog::{NodeView, Program, StatefulBuiltin, TupleChange};
 use dp_types::{
@@ -349,14 +349,14 @@ impl StatefulBuiltin for BestMatch {
                         )
                     };
                     changes.push(TupleChange {
-                        node: controller.clone(),
+                        node: *controller,
                         before: Some(to_cfg(blocker)),
                         after: fixed.as_ref().map(to_cfg),
                     });
                 }
                 None => {
                     changes.push(TupleChange {
-                        node: view.node.clone(),
+                        node: *view.node,
                         before: Some(blocker.clone()),
                         after: fixed,
                     });
@@ -367,10 +367,18 @@ impl StatefulBuiltin for BestMatch {
     }
 }
 
+/// `name` as a symbol, interned on the first call for `cell` alone: the
+/// generators build a `pktIn` or `cfgEntry` tuple per packet and entry,
+/// and each interner lookup takes its lock.
+fn table_name(cell: &'static OnceLock<Sym>, name: &str) -> Sym {
+    *cell.get_or_init(|| Sym::new(name))
+}
+
 /// Constructs a `pktIn` tuple.
 pub fn pkt_in(pid: i64, src: u32, dst: u32, proto: i64, len: i64) -> Tuple {
+    static PKT_IN: OnceLock<Sym> = OnceLock::new();
     Tuple::new(
-        "pktIn",
+        table_name(&PKT_IN, "pktIn"),
         vec![
             Value::Int(pid),
             Value::Ip(src),
@@ -382,12 +390,20 @@ pub fn pkt_in(pid: i64, src: u32, dst: u32, proto: i64, len: i64) -> Tuple {
 }
 
 /// Constructs a `cfgEntry` tuple.
-pub fn cfg_entry(rid: i64, sw: &str, prio: i64, sm: Prefix, dm: Prefix, port: i64) -> Tuple {
+pub fn cfg_entry(
+    rid: i64,
+    sw: impl Into<Sym>,
+    prio: i64,
+    sm: Prefix,
+    dm: Prefix,
+    port: i64,
+) -> Tuple {
+    static CFG_ENTRY: OnceLock<Sym> = OnceLock::new();
     Tuple::new(
-        "cfgEntry",
+        table_name(&CFG_ENTRY, "cfgEntry"),
         vec![
             Value::Int(rid),
-            Value::str(sw),
+            Value::Str(sw.into()),
             Value::Int(prio),
             Value::Prefix(sm),
             Value::Prefix(dm),

@@ -72,7 +72,7 @@ pub fn nat_rewrite() -> Scenario {
     // S2 routes by (rewritten) destination to the backends.
     exec.log.insert(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(10, "S2", 5, any, cidr("10.0.1.1/32"), p_b1),
     );
     exec.log.insert(
@@ -85,12 +85,12 @@ pub fn nat_rewrite() -> Scenario {
     let to_s2 = topo.port_towards("LB", "S2");
     let original = rewrite_entry(1, backend_good(), to_s2);
     let repointed = rewrite_entry(1, backend_bad(), to_s2);
-    exec.log.insert(T_CONFIG, lb.clone(), original.clone());
+    exec.log.insert(T_CONFIG, lb, original.clone());
     // Yesterday's request: VIP -> b1.
     let src_good = ip("80.1.1.1");
     exec.log.insert(T_GOOD, "LB", pkt_in(1, src_good, vip(), 6, 512));
     // The maintenance window repoints the entry to the wrong backend.
-    exec.log.delete(T_REPOINT, lb.clone(), original);
+    exec.log.delete(T_REPOINT, lb, original);
     exec.log.insert(T_REPOINT, lb, repointed);
     // Today's request: VIP -> b2 (wrong).
     let src_bad = ip("80.2.2.2");

@@ -61,7 +61,7 @@ pub fn sdn1() -> Scenario {
     let any = cidr("0.0.0.0/0");
     let mut cfg = |rid, sw: &str, prio, sm, dm, port| {
         exec.log
-            .push_cfg(T_CONFIG, ctl.clone(), cfg_entry(rid, sw, prio, sm, dm, port));
+            .push_cfg(T_CONFIG, ctl, cfg_entry(rid, sw, prio, sm, dm, port));
     };
     // S1 forwards everything to S2.
     cfg(100, "S1", 1, any, any, topo.port_towards("S1", "S2"));
@@ -123,13 +123,13 @@ pub fn sdn2() -> Scenario {
     let any = cidr("0.0.0.0/0");
     exec.log.push_cfg(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(10, "S0", 1, any, any, topo.port_towards("S0", "S1")),
     );
     // The overlapping high-priority scrubber rule (bug: /7, intended /8).
     exec.log.push_cfg(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(20, "S1", 10, cidr("66.0.0.0/7"), any, p_scrub),
     );
     // The web rule.
@@ -186,17 +186,17 @@ pub fn sdn3() -> Scenario {
     let group = cidr("239.1.1.1/32");
     exec.log.push_cfg(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(10, "S0", 1, any, any, topo.port_towards("S0", "S1")),
     );
     // The multicast rule pair (one entry per receiver, same priority).
     let mc1 = cfg_entry(20, "S1", 10, any, group, p_h1);
     let mc2 = cfg_entry(21, "S1", 10, any, group, p_h2);
-    exec.log.push_cfg(T_CONFIG, ctl.clone(), mc1.clone());
-    exec.log.push_cfg(T_CONFIG, ctl.clone(), mc2.clone());
+    exec.log.push_cfg(T_CONFIG, ctl, mc1.clone());
+    exec.log.push_cfg(T_CONFIG, ctl, mc2.clone());
     // The low-priority fallback that hijacks the stream after expiry.
     exec.log
-        .push_cfg(T_CONFIG, ctl.clone(), cfg_entry(22, "S1", 1, any, any, p_h3));
+        .push_cfg(T_CONFIG, ctl, cfg_entry(22, "S1", 1, any, any, p_h3));
 
     let src = ip("10.9.9.9");
     let dst = ip("239.1.1.1");
@@ -205,7 +205,7 @@ pub fn sdn3() -> Scenario {
         .insert(T_GOOD, "S0", pkt_in(1, src, dst, PROTO_UDP, 1316));
     // The multicast rule expires (modeled as deletion of its config).
     let t_expire = T_GOOD + 500;
-    exec.log.delete(t_expire, ctl.clone(), mc1);
+    exec.log.delete(t_expire, ctl, mc1);
     exec.log.delete(t_expire, ctl, mc2);
     exec.log
         .insert(T_BAD, "S0", pkt_in(2, src, dst, PROTO_UDP, 1316));
@@ -248,7 +248,7 @@ pub fn sdn4() -> Scenario {
     let any = cidr("0.0.0.0/0");
     let mut cfg = |rid, sw: &str, prio, sm, dm, port| {
         exec.log
-            .push_cfg(T_CONFIG, ctl.clone(), cfg_entry(rid, sw, prio, sm, dm, port));
+            .push_cfg(T_CONFIG, ctl, cfg_entry(rid, sw, prio, sm, dm, port));
     };
     cfg(100, "S1", 1, any, any, topo.port_towards("S1", "S2"));
     // Fault #1 at S2 (specific rule too narrow) + fallback towards web2.
@@ -314,17 +314,17 @@ pub fn flapping() -> Scenario {
     let any = cidr("0.0.0.0/0");
     exec.log.push_cfg(
         T_CONFIG,
-        ctl.clone(),
+        ctl,
         cfg_entry(10, "S0", 1, any, any, topo.port_towards("S0", "S1")),
     );
     // The backup rule towards the stale mirror.
     exec.log
-        .push_cfg(T_CONFIG, ctl.clone(), cfg_entry(21, "S1", 1, any, any, p_stale));
+        .push_cfg(T_CONFIG, ctl, cfg_entry(21, "S1", 1, any, any, p_stale));
     // The flapping primary route: up, down, up, down.
     let primary = cfg_entry(20, "S1", 10, any, any, p_primary);
-    exec.log.push_cfg(T_CONFIG, ctl.clone(), primary.clone());
-    exec.log.delete(1_000, ctl.clone(), primary.clone()); // first withdrawal
-    exec.log.insert(1_200, ctl.clone(), primary.clone()); // back up
+    exec.log.push_cfg(T_CONFIG, ctl, primary.clone());
+    exec.log.delete(1_000, ctl, primary.clone()); // first withdrawal
+    exec.log.insert(1_200, ctl, primary.clone()); // back up
     exec.log.delete(1_800, ctl, primary); // down again (and stays down)
 
     let src = ip("20.0.0.5");

@@ -19,7 +19,7 @@ use dp_types::DetRng;
 use diffprov_core::QueryEvent;
 use dp_replay::{BaseEvent, BaseOp, EventLog, Execution};
 use dp_types::prefix::{cidr, ip};
-use dp_types::{LogicalTime, NodeId, Prefix, TupleRef};
+use dp_types::{LogicalTime, NodeId, Prefix, Sym, TupleRef};
 
 use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program, DROP_PORT};
 use diffprov_core::Scenario;
@@ -87,41 +87,47 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     let mut rng = DetRng::seed_from_u64(cfg.seed);
     let mut topo = Topology::new("ctl");
 
-    // 2 backbone + 14 OZ routers in a tree.
-    topo.switches(&["bb1", "bb2"]);
-    let oz_names: Vec<String> = (1..=14).map(|k| format!("oz{k}")).collect();
-    for n in &oz_names {
-        topo.switch(n);
+    // 2 backbone + 14 OZ routers in a tree. Each router's name is made
+    // once here and copied into every entry and packet that names it:
+    // making a name is an interner lookup.
+    let all_routers: Vec<Sym> = ["bb1", "bb2"]
+        .into_iter()
+        .map(Sym::new)
+        .chain((1..=14).map(|k| Sym::from(format!("oz{k}"))))
+        .collect();
+    let (backbone, ozs) = all_routers.split_at(2);
+    let oz4 = ozs[3];
+    for r in &all_routers {
+        topo.switch(r.as_str());
     }
     topo.link("bb1", "bb2");
-    for (i, n) in oz_names.iter().enumerate() {
-        let bb = if i < 7 { "bb1" } else { "bb2" };
-        topo.link(bb, n);
+    for (i, n) in ozs.iter().enumerate() {
+        topo.link(backbone[i / 7].as_str(), n.as_str());
     }
 
     // Zone ownership: ozk owns 172.(15+k).0.0/16; oz4 additionally owns
     // 172.20.0.0/16 (H2's zone — co-located with the reference subnet, as
     // in the paper), so oz5 is compensated with 172.30.0.0/16.
-    let mut zones: Vec<(Prefix, String)> = Vec::new();
-    for (i, n) in oz_names.iter().enumerate() {
+    let mut zones: Vec<(Prefix, Sym)> = Vec::new();
+    for (i, &n) in ozs.iter().enumerate() {
         let k = i + 1;
         if k == 5 {
-            zones.push((cidr("172.30.0.0/16"), n.clone()));
+            zones.push((cidr("172.30.0.0/16"), n));
         } else {
             zones.push((
                 Prefix::new(u32::from_be_bytes([172, (15 + k) as u8, 0, 0]), 16)
                     .expect("static prefix"),
-                n.clone(),
+                n,
             ));
         }
     }
-    zones.push((cidr("172.20.0.0/16"), "oz4".to_string()));
+    zones.push((cidr("172.20.0.0/16"), oz4));
 
     // Hosts: one zone host per OZ, plus the scenario hosts at oz4.
     let mut zone_host_port = std::collections::BTreeMap::new();
-    for n in &oz_names {
-        let p = topo.host(n, &format!("h-{n}"));
-        zone_host_port.insert(n.clone(), p);
+    for &n in ozs {
+        let p = topo.host(n.as_str(), &format!("h-{n}"));
+        zone_host_port.insert(n, p);
     }
     let p_h3 = topo.host("oz4", "h3"); // reference host (172.19.254.0/24)
     let _p_h2 = topo.host("oz4", "h2"); // intended destination (172.20.10.32/27)
@@ -139,24 +145,21 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     let mut churn_entries: Vec<Arc<dp_types::Tuple>> = Vec::new();
     let mut churn_packets: Vec<(NodeId, Arc<dp_types::Tuple>)> = Vec::new();
     let push = |exec: &mut Execution, e: dp_types::Tuple| {
-        exec.log.insert(T_CONFIG, ctl.clone(), e);
+        exec.log.insert(T_CONFIG, ctl, e);
     };
 
     // Zone routing: every router gets one aggregate entry per zone.
-    let all_routers: Vec<String> = ["bb1", "bb2"]
-        .iter()
-        .map(|s| s.to_string())
-        .chain(oz_names.iter().cloned())
-        .collect();
-    for r in &all_routers {
-        for (zone, owner) in &zones {
+    for &r in &all_routers {
+        for &(zone, owner) in &zones {
             let port = if r == owner {
-                zone_host_port[owner]
+                zone_host_port[&owner]
             } else {
-                let hop = topo.next_hop(r, owner).expect("tree is connected");
-                topo.port_towards(r, &hop)
+                let hop = topo
+                    .next_hop(r.as_str(), owner.as_str())
+                    .expect("tree is connected");
+                topo.port_towards(r.as_str(), &hop)
             };
-            push(&mut exec, cfg_entry(rid, r, 5, any, *zone, port));
+            push(&mut exec, cfg_entry(rid, r, 5, any, zone, port));
             rid += 1;
             entry_count += 1;
             // Bulk specific /24 routes within the zone, same next hop:
@@ -168,7 +171,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
                 if cfg.update_churn_rounds > 0 {
                     churn_entries.push(Arc::clone(&e));
                 }
-                exec.log.insert(T_CONFIG, ctl.clone(), e);
+                exec.log.insert(T_CONFIG, ctl, e);
                 rid += 1;
                 entry_count += 1;
             }
@@ -176,7 +179,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     }
 
     // ACLs at the backbone: drop external destinations.
-    for bb in ["bb1", "bb2"] {
+    for &bb in backbone {
         for a in 0..cfg.acl_rules {
             let pfx = Prefix::new(u32::from_be_bytes([(60 + a) as u8, 0, 0, 0]), 8)
                 .expect("static prefix");
@@ -190,13 +193,13 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     // FAULT — H2's subnet misconfigured to drop (should be the host port).
     let h3_subnet = cidr("172.19.254.0/24");
     let h2_subnet = cidr("172.20.10.32/27");
-    push(&mut exec, cfg_entry(1, "oz4", 9, any, h3_subnet, p_h3));
-    push(&mut exec, cfg_entry(2, "oz4", 10, any, h2_subnet, DROP_PORT));
+    push(&mut exec, cfg_entry(1, oz4, 9, any, h3_subnet, p_h3));
+    push(&mut exec, cfg_entry(2, oz4, 10, any, h2_subnet, DROP_PORT));
     entry_count += 2;
 
     // 20 extra faults: wrong-port/drop entries for unused prefixes, so the
     // original fault stays reproducible (as the paper verifies).
-    let on_path = ["oz3", "bb1", "oz4"];
+    let on_path = [ozs[2], backbone[0], oz4];
     for i in 0..cfg.faults_on_path {
         let r = on_path[i % on_path.len()];
         let pfx = Prefix::new(u32::from_be_bytes([10, 66, i as u8, 0]), 24).expect("static");
@@ -205,7 +208,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         entry_count += 1;
     }
     for i in 0..cfg.faults_off_path {
-        let r = &oz_names[7 + (i % 7)]; // oz8..oz14
+        let r = ozs[7 + (i % 7)]; // oz8..oz14
         let pfx = Prefix::new(u32::from_be_bytes([10, 77, i as u8, 0]), 24).expect("static");
         let bogus_port = 99; // no link: packets to it vanish
         push(&mut exec, cfg_entry(rid, r, 7, any, pfx, bogus_port));
@@ -227,7 +230,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     for b in 0..cfg.background_packets {
         let szi = rng.gen_range_usize(0, zones.len());
         let dzi = rng.gen_range_usize(0, zones.len());
-        let (sz, s_owner) = &zones[szi];
+        let (sz, s_owner) = zones[szi];
         let (dz, _) = &zones[dzi];
         let src = sz.addr() | rng.gen_range_u32(1, 0xffff);
         let dst = dz.addr() | rng.gen_range_u32(1, 0xffff);
@@ -235,10 +238,10 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
         let len = [64i64, 512, 1500][rng.gen_range_usize(0, 3)];
         let p = Arc::new(pkt_in(500_000 + b as i64, src, dst, proto, len));
         if cfg.update_churn_rounds > 0 {
-            churn_packets.push((NodeId::new(s_owner), Arc::clone(&p)));
+            churn_packets.push((NodeId(s_owner), Arc::clone(&p)));
         }
         log_probes_before(&mut exec.log, &mut probes, T_TRAFFIC + b as u64);
-        exec.log.insert(T_TRAFFIC + b as u64, NodeId::new(s_owner), p);
+        exec.log.insert(T_TRAFFIC + b as u64, NodeId(s_owner), p);
     }
 
     // Update churn: withdraw and re-issue the shadow routes and the
@@ -261,7 +264,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
                 for (node, tuple) in entries.chain(churn_packets.iter().map(|(n, p)| (n, p))) {
                     exec.log.push(BaseEvent {
                         due: t,
-                        node: node.clone(),
+                        node: *node,
                         tuple: Arc::clone(tuple),
                         op,
                     });

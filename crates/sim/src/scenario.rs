@@ -312,7 +312,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
             T_CONFIG,
             cfg_entry(
                 RID_PRIMARY + sw as i64,
-                &sw_name(sw),
+                sw_name(sw),
                 PRIO_PRIMARY,
                 any,
                 any,
@@ -323,7 +323,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
             T_CONFIG,
             cfg_entry(
                 RID_BACKUP + sw as i64,
-                &sw_name(sw),
+                sw_name(sw),
                 PRIO_BACKUP,
                 any,
                 any,
@@ -353,15 +353,15 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                     continue;
                 }
                 let primary = bad_baseline[2 * sw].1.clone();
-                bad_extra.push((*at, ctl.clone(), primary, true));
+                bad_extra.push((*at, ctl, primary, true));
             }
             Injection::RuleRestore { sw, down_at, up_at } => {
                 if !claimed.insert(*sw) {
                     continue;
                 }
                 let primary = bad_baseline[2 * sw].1.clone();
-                bad_extra.push((*down_at, ctl.clone(), primary.clone(), true));
-                bad_extra.push((*up_at, ctl.clone(), primary, false));
+                bad_extra.push((*down_at, ctl, primary.clone(), true));
+                bad_extra.push((*up_at, ctl, primary, false));
             }
             Injection::DelayedInstall { sw, until } => {
                 if !claimed.insert(*sw) {
@@ -394,7 +394,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                 // sees the orders flipped.
                 let to_dst = cfg_entry(
                     RID_RACE + *sw as i64,
-                    &sw_name(*sw),
+                    sw_name(*sw),
                     PRIO_RACE,
                     any,
                     any,
@@ -402,7 +402,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                 );
                 let to_alt = cfg_entry(
                     RID_RACE + *sw as i64,
-                    &sw_name(*sw),
+                    sw_name(*sw),
                     PRIO_RACE,
                     any,
                     any,
@@ -412,9 +412,9 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                     (&mut good_extra, to_alt.clone(), to_dst.clone()),
                     (&mut bad_extra, to_dst, to_alt),
                 ] {
-                    log.push((*at, ctl.clone(), first.clone(), false));
-                    log.push((*at, ctl.clone(), first, true));
-                    log.push((*at, ctl.clone(), second, false));
+                    log.push((*at, ctl, first.clone(), false));
+                    log.push((*at, ctl, first, true));
+                    log.push((*at, ctl, second, false));
                 }
             }
         }
@@ -430,7 +430,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
         let mut exec = Execution::new(std::sync::Arc::clone(&program));
         topo.emit(&mut exec.log, T_CONFIG);
         for (due, entry) in install {
-            exec.log.insert(*due, ctl.clone(), entry.clone());
+            exec.log.insert(*due, ctl, entry.clone());
         }
         for p in &packets {
             exec.log.insert(
@@ -441,9 +441,9 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
         }
         for (due, node, tuple, delete) in extra {
             if *delete {
-                exec.log.delete(*due, node.clone(), tuple.clone());
+                exec.log.delete(*due, *node, tuple.clone());
             } else {
-                exec.log.insert(*due, node.clone(), tuple.clone());
+                exec.log.insert(*due, *node, tuple.clone());
             }
         }
         exec

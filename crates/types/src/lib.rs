@@ -2,8 +2,8 @@
 //!
 //! Every other crate in the workspace builds on the types defined here:
 //!
-//! * [`Sym`] — a cheaply cloneable interned-style name used for table names,
-//!   rule names, node names, and string values.
+//! * [`Sym`] — an interned, one-word `Copy` name used for table names, rule
+//!   names, node names, and string values.
 //! * [`Value`] — the dynamic value type carried in tuple fields (integers,
 //!   IPv4 addresses, prefixes, strings, checksums, logical times).
 //! * [`Tuple`] — a row of a named table; the unit of state in the Network

@@ -140,20 +140,20 @@ impl Schema {
     pub fn check(&self, tuple: &Tuple) -> Result<(), Error> {
         if tuple.table != self.name {
             return Err(Error::Schema {
-                table: self.name.clone(),
+                table: self.name,
                 message: format!("tuple belongs to table {}", tuple.table),
             });
         }
         if tuple.arity() != self.arity() {
             return Err(Error::Schema {
-                table: self.name.clone(),
+                table: self.name,
                 message: format!("arity {}, got {}", self.arity(), tuple.arity()),
             });
         }
         for (decl, value) in self.fields.iter().zip(&tuple.args) {
             if !decl.ty.accepts(value) {
                 return Err(Error::Schema {
-                    table: self.name.clone(),
+                    table: self.name,
                     message: format!(
                         "field {} expects {:?}, got {} ({})",
                         decl.name,
@@ -182,7 +182,7 @@ impl SchemaRegistry {
 
     /// Adds (or replaces) a table declaration.
     pub fn declare(&mut self, schema: Schema) -> &mut Self {
-        self.tables.insert(schema.name.clone(), schema);
+        self.tables.insert(schema.name, schema);
         self
     }
 
@@ -193,7 +193,7 @@ impl SchemaRegistry {
 
     /// Looks up a table, erroring if undeclared.
     pub fn require(&self, table: &Sym) -> Result<&Schema, Error> {
-        self.get(table).ok_or_else(|| Error::UnknownTable(table.clone()))
+        self.get(table).ok_or(Error::UnknownTable(*table))
     }
 
     /// The kind of a table; undeclared tables error.

@@ -32,7 +32,7 @@ use crate::value::Value;
 ///
 /// In the SDN scenarios these are switches and the controller (`S1`, `S2`,
 /// `ctl`); in MapReduce they are workers and the job driver.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub Sym);
 
 impl NodeId {
@@ -266,8 +266,9 @@ impl TupleStore {
 
 /// A tuple located at a node: the paper's `τ @ n`.
 ///
-/// The tuple payload is shared (`Arc`), so cloning a `TupleRef` is two
-/// reference-count bumps rather than a deep copy of the argument vector.
+/// The tuple payload is shared (`Arc`) and the node is a [`Sym`], so
+/// cloning a `TupleRef` is one reference-count bump rather than a deep
+/// copy of the argument vector.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TupleRef {
     /// Where the tuple lives.

@@ -51,7 +51,7 @@ fn main() {
                 spec.prio, spec.m.src.to_string(), spec.m.dst.to_string(), spec.port);
         }
         for t in to_cfg_entries(sw, rid, &specs) {
-            exec.log.insert(10, ctl.clone(), t);
+            exec.log.insert(10, ctl, t);
         }
     }
 

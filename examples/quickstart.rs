@@ -60,7 +60,7 @@ fn main() {
     let report = DiffProv::default()
         .diagnose(
             &good,
-            &QueryEvent::new(TupleRef::new(n.clone(), tuple!("out", 11)), u64::MAX),
+            &QueryEvent::new(TupleRef::new(n, tuple!("out", 11)), u64::MAX),
             &bad,
             &QueryEvent::new(TupleRef::new(n, tuple!("out", 22)), u64::MAX),
         )

@@ -20,7 +20,9 @@
 # bindings or whole-tuple table keys in the engine, against a second
 # representation of a join plan beside the compiled steps, against the tracer's
 # deleted event stream (its renderings, determinism classes, span and
-# trace ids, instants); and lint-clean clippy.
+# trace ids, instants), against a name that is more than one interned word
+# (an `Arc<str>` or a pointer test in `Sym`, a pointer pass in the
+# environment or the parser); and lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery.
@@ -253,6 +255,18 @@ step "gate: the tracer is its aggregate" absent \
     "a name of the deleted trace event stream reappeared" \
     "Tracer::fu""ll|Trace""Event|to_js""onl|to_chr""ome|fn skel""eton|Class::Skel""eton|Class::Eff""ort|Span""Id|Trace""Id|\\.inst""ant\\(" \
     crates src tests examples scripts
+# A name is one interned word: `Sym` points at the one copy of its
+# text the process keeps, so equality is the pointer and exact. A
+# reference-counted string beside it, an allocation test on it, or a
+# pointer pass in front of a content search in the environment or the
+# parser would be the second representation this change deleted.
+one_word() {
+    absent "Sym is not one interned word" \
+        "Arc<str>|fn ptr_eq" crates/types/src/sym.rs &&
+        absent "a pointer pass on names reappeared" \
+            "\\.ptr_eq\\(" crates/ndlog/src/expr.rs crates/ndlog/src/parser.rs
+}
+step "gate: a name is one interned word" one_word
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo

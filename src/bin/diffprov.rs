@@ -161,9 +161,9 @@ fn cmd_whynot(name: &str) {
         && goal.tuple.arity() == s.bad_event.tref.tuple.arity()
     {
         goal = diffprov::types::TupleRef::new(
-            goal.node.clone(),
+            goal.node,
             diffprov::types::Tuple::new(
-                goal.tuple.table.clone(),
+                goal.tuple.table,
                 s.bad_event.tref.tuple.args.clone(),
             ),
         );

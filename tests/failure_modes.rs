@@ -57,7 +57,7 @@ fn hashes_over_untainted_inputs_are_harmless() {
     let report = DiffProv::default()
         .diagnose(
             &good,
-            &QueryEvent::new(TupleRef::new(n.clone(), good_out), u64::MAX),
+            &QueryEvent::new(TupleRef::new(n, good_out), u64::MAX),
             &bad,
             &QueryEvent::new(TupleRef::new(n, bad_out), u64::MAX),
         )
@@ -91,9 +91,9 @@ fn native_rule_over_tainted_inputs_is_non_invertible() {
         ) -> diffprov::types::Result<()> {
             let x = trigger.args[0].as_int()?;
             out.emit(
-                view.node.clone(),
+                *view.node,
                 Tuple::new("out", vec![Value::Int(2 * x)]),
-                vec![diffprov::types::TupleRef::new(view.node.clone(), trigger.clone())],
+                vec![diffprov::types::TupleRef::new(*view.node, trigger.clone())],
             );
             Ok(())
         }
@@ -118,7 +118,7 @@ fn native_rule_over_tainted_inputs_is_non_invertible() {
     let report = DiffProv::default()
         .diagnose(
             &good,
-            &QueryEvent::new(TupleRef::new(n.clone(), tuple!("out", 2)), u64::MAX),
+            &QueryEvent::new(TupleRef::new(n, tuple!("out", 2)), u64::MAX),
             &bad,
             &QueryEvent::new(TupleRef::new(n, tuple!("out", 6)), u64::MAX),
         )
@@ -193,7 +193,7 @@ fn change_set_follows_the_good_trees_derivation() {
     let report = DiffProv::default()
         .diagnose(
             &good,
-            &QueryEvent::new(TupleRef::new(n.clone(), tuple!("out", 7)), u64::MAX),
+            &QueryEvent::new(TupleRef::new(n, tuple!("out", 7)), u64::MAX),
             &bad,
             &QueryEvent::new(TupleRef::new(n, tuple!("out", 10)), u64::MAX),
         )
@@ -236,7 +236,7 @@ fn unmodelable_divergence_reports_no_progress() {
     let report = DiffProv::default()
         .diagnose(
             &good,
-            &QueryEvent::new(TupleRef::new(n.clone(), tuple!("out", 1)), u64::MAX),
+            &QueryEvent::new(TupleRef::new(n, tuple!("out", 1)), u64::MAX),
             &bad,
             &QueryEvent::new(TupleRef::new(n, tuple!("in", 2)), u64::MAX),
         )

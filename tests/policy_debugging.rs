@@ -40,7 +40,7 @@ fn policy_network(untrusted: diffprov::types::Prefix) -> (Execution, Topology) {
     let ctl = NodeId::new("ctl");
     for (sw, rid, policy) in [("S1", 100, &s1), ("S2", 200, &s2), ("S6", 600, &s6)] {
         for t in to_cfg_entries(sw, rid, &compile(policy).expect("compiles")) {
-            exec.log.insert(10, ctl.clone(), t);
+            exec.log.insert(10, ctl, t);
         }
     }
     let dst = ip("10.0.0.80");

@@ -170,10 +170,10 @@ fn engine_is_deterministic() {
             let mut eng = Engine::new(chain_program(), NullSink);
             let n = NodeId::new("n");
             for (i, &kv) in ks.iter().enumerate() {
-                eng.schedule_insert(i as u64, n.clone(), tuple!("k", kv)).unwrap();
+                eng.schedule_insert(i as u64, n, tuple!("k", kv)).unwrap();
             }
             for &(due, x) in &inputs {
-                eng.schedule_insert(100 + due, n.clone(), tuple!("e", x)).unwrap();
+                eng.schedule_insert(100 + due, n, tuple!("e", x)).unwrap();
             }
             eng.run().unwrap();
             let stats = eng.stats();
@@ -206,14 +206,14 @@ fn deletion_drains_derived_state() {
         let mut eng = Engine::new(chain_program(), NullSink);
         let n = NodeId::new("n");
         for &kv in &ks {
-            eng.schedule_insert(0, n.clone(), tuple!("k", kv)).unwrap();
+            eng.schedule_insert(0, n, tuple!("k", kv)).unwrap();
         }
         for (i, &x) in inputs.iter().enumerate() {
-            eng.schedule_insert(100 + i as u64, n.clone(), tuple!("e", x)).unwrap();
+            eng.schedule_insert(100 + i as u64, n, tuple!("e", x)).unwrap();
         }
         eng.run().unwrap();
         for &kv in &ks {
-            eng.schedule_delete(10_000, n.clone(), tuple!("k", kv)).unwrap();
+            eng.schedule_delete(10_000, n, tuple!("k", kv)).unwrap();
         }
         eng.run().unwrap();
         let remaining = eng
@@ -257,7 +257,7 @@ fn diffprov_report_is_invariant_under_batching() {
         let ctl = NodeId::new("ctl");
         for (sw, rid, policy) in [("S1", 100, &s1), ("S2", 200, &s2), ("S6", 600, &s6)] {
             for t in to_cfg_entries(sw, rid, &compile(policy).expect("compiles")) {
-                exec.log.insert(10, ctl.clone(), t);
+                exec.log.insert(10, ctl, t);
             }
         }
         let dst = ip("10.0.0.80");
@@ -279,7 +279,7 @@ fn diffprov_report_is_invariant_under_batching() {
         nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>,
     ) -> Vec<(NodeId, Tuple, TupleState)> {
         nodes
-            .flat_map(|(n, st)| st.all().map(move |(t, s)| (n.clone(), t.clone(), s.clone())))
+            .flat_map(|(n, st)| st.all().map(move |(t, s)| (*n, t.clone(), s.clone())))
             .collect()
     }
     let mut engine = Engine::new(exec.program.clone(), VecSink::default());

@@ -75,7 +75,7 @@ fn roll_forward_reaches_the_from_scratch_state() {
     let exec = &s.bad_exec;
     let trees = |r: &Replayed| -> Vec<(TupleRef, String)> {
         let live = r.engine.nodes().flat_map(|(node, state)| {
-            state.all().map(move |(t, _)| TupleRef::new(node.clone(), t.clone()))
+            state.all().map(move |(t, _)| TupleRef::new(*node, t.clone()))
         });
         live.map(|root| {
             let tree = r.query(&root).expect("a live tuple has a tree").render();
