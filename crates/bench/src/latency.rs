@@ -10,10 +10,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dp_mapreduce::{build_job, generate as gen_corpus, CorpusConfig, JobConfig, Pipeline};
-use dp_ndlog::expr::fnv1a;
 use dp_ndlog::{Engine, ProvEvent, ProvenanceSink};
 use dp_replay::{Execution, StorageModel};
 use dp_sdn::{generate as gen_trace, sdn_program, TraceConfig, Topology};
+use dp_types::codec::fnv64;
 use dp_types::{NodeId, Result};
 
 /// The *runtime* logging engine: the paper's query-time approach writes
@@ -176,7 +176,7 @@ pub fn checksum_costs(lines_per_file: usize) -> ChecksumCosts {
         for _ in &f.lines {
             // Naive: every record read re-checksums its whole file.
             let idx = corpus.iter().position(|g| g.name == f.name).unwrap();
-            acc ^= fnv1a(contents[idx].as_bytes());
+            acc ^= fnv64(contents[idx].as_bytes());
         }
     }
     let per_read_secs = t.elapsed().as_secs_f64();
@@ -185,7 +185,7 @@ pub fn checksum_costs(lines_per_file: usize) -> ChecksumCosts {
     let t = Instant::now();
     let mut acc = 0u64;
     for c in &contents {
-        acc ^= fnv1a(c.as_bytes());
+        acc ^= fnv64(c.as_bytes());
     }
     let cached_secs = t.elapsed().as_secs_f64().max(1e-9);
     std::hint::black_box(acc);

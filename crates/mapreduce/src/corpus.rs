@@ -7,9 +7,8 @@
 //! so "the buggy mapper drops the first word of each line" has a clean,
 //! queryable effect on specific word counts.
 
+use dp_types::codec::fnv64;
 use dp_types::DetRng;
-
-use dp_ndlog::expr::fnv1a;
 
 /// One input file: a name, its lines, and a content checksum (the paper's
 /// HDFS file checksum, used by the replay engine to identify inputs).
@@ -76,7 +75,7 @@ pub fn generate(cfg: &CorpusConfig) -> Vec<InputFile> {
         let content = lines.join("\n");
         files.push(InputFile {
             name: format!("part-{f:05}.txt"),
-            checksum: fnv1a(content.as_bytes()),
+            checksum: fnv64(content.as_bytes()),
             bytes: content.len() as u64,
             lines,
         });

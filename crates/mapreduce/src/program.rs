@@ -20,8 +20,9 @@
 
 use std::sync::Arc;
 
-use dp_ndlog::expr::{fnv1a, hash_value};
+use dp_ndlog::expr::hash_value;
 use dp_ndlog::{Emitter, NativeRule, NodeView, Program};
+use dp_types::codec::fnv64;
 use dp_types::{FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, Tuple, TupleRef, Value};
 
 /// Checksum of the correct mapper implementation ("bytecode signature").
@@ -410,7 +411,7 @@ impl NativeRule for OutputNative {
         }
         out.emit(
             *view.node,
-            Tuple::new("outputFile", vec![Value::Sum(fnv1a(content.as_bytes()))]),
+            Tuple::new("outputFile", vec![Value::Sum(fnv64(content.as_bytes()))]),
             body,
         );
         Ok(())

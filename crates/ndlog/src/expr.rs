@@ -28,6 +28,7 @@
 
 use std::fmt;
 
+use dp_types::codec::fnv64;
 use dp_types::{Error, Prefix, Result, Sym, Value};
 
 /// A variable binding environment: `(name, value)` pairs sorted by name,
@@ -261,23 +262,13 @@ impl Func {
     }
 }
 
-/// A deterministic 64-bit content hash (FNV-1a), used by [`Func::Hash`].
-///
-/// Stable across runs and platforms, which replay correctness requires.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Hashes a [`Value`] deterministically.
+/// Hashes a [`Value`] deterministically (FNV-1a over its text), as
+/// [`Func::Hash`] does: stable across runs and platforms, which replay
+/// correctness requires.
 pub fn hash_value(v: &Value) -> u64 {
     // Prefix with the type tag so e.g. Int(1) and Time(1) differ.
     let repr = format!("{}:{}", v.type_name(), v);
-    fnv1a(repr.as_bytes())
+    fnv64(repr.as_bytes())
 }
 
 /// An expression over rule variables.

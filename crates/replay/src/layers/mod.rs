@@ -1,30 +1,26 @@
 //! The layered durable base-event store.
 //!
 //! This is the real spill path behind the paper's storage story (Section
-//! 5, Figs 5–6): the in-memory [`EventLog`] is the *open layer*; sealing
-//! writes immutable, sorted layer files keyed by (node, due range)
-//! ([`layer`]). The arrangement follows neon's pageserver layer stack: an
-//! ephemeral open layer seals into immutable on-disk layers, and reads are
-//! served through the merged stack. Layer files are all the store holds:
-//! base events are persisted, everything else is rebuilt by replay.
+//! 5, Figs 5–6): the in-memory [`EventLog`] is the *open layer*; a seal
+//! writes the next run of its replay order as one immutable layer file
+//! ([`layer`]). Layer files are all the store holds: base events are
+//! persisted, everything else is rebuilt by replay.
 //!
-//! ## Exactness of read-through ordering
+//! ## One read: concatenation
 //!
-//! The replay order is total: `(due, seq)`, where `seq` is the event's
-//! position in the in-memory log's replay order, persisted with each
-//! record at seal time. Layer files each hold a strictly increasing
-//! `(due, seq)` run, so a k-way merge on that key across any set of
-//! layers — whatever their due-range overlaps — yields exactly the one
-//! global order the in-memory log would have produced. There is one such
-//! merge (`DurableStore::merged`), and every read of the stack goes
-//! through it.
+//! Each layer is named for its `first_seq`, the number of events sealed
+//! before it, and holds a run of the replay order. The layers read in
+//! `first_seq` order, one after another, *are* the log's replay order, so
+//! the one read of the stack (`DurableStore::events`) is a concatenation:
+//! no per-record sequence number, no merge. Nothing reads the store by
+//! node.
 //!
 //! ## Recovery
 //!
-//! Recovery = [`DurableStore::open`] (every layer file checksum-verified
-//! and validated, the stack's sequence numbers exactly `0..n`) + a replay
-//! of the merged stack. Replay is deterministic in replay order, so the
-//! recovered stream has one identity: its digest
+//! Recovery is [`DurableStore::open`] (every layer file checksum-verified
+//! and validated, the layers tiling `0..n` with dues that never decrease)
+//! and a replay of the stack. Replay is deterministic in replay order, so
+//! the recovered stream has one identity: its digest
 //! ([`Execution::recovered_stream_digest`]) equals the in-memory
 //! [`Execution::stream_digest`] and the oracle's
 //! [`Execution::reference_stream_digest`], and [`DurableStore::load_log`]
@@ -34,17 +30,15 @@
 
 pub mod layer;
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, HashSink};
 use dp_trace::Tracer;
-use dp_types::{Error, LogicalTime, NodeId, Result};
+use dp_types::{Error, LogicalTime, Result};
 
-pub use self::layer::{Layer, SeqEvent};
+pub use self::layer::Layer;
 
 use crate::exec::Execution;
 use crate::log::{BaseEvent, EventLog};
@@ -98,10 +92,11 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens (or initializes) the store at `dir`, loading and verifying
-    /// every layer file found there; any other file is ignored. The
-    /// layers together must hold each sequence number `0..n` exactly
-    /// once: a layer file missing from the middle of the stack, or
-    /// present twice under two names, is a typed
+    /// every layer file found there; any other file is ignored. In
+    /// `first_seq` order the layers must tile the log: each starts at the
+    /// number of events before it, and its first due is no earlier than
+    /// its predecessor's last. A layer file missing from the middle of the
+    /// stack, or present twice under two names, is a typed
     /// [`Error::Codec`](dp_types::Error::Codec), not a shorter or longer
     /// log.
     pub fn open(dir: &Path) -> Result<DurableStore> {
@@ -119,23 +114,27 @@ impl DurableStore {
             }
         }
         layers.sort_by_key(|l| l.first_seq);
-        let total: usize = layers.iter().map(|l| l.events.len()).sum();
-        let mut seen = vec![false; total];
+        let (mut seq, mut due) = (0, 0);
         for l in &layers {
-            for s in &l.events {
-                let slot = usize::try_from(s.seq).ok().and_then(|seq| seen.get_mut(seq));
-                if slot.is_none_or(|seen| std::mem::replace(seen, true)) {
-                    return Err(Error::Codec {
-                        context: "layer stack",
-                        detail: format!(
-                            "{} holds sequence number {}, which repeats or lies past the \
-                             stack's {total} events (a layer file is missing or present twice)",
-                            l.path.display(),
-                            s.seq
-                        ),
-                    });
-                }
+            let broken = |detail: String| Error::Codec {
+                context: "layer stack",
+                detail: format!("{}: {detail}", l.path.display()),
+            };
+            if l.first_seq != seq {
+                return Err(broken(format!(
+                    "starts at sequence number {}, but the layers before it hold {seq} events \
+                     (a layer file is missing or present twice)",
+                    l.first_seq
+                )));
             }
+            if let Some(first) = l.events.first().filter(|e| e.due < due) {
+                return Err(broken(format!(
+                    "starts at due {}, before its predecessor's last due {due}",
+                    first.due
+                )));
+            }
+            seq += l.events.len() as u64;
+            due = l.events.last().map_or(due, |e| e.due);
         }
         Ok(DurableStore {
             dir: dir.to_path_buf(),
@@ -159,36 +158,30 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Seals `events` — the next run of the log's replay order — into
-    /// immutable layer files, one per node touched. Returns the number of
-    /// files written. Events receive consecutive global sequence numbers
-    /// continuing from the stack this handle sees. A handle behind its
-    /// directory (another one sealed after it was opened) would number a
-    /// seal the directory already holds: that is an `Err` with nothing
-    /// written, never a replaced layer.
-    pub fn seal_events(&mut self, events: &[BaseEvent]) -> Result<usize> {
-        if events.is_empty() {
-            return Ok(0);
+    /// Seals `events` — the next run of the log's replay order — into one
+    /// immutable layer file, named for the number of events this handle
+    /// sees sealed before it. A batch whose dues decrease, or start before
+    /// the stack's last due, is not such a run: that is an `Err` with
+    /// nothing written. A handle behind its directory (another one sealed
+    /// after it was opened) would name its layer after one the directory
+    /// already holds: that too is an `Err` with nothing written, never a
+    /// replaced layer.
+    pub fn seal_events(&mut self, events: &[BaseEvent]) -> Result<()> {
+        let Some(head) = events.first() else {
+            return Ok(());
+        };
+        let last_due = self.events().next_back().map_or(0, |e| e.due);
+        if head.due < last_due || events.windows(2).any(|w| w[1].due < w[0].due) {
+            return Err(Error::Engine(format!(
+                "sealing into {}: the batch is not the next run of the replay order \
+                 (its dues decrease, or start before the stack's last due {last_due})",
+                self.dir.display()
+            )));
         }
         let span = self.tracer.span("store.seal");
-        // The stack holds sequence numbers `0..n` exactly, so the next is n.
-        let base = self.event_count();
-        let mut by_node: BTreeMap<NodeId, Vec<SeqEvent>> = BTreeMap::new();
-        for (i, e) in events.iter().enumerate() {
-            by_node.entry(e.node).or_default().push(SeqEvent {
-                seq: base + i as u64,
-                event: e.clone(),
-            });
-        }
-        let files = by_node.len();
-        // The file named for `base` goes first: a handle behind its
-        // directory collides on that one, before it has written any other.
-        let lead = by_node.remove_entry(&events[0].node);
-        for (node, evs) in lead.into_iter().chain(by_node) {
-            let path = self.dir.join(format!("layer-{:020}.dply", evs[0].seq));
-            self.layers.push(layer::write_layer(&path, &node, &evs)?);
-        }
-        self.layers.sort_by_key(|l| l.first_seq);
+        let first_seq = self.event_count();
+        let path = self.dir.join(format!("layer-{first_seq:020}.dply"));
+        self.layers.push(layer::write_layer(&path, first_seq, events)?);
         let sealed = events.len() as u64;
         span.end_with(|agg| {
             agg.add("store.sealed_events", sealed);
@@ -197,7 +190,7 @@ impl DurableStore {
             agg.set_level("store.layer_files", self.layer_count() as u64);
             agg.set_level("store.layer_bytes", self.layer_bytes());
         });
-        Ok(files)
+        Ok(())
     }
 
     /// Number of sealed layer files.
@@ -221,38 +214,19 @@ impl DurableStore {
         self.layer_bytes()
     }
 
-    /// The merged layer stack in the global replay order — the one read
-    /// of the stack, behind [`DurableStore::load_log`] and
+    /// The stack in the log's replay order — its layers one after
+    /// another — the one read of the stack, behind
+    /// [`DurableStore::load_log`] and
     /// [`Execution::recovered_stream_digest`] alike.
-    fn merged(&self) -> impl Iterator<Item = &BaseEvent> {
-        // Each layer is a strictly increasing (due, seq) run, so a heap
-        // seeded with every layer's first event and advanced one record
-        // at a time yields the unique global order.
-        let mut pos = vec![0usize; self.layers.len()];
-        let key = |s: &SeqEvent, li: usize| Reverse((s.event.due, s.seq, li));
-        let mut heap: BinaryHeap<Reverse<(LogicalTime, u64, usize)>> = self
-            .layers
-            .iter()
-            .enumerate()
-            .filter_map(|(li, l)| Some(key(l.events.first()?, li)))
-            .collect();
-        std::iter::from_fn(move || {
-            let Reverse((_, _, li)) = heap.pop()?;
-            let events = &self.layers[li].events;
-            let s = &events[pos[li]];
-            pos[li] += 1;
-            if let Some(next) = events.get(pos[li]) {
-                heap.push(key(next, li));
-            }
-            Some(&s.event)
-        })
+    fn events(&self) -> impl DoubleEndedIterator<Item = &BaseEvent> {
+        self.layers.iter().flat_map(|l| &l.events)
     }
 
-    /// Rebuilds an in-memory [`EventLog`] from the merged layer stack —
-    /// the sealed log, event for event in replay order.
+    /// Rebuilds an in-memory [`EventLog`] from the layer stack — the
+    /// sealed log, event for event in replay order.
     pub fn load_log(&self) -> EventLog {
         let mut log = EventLog::new();
-        for e in self.merged() {
+        for e in self.events() {
             log.push(e.clone());
         }
         log
@@ -309,7 +283,7 @@ impl Execution {
         Ok((store, self.stream_digest()?))
     }
 
-    /// The recovery digest: replays the merged layer stack of `store` —
+    /// The recovery digest: replays the layer stack of `store` —
     /// this execution contributes the program and the tracer, not its log
     /// — and returns the `(digest, count)` of the provenance stream.
     ///
@@ -320,7 +294,7 @@ impl Execution {
         let span = self.tracer.span("store.recovery");
         let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
         self.configure(&mut engine);
-        for e in store.merged() {
+        for e in store.events() {
             e.schedule_as(&mut engine, e.due, e.op)?;
         }
         engine.run()?;

@@ -4,8 +4,8 @@
 //! a base-event [`log`] written at runtime, query-time provenance
 //! reconstruction by deterministic replay ([`exec`]), cloned replay with
 //! tuple changes applied (the UPDATETREE step of the algorithm), the
-//! durable [`layers`] store (sealed on-disk layer files, recovered by
-//! opening and replaying them), and the [`storage`] cost model behind the
+//! durable [`layers`] store (one on-disk layer file per seal, recovered
+//! by reading the layers back in sequence and replaying them), and the [`storage`] cost model behind the
 //! Figure 5/6 experiments. An engine state is reached by replaying a log,
 //! or by rolling a replay forward — there is no checkpoint image.
 
@@ -20,6 +20,6 @@ mod roll;
 pub mod storage;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};
-pub use layers::{Checkpoint, DurableStore, Layer, SeqEvent};
+pub use layers::{Checkpoint, DurableStore, Layer};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};
 pub use storage::StorageModel;

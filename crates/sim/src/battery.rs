@@ -18,7 +18,7 @@
 //!    the schedule must not change the bad execution's digest.
 //! 5. **Durable recovery** — the bad execution sealed into an on-disk
 //!    layered store, "killed", and recovered from the directory alone
-//!    (reopened, the merged layer stack replayed) folds to exactly the
+//!    (reopened, the layers replayed in sequence) folds to exactly the
 //!    in-memory stream digest of invariant 1. A `NodeRestart` is a kill
 //!    *during* the sealing: the log is sealed in sessions split at the
 //!    restart cuts, each through a handle opened on the directory the

@@ -38,10 +38,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of power-of-two buckets in a [`Hist`].
@@ -227,7 +228,7 @@ impl Tracer {
     /// or size observations).
     pub fn update(&self, f: impl FnOnce(&mut Aggregate)) {
         if let Some(agg) = &self.agg {
-            f(&mut agg.lock().expect("tracer poisoned"));
+            f(&mut agg.lock().unwrap_or_else(PoisonError::into_inner));
         }
     }
 
@@ -235,7 +236,7 @@ impl Tracer {
     pub fn aggregate(&self) -> Aggregate {
         match &self.agg {
             None => Aggregate::default(),
-            Some(agg) => agg.lock().expect("tracer poisoned").clone(),
+            Some(agg) => agg.lock().unwrap_or_else(PoisonError::into_inner).clone(),
         }
     }
 }

@@ -35,7 +35,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a checksum over a byte stream.
 ///
-/// Used as the integrity check at the end of layer files.
+/// The one FNV-1a of the workspace: the integrity check at the end of
+/// layer files, and the content hash of NDlog's `hash` builtin and of the
+/// MapReduce checksums.
 /// It is not cryptographic — it defends against truncation and bit rot,
 /// not adversaries, exactly like the paper's prototype assumes a trusted
 /// logging substrate.

@@ -7,7 +7,9 @@
 # instrumentation system, against the deleted scrape surface (server,
 # exposition, sketches — the workspace opens no socket and spawns no
 # thread), against the deleted store and tracer routings and on-disk
-# checkpoints, against the deleted in-memory checkpoint (a second way to
+# checkpoints, against a layer that is more than one run of the log (a
+# per-node split, per-record sequence numbers, due ranges, a merge of the
+# stack), against the deleted in-memory checkpoint (a second way to
 # reach an engine state), against the deleted second provenance backend,
 # against a second UPDATETREE path in crates/core or a second roll entry,
 # against the roll's deleted memo copies of what the program answers and
@@ -133,6 +135,14 @@ step "gate: one store, one recovery path" absent \
     "a deleted store or tracer routing reappeared" \
     "DP_""STORE|Store""Mode|store_""mode|DP_LAYER_""EVENTS|DP_""TRACE|dp""ck|checkpoint_""every" \
     crates src tests examples scripts
+# A layer is one seal's run of the log, and the stack is read back by
+# concatenating its layers in `first_seq` order: no per-node split, no
+# per-record sequence number, no due range per layer, no heap merging the
+# stack. (Spelled in halves so this script passes its own gate.)
+step "gate: a layer is one run of the log" absent \
+    "a per-node layer or a merge of the stack reappeared" \
+    "Binary""Heap|Seq""Event|min_""due|max_""due|by_""node" \
+    crates/replay/src/layers
 # An engine state is reached by scheduling a log on a fresh engine and
 # running it, or by rolling such a replay forward — never by restoring an
 # image: the in-memory checkpoint (engine snapshot and restore, the
