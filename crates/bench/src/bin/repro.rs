@@ -93,7 +93,8 @@ fn run_sim(seeds: u64) {
         } else if checked.is_multiple_of(50) {
             println!("  {checked} seeds checked...");
         }
-    });
+    })
+    .expect("every seed generates a scenario");
     println!(
         "  {} seeds: {} divergent, {} diagnosed, {} aligned by DiffProv",
         summary.seeds, summary.divergent, summary.diagnosed, summary.diagnosis_succeeded
@@ -330,7 +331,7 @@ fn kind(c: &unsuitable::Category) -> &'static str {
 
 fn run_latency() {
     banner("Section 6.4: logging latency overhead");
-    let sdn = latency::sdn_overhead(20_000, 3).expect("SDN workload runs");
+    let sdn = latency::sdn_overhead(20_000, 7).expect("SDN workload runs");
     println!(
         "  {:<28} baseline {:.3}s, with capture {:.3}s -> {:+.1}%",
         sdn.workload,
@@ -338,7 +339,7 @@ fn run_latency() {
         sdn.with_capture_secs,
         sdn.relative() * 100.0
     );
-    let mr = latency::mr_overhead(400, 3).expect("MR workload runs");
+    let mr = latency::mr_overhead(2_000, 7).expect("MR workload runs");
     println!(
         "  {:<28} baseline {:.3}s, with capture {:.3}s -> {:+.1}%",
         mr.workload,

@@ -1,7 +1,8 @@
 //! Section 6.4: the runtime latency overhead of provenance logging.
 //!
 //! Measured as in the paper: the same workload with capture enabled
-//! (provenance recorder attached) vs. disabled (a null sink), plus the
+//! (every base event encoded as the layer file's record) vs. disabled (a
+//! null sink), plus the
 //! MapReduce checksum experiment — computing input-file checksums on every
 //! read vs. caching them at file creation, the optimization the paper
 //! reports cutting its MapReduce overhead from 2.3% to 0.2%.
@@ -10,54 +11,46 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dp_mapreduce::{build_job, generate as gen_corpus, CorpusConfig, JobConfig, Pipeline};
-use dp_ndlog::{Engine, ProvEvent, ProvenanceSink};
-use dp_replay::{Execution, StorageModel};
-use dp_sdn::{generate as gen_trace, sdn_program, TraceConfig, Topology};
-use dp_types::codec::fnv64;
-use dp_types::{NodeId, Result};
+use dp_ndlog::{Engine, NullSink, ProvEvent, ProvenanceSink};
+use dp_replay::layers::layer::encode_record;
+use dp_replay::{BaseOp, Execution};
+use dp_sdn::TraceConfig;
+use dp_types::codec::{fnv64, Enc};
+use dp_types::Result;
+
+use crate::storage::border_execution;
 
 /// The *runtime* logging engine: the paper's query-time approach writes
 /// only base events to the log at runtime (Section 5) — graph construction
-/// is deferred to replay. This sink encodes base events the way the
-/// logging engine would serialize them, and discards derivations.
+/// is deferred to replay. This sink encodes each base event as the layer
+/// file's record, and discards derivations.
+#[derive(Default)]
 struct RuntimeLogSink {
-    model: StorageModel,
-    buffer: Vec<u8>,
-}
-
-impl RuntimeLogSink {
-    fn new() -> Self {
-        RuntimeLogSink {
-            model: StorageModel::default(),
-            buffer: Vec::new(),
-        }
-    }
+    log: Enc,
 }
 
 impl ProvenanceSink for RuntimeLogSink {
     fn record(&mut self, event: ProvEvent) {
-        let (time, tuple) = match &event {
-            ProvEvent::InsertBase { time, tuple, .. }
-            | ProvEvent::DeleteBase { time, tuple, .. } => (*time, tuple),
+        let (time, op, node, tuple) = match &event {
+            ProvEvent::InsertBase {
+                time, node, tuple, ..
+            } => (*time, BaseOp::Insert, *node, tuple),
+            ProvEvent::DeleteBase {
+                time, node, tuple, ..
+            } => (*time, BaseOp::Delete, *node, tuple),
             _ => return, // derivations are reconstructed at query time
         };
-        self.buffer.extend_from_slice(&time.to_le_bytes());
-        self.buffer.push(tuple.table.as_str().len() as u8);
-        for v in &tuple.args {
-            // Emulate the fixed-size binary record encoding.
-            let n = self.model.value_bytes(v);
-            self.buffer.extend(std::iter::repeat_n(0u8, n));
-        }
+        encode_record(&mut self.log, time, op, node, tuple);
     }
 }
 
-/// Replays an execution with the runtime logging engine attached,
-/// returning the logged byte count.
-fn replay_logged(exec: &Execution) -> Result<usize> {
-    let mut engine = Engine::new(Arc::clone(&exec.program), RuntimeLogSink::new());
+/// Replays an execution's log into `sink` on a fresh engine, the same way
+/// for both sides of a measurement, and returns the sink.
+fn replay_into<S: ProvenanceSink>(exec: &Execution, sink: S) -> Result<S> {
+    let mut engine = Engine::new(Arc::clone(&exec.program), sink);
     exec.log.schedule_into(&mut engine)?;
     engine.run()?;
-    Ok(engine.into_sink().buffer.len())
+    Ok(engine.into_sink())
 }
 
 /// One latency measurement.
@@ -78,44 +71,32 @@ impl Overhead {
     }
 }
 
-fn best_of<F: FnMut() -> Result<()>>(runs: usize, mut f: F) -> Result<f64> {
-    let mut best = f64::INFINITY;
+/// Times `exec` without and with the runtime log: one untimed warm-up
+/// of each, then `runs` rounds alternating the two sides, so neither is
+/// always the cold one. Returns the best time of each side.
+fn time_both(exec: &Execution, runs: usize) -> Result<(f64, f64)> {
+    let baseline = || replay_into(exec, NullSink).map(drop);
+    let logged =
+        || replay_into(exec, RuntimeLogSink::default()).map(|s| drop(std::hint::black_box(s)));
+    baseline()?;
+    logged()?;
+    let (mut best_base, mut best_logged) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..runs {
         let t = Instant::now();
-        f()?;
-        best = best.min(t.elapsed().as_secs_f64());
+        baseline()?;
+        best_base = best_base.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        logged()?;
+        best_logged = best_logged.min(t.elapsed().as_secs_f64());
     }
-    Ok(best)
+    Ok((best_base, best_logged))
 }
 
-/// SDN packet-processing overhead: a trace streamed through a two-switch
-/// pipeline, with and without the graph recorder.
+/// SDN packet-processing overhead: a trace streamed through the SDN1
+/// border, with and without the runtime log.
 pub fn sdn_overhead(packets: usize, runs: usize) -> Result<Overhead> {
-    let mut topo = Topology::new("ctl");
-    topo.switches(&["S1", "S2"]);
-    topo.link("S1", "S2");
-    let p_host = topo.host("S2", "sink");
-    let program = sdn_program("ctl")?;
-    let mut exec = Execution::new(Arc::clone(&program));
-    topo.emit(&mut exec.log, 10);
-    let ctl = NodeId::new("ctl");
-    let any = dp_types::prefix::cidr("0.0.0.0/0");
-    exec.log.insert(
-        10,
-        ctl,
-        dp_sdn::cfg_entry(1, "S1", 1, any, any, topo.port_towards("S1", "S2")),
-    );
-    exec.log
-        .insert(10, ctl, dp_sdn::cfg_entry(2, "S2", 1, any, any, p_host));
-    let trace = gen_trace(&TraceConfig {
-        packets,
-        ..Default::default()
-    });
-    for (i, p) in trace.packets.into_iter().enumerate() {
-        exec.log.insert(100 + i as u64, "S1", p);
-    }
-    let baseline = best_of(runs, || exec.replay_null().map(|_| ()))?;
-    let with_capture = best_of(runs, || replay_logged(&exec).map(|_| ()))?;
+    let exec = border_execution(packets, TraceConfig::default().packet_len)?;
+    let (baseline, with_capture) = time_both(&exec, runs)?;
     Ok(Overhead {
         workload: format!("SDN ({packets} packets)"),
         baseline_secs: baseline,
@@ -124,7 +105,7 @@ pub fn sdn_overhead(packets: usize, runs: usize) -> Result<Overhead> {
 }
 
 /// MapReduce job overhead: the WordCount job with and without the
-/// recorder.
+/// runtime log.
 pub fn mr_overhead(lines_per_file: usize, runs: usize) -> Result<Overhead> {
     let corpus = gen_corpus(&CorpusConfig {
         files: 2,
@@ -138,8 +119,7 @@ pub fn mr_overhead(lines_per_file: usize, runs: usize) -> Result<Overhead> {
         },
         &corpus,
     );
-    let baseline = best_of(runs, || exec.replay_null().map(|_| ()))?;
-    let with_capture = best_of(runs, || replay_logged(&exec).map(|_| ()))?;
+    let (baseline, with_capture) = time_both(&exec, runs)?;
     Ok(Overhead {
         workload: format!("MapReduce ({} lines)", lines_per_file * 2),
         baseline_secs: baseline,

@@ -4,50 +4,31 @@
 //! The logging engine writes fixed-size records per packet (header +
 //! timestamp), so the logging rate is `record_bytes × packets_per_second`.
 //! We *measure* the record size by generating a real trace, streaming it
-//! through the SDN1 border switch, and encoding its base-event log under
-//! the storage model — then scale to each traffic rate, exactly as the
-//! paper scales its measurement to 1 Mbps–10 Gbps.
-//!
-//! Since the durable layered store landed, the simulated [`StorageModel`]
-//! cost runs next to a **real** measurement: the same border log sealed
-//! into on-disk layer files, with the per-packet cost taken from actual
-//! file sizes (codec framing, checksums and all).
+//! through the SDN1 border switch, and sealing its packet log into the
+//! durable store — the per-packet cost is the layer files' size, codec
+//! framing and checksums included — then scale to each traffic rate,
+//! exactly as the paper scales its measurement to 1 Mbps–10 Gbps.
 
 use std::fmt;
-use std::sync::Arc;
 
 use dp_mapreduce::{build_job, generate as gen_corpus, CorpusConfig, JobConfig, Pipeline};
 use dp_replay::layers::LAYER_EVENTS;
-use dp_replay::{DurableStore, EventLog, Execution, StorageModel};
+use dp_replay::{BaseEvent, DurableStore, EventLog, Execution};
 use dp_sdn::{generate as gen_trace, sdn_program, TraceConfig, Topology};
 use dp_types::{NodeId, Result, Sym};
 
 /// The sequential-write rate of the paper's commodity SSD (bytes/s).
 pub const SSD_RATE: f64 = 400e6;
 
-/// Measured cost of logging one packet at the border switch.
-pub struct PacketLogCost {
-    /// Encoded bytes per packet record under the [`StorageModel`].
-    pub bytes_per_packet: f64,
-    /// Real on-disk bytes per packet record: the same packet log sealed
-    /// into durable layer files, measured from the file sizes.
-    pub disk_bytes_per_packet: f64,
-    /// Packets measured.
-    pub packets: usize,
-    /// Wall-clock seconds the engine took to ingest the trace (sanity:
-    /// logging keeps up).
-    pub ingest_seconds: f64,
-}
-
-/// Streams `packets` packets of `packet_len` bytes through a minimal SDN1
-/// border configuration and measures the per-packet log record size.
-pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost> {
+/// The SDN1 border: switches S1–S2 and a `sink` host behind S2, one
+/// wildcard entry on each switch at t=10, and a generated trace of
+/// `packets` packets of `packet_len` bytes injected at S1 from t=100.
+pub(crate) fn border_execution(packets: usize, packet_len: i64) -> Result<Execution> {
     let mut topo = Topology::new("ctl");
     topo.switches(&["S1", "S2"]);
     topo.link("S1", "S2");
     let p_host = topo.host("S2", "sink");
-    let program = sdn_program("ctl")?;
-    let mut exec = Execution::new(Arc::clone(&program));
+    let mut exec = Execution::new(sdn_program("ctl")?);
     topo.emit(&mut exec.log, 10);
     let ctl = NodeId::new("ctl");
     let any = dp_types::prefix::cidr("0.0.0.0/0");
@@ -58,7 +39,6 @@ pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost>
     );
     exec.log
         .insert(10, ctl, dp_sdn::cfg_entry(2, "S2", 1, any, any, p_host));
-
     let trace = gen_trace(&TraceConfig {
         packets,
         packet_len,
@@ -67,26 +47,40 @@ pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost>
     for (i, p) in trace.packets.into_iter().enumerate() {
         exec.log.insert(100 + i as u64, "S1", p);
     }
+    Ok(exec)
+}
 
-    // The border-switch packet log: pktIn records only.
-    let model = StorageModel::default();
-    let pkt_in = Sym::new("pktIn");
-    let mut border_log = EventLog::new();
-    for e in exec.log.events().iter() {
-        if e.tuple.table == pkt_in {
-            border_log.push(e.clone());
-        }
-    }
-    let bytes = model.log_bytes(&border_log) as f64;
-
-    // The real cost: seal the same packet log into durable layer files
-    // and take the measured file sizes.
+/// Seals the events of `log` that `keep` selects, in replay order, into a
+/// fresh store as the logging engine spills them, and returns the size of
+/// the layer files it wrote.
+fn sealed_bytes(log: &EventLog, keep: impl Fn(&BaseEvent) -> bool) -> Result<u64> {
+    let kept: Vec<BaseEvent> = log.events().iter().filter(|e| keep(e)).cloned().collect();
     let mut store = DurableStore::temp()?;
-    let border_events = border_log.events();
-    for chunk in border_events.chunks(LAYER_EVENTS) {
+    for chunk in kept.chunks(LAYER_EVENTS) {
         store.seal_events(chunk)?;
     }
-    let disk_bytes = store.layer_bytes() as f64;
+    Ok(store.layer_bytes())
+}
+
+/// Measured cost of logging one packet at the border switch.
+pub struct PacketLogCost {
+    /// On-disk bytes per packet record: the border switch's packet log
+    /// sealed into layer files, measured from the file sizes.
+    pub bytes_per_packet: f64,
+    /// Packets measured.
+    pub packets: usize,
+    /// Wall-clock seconds the engine took to ingest the trace (sanity:
+    /// logging keeps up).
+    pub ingest_seconds: f64,
+}
+
+/// Streams `packets` packets of `packet_len` bytes through a minimal SDN1
+/// border configuration and measures the per-packet log record size.
+pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost> {
+    let exec = border_execution(packets, packet_len)?;
+    // The border-switch packet log: pktIn records only.
+    let pkt_in = Sym::new("pktIn");
+    let bytes = sealed_bytes(&exec.log, |e| e.tuple.table == pkt_in)? as f64;
 
     let t0 = std::time::Instant::now();
     exec.replay_null()?;
@@ -94,7 +88,6 @@ pub fn packet_log_cost(packets: usize, packet_len: i64) -> Result<PacketLogCost>
 
     Ok(PacketLogCost {
         bytes_per_packet: bytes / packets as f64,
-        disk_bytes_per_packet: disk_bytes / packets as f64,
         packets,
         ingest_seconds,
     })
@@ -107,17 +100,14 @@ pub struct LoggingPoint {
     pub traffic_bps: f64,
     /// Packet size in bytes.
     pub packet_len: i64,
-    /// Resulting logging rate in bytes/s (storage-model record size).
+    /// Resulting logging rate in bytes/s.
     pub logging_rate: f64,
-    /// Resulting logging rate in bytes/s from real sealed-layer sizes.
-    pub disk_logging_rate: f64,
 }
 
 impl LoggingPoint {
-    /// True when the point stays under the SSD's sequential write rate —
-    /// for both the modeled and the measured on-disk record size.
+    /// True when the point stays under the SSD's sequential write rate.
     pub fn within_ssd(&self) -> bool {
-        self.logging_rate < SSD_RATE && self.disk_logging_rate < SSD_RATE
+        self.logging_rate < SSD_RATE
     }
 }
 
@@ -127,14 +117,10 @@ pub fn fig5(cost: &PacketLogCost) -> Vec<LoggingPoint> {
     let rates = [1e6, 1e7, 1e8, 1e9, 2.5e9, 5e9, 1e10];
     rates
         .iter()
-        .map(|&bps| {
-            let pps = bps / (8.0 * 500.0);
-            LoggingPoint {
-                traffic_bps: bps,
-                packet_len: 500,
-                logging_rate: pps * cost.bytes_per_packet,
-                disk_logging_rate: pps * cost.disk_bytes_per_packet,
-            }
+        .map(|&bps| LoggingPoint {
+            traffic_bps: bps,
+            packet_len: 500,
+            logging_rate: bps / (8.0 * 500.0) * cost.bytes_per_packet,
         })
         .collect()
 }
@@ -145,14 +131,10 @@ pub fn fig5(cost: &PacketLogCost) -> Vec<LoggingPoint> {
 pub fn fig6(costs: &[(i64, PacketLogCost)]) -> Vec<LoggingPoint> {
     costs
         .iter()
-        .map(|(len, cost)| {
-            let pps = 1e9 / (8.0 * *len as f64);
-            LoggingPoint {
-                traffic_bps: 1e9,
-                packet_len: *len,
-                logging_rate: pps * cost.bytes_per_packet,
-                disk_logging_rate: pps * cost.disk_bytes_per_packet,
-            }
+        .map(|(len, cost)| LoggingPoint {
+            traffic_bps: 1e9,
+            packet_len: *len,
+            logging_rate: 1e9 / (8.0 * *len as f64) * cost.bytes_per_packet,
         })
         .collect()
 }
@@ -162,8 +144,9 @@ pub fn fig6(costs: &[(i64, PacketLogCost)]) -> Vec<LoggingPoint> {
 pub struct MrStorage {
     /// Total corpus bytes processed.
     pub corpus_bytes: u64,
-    /// Bytes of the *metadata* the logging engine actually keeps (config,
-    /// file checksums, code version, fences).
+    /// On-disk bytes of the *metadata* the logging engine actually keeps
+    /// (config, file checksums, code version, fences), sealed into layer
+    /// files.
     pub log_bytes: u64,
 }
 
@@ -184,16 +167,12 @@ pub fn mr_storage(lines_per_file: usize, files: usize) -> Result<MrStorage> {
     );
     // The durable log excludes the input *records* (identified by file
     // checksum and re-read at replay time, as long as the files are still
-    // in HDFS — Section 6.5): count everything except lineIn/wordIn.
-    let model = StorageModel::default();
+    // in HDFS — Section 6.5): seal everything except lineIn/wordIn.
     let line_in = Sym::new("lineIn");
     let word_in = Sym::new("wordIn");
-    let mut log_bytes = 0u64;
-    for e in exec.log.events().iter() {
-        if e.tuple.table != line_in && e.tuple.table != word_in {
-            log_bytes += model.event_bytes(e) as u64;
-        }
-    }
+    let log_bytes = sealed_bytes(&exec.log, |e| {
+        e.tuple.table != line_in && e.tuple.table != word_in
+    })?;
     Ok(MrStorage {
         corpus_bytes,
         log_bytes,
@@ -222,11 +201,10 @@ impl fmt::Display for LoggingPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} @ {:4} B -> {} (disk {})  {}",
+            "{} @ {:4} B -> {}  {}",
             fmt_bps(self.traffic_bps),
             self.packet_len,
             fmt_rate(self.logging_rate),
-            fmt_rate(self.disk_logging_rate).trim_start(),
             if self.within_ssd() { "(< SSD 400 MB/s)" } else { "(EXCEEDS SSD)" }
         )
     }

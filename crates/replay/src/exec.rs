@@ -22,7 +22,7 @@ use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 use crate::log::{BaseEvent, BaseOp, EventLog};
 use crate::roll::{self, Phase, Refusal, Suffix};
 
-/// Shim for the frozen `benchmark/` (ROADMAP item 7): there is one
+/// Shim for the frozen `benchmark/` (ROADMAP item 1): there is one
 /// provenance backend, and both values record the graph.
 #[derive(Clone, Copy)]
 pub enum ProvBackend {
@@ -46,7 +46,7 @@ pub struct Execution {
     /// original's. Strictly passive: every setting
     /// replays the identical provenance stream.
     pub tracer: Tracer,
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7): read by nothing.
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1): read by nothing.
     pub provenance_backend: ProvBackend,
 }
 
@@ -317,7 +317,7 @@ impl Replayed {
         &self.engine.sink().graph
     }
 
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7): [`Replayed::graph`].
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1): [`Replayed::graph`].
     pub fn annotations(&self) -> &ProvGraph {
         self.graph()
     }
@@ -418,8 +418,8 @@ impl Execution {
         Ok(Replayed::new(engine, scheduled))
     }
 
-    /// Replays without recording provenance — the "logging disabled"
-    /// baseline used to measure capture overhead (Section 6.4).
+    /// Replays without recording provenance: the cost of evaluation
+    /// alone, with the execution's tracer attached.
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
         Ok(self.run_into(NullSink)?.0)
     }

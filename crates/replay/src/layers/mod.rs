@@ -232,31 +232,31 @@ impl DurableStore {
         log
     }
 
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it): the
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it): the
     /// store holds no checkpoints.
     pub fn latest_checkpoint(&self) -> Option<&Checkpoint> {
         None
     }
 
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it).
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it).
     pub fn checkpoint_count(&self) -> usize {
         0
     }
 
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it).
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it).
     pub fn checkpoint_bytes(&self) -> u64 {
         0
     }
 }
 
-/// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it): what
+/// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it): what
 /// [`DurableStore::latest_checkpoint`] would return, if it ever did.
 pub struct Checkpoint {
     /// The one field `benchmark/src/probe.rs` reads.
     pub cut: LogicalTime,
 }
 
-/// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it):
+/// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it):
 /// [`LAYER_EVENTS`].
 pub fn default_layer_events() -> usize {
     LAYER_EVENTS
@@ -273,7 +273,7 @@ impl Execution {
         Ok(())
     }
 
-    /// Shim for the frozen `benchmark/` (ROADMAP item 7 retires it):
+    /// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it):
     /// [`Execution::spill_into`] a fresh temp store, paired with
     /// [`Execution::stream_digest`] as the digest recovery must reproduce.
     /// The argument is ignored.

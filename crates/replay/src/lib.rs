@@ -3,11 +3,14 @@
 //! The logging and replay engines of the DiffProv prototype (Section 5):
 //! a base-event [`log`] written at runtime, query-time provenance
 //! reconstruction by deterministic replay ([`exec`]), cloned replay with
-//! tuple changes applied (the UPDATETREE step of the algorithm), the
+//! tuple changes applied (the UPDATETREE step of the algorithm), and the
 //! durable [`layers`] store (one on-disk layer file per seal, recovered
-//! by reading the layers back in sequence and replaying them), and the [`storage`] cost model behind the
-//! Figure 5/6 experiments. An engine state is reached by replaying a log,
-//! or by rolling a replay forward — there is no checkpoint image.
+//! by reading the layers back in sequence and replaying them). A logged
+//! event has one encoding, the layer file's record
+//! ([`layers::layer::encode_record`]): the Figure 5/6 and Section 6.4/6.5
+//! experiments measure the bytes the store writes. An engine state is
+//! reached by replaying a log, or by rolling a replay forward — there is
+//! no checkpoint image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,9 +20,7 @@ pub mod exec;
 pub mod layers;
 pub mod log;
 mod roll;
-pub mod storage;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};
 pub use layers::{Checkpoint, DurableStore, Layer};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};
-pub use storage::StorageModel;

@@ -1,12 +1,12 @@
-//! Randomized tests on the replay layer: log ordering, change application,
-//! and storage accounting. Inputs come from the in-repo deterministic
-//! generator (offline build — no property-testing framework).
+//! Randomized tests on the replay layer: log ordering and change
+//! application. Inputs come from the in-repo deterministic generator
+//! (offline build — no property-testing framework).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dp_ndlog::{Program, TupleChange};
-use dp_replay::{apply_changes, EventLog, Execution, Replayed, StorageModel};
+use dp_replay::{apply_changes, EventLog, Execution, Replayed};
 use dp_sdn::{campus, CampusConfig};
 use dp_types::{tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, TableKind, Tuple, Value};
 
@@ -37,28 +37,6 @@ fn log_is_sorted() {
         let got: Vec<u64> = log.events().iter().map(|e| e.due).collect();
         dues.sort_unstable();
         assert_eq!(got, dues);
-    }
-}
-
-/// Storage accounting is additive: the log's byte size is the sum of its
-/// records, and appending grows it by exactly the record size.
-#[test]
-fn storage_is_additive() {
-    let mut rng = DetRng::seed_from_u64(0x4E91_0002);
-    for _ in 0..64 {
-        let values: Vec<i64> = (0..rng.gen_range_usize(1, 20))
-            .map(|_| rng.gen_range_i64(-100, 100))
-            .collect();
-        let model = StorageModel::default();
-        let mut log = EventLog::new();
-        let mut expected = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            log.insert(i as u64, "n", tuple!("e", v));
-            let events = log.events();
-            let last = events.iter().find(|e| e.tuple == tuple!("e", v)).unwrap();
-            expected += model.event_bytes(last) as u64;
-        }
-        assert_eq!(model.log_bytes(&log), expected);
     }
 }
 
@@ -382,15 +360,4 @@ fn a_head_forwarded_to_a_second_node_is_one_allocation() {
     let (at_a, at_b) = (held(&r, "a", &tuple!("d", 1)), held(&r, "b", &tuple!("d", 1)));
     assert_eq!(at_a, at_b, "the forwarded head was copied");
     assert_eq!(r.engine.stats().peak_interned, 1);
-}
-
-#[test]
-fn string_fields_cost_their_length() {
-    let model = StorageModel::default();
-    let mut log = EventLog::new();
-    log.insert(0, "n", Tuple::new("e", vec![Value::str("ab")]));
-    log.insert(1, "n", Tuple::new("e", vec![Value::str("abcdef")]));
-    let a = model.event_bytes(&log.events()[0]);
-    let b = model.event_bytes(&log.events()[1]);
-    assert_eq!(b - a, 4);
 }

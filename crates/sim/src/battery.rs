@@ -237,7 +237,7 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
         .collect();
     if dup_free.len() != sc.applied.len() {
         let undup = generate_masked(sc.seed, Some(&dup_free));
-        match undup.bad.stream_digest() {
+        match undup.and_then(|undup| undup.bad.stream_digest()) {
             Ok((digest, _)) => {
                 if digest != side_digest[1] {
                     fail(
@@ -300,8 +300,8 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
 }
 
 /// Convenience: generate and check one seed.
-pub fn check_seed(seed: u64) -> BatteryReport {
-    check_scenario(&generate_masked(seed, None))
+pub fn check_seed(seed: u64) -> Result<BatteryReport> {
+    Ok(check_scenario(&generate_masked(seed, None)?))
 }
 
 /// One process lifetime of the store at `dir`: opens what is there and

@@ -104,9 +104,8 @@ impl CorpusCase {
     }
 
     /// Regenerates the case's scenario and runs the battery on it.
-    pub fn replay(&self) -> BatteryReport {
-        let sc = generate_masked(self.seed, self.keep.as_deref());
-        check_scenario(&sc)
+    pub fn replay(&self) -> dp_types::Result<BatteryReport> {
+        Ok(check_scenario(&generate_masked(self.seed, self.keep.as_deref())?))
     }
 }
 

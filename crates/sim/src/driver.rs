@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use dp_types::Result;
+
 use crate::battery::{check_scenario, BatteryReport, Violation};
 use crate::corpus::CorpusCase;
 use crate::scenario::{generate_masked, SimScenario};
@@ -37,19 +39,20 @@ impl SimSummary {
 /// Sweeps seeds `start..start + count` through the battery. For every
 /// failing seed the injection schedule is shrunk with [`ddmin`] and — when
 /// `corpus_dir` is given — persisted as a `.case` file there. `progress`
-/// is called once per seed with the battery report.
+/// is called once per seed with the battery report. A seed whose scenario
+/// cannot be generated stops the sweep with that error.
 pub fn run_seeds(
     start: u64,
     count: u64,
     corpus_dir: Option<&Path>,
     mut progress: impl FnMut(u64, &BatteryReport),
-) -> SimSummary {
+) -> Result<SimSummary> {
     let mut summary = SimSummary {
         seeds: count,
         ..SimSummary::default()
     };
     for seed in start..start.saturating_add(count) {
-        let sc = generate_masked(seed, None);
+        let sc = generate_masked(seed, None)?;
         let report = check_scenario(&sc);
         summary.divergent += usize::from(report.divergent);
         summary.diagnosed += usize::from(report.diagnosed);
@@ -59,7 +62,7 @@ pub fn run_seeds(
         }
         progress(seed, &report);
         if !report.passed() {
-            let (min_keep, min_report) = shrink_failure(&sc);
+            let (min_keep, min_report) = shrink_failure(&sc)?;
             if let Some(dir) = corpus_dir {
                 match persist_case(dir, seed, &min_keep, &min_report) {
                     Ok(path) => summary.corpus_written.push(path),
@@ -71,18 +74,19 @@ pub fn run_seeds(
                 .extend(report.violations.into_iter().map(|v| (seed, v)));
         }
     }
-    summary
+    Ok(summary)
 }
 
 /// Shrinks a failing scenario's applied injection set to a 1-minimal
 /// failing schedule, returning the kept indexes and the (still failing)
-/// report of the minimized scenario.
-pub fn shrink_failure(sc: &SimScenario) -> (Vec<usize>, BatteryReport) {
+/// report of the minimized scenario. A mask whose scenario cannot be
+/// generated does not fail the battery, so ddmin never keeps it.
+pub fn shrink_failure(sc: &SimScenario) -> Result<(Vec<usize>, BatteryReport)> {
     let min_keep = ddmin(&sc.applied, |keep| {
-        !check_scenario(&generate_masked(sc.seed, Some(keep))).passed()
+        generate_masked(sc.seed, Some(keep)).is_ok_and(|sc| !check_scenario(&sc).passed())
     });
-    let min_report = check_scenario(&generate_masked(sc.seed, Some(&min_keep)));
-    (min_keep, min_report)
+    let min_report = check_scenario(&generate_masked(sc.seed, Some(&min_keep))?);
+    Ok((min_keep, min_report))
 }
 
 fn persist_case(

@@ -22,7 +22,7 @@ use std::fmt;
 use dp_replay::Execution;
 use dp_sdn::{cfg_entry, pkt_in, sdn_program, Topology};
 use dp_types::prefix::{cidr, ip};
-use dp_types::{DetRng, LogicalTime, NodeId, Tuple};
+use dp_types::{DetRng, Error, LogicalTime, NodeId, Result, Tuple};
 
 /// Base time at which the topology and configuration are installed.
 pub const T_CONFIG: LogicalTime = 10;
@@ -211,15 +211,16 @@ pub fn probe_dst() -> u32 {
 
 /// Generates the scenario for `seed` with the full injection schedule
 /// applied.
-pub fn generate(seed: u64) -> SimScenario {
+pub fn generate(seed: u64) -> Result<SimScenario> {
     generate_masked(seed, None)
 }
 
 /// Generates the scenario for `seed`, lowering only the injections whose
 /// indexes appear in `keep` (all of them when `None`). Topology, workload,
 /// and the drawn schedule are identical for every mask — the property the
-/// shrinker rests on.
-pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
+/// shrinker rests on. Errs with the SDN program's build error, or with an
+/// [`Error::Engine`] naming a host the random topology does not reach.
+pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> Result<SimScenario> {
     let root = DetRng::seed_from_u64(seed);
 
     // --- Topology stream -------------------------------------------------
@@ -292,19 +293,21 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
         .collect();
 
     // --- Lowering ---------------------------------------------------------
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = sdn_program("ctl")?;
     let any = cidr("0.0.0.0/0");
     let dst = probe_dst();
 
     // Baseline install list: for each switch, the primary (towards `dst`)
     // then the backup (towards `alt`), all due at T_CONFIG. Entries carry
     // their own due time so a DelayedInstall only moves one of them.
-    let route_port = |sw: usize, host: &str| -> i64 {
+    let route_port = |sw: usize, host: &str| -> Result<i64> {
         let name = sw_name(sw);
-        let hop = topo
-            .next_hop(&name, host)
-            .expect("random topology is connected");
-        topo.port_towards(&name, &hop)
+        let hop = topo.next_hop(&name, host).ok_or_else(|| {
+            Error::Engine(format!(
+                "seed {seed}: the random topology does not reach {host} from {name}"
+            ))
+        })?;
+        Ok(topo.port_towards(&name, &hop))
     };
     let mut baseline: Vec<(LogicalTime, Tuple)> = Vec::with_capacity(2 * n);
     for sw in 0..n {
@@ -316,7 +319,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                 PRIO_PRIMARY,
                 any,
                 any,
-                route_port(sw, "dst"),
+                route_port(sw, "dst")?,
             ),
         ));
         baseline.push((
@@ -327,7 +330,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                 PRIO_BACKUP,
                 any,
                 any,
-                route_port(sw, "alt"),
+                route_port(sw, "alt")?,
             ),
         ));
     }
@@ -398,7 +401,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                     PRIO_RACE,
                     any,
                     any,
-                    route_port(*sw, "dst"),
+                    route_port(*sw, "dst")?,
                 );
                 let to_alt = cfg_entry(
                     RID_RACE + *sw as i64,
@@ -406,7 +409,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
                     PRIO_RACE,
                     any,
                     any,
-                    route_port(*sw, "alt"),
+                    route_port(*sw, "alt")?,
                 );
                 for (log, first, second) in [
                     (&mut good_extra, to_alt.clone(), to_dst.clone()),
@@ -451,7 +454,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
     let good = build(&baseline, &good_extra);
     let bad = build(&bad_baseline, &bad_extra);
 
-    SimScenario {
+    Ok(SimScenario {
         seed,
         injections,
         applied,
@@ -462,7 +465,7 @@ pub fn generate_masked(seed: u64, keep: Option<&[usize]>) -> SimScenario {
         topology: topo,
         dst_switch,
         alt_switch,
-    }
+    })
 }
 
 /// The canonical switch name for index `i` (matches

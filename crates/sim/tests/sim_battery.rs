@@ -13,7 +13,7 @@ const SEEDS: u64 = 32;
 /// DiffProv actually aligns some of them.
 #[test]
 fn pinned_seed_block_passes_the_battery() {
-    let summary = run_seeds(0, SEEDS, None, |_, _| {});
+    let summary = run_seeds(0, SEEDS, None, |_, _| {}).unwrap();
     assert!(
         summary.passed(),
         "battery violations:\n{}",
@@ -64,8 +64,8 @@ fn pinned_seed_block_passes_the_battery() {
 #[test]
 fn same_seed_regenerates_the_same_scenario() {
     for seed in [0u64, 7, 19] {
-        let a = generate(seed);
-        let b = generate(seed);
+        let a = generate(seed).unwrap();
+        let b = generate(seed).unwrap();
         assert_eq!(a.injections, b.injections, "seed {seed}");
         assert_eq!(a.applied, b.applied, "seed {seed}");
         assert_eq!(a.packets, b.packets, "seed {seed}");
@@ -80,8 +80,8 @@ fn same_seed_regenerates_the_same_scenario() {
 #[test]
 fn masked_generation_keeps_topology_and_workload_fixed() {
     for seed in 0u64..16 {
-        let full = generate(seed);
-        let empty = generate_masked(seed, Some(&[]));
+        let full = generate(seed).unwrap();
+        let empty = generate_masked(seed, Some(&[])).unwrap();
         assert_eq!(full.injections, empty.injections, "seed {seed}");
         assert_eq!(full.packets, empty.packets, "seed {seed}");
         assert!(empty.applied.is_empty(), "seed {seed}");
@@ -112,7 +112,7 @@ fn masked_generation_keeps_topology_and_workload_fixed() {
 #[test]
 fn empty_schedule_is_benign() {
     for seed in [3u64, 11] {
-        let sc = generate_masked(seed, Some(&[]));
+        let sc = generate_masked(seed, Some(&[])).unwrap();
         let report = check_scenario(&sc);
         assert!(report.passed(), "seed {seed}: {:?}", report.violations);
         assert!(!report.divergent, "seed {seed} diverged with no faults");
@@ -125,13 +125,14 @@ fn run_seeds_aggregates_counters() {
     let mut seen = Vec::new();
     let summary = run_seeds(0, 4, None, |seed, report| {
         seen.push((seed, report.divergent));
-    });
+    })
+    .unwrap();
     assert_eq!(seen.len(), 4);
     assert_eq!(summary.seeds, 4);
     assert_eq!(
         summary.divergent,
         seen.iter().filter(|(_, d)| *d).count()
     );
-    let applied: usize = (0..4).map(|s| generate(s).applied.len()).sum();
+    let applied: usize = (0..4).map(|s| generate(s).unwrap().applied.len()).sum();
     assert_eq!(summary.kind_counts.values().sum::<usize>(), applied);
 }

@@ -15,8 +15,8 @@
 //!   4-byte magic and a `u16` version via [`Enc::header`] /
 //!   [`Dec::header`], so formats can evolve without silent misreads.
 //!
-//! The per-field encoding matches the storage model the paper argues
-//! from: fixed-size payloads for addresses, times, and checksums, and a
+//! The per-field encoding is what the paper's logging engine stores:
+//! fixed-size payloads for addresses, times, and checksums, and a
 //! length-prefixed byte string only where the value genuinely varies.
 
 use crate::error::{Error, Result};
@@ -24,9 +24,6 @@ use crate::prefix::Prefix;
 use crate::sym::Sym;
 use crate::tuple::Tuple;
 use crate::value::Value;
-
-/// Current version of the value/tuple wire format.
-pub const CODEC_VERSION: u16 = 1;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -240,8 +237,9 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads and checks a 4-byte magic plus a `u16` version. Errors if the
-    /// magic mismatches or the version is newer than `max_version`.
-    pub fn header(&mut self, magic: &[u8; 4], max_version: u16) -> Result<u16> {
+    /// magic mismatches or the version is not exactly `version`: a format
+    /// has one reader, for its one version.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) -> Result<()> {
         let got = self.take(4, "header magic")?;
         if got != magic {
             return Err(Error::Codec {
@@ -249,14 +247,14 @@ impl<'a> Dec<'a> {
                 detail: format!("expected {magic:02x?}, found {got:02x?}"),
             });
         }
-        let version = self.u16("header version")?;
-        if version == 0 || version > max_version {
+        let found = self.u16("header version")?;
+        if found != version {
             return Err(Error::Codec {
                 context: "header version",
-                detail: format!("version {version} unsupported (max {max_version})"),
+                detail: format!("found version {found}, expected version {version}"),
             });
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Reads one byte.
@@ -410,22 +408,23 @@ mod tests {
     }
 
     #[test]
-    fn header_rejects_wrong_magic_and_future_version() {
+    fn header_rejects_wrong_magic_and_any_other_version() {
         let mut e = Enc::new();
-        e.header(b"DPL1", CODEC_VERSION);
+        e.header(b"DPLY", 2);
         let bytes = e.into_bytes();
-        assert_eq!(Dec::new(&bytes).header(b"DPL1", CODEC_VERSION).unwrap(), 1);
+        assert!(Dec::new(&bytes).header(b"DPLY", 2).is_ok());
         assert!(matches!(
-            Dec::new(&bytes).header(b"DPCK", CODEC_VERSION),
+            Dec::new(&bytes).header(b"DPCK", 2),
             Err(Error::Codec { context: "header magic", .. })
         ));
-        let mut future = Enc::new();
-        future.header(b"DPL1", CODEC_VERSION + 1);
-        let bytes = future.into_bytes();
-        assert!(matches!(
-            Dec::new(&bytes).header(b"DPL1", CODEC_VERSION),
-            Err(Error::Codec { context: "header version", .. })
-        ));
+        for other in [1, 3] {
+            match Dec::new(&bytes).header(b"DPLY", other) {
+                Err(Error::Codec { context: "header version", detail }) => {
+                    assert!(detail.contains("found version 2"), "{detail}")
+                }
+                wrong => panic!("version 2 read as version {other}: {wrong:?}"),
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod trie;
 pub mod tuple;
 pub mod value;
 
-pub use codec::{fnv64, Dec, Enc, Fnv64, CODEC_VERSION};
+pub use codec::{fnv64, Dec, Enc, Fnv64};
 pub use error::{Error, Result};
 pub use prefix::Prefix;
 pub use rng::DetRng;

@@ -24,7 +24,9 @@
 # deleted event stream (its renderings, determinism classes, span and
 # trace ids, instants), against a name that is more than one interned word
 # (an `Arc<str>` or a pointer test in `Sym`, a pointer pass in the
-# environment or the parser); and lint-clean clippy.
+# environment or the parser), against a second encoding of a logged event
+# beside the layer file's record (a size model, a zero-filled log); and
+# lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery.
@@ -277,6 +279,14 @@ one_word() {
             "\\.ptr_eq\\(" crates/ndlog/src/expr.rs crates/ndlog/src/parser.rs
 }
 step "gate: a name is one interned word" one_word
+# A logged event has one encoding, the layer file's record: the log-cost
+# experiments (Figures 5 and 6, Sections 6.4 and 6.5) measure the bytes
+# the store writes, and no size model or zero-filled log stands beside
+# it. (Spelled in halves so this script passes its own gate.)
+step "gate: a logged event has one encoding" absent \
+    "a second encoding of a logged event reappeared" \
+    "Storage""Model|value_""bytes|event_""bytes" \
+    crates src
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo

@@ -14,7 +14,7 @@
 //! * [`provenance`] — the temporal provenance graph, tree extraction, and
 //!   the Y!/plain-diff baselines;
 //! * [`replay`] — base-event logging, deterministic replay, the durable
-//!   layer store, and the storage-cost model;
+//!   layer store, whose record is the one encoding of a logged event;
 //! * [`core`] — **DiffProv itself**: seeds, taints and formulae, the
 //!   alignment loop, constraint repair, and `Δ_{B→G}`;
 //! * [`sdn`] — the OpenFlow network model, scenarios SDN1–SDN4, and the

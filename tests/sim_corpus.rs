@@ -19,7 +19,7 @@ fn corpus_cases_pass_the_battery() {
     let corpus = load_corpus(&corpus_dir()).expect("corpus loads");
     assert!(!corpus.is_empty(), "checked-in corpus is missing");
     for (path, case) in &corpus {
-        let report = case.replay();
+        let report = case.replay().expect("the case regenerates");
         assert!(
             report.passed(),
             "{}: seed {} violated:\n{}",
@@ -41,9 +41,9 @@ fn corpus_covers_every_injection_kind() {
     let mut kinds = BTreeSet::new();
     let mut divergent = 0usize;
     for (_, case) in &corpus {
-        let sc = generate_masked(case.seed, case.keep.as_deref());
+        let sc = generate_masked(case.seed, case.keep.as_deref()).expect("the case regenerates");
         kinds.extend(sc.applied_kinds());
-        divergent += usize::from(case.replay().divergent);
+        divergent += usize::from(case.replay().expect("the case regenerates").divergent);
     }
     for kind in [
         "rule-withdraw",
