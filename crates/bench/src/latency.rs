@@ -27,6 +27,8 @@ use crate::storage::border_execution;
 #[derive(Default)]
 struct RuntimeLogSink {
     log: Enc,
+    /// The first record that could not be encoded, if any.
+    error: Option<dp_types::Error>,
 }
 
 impl ProvenanceSink for RuntimeLogSink {
@@ -40,7 +42,9 @@ impl ProvenanceSink for RuntimeLogSink {
             } => (*time, BaseOp::Delete, *node, tuple),
             _ => return, // derivations are reconstructed at query time
         };
-        encode_record(&mut self.log, time, op, node, tuple);
+        if let Err(e) = encode_record(&mut self.log, time, op, node, tuple) {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
@@ -76,8 +80,13 @@ impl Overhead {
 /// always the cold one. Returns the best time of each side.
 fn time_both(exec: &Execution, runs: usize) -> Result<(f64, f64)> {
     let baseline = || replay_into(exec, NullSink).map(drop);
-    let logged =
-        || replay_into(exec, RuntimeLogSink::default()).map(|s| drop(std::hint::black_box(s)));
+    let logged = || {
+        let sink = replay_into(exec, RuntimeLogSink::default())?;
+        match std::hint::black_box(sink).error {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    };
     baseline()?;
     logged()?;
     let (mut best_base, mut best_logged) = (f64::INFINITY, f64::INFINITY);

@@ -33,8 +33,8 @@
 //!   heuristic of Datalog sideways information passing.
 //! * **Access path** — the atom's literal and bound-slot arguments are the
 //!   key of a secondary hash index on its table; [`IndexRegistry`] hands
-//!   out the index's slot, and [`crate::engine::NodeState`] maintains it
-//!   incrementally. A step with no bound column is a full ordered scan.
+//!   out the index's slot, and the engine's tables (`engine/state.rs`)
+//!   maintain it incrementally. A step with no bound column is a full ordered scan.
 //! * **Prefix-trie probe** — a scan is rescued by every
 //!   `prefix_contains(Col, Addr)` check whose column is an argument of
 //!   the atom and whose address is a literal or a bound slot. Each such
@@ -214,6 +214,10 @@ pub(crate) struct CompiledRule {
     pub(crate) head_args: Vec<SlotExpr>,
     /// The aggregated variable's slot, for an aggregation rule.
     pub(crate) agg: Option<Slot>,
+    /// Per body atom: its table's index in the program.
+    pub(crate) tables: Vec<u32>,
+    /// The head's table index in the program.
+    pub(crate) head_table: u32,
     /// The join plan per trigger atom; `None` where the atom never
     /// triggers the rule (past an aggregation rule's fence).
     pub(crate) plans: Vec<Option<Vec<Step>>>,
@@ -287,13 +291,18 @@ impl Slots {
     }
 }
 
-/// Compiles `rule` against the program's `builtins` and plans its joins,
-/// asking `registry` for the index and trie slots the plans probe.
+/// Compiles `rule` against the program's `builtins` and table indexes
+/// (`table_ids`) and plans its joins, asking `registry` for the index and
+/// trie slots the plans probe.
 pub(crate) fn compile(
     rule: &Rule,
     registry: &mut IndexRegistry,
     builtins: &BTreeMap<Sym, Arc<dyn StatefulBuiltin>>,
+    table_ids: &BTreeMap<Sym, u32>,
 ) -> Result<CompiledRule> {
+    let table_id = |t: &Sym| table_ids.get(t).copied().ok_or(Error::UnknownTable(*t));
+    let tables = rule.body.iter().map(|a| table_id(&a.table)).collect::<Result<_>>()?;
+    let head_table = table_id(&rule.head.table)?;
     let mut slots = Slots::default();
     let atoms: Vec<_> = rule
         .body
@@ -351,6 +360,8 @@ pub(crate) fn compile(
         head_loc,
         head_args,
         agg,
+        tables,
+        head_table,
         plans,
     })
 }
@@ -465,9 +476,16 @@ mod tests {
     fn planned(src: &str) -> (Vec<CompiledRule>, IndexRegistry) {
         let mut registry = IndexRegistry::default();
         let rules = parse_rules(src).unwrap();
+        let mut table_ids = BTreeMap::new();
+        for r in &rules {
+            for t in r.body.iter().map(|a| a.table).chain([r.head.table]) {
+                let next = table_ids.len() as u32;
+                table_ids.entry(t).or_insert(next);
+            }
+        }
         let compiled = rules
             .iter()
-            .map(|r| compile(r, &mut registry, &BTreeMap::new()).unwrap())
+            .map(|r| compile(r, &mut registry, &BTreeMap::new(), &table_ids).unwrap())
             .collect();
         (compiled, registry)
     }

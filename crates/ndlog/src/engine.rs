@@ -28,14 +28,14 @@
 //! Joins run the build-time plans of `crate::compile`: each non-trigger body
 //! atom is joined in most-bound-first order, probing a secondary hash index
 //! keyed on its bound columns (falling back to a full ordered scan when no
-//! column is bound). Indexes are maintained incrementally by
-//! [`NodeState`] on insert/delete, and a table compares its rows by their
-//! arguments alone (every row carries the table's name). Derived tuples
-//! are interned behind `Arc`, so every node, derivation record and
-//! provenance event naming one head shares one allocation; a base tuple is
-//! held as scheduled — the log's own allocation — and never looked up,
-//! since no head can equal it (heads are `Derived`, base operations are
-//! not, and natives are held to the same line).
+//! column is bound). Indexes are maintained incrementally by the tables
+//! (`engine/state.rs`) on insert/delete, and a table compares its rows by
+//! their arguments alone (every row carries the table's name). Derived
+//! tuples are interned behind `Arc`, so every node and provenance event
+//! naming one head shares one allocation; a base tuple is held as
+//! scheduled — the log's own allocation — and never looked up, since no
+//! head can equal it (heads are `Derived`, base operations are not, and
+//! natives are held to the same line).
 //!
 //! A rule fires in its compiled form (`crate::compile`): its variables are
 //! slots of one reused frame, bound and undone off a trail per candidate,
@@ -116,22 +116,33 @@
 //!
 //! # Where the state lives
 //!
-//! [`NodeState`] and the tables under it are in `engine/state.rs`. Each
-//! live tuple owns one slot of its table: the public [`TupleState`]
-//! (base flag, derivation records, appearance time) and, beside it, the
-//! tuple's reverse-dependency list — the heads whose derivations used it.
-//! Delivering a derivation makes one pass over its body with one lookup
-//! per body tuple, in the tuple's own table: the lookup that re-checks the
-//! tuple is still there also reads the episode it is in and registers the
-//! head in its slot. When the derivation turns out not to be recorded —
-//! a later body tuple was retracted in flight, or the same `(rule, body)`
-//! is already there — the registrations are taken back last-first, so
-//! the lists hold exactly the recorded derivations' heads in recording
-//! order, which is the order a cascade walks them in. The `remove` that
-//! retires a tuple hands its list to the cascade. There is no engine-wide
-//! `(node, tuple)`-keyed dependency map. The hash tables under all this —
-//! the interner and the join indexes — use `dp_types::WordHasher`: no
-//! per-process seed, probed and never iterated for order.
+//! The nodes and their tables are in `engine/state.rs`. A live tuple is
+//! one row of its (node, table) slab — its tuple, base flag, appearance
+//! time and the heads of its derivation and reverse-dependency lists —
+//! and everywhere else the engine names it by a `RowRef`, `(node, table,
+//! row)` indices: the pending deltas, a scheduled derivation's body, the
+//! index buckets and trie entries, the derivation bodies and the
+//! dependents. The lists live in per-table pools, so a tuple's
+//! derivations, bodies and dependents are entries of a few vectors, not
+//! blocks of their own. A content keeps its row for the engine's life —
+//! a tuple that disappears leaves its row dead, and comes back to it — so
+//! a row id names a tuple exactly as the oracle's tuple-valued lists do
+//! (the state module's docs say why that matters for a dependent never
+//! pruned). The public [`TupleState`] is built from a row when
+//! [`Engine::lookup`] or a [`NodeView`] is asked for it.
+//!
+//! Delivering a derivation makes one pass over its body rows: each must
+//! still be live (a cascade may have removed one in flight), and then
+//! each reports the episode it is in and takes the head into its
+//! dependents list. A derivation that is not recorded — a body tuple
+//! retracted in flight, or the same `(rule, body)` already there —
+//! registers nothing, so the lists hold exactly the recorded derivations'
+//! heads in recording order, which is the order a cascade walks them in.
+//! The retirement of a tuple hands its list to the cascade. There is no
+//! engine-wide `(node, tuple)`-keyed dependency map. The hash tables
+//! under all this — the interner and the join indexes — use
+//! `dp_types::WordHasher`: no per-process seed, probed and never iterated
+//! for order.
 //!
 //! Per-rule counters (firings, join effort) are arrays indexed by the
 //! rule's program index, natives after rules; they get their names when
@@ -151,17 +162,16 @@ use std::sync::Arc;
 mod fire;
 mod state;
 
-pub use state::{NodeState, NodeView};
+pub use state::NodeView;
 
 use dp_trace::{series, Tracer};
-use dp_types::{
-    Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore,
-};
+use dp_types::{Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore};
 
 use crate::program::Program;
 use crate::reference::ScheduledOp;
 use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
 use fire::{FireCtx, FireOut, Scratch};
+use state::{Nodes, RowRef};
 
 /// How many buffered provenance events make the engine hand them to the
 /// sink without waiting for the batch's flush: ≈360 KB of events, which
@@ -182,7 +192,9 @@ pub struct DerivRecord {
     pub time: LogicalTime,
 }
 
-/// Per-tuple bookkeeping.
+/// A live tuple's bookkeeping, as [`Engine::lookup`] and [`NodeView`]
+/// report it: built from the tuple's row when asked for, its derivation
+/// bodies resolved to located tuples.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TupleState {
     /// True if the tuple was inserted as a base tuple (counts as support).
@@ -200,26 +212,36 @@ impl TupleState {
     }
 }
 
-/// The state of `node`, created empty on first use: one descent of the
-/// node map (the key it takes is a one-word copy).
-fn node_state<'a>(nodes: &'a mut BTreeMap<NodeId, NodeState>, node: &NodeId) -> &'a mut NodeState {
-    nodes.entry(*node).or_default()
+/// The body of a scheduled derivation.
+#[derive(Clone, Debug)]
+enum Body {
+    /// A rule's: the rows it matched, at the firing node.
+    Rows(Vec<RowRef>),
+    /// A native's, as it reported it through the `Emitter`: located
+    /// tuples, found on delivery like the oracle finds them.
+    Named(Vec<TupleRef>),
+}
+
+/// A derived head on its way to its node.
+#[derive(Clone, Debug)]
+struct Derivation {
+    node: NodeId,
+    /// The head, and its table's index in the program.
+    tuple: Arc<Tuple>,
+    table: u32,
+    rule: Sym,
+    /// The rule's slot in the per-rule counters: its program index,
+    /// natives after rules.
+    slot: u32,
+    body: Body,
+    trigger: u32,
 }
 
 #[derive(Clone, Debug)]
 enum Action {
     InsertBase(NodeId, Arc<Tuple>),
     DeleteBase(NodeId, Arc<Tuple>),
-    InsertDerived {
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        rule: Sym,
-        /// The rule's slot in the per-rule counters: its program index,
-        /// natives after rules.
-        slot: u32,
-        body: Vec<TupleRef>,
-        trigger: u32,
-    },
+    InsertDerived(Derivation),
 }
 
 #[derive(Clone, Debug)]
@@ -466,15 +488,14 @@ pub fn join_profile_json(profile: &BTreeMap<Sym, RuleJoinProfile>) -> String {
 /// both as the firing's `now` (derived-event scheduling) and its `as_of`
 /// visibility horizon.
 struct Delta {
-    node: NodeId,
-    tuple: Arc<Tuple>,
+    row: RowRef,
     at: LogicalTime,
 }
 
 /// The evaluator. See the module docs for semantics.
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
-    nodes: BTreeMap<NodeId, NodeState>,
+    nodes: Nodes,
     /// The head interner: one allocation per distinct derived tuple. Base
     /// tuples are the log's allocations, held as scheduled.
     store: TupleStore,
@@ -515,7 +536,7 @@ impl<S: ProvenanceSink> Engine<S> {
         let slots = program.rule_slots();
         Engine {
             program,
-            nodes: BTreeMap::new(),
+            nodes: Nodes::default(),
             store: TupleStore::new(),
             events: Vec::new(),
             queue: Queue::default(),
@@ -624,20 +645,32 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// A read-only view of `node`, if it has any state.
-    pub fn view<'a>(&'a self, node: &'a NodeId) -> Option<NodeView<'a>> {
+    pub fn view(&self, node: &NodeId) -> Option<NodeView<'_>> {
+        let at = self.nodes.index(node)?;
+        Some(NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX))
+    }
+
+    /// The state of `tuple` at `node`, if currently present: a copy, its
+    /// derivation bodies resolved to located tuples.
+    pub fn lookup(&self, node: &NodeId, tuple: &Tuple) -> Option<TupleState> {
+        let r = self.nodes.find(&self.program, node, tuple)?;
+        self.nodes.slot(r).live.then(|| self.nodes.state_of(r))
+    }
+
+    /// True if `tuple` is currently present at `node`; [`Engine::lookup`]
+    /// without building the state.
+    pub fn contains(&self, node: &NodeId, tuple: &Tuple) -> bool {
         self.nodes
-            .get(node)
-            .map(|state| NodeView::new(node, Some(state), LogicalTime::MAX))
+            .find(&self.program, node, tuple)
+            .is_some_and(|r| self.nodes.slot(r).live)
     }
 
-    /// The state of `tuple` at `node`, if currently present.
-    pub fn lookup(&self, node: &NodeId, tuple: &Tuple) -> Option<&TupleState> {
-        self.nodes.get(node)?.get(tuple)
-    }
-
-    /// Iterates over all nodes with state, in node order.
-    pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, &NodeState)> {
-        self.nodes.iter()
+    /// Every node that ever held a tuple, with a view of its tables, in
+    /// node order.
+    pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, NodeView<'_>)> {
+        self.nodes.in_order().map(|(id, at)| {
+            (id, NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX))
+        })
     }
 
     /// Schedules a base-tuple insertion not earlier than `due`. A tuple
@@ -815,14 +848,7 @@ impl<S: ProvenanceSink> Engine<S> {
             match ev.action {
                 Action::InsertBase(node, tuple) => self.do_insert_base(node, tuple)?,
                 Action::DeleteBase(node, tuple) => self.do_delete_base(node, tuple)?,
-                Action::InsertDerived {
-                    node,
-                    tuple,
-                    rule,
-                    slot,
-                    body,
-                    trigger,
-                } => self.do_insert_derived(node, tuple, rule, slot, body, trigger)?,
+                Action::InsertDerived(d) => self.do_insert_derived(d)?,
             }
             if self.events.len() >= EVENT_HANDOFF {
                 self.drain_events();
@@ -866,16 +892,25 @@ impl<S: ProvenanceSink> Engine<S> {
 
     fn do_insert_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let now = self.clock;
-        let entry = node_state(&mut self.nodes, &node).entry(&tuple, Some(&self.program), now);
-        if entry.base {
+        // `check_base` found the table's schema when the event was
+        // scheduled, so the program gave the table an index.
+        let table = self
+            .program
+            .table_index(&tuple.table)
+            .ok_or(Error::UnknownTable(tuple.table))?;
+        let n = self.nodes.index_or_insert(node);
+        let row = self.nodes.row_of(&self.program, n, table, &tuple);
+        let slot = self.nodes.slot(row);
+        if slot.base {
             return Ok(()); // idempotent re-insert
         }
-        let was_present = entry.support() > 0;
-        entry.base = true;
+        let was_present = slot.live;
         if !was_present {
-            entry.appeared_at = now;
+            self.nodes.make_live(row, now);
         }
-        let since = entry.appeared_at;
+        let slot = self.nodes.slot_mut(row);
+        slot.base = true;
+        let since = slot.appeared_at;
         self.stats.base_inserts += 1;
         self.events.push(ProvEvent::InsertBase {
             time: now,
@@ -888,9 +923,9 @@ impl<S: ProvenanceSink> Engine<S> {
             self.events.push(ProvEvent::Appear {
                 time: now,
                 node,
-                tuple: Arc::clone(&tuple),
+                tuple,
             });
-            self.pending.push(Delta { node, tuple, at: now });
+            self.pending.push(Delta { row, at: now });
         }
         Ok(())
     }
@@ -901,18 +936,16 @@ impl<S: ProvenanceSink> Engine<S> {
         // state tuple-at-a-time firing would have built by now.
         self.flush_batch()?;
         let now = self.clock;
-        let Some(state) = self.nodes.get_mut(&node) else {
+        let Some(row) = self.nodes.find(&self.program, &node, &tuple) else {
             return Ok(());
         };
-        let Some(entry) = state.get_mut(&tuple) else {
-            return Ok(());
-        };
-        if !entry.base {
+        let slot = self.nodes.slot_mut(row);
+        if !slot.base {
             return Ok(());
         }
-        entry.base = false;
-        let gone = entry.support() == 0;
-        let since = entry.appeared_at;
+        slot.base = false;
+        let since = slot.appeared_at;
+        let gone = !self.nodes.derived(row);
         self.stats.base_deletes += 1;
         self.events.push(ProvEvent::DeleteBase {
             time: now,
@@ -921,80 +954,70 @@ impl<S: ProvenanceSink> Engine<S> {
             tuple: Arc::clone(&tuple),
         });
         if gone {
-            let dependents = state.remove(&tuple);
+            let dependents = self.nodes.retire(row);
             self.note_disappear();
             self.events.push(ProvEvent::Disappear {
                 time: now,
                 since,
                 node,
-                tuple: Arc::clone(&tuple),
+                tuple,
             });
-            self.cascade(now, &TupleRef::new(node, tuple), dependents);
+            self.cascade(now, row, dependents);
         }
         Ok(())
     }
 
-    fn do_insert_derived(
-        &mut self,
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        rule: Sym,
-        slot: u32,
-        body: Vec<TupleRef>,
-        trigger: u32,
-    ) -> Result<()> {
-        let now = self.clock;
-        let trigger = trigger as usize;
-        // One pass over the body, one lookup per body tuple, doing three
-        // things. It re-checks the body: a cascade may have removed a
-        // precondition between scheduling and delivery (in-flight message
-        // semantics). It reads the episode each body tuple is in now,
-        // which is what the event reports it under. And it registers the
-        // head in the body tuple's own slot, so its disappearance finds
-        // this derivation — taken back, last first, if the derivation
-        // turns out not to be recorded after all.
-        let head_ref = TupleRef::new(node, Arc::clone(&tuple));
-        let mut stamped = Vec::with_capacity(body.len());
-        for b in &body {
-            let since = self
-                .nodes
-                .get_mut(&b.node)
-                .and_then(|n| n.depend(&b.tuple, &head_ref));
-            let Some(since) = since else {
-                self.undepend(&stamped);
-                return Ok(());
-            };
-            stamped.push(BodyRef {
-                tref: b.clone(),
-                since,
-            });
+    /// The rows of `body` if every one of them is live: the in-flight
+    /// re-check, since a cascade may have removed a precondition between
+    /// scheduling and delivery. A native's body is found by content here,
+    /// as the oracle finds it.
+    fn live_body(&self, body: Body) -> Option<Vec<RowRef>> {
+        let live = |r: &RowRef| self.nodes.slot(*r).live;
+        match body {
+            Body::Rows(rows) => rows.iter().all(live).then_some(rows),
+            Body::Named(refs) => refs
+                .iter()
+                .map(|b| self.nodes.find(&self.program, &b.node, &b.tuple).filter(live))
+                .collect(),
         }
-        let entry = node_state(&mut self.nodes, &node).entry(&tuple, Some(&self.program), now);
-        // The same (rule, body) derivation only counts once.
-        if entry
-            .derivations
-            .iter()
-            .any(|d| d.rule == rule && d.body == body)
-        {
-            self.undepend(&stamped);
-            return Ok(());
-        }
-        let was_present = entry.support() > 0;
-        // Most tuples have exactly one derivation: the first gets a block
-        // of its own size, not `push`'s first step of four.
-        if entry.derivations.is_empty() {
-            entry.derivations.reserve_exact(1);
-        }
-        entry.derivations.push(DerivRecord {
+    }
+
+    fn do_insert_derived(&mut self, d: Derivation) -> Result<()> {
+        let Derivation {
+            node,
+            tuple,
+            table,
             rule,
+            slot,
             body,
             trigger,
-            time: now,
-        });
-        if !was_present {
-            entry.appeared_at = now;
+        } = d;
+        let now = self.clock;
+        let Some(body) = self.live_body(body) else {
+            return Ok(());
+        };
+        let n = self.nodes.index_or_insert(node);
+        let head = self.nodes.row_of(&self.program, n, table, &tuple);
+        // The same (rule, body) derivation only counts once.
+        if self.nodes.has_derivation(head, rule, &body) {
+            return Ok(());
         }
-        let since = entry.appeared_at;
+        // Each body tuple is reported under the episode it is in now, and
+        // registers the head, so its disappearance finds this derivation.
+        let mut stamped = Vec::with_capacity(body.len());
+        for &b in &body {
+            stamped.push(BodyRef {
+                tref: self.nodes.tuple_ref(b),
+                since: self.nodes.slot(b).appeared_at,
+            });
+            self.nodes.depend(b, head);
+        }
+        let was_present = self.nodes.slot(head).live;
+        if !was_present {
+            self.nodes.make_live(head, now);
+        }
+        self.nodes.push_derivation(head, rule, &body, trigger, now);
+        let since = self.nodes.slot(head).appeared_at;
         self.stats.derivations += 1;
         self.rule_firings[slot as usize] += 1;
         self.events.push(ProvEvent::Derive {
@@ -1004,75 +1027,61 @@ impl<S: ProvenanceSink> Engine<S> {
             tuple: Arc::clone(&tuple),
             rule,
             body: stamped,
-            trigger,
+            trigger: trigger as usize,
         });
         if !was_present {
             self.note_appear();
             self.events.push(ProvEvent::Appear {
                 time: now,
                 node,
-                tuple: Arc::clone(&tuple),
+                tuple,
             });
-            self.pending.push(Delta { node, tuple, at: now });
+            self.pending.push(Delta { row: head, at: now });
         }
         Ok(())
     }
 
-    /// Takes back the registrations [`Engine::do_insert_derived`] made for
-    /// the body tuples in `registered`, last first: each is the last entry
-    /// of its list, so the lists are left exactly as they were found.
-    fn undepend(&mut self, registered: &[BodyRef]) {
-        for b in registered.iter().rev() {
-            if let Some(state) = self.nodes.get_mut(&b.tref.node) {
-                state.undepend(&b.tref.tuple);
-            }
-        }
-    }
-
-    /// `gone` has disappeared and `heads` is the reverse-dependency list
-    /// its slot held: removes every derivation that used it as a body
-    /// tuple, recursively retiring tuples whose support drops to zero.
-    fn cascade(&mut self, now: LogicalTime, gone: &TupleRef, heads: Vec<TupleRef>) {
-        for head in heads {
-            let Some(state) = self.nodes.get_mut(&head.node) else {
-                continue;
-            };
-            let Some(entry) = state.get_mut(&head.tuple) else {
-                continue;
-            };
-            let mut underived: Vec<Sym> = Vec::new();
-            entry.derivations.retain(|d| {
-                let hit = d.body.contains(gone);
-                if hit {
-                    underived.push(d.rule);
-                }
-                !hit
-            });
-            if underived.is_empty() {
+    /// `gone` has disappeared and `dependents` is the reverse-dependency
+    /// list its row held, in registration order: removes every derivation
+    /// that used it as a body tuple, recursively retiring tuples whose
+    /// support drops to zero. A head no longer live is skipped, as is one
+    /// whose derivations from `gone` have gone already.
+    fn cascade(&mut self, now: LogicalTime, gone: RowRef, dependents: u32) {
+        let mut next = dependents;
+        while next != state::NIL {
+            let (head, after) = self.nodes.next_dependent(gone, next);
+            next = after;
+            if !self.nodes.slot(head).live {
                 continue;
             }
-            let since = entry.appeared_at;
-            let retired = (entry.support() == 0).then(|| state.remove(&head.tuple));
-            for rule in underived {
-                self.stats.underivations += 1;
-                self.events.push(ProvEvent::Underive {
+            let slot = self.nodes.slot(head);
+            let (since, tuple) = (slot.appeared_at, Arc::clone(&slot.tuple));
+            let node = self.nodes.nodes[head.node as usize].id;
+            let (events, stats) = (&mut self.events, &mut self.stats);
+            let mut underived = false;
+            self.nodes.withdraw(head, gone, |rule| {
+                underived = true;
+                stats.underivations += 1;
+                events.push(ProvEvent::Underive {
                     time: now,
                     since,
-                    node: head.node,
-                    tuple: Arc::clone(&head.tuple),
+                    node,
+                    tuple: Arc::clone(&tuple),
                     rule,
                 });
+            });
+            if !underived || self.nodes.slot(head).base || self.nodes.derived(head) {
+                continue;
             }
-            if let Some(dependents) = retired {
-                self.note_disappear();
-                self.events.push(ProvEvent::Disappear {
-                    time: now,
-                    since,
-                    node: head.node,
-                    tuple: Arc::clone(&head.tuple),
-                });
-                self.cascade(now, &head, dependents);
-            }
+            let dependents = self.nodes.retire(head);
+            self.note_disappear();
+            self.events.push(ProvEvent::Disappear {
+                time: now,
+                since,
+                node,
+                tuple,
+            });
+            self.cascade(now, head, dependents);
         }
     }
 
@@ -1279,10 +1288,7 @@ mod tests {
         eng.schedule_insert(0, n, tuple!("a", 1, 2)).unwrap();
         eng.schedule_insert(0, n, tuple!("b", 1, 9, 3)).unwrap(); // y mismatch
         eng.run().unwrap();
-        assert_eq!(
-            eng.nodes.get(&n).unwrap().table(&Sym::new("c")).count(),
-            0
-        );
+        assert_eq!(eng.view(&n).unwrap().table(&Sym::new("c")).count(), 0);
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! `Option<Value>` per slot of the rule and a trail of the slots bound —
 //! and the join walks the plan's steps depth first, binding each
 //! candidate's new variables and undoing them off the trail when it
-//! backtracks. A complete match is stored as a row of its body tuples, in
-//! body order, in one flat buffer. The rows are then put in nested-loop
-//! order — the order of their body-tuple vectors, which is the oracle's
-//! enumeration order whatever order the access paths found them in — and
-//! each match's frame is rebuilt by re-matching its row before the
-//! assignments, the constraints and the head run over it.
+//! backtracks. A complete match is stored as the row ids of its body
+//! tuples, in body order, in one flat buffer. The matches are then put in
+//! nested-loop order — the order of their body-tuple vectors, which is the
+//! oracle's enumeration order whatever order the access paths found them
+//! in — and each match's frame is rebuilt by re-matching its tuples before
+//! the assignments, the constraints and the head run over it. What a
+//! derivation's body records is those rows, as `RowRef`s.
 //!
 //! Re-matching rebuilds exactly the frame the join held when it completed
 //! the match. The join bound each variable at its first occurrence along
 //! the plan and compared every later occurrence with it, so within a
-//! complete row every occurrence of a variable holds one value; binding
+//! complete match every occurrence of a variable holds one value; binding
 //! the trigger's location and then every atom against its row tuple, in
 //! any order, binds the same slots to the same values, and no comparison
 //! can fail. Starting each match from an empty frame also undoes whatever
@@ -23,21 +24,19 @@
 //! (`X := X + 1`) included.
 //!
 //! Everything a firing needs beyond its inputs lives in one [`Scratch`]
-//! the engine keeps: the frame, the partial row, one probe-key buffer per
-//! step, the rows and their order, the per-flush list of live rules and
+//! the engine keeps: the frame, the partial match, one probe-key buffer per
+//! step, the matches and their order, the per-flush list of live rules and
 //! the builtin-argument buffer. None of it is allocated per firing once
 //! it has grown to the program's widest rule and largest match set.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use dp_types::{
-    Error, LogicalTime, NodeId, Result, TableKind, Tuple, TupleRef, TupleStore, Value,
-};
+use dp_types::{Error, LogicalTime, NodeId, Result, TableKind, Tuple, TupleStore, Value};
 
-use super::{Action, Delta, NodeState, NodeView, RuleJoinProfile, Stats};
+use super::state::{Node, Nodes, RowRef, Table, NIL};
+use super::{Action, Body, Delta, Derivation, NodeView, RuleJoinProfile, Stats};
 use crate::ast::Rule;
 use crate::compile::{Arg, Check, CompiledRule, Slot, Step};
 use crate::program::{Emitter, Program};
@@ -120,17 +119,22 @@ impl Frame {
         self.bind(*loc_slot, loc) && self.match_args(args, tuple)
     }
 
-    /// The frame of the complete match `row`, rebuilt from nothing (see
-    /// the module docs).
-    fn rematch(&mut self, rule: &CompiledRule, trigger: usize, loc: &Value, row: &[Arc<Tuple>]) {
+    /// The frame of the complete match `rows` at `node`, rebuilt from
+    /// nothing (see the module docs).
+    fn rematch(
+        &mut self,
+        rule: &CompiledRule,
+        trigger: usize,
+        loc: &Value,
+        node: &Node,
+        rows: &[u32],
+    ) {
         self.undo(0);
         let matched = self.bind(rule.atoms[trigger].0, loc)
-            && rule
-                .atoms
-                .iter()
-                .zip(row)
-                .all(|((_, args), t)| self.match_args(args, t));
-        debug_assert!(matched, "a complete match re-matches its own row");
+            && rule.atoms.iter().zip(&rule.tables).zip(rows).all(|(((_, args), &t), &r)| {
+                self.match_args(args, &node.tables[t as usize].rows[r as usize].tuple)
+            });
+        debug_assert!(matched, "a complete match re-matches its own tuples");
     }
 }
 
@@ -139,13 +143,14 @@ impl Frame {
 #[derive(Default)]
 pub(super) struct Scratch {
     frame: Frame,
-    /// The body tuple matched at each atom so far.
-    partial: Vec<Option<Arc<Tuple>>>,
+    /// The row matched at each atom so far (`NIL` where none is yet).
+    partial: Vec<u32>,
     /// One index-probe key per join step, each kept for its allocation.
     keys: Vec<Vec<Value>>,
-    /// The complete matches: rows of body tuples in body order, end to end.
-    rows: Vec<Arc<Tuple>>,
-    /// The rows' indices, in nested-loop order.
+    /// The complete matches: each the rows of its body tuples in body
+    /// order, end to end.
+    rows: Vec<u32>,
+    /// The matches' indices, in nested-loop order.
     order: Vec<usize>,
     /// The rules a delta group fires: `(rule index, trigger atom)`.
     live: Vec<(usize, usize)>,
@@ -154,13 +159,13 @@ pub(super) struct Scratch {
 }
 
 /// The read-only half of the engine a rule firing needs: the program
-/// (compiled rules, schemas, natives) and the frozen node states.
+/// (compiled rules, schemas, natives) and the frozen nodes.
 /// Firing never mutates node state — actions are buffered and queued
 /// afterwards — so the context borrows the node map shared while
 /// [`FireOut`] borrows what a firing writes alongside it.
 pub(super) struct FireCtx<'a> {
     pub(super) program: &'a Program,
-    pub(super) nodes: &'a BTreeMap<NodeId, NodeState>,
+    pub(super) nodes: &'a Nodes,
 }
 
 /// The half of the engine a rule firing writes: the interner its heads
@@ -186,21 +191,21 @@ impl FireCtx<'_> {
     pub(super) fn fire_deltas(&self, deltas: &[Delta], out: &mut FireOut<'_>) -> Result<()> {
         let mut start = 0;
         while start < deltas.len() {
+            let at = deltas[start].row;
             let mut end = start + 1;
             while end < deltas.len()
-                && deltas[end].node == deltas[start].node
-                && deltas[end].tuple.table == deltas[start].tuple.table
+                && deltas[end].row.node == at.node
+                && deltas[end].row.table == at.table
             {
                 end += 1;
             }
             let group = &deltas[start..end];
-            let table = &group[0].tuple.table;
-            let state = self.nodes.get(&group[0].node);
+            let node = &self.nodes.nodes[at.node as usize];
             let live = &mut out.scratch.live;
             live.clear();
             live.extend(
                 self.program
-                    .rule_triggers(table)
+                    .rule_triggers_at(at.table)
                     .iter()
                     .copied()
                     .filter(|&(ri, ai)| {
@@ -218,12 +223,13 @@ impl FireCtx<'_> {
                         // delta. Only join effort counters (probes/scans/
                         // candidates) shrink; a pruned join can never have
                         // produced a match or a derivation.
-                        !rule.body.iter().enumerate().any(|(bi, a)| {
-                            bi != ai && state.is_none_or(|s| s.table_empty(&a.table))
+                        let tables = &self.program.compiled(ri).tables;
+                        !tables.iter().enumerate().any(|(bi, &t)| {
+                            bi != ai && node.table(t).is_none_or(Table::is_empty)
                         })
                     }),
             );
-            let natives = self.program.native_triggers(table);
+            let natives = self.program.native_triggers_at(at.table);
             for d in group {
                 // By index: a firing borrows the scratch the list lives in.
                 for k in 0..out.scratch.live.len() {
@@ -251,8 +257,8 @@ impl FireCtx<'_> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
         native.fire(
-            &NodeView::new(&d.node, self.nodes.get(&d.node), d.at),
-            &d.tuple,
+            &NodeView::of_engine(self.nodes, self.program, d.row.node, d.at),
+            &self.nodes.slot(d.row).tuple,
             &mut emitter,
         )?;
         for em in emitter.emissions {
@@ -264,17 +270,22 @@ impl FireCtx<'_> {
                     message: format!("native {} emits into a non-derived table", native.name()),
                 });
             }
+            let table = self
+                .program
+                .table_index(&em.tuple.table)
+                .ok_or(Error::UnknownTable(em.tuple.table))?;
             let head = out.store.intern(em.tuple);
             out.actions.push((
                 d.at + em.delay,
-                Action::InsertDerived {
+                Action::InsertDerived(Derivation {
                     node: em.node,
                     tuple: head,
+                    table,
                     rule: native.name(),
                     slot: (self.program.rules().len() + ni) as u32,
-                    body: em.body,
+                    body: Body::Named(em.body),
                     trigger: 0,
-                },
+                }),
             ));
         }
         Ok(())
@@ -294,23 +305,24 @@ impl FireCtx<'_> {
         trigger: usize,
         loc: &Value,
         out: &mut FireOut<'_>,
-    ) -> Option<&'s NodeState> {
+    ) -> Option<&'s Node> {
         let rule = self.program.rule_at(ri);
         let compiled = self.program.compiled(ri);
         let sc = &mut *out.scratch;
         sc.frame.open(compiled.slots);
         sc.rows.clear();
         sc.order.clear();
-        if !sc.frame.match_trigger(compiled, trigger, loc, &d.tuple) {
+        let node = &self.nodes.nodes[d.row.node as usize];
+        let trigger_tuple = &self.nodes.slot(d.row).tuple;
+        if !sc.frame.match_trigger(compiled, trigger, loc, trigger_tuple) {
             return None;
         }
-        let state = self.nodes.get(&d.node)?;
-        let steps = compiled.plans[trigger]
-            .as_deref()
-            .expect("every firing trigger is planned");
+        // Every firing trigger is planned; an aggregation rule's later
+        // atoms never fire it.
+        let steps = compiled.plans[trigger].as_deref()?;
         sc.partial.clear();
-        sc.partial.resize(rule.body.len(), None);
-        sc.partial[trigger] = Some(Arc::clone(&d.tuple));
+        sc.partial.resize(rule.body.len(), NIL);
+        sc.partial[trigger] = d.row.row;
         if sc.keys.len() < steps.len() {
             sc.keys.resize_with(steps.len(), Vec::new);
         }
@@ -320,11 +332,10 @@ impl FireCtx<'_> {
             ..RuleJoinProfile::default()
         };
         let join = Join {
-            state,
-            rule,
+            node,
             compiled,
             steps,
-            trigger: &d.tuple,
+            trigger: d.row.row,
             as_of: d.at,
         };
         join.step(
@@ -339,12 +350,14 @@ impl FireCtx<'_> {
         // nested-loop enumeration order (lexicographic by body vector — the
         // trigger slot is constant, so this compares the remaining atoms
         // in body order exactly as the oracle's nested loop emits them).
-        // No two rows are equal, so an unstable sort is deterministic.
+        // No two matches are equal, so an unstable sort is deterministic.
         let width = rule.body.len();
         sc.order.extend(0..sc.rows.len() / width);
         let rows = &sc.rows;
         sc.order.sort_unstable_by(|&a, &b| {
-            cmp_rows(
+            cmp_matches(
+                node,
+                &compiled.tables,
                 &rows[a * width..(a + 1) * width],
                 &rows[b * width..(b + 1) * width],
             )
@@ -356,20 +369,20 @@ impl FireCtx<'_> {
         out.stats.trie_scans += counters.trie_scans;
         out.stats.join_candidates += counters.candidates;
         out.stats.join_matches += counters.matches;
-        Some(state)
+        Some(node)
     }
 
     /// Attempts to fire rule `ri` with delta `d` matched at body position
     /// `trigger`, joining the remaining atoms against the state as of the
     /// delta's appearance, appending the scheduled actions to `out`.
     fn fire_rule(&self, d: &Delta, ri: usize, trigger: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let loc = Value::Str(d.node.0);
-        let Some(state) = self.join(d, ri, trigger, &loc, out) else {
+        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at);
+        let loc = Value::Str(view.node.0);
+        let Some(node) = self.join(d, ri, trigger, &loc, out) else {
             return Ok(());
         };
         let rule = self.program.rule_at(ri);
         let compiled = self.program.compiled(ri);
-        let view = NodeView::new(&d.node, Some(state), d.at);
         let width = rule.body.len();
         let FireOut {
             store,
@@ -385,8 +398,8 @@ impl FireCtx<'_> {
             ..
         } = &mut **scratch;
         for &m in order.iter() {
-            let row = &rows[m * width..(m + 1) * width];
-            frame.rematch(compiled, trigger, &loc, row);
+            let matched = &rows[m * width..(m + 1) * width];
+            frame.rematch(compiled, trigger, &loc, node, matched);
             if !admits(compiled, rule, frame, args, &view)? {
                 continue;
             }
@@ -398,25 +411,31 @@ impl FireCtx<'_> {
             let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
             let head = store.intern(head);
-            let body = row
+            let body = matched
                 .iter()
-                .map(|t| TupleRef::new(d.node, Arc::clone(t)))
+                .zip(&compiled.tables)
+                .map(|(&row, &table)| RowRef {
+                    node: d.row.node,
+                    table,
+                    row,
+                })
                 .collect();
-            let delay = if head_node == d.node {
+            let delay = if head_node == *view.node {
                 0
             } else {
                 rule.link_delay
             };
             actions.push((
                 d.at + delay,
-                Action::InsertDerived {
+                Action::InsertDerived(Derivation {
                     node: head_node,
                     tuple: head,
+                    table: compiled.head_table,
                     rule: rule.name,
                     slot: ri as u32,
-                    body,
+                    body: Body::Rows(body),
                     trigger: trigger as u32,
-                },
+                }),
             ));
         }
         Ok(())
@@ -430,17 +449,18 @@ impl FireCtx<'_> {
     /// each derivation is the fence plus every contributing tuple, each
     /// once, in first-use order.
     fn fire_agg_rule(&self, d: &Delta, ri: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let loc = Value::Str(d.node.0);
-        let Some(state) = self.join(d, ri, 0, &loc, out) else {
+        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at);
+        let loc = Value::Str(view.node.0);
+        let Some(node) = self.join(d, ri, 0, &loc, out) else {
             return Ok(());
         };
         let rule = self.program.rule_at(ri);
         let compiled = self.program.compiled(ri);
-        let spec = rule.agg.as_ref().expect("caller checked");
-        let agg_slot = compiled
-            .agg
-            .expect("an aggregation rule has an aggregate slot");
-        let view = NodeView::new(&d.node, Some(state), d.at);
+        // The caller fires this only for an aggregation rule, which the
+        // compiler gave an aggregate slot.
+        let (Some(spec), Some(agg_slot)) = (rule.agg.as_ref(), compiled.agg) else {
+            return Ok(());
+        };
         let width = rule.body.len();
         let FireOut {
             store,
@@ -457,10 +477,10 @@ impl FireCtx<'_> {
         } = &mut **scratch;
         // (head location, non-aggregate head arguments) -> (fold so far,
         // contributing tuples).
-        let mut groups: BTreeMap<(Value, Vec<Value>), (i64, Vec<TupleRef>)> = BTreeMap::new();
+        let mut groups: BTreeMap<(Value, Vec<Value>), (i64, Vec<RowRef>)> = BTreeMap::new();
         for &m in order.iter() {
-            let row = &rows[m * width..(m + 1) * width];
-            frame.rematch(compiled, 0, &loc, row);
+            let matched = &rows[m * width..(m + 1) * width];
+            frame.rematch(compiled, 0, &loc, node, matched);
             if !admits(compiled, rule, frame, args, &view)? {
                 continue;
             }
@@ -477,8 +497,7 @@ impl FireCtx<'_> {
                 .as_int()?;
             let used = match groups.entry((head_loc, key)) {
                 Entry::Vacant(slot) => {
-                    let fence = TupleRef::new(d.node, Arc::clone(&d.tuple));
-                    &mut slot.insert((spec.func.fold(None, input), vec![fence])).1
+                    &mut slot.insert((spec.func.fold(None, input), vec![d.row])).1
                 }
                 Entry::Occupied(slot) => {
                     let (acc, used) = slot.into_mut();
@@ -486,8 +505,12 @@ impl FireCtx<'_> {
                     used
                 }
             };
-            for t in &row[1..] {
-                let r = TupleRef::new(d.node, Arc::clone(t));
+            for (&row, &table) in matched.iter().zip(&compiled.tables).skip(1) {
+                let r = RowRef {
+                    node: d.row.node,
+                    table,
+                    row,
+                };
                 if !used.contains(&r) {
                     used.push(r);
                 }
@@ -499,21 +522,22 @@ impl FireCtx<'_> {
             let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
             let head = store.intern(head);
-            let delay = if head_node == d.node {
+            let delay = if head_node == *view.node {
                 0
             } else {
                 rule.link_delay
             };
             actions.push((
                 d.at + delay,
-                Action::InsertDerived {
+                Action::InsertDerived(Derivation {
                     node: head_node,
                     tuple: head,
+                    table: compiled.head_table,
                     rule: rule.name,
                     slot: ri as u32,
-                    body,
+                    body: Body::Rows(body),
                     trigger: 0,
-                },
+                }),
             ));
         }
         Ok(())
@@ -566,17 +590,18 @@ fn admits(
     Ok(true)
 }
 
-/// Two rows of one rule's matches in nested-loop order: body position by
-/// body position, each by its tuple's arguments (a position's tuples all
-/// belong to one table, at one node). A node's table holds one allocation
-/// per tuple, so two rows naming the same tuple at a position name the
-/// same allocation, and a shared position costs a pointer compare.
-fn cmp_rows(a: &[Arc<Tuple>], b: &[Arc<Tuple>]) -> Ordering {
-    for (x, y) in a.iter().zip(b) {
-        if Arc::ptr_eq(x, y) {
+/// Two of one rule's matches at `node` in nested-loop order: body
+/// position by body position, each by its tuple's arguments (a position's
+/// tuples all belong to one table, `tables[position]`). A table holds one
+/// row per tuple, so two matches naming the same tuple at a position name
+/// the same row, and a shared position costs an integer compare.
+fn cmp_matches(node: &Node, tables: &[u32], a: &[u32], b: &[u32]) -> Ordering {
+    for ((&x, &y), &t) in a.iter().zip(b).zip(tables) {
+        if x == y {
             continue;
         }
-        match x.args.cmp(&y.args) {
+        let rows = &node.tables[t as usize].rows;
+        match rows[x as usize].tuple.args.cmp(&rows[y as usize].tuple.args) {
             Ordering::Equal => {}
             unequal => return unequal,
         }
@@ -586,12 +611,11 @@ fn cmp_rows(a: &[Arc<Tuple>], b: &[Arc<Tuple>]) -> Ordering {
 
 /// What one firing's join reads.
 struct Join<'a> {
-    state: &'a NodeState,
-    rule: &'a Rule,
+    node: &'a Node,
     compiled: &'a CompiledRule,
     steps: &'a [Step],
-    /// The trigger tuple.
-    trigger: &'a Arc<Tuple>,
+    /// The trigger tuple's row.
+    trigger: u32,
     as_of: LogicalTime,
 }
 
@@ -615,22 +639,17 @@ impl Join<'_> {
         &self,
         i: usize,
         frame: &mut Frame,
-        partial: &mut [Option<Arc<Tuple>>],
+        partial: &mut [u32],
         keys: &mut [Vec<Value>],
-        rows: &mut Vec<Arc<Tuple>>,
+        rows: &mut Vec<u32>,
         counters: &mut RuleJoinProfile,
     ) {
-        let Some(step) = self.steps.get(i) else {
+        let (Some(step), [key, keys @ ..]) = (self.steps.get(i), keys) else {
             counters.matches += 1;
-            rows.extend(
-                partial
-                    .iter()
-                    .map(|t| Arc::clone(t.as_ref().expect("all body slots filled"))),
-            );
+            rows.extend_from_slice(partial);
             return;
         };
-        let (key, keys) = keys.split_first_mut().expect("a key buffer per step");
-        let table = &self.rule.body[step.atom].table;
+        let table = self.node.table(self.compiled.tables[step.atom]);
         let args = &self.compiled.atoms[step.atom].1;
         // The candidate loop, monomorphized per access path. Filtering by
         // the trie removes only candidates the `prefix_contains` constraint
@@ -640,16 +659,16 @@ impl Join<'_> {
         // event stream.
         macro_rules! join_candidates {
             ($candidates:expr) => {
-                for candidate in $candidates {
+                for (row, candidate) in table.into_iter().flat_map($candidates) {
                     counters.candidates += 1;
-                    if step.skips_trigger && candidate.args == self.trigger.args {
+                    if step.skips_trigger && row == self.trigger {
                         continue;
                     }
                     let mark = frame.trail.len();
                     if frame.match_args(args, candidate) {
-                        partial[step.atom] = Some(Arc::clone(candidate));
+                        partial[step.atom] = row;
                         self.step(i + 1, frame, partial, keys, rows, counters);
-                        partial[step.atom] = None;
+                        partial[step.atom] = NIL;
                         frame.undo(mark);
                     }
                 }
@@ -659,7 +678,8 @@ impl Join<'_> {
             key.clear();
             key.extend(ops.iter().map(|op| op.read(&frame.vals).clone()));
             counters.probes += 1;
-            join_candidates!(self.state.probe(table, *slot, key, self.as_of));
+            let key = &*key;
+            join_candidates!(|t: &'_ Table| t.probe(*slot, key, self.as_of));
             return;
         }
         // A scan step carrying prefix probes walks a trie instead, when the
@@ -681,16 +701,16 @@ impl Join<'_> {
                 Value::Ip(ip) => Some((*slot, *ip)),
                 _ => None,
             })
-            .min_by_key(|&(slot, ip)| self.state.estimate_prefix(table, slot, ip));
+            .min_by_key(|&(slot, ip)| table.map_or(0, |t| t.estimate_prefix(slot, ip)));
         if let Some((slot, ip)) = trie_probe {
             counters.trie_probes += 1;
-            join_candidates!(self.state.probe_prefix(table, slot, ip, self.as_of));
+            join_candidates!(|t: &'_ Table| t.probe_prefix(slot, ip, self.as_of));
         } else {
             counters.scans += 1;
             if !step.prefixes.is_empty() {
                 counters.trie_scans += 1;
             }
-            join_candidates!(self.state.table_arcs(table, self.as_of));
+            join_candidates!(|t: &'_ Table| t.scan(self.as_of));
         }
     }
 }

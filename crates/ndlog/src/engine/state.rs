@@ -1,98 +1,260 @@
-//! The engine's state: what each node holds.
+//! The engine's state: a live tuple is one row.
 //!
-//! A [`NodeState`] is a node's tables; a [`Table`] keeps its live tuples
-//! in deterministic BTree order, each in a [`Slot`] — the public
-//! [`TupleState`] bookkeeping plus the tuple's reverse-dependency list —
-//! beside the secondary hash indexes and prefix tries the program's join
-//! plans registered for the table. [`NodeView`] is the read-only window
-//! natives and stateful builtins get. The reference evaluator uses
-//! [`NodeState`] as plain storage (no index or trie specs, and it never
-//! registers a dependent: it keeps its own lists).
+//! A node's tables sit in a vector by the program's table index (a
+//! table's rank in name order, `Program::table_index`), and a table keeps
+//! its tuples as rows of one slab: a fixed-size [`Slot`] per row, holding
+//! the tuple, its base flag, its appearance time and the heads of two
+//! linked lists — its derivation records and its reverse dependencies.
+//! Everywhere else the engine names a tuple by a [`RowRef`] — `(node,
+//! table, row)` indices, 12 bytes, `Copy` — so the index buckets, the trie
+//! entries, the derivation bodies, the dependents, the pending deltas and
+//! a scheduled derivation's body hold ids, not `Arc<Tuple>`s: a tuple's
+//! `Arc` is cloned when its row is created (for the content-ordered row
+//! map and the slot), when an event names it, and at the public read
+//! boundary, and nowhere else.
 //!
-//! Every row of a table carries the table's name, so a table compares its
-//! rows by value alone: the tuple map and every access-path bucket are
-//! keyed by [`Row`], ordered by `args` and probed with `args` as a slice.
-//! Because the name is the first field of `Tuple`'s order and equal
-//! within a table, that is the order `Tuple`'s `Ord` gives — every
-//! iteration, candidate walk and stream is what it would be under it — and
-//! no comparison inside a table starts with a string compare of the name.
+//! The lists live in per-table pools: derivation records in one vector,
+//! their bodies in another (runs of `RowRef`s, a free list per run
+//! length), dependents in a third, each record linked to the next by
+//! index and every freed record reused last-freed first. A table is
+//! therefore a handful of vectors however many rows it holds, and
+//! dropping it frees those vectors, its row map's B-tree nodes and its
+//! index buckets — not a block per derivation, body or dependents list.
+//!
+//! **A content keeps its row.** The row map takes a table's tuples to
+//! their rows by value — ordered by `args`, which is `Tuple`'s order
+//! within a table, so every scan and [`NodeView`] is in tuple order — and
+//! a row is never given to another tuple: when a tuple disappears its row
+//! stays, dead (out of every index and trie, with no derivations and no
+//! dependents), and a re-insertion of the same tuple brings the same row
+//! back. That is what makes a dependent an id. Dependents are never
+//! pruned: an entry left by a derivation that has since gone names its
+//! head for as long as the body tuple lives, and when the body tuple goes
+//! the cascade visits that head — by content, in the oracle, which keeps
+//! its lists as tuples. Because a content keeps its row, the stale entry
+//! names exactly the tuple the oracle's names: nothing if it is not live,
+//! the same tuple in a later episode if it is. A dead row costs its slot
+//! and its map entry; the tuple behind it is the interner's (a head) or
+//! the log's (a base tuple) either way, and the churn the workloads run
+//! re-issues the tuples it withdrew, so it finds its rows again.
+//!
+//! [`NodeView`] is the read-only window natives and stateful builtins
+//! get, over the engine's tables or over the reference evaluator's own
+//! plain maps, and the read surface of [`crate::engine::Engine::nodes`]: it
+//! resolves ids back to tuples, and a [`TupleState`] it returns is built
+//! for the caller.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dp_types::{
     LogicalTime, NodeId, Prefix, PrefixTrie, Sym, Tuple, TupleRef, Value, WordBuildHasher,
 };
 
-use super::TupleState;
+use super::{DerivRecord, TupleState};
 use crate::compile::{IndexSpecs, TrieSpecs};
 use crate::program::Program;
+use crate::reference::NodeTables;
 
-/// A row of one table: its tuple, compared by `args` alone (see the
-/// module docs), and found by `tuple.args.as_slice()`.
+/// The null link of the pools' lists.
+pub(super) const NIL: u32 = u32::MAX;
+
+/// Where a tuple lives: its node's index in the engine, its table's index
+/// in the program, its row in the table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct RowRef {
+    pub(super) node: u32,
+    pub(super) table: u32,
+    pub(super) row: u32,
+}
+
+/// The key of a table's row map: the tuple, compared by `args` alone (a
+/// table's rows share its name) and found by `args` as a slice.
 #[derive(Debug)]
-struct Row(Arc<Tuple>);
+struct ByArgs(Arc<Tuple>);
 
-impl PartialEq for Row {
+impl PartialEq for ByArgs {
     fn eq(&self, other: &Self) -> bool {
         self.0.args == other.0.args
     }
 }
 
-impl Eq for Row {}
+impl Eq for ByArgs {}
 
-impl PartialOrd for Row {
+impl PartialOrd for ByArgs {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Row {
+impl Ord for ByArgs {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.args.cmp(&other.0.args)
     }
 }
 
-impl Borrow<[Value]> for Row {
+impl Borrow<[Value]> for ByArgs {
     fn borrow(&self) -> &[Value] {
         &self.0.args
     }
 }
 
-/// What a table holds per live tuple.
-///
-/// `dependents` is the tuple's reverse-dependency list: one entry per
-/// (derivation, body position) that used this tuple, naming the derived
-/// head, in registration order. It lives and dies with the tuple — the
-/// `remove` that retires the tuple hands the list to the cascade — so
-/// registering a dependent is a lookup in the body tuple's own table, not
-/// an insert into an engine-wide map keyed by `(node, tuple)`. Entries are
-/// never pruned: a head that has since lost that derivation (or vanished)
-/// is simply found unaffected when the cascade gets to it. The list is
-/// kept out of [`TupleState`], which is public, shared with the oracle and
-/// compared by the differential suites.
+/// One row of a table.
+#[derive(Debug)]
+pub(super) struct Slot {
+    pub(super) tuple: Arc<Tuple>,
+    /// When the tuple (last) appeared.
+    pub(super) appeared_at: LogicalTime,
+    /// The first of its derivation records, in recording order.
+    derivs: u32,
+    /// The last dependent registered; the list runs latest first.
+    deps: u32,
+    /// Inserted as a base tuple (counts as support).
+    pub(super) base: bool,
+    /// Present: support above zero. A dead row is in no index or trie.
+    pub(super) live: bool,
+}
+
+/// A record of a pool, linked to the next by index.
+trait Linked {
+    fn next(&self) -> u32;
+    fn set_next(&mut self, next: u32);
+}
+
+/// Fixed-size records in one vector, linked by index; a freed record is
+/// the next one handed out.
+#[derive(Debug)]
+struct Pool<T> {
+    items: Vec<T>,
+    free: u32,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool {
+            items: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl<T: Linked> Pool<T> {
+    fn alloc(&mut self, item: T) -> u32 {
+        if self.free == NIL {
+            self.items.push(item);
+            (self.items.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = self.items[at as usize].next();
+            self.items[at as usize] = item;
+            at
+        }
+    }
+
+    fn release(&mut self, at: u32) {
+        self.items[at as usize].set_next(self.free);
+        self.free = at;
+    }
+}
+
+/// One derivation record of a row: the public [`DerivRecord`] with its
+/// body a run of the table's body pool.
+#[derive(Clone, Copy, Debug)]
+struct Deriv {
+    rule: Sym,
+    time: LogicalTime,
+    body: u32,
+    len: u32,
+    trigger: u32,
+    next: u32,
+}
+
+impl Linked for Deriv {
+    fn next(&self) -> u32 {
+        self.next
+    }
+    fn set_next(&mut self, next: u32) {
+        self.next = next;
+    }
+}
+
+/// One reverse dependency: a head derived from the row holding it.
+#[derive(Clone, Copy, Debug)]
+struct Dep {
+    head: RowRef,
+    next: u32,
+}
+
+impl Linked for Dep {
+    fn next(&self) -> u32 {
+        self.next
+    }
+    fn set_next(&mut self, next: u32) {
+        self.next = next;
+    }
+}
+
+/// Derivation bodies: runs of `RowRef`s in one vector. A freed run goes
+/// on the free list of its length (threaded through its first entry's
+/// `row`), and the next body of that length takes it.
 #[derive(Debug, Default)]
-struct Slot {
-    state: TupleState,
-    dependents: Vec<TupleRef>,
+struct Bodies {
+    refs: Vec<RowRef>,
+    /// By run length: the first free run.
+    free: Vec<u32>,
+}
+
+impl Bodies {
+    fn alloc(&mut self, body: &[RowRef]) -> u32 {
+        let len = body.len();
+        match self.free.get(len) {
+            Some(&start) if start != NIL && len > 0 => {
+                let at = start as usize;
+                self.free[len] = self.refs[at].row;
+                self.refs[at..at + len].copy_from_slice(body);
+                start
+            }
+            _ => {
+                let start = self.refs.len() as u32;
+                self.refs.extend_from_slice(body);
+                start
+            }
+        }
+    }
+
+    fn get(&self, start: u32, len: u32) -> &[RowRef] {
+        &self.refs[start as usize..(start + len) as usize]
+    }
+
+    fn release(&mut self, start: u32, len: u32) {
+        let len = len as usize;
+        if len == 0 {
+            return;
+        }
+        if self.free.len() <= len {
+            self.free.resize(len + 1, NIL);
+        }
+        self.refs[start as usize].row = self.free[len];
+        self.free[len] = start;
+    }
 }
 
 /// One prefix-trie access path of a table (see `crate::compile`).
 ///
-/// The trie holds the tuples whose value at the indexed column is
+/// The trie holds the live rows whose value at the indexed column is
 /// prefix-like under the exact promotion rule of `prefix_contains`
 /// (`Value::Prefix` as-is, `Value::Ip` as a `/32` host prefix). Everything
-/// else — wrong arity aside — goes into the `other` bucket, which every
-/// probe returns alongside the trie walk: the scan path would have fed
-/// those tuples to the constraint and surfaced a type error, so the trie
-/// path must produce them too for byte-identical behavior.
+/// else — wrong arity aside — goes into the `other` bucket, ascending,
+/// which every probe returns alongside the trie walk: the scan path would
+/// have fed those tuples to the constraint and surfaced a type error, so
+/// the trie path must produce them too for byte-identical behavior.
 #[derive(Debug, Default)]
 struct TrieIndex {
-    trie: PrefixTrie<Row>,
-    other: BTreeSet<Row>,
+    trie: PrefixTrie<u32>,
+    other: Vec<u32>,
 }
 
 impl TrieIndex {
@@ -108,71 +270,37 @@ impl TrieIndex {
         }
     }
 
-    fn insert(&mut self, tuple: &Arc<Tuple>, col: usize) {
+    fn insert(&mut self, tuple: &Tuple, row: u32, col: usize) {
         match Self::route(tuple, col) {
             Some(Ok(p)) => {
-                self.trie.insert(p, Row(Arc::clone(tuple)));
+                self.trie.insert(p, row);
             }
-            Some(Err(())) => {
-                self.other.insert(Row(Arc::clone(tuple)));
-            }
+            Some(Err(())) => insert_sorted(&mut self.other, row),
             None => {}
         }
     }
 
-    fn remove(&mut self, tuple: &Tuple, col: usize) {
+    fn remove(&mut self, tuple: &Tuple, row: u32, col: usize) {
         match Self::route(tuple, col) {
             Some(Ok(p)) => {
-                self.trie.remove(p, tuple.args.as_slice());
+                self.trie.remove(p, &row);
             }
-            Some(Err(())) => {
-                self.other.remove(tuple.args.as_slice());
-            }
+            Some(Err(())) => remove_sorted(&mut self.other, row),
             None => {}
         }
     }
 }
 
-/// True when `row` is visible at the `as_of` horizon. `horizon` is the
-/// row's table when something in it appeared after `as_of` (only then is
-/// the row's own `appeared_at` looked up), `None` when all of it is older.
-fn visible(horizon: Option<&Table>, row: &Row, as_of: LogicalTime) -> bool {
-    horizon.is_none_or(|t| {
-        t.tuples
-            .get(row.0.args.as_slice())
-            .is_some_and(|s| s.state.appeared_at <= as_of)
-    })
+fn insert_sorted(bucket: &mut Vec<u32>, row: u32) {
+    if let Err(at) = bucket.binary_search(&row) {
+        bucket.insert(at, row);
+    }
 }
 
-/// One table of one node: the tuples in deterministic BTree order, plus the
-/// secondary hash indexes the program's join plans registered for it.
-///
-/// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
-/// bucket of live tuples with those values, kept as a `BTreeSet` of rows
-/// so index probes still enumerate candidates in tuple order. The
-/// `HashMap` layer is hashed by `dp_types::WordHasher` (seedless, a word
-/// per step) and only ever probed by key, never iterated, so its iteration
-/// order cannot leak into the event stream.
-///
-/// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
-/// answering `prefix_contains` probes in O(32) instead of a full scan.
-#[derive(Debug, Default)]
-struct Table {
-    specs: IndexSpecs,
-    trie_specs: TrieSpecs,
-    tuples: BTreeMap<Row, Slot>,
-    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Row>, WordBuildHasher>>,
-    tries: Vec<TrieIndex>,
-    /// Clock of the most recent appearance in this table. Lets `as_of`-
-    /// horizon probes (see the module docs on batching) skip the per-
-    /// candidate `appeared_at` check entirely whenever nothing in the
-    /// table is newer than the horizon — the common case, since only
-    /// same-batch insertions into a probed table can be "too new".
-    last_appear: LogicalTime,
-    /// Scratch for the index key of the tuple being inserted or removed:
-    /// buckets are probed with it as a slice, and only a new bucket takes
-    /// an owned copy.
-    key_buf: Vec<Value>,
+fn remove_sorted(bucket: &mut Vec<u32>, row: u32) {
+    if let Ok(at) = bucket.binary_search(&row) {
+        bucket.remove(at);
+    }
 }
 
 /// Fills `key` with the values of `cols` in `tuple`; `false` if any
@@ -184,273 +312,491 @@ fn index_key(tuple: &Tuple, cols: &[usize], key: &mut Vec<Value>) -> bool {
     key.len() == cols.len()
 }
 
+/// One table of one node: its rows, the map from content to row, the
+/// secondary hash indexes and prefix tries the program's join plans
+/// registered for it, and the pools its rows' lists live in.
+///
+/// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to
+/// the bucket of live rows with those values, ascending. The `HashMap` is
+/// hashed by `dp_types::WordHasher` (seedless, a word per step) and only
+/// ever probed by key, never iterated, so its iteration order cannot leak
+/// into the event stream. `tries[slot]` is the prefix trie over column
+/// `trie_specs[slot]`, answering `prefix_contains` probes in O(32)
+/// instead of a full scan. Neither order reaches the stream: a join sorts
+/// its matches into nested-loop order, and
+/// [`NodeView::prefix_candidates`] sorts its candidates by value.
+#[derive(Debug)]
+pub(super) struct Table {
+    specs: IndexSpecs,
+    trie_specs: TrieSpecs,
+    by_args: BTreeMap<ByArgs, u32>,
+    pub(super) rows: Vec<Slot>,
+    /// How many rows are live.
+    live: usize,
+    indexes: Vec<HashMap<Vec<Value>, Vec<u32>, WordBuildHasher>>,
+    tries: Vec<TrieIndex>,
+    derivs: Pool<Deriv>,
+    bodies: Bodies,
+    deps: Pool<Dep>,
+    /// Clock of the most recent appearance in this table. Lets `as_of`-
+    /// horizon probes (see the engine's module docs on batching) skip the
+    /// per-candidate `appeared_at` check entirely whenever nothing in the
+    /// table is newer than the horizon — the common case, since only
+    /// same-batch insertions into a probed table can be "too new".
+    last_appear: LogicalTime,
+    /// Scratch for the index key of the row being indexed or unindexed:
+    /// buckets are probed with it as a slice, and only a new bucket takes
+    /// an owned copy.
+    key_buf: Vec<Value>,
+}
+
 impl Table {
-    fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
-        let indexes = specs.iter().map(|_| HashMap::default()).collect();
-        let tries = trie_specs.iter().map(|_| TrieIndex::default()).collect();
+    /// An empty table with the access paths `specs` and `trie_specs`,
+    /// built when its first row goes live: a table no tuple ever reaches
+    /// allocates nothing.
+    fn new(specs: &IndexSpecs, trie_specs: &TrieSpecs) -> Self {
         Table {
-            specs,
-            trie_specs,
-            tuples: BTreeMap::new(),
-            indexes,
-            tries,
+            specs: Arc::clone(specs),
+            trie_specs: Arc::clone(trie_specs),
+            by_args: BTreeMap::new(),
+            rows: Vec::new(),
+            live: 0,
+            indexes: Vec::new(),
+            tries: Vec::new(),
+            derivs: Pool::default(),
+            bodies: Bodies::default(),
+            deps: Pool::default(),
             last_appear: 0,
             key_buf: Vec::new(),
         }
     }
 
-    /// The state of `tuple`, inserted empty (and indexed) if absent: one
-    /// descent of the tuple map either way.
-    fn insert(&mut self, tuple: &Arc<Tuple>, now: LogicalTime) -> &mut TupleState {
-        match self.tuples.entry(Row(Arc::clone(tuple))) {
-            Entry::Occupied(slot) => &mut slot.into_mut().state,
-            Entry::Vacant(slot) => {
-                self.last_appear = self.last_appear.max(now);
-                let key = &mut self.key_buf;
-                for (index, cols) in self.indexes.iter_mut().zip(self.specs.iter()) {
-                    if !index_key(tuple, cols, key) {
-                        continue;
-                    }
-                    let row = Row(Arc::clone(tuple));
-                    match index.get_mut(key.as_slice()) {
-                        Some(bucket) => bucket.insert(row),
-                        None => index.entry(key.clone()).or_default().insert(row),
-                    };
-                }
-                for (slot, &col) in self.trie_specs.iter().enumerate() {
-                    self.tries[slot].insert(tuple, col);
-                }
-                &mut slot.insert(Slot::default()).state
+    /// True when `row` is visible at the `as_of` horizon (a live row's
+    /// own clock is read only when something in the table is newer).
+    fn visible(&self, row: u32, as_of: LogicalTime) -> bool {
+        self.last_appear <= as_of || self.rows[row as usize].appeared_at <= as_of
+    }
+
+    /// Live rows that appeared no later than `as_of`, in tuple order.
+    pub(super) fn scan(&self, as_of: LogicalTime) -> impl Iterator<Item = (u32, &Tuple)> {
+        self.by_args.iter().filter_map(move |(key, &row)| {
+            let slot = &self.rows[row as usize];
+            (slot.live && slot.appeared_at <= as_of).then_some((row, &*key.0))
+        })
+    }
+
+    /// Live rows whose `specs[slot]` columns equal `key` and which
+    /// appeared no later than `as_of`.
+    pub(super) fn probe(
+        &self,
+        slot: usize,
+        key: &[Value],
+        as_of: LogicalTime,
+    ) -> impl Iterator<Item = (u32, &Tuple)> {
+        let bucket = self.indexes.get(slot).and_then(|ix| ix.get(key));
+        bucket
+            .into_iter()
+            .flatten()
+            .filter(move |&&row| self.visible(row, as_of))
+            .map(|&row| (row, &*self.rows[row as usize].tuple))
+    }
+
+    /// Upper bound on the candidates [`Table::probe_prefix`] yields for
+    /// `(slot, ip)` — bucket sizes along the trie path plus the
+    /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
+    /// the most selective trie when a step has several probe candidates.
+    pub(super) fn estimate_prefix(&self, slot: usize, ip: u32) -> usize {
+        self.tries
+            .get(slot)
+            .map_or(0, |ti| ti.trie.count_matches(ip) + ti.other.len())
+    }
+
+    /// Live rows that can satisfy a `prefix_contains(_, ip)` constraint on
+    /// trie slot `slot`, respecting the `as_of` horizon: first the trie
+    /// walk (prefixes containing `ip`, shortest first), then the
+    /// non-prefix-like bucket (whose members the constraint will reject
+    /// with exactly the error the scan path would have raised).
+    pub(super) fn probe_prefix(
+        &self,
+        slot: usize,
+        ip: u32,
+        as_of: LogicalTime,
+    ) -> impl Iterator<Item = (u32, &Tuple)> {
+        self.tries
+            .get(slot)
+            .into_iter()
+            .flat_map(move |ti| ti.trie.matches(ip).chain(ti.other.iter()))
+            .filter(move |&&row| self.visible(row, as_of))
+            .map(|&row| (row, &*self.rows[row as usize].tuple))
+    }
+
+    /// True when no row is live.
+    pub(super) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Enters `row`, dead until now, into every index and trie.
+    fn make_live(&mut self, row: u32, now: LogicalTime) {
+        if self.indexes.len() < self.specs.len() || self.tries.len() < self.trie_specs.len() {
+            self.indexes.resize_with(self.specs.len(), HashMap::default);
+            self.tries
+                .resize_with(self.trie_specs.len(), TrieIndex::default);
+        }
+        self.last_appear = self.last_appear.max(now);
+        self.live += 1;
+        let slot = &mut self.rows[row as usize];
+        slot.live = true;
+        let tuple = &*slot.tuple;
+        let key = &mut self.key_buf;
+        for (index, cols) in self.indexes.iter_mut().zip(self.specs.iter()) {
+            if !index_key(tuple, cols, key) {
+                continue;
             }
+            match index.get_mut(key.as_slice()) {
+                Some(bucket) => insert_sorted(bucket, row),
+                None => {
+                    index.insert(key.clone(), vec![row]);
+                }
+            }
+        }
+        for (trie, &col) in self.tries.iter_mut().zip(self.trie_specs.iter()) {
+            trie.insert(tuple, row, col);
         }
     }
 
-    /// Retires `tuple`, returning its reverse-dependency list (empty if
-    /// the tuple was not there).
-    fn remove(&mut self, tuple: &Tuple) -> Vec<TupleRef> {
-        let Some(slot) = self.tuples.remove(tuple.args.as_slice()) else {
-            return Vec::new();
-        };
+    /// Takes live `row` out of every index and trie, leaving it dead, and
+    /// returns its dependents list (latest first).
+    fn retire(&mut self, row: u32) -> u32 {
+        self.live -= 1;
+        let slot = &mut self.rows[row as usize];
+        slot.live = false;
+        let deps = std::mem::replace(&mut slot.deps, NIL);
+        let tuple = &*slot.tuple;
         let key = &mut self.key_buf;
         for (index, cols) in self.indexes.iter_mut().zip(self.specs.iter()) {
             if !index_key(tuple, cols, key) {
                 continue;
             }
             if let Some(bucket) = index.get_mut(key.as_slice()) {
-                bucket.remove(tuple.args.as_slice());
+                remove_sorted(bucket, row);
                 if bucket.is_empty() {
                     index.remove(key.as_slice());
                 }
             }
         }
-        for (slot, &col) in self.trie_specs.iter().enumerate() {
-            self.tries[slot].remove(tuple, col);
+        for (trie, &col) in self.tries.iter_mut().zip(self.trie_specs.iter()) {
+            trie.remove(tuple, row, col);
         }
-        slot.dependents
+        deps
     }
 }
 
-/// The tables of a single node.
+/// The tables of a single node, by the program's table index.
+#[derive(Debug)]
+pub(super) struct Node {
+    pub(super) id: NodeId,
+    pub(super) tables: Vec<Table>,
+}
+
+impl Node {
+    /// The table at index `table`, if the node has it yet.
+    pub(super) fn table(&self, table: u32) -> Option<&Table> {
+        self.tables.get(table as usize)
+    }
+
+    /// Live rows across the node's tables.
+    fn live(&self) -> usize {
+        self.tables.iter().map(|t| t.live).sum()
+    }
+}
+
+/// Every node's tables, by node index, and the index of each node: given
+/// in the order nodes first hold a tuple.
 #[derive(Debug, Default)]
-pub struct NodeState {
-    tables: BTreeMap<Sym, Table>,
+pub(super) struct Nodes {
+    ids: BTreeMap<NodeId, u32>,
+    pub(super) nodes: Vec<Node>,
 }
 
-impl NodeState {
-    /// Looks up the state of a tuple.
-    pub fn get(&self, tuple: &Tuple) -> Option<&TupleState> {
-        self.tables
-            .get(&tuple.table)
-            .and_then(|t| t.tuples.get(tuple.args.as_slice()))
-            .map(|slot| &slot.state)
+impl Nodes {
+    /// The index of node `id`, if it ever held a tuple.
+    pub(super) fn index(&self, id: &NodeId) -> Option<u32> {
+        self.ids.get(id).copied()
     }
 
-    /// True if the tuple is currently present (support > 0).
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.get(tuple).is_some()
+    /// The index of node `id`, given now if it has none.
+    pub(super) fn index_or_insert(&mut self, id: NodeId) -> u32 {
+        let next = self.nodes.len() as u32;
+        let at = *self.ids.entry(id).or_insert(next);
+        if at == next {
+            self.nodes.push(Node {
+                id,
+                tables: Vec::new(),
+            });
+        }
+        at
     }
 
-    /// Iterates over the live tuples of one table, in tuple order.
-    pub fn table(&self, table: &Sym) -> impl Iterator<Item = (&Tuple, &TupleState)> {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.tuples.iter().map(|(row, v)| (&*row.0, &v.state)))
+    /// Every node with its index, in node order.
+    pub(super) fn in_order(&self) -> impl Iterator<Item = (&NodeId, u32)> {
+        self.ids.iter().map(|(id, &at)| (id, at))
     }
 
-    /// Iterates over all live tuples on the node.
-    pub fn all(&self) -> impl Iterator<Item = (&Tuple, &TupleState)> {
-        self.tables
-            .values()
-            .flat_map(|t| t.tuples.iter().map(|(row, v)| (&*row.0, &v.state)))
+    fn table(&self, r: RowRef) -> &Table {
+        &self.nodes[r.node as usize].tables[r.table as usize]
     }
 
-    /// Total live tuples on the node.
-    pub fn len(&self) -> usize {
-        self.tables.values().map(|t| t.tuples.len()).sum()
+    fn table_mut(&mut self, r: RowRef) -> &mut Table {
+        &mut self.nodes[r.node as usize].tables[r.table as usize]
     }
 
-    /// True when the node holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tables.values().all(|t| t.tuples.is_empty())
+    pub(super) fn slot(&self, r: RowRef) -> &Slot {
+        &self.table(r).rows[r.row as usize]
     }
 
-    /// True when the node holds no live tuples of `table` at all.
-    pub(super) fn table_empty(&self, table: &Sym) -> bool {
-        self.tables.get(table).is_none_or(|t| t.tuples.is_empty())
+    pub(super) fn slot_mut(&mut self, r: RowRef) -> &mut Slot {
+        &mut self.table_mut(r).rows[r.row as usize]
     }
 
-    /// Live tuples of `table` that appeared no later than `as_of`, in
-    /// tuple order. `LogicalTime::MAX` sees everything.
-    pub(super) fn table_arcs(
-        &self,
-        table: &Sym,
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.tuples.iter())
-            .filter(move |(_, s)| s.state.appeared_at <= as_of)
-            .map(|(row, _)| &row.0)
+    /// The row of `tuple` at node `node`, live or dead; `None` when the
+    /// node never held it.
+    pub(super) fn find(&self, program: &Program, node: &NodeId, tuple: &Tuple) -> Option<RowRef> {
+        self.find_at(program, self.index(node)?, tuple)
     }
 
-    /// Live tuples of `table` whose `specs[slot]` columns equal `key` and
-    /// which appeared no later than `as_of`, in tuple order. The index
-    /// buckets hold only tuple keys, so the `appeared_at` check needs a
-    /// map lookup per candidate — `Table::last_appear` gates it so the
-    /// lookup only happens when the table actually holds something newer
-    /// than the horizon.
-    pub(super) fn probe(
-        &self,
-        table: &Sym,
-        slot: usize,
-        key: &[Value],
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        let table = self.tables.get(table);
-        let horizon = table.filter(|t| t.last_appear > as_of);
-        table
-            .and_then(|t| t.indexes.get(slot))
-            .and_then(|ix| ix.get(key))
-            .into_iter()
-            .flatten()
-            .filter(move |row| visible(horizon, row, as_of))
-            .map(|row| &row.0)
+    /// [`Nodes::find`] at the node with index `node`.
+    fn find_at(&self, program: &Program, node: u32, tuple: &Tuple) -> Option<RowRef> {
+        let table = program.table_index(&tuple.table)?;
+        let t = self.nodes[node as usize].table(table)?;
+        let row = *t.by_args.get(tuple.args.as_slice())?;
+        Some(RowRef { node, table, row })
     }
 
-    /// Upper bound on the candidates [`NodeState::probe_prefix`] yields for
-    /// `(table, slot, ip)` — bucket sizes along the trie path plus the
-    /// non-prefix-like overflow, ignoring the `as_of` horizon. Used to pick
-    /// the most selective trie when a step has several probe candidates.
-    pub(super) fn estimate_prefix(&self, table: &Sym, slot: usize, ip: u32) -> usize {
-        self.tables
-            .get(table)
-            .and_then(|t| t.tries.get(slot))
-            .map_or(0, |ti| ti.trie.count_matches(ip) + ti.other.len())
-    }
-
-    /// Live tuples of `table` that can satisfy a `prefix_contains(_, ip)`
-    /// constraint on trie slot `slot`, respecting the `as_of` horizon:
-    /// first the trie walk (prefixes containing `ip`, shortest first), then
-    /// the non-prefix-like bucket (whose members the constraint will reject
-    /// with exactly the error the scan path would have raised). Candidate
-    /// order is deterministic; final matches are re-sorted into nested-
-    /// loop enumeration order by the caller, like hash-index probes.
-    pub(super) fn probe_prefix(
-        &self,
-        table: &Sym,
-        slot: usize,
-        ip: u32,
-        as_of: LogicalTime,
-    ) -> impl Iterator<Item = &Arc<Tuple>> {
-        let table = self.tables.get(table);
-        let horizon = table.filter(|t| t.last_appear > as_of);
-        let trie = table.and_then(|t| t.tries.get(slot));
-        trie.into_iter()
-            .flat_map(move |ti| ti.trie.matches(ip).chain(ti.other.iter()))
-            .filter(move |row| visible(horizon, row, as_of))
-            .map(|row| &row.0)
-    }
-
-    /// The state of `tuple`, inserted empty if absent. The table is
-    /// created on first use with the access paths `program`'s join plans
-    /// registered for it — looked up then, not per insert — or with none
-    /// (`None`: the oracle's plain storage).
-    pub(crate) fn entry(
+    /// The row of `tuple` in table `table` at node `node`, added dead if
+    /// the table never held it: one descent of the row map either way. A
+    /// node gets its tables, with the access paths `program` registered
+    /// for each, when it first holds a tuple.
+    pub(super) fn row_of(
         &mut self,
+        program: &Program,
+        node: u32,
+        table: u32,
         tuple: &Arc<Tuple>,
-        program: Option<&Program>,
-        now: LogicalTime,
-    ) -> &mut TupleState {
-        self.tables
-            .entry(tuple.table)
-            .or_insert_with(|| {
-                let specs = program.and_then(|p| p.index_specs_for(&tuple.table));
-                let tries = program.and_then(|p| p.trie_specs_for(&tuple.table));
-                Table::with_specs(
-                    specs.cloned().unwrap_or_default(),
-                    tries.cloned().unwrap_or_default(),
-                )
-            })
-            .insert(tuple, now)
-    }
-
-    pub(crate) fn get_mut(&mut self, tuple: &Tuple) -> Option<&mut TupleState> {
-        self.tables
-            .get_mut(&tuple.table)
-            .and_then(|t| t.tuples.get_mut(tuple.args.as_slice()))
-            .map(|slot| &mut slot.state)
-    }
-
-    /// Retires `tuple`, returning its reverse-dependency list for the
-    /// cascade (empty if the tuple was not there or nothing used it).
-    pub(crate) fn remove(&mut self, tuple: &Tuple) -> Vec<TupleRef> {
-        let Some(t) = self.tables.get_mut(&tuple.table) else {
-            return Vec::new();
+    ) -> RowRef {
+        let tables = &mut self.nodes[node as usize].tables;
+        if tables.is_empty() {
+            tables.extend((0..program.table_count() as u32).map(|t| {
+                let (specs, tries) = program.specs_at(t);
+                Table::new(specs, tries)
+            }));
+        }
+        let t = &mut tables[table as usize];
+        let row = match t.by_args.entry(ByArgs(Arc::clone(tuple))) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let row = t.rows.len() as u32;
+                t.rows.push(Slot {
+                    tuple: Arc::clone(tuple),
+                    appeared_at: 0,
+                    derivs: NIL,
+                    deps: NIL,
+                    base: false,
+                    live: false,
+                });
+                *e.insert(row)
+            }
         };
-        let dependents = t.remove(tuple);
-        if t.tuples.is_empty() {
-            self.tables.remove(&tuple.table);
-        }
-        dependents
+        RowRef { node, table, row }
     }
 
-    /// Registers `head` as derived from the tuple `body` of this node —
-    /// if `body` disappears, `head` is where the cascade looks — and
-    /// returns when `body` appeared. `None`, and nothing registered, when
-    /// `body` is not live here: re-check, episode and registration are one
-    /// lookup.
-    pub(super) fn depend(&mut self, body: &Tuple, head: &TupleRef) -> Option<LogicalTime> {
-        let slot = self
-            .tables
-            .get_mut(&body.table)?
-            .tuples
-            .get_mut(body.args.as_slice())?;
-        // Most body tuples have exactly one dependent: the first gets a
-        // block of its own size, not `push`'s first step of four.
-        if slot.dependents.is_empty() {
-            slot.dependents.reserve_exact(1);
-        }
-        slot.dependents.push(head.clone());
-        Some(slot.state.appeared_at)
+    /// Makes dead row `r` live as of `now`: indexed, and appeared now.
+    pub(super) fn make_live(&mut self, r: RowRef, now: LogicalTime) {
+        self.table_mut(r).make_live(r.row, now);
+        self.slot_mut(r).appeared_at = now;
     }
 
-    /// Takes back the latest [`NodeState::depend`] on `body`. Callers undo
-    /// in reverse order of registration, so the entry popped is theirs.
-    pub(super) fn undepend(&mut self, body: &Tuple) {
-        if let Some(slot) = self
-            .tables
-            .get_mut(&body.table)
-            .and_then(|t| t.tuples.get_mut(body.args.as_slice()))
-        {
-            slot.dependents.pop();
+    /// Makes live row `r`, whose support is gone, dead; returns its
+    /// dependents list for [`Nodes::next_dependent`], in registration
+    /// order.
+    pub(super) fn retire(&mut self, r: RowRef) -> u32 {
+        let t = self.table_mut(r);
+        let mut cur = t.retire(r.row);
+        // The list runs latest first: turn it around, in place.
+        let mut prev = NIL;
+        while cur != NIL {
+            let dep = &mut t.deps.items[cur as usize];
+            let next = dep.next;
+            dep.next = prev;
+            prev = cur;
+            cur = next;
+        }
+        prev
+    }
+
+    /// The head of dependents entry `at` of retired row `owner`'s list,
+    /// and the entry after it; the entry itself is freed.
+    pub(super) fn next_dependent(&mut self, owner: RowRef, at: u32) -> (RowRef, u32) {
+        let deps = &mut self.table_mut(owner).deps;
+        let Dep { head, next } = deps.items[at as usize];
+        deps.release(at);
+        (head, next)
+    }
+
+    /// Registers `head` as derived from live row `body`: if `body`
+    /// disappears, `head` is where the cascade looks.
+    pub(super) fn depend(&mut self, body: RowRef, head: RowRef) {
+        let t = self.table_mut(body);
+        let next = t.rows[body.row as usize].deps;
+        let at = t.deps.alloc(Dep { head, next });
+        t.rows[body.row as usize].deps = at;
+    }
+
+    /// True when row `r` already holds a derivation by `rule` from
+    /// exactly `body`.
+    pub(super) fn has_derivation(&self, r: RowRef, rule: Sym, body: &[RowRef]) -> bool {
+        let t = self.table(r);
+        let mut cur = t.rows[r.row as usize].derivs;
+        while cur != NIL {
+            let d = &t.derivs.items[cur as usize];
+            if d.rule == rule && t.bodies.get(d.body, d.len) == body {
+                return true;
+            }
+            cur = d.next;
+        }
+        false
+    }
+
+    /// Appends a derivation record to row `r`'s.
+    pub(super) fn push_derivation(
+        &mut self,
+        r: RowRef,
+        rule: Sym,
+        body: &[RowRef],
+        trigger: u32,
+        time: LogicalTime,
+    ) {
+        let t = self.table_mut(r);
+        let record = Deriv {
+            rule,
+            time,
+            body: t.bodies.alloc(body),
+            len: body.len() as u32,
+            trigger,
+            next: NIL,
+        };
+        let at = t.derivs.alloc(record);
+        let slot = &t.rows[r.row as usize];
+        if slot.derivs == NIL {
+            t.rows[r.row as usize].derivs = at;
+            return;
+        }
+        let mut last = slot.derivs;
+        while t.derivs.items[last as usize].next != NIL {
+            last = t.derivs.items[last as usize].next;
+        }
+        t.derivs.items[last as usize].next = at;
+    }
+
+    /// Removes every derivation of row `r` whose body holds `gone`, in
+    /// recording order, calling `withdrawn` with each one's rule.
+    pub(super) fn withdraw(&mut self, r: RowRef, gone: RowRef, mut withdrawn: impl FnMut(Sym)) {
+        let t = self.table_mut(r);
+        let (mut prev, mut cur) = (NIL, t.rows[r.row as usize].derivs);
+        while cur != NIL {
+            let d = t.derivs.items[cur as usize];
+            if t.bodies.get(d.body, d.len).contains(&gone) {
+                if prev == NIL {
+                    t.rows[r.row as usize].derivs = d.next;
+                } else {
+                    t.derivs.items[prev as usize].next = d.next;
+                }
+                t.bodies.release(d.body, d.len);
+                t.derivs.release(cur);
+                withdrawn(d.rule);
+            } else {
+                prev = cur;
+            }
+            cur = d.next;
         }
     }
+
+    /// True when row `r` has at least one derivation.
+    pub(super) fn derived(&self, r: RowRef) -> bool {
+        self.slot(r).derivs != NIL
+    }
+
+    /// Row `r` as the located tuple it holds.
+    pub(super) fn tuple_ref(&self, r: RowRef) -> TupleRef {
+        TupleRef::new(
+            self.nodes[r.node as usize].id,
+            Arc::clone(&self.slot(r).tuple),
+        )
+    }
+
+    /// The public bookkeeping of live row `r`, its bodies resolved to
+    /// located tuples.
+    pub(super) fn state_of(&self, r: RowRef) -> TupleState {
+        let t = self.table(r);
+        let slot = &t.rows[r.row as usize];
+        let mut derivations = Vec::new();
+        let mut cur = slot.derivs;
+        while cur != NIL {
+            let d = &t.derivs.items[cur as usize];
+            derivations.push(DerivRecord {
+                rule: d.rule,
+                body: t
+                    .bodies
+                    .get(d.body, d.len)
+                    .iter()
+                    .map(|&b| self.tuple_ref(b))
+                    .collect(),
+                trigger: d.trigger as usize,
+                time: d.time,
+            });
+            cur = d.next;
+        }
+        TupleState {
+            base: slot.base,
+            derivations,
+            appeared_at: slot.appeared_at,
+        }
+    }
+}
+
+/// Two iterators of one item type as one: a [`NodeView`] reads the
+/// engine's tables or the oracle's maps.
+enum Either<L, R> {
+    Left(L),
+    Right(R),
+}
+
+impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Either::Left(l) => l.next(),
+            Either::Right(r) => r.next(),
+        }
+    }
+}
+
+/// What a [`NodeView`] reads.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The engine's node `node`.
+    Engine {
+        nodes: &'a Nodes,
+        program: &'a Program,
+        node: u32,
+    },
+    /// The reference evaluator's tables of the node, if it has any.
+    Oracle(Option<&'a NodeTables>),
 }
 
 /// A read-only view of one node's tables, handed to native rules and
-/// stateful builtins.
+/// stateful builtins, and what [`crate::engine::Engine::nodes`] and
+/// [`crate::reference::FinalTables::nodes`] yield.
 ///
 /// The view carries the `as_of` horizon of the firing it serves: when the
 /// engine evaluates a batched delta, tuples that appeared later in the
@@ -459,37 +805,70 @@ impl NodeState {
 pub struct NodeView<'a> {
     /// The node being viewed.
     pub node: &'a NodeId,
-    state: &'a NodeState,
+    source: Source<'a>,
     as_of: LogicalTime,
 }
 
 impl<'a> NodeView<'a> {
-    /// A view of `node` hiding whatever appeared after `as_of`. `None`
-    /// is a node that holds no tuples (e.g. a trigger delivered to a node
-    /// nothing was ever stored on): joins find no candidates and
-    /// builtins and natives see empty tables.
-    pub(crate) fn new(
-        node: &'a NodeId,
-        state: Option<&'a NodeState>,
+    /// The engine's node `node` (an index of `nodes`), hiding whatever
+    /// appeared after `as_of`.
+    pub(super) fn of_engine(
+        nodes: &'a Nodes,
+        program: &'a Program,
+        node: u32,
         as_of: LogicalTime,
     ) -> Self {
-        static EMPTY: NodeState = NodeState {
-            tables: BTreeMap::new(),
-        };
         NodeView {
-            node,
-            state: state.unwrap_or(&EMPTY),
+            node: &nodes.nodes[node as usize].id,
+            source: Source::Engine {
+                nodes,
+                program,
+                node,
+            },
             as_of,
         }
     }
 
-    /// Live tuples of `table` on this node.
+    /// The reference evaluator's `tables` of `node`: all of them. `None`
+    /// is a node that holds no tuples (e.g. a trigger delivered to a node
+    /// nothing was ever stored on): joins find no candidates and builtins
+    /// and natives see empty tables.
+    pub(crate) fn of_oracle(node: &'a NodeId, tables: Option<&'a NodeTables>) -> Self {
+        NodeView {
+            node,
+            source: Source::Oracle(tables),
+            as_of: LogicalTime::MAX,
+        }
+    }
+
+    /// The engine's table `table` at this node, if it ever held a row.
+    fn engine_table(&self, table: &Sym) -> Option<&'a Table> {
+        match self.source {
+            Source::Engine {
+                nodes,
+                program,
+                node,
+            } => nodes.nodes[node as usize].table(program.table_index(table)?),
+            Source::Oracle(_) => None,
+        }
+    }
+
+    /// Live tuples of `table` on this node, in tuple order.
     pub fn table(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
         let as_of = self.as_of;
-        self.state
-            .table(table)
-            .filter(move |(_, s)| s.appeared_at <= as_of)
-            .map(|(t, _)| t)
+        match self.source {
+            Source::Engine { .. } => Either::Left(
+                self.engine_table(table)
+                    .into_iter()
+                    .flat_map(move |t| t.scan(as_of).map(|(_, tuple)| tuple)),
+            ),
+            Source::Oracle(tables) => Either::Right(
+                tables
+                    .and_then(|ts| ts.get(table))
+                    .into_iter()
+                    .flat_map(|rows| rows.keys().map(|t| &**t)),
+            ),
+        }
     }
 
     /// Live tuples of `table` that can satisfy a
@@ -508,7 +887,7 @@ impl<'a> NodeView<'a> {
     /// builtins like OpenFlow priority resolution can use this on their
     /// hot path without perturbing replay.
     pub fn prefix_candidates(&self, table: &Sym, probes: &[(usize, u32)]) -> Vec<&'a Tuple> {
-        let slot = self.state.tables.get(table).and_then(|t| {
+        let probe = self.engine_table(table).and_then(|t| {
             probes
                 .iter()
                 .enumerate()
@@ -520,17 +899,14 @@ impl<'a> NodeView<'a> {
                 // probe order — a total key, so the pick (and the trie
                 // counters it drives) is stable across platforms and std
                 // implementations.
-                .min_by_key(|&(slot, col, ip, pi)| {
-                    (self.state.estimate_prefix(table, slot, ip), col, pi)
-                })
-                .map(|(slot, _, ip, _)| (slot, ip))
+                .min_by_key(|&(slot, col, ip, pi)| (t.estimate_prefix(slot, ip), col, pi))
+                .map(|(slot, _, ip, _)| (t, slot, ip))
         });
-        match slot {
-            Some((slot, ip)) => {
-                let mut out: Vec<&'a Tuple> = self
-                    .state
-                    .probe_prefix(table, slot, ip, self.as_of)
-                    .map(|t| t.as_ref())
+        match probe {
+            Some((t, slot, ip)) => {
+                let mut out: Vec<&'a Tuple> = t
+                    .probe_prefix(slot, ip, self.as_of)
+                    .map(|(_, tuple)| tuple)
                     .collect();
                 // One table: its rows' order is their arguments'.
                 out.sort_unstable_by(|a, b| a.args.cmp(&b.args));
@@ -542,13 +918,86 @@ impl<'a> NodeView<'a> {
 
     /// True if `tuple` is currently present on this node.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.get(tuple).is_some()
+        match self.source {
+            Source::Engine { nodes, .. } => self.engine_row(tuple).is_some_and(|r| {
+                let slot = nodes.slot(r);
+                slot.live && slot.appeared_at <= self.as_of
+            }),
+            Source::Oracle(tables) => {
+                tables.is_some_and(|ts| ts.get(&tuple.table).is_some_and(|t| t.contains_key(tuple)))
+            }
+        }
+    }
+
+    /// The engine's row of `tuple` at this node, live or dead.
+    fn engine_row(&self, tuple: &Tuple) -> Option<RowRef> {
+        let Source::Engine {
+            nodes,
+            program,
+            node,
+        } = self.source
+        else {
+            return None;
+        };
+        nodes.find_at(program, node, tuple)
     }
 
     /// The state record of `tuple`, if present.
-    pub fn get(&self, tuple: &Tuple) -> Option<&'a TupleState> {
-        self.state
-            .get(tuple)
-            .filter(|s| s.appeared_at <= self.as_of)
+    pub fn get(&self, tuple: &Tuple) -> Option<TupleState> {
+        match self.source {
+            Source::Engine { nodes, .. } => {
+                let r = self.engine_row(tuple)?;
+                let slot = nodes.slot(r);
+                (slot.live && slot.appeared_at <= self.as_of).then(|| nodes.state_of(r))
+            }
+            Source::Oracle(tables) => tables?.get(&tuple.table)?.get(tuple).cloned(),
+        }
+    }
+
+    /// Every live tuple on the node with its state, tables in name order
+    /// and each in tuple order.
+    pub fn all(&self) -> impl Iterator<Item = (&'a Tuple, TupleState)> + 'a {
+        let as_of = self.as_of;
+        match self.source {
+            Source::Engine { nodes, node, .. } => {
+                let tables = nodes.nodes[node as usize].tables.iter().enumerate();
+                Either::Left(tables.flat_map(move |(ti, t)| {
+                    t.scan(as_of).map(move |(row, tuple)| {
+                        let r = RowRef {
+                            node,
+                            table: ti as u32,
+                            row,
+                        };
+                        (tuple, nodes.state_of(r))
+                    })
+                }))
+            }
+            Source::Oracle(tables) => Either::Right(
+                tables
+                    .into_iter()
+                    .flat_map(|ts| ts.values())
+                    .flat_map(|rows| rows.iter().map(|(t, s)| (&**t, s.clone()))),
+            ),
+        }
+    }
+
+    /// How many tuples are live on the node.
+    pub fn len(&self) -> usize {
+        match self.source {
+            Source::Engine { nodes, node, .. } if self.as_of == LogicalTime::MAX => {
+                nodes.nodes[node as usize].live()
+            }
+            Source::Oracle(tables) => tables.map_or(0, |ts| ts.values().map(BTreeMap::len).sum()),
+            Source::Engine { nodes, node, .. } => nodes.nodes[node as usize]
+                .tables
+                .iter()
+                .map(|t| t.scan(self.as_of).count())
+                .sum(),
+        }
+    }
+
+    /// True when the node holds no live tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }

@@ -39,7 +39,7 @@ pub mod testsupport;
 
 pub use ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};
 pub use engine::{
-    join_profile_json, DerivRecord, Engine, NodeState, NodeView, RuleJoinProfile, Stats,
+    join_profile_json, DerivRecord, Engine, NodeView, RuleJoinProfile, Stats,
     TupleState,
 };
 pub use expr::{BinOp, Env, Expr, Func};

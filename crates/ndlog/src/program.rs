@@ -193,14 +193,19 @@ pub struct Program {
     rules: Vec<Rule>,
     natives: Vec<Arc<dyn NativeRule>>,
     builtins: BTreeMap<Sym, Arc<dyn StatefulBuiltin>>,
-    /// table -> (rule index, body-atom index) pairs triggered by it.
-    rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>>,
-    /// table -> native indexes triggered by it.
-    native_triggers: BTreeMap<Sym, Vec<usize>>,
-    /// The index and prefix-trie specs the join plans probe, by table
-    /// (the plans themselves are in `compiled`).
-    index_specs: BTreeMap<Sym, IndexSpecs>,
-    trie_specs: BTreeMap<Sym, TrieSpecs>,
+    /// Each declared table's index: its rank in name order. The engine
+    /// keeps a node's tables in a vector by this index, and the compiled
+    /// rules name their tables by it.
+    table_ids: BTreeMap<Sym, u32>,
+    /// By table index: the (rule index, body-atom index) pairs it
+    /// triggers.
+    rule_triggers: Vec<Vec<(usize, usize)>>,
+    /// By table index: the natives it triggers.
+    native_triggers: Vec<Vec<usize>>,
+    /// By table index: the index and prefix-trie specs the join plans
+    /// probe (the plans themselves are in `compiled`).
+    index_specs: Vec<IndexSpecs>,
+    trie_specs: Vec<TrieSpecs>,
     /// Each rule resolved to slots and planned, by rule index
     /// (`crate::compile`).
     compiled: Vec<CompiledRule>,
@@ -327,14 +332,35 @@ impl Program {
             .ok_or_else(|| Error::Engine(format!("unknown stateful builtin {name}")))
     }
 
+    /// The index of declared table `table`: its rank in name order.
+    /// `None` for an undeclared table.
+    pub(crate) fn table_index(&self, table: &Sym) -> Option<u32> {
+        self.table_ids.get(table).copied()
+    }
+
+    /// How many tables are declared: table indexes run below this.
+    pub(crate) fn table_count(&self) -> usize {
+        self.table_ids.len()
+    }
+
     /// `(rule index, atom index)` pairs whose body references `table`.
     pub fn rule_triggers(&self, table: &Sym) -> &[(usize, usize)] {
-        self.rule_triggers.get(table).map(Vec::as_slice).unwrap_or(&[])
+        self.table_index(table).map_or(&[], |t| self.rule_triggers_at(t))
+    }
+
+    /// [`Program::rule_triggers`] by table index.
+    pub(crate) fn rule_triggers_at(&self, table: u32) -> &[(usize, usize)] {
+        &self.rule_triggers[table as usize]
     }
 
     /// Native rules triggered by insertions into `table`.
     pub fn native_triggers(&self, table: &Sym) -> &[usize] {
-        self.native_triggers.get(table).map(Vec::as_slice).unwrap_or(&[])
+        self.table_index(table).map_or(&[], |t| self.native_triggers_at(t))
+    }
+
+    /// [`Program::native_triggers`] by table index.
+    pub(crate) fn native_triggers_at(&self, table: u32) -> &[usize] {
+        &self.native_triggers[table as usize]
     }
 
     /// Rule by index (valid indexes come from [`Program::rule_triggers`]).
@@ -368,14 +394,28 @@ impl Program {
 
     /// The index key specs registered for `table`, if any rule probes it.
     pub fn index_specs_for(&self, table: &Sym) -> Option<&IndexSpecs> {
-        self.index_specs.get(table)
+        let specs = &self.index_specs[self.table_index(table)? as usize];
+        (!specs.is_empty()).then_some(specs)
     }
 
     /// The prefix-trie columns registered for `table`, if any rule probes
     /// a `prefix_contains` constraint against it.
     pub fn trie_specs_for(&self, table: &Sym) -> Option<&TrieSpecs> {
-        self.trie_specs.get(table)
+        let specs = &self.trie_specs[self.table_index(table)? as usize];
+        (!specs.is_empty()).then_some(specs)
     }
+
+    /// The index and trie specs of the table at index `table`, each
+    /// empty when no plan probes one.
+    pub(crate) fn specs_at(&self, table: u32) -> (&IndexSpecs, &TrieSpecs) {
+        (&self.index_specs[table as usize], &self.trie_specs[table as usize])
+    }
+}
+
+/// `specs` as a vector by table index (`ids` ranks the tables in name
+/// order), empty where a table has none.
+fn by_index<T: Default>(ids: &BTreeMap<Sym, u32>, mut specs: BTreeMap<Sym, T>) -> Vec<T> {
+    ids.keys().map(|t| specs.remove(t).unwrap_or_default()).collect()
 }
 
 /// Builder for [`Program`].
@@ -418,9 +458,12 @@ impl ProgramBuilder {
     /// are registered; then compiles every rule to slots and plans its
     /// joins (`crate::compile`), once, for every engine the program runs.
     pub fn build(self) -> Result<Arc<Program>> {
+        let table_ids: BTreeMap<Sym, u32> =
+            self.schemas.iter().enumerate().map(|(i, s)| (s.name, i as u32)).collect();
+        let tables = table_ids.len();
         let mut registry = IndexRegistry::default();
         let mut compiled = Vec::with_capacity(self.rules.len());
-        let mut rule_triggers: BTreeMap<Sym, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut rule_triggers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); tables];
         for (ri, rule) in self.rules.iter().enumerate() {
             let head_schema = self.schemas.require(&rule.head.table)?;
             if head_schema.kind != dp_types::TableKind::Derived {
@@ -453,27 +496,30 @@ impl ProgramBuilder {
                         ),
                     });
                 }
-                rule_triggers.entry(atom.table).or_default().push((ri, ai));
+                rule_triggers[table_ids[&atom.table] as usize].push((ri, ai));
             }
             // Fails on the first unregistered builtin, in constraint order.
-            compiled.push(compile(rule, &mut registry, &self.builtins)?);
+            compiled.push(compile(rule, &mut registry, &self.builtins, &table_ids)?);
         }
-        let mut native_triggers: BTreeMap<Sym, Vec<usize>> = BTreeMap::new();
+        let mut native_triggers: Vec<Vec<usize>> = vec![Vec::new(); tables];
         for (ni, native) in self.natives.iter().enumerate() {
             for t in native.triggers() {
                 self.schemas.require(&t)?;
-                native_triggers.entry(t).or_default().push(ni);
+                native_triggers[table_ids[&t] as usize].push(ni);
             }
         }
+        let index_specs = by_index(&table_ids, registry.index_specs);
+        let trie_specs = by_index(&table_ids, registry.trie_specs);
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
             natives: self.natives,
             builtins: self.builtins,
+            table_ids,
             rule_triggers,
             native_triggers,
-            index_specs: registry.index_specs,
-            trie_specs: registry.trie_specs,
+            index_specs,
+            trie_specs,
             compiled,
         }))
     }

@@ -15,9 +15,10 @@
 //! binds rules compiled to slots. What the two have in common is the
 //! language itself — the rule AST and the primitive operators beneath
 //! expression evaluation, schema checks, the [`ProvEvent`] stream — and
-//! [`NodeState`]/[`NodeView`] used as plain storage (built with no index
-//! or trie specs), because native rules and stateful builtins are written
-//! against [`NodeView`].
+//! [`NodeView`], because native rules and stateful builtins are written
+//! against it. Its storage is its own: per node, a map per table from
+//! each live tuple to its [`TupleState`], where the engine keeps rows
+//! named by ids.
 //!
 //! Semantics, stated once here because the engine's optimizations all
 //! have to preserve them:
@@ -46,7 +47,7 @@ use std::sync::Arc;
 use dp_types::{Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, Value};
 
 use crate::ast::{BodyAtom, Constraint, Rule};
-use crate::engine::{DerivRecord, NodeState, NodeView};
+use crate::engine::{DerivRecord, NodeView, TupleState};
 use crate::expr::Env;
 use crate::program::{Emitter, Program};
 use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
@@ -54,6 +55,26 @@ use crate::sink::{BodyRef, ProvEvent, ProvenanceSink};
 /// Runaway guard: the same budget [`crate::engine::Engine::max_events`]
 /// defaults to.
 const MAX_EVENTS: u64 = 50_000_000;
+
+/// The oracle's tables at one node: per table, each live tuple with its
+/// bookkeeping, in tuple order.
+pub(crate) type NodeTables = BTreeMap<Sym, BTreeMap<Arc<Tuple>, TupleState>>;
+
+/// The final tables of an [`evaluate`] run, by node.
+#[derive(Debug)]
+pub struct FinalTables {
+    nodes: BTreeMap<NodeId, NodeTables>,
+}
+
+impl FinalTables {
+    /// Every node that ever held a tuple, with a view of its tables, in
+    /// node order — what [`crate::Engine::nodes`] yields for the engine.
+    pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, NodeView<'_>)> {
+        self.nodes
+            .iter()
+            .map(|(id, tables)| (id, NodeView::of_oracle(id, Some(tables))))
+    }
+}
 
 /// One scheduled base-table event: the oracle's input, the unit every
 /// test generator lowers to, and the unit the shrinker in `dp-sim`
@@ -111,7 +132,7 @@ enum Action {
 struct Oracle<'a> {
     program: &'a Program,
     sink: &'a mut dyn ProvenanceSink,
-    nodes: BTreeMap<NodeId, NodeState>,
+    nodes: BTreeMap<NodeId, NodeTables>,
     /// body tuple -> heads with a derivation that used it.
     used_by: BTreeMap<TupleRef, Vec<TupleRef>>,
     queue: BTreeMap<(LogicalTime, u64), Action>,
@@ -130,7 +151,7 @@ pub fn evaluate(
     program: &Program,
     schedule: &[ScheduledOp],
     sink: &mut dyn ProvenanceSink,
-) -> Result<BTreeMap<NodeId, NodeState>> {
+) -> Result<FinalTables> {
     let mut o = Oracle {
         program,
         sink,
@@ -171,7 +192,7 @@ pub fn evaluate(
             Action::Deliver(d) => o.deliver(clock, d)?,
         }
     }
-    Ok(o.nodes)
+    Ok(FinalTables { nodes: o.nodes })
 }
 
 impl Oracle<'_> {
@@ -180,9 +201,24 @@ impl Oracle<'_> {
         self.seq += 1;
     }
 
+    /// The state of `tuple` at `node`, if it is live.
+    fn state(&self, node: &NodeId, tuple: &Tuple) -> Option<&TupleState> {
+        self.nodes.get(node)?.get(&tuple.table)?.get(tuple)
+    }
+
+    fn state_mut(&mut self, node: &NodeId, tuple: &Tuple) -> Option<&mut TupleState> {
+        self.nodes.get_mut(node)?.get_mut(&tuple.table)?.get_mut(tuple)
+    }
+
+    /// The state of `tuple` at `node`, added empty if it is not live.
+    fn entry(&mut self, node: NodeId, tuple: &Arc<Tuple>) -> &mut TupleState {
+        let table = self.nodes.entry(node).or_default().entry(tuple.table).or_default();
+        table.entry(Arc::clone(tuple)).or_default()
+    }
+
     /// `r` with the episode it is in now, or `None` if it is not live.
     fn stamped(&self, r: &TupleRef) -> Option<BodyRef> {
-        let state = self.nodes.get(&r.node)?.get(&r.tuple)?;
+        let state = self.state(&r.node, &r.tuple)?;
         Some(BodyRef {
             tref: r.clone(),
             since: state.appeared_at,
@@ -190,11 +226,7 @@ impl Oracle<'_> {
     }
 
     fn insert_base(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
-        let entry = self
-            .nodes
-            .entry(node)
-            .or_default()
-            .entry(&tuple, None, now);
+        let entry = self.entry(node, &tuple);
         if entry.base {
             return Ok(());
         }
@@ -203,9 +235,10 @@ impl Oracle<'_> {
         if appears {
             entry.appeared_at = now;
         }
+        let since = entry.appeared_at;
         self.sink.record(ProvEvent::InsertBase {
             time: now,
-            since: entry.appeared_at,
+            since,
             node,
             tuple: Arc::clone(&tuple),
         });
@@ -216,17 +249,17 @@ impl Oracle<'_> {
     }
 
     fn delete_base(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) {
-        let Some(entry) = self.nodes.get_mut(&node).and_then(|n| n.get_mut(&tuple)) else {
+        let Some(entry) = self.state_mut(&node, &tuple) else {
             return;
         };
         if !entry.base {
             return;
         }
         entry.base = false;
-        let gone = entry.support() == 0;
+        let (gone, since) = (entry.support() == 0, entry.appeared_at);
         self.sink.record(ProvEvent::DeleteBase {
             time: now,
-            since: entry.appeared_at,
+            since,
             node,
             tuple: Arc::clone(&tuple),
         });
@@ -243,11 +276,7 @@ impl Oracle<'_> {
         else {
             return Ok(());
         };
-        let entry = self
-            .nodes
-            .entry(d.node)
-            .or_default()
-            .entry(&d.tuple, None, now);
+        let entry = self.entry(d.node, &d.tuple);
         if entry
             .derivations
             .iter()
@@ -304,15 +333,15 @@ impl Oracle<'_> {
     /// `gone` just lost its last support: remove and report it, then
     /// withdraw every derivation that used it, recursively.
     fn disappear(&mut self, now: LogicalTime, gone: TupleRef) {
-        let state = self
+        let tables = self
             .nodes
             .get_mut(&gone.node)
             .expect("only a live tuple disappears");
-        let since = state
-            .get(&gone.tuple)
+        let since = tables
+            .get_mut(&gone.tuple.table)
+            .and_then(|t| t.remove(&*gone.tuple))
             .expect("only a live tuple disappears")
             .appeared_at;
-        state.remove(&gone.tuple);
         self.sink.record(ProvEvent::Disappear {
             time: now,
             since,
@@ -320,11 +349,7 @@ impl Oracle<'_> {
             tuple: Arc::clone(&gone.tuple),
         });
         for head in self.used_by.remove(&gone).unwrap_or_default() {
-            let Some(entry) = self
-                .nodes
-                .get_mut(&head.node)
-                .and_then(|n| n.get_mut(&head.tuple))
-            else {
+            let Some(entry) = self.state_mut(&head.node, &head.tuple) else {
                 continue;
             };
             let (withdrawn, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut entry.derivations)
@@ -401,7 +426,7 @@ impl Oracle<'_> {
 
     /// What natives and builtins see of `node`: everything, as of now.
     fn view<'v>(&'v self, node: &'v NodeId) -> NodeView<'v> {
-        NodeView::new(node, self.nodes.get(node), LogicalTime::MAX)
+        NodeView::of_oracle(node, self.nodes.get(node))
     }
 
     /// Every complete body match of `rule` with `tuple` fixed at body
@@ -415,14 +440,14 @@ impl Oracle<'_> {
         trigger: usize,
     ) -> Vec<(Env, Vec<&'t Tuple>)> {
         let mut out = Vec::new();
-        let Some(state) = self.nodes.get(node) else {
+        let Some(tables) = self.nodes.get(node) else {
             return out;
         };
         let mut env = Env::new();
         env.insert(rule.body[trigger].loc, Value::Str(node.0));
         if bind(&rule.body[trigger], tuple, &mut env) {
             let mut body = vec![tuple; rule.body.len()];
-            extend(state, rule, trigger, 0, &env, &mut body, &mut out);
+            extend(tables, rule, trigger, 0, &env, &mut body, &mut out);
         }
         out
     }
@@ -589,7 +614,7 @@ fn bind(atom: &BodyAtom, tuple: &Tuple, env: &mut Env) -> bool {
 /// which is fixed) with every combination of live tuples that agrees
 /// with `env`, pushing each complete match onto `out`.
 fn extend<'t>(
-    state: &'t NodeState,
+    tables: &'t NodeTables,
     rule: &Rule,
     trigger: usize,
     pos: usize,
@@ -602,20 +627,21 @@ fn extend<'t>(
         return;
     }
     if pos == trigger {
-        return extend(state, rule, trigger, pos + 1, env, body, out);
+        return extend(tables, rule, trigger, pos + 1, env, body, out);
     }
     let atom = &rule.body[pos];
     // The body with the trigger tuple at this earlier position too belongs
     // to the firing at this position.
     let own = pos < trigger && atom.table == rule.body[trigger].table;
-    for (candidate, _) in state.table(&atom.table) {
+    for candidate in tables.get(&atom.table).into_iter().flat_map(BTreeMap::keys) {
+        let candidate = &**candidate;
         if own && candidate == body[trigger] {
             continue;
         }
         let mut env = env.clone();
         if bind(atom, candidate, &mut env) {
             body[pos] = candidate;
-            extend(state, rule, trigger, pos + 1, &env, body, out);
+            extend(tables, rule, trigger, pos + 1, &env, body, out);
         }
     }
 }
@@ -852,10 +878,11 @@ mod tests {
         let nodes = evaluate(&program, &schedule, &mut sink).unwrap();
         assert_eq!(sink.events, want);
         let live: Vec<(&str, Tuple, usize)> = nodes
-            .iter()
+            .nodes()
             .flat_map(|(n, st)| {
                 st.all()
                     .map(move |(t, s)| (n.as_str(), t.clone(), s.support()))
+                    .collect::<Vec<_>>()
             })
             .collect();
         assert_eq!(
@@ -932,8 +959,10 @@ mod tests {
                 (6, tuple!("two", 5, 7), 1, false),
             ]
         );
-        for (_, st) in nodes[&NodeId::new("n")].table(&Sym::new("two")) {
-            assert_eq!(st.derivations.len(), 1);
+        let n = NodeId::new("n");
+        let (_, view) = nodes.nodes().find(|(id, _)| **id == n).unwrap();
+        for (t, st) in view.all() {
+            assert!(t.table.as_str() != "two" || st.derivations.len() == 1);
         }
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use dp_types::{NodeId, Sym, Tuple};
 
-use crate::engine::{Engine, NodeState, Stats, TupleState};
+use crate::engine::{Engine, NodeView, Stats, TupleState};
 use crate::program::Program;
 pub use crate::reference::ScheduledOp;
 use crate::sink::{ProvEvent, ProvenanceSink, VecSink};
@@ -35,11 +35,14 @@ use crate::sink::{ProvEvent, ProvenanceSink, VecSink};
 /// time).
 pub type Tables = Vec<(NodeId, Tuple, TupleState)>;
 
-/// Flattens a node map into [`Tables`].
-pub fn tables<'a>(nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>) -> Tables {
-    nodes
-        .flat_map(|(node, st)| st.all().map(move |(t, s)| (*node, t.clone(), s.clone())))
-        .collect()
+/// Flattens the nodes of an engine or of the oracle's final tables into
+/// [`Tables`].
+pub fn tables<'a>(nodes: impl Iterator<Item = (&'a NodeId, NodeView<'a>)>) -> Tables {
+    let mut out = Tables::new();
+    for (node, view) in nodes {
+        out.extend(view.all().map(|(t, s)| (*node, t.clone(), s)));
+    }
+    out
 }
 
 /// Feeds `ops` into an engine's schedule.
@@ -82,7 +85,7 @@ pub fn run_schedule(program: &Arc<Program>, ops: &[ScheduledOp]) -> Outcome {
 pub fn run_reference(program: &Program, ops: &[ScheduledOp]) -> (Vec<ProvEvent>, Tables) {
     let mut sink = VecSink::default();
     let nodes = crate::reference::evaluate(program, ops, &mut sink).unwrap();
-    (sink.events, tables(nodes.iter()))
+    (sink.events, tables(nodes.nodes()))
 }
 
 /// Runs one case through the engine and holds it to the oracle

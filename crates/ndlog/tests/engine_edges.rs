@@ -1475,12 +1475,12 @@ fn underived(got: &Outcome, since: u64) -> Vec<Tuple> {
         .collect()
 }
 
-/// A derivation registers its head with each body tuple in the same
-/// lookup that re-checks the tuple. When a later body tuple turns out to
-/// have been retracted in flight, the registrations already made are taken
-/// back: `a(1)`'s list must read as if `h(1,2)` had never been tried, so
-/// that when `h(1,2)` is derived for real — after `h(1,3)` — the cascade
-/// that retires `a(1)` meets the heads in the order they were recorded.
+/// A derivation registers its head with each body tuple only once every
+/// body tuple has passed the in-flight re-check. When a later body tuple
+/// turns out to have been retracted in flight, nothing is registered:
+/// `a(1)`'s list must read as if `h(1,2)` had never been tried, so that
+/// when `h(1,2)` is derived for real — after `h(1,3)` — the cascade that
+/// retires `a(1)` meets the heads in the order they were recorded.
 #[test]
 fn body_retracted_in_flight_registers_no_dependent() {
     let program = pair_program();
@@ -1517,8 +1517,8 @@ fn body_retracted_in_flight_registers_no_dependent() {
 /// once. `b(1)` is inserted, deleted and re-inserted inside one due: the
 /// delete flushes the first firing, whose delivery finds `b(1)` back and
 /// is recorded; the re-insert's own firing then delivers the identical
-/// derivation, which must take both of its registrations back and leave
-/// the first one's in place, on `a(1)` and on `b(1)` alike.
+/// derivation, which must register nothing and leave the first one's
+/// registrations in place, on `a(1)` and on `b(1)` alike.
 #[test]
 fn duplicate_delivery_registers_its_head_once() {
     let program = pair_program();
@@ -1550,4 +1550,86 @@ fn duplicate_delivery_registers_its_head_once() {
         tuple!("h", 1, 1),
         tuple!("h", 1, 3),
     ]);
+}
+
+/// `h(Y)` from `b(X)` and any `g(Y)`; `kk(X)` from `b(X)` and `k(X)`.
+fn stale_dependent_program() -> Arc<Program> {
+    let mut reg = SchemaRegistry::new();
+    for t in ["b", "g", "k"] {
+        reg.declare(Schema::new(t, TableKind::MutableBase, [("x", FieldType::Int)]));
+    }
+    for t in ["h", "kk"] {
+        reg.declare(Schema::new(t, TableKind::Derived, [("x", FieldType::Int)]));
+    }
+    Program::builder(reg)
+        .rules_text(
+            "rh h(@N, Y) :- b(@N, X), g(@N, Y).\n\
+             rk kk(@N, X) :- b(@N, X), k(@N, X).",
+        )
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// A dependent is never pruned, so the body tuple `b(1)` still lists
+/// `h(10)` after `h(10)` is gone. A different head of the same table,
+/// `h(20)`, then appears — in the slot `h(10)` left, were slots handed to
+/// other tuples — and is derived from `b(1)` too, after `kk(1)` was. When
+/// `b(1)` goes, the stale entry must not reach `h(20)`: `kk(1)` is
+/// underived first, in registration order, as the oracle (which lists
+/// dependents as tuples) has it.
+#[test]
+fn a_stale_dependent_does_not_underive_a_new_occupant() {
+    let program = stale_dependent_program();
+    let ops = [
+        ScheduledOp::insert(0, "n", tuple!("b", 1)),
+        ScheduledOp::insert(10, "n", tuple!("g", 10)),
+        ScheduledOp::delete(20, "n", tuple!("g", 10)),
+        ScheduledOp::insert(30, "n", tuple!("k", 1)),
+        ScheduledOp::insert(40, "n", tuple!("g", 20)),
+        ScheduledOp::delete(50, "n", tuple!("b", 1)),
+    ];
+    let got = run_checked(&program, &ops);
+    assert_eq!(
+        underived(&got, 0),
+        vec![tuple!("h", 10), tuple!("kk", 1), tuple!("h", 20)],
+        "h(10) when g(10) goes; then kk(1) before h(20) when b(1) goes"
+    );
+    // Many rounds of the same churn, so any freed slot is handed out again.
+    let mut ops = vec![ScheduledOp::insert(0, "n", tuple!("b", 1))];
+    for round in 0..8i64 {
+        let t = 10 + 10 * round as u64;
+        ops.push(ScheduledOp::insert(t, "n", tuple!("g", round)));
+        ops.push(ScheduledOp::delete(t + 5, "n", tuple!("g", round)));
+    }
+    ops.push(ScheduledOp::insert(200, "n", tuple!("k", 1)));
+    ops.push(ScheduledOp::insert(210, "n", tuple!("g", 99)));
+    ops.push(ScheduledOp::delete(220, "n", tuple!("b", 1)));
+    let got = run_checked(&program, &ops);
+    assert_eq!(
+        underived(&got, 0)[8..],
+        [tuple!("kk", 1), tuple!("h", 99)],
+        "after eight withdrawn heads, kk(1) still goes before h(99)"
+    );
+}
+
+/// The converse: the stale entry names a tuple, so when that same tuple
+/// is derived from `b(1)` again it is the one the entry reaches — `h(10)`
+/// goes before `kk(1)`, at the stale entry's place, as in the oracle.
+#[test]
+fn a_stale_dependent_reaches_its_tuple_in_a_later_episode() {
+    let program = stale_dependent_program();
+    let ops = [
+        ScheduledOp::insert(0, "n", tuple!("b", 1)),
+        ScheduledOp::insert(10, "n", tuple!("g", 10)),
+        ScheduledOp::delete(20, "n", tuple!("g", 10)),
+        ScheduledOp::insert(30, "n", tuple!("k", 1)),
+        ScheduledOp::insert(40, "n", tuple!("g", 10)),
+        ScheduledOp::delete(50, "n", tuple!("b", 1)),
+    ];
+    let got = run_checked(&program, &ops);
+    assert_eq!(
+        underived(&got, 0),
+        vec![tuple!("h", 10), tuple!("h", 10), tuple!("kk", 1)],
+    );
 }

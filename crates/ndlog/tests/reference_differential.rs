@@ -381,3 +381,87 @@ fn campus_replay_exercises_the_trie() {
     );
     assert_eq!(stats.trie_scans, 0, "campus replay fell back to scans");
 }
+
+/// Randomized withdraw-and-re-issue churn over a program with a hash
+/// index (`link` joined on its key), a trie column (`route`'s prefix,
+/// probed by `prefix_contains`), a two-body rule and a rule on a derived
+/// table: a fixed pool of tuples is deleted and re-inserted in a seeded
+/// random order, at a handful of dues, so tuples leave and come back —
+/// the same ones, in new episodes — many times, in the same tick as their
+/// partners. Each pass must reproduce the oracle.
+#[test]
+fn engine_matches_oracle_on_random_reinsert_churn() {
+    use dp_types::{prefix::ip, Prefix, Value};
+
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new(
+        "route",
+        TableKind::MutableBase,
+        [("r", FieldType::Int), ("m", FieldType::Prefix)],
+    ));
+    reg.declare(Schema::new(
+        "pkt",
+        TableKind::MutableBase,
+        [("k", FieldType::Int), ("a", FieldType::Ip)],
+    ));
+    reg.declare(Schema::new(
+        "link",
+        TableKind::MutableBase,
+        [("k", FieldType::Int), ("v", FieldType::Int)],
+    ));
+    reg.declare(Schema::new(
+        "hit",
+        TableKind::Derived,
+        [("a", FieldType::Ip), ("r", FieldType::Int)],
+    ));
+    reg.declare(Schema::new(
+        "out",
+        TableKind::Derived,
+        [("k", FieldType::Int), ("v", FieldType::Int)],
+    ));
+    reg.declare(Schema::new("seen", TableKind::Derived, [("r", FieldType::Int)]));
+    let program: Arc<Program> = Program::builder(reg)
+        .rules_text(
+            "fwd hit(@N, A, R) :- pkt(@N, K, A), route(@N, R, M), prefix_contains(M, A).\n\
+             j out(@N, K, V) :- pkt(@N, K, A), link(@N, K, V).\n\
+             s seen(@N, R) :- hit(@N, A, R).",
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+    let prefix = |s: &str, len: u8| Value::Prefix(Prefix::new(ip(s), len).unwrap());
+    let mut pool: Vec<Tuple> = Vec::new();
+    for (r, (addr, len)) in [("10.0.0.0", 8), ("10.1.0.0", 16), ("10.1.2.0", 24), ("0.0.0.0", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        pool.push(Tuple::new("route", vec![Value::Int(r as i64), prefix(addr, len)]));
+    }
+    for (k, addr) in ["10.1.2.3", "10.1.9.9", "10.7.7.7", "192.168.0.1"].into_iter().enumerate() {
+        pool.push(Tuple::new("pkt", vec![Value::Int(k as i64 % 2), Value::Ip(ip(addr))]));
+    }
+    for (k, v) in [(0, 1), (0, 2), (1, 3)] {
+        pool.push(tuple!("link", k, v));
+    }
+
+    let mut rng = DetRng::seed_from_u64(0xC4_0BB1);
+    let mut withdrawn_and_back = 0;
+    for case in 0..32 {
+        let mut present = vec![false; pool.len()];
+        let mut ops = Vec::new();
+        let mut due = 0;
+        for _ in 0..rng.gen_range_usize(30, 90) {
+            due += rng.gen_range_u64(0, 3);
+            let i = rng.gen_range_usize(0, pool.len());
+            // Now and then a duplicate insert or a delete of an absent
+            // tuple: both must be no-ops in both evaluators.
+            let delete = if rng.gen_bool(0.1) { !present[i] } else { present[i] };
+            withdrawn_and_back += usize::from(!delete && !present[i] && due > 0);
+            present[i] = !delete;
+            let tuple = Arc::new(pool[i].clone());
+            ops.push(ScheduledOp { due, node: "n".into(), tuple, delete });
+        }
+        run_checked(&program, &ops, &format!("reinsert churn case {case}"));
+    }
+    assert!(withdrawn_and_back > 300, "only {withdrawn_and_back} re-insertions");
+}

@@ -82,7 +82,7 @@ pub fn why_not<S: ProvenanceSink>(
     goal: &TupleRef,
     depth: usize,
 ) -> WhyNot {
-    if engine.lookup(&goal.node, &goal.tuple).is_some() {
+    if engine.contains(&goal.node, &goal.tuple) {
         return WhyNot::Exists;
     }
     if depth == 0 {

@@ -36,48 +36,60 @@
 //!   while the interner filed every base tuple and grew with them; 2.004
 //!   while each base event cost a deep copy of the tuple's `Vec<Value>`
 //!   and a fresh `Arc<Tuple>`.)
-//! * **Running it: 32 944**, 5.7 per engine event — the interner's
+//! * **Running it: 19 403**, 3.4 per engine event — the interner's
 //!   doublings among them, now that heads alone fill it. Per join match
-//!   (3 507): the head's `Vec<Value>` and the `Vec<TupleRef>` of the
-//!   scheduled action — and, for a head not interned before, its
+//!   (3 507): the head's `Vec<Value>` and the scheduled action's body, a
+//!   `Vec` of row ids — and, for a head not interned before, its
 //!   `Arc<Tuple>`. Per derivation (3 495): `stamped` (the event's
-//!   `Vec<BodyRef>`), and per tuple derived for the first time its
-//!   `derivations` vector; per body tuple used for the first time its
-//!   dependents vector — each of the two exactly one slot wide until a
-//!   second entry arrives. Per tuple stored: a bucket — and its owned key
-//!   — per registered index only when the bucket is new (the key of a
-//!   tuple joining a bucket is built in the table's scratch buffer), and,
-//!   amortised, B-tree nodes of the table, its buckets and its tries.
+//!   `Vec<BodyRef>`). Per tuple stored: a bucket — and its owned key — per
+//!   registered index only when the bucket is new (the key of a tuple
+//!   joining a bucket is built in the table's scratch buffer), and,
+//!   amortised, B-tree nodes of the table's row map and the doublings of
+//!   its row slab, its pools and its tries' two arenas: a derivation
+//!   record, its body and a dependent are entries of per-table vectors,
+//!   not blocks of their own (32 944 while each derived tuple had a
+//!   `derivations` vector, each body tuple a dependents vector, each
+//!   bucket a `BTreeSet` leaf and each trie node a block; 2.870 → 1.691
+//!   per provenance event).
 //!   Nothing per rule firing or per flush: a rule is compiled to slots
 //!   when the program is built, and a firing binds into the engine's
-//!   reused scratch — frame, trail, partial row, probe keys, the flat
+//!   reused scratch — frame, trail, partial match, probe keys, the flat
 //!   buffer of matched rows, the live-rule list, the builtin arguments
 //!   (51 883 before PR 25: per match a cloned `Env` and a body vector, per
 //!   firing the trigger's `Env`, the partial-match, trail, matches and key
 //!   vectors, per flush the live-rule list, per builtin call its argument
 //!   vector; 4.521 → 2.870 per provenance event).
-//! * **Dropping the quiescent engine: 24 639 blocks** — everything above
+//! * **Dropping the quiescent engine: 7 747 blocks** — everything above
 //!   that outlives the run, minus the base tuples, which the log still
-//!   holds (29 046 before PR 24, 2 per base tuple more; 24 630 before PR 25,
-//!   which added the firing scratch's nine buffers): 2 per derived tuple,
-//!   the body vector and the `derivations` vector per derivation, the
-//!   dependents vectors, the index keys and buckets, the B-tree and trie
-//!   nodes.
-//! * **Held at quiescence: 539.2 bytes in 4.29 blocks per live tuple** —
+//!   holds: 2 per derived tuple (5 876: the interner's `Arc` and argument
+//!   vector), the row maps' B-tree nodes, the index buckets and their
+//!   keys, and a few vectors per table a tuple reached and per node
+//!   (24 639 while derivations, bodies and dependents were blocks of their
+//!   own rather than entries of per-table pools, and a trie node a block
+//!   rather than an arena entry; 29 046 while base tuples were copied in,
+//!   2 per base tuple more).
+//! * **Held at quiescence: 440.2 bytes in 1.35 blocks per live tuple** —
 //!   the same blocks weighed; the interner's table is sized by the heads
 //!   alone, and a name in a field, a located tuple or a key is one word
-//!   (625.3 bytes while a name was a 16-byte `Arc<str>`; 631.7 bytes while
-//!   the interner filed base tuples too; 853.3 bytes in 5.06 blocks while
-//!   base tuples were copied into the engine).
+//!   (539.2 bytes in 4.29 blocks before the pools; 625.3 bytes while a name
+//!   was a 16-byte `Arc<str>`; 631.7 bytes while the interner filed base
+//!   tuples too; 853.3 bytes in 5.06 blocks while base tuples were copied
+//!   into the engine).
 //!   The provenance-event buffer is not among the large ones: it is handed
 //!   to the sink every 4 096 events, so it stays under 1 MB however large
 //!   the same-`due` batch.
+//!
+//! The third test pins held blocks and drop frees on a campus shaped like
+//! diagbench's `campus_traffic` — few entries, packets crossing several
+//! hops — where most live tuples are a packet's head at one hop: 1.286
+//! blocks per live tuple and 18 309 frees (4.007 and 57 045 before the
+//! pools).
 //!
 //! Item 2's target is ≤ 2 allocations per tuple on this pin; a change
 //! that removes a class lowers the constants below in the same commit.
 //!
 //! This file is its own test binary, and the counters are per thread and
-//! switched on by each test for its own thread only, so the two tests
+//! switched on by each test for its own thread only, so the tests
 //! count nothing of each other and nothing else is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -225,27 +237,74 @@ fn recording_allocates_per_growth_not_per_event() {
 /// The graph's heap bytes on this campus when last moved, + 2 %.
 const GRAPH_BYTES: usize = 1_537_556;
 
-/// Replay allocations per provenance event, into a null sink: 32 958 over
-/// 11 482 events = 2.870 when last moved (PR 25; 4.521 before), + 2 %.
-const ENGINE_ALLOCS_PER_EVENT: f64 = 2.93;
+/// Replay allocations per provenance event, into a null sink: 19 416 over
+/// 11 482 events = 1.691 when last moved (2.870 before the pools, 4.521
+/// before that), + 2 %.
+const ENGINE_ALLOCS_PER_EVENT: f64 = 1.73;
 /// Allocations to schedule the log, per base event: 13 over 2 246 = 0.006
 /// when last moved (0.011 before, 2.004 before that) — nothing per tuple,
 /// so the bound leaves room for a doubling or two, not for a class.
 const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.007;
-/// Blocks freed by dropping the quiescent engine: 24 630 when last moved
-/// (PR 24; 29 046 before), + 2 %.
-const ENGINE_DROP_FREES: u64 = 25_200;
-/// Bytes the quiescent engine holds per live tuple: 3 095 700 over 5 741 =
-/// 539.2 when last moved (625.3 before, 631.7 and 853.3 before that),
+/// Blocks freed by dropping the quiescent engine: 7 747 when last moved
+/// (24 639 before the pools, 29 046 before that), + 2 %.
+const ENGINE_DROP_FREES: u64 = 7_910;
+/// Bytes the quiescent engine holds per live tuple: 2 527 392 over 5 741
+/// = 440.2 when last moved (539.2 before the pools, 625.3, 631.7 and
+/// 853.3 before that), + 2 %.
+const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 449.1;
+/// Blocks the quiescent engine holds per live tuple: 7 747 over 5 741 =
+/// 1.349 when last moved (4.292 before the pools, 5.059 before that),
 /// + 2 %.
-const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 550.0;
-/// Blocks the quiescent engine holds per live tuple: 24 630 over 5 741 =
-/// 4.290 when last moved (PR 24; 5.059 before), + 2 %.
-const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 4.38;
+const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 1.38;
 
-#[test]
-fn the_engine_allocates_within_its_budget() {
-    let c = pinned_campus();
+/// On the traffic-shaped campus, blocks the quiescent engine holds per
+/// live tuple: 18 309 over 14 235 = 1.286 when last moved (4.007 before
+/// the pools), + 2 %.
+const TRAFFIC_HELD_BLOCKS_PER_TUPLE: f64 = 1.32;
+/// On the traffic-shaped campus, blocks freed by dropping the quiescent
+/// engine: 18 309 when last moved (57 045 before the pools), + 2 %.
+const TRAFFIC_DROP_FREES: u64 = 18_680;
+
+/// What the engine cost the allocator on one campus: scheduling its bad
+/// log, running it to quiescence into a null sink, and dropping it.
+struct EngineCounts {
+    base_events: u64,
+    events: u64,
+    live: usize,
+    scheduling: Counts,
+    running: Counts,
+    drop_frees: u64,
+}
+
+impl EngineCounts {
+    fn per_event(&self) -> f64 {
+        (self.scheduling.allocs + self.running.allocs) as f64 / self.events as f64
+    }
+
+    fn per_base_event(&self) -> f64 {
+        self.scheduling.allocs as f64 / self.base_events as f64
+    }
+
+    fn held_bytes(&self) -> i64 {
+        self.scheduling.held_bytes + self.running.held_bytes
+    }
+
+    fn held_blocks(&self) -> i64 {
+        self.scheduling.held_blocks + self.running.held_blocks
+    }
+
+    fn bytes_per_tuple(&self) -> f64 {
+        self.held_bytes() as f64 / self.live as f64
+    }
+
+    fn blocks_per_tuple(&self) -> f64 {
+        self.held_blocks() as f64 / self.live as f64
+    }
+}
+
+/// Replays `c`'s bad log into a null sink under the counting allocator,
+/// printing what it cost under `label`.
+fn measure_engine(label: &str, c: &dp_sdn::Campus) -> EngineCounts {
     let exec = &c.scenario.bad_exec;
     let events = {
         let mut engine = Engine::new(Arc::clone(&exec.program), HashSink::default());
@@ -265,48 +324,93 @@ fn the_engine_allocates_within_its_budget() {
     let firings: u64 = engine.join_profile().values().map(|p| p.attempts).sum();
     let live: usize = engine.nodes().map(|(_, state)| state.len()).sum();
     let drop_frees = counted(|| drop(engine)).1.frees;
-
-    let base_events = exec.log.len() as u64;
-    let allocs = scheduling.allocs + running.allocs;
-    let per_event = allocs as f64 / events as f64;
-    let per_base_event = scheduling.allocs as f64 / base_events as f64;
-    let held_bytes = scheduling.held_bytes + running.held_bytes;
-    let held_blocks = scheduling.held_blocks + running.held_blocks;
-    let bytes_per_tuple = held_bytes as f64 / live as f64;
-    let blocks_per_tuple = held_blocks as f64 / live as f64;
+    let counts = EngineCounts {
+        base_events: exec.log.len() as u64,
+        events,
+        live,
+        scheduling,
+        running,
+        drop_frees,
+    };
     println!(
-        "engine alloc budget: {base_events} base events, {} engine events, {events} provenance \
+        "{label}: {} base events, {} engine events, {events} provenance \
          events, {} heads interned, {live} live, {} derivations of {} matches by {firings} rule \
          firings, {} flushes; \
-         {} allocations to schedule ({per_base_event:.3} per base event), {} to \
-         run: {per_event:.3} per provenance event; the quiescent engine holds {held_bytes} bytes \
-         in {held_blocks} blocks: {bytes_per_tuple:.1} bytes and {blocks_per_tuple:.3} blocks per \
+         {} allocations to schedule ({:.3} per base event), {} to \
+         run: {:.3} per provenance event; the quiescent engine holds {} bytes \
+         in {} blocks: {:.1} bytes and {:.3} blocks per \
          live tuple; dropping it frees {drop_frees} blocks",
+        counts.base_events,
         stats.events,
         stats.peak_interned,
         stats.derivations,
         stats.join_matches,
         stats.batches,
         scheduling.allocs,
+        counts.per_base_event(),
         running.allocs,
+        counts.per_event(),
+        counts.held_bytes(),
+        counts.held_blocks(),
+        counts.bytes_per_tuple(),
+        counts.blocks_per_tuple(),
     );
     assert!(events > 10_000, "{events} events");
+    counts
+}
+
+#[test]
+fn the_engine_allocates_within_its_budget() {
+    let c = measure_engine("engine alloc budget", &pinned_campus());
     assert!(
-        per_event <= ENGINE_ALLOCS_PER_EVENT,
-        "{allocs} replay allocations over {events} provenance events: {per_event:.3} each"
+        c.per_event() <= ENGINE_ALLOCS_PER_EVENT,
+        "{} replay allocations over {} provenance events: {:.3} each",
+        c.scheduling.allocs + c.running.allocs,
+        c.events,
+        c.per_event()
     );
     assert!(
-        per_base_event <= SCHEDULE_ALLOCS_PER_BASE_EVENT,
-        "{} allocations to schedule {base_events} base events: {per_base_event:.3} each",
-        scheduling.allocs
+        c.per_base_event() <= SCHEDULE_ALLOCS_PER_BASE_EVENT,
+        "{} allocations to schedule {} base events: {:.3} each",
+        c.scheduling.allocs,
+        c.base_events,
+        c.per_base_event()
     );
-    assert!(drop_frees <= ENGINE_DROP_FREES, "dropping the engine took {drop_frees} frees");
+    assert!(c.drop_frees <= ENGINE_DROP_FREES, "dropping the engine took {} frees", c.drop_frees);
     assert!(
-        bytes_per_tuple <= ENGINE_HELD_BYTES_PER_TUPLE,
-        "{held_bytes} bytes held for {live} live tuples: {bytes_per_tuple:.1} each"
+        c.bytes_per_tuple() <= ENGINE_HELD_BYTES_PER_TUPLE,
+        "{} bytes held for {} live tuples: {:.1} each",
+        c.held_bytes(),
+        c.live,
+        c.bytes_per_tuple()
     );
     assert!(
-        blocks_per_tuple <= ENGINE_HELD_BLOCKS_PER_TUPLE,
-        "{held_blocks} blocks held for {live} live tuples: {blocks_per_tuple:.3} each"
+        c.blocks_per_tuple() <= ENGINE_HELD_BLOCKS_PER_TUPLE,
+        "{} blocks held for {} live tuples: {:.3} each",
+        c.held_blocks(),
+        c.live,
+        c.blocks_per_tuple()
     );
+}
+
+/// The same budget on a campus shaped like diagbench's `campus_traffic`:
+/// few flow entries and many packets, each forwarded across several hops,
+/// so most live tuples are a packet's head at one hop — the interner's
+/// head and the row that holds it at each node — rather than a table load.
+#[test]
+fn the_engine_holds_a_packets_hops_within_its_budget() {
+    let campus = campus(&CampusConfig {
+        bulk_entries_per_router: 1,
+        background_packets: 1_500,
+        ..CampusConfig::default()
+    });
+    let c = measure_engine("engine alloc budget, traffic-shaped", &campus);
+    assert!(
+        c.blocks_per_tuple() <= TRAFFIC_HELD_BLOCKS_PER_TUPLE,
+        "{} blocks held for {} live tuples: {:.3} each",
+        c.held_blocks(),
+        c.live,
+        c.blocks_per_tuple()
+    );
+    assert!(c.drop_frees <= TRAFFIC_DROP_FREES, "dropping the engine took {} frees", c.drop_frees);
 }

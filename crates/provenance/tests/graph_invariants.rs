@@ -105,7 +105,7 @@ fn live_tuples_have_well_formed_trees() {
             .nodes()
             .flat_map(|(node, st)| {
                 st.table(&Sym::new("t"))
-                    .map(|(t, _)| TupleRef::new(*node, t.clone()))
+                    .map(|t| TupleRef::new(*node, t.clone()))
                     .collect::<Vec<_>>()
             })
             .collect();

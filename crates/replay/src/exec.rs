@@ -329,7 +329,7 @@ impl Replayed {
 
     /// True if the located tuple is present in the final state.
     pub fn exists(&self, node: &NodeId, tuple: &Tuple) -> bool {
-        self.engine.lookup(node, tuple).is_some()
+        self.engine.contains(node, tuple)
     }
 
     /// The provenance tree of `root` as of the final state.

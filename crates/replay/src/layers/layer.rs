@@ -72,7 +72,7 @@ pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<
         .map_err(|_| Error::Engine(format!("{}: too many events", path.display())))?;
     e.u32(count);
     for ev in events {
-        encode_record(&mut e, ev.due, ev.op, ev.node, &ev.tuple);
+        encode_record(&mut e, ev.due, ev.op, ev.node, &ev.tuple)?;
     }
     let sum = fnv64(e.bytes());
     e.u64(sum);
@@ -90,14 +90,21 @@ pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<
 /// `u8 op`, the node name, the tuple. This is the one encoding of a logged
 /// event: layer files are runs of these records, and the runtime logging
 /// engine's cost (Figures 5 and 6, Sections 6.4 and 6.5) is their size.
-pub fn encode_record(e: &mut Enc, due: LogicalTime, op: BaseOp, node: NodeId, tuple: &Tuple) {
+/// A name or string of 4 GiB or more is an `Error::Codec`.
+pub fn encode_record(
+    e: &mut Enc,
+    due: LogicalTime,
+    op: BaseOp,
+    node: NodeId,
+    tuple: &Tuple,
+) -> Result<()> {
     e.u64(due);
     e.u8(match op {
         BaseOp::Insert => 0,
         BaseOp::Delete => 1,
     });
-    e.str(node.as_str());
-    e.tuple(tuple);
+    e.str(node.as_str())?;
+    e.tuple(tuple)
 }
 
 /// Writes `bytes` to a temporary name unique to this call, syncs it,
@@ -208,7 +215,7 @@ mod tests {
     fn pkt_in_record(src: &str, dst: &str, len: i64) -> usize {
         let mut e = Enc::new();
         let pkt = dp_sdn::pkt_in(7, ip(src), ip(dst), 6, len);
-        encode_record(&mut e, 100, BaseOp::Insert, NodeId::new("S1"), &pkt);
+        encode_record(&mut e, 100, BaseOp::Insert, NodeId::new("S1"), &pkt).unwrap();
         e.len()
     }
 

@@ -370,8 +370,8 @@ fn dply_v2(first_seq: u64, count: u32, records: &[(u64, &str)]) -> Vec<u8> {
     for (i, &(due, node)) in records.iter().enumerate() {
         e.u64(due);
         e.u8(0);
-        e.str(node);
-        e.tuple(&tuple!("in", i as i64));
+        e.str(node).unwrap();
+        e.tuple(&tuple!("in", i as i64)).unwrap();
     }
     let sum = fnv64(e.bytes());
     e.u64(sum);
@@ -435,7 +435,7 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
 fn a_version_1_layer_is_a_typed_error() {
     let mut e = Enc::new();
     e.header(b"DPLY", 1);
-    e.str("n1");
+    e.str("n1").unwrap();
     e.u64(0); // first_seq
     e.u64(1); // min_due
     e.u64(1); // max_due
@@ -443,7 +443,7 @@ fn a_version_1_layer_is_a_typed_error() {
     e.u64(0); // seq
     e.u64(1); // due
     e.u8(0);
-    e.tuple(&tuple!("in", 0));
+    e.tuple(&tuple!("in", 0)).unwrap();
     let sum = fnv64(e.bytes());
     e.u64(sum);
     let scratch = DurableStore::temp().unwrap();

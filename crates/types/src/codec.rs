@@ -139,15 +139,28 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a length-prefixed UTF-8 string (`u32` length).
-    pub fn str(&mut self, s: &str) {
+    /// Writes a `u32` length prefix; a length that does not fit is an
+    /// [`Error::Codec`] naming `context`, and nothing is written.
+    fn length(&mut self, context: &'static str, len: usize) -> Result<()> {
+        let len = u32::try_from(len).map_err(|_| Error::Codec {
+            context,
+            detail: format!("length {len} exceeds u32::MAX"),
+        })?;
+        self.u32(len);
+        Ok(())
+    }
+
+    /// Writes a length-prefixed UTF-8 string (`u32` length). A string of
+    /// 4 GiB or more is an [`Error::Codec`], and nothing is written.
+    pub fn str(&mut self, s: &str) -> Result<()> {
         let bytes = s.as_bytes();
-        self.u32(u32::try_from(bytes.len()).expect("string longer than u32::MAX"));
+        self.length("string", bytes.len())?;
         self.buf.extend_from_slice(bytes);
+        Ok(())
     }
 
     /// Writes one [`Value`] as a tag byte plus payload.
-    pub fn value(&mut self, v: &Value) {
+    pub fn value(&mut self, v: &Value) -> Result<()> {
         match v {
             Value::Int(i) => {
                 self.u8(0);
@@ -159,7 +172,7 @@ impl Enc {
             }
             Value::Str(s) => {
                 self.u8(2);
-                self.str(s.as_str());
+                self.str(s.as_str())?;
             }
             Value::Ip(ip) => {
                 self.u8(3);
@@ -179,15 +192,19 @@ impl Enc {
                 self.u64(*t);
             }
         }
+        Ok(())
     }
 
-    /// Writes one [`Tuple`]: table name, arity, then every field.
-    pub fn tuple(&mut self, t: &Tuple) {
-        self.str(t.table.as_str());
-        self.u32(u32::try_from(t.args.len()).expect("tuple arity overflows u32"));
+    /// Writes one [`Tuple`]: table name, arity, then every field. A name
+    /// or string field of 4 GiB or more, or an arity past `u32::MAX`, is
+    /// an [`Error::Codec`], and the encoder then holds part of the tuple.
+    pub fn tuple(&mut self, t: &Tuple) -> Result<()> {
+        self.str(t.table.as_str())?;
+        self.length("tuple arity", t.args.len())?;
         for v in &t.args {
-            self.value(v);
+            self.value(v)?;
         }
+        Ok(())
     }
 }
 
@@ -368,7 +385,7 @@ mod tests {
 
     fn roundtrip_value(v: &Value) -> Value {
         let mut e = Enc::new();
-        e.value(v);
+        e.value(v).unwrap();
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         let got = d.value().expect("decodes");
@@ -400,7 +417,7 @@ mod tests {
     fn tuples_roundtrip() {
         let t = tuple!("flowEntry", 5, "S1", true, cidr("4.3.2.0/23"));
         let mut e = Enc::new();
-        e.tuple(&t);
+        e.tuple(&t).unwrap();
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.tuple().unwrap(), t);
@@ -430,7 +447,7 @@ mod tests {
     #[test]
     fn truncation_is_a_typed_error() {
         let mut e = Enc::new();
-        e.tuple(&tuple!("t", 1, 2, 3));
+        e.tuple(&tuple!("t", 1, 2, 3)).unwrap();
         let bytes = e.into_bytes();
         for cut in 0..bytes.len() {
             let mut d = Dec::new(&bytes[..cut]);

@@ -19,6 +19,7 @@
 //! shares one vocabulary without pulling an engine into scope.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -78,6 +78,17 @@ impl Prefix {
         }
     }
 
+    /// The longest prefix covering both `self` and `other` (never longer
+    /// than either).
+    pub fn common(&self, other: &Prefix) -> Prefix {
+        let lcp = (self.addr ^ other.addr).leading_zeros() as u8;
+        let len = lcp.min(self.len).min(other.len);
+        Prefix {
+            addr: self.addr & Self::mask(len),
+            len,
+        }
+    }
+
     /// Tests whether `ip` falls inside this prefix.
     pub fn contains(&self, ip: u32) -> bool {
         (ip & Self::mask(self.len)) == self.addr
@@ -185,16 +196,26 @@ impl FromStr for Prefix {
     }
 }
 
-/// Convenience: parse an IPv4 address, panicking on malformed input.
+/// Convenience: parse an IPv4 address literal.
 ///
-/// Intended for literals in scenario definitions and tests.
+/// Intended for literals in scenario definitions and tests, never for
+/// input: a literal is checked where it is written, so a malformed one is
+/// a bug on that line and panics. Input goes through
+/// [`Prefix::parse_ip`], which returns a typed [`Error`].
 pub fn ip(s: &str) -> u32 {
-    Prefix::parse_ip(s).expect("valid IPv4 literal")
+    match Prefix::parse_ip(s) {
+        Ok(ip) => ip,
+        Err(e) => panic!("malformed IPv4 literal: {e}"),
+    }
 }
 
-/// Convenience: parse a CIDR prefix, panicking on malformed input.
+/// Convenience: parse a CIDR prefix literal. Like [`ip`], for literals
+/// only: a malformed one panics, where input goes through `str::parse`.
 pub fn cidr(s: &str) -> Prefix {
-    s.parse().expect("valid CIDR literal")
+    match s.parse() {
+        Ok(p) => p,
+        Err(e) => panic!("malformed CIDR literal: {e}"),
+    }
 }
 
 #[cfg(test)]

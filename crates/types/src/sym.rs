@@ -166,7 +166,7 @@ mod tests {
         let a = Sym::new("flowEntry");
         let b = Sym::from(String::from("flowEntry"));
         let mut enc = crate::Enc::new();
-        enc.str("flowEntry");
+        enc.str("flowEntry").unwrap();
         let bytes = enc.into_bytes();
         let c = crate::Dec::new(&bytes).sym("name").expect("decodes");
         for s in [b, c] {

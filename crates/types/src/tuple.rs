@@ -170,15 +170,11 @@ impl WordHasher {
 impl Hasher for WordHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("chunks of 8")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(last));
+        // Eight bytes a word, the last one zero-padded.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
         }
     }
 

@@ -39,7 +39,7 @@ fn random_values_roundtrip() {
     for _ in 0..2000 {
         let v = random_value(&mut rng);
         let mut e = Enc::new();
-        e.value(&v);
+        e.value(&v).unwrap();
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.value().unwrap(), v);
@@ -53,7 +53,7 @@ fn random_tuples_roundtrip() {
     for _ in 0..500 {
         let t = random_tuple(&mut rng);
         let mut e = Enc::new();
-        e.tuple(&t);
+        e.tuple(&t).unwrap();
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.tuple().unwrap(), t);
@@ -68,8 +68,8 @@ fn encoding_is_deterministic() {
     for _ in 0..200 {
         let (ta, tb) = (random_tuple(&mut a), random_tuple(&mut b));
         let (mut ea, mut eb) = (Enc::new(), Enc::new());
-        ea.tuple(&ta);
-        eb.tuple(&tb);
+        ea.tuple(&ta).unwrap();
+        eb.tuple(&tb).unwrap();
         assert_eq!(ea.bytes(), eb.bytes());
     }
 }
@@ -80,7 +80,7 @@ fn truncated_tuples_error_never_panic() {
     for _ in 0..100 {
         let t = random_tuple(&mut rng);
         let mut e = Enc::new();
-        e.tuple(&t);
+        e.tuple(&t).unwrap();
         let bytes = e.into_bytes();
         for cut in 0..bytes.len() {
             match Dec::new(&bytes[..cut]).tuple() {
@@ -101,7 +101,7 @@ fn bit_flipped_tuples_error_or_decode_cleanly() {
     for _ in 0..50 {
         let t = random_tuple(&mut rng);
         let mut e = Enc::new();
-        e.tuple(&t);
+        e.tuple(&t).unwrap();
         let bytes = e.into_bytes();
         for i in 0..bytes.len() {
             for bit in 0..8 {

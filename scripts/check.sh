@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: release build; the whole workspace suite, once — no
 # environment variable selects anything, so there is no second
-# configuration to cover; the diagbench package's own tests; one
+# configuration to cover — every test target of it run to the end
+# (`--no-fail-fast`: a failing target fails the step after the rest have
+# run, instead of hiding them); the diagbench package's own tests; one
 # fault-injection sweep; a check that UPDATETREE rolls the campus and
 # re-issues only what the change reaches; grep gates against the deleted second
 # instrumentation system, against the deleted scrape surface (server,
@@ -25,7 +27,9 @@
 # trace ids, instants), against a name that is more than one interned word
 # (an `Arc<str>` or a pointer test in `Sym`, a pointer pass in the
 # environment or the parser), against a second encoding of a logged event
-# beside the layer file's record (a size model, a zero-filled log); and
+# beside the layer file's record (a size model, a zero-filled log),
+# against an engine that names a live tuple by anything but its row id
+# (an `Arc`-keyed row, bucket, trie entry or dependents list); and
 # lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
@@ -66,7 +70,7 @@ step "build" cargo build --release
 # The suite runs --release so it shares the artifacts of the build above
 # (a debug pass here used to pay a full second compilation of the
 # workspace).
-step "suite" cargo test --release --workspace -q
+step "suite" cargo test --release --workspace --no-fail-fast -q
 # The stores the suites spill into live in per-process tempdirs
 # (dp-store-*) that are removed on drop; sweep any leftovers from crashed
 # runs.
@@ -211,9 +215,9 @@ step "gate: a recording starts at an empty engine" absent \
     "the recorder's deleted mid-run path reappeared" \
     "boundary_""episode|stra""ys" \
     crates/provenance
-# The engine finds each thing once (PR 22): a derivation registers its
-# head in the lookup that re-checks the body tuple, and join counters are
-# arrays indexed by rule. The B-tree environment, the second walk over the
+# The engine finds each thing once: a derivation re-checks its body
+# and registers its head in one pass over the body's rows, and join
+# counters are arrays indexed by rule. The B-tree environment, the second walk over the
 # body and the per-flush profile map must not grow back. (Spelled in halves
 # so this script passes its own gate.)
 step "gate: the engine finds once" absent \
@@ -287,6 +291,14 @@ step "gate: a logged event has one encoding" absent \
     "a second encoding of a logged event reappeared" \
     "Storage""Model|value_""bytes|event_""bytes" \
     crates src
+# The engine names a row by id: a live tuple is one row of its table, and
+# index buckets, trie entries, derivation bodies and dependents hold
+# `(node, table, row)` ids, not the tuple's `Arc`. An `Arc`-keyed row type,
+# bucket, trie or dependents list would be the layout this replaced.
+step "gate: the engine names a row by id" absent \
+    "the engine keys a bucket, trie or dependents list by the tuple again" \
+    "dependents: Vec<TupleRef>|PrefixTrie<Row>|BTreeSet<Row>|struct Row\(Arc" \
+    crates/ndlog/src/engine.rs crates/ndlog/src/engine
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo

@@ -7,7 +7,7 @@
 
 use diffprov::core::{DiffProv, Formula, QueryEvent};
 use diffprov::ndlog::{
-    reference, BinOp, Engine, Env, Expr, NodeState, NullSink, Program, TupleState, VecSink,
+    reference, BinOp, Engine, Env, Expr, NodeView, NullSink, Program, TupleState, VecSink,
 };
 use diffprov::netcore::{compile, to_cfg_entries, Action, Policy, Pred};
 use diffprov::replay::Execution;
@@ -180,7 +180,7 @@ fn engine_is_deterministic() {
             let derived: Vec<_> = eng
                 .nodes()
                 .flat_map(|(_, st)| {
-                    st.table(&Sym::new("d")).map(|(t, _)| t.clone()).collect::<Vec<_>>()
+                    st.table(&Sym::new("d")).cloned().collect::<Vec<_>>()
                 })
                 .collect();
             (stats.derivations, derived)
@@ -276,11 +276,13 @@ fn diffprov_report_is_invariant_under_batching() {
     assert_eq!(fix.args[3], Value::Prefix(cidr("4.3.2.0/23")));
 
     fn flatten<'a>(
-        nodes: impl Iterator<Item = (&'a NodeId, &'a NodeState)>,
+        nodes: impl Iterator<Item = (&'a NodeId, NodeView<'a>)>,
     ) -> Vec<(NodeId, Tuple, TupleState)> {
-        nodes
-            .flat_map(|(n, st)| st.all().map(move |(t, s)| (*n, t.clone(), s.clone())))
-            .collect()
+        let mut out = Vec::new();
+        for (n, view) in nodes {
+            out.extend(view.all().map(|(t, s)| (*n, t.clone(), s)));
+        }
+        out
     }
     let mut engine = Engine::new(exec.program.clone(), VecSink::default());
     exec.log.schedule_into(&mut engine).unwrap();
@@ -290,7 +292,7 @@ fn diffprov_report_is_invariant_under_batching() {
         reference::evaluate(&exec.program, &exec.log.to_schedule(), &mut oracle_stream).unwrap();
     assert_eq!(
         flatten(engine.nodes()),
-        flatten(oracle_nodes.iter()),
+        flatten(oracle_nodes.nodes()),
         "final tables must not depend on batching"
     );
     assert_eq!(
