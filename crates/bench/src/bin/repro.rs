@@ -105,6 +105,16 @@ fn run_sim(seeds: u64) {
         .map(|(k, n)| format!("{k} x{n}"))
         .collect();
     println!("  injections applied: {}", kinds.join(", "));
+    let failures: Vec<String> = summary
+        .failure_counts
+        .iter()
+        .map(|(name, n)| format!("{name} x{n}"))
+        .collect();
+    if failures.is_empty() {
+        println!("  failures: none");
+    } else {
+        println!("  failures: {}", failures.join(", "));
+    }
     for path in &summary.corpus_written {
         println!("  wrote shrunk repro {}", path.display());
     }

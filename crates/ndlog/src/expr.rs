@@ -16,9 +16,9 @@
 //! [`Env`] — a set of variable bindings by name — is one flat row of
 //! `(name, value)` pairs kept sorted by name and found by binary search.
 //! Its callers bind a handful of variables per rule and look each up a
-//! few times: the reference evaluator (`crate::reference`),
-//! DiffProv's taint and formula reasoning and `whynot`. The engine does
-//! not use it: a rule it fires is compiled to slots (`crate::compile`).
+//! few times: the reference evaluator (`crate::reference`) and
+//! DiffProv's taint and formula reasoning. The engine does not use it: a
+//! rule it fires is compiled to slots (`crate::compile`).
 //! The row is *sorted* because its iteration order is observable:
 //! DiffProv walks the good derivation's environment to build the bad one
 //! (`diffprov-core`'s `align.rs`), and the order it meets the variables in

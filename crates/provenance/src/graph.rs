@@ -434,9 +434,9 @@ impl ProvGraph {
     /// The episodes of a located tuple, in chronological order.
     ///
     /// This and the two lookups below find the tuple by value with a
-    /// linear scan over every episode in the graph — they serve tests, the
-    /// CLI and `why_not`. Recording and [`ProvGraph::exist_since`] go by
-    /// key.
+    /// linear scan over every episode in the graph — they serve tests and
+    /// tree extraction for a queried event. Recording and
+    /// [`ProvGraph::exist_since`] go by key.
     pub fn episodes(&self, tref: &TupleRef) -> Vec<Episode> {
         self.rows_for(tref).map(|r| self.episode(r)).collect()
     }
@@ -483,16 +483,17 @@ impl ProvGraph {
 
     /// Appends a vertex of `row` whose children are `children`.
     fn push(&mut self, kind: Kind, row: RowId, time: LogicalTime, children: &[VertexId]) -> VertexId {
-        let id = VertexId::try_from(self.kinds.len())
-            .ok()
-            .filter(|&id| id != NONE)
-            .expect("a provenance graph holds fewer than 2^32 vertices");
+        let id = match VertexId::try_from(self.kinds.len()) {
+            Ok(id) if id != NONE => id,
+            _ => panic!("a provenance graph holds fewer than 2^32 vertices"),
+        };
         self.kinds.push(kind);
         self.rows_of.push(row);
         self.times.push(time);
         self.children.extend_from_slice(children);
-        let end = u32::try_from(self.children.len())
-            .expect("a provenance graph holds fewer than 2^32 child links");
+        let Ok(end) = u32::try_from(self.children.len()) else {
+            panic!("a provenance graph holds fewer than 2^32 child links");
+        };
         self.child_ends.push(end);
         id
     }
@@ -531,8 +532,10 @@ impl ProvGraph {
 
     /// The row of the episode of `node`/`tuple` that opened at `since`.
     fn row_since(&self, since: LogicalTime, node: &NodeId, tuple: &Arc<Tuple>) -> RowId {
-        let row = self.row_at(since).filter(|&r| self.rows[r as usize].holds(node, tuple));
-        row.expect("an event's `since` names an opened episode of its located tuple")
+        match self.row_at(since) {
+            Some(r) if self.rows[r as usize].holds(node, tuple) => r,
+            _ => panic!("an event's `since` names an opened episode of its located tuple"),
+        }
     }
 
     /// A positive event (INSERT or DERIVE) of kind `kind` with children

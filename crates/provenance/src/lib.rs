@@ -9,12 +9,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod diff;
 pub mod graph;
 pub mod invariants;
 pub mod tree;
-pub mod whynot;
 
 pub use diff::{plain_tree_diff, ybang_answer_size, PlainDiff, VertexSig};
 pub use graph::{
@@ -27,4 +27,3 @@ pub use tree::{
     extract_tree, extract_tree_latest, extract_tree_since, tuple_view, ProvTree, TreeIdx,
     TreeNode, TupleNode, TupleTree,
 };
-pub use whynot::{why_not, FailReason, RuleFailure, WhyNot};

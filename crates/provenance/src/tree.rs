@@ -235,9 +235,11 @@ impl TupleTree {
 
     /// The chain of indexes from the seed back up to the root, inclusive.
     pub fn trigger_chain(&self) -> Vec<TreeIdx> {
-        let mut chain = vec![self.seed()];
-        while let Some(p) = self.nodes[*chain.last().expect("nonempty")].parent {
+        let mut at = self.seed();
+        let mut chain = vec![at];
+        while let Some(p) = self.nodes[at].parent {
             chain.push(p);
+            at = p;
         }
         chain
     }

@@ -483,38 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn why_not_explains_the_missing_delivery() {
-        // Negative provenance on SDN1: why did the misrouted packet never
-        // reach web1? The recursive explanation must reach the failing
-        // match constraint on S2 — the very entry DiffProv ends up fixing.
-        use dp_provenance::why_not;
-        let s = sdn1();
-        let r = s.bad_exec.replay().unwrap();
-        let wanted = deliver_at("web1", 2, ip("4.3.3.1"), ip("10.0.0.80"), 6, 512);
-        assert!(!r.exists(&wanted.node, &wanted.tuple));
-        let explanation = why_not(&r.engine, Some(r.graph()), &wanted, 8);
-        let rendered = explanation.render();
-        assert!(rendered.contains("no pktOut"), "{rendered}");
-        assert!(
-            rendered.contains("constraint prefix_contains(SM, Src)"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("at S2"), "{rendered}");
-    }
-
-    #[test]
-    fn why_not_explains_the_priority_conflict() {
-        // SDN2: the legitimate packet missed the web rule because the
-        // higher-priority scrubber rule shadows it — best_match rejects.
-        use dp_provenance::why_not;
-        let s = sdn2();
-        let r = s.bad_exec.replay().unwrap();
-        let wanted = deliver_at("web", 2, ip("67.1.2.3"), ip("10.0.0.80"), 6, 512);
-        let rendered = why_not(&r.engine, Some(r.graph()), &wanted, 8).render();
-        assert!(rendered.contains("best_match"), "{rendered}");
-    }
-
-    #[test]
     fn scenario_trees_have_realistic_sizes() {
         // Table 1's shape: plain provenance trees have tens to hundreds of
         // vertexes while DiffProv's answer has one or two.

@@ -25,18 +25,22 @@
 //!    last one left behind, so a store continuing a stack it did not
 //!    write is part of what has to recover.
 //!
-//! When the injections produce a diagnosable misdelivery DiffProv runs on
-//! it, once. Whether it aligns the trees is a counted outcome, not an
-//! invariant; a typed error out of it is reported as a violation.
+//! When the injections make a packet diverge DiffProv runs on it, once:
+//! the good event is its delivery in the fault-free run, the bad event its
+//! delivery in the faulty run or — when the faulty run never delivers it —
+//! the last hop where it was seen there, as in the paper's §6.7 drop.
+//! Whether it aligns the trees is a counted outcome, not an invariant; a
+//! typed error out of it is reported as a violation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::Arc;
 
-use diffprov_core::{DiffProv, QueryEvent};
+use diffprov_core::{DiffProv, Failure, QueryEvent};
 use dp_provenance::well_formedness_violations;
 use dp_replay::{BaseEvent, DurableStore, Execution};
 use dp_sdn::deliver_at;
-use dp_types::Result;
+use dp_types::{Result, TupleRef};
 
 use crate::scenario::{
     generate_masked, Injection, SimScenario, PROBE_LEN, PROTO_TCP,
@@ -64,11 +68,15 @@ pub struct BatteryReport {
     pub violations: Vec<Violation>,
     /// True when good and bad executions delivered differently.
     pub divergent: bool,
-    /// True when the divergence was diagnosable (a misdelivery with a
-    /// delivery on both sides) and DiffProv ran.
+    /// True when DiffProv ran on the divergent packet: its good delivery
+    /// against its bad delivery, or against its last observed hop when
+    /// the bad run never delivers it.
     pub diagnosed: bool,
     /// True when the diagnosis aligned the trees.
     pub diagnosis_succeeded: bool,
+    /// Why the diagnosis did not align the trees: the name of DiffProv's
+    /// [`Failure`] variant (see [`failure_name`]).
+    pub failure: Option<&'static str>,
     /// Injection kinds that were actually applied.
     pub kinds: Vec<&'static str>,
 }
@@ -128,46 +136,54 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
     }
 
     // --- 2 & 3. Graph well-formedness and deliveries ---------------------
+    // Per packet: the hosts that received it, and the last `pktAt` it
+    // appeared as — where a packet that is never delivered was last seen.
     type Deliveries = BTreeMap<i64, BTreeSet<String>>;
-    let replayed = |exec: &Execution| -> Result<(Deliveries, Vec<String>)> {
+    type LastHops = BTreeMap<i64, TupleRef>;
+    let replayed = |exec: &Execution| -> Result<(Deliveries, LastHops, Vec<String>)> {
         let r = exec.replay()?;
         let graph_violations = well_formedness_violations(r.graph());
-        let mut deliv: BTreeMap<i64, BTreeSet<String>> = BTreeMap::new();
+        let mut deliv = Deliveries::new();
+        let mut last_hop = LastHops::new();
         for v in r.graph().vertices() {
-            if matches!(v.kind, dp_provenance::VertexKind::Appear)
-                && v.tuple.table.as_str() == "deliver"
+            let table = v.tuple.table.as_str();
+            if !matches!(v.kind, dp_provenance::VertexKind::Appear)
+                || !matches!(table, "deliver" | "pktAt")
             {
-                if let Ok(pid) = v.tuple.args[0].as_int() {
-                    deliv.entry(pid).or_default().insert(v.node.to_string());
-                }
+                continue;
+            }
+            let Ok(pid) = v.tuple.args[0].as_int() else {
+                continue;
+            };
+            if table == "deliver" {
+                deliv.entry(pid).or_default().insert(v.node.to_string());
+            } else {
+                last_hop.insert(pid, TupleRef::new(*v.node, Arc::clone(v.tuple)));
             }
         }
-        Ok((deliv, graph_violations))
+        Ok((deliv, last_hop, graph_violations))
     };
-    let mut sides = Vec::new();
-    for (side, exec) in [("good", &sc.good), ("bad", &sc.bad)] {
-        match replayed(exec) {
-            Ok((deliv, graph_violations)) => {
-                for gv in graph_violations {
-                    fail(
-                        "graph-well-formed",
-                        format!("seed {}: {side} graph: {gv}", sc.seed),
-                        &mut report,
-                    );
-                }
-                sides.push(deliv);
-            }
-            Err(e) => {
+    let sides = [("good", &sc.good), ("bad", &sc.bad)].map(|(side, exec)| match replayed(exec) {
+        Ok((deliv, last_hop, graph_violations)) => {
+            for gv in graph_violations {
                 fail(
                     "graph-well-formed",
-                    format!("seed {}: {side} replay failed: {e}", sc.seed),
+                    format!("seed {}: {side} graph: {gv}", sc.seed),
                     &mut report,
                 );
-                sides.push(BTreeMap::new());
             }
+            (deliv, last_hop)
         }
-    }
-    let (good_deliv, bad_deliv) = (sides[0].clone(), sides[1].clone());
+        Err(e) => {
+            fail(
+                "graph-well-formed",
+                format!("seed {}: {side} replay failed: {e}", sc.seed),
+                &mut report,
+            );
+            Default::default()
+        }
+    });
+    let [(good_deliv, _), (bad_deliv, bad_last_hop)] = sides;
     for p in &sc.packets {
         let hosts = good_deliv.get(&p.pid).cloned().unwrap_or_default();
         if hosts.iter().map(String::as_str).collect::<Vec<_>>() != ["dst"] {
@@ -191,34 +207,25 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
     });
     report.divergent = divergent_pid.is_some();
     if let Some((packet, good_hosts, bad_hosts)) = divergent_pid {
-        if let (Some(good_host), Some(bad_host)) =
-            (good_hosts.iter().next(), bad_hosts.iter().next())
-        {
+        let delivery = |host: &String| {
+            let dst = crate::scenario::probe_dst();
+            deliver_at(host, packet.pid, packet.src, dst, PROTO_TCP, PROBE_LEN)
+        };
+        // A packet the faulty run never delivers is queried at the last
+        // hop where it was seen there.
+        let bad_tref = match bad_hosts.iter().next() {
+            Some(host) => Some(delivery(host)),
+            None => bad_last_hop.get(&packet.pid).cloned(),
+        };
+        if let (Some(good_host), Some(bad_tref)) = (good_hosts.iter().next(), bad_tref) {
             report.diagnosed = true;
-            let good_event = QueryEvent::new(
-                deliver_at(
-                    good_host,
-                    packet.pid,
-                    packet.src,
-                    crate::scenario::probe_dst(),
-                    PROTO_TCP,
-                    PROBE_LEN,
-                ),
-                u64::MAX,
-            );
-            let bad_event = QueryEvent::new(
-                deliver_at(
-                    bad_host,
-                    packet.pid,
-                    packet.src,
-                    crate::scenario::probe_dst(),
-                    PROTO_TCP,
-                    PROBE_LEN,
-                ),
-                u64::MAX,
-            );
+            let good_event = QueryEvent::new(delivery(good_host), u64::MAX);
+            let bad_event = QueryEvent::new(bad_tref, u64::MAX);
             match DiffProv::default().diagnose(&sc.good, &good_event, &sc.bad, &bad_event) {
-                Ok(r) => report.diagnosis_succeeded = r.succeeded(),
+                Ok(r) => {
+                    report.diagnosis_succeeded = r.succeeded();
+                    report.failure = r.failure.as_ref().map(failure_name);
+                }
                 Err(e) => fail(
                     "diagnosis-errored",
                     format!("seed {}: diagnosis errored: {e}", sc.seed),
@@ -297,6 +304,18 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
     }
 
     report
+}
+
+/// The stable name of a diagnosis failure's variant, as `repro sim`
+/// counts it.
+pub fn failure_name(failure: &Failure) -> &'static str {
+    match failure {
+        Failure::SeedTypeMismatch { .. } => "seed-type-mismatch",
+        Failure::ImmutableChange { .. } => "immutable-change",
+        Failure::NonInvertible { .. } => "non-invertible",
+        Failure::RoundLimit { .. } => "round-limit",
+        Failure::NoProgress { .. } => "no-progress",
+    }
 }
 
 /// Convenience: generate and check one seed.

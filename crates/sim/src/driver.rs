@@ -17,10 +17,12 @@ pub struct SimSummary {
     pub seeds: u64,
     /// Scenarios whose good/bad executions delivered differently.
     pub divergent: usize,
-    /// Scenarios where DiffProv ran on a misdelivery.
+    /// Scenarios where DiffProv ran on the divergent packet.
     pub diagnosed: usize,
     /// Scenarios where the diagnosis aligned the trees.
     pub diagnosis_succeeded: usize,
+    /// How often each [`BatteryReport::failure`] name ended a diagnosis.
+    pub failure_counts: BTreeMap<&'static str, usize>,
     /// How often each injection kind was applied.
     pub kind_counts: BTreeMap<&'static str, usize>,
     /// Every violation found, with the seed it came from.
@@ -57,6 +59,9 @@ pub fn run_seeds(
         summary.divergent += usize::from(report.divergent);
         summary.diagnosed += usize::from(report.diagnosed);
         summary.diagnosis_succeeded += usize::from(report.diagnosis_succeeded);
+        if let Some(name) = report.failure {
+            *summary.failure_counts.entry(name).or_default() += 1;
+        }
         for kind in &report.kinds {
             *summary.kind_counts.entry(kind).or_default() += 1;
         }

@@ -9,8 +9,8 @@ use dp_sim::{check_scenario, generate, generate_masked, run_seeds, Injection};
 const SEEDS: u64 = 32;
 
 /// The pinned seed block passes the whole battery, and the sweep is not
-/// vacuous: every injection kind occurs, misdeliveries happen, and
-/// DiffProv actually aligns some of them.
+/// vacuous: every injection kind occurs, packets diverge, every divergent
+/// packet is diagnosed, and DiffProv actually aligns some of them.
 #[test]
 fn pinned_seed_block_passes_the_battery() {
     let summary = run_seeds(0, SEEDS, None, |_, _| {}).unwrap();
@@ -49,13 +49,15 @@ fn pinned_seed_block_passes_the_battery() {
         summary.divergent,
         summary.seeds
     );
-    assert!(
-        summary.diagnosed > 0,
-        "no scenario produced a diagnosable misdelivery"
+    // Every divergent packet reaches DiffProv: a misdelivery at its bad
+    // delivery, a packet the faulty run never delivers at its last hop.
+    assert_eq!(
+        summary.diagnosed, summary.divergent,
+        "a divergent packet never reached DiffProv"
     );
     assert!(
         summary.diagnosis_succeeded > 0,
-        "DiffProv never aligned a generated misdelivery"
+        "DiffProv never aligned a generated divergence"
     );
 }
 

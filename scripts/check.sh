@@ -29,11 +29,12 @@
 # environment or the parser), against a second encoding of a logged event
 # beside the layer file's record (a size model, a zero-filled log),
 # against an engine that names a live tuple by anything but its row id
-# (an `Arc`-keyed row, bucket, trie entry or dependents list); and
-# lint-clean clippy.
+# (an `Arc`-keyed row, bucket, trie entry or dependents list), against
+# the deleted negative-provenance module; and lint-clean clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
-# invisibility, durable recovery.
+# invisibility, durable recovery — and it must diagnose every divergent
+# seed.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
 # (reference_differential.rs), the instrumentation handle disabled and
@@ -87,7 +88,22 @@ step "benchmark tests" cargo test --release --offline --manifest-path benchmark/
 # split at the scenario's node restarts) — the suite's sim_battery.rs
 # covers seeds 0..32, and it took the wider sweep to catch seed 144 in
 # PR 16. Failing seeds are ddmin-shrunk into tests/corpus/ automatically.
-step "sim sweep" cargo run --release -p dp-bench --bin repro -- sim --seeds 200
+# Every divergent seed must reach DiffProv — a misdelivered packet queried
+# at its bad delivery, a packet the faulty run never delivers at the last
+# hop where it was seen — so the summary line's `diagnosed` may not fall
+# below its `divergent`.
+sweep_diagnoses_every_divergence() {
+    local out divergent diagnosed
+    out="$(cargo run --release -q -p dp-bench --bin repro -- sim --seeds 200)"
+    echo "$out"
+    divergent="$(awk '$2 == "seeds:" && $4 == "divergent," { print $3 }' <<<"$out")"
+    diagnosed="$(awk '$2 == "seeds:" && $6 == "diagnosed," { print $5 }' <<<"$out")"
+    if [[ -z "$divergent" || -z "$diagnosed" || "$diagnosed" -lt "$divergent" ]]; then
+        echo "check.sh: the sweep diagnosed ${diagnosed:-?} of ${divergent:-?} divergent seeds" >&2
+        return 1
+    fi
+}
+step "sim sweep" sweep_diagnoses_every_divergence
 # UPDATETREE re-issues only what the change reaches: on the default
 # campus DiffProv's own call must roll (not replay from scratch), the
 # events it re-issues must be fewer than the suffix from the fork on, and
@@ -299,6 +315,15 @@ step "gate: the engine names a row by id" absent \
     "the engine keys a bucket, trie or dependents list by the tuple again" \
     "dependents: Vec<TupleRef>|PrefixTrie<Row>|BTreeSet<Row>|struct Row\(Arc" \
     crates/ndlog/src/engine.rs crates/ndlog/src/engine
+# A missing event is diagnosed as the paper's §6.7 does it: the packet
+# queried at the last hop where it was seen, by positive provenance. The
+# Y!-style negative-provenance module, a third rule evaluator beside the
+# engine and the reference oracle that no diagnosis called, must not grow
+# back. (Spelled in halves so this script passes its own gate.)
+step "gate: negative provenance stays deleted" absent \
+    "negative provenance reappeared" \
+    "why_""not|why""not|Why""Not" \
+    crates src tests examples
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo

@@ -5,16 +5,14 @@
 //! cargo run --bin diffprov -- run SDN1
 //! cargo run --bin diffprov -- tree SDN1 bad
 //! cargo run --bin diffprov -- chain SDN1 good
-//! cargo run --bin diffprov -- whynot SDN1
 //! ```
 //!
 //! A thin operator console over the library: list the built-in diagnostic
 //! scenarios, run DiffProv on one, inspect the provenance trees and
-//! trigger chains it reasons over, or ask the negative-provenance question
-//! for the scenario's missing delivery.
+//! trigger chains it reasons over.
 
 use diffprov::core::Scenario;
-use diffprov::provenance::{tuple_view, why_not};
+use diffprov::provenance::tuple_view;
 use diffprov::{mapreduce, sdn};
 
 fn scenarios() -> Vec<Scenario> {
@@ -44,7 +42,6 @@ fn main() {
         Some("run") => cmd_run(arg(&args, 1)),
         Some("tree") => cmd_tree(arg(&args, 1), arg(&args, 2)),
         Some("chain") => cmd_chain(arg(&args, 1), arg(&args, 2)),
-        Some("whynot") => cmd_whynot(arg(&args, 1)),
         _ => {
             eprintln!(
                 "usage: diffprov <command>\n\
@@ -53,8 +50,7 @@ fn main() {
                  \x20 list                 list the built-in diagnostic scenarios\n\
                  \x20 run <name>           run DiffProv on a scenario\n\
                  \x20 tree <name> good|bad print an event's provenance tree\n\
-                 \x20 chain <name> good|bad print an event's trigger chain\n\
-                 \x20 whynot <name>        explain the scenario's missing delivery"
+                 \x20 chain <name> good|bad print an event's trigger chain"
             );
             std::process::exit(2);
         }
@@ -147,28 +143,4 @@ fn cmd_chain(name: &str, which: &str) {
             None => println!("  {}  [stimulus]", n.tref),
         }
     }
-}
-
-fn cmd_whynot(name: &str) {
-    let s = find(name);
-    // The missing event the operator wanted: the *bad* stimulus arriving
-    // where the *good* one did. When the two events share a table, that
-    // is the good event's location with the bad event's values.
-    let r = s.bad_exec.replay().expect("replay");
-    let mut goal = s.good_event.tref.clone();
-    if r.exists(&goal.node, &goal.tuple)
-        && goal.tuple.table == s.bad_event.tref.tuple.table
-        && goal.tuple.arity() == s.bad_event.tref.tuple.arity()
-    {
-        goal = diffprov::types::TupleRef::new(
-            goal.node,
-            diffprov::types::Tuple::new(
-                goal.tuple.table,
-                s.bad_event.tref.tuple.args.clone(),
-            ),
-        );
-    }
-    println!("why does {} not exist in the faulty execution?\n", goal);
-    let explanation = why_not(&r.engine, Some(r.graph()), &goal, 6);
-    print!("{explanation}");
 }
