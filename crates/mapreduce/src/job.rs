@@ -78,12 +78,15 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
         !(cfg.combiner && cfg.pipeline == Pipeline::Declarative),
         "the combiner is an imperative-pipeline feature"
     );
-    let program = match (cfg.pipeline, cfg.combiner) {
+    let built = match (cfg.pipeline, cfg.combiner) {
         (Pipeline::Declarative, _) => mr_declarative_program(),
         (Pipeline::Imperative, false) => mr_imperative_program(),
         (Pipeline::Imperative, true) => mr_combiner_program(),
-    }
-    .expect("MapReduce program builds");
+    };
+    let program = match built {
+        Ok(program) => program,
+        Err(e) => panic!("the MapReduce programs are fixed text and natives that build: {e}"),
+    };
     let mut exec = Execution::new(Arc::clone(&program));
     let drv = NodeId::new(DRIVER);
 

@@ -15,6 +15,7 @@
 //! (configuration change) and MR2 (code change) diagnostics.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod corpus;

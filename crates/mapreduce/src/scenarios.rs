@@ -7,7 +7,7 @@
 //! yesterday's (good) run over the same input.
 
 use diffprov_core::{QueryEvent, Scenario};
-use dp_types::{tuple, NodeId, Tuple, TupleRef};
+use dp_types::{tuple, NodeId, TupleRef};
 
 use crate::corpus::{expected_counts, generate, CorpusConfig, InputFile};
 use crate::job::{build_job, reducer_of, JobConfig, Pipeline};
@@ -39,7 +39,10 @@ fn moving_word(files: &[InputFile], a: i64, b: i64) -> (String, i64) {
             best = Some((w, c));
         }
     }
-    best.expect("some word moves between reducer pools")
+    match best {
+        Some(found) => found,
+        None => panic!("the small corpus has a word that moves between pools of {a} and {b} reducers"),
+    }
 }
 
 fn word_count_event(word: &str, count: i64, reducers: i64) -> QueryEvent {
@@ -97,14 +100,17 @@ pub fn mr1_i() -> Scenario {
 fn output_file_event(files: &[InputFile], cfg: &JobConfig, word: &str) -> QueryEvent {
     // The per-reducer output file holding `word` in this configuration.
     let exec = build_job(cfg, files);
-    let r = exec.replay().expect("job replays");
+    let r = match exec.replay() {
+        Ok(r) => r,
+        Err(e) => panic!("a generated WordCount job replays: {e}"),
+    };
     let node = NodeId::new(format!("r{}", reducer_of(word, cfg.reducers)));
-    let view = r.engine.view(&node).expect("reducer has state");
-    let out: Tuple = view
-        .table(&dp_types::Sym::new("outputFile"))
-        .next()
-        .expect("reducer produced an output file")
-        .clone();
+    let output = r.engine.view(&node).and_then(|view| {
+        view.table(&dp_types::Sym::new("outputFile")).next().cloned()
+    });
+    let Some(out) = output else {
+        panic!("the reducer {node} that `{word}` hashes to commits an output file");
+    };
     QueryEvent::new(TupleRef::new(node, out), u64::MAX)
 }
 
@@ -169,7 +175,7 @@ pub fn all_mr_scenarios() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_types::Value;
+    use dp_types::{Tuple, Value};
 
     #[test]
     fn mr1_d_finds_the_reducer_count_change() {

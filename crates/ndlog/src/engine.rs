@@ -30,12 +30,15 @@
 //! keyed on its bound columns (falling back to a full ordered scan when no
 //! column is bound). Indexes are maintained incrementally by the tables
 //! (`engine/state.rs`) on insert/delete, and a table compares its rows by
-//! their arguments alone (every row carries the table's name). Derived
-//! tuples are interned behind `Arc`, so every node and provenance event
-//! naming one head shares one allocation; a base tuple is held as
-//! scheduled — the log's own allocation — and never looked up, since no
+//! their arguments alone (every row carries the table's name). A derived
+//! head is interned where it is delivered — one `Arc` and one head id per
+//! distinct head, so every node and provenance event naming it shares one
+//! allocation, and its table finds its row by the id; a base tuple is held
+//! as scheduled — the log's own allocation — and never interned, since no
 //! head can equal it (heads are `Derived`, base operations are not, and
-//! natives are held to the same line).
+//! natives are held to the same line). A firing carries the head's
+//! arguments to the queue as it built them: a head whose delivery is
+//! dropped (a body tuple retracted in flight) is never looked up at all.
 //!
 //! A rule fires in its compiled form (`crate::compile`): its variables are
 //! slots of one reused frame, bound and undone off a trail per candidate,
@@ -118,7 +121,8 @@
 //!
 //! The nodes and their tables are in `engine/state.rs`. A live tuple is
 //! one row of its (node, table) slab — its tuple, base flag, appearance
-//! time and the heads of its derivation and reverse-dependency lists —
+//! time, head id and the heads of its derivation and reverse-dependency
+//! lists —
 //! and everywhere else the engine names it by a `RowRef`, `(node, table,
 //! row)` indices: the pending deltas, a scheduled derivation's body, the
 //! index buckets and trie entries, the derivation bodies and the
@@ -140,9 +144,9 @@
 //! heads in recording order, which is the order a cascade walks them in.
 //! The retirement of a tuple hands its list to the cascade. There is no
 //! engine-wide `(node, tuple)`-keyed dependency map. The hash tables
-//! under all this — the interner and the join indexes — use
-//! `dp_types::WordHasher`: no per-process seed, probed and never iterated
-//! for order.
+//! under all this — the head interner, a derived table's rows by head id
+//! and the join indexes — hash with `dp_types::WordHasher` or a fixed
+//! multiply: no per-process seed, probed and never iterated for order.
 //!
 //! Per-rule counters (firings, join effort) are arrays indexed by the
 //! rule's program index, natives after rules; they get their names when
@@ -150,9 +154,9 @@
 //!
 //! # Why the engine is serial
 //!
-//! One thread, one node map, one interner: replay needs a single clock, and
-//! both parallel designs tried here lost to this path on every row
-//! recorded before PR 12 deleted them (worker pool 0.96x; shards 0.94x /
+//! One thread, one node map, one head interner: replay needs a single
+//! clock, and both parallel designs tried here lost to this path on every
+//! row recorded while they existed (worker pool 0.96x; shards 0.94x /
 //! 0.54x / 0.66x).
 
 use std::cmp::Reverse;
@@ -165,7 +169,7 @@ mod state;
 pub use state::NodeView;
 
 use dp_trace::{series, Tracer};
-use dp_types::{Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, TupleStore};
+use dp_types::{Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, Value};
 
 use crate::program::Program;
 use crate::reference::ScheduledOp;
@@ -226,12 +230,15 @@ enum Body {
 #[derive(Clone, Debug)]
 struct Derivation {
     node: NodeId,
-    /// The head, and its table's index in the program.
-    tuple: Arc<Tuple>,
+    /// The head's arguments as the firing built them, and its table's
+    /// index in the program: made a tuple, and interned, only if the head
+    /// is delivered. (A queued event is as large as its largest action,
+    /// and the queue keeps its capacity: the head travels in two words
+    /// and an index, where a `Tuple` would take four.)
+    args: Box<[Value]>,
     table: u32,
-    rule: Sym,
-    /// The rule's slot in the per-rule counters: its program index,
-    /// natives after rules.
+    /// The rule's slot in the per-rule counters — its program index,
+    /// natives after rules — which also names it.
     slot: u32,
     body: Body,
     trigger: u32,
@@ -359,9 +366,10 @@ pub struct Stats {
     /// Always 0; kept only because `benchmark/src/probe.rs` reads it.
     pub parallel_batches: u64,
     /// High-water mark of distinct derived tuples held by the engine's
-    /// interner: the heads the engine allocated, each once however many
-    /// nodes and episodes hold it. Base tuples are not counted — they are
-    /// the log's allocations — and [`Stats::peak_tuples`] counts live
+    /// head interner: the heads the engine delivered and allocated, each
+    /// once however many nodes and episodes hold it (a head whose delivery
+    /// was dropped is never interned). Base tuples are not counted — they
+    /// are the log's allocations — and [`Stats::peak_tuples`] counts live
     /// (node, tuple) occurrences instead.
     pub peak_interned: u64,
 }
@@ -495,10 +503,10 @@ struct Delta {
 /// The evaluator. See the module docs for semantics.
 pub struct Engine<S: ProvenanceSink> {
     program: Arc<Program>,
+    /// The nodes' tables, and the head interner beside them: one
+    /// allocation and one id per distinct derived tuple. Base tuples are
+    /// the log's allocations, held as scheduled.
     nodes: Nodes,
-    /// The head interner: one allocation per distinct derived tuple. Base
-    /// tuples are the log's allocations, held as scheduled.
-    store: TupleStore,
     /// Provenance events not yet handed to the sink, in emission order:
     /// at most [`EVENT_HANDOFF`] plus one engine event's emissions, and
     /// none at quiescence.
@@ -537,7 +545,6 @@ impl<S: ProvenanceSink> Engine<S> {
         Engine {
             program,
             nodes: Nodes::default(),
-            store: TupleStore::new(),
             events: Vec::new(),
             queue: Queue::default(),
             clock: 0,
@@ -753,7 +760,7 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         // The head interner only grows during a run (nothing is GC'd
         // here), so the quiescent size is the run's high-water mark.
-        self.stats.peak_interned = self.stats.peak_interned.max(self.store.len() as u64);
+        self.stats.peak_interned = self.stats.peak_interned.max(self.nodes.heads.len() as u64);
         if let Some((span, s0, firings0, profile0)) = traced {
             self.publish_run(s0, &firings0, &profile0);
             span.end();
@@ -828,8 +835,8 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     fn run_inner(&mut self) -> Result<()> {
-        while !self.queue.is_empty() {
-            if self.stats.events >= self.max_events {
+        loop {
+            if self.stats.events >= self.max_events && !self.queue.is_empty() {
                 // Checked before the pop, so the event the budget refused
                 // is still queued: a cascade whose queue holds exactly one
                 // event at a time (a two-node ping-pong, say) must not
@@ -842,7 +849,9 @@ impl<S: ProvenanceSink> Engine<S> {
                     self.max_events
                 )));
             }
-            let ev = self.queue.pop().expect("checked non-empty above");
+            let Some(ev) = self.queue.pop() else {
+                break;
+            };
             self.stats.events += 1;
             self.clock = self.clock.wrapping_add(1).max(ev.due);
             match ev.action {
@@ -985,9 +994,8 @@ impl<S: ProvenanceSink> Engine<S> {
     fn do_insert_derived(&mut self, d: Derivation) -> Result<()> {
         let Derivation {
             node,
-            tuple,
+            args,
             table,
-            rule,
             slot,
             body,
             trigger,
@@ -997,7 +1005,9 @@ impl<S: ProvenanceSink> Engine<S> {
             return Ok(());
         };
         let n = self.nodes.index_or_insert(node);
-        let head = self.nodes.row_of(&self.program, n, table, &tuple);
+        let tuple = Tuple::new(self.program.table_name(table), args.into_vec());
+        let head = self.nodes.head_row(&self.program, n, table, tuple);
+        let rule = self.program.slot_name(slot as usize);
         // The same (rule, body) derivation only counts once.
         if self.nodes.has_derivation(head, rule, &body) {
             return Ok(());
@@ -1017,27 +1027,28 @@ impl<S: ProvenanceSink> Engine<S> {
             self.nodes.make_live(head, now);
         }
         self.nodes.push_derivation(head, rule, &body, trigger, now);
-        let since = self.nodes.slot(head).appeared_at;
-        self.stats.derivations += 1;
-        self.rule_firings[slot as usize] += 1;
+        let held = self.nodes.slot(head);
+        let (since, tuple) = (held.appeared_at, &held.tuple);
         self.events.push(ProvEvent::Derive {
             time: now,
             since,
             node,
-            tuple: Arc::clone(&tuple),
+            tuple: Arc::clone(tuple),
             rule,
             body: stamped,
             trigger: trigger as usize,
         });
         if !was_present {
-            self.note_appear();
             self.events.push(ProvEvent::Appear {
                 time: now,
                 node,
-                tuple,
+                tuple: Arc::clone(tuple),
             });
+            self.note_appear();
             self.pending.push(Delta { row: head, at: now });
         }
+        self.stats.derivations += 1;
+        self.rule_firings[slot as usize] += 1;
         Ok(())
     }
 
@@ -1109,7 +1120,6 @@ impl<S: ProvenanceSink> Engine<S> {
                 nodes: &self.nodes,
             };
             let mut out = FireOut {
-                store: &mut self.store,
                 stats: &mut self.stats,
                 profile: &mut self.join_profile,
                 actions: &mut actions,

@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use dp_types::{Error, LogicalTime, NodeId, Result, TableKind, Tuple, TupleStore, Value};
+use dp_types::{Error, LogicalTime, NodeId, Result, TableKind, Tuple, Value};
 
 use super::state::{Node, Nodes, RowRef, Table, NIL};
 use super::{Action, Body, Delta, Derivation, NodeView, RuleJoinProfile, Stats};
@@ -168,11 +168,10 @@ pub(super) struct FireCtx<'a> {
     pub(super) nodes: &'a Nodes,
 }
 
-/// The half of the engine a rule firing writes: the interner its heads
-/// go through, the join-effort counters (run-wide and per rule slot), the
-/// flat buffer of scheduled actions, in push order, and the scratch.
+/// The half of the engine a rule firing writes: the join-effort counters
+/// (run-wide and per rule slot), the flat buffer of scheduled actions, in
+/// push order, and the scratch.
 pub(super) struct FireOut<'a> {
-    pub(super) store: &'a mut TupleStore,
     pub(super) stats: &'a mut Stats,
     pub(super) profile: &'a mut [RuleJoinProfile],
     pub(super) actions: &'a mut Vec<(LogicalTime, Action)>,
@@ -251,8 +250,8 @@ impl FireCtx<'_> {
 
     /// Fires native rule `ni` for delta `d`, appending the scheduled
     /// actions to `out.actions`. An emission must fit its schema and, like
-    /// a rule head, belong to a `Derived` table: what the interner holds
-    /// never equals a base tuple.
+    /// a rule head, belong to a `Derived` table: what the head interner
+    /// holds never equals a base tuple.
     fn fire_native(&self, d: &Delta, ni: usize, out: &mut FireOut<'_>) -> Result<()> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
@@ -274,14 +273,12 @@ impl FireCtx<'_> {
                 .program
                 .table_index(&em.tuple.table)
                 .ok_or(Error::UnknownTable(em.tuple.table))?;
-            let head = out.store.intern(em.tuple);
             out.actions.push((
                 d.at + em.delay,
                 Action::InsertDerived(Derivation {
                     node: em.node,
-                    tuple: head,
+                    args: em.tuple.args.into_boxed_slice(),
                     table,
-                    rule: native.name(),
                     slot: (self.program.rules().len() + ni) as u32,
                     body: Body::Named(em.body),
                     trigger: 0,
@@ -385,10 +382,7 @@ impl FireCtx<'_> {
         let compiled = self.program.compiled(ri);
         let width = rule.body.len();
         let FireOut {
-            store,
-            actions,
-            scratch,
-            ..
+            actions, scratch, ..
         } = out;
         let Scratch {
             frame,
@@ -410,7 +404,6 @@ impl FireCtx<'_> {
             }
             let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
-            let head = store.intern(head);
             let body = matched
                 .iter()
                 .zip(&compiled.tables)
@@ -429,9 +422,8 @@ impl FireCtx<'_> {
                 d.at + delay,
                 Action::InsertDerived(Derivation {
                     node: head_node,
-                    tuple: head,
+                    args: head.args.into_boxed_slice(),
                     table: compiled.head_table,
-                    rule: rule.name,
                     slot: ri as u32,
                     body: Body::Rows(body),
                     trigger: trigger as u32,
@@ -463,10 +455,7 @@ impl FireCtx<'_> {
         };
         let width = rule.body.len();
         let FireOut {
-            store,
-            actions,
-            scratch,
-            ..
+            actions, scratch, ..
         } = out;
         let Scratch {
             frame,
@@ -521,7 +510,6 @@ impl FireCtx<'_> {
             let head_node = NodeId(*head_loc.as_str()?);
             let head = Tuple::new(rule.head.table, head_args);
             self.program.schemas.check(&head)?;
-            let head = store.intern(head);
             let delay = if head_node == *view.node {
                 0
             } else {
@@ -531,9 +519,8 @@ impl FireCtx<'_> {
                 d.at + delay,
                 Action::InsertDerived(Derivation {
                     node: head_node,
-                    tuple: head,
+                    args: head.args.into_boxed_slice(),
                     table: compiled.head_table,
-                    rule: rule.name,
                     slot: ri as u32,
                     body: Body::Rows(body),
                     trigger: 0,

@@ -3,40 +3,55 @@
 //! A node's tables sit in a vector by the program's table index (a
 //! table's rank in name order, `Program::table_index`), and a table keeps
 //! its tuples as rows of one slab: a fixed-size [`Slot`] per row, holding
-//! the tuple, its base flag, its appearance time and the heads of two
-//! linked lists — its derivation records and its reverse dependencies.
-//! Everywhere else the engine names a tuple by a [`RowRef`] — `(node,
-//! table, row)` indices, 12 bytes, `Copy` — so the index buckets, the trie
-//! entries, the derivation bodies, the dependents, the pending deltas and
-//! a scheduled derivation's body hold ids, not `Arc<Tuple>`s: a tuple's
-//! `Arc` is cloned when its row is created (for the content-ordered row
-//! map and the slot), when an event names it, and at the public read
-//! boundary, and nowhere else.
+//! the tuple, its base flag, its appearance time, its head id and the
+//! heads of two linked lists — its derivation records and its reverse
+//! dependencies. Everywhere else the engine names a tuple by a [`RowRef`]
+//! — `(node, table, row)` indices, 12 bytes, `Copy` — so the index
+//! buckets, the trie entries, the derivation bodies, the dependents, the
+//! pending deltas and a scheduled derivation's body hold ids, not
+//! `Arc<Tuple>`s: a tuple's `Arc` is cloned when its row is created, when
+//! an event names it, and at the public read boundary, and nowhere else.
 //!
 //! The lists live in per-table pools: derivation records in one vector,
 //! their bodies in another (runs of `RowRef`s, a free list per run
 //! length), dependents in a third, each record linked to the next by
 //! index and every freed record reused last-freed first. A table is
 //! therefore a handful of vectors however many rows it holds, and
-//! dropping it frees those vectors, its row map's B-tree nodes and its
-//! index buckets — not a block per derivation, body or dependents list.
+//! dropping it frees those vectors, its key's blocks and its index
+//! buckets — not a block per derivation, body or dependents list.
 //!
-//! **A content keeps its row.** The row map takes a table's tuples to
-//! their rows by value — ordered by `args`, which is `Tuple`'s order
-//! within a table, so every scan and [`NodeView`] is in tuple order — and
-//! a row is never given to another tuple: when a tuple disappears its row
-//! stays, dead (out of every index and trie, with no derivations and no
-//! dependents), and a re-insertion of the same tuple brings the same row
-//! back. That is what makes a dependent an id. Dependents are never
-//! pruned: an entry left by a derivation that has since gone names its
-//! head for as long as the body tuple lives, and when the body tuple goes
-//! the cascade visits that head — by content, in the oracle, which keeps
-//! its lists as tuples. Because a content keeps its row, the stale entry
-//! names exactly the tuple the oracle's names: nothing if it is not live,
-//! the same tuple in a later episode if it is. A dead row costs its slot
-//! and its map entry; the tuple behind it is the interner's (a head) or
-//! the log's (a base tuple) either way, and the churn the workloads run
-//! re-issues the tuples it withdrew, so it finds its rows again.
+//! **A tuple is found once.** A derived head is looked up by value in one
+//! place: where it is delivered, the head interner ([`Heads`]) gives it a
+//! `u32` head id — one per distinct head for the engine's life, however
+//! many nodes and episodes it reaches — and a derived table keys its rows
+//! by that id in an open-addressed [`IdTable`], so the row is found
+//! without reading a tuple again. A base tuple never goes through the
+//! interner: it stays the log's allocation, held as scheduled, and a base
+//! table keys its rows by content in a B-tree ordered by `args`. That is
+//! `Tuple`'s order within a table, so the row map is also a base table's
+//! tuple order; a derived table has none, and the readers an order reaches
+//! — [`NodeView::table`], [`NodeView::all`] and through them
+//! `Engine::nodes` and every final-table dump — sort a derived table's
+//! rows by `args` when they read them. A join scans rows in slab order and
+//! puts its matches in nested-loop order itself, and
+//! [`NodeView::prefix_candidates`] sorts its trie's candidates: no order an
+//! id gives reaches the stream.
+//!
+//! **A content keeps its row.** A row is never given to another tuple:
+//! when a tuple disappears its row stays, dead (out of every index and
+//! trie, with no derivations and no dependents), and a re-insertion of the
+//! same tuple — by content for a base tuple, by head id for a derived one
+//! — brings the same row back. That is what makes a dependent an id.
+//! Dependents are never pruned: an entry left by a derivation that has
+//! since gone names its head for as long as the body tuple lives, and when
+//! the body tuple goes the cascade visits that head — by content, in the
+//! oracle, which keeps its lists as tuples. Because a content keeps its
+//! row, the stale entry names exactly the tuple the oracle's names:
+//! nothing if it is not live, the same tuple in a later episode if it is.
+//! A dead row costs its slot and its key's entry; the tuple behind it is
+//! the interner's (a head) or the log's (a base tuple) either way, and the
+//! churn the workloads run re-issues the tuples it withdrew, so it finds
+//! its rows again.
 //!
 //! [`NodeView`] is the read-only window natives and stateful builtins
 //! get, over the engine's tables or over the reference evaluator's own
@@ -48,10 +63,12 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use dp_types::{
-    LogicalTime, NodeId, Prefix, PrefixTrie, Sym, Tuple, TupleRef, Value, WordBuildHasher,
+    IdTable, LogicalTime, NodeId, Prefix, PrefixTrie, Probe, Sym, Tuple, TupleRef, Value,
+    WordBuildHasher,
 };
 
 use super::{DerivRecord, TupleState};
@@ -112,10 +129,29 @@ pub(super) struct Slot {
     derivs: u32,
     /// The last dependent registered; the list runs latest first.
     deps: u32,
+    /// A derived table's row: the head id of its tuple ([`NIL`] in a base
+    /// table's), the key its table files it under.
+    head: u32,
     /// Inserted as a base tuple (counts as support).
     pub(super) base: bool,
     /// Present: support above zero. A dead row is in no index or trie.
     pub(super) live: bool,
+}
+
+impl Slot {
+    /// A dead row of `tuple`, filed under head id `head` ([`NIL`] for a
+    /// base tuple).
+    fn dead(tuple: Arc<Tuple>, head: u32) -> Self {
+        Slot {
+            tuple,
+            appeared_at: 0,
+            derivs: NIL,
+            deps: NIL,
+            head,
+            base: false,
+            live: false,
+        }
+    }
 }
 
 /// A record of a pool, linked to the next by index.
@@ -312,7 +348,75 @@ fn index_key(tuple: &Tuple, cols: &[usize], key: &mut Vec<Value>) -> bool {
     key.len() == cols.len()
 }
 
-/// One table of one node: its rows, the map from content to row, the
+/// The head interner: every distinct derived tuple the engine has
+/// delivered, once, by a `u32` head id given in delivery order, with the
+/// hash it is filed under. A head reached at several nodes, or re-derived
+/// in a later episode, is one allocation and one id; a derived table's rows
+/// are keyed by that id. Base tuples never come here: they stay the log's
+/// allocations, and no head can equal one (heads belong to `Derived`
+/// tables, base operations to the others).
+///
+/// The hash is [`WordBuildHasher`]'s, and growing the table re-files ids
+/// by the stored hashes, so a tuple is read when it is compared, never to
+/// be re-hashed.
+#[derive(Debug, Default)]
+pub(super) struct Heads {
+    heads: Vec<Head>,
+    table: IdTable,
+}
+
+/// One interned head: its hash beside it, so a probe compares the hash
+/// before it reads the tuple.
+#[derive(Debug)]
+struct Head {
+    hash: u64,
+    tuple: Arc<Tuple>,
+}
+
+impl Heads {
+    fn hash(tuple: &Tuple) -> u64 {
+        WordBuildHasher::default().hash_one(tuple)
+    }
+
+    /// The id of `tuple`, interned now if it is new.
+    fn intern(&mut self, tuple: Tuple) -> u32 {
+        let hash = Self::hash(&tuple);
+        let heads = &self.heads;
+        let is = |id: u32| {
+            let head = &heads[id as usize];
+            head.hash == hash && *head.tuple == tuple
+        };
+        match self.table.entry(hash, (), is, |(), id| heads[id as usize].hash) {
+            Probe::Found(id) => id,
+            Probe::Vacant(slot) => {
+                let id = self.heads.len() as u32;
+                self.heads.push(Head {
+                    hash,
+                    tuple: Arc::new(tuple),
+                });
+                self.table.fill(slot, (), id);
+                id
+            }
+        }
+    }
+
+    /// The id of `tuple`, if it was ever interned.
+    fn find(&self, tuple: &Tuple) -> Option<u32> {
+        let hash = Self::hash(tuple);
+        self.table.find(hash, (), |id| {
+            let head = &self.heads[id as usize];
+            head.hash == hash && *head.tuple == *tuple
+        })
+    }
+
+    /// How many heads are interned.
+    pub(super) fn len(&self) -> usize {
+        self.heads.len()
+    }
+}
+
+/// One table of one node: its rows, the key that finds a tuple's row —
+/// the content for a base table, the head id for a derived one — the
 /// secondary hash indexes and prefix tries the program's join plans
 /// registered for it, and the pools its rows' lists live in.
 ///
@@ -329,7 +433,13 @@ fn index_key(tuple: &Tuple, cols: &[usize], key: &mut Vec<Value>) -> bool {
 pub(super) struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
+    /// Rows hold derived heads, keyed by `by_head`; otherwise base tuples,
+    /// keyed by `by_args`.
+    derived: bool,
+    /// A base table's rows by content, in tuple order.
     by_args: BTreeMap<ByArgs, u32>,
+    /// A derived table's rows by head id (each row's `head`).
+    by_head: IdTable,
     pub(super) rows: Vec<Slot>,
     /// How many rows are live.
     live: usize,
@@ -354,11 +464,13 @@ impl Table {
     /// An empty table with the access paths `specs` and `trie_specs`,
     /// built when its first row goes live: a table no tuple ever reaches
     /// allocates nothing.
-    fn new(specs: &IndexSpecs, trie_specs: &TrieSpecs) -> Self {
+    fn new(specs: &IndexSpecs, trie_specs: &TrieSpecs, derived: bool) -> Self {
         Table {
             specs: Arc::clone(specs),
             trie_specs: Arc::clone(trie_specs),
+            derived,
             by_args: BTreeMap::new(),
+            by_head: IdTable::new(),
             rows: Vec::new(),
             live: 0,
             indexes: Vec::new(),
@@ -377,12 +489,29 @@ impl Table {
         self.last_appear <= as_of || self.rows[row as usize].appeared_at <= as_of
     }
 
-    /// Live rows that appeared no later than `as_of`, in tuple order.
+    /// Live rows that appeared no later than `as_of`, in row order: what
+    /// a join scans, whose matches are put in nested-loop order after.
     pub(super) fn scan(&self, as_of: LogicalTime) -> impl Iterator<Item = (u32, &Tuple)> {
-        self.by_args.iter().filter_map(move |(key, &row)| {
-            let slot = &self.rows[row as usize];
-            (slot.live && slot.appeared_at <= as_of).then_some((row, &*key.0))
-        })
+        let rows = self.rows.iter().enumerate();
+        rows.filter(move |(_, slot)| slot.live && slot.appeared_at <= as_of)
+            .map(|(row, slot)| (row as u32, &*slot.tuple))
+    }
+
+    /// [`Table::scan`]'s rows in tuple order, for the readers an order
+    /// reaches: a base table walks its row map, a derived table sorts.
+    fn in_order(&self, as_of: LogicalTime) -> impl Iterator<Item = (u32, &Tuple)> {
+        if !self.derived {
+            let keyed = self.by_args.values().map(|&row| (row, &self.rows[row as usize]));
+            return Either::Left(
+                keyed
+                    .filter(move |(_, slot)| slot.live && slot.appeared_at <= as_of)
+                    .map(|(row, slot)| (row, &*slot.tuple)),
+            );
+        }
+        let mut rows: Vec<(u32, &Tuple)> = self.scan(as_of).collect();
+        // One table: its rows' order is their arguments'.
+        rows.sort_unstable_by(|a, b| a.1.args.cmp(&b.1.args));
+        Either::Right(rows.into_iter())
     }
 
     /// Live rows whose `specs[slot]` columns equal `key` and which
@@ -504,6 +633,18 @@ impl Node {
         self.tables.get(table as usize)
     }
 
+    /// The node's tables, given with the access paths `program`
+    /// registered for each when the node first holds a tuple.
+    fn tables_for(&mut self, program: &Program) -> &mut [Table] {
+        if self.tables.is_empty() {
+            self.tables.extend((0..program.table_count() as u32).map(|t| {
+                let (specs, tries) = program.specs_at(t);
+                Table::new(specs, tries, program.derived_at(t))
+            }));
+        }
+        &mut self.tables
+    }
+
     /// Live rows across the node's tables.
     fn live(&self) -> usize {
         self.tables.iter().map(|t| t.live).sum()
@@ -516,6 +657,8 @@ impl Node {
 pub(super) struct Nodes {
     ids: BTreeMap<NodeId, u32>,
     pub(super) nodes: Vec<Node>,
+    /// Every derived head delivered so far, by head id.
+    pub(super) heads: Heads,
 }
 
 impl Nodes {
@@ -564,18 +707,23 @@ impl Nodes {
         self.find_at(program, self.index(node)?, tuple)
     }
 
-    /// [`Nodes::find`] at the node with index `node`.
+    /// [`Nodes::find`] at the node with index `node`: a base tuple by its
+    /// content, a derived one by its head id.
     fn find_at(&self, program: &Program, node: u32, tuple: &Tuple) -> Option<RowRef> {
         let table = program.table_index(&tuple.table)?;
         let t = self.nodes[node as usize].table(table)?;
-        let row = *t.by_args.get(tuple.args.as_slice())?;
+        let row = if t.derived {
+            let head = self.heads.find(tuple)?;
+            t.by_head.find(u64::from(head), (), |row| t.rows[row as usize].head == head)?
+        } else {
+            *t.by_args.get(tuple.args.as_slice())?
+        };
         Some(RowRef { node, table, row })
     }
 
-    /// The row of `tuple` in table `table` at node `node`, added dead if
-    /// the table never held it: one descent of the row map either way. A
-    /// node gets its tables, with the access paths `program` registered
-    /// for each, when it first holds a tuple.
+    /// The row of base tuple `tuple` in table `table` at node `node`,
+    /// added dead if the table never held it: one descent of the row map
+    /// either way.
     pub(super) fn row_of(
         &mut self,
         program: &Program,
@@ -583,27 +731,42 @@ impl Nodes {
         table: u32,
         tuple: &Arc<Tuple>,
     ) -> RowRef {
-        let tables = &mut self.nodes[node as usize].tables;
-        if tables.is_empty() {
-            tables.extend((0..program.table_count() as u32).map(|t| {
-                let (specs, tries) = program.specs_at(t);
-                Table::new(specs, tries)
-            }));
-        }
-        let t = &mut tables[table as usize];
+        let t = &mut self.nodes[node as usize].tables_for(program)[table as usize];
         let row = match t.by_args.entry(ByArgs(Arc::clone(tuple))) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let row = t.rows.len() as u32;
-                t.rows.push(Slot {
-                    tuple: Arc::clone(tuple),
-                    appeared_at: 0,
-                    derivs: NIL,
-                    deps: NIL,
-                    base: false,
-                    live: false,
-                });
+                t.rows.push(Slot::dead(Arc::clone(tuple), NIL));
                 *e.insert(row)
+            }
+        };
+        RowRef { node, table, row }
+    }
+
+    /// The row of derived head `tuple` in table `table` at node `node`,
+    /// added dead if the table never held it. This is the one place a head
+    /// is looked up by value: interning gives it its head id, and the
+    /// table finds the row by that id.
+    pub(super) fn head_row(
+        &mut self,
+        program: &Program,
+        node: u32,
+        table: u32,
+        tuple: Tuple,
+    ) -> RowRef {
+        let head = self.heads.intern(tuple);
+        let tuple = &self.heads.heads[head as usize].tuple;
+        let t = &mut self.nodes[node as usize].tables_for(program)[table as usize];
+        let rows = &t.rows;
+        let is = |row: u32| rows[row as usize].head == head;
+        let key = |(), row: u32| u64::from(rows[row as usize].head);
+        let row = match t.by_head.entry(u64::from(head), (), is, key) {
+            Probe::Found(row) => row,
+            Probe::Vacant(at) => {
+                let row = t.rows.len() as u32;
+                t.rows.push(Slot::dead(Arc::clone(tuple), head));
+                t.by_head.fill(at, (), row);
+                row
             }
         };
         RowRef { node, table, row }
@@ -860,7 +1023,7 @@ impl<'a> NodeView<'a> {
             Source::Engine { .. } => Either::Left(
                 self.engine_table(table)
                     .into_iter()
-                    .flat_map(move |t| t.scan(as_of).map(|(_, tuple)| tuple)),
+                    .flat_map(move |t| t.in_order(as_of).map(|(_, tuple)| tuple)),
             ),
             Source::Oracle(tables) => Either::Right(
                 tables
@@ -962,7 +1125,7 @@ impl<'a> NodeView<'a> {
             Source::Engine { nodes, node, .. } => {
                 let tables = nodes.nodes[node as usize].tables.iter().enumerate();
                 Either::Left(tables.flat_map(move |(ti, t)| {
-                    t.scan(as_of).map(move |(row, tuple)| {
+                    t.in_order(as_of).map(move |(row, tuple)| {
                         let r = RowRef {
                             node,
                             table: ti as u32,

@@ -197,6 +197,9 @@ pub struct Program {
     /// keeps a node's tables in a vector by this index, and the compiled
     /// rules name their tables by it.
     table_ids: BTreeMap<Sym, u32>,
+    /// By table index: the table's name, and whether it is `Derived`.
+    table_names: Vec<Sym>,
+    derived: Vec<bool>,
     /// By table index: the (rule index, body-atom index) pairs it
     /// triggers.
     rule_triggers: Vec<Vec<(usize, usize)>>,
@@ -405,6 +408,17 @@ impl Program {
         (!specs.is_empty()).then_some(specs)
     }
 
+    /// The name of the table at index `table`.
+    pub(crate) fn table_name(&self, table: u32) -> Sym {
+        self.table_names[table as usize]
+    }
+
+    /// True when the table at index `table` is `Derived`: its rows are
+    /// heads, which the engine keys by head id.
+    pub(crate) fn derived_at(&self, table: u32) -> bool {
+        self.derived[table as usize]
+    }
+
     /// The index and trie specs of the table at index `table`, each
     /// empty when no plan probes one.
     pub(crate) fn specs_at(&self, table: u32) -> (&IndexSpecs, &TrieSpecs) {
@@ -510,12 +524,16 @@ impl ProgramBuilder {
         }
         let index_specs = by_index(&table_ids, registry.index_specs);
         let trie_specs = by_index(&table_ids, registry.trie_specs);
+        let table_names = table_ids.keys().copied().collect();
+        let derived = self.schemas.iter().map(|s| s.kind == dp_types::TableKind::Derived).collect();
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
             natives: self.natives,
             builtins: self.builtins,
             table_ids,
+            table_names,
+            derived,
             rule_triggers,
             native_triggers,
             index_specs,

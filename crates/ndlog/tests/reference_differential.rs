@@ -28,6 +28,7 @@
 //! (offline build — no property-testing framework), so every case is
 //! reproducible from the seeds below.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dp_ndlog::testsupport::{intgen, nodegen, prefixgen, run_checked, run_schedule, ScheduledOp};
@@ -35,7 +36,7 @@ use dp_ndlog::{
     parse_rules, Emitter, Engine, NativeRule, NodeView, Program, ProvEvent, VecSink,
 };
 use dp_types::{
-    tuple, DetRng, FieldType, Schema, SchemaRegistry, Sym, TableKind, Tuple, TupleRef,
+    tuple, DetRng, FieldType, NodeId, Schema, SchemaRegistry, Sym, TableKind, Tuple, TupleRef,
 };
 
 /// Sparse schedules (dues over a wide domain): the join planner's cases.
@@ -464,4 +465,225 @@ fn engine_matches_oracle_on_random_reinsert_churn() {
         run_checked(&program, &ops, &format!("reinsert churn case {case}"));
     }
     assert!(withdrawn_and_back > 300, "only {withdrawn_and_back} re-insertions");
+}
+
+/// Heads the engine keys by head id: a derived table's rows are filed
+/// under the id the head interner gave the tuple on delivery, not under
+/// its content. Three shapes that only the oracle's content-keyed tables
+/// get right by construction: one head content at several nodes and in
+/// several episodes, a derived table read in tuple order after its rows
+/// were created out of it, and a native naming a derived tuple in its
+/// reported body.
+mod heads {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    pub const NODES: [&str; 4] = ["n0", "n1", "n2", "n3"];
+
+    /// Reads `d` at its node in the view's order and reports the first
+    /// tuple as `first`, its body naming that derived tuple, and — a tick
+    /// or two late — `g(Y)` for the trigger `trig(Y)`, its body naming
+    /// `d(Y)` whether or not it is there: the delivery finds it by content
+    /// or drops the derivation.
+    struct Reader {
+        delay: u64,
+    }
+    impl NativeRule for Reader {
+        fn name(&self) -> Sym {
+            Sym::new("reader")
+        }
+        fn triggers(&self) -> Vec<Sym> {
+            vec![Sym::new("trig")]
+        }
+        fn fire(
+            &self,
+            view: &NodeView<'_>,
+            trigger: &Tuple,
+            out: &mut Emitter,
+        ) -> dp_types::Result<()> {
+            let here = *view.node;
+            let at = |t: Tuple| TupleRef::new(here, t);
+            if let Some(first) = view.table(&Sym::new("d")).next() {
+                out.emit(
+                    here,
+                    Tuple::new("first", vec![first.args[0].clone()]),
+                    vec![at(trigger.clone()), at(first.clone())],
+                );
+            }
+            let named = Tuple::new("d", vec![trigger.args[0].clone()]);
+            out.emit_delayed(
+                here,
+                Tuple::new("g", vec![trigger.args[0].clone()]),
+                vec![at(trigger.clone()), at(named)],
+                self.delay,
+            );
+            Ok(())
+        }
+    }
+
+    pub fn program(rng: &mut DetRng) -> Arc<Program> {
+        let mut reg = SchemaRegistry::new();
+        for base in ["e", "trig"] {
+            reg.declare(Schema::new(base, TableKind::MutableBase, [("x", FieldType::Int)]));
+        }
+        reg.declare(Schema::new("peer", TableKind::MutableBase, [("next", FieldType::Str)]));
+        for head in ["h", "d", "first", "g"] {
+            reg.declare(Schema::new(head, TableKind::Derived, [("x", FieldType::Int)]));
+        }
+        reg.declare(Schema::new(
+            "pair",
+            TableKind::Derived,
+            [("x", FieldType::Int), ("y", FieldType::Int)],
+        ));
+        let mut rules = parse_rules(
+            "loc h(@N, X) :- e(@N, X).\n\
+             fw h(@M, X) :- e(@N, X), peer(@N, M).\n\
+             mk d(@N, X) :- e(@N, X).\n\
+             sc pair(@N, X, Y) :- trig(@N, Y), d(@N, X).",
+        )
+        .unwrap();
+        rules[1].link_delay = rng.gen_range_u64(1, 3);
+        Program::builder(reg)
+            .rules(rules)
+            .native(Arc::new(Reader {
+                delay: rng.gen_range_u64(0, 3),
+            }))
+            .build()
+            .unwrap()
+    }
+
+    /// Peers, then rounds of `e` inserted at random nodes in random order
+    /// of value, deleted and re-inserted, with `trig`s between them.
+    pub fn schedule(rng: &mut DetRng) -> Vec<ScheduledOp> {
+        let mut ops = Vec::new();
+        for (i, node) in NODES.iter().enumerate() {
+            for _ in 0..rng.gen_range_usize(1, 3) {
+                let next = NODES[(i + rng.gen_range_usize(1, NODES.len())) % NODES.len()];
+                ops.push(ScheduledOp::insert(0, *node, tuple!("peer", next)));
+            }
+        }
+        let mut live: BTreeSet<(usize, i64)> = BTreeSet::new();
+        let mut due = 2;
+        for _ in 0..rng.gen_range_usize(3, 6) {
+            for _ in 0..rng.gen_range_usize(2, 7) {
+                let (n, x) = (rng.gen_range_usize(0, NODES.len()), rng.gen_range_i64(0, 6));
+                if live.insert((n, x)) {
+                    ops.push(ScheduledOp::insert(due, NODES[n], tuple!("e", x)));
+                }
+                due += rng.gen_range_u64(0, 2);
+            }
+            for _ in 0..rng.gen_range_usize(1, 4) {
+                // Mostly a value some node holds `e` of, so `d` is there.
+                let (n, x) = match live.iter().nth(rng.gen_range_usize(0, live.len().max(1))) {
+                    Some(&held) if rng.gen_bool(0.7) => held,
+                    _ => (rng.gen_range_usize(0, NODES.len()), rng.gen_range_i64(0, 6)),
+                };
+                ops.push(ScheduledOp::insert(due, NODES[n], tuple!("trig", x)));
+                due += rng.gen_range_u64(0, 3);
+            }
+            due += 5;
+            let gone: Vec<(usize, i64)> =
+                live.iter().copied().filter(|_| rng.gen_bool(0.6)).collect();
+            for (n, x) in gone {
+                live.remove(&(n, x));
+                ops.push(ScheduledOp::delete(due, NODES[n], tuple!("e", x)));
+                due += rng.gen_range_u64(0, 2);
+            }
+            due += 5;
+        }
+        ops
+    }
+
+    /// Located tuples of `table` as the stream opens them, in order.
+    pub fn appears<'a>(
+        events: &'a [ProvEvent],
+        table: &'a str,
+    ) -> impl Iterator<Item = (NodeId, &'a Tuple)> {
+        events.iter().filter_map(move |e| match e {
+            ProvEvent::Appear { node, tuple, .. } if tuple.table.as_str() == table => {
+                Some((*node, &**tuple))
+            }
+            _ => None,
+        })
+    }
+
+    /// How many `h` contents opened at three or more nodes, and how many
+    /// located `h` tuples opened more than once.
+    pub fn spread(events: &[ProvEvent]) -> (usize, usize) {
+        let mut nodes: BTreeMap<&Tuple, BTreeSet<NodeId>> = BTreeMap::new();
+        let mut episodes: BTreeMap<(NodeId, &Tuple), usize> = BTreeMap::new();
+        for (node, tuple) in appears(events, "h") {
+            nodes.entry(tuple).or_default().insert(node);
+            *episodes.entry((node, tuple)).or_default() += 1;
+        }
+        (
+            nodes.values().filter(|at| at.len() >= 3).count(),
+            episodes.values().filter(|&&n| n >= 2).count(),
+        )
+    }
+}
+
+/// One head content derived at three or more nodes — locally and
+/// forwarded — that dies and is derived again in a later episode: one
+/// head id, one row per node, each row brought back by the id.
+#[test]
+fn engine_matches_oracle_on_a_head_at_many_nodes_and_episodes() {
+    let mut rng = DetRng::seed_from_u64(0x04EA_D1D5);
+    let (mut spread, mut again) = (0, 0);
+    for case in 0..48 {
+        let program = heads::program(&mut rng);
+        let ops = heads::schedule(&mut rng);
+        let got = run_checked(&program, &ops, &format!("head ids case {case}"));
+        let (wide, reborn) = heads::spread(&got.events);
+        spread += wide;
+        again += reborn;
+    }
+    assert!(spread > 50, "only {spread} heads reached three nodes");
+    assert!(again > 50, "only {again} located heads were derived again");
+}
+
+/// A rule scanning a derived table whose rows were created out of
+/// argument order, and a native reading that table's first tuple: the
+/// join's matches and the view come out in tuple order all the same.
+#[test]
+fn engine_matches_oracle_on_scans_of_a_derived_table_built_out_of_order() {
+    let mut rng = DetRng::seed_from_u64(0x5CA7_0D0E);
+    let mut out_of_order = 0;
+    for case in 0..48 {
+        let program = heads::program(&mut rng);
+        let ops = heads::schedule(&mut rng);
+        let got = run_checked(&program, &ops, &format!("derived scan case {case}"));
+        assert!(got.stats.join_scans > 0, "case {case}: `sc` never scanned `d`");
+        let mut last: BTreeMap<NodeId, &Tuple> = BTreeMap::new();
+        for (node, tuple) in heads::appears(&got.events, "d") {
+            out_of_order += usize::from(last.get(&node).is_some_and(|&prev| tuple < prev));
+            last.insert(node, tuple);
+        }
+    }
+    assert!(out_of_order > 60, "only {out_of_order} `d` rows opened below the last one");
+}
+
+/// A native's reported body names derived tuples — one it read, one it
+/// only expects — and its delivery finds them by content through the head
+/// interner, or drops the derivation when the tuple is not there.
+#[test]
+fn engine_matches_oracle_on_a_native_naming_derived_tuples() {
+    let mut rng = DetRng::seed_from_u64(0x00A7_17E5);
+    let (mut named, mut dropped) = (0, 0);
+    for case in 0..48 {
+        let program = heads::program(&mut rng);
+        let ops = heads::schedule(&mut rng);
+        let got = run_checked(&program, &ops, &format!("named body case {case}"));
+        let derived = |table: &str| {
+            got.events
+                .iter()
+                .filter(|e| matches!(e, ProvEvent::Derive { tuple, .. } if tuple.table.as_str() == table))
+                .count()
+        };
+        let triggers = ops.iter().filter(|op| op.tuple.table.as_str() == "trig").count();
+        named += derived("g");
+        dropped += triggers - derived("g").min(triggers);
+    }
+    assert!(named > 50, "only {named} `g` derivations found their named `d`");
+    assert!(dropped > 100, "only {dropped} `g` derivations were dropped");
 }

@@ -1,19 +1,20 @@
 //! `dp_types::WordHasher` on the tuples it is for.
 //!
-//! The interner and the join indexes hash a table name and a few machine
-//! words per key with a seedless multiply-rotate hasher instead of
-//! SipHash. It has to be deterministic (`dp-types` checks that two stores
-//! agree) and it has to spread real tuples: flow entries whose prefixes
-//! end in zero bytes, packets that differ in one small integer, string
-//! fields that share long heads. The 2 000-entry campus supplies all of
-//! them.
+//! The head interner and the join indexes hash a table name and a few
+//! machine words per key with a seedless multiply-rotate hasher instead of
+//! SipHash. It has to be deterministic (`dp-types` checks that a tuple
+//! hashes alike everywhere) and it has to spread real tuples: flow entries
+//! whose prefixes end in zero bytes, packets that differ in one small
+//! integer, string fields that share long heads. The 2 000-entry campus
+//! supplies all of them.
 
 use std::collections::BTreeSet;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, NullSink};
 use dp_sdn::{campus, CampusConfig};
-use dp_types::{Tuple, TupleStore};
+use dp_types::{Tuple, WordBuildHasher};
 
 /// Every distinct tuple live at the end of the 2 000-entry campus's bad
 /// execution.
@@ -37,8 +38,8 @@ fn campus_tuples() -> BTreeSet<Tuple> {
 fn campus_tuples_hash_apart() {
     let tuples = campus_tuples();
     assert!(tuples.len() > 4_000, "{} distinct tuples", tuples.len());
-    let store = TupleStore::new();
-    let hashes: Vec<u64> = tuples.iter().map(|t| store.hash_of(t)).collect();
+    let hasher = WordBuildHasher::default();
+    let hashes: Vec<u64> = tuples.iter().map(|t| hasher.hash_one(t)).collect();
 
     let distinct: BTreeSet<u64> = hashes.iter().copied().collect();
     assert_eq!(distinct.len(), tuples.len(), "two campus tuples share a 64-bit hash");

@@ -13,12 +13,17 @@
 //! Recording never looks a tuple up by value. Every event names the
 //! episode it belongs to by the clock of that episode's APPEAR (`since`,
 //! see [`dp_ndlog::sink`]), so the recorder keeps one **row** per episode,
-//! in APPEAR order, behind one integer-keyed `since → row` index (the
-//! APPEAR clocks themselves, which only increase: a sorted array). A row
-//! owns the episode's located tuple — the one `NodeId`/`Arc<Tuple>` pair
-//! its three or more vertices share — its end (its start is its index
-//! entry), and the links the stream fills in later (the DISAPPEAR, the
-//! pending negative cause).
+//! in APPEAR order, filed under that clock in a direct map from clock to
+//! row kept as pages of consecutive clocks, the pages found by number in
+//! an open-addressed table ([`dp_types::IdTable`]): finding an episode is
+//! two reads, not a search, and the map grows with the clocks that open
+//! rows, however sparse (a MapReduce log puts its fences at dues 500 000,
+//! 1 000 000 and 2 000 000). A row owns the episode's located tuple — the
+//! one `NodeId`/`Arc<Tuple>` pair its three or more vertices share — and
+//! the ids of its cause, APPEAR and DISAPPEAR vertices and of its pending
+//! negative cause. Its start is its APPEAR's time and its end its
+//! DISAPPEAR's, read from the vertex column, so the map beside the rows
+//! holds row ids alone.
 //! Vertices are plain columns (kind and rule, row, time, child range) over
 //! one child arena, and the extra supports of all episodes are one side
 //! list, so a graph of any size is a fixed number of allocations and
@@ -27,18 +32,18 @@
 //! Every recording starts at an empty engine — a replay from the log's
 //! start, possibly rolled forward on the same engine — so every row is
 //! opened by the APPEAR right after its cause, and a row's id is its rank
-//! in APPEAR order: the index holds the APPEAR clocks alone, and row `r`
-//! opened at `index[r]`. A stream that breaks that contract — a `since`
-//! that names no opened episode of its located tuple, or an APPEAR not
-//! preceded by its cause — panics with the invariant stated, as a graph
-//! past 2^32 vertices does; it is never linked into another tuple's
-//! history.
+//! in APPEAR order: the opened rows are the ids below the start map's
+//! count.
+//! A stream that breaks that contract — a `since` that names no opened
+//! episode of its located tuple, or an APPEAR not preceded by its cause —
+//! panics with the invariant stated, as a graph past 2^32 vertices does;
+//! it is never linked into another tuple's history.
 
 use std::fmt;
 use std::sync::Arc;
 
 use dp_ndlog::{ProvEvent, ProvenanceSink};
-use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
+use dp_types::{IdTable, LogicalTime, NodeId, Probe, Sym, Tuple, TupleRef};
 
 /// Index of a vertex within a [`ProvGraph`]. A graph holds fewer than
 /// 2^32 vertices; recording past that panics.
@@ -224,11 +229,12 @@ struct Row {
     tuple: Arc<Tuple>,
     /// The INSERT or DERIVE vertex that caused the appearance.
     cause: VertexId,
-    /// The APPEAR vertex; the EXIST vertex is the one after it. [`NONE`]
-    /// while the row waits for the APPEAR that follows its cause.
+    /// The APPEAR vertex, whose time is the episode's start; the EXIST
+    /// vertex is the one after it. [`NONE`] while the row waits for the
+    /// APPEAR that follows its cause.
     appear: VertexId,
-    end: Option<LogicalTime>,
-    /// The DISAPPEAR vertex, or [`NONE`] while the episode is open.
+    /// The DISAPPEAR vertex, whose time is the episode's end, or [`NONE`]
+    /// while the episode is open.
     disappear: VertexId,
     /// The latest DELETE/UNDERIVE vertex no DISAPPEAR has taken yet, or
     /// [`NONE`].
@@ -243,6 +249,66 @@ impl Row {
         // events — a delete of an insert, a re-insert — reaches the
         // content compare.
         self.tuple == *tuple && self.node == *node
+    }
+}
+
+/// Clocks per page of [`Starts`]: 4 KiB of row ids.
+const PAGE_BITS: u32 = 10;
+
+/// The opened rows by start clock: a direct map from clock to row, kept
+/// as pages of `2^PAGE_BITS` consecutive clocks, each made when a row first
+/// opens in its range and found by its number in a small [`IdTable`].
+///
+/// A lookup is a probe of the page table (a few hundred slots on a campus
+/// replay, in cache) and one read in the page; a recording opens its rows
+/// at increasing clocks, so filling a page is a run of sequential writes,
+/// and the episodes a stream names most — those just opened — sit in the
+/// pages just written. The clocks of a replay are nearly dense (every
+/// engine event takes the next one, and most open a row), so a page is
+/// nearly full; a clock far ahead of the rest (a MapReduce fence at due 2
+/// 000 000) costs one page, not the range it skips.
+#[derive(Clone, Debug, Default)]
+struct Starts {
+    /// Page number → the page's index in `rows`.
+    pages: IdTable<u64>,
+    /// The pages end to end: a row id at each clock that opened one,
+    /// [`NONE`] elsewhere.
+    rows: Vec<RowId>,
+    /// Rows filed.
+    len: u32,
+}
+
+impl Starts {
+    /// A clock's place in its page.
+    const MASK: u64 = (1 << PAGE_BITS) - 1;
+
+    /// The row that opened at `clock`.
+    fn get(&self, clock: LogicalTime) -> Option<RowId> {
+        let page = clock >> PAGE_BITS;
+        let at = self.pages.find(page, page, |_| true)?;
+        let row = self.rows[((at as usize) << PAGE_BITS) + (clock & Self::MASK) as usize];
+        (row != NONE).then_some(row)
+    }
+
+    /// Files `row` as opened at `clock`, which no row opened at before.
+    fn insert(&mut self, clock: LogicalTime, row: RowId) {
+        let page = clock >> PAGE_BITS;
+        let at = match self.pages.entry(page, page, |_| true, |page, _| page) {
+            Probe::Found(at) => at,
+            Probe::Vacant(slot) => {
+                let at = (self.rows.len() >> PAGE_BITS) as u32;
+                self.rows.resize(self.rows.len() + (1 << PAGE_BITS), NONE);
+                self.pages.fill(slot, page, at);
+                at
+            }
+        };
+        self.rows[((at as usize) << PAGE_BITS) + (clock & Self::MASK) as usize] = row;
+        self.len += 1;
+    }
+
+    /// Heap bytes the page table and the pages take.
+    fn bytes(&self) -> usize {
+        self.pages.bytes() + self.rows.capacity() * std::mem::size_of::<RowId>()
     }
 }
 
@@ -264,10 +330,9 @@ pub struct ProvGraph {
     /// The episodes, in APPEAR order; past the opened ones, at most the
     /// row whose cause waits for its APPEAR.
     rows: Vec<Row>,
-    /// `since → row`: the APPEAR clock of every opened row, at the row's
-    /// id. A stream's APPEAR clocks only increase, so the index is the
-    /// sorted run of them: appended to, searched by bisection.
-    index: Vec<LogicalTime>,
+    /// `since → row`: every opened row under its start, the time of its
+    /// APPEAR vertex.
+    by_start: Starts,
     /// Additional supports as `(row, vertex)`, in arrival order.
     extra_support: Vec<(RowId, VertexId)>,
     /// Scratch for the children of the DERIVE being recorded.
@@ -293,7 +358,9 @@ impl ProvGraph {
         let kind = match self.kinds[i] {
             Kind::Insert => VertexKind::Insert,
             Kind::Delete => VertexKind::Delete,
-            Kind::Exist => VertexKind::Exist { end: row.end },
+            Kind::Exist => VertexKind::Exist {
+                end: self.end_of(row),
+            },
             Kind::Derive { rule: r, trigger } => VertexKind::Derive {
                 rule: rule(r),
                 trigger: trigger as usize,
@@ -346,7 +413,7 @@ impl ProvGraph {
             node: &row.node,
             tuple: &row.tuple,
             cause: row.cause,
-            end: row.end,
+            end: self.end_of(row),
         }
     }
 
@@ -361,7 +428,7 @@ impl ProvGraph {
     }
 
     /// Heap bytes the graph holds (its columns, arena, rows and index at
-    /// their allocated capacities; the tuples belong to the engine's
+    /// their allocated capacities; the tuples belong to the engine's head
     /// interner or to the log).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
@@ -372,7 +439,7 @@ impl ProvGraph {
             + (self.children.capacity() + self.body.capacity()) * size_of::<VertexId>()
             + self.rules.capacity() * size_of::<Sym>()
             + self.rows.capacity() * size_of::<Row>()
-            + self.index.capacity() * size_of::<LogicalTime>()
+            + self.by_start.bytes()
             + self.extra_support.capacity() * size_of::<(RowId, VertexId)>()
     }
 
@@ -384,15 +451,31 @@ impl ProvGraph {
         row.holds(&tref.node, &tref.tuple).then_some(row.appear + 1)
     }
 
-    /// The row that opened at `since`.
+    /// The row that opened at `since`: a probe of the start map's page
+    /// table and one read in the page.
     fn row_at(&self, since: LogicalTime) -> Option<RowId> {
-        self.index.binary_search(&since).ok().map(|r| r as RowId)
+        self.by_start.get(since)
+    }
+
+    /// How many rows are opened: the ids below it.
+    fn opened(&self) -> RowId {
+        self.by_start.len
+    }
+
+    /// When opened row `r` started: its APPEAR's time.
+    fn start(&self, r: RowId) -> LogicalTime {
+        self.times[self.rows[r as usize].appear as usize]
+    }
+
+    /// When `row` ended — its DISAPPEAR's time — if it did.
+    fn end_of(&self, row: &Row) -> Option<LogicalTime> {
+        (row.disappear != NONE).then(|| self.times[row.disappear as usize])
     }
 
     /// The opened rows of `tref`, in APPEAR order: a linear scan of every
     /// episode in the graph.
     fn rows_for<'a>(&'a self, tref: &'a TupleRef) -> impl DoubleEndedIterator<Item = RowId> + 'a {
-        let opened = 0..self.index.len() as RowId;
+        let opened = 0..self.opened();
         opened.filter(move |&r| self.rows[r as usize].holds(&tref.node, &tref.tuple))
     }
 
@@ -404,8 +487,8 @@ impl ProvGraph {
             exist: row.appear + 1,
             cause: row.cause,
             extra_support,
-            start: self.index[r as usize],
-            end: row.end,
+            start: self.start(r),
+            end: self.end_of(row),
             disappear: (row.disappear != NONE).then_some(row.disappear),
         }
     }
@@ -418,11 +501,11 @@ impl ProvGraph {
     /// Every episode in the graph with its located tuple, in APPEAR
     /// order.
     pub fn all_episodes(&self) -> Vec<(TupleRef, Episode)> {
-        let mut extra = vec![Vec::new(); self.index.len()];
+        let mut extra = vec![Vec::new(); self.opened() as usize];
         for &(r, v) in &self.extra_support {
             extra[r as usize].push(v);
         }
-        (0..self.index.len() as RowId)
+        (0..self.opened())
             .map(|r| {
                 let row = &self.rows[r as usize];
                 let episode = self.episode_of(r, std::mem::take(&mut extra[r as usize]));
@@ -459,7 +542,7 @@ impl ProvGraph {
         wanted: impl Fn(LogicalTime, Option<LogicalTime>) -> bool,
     ) -> Option<Episode> {
         let mut rows = self.rows_for(tref).rev();
-        let found = rows.find(|&r| wanted(self.index[r as usize], self.rows[r as usize].end));
+        let found = rows.find(|&r| wanted(self.start(r), self.end_of(&self.rows[r as usize])));
         found.map(|r| self.episode(r))
     }
 
@@ -505,7 +588,6 @@ impl ProvGraph {
             tuple,
             cause: NONE,
             appear: NONE,
-            end: None,
             disappear: NONE,
             negative: NONE,
         });
@@ -513,13 +595,13 @@ impl ProvGraph {
     }
 
     /// Opens `row`, the next in APPEAR order, at `time`: its APPEAR and
-    /// EXIST vertices and its index entry.
+    /// EXIST vertices and its entry under its start.
     fn open(&mut self, row: RowId, time: LogicalTime) {
         let cause = self.rows[row as usize].cause;
         let appear = self.push(Kind::Appear, row, time, &[cause]);
         self.push(Kind::Exist, row, time, &[appear]);
         self.rows[row as usize].appear = appear;
-        self.index.push(time);
+        self.by_start.insert(time, row);
     }
 
     fn rule_id(&mut self, rule: Sym) -> u32 {
@@ -594,12 +676,12 @@ impl ProvGraph {
             ProvEvent::Appear { time, node, tuple } => {
                 // The row its cause pushed is the one past the opened ones,
                 // and it opens later than all of them.
-                let row = self.index.len();
-                let caused = self.rows.len() == row + 1
-                    && self.rows[row].holds(&node, &tuple)
-                    && self.index.last().is_none_or(|&latest| latest < time);
+                let row = self.opened();
+                let caused = self.rows.len() == row as usize + 1
+                    && self.rows[row as usize].holds(&node, &tuple)
+                    && row.checked_sub(1).is_none_or(|latest| self.start(latest) < time);
                 assert!(caused, "an APPEAR follows its own cause, later than every earlier APPEAR");
-                self.open(row as RowId, time);
+                self.open(row, time);
             }
             ProvEvent::DeleteBase { time, since, node, tuple } => {
                 let row = self.row_since(since, &node, &tuple);
@@ -618,8 +700,7 @@ impl ProvGraph {
                 let children = if cause[0] == NONE { &[] } else { &cause[..] };
                 let id = self.push(Kind::Disappear, row, time, children);
                 let r = &mut self.rows[row as usize];
-                if r.end.is_none() {
-                    r.end = Some(time);
+                if r.disappear == NONE {
                     r.disappear = id;
                 }
             }
@@ -987,6 +1068,107 @@ mod tests {
             "the DISAPPEAR hangs off {negative}"
         );
         assert_eq!(crate::well_formedness_violations(&graph), Vec::<String>::new());
+    }
+
+    /// A stream whose APPEARs sit at clocks 1, 2^40 and 2^40 + 5 — a
+    /// fence far ahead of the rest, as a MapReduce log's are: `row` and a
+    /// tree's children lead to each episode by its clock.
+    fn sparse_stream(tail: ProvEvent) -> GraphRecorder {
+        use dp_ndlog::BodyRef;
+        let (n, far) = (NodeId::new("n"), 1u64 << 40);
+        let (e, f, m) = (
+            Arc::new(tuple!("e", 1)),
+            Arc::new(tuple!("f", 2)),
+            Arc::new(tuple!("m", 3)),
+        );
+        let at = |tuple: &Arc<Tuple>, since| BodyRef {
+            tref: TupleRef::new(n, Arc::clone(tuple)),
+            since,
+        };
+        let mut rec = GraphRecorder::new();
+        for event in [
+            ProvEvent::InsertBase { time: 1, since: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::Appear { time: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::InsertBase { time: far, since: far, node: n, tuple: Arc::clone(&f) },
+            ProvEvent::Appear { time: far, node: n, tuple: Arc::clone(&f) },
+            ProvEvent::Derive {
+                time: far + 5,
+                since: far + 5,
+                node: n,
+                tuple: Arc::clone(&m),
+                rule: Sym::new("rm"),
+                body: vec![at(&e, 1), at(&f, far)],
+                trigger: 1,
+            },
+            ProvEvent::Appear { time: far + 5, node: n, tuple: Arc::clone(&m) },
+            ProvEvent::DeleteBase { time: far + 9, since: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::Disappear { time: far + 9, since: 1, node: n, tuple: Arc::clone(&e) },
+            ProvEvent::Underive {
+                time: far + 9,
+                since: far + 5,
+                node: n,
+                tuple: Arc::clone(&m),
+                rule: Sym::new("rm"),
+            },
+            ProvEvent::Disappear { time: far + 9, since: far + 5, node: n, tuple: m },
+            tail,
+        ] {
+            rec.record(event);
+        }
+        rec
+    }
+
+    /// The clocks' range reaches neither the answers nor the bytes: each
+    /// episode has its start and end, the keyed tree of the head finds
+    /// both body episodes, a clock no row opened at leads nowhere, and the
+    /// graph stays far below what a map spanning 2^40 clocks would take.
+    #[test]
+    fn sparse_clocks_cost_their_count() {
+        let (n, far) = (NodeId::new("n"), 1u64 << 40);
+        let again = ProvEvent::InsertBase {
+            time: far + 20,
+            since: far + 20,
+            node: n,
+            tuple: Arc::new(tuple!("e", 1)),
+        };
+        let mut rec = sparse_stream(again);
+        rec.record(ProvEvent::Appear { time: far + 20, node: n, tuple: Arc::new(tuple!("e", 1)) });
+        let g = rec.finish();
+        let spans = |t: Tuple| -> Vec<(LogicalTime, Option<LogicalTime>)> {
+            g.episodes(&TupleRef::new(n, t)).iter().map(|ep| (ep.start, ep.end)).collect()
+        };
+        assert_eq!(spans(tuple!("e", 1)), [(1, Some(far + 9)), (far + 20, None)]);
+        assert_eq!(spans(tuple!("f", 2)), [(far, None)]);
+        assert_eq!(spans(tuple!("m", 3)), [(far + 5, Some(far + 9))]);
+
+        let m = TupleRef::new(n, tuple!("m", 3));
+        let tree = crate::extract_tree_since(&g, &m, far + 5).expect("m's episode at 2^40 + 5");
+        let leaves: Vec<String> = tree
+            .nodes()
+            .iter()
+            .filter(|t| matches!(t.kind, VertexKind::Insert))
+            .map(|t| format!("{}@{}", t.tuple, t.time))
+            .collect();
+        assert_eq!(leaves, ["e(1)@1", format!("f(2)@{far}").as_str()]);
+        assert!(crate::extract_tree_since(&g, &m, far + 4).is_none());
+        assert!(crate::extract_tree_since(&g, &m, 1 << 50).is_none());
+        assert_eq!(g.row_at(far + 20), Some(3));
+        assert_eq!(crate::well_formedness_violations(&g), Vec::<String>::new());
+        assert!(g.bytes() < 64 * 1024, "{} bytes for four episodes", g.bytes());
+    }
+
+    /// A `since` inside a page of clocks the recorder keeps, at a clock no
+    /// row opened at, names no episode: recording stops there.
+    #[test]
+    #[should_panic(expected = "an event's `since` names an opened episode of its located tuple")]
+    fn a_since_between_sparse_clocks_panics() {
+        let far = 1u64 << 40;
+        sparse_stream(ProvEvent::DeleteBase {
+            time: far + 30,
+            since: far + 1,
+            node: NodeId::new("n"),
+            tuple: Arc::new(tuple!("f", 2)),
+        });
     }
 
     #[test]

@@ -3,18 +3,21 @@
 //! The graph recorder keeps its vertices in columns over one child arena
 //! and one row per episode, keyed by the clock the stream names the
 //! episode by. Recording therefore allocates only when one of those few
-//! vectors (or the index) grows, and a graph of any size is freed by a
-//! fixed, small number of deallocations — the tuples belong to the
-//! engine's interner and to the log. Both are pinned here as counts taken
-//! by a counting global allocator, which repeat exactly from run to run: the campus
-//! replay into the recorder may allocate at most 0.05 times per provenance
-//! event more than the same replay into a null sink (it was 1.84 with a
-//! `Vec` of children per vertex and a B-tree entry per tuple), and
+//! vectors (or the start map's page table) grows or a page of clocks is
+//! made, and a graph of any size is freed by a fixed, small number of
+//! deallocations — the tuples belong to the engine's head interner and to
+//! the log. Both are pinned here as counts taken by a counting global
+//! allocator, which repeat exactly from run to run: the campus replay
+//! into the recorder may allocate at most 0.05 times per provenance event
+//! more than the same replay into a null sink (it was 1.84 with a `Vec` of
+//! children per vertex and a B-tree entry per tuple), and
 //! dropping the graph out of a live engine at most 64 times. What the
-//! graph holds, at allocated capacity, is pinned beside them: 1 507 408
-//! bytes for 17 223 vertices, + 2 % (1 573 008 while a name was an
-//! `Arc<str>` of 16 bytes, 1 704 080 while the index kept a row id beside
-//! each APPEAR clock and each row its own start).
+//! graph holds, at allocated capacity, is pinned beside them: 1 343 824
+//! bytes for 17 223 vertices, + 2 % (1 507 408 while the start index was
+//! the sorted array of APPEAR clocks and each row kept its end beside its
+//! DISAPPEAR vertex, 1 573 008 while a name was an `Arc<str>` of 16 bytes,
+//! 1 704 080 while the index kept a row id beside each APPEAR clock and
+//! each row its own start).
 //!
 //! # The engine's own budget
 //!
@@ -36,21 +39,23 @@
 //!   while the interner filed every base tuple and grew with them; 2.004
 //!   while each base event cost a deep copy of the tuple's `Vec<Value>`
 //!   and a fresh `Arc<Tuple>`.)
-//! * **Running it: 19 403**, 3.4 per engine event — the interner's
+//! * **Running it: 19 103**, 3.3 per engine event — the head interner's
 //!   doublings among them, now that heads alone fill it. Per join match
-//!   (3 507): the head's `Vec<Value>` and the scheduled action's body, a
-//!   `Vec` of row ids — and, for a head not interned before, its
-//!   `Arc<Tuple>`. Per derivation (3 495): `stamped` (the event's
-//!   `Vec<BodyRef>`). Per tuple stored: a bucket — and its owned key — per
-//!   registered index only when the bucket is new (the key of a tuple
-//!   joining a bucket is built in the table's scratch buffer), and,
-//!   amortised, B-tree nodes of the table's row map and the doublings of
-//!   its row slab, its pools and its tries' two arenas: a derivation
-//!   record, its body and a dependent are entries of per-table vectors,
-//!   not blocks of their own (32 944 while each derived tuple had a
+//!   (3 507): the head's `Vec<Value>` (carried to delivery as it was
+//!   built) and the scheduled action's body, a `Vec` of row ids — and,
+//!   for a head delivered and not interned before, its `Arc<Tuple>`. Per
+//!   derivation (3 495): `stamped` (the event's `Vec<BodyRef>`). Per tuple
+//!   stored: a bucket — and its owned key — per registered index only
+//!   when the bucket is new (the key of a tuple joining a bucket is built
+//!   in the table's scratch buffer), and, amortised, B-tree nodes of a
+//!   base table's row map, the doublings of a derived table's head-id
+//!   slots, of its row slab, its pools and its tries' two arenas: a
+//!   derivation record, its body and a dependent are entries of per-table
+//!   vectors, not blocks of their own (19 403 while a derived table's rows
+//!   were a B-tree by content; 32 944 while each derived tuple had a
 //!   `derivations` vector, each body tuple a dependents vector, each
-//!   bucket a `BTreeSet` leaf and each trie node a block; 2.870 → 1.691
-//!   per provenance event).
+//!   bucket a `BTreeSet` leaf and each trie node a block; 2.870 → 1.691 →
+//!   1.665 per provenance event).
 //!   Nothing per rule firing or per flush: a rule is compiled to slots
 //!   when the program is built, and a firing binds into the engine's
 //!   reused scratch — frame, trail, partial match, probe keys, the flat
@@ -59,31 +64,41 @@
 //!   firing the trigger's `Env`, the partial-match, trail, matches and key
 //!   vectors, per flush the live-rule list, per builtin call its argument
 //!   vector; 4.521 → 2.870 per provenance event).
-//! * **Dropping the quiescent engine: 7 747 blocks** — everything above
+//! * **Dropping the quiescent engine: 7 243 blocks** — everything above
 //!   that outlives the run, minus the base tuples, which the log still
 //!   holds: 2 per derived tuple (5 876: the interner's `Arc` and argument
-//!   vector), the row maps' B-tree nodes, the index buckets and their
-//!   keys, and a few vectors per table a tuple reached and per node
-//!   (24 639 while derivations, bodies and dependents were blocks of their
-//!   own rather than entries of per-table pools, and a trie node a block
-//!   rather than an arena entry; 29 046 while base tuples were copied in,
-//!   2 per base tuple more).
-//! * **Held at quiescence: 440.2 bytes in 1.35 blocks per live tuple** —
-//!   the same blocks weighed; the interner's table is sized by the heads
-//!   alone, and a name in a field, a located tuple or a key is one word
-//!   (539.2 bytes in 4.29 blocks before the pools; 625.3 bytes while a name
-//!   was a 16-byte `Arc<str>`; 631.7 bytes while the interner filed base
-//!   tuples too; 853.3 bytes in 5.06 blocks while base tuples were copied
-//!   into the engine).
+//!   vector), the base tables' row-map B-tree nodes, one slot vector per
+//!   derived table, the index buckets and their keys, and a few vectors
+//!   per table a tuple reached and per node (7 747 while a derived table's
+//!   rows were a B-tree by content, a node a block; 24 639 while
+//!   derivations, bodies and dependents were blocks of their own rather
+//!   than entries of per-table pools, and a trie node a block rather than
+//!   an arena entry; 29 046 while base tuples were copied in, 2 per base
+//!   tuple more).
+//! * **Held at quiescence: 439.7 bytes in 1.26 blocks per live tuple** —
+//!   the same blocks weighed. The head interner is sized by the heads
+//!   alone — per head, a 16-byte `(hash, Arc)` record and about 5.6 bytes
+//!   of id slots — and a derived row's key is its head id in 4-byte slots
+//!   rather than a B-tree entry holding the tuple's `Arc`; a queued
+//!   derivation carries its head in the words its `Arc` and its rule's
+//!   name took, so the queue keeps the capacity it had; a name in a
+//!   field, a located tuple or a key is one word (440.2 bytes in 1.35
+//!   blocks with the interner a set of `Arc`s and each table a B-tree by
+//!   content; 539.2 bytes in 4.29 blocks before the pools; 625.3 bytes
+//!   while a name was a 16-byte `Arc<str>`; 631.7 bytes while the interner
+//!   filed base tuples too; 853.3 bytes in 5.06 blocks while base tuples
+//!   were copied into the engine).
 //!   The provenance-event buffer is not among the large ones: it is handed
 //!   to the sink every 4 096 events, so it stays under 1 MB however large
 //!   the same-`due` batch.
 //!
-//! The third test pins held blocks and drop frees on a campus shaped like
-//! diagbench's `campus_traffic` — few entries, packets crossing several
-//! hops — where most live tuples are a packet's head at one hop: 1.286
-//! blocks per live tuple and 18 309 frees (4.007 and 57 045 before the
-//! pools).
+//! The third test pins held bytes and blocks and drop frees on a campus
+//! shaped like diagbench's `campus_traffic` — few entries, packets
+//! crossing several hops — where most live tuples are a packet's head at
+//! one hop: 324.9 bytes in 1.174 blocks per live tuple and 16 705 frees
+//! (332.4 bytes, 1.286 blocks and 18 309 frees while a derived table's
+//! rows were a B-tree by content; 4.007 blocks and 57 045 frees before
+//! the pools).
 //!
 //! Item 2's target is ≤ 2 allocations per tuple on this pin; a change
 //! that removes a class lowers the constants below in the same commit.
@@ -234,36 +249,43 @@ fn recording_allocates_per_growth_not_per_event() {
     drop(recorded);
 }
 
-/// The graph's heap bytes on this campus when last moved, + 2 %.
-const GRAPH_BYTES: usize = 1_537_556;
+/// The graph's heap bytes on this campus when last moved (1 343 824;
+/// 1 507 408 before), + 2 %.
+const GRAPH_BYTES: usize = 1_370_700;
 
-/// Replay allocations per provenance event, into a null sink: 19 416 over
-/// 11 482 events = 1.691 when last moved (2.870 before the pools, 4.521
-/// before that), + 2 %.
-const ENGINE_ALLOCS_PER_EVENT: f64 = 1.73;
+/// Replay allocations per provenance event, into a null sink: 19 116 over
+/// 11 482 events = 1.665 when last moved (1.691 with the B-tree row maps,
+/// 2.870 before the pools, 4.521 before that), + 2 %.
+const ENGINE_ALLOCS_PER_EVENT: f64 = 1.70;
 /// Allocations to schedule the log, per base event: 13 over 2 246 = 0.006
 /// when last moved (0.011 before, 2.004 before that) — nothing per tuple,
 /// so the bound leaves room for a doubling or two, not for a class.
 const SCHEDULE_ALLOCS_PER_BASE_EVENT: f64 = 0.007;
-/// Blocks freed by dropping the quiescent engine: 7 747 when last moved
-/// (24 639 before the pools, 29 046 before that), + 2 %.
-const ENGINE_DROP_FREES: u64 = 7_910;
-/// Bytes the quiescent engine holds per live tuple: 2 527 392 over 5 741
-/// = 440.2 when last moved (539.2 before the pools, 625.3, 631.7 and
-/// 853.3 before that), + 2 %.
-const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 449.1;
-/// Blocks the quiescent engine holds per live tuple: 7 747 over 5 741 =
-/// 1.349 when last moved (4.292 before the pools, 5.059 before that),
-/// + 2 %.
-const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 1.38;
+/// Blocks freed by dropping the quiescent engine: 7 243 when last moved
+/// (7 747 with the B-tree row maps, 24 639 before the pools, 29 046
+/// before that), + 2 %.
+const ENGINE_DROP_FREES: u64 = 7_388;
+/// Bytes the quiescent engine holds per live tuple: 2 524 064 over 5 741
+/// = 439.7 when last moved (440.2 with the B-tree row maps, 539.2 before
+/// the pools, 625.3, 631.7 and 853.3 before that), + 2 %.
+const ENGINE_HELD_BYTES_PER_TUPLE: f64 = 448.5;
+/// Blocks the quiescent engine holds per live tuple: 7 243 over 5 741 =
+/// 1.262 when last moved (1.349 with the B-tree row maps, 4.292 before
+/// the pools, 5.059 before that), + 2 %.
+const ENGINE_HELD_BLOCKS_PER_TUPLE: f64 = 1.29;
 
+/// On the traffic-shaped campus, bytes the quiescent engine holds per
+/// live tuple: 4 624 640 over 14 235 = 324.9 when last moved (332.4 with
+/// the B-tree row maps), + 2 %.
+const TRAFFIC_HELD_BYTES_PER_TUPLE: f64 = 331.4;
 /// On the traffic-shaped campus, blocks the quiescent engine holds per
-/// live tuple: 18 309 over 14 235 = 1.286 when last moved (4.007 before
-/// the pools), + 2 %.
-const TRAFFIC_HELD_BLOCKS_PER_TUPLE: f64 = 1.32;
+/// live tuple: 16 705 over 14 235 = 1.174 when last moved (1.286 with the
+/// B-tree row maps, 4.007 before the pools), + 2 %.
+const TRAFFIC_HELD_BLOCKS_PER_TUPLE: f64 = 1.20;
 /// On the traffic-shaped campus, blocks freed by dropping the quiescent
-/// engine: 18 309 when last moved (57 045 before the pools), + 2 %.
-const TRAFFIC_DROP_FREES: u64 = 18_680;
+/// engine: 16 705 when last moved (18 309 with the B-tree row maps,
+/// 57 045 before the pools), + 2 %.
+const TRAFFIC_DROP_FREES: u64 = 17_039;
 
 /// What the engine cost the allocator on one campus: scheduling its bad
 /// log, running it to quiescence into a null sink, and dropping it.
@@ -405,6 +427,13 @@ fn the_engine_holds_a_packets_hops_within_its_budget() {
         ..CampusConfig::default()
     });
     let c = measure_engine("engine alloc budget, traffic-shaped", &campus);
+    assert!(
+        c.bytes_per_tuple() <= TRAFFIC_HELD_BYTES_PER_TUPLE,
+        "{} bytes held for {} live tuples: {:.1} each",
+        c.held_bytes(),
+        c.live,
+        c.bytes_per_tuple()
+    );
     assert!(
         c.blocks_per_tuple() <= TRAFFIC_HELD_BLOCKS_PER_TUPLE,
         "{} blocks held for {} live tuples: {:.3} each",

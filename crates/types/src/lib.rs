@@ -24,6 +24,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod idtable;
 pub mod prefix;
 pub mod rng;
 pub mod schema;
@@ -34,12 +35,13 @@ pub mod value;
 
 pub use codec::{fnv64, Dec, Enc, Fnv64};
 pub use error::{Error, Result};
+pub use idtable::{IdTable, Probe};
 pub use prefix::Prefix;
 pub use rng::DetRng;
 pub use schema::{FieldDecl, FieldType, Schema, SchemaRegistry, TableKind};
 pub use sym::Sym;
 pub use trie::PrefixTrie;
-pub use tuple::{NodeId, Tuple, TupleRef, TupleStore, WordBuildHasher, WordHasher};
+pub use tuple::{NodeId, Tuple, TupleRef, WordBuildHasher, WordHasher};
 pub use value::Value;
 
 /// A logical timestamp assigned by the deterministic engine clock.

@@ -1,17 +1,17 @@
-//! Tuples, node identities, the tuple interner and the hasher behind it.
+//! Tuples, node identities and the hasher behind the engine's tables.
 //!
 //! # The word hasher
 //!
-//! The interner and the engine's join indexes are the two hash tables on
-//! the evaluator's hot path: every derived or emitted tuple is hashed
-//! once to be interned, and every index probe hashes its key.
+//! The engine's head interner and its join indexes are the two hash tables
+//! on the evaluator's hot path: every derived or emitted tuple is hashed
+//! once, when it is delivered, and every index probe hashes its key.
 //! Their keys are a table name and a few machine-word fields, which
 //! SipHash — `std`'s keyed, DoS-resistant default — digests a byte at a
 //! time behind a per-process random seed. [`WordHasher`] folds one word
 //! per step (rotate, xor, multiply) and carries two obligations:
 //!
 //! * **Deterministic.** No seed, no address, no process state goes in:
-//!   two stores, two runs and two machines hash one tuple to one value,
+//!   two tables, two runs and two machines hash one tuple to one value,
 //!   so nothing about a table's layout can differ between a run and its
 //!   replay.
 //! * **Never iterated for order.** It is not collision-resistant against
@@ -20,9 +20,8 @@
 //!   order-insensitively (`len`); whatever must come out in a
 //!   defined order is kept in a `BTreeMap`/`BTreeSet` beside it.
 
-use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::sym::Sym;
@@ -72,8 +71,9 @@ impl From<&str> for NodeId {
 /// Tuples are location-free; the engine pairs them with a [`NodeId`] when
 /// storing them, mirroring the paper's `@X` location specifier.
 ///
-/// Hot paths pass tuples around as `Arc<Tuple>` (see [`TupleStore`]); a
-/// plain `Tuple` is the mutable construction form.
+/// Hot paths pass tuples around as `Arc<Tuple>` — a logged event's own, or
+/// the engine's one per distinct derived head; a plain `Tuple` is the
+/// mutable construction form.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
     /// The table this tuple belongs to.
@@ -209,57 +209,6 @@ impl Hasher for WordHasher {
     }
 }
 
-/// An interner for derived tuples.
-///
-/// A rule head or a native's emission is built as a fresh `Tuple`;
-/// interning makes each distinct one a single heap allocation shared by
-/// reference count, so a packet's head forwarded across hops and a head
-/// re-derived in a later episode are one copy in every table, derivation
-/// record and provenance event that names them. Base tuples never come
-/// here: they already live behind the log's `Arc`, which the engine holds
-/// as it is, and no head can equal one (heads belong to `Derived` tables,
-/// base operations to the others), so a lookup could only ever miss.
-///
-/// The set is hashed by [`WordHasher`] and only ever probed or counted —
-/// never iterated for order.
-#[derive(Clone, Debug, Default)]
-pub struct TupleStore {
-    set: HashSet<Arc<Tuple>, WordBuildHasher>,
-}
-
-impl TupleStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        TupleStore::default()
-    }
-
-    /// Returns the shared handle for `tuple`, allocating it on first sight.
-    pub fn intern(&mut self, tuple: Tuple) -> Arc<Tuple> {
-        if let Some(existing) = self.set.get(&tuple) {
-            return Arc::clone(existing);
-        }
-        let arc = Arc::new(tuple);
-        self.set.insert(Arc::clone(&arc));
-        arc
-    }
-
-    /// The hash this store files `tuple` under. A function of the tuple
-    /// alone: every store, in every process, returns the same value.
-    pub fn hash_of(&self, tuple: &Tuple) -> u64 {
-        self.set.hasher().hash_one(tuple)
-    }
-
-    /// Number of distinct tuples interned.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-}
-
 /// A tuple located at a node: the paper's `τ @ n`.
 ///
 /// The tuple payload is shared (`Arc`) and the node is a [`Sym`], so
@@ -308,6 +257,7 @@ macro_rules! tuple {
 mod tests {
     use super::*;
     use crate::prefix::ip;
+    use std::hash::{BuildHasher, Hash};
 
     #[test]
     fn display_matches_paper_notation() {
@@ -340,42 +290,26 @@ mod tests {
     }
 
     #[test]
-    fn store_interns_to_one_allocation() {
-        let mut store = TupleStore::new();
-        let a = store.intern(tuple!("t", 1));
-        let b = store.intern(tuple!("t", 1));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.len(), 1);
-        let c = store.intern(tuple!("t", 2));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn two_stores_hash_one_tuple_equally() {
-        // The property `RandomState` lacks: each `HashSet::new()` draws its
-        // own keys, so two default-hashed stores disagree.
-        let (a, mut b) = (TupleStore::new(), TupleStore::new());
-        b.intern(tuple!("warm", 1));
+    fn one_tuple_hashes_alike_everywhere() {
+        // The property `RandomState` lacks: each `HashMap::new()` draws its
+        // own keys, so two default-hashed maps disagree.
+        let h = |t: &Tuple| WordBuildHasher::default().hash_one(t);
         for t in [
             tuple!("t", 1),
             tuple!("flowEntry", 5, 8, Value::Ip(ip("1.2.3.4"))),
             tuple!("cfg", "reducers", true),
             tuple!("empty"),
         ] {
-            assert_eq!(a.hash_of(&t), b.hash_of(&t), "{t}");
-            let again = WordBuildHasher::default().hash_one(&t);
-            assert_eq!(a.hash_of(&t), again, "{t}");
-            // A resident tuple is filed under it.
-            let interned = b.intern(t.clone());
-            assert_eq!(b.hash_of(&interned), again, "{t}");
+            let mut hasher = WordHasher::default();
+            t.hash(&mut hasher);
+            assert_eq!(h(&t), hasher.finish(), "{t}");
+            assert_eq!(h(&t), h(&t.clone()), "{t}");
         }
         // Field order, arity and table all reach the hash.
-        let h = |t: Tuple| a.hash_of(&t);
-        assert_ne!(h(tuple!("t", 1, 2)), h(tuple!("t", 2, 1)));
-        assert_ne!(h(tuple!("t", 1)), h(tuple!("t", 1, 0)));
-        assert_ne!(h(tuple!("t", 1)), h(tuple!("u", 1)));
-        assert_ne!(h(tuple!("t", Value::Int(1))), h(tuple!("t", Value::Time(1))));
+        assert_ne!(h(&tuple!("t", 1, 2)), h(&tuple!("t", 2, 1)));
+        assert_ne!(h(&tuple!("t", 1)), h(&tuple!("t", 1, 0)));
+        assert_ne!(h(&tuple!("t", 1)), h(&tuple!("u", 1)));
+        assert_ne!(h(&tuple!("t", Value::Int(1))), h(&tuple!("t", Value::Time(1))));
     }
 
     #[test]

@@ -30,7 +30,10 @@
 # beside the layer file's record (a size model, a zero-filled log),
 # against an engine that names a live tuple by anything but its row id
 # (an `Arc`-keyed row, bucket, trie entry or dependents list), against
-# the deleted negative-provenance module; and lint-clean clippy.
+# the deleted negative-provenance module, against a second tuple interner
+# beside the engine's head ids (the deleted global `TupleStore`), against
+# the recorder finding an episode by bisecting its clocks; and lint-clean
+# clippy.
 # The sweep holds five invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery — and it must diagnose every divergent
@@ -324,6 +327,22 @@ step "gate: negative provenance stays deleted" absent \
     "negative provenance reappeared" \
     "why_""not|why""not|Why""Not" \
     crates src tests examples
+# A derived head is looked up by value once, where it is delivered: the
+# engine's head interner gives it an id and its table finds the row by
+# that id. The global interner that heads went through at firing time,
+# before their table searched for them again by value, must not grow
+# back. (Spelled in halves so this script passes its own gate.)
+step "gate: a head is found once" absent \
+    "the deleted global tuple interner reappeared" \
+    "Tuple""Store" \
+    crates
+# The recorder finds an episode by its clock in one probe of its start
+# map, not by bisecting the clocks it has seen. (Spelled in halves so this
+# script passes its own gate.)
+step "gate: the recorder bisects no clocks" absent \
+    "crates/provenance/src/graph.rs bisects its clocks again" \
+    "binary""_search" \
+    crates/provenance/src/graph.rs
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo
