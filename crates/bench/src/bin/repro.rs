@@ -115,6 +115,10 @@ fn run_sim(seeds: u64) {
     } else {
         println!("  failures: {}", failures.join(", "));
     }
+    println!(
+        "  sliced: {} of {} diagnoses equal over the slices and the whole logs",
+        summary.judge_held, summary.diagnosed
+    );
     for path in &summary.corpus_written {
         println!("  wrote shrunk repro {}", path.display());
     }

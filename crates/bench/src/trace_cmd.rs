@@ -41,6 +41,9 @@ pub struct TraceRun {
     pub report: Report,
     /// Every series the diagnosis reported.
     pub aggregate: Aggregate,
+    /// Events logged by the executions diagnosed: one log when both
+    /// events come from it, both otherwise.
+    pub logged: usize,
 }
 
 /// Runs DiffProv on `scenario` with one tracer shared by both executions
@@ -66,9 +69,16 @@ pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
         ..DiffProv::default()
     };
     let report = scenario.diagnose_with(&dp)?;
+    let (good, bad) = (&scenario.good_exec.log, &scenario.bad_exec.log);
+    let logged = if good.events() == bad.events() {
+        bad.len()
+    } else {
+        good.len() + bad.len()
+    };
     Ok(TraceRun {
         report,
         aggregate: tracer.aggregate(),
+        logged,
     })
 }
 
@@ -133,11 +143,23 @@ pub fn summary(run: &TraceRun) -> String {
          {} fork events of {} logged, {} suffix tuples, {} affected",
         agg.counter("replay.rolled{path=roll}"),
         agg.counter("replay.rolled{path=scratch}"),
-        refusals(agg),
+        reasons(agg, "replay.refused"),
         agg.counter("replay.fork_events"),
         agg.counter("replay.log_events"),
         agg.counter("replay.suffix_tuples"),
         agg.counter("replay.affected_events")
+    );
+    // What the replays read of the log: the slices the trees depend on,
+    // their owners and closure rounds, or why the program keeps its whole
+    // log.
+    let _ = writeln!(
+        s,
+        "      slice: {} of {} logged events, {} owners, {} closure rounds{}",
+        agg.counter("replay.slice_events"),
+        run.logged,
+        agg.counter("replay.slice_owners"),
+        agg.counter("replay.slice_rounds"),
+        reasons(agg, "replay.slice_refused")
     );
     let _ = writeln!(
         s,
@@ -228,14 +250,15 @@ pub fn summary(run: &TraceRun) -> String {
     s
 }
 
-/// The reasons UPDATETREE gave for replaying from scratch, as
-/// ` (refused: order x1)`; empty when it gave none.
-fn refusals(agg: &Aggregate) -> String {
+/// The reasons counted under `family{why}` — UPDATETREE's for replaying
+/// from scratch, a program's for keeping its whole log — as
+/// ` (refused: order x1)`; empty when there are none.
+fn reasons(agg: &Aggregate, family: &str) -> String {
     let why: Vec<String> = agg
         .counters
         .iter()
         .filter_map(|(name, n)| match dp_trace::split_series(name) {
-            ("replay.refused", Some(("why", why))) => Some(format!("{why} x{n}")),
+            (f, Some(("why", why))) if f == family => Some(format!("{why} x{n}")),
             _ => None,
         })
         .collect();
@@ -462,7 +485,10 @@ mod tests {
         tracer.counter("replay.refused{why=order}", 1);
         tracer.counter("replay.refused{why=closed}", 2);
         tracer.counter("replay.rolled{path=roll}", 1);
-        assert_eq!(refusals(&tracer.aggregate()), " (refused: closed x2, order x1)");
+        assert_eq!(
+            reasons(&tracer.aggregate(), "replay.refused"),
+            " (refused: closed x2, order x1)"
+        );
     }
 
     /// The stats dump names the scenario and carries both sections.

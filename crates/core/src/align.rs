@@ -3,8 +3,10 @@
 //! Given a "good" and a "bad" event (each identified by a located tuple and
 //! a query time within its execution), [`DiffProv::diagnose`]:
 //!
-//! 1. replays both executions to reconstruct provenance (Section 5,
-//!    query-time approach);
+//! 1. replays the slice of each execution's log the two trees depend on
+//!    to reconstruct provenance (Section 5, query-time approach;
+//!    [`Execution::replay_slice`]) — one slice for both events when they
+//!    share an execution;
 //! 2. finds the seed of each tree by following the trigger chain (FINDSEED,
 //!    Section 4.2);
 //! 3. establishes equivalence between the seeds via taints and formulae
@@ -16,10 +18,14 @@
 //!    ensures the derivation's children exist, repairing violated
 //!    constraints by inverting them against mutable base tuples
 //!    (MAKEAPPEAR, Section 4.5) and accumulating `Δ_{B→G}`;
-//! 6. rolls its replay of the bad execution forward to the changes — the
-//!    running system is never touched, and the log is patched only from
-//!    the first event a change rewrites (UPDATETREE, Section 4.6) — and
+//! 6. rolls its replay of the bad execution's slice forward to the
+//!    changes — the running system is never touched, the log is patched
+//!    only from the first event a change rewrites, and the slice widens
+//!    when a change reaches past it (UPDATETREE, Section 4.6) — and
 //!    repeats until the trees align.
+//!
+//! [`crate::judge`] runs the same diagnosis over the whole logs, as the
+//! oracle the sliced one must equal.
 //!
 //! The number of steps is linear in the size of the good tree (Section
 //! 4.7): the good tree tells DiffProv exactly which tuple to create and
@@ -30,7 +36,7 @@ use std::sync::Arc;
 
 use dp_ndlog::{Constraint, Env, Expr, Func, Program, TupleChange};
 use dp_trace::Tracer;
-use dp_provenance::{tuple_view, TreeIdx, TupleTree};
+use dp_provenance::{tuple_view, ProvTree, TreeIdx, TupleTree};
 use dp_replay::{Execution, Replayed};
 use dp_types::{Error, LogicalTime, NodeId, Result, Tuple, TupleRef, Value};
 
@@ -106,6 +112,10 @@ impl From<Error> for AlignError {
 
 type AResult<T> = std::result::Result<T, AlignError>;
 
+/// How a diagnosis replays an execution for the located tuples its trees
+/// must hold.
+pub(crate) type Replay<'a> = dyn Fn(&Execution, &[(&NodeId, &Tuple)]) -> Result<Replayed> + 'a;
+
 impl DiffProv {
     /// Runs the full DiffProv diagnosis.
     ///
@@ -114,6 +124,13 @@ impl DiffProv {
     /// is a separate job run). Engine-level errors return `Err`;
     /// algorithmic failures (unsuitable reference, immutable tuples,
     /// non-invertible rules) are reported in [`Report::failure`].
+    ///
+    /// Each execution replays the slice of its log the trees depend on
+    /// ([`Execution::replay_slice`]): one slice holding both events for a
+    /// shared execution; otherwise the good event's, then the bad event's
+    /// widened by the owners of the good tree, where the walk looks for
+    /// each tuple's bad-side equivalent. A query time is read on the
+    /// replay's own clock, which for a slice counts the slice's events.
     pub fn diagnose(
         &self,
         good: &Execution,
@@ -121,6 +138,23 @@ impl DiffProv {
         bad: &Execution,
         bad_event: &QueryEvent,
     ) -> Result<Report> {
+        let sliced = |exec: &Execution, tuples: &[(&NodeId, &Tuple)]| {
+            exec.replay_slice(tuples.iter().copied())
+        };
+        Ok(self.run(good, good_event, bad, bad_event, &sliced)?.0)
+    }
+
+    /// [`DiffProv::diagnose`] with the replays `replay` makes of an
+    /// execution for the located tuples its trees must hold, returning the
+    /// report and the two trees it started from.
+    pub(crate) fn run(
+        &self,
+        good: &Execution,
+        good_event: &QueryEvent,
+        bad: &Execution,
+        bad_event: &QueryEvent,
+        replay: &Replay<'_>,
+    ) -> Result<(Report, [ProvTree; 2])> {
         // All stage timing runs through a tracer: the caller's when one is
         // attached, a private aggregate-only tracer otherwise. The metrics
         // in the report are always derived from span aggregates.
@@ -138,8 +172,10 @@ impl DiffProv {
         // serves both trees — the paper's batching (Section 6.6).
         let shared =
             Arc::ptr_eq(&good.program, &bad.program) && good.log.events() == bad.log.events();
+        let (good_root, bad_root) = (&good_event.tref, &bad_event.tref);
+        let roots = [(&good_root.node, &*good_root.tuple), (&bad_root.node, &*bad_root.tuple)];
         let span = tracer.span("diffprov.replay");
-        let replayed_good = good.replay()?;
+        let replayed_good = replay(good, &roots[..if shared { 2 } else { 1 }])?;
         span.end();
 
         let good_tree = replayed_good
@@ -150,6 +186,7 @@ impl DiffProv {
                     good_event.tref, good_event.at
                 ))
             })?;
+        let good_view = tuple_view(&good_tree);
 
         // A diagnosis holds one recording at a time. A separate reference
         // execution is done with once its tree is out: release it before
@@ -158,8 +195,10 @@ impl DiffProv {
             replayed_good
         } else {
             drop(replayed_good);
+            let tuples = good_view.nodes().iter().map(|n| (&n.tref.node, &*n.tref.tuple));
+            let held: Vec<_> = roots[1..].iter().copied().chain(tuples).collect();
             let span = tracer.span("diffprov.replay");
-            let r = bad.replay()?;
+            let r = replay(bad, &held)?;
             span.end();
             r
         };
@@ -171,7 +210,6 @@ impl DiffProv {
                     bad_event.tref, bad_event.at
                 ))
             })?;
-        let good_view = tuple_view(&good_tree);
         let bad_view = tuple_view(&bad_tree);
 
         // Phase 2: find the seeds.
@@ -209,7 +247,7 @@ impl DiffProv {
                 });
                 report.metrics = Metrics::from_aggregate_delta(&agg0, &tracer.aggregate());
                 self.publish(&report);
-                return Ok(report);
+                return Ok((report, [good_tree, bad_tree]));
             }
         };
 
@@ -340,7 +378,7 @@ impl DiffProv {
         }
         report.metrics = Metrics::from_aggregate_delta(&agg0, &tracer.aggregate());
         self.publish(&report);
-        Ok(report)
+        Ok((report, [good_tree, bad_tree]))
     }
 }
 

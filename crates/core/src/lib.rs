@@ -61,12 +61,14 @@
 
 pub mod align;
 pub mod formula;
+pub mod judge;
 pub mod report;
 pub mod scenario;
 pub mod taint;
 
 pub use align::{DiffProv, QueryEvent};
 pub use formula::{seed_var, seed_var_index, Formula};
+pub use judge::Judged;
 pub use report::{Failure, Metrics, Report, Round};
 pub use scenario::Scenario;
 pub use taint::{DerivationEnv, TaintState, VarSource};

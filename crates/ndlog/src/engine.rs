@@ -8,6 +8,15 @@
 //! that unfolds is largely deterministic", and replay-based provenance
 //! reconstruction (Section 5) requires bit-identical re-execution.
 //!
+//! Time is the log's: a base event is due at its logged due, and what a
+//! tuple's appearance derives is due at the due of the event that made it
+//! appear plus the rule's link delay (none for a local head) — never at
+//! the clock plus the delay, so how many unrelated events ran before it
+//! does not move a derived event. The clock, `max(clock + 1, due)`, stamps
+//! events and sets visibility horizons; it schedules nothing. That is what
+//! lets a replay of a slice of the log pop the events it keeps in the
+//! whole run's order (`dp_replay`'s `slice` module).
+//!
 //! Derivations follow trigger semantics: a rule fires when its *last*
 //! precondition appears (Section 4.2), joining against the body tuples
 //! already present. Deletions cascade through support counting, emitting
@@ -100,20 +109,22 @@
 //!
 //! Events pop in ascending `(due, seq)` order, `seq` being the push
 //! counter — the one total order the oracle's single heap defines. The
-//! queue holds them in two places. A replayed log is scheduled in
+//! queue holds them in three places. A replayed log is scheduled in
 //! ascending order before the run starts, so it goes into a **run** — a
 //! `VecDeque` that `push` appends to whenever the new key exceeds the
 //! run's back, and that is popped front to back, sequentially, at no
-//! more than a move per event. Everything else — derived events, due now
-//! or a link delay from now, which sort *before* the log's tail — goes
-//! into a small **heap**. The run is sorted because only keys above its
-//! back are appended to it; the heap's top is its least key; every queued
-//! event is in exactly one of the two: so the lesser of the two fronts is
-//! the least key queued, and `pop` and `next_due` take it. The pop
-//! sequence is therefore the single heap's by construction — for any
-//! interleaving of pushes and pops, not only a replay's — and the heap
-//! holds what is in flight (a batch's derivations) instead of the whole
-//! log. The event budget is checked *before* the pop, so the event it
+//! more than a move per event. Derived events — due at their trigger's
+//! due or a link delay after it, which sorts *before* the log's tail —
+//! try a **second run** the same way: a bulk load's heads, all due one
+//! link delay after the load, arrive in push order and are appended to
+//! it. What neither run takes goes into a small **heap**. A run is sorted
+//! because only keys above its back are appended to it; the heap's top is
+//! its least key; every queued event is in exactly one of the three: so
+//! the least of the three fronts is the least key queued, and `pop` and
+//! `next_due` take it. The pop sequence is therefore the single heap's by
+//! construction — for any interleaving of pushes and pops, not only a
+//! replay's — and the heap holds what arrives out of order instead of the
+//! whole log or a whole bulk load. The event budget is checked *before* the pop, so the event it
 //! refuses stays queued and a budget-tripped engine is visibly not
 //! quiescent.
 //!
@@ -275,59 +286,64 @@ impl Ord for Scheduled {
     }
 }
 
-/// The event queue: a sorted run beside a heap (see the module docs).
+/// The event queue: two sorted runs beside a heap (see the module docs).
 ///
-/// `run` is ascending by `(due, seq)` — `push` appends to it only what
-/// exceeds its back — and `heap` takes the rest, so the least queued event
-/// is the lesser of the two fronts.
+/// Each run is ascending by `(due, seq)` — `push` appends to a run only
+/// what exceeds its back, trying the log's run first — and `heap` takes
+/// the rest, so the least queued event is the least of the three fronts.
 #[derive(Default)]
 struct Queue {
-    run: VecDeque<Scheduled>,
+    runs: [VecDeque<Scheduled>; 2],
     heap: BinaryHeap<Reverse<Scheduled>>,
 }
 
 impl Queue {
     fn push(&mut self, ev: Scheduled) {
-        if self.run.back().is_none_or(|back| *back < ev) {
-            self.run.push_back(ev);
-        } else {
-            self.heap.push(Reverse(ev));
+        match self.runs.iter_mut().find(|run| run.back().is_none_or(|back| *back < ev)) {
+            Some(run) => run.push_back(ev),
+            None => self.heap.push(Reverse(ev)),
         }
     }
 
-    /// True when the next event to pop is the heap's.
-    fn heap_first(&self) -> bool {
-        match (self.run.front(), self.heap.peek()) {
-            (Some(run), Some(Reverse(heap))) => heap < run,
-            (None, heap) => heap.is_some(),
-            (Some(_), None) => false,
+    /// Where the next event to pop is: a run's index, or `None` for the
+    /// heap (or an empty queue).
+    fn first(&self) -> Option<usize> {
+        let [a, b] = &self.runs;
+        let run = match (a.front(), b.front()) {
+            (Some(x), Some(y)) => Some(if y < x { (1, y) } else { (0, x) }),
+            (Some(x), None) => Some((0, x)),
+            (None, Some(y)) => Some((1, y)),
+            (None, None) => None,
+        };
+        match (run, self.heap.peek()) {
+            (Some((i, ev)), Some(Reverse(top))) if ev < top => Some(i),
+            (Some((i, _)), None) => Some(i),
+            _ => None,
         }
     }
 
     /// The least `(due, seq)` event, removed.
     fn pop(&mut self) -> Option<Scheduled> {
-        if self.heap_first() {
-            self.heap.pop().map(|Reverse(ev)| ev)
-        } else {
-            self.run.pop_front()
+        match self.first() {
+            Some(i) => self.runs[i].pop_front(),
+            None => self.heap.pop().map(|Reverse(ev)| ev),
         }
     }
 
     /// The `due` of the event [`Queue::pop`] would return.
     fn next_due(&self) -> Option<LogicalTime> {
-        if self.heap_first() {
-            self.heap.peek().map(|Reverse(ev)| ev.due)
-        } else {
-            self.run.front().map(|ev| ev.due)
+        match self.first() {
+            Some(i) => self.runs[i].front().map(|ev| ev.due),
+            None => self.heap.peek().map(|Reverse(ev)| ev.due),
         }
     }
 
     fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.runs.iter().map(VecDeque::len).sum::<usize>() + self.heap.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.runs.iter().all(VecDeque::is_empty) && self.heap.is_empty()
     }
 }
 
@@ -492,12 +508,14 @@ pub fn join_profile_json(profile: &BTreeMap<Sym, RuleJoinProfile>) -> String {
 }
 
 /// One tuple appearance whose rule firings are deferred to the current
-/// batch boundary. `at` is the logical clock of the appearance; it serves
-/// both as the firing's `now` (derived-event scheduling) and its `as_of`
-/// visibility horizon.
+/// batch boundary. `at` is the logical clock of the appearance, the
+/// firing's `as_of` visibility horizon; `due` is the due of the event
+/// that made the tuple appear, and what the firing schedules is due a
+/// link delay after it — the log's time, not the count of events run.
 struct Delta {
     row: RowRef,
     at: LogicalTime,
+    due: LogicalTime,
 }
 
 /// The evaluator. See the module docs for semantics.
@@ -680,6 +698,23 @@ impl<S: ProvenanceSink> Engine<S> {
         })
     }
 
+    /// Every node at which a tuple of `table` has ever been live, in node
+    /// order: a tuple keeps its row for the engine's life, so one that
+    /// came and went is counted too. A slice's closure reads it.
+    pub fn nodes_that_held(&self, table: &Sym) -> Vec<NodeId> {
+        let Some(t) = self.program.table_index(table) else {
+            return Vec::new();
+        };
+        self.nodes
+            .in_order()
+            .filter(|&(_, at)| {
+                let node = &self.nodes.nodes[at as usize];
+                node.table(t).is_some_and(|tab| !tab.rows.is_empty())
+            })
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
     /// Schedules a base-tuple insertion not earlier than `due`. A tuple
     /// handed over behind an `Arc` is held as it is: the engine keeps the
     /// caller's allocation, neither a copy nor an interned twin of it.
@@ -855,9 +890,9 @@ impl<S: ProvenanceSink> Engine<S> {
             self.stats.events += 1;
             self.clock = self.clock.wrapping_add(1).max(ev.due);
             match ev.action {
-                Action::InsertBase(node, tuple) => self.do_insert_base(node, tuple)?,
+                Action::InsertBase(node, tuple) => self.do_insert_base(ev.due, node, tuple)?,
                 Action::DeleteBase(node, tuple) => self.do_delete_base(node, tuple)?,
-                Action::InsertDerived(d) => self.do_insert_derived(d)?,
+                Action::InsertDerived(d) => self.do_insert_derived(ev.due, d)?,
             }
             if self.events.len() >= EVENT_HANDOFF {
                 self.drain_events();
@@ -899,7 +934,7 @@ impl<S: ProvenanceSink> Engine<S> {
         self.live_tuples = self.live_tuples.saturating_sub(1);
     }
 
-    fn do_insert_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
+    fn do_insert_base(&mut self, due: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let now = self.clock;
         // `check_base` found the table's schema when the event was
         // scheduled, so the program gave the table an index.
@@ -934,7 +969,7 @@ impl<S: ProvenanceSink> Engine<S> {
                 node,
                 tuple,
             });
-            self.pending.push(Delta { row, at: now });
+            self.pending.push(Delta { row, at: now, due });
         }
         Ok(())
     }
@@ -991,7 +1026,7 @@ impl<S: ProvenanceSink> Engine<S> {
         }
     }
 
-    fn do_insert_derived(&mut self, d: Derivation) -> Result<()> {
+    fn do_insert_derived(&mut self, due: LogicalTime, d: Derivation) -> Result<()> {
         let Derivation {
             node,
             args,
@@ -1045,7 +1080,11 @@ impl<S: ProvenanceSink> Engine<S> {
                 tuple: Arc::clone(tuple),
             });
             self.note_appear();
-            self.pending.push(Delta { row: head, at: now });
+            self.pending.push(Delta {
+                row: head,
+                at: now,
+                due,
+            });
         }
         self.stats.derivations += 1;
         self.rule_firings[slot as usize] += 1;
@@ -1200,7 +1239,7 @@ mod tests {
             let mut rng = dp_types::DetRng::seed_from_u64(seed);
             let (mut queue, mut model) = (Queue::default(), BinaryHeap::new());
             let push_bias = 0.35 + 0.1 * (seed % 4) as f64;
-            let (mut seq, mut pops, mut via_heap) = (0, 0, 0);
+            let (mut seq, mut pops, mut via_heap, mut via_second) = (0, 0, 0, 0);
             for step in 0..4_000 {
                 // Drain completely now and then: an empty run is a case.
                 let draining = step % 1_000 >= 900;
@@ -1217,12 +1256,16 @@ mod tests {
                     pops += 1;
                 }
                 via_heap += usize::from(!queue.heap.is_empty());
+                via_second += usize::from(!queue.runs[1].is_empty());
                 let peek = model.peek().map(|&Reverse((due, _))| due);
                 assert_eq!(queue.next_due(), peek, "seed {seed} step {step}");
                 assert_eq!(queue.len(), model.len(), "seed {seed} step {step}");
                 assert_eq!(queue.is_empty(), model.is_empty());
             }
-            assert!(pops > 1_000 && via_heap > 100, "seed {seed}: both halves exercised");
+            assert!(
+                pops > 1_000 && via_second > 300 && via_heap > 30,
+                "seed {seed}: the second run and the heap exercised"
+            );
         }
     }
 
@@ -1241,7 +1284,7 @@ mod tests {
             model.push(Reverse((10 + i / 4, seq)));
             seq += 1;
         }
-        assert_eq!((queue.run.len(), queue.heap.len()), (n as usize, 0));
+        assert_eq!((queue.runs[0].len(), queue.heap.len()), (n as usize, 0));
         let mut high_water = 0;
         while let Some(ev) = queue.pop() {
             assert_eq!(model.pop(), Some(Reverse((ev.due, ev.seq))));
@@ -1259,6 +1302,32 @@ mod tests {
         }
         assert!(model.is_empty() && seq > n + n / 2, "{seq} events in all");
         assert!(high_water * 100 < n as usize, "heap held {high_water} of {n}");
+    }
+
+    /// A bulk load's shape: one due for the whole load, and each loaded
+    /// tuple's head due a link delay later, ahead of the rest of the log.
+    /// The heads arrive in push order at one due, so they form the second
+    /// run and the heap stays empty.
+    #[test]
+    fn queue_keeps_a_bulk_loads_heads_out_of_the_heap() {
+        let n = 20_000;
+        let (mut queue, mut model) = (Queue::default(), BinaryHeap::new());
+        let mut seq = 0;
+        for due in std::iter::repeat_n(10, n).chain([1_000, 2_000]) {
+            queue.push(queued(due, seq));
+            model.push(Reverse((due, seq)));
+            seq += 1;
+        }
+        while let Some(ev) = queue.pop() {
+            assert_eq!(model.pop(), Some(Reverse((ev.due, ev.seq))));
+            if ev.due == 10 {
+                queue.push(queued(11, seq));
+                model.push(Reverse((11, seq)));
+                seq += 1;
+            }
+            assert!(queue.heap.is_empty(), "a head went to the heap at {seq}");
+        }
+        assert!(model.is_empty());
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl FireCtx<'_> {
                 .table_index(&em.tuple.table)
                 .ok_or(Error::UnknownTable(em.tuple.table))?;
             out.actions.push((
-                d.at + em.delay,
+                d.due + em.delay,
                 Action::InsertDerived(Derivation {
                     node: em.node,
                     args: em.tuple.args.into_boxed_slice(),
@@ -419,7 +419,7 @@ impl FireCtx<'_> {
                 rule.link_delay
             };
             actions.push((
-                d.at + delay,
+                d.due + delay,
                 Action::InsertDerived(Derivation {
                     node: head_node,
                     args: head.args.into_boxed_slice(),
@@ -516,7 +516,7 @@ impl FireCtx<'_> {
                 rule.link_delay
             };
             actions.push((
-                d.at + delay,
+                d.due + delay,
                 Action::InsertDerived(Derivation {
                     node: head_node,
                     args: head.args.into_boxed_slice(),

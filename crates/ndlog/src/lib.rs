@@ -34,6 +34,7 @@ pub mod parser;
 pub mod program;
 pub mod reference;
 pub mod sink;
+pub mod slice;
 #[cfg(feature = "testing")]
 pub mod testsupport;
 
@@ -49,3 +50,4 @@ pub use program::{
 };
 pub use reference::ScheduledOp;
 pub use sink::{BodyRef, HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};
+pub use slice::{Needs, Place, Share, SlicePlan};

@@ -10,6 +10,7 @@ use crate::ast::{Constraint, Rule};
 use crate::compile::{compile, Check, CompiledRule, IndexRegistry, IndexSpecs, TrieSpecs};
 use crate::engine::NodeView;
 use crate::parser::parse_rules;
+use crate::slice::SlicePlan;
 
 /// A proposed change to a single base tuple — the elements of the paper's
 /// `Δ_{B→G}` (Definition 1).
@@ -212,6 +213,8 @@ pub struct Program {
     /// Each rule resolved to slots and planned, by rule index
     /// (`crate::compile`).
     compiled: Vec<CompiledRule>,
+    /// Which base events a query's slice of a log keeps.
+    slice: SlicePlan,
 }
 
 // Executions share their program as an `Arc<Program>`, and a caller may
@@ -326,6 +329,13 @@ impl Program {
         } else {
             Reads::Builtins(calls)
         }
+    }
+
+    /// The slice plan computed when the program was built: which base
+    /// events a provenance query's slice of a log keeps
+    /// ([`crate::slice`]).
+    pub fn slice_plan(&self) -> &SlicePlan {
+        &self.slice
     }
 
     /// Looks up a stateful builtin.
@@ -526,6 +536,8 @@ impl ProgramBuilder {
         let trie_specs = by_index(&table_ids, registry.trie_specs);
         let table_names = table_ids.keys().copied().collect();
         let derived = self.schemas.iter().map(|s| s.kind == dp_types::TableKind::Derived).collect();
+        let slice =
+            SlicePlan::of(&self.schemas, &self.rules, !self.natives.is_empty(), &self.builtins);
         Ok(Arc::new(Program {
             schemas: self.schemas,
             rules: self.rules,
@@ -539,6 +551,7 @@ impl ProgramBuilder {
             index_specs,
             trie_specs,
             compiled,
+            slice,
         }))
     }
 }

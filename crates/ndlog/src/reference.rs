@@ -25,6 +25,9 @@
 //!
 //! * Events are processed in `(due, arrival sequence)` order; each gets
 //!   the logical time `max(previous + 1, due)`.
+//! * What an appearance derives is due at the due of the event that made
+//!   the tuple appear plus the link delay — the log's time: how many
+//!   events ran before it does not move a derived event's due.
 //! * A rule fires when a tuple *appears* (support 0 → positive), once per
 //!   body position whose table matches; aggregation rules fire on their
 //!   fence (atom 0) only. Rules fire in program order, natives after.
@@ -187,9 +190,9 @@ pub fn evaluate(
         processed += 1;
         clock = clock.wrapping_add(1).max(due);
         match action {
-            Action::Insert(node, tuple) => o.insert_base(clock, node, tuple)?,
+            Action::Insert(node, tuple) => o.insert_base((clock, due), node, tuple)?,
             Action::Delete(node, tuple) => o.delete_base(clock, node, tuple),
-            Action::Deliver(d) => o.deliver(clock, d)?,
+            Action::Deliver(d) => o.deliver((clock, due), d)?,
         }
     }
     Ok(FinalTables { nodes: o.nodes })
@@ -225,7 +228,13 @@ impl Oracle<'_> {
         })
     }
 
-    fn insert_base(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
+    /// `(now, due)`: the event's logical time and its due.
+    fn insert_base(
+        &mut self,
+        (now, due): (LogicalTime, LogicalTime),
+        node: NodeId,
+        tuple: Arc<Tuple>,
+    ) -> Result<()> {
         let entry = self.entry(node, &tuple);
         if entry.base {
             return Ok(());
@@ -243,7 +252,7 @@ impl Oracle<'_> {
             tuple: Arc::clone(&tuple),
         });
         if appears {
-            self.appear(now, node, tuple)?;
+            self.appear((now, due), node, tuple)?;
         }
         Ok(())
     }
@@ -268,7 +277,7 @@ impl Oracle<'_> {
         }
     }
 
-    fn deliver(&mut self, now: LogicalTime, d: Delivery) -> Result<()> {
+    fn deliver(&mut self, (now, due): (LogicalTime, LogicalTime), d: Delivery) -> Result<()> {
         // In-flight re-check: a body tuple may have disappeared between
         // the firing and the delivery. The ones that are there are
         // reported under the episode they are in now.
@@ -312,20 +321,26 @@ impl Oracle<'_> {
             trigger: d.trigger,
         });
         if appears {
-            self.appear(now, d.node, d.tuple)?;
+            self.appear((now, due), d.node, d.tuple)?;
         }
         Ok(())
     }
 
-    /// `tuple` just went from no support to some: report it and fire.
-    fn appear(&mut self, now: LogicalTime, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
+    /// `tuple` just went from no support to some, at `now` by an event due
+    /// at `due`: report it and fire.
+    fn appear(
+        &mut self,
+        (now, due): (LogicalTime, LogicalTime),
+        node: NodeId,
+        tuple: Arc<Tuple>,
+    ) -> Result<()> {
         self.sink.record(ProvEvent::Appear {
             time: now,
             node,
             tuple: Arc::clone(&tuple),
         });
-        for (due, d) in self.firings(now, &node, &tuple)? {
-            self.push(due, Action::Deliver(d));
+        for (at, d) in self.firings(due, &node, &tuple)? {
+            self.push(at, Action::Deliver(d));
         }
         Ok(())
     }
@@ -376,11 +391,11 @@ impl Oracle<'_> {
         }
     }
 
-    /// Everything the appearance of `tuple` at `node` derives, with the
-    /// due time of each delivery, in firing order.
+    /// Everything the appearance of `tuple` at `node`, by an event due at
+    /// `due`, derives, with the due time of each delivery, in firing order.
     fn firings(
         &self,
-        now: LogicalTime,
+        due: LogicalTime,
         node: &NodeId,
         tuple: &Arc<Tuple>,
     ) -> Result<Vec<(LogicalTime, Delivery)>> {
@@ -391,9 +406,9 @@ impl Oracle<'_> {
                     continue;
                 }
                 if rule.agg.is_none() {
-                    self.fire_rule(now, node, tuple, rule, pos, &mut out)?;
+                    self.fire_rule(due, node, tuple, rule, pos, &mut out)?;
                 } else if pos == 0 {
-                    self.fire_agg_rule(now, node, tuple, rule, &mut out)?;
+                    self.fire_agg_rule(due, node, tuple, rule, &mut out)?;
                 }
             }
         }
@@ -410,7 +425,7 @@ impl Oracle<'_> {
                     });
                 }
                 out.push((
-                    now + em.delay,
+                    due + em.delay,
                     Delivery {
                         node: em.node,
                         tuple: Arc::new(em.tuple),
@@ -493,7 +508,7 @@ impl Oracle<'_> {
     #[allow(clippy::too_many_arguments)]
     fn send(
         &self,
-        now: LogicalTime,
+        due: LogicalTime,
         node: &NodeId,
         rule: &Rule,
         to: NodeId,
@@ -505,7 +520,7 @@ impl Oracle<'_> {
         self.program.schemas.check(&head)?;
         let delay = if to == *node { 0 } else { rule.link_delay };
         Ok((
-            now + delay,
+            due + delay,
             Delivery {
                 node: to,
                 tuple: Arc::new(head),
@@ -518,7 +533,7 @@ impl Oracle<'_> {
 
     fn fire_rule(
         &self,
-        now: LogicalTime,
+        due: LogicalTime,
         node: &NodeId,
         tuple: &Arc<Tuple>,
         rule: &Rule,
@@ -540,7 +555,7 @@ impl Oracle<'_> {
                 .into_iter()
                 .map(|t| TupleRef::new(*node, t))
                 .collect();
-            out.push(self.send(now, node, rule, to, args, body, trigger)?);
+            out.push(self.send(due, node, rule, to, args, body, trigger)?);
         }
         Ok(())
     }
@@ -552,7 +567,7 @@ impl Oracle<'_> {
     /// every contributing tuple, each once, in first-use order.
     fn fire_agg_rule(
         &self,
-        now: LogicalTime,
+        due: LogicalTime,
         node: &NodeId,
         tuple: &Arc<Tuple>,
         rule: &Rule,
@@ -593,7 +608,7 @@ impl Oracle<'_> {
             let acc = acc.expect("every group folded at least one match");
             args.insert(spec.head_index, Value::Int(acc));
             let to = NodeId(*loc.as_str()?);
-            out.push(self.send(now, node, rule, to, args, used, 0)?);
+            out.push(self.send(due, node, rule, to, args, used, 0)?);
         }
         Ok(())
     }
@@ -798,14 +813,15 @@ mod tests {
             ins(1, "a", tuple!("link", "b")),
             app(1, "a", tuple!("link", "b")),
             // The three observations share due 1 and run at 2, 3, 4; each
-            // sends `seen` to b, one tick of link delay later.
+            // sends `seen` to b, due one tick of link delay after its due.
             ins(2, "a", tuple!("obs", 1, 10)),
             app(2, "a", tuple!("obs", 1, 10)),
             ins(3, "a", tuple!("obs", 1, 20)),
             app(3, "a", tuple!("obs", 1, 20)),
             ins(4, "a", tuple!("obs", 2, 10)),
             app(4, "a", tuple!("obs", 2, 10)),
-            // Deliveries due 3, 4, 5 run at 5, 6, 7. seen(1) fails `X > 1`.
+            // The three deliveries, all due 2, run at 5, 6, 7. seen(1)
+            // fails `X > 1`.
             der(
                 (5, 5),
                 "b",

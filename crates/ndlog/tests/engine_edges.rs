@@ -1185,16 +1185,17 @@ impl NativeRule for EchoLate {
 #[test]
 fn same_due_deltas_fire_delta_major() {
     // One table (`e`) triggers two declarative rules, an aggregate and a
-    // native; three `e` tuples share a due, so they fire in one flush at
-    // clocks 5, 6 and 7. The rules' delays differ (far +2, near +1, the
-    // local aggregate +0, the native +2), so heads of *different* deltas
-    // collide on one due — and there only the push order decides who runs
-    // first. The oracle fires tuple-at-a-time: everything the first delta
-    // scheduled is pushed before anything of the second, each delta's
-    // declarative rules in program order and then its natives. The
+    // native; three `e` tuples share due 5, so they fire in one flush at
+    // clocks 5, 6 and 7. A head is due at its trigger's due plus its delay
+    // (far +2, near +1, the local aggregate +0, the native +2), and the
+    // three triggers share a due, so the heads of *different* deltas
+    // collide on every due — and there only the push order decides who
+    // runs first. The oracle fires tuple-at-a-time: everything the first
+    // delta scheduled is pushed before anything of the second, each
+    // delta's declarative rules in program order and then its natives. The
     // expected stream below is worked out by hand from that rule; a
-    // rule-major flush would run `nat`'s g(1) after cnt's tot(3,10) at
-    // due 7 (and g(2) after near's f(3) at due 8).
+    // rule-major flush would run d(1), d(2) and d(3) before any `nat` head
+    // at due 7.
     let mut reg = SchemaRegistry::new();
     reg.declare(Schema::new("e", TableKind::ImmutableBase, [("x", FieldType::Int)]));
     reg.declare(Schema::new("obs", TableKind::ImmutableBase, [("c", FieldType::Int)]));
@@ -1244,22 +1245,20 @@ fn same_due_deltas_fire_delta_major() {
     assert_eq!(
         derived,
         vec![
-            // due 5: only the first delta's local aggregate.
+            // due 5: the local aggregates, one per delta, in delta order.
             (5, 8, "n", tuple!("tot", 1, 10), "cnt"),
-            // due 6: first delta's near (pushed before the second delta's cnt).
-            (5, 9, "m", tuple!("f", 1), "near"),
-            (6, 10, "n", tuple!("tot", 2, 10), "cnt"),
-            // due 7: four heads of three deltas, in push order — the first
-            // delta's far and native, the second's near, the third's cnt.
-            (5, 11, "m", tuple!("d", 1), "far"),
-            (5, 12, "n", tuple!("g", 1), "nat"),
-            (6, 13, "m", tuple!("f", 2), "near"),
-            (7, 14, "n", tuple!("tot", 3, 10), "cnt"),
-            // due 8.
-            (6, 15, "m", tuple!("d", 2), "far"),
-            (6, 16, "n", tuple!("g", 2), "nat"),
-            (7, 17, "m", tuple!("f", 3), "near"),
-            // due 9.
+            (6, 9, "n", tuple!("tot", 2, 10), "cnt"),
+            (7, 10, "n", tuple!("tot", 3, 10), "cnt"),
+            // due 6: near, one per delta.
+            (5, 11, "m", tuple!("f", 1), "near"),
+            (6, 12, "m", tuple!("f", 2), "near"),
+            (7, 13, "m", tuple!("f", 3), "near"),
+            // due 7: six heads of three deltas, in push order — each
+            // delta's far, then its native, before the next delta's.
+            (5, 14, "m", tuple!("d", 1), "far"),
+            (5, 15, "n", tuple!("g", 1), "nat"),
+            (6, 16, "m", tuple!("d", 2), "far"),
+            (6, 17, "n", tuple!("g", 2), "nat"),
             (7, 18, "m", tuple!("d", 3), "far"),
             (7, 19, "n", tuple!("g", 3), "nat"),
         ]
@@ -1366,16 +1365,16 @@ fn a_bulk_load_is_handed_off_in_bounded_runs() {
         .build()
         .unwrap();
 
-    // One batch of 3 x HANDOFF inserts, two events each; each of the
-    // derivations behind it is due at its own delta's clock, a batch of
-    // its own.
+    // One batch of 3 x HANDOFF inserts, two events each; the derivations
+    // behind it are local, so all are due at the load's own due, 3: one
+    // second batch of 3 x HANDOFF.
     let ops: Vec<ScheduledOp> = (1..=3 * HANDOFF as i64)
         .map(|i| ScheduledOp::insert(3, "n", tuple!("q", i)))
         .collect();
     let mut eng = Engine::new(Arc::clone(&program), Runs::default());
     testsupport::schedule_all(&mut eng, &ops);
     let stats = eng.run().unwrap();
-    assert_eq!(stats.batches, 1 + 3 * HANDOFF as u64);
+    assert_eq!(stats.batches, 2);
     let got = eng.into_sink();
     // A hand-off is due once an engine event leaves HANDOFF events or
     // more buffered, and an event here emits at most two.

@@ -85,6 +85,21 @@ impl ProvTree {
         out
     }
 
+    /// [`ProvTree::render`] with each stamp replaced by its rank among the
+    /// tree's distinct stamps: what a replay of a slice of the log must
+    /// render identically to the whole log's replay, whose clock counted
+    /// more events between the same ones.
+    pub fn render_ranked(&self) -> String {
+        let mut stamps: Vec<LogicalTime> = self.nodes.iter().map(|n| n.time).collect();
+        stamps.sort_unstable();
+        stamps.dedup();
+        let mut ranked = self.clone();
+        for n in &mut ranked.nodes {
+            n.time = stamps.partition_point(|&t| t < n.time) as LogicalTime;
+        }
+        ranked.render()
+    }
+
     fn render_into(&self, idx: TreeIdx, depth: usize, out: &mut String) {
         let n = &self.nodes[idx];
         for _ in 0..depth {

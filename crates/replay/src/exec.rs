@@ -8,6 +8,13 @@
 //! The clone is cheap and shared: a log holds its tuples behind `Arc`s, so
 //! a cloned or patched log, every engine replaying either and every
 //! recording made of them point at one allocation per base tuple.
+//!
+//! A diagnosis replays a *slice* ([`Execution::replay_slice`]): the events
+//! the provenance of its queried tuples depends on, by the program's slice
+//! plan, closed over the run (the `slice` module). A [`Replayed`] of a
+//! slice holds the cut and the cut log, and [`Replayed::roll_forward`]
+//! rolls that; [`Execution::replay`] replays the whole log, for the
+//! judge's oracle and every reader that wants the whole run.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -21,6 +28,7 @@ use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
 use crate::roll::{self, Phase, Refusal, Suffix};
+use crate::slice::{Cut, Index, Slice};
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 1): there is one
 /// provenance backend, and both values record the graph.
@@ -67,6 +75,9 @@ pub struct Replayed {
     /// True until the first roll: the recording is the replay's alone, so
     /// its base vertices are the log's events, in order.
     fresh: bool,
+    /// The slice this replays ([`Execution::replay_slice`]); `None` for
+    /// the whole log.
+    slice: Option<Box<Slice>>,
 }
 
 impl Replayed {
@@ -78,6 +89,7 @@ impl Replayed {
             rolled: (Vec::new(), 0),
             scheduled: scheduled as u64,
             fresh: true,
+            slice: None,
         }
     }
 
@@ -133,6 +145,13 @@ impl Replayed {
     /// (`roll_forward_differential.rs`). The recording additionally keeps
     /// the history of what was withdrawn. After an `Err` the state is
     /// unspecified.
+    ///
+    /// A replay of a slice ([`Execution::replay_slice`]) rolls its slice:
+    /// the patched slice is the slice of the patched log once the cut holds
+    /// both sides of every change. When it does not, or when the rolled
+    /// state carries a key-group tuple to a node outside the owners (a
+    /// change opened a path), the cut is widened and the patched log
+    /// sliced and replayed from scratch (`replay.rolled{path=widen}`).
     pub fn roll_forward(
         &mut self,
         exec: &Execution,
@@ -140,16 +159,39 @@ impl Replayed {
         inject_at: LogicalTime,
     ) -> Result<()> {
         let tracer = self.engine.tracer().clone();
-        match self.rewind(exec, delta, inject_at, &tracer)? {
-            Ok(()) => tracer.counter("replay.rolled{path=roll}", 1),
-            Err(why) => {
-                tracer.counter(why.series(), 1);
-                tracer.counter("replay.rolled{path=scratch}", 1);
-                // Release the held recording before the replay builds its
-                // log and allocates its own, so the two never coexist.
-                self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-                *self = exec.replay_with(delta, inject_at)?;
+        let plan = exec.program.slice_plan();
+        let slice = self.slice.take();
+        let mut widened = slice.as_ref().and_then(|s| {
+            let mut cut = s.cut.clone();
+            cut.admit_changes(plan, delta).then_some(cut)
+        });
+        if widened.is_none() {
+            let base = slice.as_ref().map_or(exec, |s| &s.exec);
+            match self.rewind(base, delta, inject_at, &tracer)? {
+                Ok(()) => tracer.counter("replay.rolled{path=roll}", 1),
+                Err(why) => {
+                    tracer.counter(why.series(), 1);
+                    tracer.counter("replay.rolled{path=scratch}", 1);
+                    // Release the held recording before the replay builds
+                    // its log and allocates its own, so the two never
+                    // coexist.
+                    self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+                    *self = base.replay_with(delta, inject_at)?;
+                }
             }
+            if let Some(mut s) = slice {
+                if s.cut.close(plan, &self.engine) {
+                    widened = Some(s.cut);
+                } else {
+                    self.slice = Some(s);
+                }
+            }
+        }
+        if let Some(cut) = widened {
+            tracer.counter("replay.rolled{path=widen}", 1);
+            // The held recording goes first here too.
+            self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+            *self = exec.replay_cut(cut, delta, inject_at)?;
         }
         self.rolled = (delta.to_vec(), inject_at);
         self.fresh = false;
@@ -246,6 +288,9 @@ impl Replayed {
         let span = tracer.span("replay.withdraw");
         self.restore(&suffix.restore(false))?;
         span.end();
+        if let Err(why) = roll::withdrawn(&self.engine, &suffix, &found) {
+            return Ok(Err(why));
+        }
         self.reissue(suffix.events(false), tracer)?;
         let span = tracer.span("replay.settle");
         let settled = roll::settled(&self.engine, &suffix, found, from);
@@ -418,6 +463,61 @@ impl Execution {
         Ok(Replayed::new(engine, scheduled))
     }
 
+    /// Replays the slice of the log that the provenance of `tuples` depends
+    /// on, recording provenance: the program's slice plan
+    /// ([`dp_ndlog::slice`]) cut down to the keys and owners of `tuples`,
+    /// then closed over the run (the module `slice`). The replay's live
+    /// tuples and trees are the whole log's, restricted to what the slice
+    /// keeps, with stamps re-ranked; a program whose plan refused its key
+    /// replays its whole log.
+    ///
+    /// Counted on the tracer: `replay.slice_events` (events replayed),
+    /// `replay.slice_owners`, `replay.slice_rounds` (closure rounds, each a
+    /// replay into a null sink) and `replay.slice_refused{why}`.
+    pub fn replay_slice<'t>(
+        &self,
+        tuples: impl IntoIterator<Item = (&'t NodeId, &'t Tuple)>,
+    ) -> Result<Replayed> {
+        let plan = self.program.slice_plan();
+        if let Some(why) = plan.refused() {
+            self.tracer.counter(&format!("replay.slice_refused{{why={why}}}"), 1);
+            self.tracer.counter("replay.slice_events", self.log.len() as u64);
+            return self.replay();
+        }
+        self.replay_cut(Cut::of(plan, tuples), &[], 0)
+    }
+
+    /// Slices the log with `delta` applied: `cut`, widened to hold the
+    /// changes and closed over null-sink replays, recorded once closed.
+    fn replay_cut(
+        &self,
+        mut cut: Cut,
+        delta: &[TupleChange],
+        inject_at: LogicalTime,
+    ) -> Result<Replayed> {
+        let plan = self.program.slice_plan();
+        cut.admit_changes(plan, delta);
+        let events = self.log.events();
+        let index = Index::of(plan, &events);
+        let mut rounds = 0;
+        let (sliced, patched) = loop {
+            let sliced = self.with_log(cut.log(&index, &events));
+            let patched = (!delta.is_empty())
+                .then(|| sliced.with_log(apply_changes(&sliced.log, delta, inject_at)));
+            let engine = patched.as_ref().unwrap_or(&sliced).replay_null()?;
+            rounds += 1;
+            if !cut.close(plan, &engine) {
+                break (sliced, patched);
+            }
+        };
+        let mut replayed = patched.as_ref().unwrap_or(&sliced).replay()?;
+        self.tracer.counter("replay.slice_events", replayed.scheduled);
+        self.tracer.counter("replay.slice_owners", cut.owners() as u64);
+        self.tracer.counter("replay.slice_rounds", rounds);
+        replayed.slice = Some(Box::new(Slice { cut, exec: sliced }));
+        Ok(replayed)
+    }
+
     /// Replays without recording provenance: the cost of evaluation
     /// alone, with the execution's tracer attached.
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
@@ -457,10 +557,17 @@ impl Execution {
     /// same state from a replay already held, falls back to this when the
     /// trust rule refuses the roll, and is checked against it.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
-        let mut clone = Execution::new(Arc::clone(&self.program));
-        clone.log = apply_changes(&self.log, changes, inject_at);
-        clone.tracer = self.tracer.clone();
-        clone.replay()
+        self.with_log(apply_changes(&self.log, changes, inject_at)).replay()
+    }
+
+    /// An execution of the same program and tracer over `log`.
+    fn with_log(&self, log: EventLog) -> Execution {
+        Execution {
+            program: Arc::clone(&self.program),
+            log,
+            tracer: self.tracer.clone(),
+            provenance_backend: self.provenance_backend,
+        }
     }
 }
 

@@ -20,6 +20,7 @@ pub mod exec;
 pub mod layers;
 pub mod log;
 mod roll;
+mod slice;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};
 pub use layers::{Checkpoint, DurableStore, Layer};

@@ -30,7 +30,10 @@
 //! A prefix firing cannot be re-issued. One that read through a builtin,
 //! an aggregate or a native and that the change could reach — it depended
 //! on a withdrawn body, or it ran after the fork and read what Δ touched —
-//! sends the roll to a from-scratch replay instead (the trust rule).
+//! sends the roll to a from-scratch replay instead (the trust rule). So
+//! does an episode a withdrawn event caused that is still open after the
+//! withdrawal: tuples that hold each other up (a forwarding loop) survive
+//! the cascade, and the re-issue would find them already there.
 //!
 //! Each suffix event is keyed once: a located tuple's id is its rank in
 //! the order first read — the patched suffix's tuples, then those only the
@@ -68,6 +71,10 @@ pub(crate) enum Refusal {
     /// A native or an aggregate fires on the prefix at a node the change
     /// touched, or where phase C changed its node.
     Native,
+    /// A tuple a withdrawn event caused outlived the withdrawal: tuples
+    /// that support each other (a forwarding loop) keep one another live,
+    /// where the from-scratch replay never derives them.
+    Cycle,
 }
 
 impl Refusal {
@@ -79,6 +86,7 @@ impl Refusal {
             Refusal::Closed => "replay.refused{why=closed}",
             Refusal::OutsideRead => "replay.refused{why=outside-read}",
             Refusal::Native => "replay.refused{why=native}",
+            Refusal::Cycle => "replay.refused{why=cycle}",
         }
     }
 }
@@ -630,6 +638,25 @@ impl Origins {
             None => self.walked[r] = origin,
         }
     }
+}
+
+/// After phase C's withdrawal: every episode whose trigger chain starts at
+/// a withdrawn event is closed. One that is still open is held by a
+/// derivation the withdrawal did not reach — tuples supporting each other
+/// — and the re-issue would find it already there.
+pub(crate) fn withdrawn(
+    engine: &Engine<GraphRecorder>,
+    suffix: &Suffix<'_>,
+    found: &Found,
+) -> Result<(), Refusal> {
+    let graph = &engine.sink().graph;
+    let open = found.origin.iter().enumerate().any(|(r, &o)| {
+        o != PREFIX && suffix.affected[o as usize] && graph.row(r as RowId).end.is_none()
+    });
+    if open {
+        return Err(Refusal::Cycle);
+    }
+    Ok(())
 }
 
 /// The checks after phase C, over what it recorded from vertex `from` on.

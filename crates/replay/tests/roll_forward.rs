@@ -105,9 +105,13 @@ fn rolled(exec: &Execution, delta: &[TupleChange], inject_at: u64) -> Replayed {
 }
 
 /// (a) The re-issued suffix is shifted in time. After a replay the clock
-/// has overrun every logged due, so at their original dues the re-issued
-/// base events all pop back to back — the fence before the items' `got`s
-/// have crossed the link — and the aggregate counts the prefix's one item.
+/// has overrun every logged due. That no longer decides the order: a
+/// derived event is due at its trigger's due plus the link delay, not at
+/// the clock, so even re-issued at their original dues the items' `got`s
+/// are due before the fence and the aggregate counts them — the shift's
+/// answer. Under the old due rule (the clock plus the delay) the naive
+/// re-issue's fence ran first and counted the prefix's one item: the
+/// ordering hazard the shift exists for came from the clock, not the log.
 #[test]
 fn reissue_is_time_shifted_so_the_fence_follows_derived_work() {
     let exec = execution();
@@ -133,7 +137,11 @@ fn reissue_is_time_shifted_so_the_fence_follows_derived_work() {
         naive.engine.schedule_insert(e.due, e.node, e.tuple.clone()).unwrap();
     }
     naive.engine.run().unwrap();
-    assert_eq!(totals(&naive), [tuple!("total", 1)], "the fence fired before any re-issued item arrived");
+    assert_eq!(
+        totals(&naive),
+        [tuple!("total", 1 + 5 + 3)],
+        "each got is due a link delay after its item's due, before the fence's"
+    );
 }
 
 /// (b) Withdraw inverts only the ops the engine acted on. A duplicate base
@@ -555,4 +563,45 @@ fn one_located_tuple_is_one_id_across_its_allocations() {
         5,
         "the new entry's three events, packets 1 and 2"
     );
+}
+
+/// (j) Withdrawal cannot undo a cycle. Two nodes forward a packet to each
+/// other, so once it has gone round, its tuple at either node is derived
+/// from the other's: withdrawing the packet's event leaves both live, and
+/// re-issuing it would find them already there, their episodes older
+/// than Δ's. The roll sees an episode its withdrawn events caused still
+/// open after the withdrawal and replays from scratch instead.
+#[test]
+fn tuples_that_hold_each_other_up_send_the_roll_to_scratch() {
+    use FieldType::{Int, Str};
+    let mut reg = SchemaRegistry::new();
+    reg.declare(Schema::new("pkt", TableKind::ImmutableBase, [("k", Int)]));
+    reg.declare(Schema::new("link", TableKind::ImmutableBase, [("to", Str)]));
+    reg.declare(Schema::new("tag", TableKind::MutableBase, [("t", Int)]));
+    reg.declare(Schema::new("at", TableKind::Derived, [("k", Int)]));
+    reg.declare(Schema::new("seen", TableKind::Derived, [("k", Int), ("t", Int)]));
+    let program = Program::builder(reg)
+        .rules_text(
+            "in at(@M, K) :- pkt(@M, K).
+             hop at(@N, K) :- at(@M, K), link(@M, N).
+             see seen(@M, K, T) :- at(@M, K), tag(@M, T).",
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut exec = Execution::new(program);
+    exec.tracer = Tracer::aggregate_only();
+    exec.log.insert(0, "a", tuple!("link", "b"));
+    exec.log.insert(0, "b", tuple!("link", "a"));
+    exec.log.insert(5, "a", tuple!("tag", 1));
+    exec.log.insert(10, "a", tuple!("pkt", 1));
+    // Δ's tag joins the packet's tuple at `a`: the packet is affected.
+    let delta = [TupleChange {
+        node: NodeId::new("a"),
+        before: Some(tuple!("tag", 1)),
+        after: Some(tuple!("tag", 2)),
+    }];
+    let r = rolled_by(&exec, &delta, 0, "scratch");
+    assert_eq!(exec.tracer.aggregate().counter("replay.refused{why=cycle}"), 1);
+    assert!(r.exists(&NodeId::new("a"), &tuple!("seen", 1, 2)));
 }

@@ -21,7 +21,7 @@ use dp_replay::Execution;
 use dp_types::prefix::{cidr, ip};
 use dp_types::{tuple, LogicalTime, NodeId};
 
-use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program};
+use crate::program::{cfg_entry, deliver_at, fixed_sdn_program, pkt_in};
 use crate::topology::Topology;
 
 const T_CONFIG: LogicalTime = 10;
@@ -47,9 +47,10 @@ pub fn branch_of(pid: i64) -> Branch {
 
 /// Finds a packet id hashing to the requested branch, starting at `from`.
 pub fn pid_on_branch(from: i64, want: Branch) -> i64 {
-    (from..from + 1_000)
-        .find(|&pid| branch_of(pid) == want)
-        .expect("half of all ids hash to each branch")
+    match (from..from + 1_000).find(|&pid| branch_of(pid) == want) {
+        Some(pid) => pid,
+        None => panic!("half of all ids hash to each branch, none of 1 000 from {from} did"),
+    }
 }
 
 /// Builds the ECMP network: S1 load-balances over S2a/S2b, both of which
@@ -72,7 +73,7 @@ pub fn ecmp_network() -> (Execution, i64, i64, i64) {
     let p_srv = topo.host("S3", "server");
     let p_decoy = topo.host("S2b", "decoy");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
     let ctl = NodeId::new("ctl");

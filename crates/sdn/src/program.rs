@@ -209,6 +209,16 @@ pub fn sdn_program(controller: &str) -> Result<Arc<Program>> {
         .build()
 }
 
+/// [`sdn_program`] for the scenario builders, whose controller is `ctl`:
+/// fixed rule text and one builtin, so a failure to build is a bug in this
+/// crate, not an input error.
+pub(crate) fn fixed_sdn_program() -> Arc<Program> {
+    match sdn_program("ctl") {
+        Ok(program) => program,
+        Err(e) => panic!("the SDN model is fixed text that builds: {e}"),
+    }
+}
+
 /// OpenFlow priority resolution as a stateful builtin:
 /// `best_match!(S, Src, Dst, Prio)` holds iff no flow entry on switch `S`
 /// with priority strictly greater than `Prio` matches `Src`/`Dst`.

@@ -20,7 +20,7 @@ use dp_replay::Execution;
 use dp_types::prefix::{cidr, ip};
 use dp_types::{LogicalTime, NodeId, Tuple, Value};
 
-use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program};
+use crate::program::{cfg_entry, deliver_at, fixed_sdn_program, pkt_in};
 use crate::topology::Topology;
 
 const T_CONFIG: LogicalTime = 10;
@@ -63,7 +63,7 @@ pub fn nat_rewrite() -> Scenario {
     let p_b1 = topo.host("S2", "b1");
     let p_b2 = topo.host("S2", "b2");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 

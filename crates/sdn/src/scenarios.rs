@@ -20,7 +20,7 @@ use dp_replay::Execution;
 use dp_types::prefix::{cidr, ip};
 use dp_types::{LogicalTime, NodeId};
 
-use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program};
+use crate::program::{cfg_entry, deliver_at, fixed_sdn_program, pkt_in};
 use crate::topology::Topology;
 
 /// Base time for configuration; packets are injected afterwards.
@@ -53,7 +53,7 @@ pub fn sdn1() -> Scenario {
     let p_dpi = topo.host("S6", "dpi");
     let p_web2 = topo.host("S4", "web2");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 
@@ -115,7 +115,7 @@ pub fn sdn2() -> Scenario {
     let p_web = topo.host("S1", "web");
     let p_scrub = topo.host("S1", "scrubber");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 
@@ -177,7 +177,7 @@ pub fn sdn3() -> Scenario {
     let p_h2 = topo.host("S1", "h2");
     let p_h3 = topo.host("S1", "h3");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 
@@ -240,7 +240,7 @@ pub fn sdn4() -> Scenario {
     let p_web2 = topo.host("S5", "web2");
     let p_web3 = topo.host("S6", "web3");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 
@@ -306,7 +306,7 @@ pub fn flapping() -> Scenario {
     let p_primary = topo.host("S1", "primary");
     let p_stale = topo.host("S1", "mirror-stale");
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 

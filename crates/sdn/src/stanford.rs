@@ -21,7 +21,7 @@ use dp_replay::{BaseEvent, BaseOp, EventLog, Execution};
 use dp_types::prefix::{cidr, ip};
 use dp_types::{LogicalTime, NodeId, Prefix, Sym, TupleRef};
 
-use crate::program::{cfg_entry, deliver_at, pkt_in, sdn_program, DROP_PORT};
+use crate::program::{cfg_entry, deliver_at, fixed_sdn_program, pkt_in, DROP_PORT};
 use diffprov_core::Scenario;
 use crate::topology::Topology;
 
@@ -115,8 +115,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             zones.push((cidr("172.30.0.0/16"), n));
         } else {
             zones.push((
-                Prefix::new(u32::from_be_bytes([172, (15 + k) as u8, 0, 0]), 16)
-                    .expect("static prefix"),
+                prefix(u32::from_be_bytes([172, (15 + k) as u8, 0, 0]), 16),
                 n,
             ));
         }
@@ -132,7 +131,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     let p_h3 = topo.host("oz4", "h3"); // reference host (172.19.254.0/24)
     let _p_h2 = topo.host("oz4", "h2"); // intended destination (172.20.10.32/27)
 
-    let program = sdn_program("ctl").expect("SDN program builds");
+    let program = fixed_sdn_program();
     let mut exec = Execution::new(program);
     topo.emit(&mut exec.log, T_CONFIG);
 
@@ -154,10 +153,10 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             let port = if r == owner {
                 zone_host_port[&owner]
             } else {
-                let hop = topo
-                    .next_hop(r.as_str(), owner.as_str())
-                    .expect("tree is connected");
-                topo.port_towards(r.as_str(), &hop)
+                match topo.next_hop(r.as_str(), owner.as_str()) {
+                    Some(hop) => topo.port_towards(r.as_str(), &hop),
+                    None => panic!("the campus tree is connected: no hop from {r} to {owner}"),
+                }
             };
             push(&mut exec, cfg_entry(rid, r, 5, any, zone, port));
             rid += 1;
@@ -165,8 +164,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             // Bulk specific /24 routes within the zone, same next hop:
             // table inflation without behavioural change.
             for j in 0..cfg.bulk_entries_per_router {
-                let sub = Prefix::new(zone.addr() | ((j as u32 & 0xff) << 8), 24)
-                    .expect("static prefix");
+                let sub = prefix(zone.addr() | ((j as u32 & 0xff) << 8), 24);
                 let e = Arc::new(cfg_entry(rid, r, 6, any, sub, port));
                 if cfg.update_churn_rounds > 0 {
                     churn_entries.push(Arc::clone(&e));
@@ -181,8 +179,7 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     // ACLs at the backbone: drop external destinations.
     for &bb in backbone {
         for a in 0..cfg.acl_rules {
-            let pfx = Prefix::new(u32::from_be_bytes([(60 + a) as u8, 0, 0, 0]), 8)
-                .expect("static prefix");
+            let pfx = prefix(u32::from_be_bytes([(60 + a) as u8, 0, 0, 0]), 8);
             push(&mut exec, cfg_entry(rid, bb, 8, any, pfx, DROP_PORT));
             rid += 1;
             entry_count += 1;
@@ -202,14 +199,14 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
     let on_path = [ozs[2], backbone[0], oz4];
     for i in 0..cfg.faults_on_path {
         let r = on_path[i % on_path.len()];
-        let pfx = Prefix::new(u32::from_be_bytes([10, 66, i as u8, 0]), 24).expect("static");
+        let pfx = prefix(u32::from_be_bytes([10, 66, i as u8, 0]), 24);
         push(&mut exec, cfg_entry(rid, r, 7, any, pfx, DROP_PORT));
         rid += 1;
         entry_count += 1;
     }
     for i in 0..cfg.faults_off_path {
         let r = ozs[7 + (i % 7)]; // oz8..oz14
-        let pfx = Prefix::new(u32::from_be_bytes([10, 77, i as u8, 0]), 24).expect("static");
+        let pfx = prefix(u32::from_be_bytes([10, 77, i as u8, 0]), 24);
         let bogus_port = 99; // no link: packets to it vanish
         push(&mut exec, cfg_entry(rid, r, 7, any, pfx, bogus_port));
         rid += 1;
@@ -316,9 +313,17 @@ fn log_probes_before(
     probes: &mut Vec<(LogicalTime, dp_types::Tuple)>,
     due: LogicalTime,
 ) {
-    while probes.last().is_some_and(|&(at, _)| at < due) {
-        let (at, probe) = probes.pop().expect("checked above");
+    while let Some((at, probe)) = probes.pop_if(|(at, _)| *at < due) {
         log.insert(at, "oz3", probe);
+    }
+}
+
+/// `addr/len` for the lengths this file writes (8, 16 and 24), which
+/// [`Prefix::new`] accepts.
+fn prefix(addr: u32, len: u8) -> Prefix {
+    match Prefix::new(addr, len) {
+        Ok(p) => p,
+        Err(e) => panic!("a prefix length of at most 32: {e}"),
     }
 }
 

@@ -25,12 +25,17 @@
 //!    last one left behind, so a store continuing a stack it did not
 //!    write is part of what has to recover.
 //!
-//! When the injections make a packet diverge DiffProv runs on it, once:
-//! the good event is its delivery in the fault-free run, the bad event its
-//! delivery in the faulty run or — when the faulty run never delivers it —
-//! the last hop where it was seen there, as in the paper's §6.7 drop.
-//! Whether it aligns the trees is a counted outcome, not an invariant; a
-//! typed error out of it is reported as a violation.
+//! When the injections make a packet diverge DiffProv runs on it: the good
+//! event is its delivery in the fault-free run, the bad event its delivery
+//! in the faulty run or — when the faulty run never delivers it — the last
+//! hop where it was seen there, as in the paper's §6.7 drop. Whether it
+//! aligns the trees is a counted outcome, not an invariant; a typed error
+//! out of it is reported as a violation. One more invariant rides on it:
+//!
+//! 6. **Slice judge** — the diagnosis over the slices of the two logs
+//!    equals the diagnosis over the whole logs: change set, rounds,
+//!    failure, `verified`, both seeds, both tree sizes and both trees up
+//!    to stamp ranks ([`DiffProv::judge`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -74,6 +79,9 @@ pub struct BatteryReport {
     pub diagnosed: bool,
     /// True when the diagnosis aligned the trees.
     pub diagnosis_succeeded: bool,
+    /// True when the sliced diagnosis equalled the whole logs' (invariant
+    /// 6).
+    pub judge_held: bool,
     /// Why the diagnosis did not align the trees: the name of DiffProv's
     /// [`Failure`] variant (see [`failure_name`]).
     pub failure: Option<&'static str>,
@@ -221,10 +229,19 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
             report.diagnosed = true;
             let good_event = QueryEvent::new(delivery(good_host), u64::MAX);
             let bad_event = QueryEvent::new(bad_tref, u64::MAX);
-            match DiffProv::default().diagnose(&sc.good, &good_event, &sc.bad, &bad_event) {
-                Ok(r) => {
+            match DiffProv::default().judge(&sc.good, &good_event, &sc.bad, &bad_event) {
+                Ok(judged) => {
+                    let r = &judged.report;
                     report.diagnosis_succeeded = r.succeeded();
                     report.failure = r.failure.as_ref().map(failure_name);
+                    report.judge_held = judged.disagreements.is_empty();
+                    for d in judged.disagreements {
+                        fail(
+                            "slice-judge",
+                            format!("seed {}: the sliced diagnosis differs in {d}", sc.seed),
+                            &mut report,
+                        );
+                    }
                 }
                 Err(e) => fail(
                     "diagnosis-errored",

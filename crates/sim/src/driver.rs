@@ -21,6 +21,9 @@ pub struct SimSummary {
     pub diagnosed: usize,
     /// Scenarios where the diagnosis aligned the trees.
     pub diagnosis_succeeded: usize,
+    /// Diagnoses whose slices diagnosed as their whole logs (the battery's
+    /// slice judge).
+    pub judge_held: usize,
     /// How often each [`BatteryReport::failure`] name ended a diagnosis.
     pub failure_counts: BTreeMap<&'static str, usize>,
     /// How often each injection kind was applied.
@@ -59,6 +62,7 @@ pub fn run_seeds(
         summary.divergent += usize::from(report.divergent);
         summary.diagnosed += usize::from(report.diagnosed);
         summary.diagnosis_succeeded += usize::from(report.diagnosis_succeeded);
+        summary.judge_held += usize::from(report.judge_held);
         if let Some(name) = report.failure {
             *summary.failure_counts.entry(name).or_default() += 1;
         }

@@ -32,12 +32,14 @@
 # (an `Arc`-keyed row, bucket, trie entry or dependents list), against
 # the deleted negative-provenance module, against a second tuple interner
 # beside the engine's head ids (the deleted global `TupleStore`), against
-# the recorder finding an episode by bisecting its clocks; and lint-clean
-# clippy.
-# The sweep holds five invariants: digest
+# the recorder finding an episode by bisecting its clocks, against a switch
+# that selects a whole-log diagnosis; a check that the campus diagnosis
+# replays a slice smaller than its log, closed in at most four rounds; and
+# lint-clean clippy.
+# The sweep holds six invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
-# invisibility, durable recovery — and it must diagnose every divergent
-# seed.
+# invisibility, durable recovery, the slice judge — and it must diagnose
+# every divergent seed, each over its slices as over its whole logs.
 # What used to be a pass of its own is one in-process differential inside
 # the suite: the engine against the reference evaluator
 # (reference_differential.rs), the instrumentation handle disabled and
@@ -94,15 +96,22 @@ step "benchmark tests" cargo test --release --offline --manifest-path benchmark/
 # Every divergent seed must reach DiffProv — a misdelivered packet queried
 # at its bad delivery, a packet the faulty run never delivers at the last
 # hop where it was seen — so the summary line's `diagnosed` may not fall
-# below its `divergent`.
+# below its `divergent`. Every diagnosis is judged too: over the slices of
+# its logs it must equal the diagnosis over the whole logs (the battery's
+# sixth invariant), so the `sliced:` count must equal `diagnosed`.
 sweep_diagnoses_every_divergence() {
-    local out divergent diagnosed
+    local out divergent diagnosed sliced
     out="$(cargo run --release -q -p dp-bench --bin repro -- sim --seeds 200)"
     echo "$out"
     divergent="$(awk '$2 == "seeds:" && $4 == "divergent," { print $3 }' <<<"$out")"
     diagnosed="$(awk '$2 == "seeds:" && $6 == "diagnosed," { print $5 }' <<<"$out")"
+    sliced="$(awk '$1 == "sliced:" { print $2 }' <<<"$out")"
     if [[ -z "$divergent" || -z "$diagnosed" || "$diagnosed" -lt "$divergent" ]]; then
         echo "check.sh: the sweep diagnosed ${diagnosed:-?} of ${divergent:-?} divergent seeds" >&2
+        return 1
+    fi
+    if [[ -z "$sliced" || "$sliced" != "$diagnosed" ]]; then
+        echo "check.sh: ${sliced:-?} of ${diagnosed} diagnoses equal over slices and whole logs" >&2
         return 1
     fi
 }
@@ -134,6 +143,28 @@ rolls_what_the_change_reaches() {
     fi
 }
 step "campus rolls what the change reaches" rolls_what_the_change_reaches
+# A diagnosis replays the slice of the log its trees depend on: on the
+# default campus the slice must be smaller than the log, and closing it
+# over the run (each round a null-sink replay that finds where the two
+# packets went) may take at most four rounds. Read off the summary's
+# `slice:` line of `repro trace campus`.
+replays_its_slice() {
+    local tail sliced logged rounds
+    tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
+    sliced="$(awk '$1 == "slice:" { print $2 }' <<<"$tail")"
+    logged="$(awk '$1 == "slice:" { print $4 }' <<<"$tail")"
+    rounds="$(awk '$1 == "slice:" { print $9 }' <<<"$tail")"
+    echo "repro trace campus: a slice of ${sliced:-?} of ${logged:-?} logged events,"         "closed in ${rounds:-?} rounds"
+    if [[ -z "$sliced" || -z "$logged" || "$sliced" -ge "$logged" ]]; then
+        echo "check.sh: the campus diagnosis did not replay a slice smaller than its log" >&2
+        return 1
+    fi
+    if [[ -z "$rounds" || "$rounds" -gt 4 ]]; then
+        echo "check.sh: the campus slice took more than four closure rounds" >&2
+        return 1
+    fi
+}
+step "campus replays its slice" replays_its_slice
 # The separate metrics registry folded into dp-trace's aggregate in PR 14;
 # a second instrumentation system must not grow back beside it. (The
 # names are spelled in halves so this script passes its own gate.)
@@ -343,6 +374,18 @@ step "gate: the recorder bisects no clocks" absent \
     "crates/provenance/src/graph.rs bisects its clocks again" \
     "binary""_search" \
     crates/provenance/src/graph.rs
+# A diagnosis replays slices, on one path: `DiffProv::diagnose` reaches
+# its replays through `Execution::replay_slice` (a program whose slice
+# plan refused a key slices to its whole log), and the whole-log
+# diagnosis runs only inside the judge, as its oracle. No option, field or
+# environment variable selects a whole-log diagnosis, and the diagnosis
+# itself never calls the whole-log replay. (Spelled in halves so this
+# script passes its own gate.)
+one_diagnosis_path() {
+    absent "a switch selecting a whole-log diagnosis appeared"         "DP_""SLICE|(slice|whole_log|full_log|unsliced)[a-z_]*: bool|fn diagnose_(who""le|fu""ll|unsl""iced)"         crates src tests examples &&
+        absent "the diagnosis replays a whole log directly"             "\.re""play\(\)" crates/core/src/align.rs
+}
+step "gate: a diagnosis replays its slice" one_diagnosis_path
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo
