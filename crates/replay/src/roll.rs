@@ -640,21 +640,44 @@ impl Origins {
     }
 }
 
-/// After phase C's withdrawal: every episode whose trigger chain starts at
-/// a withdrawn event is closed. One that is still open is held by a
-/// derivation the withdrawal did not reach — tuples supporting each other
-/// — and the re-issue would find it already there.
+/// After phase C's withdrawal: an episode whose trigger chain starts at a
+/// withdrawn event may stay open only while that event's tuple is there,
+/// or while one of its derivations owes nothing to that chain. One held
+/// up only through its own chain's work is a cycle — tuples supporting
+/// each other, a forwarding loop — and the re-issue would find it already
+/// there.
 pub(crate) fn withdrawn(
     engine: &Engine<GraphRecorder>,
     suffix: &Suffix<'_>,
     found: &Found,
 ) -> Result<(), Refusal> {
     let graph = &engine.sink().graph;
-    let open = found.origin.iter().enumerate().any(|(r, &o)| {
-        o != PREFIX && suffix.affected[o as usize] && graph.row(r as RowId).end.is_none()
-    });
-    if open {
-        return Err(Refusal::Cycle);
+    // The origin of a live located tuple: its open episode's.
+    let origin_of = |t: &TupleRef| {
+        let state = engine.lookup(&t.node, &t.tuple)?;
+        let v = graph.exist_since(t, state.appeared_at)?;
+        found.origin.get(graph.step(v).0 as usize).copied()
+    };
+    for (r, &o) in found.origin.iter().enumerate() {
+        if o == PREFIX || !suffix.affected[o as usize] {
+            continue;
+        }
+        let row = graph.row(r as RowId);
+        let seed = &suffix.keys[o as usize];
+        if row.end.is_some() || engine.lookup(&seed.node, &seed.tuple).is_some_and(|s| s.base) {
+            continue;
+        }
+        let Some(state) = engine.lookup(row.node, row.tuple) else {
+            continue;
+        };
+        let held_elsewhere = state.base
+            || state
+                .derivations
+                .iter()
+                .any(|d| d.body.iter().all(|b| origin_of(b) != Some(o)));
+        if !held_elsewhere {
+            return Err(Refusal::Cycle);
+        }
     }
     Ok(())
 }

@@ -570,7 +570,9 @@ fn one_located_tuple_is_one_id_across_its_allocations() {
 /// from the other's: withdrawing the packet's event leaves both live, and
 /// re-issuing it would find them already there, their episodes older
 /// than Δ's. The roll sees an episode its withdrawn events caused still
-/// open after the withdrawal and replays from scratch instead.
+/// open after the withdrawal, its packet gone and its only derivation
+/// running through the packet's own chain, and replays from scratch
+/// instead.
 #[test]
 fn tuples_that_hold_each_other_up_send_the_roll_to_scratch() {
     use FieldType::{Int, Str};
