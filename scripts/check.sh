@@ -154,7 +154,8 @@ replays_its_slice() {
     sliced="$(awk '$1 == "slice:" { print $2 }' <<<"$tail")"
     logged="$(awk '$1 == "slice:" { print $4 }' <<<"$tail")"
     rounds="$(awk '$1 == "slice:" { print $9 }' <<<"$tail")"
-    echo "repro trace campus: a slice of ${sliced:-?} of ${logged:-?} logged events,"         "closed in ${rounds:-?} rounds"
+    echo "repro trace campus: a slice of ${sliced:-?} of ${logged:-?} logged events," \
+        "closed in ${rounds:-?} rounds"
     if [[ -z "$sliced" || -z "$logged" || "$sliced" -ge "$logged" ]]; then
         echo "check.sh: the campus diagnosis did not replay a slice smaller than its log" >&2
         return 1
