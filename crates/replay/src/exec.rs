@@ -288,7 +288,7 @@ impl Replayed {
         let span = tracer.span("replay.withdraw");
         self.restore(&suffix.restore(false))?;
         span.end();
-        if let Err(why) = roll::withdrawn(&self.engine, &suffix, &found) {
+        if let Err(why) = roll::withdrawn(&self.engine, from) {
             return Ok(Err(why));
         }
         self.reissue(suffix.events(false), tracer)?;

@@ -31,9 +31,10 @@
 //! an aggregate or a native and that the change could reach — it depended
 //! on a withdrawn body, or it ran after the fork and read what Δ touched —
 //! sends the roll to a from-scratch replay instead (the trust rule). So
-//! does an episode a withdrawn event caused that is still open after the
-//! withdrawal: tuples that hold each other up (a forwarding loop) survive
-//! the cascade, and the re-issue would find them already there.
+//! does a tuple that lost a derivation in the withdrawal and stays live
+//! resting only on itself: tuples that hold each other up (a forwarding
+//! loop) survive the cascade, and the re-issue would find them already
+//! there.
 //!
 //! Each suffix event is keyed once: a located tuple's id is its rank in
 //! the order first read — the patched suffix's tuples, then those only the
@@ -48,7 +49,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, Program, TupleChange};
-use dp_provenance::{GraphRecorder, ProvGraph, RowId, Step, VertexId};
+use dp_provenance::{GraphRecorder, ProvGraph, RowId, Step, VertexId, VertexKind};
 use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef, WordBuildHasher};
 
 use crate::exec::Slotted;
@@ -640,46 +641,58 @@ impl Origins {
     }
 }
 
-/// After phase C's withdrawal: an episode whose trigger chain starts at a
-/// withdrawn event may stay open only while that event's tuple is there,
-/// or while one of its derivations owes nothing to that chain. One held
-/// up only through its own chain's work is a cycle — tuples supporting
-/// each other, a forwarding loop — and the re-issue would find it already
-/// there.
-pub(crate) fn withdrawn(
-    engine: &Engine<GraphRecorder>,
-    suffix: &Suffix<'_>,
-    found: &Found,
-) -> Result<(), Refusal> {
+/// After phase C's withdrawal, recorded from vertex `from` on: a tuple
+/// that lost a derivation and stayed live must still rest on base tuples
+/// through some derivation. One that rests only on itself — tuples that
+/// support each other, a forwarding loop — outlived what it came from, and
+/// the re-issue would find it already there.
+pub(crate) fn withdrawn(engine: &Engine<GraphRecorder>, from: VertexId) -> Result<(), Refusal> {
     let graph = &engine.sink().graph;
-    // The origin of a live located tuple: its open episode's.
-    let origin_of = |t: &TupleRef| {
-        let state = engine.lookup(&t.node, &t.tuple)?;
-        let v = graph.exist_since(t, state.appeared_at)?;
-        found.origin.get(graph.step(v).0 as usize).copied()
-    };
-    for (r, &o) in found.origin.iter().enumerate() {
-        if o == PREFIX || !suffix.affected[o as usize] {
+    let mut founded = Vec::new();
+    for v in from..graph.len() as VertexId {
+        if !matches!(graph.vertex(v).kind, VertexKind::Underive { .. }) {
             continue;
         }
-        let row = graph.row(r as RowId);
-        let seed = &suffix.keys[o as usize];
-        if row.end.is_some() || engine.lookup(&seed.node, &seed.tuple).is_some_and(|s| s.base) {
+        let view = graph.row(graph.step(v).0);
+        if view.end.is_some() {
             continue;
         }
-        let Some(state) = engine.lookup(row.node, row.tuple) else {
-            continue;
-        };
-        let held_elsewhere = state.base
-            || state
-                .derivations
-                .iter()
-                .any(|d| d.body.iter().all(|b| origin_of(b) != Some(o)));
-        if !held_elsewhere {
+        let held = TupleRef::new(*view.node, Arc::clone(view.tuple));
+        if !rests_on_base(engine, &held, &mut founded, &mut Vec::new()) {
             return Err(Refusal::Cycle);
         }
     }
     Ok(())
+}
+
+/// True if live `t` is a base tuple or has a derivation whose body tuples
+/// all rest on base tuples without passing through `path` (the tuples
+/// being asked about above it). `founded` remembers the tuples found so.
+fn rests_on_base(
+    engine: &Engine<GraphRecorder>,
+    t: &TupleRef,
+    founded: &mut Vec<TupleRef>,
+    path: &mut Vec<TupleRef>,
+) -> bool {
+    if founded.contains(t) {
+        return true;
+    }
+    if path.contains(t) {
+        return false;
+    }
+    let Some(state) = engine.lookup(&t.node, &t.tuple) else {
+        return false;
+    };
+    path.push(t.clone());
+    let rests = state.base
+        || state.derivations.iter().any(|d| {
+            d.body.iter().all(|b| rests_on_base(engine, b, founded, path))
+        });
+    path.pop();
+    if rests {
+        founded.push(t.clone());
+    }
+    rests
 }
 
 /// The checks after phase C, over what it recorded from vertex `from` on.

@@ -569,9 +569,8 @@ fn one_located_tuple_is_one_id_across_its_allocations() {
 /// other, so once it has gone round, its tuple at either node is derived
 /// from the other's: withdrawing the packet's event leaves both live, and
 /// re-issuing it would find them already there, their episodes older
-/// than Δ's. The roll sees an episode its withdrawn events caused still
-/// open after the withdrawal, its packet gone and its only derivation
-/// running through the packet's own chain, and replays from scratch
+/// than Δ's. The roll sees a tuple that lost a derivation in the
+/// withdrawal stay live resting only on itself, and replays from scratch
 /// instead.
 #[test]
 fn tuples_that_hold_each_other_up_send_the_roll_to_scratch() {
