@@ -57,7 +57,12 @@ pub fn measure(scenario: &Scenario) -> Result<QueryTiming> {
     let mut bad = scenario.bad_exec.clone();
     bad.tracer = Tracer::aggregate_only();
     let t = Instant::now();
-    let rb = bad.replay_slice(roots[..if shared { 2 } else { 1 }].iter().copied())?;
+    let (roots, at) = if shared {
+        (&roots[..], scenario.bad_event.at.min(scenario.good_event.at))
+    } else {
+        (&roots[..1], scenario.bad_event.at)
+    };
+    let rb = bad.replay_slice(roots.iter().copied(), at)?;
     let _bad_tree = rb
         .query_at(&scenario.bad_event.tref, scenario.bad_event.at)
         .ok_or_else(|| dp_types::Error::Engine("bad event missing".into()))?;

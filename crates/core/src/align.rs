@@ -113,8 +113,9 @@ impl From<Error> for AlignError {
 type AResult<T> = std::result::Result<T, AlignError>;
 
 /// How a diagnosis replays an execution for the located tuples its trees
-/// must hold.
-pub(crate) type Replay<'a> = dyn Fn(&Execution, &[(&NodeId, &Tuple)]) -> Result<Replayed> + 'a;
+/// must hold, queried at the earliest of the given times.
+pub(crate) type Replay<'a> =
+    dyn Fn(&Execution, &[(&NodeId, &Tuple)], LogicalTime) -> Result<Replayed> + 'a;
 
 impl DiffProv {
     /// Runs the full DiffProv diagnosis.
@@ -129,8 +130,9 @@ impl DiffProv {
     /// ([`Execution::replay_slice`]): one slice holding both events for a
     /// shared execution; otherwise the good event's, then the bad event's
     /// widened by the owners of the good tree, where the walk looks for
-    /// each tuple's bad-side equivalent. A query time is read on the
-    /// replay's own clock, which for a slice counts the slice's events.
+    /// each tuple's bad-side equivalent. A query time before the horizon
+    /// is read on the whole run's clock, which only the whole log keeps:
+    /// an execution whose event is queried at one replays its whole log.
     pub fn diagnose(
         &self,
         good: &Execution,
@@ -138,8 +140,8 @@ impl DiffProv {
         bad: &Execution,
         bad_event: &QueryEvent,
     ) -> Result<Report> {
-        let sliced = |exec: &Execution, tuples: &[(&NodeId, &Tuple)]| {
-            exec.replay_slice(tuples.iter().copied())
+        let sliced = |exec: &Execution, tuples: &[(&NodeId, &Tuple)], at| {
+            exec.replay_slice(tuples.iter().copied(), at)
         };
         Ok(self.run(good, good_event, bad, bad_event, &sliced)?.0)
     }
@@ -175,7 +177,12 @@ impl DiffProv {
         let (good_root, bad_root) = (&good_event.tref, &bad_event.tref);
         let roots = [(&good_root.node, &*good_root.tuple), (&bad_root.node, &*bad_root.tuple)];
         let span = tracer.span("diffprov.replay");
-        let replayed_good = replay(good, &roots[..if shared { 2 } else { 1 }])?;
+        let (roots, at) = if shared {
+            (&roots[..], good_event.at.min(bad_event.at))
+        } else {
+            (&roots[..1], good_event.at)
+        };
+        let replayed_good = replay(good, roots, at)?;
         span.end();
 
         let good_tree = replayed_good
@@ -196,9 +203,9 @@ impl DiffProv {
         } else {
             drop(replayed_good);
             let tuples = good_view.nodes().iter().map(|n| (&n.tref.node, &*n.tref.tuple));
-            let held: Vec<_> = roots[1..].iter().copied().chain(tuples).collect();
+            let held: Vec<_> = [(&bad_root.node, &*bad_root.tuple)].into_iter().chain(tuples).collect();
             let span = tracer.span("diffprov.replay");
-            let r = replay(bad, &held)?;
+            let r = replay(bad, &held, bad_event.at)?;
             span.end();
             r
         };
@@ -299,6 +306,7 @@ impl DiffProv {
                 let mut ctx = AlignCtx {
                     view: &good_view,
                     program,
+                    bad,
                     replayed_bad: &replayed_bad,
                     taint: &mut taint,
                     delta: &mut delta,
@@ -424,6 +432,7 @@ fn exists(replayed: &Replayed, tref: &TupleRef) -> bool {
 struct AlignCtx<'a, 'v> {
     view: &'a TupleTree,
     program: &'a Program,
+    bad: &'a Execution,
     replayed_bad: &'a Replayed,
     taint: &'a mut TaintState<'v>,
     delta: &'a mut Vec<TupleChange>,
@@ -739,19 +748,18 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
     /// tuple of the same table on the same node sharing `exp`'s primary
     /// key. Tables without a declared key fall back to the singleton
     /// heuristic: if exactly one live tuple of the table exists on the
-    /// node, it is the one being replaced (configuration cells).
+    /// node, it is the one being replaced (configuration cells). The live
+    /// tuples are the whole log's ([`Replayed::base_tuples`]), which a
+    /// slice holds only in part when the table is owned by a column.
     fn find_by_key(&self, exp: &TupleRef) -> Option<Tuple> {
         let schema = self.program.schemas.get(&exp.tuple.table)?;
-        let view = self.replayed_bad.engine.view(&exp.node)?;
+        let live = self.replayed_bad.base_tuples(self.bad, &exp.node, &exp.tuple.table);
+        let mut others = live.iter().map(|t| &**t).filter(|t| **t != *exp.tuple);
         match schema.key_of(&exp.tuple) {
-            Some(key) => view
-                .table(&exp.tuple.table)
-                .find(|t| schema.key_of(t).as_deref() == Some(&key[..]) && **t != exp.tuple)
-                .cloned(),
+            Some(key) => others.find(|t| schema.key_of(t).as_deref() == Some(&key[..])).cloned(),
             None => {
-                let mut candidates = view.table(&exp.tuple.table).filter(|t| **t != exp.tuple);
-                let first = candidates.next()?;
-                if candidates.next().is_none() {
+                let first = others.next()?;
+                if others.next().is_none() {
                     Some(first.clone())
                 } else {
                     None

@@ -36,10 +36,10 @@ impl DiffProv {
         bad: &Execution,
         bad_event: &QueryEvent,
     ) -> Result<Judged> {
-        let sliced = |exec: &Execution, tuples: &[(&NodeId, &Tuple)]| {
-            exec.replay_slice(tuples.iter().copied())
+        let sliced = |exec: &Execution, tuples: &[(&NodeId, &Tuple)], at| {
+            exec.replay_slice(tuples.iter().copied(), at)
         };
-        let whole = |exec: &Execution, _: &[(&NodeId, &Tuple)]| exec.replay();
+        let whole = |exec: &Execution, _: &[(&NodeId, &Tuple)], _| exec.replay();
         let (report, trees) = self.run(good, good_event, bad, bad_event, &sliced)?;
         let (oracle, oracle_trees) = self.run(good, good_event, bad, bad_event, &whole)?;
         let mut disagreements = Vec::new();

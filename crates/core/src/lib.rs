@@ -77,6 +77,7 @@ pub use taint::{DerivationEnv, TaintState, VarSource};
 mod tests {
     use super::*;
     use dp_ndlog::{Program, TupleChange};
+    use dp_provenance::VertexKind;
     use dp_replay::Execution;
     use dp_types::prefix::{cidr, ip};
     use dp_types::{
@@ -195,6 +196,54 @@ mod tests {
         assert_eq!(report.delta[0].before, None);
         assert_eq!(report.delta[0].after, Some(tuple!("fe", 1, cidr("4.3.2.0/24"), 6)));
         assert!(report.verified);
+    }
+
+    /// A reference in the past is read on the whole run's clock.
+    /// `sent(100)` appears through the /24 entry, goes with it, and
+    /// appears again through a /16 entry that is gone by the time the bad
+    /// packet arrives. Fifty packets at another switch, due 1, put the
+    /// whole run's clock ahead of the log's dues, so a slice, which skips
+    /// them, stamps
+    /// the second appearance before the whole run's stamp of the first.
+    /// Queried at the first, the diagnosis must follow the /24 entry, as
+    /// the whole log's does.
+    #[test]
+    fn a_past_query_reads_the_whole_runs_clock() {
+        let program = mini_sdn_program();
+        let mut exec = Execution::new(program);
+        let s = NodeId::new("S2");
+        let narrow = tuple!("fe", 1, cidr("4.3.2.0/24"), 6);
+        let wide = tuple!("fe", 2, cidr("4.3.0.0/16"), 6);
+        exec.log.insert(0, "S2", narrow.clone());
+        for pid in 0..50 {
+            exec.log.insert(1, "S7", pkt(pid, "9.9.9.9"));
+        }
+        exec.log.insert(10, "S2", pkt(100, "4.3.2.1"));
+        exec.log.delete(15, "S2", narrow.clone());
+        exec.log.insert(18, "S2", wide.clone());
+        exec.log.delete(25, "S2", wide);
+        exec.log.insert(30, "S2", pkt(200, "4.3.3.1"));
+
+        let good = TupleRef::new(s, sent(100, "4.3.2.1", 6));
+        let whole = exec.replay().unwrap();
+        let first = whole
+            .graph()
+            .vertices()
+            .filter(|v| matches!(v.kind, VertexKind::Appear))
+            .filter(|v| *v.node == good.node && **v.tuple == *good.tuple)
+            .map(|v| v.time)
+            .min()
+            .unwrap();
+        drop(whole);
+        let good_ev = QueryEvent::new(good, first);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, pkt(200, "4.3.3.1")), u64::MAX);
+        let judged = DiffProv::default().judge(&exec, &good_ev, &exec, &bad_ev).unwrap();
+        assert!(judged.disagreements.is_empty(), "{}", judged.disagreements.join("\n"));
+        let report = judged.report;
+        assert!(report.verified, "{report}");
+        assert_eq!(report.delta.len(), 1, "{report}");
+        let after = report.delta[0].after.as_ref().unwrap();
+        assert_eq!(after.args[0], Value::Int(1), "{report}");
     }
 
     /// An unsuitable reference whose seed has a different type must fail

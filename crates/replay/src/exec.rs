@@ -17,6 +17,7 @@
 //! judge's oracle and every reader that wants the whole run.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
@@ -24,7 +25,7 @@ use dp_provenance::{
     extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree, Step, VertexId,
 };
 use dp_trace::Tracer;
-use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
+use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
 use crate::roll::{self, Phase, Refusal, Suffix};
@@ -403,6 +404,27 @@ impl Replayed {
         })
     }
 
+    /// The base tuples of `table` live at `node` once `exec`'s log,
+    /// patched by the changes this replay was last rolled to, has run, in
+    /// tuple order. They are read off the whole log, not the engine: a
+    /// replay of a slice holds a table owned by a column only for the
+    /// owners in its cut, so its engine can miss a row that another owner
+    /// keeps at the same node.
+    pub fn base_tuples(&self, exec: &Execution, node: &NodeId, table: &Sym) -> Vec<Arc<Tuple>> {
+        let events = exec.log.events();
+        let (delta, inject_at) = &self.rolled;
+        let mut live = BTreeSet::new();
+        for (_, e) in Patched::new(&events, delta, *inject_at).events() {
+            if e.node == *node && e.tuple.table == *table {
+                match e.op {
+                    BaseOp::Insert => live.insert(Arc::clone(&e.tuple)),
+                    BaseOp::Delete => live.remove(&e.tuple),
+                };
+            }
+        }
+        live.into_iter().collect()
+    }
+
     /// When the live tuple `root` appeared: the key of its open episode.
     fn live_since(&self, root: &TupleRef) -> Option<LogicalTime> {
         Some(self.engine.lookup(&root.node, &root.tuple)?.appeared_at)
@@ -471,15 +493,25 @@ impl Execution {
     /// keeps, with stamps re-ranked; a program whose plan refused its key
     /// replays its whole log.
     ///
+    /// `at` is the time the trees will be queried at, on the whole run's
+    /// clock ([`Replayed::query_at`]): `LogicalTime::MAX` for the final
+    /// state. A slice counts fewer events, so its stamps are at most the
+    /// whole run's and a tuple that appeared twice can have its second
+    /// episode stamped before an earlier time of the whole run's. Only the
+    /// whole log keeps that clock, so a query at an earlier time replays
+    /// the whole log (`replay.slice_refused{why=past}`).
+    ///
     /// Counted on the tracer: `replay.slice_events` (events replayed),
     /// `replay.slice_owners`, `replay.slice_rounds` (closure rounds, each a
     /// replay into a null sink) and `replay.slice_refused{why}`.
     pub fn replay_slice<'t>(
         &self,
         tuples: impl IntoIterator<Item = (&'t NodeId, &'t Tuple)>,
+        at: LogicalTime,
     ) -> Result<Replayed> {
         let plan = self.program.slice_plan();
-        if let Some(why) = plan.refused() {
+        let past = (at != LogicalTime::MAX).then_some("past");
+        if let Some(why) = plan.refused().or(past) {
             self.tracer.counter(&format!("replay.slice_refused{{why={why}}}"), 1);
             self.tracer.counter("replay.slice_events", self.log.len() as u64);
             return self.replay();
@@ -488,7 +520,13 @@ impl Execution {
     }
 
     /// Slices the log with `delta` applied: `cut`, widened to hold the
-    /// changes and closed over null-sink replays, recorded once closed.
+    /// changes, then closed over the run. Each closure round records its
+    /// replay and keeps it when the cut is closed over it; a round that
+    /// grew the cut drops its recording before the next round makes one.
+    /// The rounds stop paying once they would replay more events than
+    /// the whole log holds: a round whose cut would take them past that
+    /// replays the whole patched log instead, which nothing lies outside
+    /// of (`replay.slice_refused{why=size}`).
     fn replay_cut(
         &self,
         mut cut: Cut,
@@ -499,22 +537,35 @@ impl Execution {
         cut.admit_changes(plan, delta);
         let events = self.log.events();
         let index = Index::of(plan, &events);
-        let mut rounds = 0;
-        let (sliced, patched) = loop {
+        let (mut rounds, mut spent) = (0, 0);
+        let mut owners;
+        let replayed = loop {
             let sliced = self.with_log(cut.log(&index, &events));
-            let patched = (!delta.is_empty())
-                .then(|| sliced.with_log(apply_changes(&sliced.log, delta, inject_at)));
-            let engine = patched.as_ref().unwrap_or(&sliced).replay_null()?;
             rounds += 1;
-            if !cut.close(plan, &engine) {
-                break (sliced, patched);
+            spent += sliced.log.len();
+            owners = cut.owners();
+            if spent >= events.len() {
+                drop(sliced);
+                self.tracer.counter("replay.slice_refused{why=size}", 1);
+                break if delta.is_empty() {
+                    self.replay()?
+                } else {
+                    self.replay_with(delta, inject_at)?
+                };
+            }
+            let mut replayed = if delta.is_empty() {
+                sliced.replay()?
+            } else {
+                sliced.replay_with(delta, inject_at)?
+            };
+            if !cut.close(plan, &replayed.engine) {
+                replayed.slice = Some(Box::new(Slice { cut, exec: sliced }));
+                break replayed;
             }
         };
-        let mut replayed = patched.as_ref().unwrap_or(&sliced).replay()?;
         self.tracer.counter("replay.slice_events", replayed.scheduled);
-        self.tracer.counter("replay.slice_owners", cut.owners() as u64);
+        self.tracer.counter("replay.slice_owners", owners as u64);
         self.tracer.counter("replay.slice_rounds", rounds);
-        replayed.slice = Some(Box::new(Slice { cut, exec: sliced }));
         Ok(replayed)
     }
 

@@ -648,51 +648,81 @@ impl Origins {
 /// the re-issue would find it already there.
 pub(crate) fn withdrawn(engine: &Engine<GraphRecorder>, from: VertexId) -> Result<(), Refusal> {
     let graph = &engine.sink().graph;
-    let mut founded = Vec::new();
-    for v in from..graph.len() as VertexId {
-        if !matches!(graph.vertex(v).kind, VertexKind::Underive { .. }) {
-            continue;
-        }
-        let view = graph.row(graph.step(v).0);
-        if view.end.is_some() {
-            continue;
-        }
-        let held = TupleRef::new(*view.node, Arc::clone(view.tuple));
-        if !rests_on_base(engine, &held, &mut founded, &mut Vec::new()) {
-            return Err(Refusal::Cycle);
-        }
+    let held: Vec<TupleRef> = (from..graph.len() as VertexId)
+        .filter(|&v| matches!(graph.vertex(v).kind, VertexKind::Underive { .. }))
+        .map(|v| graph.row(graph.step(v).0))
+        .filter(|view| view.end.is_none())
+        .map(|view| TupleRef::new(*view.node, Arc::clone(view.tuple)))
+        .collect();
+    if rest_on_base(engine, &held) {
+        Ok(())
+    } else {
+        Err(Refusal::Cycle)
     }
-    Ok(())
 }
 
-/// True if live `t` is a base tuple or has a derivation whose body tuples
-/// all rest on base tuples without passing through `path` (the tuples
-/// being asked about above it). `founded` remembers the tuples found so.
-fn rests_on_base(
-    engine: &Engine<GraphRecorder>,
-    t: &TupleRef,
-    founded: &mut Vec<TupleRef>,
-    path: &mut Vec<TupleRef>,
-) -> bool {
-    if founded.contains(t) {
-        return true;
-    }
-    if path.contains(t) {
-        return false;
-    }
-    let Some(state) = engine.lookup(&t.node, &t.tuple) else {
-        return false;
+/// True if every live tuple of `roots` rests on base tuples: it is one,
+/// or it has a derivation whose body tuples all rest on base tuples. That
+/// is the least set closed under the two rules, found bottom-up over the
+/// tuples below `roots`: each derivation counts down its body tuples not
+/// yet found, and its head is found when the count reaches zero. Tuples
+/// that hold only each other up never are. Each tuple is looked up once
+/// and each body tuple counted once, so the check costs the size of the
+/// derivations it reaches.
+fn rest_on_base(engine: &Engine<GraphRecorder>, roots: &[TupleRef]) -> bool {
+    let mut ids: HashMap<TupleRef, usize> = HashMap::new();
+    // Per tuple: the derivations whose body holds it, once per occurrence.
+    let mut uses: Vec<Vec<usize>> = Vec::new();
+    // The tuples below `roots`, numbered in the order they are reached;
+    // those from `next` on are not looked up yet.
+    let mut tuples: Vec<TupleRef> = Vec::new();
+    let mut id = |t: &TupleRef, uses: &mut Vec<Vec<usize>>, tuples: &mut Vec<TupleRef>| {
+        *ids.entry(t.clone()).or_insert_with(|| {
+            uses.push(Vec::new());
+            tuples.push(t.clone());
+            uses.len() - 1
+        })
     };
-    path.push(t.clone());
-    let rests = state.base
-        || state.derivations.iter().any(|d| {
-            d.body.iter().all(|b| rests_on_base(engine, b, founded, path))
-        });
-    path.pop();
-    if rests {
-        founded.push(t.clone());
+    let roots: Vec<usize> = roots.iter().map(|t| id(t, &mut uses, &mut tuples)).collect();
+    // Per derivation: its head and how many body tuples are not found.
+    let (mut heads, mut missing) = (Vec::new(), Vec::new());
+    let mut found_next = Vec::new();
+    let mut next = 0;
+    while let Some(t) = tuples.get(next).cloned() {
+        let i = next;
+        next += 1;
+        let Some(state) = engine.lookup(&t.node, &t.tuple) else {
+            continue;
+        };
+        if state.base {
+            found_next.push(i);
+        }
+        for d in &state.derivations {
+            let k = heads.len();
+            heads.push(i);
+            missing.push(d.body.len());
+            if d.body.is_empty() {
+                found_next.push(i);
+            }
+            for b in &d.body {
+                let j = id(b, &mut uses, &mut tuples);
+                uses[j].push(k);
+            }
+        }
     }
-    rests
+    let mut found = vec![false; uses.len()];
+    while let Some(i) = found_next.pop() {
+        if std::mem::replace(&mut found[i], true) {
+            continue;
+        }
+        for &k in &uses[i] {
+            missing[k] -= 1;
+            if missing[k] == 0 {
+                found_next.push(heads[k]);
+            }
+        }
+    }
+    roots.iter().all(|&i| found[i])
 }
 
 /// The checks after phase C, over what it recorded from vertex `from` on.
@@ -1106,5 +1136,50 @@ mod tests {
             "{shared} {rolled_from} {walked}"
         );
         assert!(refused_independence > 5, "{refused_independence}");
+    }
+
+    /// The founded check on a lattice: 40 layers of two tuples, each
+    /// derived from both tuples of the layer below, over a bottom layer
+    /// whose two tuples also derive each other. A search that forgets
+    /// what it failed on walks each of the 2^40 paths down; counting each
+    /// derivation down once answers at once, both while the bottom rests
+    /// on its base tuple and after that is deleted, when the lattice
+    /// rests only on the bottom's cycle.
+    #[test]
+    fn a_lattice_on_a_cycle_is_checked_once_per_derivation() {
+        use dp_types::{tuple, FieldType::Int, Schema, SchemaRegistry, TableKind};
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new("base", TableKind::MutableBase, [("i", Int)]));
+        reg.declare(Schema::new("swap", TableKind::ImmutableBase, [("j", Int), ("i", Int)]));
+        let edge = [("l", Int), ("j", Int), ("i", Int)];
+        reg.declare(Schema::new("e", TableKind::ImmutableBase, edge));
+        reg.declare(Schema::new("v", TableKind::Derived, [("l", Int), ("i", Int)]));
+        let program = Program::builder(reg)
+            .rules_text(
+                "r0 v(@N, 0, I) :- base(@N, I).
+                 r1 v(@N, 0, I) :- v(@N, 0, J), swap(@N, J, I).
+                 r2 v(@N, L1, I) :- v(@N, L, J), e(@N, L, J, I), L1 := L + 1.",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let n = NodeId::new("n");
+        let mut engine = Engine::new(program, GraphRecorder::new());
+        engine.schedule_insert(0, n, tuple!("swap", 0, 1)).unwrap();
+        engine.schedule_insert(0, n, tuple!("swap", 1, 0)).unwrap();
+        for l in 0..40 {
+            for (j, i) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                engine.schedule_insert(0, n, tuple!("e", l, j, i)).unwrap();
+            }
+        }
+        engine.schedule_insert(1, n, tuple!("base", 0)).unwrap();
+        engine.run().unwrap();
+        let top = [TupleRef::new(n, tuple!("v", 40, 0)), TupleRef::new(n, tuple!("v", 40, 1))];
+        assert!(engine.contains(&n, &top[0].tuple));
+        assert!(rest_on_base(&engine, &top));
+        engine.schedule_delete(2, n, tuple!("base", 0)).unwrap();
+        engine.run().unwrap();
+        assert!(engine.contains(&n, &top[0].tuple), "the cycle holds the lattice up");
+        assert!(!rest_on_base(&engine, &top));
     }
 }

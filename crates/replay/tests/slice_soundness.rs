@@ -41,7 +41,7 @@ fn holds(exec: &Execution, case: &str) -> bool {
         .map(|v| TupleRef::new(*v.node, Arc::clone(v.tuple)))
         .collect();
     for root in &roots {
-        let sliced = exec.replay_slice([(&root.node, &*root.tuple)]).unwrap();
+        let sliced = exec.replay_slice([(&root.node, &*root.tuple)], u64::MAX).unwrap();
         let tree = |r: &dp_replay::Replayed| r.query_at(root, u64::MAX).map(|t| t.render_ranked());
         assert_eq!(tree(&sliced), tree(&whole), "{case}: the tree of {root}");
         assert_eq!(

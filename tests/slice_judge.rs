@@ -7,10 +7,11 @@
 //! ([`diffprov::core::judge`]). The `dp-sim` battery holds the same
 //! judge on every divergent generated seed.
 
-use diffprov::sdn::{campus, CampusConfig};
-use diffprov::{mapreduce, sdn, DiffProv, Scenario};
+use diffprov::sdn::{campus, cfg_entry, CampusConfig};
+use diffprov::types::prefix::cidr;
+use diffprov::{mapreduce, sdn, DiffProv, Report, Scenario};
 
-fn judged(s: &Scenario) {
+fn judged(s: &Scenario) -> Report {
     let judged = DiffProv::default()
         .judge(&s.good_exec, &s.good_event, &s.bad_exec, &s.bad_event)
         .unwrap_or_else(|e| panic!("{}: {e}", s.name));
@@ -20,6 +21,7 @@ fn judged(s: &Scenario) {
         s.name,
         judged.disagreements.join("\n")
     );
+    judged.report
 }
 
 #[test]
@@ -35,6 +37,23 @@ fn table1_and_the_extensions_diagnose_their_slices_as_their_logs() {
     for s in &scenarios {
         judged(s);
     }
+}
+
+/// Two owners sharing a key: SDN3's repair inserts `cfgEntry` rule 20 for
+/// `S1` at the controller, and the log also configures rule 20 for a
+/// switch no packet reaches. The slice holds only its owners' rows of
+/// `cfgEntry`, yet the entry the repair replaces must be found as in the
+/// whole log: the other switch's, owned outside the cut.
+#[test]
+fn a_repair_finds_the_entry_it_replaces_outside_the_slice() {
+    let mut s = sdn::sdn3();
+    let stray = cfg_entry(20, "S9", 10, cidr("0.0.0.0/0"), cidr("10.0.0.0/8"), 1);
+    for exec in [&mut s.good_exec, &mut s.bad_exec] {
+        exec.log.insert(0, "ctl", stray.clone());
+    }
+    let report = judged(&s);
+    assert!(report.verified, "{report}");
+    assert_eq!(report.delta[0].before.as_ref(), Some(&stray), "{report}");
 }
 
 /// The diagbench shapes, at test scale: table-heavy, traffic-heavy and
