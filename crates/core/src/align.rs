@@ -203,7 +203,8 @@ impl DiffProv {
         } else {
             drop(replayed_good);
             let tuples = good_view.nodes().iter().map(|n| (&n.tref.node, &*n.tref.tuple));
-            let held: Vec<_> = [(&bad_root.node, &*bad_root.tuple)].into_iter().chain(tuples).collect();
+            let bad_root = (&bad_root.node, &*bad_root.tuple);
+            let held: Vec<_> = std::iter::once(bad_root).chain(tuples).collect();
             let span = tracer.span("diffprov.replay");
             let r = replay(bad, &held, bad_event.at)?;
             span.end();

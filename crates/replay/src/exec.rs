@@ -14,7 +14,13 @@
 //! plan, closed over the run (the `slice` module). A [`Replayed`] of a
 //! slice holds the cut and the cut log, and [`Replayed::roll_forward`]
 //! rolls that; [`Execution::replay`] replays the whole log, for the
-//! judge's oracle and every reader that wants the whole run.
+//! judge's oracle and every reader that wants the whole run. A slice is
+//! given up for the whole log, each time for a reason read off the query,
+//! the program or the log: a query at a past time (only the whole log
+//! keeps the whole run's clock), a plan that refused its key, and a
+//! closure that would replay more events than the log holds. What
+//! MAKEAPPEAR asks of the bad run's base tuples
+//! ([`Replayed::base_tuples`]) is read off the whole log too.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -501,9 +507,9 @@ impl Execution {
     /// whole log keeps that clock, so a query at an earlier time replays
     /// the whole log (`replay.slice_refused{why=past}`).
     ///
-    /// Counted on the tracer: `replay.slice_events` (events replayed),
-    /// `replay.slice_owners`, `replay.slice_rounds` (closure rounds, each a
-    /// replay into a null sink) and `replay.slice_refused{why}`.
+    /// Counted on the tracer: `replay.slice_events` (events of the replay
+    /// kept), `replay.slice_owners`, `replay.slice_rounds` (closure rounds,
+    /// each a recorded replay) and `replay.slice_refused{why}`.
     pub fn replay_slice<'t>(
         &self,
         tuples: impl IntoIterator<Item = (&'t NodeId, &'t Tuple)>,
@@ -537,6 +543,10 @@ impl Execution {
         cut.admit_changes(plan, delta);
         let events = self.log.events();
         let index = Index::of(plan, &events);
+        let patched = |exec: &Execution| match delta {
+            [] => exec.replay(),
+            _ => exec.replay_with(delta, inject_at),
+        };
         let (mut rounds, mut spent) = (0, 0);
         let mut owners;
         let replayed = loop {
@@ -545,19 +555,10 @@ impl Execution {
             spent += sliced.log.len();
             owners = cut.owners();
             if spent >= events.len() {
-                drop(sliced);
                 self.tracer.counter("replay.slice_refused{why=size}", 1);
-                break if delta.is_empty() {
-                    self.replay()?
-                } else {
-                    self.replay_with(delta, inject_at)?
-                };
+                break patched(self)?;
             }
-            let mut replayed = if delta.is_empty() {
-                sliced.replay()?
-            } else {
-                sliced.replay_with(delta, inject_at)?
-            };
+            let mut replayed = patched(&sliced)?;
             if !cut.close(plan, &replayed.engine) {
                 replayed.slice = Some(Box::new(Slice { cut, exec: sliced }));
                 break replayed;

@@ -10,9 +10,11 @@
 //! The owner set starts at the queried tuples' owners and the nodes where
 //! the queried keys enter. That is not yet closed: a kept message can
 //! carry a key-group tuple to a node whose owned state was not kept, and
-//! there it would find no flow table. So the slice is replayed into a
-//! null sink, the nodes outside the set where a key-group tuple has been
-//! join it, and the round repeats; only the round that finds none records
+//! there it would find no flow table. So the slice is replayed, recording,
+//! the nodes outside the set where a key-group tuple has been join it, and
+//! the round repeats; the recording of the round that finds none is the
+//! replay's. Rounds that together would replay more events than the log
+//! holds give way to one replay of the whole log
 //! ([`crate::Execution::replay_slice`]).
 //!
 //! Why a closed slice replays the whole run's provenance of what it keeps:

@@ -1,5 +1,6 @@
 //! The slice's judge over every hand-built diagnosis: Table 1, the
-//! extension scenarios and the three campus shapes at seeds 7, 3 and 11.
+//! extension scenarios, the three campus shapes at seeds 7, 3 and 11, and
+//! SDN3 with a second owner of the repaired entry's key.
 //! A diagnosis replays only the slices its trees depend on; here each one
 //! runs once more over the whole logs, and the two must agree on the
 //! change set, the rounds, the failure, `verified`, both seeds, both tree
