@@ -273,7 +273,8 @@ impl DiffProv {
             for &idx in &chain {
                 match taint.expected_tref(idx) {
                     Ok(exp) => {
-                        if !exists(&replayed_bad, &exp) && !promised.contains(&exp) {
+                        let present = replayed_bad.exists_in(bad, &exp.node, &exp.tuple);
+                        if !present && !promised.contains(&exp) {
                             divergence = Some((idx, exp));
                             break;
                         }
@@ -309,6 +310,7 @@ impl DiffProv {
                     program,
                     bad,
                     replayed_bad: &replayed_bad,
+                    tracer: &tracer,
                     taint: &mut taint,
                     delta: &mut delta,
                     promised: &mut promised,
@@ -425,16 +427,13 @@ fn seed_due(exec: &Execution, seed: &TupleRef) -> LogicalTime {
         .map_or(0, |e| e.due)
 }
 
-fn exists(replayed: &Replayed, tref: &TupleRef) -> bool {
-    replayed.exists(&tref.node, &tref.tuple)
-}
-
 /// Mutable context threaded through MAKEAPPEAR.
 struct AlignCtx<'a, 'v> {
     view: &'a TupleTree,
     program: &'a Program,
     bad: &'a Execution,
     replayed_bad: &'a Replayed,
+    tracer: &'a Tracer,
     taint: &'a mut TaintState<'v>,
     delta: &'a mut Vec<TupleChange>,
     promised: &'a mut BTreeSet<TupleRef>,
@@ -468,7 +467,9 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
             }
             return Ok(());
         }
-        if exists(self.replayed_bad, &exp) || self.promised.contains(&exp) {
+        if self.replayed_bad.exists_in(self.bad, &exp.node, &exp.tuple)
+            || self.promised.contains(&exp)
+        {
             return Ok(());
         }
         let occ = self.view.node(idx).clone();
@@ -745,19 +746,27 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
         Ok(())
     }
 
-    /// Finds the tuple in the bad execution that `exp` replaces: the live
-    /// tuple of the same table on the same node sharing `exp`'s primary
-    /// key. Tables without a declared key fall back to the singleton
-    /// heuristic: if exactly one live tuple of the table exists on the
-    /// node, it is the one being replaced (configuration cells). The live
-    /// tuples are the whole log's ([`Replayed::base_tuples`]), which a
-    /// slice holds only in part when the table is owned by a column.
+    /// Finds the tuple in the bad execution that `exp` replaces: the first
+    /// live tuple, in tuple order, of the same table on the same node
+    /// sharing `exp`'s primary key. Tables without a declared key fall
+    /// back to the singleton heuristic: if exactly one live tuple of the
+    /// table exists on the node, it is the one being replaced
+    /// (configuration cells). The live tuples are the whole log's
+    /// ([`Replayed::base_tuples_by_key`]), which a slice holds only in part
+    /// when the table is owned by a column; a keyed lookup holds only the
+    /// rows sharing the key. How many rows each lookup held is the size
+    /// histogram `diffprov.replaced_tuples`.
     fn find_by_key(&self, exp: &TupleRef) -> Option<Tuple> {
         let schema = self.program.schemas.get(&exp.tuple.table)?;
-        let live = self.replayed_bad.base_tuples(self.bad, &exp.node, &exp.tuple.table);
+        let key = schema.key.as_deref();
+        let live = self
+            .replayed_bad
+            .base_tuples_by_key(self.bad, &exp.node, &exp.tuple, key);
+        self.tracer
+            .update(|agg| agg.observe_size("diffprov.replaced_tuples", live.len() as u64));
         let mut others = live.iter().map(|t| &**t).filter(|t| **t != *exp.tuple);
-        match schema.key_of(&exp.tuple) {
-            Some(key) => others.find(|t| schema.key_of(t).as_deref() == Some(&key[..])).cloned(),
+        match key {
+            Some(_) => others.next().cloned(),
             None => {
                 let first = others.next()?;
                 if others.next().is_none() {

@@ -370,6 +370,50 @@ mod tests {
         assert!(report.verified);
     }
 
+    /// A table without a declared key is a configuration cell: the change
+    /// that makes the expected cell appear replaces the node's one other
+    /// live cell, and with two others it replaces neither and inserts.
+    #[test]
+    fn a_keyless_cell_is_replaced_only_when_it_is_the_one_live() {
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new(
+            "pkt",
+            TableKind::ImmutableBase,
+            [("pid", FieldType::Int), ("dst", FieldType::Ip)],
+        ));
+        reg.declare(Schema::new("port", TableKind::MutableBase, [("pt", FieldType::Int)]));
+        reg.declare(Schema::new(
+            "sent",
+            TableKind::Derived,
+            [("pid", FieldType::Int), ("dst", FieldType::Ip), ("port", FieldType::Int)],
+        ));
+        let program = Program::builder(reg)
+            .rules_text("fwd sent(@S, Pid, Dst, Pt) :- pkt(@S, Pid, Dst), port(@S, Pt).")
+            .unwrap()
+            .build()
+            .unwrap();
+        let s = NodeId::new("S2");
+        let mut good = Execution::new(Arc::clone(&program));
+        good.log.insert(0, "S2", tuple!("port", 6));
+        good.log.insert(10, "S2", pkt(100, "4.3.2.1"));
+        let good_ev = QueryEvent::new(TupleRef::new(s, sent(100, "4.3.2.1", 6)), u64::MAX);
+        let bad_ev = QueryEvent::new(TupleRef::new(s, sent(200, "4.3.2.1", 7)), u64::MAX);
+        for (cells, before) in [(&[7][..], Some(tuple!("port", 7))), (&[7, 8][..], None)] {
+            let mut bad = Execution::new(Arc::clone(&program));
+            for &pt in cells {
+                bad.log.insert(0, "S2", tuple!("port", pt));
+            }
+            bad.log.insert(10, "S2", pkt(200, "4.3.2.1"));
+            let report = DiffProv::default()
+                .diagnose(&good, &good_ev, &bad, &bad_ev)
+                .unwrap();
+            assert!(report.succeeded(), "{report}");
+            assert_eq!(report.delta.len(), 1, "{report}");
+            assert_eq!(report.delta[0].before, before, "{report}");
+            assert_eq!(report.delta[0].after, Some(tuple!("port", 6)), "{report}");
+        }
+    }
+
     /// When good and bad events are equivalent already, DiffProv returns an
     /// empty change set and verifies.
     #[test]

@@ -124,9 +124,10 @@ impl Operand {
     /// The operand's value in `frame`.
     pub(crate) fn read<'a>(&'a self, frame: &'a [Option<Value>]) -> &'a Value {
         match self {
-            Operand::Slot(s) => frame[*s]
-                .as_ref()
-                .expect("the planner binds a step's operands before the step"),
+            Operand::Slot(s) => match &frame[*s] {
+                Some(v) => v,
+                None => panic!("the planner binds a step's operands before the step (slot {s})"),
+            },
             Operand::Const(v) => v,
         }
     }

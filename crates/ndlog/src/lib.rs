@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ast;
 mod compile;
@@ -35,7 +36,10 @@ pub mod program;
 pub mod reference;
 pub mod sink;
 pub mod slice;
+// Test scaffolding, compiled only for test builds: a case that fails to
+// build or run panics where it fails, as a test's own body does.
 #[cfg(feature = "testing")]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 pub mod testsupport;
 
 pub use ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};

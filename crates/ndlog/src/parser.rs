@@ -40,9 +40,10 @@ pub fn parse_rules(src: &str) -> Result<Vec<Rule>> {
 /// Parses a single rule.
 pub fn parse_rule(src: &str) -> Result<Rule> {
     let rules = parse_rules(src)?;
-    match rules.len() {
-        1 => Ok(rules.into_iter().next().expect("len checked")),
-        n => Err(Error::Parse(format!("expected 1 rule, found {n}"))),
+    let n = rules.len();
+    match (n, rules.into_iter().next()) {
+        (1, Some(rule)) => Ok(rule),
+        _ => Err(Error::Parse(format!("expected 1 rule, found {n}"))),
     }
 }
 

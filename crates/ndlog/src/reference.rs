@@ -348,15 +348,14 @@ impl Oracle<'_> {
     /// `gone` just lost its last support: remove and report it, then
     /// withdraw every derivation that used it, recursively.
     fn disappear(&mut self, now: LogicalTime, gone: TupleRef) {
-        let tables = self
+        let removed = self
             .nodes
             .get_mut(&gone.node)
-            .expect("only a live tuple disappears");
-        let since = tables
-            .get_mut(&gone.tuple.table)
-            .and_then(|t| t.remove(&*gone.tuple))
-            .expect("only a live tuple disappears")
-            .appeared_at;
+            .and_then(|tables| tables.get_mut(&gone.tuple.table))
+            .and_then(|t| t.remove(&*gone.tuple));
+        let Some(since) = removed.map(|entry| entry.appeared_at) else {
+            panic!("only a live tuple disappears, and {gone} is not live");
+        };
         self.sink.record(ProvEvent::Disappear {
             time: now,
             since,
@@ -573,7 +572,9 @@ impl Oracle<'_> {
         rule: &Rule,
         out: &mut Vec<(LogicalTime, Delivery)>,
     ) -> Result<()> {
-        let spec = rule.agg.as_ref().expect("caller checked");
+        let Some(spec) = rule.agg.as_ref() else {
+            return Err(Error::Engine(format!("rule {} has no aggregate", rule.name)));
+        };
         // (head location, non-aggregate head arguments) -> (fold so far,
         // contributing tuples).
         type Group = (Option<i64>, Vec<TupleRef>);
@@ -605,7 +606,9 @@ impl Oracle<'_> {
             }
         }
         for ((loc, mut args), (acc, used)) in groups {
-            let acc = acc.expect("every group folded at least one match");
+            let acc = acc.ok_or_else(|| {
+                Error::Engine(format!("an aggregate group of rule {} folded no match", rule.name))
+            })?;
             args.insert(spec.head_index, Value::Int(acc));
             let to = NodeId(*loc.as_str()?);
             out.push(self.send(due, node, rule, to, args, used, 0)?);

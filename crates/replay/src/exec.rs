@@ -18,9 +18,9 @@
 //! given up for the whole log, each time for a reason read off the query,
 //! the program or the log: a query at a past time (only the whole log
 //! keeps the whole run's clock), a plan that refused its key, and a
-//! closure that would replay more events than the log holds. What
-//! MAKEAPPEAR asks of the bad run's base tuples
-//! ([`Replayed::base_tuples`]) is read off the whole log too.
+//! closure that would replay more events than the log holds. The entry
+//! MAKEAPPEAR replaces ([`Replayed::base_tuples_by_key`]) is read off the
+//! whole log too, keeping only the rows that share the wanted key.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -31,7 +31,7 @@ use dp_provenance::{
     extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree, Step, VertexId,
 };
 use dp_trace::Tracer;
-use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, TupleRef};
+use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
 use crate::roll::{self, Phase, Refusal, Suffix};
@@ -384,6 +384,23 @@ impl Replayed {
         self.engine.contains(node, tuple)
     }
 
+    /// True if the located tuple is present once `exec`'s log, patched by
+    /// the changes this replay was last rolled to, has run. The engine
+    /// answers for what the replay holds. A base tuple that a slice's cut
+    /// leaves out — its key not queried, or its owner not in the set — is
+    /// read off the whole patched log instead, by the fold of
+    /// [`Replayed::base_tuples_by_key`] keyed on every column: the slice
+    /// lacks its events, and the whole log may hold it.
+    pub fn exists_in(&self, exec: &Execution, node: &NodeId, tuple: &Tuple) -> bool {
+        let plan = exec.program.slice_plan();
+        let outside = self.slice.as_ref().is_some_and(|s| !s.cut.holds(plan, node, tuple));
+        if outside && exec.program.schemas.is_base(&tuple.table) {
+            let every: Vec<usize> = (0..tuple.arity()).collect();
+            return !self.base_tuples_by_key(exec, node, tuple, Some(&every)).is_empty();
+        }
+        self.exists(node, tuple)
+    }
+
     /// The provenance tree of `root` as of the final state.
     ///
     /// The graph finds the episode by key, not by search: an episode
@@ -410,18 +427,29 @@ impl Replayed {
         })
     }
 
-    /// The base tuples of `table` live at `node` once `exec`'s log,
-    /// patched by the changes this replay was last rolled to, has run, in
-    /// tuple order. They are read off the whole log, not the engine: a
-    /// replay of a slice holds a table owned by a column only for the
-    /// owners in its cut, so its engine can miss a row that another owner
-    /// keeps at the same node.
-    pub fn base_tuples(&self, exec: &Execution, node: &NodeId, table: &Sym) -> Vec<Arc<Tuple>> {
+    /// The base tuples of `like`'s table live at `node` once `exec`'s log,
+    /// patched by the changes this replay was last rolled to, has run,
+    /// whose columns `key` hold `like`'s values — every one of the table's
+    /// when `key` is `None` — in tuple order. They are read off the whole
+    /// log, not the engine: a replay of a slice holds a table owned by a
+    /// column only for the owners in its cut, so its engine can miss a row
+    /// that another owner keeps at the same node. The fold holds only the
+    /// tuples that share the key, compared column by column where they lie.
+    pub fn base_tuples_by_key(
+        &self,
+        exec: &Execution,
+        node: &NodeId,
+        like: &Tuple,
+        key: Option<&[usize]>,
+    ) -> Vec<Arc<Tuple>> {
+        let shares_key = |t: &Tuple| {
+            key.is_none_or(|key| key.iter().all(|&i| t.get(i) == like.get(i)))
+        };
         let events = exec.log.events();
         let (delta, inject_at) = &self.rolled;
         let mut live = BTreeSet::new();
         for (_, e) in Patched::new(&events, delta, *inject_at).events() {
-            if e.node == *node && e.tuple.table == *table {
+            if e.node == *node && e.tuple.table == like.table && shares_key(&e.tuple) {
                 match e.op {
                     BaseOp::Insert => live.insert(Arc::clone(&e.tuple)),
                     BaseOp::Delete => live.remove(&e.tuple),
@@ -868,6 +896,43 @@ mod tests {
         }];
         let r = exec.replay_with(&delta, 1).unwrap();
         assert!(r.exists(&n, &tuple!("out", 31)));
+    }
+
+    /// The lookup MAKEAPPEAR replaces an entry by: the rows of a table at a
+    /// node that share a key with a wanted tuple, off the whole log as
+    /// patched by the changes the replay was rolled to, in tuple order; a
+    /// table without a key gives all of its rows.
+    #[test]
+    fn base_tuples_by_key_folds_the_patched_log_for_one_key() {
+        let mut exec = execution();
+        exec.log.insert(1, "n1", tuple!("cfg", 11));
+        exec.log.insert(2, "n1", tuple!("cfg", 12));
+        exec.log.delete(3, "n1", tuple!("cfg", 12));
+        exec.log.insert(1, "n2", tuple!("cfg", 10));
+        let n = NodeId::new("n1");
+        let rows = |r: &Replayed, like: Tuple, key: Option<&[usize]>| -> Vec<Tuple> {
+            let rows = r.base_tuples_by_key(&exec, &n, &like, key);
+            rows.iter().map(|t| Tuple::clone(t)).collect()
+        };
+        let mut r = exec.replay().unwrap();
+        assert_eq!(rows(&r, tuple!("cfg", 10), Some(&[0])), [tuple!("cfg", 10)]);
+        assert!(rows(&r, tuple!("cfg", 12), Some(&[0])).is_empty());
+        assert_eq!(
+            rows(&r, tuple!("cfg", 99), None),
+            [tuple!("cfg", 10), tuple!("cfg", 11)]
+        );
+        let delta = [TupleChange {
+            node: n,
+            before: Some(tuple!("cfg", 10)),
+            after: Some(tuple!("cfg", 13)),
+        }];
+        r.roll_forward(&exec, &delta, 0).unwrap();
+        assert!(rows(&r, tuple!("cfg", 10), Some(&[0])).is_empty());
+        assert_eq!(rows(&r, tuple!("cfg", 13), Some(&[0])), [tuple!("cfg", 13)]);
+        assert_eq!(
+            rows(&r, tuple!("cfg", 99), None),
+            [tuple!("cfg", 11), tuple!("cfg", 13)]
+        );
     }
 
     #[test]

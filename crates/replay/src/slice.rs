@@ -65,6 +65,15 @@ impl Cut {
         }
     }
 
+    /// True if the cut holds the events of `tuple` at `node`.
+    pub(crate) fn holds(&self, plan: &SlicePlan, node: &NodeId, tuple: &Tuple) -> bool {
+        match plan.needs(node, tuple) {
+            Needs::Key(key) => self.keys.contains(&key),
+            Needs::Owner(owner) => self.owners.contains(&owner),
+            Needs::Nothing => true,
+        }
+    }
+
     /// Widens the cut to hold both sides of every change; true if it grew.
     /// Patching a cut log is then cutting the patched log: every event a
     /// change rewrites, drops or adds is one the cut holds.

@@ -34,8 +34,9 @@
 # beside the engine's head ids (the deleted global `TupleStore`), against
 # the recorder finding an episode by bisecting its clocks, against a switch
 # that selects a whole-log diagnosis; a check that the campus diagnosis
-# replays a slice smaller than its log, closed in at most four rounds; and
-# lint-clean clippy.
+# replays a slice smaller than its log, closed in at most four rounds; a
+# check that its MAKEAPPEAR key lookups hold no more rows than the entries
+# they replace; and lint-clean clippy.
 # The sweep holds six invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery, the slice judge — and it must diagnose
@@ -145,9 +146,9 @@ rolls_what_the_change_reaches() {
 step "campus rolls what the change reaches" rolls_what_the_change_reaches
 # A diagnosis replays the slice of the log its trees depend on: on the
 # default campus the slice must be smaller than the log, and closing it
-# over the run (each round a null-sink replay that finds where the two
-# packets went) may take at most four rounds. Read off the summary's
-# `slice:` line of `repro trace campus`.
+# over the run (each round a recorded replay that finds where the two
+# packets went, the closed round's recording kept) may take at most four
+# rounds. Read off the summary's `slice:` line of `repro trace campus`.
 replays_its_slice() {
     local tail sliced logged rounds
     tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
@@ -166,6 +167,23 @@ replays_its_slice() {
     fi
 }
 step "campus replays its slice" replays_its_slice
+# MAKEAPPEAR finds the entry a change replaces by its key: each lookup
+# holds the rows of its (node, table) that share the key — on the campus
+# the one `cfgEntry` it replaces — not the controller's whole table. Read
+# off the `diffprov.replaced_tuples` size histogram (lookups, rows held)
+# in the tail of `repro trace campus`.
+finds_the_replaced_entry_by_key() {
+    local tail lookups held
+    tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
+    lookups="$(awk '$1 == "diffprov.replaced_tuples" { print $2 }' <<<"$tail")"
+    held="$(awk '$1 == "diffprov.replaced_tuples" { print $3 }' <<<"$tail")"
+    echo "repro trace campus: ${lookups:-?} key lookups held ${held:-?} rows"
+    if [[ -z "$lookups" || -z "$held" || "$lookups" -lt 1 || "$held" -gt "$lookups" ]]; then
+        echo "check.sh: a key lookup held more rows than the entry it replaces" >&2
+        return 1
+    fi
+}
+step "campus finds the replaced entry by its key" finds_the_replaced_entry_by_key
 # The separate metrics registry folded into dp-trace's aggregate in PR 14;
 # a second instrumentation system must not grow back beside it. (The
 # names are spelled in halves so this script passes its own gate.)

@@ -240,3 +240,33 @@ fn reports_are_pinned() {
         assert_eq!((*name, delta.as_slice(), *rounds, *good, *bad, *verified), w);
     }
 }
+
+/// MAKEAPPEAR's lookup of the entry a change replaces holds the rows that
+/// share the entry's key, not its (node, table): on the campus every
+/// `cfgEntry` lives at the controller, yet each lookup holds the one entry
+/// it replaces (`diffprov.replaced_tuples`, a size per lookup). A fold of
+/// the controller's whole table held 9 902 rows at seed 7.
+#[test]
+fn the_replaced_entry_is_found_by_its_key() {
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::trace::Tracer;
+    use diffprov::DiffProv;
+    for seed in [7, 3, 11] {
+        let c = campus(&CampusConfig {
+            seed,
+            bulk_entries_per_router: 40,
+            background_packets: 100,
+            ..CampusConfig::default()
+        });
+        let tracer = Tracer::aggregate_only();
+        let dp = DiffProv {
+            tracer: tracer.clone(),
+            ..DiffProv::default()
+        };
+        let report = c.scenario.diagnose_with(&dp).unwrap();
+        assert!(report.verified, "seed {seed}: {report}");
+        let agg = tracer.aggregate();
+        let held = &agg.sizes["diffprov.replaced_tuples"];
+        assert_eq!((held.count, held.sum, held.max), (1, 1, 1), "seed {seed}: {report}");
+    }
+}
