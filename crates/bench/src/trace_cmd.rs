@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 
 use diffprov_core::{DiffProv, Metrics, Report, Scenario};
 use dp_ndlog::join_profile_json;
+use dp_replay::Execution;
 use dp_trace::{Aggregate, Tracer};
 use dp_types::Result;
 
@@ -44,6 +45,10 @@ pub struct TraceRun {
     /// Events logged by the executions diagnosed: one log when both
     /// events come from it, both otherwise.
     pub logged: usize,
+    /// The series of the bad execution's whole log replayed and rolled to
+    /// the diagnosis's change set ([`whole_log_roll`]); `None` when the
+    /// diagnosis found no change.
+    pub whole_roll: Option<Aggregate>,
 }
 
 /// Runs DiffProv on `scenario` with one tracer shared by both executions
@@ -75,11 +80,33 @@ pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
     } else {
         good.len() + bad.len()
     };
+    let whole_roll = whole_log_roll(&scenario.bad_exec, &report)?;
     Ok(TraceRun {
         report,
         aggregate: tracer.aggregate(),
         logged,
+        whole_roll,
     })
+}
+
+/// Replays `bad`'s whole log and rolls it to `report`'s change set,
+/// injected where the diagnosis injects it (just before the bad seed's
+/// due), on a tracer of its own; `None` when there is no change. A
+/// diagnosis rolls its slice, whose suffix holds little the change does not
+/// reach; the whole log keeps every background event after the fork, so
+/// this roll shows what UPDATETREE leaves alone.
+pub fn whole_log_roll(bad: &Execution, report: &Report) -> Result<Option<Aggregate>> {
+    let (Some(seed), false) = (&report.bad_seed, report.delta.is_empty()) else {
+        return Ok(None);
+    };
+    let mut exec = bad.clone();
+    exec.tracer = Tracer::aggregate_only();
+    let events = exec.log.events();
+    let seeded = events.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
+    let at = seeded.map_or(0, |e| e.due).saturating_sub(1);
+    let mut replayed = exec.replay()?;
+    replayed.roll_forward(&exec, &report.delta, at)?;
+    Ok(Some(exec.tracer.aggregate()))
 }
 
 fn ms(ns: u64) -> f64 {
@@ -150,17 +177,35 @@ pub fn summary(run: &TraceRun) -> String {
         agg.counter("replay.affected_events")
     );
     // What the replays read of the log: the slices the trees depend on,
-    // their owners and closure rounds, or why the program keeps its whole
-    // log.
+    // their owners and closure rounds, the owned events the guard left
+    // out, or why the program keeps its whole log (or gives the guard up).
     let _ = writeln!(
         s,
-        "      slice: {} of {} logged events, {} owners, {} closure rounds{}",
+        "      slice: {} of {} logged events, {} owners, {} closure rounds, \
+         {} left out by the guard{}",
         agg.counter("replay.slice_events"),
         run.logged,
         agg.counter("replay.slice_owners"),
         agg.counter("replay.slice_rounds"),
+        agg.counter("replay.slice_guard_dropped"),
         reasons(agg, "replay.slice_refused")
     );
+    // The same change set rolled on the bad execution's whole log: the
+    // suffix from the fork on with its background, and the part of it the
+    // change reached.
+    if let Some(whole) = &run.whole_roll {
+        let _ = writeln!(
+            s,
+            "      whole-log roll: {} affected of {} fork events of {} logged, \
+             path roll x{} / scratch x{}{}",
+            whole.counter("replay.affected_events"),
+            whole.counter("replay.fork_events"),
+            whole.counter("replay.log_events"),
+            whole.counter("replay.rolled{path=roll}"),
+            whole.counter("replay.rolled{path=scratch}"),
+            reasons(whole, "replay.refused")
+        );
+    }
     let _ = writeln!(
         s,
         "    find seeds        {:>10.3} ms",
@@ -476,9 +521,24 @@ mod tests {
             agg.counter("replay.affected_events")
         );
         assert!(text.contains(&line), "{text}");
-        assert!(agg.counter("replay.affected_events") < agg.counter("replay.fork_events"));
         let changes = run.report.delta.len() as u64;
         assert!(agg.counter("replay.suffix_tuples") <= agg.counter("replay.fork_events") + changes);
+        // DiffProv's slice keeps only the entries covering the two
+        // packets, which the change reaches: its whole suffix is
+        // re-issued. On the whole log rolled to the same Δ the background
+        // after the fork stays, and the roll re-issues less than the
+        // suffix.
+        let whole = run.whole_roll.as_ref().expect("the campus diagnosis finds changes");
+        let (fork, affected) =
+            (whole.counter("replay.fork_events"), whole.counter("replay.affected_events"));
+        assert_eq!(whole.counter("replay.rolled{path=roll}"), 1);
+        assert!(0 < affected && affected < fork, "{affected} affected of {fork} fork events");
+        let line = format!(
+            "whole-log roll: {affected} affected of {fork} fork events of {} logged, \
+             path roll x1 / scratch x0\n",
+            whole.counter("replay.log_events")
+        );
+        assert!(text.contains(&line), "{text}");
 
         // A from-scratch replay names its reasons on the same line.
         let tracer = Tracer::aggregate_only();

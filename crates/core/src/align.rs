@@ -309,7 +309,7 @@ impl DiffProv {
                     view: &good_view,
                     program,
                     bad,
-                    replayed_bad: &replayed_bad,
+                    replayed_bad: &mut replayed_bad,
                     tracer: &tracer,
                     taint: &mut taint,
                     delta: &mut delta,
@@ -432,7 +432,7 @@ struct AlignCtx<'a, 'v> {
     view: &'a TupleTree,
     program: &'a Program,
     bad: &'a Execution,
-    replayed_bad: &'a Replayed,
+    replayed_bad: &'a mut Replayed,
     tracer: &'a Tracer,
     taint: &'a mut TaintState<'v>,
     delta: &'a mut Vec<TupleChange>,
@@ -814,17 +814,29 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
                         .first()
                         .map(|c| c.node)
                         .unwrap_or_else(|| NodeId::new("?"));
-                    let holds = match self.replayed_bad.engine.view(&node) {
-                        Some(view) => builtin.eval(&view, &vals).map_err(AlignError::from)?,
-                        None => true, // no state on that node: nothing conflicts
+                    // The builtin reads the bad slice's state; when what it
+                    // read lies outside the slice, the slice widens and the
+                    // builtin is asked again.
+                    let (holds, repairs) = loop {
+                        let (holds, repairs) = match self.replayed_bad.engine.view(&node) {
+                            Some(view) => {
+                                let holds = builtin.eval(&view, &vals)?;
+                                let repairs = match holds {
+                                    true => Vec::new(),
+                                    false => builtin.repair(&view, &vals)?,
+                                };
+                                (holds, repairs)
+                            }
+                            // No state on that node: nothing conflicts.
+                            None => (true, Vec::new()),
+                        };
+                        if !self.replayed_bad.widen(self.bad)? {
+                            break (holds, repairs);
+                        }
                     };
                     if holds {
                         continue;
                     }
-                    let repairs = match self.replayed_bad.engine.view(&node) {
-                        Some(view) => builtin.repair(&view, &vals).map_err(AlignError::from)?,
-                        None => Vec::new(),
-                    };
                     if repairs.is_empty() {
                         return Err(AlignError::Fail(Failure::NonInvertible {
                             attempted: format!(

@@ -170,6 +170,7 @@
 //! row recorded while they existed (worker pool 0.96x; shards 0.94x /
 //! 0.54x / 0.66x).
 
+use std::cell::Ref;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -177,7 +178,7 @@ use std::sync::Arc;
 mod fire;
 mod state;
 
-pub use state::NodeView;
+pub use state::{GuardReads, NodeView};
 
 use dp_trace::{series, Tracer};
 use dp_types::{Error, LogicalTime, NodeId, Result, Sym, TableKind, Tuple, TupleRef, Value};
@@ -669,10 +670,12 @@ impl<S: ProvenanceSink> Engine<S> {
         &mut self.sink
     }
 
-    /// A read-only view of `node`, if it has any state.
+    /// A read-only view of `node`, if it has any state. It notes what it
+    /// reads of guarded tables in [`Engine::guard_reads`], as a firing's
+    /// view does: DiffProv asks builtins of the state on it.
     pub fn view(&self, node: &NodeId) -> Option<NodeView<'_>> {
         let at = self.nodes.index(node)?;
-        Some(NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX))
+        Some(NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX, true))
     }
 
     /// The state of `tuple` at `node`, if currently present: a copy, its
@@ -691,28 +694,29 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Every node that ever held a tuple, with a view of its tables, in
-    /// node order.
+    /// node order. The views note nothing in [`Engine::guard_reads`]: they
+    /// dump the state, no builtin asks on them.
     pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, NodeView<'_>)> {
         self.nodes.in_order().map(|(id, at)| {
-            (id, NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX))
+            (id, NodeView::of_engine(&self.nodes, &self.program, at, LogicalTime::MAX, false))
         })
     }
 
-    /// Every node at which a tuple of `table` has ever been live, in node
-    /// order: a tuple keeps its row for the engine's life, so one that
-    /// came and went is counted too. A slice's closure reads it.
-    pub fn nodes_that_held(&self, table: &Sym) -> Vec<NodeId> {
-        let Some(t) = self.program.table_index(table) else {
-            return Vec::new();
-        };
-        self.nodes
-            .in_order()
-            .filter(|&(_, at)| {
-                let node = &self.nodes.nodes[at as usize];
-                node.table(t).is_some_and(|tab| !tab.rows.is_empty())
-            })
-            .map(|(id, _)| *id)
-            .collect()
+    /// Every tuple of `table` that has ever been live, with its node, in
+    /// node order: a tuple keeps its row for the engine's life, so one that
+    /// came and went is listed too. A slice's closure reads it.
+    pub fn held(&self, table: &Sym) -> impl Iterator<Item = (&NodeId, &Tuple)> {
+        let t = self.program.table_index(table);
+        self.nodes.in_order().flat_map(move |(id, at)| {
+            let rows = t.and_then(|t| self.nodes.nodes[at as usize].table(t));
+            rows.into_iter().flat_map(|tab| &tab.rows).map(move |slot| (id, &*slot.tuple))
+        })
+    }
+
+    /// What the views this engine handed to builtins and natives read of
+    /// the tables its program's slice plan guards ([`crate::slice`]).
+    pub fn guard_reads(&self) -> Ref<'_, GuardReads> {
+        self.nodes.reads.borrow()
     }
 
     /// Schedules a base-tuple insertion not earlier than `due`. A tuple

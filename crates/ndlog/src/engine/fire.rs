@@ -256,7 +256,7 @@ impl FireCtx<'_> {
         let native = self.program.native_at(ni);
         let mut emitter = Emitter::default();
         native.fire(
-            &NodeView::of_engine(self.nodes, self.program, d.row.node, d.at),
+            &NodeView::of_engine(self.nodes, self.program, d.row.node, d.at, true),
             &self.nodes.slot(d.row).tuple,
             &mut emitter,
         )?;
@@ -373,7 +373,7 @@ impl FireCtx<'_> {
     /// `trigger`, joining the remaining atoms against the state as of the
     /// delta's appearance, appending the scheduled actions to `out`.
     fn fire_rule(&self, d: &Delta, ri: usize, trigger: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at);
+        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at, true);
         let loc = Value::Str(view.node.0);
         let Some(node) = self.join(d, ri, trigger, &loc, out) else {
             return Ok(());
@@ -441,7 +441,7 @@ impl FireCtx<'_> {
     /// each derivation is the fence plus every contributing tuple, each
     /// once, in first-use order.
     fn fire_agg_rule(&self, d: &Delta, ri: usize, out: &mut FireOut<'_>) -> Result<()> {
-        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at);
+        let view = NodeView::of_engine(self.nodes, self.program, d.row.node, d.at, true);
         let loc = Value::Str(view.node.0);
         let Some(node) = self.join(d, ri, 0, &loc, out) else {
             return Ok(());

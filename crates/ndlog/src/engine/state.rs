@@ -60,6 +60,7 @@
 //! for the caller.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -659,6 +660,9 @@ pub(super) struct Nodes {
     pub(super) nodes: Vec<Node>,
     /// Every derived head delivered so far, by head id.
     pub(super) heads: Heads,
+    /// What the views of these nodes handed to builtins and natives read
+    /// of the tables the program's slice plan guards.
+    pub(super) reads: RefCell<GuardReads>,
 }
 
 impl Nodes {
@@ -957,6 +961,42 @@ enum Source<'a> {
     Oracle(Option<&'a NodeTables>),
 }
 
+/// What the views an engine hands to stateful builtins and natives — its
+/// firings', and [`crate::Engine::view`]'s, on which DiffProv asks a
+/// builtin of the state — read of the tables its program's slice plan
+/// guards ([`crate::slice`]): the addresses they probed them with, and
+/// whether any read one otherwise. A slice's closure reads it
+/// ([`crate::Engine::guard_reads`]).
+#[derive(Debug, Default)]
+pub struct GuardReads {
+    /// Every address a [`NodeView::prefix_candidates`] call probed a
+    /// guarded table with, probing each of its guarded columns: each at
+    /// least once, in no order, and at most about twice as many entries
+    /// as distinct addresses.
+    pub probes: Vec<u32>,
+    /// True once a view read a guarded table any other way: a
+    /// [`NodeView::table`], [`NodeView::all`], [`NodeView::len`],
+    /// [`NodeView::is_empty`], [`NodeView::contains`] or [`NodeView::get`]
+    /// read, or a probe leaving a guarded column out.
+    pub whole: bool,
+}
+
+impl GuardReads {
+    /// Notes a probe with `ip`. Pushed, not inserted in order: a replay
+    /// of a whole log probes once per forwarded hop. A full buffer drops
+    /// its repeats first and keeps room for as many again, so the pushes
+    /// stay amortized O(1) and the buffer within twice the addresses.
+    fn probe(&mut self, ip: u32) {
+        let probes = &mut self.probes;
+        if probes.len() == probes.capacity() {
+            probes.sort_unstable();
+            probes.dedup();
+            probes.reserve(probes.len().max(4));
+        }
+        probes.push(ip);
+    }
+}
+
 /// A read-only view of one node's tables, handed to native rules and
 /// stateful builtins, and what [`crate::engine::Engine::nodes`] and
 /// [`crate::reference::FinalTables::nodes`] yield.
@@ -970,16 +1010,21 @@ pub struct NodeView<'a> {
     pub node: &'a NodeId,
     source: Source<'a>,
     as_of: LogicalTime,
+    /// True if the view notes its reads of guarded tables in its engine's
+    /// [`GuardReads`].
+    noted: bool,
 }
 
 impl<'a> NodeView<'a> {
     /// The engine's node `node` (an index of `nodes`), hiding whatever
-    /// appeared after `as_of`.
+    /// appeared after `as_of`, noting reads of guarded tables in
+    /// `nodes.reads` if `noted`.
     pub(super) fn of_engine(
         nodes: &'a Nodes,
         program: &'a Program,
         node: u32,
         as_of: LogicalTime,
+        noted: bool,
     ) -> Self {
         NodeView {
             node: &nodes.nodes[node as usize].id,
@@ -989,6 +1034,39 @@ impl<'a> NodeView<'a> {
                 node,
             },
             as_of,
+            noted,
+        }
+    }
+
+    /// Notes a read of `table` — of every table for `None` — that is not a
+    /// probe: it gives the guards up if it reads a guarded table.
+    fn note_whole(&self, table: Option<&Sym>) {
+        let (Source::Engine { nodes, program, .. }, true) = (self.source, self.noted) else {
+            return;
+        };
+        let plan = program.slice_plan();
+        if table.map_or(plan.has_guards(), |t| !plan.guard(t).is_empty()) {
+            nodes.reads.borrow_mut().whole = true;
+        }
+    }
+
+    /// Notes a probe of `table` with `probes`: their addresses when they
+    /// probe each guarded column, a whole read otherwise.
+    fn note_probes(&self, table: &Sym, probes: &[(usize, u32)]) {
+        let (Source::Engine { nodes, program, .. }, true) = (self.source, self.noted) else {
+            return;
+        };
+        let guard = program.slice_plan().guard(table);
+        if guard.is_empty() {
+            return;
+        }
+        let mut reads = nodes.reads.borrow_mut();
+        if guard.iter().all(|c| probes.iter().any(|(pc, _)| pc == c)) {
+            for &(_, ip) in probes {
+                reads.probe(ip);
+            }
+        } else {
+            reads.whole = true;
         }
     }
 
@@ -1001,6 +1079,7 @@ impl<'a> NodeView<'a> {
             node,
             source: Source::Oracle(tables),
             as_of: LogicalTime::MAX,
+            noted: false,
         }
     }
 
@@ -1018,6 +1097,12 @@ impl<'a> NodeView<'a> {
 
     /// Live tuples of `table` on this node, in tuple order.
     pub fn table(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
+        self.note_whole(Some(table));
+        self.rows(table)
+    }
+
+    /// [`NodeView::table`], unnoted.
+    fn rows(&self, table: &Sym) -> impl Iterator<Item = &'a Tuple> + 'a {
         let as_of = self.as_of;
         match self.source {
             Source::Engine { .. } => Either::Left(
@@ -1050,6 +1135,7 @@ impl<'a> NodeView<'a> {
     /// builtins like OpenFlow priority resolution can use this on their
     /// hot path without perturbing replay.
     pub fn prefix_candidates(&self, table: &Sym, probes: &[(usize, u32)]) -> Vec<&'a Tuple> {
+        self.note_probes(table, probes);
         let probe = self.engine_table(table).and_then(|t| {
             probes
                 .iter()
@@ -1075,12 +1161,13 @@ impl<'a> NodeView<'a> {
                 out.sort_unstable_by(|a, b| a.args.cmp(&b.args));
                 out
             }
-            None => self.table(table).collect(),
+            None => self.rows(table).collect(),
         }
     }
 
     /// True if `tuple` is currently present on this node.
     pub fn contains(&self, tuple: &Tuple) -> bool {
+        self.note_whole(Some(&tuple.table));
         match self.source {
             Source::Engine { nodes, .. } => self.engine_row(tuple).is_some_and(|r| {
                 let slot = nodes.slot(r);
@@ -1107,6 +1194,7 @@ impl<'a> NodeView<'a> {
 
     /// The state record of `tuple`, if present.
     pub fn get(&self, tuple: &Tuple) -> Option<TupleState> {
+        self.note_whole(Some(&tuple.table));
         match self.source {
             Source::Engine { nodes, .. } => {
                 let r = self.engine_row(tuple)?;
@@ -1120,6 +1208,7 @@ impl<'a> NodeView<'a> {
     /// Every live tuple on the node with its state, tables in name order
     /// and each in tuple order.
     pub fn all(&self) -> impl Iterator<Item = (&'a Tuple, TupleState)> + 'a {
+        self.note_whole(None);
         let as_of = self.as_of;
         match self.source {
             Source::Engine { nodes, node, .. } => {
@@ -1146,6 +1235,7 @@ impl<'a> NodeView<'a> {
 
     /// How many tuples are live on the node.
     pub fn len(&self) -> usize {
+        self.note_whole(None);
         match self.source {
             Source::Engine { nodes, node, .. } if self.as_of == LogicalTime::MAX => {
                 nodes.nodes[node as usize].live()

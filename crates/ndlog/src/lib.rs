@@ -44,7 +44,7 @@ pub mod testsupport;
 
 pub use ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};
 pub use engine::{
-    join_profile_json, DerivRecord, Engine, NodeView, RuleJoinProfile, Stats,
+    join_profile_json, DerivRecord, Engine, GuardReads, NodeView, RuleJoinProfile, Stats,
     TupleState,
 };
 pub use expr::{BinOp, Env, Expr, Func};

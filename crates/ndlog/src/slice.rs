@@ -58,14 +58,46 @@
 //! owner (or key), or are kept whole, so a slice holds every derivation of
 //! every tuple it holds and no derivation the whole run lacks: closed over
 //! its owners, it is the whole run restricted to what it keeps.
+//!
+//! # Guards
+//!
+//! An owned table can have a *guard*: columns whose prefix a tuple must
+//! make contain an address of a held group tuple for a slice to keep it.
+//! Column `c` of table `T` is guarded when every rule reading `T`
+//!
+//! * joins it beside a group atom and checks `prefix_contains(M, V)`, with
+//!   `M` the variable at `c` and `V` bound by the group atom at a column
+//!   declared `ip` — SDN's `fwd` checks `SM ∋ Src` and `DM ∋ Dst` of
+//!   `flowEntry` against `pktAt`'s header — or
+//! * carries `M` unchanged into a guarded column of its head: `install`
+//!   copies `cfgEntry`'s `SM` and `DM` into `flowEntry`'s,
+//!
+//! and no aggregate reads `T`; the column must be declared `prefix` or `ip`
+//! (the check's promotion rule then never fails). The columns are the
+//! largest set these rules leave, so a rule reading `T` that neither
+//! checks nor carries a column unguards it.
+//!
+//! A tuple whose guarded prefix contains no address of any group tuple
+//! joins no group atom through a checking rule, and whatever a carrying
+//! rule derives from it has the same prefix in a guarded column, so none
+//! of it is in the provenance of a group tuple: a slice may leave it out.
+//! What the rules cannot show is how a stateful builtin reads; the engine
+//! records that at run time, on every view it hands to one
+//! ([`crate::Engine::guard_reads`]): a read through
+//! [`crate::NodeView::prefix_candidates`] probing every guarded column
+//! sees only the rows containing its addresses (the slice widens by them),
+//! and any other read of a guarded table gives the guards up. (A
+//! builtin's own [`StatefulBuiltin::may_read`] cannot decide it: it is
+//! asked of the rows the builtin reads, `flowEntry`, while the guard
+//! leaves out the base events they are derived from, `cfgEntry`.)
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dp_types::{NodeId, Schema, SchemaRegistry, Sym, TableKind, Tuple, Value};
+use dp_types::{FieldType, NodeId, Schema, SchemaRegistry, Sym, TableKind, Tuple, Value};
 
-use crate::ast::{Constraint, Pattern, Rule};
-use crate::expr::Expr;
+use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
+use crate::expr::{Expr, Func};
 use crate::program::StatefulBuiltin;
 
 /// Where a table's owner is read from.
@@ -104,6 +136,8 @@ pub enum Needs {
 #[derive(Clone, Debug)]
 pub struct SlicePlan {
     shares: Vec<(Sym, Share)>,
+    /// The guarded columns of each table that has any (module docs).
+    guards: Vec<(Sym, Vec<usize>)>,
     refused: Option<&'static str>,
 }
 
@@ -120,6 +154,27 @@ impl SlicePlan {
         // A handful of tables, compared by interned name: a scan is a few
         // pointer compares, where a search would compare text.
         self.shares.iter().find(|(t, _)| t == table).map_or(Share::Whole, |&(_, s)| s)
+    }
+
+    /// The guarded columns of `table`, ascending; empty for a table
+    /// without a guard (module docs).
+    pub fn guard(&self, table: &Sym) -> &[usize] {
+        self.guards.iter().find(|(t, _)| t == table).map_or(&[], |(_, g)| g)
+    }
+
+    /// True if some table has a guard.
+    pub fn has_guards(&self) -> bool {
+        !self.guards.is_empty()
+    }
+
+    /// True if `tuple` passes its table's guard against `addrs`: each
+    /// guarded column's prefix contains one of the addresses. A tuple of a
+    /// table without a guard always passes.
+    pub fn covers(&self, tuple: &Tuple, addrs: &BTreeSet<u32>) -> bool {
+        self.guard(&tuple.table).iter().all(|&c| match tuple.args.get(c).map(Value::as_prefix) {
+            Some(Ok(p)) => addrs.range(p.addr()..=p.last()).next().is_some(),
+            _ => true,
+        })
     }
 
     /// The key-group tables, in name order (none when refused).
@@ -159,12 +214,13 @@ impl SlicePlan {
         let tables: Vec<&Schema> = schemas.iter().collect();
         let whole = |refused| SlicePlan {
             shares: tables.iter().map(|s| (s.name, Share::Whole)).collect(),
+            guards: Vec::new(),
             refused: Some(refused),
         };
         if has_natives {
             return whole("native");
         }
-        let a = Analysis::new(tables.iter().map(|s| s.name).collect(), rules, builtins);
+        let a = Analysis::new(&tables, rules, builtins);
         // The accepted key with the largest group; a program with none is
         // named by the first refusal of a column some rule carries.
         let mut best: Option<Vec<Option<usize>>> = None;
@@ -191,8 +247,12 @@ impl SlicePlan {
         let Some(group) = best else {
             return whole(refused.unwrap_or("no-key"));
         };
+        let shares = a.shares(&group);
+        let guards = a.guards(&shares);
+        let named = |(t, g): (usize, Vec<usize>)| (!g.is_empty()).then(|| (a.tables[t], g));
         SlicePlan {
-            shares: a.tables.iter().copied().zip(a.shares(&group)).collect(),
+            guards: guards.into_iter().enumerate().filter_map(named).collect(),
+            shares: a.tables.iter().copied().zip(shares).collect(),
             refused: None,
         }
     }
@@ -202,6 +262,7 @@ impl SlicePlan {
 /// and each rule with the indices of the tables it names.
 struct Analysis<'a> {
     tables: Vec<Sym>,
+    schemas: &'a [&'a Schema],
     rules: Vec<Indexed<'a>>,
 }
 
@@ -220,10 +281,11 @@ type Partial = Option<Share>;
 
 impl<'a> Analysis<'a> {
     fn new(
-        tables: Vec<Sym>,
+        schemas: &'a [&'a Schema],
         rules: &'a [Rule],
         builtins: &BTreeMap<Sym, Arc<dyn StatefulBuiltin>>,
     ) -> Self {
+        let tables: Vec<Sym> = schemas.iter().map(|s| s.name).collect();
         // Every table a built program's rules name is declared.
         let index = |table: &Sym| tables.binary_search(table).unwrap_or(usize::MAX);
         let rules = rules
@@ -244,7 +306,11 @@ impl<'a> Analysis<'a> {
                 }
             })
             .collect();
-        Analysis { tables, rules }
+        Analysis {
+            tables,
+            schemas,
+            rules,
+        }
     }
 
     /// The group keyed on argument `col` of base table `base`: the key
@@ -377,6 +443,79 @@ impl<'a> Analysis<'a> {
         }
         moved
     }
+
+    /// Every table's guarded columns under `shares` (module docs): from
+    /// each owned table's `prefix` and `ip` columns, what every reading
+    /// rule checks against its group atom or carries into a guarded head
+    /// column. Columns only leave, so it terminates.
+    fn guards(&self, shares: &[Share]) -> Vec<Vec<usize>> {
+        let mut guards: Vec<Vec<usize>> = shares
+            .iter()
+            .zip(self.schemas)
+            .map(|(share, schema)| match share {
+                Share::Owner(_) => (0..schema.arity())
+                    .filter(|&c| {
+                        let ty = schema.fields[c].ty;
+                        matches!(ty, FieldType::Prefix | FieldType::Ip)
+                    })
+                    .collect(),
+                Share::Key(_) | Share::Whole => Vec::new(),
+            })
+            .collect();
+        loop {
+            let mut moved = false;
+            for r in &self.rules {
+                let rule = r.rule;
+                let group = rule
+                    .body
+                    .iter()
+                    .zip(&r.body)
+                    .find(|&(_, &t)| matches!(shares[t], Share::Key(_)));
+                for (atom, &t) in rule.body.iter().zip(&r.body) {
+                    let keep = |c: &usize| {
+                        let Some(Pattern::Var(m)) = atom.args.get(*c) else {
+                            return false;
+                        };
+                        if rule.agg.is_some() || assigned(rule, m) {
+                            return false;
+                        }
+                        match group {
+                            Some((g, &gt)) => self.checks(rule, m, g, gt),
+                            None => rule.head.args.iter().enumerate().any(|(h, e)| {
+                                matches!(e, Expr::Var(v) if v == m) && guards[r.head].contains(&h)
+                            }),
+                        }
+                    };
+                    let kept: Vec<usize> = guards[t].iter().copied().filter(keep).collect();
+                    if kept.len() < guards[t].len() {
+                        guards[t] = kept;
+                        moved = true;
+                    }
+                }
+            }
+            if !moved {
+                return guards;
+            }
+        }
+    }
+
+    /// True if `rule` checks `prefix_contains(m, V)` with `V` bound by the
+    /// group atom `group` (of table `gt`) at a column declared `ip`.
+    fn checks(&self, rule: &Rule, m: &Sym, group: &BodyAtom, gt: usize) -> bool {
+        let bound = |v: &Sym| {
+            !assigned(rule, v)
+                && group.args.iter().zip(&self.schemas[gt].fields).any(|(p, f)| {
+                    matches!(p, Pattern::Var(a) if a == v) && f.ty == FieldType::Ip
+                })
+        };
+        rule.constraints.iter().any(|c| match c {
+            Constraint::Expr(Expr::Call(Func::PrefixContains, args)) => matches!(
+                args.as_slice(),
+                [Expr::Var(p), Expr::Var(v)] if p == m && bound(v)
+            ),
+            _ => false,
+        })
+    }
 }
 
 /// True if `var` is the target of one of `rule`'s assignments: it is then
@@ -443,6 +582,40 @@ mod tests {
         let read = plan(&decls, "a q(@N, agg_count(X)) :- f(@N, G), p(@N, X).");
         assert_eq!(read.refused(), Some("read"));
         assert_eq!(read.share(&Sym::new("p")), Share::Whole);
+    }
+
+    /// SDN's shape: `fe` is checked against the packet's address beside
+    /// the group atom and `cfg` carries its prefixes into `fe`; a prefix
+    /// that some rule reading the table neither checks nor carries into a
+    /// guarded column (`N`) loses its guard.
+    #[test]
+    fn checked_and_carried_prefixes_are_guarded() {
+        use dp_types::FieldType::{Int, Ip, Prefix};
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new("pkt", ImmutableBase, [("p", Int), ("d", Ip)]));
+        reg.declare(Schema::new("at", Derived, [("p", Int), ("d", Ip)]));
+        reg.declare(Schema::new("cfg", MutableBase, [("m", Prefix), ("n", Prefix)]));
+        reg.declare(Schema::new("fe", Derived, [("m", Prefix), ("n", Prefix)]));
+        let rules = parse_rules(
+            "i fe(@S, M, N) :- cfg(@S, M, N).\n\
+             f at(@S, P, D) :- pkt(@S, P, D), fe(@S, M, N), prefix_contains(M, D).\n\
+             g at(@S, P, D) :- pkt(@S, P, D), cfg(@S, M, N), prefix_contains(N, D).",
+        )
+        .unwrap();
+        let p = SlicePlan::of(&reg, &rules, false, &BTreeMap::new());
+        assert_eq!(p.refused(), None, "{p:?}");
+        // `f` checks `fe`'s `M` alone; `cfg`'s `M` is carried into it but
+        // unchecked by `g`, and its `N` is checked by `g` but carried into
+        // `fe`'s unguarded `N`.
+        assert_eq!(p.guard(&Sym::new("fe")), [0]);
+        assert!(p.guard(&Sym::new("cfg")).is_empty() && p.guard(&Sym::new("pkt")).is_empty());
+        let entry = |m: &str| {
+            let m = Value::Prefix(dp_types::prefix::cidr(m));
+            Tuple::new("fe", vec![m.clone(), m])
+        };
+        let addrs = BTreeSet::from([dp_types::prefix::ip("10.0.0.5")]);
+        assert!(p.covers(&entry("10.0.0.0/24"), &addrs));
+        assert!(!p.covers(&entry("10.0.1.0/24"), &addrs));
     }
 
     #[test]

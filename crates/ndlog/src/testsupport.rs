@@ -458,6 +458,67 @@ pub mod prefixgen {
             .ok()
     }
 
+    /// [`registry`] plus the forwarding heads: `fw` (ip × int), which
+    /// carries a packet's source, and `rd` (prefix × int), a route copied
+    /// off `rt`.
+    pub fn forwarding_registry() -> SchemaRegistry {
+        let mut reg = registry(false);
+        reg.declare(Schema::new(
+            "fw",
+            TableKind::Derived,
+            [("s", FieldType::Ip), ("v", FieldType::Int)],
+        ));
+        reg.declare(Schema::new(
+            "rd",
+            TableKind::Derived,
+            [("m", FieldType::Prefix), ("v", FieldType::Int)],
+        ));
+        reg
+    }
+
+    /// One random forwarding rule: a packet keyed by its source meets
+    /// route entries through `prefix_contains` checks — the shapes that
+    /// give a slice plan's routes a guard — or a rule that takes a guard
+    /// away again:
+    ///
+    /// 0. one route checked against the source or destination;
+    /// 1. two routes, each checked against one address;
+    /// 2. `rt` copied into `rd` (carried), `rd` checked;
+    /// 3. a route read without a packet, against a literal address — it
+    ///    neither checks against a packet nor carries the prefix.
+    fn arb_forwarding_rule(rng: &mut DetRng, i: usize) -> String {
+        let pv = if rng.gen_bool(0.5) { "S" } else { "D" };
+        match rng.gen_range_usize(0, 5) {
+            0 | 1 => format!(
+                "f{i} fw(@N, S, V) :- pk(@N, S, D), rt(@N, M, V), prefix_contains(M, {pv})."
+            ),
+            2 => format!(
+                "f{i} fw(@N, S, W) :- pk(@N, S, D), rt(@N, M, V), rt2(@N, M2, W), \
+                 prefix_contains(M, S), prefix_contains(M2, D)."
+            ),
+            3 => format!(
+                "c{i} rd(@N, M, V) :- rt(@N, M, V).\n\
+                 f{i} fw(@N, S, V) :- pk(@N, S, D), rd(@N, M, V), prefix_contains(M, {pv})."
+            ),
+            _ => format!(
+                "r{i} out(@N, V) :- rt(@N, M, V), prefix_contains(M, {}).",
+                arb_addr_str(rng)
+            ),
+        }
+    }
+
+    /// A random program of 1–3 [`arb_forwarding_rule`]s over
+    /// [`forwarding_registry`], run on [`arb_ops`]' schedules. `None` when
+    /// the builder rejects the text.
+    pub fn arb_forwarding_program(rng: &mut DetRng) -> Option<Arc<Program>> {
+        let mut text = String::new();
+        for i in 0..rng.gen_range_usize(1, 4) {
+            text.push_str(&arb_forwarding_rule(rng, i));
+            text.push('\n');
+        }
+        Program::builder(forwarding_registry()).rules_text(&text).ok()?.build().ok()
+    }
+
     /// `(is_delete, due, tuple)`.
     pub type Op = (bool, u64, Tuple);
 

@@ -205,6 +205,30 @@ impl Replayed {
         Ok(())
     }
 
+    /// Widens a replay of a slice by what was read through its engine's
+    /// views since the slice was closed — a builtin MAKEAPPEAR asks on
+    /// [`Engine::view`] probing an address outside the cut, or reading a
+    /// guarded table whole — and replays the wider slice of `exec`'s log,
+    /// patched as this replay was last rolled. True if it did: what was
+    /// read may have missed events the slice left out, and must be read
+    /// again. A replay of the whole log has nothing outside it.
+    pub fn widen(&mut self, exec: &Execution) -> Result<bool> {
+        let plan = exec.program.slice_plan();
+        let Some(slice) = self.slice.as_mut() else {
+            return Ok(false);
+        };
+        if !slice.cut.close(plan, &self.engine) {
+            return Ok(false);
+        }
+        let cut = slice.cut.clone();
+        let ((delta, inject_at), fresh) = (std::mem::take(&mut self.rolled), self.fresh);
+        // The held recording goes before the replay allocates its own.
+        self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+        *self = exec.replay_cut(cut, &delta, inject_at)?;
+        (self.rolled, self.fresh) = ((delta, inject_at), fresh);
+        Ok(true)
+    }
+
     /// The roll path, or why the caller has to replay from scratch —
     /// nothing this borrowed or built is alive by then.
     fn rewind(
@@ -387,8 +411,9 @@ impl Replayed {
     /// True if the located tuple is present once `exec`'s log, patched by
     /// the changes this replay was last rolled to, has run. The engine
     /// answers for what the replay holds. A base tuple that a slice's cut
-    /// leaves out — its key not queried, or its owner not in the set — is
-    /// read off the whole patched log instead, by the fold of
+    /// leaves out — its key not queried, its owner not in the set, or a
+    /// guarded prefix covering no held address — is read off the whole
+    /// patched log instead (`replay.whole_log_folds`), by the fold of
     /// [`Replayed::base_tuples_by_key`] keyed on every column: the slice
     /// lacks its events, and the whole log may hold it.
     pub fn exists_in(&self, exec: &Execution, node: &NodeId, tuple: &Tuple) -> bool {
@@ -434,7 +459,8 @@ impl Replayed {
     /// log, not the engine: a replay of a slice holds a table owned by a
     /// column only for the owners in its cut, so its engine can miss a row
     /// that another owner keeps at the same node. The fold holds only the
-    /// tuples that share the key, compared column by column where they lie.
+    /// tuples that share the key, compared column by column where they lie;
+    /// each fold counts one `replay.whole_log_folds`.
     pub fn base_tuples_by_key(
         &self,
         exec: &Execution,
@@ -445,6 +471,7 @@ impl Replayed {
         let shares_key = |t: &Tuple| {
             key.is_none_or(|key| key.iter().all(|&i| t.get(i) == like.get(i)))
         };
+        self.engine.tracer().counter("replay.whole_log_folds", 1);
         let events = exec.log.events();
         let (delta, inject_at) = &self.rolled;
         let mut live = BTreeSet::new();
@@ -536,8 +563,10 @@ impl Execution {
     /// the whole log (`replay.slice_refused{why=past}`).
     ///
     /// Counted on the tracer: `replay.slice_events` (events of the replay
-    /// kept), `replay.slice_owners`, `replay.slice_rounds` (closure rounds,
-    /// each a recorded replay) and `replay.slice_refused{why}`.
+    /// kept), `replay.slice_owners`, `replay.slice_guard_dropped` (events
+    /// at the owners that the guard left out), `replay.slice_rounds`
+    /// (closure rounds, each a recorded replay) and
+    /// `replay.slice_refused{why}`.
     pub fn replay_slice<'t>(
         &self,
         tuples: impl IntoIterator<Item = (&'t NodeId, &'t Tuple)>,
@@ -570,20 +599,26 @@ impl Execution {
         let plan = self.program.slice_plan();
         cut.admit_changes(plan, delta);
         let events = self.log.events();
+        let span = self.tracer.span("replay.slice_index");
         let index = Index::of(plan, &events);
+        span.end();
         let patched = |exec: &Execution| match delta {
             [] => exec.replay(),
             _ => exec.replay_with(delta, inject_at),
         };
         let (mut rounds, mut spent) = (0, 0);
-        let mut owners;
+        let (mut owners, mut dropped);
         let replayed = loop {
-            let sliced = self.with_log(cut.log(&index, &events));
+            let span = self.tracer.span("replay.slice_cut");
+            let (log, left_out) = cut.log(plan, &index, &events);
+            span.end();
+            let sliced = self.with_log(log);
             rounds += 1;
             spent += sliced.log.len();
-            owners = cut.owners();
+            (owners, dropped) = (cut.owners(), left_out);
             if spent >= events.len() {
                 self.tracer.counter("replay.slice_refused{why=size}", 1);
+                dropped = 0;
                 break patched(self)?;
             }
             let mut replayed = patched(&sliced)?;
@@ -594,6 +629,7 @@ impl Execution {
         };
         self.tracer.counter("replay.slice_events", replayed.scheduled);
         self.tracer.counter("replay.slice_owners", owners as u64);
+        self.tracer.counter("replay.slice_guard_dropped", dropped as u64);
         self.tracer.counter("replay.slice_rounds", rounds);
         Ok(replayed)
     }

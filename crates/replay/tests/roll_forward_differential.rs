@@ -188,9 +188,13 @@ fn rolled_replays_equal_from_scratch_replays() {
     assert_eq!(roll_paths, calls, "every call rolled");
 }
 
-/// On the traffic-shaped campus DiffProv's own UPDATETREE rolls, and it
-/// re-issues only the events the change reaches: the entry and the
+/// On the traffic-shaped campus DiffProv's own UPDATETREE rolls, and the
+/// roll re-issues only the events the change reaches: the entry and the
 /// packets that cross `oz4` toward a prefix either changed entry covers.
+/// DiffProv's slice holds only the two queried packets and the entries
+/// covering them, all of which the change reaches, so the roll's choice
+/// is read off the whole log rolled to the same Δ, where the background
+/// packets after the fork are the ones it must leave alone.
 #[test]
 fn a_traffic_campus_rolls_only_what_the_change_reaches() {
     let s = traffic_campus();
@@ -205,6 +209,16 @@ fn a_traffic_campus_rolls_only_what_the_change_reaches() {
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.rolled{path=roll}"), 1, "DiffProv's call rolled");
     assert_eq!(agg.counter("replay.rolled{path=scratch}"), 0);
+    let fork = agg.counter("replay.fork_events");
+    let affected = agg.counter("replay.affected_events");
+    assert!(0 < affected && affected <= fork, "{affected} affected of {fork} suffix events");
+
+    exec.tracer = Tracer::aggregate_only();
+    let at = inject_at(&exec, report.bad_seed.as_ref().expect("a verified report has seeds"));
+    let mut whole = exec.replay().unwrap();
+    whole.roll_forward(&exec, &report.delta, at).unwrap();
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.rolled{path=roll}"), 1, "the whole log rolled");
     let fork = agg.counter("replay.fork_events");
     let affected = agg.counter("replay.affected_events");
     assert!(0 < affected && affected < fork, "{affected} affected of {fork} suffix events");

@@ -6,7 +6,8 @@
 //! derived-on-derived chains on two nodes, `prefixgen`'s trie-probed
 //! routes, `nodegen`'s messages between six nodes with aggregation
 //! fences), so the slice plan meets keys it accepts, keys it refuses and
-//! owners of every kind; `DiffProv::judge` holds the same over whole
+//! owners of every kind, and from `prefixgen`'s forwarding programs, whose
+//! routes the plan guards; `DiffProv::judge` holds the same over whole
 //! diagnoses.
 
 use std::collections::BTreeSet;
@@ -90,6 +91,33 @@ fn prefixgen_slices_answer_as_their_logs() {
         sliced += usize::from(holds(&exec, &format!("prefixgen seed {seed}")));
     }
     assert!(sliced > 10, "only {sliced} prefixgen programs sliced");
+}
+
+/// `prefixgen`'s forwarding programs key packets by their source and
+/// give their routes a guard (`prefix_contains` against the packet, or
+/// `rt` carried into a checked `rd`), unless a rule reading a route
+/// neither checks nor carries it: the slice then keeps a route only where
+/// its prefix covers an address a held packet had.
+#[test]
+fn guarded_prefixgen_slices_answer_as_their_logs() {
+    let mut guarded = 0;
+    for seed in 0..100 {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let Some(program) = prefixgen::arb_forwarding_program(&mut rng) else {
+            continue;
+        };
+        let has_guards = program.slice_plan().has_guards();
+        let ops = prefixgen::arb_ops(&mut rng, 4, 30, 12);
+        let schedule = if seed % 2 == 0 {
+            prefixgen::single_node_schedule(&ops)
+        } else {
+            prefixgen::alternating_schedule(&ops)
+        };
+        let exec = execution(program, &schedule);
+        let sliced = holds(&exec, &format!("forwarding seed {seed}"));
+        guarded += usize::from(sliced && has_guards);
+    }
+    assert!(guarded > 10, "only {guarded} forwarding programs sliced with a guard");
 }
 
 #[test]

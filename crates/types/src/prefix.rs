@@ -54,6 +54,12 @@ impl Prefix {
         self.addr
     }
 
+    /// The last address the prefix contains: it contains exactly
+    /// `addr()..=last()`.
+    pub fn last(&self) -> u32 {
+        self.addr | !Self::mask(self.len)
+    }
+
     /// The prefix length in bits.
     pub fn len(&self) -> u8 {
         self.len

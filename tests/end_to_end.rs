@@ -270,3 +270,32 @@ fn the_replaced_entry_is_found_by_its_key() {
         assert_eq!((held.count, held.sum, held.max), (1, 1, 1), "seed {seed}: {report}");
     }
 }
+
+/// The folds of the whole log a diagnosis makes (`replay.whole_log_folds`):
+/// MAKEAPPEAR's lookup of the entry it replaces, and every existence check
+/// of a base tuple its slice's cut leaves out — an entry at a switch no
+/// packet crosses, or one the guard drops because it covers neither
+/// packet. They are what is left of a diagnosis's work in the size of the
+/// log, so their count on the test-scale campus is pinned: the one lookup,
+/// and no existence check outside the cut.
+#[test]
+fn a_diagnosis_folds_the_whole_log_a_counted_number_of_times() {
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::trace::Tracer;
+    let mut folds = Vec::new();
+    for seed in [7, 3, 11] {
+        let mut c = campus(&CampusConfig {
+            seed,
+            bulk_entries_per_router: 40,
+            background_packets: 100,
+            ..CampusConfig::default()
+        });
+        let tracer = Tracer::aggregate_only();
+        c.scenario.good_exec.tracer = tracer.clone();
+        c.scenario.bad_exec.tracer = tracer.clone();
+        let report = c.scenario.diagnose().unwrap();
+        assert!(report.verified, "seed {seed}: {report}");
+        folds.push(tracer.aggregate().counter("replay.whole_log_folds"));
+    }
+    assert_eq!(folds, [1, 1, 1]);
+}

@@ -1,8 +1,11 @@
 //! The slice's judge over every hand-built diagnosis: Table 1, the
 //! extension scenarios, the three campus shapes at seeds 7, 3 and 11,
-//! SDN3 with a second owner of the repaired entry's key, and a relayed
+//! SDN3 with a second owner of the repaired entry's key, a relayed
 //! name service whose alignment expects a base tuple owned outside the
-//! slice.
+//! slice, and three cases of the guard that holds a flow table only for
+//! the entries covering a held packet: a rewrite to an address no queried
+//! tuple carries, a repair whose narrowed entry covers neither packet, and
+//! a builtin that counts a guarded table.
 //! A diagnosis replays only the slices its trees depend on; here each one
 //! runs once more over the whole logs, and the two must agree on the
 //! change set, the rounds, the failure, `verified`, both seeds, both tree
@@ -13,11 +16,14 @@
 use std::sync::Arc;
 
 use diffprov::core::{Failure, QueryEvent};
-use diffprov::ndlog::Program;
+use diffprov::ndlog::{NodeView, Program, StatefulBuiltin};
 use diffprov::replay::Execution;
-use diffprov::sdn::{campus, cfg_entry, CampusConfig};
-use diffprov::types::prefix::cidr;
-use diffprov::types::{FieldType, Schema, SchemaRegistry, TableKind, Tuple, TupleRef, Value};
+use diffprov::sdn::{campus, cfg_entry, deliver_at, pkt_in, CampusConfig, Topology};
+use diffprov::trace::{Aggregate, Tracer};
+use diffprov::types::prefix::{cidr, ip};
+use diffprov::types::{
+    FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, TableKind, Tuple, TupleRef, Value,
+};
 use diffprov::{mapreduce, sdn, DiffProv, Report, Scenario};
 
 fn judged(s: &Scenario) -> Report {
@@ -167,4 +173,224 @@ fn an_expected_base_tuple_owned_outside_the_slice_is_found() {
         }
         other => panic!("expected an immutable hop, got {other:?}"),
     }
+}
+
+/// A rewrite to an address no queried tuple carries. `LB` rewrites the
+/// VIP to `10.9.9.9`, `MID` forwards that address by an entry covering
+/// it alone, and `S2` rewrites it to a backend — repointed, between the
+/// two requests, from `b1` to `b2`. The queried deliveries carry the VIP's
+/// backends, not `10.9.9.9`: the entries at `MID` and `S2` that match it
+/// are held only once the closure widens the addresses by what a held
+/// packet carried. Background entries at `MID` keep the slice below the
+/// log.
+#[test]
+fn a_rewritten_address_widens_the_guard() {
+    let mut topo = Topology::new("ctl");
+    topo.switches(&["LB", "MID", "S2"]);
+    topo.link("LB", "MID");
+    topo.link("MID", "S2");
+    let (p_b1, p_b2) = (topo.host("S2", "b1"), topo.host("S2", "b2"));
+    let mut exec = Execution::new(sdn::sdn_program("ctl").unwrap());
+    // `fwd` checks `flowEntry`'s matches, `install` carries `cfgEntry`'s
+    // into them, and `fwdr` checks `rewriteEntry`'s.
+    let plan = exec.program.slice_plan();
+    let guard = |t: &str| plan.guard(&Sym::new(t)).to_vec();
+    let guards = [guard("cfgEntry"), guard("flowEntry"), guard("rewriteEntry")];
+    assert_eq!(guards, [vec![3, 4], vec![2, 3], vec![1]]);
+    topo.emit(&mut exec.log, 10);
+    let rewrite = |rid: i64, m: &str, to: &str, port: i64| {
+        let (m, to) = (Value::Prefix(cidr(m)), Value::Ip(ip(to)));
+        Tuple::new("rewriteEntry", vec![Value::Int(rid), m, to, Value::Int(port)])
+    };
+    let any = cidr("0.0.0.0/0");
+    let to_mid = topo.port_towards("LB", "MID");
+    exec.log.insert(10, "LB", rewrite(1, "10.0.0.100/32", "10.9.9.9", to_mid));
+    let to_s2 = topo.port_towards("MID", "S2");
+    exec.log.insert(10, "ctl", cfg_entry(30, "MID", 5, any, cidr("10.9.9.9/32"), to_s2));
+    for i in 0..40 {
+        let m = cidr(&format!("192.168.{i}.0/24"));
+        exec.log.insert(10, "ctl", cfg_entry(100 + i, "MID", 5, any, m, to_s2));
+    }
+    let good_to = rewrite(2, "10.9.9.9/32", "10.0.1.1", p_b1);
+    let bad_to = rewrite(2, "10.9.9.9/32", "10.0.1.2", p_b2);
+    exec.log.insert(10, "S2", good_to.clone());
+    let (src_good, src_bad, vip) = (ip("80.1.1.1"), ip("80.2.2.2"), ip("10.0.0.100"));
+    exec.log.insert(1_000, "LB", pkt_in(1, src_good, vip, 6, 512));
+    exec.log.delete(1_500, "S2", good_to);
+    exec.log.insert(1_500, "S2", bad_to);
+    exec.log.insert(2_000, "LB", pkt_in(2, src_bad, vip, 6, 512));
+    let good = QueryEvent::new(deliver_at("b1", 1, src_good, ip("10.0.1.1"), 6, 512), u64::MAX);
+    let bad = QueryEvent::new(deliver_at("b2", 2, src_bad, ip("10.0.1.2"), 6, 512), u64::MAX);
+    exec.tracer = Tracer::aggregate_only();
+    let judged = DiffProv::default().judge(&exec, &good, &exec, &bad).unwrap();
+    assert!(
+        judged.disagreements.is_empty(),
+        "the sliced diagnosis is not the whole log's:\n{}\n{}",
+        judged.disagreements.join("\n"),
+        judged.report
+    );
+    assert!(judged.report.verified, "{}", judged.report);
+    let agg = exec.tracer.aggregate();
+    assert!(agg.counter("replay.slice_guard_dropped") >= 40, "the guard left the background in");
+    assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
+}
+
+/// SDN2's repair narrows the scrubber's entry from `66.0.0.0/7` to
+/// `66.0.0.0/8`, which covers neither packet's source: the guard does not
+/// pass it, yet the roll patches it in as the whole log does — its events
+/// are the replaced entry's — without widening the slice. A second
+/// switch's row sharing the entry's key, and background entries at `S1`,
+/// sit outside the cut.
+#[test]
+fn a_narrowed_entry_outside_the_guard_rolls_as_the_whole_log() {
+    let mut s = sdn::sdn2();
+    let any = cidr("0.0.0.0/0");
+    let tracer = Tracer::aggregate_only();
+    for exec in [&mut s.good_exec, &mut s.bad_exec] {
+        exec.log.insert(0, "ctl", cfg_entry(20, "S9", 10, cidr("66.0.0.0/8"), any, 1));
+        for i in 0..40 {
+            let m = cidr(&format!("192.168.{i}.0/24"));
+            exec.log.insert(0, "ctl", cfg_entry(100 + i, "S1", 5, any, m, 1));
+        }
+        exec.tracer = tracer.clone();
+    }
+    let report = judged(&s);
+    assert!(report.verified, "{report}");
+    let after = report.delta[0].after.as_ref().expect("a narrowing");
+    let sm = after.args[3].as_prefix().unwrap();
+    assert!(!sm.contains(ip("68.0.0.5")) && !sm.contains(ip("67.1.2.3")), "{report}");
+    let agg = tracer.aggregate();
+    assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
+    assert!(agg.counter("replay.slice_guard_dropped") >= 40);
+    // Both diagnoses roll; the sliced one does not widen for the
+    // narrowed entry.
+    assert_eq!(agg.counter("replay.rolled{path=roll}"), 2);
+    assert_eq!(agg.counter("replay.rolled{path=widen}"), 0);
+}
+
+/// `crowded!(N)` holds while node `N` holds at least twenty tuples, read
+/// with [`NodeView::len`] or, for `table`, twenty routes read with
+/// [`NodeView::table`]: either way every route counts, covering the packet
+/// or not. It declares that it reads routes; `len` also counts `n1`'s
+/// packets and what they sent, which are the two queried packets', held
+/// by every slice.
+struct Crowded {
+    table: bool,
+}
+
+impl StatefulBuiltin for Crowded {
+    fn name(&self) -> Sym {
+        Sym::new("crowded")
+    }
+
+    fn eval(&self, view: &NodeView<'_>, _: &[Value]) -> Result<bool> {
+        Ok(match self.table {
+            true => view.table(&Sym::new("route")).count() >= 20,
+            false => view.len() >= 20,
+        })
+    }
+
+    fn reads_table(&self, table: &Sym) -> bool {
+        *table == Sym::new("route")
+    }
+}
+
+/// A builtin that counts a guarded table. The routes at `n1` are guarded
+/// by `fwd`'s `prefix_contains(M, D)`, but `crowded!` reads all of them:
+/// the slice must give the guard up for the owner share
+/// (`replay.slice_refused{why=guard-read}`) and diagnose as the whole log.
+/// `n2`'s routes and packets keep the slice below the log.
+///
+/// On one execution the good packet's firing counts the routes, and one
+/// replay serves both trees. On separate executions the bad packet matches
+/// no route: its `fwd` join fails before `crowded!` runs, so no firing of
+/// the bad replay reads the routes and its slice keeps the guard.
+/// MAKEAPPEAR then asks `crowded!(n1)` of the bad slice, which counts the
+/// covering routes alone — too few — where the whole log has them all;
+/// the read on `Engine::view` gives the bad slice's guard up too, and the
+/// builtin is asked again on a wider replay.
+#[test]
+fn a_builtin_counting_a_guarded_table_gives_the_guard_up() {
+    for table in [false, true] {
+        let agg = counts_a_guarded_table(Crowded { table }, Shape::Shared);
+        assert_eq!(agg.counter("replay.slice_refused{why=guard-read}"), 1);
+        assert_eq!(agg.counter("replay.slice_guard_dropped"), 0);
+        // The good replay's firing, then MAKEAPPEAR's read of the bad one.
+        let agg = counts_a_guarded_table(Crowded { table }, Shape::Separate);
+        assert_eq!(agg.counter("replay.slice_refused{why=guard-read}"), 2);
+    }
+}
+
+/// Whether the two packets share an execution, or the bad one runs where
+/// no route covers it.
+enum Shape {
+    Shared,
+    Separate,
+}
+
+/// Judges a diagnosis of the route-counting program (`crowded`'s) in
+/// `shape`, asserts it diagnoses as the whole log without replaying it,
+/// and returns the tracer's aggregate.
+fn counts_a_guarded_table(crowded: Crowded, shape: Shape) -> Aggregate {
+    let mut reg = SchemaRegistry::new();
+    use FieldType::{Int, Ip, Prefix};
+    reg.declare(Schema::new("pkt", TableKind::ImmutableBase, [("pid", Int), ("dst", Ip)]));
+    reg.declare(
+        Schema::new("route", TableKind::MutableBase, [("rid", Int), ("m", Prefix), ("pt", Int)])
+            .with_key([0]),
+    );
+    reg.declare(Schema::new("sent", TableKind::Derived, [("pid", Int), ("dst", Ip), ("pt", Int)]));
+    let program = Program::builder(reg)
+        .rules_text(
+            "fwd sent(@N, P, D, Pt) :- pkt(@N, P, D), route(@N, R, M, Pt), \
+             prefix_contains(M, D), crowded!(N).",
+        )
+        .unwrap()
+        .builtin(Arc::new(crowded))
+        .build()
+        .unwrap();
+    assert_eq!(program.slice_plan().guard(&Sym::new("route")), [1]);
+    let route = |rid: i64, m: &str, pt: i64| {
+        Tuple::new("route", vec![Value::Int(rid), Value::Prefix(cidr(m)), Value::Int(pt)])
+    };
+    let pkt = |pid: i64, dst: &str| Tuple::new("pkt", vec![Value::Int(pid), Value::Ip(ip(dst))]);
+    let mut exec = Execution::new(program);
+    exec.tracer = Tracer::aggregate_only();
+    exec.log.insert(0, "n1", route(1, "10.0.0.0/24", 1));
+    for i in 0..30 {
+        exec.log.insert(0, "n1", route(100 + i, &format!("192.168.{i}.0/24"), 9));
+        exec.log.insert(0, "n2", route(200 + i, &format!("172.16.{i}.0/24"), 9));
+        exec.log.insert(5, "n2", pkt(100 + i, &format!("172.16.{i}.1")));
+    }
+    let sent = |pid: i64, dst: &str, pt: i64| {
+        Tuple::new("sent", vec![Value::Int(pid), Value::Ip(ip(dst)), Value::Int(pt)])
+    };
+    let n1 = NodeId::new("n1");
+    let good = QueryEvent::new(TupleRef::new(n1, sent(1, "10.0.0.5", 1)), u64::MAX);
+    let (mut good_exec, mut bad_exec) = (exec.clone(), exec);
+    let bad = match shape {
+        Shape::Shared => {
+            bad_exec.log.insert(0, "n1", route(2, "10.0.1.0/24", 2));
+            bad_exec.log.insert(10, "n1", pkt(1, "10.0.0.5"));
+            bad_exec.log.insert(20, "n1", pkt(2, "10.0.1.5"));
+            good_exec = bad_exec.clone();
+            QueryEvent::new(TupleRef::new(n1, sent(2, "10.0.1.5", 2)), u64::MAX)
+        }
+        Shape::Separate => {
+            good_exec.log.insert(10, "n1", pkt(1, "10.0.0.5"));
+            bad_exec.log.insert(20, "n1", pkt(2, "10.0.1.5"));
+            QueryEvent::new(TupleRef::new(n1, pkt(2, "10.0.1.5")), u64::MAX)
+        }
+    };
+    let judged = DiffProv::default().judge(&good_exec, &good, &bad_exec, &bad).unwrap();
+    assert!(
+        judged.disagreements.is_empty(),
+        "the sliced diagnosis is not the whole log's:\n{}\n{}",
+        judged.disagreements.join("\n"),
+        judged.report
+    );
+    assert!(judged.report.verified, "{}", judged.report);
+    let agg = bad_exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
+    agg
 }
