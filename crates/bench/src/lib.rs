@@ -168,26 +168,40 @@ mod tests {
     /// load-independent, where the wall times beside them are
     /// sub-millisecond: a DiffProv query evaluates more than the one
     /// replay a Y! query is; a shared execution (SDN) costs at most one
-    /// more replay per round; with a separate reference execution the
-    /// paper's "≈ 3x" (a from-scratch UPDATETREE) is beaten on every
-    /// MapReduce row, since the roll re-issues only what Δ reaches and so
-    /// rolls MR1 as well as MR2.
+    /// more replay per round; with a separate reference execution (the
+    /// MapReduce rows, whose programs keep their whole logs) a query is the
+    /// paper's from-scratch count, held exactly — the reference replay plus
+    /// the bad log's replay and one replay of it patched per round — which
+    /// reads the paper's "≈ 3x".
     #[test]
     fn query_times_are_replay_dominated() {
         let timings = query::all_timings().unwrap();
         assert_eq!(timings.len(), 8);
-        let ratio = |name: &str| {
-            let t = timings.iter().find(|t| t.name == name).unwrap();
-            t.diffprov_events as f64 / t.ybang_events as f64
-        };
+        let ratio = |t: &query::QueryTiming| t.diffprov_events as f64 / t.ybang_events as f64;
         for t in &timings {
             assert!(t.diffprov_events > t.ybang_events, "{}: no UPDATETREE?", t.name);
             if t.name.starts_with("SDN") {
-                assert!(ratio(&t.name) <= 1.0 + t.rounds as f64, "{}: {}", t.name, ratio(&t.name));
+                assert!(ratio(t) <= 1.0 + t.rounds as f64, "{}: {}", t.name, ratio(t));
             }
         }
-        for rolled in ["MR1-D", "MR2-D", "MR1-I", "MR2-I"] {
-            assert!((2.0..=2.5).contains(&ratio(rolled)), "{rolled}: {}", ratio(rolled));
+        let events = |r: dp_replay::Replayed| r.engine.stats().events;
+        for s in dp_mapreduce::all_mr_scenarios() {
+            let t = timings.iter().find(|t| t.name == s.name).unwrap();
+            let report = s.diagnose().unwrap();
+            let seed = report.bad_seed.expect("a diagnosed row names its seed");
+            let logged = s.bad_exec.log.events();
+            let seeded = logged.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
+            let at = seeded.map_or(0, |e| e.due).saturating_sub(1);
+            let bad = events(s.bad_exec.replay().unwrap());
+            assert_eq!(t.ybang_events, bad, "{}: Y! replays the whole bad log", s.name);
+            let mut want = events(s.good_exec.replay().unwrap()) + bad;
+            let mut delta = Vec::new();
+            for round in &report.rounds {
+                delta.extend(round.changes.iter().cloned());
+                want += events(s.bad_exec.replay_with(&delta, at).unwrap());
+            }
+            assert_eq!(t.diffprov_events, want, "{}", s.name);
+            assert!((2.9..=3.1).contains(&ratio(t)), "{}: {}", s.name, ratio(t));
         }
         // SDN4 runs two rounds.
         let sdn4 = timings.iter().find(|t| t.name == "SDN4").unwrap();

@@ -14,7 +14,6 @@ use std::fmt::Write as _;
 
 use diffprov_core::{DiffProv, Metrics, Report, Scenario};
 use dp_ndlog::join_profile_json;
-use dp_replay::Execution;
 use dp_trace::{Aggregate, Tracer};
 use dp_types::Result;
 
@@ -45,10 +44,6 @@ pub struct TraceRun {
     /// Events logged by the executions diagnosed: one log when both
     /// events come from it, both otherwise.
     pub logged: usize,
-    /// The series of the bad execution's whole log replayed and rolled to
-    /// the diagnosis's change set ([`whole_log_roll`]); `None` when the
-    /// diagnosis found no change.
-    pub whole_roll: Option<Aggregate>,
 }
 
 /// Runs DiffProv on `scenario` with one tracer shared by both executions
@@ -80,33 +75,11 @@ pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
     } else {
         good.len() + bad.len()
     };
-    let whole_roll = whole_log_roll(&scenario.bad_exec, &report)?;
     Ok(TraceRun {
         report,
         aggregate: tracer.aggregate(),
         logged,
-        whole_roll,
     })
-}
-
-/// Replays `bad`'s whole log and rolls it to `report`'s change set,
-/// injected where the diagnosis injects it (just before the bad seed's
-/// due), on a tracer of its own; `None` when there is no change. A
-/// diagnosis rolls its slice, whose suffix holds little the change does not
-/// reach; the whole log keeps every background event after the fork, so
-/// this roll shows what UPDATETREE leaves alone.
-pub fn whole_log_roll(bad: &Execution, report: &Report) -> Result<Option<Aggregate>> {
-    let (Some(seed), false) = (&report.bad_seed, report.delta.is_empty()) else {
-        return Ok(None);
-    };
-    let mut exec = bad.clone();
-    exec.tracer = Tracer::aggregate_only();
-    let events = exec.log.events();
-    let seeded = events.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
-    let at = seeded.map_or(0, |e| e.due).saturating_sub(1);
-    let mut replayed = exec.replay()?;
-    replayed.roll_forward(&exec, &report.delta, at)?;
-    Ok(Some(exec.tracer.aggregate()))
 }
 
 fn ms(ns: u64) -> f64 {
@@ -161,20 +134,13 @@ pub fn summary(run: &TraceRun) -> String {
         ms(agg.total_ns("diffprov.replay")),
         ms(update_ns)
     );
-    // UPDATETREE's path, why it replayed from scratch if it did, and what
-    // it moved: the suffix from the fork on, its distinct located tuples,
-    // and the part of it the change reached.
+    // UPDATETREE's paths: the held slice (or log) replayed patched, or
+    // the slice widened first because the change reached past it.
     let _ = writeln!(
         s,
-        "      update-tree: path roll x{} / scratch x{}{}; \
-         {} fork events of {} logged, {} suffix tuples, {} affected",
-        agg.counter("replay.rolled{path=roll}"),
-        agg.counter("replay.rolled{path=scratch}"),
-        reasons(agg, "replay.refused"),
-        agg.counter("replay.fork_events"),
-        agg.counter("replay.log_events"),
-        agg.counter("replay.suffix_tuples"),
-        agg.counter("replay.affected_events")
+        "      update-tree: replay x{} / widen x{}",
+        agg.counter("replay.updated{path=replay}"),
+        agg.counter("replay.updated{path=widen}")
     );
     // What the replays read of the log: the slices the trees depend on,
     // their owners and closure rounds, the owned events the guard left
@@ -190,22 +156,6 @@ pub fn summary(run: &TraceRun) -> String {
         agg.counter("replay.slice_guard_dropped"),
         reasons(agg, "replay.slice_refused")
     );
-    // The same change set rolled on the bad execution's whole log: the
-    // suffix from the fork on with its background, and the part of it the
-    // change reached.
-    if let Some(whole) = &run.whole_roll {
-        let _ = writeln!(
-            s,
-            "      whole-log roll: {} affected of {} fork events of {} logged, \
-             path roll x{} / scratch x{}{}",
-            whole.counter("replay.affected_events"),
-            whole.counter("replay.fork_events"),
-            whole.counter("replay.log_events"),
-            whole.counter("replay.rolled{path=roll}"),
-            whole.counter("replay.rolled{path=scratch}"),
-            reasons(whole, "replay.refused")
-        );
-    }
     let _ = writeln!(
         s,
         "    find seeds        {:>10.3} ms",
@@ -295,9 +245,9 @@ pub fn summary(run: &TraceRun) -> String {
     s
 }
 
-/// The reasons counted under `family{why}` — UPDATETREE's for replaying
-/// from scratch, a program's for keeping its whole log — as
-/// ` (refused: order x1)`; empty when there are none.
+/// The reasons counted under `family{why}` — a replay's for keeping its
+/// whole log or giving a slice's guard up — as ` (refused: size x1)`;
+/// empty when there are none.
 fn reasons(agg: &Aggregate, family: &str) -> String {
     let why: Vec<String> = agg
         .counters
@@ -471,83 +421,38 @@ mod tests {
         assert_eq!(agg.span_count("store.recovery"), 1);
     }
 
-    /// UPDATETREE's roll-forward reports on the execution's tracer: the
-    /// fork fraction (`fork_events` ÷ `log_events`), the suffix's distinct
-    /// located tuples (`suffix_tuples`), the part of the suffix the change
-    /// reached (`affected_events`), the path taken, why a from-scratch
-    /// replay was chosen, and the phase spans; the summary's update-tree
-    /// line reads them.
+    /// UPDATETREE reports its path on the execution's tracer — the held
+    /// slice or log replayed patched, or the slice widened first — and the
+    /// summary's update-tree line reads it.
     #[test]
-    fn rolled_replay_reports_the_fork_families() {
+    fn update_tree_reports_its_path() {
         let scenario = find_scenario("SDN1").unwrap();
         let delta = scenario.diagnose().unwrap().delta;
         let tracer = Tracer::aggregate_only();
         let mut exec = scenario.bad_exec.clone();
         exec.tracer = tracer.clone();
-        exec.replay().unwrap().roll_forward(&exec, &delta, 0).unwrap();
+        exec.replay().unwrap().update_tree(&exec, &delta, 0).unwrap();
         let agg = tracer.aggregate();
-        assert_eq!(agg.counter("replay.log_events"), exec.log.len() as u64);
-        let fork = agg.counter("replay.fork_events");
-        let affected = agg.counter("replay.affected_events");
-        assert!(0 < affected && affected < fork, "{affected} affected of {fork}");
-        // A located tuple is counted once, however often the suffix logs
-        // it; only a tuple Δ brings can be missing from the held suffix.
-        let tuples = agg.counter("replay.suffix_tuples");
-        assert!(
-            0 < tuples && tuples <= fork + delta.len() as u64,
-            "{tuples} tuples, {fork} events"
-        );
-        assert_eq!(agg.counter("replay.rolled{path=roll}"), 1);
-        for span in [
-            "replay.fork",
-            "replay.apply",
-            "replay.affect",
-            "replay.withdraw",
-            "replay.reissue",
-            "replay.settle",
-        ] {
-            assert_eq!(agg.span_count(span), 1, "no {span} span");
-        }
+        assert_eq!(agg.counter("replay.updated{path=replay}"), 1);
+        assert_eq!(agg.counter("replay.updated{path=widen}"), 0);
+        // One more replay: the patched log's events, the log's own replay
+        // having scheduled its events before.
+        assert_eq!(agg.counter("replay.scheduled"), 2 * exec.log.len() as u64);
 
+        // DiffProv's one call on the campus replays its slice patched.
         let run = trace_scenario(&find_scenario("campus").unwrap()).unwrap();
         let text = summary(&run);
-        let agg = &run.aggregate;
-        let line = format!(
-            "update-tree: path roll x1 / scratch x0; {} fork events of {} logged, \
-             {} suffix tuples, {} affected",
-            agg.counter("replay.fork_events"),
-            agg.counter("replay.log_events"),
-            agg.counter("replay.suffix_tuples"),
-            agg.counter("replay.affected_events")
-        );
-        assert!(text.contains(&line), "{text}");
-        let changes = run.report.delta.len() as u64;
-        assert!(agg.counter("replay.suffix_tuples") <= agg.counter("replay.fork_events") + changes);
-        // DiffProv's slice keeps only the entries covering the two
-        // packets, which the change reaches: its whole suffix is
-        // re-issued. On the whole log rolled to the same Δ the background
-        // after the fork stays, and the roll re-issues less than the
-        // suffix.
-        let whole = run.whole_roll.as_ref().expect("the campus diagnosis finds changes");
-        let (fork, affected) =
-            (whole.counter("replay.fork_events"), whole.counter("replay.affected_events"));
-        assert_eq!(whole.counter("replay.rolled{path=roll}"), 1);
-        assert!(0 < affected && affected < fork, "{affected} affected of {fork} fork events");
-        let line = format!(
-            "whole-log roll: {affected} affected of {fork} fork events of {} logged, \
-             path roll x1 / scratch x0\n",
-            whole.counter("replay.log_events")
-        );
-        assert!(text.contains(&line), "{text}");
+        assert_eq!(run.report.rounds.len(), 1, "{}", run.report);
+        assert!(text.contains("      update-tree: replay x1 / widen x0\n"), "{text}");
 
-        // A from-scratch replay names its reasons on the same line.
+        // A program that keeps its whole log names its reasons.
         let tracer = Tracer::aggregate_only();
-        tracer.counter("replay.refused{why=order}", 1);
-        tracer.counter("replay.refused{why=closed}", 2);
-        tracer.counter("replay.rolled{path=roll}", 1);
+        tracer.counter("replay.slice_refused{why=size}", 1);
+        tracer.counter("replay.slice_refused{why=native}", 2);
+        tracer.counter("replay.updated{path=replay}", 1);
         assert_eq!(
-            reasons(&tracer.aggregate(), "replay.refused"),
-            " (refused: closed x2, order x1)"
+            reasons(&tracer.aggregate(), "replay.slice_refused"),
+            " (refused: native x2, size x1)"
         );
     }
 

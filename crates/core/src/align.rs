@@ -18,9 +18,8 @@
 //!    ensures the derivation's children exist, repairing violated
 //!    constraints by inverting them against mutable base tuples
 //!    (MAKEAPPEAR, Section 4.5) and accumulating `Δ_{B→G}`;
-//! 6. rolls its replay of the bad execution's slice forward to the
-//!    changes — the running system is never touched, the log is patched
-//!    only from the first event a change rewrites, and the slice widens
+//! 6. replays the bad execution's slice once more, patched by the
+//!    changes — the running system is never touched, and the slice widens
 //!    when a change reaches past it (UPDATETREE, Section 4.6) — and
 //!    repeats until the trees align.
 //!
@@ -336,12 +335,11 @@ impl DiffProv {
                 changes: new_changes,
             });
 
-            // UPDATETREE: roll the held replay forward to the accumulated
-            // changes — from the first log position they touch, on the
-            // recording already held (or, when that position is early, by
-            // releasing it and replaying the patched log).
+            // UPDATETREE: replay the held slice (or log) patched by the
+            // accumulated changes, widening the slice where they reach
+            // past it.
             let span = tracer.span("diffprov.update_tree");
-            replayed_bad.roll_forward(bad, &delta, inject_at)?;
+            replayed_bad.update_tree(bad, &delta, inject_at)?;
             span.end();
             promised.clear();
 

@@ -224,50 +224,6 @@ pub(crate) struct CompiledRule {
     pub(crate) plans: Vec<Option<Vec<Step>>>,
 }
 
-impl CompiledRule {
-    /// The frame a firing at the node named `loc` over the body tuples
-    /// `body` (in body order) held when its constraints ran: every atom
-    /// matched against its tuple, then the assignments. `None` when the
-    /// body does not match the rule or an assignment fails — a recorded
-    /// firing always matches.
-    pub(crate) fn frame_of(
-        &self,
-        loc: &Value,
-        body: &[&dp_types::Tuple],
-    ) -> Option<Vec<Option<Value>>> {
-        let mut frame: Vec<Option<Value>> = vec![None; self.slots];
-        let bind = |frame: &mut Vec<Option<Value>>, slot: Slot, v: &Value| match &frame[slot] {
-            Some(bound) => bound == v,
-            None => {
-                frame[slot] = Some(v.clone());
-                true
-            }
-        };
-        if body.len() != self.atoms.len() {
-            return None;
-        }
-        for ((loc_slot, args), tuple) in self.atoms.iter().zip(body) {
-            if !bind(&mut frame, *loc_slot, loc) || args.len() != tuple.arity() {
-                return None;
-            }
-            for (arg, v) in args.iter().zip(&tuple.args) {
-                let ok = match arg {
-                    Arg::Wild => true,
-                    Arg::Const(c) => c == v,
-                    Arg::Slot(s) => bind(&mut frame, *s, v),
-                };
-                if !ok {
-                    return None;
-                }
-            }
-        }
-        for (slot, expr) in &self.assigns {
-            frame[*slot] = Some(expr.eval(&frame).ok()?);
-        }
-        Some(frame)
-    }
-}
-
 /// The slot table being built: slot `i` is `names[i]`.
 #[derive(Default)]
 struct Slots {

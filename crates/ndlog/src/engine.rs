@@ -581,11 +581,6 @@ impl<S: ProvenanceSink> Engine<S> {
         }
     }
 
-    /// The program being executed.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
     /// The current logical time.
     pub fn now(&self) -> LogicalTime {
         self.clock

@@ -50,7 +50,7 @@ pub use engine::{
 pub use expr::{BinOp, Env, Expr, Func};
 pub use parser::{parse_expr, parse_rule, parse_rules};
 pub use program::{
-    Emission, Emitter, NativeRule, Program, ProgramBuilder, Reads, StatefulBuiltin, TupleChange,
+    Emission, Emitter, NativeRule, Program, ProgramBuilder, StatefulBuiltin, TupleChange,
 };
 pub use reference::ScheduledOp;
 pub use sink::{BodyRef, HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};

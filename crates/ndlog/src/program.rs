@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use dp_types::{Error, NodeId, Result, SchemaRegistry, Sym, Tuple, TupleRef, Value};
 
-use crate::ast::{Constraint, Rule};
-use crate::compile::{compile, Check, CompiledRule, IndexRegistry, IndexSpecs, TrieSpecs};
+use crate::ast::Rule;
+use crate::compile::{compile, CompiledRule, IndexRegistry, IndexSpecs, TrieSpecs};
 use crate::engine::NodeView;
 use crate::parser::parse_rules;
 use crate::slice::SlicePlan;
@@ -121,63 +121,12 @@ pub trait StatefulBuiltin: Send + Sync {
         Ok(Vec::new())
     }
 
-    /// Could the presence of `tuple` at the node change `eval(args)`?
-    /// UPDATETREE asks this of every recorded firing that called the
-    /// predicate with `args`, at a node where a change opened or closed
-    /// `tuple`: a `false` keeps the firing as it was. The default, `true`,
-    /// is always safe. An override must also answer `true` for a tuple that
-    /// could make the predicate *reject* a match of the same trigger, and it
-    /// relies on every such rejection leaving a witness among the firings
-    /// that were admitted — as priority resolution's winning entry is: a
-    /// trigger whose every match was rejected leaves no record to ask.
-    fn may_read(&self, args: &[Value], tuple: &Tuple) -> bool {
-        let _ = (args, tuple);
-        true
-    }
-
-    /// Could any tuple of `table` change any call's outcome? A `false`
-    /// spares UPDATETREE asking [`StatefulBuiltin::may_read`] tuple by
-    /// tuple. The default, `true`, is always safe.
+    /// Could any tuple of `table` change any call's outcome? The slice
+    /// plan ([`crate::slice`]) counts the tables a rule's builtins read by
+    /// it. The default, `true`, is always safe.
     fn reads_table(&self, table: &Sym) -> bool {
         let _ = table;
         true
-    }
-}
-
-/// What one recorded firing read of its node beyond its own body
-/// ([`Program::reads`]).
-pub enum Reads<'p> {
-    /// A plain join: its body alone.
-    Body,
-    /// An aggregation: every tuple of its body tables.
-    Tables(&'p Rule),
-    /// Stateful builtins, each with the arguments the firing passed it.
-    Builtins(Vec<(&'p dyn StatefulBuiltin, Vec<Value>)>),
-    /// A native, or a firing that cannot be re-evaluated: anything.
-    Anything,
-}
-
-impl Reads<'_> {
-    /// True unless nothing the firing read could change with `tuple`'s
-    /// presence at its node.
-    pub fn may_read(&self, tuple: &Tuple) -> bool {
-        match self {
-            Reads::Body => false,
-            Reads::Tables(rule) => rule.body.iter().any(|a| a.table == tuple.table),
-            Reads::Builtins(calls) => calls.iter().any(|(b, args)| b.may_read(args, tuple)),
-            Reads::Anything => true,
-        }
-    }
-
-    /// False when no tuple of `table` could change what the firing read:
-    /// the filter to apply before [`Reads::may_read`] over many tuples.
-    pub fn reads_table(&self, table: &Sym) -> bool {
-        match self {
-            Reads::Body => false,
-            Reads::Tables(rule) => rule.body.iter().any(|a| a.table == *table),
-            Reads::Builtins(calls) => calls.iter().any(|(b, _)| b.reads_table(table)),
-            Reads::Anything => true,
-        }
     }
 }
 
@@ -260,75 +209,6 @@ impl Program {
     /// Finds a native rule by name.
     pub fn native(&self, name: &Sym) -> Option<&Arc<dyn NativeRule>> {
         self.natives.iter().find(|n| &n.name() == name)
-    }
-
-    /// True when rule `rule` (declarative or native) reads its node's
-    /// state beyond its body: an aggregation, a rule with a stateful
-    /// builtin, or a native. Only such a firing can change without one of
-    /// its body tuples changing.
-    pub fn reads_state(&self, rule: &Sym) -> bool {
-        match self.rule(rule) {
-            Some(r) => {
-                let builtin = |c: &Constraint| matches!(c, Constraint::Builtin { .. });
-                r.agg.is_some() || r.constraints.iter().any(builtin)
-            }
-            None => true,
-        }
-    }
-
-    /// False when no tuple of `table` could change what a firing of
-    /// `rule` read beyond its body: [`Reads::reads_table`] for every
-    /// firing of the rule at once, before any is re-evaluated.
-    pub fn reads_table(&self, rule: &Sym, table: &Sym) -> bool {
-        let Some(r) = self.rule(rule) else {
-            return true;
-        };
-        if r.agg.is_some() {
-            return r.body.iter().any(|a| a.table == *table);
-        }
-        r.constraints.iter().any(|c| match c {
-            Constraint::Builtin { name, .. } => {
-                self.builtins.get(name).is_none_or(|b| b.reads_table(table))
-            }
-            Constraint::Expr(_) => false,
-        })
-    }
-
-    /// What the recorded firing of `rule` over `body` (its body tuples, in
-    /// body order) at `node` read beyond its body: the question UPDATETREE
-    /// asks of a firing at a node where a change opened or closed a tuple.
-    pub fn reads(&self, rule: &Sym, node: &NodeId, body: &[&Tuple]) -> Reads<'_> {
-        let Some(ri) = self.rules.iter().position(|r| &r.name == rule) else {
-            return Reads::Anything;
-        };
-        let (source, compiled) = (&self.rules[ri], &self.compiled[ri]);
-        if source.agg.is_some() {
-            return Reads::Tables(source);
-        }
-        let builtins = compiled.checks.iter().filter_map(|c| match c {
-            Check::Builtin(b, args) => Some((b, args)),
-            Check::Expr(_) => None,
-        });
-        let mut calls = Vec::new();
-        let mut frame = None;
-        for (builtin, args) in builtins {
-            let frame = match &frame {
-                Some(f) => f,
-                None => match compiled.frame_of(&Value::Str(node.0), body) {
-                    Some(f) => frame.insert(f),
-                    None => return Reads::Anything,
-                },
-            };
-            let Ok(values) = args.iter().map(|a| a.eval(frame)).collect::<Result<Vec<_>>>() else {
-                return Reads::Anything;
-            };
-            calls.push((&**builtin, values));
-        }
-        if calls.is_empty() {
-            Reads::Body
-        } else {
-            Reads::Builtins(calls)
-        }
     }
 
     /// The slice plan computed when the program was built: which base

@@ -86,10 +86,7 @@
 //! ([`crate::Engine::guard_reads`]): a read through
 //! [`crate::NodeView::prefix_candidates`] probing every guarded column
 //! sees only the rows containing its addresses (the slice widens by them),
-//! and any other read of a guarded table gives the guards up. (A
-//! builtin's own [`StatefulBuiltin::may_read`] cannot decide it: it is
-//! asked of the rows the builtin reads, `flowEntry`, while the guard
-//! leaves out the base events they are derived from, `cfgEntry`.)
+//! and any other read of a guarded table gives the guards up.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -154,8 +154,8 @@ fn since_names_the_latest_appear_on_all_repro_scenarios() {
     }
 }
 
-/// A run continued after quiescence — the shape a roll has: the engine
-/// runs part of the log to quiescence and is then given the rest. The
+/// A run continued after quiescence: the engine runs part of the log to
+/// quiescence and is then given the rest. The
 /// stream is still one recording from the empty engine on, and its second
 /// half names episodes that opened in the first.
 #[test]

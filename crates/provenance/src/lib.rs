@@ -18,7 +18,7 @@ pub mod tree;
 
 pub use diff::{plain_tree_diff, ybang_answer_size, PlainDiff, VertexSig};
 pub use graph::{
-    Episode, GraphRecorder, GraphStats, ProvGraph, RowId, RowView, Step, Vertex, VertexId, VertexKind,
+    Episode, GraphRecorder, GraphStats, ProvGraph, RowId, Vertex, VertexId, VertexKind,
 };
 pub use invariants::{
     check_well_formed, tree_well_formedness_violations, well_formedness_violations,

@@ -12,8 +12,8 @@
 //! A diagnosis replays a *slice* ([`Execution::replay_slice`]): the events
 //! the provenance of its queried tuples depends on, by the program's slice
 //! plan, closed over the run (the `slice` module). A [`Replayed`] of a
-//! slice holds the cut and the cut log, and [`Replayed::roll_forward`]
-//! rolls that; [`Execution::replay`] replays the whole log, for the
+//! slice holds the cut and the cut log, and [`Replayed::update_tree`]
+//! replays that patched; [`Execution::replay`] replays the whole log, for the
 //! judge's oracle and every reader that wants the whole run. A slice is
 //! given up for the whole log, each time for a reason read off the query,
 //! the program or the log: a query at a past time (only the whole log
@@ -27,14 +27,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dp_ndlog::{Engine, HashSink, NullSink, Program, ProvenanceSink, TupleChange};
-use dp_provenance::{
-    extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree, Step, VertexId,
-};
+use dp_provenance::{extract_tree_latest, extract_tree_since, GraphRecorder, ProvGraph, ProvTree};
 use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
-use crate::roll::{self, Phase, Refusal, Suffix};
 use crate::slice::{Cut, Index, Slice};
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 1): there is one
@@ -70,18 +67,13 @@ pub struct Execution {
 pub struct Replayed {
     /// The engine at quiescence (final state; usable for existence checks).
     pub engine: Engine<GraphRecorder>,
-    /// The change set (and its inject point) this state was last rolled
-    /// to by [`Replayed::roll_forward`]; empty after a plain replay. The
+    /// The change set (and its inject point) this state was last updated
+    /// to by [`Replayed::update_tree`]; empty after a plain replay. The
     /// log the held state reflects is the execution's log with these
     /// changes applied.
-    rolled: (Vec<TupleChange>, LogicalTime),
-    /// Base ops scheduled on the held engine so far: the replay's, then
-    /// each roll's. When the engine acted on as many (`base_inserts +
-    /// base_deletes`), none of them was a no-op.
+    applied: (Vec<TupleChange>, LogicalTime),
+    /// Base ops the replay scheduled.
     scheduled: u64,
-    /// True until the first roll: the recording is the replay's alone, so
-    /// its base vertices are the log's events, in order.
-    fresh: bool,
     /// The slice this replays ([`Execution::replay_slice`]); `None` for
     /// the whole log.
     slice: Option<Box<Slice>>,
@@ -93,73 +85,29 @@ impl Replayed {
     fn new(engine: Engine<GraphRecorder>, scheduled: usize) -> Self {
         Replayed {
             engine,
-            rolled: (Vec::new(), 0),
+            applied: (Vec::new(), 0),
             scheduled: scheduled as u64,
-            fresh: true,
             slice: None,
         }
     }
 
     /// UPDATETREE (Section 4.6): brings this replay of `exec` to the state
-    /// and provenance of `exec.replay_with(delta, inject_at)` by change
-    /// propagation instead of a second replay. `self` must come from
-    /// `exec.replay()`, possibly rolled before.
+    /// and provenance of `exec`'s log patched by `delta` ([`apply_changes`]),
+    /// by one more replay. `self` must come from `exec.replay()` or
+    /// `exec.replay_slice(..)`, possibly updated before.
     ///
-    /// The patched log is the one [`Execution::replay_with`] replays
-    /// ([`apply_changes`]), read as a stream instead of built. The **fork**
-    /// is the first replay-order position where it differs from the log the
-    /// held state reflects; everything before it is shared and stays as it
-    /// is. The suffixes from the fork on borrow the log's events, and each
-    /// event's located tuple is keyed once. Of the suffix, only what the
-    /// change can reach moves, on the same engine and recorder (the module
-    /// `roll` names the parts):
-    ///
-    /// * **(A)** Δ is applied at the current clock — the located tuples a
-    ///   change names restored to the prefix's base presence, then the
-    ///   patched log's events of theirs scheduled — and run to quiescence.
-    ///   What opened or closed is what Δ touches.
-    /// * **(B)** One walk over the held recording finds the suffix's
-    ///   located tuples whose firings Δ reaches: retracted, derived from a
-    ///   withdrawn body, or reading a touched tuple through a builtin, an
-    ///   aggregate or a native ([`dp_ndlog::Program::reads`]).
-    /// * **(C)** The changed and affected located tuples are restored to
-    ///   the prefix's base presence — the engine's own cascade is the
-    ///   rewind — and the patched log's events of theirs are re-issued in
-    ///   log order, shifted so that the first is due just after the current
-    ///   clock and the spacing between their dues is kept. (A finished
-    ///   replay's clock has overrun every logged due: at their original
-    ///   dues all re-issued base events — phase fences included — would pop
-    ///   before any derived work.) Every other suffix event keeps its
-    ///   tuples and episodes.
-    ///
-    /// The whole-suffix withdraw is the case where every suffix event is
-    /// affected. One fixed rule, read off the log and the held recording
-    /// and not an option, sends a call to a from-scratch replay of the
-    /// patched log instead (the held engine is released first), the trust
-    /// rule: a prefix firing that read state through a builtin, an
-    /// aggregate or a native, and that the change could reach, cannot be
-    /// re-issued; nor may a firing outside the re-issued events read what
-    /// phase C changed, an independent episode close, or a re-issued event
-    /// join an independent one logged after it (the relative order, and so
-    /// FINDSEED, would differ). Each refusal is counted under
-    /// `replay.refused{why}`.
-    ///
-    /// Live tuples and the trees [`Replayed::query`] returns equal the
-    /// from-scratch replay's up to timestamps, and so does every seed but
-    /// one kind: the roll runs the prefix to quiescence before it re-issues
-    /// anything, so a derivation that joined a re-issued event with prefix
-    /// work still in flight at the fork is triggered by the re-issued one
-    /// (`roll_forward_differential.rs`). The recording additionally keeps
-    /// the history of what was withdrawn. After an `Err` the state is
+    /// A replay of the whole log replays the whole patched log
+    /// ([`Execution::replay_with`]). A replay of a slice replays its slice
+    /// patched, when the cut holds both sides of every change — the patched
+    /// slice is then the slice of the patched log — and that replay carries
+    /// no key-group tuple to a node outside the owners
+    /// (`replay.updated{path=replay}`). When Δ names a tuple outside the
+    /// cut, or opened a path out of its owners, the cut is widened and the
+    /// patched log sliced and replayed again (`replay.updated{path=widen}`).
+    /// The held recording is released before the new replay allocates its
+    /// own, so the two never coexist. After an `Err` the state is
     /// unspecified.
-    ///
-    /// A replay of a slice ([`Execution::replay_slice`]) rolls its slice:
-    /// the patched slice is the slice of the patched log once the cut holds
-    /// both sides of every change. When it does not, or when the rolled
-    /// state carries a key-group tuple to a node outside the owners (a
-    /// change opened a path), the cut is widened and the patched log
-    /// sliced and replayed from scratch (`replay.rolled{path=widen}`).
-    pub fn roll_forward(
+    pub fn update_tree(
         &mut self,
         exec: &Execution,
         delta: &[TupleChange],
@@ -168,40 +116,37 @@ impl Replayed {
         let tracer = self.engine.tracer().clone();
         let plan = exec.program.slice_plan();
         let slice = self.slice.take();
-        let mut widened = slice.as_ref().and_then(|s| {
-            let mut cut = s.cut.clone();
-            cut.admit_changes(plan, delta).then_some(cut)
-        });
-        if widened.is_none() {
-            let base = slice.as_ref().map_or(exec, |s| &s.exec);
-            match self.rewind(base, delta, inject_at, &tracer)? {
-                Ok(()) => tracer.counter("replay.rolled{path=roll}", 1),
-                Err(why) => {
-                    tracer.counter(why.series(), 1);
-                    tracer.counter("replay.rolled{path=scratch}", 1);
-                    // Release the held recording before the replay builds
-                    // its log and allocates its own, so the two never
-                    // coexist.
-                    self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-                    *self = base.replay_with(delta, inject_at)?;
-                }
+        self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+        let widened = match slice {
+            None => {
+                *self = exec.replay_with(delta, inject_at)?;
+                None
             }
-            if let Some(mut s) = slice {
-                if s.cut.close(plan, &self.engine) {
-                    widened = Some(s.cut);
+            Some(mut s) => {
+                let mut cut = s.cut.clone();
+                if cut.admit_changes(plan, delta) {
+                    Some(cut)
                 } else {
-                    self.slice = Some(s);
+                    *self = s.exec.replay_with(delta, inject_at)?;
+                    if s.cut.close(plan, &self.engine) {
+                        Some(s.cut)
+                    } else {
+                        self.slice = Some(s);
+                        None
+                    }
                 }
             }
+        };
+        match widened {
+            None => tracer.counter("replay.updated{path=replay}", 1),
+            Some(cut) => {
+                tracer.counter("replay.updated{path=widen}", 1);
+                // The held recording goes first here too.
+                self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+                *self = exec.replay_cut(cut, delta, inject_at)?;
+            }
         }
-        if let Some(cut) = widened {
-            tracer.counter("replay.rolled{path=widen}", 1);
-            // The held recording goes first here too.
-            self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-            *self = exec.replay_cut(cut, delta, inject_at)?;
-        }
-        self.rolled = (delta.to_vec(), inject_at);
-        self.fresh = false;
+        self.applied = (delta.to_vec(), inject_at);
         Ok(())
     }
 
@@ -209,7 +154,7 @@ impl Replayed {
     /// views since the slice was closed — a builtin MAKEAPPEAR asks on
     /// [`Engine::view`] probing an address outside the cut, or reading a
     /// guarded table whole — and replays the wider slice of `exec`'s log,
-    /// patched as this replay was last rolled. True if it did: what was
+    /// patched as this replay was last updated. True if it did: what was
     /// read may have missed events the slice left out, and must be read
     /// again. A replay of the whole log has nothing outside it.
     pub fn widen(&mut self, exec: &Execution) -> Result<bool> {
@@ -221,171 +166,12 @@ impl Replayed {
             return Ok(false);
         }
         let cut = slice.cut.clone();
-        let ((delta, inject_at), fresh) = (std::mem::take(&mut self.rolled), self.fresh);
+        let (delta, inject_at) = std::mem::take(&mut self.applied);
         // The held recording goes before the replay allocates its own.
         self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
         *self = exec.replay_cut(cut, &delta, inject_at)?;
-        (self.rolled, self.fresh) = ((delta, inject_at), fresh);
+        self.applied = (delta, inject_at);
         Ok(true)
-    }
-
-    /// The roll path, or why the caller has to replay from scratch —
-    /// nothing this borrowed or built is alive by then.
-    fn rewind(
-        &mut self,
-        exec: &Execution,
-        delta: &[TupleChange],
-        inject_at: LogicalTime,
-        tracer: &Tracer,
-    ) -> Result<std::result::Result<(), Refusal>> {
-        // Both logs are read as streams over the execution's own, and the
-        // suffixes borrow its events: the held recording is alive, and a
-        // materialized copy of a campus log beside it would raise the
-        // diagnosis's peak memory.
-        let log = exec.log.events();
-        let (rolled, rolled_at) = std::mem::take(&mut self.rolled);
-        let span = tracer.span("replay.fork");
-        let held = Patched::new(&log, &rolled, rolled_at);
-        let patched = Patched::new(&log, delta, inject_at);
-        let held_len = held.len();
-        // One walk down both streams: side by side to the first pair that
-        // differs, then each on its own to its end.
-        let (mut h, mut p) = (held.events(), patched.events());
-        let mut fork = 0;
-        let parted = loop {
-            match (h.next(), p.next()) {
-                // Mostly both borrow the one logged event.
-                (Some(a), Some(b)) if (a.0.is_some() && a.0 == b.0) || a.1 == b.1 => fork += 1,
-                pair => break pair,
-            }
-        };
-        tracer.counter("replay.fork_events", (held_len - fork) as u64);
-        tracer.counter("replay.log_events", held_len as u64);
-        // The engine counts the base ops it acted on; when that is every op
-        // it was ever given, none of the withdrawn ones was a no-op and the
-        // walk over the prefix that would find the prefix's presence has
-        // nothing to add to what the suffix's first ops say.
-        let acted = self.engine.stats();
-        let every_op = acted.base_inserts + acted.base_deletes == self.scheduled;
-        let engine = &self.engine;
-        let mut suffix = Suffix::new(
-            log.len(),
-            parted.0.into_iter().chain(h),
-            parted.1.into_iter().chain(p),
-            &[&rolled, delta],
-            (!every_op).then(|| held.events().take(fork).map(|(_, e)| e)),
-            |node, tuple| engine.lookup(node, tuple).is_some_and(|s| s.base),
-        );
-        tracer.counter("replay.suffix_tuples", suffix.tuples() as u64);
-        // A fresh replay's base vertices are the ops the engine acted on,
-        // in log order: the walk starts at the first of the suffix's.
-        let acted_ops = (acted.base_inserts + acted.base_deletes) as usize;
-        let start = match acted_ops.checked_sub(suffix.acted) {
-            Some(prefix_ops) if self.fresh => self.base_vertex(prefix_ops),
-            _ => 0,
-        };
-        span.end();
-
-        // (A) Δ at the clock.
-        let span = tracer.span("replay.apply");
-        let phase = Phase {
-            start,
-            held: self.graph().len() as VertexId,
-            at: self.now(),
-        };
-        self.restore(&suffix.restore(true))?;
-        let at = self.now();
-        let mut applied = 0;
-        for e in suffix.events(true) {
-            e.schedule_as(&mut self.engine, at, e.op)?;
-            applied += 1;
-        }
-        self.scheduled += applied;
-        self.engine.run()?;
-        span.end();
-
-        // (B) What Δ reaches.
-        let span = tracer.span("replay.affect");
-        let found = roll::affect(&self.engine, &mut suffix, phase);
-        span.end();
-        tracer.counter("replay.affected_events", suffix.events(false).count() as u64);
-        let found = match found {
-            Ok(found) => found,
-            Err(why) => return Ok(Err(why)),
-        };
-
-        // (C) Withdraw and re-issue what Δ reaches.
-        let from = self.graph().len() as VertexId;
-        let span = tracer.span("replay.withdraw");
-        self.restore(&suffix.restore(false))?;
-        span.end();
-        if let Err(why) = roll::withdrawn(&self.engine, from) {
-            return Ok(Err(why));
-        }
-        self.reissue(suffix.events(false), tracer)?;
-        let span = tracer.span("replay.settle");
-        let settled = roll::settled(&self.engine, &suffix, found, from);
-        span.end();
-        Ok(settled)
-    }
-
-    /// The vertex of the `n`th base insertion or deletion the recording
-    /// holds (its length when it holds fewer).
-    fn base_vertex(&self, n: usize) -> VertexId {
-        let graph = self.graph();
-        let mut seen = 0;
-        for v in 0..graph.len() as VertexId {
-            if matches!(graph.step(v).1, Step::Insert | Step::Delete) {
-                if seen == n {
-                    return v;
-                }
-                seen += 1;
-            }
-        }
-        graph.len() as VertexId
-    }
-
-    /// Re-issues `events` (in log order), shifted so that the first is due
-    /// just after the current clock and the spacing between their dues is
-    /// kept.
-    fn reissue<'e>(
-        &mut self,
-        events: impl Iterator<Item = &'e BaseEvent>,
-        tracer: &Tracer,
-    ) -> Result<()> {
-        let span = tracer.span("replay.reissue");
-        let base = self.now() + 1;
-        let mut first = None;
-        for e in events {
-            let first = *first.get_or_insert(e.due);
-            e.schedule_as(&mut self.engine, base + (e.due - first), e.op)?;
-            self.scheduled += 1;
-        }
-        self.engine.run()?;
-        span.end();
-        Ok(())
-    }
-
-    /// Sets each located tuple's base presence to the one given, at the
-    /// current clock, last logged first, and runs to quiescence: the
-    /// engine's cascade retracts what depended on a tuple that goes, and a
-    /// tuple that comes back fires as it would have.
-    fn restore(&mut self, tuples: &[(&TupleRef, bool)]) -> Result<()> {
-        let at = self.now();
-        for &(t, present) in tuples {
-            if self.engine.lookup(&t.node, &t.tuple).is_some_and(|s| s.base) == present {
-                continue;
-            }
-            let (node, tuple) = (t.node, Arc::clone(&t.tuple));
-            if present {
-                self.engine.schedule_insert(at, node, tuple)?;
-            } else {
-                self.engine.schedule_delete(at, node, tuple)?;
-            }
-            self.scheduled += 1;
-        }
-        self.engine.run()?;
-        Ok(())
     }
 
     /// The recorded provenance graph.
@@ -409,7 +195,7 @@ impl Replayed {
     }
 
     /// True if the located tuple is present once `exec`'s log, patched by
-    /// the changes this replay was last rolled to, has run. The engine
+    /// the changes this replay was last updated to, has run. The engine
     /// answers for what the replay holds. A base tuple that a slice's cut
     /// leaves out — its key not queried, its owner not in the set, or a
     /// guarded prefix covering no held address — is read off the whole
@@ -453,7 +239,7 @@ impl Replayed {
     }
 
     /// The base tuples of `like`'s table live at `node` once `exec`'s log,
-    /// patched by the changes this replay was last rolled to, has run,
+    /// patched by the changes this replay was last updated to, has run,
     /// whose columns `key` hold `like`'s values — every one of the table's
     /// when `key` is `None` — in tuple order. They are read off the whole
     /// log, not the engine: a replay of a slice holds a table owned by a
@@ -473,9 +259,9 @@ impl Replayed {
         };
         self.engine.tracer().counter("replay.whole_log_folds", 1);
         let events = exec.log.events();
-        let (delta, inject_at) = &self.rolled;
+        let (delta, inject_at) = &self.applied;
         let mut live = BTreeSet::new();
-        for (_, e) in Patched::new(&events, delta, *inject_at).events() {
+        for e in Patched::new(&events, delta, *inject_at).events() {
             if e.node == *node && e.tuple.table == like.table && shares_key(&e.tuple) {
                 match e.op {
                     BaseOp::Insert => live.insert(Arc::clone(&e.tuple)),
@@ -669,9 +455,8 @@ impl Execution {
     /// (Section 4.6). Pure insertions are injected at `inject_at`, i.e.
     /// "shortly before they are needed for the first time".
     ///
-    /// This is the from-scratch path: [`Replayed::roll_forward`] reaches the
-    /// same state from a replay already held, falls back to this when the
-    /// trust rule refuses the roll, and is checked against it.
+    /// UPDATETREE ([`Replayed::update_tree`]) is this replay, of the whole
+    /// log or of a slice's cut log.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
         self.with_log(apply_changes(&self.log, changes, inject_at)).replay()
     }
@@ -699,21 +484,17 @@ impl Execution {
 pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: LogicalTime) -> EventLog {
     let events = log.events();
     let mut out = EventLog::new();
-    for (_, e) in Patched::new(&events, changes, inject_at).events() {
+    for e in Patched::new(&events, changes, inject_at).events() {
         out.push(e.into_owned());
     }
     out
 }
 
-/// One event of a [`Patched`] log, with the log slot it borrows: `None`
-/// for an event a change rewrote or injected (owned).
-pub(crate) type Slotted<'a> = (Option<usize>, Cow<'a, BaseEvent>);
-
 /// A log with a change set applied ([`apply_changes`]), read in replay
 /// order without being built: logged events are borrowed, rewritten and
 /// injected ones owned. The set-up scan is the only pass that compares
 /// events with changes; what it found is kept as a sparse edit list.
-pub(crate) struct Patched<'a> {
+struct Patched<'a> {
     log: &'a [BaseEvent],
     /// Each change's `after` tuple, allocated once: every event the change
     /// rewrites or injects, on every read, shares it.
@@ -730,7 +511,7 @@ pub(crate) struct Patched<'a> {
 
 impl<'a> Patched<'a> {
     /// `log` must be in replay order.
-    pub(crate) fn new(
+    fn new(
         log: &'a [BaseEvent],
         changes: &'a [TupleChange],
         inject_at: LogicalTime,
@@ -769,40 +550,34 @@ impl<'a> Patched<'a> {
         }
     }
 
-    /// How many events [`Patched::events`] yields.
-    fn len(&self) -> usize {
-        let dropped = self.hits.iter().filter(|&&(_, ci)| self.afters[ci].is_none());
-        self.log.len() - dropped.count() + self.injected.len()
-    }
-
-    pub(crate) fn events(&self) -> PatchedEvents<'_> {
+    fn events(&self) -> PatchedEvents<'_> {
         PatchedEvents {
             of: self,
             next: 0,
             hit: 0,
             injected: 0,
-            left: self.len(),
         }
     }
 }
 
 /// [`Patched::events`]: the cursor into the log, into the edit list and
-/// into the injected insertions, and how many events are left.
-pub(crate) struct PatchedEvents<'a> {
+/// into the injected insertions.
+struct PatchedEvents<'a> {
     of: &'a Patched<'a>,
     next: usize,
     hit: usize,
     injected: usize,
-    left: usize,
 }
 
-impl<'a> PatchedEvents<'a> {
-    fn step(&mut self) -> Option<Slotted<'a>> {
+impl<'a> Iterator for PatchedEvents<'a> {
+    type Item = Cow<'a, BaseEvent>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         let of = self.of;
         loop {
             if self.next == of.at && self.injected < of.injected.len() {
                 self.injected += 1;
-                return Some((None, Cow::Borrowed(&of.injected[self.injected - 1])));
+                return Some(Cow::Borrowed(&of.injected[self.injected - 1]));
             }
             let e = of.log.get(self.next)?;
             self.next += 1;
@@ -817,26 +592,12 @@ impl<'a> PatchedEvents<'a> {
                             tuple: Arc::clone(after),
                             op: e.op,
                         };
-                        return Some((None, Cow::Owned(e)));
+                        return Some(Cow::Owned(e));
                     }
                 }
-                _ => return Some((Some(self.next - 1), Cow::Borrowed(e))),
+                _ => return Some(Cow::Borrowed(e)),
             }
         }
-    }
-}
-
-impl<'a> Iterator for PatchedEvents<'a> {
-    type Item = Slotted<'a>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let e = self.step()?;
-        self.left -= 1;
-        Some(e)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
     }
 }
 
@@ -936,7 +697,7 @@ mod tests {
 
     /// The lookup MAKEAPPEAR replaces an entry by: the rows of a table at a
     /// node that share a key with a wanted tuple, off the whole log as
-    /// patched by the changes the replay was rolled to, in tuple order; a
+    /// patched by the changes the replay was updated to, in tuple order; a
     /// table without a key gives all of its rows.
     #[test]
     fn base_tuples_by_key_folds_the_patched_log_for_one_key() {
@@ -962,13 +723,198 @@ mod tests {
             before: Some(tuple!("cfg", 10)),
             after: Some(tuple!("cfg", 13)),
         }];
-        r.roll_forward(&exec, &delta, 0).unwrap();
+        r.update_tree(&exec, &delta, 0).unwrap();
         assert!(rows(&r, tuple!("cfg", 10), Some(&[0])).is_empty());
         assert_eq!(rows(&r, tuple!("cfg", 13), Some(&[0])), [tuple!("cfg", 13)]);
         assert_eq!(
             rows(&r, tuple!("cfg", 99), None),
             [tuple!("cfg", 11), tuple!("cfg", 13)]
         );
+    }
+
+    /// A mapper `m` ships `item`s to a reducer `r` over a link, and a
+    /// `start` fence at the reducer sums what has arrived by then
+    /// (aggregates fire on their fence only — the MapReduce scenarios'
+    /// `reduceStart` in miniature): three items summing to 6, then the
+    /// fence.
+    fn fenced() -> Execution {
+        use FieldType::{Int, Str};
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new("dest", TableKind::ImmutableBase, [("to", Str)]));
+        reg.declare(Schema::new("item", TableKind::MutableBase, [("k", Int), ("v", Int)]));
+        reg.declare(Schema::new("start", TableKind::ImmutableBase, [("gen", Int)]));
+        reg.declare(Schema::new("got", TableKind::Derived, [("k", Int), ("v", Int)]));
+        reg.declare(Schema::new("total", TableKind::Derived, [("sum", Int)]));
+        let program = Program::builder(reg)
+            .rules_text(
+                "hop got(@R, K, V) :- item(@M, K, V), dest(@M, R).
+                 sum total(@R, agg_sum(V)) :- start(@R, G), got(@R, K, V).",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut exec = Execution::new(program);
+        exec.log.insert(0, "m", tuple!("dest", "r"));
+        for k in 1..=3 {
+            exec.log.insert(100 + k as u64, "m", tuple!("item", k, k));
+        }
+        exec.log.insert(200, "r", tuple!("start", 0));
+        exec
+    }
+
+    fn totals(r: &Replayed) -> Vec<Tuple> {
+        let view = r.engine.view(&NodeId::new("r"));
+        view.map(|v| v.table(&dp_types::Sym::new("total")).cloned().collect())
+            .unwrap_or_default()
+    }
+
+    /// UPDATETREE on `exec`'s replay, to `delta` injected at `inject_at`.
+    fn updated(exec: &Execution, delta: &[TupleChange], inject_at: LogicalTime) -> Replayed {
+        let mut r = exec.replay().unwrap();
+        r.update_tree(exec, delta, inject_at).unwrap();
+        r
+    }
+
+    /// A change lands at its rewritten events' own dues (`apply_changes`),
+    /// not at the inject point, so the fence sums the replaced item — each
+    /// `got` is due a link delay after its item's due, before the fence's —
+    /// and not an item logged after the fence. Applied at the inject point
+    /// instead, the new item arrives after the fence has fired: the sum is
+    /// computed without it and no fence fires again. (The MapReduce
+    /// natives, fired on their inputs early in the log, are not re-fired by
+    /// a later configuration change either.)
+    #[test]
+    fn a_change_lands_at_its_events_own_dues_not_at_the_inject_point() {
+        let mut exec = fenced();
+        exec.log.insert(210, "m", tuple!("item", 9, 7)); // after the fence
+        let inject_at = 209;
+        let delta = [TupleChange {
+            node: NodeId::new("m"),
+            before: Some(tuple!("item", 2, 2)),
+            after: Some(tuple!("item", 2, 5)),
+        }];
+        let patched = apply_changes(&exec.log, &delta, inject_at);
+        let rewritten = patched.events().iter().position(|e| *e.tuple == tuple!("item", 2, 5));
+        assert_eq!(rewritten, Some(2), "the replacement keeps item 2's place");
+        assert_eq!(patched.events()[2].due, 102, "and its due");
+        assert_eq!(totals(&updated(&exec, &delta, inject_at)), [tuple!("total", 1 + 5 + 3)]);
+
+        // Inject-point semantics: the old tuple's events go, the new tuple
+        // is inserted at `inject_at`.
+        let mut at_inject = Execution::new(Arc::clone(&exec.program));
+        for e in exec.log.events().iter().filter(|e| *e.tuple != tuple!("item", 2, 2)) {
+            at_inject.log.push(e.clone());
+        }
+        at_inject.log.insert(inject_at, "m", tuple!("item", 2, 5));
+        let r = at_inject.replay().unwrap();
+        assert!(r.exists(&NodeId::new("r"), &tuple!("got", 2, 5)), "the new item did arrive");
+        assert_eq!(totals(&r), [tuple!("total", 4)], "summed without it");
+    }
+
+    /// A duplicate insert and the delete of a tuple never inserted are
+    /// no-ops in the patched log as in the log: the item the duplicate
+    /// repeats stays, and so does the aggregate the fence computed from it.
+    #[test]
+    fn duplicate_and_absent_ops_stay_no_ops_after_an_update() {
+        let mut exec = fenced();
+        exec.log.insert(202, "m", tuple!("item", 4, 4)); // Δ rewrites this
+        exec.log.insert(205, "m", tuple!("item", 1, 1)); // the first item's duplicate
+        exec.log.delete(206, "m", tuple!("item", 7, 7)); // never inserted
+        let delta = [TupleChange {
+            node: NodeId::new("m"),
+            before: Some(tuple!("item", 4, 4)),
+            after: Some(tuple!("item", 4, 40)),
+        }];
+        let r = updated(&exec, &delta, 0);
+        let (m, r_node) = (NodeId::new("m"), NodeId::new("r"));
+        assert!(r.exists(&m, &tuple!("item", 1, 1)) && !r.exists(&m, &tuple!("item", 7, 7)));
+        assert!(r.exists(&r_node, &tuple!("got", 4, 40)));
+        assert_eq!(totals(&r), [tuple!("total", 6)], "the fence fired before item 4");
+    }
+
+    /// `unlisted!(X)`: no `deny(X)` at the node. A `deny` tuple rejects a
+    /// match without taking part in any firing.
+    struct Unlisted;
+
+    impl dp_ndlog::StatefulBuiltin for Unlisted {
+        fn name(&self) -> dp_types::Sym {
+            dp_types::Sym::new("unlisted")
+        }
+
+        fn eval(&self, view: &dp_ndlog::NodeView<'_>, args: &[dp_types::Value]) -> Result<bool> {
+            let deny = dp_types::Sym::new("deny");
+            Ok(!view.table(&deny).any(|t| t.args.first() == args.first()))
+        }
+    }
+
+    /// A tuple Δ adds can reject a match it takes no part in: `deny(3)`
+    /// triggers nothing, yet the item it names is blocked and the others
+    /// pass.
+    #[test]
+    fn a_tuple_the_change_adds_rejects_a_match_it_takes_no_part_in() {
+        use FieldType::Int;
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new("in", TableKind::ImmutableBase, [("x", Int)]));
+        reg.declare(Schema::new("deny", TableKind::MutableBase, [("x", Int)]));
+        reg.declare(Schema::new("out", TableKind::Derived, [("x", Int)]));
+        let program = Program::builder(reg)
+            .rules_text("pass out(@N, X) :- in(@N, X), unlisted!(X).")
+            .unwrap()
+            .builtin(Arc::new(Unlisted))
+            .build()
+            .unwrap();
+        let mut exec = Execution::new(program);
+        for x in 1..=4 {
+            exec.log.insert(100 + x as u64, "n", tuple!("in", x));
+        }
+        let delta = [TupleChange {
+            node: NodeId::new("n"),
+            before: None,
+            after: Some(tuple!("deny", 3)),
+        }];
+        let r = updated(&exec, &delta, 100); // injected before every item
+        let n = NodeId::new("n");
+        assert!(!r.exists(&n, &tuple!("out", 3)));
+        assert!([1, 2, 4].iter().all(|&x| r.exists(&n, &tuple!("out", x))));
+    }
+
+    /// Tuples that hold each other up: two nodes forward a packet to each
+    /// other, so once it has gone round, its tuple at either node is
+    /// derived from the other's. Δ replaces the tag the packet's tuple
+    /// joins at `a`: the update holds what the patched log derives — the
+    /// new tag's `seen` and none of the old one's, the loop itself intact.
+    #[test]
+    fn tuples_that_hold_each_other_up_update_to_the_patched_log() {
+        use FieldType::{Int, Str};
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new("pkt", TableKind::ImmutableBase, [("k", Int)]));
+        reg.declare(Schema::new("link", TableKind::ImmutableBase, [("to", Str)]));
+        reg.declare(Schema::new("tag", TableKind::MutableBase, [("t", Int)]));
+        reg.declare(Schema::new("at", TableKind::Derived, [("k", Int)]));
+        reg.declare(Schema::new("seen", TableKind::Derived, [("k", Int), ("t", Int)]));
+        let program = Program::builder(reg)
+            .rules_text(
+                "in at(@M, K) :- pkt(@M, K).
+                 hop at(@N, K) :- at(@M, K), link(@M, N).
+                 see seen(@M, K, T) :- at(@M, K), tag(@M, T).",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut exec = Execution::new(program);
+        exec.log.insert(0, "a", tuple!("link", "b"));
+        exec.log.insert(0, "b", tuple!("link", "a"));
+        exec.log.insert(5, "a", tuple!("tag", 1));
+        exec.log.insert(10, "a", tuple!("pkt", 1));
+        let delta = [TupleChange {
+            node: NodeId::new("a"),
+            before: Some(tuple!("tag", 1)),
+            after: Some(tuple!("tag", 2)),
+        }];
+        let r = updated(&exec, &delta, 0);
+        let (a, b) = (NodeId::new("a"), NodeId::new("b"));
+        assert!(r.exists(&a, &tuple!("seen", 1, 2)) && !r.exists(&a, &tuple!("seen", 1, 1)));
+        assert!(r.exists(&a, &tuple!("at", 1)) && r.exists(&b, &tuple!("at", 1)));
     }
 
     #[test]

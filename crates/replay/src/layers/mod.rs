@@ -295,7 +295,7 @@ impl Execution {
         let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
         self.configure(&mut engine);
         for e in store.events() {
-            e.schedule_as(&mut engine, e.due, e.op)?;
+            e.schedule(&mut engine)?;
         }
         engine.run()?;
         let sink = engine.into_sink();

@@ -9,8 +9,7 @@
 //! event has one encoding, the layer file's record
 //! ([`layers::layer::encode_record`]): the Figure 5/6 and Section 6.4/6.5
 //! experiments measure the bytes the store writes. An engine state is
-//! reached by replaying a log, or by rolling a replay forward — there is
-//! no checkpoint image.
+//! reached by replaying a log — there is no checkpoint image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +18,6 @@
 pub mod exec;
 pub mod layers;
 pub mod log;
-mod roll;
 mod slice;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};

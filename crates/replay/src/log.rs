@@ -55,19 +55,15 @@ pub struct BaseEvent {
 }
 
 impl BaseEvent {
-    /// Schedules `op` on this event's located tuple, not earlier than
-    /// `due`: the event's own op and due for a replay; a roll-forward
-    /// inverts the one and shifts the other.
-    pub(crate) fn schedule_as<S: dp_ndlog::ProvenanceSink>(
+    /// Schedules this event's op on its located tuple at its due.
+    pub(crate) fn schedule<S: dp_ndlog::ProvenanceSink>(
         &self,
         engine: &mut dp_ndlog::Engine<S>,
-        due: LogicalTime,
-        op: BaseOp,
     ) -> Result<()> {
         let (node, tuple) = (self.node, Arc::clone(&self.tuple));
-        match op {
-            BaseOp::Insert => engine.schedule_insert(due, node, tuple),
-            BaseOp::Delete => engine.schedule_delete(due, node, tuple),
+        match self.op {
+            BaseOp::Insert => engine.schedule_insert(self.due, node, tuple),
+            BaseOp::Delete => engine.schedule_delete(self.due, node, tuple),
         }
     }
 }
@@ -279,7 +275,7 @@ impl EventLog {
     ) -> Result<usize> {
         let events = self.events();
         for e in events.iter() {
-            e.schedule_as(engine, e.due, e.op)?;
+            e.schedule(engine)?;
         }
         Ok(events.len())
     }

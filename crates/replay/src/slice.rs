@@ -267,7 +267,7 @@ impl Index {
 
 /// The slice a [`crate::Replayed`] holds: the cut, and the cut log
 /// (unpatched) as an execution of its own, which is what the replay and
-/// any roll of it read.
+/// every UPDATETREE of it patch and replay.
 pub(crate) struct Slice {
     pub(crate) cut: Cut,
     pub(crate) exec: Execution,

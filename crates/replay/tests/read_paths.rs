@@ -9,10 +9,11 @@
 //! at every instant its history makes interesting, both must name the same
 //! episode — on a campus with three rounds of route and traffic churn
 //! (tuples with several episodes, live and gone) and on SDN3, whose
-//! reference event lies in the past. A recording rolled forward is held to
-//! the same: the churned campus rolled to DiffProv's own Δ, and SDN4 after
-//! its second round's roll. On every recording, each opened row is found
-//! under its own start, so a query of a live tuple always has its key.
+//! reference event lies in the past. A recording UPDATETREE made is held to
+//! the same: the churned campus's slice updated to DiffProv's own Δ, and
+//! SDN4's after its second round. On every recording, each opened row is
+//! found under its own start, so a query of a live tuple always has its
+//! key.
 
 use std::collections::BTreeMap;
 
@@ -58,12 +59,13 @@ fn check(exec: &Execution, case: &str, cov: &mut Coverage) {
     check_keyed(&r, case, cov);
 }
 
-/// Replays `s`'s bad execution, rolls it as DiffProv's own UPDATETREE
-/// calls did — to each round's accumulated Δ in turn — and holds the
-/// rolled recording to the scan. Every call must roll: a from-scratch
-/// replay is a fresh recording, which `check` already covers. Returns how
-/// many rolls it made.
-fn check_rolled(s: &Scenario, cov: &mut Coverage) -> usize {
+/// Replays the slice of `s`'s bad execution that both its events depend
+/// on (both live in that execution), updates it as DiffProv's own
+/// UPDATETREE calls did — to each round's accumulated Δ in turn — and
+/// holds the updated recording, a replay of the patched slice, to the
+/// scan. Every call must replay the slice it holds, not widen it. Returns
+/// how many updates it made.
+fn check_updated(s: &Scenario, cov: &mut Coverage) -> usize {
     let report = s.diagnose().unwrap();
     assert!(report.succeeded(), "{}: {report}", s.name);
     let seed = report.bad_seed.expect("a succeeded diagnosis names its seed");
@@ -73,14 +75,17 @@ fn check_rolled(s: &Scenario, cov: &mut Coverage) -> usize {
     let first = events.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
     let at = first.map_or(0, |e| e.due).saturating_sub(1);
     drop(events);
-    let (mut r, mut delta) = (exec.replay().unwrap(), Vec::new());
+    let (good, bad) = (&s.good_event, &s.bad_event);
+    let roots = [(&good.tref.node, &*good.tref.tuple), (&bad.tref.node, &*bad.tref.tuple)];
+    let mut r = exec.replay_slice(roots, good.at.min(bad.at)).unwrap();
+    let mut delta = Vec::new();
     for round in &report.rounds {
         delta.extend(round.changes.iter().cloned());
-        r.roll_forward(&exec, &delta, at).unwrap();
+        r.update_tree(&exec, &delta, at).unwrap();
     }
-    let rolled = exec.tracer.aggregate().counter("replay.rolled{path=roll}");
-    assert_eq!(rolled, report.rounds.len() as u64, "{}: every call rolled", s.name);
-    check_keyed(&r, &format!("{} rolled", s.name), cov);
+    let replayed = exec.tracer.aggregate().counter("replay.updated{path=replay}");
+    assert_eq!(replayed, report.rounds.len() as u64, "{}: every call replayed", s.name);
+    check_keyed(&r, &format!("{} updated", s.name), cov);
     report.rounds.len()
 }
 
@@ -160,8 +165,8 @@ fn engine_resolved_queries_name_the_rows_the_scan_finds() {
 
     // DiffProv's own UPDATETREE calls: the churned campus to its Δ, SDN4
     // through both of its rounds.
-    assert!(check_rolled(&churned.scenario, &mut cov) >= 1);
-    assert_eq!(check_rolled(&sdn4(), &mut cov), 2, "SDN4 is the two-round scenario");
+    assert!(check_updated(&churned.scenario, &mut cov) >= 1);
+    assert_eq!(check_updated(&sdn4(), &mut cov), 2, "SDN4 is the two-round scenario");
 
     assert!(cov.tuples > 1_000, "{} tuples", cov.tuples);
     assert!(cov.recurring > 100, "{} tuples with several episodes", cov.recurring);

@@ -4,8 +4,7 @@
 # configuration to cover — every test target of it run to the end
 # (`--no-fail-fast`: a failing target fails the step after the rest have
 # run, instead of hiding them); the diagbench package's own tests; one
-# fault-injection sweep; a check that UPDATETREE rolls the campus and
-# re-issues only what the change reaches; grep gates against the deleted second
+# fault-injection sweep; grep gates against the deleted second
 # instrumentation system, against the deleted scrape surface (server,
 # exposition, sketches — the workspace opens no socket and spawns no
 # thread), against the deleted store and tracer routings and on-disk
@@ -13,9 +12,8 @@
 # per-node split, per-record sequence numbers, due ranges, a merge of the
 # stack), against the deleted in-memory checkpoint (a second way to
 # reach an engine state), against the deleted second provenance backend,
-# against a second UPDATETREE path in crates/core or a second roll entry,
-# against the roll's deleted memo copies of what the program answers and
-# the replay's deleted cut parameter,
+# against a second UPDATETREE path in crates/core, against the deleted
+# roll-forward's names,
 # against a tuple-keyed map in the graph recorder, against the recorder's
 # deleted path for a stream that starts mid-run, and against the
 # searches the engine stopped
@@ -117,40 +115,6 @@ sweep_diagnoses_every_divergence() {
     fi
 }
 step "sim sweep" sweep_diagnoses_every_divergence
-# UPDATETREE re-issues only what the change reaches: on the default
-# campus DiffProv's own call must roll (not replay from scratch), and the
-# suffix's distinct located tuples must be no more than its events plus
-# the tuples Δ brings (a tuple is keyed once, however many events log it).
-# DiffProv rolls its slice, whose guard keeps only the entries covering
-# the two packets: every event of its suffix is one the change reaches.
-# So the same Δ is also rolled on the whole log, whose suffix keeps the
-# background after the fork, and there the events re-issued must be fewer
-# than the suffix from the fork on. All are read off `repro trace campus`:
-# its verdict line, its `whole-log roll:` line and its tail.
-rolls_what_the_change_reaches() {
-    local tail roll fork tuples changes whole affected whole_fork whole_roll
-    tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
-    read_counter() { awk -v name="$1" '$1 == name { print $2 }' <<<"$tail"; }
-    roll="$(read_counter 'replay.rolled{path=roll}')"
-    fork="$(read_counter replay.fork_events)"
-    tuples="$(read_counter replay.suffix_tuples)"
-    changes="$(awk '$1 == "verdict:" { print $2 }' <<<"$tail")"
-    whole="$(awk '$1 == "whole-log" && $2 == "roll:" { print $3, $6, $14 }' <<<"$tail")"
-    read -r affected whole_fork whole_roll <<<"$whole"
-    echo "repro trace campus: roll ${roll:-0}, ${tuples:-?} suffix tuples of ${fork:-?}" \
-        "fork events, |Δ| ${changes:-?}; whole log: ${affected:-?} affected of" \
-        "${whole_fork:-?} fork events, roll ${whole_roll:-?}"
-    if [[ "$roll" != 1 || "$whole_roll" != x1 || -z "$affected" || -z "$whole_fork" ||
-        "$affected" -ge "$whole_fork" ]]; then
-        echo "check.sh: the campus did not roll only what the change reaches" >&2
-        return 1
-    fi
-    if [[ -z "$tuples" || -z "$fork" || -z "$changes" || "$tuples" -gt $((fork + changes)) ]]; then
-        echo "check.sh: the campus suffix keyed more tuples than its events and Δ hold" >&2
-        return 1
-    fi
-}
-step "campus rolls what the change reaches" rolls_what_the_change_reaches
 # A diagnosis replays the slice of the log its trees depend on: on the
 # default campus the slice must hold at most a twentieth of the log (the
 # guard keeps only the flow entries covering the two packets), and closing it
@@ -227,11 +191,10 @@ step "gate: a layer is one run of the log" absent \
     "Binary""Heap|Seq""Event|min_""due|max_""due|by_""node" \
     crates/replay/src/layers
 # An engine state is reached by scheduling a log on a fresh engine and
-# running it, or by rolling such a replay forward — never by restoring an
-# image: the in-memory checkpoint (engine snapshot and restore, the
-# checkpoint store, resumed replay, log aging, the resumable digest sink)
-# went in PR 23, and a restart is a reopened store. (Spelled in halves so
-# this script passes its own gate.)
+# running it — never by restoring an image: the in-memory checkpoint
+# (engine snapshot and restore, the checkpoint store, resumed replay, log
+# aging, the resumable digest sink) went in PR 23, and a restart is a
+# reopened store. (Spelled in halves so this script passes its own gate.)
 step "gate: one way to reach an engine state" absent \
     "a name of the deleted in-memory checkpoint reappeared" \
     "Engine""Snapshot|fn snap""shot|Engine::res""tore|Checkpoint""Store|build_""checkpoints|replay_from_""checkpoint|fn age_""out|retain_""after|fn re""index|HashSink::res""ume" \
@@ -244,35 +207,22 @@ step "gate: one provenance backend" absent \
     "a name of the deleted annotation backend reappeared" \
     "DP_""PROV|DP_SIM_""SEEDS|Annot""Recorder|Annotation""Store|reconstruct_""tree|Backend""Recorder|default_from_""env|fired_""at" \
     crates src tests examples scripts
-# DiffProv has one UPDATETREE path: Replayed::roll_forward. It rolls the
-# held replay forward selectively — Δ applied at the clock, then only the
-# suffix events Δ reaches withdrawn and re-issued, the whole suffix being
-# the case where Δ reaches everything — and decides by itself, by one
-# fixed rule, when to replay the patched log from scratch instead: the
-# trust rule (what the roll keeps could have read what it changed, or a
-# re-issued event joined an independent one logged after it). A direct
-# call of the from-scratch entry from crates/core would be a second path
-# beside it. (Spelled in halves so this script passes its own gate.)
+# DiffProv has one UPDATETREE path: Replayed::update_tree, one more replay
+# of the held slice (or log) patched by the change set, the slice widened
+# first when the change reaches past it. A direct call of the whole-log
+# patched replay from crates/core would be a second path beside it.
+# (Spelled in halves so this script passes its own gate.)
 step "gate: one UPDATETREE path" absent \
     "crates/core calls the from-scratch replay directly" \
     "replay""_with" crates/core
-# Every caller, tests included, reaches the roll through that one entry:
-# the test-only entry that skipped the cost rule went once no diagnosis
-# needed it to reach the roll. (Spelled in halves so this script passes
-# its own gate.)
-step "gate: one roll entry" absent \
-    "the roll's test-only entry reappeared" \
-    "roll_forward_""withdrawing|always_""withdraw" \
+# The selective roll-forward (its entry, its refusals, its keyed suffix
+# and its path counter) was deleted once a replay of the patched slice
+# cost as much: it must not grow back beside update_tree. (Spelled in
+# halves so this script passes its own gate.)
+step "gate: the roll stays deleted" absent \
+    "a name of the deleted roll-forward reappeared" \
+    "roll_""forward|Refu""sal|Suf""fix::new|path=""roll" \
     crates src tests examples scripts
-# The roll asks the program what a rule reads (Program::reads_state,
-# Program::reads_table) instead of keeping memo copies of the answers, and
-# a replay runs its whole log: a cut is a log that holds only the events
-# due by then, not a parameter of the replay. (Spelled in halves so this
-# script passes its own gate.)
-step "gate: the roll asks the program" absent \
-    "a deleted memo of the roll or the replay's cut reappeared" \
-    "Reader""Cache|Read""Tables|replay_""until" \
-    crates
 # The graph recorder finds an episode by the clock the stream names it by
 # (ProvEvent's `since`), never by the tuple's value: a map keyed by
 # TupleRef in graph.rs would be the by-value search PR 17 removed, paid
@@ -281,13 +231,12 @@ step "gate: no tuple-keyed map in the recorder" absent \
     "crates/provenance/src/graph.rs keys a map by TupleRef" \
     "(Map|Set)<[[:space:]]*\(?[[:space:]]*&?(dp_types::)?TupleRef" \
     crates/provenance/src/graph.rs
-# A recording starts at an empty engine — a replay from the log's start,
-# possibly rolled forward on the same engine and recorder — so every row
-# is opened by the APPEAR right after its cause, and a row's id is its
-# rank in APPEAR order. A stream that breaks that panics; the path that
-# patched one up (boundary episodes at time 0, a B-tree for out-of-order
-# keys) must not grow back. (Spelled in halves so this script passes its
-# own gate.)
+# A recording starts at an empty engine — a replay from the log's start —
+# so every row is opened by the APPEAR right after its cause, and a row's
+# id is its rank in APPEAR order. A stream that breaks that panics; the
+# path that patched one up (boundary episodes at time 0, a B-tree for
+# out-of-order keys) must not grow back. (Spelled in halves so this script
+# passes its own gate.)
 step "gate: a recording starts at an empty engine" absent \
     "the recorder's deleted mid-run path reappeared" \
     "boundary_""episode|stra""ys" \

@@ -17,7 +17,9 @@ use std::sync::Arc;
 
 use diffprov::core::{Failure, QueryEvent};
 use diffprov::ndlog::{NodeView, Program, StatefulBuiltin};
-use diffprov::replay::Execution;
+use diffprov::ndlog::TupleChange;
+use diffprov::provenance::tuple_view;
+use diffprov::replay::{Execution, Replayed};
 use diffprov::sdn::{campus, cfg_entry, deliver_at, pkt_in, CampusConfig, Topology};
 use diffprov::trace::{Aggregate, Tracer};
 use diffprov::types::prefix::{cidr, ip};
@@ -237,7 +239,7 @@ fn a_rewritten_address_widens_the_guard() {
 
 /// SDN2's repair narrows the scrubber's entry from `66.0.0.0/7` to
 /// `66.0.0.0/8`, which covers neither packet's source: the guard does not
-/// pass it, yet the roll patches it in as the whole log does — its events
+/// pass it, yet UPDATETREE patches it in as the whole log does — its events
 /// are the replaced entry's — without widening the slice. A second
 /// switch's row sharing the entry's key, and background entries at `S1`,
 /// sit outside the cut.
@@ -262,10 +264,10 @@ fn a_narrowed_entry_outside_the_guard_rolls_as_the_whole_log() {
     let agg = tracer.aggregate();
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
     assert!(agg.counter("replay.slice_guard_dropped") >= 40);
-    // Both diagnoses roll; the sliced one does not widen for the
-    // narrowed entry.
-    assert_eq!(agg.counter("replay.rolled{path=roll}"), 2);
-    assert_eq!(agg.counter("replay.rolled{path=widen}"), 0);
+    // Both diagnoses replay what they hold, patched; the sliced one does
+    // not widen for the narrowed entry.
+    assert_eq!(agg.counter("replay.updated{path=replay}"), 2);
+    assert_eq!(agg.counter("replay.updated{path=widen}"), 0);
 }
 
 /// `crowded!(N)` holds while node `N` holds at least twenty tuples, read
@@ -393,4 +395,157 @@ fn counts_a_guarded_table(crowded: Crowded, shape: Shape) -> Aggregate {
     let agg = bad_exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
     agg
+}
+
+/// Forty entries at `S1` for destinations no packet has: the guard
+/// leaves them out of every slice, which keeps a slice below its log.
+fn with_background(exec: &mut Execution) {
+    for i in 0..40 {
+        let m = cidr(&format!("192.168.{i}.0/24"));
+        exec.log.insert(0, "ctl", cfg_entry(100 + i, "S1", 5, cidr("0.0.0.0/0"), m, 1));
+    }
+}
+
+/// Replays the slice of `exec` that `roots` depend on and updates it to
+/// each change set of `deltas` in turn, as DiffProv's UPDATETREE calls
+/// do; after each, every tuple the slice holds is live in the replay of
+/// the whole log patched by that set, with the same tree up to stamp
+/// ranks. The slice must hold (no closure gave way to the whole log).
+/// Returns the last update.
+fn updated_as_the_whole_log(
+    exec: &Execution,
+    roots: &[TupleRef],
+    deltas: &[&[TupleChange]],
+    at: u64,
+) -> Replayed {
+    let trees = |r: &Replayed| -> Vec<(TupleRef, String)> {
+        let live = r.engine.nodes().flat_map(|(node, state)| {
+            state.all().map(move |(t, _)| TupleRef::new(*node, t.clone()))
+        });
+        live.map(|root| {
+            let tree = r.query(&root).expect("a live tuple has a tree");
+            (root, tree.render_ranked())
+        })
+        .collect()
+    };
+    let mut exec = exec.clone();
+    exec.tracer = Tracer::aggregate_only();
+    let roots = roots.iter().map(|r| (&r.node, &*r.tuple));
+    let mut sliced = exec.replay_slice(roots, u64::MAX).unwrap();
+    for (i, delta) in deltas.iter().enumerate() {
+        sliced.update_tree(&exec, delta, at).unwrap();
+        let whole: std::collections::BTreeMap<_, _> =
+            trees(&exec.replay_with(delta, at).unwrap()).into_iter().collect();
+        let got = trees(&sliced);
+        assert!(!got.is_empty(), "update {i}: the slice holds nothing");
+        for (root, tree) in &got {
+            assert_eq!(Some(tree), whole.get(root), "update {i}: the tree of {root}");
+        }
+    }
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0, "the slice holds");
+    sliced
+}
+
+/// SDN4 needs two rounds, and the second UPDATETREE patches the log with
+/// both rounds' changes, not the first round's state with the second's:
+/// its slice, updated to each round's accumulated Δ and then back to the
+/// log as it stands, holds the whole patched log's tuples and trees each
+/// time. (The cut keeps what a round widened it by: round 1's change
+/// sends a packet through `S6`.)
+#[test]
+fn sdn4_updates_through_both_rounds_and_back() {
+    let mut s = sdn::sdn4();
+    with_background(&mut s.bad_exec);
+    s.good_exec = s.bad_exec.clone();
+    let report = s.diagnose().unwrap();
+    assert!(report.verified, "{report}");
+    assert_eq!(report.rounds.len(), 2, "SDN4 is the two-round scenario");
+    let round1 = report.rounds[0].changes.clone();
+    let both: Vec<_> = report.rounds.iter().flat_map(|r| r.changes.iter().cloned()).collect();
+    let seed = report.bad_seed.expect("a verified report has seeds");
+    let logged = s.bad_exec.log.events();
+    let seeded = logged.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
+    let at = seeded.map_or(0, |e| e.due).saturating_sub(1);
+    drop(logged);
+    let roots = [s.good_event.tref.clone(), s.bad_event.tref.clone()];
+    updated_as_the_whole_log(&s.bad_exec, &roots, &[&round1, &both, &[]], at);
+}
+
+/// A change reaches a packet of the log's early part through priority
+/// resolution. A packet parked at `S0` is released by an entry and
+/// reaches `S1` just after a high-priority entry was installed there:
+/// `best_match` picks that one, and `S1`'s own low-priority entry never
+/// fires. Δ narrows the high entry so it no longer matches: the packet
+/// takes the low entry to `a`, and nothing is delivered to `b`.
+#[test]
+fn a_narrowed_entry_hands_an_earlier_packet_to_the_low_entry() {
+    let mut topo = Topology::new("ctl");
+    topo.switches(&["S0", "S1"]);
+    topo.link("S0", "S1");
+    let (to_a, to_b) = (topo.host("S1", "a"), topo.host("S1", "b"));
+    let mut exec = Execution::new(sdn::sdn_program("ctl").unwrap());
+    topo.emit(&mut exec.log, 10);
+    let any = cidr("0.0.0.0/0");
+    let (src, dst) = (ip("19.0.0.1"), ip("10.0.0.80"));
+    exec.log.insert(10, "ctl", cfg_entry(1, "S1", 5, any, any, to_a));
+    exec.log.insert(1_000, "S0", pkt_in(1, src, dst, 6, 512));
+    let release = cfg_entry(2, "S0", 1, any, any, topo.port_towards("S0", "S1"));
+    exec.log.insert(2_000, "ctl", release);
+    let high = |sm| cfg_entry(3, "S1", 7, sm, any, to_b);
+    exec.log.insert(2_000, "ctl", high(any));
+    with_background(&mut exec);
+    let delta = [TupleChange {
+        node: NodeId::new("ctl"),
+        before: Some(high(any)),
+        after: Some(high(cidr("0.0.0.0/4"))),
+    }];
+    let at = |host| deliver_at(host, 1, src, dst, 6, 512);
+    let delivered = |r: &Replayed, host| r.exists(&at(host).node, &at(host).tuple);
+    let held = exec.replay().unwrap();
+    assert!(delivered(&held, "b") && !delivered(&held, "a"), "fixture: the high entry won");
+    let r = updated_as_the_whole_log(&exec, &[at("a"), at("b")], &[&delta], 0);
+    assert!(delivered(&r, "a") && !delivered(&r, "b"));
+}
+
+/// A wider entry reaches the packets it now covers and no other. A packet
+/// that matched no entry is delivered by Δ's entry, one a lower-priority
+/// entry forwarded moves to it (it now wins `best_match`), and one no
+/// entry Δ touches keeps its route; each delivery's tree springs from its
+/// own packet.
+#[test]
+fn a_widened_entry_reaches_the_packets_it_covers() {
+    let mut topo = Topology::new("ctl");
+    topo.switches(&["S1"]);
+    let (to_a, to_b, to_c) = (topo.host("S1", "a"), topo.host("S1", "b"), topo.host("S1", "c"));
+    let mut exec = Execution::new(sdn::sdn_program("ctl").unwrap());
+    topo.emit(&mut exec.log, 10);
+    let any = cidr("0.0.0.0/0");
+    exec.log.insert(10, "ctl", cfg_entry(1, "S1", 5, any, cidr("10.9.0.0/16"), to_c));
+    exec.log.insert(10, "ctl", cfg_entry(2, "S1", 3, any, cidr("10.0.2.0/24"), to_b));
+    let entry = |dst| cfg_entry(3, "S1", 5, any, cidr(dst), to_a);
+    exec.log.insert(10, "ctl", entry("10.0.0.0/24"));
+    let src = ip("19.0.0.1");
+    let packets = [(1, "10.0.1.5", "a"), (2, "10.0.2.9", "a"), (3, "10.9.0.1", "c")];
+    for (pid, dst, _) in packets {
+        exec.log.insert(1_000 + pid as u64, "S1", pkt_in(pid, src, ip(dst), 6, 64));
+    }
+    with_background(&mut exec);
+    let delta = [TupleChange {
+        node: NodeId::new("ctl"),
+        before: Some(entry("10.0.0.0/24")),
+        after: Some(entry("10.0.0.0/22")),
+    }];
+    let delivery = |host, pid, dst| deliver_at(host, pid, src, ip(dst), 6, 64);
+    let held = exec.replay().unwrap();
+    let at_b = delivery("b", 2, "10.0.2.9");
+    assert!(held.exists(&at_b.node, &at_b.tuple), "fixture: packet 2 takes the low entry");
+    let wanted: Vec<_> = packets.iter().map(|&(pid, dst, host)| delivery(host, pid, dst)).collect();
+    let r = updated_as_the_whole_log(&exec, &wanted, &[&delta], 0);
+    assert!(!r.exists(&at_b.node, &at_b.tuple));
+    for (root, (pid, dst, _)) in wanted.iter().zip(packets) {
+        let tree = r.query(root).unwrap_or_else(|| panic!("{root} is not delivered"));
+        let view = tuple_view(&tree);
+        assert_eq!(*view.node(view.seed()).tref.tuple, pkt_in(pid, src, ip(dst), 6, 64));
+    }
 }

@@ -1,7 +1,8 @@
 //! Tier-1 smoke test of the layers the workspace suites cover in depth:
 //! one small SDN scenario (SDN1) through the engine and its reference
-//! evaluator, the durable store, a restart, and UPDATETREE's
-//! roll-forward against a from-scratch replay. `cargo
+//! evaluator, the durable store and a restart, and UPDATETREE of a
+//! test-scale campus's slice against a from-scratch replay of the whole
+//! patched log. `cargo
 //! test -q` builds only the facade package, so without this file nothing
 //! in Tier-1 would notice an engine, recorder, or store change going
 //! wrong; the full differentials stay in `crates/*/tests` behind
@@ -64,32 +65,59 @@ fn restart_resumes_to_the_uncut_digest() {
     );
 }
 
-/// UPDATETREE by roll-forward, as DiffProv calls it, leaves the live
-/// tuples of a from-scratch replay of the patched log, and the same tree
-/// for each of them up to timestamps.
+/// UPDATETREE of a slice, as DiffProv calls it, equals the whole patched
+/// log's replay: on the test-scale campus (whose slice holds a few dozen
+/// of its ~1 500 events), the slice both packets' trees depend on, updated
+/// to the diagnosis's Δ, holds only tuples the from-scratch replay of the
+/// whole patched log holds, each with the same tree up to stamp ranks.
 #[test]
-fn roll_forward_reaches_the_from_scratch_state() {
-    let s = sdn::sdn1();
-    let delta = s.diagnose().unwrap().delta;
-    assert_eq!(delta.len(), 1);
-    let exec = &s.bad_exec;
+fn update_tree_of_a_slice_equals_the_whole_patched_replay() {
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::trace::Tracer;
+    let mut s = campus(&CampusConfig {
+        seed: 7,
+        bulk_entries_per_router: 40,
+        background_packets: 100,
+        ..CampusConfig::default()
+    })
+    .scenario;
+    let report = s.diagnose().unwrap();
+    assert!(report.verified, "{report}");
+    let seed = report.bad_seed.expect("a verified report has seeds");
+    let exec = &mut s.bad_exec;
+    exec.tracer = Tracer::aggregate_only();
+    let events = exec.log.events();
+    let seeded = events.iter().find(|e| e.node == seed.node && e.tuple == seed.tuple);
+    let at = seeded.map_or(0, |e| e.due).saturating_sub(1);
+    drop(events);
+    let (good, bad) = (&s.good_event.tref, &s.bad_event.tref);
+    let roots = [(&good.node, &*good.tuple), (&bad.node, &*bad.tuple)];
+    let mut sliced = exec.replay_slice(roots, u64::MAX).unwrap();
+    sliced.update_tree(exec, &report.delta, at).unwrap();
+    let agg = exec.tracer.aggregate();
+    assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0, "the slice holds");
+    assert_eq!(agg.counter("replay.updated{path=replay}"), 1, "the slice was replayed");
+
     let trees = |r: &Replayed| -> Vec<(TupleRef, String)> {
         let live = r.engine.nodes().flat_map(|(node, state)| {
             state.all().map(move |(t, _)| TupleRef::new(*node, t.clone()))
         });
         live.map(|root| {
-            let tree = r.query(&root).expect("a live tuple has a tree").render();
-            let unstamped: Vec<_> = tree
-                .lines()
-                .map(|l| l.rsplit_once(" t=").map_or(l, |(head, _)| head))
-                .collect();
-            (root, unstamped.join("\n"))
+            let tree = r.query(&root).expect("a live tuple has a tree");
+            (root, tree.render_ranked())
         })
         .collect()
     };
-    let want = trees(&exec.replay_with(&delta, 0).unwrap());
-    assert!(!want.is_empty());
-    let mut rolled = exec.replay().unwrap();
-    rolled.roll_forward(exec, &delta, 0).unwrap();
-    assert_eq!(trees(&rolled), want);
+    let whole = exec.replay_with(&report.delta, at).unwrap();
+    let want: std::collections::BTreeMap<_, _> = trees(&whole).into_iter().collect();
+    let got = trees(&sliced);
+    assert!(
+        !got.is_empty() && 10 * got.len() < want.len(),
+        "{} of {} live tuples",
+        got.len(),
+        want.len()
+    );
+    for (root, tree) in &got {
+        assert_eq!(Some(tree), want.get(root), "the tree of {root}");
+    }
 }
