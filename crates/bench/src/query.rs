@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use diffprov_core::{DiffProv, Scenario};
+use diffprov_core::{same_run, DiffProv, Scenario};
 use dp_trace::Tracer;
 use dp_types::Result;
 
@@ -52,7 +52,7 @@ pub fn measure(scenario: &Scenario) -> Result<QueryTiming> {
     // Y! baseline, under a counting handle: the slice DiffProv reads the
     // bad tree from.
     let (good_root, bad_root) = (&scenario.good_event.tref, &scenario.bad_event.tref);
-    let shared = scenario.good_exec.log.events() == scenario.bad_exec.log.events();
+    let shared = same_run(&scenario.good_exec, &scenario.bad_exec);
     let roots = [(&bad_root.node, &*bad_root.tuple), (&good_root.node, &*good_root.tuple)];
     let mut bad = scenario.bad_exec.clone();
     bad.tracer = Tracer::aggregate_only();

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use diffprov_core::{DiffProv, Metrics, Report, Scenario};
+use diffprov_core::{same_run, DiffProv, Metrics, Report, Scenario};
 use dp_ndlog::join_profile_json;
 use dp_trace::{Aggregate, Tracer};
 use dp_types::Result;
@@ -69,11 +69,11 @@ pub fn trace_scenario(scenario: &Scenario) -> Result<TraceRun> {
         ..DiffProv::default()
     };
     let report = scenario.diagnose_with(&dp)?;
-    let (good, bad) = (&scenario.good_exec.log, &scenario.bad_exec.log);
-    let logged = if good.events() == bad.events() {
-        bad.len()
+    let (good, bad) = (&scenario.good_exec, &scenario.bad_exec);
+    let logged = if same_run(good, bad) {
+        bad.log.len()
     } else {
-        good.len() + bad.len()
+        good.log.len() + bad.log.len()
     };
     Ok(TraceRun {
         report,
@@ -133,14 +133,6 @@ pub fn summary(run: &TraceRun) -> String {
         m.replay.as_secs_f64() * 1e3,
         ms(agg.total_ns("diffprov.replay")),
         ms(update_ns)
-    );
-    // UPDATETREE's paths: the held slice (or log) replayed patched, or
-    // the slice widened first because the change reached past it.
-    let _ = writeln!(
-        s,
-        "      update-tree: replay x{} / widen x{}",
-        agg.counter("replay.updated{path=replay}"),
-        agg.counter("replay.updated{path=widen}")
     );
     // What the replays read of the log: the slices the trees depend on,
     // their owners and closure rounds, the owned events the guard left
@@ -421,11 +413,12 @@ mod tests {
         assert_eq!(agg.span_count("store.recovery"), 1);
     }
 
-    /// UPDATETREE reports its path on the execution's tracer — the held
-    /// slice or log replayed patched, or the slice widened first — and the
-    /// summary's update-tree line reads it.
+    /// UPDATETREE is one more replay: of a held whole log patched, or of
+    /// the campus slice's held cut log, which Δ does not widen — no cut
+    /// beyond the closure rounds of the slice's first replay, which the
+    /// summary's `slice:` line describes.
     #[test]
-    fn update_tree_reports_its_path() {
+    fn update_tree_replays_what_it_holds() {
         let scenario = find_scenario("SDN1").unwrap();
         let delta = scenario.diagnose().unwrap().delta;
         let tracer = Tracer::aggregate_only();
@@ -433,23 +426,24 @@ mod tests {
         exec.tracer = tracer.clone();
         exec.replay().unwrap().update_tree(&exec, &delta, 0).unwrap();
         let agg = tracer.aggregate();
-        assert_eq!(agg.counter("replay.updated{path=replay}"), 1);
-        assert_eq!(agg.counter("replay.updated{path=widen}"), 0);
         // One more replay: the patched log's events, the log's own replay
         // having scheduled its events before.
         assert_eq!(agg.counter("replay.scheduled"), 2 * exec.log.len() as u64);
 
-        // DiffProv's one call on the campus replays its slice patched.
+        // DiffProv's one call on the campus patches the held cut log.
         let run = trace_scenario(&find_scenario("campus").unwrap()).unwrap();
-        let text = summary(&run);
+        let agg = &run.aggregate;
         assert_eq!(run.report.rounds.len(), 1, "{}", run.report);
-        assert!(text.contains("      update-tree: replay x1 / widen x0\n"), "{text}");
+        assert_eq!(agg.span_count("replay.slice_index"), 1);
+        assert_eq!(agg.span_count("replay.slice_cut"), agg.counter("replay.slice_rounds"));
+        let text = summary(&run);
+        let line = "      slice: 30 of 1426 logged events, 4 owners, 2 closure rounds";
+        assert!(text.contains(line), "{text}");
 
         // A program that keeps its whole log names its reasons.
         let tracer = Tracer::aggregate_only();
         tracer.counter("replay.slice_refused{why=size}", 1);
         tracer.counter("replay.slice_refused{why=native}", 2);
-        tracer.counter("replay.updated{path=replay}", 1);
         assert_eq!(
             reasons(&tracer.aggregate(), "replay.slice_refused"),
             " (refused: native x2, size x1)"

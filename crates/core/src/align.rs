@@ -111,6 +111,14 @@ impl From<Error> for AlignError {
 
 type AResult<T> = std::result::Result<T, AlignError>;
 
+/// True if both executions are one run — one program and equal logs — so
+/// that one replay serves the trees of events from either: the paper's
+/// batching (Section 6.6), as in the SDN scenarios, where one log holds
+/// both packets.
+pub fn same_run(good: &Execution, bad: &Execution) -> bool {
+    Arc::ptr_eq(&good.program, &bad.program) && good.log.events() == bad.log.events()
+}
+
 /// How a diagnosis replays an execution for the located tuples its trees
 /// must hold, queried at the earliest of the given times.
 pub(crate) type Replay<'a> =
@@ -171,8 +179,7 @@ impl DiffProv {
         // the two trees. When both events come from the same execution (the
         // SDN scenarios: one log contains both packets), a single replay
         // serves both trees — the paper's batching (Section 6.6).
-        let shared =
-            Arc::ptr_eq(&good.program, &bad.program) && good.log.events() == bad.log.events();
+        let shared = same_run(good, bad);
         let (good_root, bad_root) = (&good_event.tref, &bad_event.tref);
         let roots = [(&good_root.node, &*good_root.tuple), (&bad_root.node, &*bad_root.tuple)];
         let span = tracer.span("diffprov.replay");
@@ -258,7 +265,10 @@ impl DiffProv {
             }
         };
 
-        let inject_at = seed_due(bad, &bad_seed).saturating_sub(1);
+        // Pure insertions are injected just before the bad seed's first
+        // event, "shortly before they are needed" (Section 4.8).
+        let seed_due = replayed_bad.first_due(bad, &bad_seed.node, &bad_seed.tuple);
+        let inject_at = seed_due.saturating_sub(1);
         let mut delta: Vec<TupleChange> = Vec::new();
         let mut promised: BTreeSet<TupleRef> = BTreeSet::new();
         let chain = good_view.trigger_chain();
@@ -413,16 +423,6 @@ impl DiffProv {
             agg.observe_size("diffprov.delta_changes", report.delta.len() as u64);
         });
     }
-}
-
-/// The logical due time at which the bad seed was inserted (used to inject
-/// pure insertions "shortly before they are needed", Section 4.8).
-fn seed_due(exec: &Execution, seed: &TupleRef) -> LogicalTime {
-    exec.log
-        .events()
-        .iter()
-        .find(|e| e.node == seed.node && e.tuple == seed.tuple)
-        .map_or(0, |e| e.due)
 }
 
 /// Mutable context threaded through MAKEAPPEAR.

@@ -66,7 +66,7 @@ pub mod report;
 pub mod scenario;
 pub mod taint;
 
-pub use align::{DiffProv, QueryEvent};
+pub use align::{same_run, DiffProv, QueryEvent};
 pub use formula::{seed_var, seed_var_index, Formula};
 pub use judge::Judged;
 pub use report::{Failure, Metrics, Report, Round};

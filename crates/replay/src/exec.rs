@@ -12,13 +12,15 @@
 //! A diagnosis replays a *slice* ([`Execution::replay_slice`]): the events
 //! the provenance of its queried tuples depends on, by the program's slice
 //! plan, closed over the run (the `slice` module). A [`Replayed`] of a
-//! slice holds the cut and the cut log, and [`Replayed::update_tree`]
-//! replays that patched; [`Execution::replay`] replays the whole log, for the
-//! judge's oracle and every reader that wants the whole run. A slice is
-//! given up for the whole log, each time for a reason read off the query,
-//! the program or the log: a query at a past time (only the whole log
-//! keeps the whole run's clock), a plan that refused its key, and a
-//! closure that would replay more events than the log holds. The entry
+//! slice holds the cut, the log's index and the cut log, and one function
+//! replays it — first, on every UPDATETREE ([`Replayed::update_tree`]) and
+//! on every widening ([`Replayed::widen`]) — patching the held cut log
+//! until the cut grows. [`Execution::replay`] replays the whole
+//! log, for the judge's oracle and every reader that wants the whole run.
+//! A slice is given up for the whole log, each time for a reason read off
+//! the query, the program or the log: a query at a past time (only the
+//! whole log keeps the whole run's clock), a plan that refused its key, and
+//! a closure that would replay more events than the log holds. The entry
 //! MAKEAPPEAR replaces ([`Replayed::base_tuples_by_key`]) is read off the
 //! whole log too, keeping only the rows that share the wanted key.
 
@@ -32,7 +34,7 @@ use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::log::{BaseEvent, BaseOp, EventLog};
-use crate::slice::{Cut, Index, Slice};
+use crate::slice::{Cut, Cuts, Index, Slice};
 
 /// Shim for the frozen `benchmark/` (ROADMAP item 1): there is one
 /// provenance backend, and both values record the graph.
@@ -72,80 +74,33 @@ pub struct Replayed {
     /// log the held state reflects is the execution's log with these
     /// changes applied.
     applied: (Vec<TupleChange>, LogicalTime),
-    /// Base ops the replay scheduled.
-    scheduled: u64,
     /// The slice this replays ([`Execution::replay_slice`]); `None` for
     /// the whole log.
     slice: Option<Box<Slice>>,
 }
 
 impl Replayed {
-    /// Wraps a quiescent engine whose state reflects the execution's log
-    /// as it stands, `scheduled` base ops of it run on this engine.
-    fn new(engine: Engine<GraphRecorder>, scheduled: usize) -> Self {
-        Replayed {
-            engine,
-            applied: (Vec::new(), 0),
-            scheduled: scheduled as u64,
-            slice: None,
-        }
-    }
-
     /// UPDATETREE (Section 4.6): brings this replay of `exec` to the state
     /// and provenance of `exec`'s log patched by `delta` ([`apply_changes`]),
     /// by one more replay. `self` must come from `exec.replay()` or
     /// `exec.replay_slice(..)`, possibly updated before.
     ///
     /// A replay of the whole log replays the whole patched log
-    /// ([`Execution::replay_with`]). A replay of a slice replays its slice
-    /// patched, when the cut holds both sides of every change — the patched
-    /// slice is then the slice of the patched log — and that replay carries
-    /// no key-group tuple to a node outside the owners
-    /// (`replay.updated{path=replay}`). When Δ names a tuple outside the
-    /// cut, or opened a path out of its owners, the cut is widened and the
-    /// patched log sliced and replayed again (`replay.updated{path=widen}`).
-    /// The held recording is released before the new replay allocates its
-    /// own, so the two never coexist. After an `Err` the state is
-    /// unspecified.
+    /// ([`Execution::replay_with`]); a replay of a slice replays its slice
+    /// patched (`Execution::replay_cut`), cut again where Δ or the replay
+    /// reaches past it. The held recording is released before the new
+    /// replay allocates its own, so the two never coexist. After an `Err`
+    /// the state is unspecified.
     pub fn update_tree(
         &mut self,
         exec: &Execution,
         delta: &[TupleChange],
         inject_at: LogicalTime,
     ) -> Result<()> {
-        let tracer = self.engine.tracer().clone();
-        let plan = exec.program.slice_plan();
-        let slice = self.slice.take();
-        self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-        let widened = match slice {
-            None => {
-                *self = exec.replay_with(delta, inject_at)?;
-                None
-            }
-            Some(mut s) => {
-                let mut cut = s.cut.clone();
-                if cut.admit_changes(plan, delta) {
-                    Some(cut)
-                } else {
-                    *self = s.exec.replay_with(delta, inject_at)?;
-                    if s.cut.close(plan, &self.engine) {
-                        Some(s.cut)
-                    } else {
-                        self.slice = Some(s);
-                        None
-                    }
-                }
-            }
+        *self = match self.release(exec) {
+            None => exec.replay_with(delta, inject_at)?,
+            Some(slice) => exec.replay_cut(slice, delta, inject_at)?.0,
         };
-        match widened {
-            None => tracer.counter("replay.updated{path=replay}", 1),
-            Some(cut) => {
-                tracer.counter("replay.updated{path=widen}", 1);
-                // The held recording goes first here too.
-                self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-                *self = exec.replay_cut(cut, delta, inject_at)?;
-            }
-        }
         self.applied = (delta.to_vec(), inject_at);
         Ok(())
     }
@@ -165,13 +120,28 @@ impl Replayed {
         if !slice.cut.close(plan, &self.engine) {
             return Ok(false);
         }
-        let cut = slice.cut.clone();
+        // The held cut log is the narrower cut's.
+        slice.log = None;
         let (delta, inject_at) = std::mem::take(&mut self.applied);
-        // The held recording goes before the replay allocates its own.
-        self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
-        *self = exec.replay_cut(cut, &delta, inject_at)?;
-        self.applied = (delta, inject_at);
+        self.update_tree(exec, &delta, inject_at)?;
         Ok(true)
+    }
+
+    /// Drops the held recording, so that the next replay does not allocate
+    /// its own beside it, and hands back the slice this replays.
+    fn release(&mut self, exec: &Execution) -> Option<Box<Slice>> {
+        self.engine = Engine::new(Arc::clone(&exec.program), exec.recorder());
+        self.slice.take()
+    }
+
+    /// The due of the first event of `tuple` at `node` in the unpatched log
+    /// this replay holds — a slice's cut log, which holds every event of a
+    /// tuple the cut holds, or `exec`'s log — or 0 if there is none.
+    pub fn first_due(&self, exec: &Execution, node: &NodeId, tuple: &Tuple) -> LogicalTime {
+        let held = self.slice.as_ref().and_then(|s| s.log.as_ref());
+        let events = held.unwrap_or(&exec.log).events();
+        let first = events.iter().find(|e| e.node == *node && *e.tuple == *tuple);
+        first.map_or(0, |e| e.due)
     }
 
     /// The recorded provenance graph.
@@ -314,22 +284,21 @@ impl Execution {
         GraphRecorder::with_tracer(self.tracer.clone())
     }
 
-    /// Schedules the log on a fresh engine over `sink` and runs it: the
-    /// quiescent engine and how many base ops it was given.
-    fn run_into<S: ProvenanceSink>(&self, sink: S) -> Result<(Engine<S>, usize)> {
+    /// Schedules `log` — this execution's, or one cut or patched from it —
+    /// on a fresh engine over `sink` and runs it to quiescence.
+    fn run_into<S: ProvenanceSink>(&self, log: &EventLog, sink: S) -> Result<Engine<S>> {
         let mut engine = Engine::new(Arc::clone(&self.program), sink);
         self.configure(&mut engine);
         let span = self.tracer.span("replay.schedule");
-        let scheduled = self.log.schedule_into(&mut engine)?;
+        let scheduled = log.schedule_into(&mut engine)?;
         span.end_with(|agg| agg.add("replay.scheduled", scheduled as u64));
         engine.run()?;
-        Ok((engine, scheduled))
+        Ok(engine)
     }
 
     /// Replays the full log, recording provenance.
     pub fn replay(&self) -> Result<Replayed> {
-        let (engine, scheduled) = self.run_into(self.recorder())?;
-        Ok(Replayed::new(engine, scheduled))
+        self.replay_log(&self.log, &[], 0)
     }
 
     /// Replays the slice of the log that the provenance of `tuples` depends
@@ -348,9 +317,11 @@ impl Execution {
     /// whole log keeps that clock, so a query at an earlier time replays
     /// the whole log (`replay.slice_refused{why=past}`).
     ///
-    /// Counted on the tracer: `replay.slice_events` (events of the replay
-    /// kept), `replay.slice_owners`, `replay.slice_guard_dropped` (events
-    /// at the owners that the guard left out), `replay.slice_rounds`
+    /// The log is indexed once per slice (the `replay.slice_index` span),
+    /// and the index is kept with the slice for every later cut. Counted
+    /// on the tracer, once per slice: `replay.slice_events` (events of the
+    /// replay kept), `replay.slice_owners`, `replay.slice_guard_dropped`
+    /// (events at the owners that the guard left out), `replay.slice_rounds`
     /// (closure rounds, each a recorded replay) and
     /// `replay.slice_refused{why}`.
     pub fn replay_slice<'t>(
@@ -365,65 +336,77 @@ impl Execution {
             self.tracer.counter("replay.slice_events", self.log.len() as u64);
             return self.replay();
         }
-        self.replay_cut(Cut::of(plan, tuples), &[], 0)
+        let span = self.tracer.span("replay.slice_index");
+        let index = Index::of(plan, &self.log.events());
+        span.end();
+        let slice = Slice {
+            cut: Cut::of(plan, tuples),
+            index,
+            log: None,
+        };
+        let (replayed, cuts) = self.replay_cut(Box::new(slice), &[], 0)?;
+        self.tracer.counter("replay.slice_events", cuts.events as u64);
+        self.tracer.counter("replay.slice_owners", cuts.owners as u64);
+        self.tracer.counter("replay.slice_guard_dropped", cuts.dropped as u64);
+        self.tracer.counter("replay.slice_rounds", cuts.made);
+        Ok(replayed)
     }
 
-    /// Slices the log with `delta` applied: `cut`, widened to hold the
-    /// changes, then closed over the run. Each closure round records its
-    /// replay and keeps it when the cut is closed over it; a round that
-    /// grew the cut drops its recording before the next round makes one.
-    /// The rounds stop paying once they would replay more events than
-    /// the whole log holds: a round whose cut would take them past that
-    /// replays the whole patched log instead, which nothing lies outside
-    /// of (`replay.slice_refused{why=size}`).
+    /// Replays `slice` with `delta` applied: the one replay of a slice.
+    /// While the cut holds the changes and the replay closes it, the held
+    /// cut log is patched and replayed; once either grows the cut, the log
+    /// is cut again from the held index (`replay.slice_cut`) and the round
+    /// repeats, its recording dropped first. The cuts stop paying once
+    /// they would replay more events than the whole log holds (a reused
+    /// cut log was paid for): the cut that takes them past it replays the
+    /// whole patched log instead (`replay.slice_refused{why=size}`).
     fn replay_cut(
         &self,
-        mut cut: Cut,
+        mut slice: Box<Slice>,
         delta: &[TupleChange],
         inject_at: LogicalTime,
-    ) -> Result<Replayed> {
+    ) -> Result<(Replayed, Cuts)> {
         let plan = self.program.slice_plan();
-        cut.admit_changes(plan, delta);
+        if slice.cut.admit_changes(plan, delta) {
+            slice.log = None;
+        }
         let events = self.log.events();
-        let span = self.tracer.span("replay.slice_index");
-        let index = Index::of(plan, &events);
-        span.end();
-        let patched = |exec: &Execution| match delta {
-            [] => exec.replay(),
-            _ => exec.replay_with(delta, inject_at),
-        };
-        let (mut rounds, mut spent) = (0, 0);
-        let (mut owners, mut dropped);
-        let replayed = loop {
-            let span = self.tracer.span("replay.slice_cut");
-            let (log, left_out) = cut.log(plan, &index, &events);
-            span.end();
-            let sliced = self.with_log(log);
-            rounds += 1;
-            spent += sliced.log.len();
-            (owners, dropped) = (cut.owners(), left_out);
-            if spent >= events.len() {
-                self.tracer.counter("replay.slice_refused{why=size}", 1);
-                dropped = 0;
-                break patched(self)?;
+        let (mut cuts, mut spent) = (Cuts::default(), 0);
+        loop {
+            let log = match slice.log.take() {
+                Some(log) => log,
+                None => {
+                    let span = self.tracer.span("replay.slice_cut");
+                    let (log, dropped) = slice.cut.log(plan, &slice.index, &events);
+                    span.end();
+                    cuts = Cuts {
+                        made: cuts.made + 1,
+                        events: log.len(),
+                        owners: slice.cut.owners(),
+                        dropped,
+                    };
+                    spent += log.len();
+                    if spent >= events.len() {
+                        self.tracer.counter("replay.slice_refused{why=size}", 1);
+                        let whole = Cuts { events: events.len(), dropped: 0, ..cuts };
+                        return Ok((self.replay_with(delta, inject_at)?, whole));
+                    }
+                    log
+                }
+            };
+            let mut replayed = self.replay_log(&log, delta, inject_at)?;
+            if !slice.cut.close(plan, &replayed.engine) {
+                slice.log = Some(log);
+                replayed.slice = Some(slice);
+                return Ok((replayed, cuts));
             }
-            let mut replayed = patched(&sliced)?;
-            if !cut.close(plan, &replayed.engine) {
-                replayed.slice = Some(Box::new(Slice { cut, exec: sliced }));
-                break replayed;
-            }
-        };
-        self.tracer.counter("replay.slice_events", replayed.scheduled);
-        self.tracer.counter("replay.slice_owners", owners as u64);
-        self.tracer.counter("replay.slice_guard_dropped", dropped as u64);
-        self.tracer.counter("replay.slice_rounds", rounds);
-        Ok(replayed)
+        }
     }
 
     /// Replays without recording provenance: the cost of evaluation
     /// alone, with the execution's tracer attached.
     pub fn replay_null(&self) -> Result<Engine<NullSink>> {
-        Ok(self.run_into(NullSink)?.0)
+        self.run_into(&self.log, NullSink)
     }
 
     /// Replays the full log through a [`HashSink`], returning the
@@ -437,7 +420,7 @@ impl Execution {
     /// Nothing is buffered, so the check is safe on executions whose
     /// streams would not fit in memory.
     pub fn stream_digest(&self) -> Result<(u64, u64)> {
-        let sink = self.run_into(HashSink::default())?.0.into_sink();
+        let sink = self.run_into(&self.log, HashSink::default())?.into_sink();
         Ok((sink.digest(), sink.count))
     }
 
@@ -458,17 +441,22 @@ impl Execution {
     /// UPDATETREE ([`Replayed::update_tree`]) is this replay, of the whole
     /// log or of a slice's cut log.
     pub fn replay_with(&self, changes: &[TupleChange], inject_at: LogicalTime) -> Result<Replayed> {
-        self.with_log(apply_changes(&self.log, changes, inject_at)).replay()
+        self.replay_log(&self.log, changes, inject_at)
     }
 
-    /// An execution of the same program and tracer over `log`.
-    fn with_log(&self, log: EventLog) -> Execution {
-        Execution {
-            program: Arc::clone(&self.program),
-            log,
-            tracer: self.tracer.clone(),
-            provenance_backend: self.provenance_backend,
-        }
+    /// Replays `log` with `changes` applied, recording provenance.
+    fn replay_log(
+        &self,
+        log: &EventLog,
+        changes: &[TupleChange],
+        inject_at: LogicalTime,
+    ) -> Result<Replayed> {
+        let patched = (!changes.is_empty()).then(|| apply_changes(log, changes, inject_at));
+        Ok(Replayed {
+            engine: self.run_into(patched.as_ref().unwrap_or(log), self.recorder())?,
+            applied: (Vec::new(), 0),
+            slice: None,
+        })
     }
 }
 

@@ -26,9 +26,12 @@
 //! the replay's. What is read of it afterwards through
 //! [`dp_ndlog::Engine::view`] — MAKEAPPEAR asking a builtin of the bad
 //! state — is noted too, and closes the cut once more
-//! ([`crate::Replayed::widen`]). Rounds that together would replay more events than the
-//! log holds give way to one replay of the whole log
-//! ([`crate::Execution::replay_slice`]).
+//! ([`crate::Replayed::widen`]). Rounds that together would replay more
+//! events than the log holds give way to one replay of the whole log
+//! ([`crate::Execution::replay_slice`]). The log is read into an [`Index`]
+//! once per slice, and a [`Slice`] keeps it with its cut log: an update
+//! whose changes the cut holds patches that log, and a cut that grew is
+//! cut again from the index.
 //!
 //! Why a closed slice replays the whole run's provenance of what it keeps:
 //! a derived event is due at its trigger's due plus the link delay, not at
@@ -50,12 +53,11 @@ use std::collections::BTreeSet;
 use dp_ndlog::{Engine, Needs, ProvenanceSink, Share, SlicePlan, TupleChange};
 use dp_types::{NodeId, Sym, Tuple, Value};
 
-use crate::exec::Execution;
 use crate::log::{BaseEvent, EventLog};
 
 /// What a slice keeps: the queried keys, the owner set and the addresses
 /// a guarded tuple must cover.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Cut {
     keys: BTreeSet<Value>,
     owners: BTreeSet<Sym>,
@@ -265,10 +267,21 @@ impl Index {
     }
 }
 
-/// The slice a [`crate::Replayed`] holds: the cut, and the cut log
-/// (unpatched) as an execution of its own, which is what the replay and
-/// every UPDATETREE of it patch and replay.
+/// The slice a [`crate::Replayed`] holds: the cut, the index of the
+/// execution's log, and the cut's log, unpatched (`None` once the cut has
+/// grown past it).
 pub(crate) struct Slice {
     pub(crate) cut: Cut,
-    pub(crate) exec: Execution,
+    pub(crate) index: Index,
+    pub(crate) log: Option<EventLog>,
+}
+
+/// The logs one replay of a slice cut: how many, and the events replayed
+/// last, the owners and the owned events the guard left out.
+#[derive(Default)]
+pub(crate) struct Cuts {
+    pub(crate) made: u64,
+    pub(crate) events: usize,
+    pub(crate) owners: usize,
+    pub(crate) dropped: usize,
 }

@@ -63,7 +63,8 @@ fn check(exec: &Execution, case: &str, cov: &mut Coverage) {
 /// on (both live in that execution), updates it as DiffProv's own
 /// UPDATETREE calls did — to each round's accumulated Δ in turn — and
 /// holds the updated recording, a replay of the patched slice, to the
-/// scan. Every call must replay the slice it holds, not widen it. Returns
+/// scan. Every call must replay the slice it holds, not cut it again
+/// (no `replay.slice_cut` span beyond the slice's first replay). Returns
 /// how many updates it made.
 fn check_updated(s: &Scenario, cov: &mut Coverage) -> usize {
     let report = s.diagnose().unwrap();
@@ -78,13 +79,14 @@ fn check_updated(s: &Scenario, cov: &mut Coverage) -> usize {
     let (good, bad) = (&s.good_event, &s.bad_event);
     let roots = [(&good.tref.node, &*good.tref.tuple), (&bad.tref.node, &*bad.tref.tuple)];
     let mut r = exec.replay_slice(roots, good.at.min(bad.at)).unwrap();
+    let cuts = exec.tracer.aggregate().span_count("replay.slice_cut");
     let mut delta = Vec::new();
     for round in &report.rounds {
         delta.extend(round.changes.iter().cloned());
         r.update_tree(&exec, &delta, at).unwrap();
     }
-    let replayed = exec.tracer.aggregate().counter("replay.updated{path=replay}");
-    assert_eq!(replayed, report.rounds.len() as u64, "{}: every call replayed", s.name);
+    let recut = exec.tracer.aggregate().span_count("replay.slice_cut") - cuts;
+    assert_eq!(recut, 0, "{}: every call replayed what it held", s.name);
     check_keyed(&r, &format!("{} updated", s.name), cov);
     report.rounds.len()
 }

@@ -32,7 +32,8 @@
 # beside the engine's head ids (the deleted global `TupleStore`), against
 # the recorder finding an episode by bisecting its clocks, against a switch
 # that selects a whole-log diagnosis; a check that the campus diagnosis
-# replays a slice smaller than its log, closed in at most four rounds; a
+# replays a slice smaller than its log, closed in at most four rounds,
+# indexed once and cut once per round (its UPDATETREE cuts nothing); a
 # check that its MAKEAPPEAR key lookups hold no more rows than the entries
 # they replace; and lint-clean clippy.
 # The sweep holds six invariants: digest
@@ -121,14 +122,23 @@ step "sim sweep" sweep_diagnoses_every_divergence
 # over the run (each round a recorded replay that finds where the two
 # packets went, the closed round's recording kept) may take at most four
 # rounds. Read off the summary's `slice:` line of `repro trace campus`.
+# The log is indexed once for the slice, and cut once per closure round:
+# UPDATETREE patches the held cut log without cutting it again. Read off
+# the `replay.slice_index` and `replay.slice_cut` rows of its span table.
 replays_its_slice() {
-    local tail sliced logged rounds
+    local tail sliced logged rounds indexed cut
     tail="$(cargo run --release -q -p dp-bench --bin repro -- trace campus)"
     sliced="$(awk '$1 == "slice:" { print $2 }' <<<"$tail")"
     logged="$(awk '$1 == "slice:" { print $4 }' <<<"$tail")"
     rounds="$(awk '$1 == "slice:" { print $9 }' <<<"$tail")"
+    indexed="$(awk '$1 == "replay.slice_index" && $2 ~ /^x/ { print substr($2, 2) }' <<<"$tail")"
+    cut="$(awk '$1 == "replay.slice_cut" && $2 ~ /^x/ { print substr($2, 2) }' <<<"$tail")"
     echo "repro trace campus: a slice of ${sliced:-?} of ${logged:-?} logged events," \
-        "closed in ${rounds:-?} rounds"
+        "closed in ${rounds:-?} rounds; indexed x${indexed:-?}, cut x${cut:-?}"
+    if [[ "$indexed" != 1 || -z "$cut" || "$cut" != "$rounds" ]]; then
+        echo "check.sh: the campus slice was indexed or cut beyond its closure rounds" >&2
+        return 1
+    fi
     if [[ -z "$sliced" || -z "$logged" || $((sliced * 20)) -gt "$logged" ]]; then
         echo "check.sh: the campus diagnosis replayed more than a twentieth of its log" >&2
         return 1

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use diffprov::core::{Failure, QueryEvent};
+use diffprov::core::{same_run, Failure, QueryEvent};
 use diffprov::ndlog::{NodeView, Program, StatefulBuiltin};
 use diffprov::ndlog::TupleChange;
 use diffprov::provenance::tuple_view;
@@ -28,17 +28,46 @@ use diffprov::types::{
 };
 use diffprov::{mapreduce, sdn, DiffProv, Report, Scenario};
 
-fn judged(s: &Scenario) -> Report {
-    let judged = DiffProv::default()
-        .judge(&s.good_exec, &s.good_event, &s.bad_exec, &s.bad_event)
-        .unwrap_or_else(|e| panic!("{}: {e}", s.name));
+fn judged(s: &Scenario) -> (Report, Aggregate) {
+    let events = (&s.good_event, &s.bad_event);
+    judge(s.name, &DiffProv::default(), (&s.good_exec, &s.bad_exec), events)
+}
+
+/// Judges `dp`'s diagnosis of the bad event against the good one, on
+/// copies of the executions that report to one fresh tracer: the sliced
+/// diagnosis must be the whole logs', and each slice it replayed indexes
+/// its log once (`replay.slice_index`), however often UPDATETREE and
+/// MAKEAPPEAR's widenings cut it again. Returns the sliced report and the
+/// tracer's aggregate.
+fn judge(
+    case: &str,
+    dp: &DiffProv,
+    (good, bad): (&Execution, &Execution),
+    (good_event, bad_event): (&QueryEvent, &QueryEvent),
+) -> (Report, Aggregate) {
+    let tracer = Tracer::aggregate_only();
+    let (mut good, mut bad) = (good.clone(), bad.clone());
+    good.tracer = tracer.clone();
+    bad.tracer = tracer.clone();
+    let judged = dp
+        .judge(&good, good_event, &bad, bad_event)
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
     assert!(
         judged.disagreements.is_empty(),
-        "{}: the sliced diagnosis is not the whole log's:\n{}",
-        s.name,
-        judged.disagreements.join("\n")
+        "{case}: the sliced diagnosis is not the whole log's:\n{}\n{}",
+        judged.disagreements.join("\n"),
+        judged.report
     );
-    judged.report
+    let agg = tracer.aggregate();
+    // A slice per execution, or one for both events of one run, less the
+    // ones a past query or the plan refused for the whole log.
+    let refused: u64 = ["past", "native"]
+        .iter()
+        .map(|why| agg.counter(&format!("replay.slice_refused{{why={why}}}")))
+        .sum();
+    let slices = if same_run(&good, &bad) { 1 } else { 2 } - refused;
+    assert_eq!(agg.span_count("replay.slice_index"), slices, "{case}: one index per slice");
+    (judged.report, agg)
 }
 
 #[test]
@@ -68,7 +97,7 @@ fn a_repair_finds_the_entry_it_replaces_outside_the_slice() {
     for exec in [&mut s.good_exec, &mut s.bad_exec] {
         exec.log.insert(0, "ctl", stray.clone());
     }
-    let report = judged(&s);
+    let (report, _) = judged(&s);
     assert!(report.verified, "{report}");
     assert_eq!(report.delta[0].before.as_ref(), Some(&stray), "{report}");
 }
@@ -160,18 +189,12 @@ fn an_expected_base_tuple_owned_outside_the_slice_is_found() {
         map_seed_nodes: true,
         ..DiffProv::default()
     };
-    let judged = dp.judge(&exec, &good, &exec, &bad).unwrap();
-    assert!(
-        judged.disagreements.is_empty(),
-        "the sliced diagnosis is not the whole log's:\n{}\n{}",
-        judged.disagreements.join("\n"),
-        judged.report
-    );
+    let (report, _) = judge("relay", &dp, (&exec, &exec), (&good, &bad));
     // The whole log's answer: `mb` forwards to `s`, so the hop that is
     // missing is `e1`'s to `mb`, and `fwd` is immutable.
-    match &judged.report.failure {
+    match &report.failure {
         Some(Failure::ImmutableChange { needed, .. }) => {
-            assert_eq!(*needed, TupleRef::new("e1", fwd("mb")), "{}", judged.report)
+            assert_eq!(*needed, TupleRef::new("e1", fwd("mb")), "{report}")
         }
         other => panic!("expected an immutable hop, got {other:?}"),
     }
@@ -223,16 +246,8 @@ fn a_rewritten_address_widens_the_guard() {
     exec.log.insert(2_000, "LB", pkt_in(2, src_bad, vip, 6, 512));
     let good = QueryEvent::new(deliver_at("b1", 1, src_good, ip("10.0.1.1"), 6, 512), u64::MAX);
     let bad = QueryEvent::new(deliver_at("b2", 2, src_bad, ip("10.0.1.2"), 6, 512), u64::MAX);
-    exec.tracer = Tracer::aggregate_only();
-    let judged = DiffProv::default().judge(&exec, &good, &exec, &bad).unwrap();
-    assert!(
-        judged.disagreements.is_empty(),
-        "the sliced diagnosis is not the whole log's:\n{}\n{}",
-        judged.disagreements.join("\n"),
-        judged.report
-    );
-    assert!(judged.report.verified, "{}", judged.report);
-    let agg = exec.tracer.aggregate();
+    let (report, agg) = judge("rewrite", &DiffProv::default(), (&exec, &exec), (&good, &bad));
+    assert!(report.verified, "{report}");
     assert!(agg.counter("replay.slice_guard_dropped") >= 40, "the guard left the background in");
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
 }
@@ -247,27 +262,23 @@ fn a_rewritten_address_widens_the_guard() {
 fn a_narrowed_entry_outside_the_guard_rolls_as_the_whole_log() {
     let mut s = sdn::sdn2();
     let any = cidr("0.0.0.0/0");
-    let tracer = Tracer::aggregate_only();
     for exec in [&mut s.good_exec, &mut s.bad_exec] {
         exec.log.insert(0, "ctl", cfg_entry(20, "S9", 10, cidr("66.0.0.0/8"), any, 1));
         for i in 0..40 {
             let m = cidr(&format!("192.168.{i}.0/24"));
             exec.log.insert(0, "ctl", cfg_entry(100 + i, "S1", 5, any, m, 1));
         }
-        exec.tracer = tracer.clone();
     }
-    let report = judged(&s);
+    let (report, agg) = judged(&s);
     assert!(report.verified, "{report}");
     let after = report.delta[0].after.as_ref().expect("a narrowing");
     let sm = after.args[3].as_prefix().unwrap();
     assert!(!sm.contains(ip("68.0.0.5")) && !sm.contains(ip("67.1.2.3")), "{report}");
-    let agg = tracer.aggregate();
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
     assert!(agg.counter("replay.slice_guard_dropped") >= 40);
-    // Both diagnoses replay what they hold, patched; the sliced one does
-    // not widen for the narrowed entry.
-    assert_eq!(agg.counter("replay.updated{path=replay}"), 2);
-    assert_eq!(agg.counter("replay.updated{path=widen}"), 0);
+    // The sliced diagnosis's UPDATETREE patches the held cut log: it cuts
+    // no log beyond the closure rounds of the slice's first replay.
+    assert_eq!(agg.span_count("replay.slice_cut"), agg.counter("replay.slice_rounds"));
 }
 
 /// `crowded!(N)` holds while node `N` holds at least twenty tuples, read
@@ -357,7 +368,6 @@ fn counts_a_guarded_table(crowded: Crowded, shape: Shape) -> Aggregate {
     };
     let pkt = |pid: i64, dst: &str| Tuple::new("pkt", vec![Value::Int(pid), Value::Ip(ip(dst))]);
     let mut exec = Execution::new(program);
-    exec.tracer = Tracer::aggregate_only();
     exec.log.insert(0, "n1", route(1, "10.0.0.0/24", 1));
     for i in 0..30 {
         exec.log.insert(0, "n1", route(100 + i, &format!("192.168.{i}.0/24"), 9));
@@ -384,15 +394,9 @@ fn counts_a_guarded_table(crowded: Crowded, shape: Shape) -> Aggregate {
             QueryEvent::new(TupleRef::new(n1, pkt(2, "10.0.1.5")), u64::MAX)
         }
     };
-    let judged = DiffProv::default().judge(&good_exec, &good, &bad_exec, &bad).unwrap();
-    assert!(
-        judged.disagreements.is_empty(),
-        "the sliced diagnosis is not the whole log's:\n{}\n{}",
-        judged.disagreements.join("\n"),
-        judged.report
-    );
-    assert!(judged.report.verified, "{}", judged.report);
-    let agg = bad_exec.tracer.aggregate();
+    let execs = (&good_exec, &bad_exec);
+    let (report, agg) = judge("crowded", &DiffProv::default(), execs, (&good, &bad));
+    assert!(report.verified, "{report}");
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0);
     agg
 }
@@ -410,7 +414,8 @@ fn with_background(exec: &mut Execution) {
 /// each change set of `deltas` in turn, as DiffProv's UPDATETREE calls
 /// do; after each, every tuple the slice holds is live in the replay of
 /// the whole log patched by that set, with the same tree up to stamp
-/// ranks. The slice must hold (no closure gave way to the whole log).
+/// ranks. The slice must hold (no closure gave way to the whole log), and
+/// its log is indexed once, however often an update cuts it again.
 /// Returns the last update.
 fn updated_as_the_whole_log(
     exec: &Execution,
@@ -444,6 +449,7 @@ fn updated_as_the_whole_log(
     }
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0, "the slice holds");
+    assert_eq!(agg.span_count("replay.slice_index"), 1, "one index for the slice");
     sliced
 }
 

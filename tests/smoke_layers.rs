@@ -93,10 +93,12 @@ fn update_tree_of_a_slice_equals_the_whole_patched_replay() {
     let (good, bad) = (&s.good_event.tref, &s.bad_event.tref);
     let roots = [(&good.node, &*good.tuple), (&bad.node, &*bad.tuple)];
     let mut sliced = exec.replay_slice(roots, u64::MAX).unwrap();
+    let cuts = exec.tracer.aggregate().span_count("replay.slice_cut");
     sliced.update_tree(exec, &report.delta, at).unwrap();
     let agg = exec.tracer.aggregate();
     assert_eq!(agg.counter("replay.slice_refused{why=size}"), 0, "the slice holds");
-    assert_eq!(agg.counter("replay.updated{path=replay}"), 1, "the slice was replayed");
+    assert_eq!(agg.span_count("replay.slice_index"), 1, "one index for the slice");
+    assert_eq!(agg.span_count("replay.slice_cut"), cuts, "the held cut log was replayed");
 
     let trees = |r: &Replayed| -> Vec<(TupleRef, String)> {
         let live = r.engine.nodes().flat_map(|(node, state)| {
