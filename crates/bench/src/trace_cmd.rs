@@ -430,12 +430,19 @@ mod tests {
         // having scheduled its events before.
         assert_eq!(agg.counter("replay.scheduled"), 2 * exec.log.len() as u64);
 
-        // DiffProv's one call on the campus patches the held cut log.
-        let run = trace_scenario(&find_scenario("campus").unwrap()).unwrap();
+        // DiffProv's one call on the campus patches the held cut log. The
+        // log is indexed once, by its first diagnosis, and a repeat on a
+        // copy of the scenario reads the same index.
+        let campus = find_scenario("campus").unwrap();
+        let run = trace_scenario(&campus).unwrap();
         let agg = &run.aggregate;
         assert_eq!(run.report.rounds.len(), 1, "{}", run.report);
         assert_eq!(agg.span_count("replay.slice_index"), 1);
+        assert!(agg.counter("replay.index_events") >= run.logged as u64);
         assert_eq!(agg.span_count("replay.slice_cut"), agg.counter("replay.slice_rounds"));
+        let again = trace_scenario(&campus).unwrap().aggregate;
+        assert_eq!(again.counter("replay.index_events"), 0);
+        assert_eq!(again.span_count("replay.slice_index"), 0);
         let text = summary(&run);
         let line = "      slice: 30 of 1426 logged events, 4 owners, 2 closure rounds";
         assert!(text.contains(line), "{text}");

@@ -114,9 +114,12 @@ type AResult<T> = std::result::Result<T, AlignError>;
 /// True if both executions are one run — one program and equal logs — so
 /// that one replay serves the trees of events from either: the paper's
 /// batching (Section 6.6), as in the SDN scenarios, where one log holds
-/// both packets.
+/// both packets. A log and its clone are one log
+/// ([`dp_replay::EventLog::same`]), decided without reading their events;
+/// logs built apart are compared.
 pub fn same_run(good: &Execution, bad: &Execution) -> bool {
-    Arc::ptr_eq(&good.program, &bad.program) && good.log.events() == bad.log.events()
+    Arc::ptr_eq(&good.program, &bad.program)
+        && (good.log.same(&bad.log) || good.log.events() == bad.log.events())
 }
 
 /// How a diagnosis replays an execution for the located tuples its trees
@@ -749,17 +752,13 @@ impl<'a, 'v> AlignCtx<'a, 'v> {
     /// sharing `exp`'s primary key. Tables without a declared key fall
     /// back to the singleton heuristic: if exactly one live tuple of the
     /// table exists on the node, it is the one being replaced
-    /// (configuration cells). The live tuples are the whole log's
-    /// ([`Replayed::base_tuples_by_key`]), which a slice holds only in part
-    /// when the table is owned by a column; a keyed lookup holds only the
-    /// rows sharing the key. How many rows each lookup held is the size
-    /// histogram `diffprov.replaced_tuples`.
+    /// (configuration cells). The live tuples are the whole log's, looked
+    /// up by key ([`Replayed::base_tuples_by_key`]): a slice holds a table
+    /// owned by a column only in part. How many rows each lookup held is
+    /// the size histogram `diffprov.replaced_tuples`.
     fn find_by_key(&self, exp: &TupleRef) -> Option<Tuple> {
-        let schema = self.program.schemas.get(&exp.tuple.table)?;
-        let key = schema.key.as_deref();
-        let live = self
-            .replayed_bad
-            .base_tuples_by_key(self.bad, &exp.node, &exp.tuple, key);
+        let key = self.program.schemas.get(&exp.tuple.table)?.key.as_deref();
+        let live = self.replayed_bad.base_tuples_by_key(self.bad, &exp.node, &exp.tuple);
         self.tracer
             .update(|agg| agg.observe_size("diffprov.replaced_tuples", live.len() as u64));
         let mut others = live.iter().map(|t| &**t).filter(|t| **t != *exp.tuple);

@@ -11,8 +11,8 @@
 //!   semantics, support counting, and cascading deletions, firing rules
 //!   that [`ProgramBuilder::build`] compiled to slots and planned into
 //!   indexed and trie-probed join steps in one pass;
-//! * the [`reference`] evaluator, the small oracle the engine's
-//!   provenance stream and final tables are checked against;
+//! * the [`reference`](mod@reference) evaluator, the small oracle the
+//!   engine's provenance stream and final tables are checked against;
 //! * the [`sink`] event stream from which temporal provenance graphs are
 //!   built; and
 //! * extension points for imperative code ([`program::NativeRule`], the

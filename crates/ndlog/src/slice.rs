@@ -117,6 +117,25 @@ pub enum Share {
     Whole,
 }
 
+impl Share {
+    /// What `tuple` at `node`, a tuple of a table with this share, needs
+    /// for a slice to hold it ([`SlicePlan::needs`]).
+    pub fn needs(self, node: &NodeId, tuple: &Tuple) -> Needs {
+        match self {
+            Share::Key(col) => match tuple.args.get(col) {
+                Some(v) => Needs::Key(v.clone()),
+                None => Needs::Nothing,
+            },
+            Share::Owner(Place::Loc) => Needs::Owner(node.0),
+            Share::Owner(Place::Arg(i)) => match tuple.args.get(i) {
+                Some(Value::Str(s)) => Needs::Owner(*s),
+                _ => Needs::Nothing,
+            },
+            Share::Whole => Needs::Nothing,
+        }
+    }
+}
+
 /// What a located tuple needs for a slice to hold it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Needs {
@@ -186,18 +205,7 @@ impl SlicePlan {
     /// column that does not hold a name is no node's, and the tuple is
     /// held by every slice.
     pub fn needs(&self, node: &NodeId, tuple: &Tuple) -> Needs {
-        match self.share(&tuple.table) {
-            Share::Key(col) => match tuple.args.get(col) {
-                Some(v) => Needs::Key(v.clone()),
-                None => Needs::Nothing,
-            },
-            Share::Owner(Place::Loc) => Needs::Owner(node.0),
-            Share::Owner(Place::Arg(i)) => match tuple.args.get(i) {
-                Some(Value::Str(s)) => Needs::Owner(*s),
-                _ => Needs::Nothing,
-            },
-            Share::Whole => Needs::Nothing,
-        }
+        self.share(&tuple.table).needs(node, tuple)
     }
 
     /// The plan of a program: its schemas, rules, whether it has natives

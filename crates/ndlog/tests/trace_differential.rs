@@ -160,21 +160,35 @@ fn aggregates_agree_on_all_repro_scenarios() {
 /// traced through the engine, the provenance recorder, the replay layer,
 /// and the pipeline, leaves a reproducible aggregate and the report —
 /// everything in it but the wall times — an untraced diagnosis gives.
+/// Each diagnosis starts from copies of the logs that no diagnosis has
+/// indexed yet (one copy when both executions share a log), so each
+/// builds the same indexes.
 #[test]
 fn diagnosis_aggregate_is_reproducible() {
     for base in &repro_scenarios() {
         let case = format!("scenario {}", base.name);
         let diagnose = |tracer: Tracer| {
-            let with_tracer = |exec: &dp_replay::Execution| {
+            let unindexed = |log: &dp_replay::EventLog| {
+                let mut copy = dp_replay::EventLog::new();
+                log.events().iter().for_each(|e| copy.push(e.clone()));
+                copy
+            };
+            let good_log = unindexed(&base.good_exec.log);
+            let bad_log = match base.bad_exec.log.same(&base.good_exec.log) {
+                true => good_log.clone(),
+                false => unindexed(&base.bad_exec.log),
+            };
+            let with_tracer = |exec: &dp_replay::Execution, log: dp_replay::EventLog| {
                 let mut e = exec.clone();
                 e.tracer = tracer.clone();
+                e.log = log;
                 e
             };
             let scenario = diffprov_core::Scenario {
                 name: base.name,
                 description: base.description,
-                good_exec: with_tracer(&base.good_exec),
-                bad_exec: with_tracer(&base.bad_exec),
+                good_exec: with_tracer(&base.good_exec, good_log),
+                bad_exec: with_tracer(&base.bad_exec, bad_log),
                 good_event: base.good_event.clone(),
                 bad_event: base.bad_event.clone(),
                 expected_changes: base.expected_changes,

@@ -78,7 +78,7 @@ impl Drop for TempDir {
 /// files. [`DurableStore::open`] rebuilds the whole in-memory view from
 /// the directory alone — that *is* the recovery path, and every file is
 /// checksum-verified eagerly so corruption surfaces as a typed
-/// [`Error::Codec`](dp_types::Error::Codec) before any event replays.
+/// [`Error::Codec`] before any event replays.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
@@ -97,7 +97,7 @@ impl DurableStore {
     /// number of events before it, and its first due is no earlier than
     /// its predecessor's last. A layer file missing from the middle of the
     /// stack, or present twice under two names, is a typed
-    /// [`Error::Codec`](dp_types::Error::Codec), not a shorter or longer
+    /// [`Error::Codec`], not a shorter or longer
     /// log.
     pub fn open(dir: &Path) -> Result<DurableStore> {
         std::fs::create_dir_all(dir)

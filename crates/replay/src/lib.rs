@@ -21,5 +21,10 @@ pub mod log;
 mod slice;
 
 pub use exec::{apply_changes, Execution, ProvBackend, Replayed};
+/// Scaffolding for the crate's differential tests (feature `testing`).
+#[cfg(feature = "testing")]
+pub mod testsupport {
+    pub use crate::slice::cut_log;
+}
 pub use layers::{Checkpoint, DurableStore, Layer};
 pub use log::{BaseEvent, BaseOp, EventLog, EventsView};

@@ -24,11 +24,21 @@
 //! dp-sim generates into quadratic ingest; [`EventLog::reorder_effort`]
 //! counts ordering work so the regression fence asserts effort, not wall
 //! time.
+//!
+//! A log keeps the index a diagnosis reads it through
+//! (`EventLog::index`): built on first use, shared by the log's clones,
+//! and dropped by the next append. Set-up pays nothing for it, and an
+//! append stays a push.
 
+use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use dp_ndlog::Program;
+use dp_trace::Tracer;
 use dp_types::{LogicalTime, NodeId, Result, Tuple};
+
+use crate::slice::Index;
 
 /// Whether a base event inserts or deletes its tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +98,19 @@ pub struct EventLog {
     /// tests: a linear-ish ingest keeps this O(n), the old per-push
     /// `Vec::insert` scheme would have counted O(n²) shifts.
     effort: u64,
+    /// The index of the events as they stand, for one program. The log's
+    /// clones share it until one of them appends, so one memo means one
+    /// content ([`EventLog::same`]).
+    memo: Arc<Memo>,
+}
+
+#[derive(Default)]
+struct Memo(OnceLock<(Arc<Program>, Arc<Index>)>);
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() { "Memo(indexed)" } else { "Memo" })
+    }
 }
 
 impl Default for EventLog {
@@ -97,6 +120,7 @@ impl Default for EventLog {
             sorted: true,
             max_due: 0,
             effort: 0,
+            memo: Arc::default(),
         }
     }
 }
@@ -212,8 +236,41 @@ impl EventLog {
         self.max_due
     }
 
+    /// True if `other` is this log or a clone of it that neither has
+    /// appended to since: then both hold the same events. (Two logs built
+    /// apart can hold the same events and still be two.)
+    pub fn same(&self, other: &EventLog) -> bool {
+        Arc::ptr_eq(&self.memo, &other.memo)
+    }
+
+    /// The index of this log for `program` (the `slice` module's
+    /// [`Index`]), built by the first call (span `replay.slice_index`,
+    /// counter `replay.index_events`, the events it read) and kept until
+    /// the log is appended to. A clone shares it. Asked for by another
+    /// program than the one it was built for, it is built afresh and not
+    /// kept.
+    pub(crate) fn index(&self, program: &Arc<Program>, tracer: &Tracer) -> Arc<Index> {
+        let build = || {
+            let span = tracer.span("replay.slice_index");
+            let events = self.events();
+            let index = Arc::new(Index::of(program, &events));
+            span.end_with(|agg| agg.add("replay.index_events", events.len() as u64));
+            index
+        };
+        let (built_for, index) = self.memo.0.get_or_init(|| (Arc::clone(program), build()));
+        if Arc::ptr_eq(built_for, program) {
+            Arc::clone(index)
+        } else {
+            build()
+        }
+    }
+
     /// Appends an event in O(1); replay order is restored lazily.
     pub fn push(&mut self, event: BaseEvent) {
+        // A memo shared or built holds the log without this event.
+        if Arc::strong_count(&self.memo) > 1 || self.memo.0.get().is_some() {
+            self.memo = Arc::default();
+        }
         if let Some(last) = self.events.last() {
             if event.due < last.due {
                 self.sorted = false;

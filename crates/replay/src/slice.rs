@@ -28,10 +28,15 @@
 //! state — is noted too, and closes the cut once more
 //! ([`crate::Replayed::widen`]). Rounds that together would replay more
 //! events than the log holds give way to one replay of the whole log
-//! ([`crate::Execution::replay_slice`]). The log is read into an [`Index`]
-//! once per slice, and a [`Slice`] keeps it with its cut log: an update
-//! whose changes the cut holds patches that log, and a cut that grew is
-//! cut again from the index.
+//! ([`crate::Execution::replay_slice`]). A [`Slice`] keeps its cut log:
+//! an update whose changes the cut holds patches that log, and a cut that
+//! grew is cut again.
+//!
+//! A cut reads the log through the [`Index`] the log keeps for its program
+//! ([`EventLog::index`]), finding its keyed events by key and its guarded
+//! events by address: what it reads is the size of what it holds, not of
+//! the log. MAKEAPPEAR finds a base tuple by its key the same way
+//! ([`crate::Replayed::base_tuples_by_key`]).
 //!
 //! Why a closed slice replays the whole run's provenance of what it keeps:
 //! a derived event is due at its trigger's due plus the link delay, not at
@@ -48,10 +53,13 @@
 //! addresses filters it away, so no join, no `best_match!` call and no
 //! tree of a held tuple sees the difference.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
-use dp_ndlog::{Engine, Needs, ProvenanceSink, Share, SlicePlan, TupleChange};
-use dp_types::{NodeId, Sym, Tuple, Value};
+use dp_ndlog::{Engine, Needs, Program, ProvenanceSink, Share, SlicePlan, TupleChange};
+use dp_trace::Tracer;
+use dp_types::{NodeId, Prefix, Sym, Tuple, Value, WordHasher};
 
 use crate::log::{BaseEvent, EventLog};
 
@@ -146,42 +154,73 @@ impl Cut {
 
     /// The events of `log` the cut holds, in replay order, read off
     /// `index`, and how many owned events at its owners the guard left
-    /// out. The nodes where a queried key enters join the owners first,
-    /// and the addresses of its base tuples join the addresses.
+    /// out. The nodes where a queried key enters join the owners first, and
+    /// the addresses of its base tuples join the addresses. Counted: the
+    /// guarded events it tested (`replay.cut_tested`), and those it filed
+    /// for an owner no cut had tested (`replay.index_events`).
     pub(crate) fn log(
         &mut self,
         plan: &SlicePlan,
         index: &Index,
         log: &[BaseEvent],
+        tracer: &Tracer,
     ) -> (EventLog, usize) {
-        let keyed: Vec<u32> = index
-            .keyed
-            .iter()
-            .filter(|(key, _)| self.keys.contains(key))
-            .map(|&(_, at)| at)
-            .collect();
+        let mut keyed: Vec<u32> = Vec::new();
+        for key in &self.keys {
+            let of_key = |at: &&u32| {
+                let e = &log[**at as usize];
+                matches!(plan.needs(&e.node, &e.tuple), Needs::Key(k) if k == *key)
+            };
+            let filed = index.keyed.get(hash_of(WordHasher::default(), [key]));
+            keyed.extend(filed.iter().filter(of_key));
+        }
         for &at in &keyed {
-            let e = &log[at as usize];
-            self.owners.insert(e.node.0);
-            self.cover(plan, &e.tuple);
+            self.owners.insert(log[at as usize].node.0);
+            self.cover(plan, &log[at as usize].tuple);
         }
         let mut held: Vec<u32> = index.always.clone();
         held.extend(keyed);
-        let mut dropped = 0;
-        for (owner, events, guarded) in &index.owned {
-            if !self.owners.contains(owner) {
+        let (mut dropped, mut tested) = (0, 0);
+        for owner in &self.owners {
+            let Ok(i) = index.owned.binary_search_by(|o| o.owner.cmp(owner)) else {
+                continue;
+            };
+            let owned = &index.owned[i];
+            held.extend(&owned.events);
+            if !self.guarded {
+                held.extend(&owned.guarded);
                 continue;
             }
-            held.extend(events);
-            if self.guarded {
-                let before = held.len();
-                let covers = |at: &&u32| plan.covers(&log[**at as usize].tuple, &self.addrs);
-                held.extend(guarded.iter().filter(covers));
-                dropped += guarded.len() - (held.len() - before);
-            } else {
-                held.extend(guarded);
+            let filed = owned.filed.get_or_init(|| {
+                tracer.counter("replay.index_events", owned.guarded.len() as u64);
+                Filed::of(plan, &owned.guarded, log)
+            });
+            held.extend(&filed.open);
+            // A prefix of length `l` contains `a` where it starts at `a`'s
+            // first `l` bits: one start per address and length present.
+            let mut nets: Vec<u32> = (0..=32u32)
+                .filter(|l| filed.lens >> l & 1 == 1)
+                .map(|l| u32::MAX.checked_shl(32 - l).unwrap_or(0))
+                .flat_map(|mask| self.addrs.iter().map(move |a| a & mask))
+                .collect();
+            nets.sort_unstable();
+            nets.dedup();
+            let before = held.len();
+            for net in nets {
+                for &at in filed.by_addr.get(net) {
+                    let tuple = &log[at as usize].tuple;
+                    let best = best_prefix(plan.guard(&tuple.table), tuple);
+                    if best.is_some_and(|p| p.addr() == net) {
+                        tested += 1;
+                        if plan.covers(tuple, &self.addrs) {
+                            held.push(at);
+                        }
+                    }
+                }
             }
+            dropped += filed.by_addr.entries.len() - (held.len() - before);
         }
+        tracer.counter("replay.cut_tested", tested);
         held.sort_unstable();
         let mut out = EventLog::new();
         for at in held {
@@ -220,59 +259,226 @@ impl Cut {
     }
 }
 
-/// A log's events by what a slice needs to hold them, read once per
-/// slice so that each closure round selects instead of re-reading every
-/// logged tuple. Positions are log indices, ascending within each list.
+/// A log's events by what a slice needs to hold them, and by the key
+/// MAKEAPPEAR looks a base tuple up by: what an [`EventLog`] keeps for
+/// its program ([`EventLog::index`]). An owner's guarded events are filed
+/// by address when a cut first tests them; nothing in the index depends
+/// on a query. Positions are indices of the log in replay order.
 #[derive(Default)]
 pub(crate) struct Index {
-    /// Key-group events with their keys.
-    keyed: Vec<(Value, u32)>,
-    /// Owned events by owner: those of unguarded tables, and those of
-    /// guarded ones.
-    owned: Vec<(Sym, Vec<u32>, Vec<u32>)>,
+    /// Key-group events by the hash of their key.
+    keyed: Posting,
+    /// Owned events by owner, in owner order.
+    owned: Vec<Owned>,
     /// Events every slice holds.
     always: Vec<u32>,
+    /// Every event by the hash of its node, table and the table's key
+    /// columns (node and table alone for a table without a key).
+    by_key: Posting,
 }
 
-impl Index {
-    pub(crate) fn of(plan: &SlicePlan, log: &[BaseEvent]) -> Index {
-        let mut index = Index::default();
-        // Logs come in runs of one owner's events: try the last one first.
-        let mut last = 0;
-        for (at, e) in log.iter().enumerate() {
-            let at = at as u32;
-            match plan.needs(&e.node, &e.tuple) {
-                Needs::Key(key) => index.keyed.push((key, at)),
-                Needs::Owner(owner) => {
-                    if index.owned.get(last).is_none_or(|(o, _, _)| *o != owner) {
-                        last = match index.owned.iter().position(|(o, _, _)| *o == owner) {
-                            Some(i) => i,
-                            None => {
-                                index.owned.push((owner, Vec::new(), Vec::new()));
-                                index.owned.len() - 1
-                            }
-                        };
-                    }
-                    let (_, events, guarded) = &mut index.owned[last];
-                    if plan.guard(&e.tuple.table).is_empty() {
-                        events.push(at);
-                    } else {
-                        guarded.push(at);
-                    }
+/// One owner's events in an [`Index`].
+struct Owned {
+    owner: Sym,
+    /// Events of unguarded tables.
+    events: Vec<u32>,
+    /// Events of guarded tables.
+    guarded: Vec<u32>,
+    /// `guarded` filed by address, by the first cut that tests them.
+    filed: OnceLock<Filed>,
+}
+
+/// An owner's guarded events by the address their [`best_prefix`] starts
+/// at: a tuple covering a cut's addresses has that prefix contain one.
+struct Filed {
+    by_addr: Posting,
+    /// The lengths of those prefixes, one bit each.
+    lens: u64,
+    /// The events whose guarded columns hold no prefix: every cut passes
+    /// them.
+    open: Vec<u32>,
+}
+
+impl Filed {
+    fn of(plan: &SlicePlan, guarded: &[u32], log: &[BaseEvent]) -> Filed {
+        let (mut by_addr, mut lens, mut open) = (Vec::new(), 0u64, Vec::new());
+        for &at in guarded {
+            let tuple = &log[at as usize].tuple;
+            match best_prefix(plan.guard(&tuple.table), tuple) {
+                Some(p) => {
+                    by_addr.push((p.addr(), at));
+                    lens |= 1 << p.len();
                 }
-                Needs::Nothing => index.always.push(at),
+                None => open.push(at),
             }
         }
-        index
+        let by_addr = Posting::new(by_addr.len(), |i| by_addr[i].0, |i| by_addr[i].1);
+        Filed { by_addr, lens, open }
     }
 }
 
-/// The slice a [`crate::Replayed`] holds: the cut, the index of the
-/// execution's log, and the cut's log, unpatched (`None` once the cut has
-/// grown past it).
+/// Positions filed in buckets by a 32-bit key, about eight to a bucket:
+/// built by one count and one move, read one bucket at a time. A bucket
+/// holds its positions ascending, and those of other keys, which the
+/// reader skips by reading the log.
+#[derive(Default)]
+struct Posting {
+    bits: u32,
+    /// Where each bucket starts in `entries`, and where the last ends.
+    starts: Vec<u32>,
+    entries: Vec<u32>,
+}
+
+impl Posting {
+    /// Files `n` positions, the `i`th, `at(i)`, under `key(i)`; positions
+    /// must come ascending.
+    fn new(n: usize, key: impl Fn(usize) -> u32, at: impl Fn(usize) -> u32) -> Self {
+        let bits = (n / 8).max(1).next_power_of_two().trailing_zeros();
+        let mut starts = vec![0; (1 << bits) + 1];
+        (0..n).for_each(|i| starts[Self::bucket(bits, key(i)) + 1] += 1);
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let (mut next, mut entries) = (starts.clone(), vec![0; n]);
+        for i in 0..n {
+            let b = Self::bucket(bits, key(i));
+            entries[next[b] as usize] = at(i);
+            next[b] += 1;
+        }
+        Posting { bits, starts, entries }
+    }
+
+    fn bucket(bits: u32, key: u32) -> usize {
+        (u64::from(key.wrapping_mul(0x9E37_79B9)) >> (32 - bits)) as usize
+    }
+
+    /// The positions in `key`'s bucket.
+    fn get(&self, key: u32) -> &[u32] {
+        let b = Self::bucket(self.bits, key);
+        self.starts.get(b..b + 2).map_or(&[], |s| &self.entries[s[0] as usize..s[1] as usize])
+    }
+}
+
+/// `site`'s hash continued by `values`, cut to 32 bits.
+fn hash_of<'v>(mut site: WordHasher, values: impl IntoIterator<Item = &'v Value>) -> u32 {
+    values.into_iter().for_each(|v| v.hash(&mut site));
+    site.finish() as u32
+}
+
+/// The hash of a node and a table, which `by_key` continues.
+fn site(node: &NodeId, table: &Sym) -> WordHasher {
+    let mut h = WordHasher::default();
+    (node, table).hash(&mut h);
+    h
+}
+
+/// The most specific prefix among `tuple`'s guarded columns, if one holds
+/// a prefix.
+fn best_prefix(guard: &[usize], tuple: &Tuple) -> Option<Prefix> {
+    let prefixes = guard.iter().filter_map(|&c| tuple.args.get(c)?.as_prefix().ok());
+    prefixes.max_by_key(|p| p.len())
+}
+
+/// The key columns of `table` under `program`, if it declares any.
+fn key_of<'p>(program: &'p Program, table: &Sym) -> &'p [usize] {
+    program.schemas.get(table).and_then(|s| s.key.as_deref()).unwrap_or(&[])
+}
+
+impl Index {
+    /// Reads `log` once: each run of one table's events at one node
+    /// resolves the table's share, guard and key once.
+    pub(crate) fn of(program: &Program, log: &[BaseEvent]) -> Index {
+        let plan = program.slice_plan();
+        let mut index = Index::default();
+        let (mut keyed, mut by_key) = (Vec::new(), Vec::with_capacity(log.len()));
+        let (mut slots, mut run, mut slot) = (BTreeMap::new(), None, usize::MAX);
+        for (at, e) in log.iter().enumerate() {
+            let (node, table) = (e.node, e.tuple.table);
+            let (share, guarded, key, at_site) = match run {
+                Some((n, t, resolved)) if n == node && t == table => resolved,
+                _ => {
+                    let key = key_of(program, &table);
+                    let guarded = !plan.guard(&table).is_empty();
+                    let resolved = (plan.share(&table), guarded, key, site(&node, &table));
+                    run = Some((node, table, resolved));
+                    resolved
+                }
+            };
+            let at = at as u32;
+            by_key.push(hash_of(at_site, key.iter().filter_map(|&c| e.tuple.args.get(c))));
+            let owner = match share.needs(&node, &e.tuple) {
+                Needs::Key(k) => {
+                    keyed.push((hash_of(WordHasher::default(), [&k]), at));
+                    continue;
+                }
+                Needs::Nothing => {
+                    index.always.push(at);
+                    continue;
+                }
+                Needs::Owner(owner) => owner,
+            };
+            // Logs come in runs of one owner's events: try the last one first.
+            let owned = &mut index.owned;
+            if owned.get(slot).is_none_or(|o| o.owner != owner) {
+                slot = *slots.entry(owner).or_insert_with(|| {
+                    let (events, guarded, filed) = (Vec::new(), Vec::new(), OnceLock::new());
+                    owned.push(Owned { owner, events, guarded, filed });
+                    owned.len() - 1
+                });
+            }
+            match guarded {
+                false => owned[slot].events.push(at),
+                true => owned[slot].guarded.push(at),
+            }
+        }
+        index.keyed = Posting::new(keyed.len(), |i| keyed[i].0, |i| keyed[i].1);
+        index.by_key = Posting::new(by_key.len(), |i| by_key[i], |i| i as u32);
+        index.owned.sort_by_key(|o| o.owner);
+        index
+    }
+
+    /// The positions of the events of `tuple`'s table at `node` whose key
+    /// columns hold `tuple`'s — all of the table's there when it has no
+    /// key — ascending.
+    pub(crate) fn by_key<'a>(
+        &'a self,
+        program: &'a Program,
+        log: &'a [BaseEvent],
+        node: &'a NodeId,
+        tuple: &'a Tuple,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let key = key_of(program, &tuple.table);
+        let hash = hash_of(site(node, &tuple.table), key.iter().filter_map(|&c| tuple.args.get(c)));
+        self.by_key.get(hash).iter().map(|&at| at as usize).filter(move |&at| {
+            let e = &log[at];
+            e.node == *node
+                && e.tuple.table == tuple.table
+                && key.iter().all(|&c| e.tuple.args.get(c) == tuple.args.get(c))
+        })
+    }
+}
+
+/// The log of a cut of `keys`, `owners` and `addrs` — guarded, unless
+/// `guarded` is false — read off the index of `exec`'s log, and how many
+/// owned events at its owners the guard left out: scaffolding for the
+/// test that holds it to a filter of the whole log.
+#[cfg(feature = "testing")]
+pub fn cut_log(
+    exec: &crate::Execution,
+    keys: BTreeSet<Value>,
+    owners: BTreeSet<Sym>,
+    addrs: BTreeSet<u32>,
+    guarded: bool,
+) -> (EventLog, usize) {
+    let mut cut = Cut { keys, owners, addrs, guarded };
+    let index = exec.log.index(&exec.program, &exec.tracer);
+    cut.log(exec.program.slice_plan(), &index, &exec.log.events(), &exec.tracer)
+}
+
+/// The slice a [`crate::Replayed`] holds: the cut and the cut's log,
+/// unpatched (`None` once the cut has grown past it).
 pub(crate) struct Slice {
     pub(crate) cut: Cut,
-    pub(crate) index: Index,
     pub(crate) log: Option<EventLog>,
 }
 

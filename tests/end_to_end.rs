@@ -271,18 +271,18 @@ fn the_replaced_entry_is_found_by_its_key() {
     }
 }
 
-/// The folds of the whole log a diagnosis makes (`replay.whole_log_folds`):
-/// MAKEAPPEAR's lookup of the entry it replaces, and every existence check
-/// of a base tuple its slice's cut leaves out — an entry at a switch no
-/// packet crosses, or one the guard drops because it covers neither
-/// packet. They are what is left of a diagnosis's work in the size of the
-/// log, so their count on the test-scale campus is pinned: the one lookup,
-/// and no existence check outside the cut.
+/// What a diagnosis reads of the whole log: the index the log keeps, built
+/// once by its first diagnosis and shared by the good and the bad
+/// execution (one log and its clone) — every event read once, and the
+/// guarded events of the owners its cuts reach once more
+/// (`replay.index_events`) — and nothing on a repeat. No fold of the whole
+/// log is left (`replay.whole_log_folds`, one per MAKEAPPEAR lookup until
+/// the lookups read the index).
 #[test]
 fn a_diagnosis_folds_the_whole_log_a_counted_number_of_times() {
     use diffprov::sdn::{campus, CampusConfig};
     use diffprov::trace::Tracer;
-    let mut folds = Vec::new();
+    let mut reads = Vec::new();
     for seed in [7, 3, 11] {
         let mut c = campus(&CampusConfig {
             seed,
@@ -293,9 +293,54 @@ fn a_diagnosis_folds_the_whole_log_a_counted_number_of_times() {
         let tracer = Tracer::aggregate_only();
         c.scenario.good_exec.tracer = tracer.clone();
         c.scenario.bad_exec.tracer = tracer.clone();
-        let report = c.scenario.diagnose().unwrap();
-        assert!(report.verified, "seed {seed}: {report}");
-        folds.push(tracer.aggregate().counter("replay.whole_log_folds"));
+        let logged = c.scenario.bad_exec.log.len() as u64;
+        let mut read = Vec::new();
+        for _ in 0..2 {
+            let report = c.scenario.diagnose().unwrap();
+            assert!(report.verified, "seed {seed}: {report}");
+            let agg = tracer.aggregate();
+            read.push(agg.counter("replay.index_events"));
+            assert_eq!(agg.span_count("replay.slice_index"), 1, "seed {seed}: one index");
+            assert_eq!(agg.counter("replay.whole_log_folds"), 0, "seed {seed}");
+        }
+        reads.push((logged <= read[0] && read[0] < 2 * logged, read[1] - read[0]));
     }
-    assert_eq!(folds, [1, 1, 1]);
+    assert_eq!(reads, [(true, 0); 3]);
+}
+
+/// A diagnosis's reads outside its slice do not grow with the log: on the
+/// campus at 40 and at 400 bulk entries per router, a repeat diagnosis of
+/// a log reads no index events, and the guarded events its cuts test stay
+/// within a few times the events its slice holds (the test reads the
+/// entries starting where a prefix containing a packet's address would,
+/// and the campus repeats its bulk /24s past 256 per zone).
+#[test]
+fn a_diagnosis_reads_what_its_slice_holds_at_two_log_sizes() {
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::trace::Tracer;
+    for bulk in [40, 400] {
+        let mut s = campus(&CampusConfig {
+            seed: 7,
+            bulk_entries_per_router: bulk,
+            background_packets: 100,
+            ..CampusConfig::default()
+        })
+        .scenario;
+        let logged = s.bad_exec.log.len() as u64;
+        let mut reads = Vec::new();
+        for _ in 0..2 {
+            let tracer = Tracer::aggregate_only();
+            s.good_exec.tracer = tracer.clone();
+            s.bad_exec.tracer = tracer.clone();
+            let report = s.diagnose().unwrap();
+            assert!(report.verified, "bulk {bulk}: {report}");
+            let agg = tracer.aggregate();
+            let tested = agg.counter("replay.cut_tested");
+            let held = agg.counter("replay.slice_events");
+            assert!(tested <= 4 * held, "bulk {bulk}: {tested} tested for a slice of {held}");
+            reads.push(agg.counter("replay.index_events"));
+        }
+        assert!(reads[0] >= logged, "bulk {bulk}: the first diagnosis indexes the log");
+        assert_eq!(reads[1], 0, "bulk {bulk}: a repeat reads no index events");
+    }
 }
