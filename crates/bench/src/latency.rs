@@ -12,10 +12,10 @@ use std::time::Instant;
 
 use dp_mapreduce::{build_job, generate as gen_corpus, CorpusConfig, JobConfig, Pipeline};
 use dp_ndlog::{Engine, NullSink, ProvEvent, ProvenanceSink};
-use dp_replay::layers::layer::encode_record;
+use dp_replay::layers::layer::LayerEncoder;
 use dp_replay::{BaseOp, Execution};
 use dp_sdn::TraceConfig;
-use dp_types::codec::{fnv64, Enc};
+use dp_types::codec::fnv64;
 use dp_types::Result;
 
 use crate::storage::border_execution;
@@ -23,10 +23,11 @@ use crate::storage::border_execution;
 /// The *runtime* logging engine: the paper's query-time approach writes
 /// only base events to the log at runtime (Section 5) — graph construction
 /// is deferred to replay. This sink encodes each base event as the layer
-/// file's record, and discards derivations.
+/// file's record, through the layer encoder and its dictionary, and
+/// discards derivations.
 #[derive(Default)]
 struct RuntimeLogSink {
-    log: Enc,
+    log: LayerEncoder,
     /// The first record that could not be encoded, if any.
     error: Option<dp_types::Error>,
 }
@@ -42,7 +43,7 @@ impl ProvenanceSink for RuntimeLogSink {
             } => (*time, BaseOp::Delete, *node, tuple),
             _ => return, // derivations are reconstructed at query time
         };
-        if let Err(e) = encode_record(&mut self.log, time, op, node, tuple) {
+        if let Err(e) = self.log.encode_record(time, op, node, tuple) {
             self.error.get_or_insert(e);
         }
     }

@@ -6,10 +6,13 @@
 //! tuple changes applied (the UPDATETREE step of the algorithm), and the
 //! durable [`layers`] store (one on-disk layer file per seal, recovered
 //! by reading the layers back in sequence and replaying them). A logged
-//! event has one encoding, the layer file's record
-//! ([`layers::layer::encode_record`]): the Figure 5/6 and Section 6.4/6.5
-//! experiments measure the bytes the store writes. An engine state is
-//! reached by replaying a log — there is no checkpoint image.
+//! event has one encoding, the layer file's record, written by one
+//! stateful encoder that keeps the layer's dictionary and the previous
+//! due ([`layers::layer::LayerEncoder::encode_record`]): layer files and
+//! the Section 6.4 runtime log sink both go through it, and the Figure
+//! 5/6 and Section 6.5 experiments measure the bytes the store writes. An
+//! engine state is reached by replaying a log — there is no checkpoint
+//! image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

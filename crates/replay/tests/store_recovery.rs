@@ -13,11 +13,13 @@
 //! this comparison is where the disk path is held to the memory path.
 //!
 //! A store file is outside input: corruption of any layer, a well-formed
-//! checksum over malformed contents, a layer of the retired version 1,
-//! and a stack with a layer missing or present twice must each surface as
-//! a typed `Error::Codec` from `open`, never as a panic, an abort, or a
-//! shorter replay. A seal torn before it was linked under its name is not
+//! checksum over malformed contents, a layer of the retired versions 1
+//! and 2, and a stack with a layer missing or present twice must each
+//! surface as a typed `Error::Codec` from `open`, never as a panic, an
+//! abort, or a shorter replay. A seal torn before it was linked under its name is not
 //! a layer: it blocks neither `open` nor the next seal.
+
+mod dply;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -28,6 +30,7 @@ use dp_replay::layers::layer::{read_layer, Layer};
 use dp_replay::{BaseEvent, BaseOp, DurableStore, EventLog, Execution};
 use dp_types::codec::{fnv64, Enc};
 use dp_types::{tuple, DetRng, Error, FieldType, Schema, SchemaRegistry, TableKind};
+use dply::Tweak;
 
 fn program() -> Arc<Program> {
     let mut reg = SchemaRegistry::new();
@@ -359,23 +362,23 @@ fn corrupted_store_files_fail_closed_with_typed_errors() {
     );
 }
 
-/// A hand-built `DPLY` version 2 file whose records insert `in(i)` for
-/// the `i`-th `(due, node)` given, with the header fields as given and a
-/// **valid** checksum.
-fn dply_v2(first_seq: u64, count: u32, records: &[(u64, &str)]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.header(b"DPLY", 2);
-    e.u64(first_seq);
-    e.u32(count);
-    for (i, &(due, node)) in records.iter().enumerate() {
-        e.u64(due);
-        e.u8(0);
-        e.str(node).unwrap();
-        e.tuple(&tuple!("in", i as i64)).unwrap();
-    }
-    let sum = fnv64(e.bytes());
-    e.u64(sum);
-    e.into_bytes()
+/// `in(i)` inserted on the `i`-th `(due, node)` given.
+fn in_events(records: &[(u64, &str)]) -> Vec<BaseEvent> {
+    let in_ = |i: usize, due, node: &str| BaseEvent {
+        due,
+        node: node.into(),
+        tuple: Arc::new(tuple!("in", i as i64)),
+        op: BaseOp::Insert,
+    };
+    records.iter().enumerate().map(|(i, &(due, node))| in_(i, due, node)).collect()
+}
+
+/// A hand-built `DPLY` version 3 file — written from the format's
+/// specification by `dply::layer`, not by the encoder — whose records
+/// insert `in(i)` for the `i`-th `(due, node)` given, with the header
+/// fields as given and a **valid** checksum.
+fn dply_v3(first_seq: u64, count: u32, records: &[(u64, &str)]) -> Vec<u8> {
+    dply::layer(first_seq, count, &in_events(records), Tweak::None)
 }
 
 /// The name `seal_events` gives the layer starting at `first_seq`.
@@ -384,11 +387,14 @@ fn layer_name(first_seq: u64) -> String {
 }
 
 /// FNV-1a is not a secret, so a file that passes its checksum can still
-/// say anything. Each thing the concatenated read takes for granted — a
-/// record count the bytes hold exactly, at least one record, dues that
-/// never decrease within a layer or across the stack, a stack whose
-/// layers start where their predecessors end — is checked, and the file
-/// format itself has not moved.
+/// say anything. Each thing the decoder and the concatenated read take
+/// for granted — a record count the bytes hold exactly, at least one
+/// record, minimal varints, dues that fit in 64 bits and never decrease
+/// across the stack, dictionary ids in range and in first-use order, a
+/// dictionary without repeats or unused names, UTF-8 names, an op and tags
+/// that name one of their values, arities the file can hold, no trailing
+/// bytes, no footer, a stack whose layers start where their predecessors
+/// end — is checked, and the file format itself has not moved.
 #[test]
 fn malformed_layers_with_valid_checksums_are_typed_errors() {
     let scratch = DurableStore::temp().unwrap();
@@ -397,61 +403,130 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
     let records = [(1, "n1"), (1, "n2"), (5, "n1")];
 
     // The control: the well-formed file opens, and is byte for byte what
-    // sealing the same events writes.
-    let sound = dply_v2(0, 3, &records);
+    // sealing the same events writes — header 18 bytes, the dictionary
+    // `n1 in n2` 10, three 7-byte records, the footer word and the
+    // checksum.
+    let sound = dply_v3(0, 3, &records);
+    assert_eq!(sound.len(), 18 + 10 + 3 * 7 + 4 + 8);
     std::fs::write(&path, &sound).unwrap();
     let opened = DurableStore::open(dir).unwrap();
     assert_eq!(opened.event_count(), 3);
     let log = opened.load_log();
     let mut sealed = DurableStore::temp().unwrap();
     sealed.seal_events(&log.events()).unwrap();
-    assert_eq!(std::fs::read(&layer_files(sealed.dir())[0]).unwrap(), sound, "DPLY v2 moved");
+    assert_eq!(std::fs::read(&layer_files(sealed.dir())[0]).unwrap(), sound, "DPLY v3 moved");
 
-    for (case, bytes) in [
+    // Offsets into `sound`: the dictionary's name count, its first name's
+    // text, the last name's last byte, the dictionary's end (the first
+    // record's due delta), the first record's op and its field's tag.
+    let (names, n1, n2_last, records_at) = (18, 20, 27, 28);
+    let (op, tag) = (records_at + 1, records_at + 5);
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut body = dply::body(&sound).to_vec();
+        edit(&mut body);
+        dply::frame(&body, 0)
+    };
+    let tweaked = |tweak| dply::layer(0, 3, &in_events(&records), tweak);
+    for (case, want, bytes) in [
         // Would reserve count × size_of::<BaseEvent>() on the header's word.
-        ("a record count of u32::MAX", dply_v2(0, u32::MAX, &records)),
-        ("a record count past the records", dply_v2(0, 4, &records)),
-        ("a record count short of the records", dply_v2(0, 2, &records)),
-        ("no records", dply_v2(0, 0, &[])),
-        ("records out of due order", dply_v2(0, 3, &[(1, "n1"), (5, "n2"), (1, "n1")])),
-        ("a first-seq past the events before it", dply_v2(1, 3, &records)),
+        ("a record count of u32::MAX", "layer record count", dply_v3(0, u32::MAX, &records)),
+        ("a record count past the records", "record due", dply_v3(0, 4, &records)),
+        ("a record count short of the records", "layer file", dply_v3(0, 2, &records)),
+        ("no records", "layer record count", dply_v3(0, 0, &[])),
+        // Dues are deltas, so records out of due order cannot be written;
+        // the sum of the deltas can still leave 64 bits.
+        ("a due that overflows", "record due", tweaked(Tweak::Due(2, u64::MAX))),
+        ("a first-seq past the events before it", "layer stack", dply_v3(1, 3, &records)),
+        ("an overlong due delta", "record due", tweaked(Tweak::Overlong(0))),
+        ("an overlong dictionary id", "record node", tweaked(Tweak::Overlong(1))),
+        ("a node id past the dictionary", "record node", tweaked(Tweak::Id(0, 3))),
+        ("a table id far past it", "record table", tweaked(Tweak::Id(1, u64::MAX))),
+        ("an id used before the ids below it", "record node", tweaked(Tweak::Id(0, 1))),
+        ("an arity past the end of the file", "record arity", tweaked(Tweak::Arity(0, 1_000))),
+        ("an arity of u64::MAX", "record arity", tweaked(Tweak::Arity(0, u64::MAX))),
+        ("a name that is not UTF-8", "layer dictionary", edited(&|b| b[n1] = 0xff)),
+        ("a name filed twice", "layer dictionary", edited(&|b| b[n2_last] = b'1')),
+        ("a name no record uses", "layer dictionary", edited(&|b| {
+            b[names] = 4;
+            b.splice(records_at..records_at, [1, b'x']);
+        })),
+        ("an op neither insert nor delete", "record op", edited(&|b| b[op] = 2)),
+        ("an unknown field tag", "field tag", edited(&|b| b[tag] = 7)),
+        ("a bool field of 2", "bool field", edited(&|b| b[tag..tag + 2].copy_from_slice(&[1, 2]))),
+        ("a byte before the footer word", "layer file", edited(&|b| b.push(0))),
+        ("a footer", "layer footer", dply::frame(dply::body(&sound), 4)),
     ] {
         std::fs::write(&path, bytes).unwrap();
-        assert_codec_error(dir, case);
+        match DurableStore::open(dir) {
+            Err(Error::Codec { context, .. }) => assert_eq!(context, want, "{case}"),
+            Err(other) => panic!("{case}: expected a codec error, got {other}"),
+            Ok(_) => panic!("{case}: opened cleanly"),
+        }
     }
+    // The bool edit's control: a valid bool where the int was opens.
+    std::fs::write(&path, edited(&|b| b[tag] = 1)).unwrap();
+    assert_eq!(DurableStore::open(dir).unwrap().event_count(), 3, "in(false) is a record");
 
     // Two layers, each in order, the second starting before the first ends.
-    std::fs::write(&path, dply_v2(0, 3, &records)).unwrap();
-    std::fs::write(dir.join(layer_name(3)), dply_v2(3, 1, &[(4, "n2")])).unwrap();
+    std::fs::write(&path, dply_v3(0, 3, &records)).unwrap();
+    std::fs::write(dir.join(layer_name(3)), dply_v3(3, 1, &[(4, "n2")])).unwrap();
     assert_codec_error(dir, "a layer starting before its predecessor's last due");
-    std::fs::write(dir.join(layer_name(3)), dply_v2(3, 1, &[(5, "n2")])).unwrap();
+    std::fs::write(dir.join(layer_name(3)), dply_v3(3, 1, &[(5, "n2")])).unwrap();
     assert_eq!(DurableStore::open(dir).unwrap().event_count(), 4, "an equal due continues the run");
 }
 
+/// A string with the `u32` length prefix of versions 1 and 2.
+fn old_str(e: &mut Enc, s: &str) {
+    e.u32(s.len() as u32);
+    e.extend(s.as_bytes());
+}
+
 /// Version 1 wrote one file per node, each record tagged with its sequence
-/// number for a k-way merge. There is no reader for it: a version 1 file,
-/// checksum and all, is a typed error that names its version.
+/// number for a k-way merge; version 2 one file per seal, each record
+/// spelling out its node, its table name and fixed-width fields. There is
+/// no reader for either: a version 1 or 2 file, checksum and all, is a
+/// typed error that names its version.
 #[test]
 fn a_version_1_layer_is_a_typed_error() {
-    let mut e = Enc::new();
-    e.header(b"DPLY", 1);
-    e.str("n1").unwrap();
-    e.u64(0); // first_seq
-    e.u64(1); // min_due
-    e.u64(1); // max_due
-    e.u32(1);
-    e.u64(0); // seq
-    e.u64(1); // due
-    e.u8(0);
-    e.tuple(&tuple!("in", 0)).unwrap();
-    let sum = fnv64(e.bytes());
-    e.u64(sum);
-    let scratch = DurableStore::temp().unwrap();
-    std::fs::write(scratch.dir().join(layer_name(0)), e.into_bytes()).unwrap();
-    match DurableStore::open(scratch.dir()) {
-        Err(Error::Codec { detail, .. }) => assert!(detail.contains("version 1"), "{detail}"),
-        Err(other) => panic!("expected a codec error, got {other}"),
-        Ok(_) => panic!("a version 1 layer opened"),
+    let mut v1 = Enc::new();
+    v1.header(b"DPLY", 1);
+    old_str(&mut v1, "n1");
+    v1.u64(0); // first_seq
+    v1.u64(1); // min_due
+    v1.u64(1); // max_due
+    v1.u32(1);
+    v1.u64(0); // seq
+    v1.u64(1); // due
+    v1.u8(0);
+    old_str(&mut v1, "in");
+    v1.u32(1);
+    v1.u8(0);
+    v1.u64(0);
+
+    let mut v2 = Enc::new();
+    v2.header(b"DPLY", 2);
+    v2.u64(0); // first_seq
+    v2.u32(1);
+    v2.u64(1); // due
+    v2.u8(0);
+    old_str(&mut v2, "n1");
+    old_str(&mut v2, "in");
+    v2.u32(1);
+    v2.u8(0);
+    v2.u64(0);
+
+    for (version, mut e) in [(1, v1), (2, v2)] {
+        let sum = fnv64(e.bytes());
+        e.u64(sum);
+        let scratch = DurableStore::temp().unwrap();
+        std::fs::write(scratch.dir().join(layer_name(0)), e.into_bytes()).unwrap();
+        match DurableStore::open(scratch.dir()) {
+            Err(Error::Codec { detail, .. }) => {
+                assert!(detail.contains(&format!("found version {version}")), "{detail}")
+            }
+            Err(other) => panic!("expected a codec error, got {other}"),
+            Ok(_) => panic!("a version {version} layer opened"),
+        }
     }
 }
 

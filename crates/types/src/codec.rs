@@ -1,29 +1,27 @@
-//! A versioned binary codec for the foundation types.
+//! A versioned binary codec: the primitives of the durable layer files.
 //!
-//! The durable layer files of the replay store (Section 5's base-event
-//! logs) encode [`Value`]s and [`Tuple`]s with the primitives here. The
+//! The replay store's layer files (Section 5's base-event logs) are built
+//! from the primitives here; the record itself — a dictionary of names and
+//! the fields that refer to it — is `dp_replay::layers::layer`'s. The
 //! design goals, in order:
 //!
 //! * **Determinism** — the same value encodes to the same bytes on every
-//!   platform (all integers little-endian, no padding), so on-disk layer
-//!   files can be compared and checksummed byte-for-byte.
+//!   platform (fixed-width integers little-endian, varints minimal, no
+//!   padding), so on-disk layer files can be compared and checksummed
+//!   byte-for-byte, and a decoder can insist on the one encoding.
 //! * **Typed failure** — a corrupt byte stream (truncated file, flipped
-//!   bit, stale version) surfaces as [`Error::Codec`] with context, never
-//!   as a panic: diagnostic tooling reads files written hours earlier by
-//!   other processes.
+//!   bit, overlong varint, stale version) surfaces as [`Error::Codec`]
+//!   with context, never as a panic: diagnostic tooling reads files
+//!   written hours earlier by other processes.
 //! * **Versioning** — every file format built on this module opens with a
 //!   4-byte magic and a `u16` version via [`Enc::header`] /
 //!   [`Dec::header`], so formats can evolve without silent misreads.
 //!
-//! The per-field encoding is what the paper's logging engine stores:
-//! fixed-size payloads for addresses, times, and checksums, and a
-//! length-prefixed byte string only where the value genuinely varies.
+//! Addresses and checksums are fixed-width; counts, lengths, times and
+//! integers are LEB128 varints ([`Enc::varint`], [`Enc::zigzag`]), which
+//! take one byte for the small values a log is mostly made of.
 
 use crate::error::{Error, Result};
-use crate::prefix::Prefix;
-use crate::sym::Sym;
-use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -115,6 +113,7 @@ impl Enc {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -125,86 +124,46 @@ impl Enc {
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Writes `b` as it is.
+    pub fn extend(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
 
-    /// Writes a `u32` length prefix; a length that does not fit is an
-    /// [`Error::Codec`] naming `context`, and nothing is written.
-    fn length(&mut self, context: &'static str, len: usize) -> Result<()> {
-        let len = u32::try_from(len).map_err(|_| Error::Codec {
-            context,
-            detail: format!("length {len} exceeds u32::MAX"),
-        })?;
-        self.u32(len);
-        Ok(())
-    }
-
-    /// Writes a length-prefixed UTF-8 string (`u32` length). A string of
-    /// 4 GiB or more is an [`Error::Codec`], and nothing is written.
-    pub fn str(&mut self, s: &str) -> Result<()> {
-        let bytes = s.as_bytes();
-        self.length("string", bytes.len())?;
-        self.buf.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    /// Writes one [`Value`] as a tag byte plus payload.
-    pub fn value(&mut self, v: &Value) -> Result<()> {
-        match v {
-            Value::Int(i) => {
-                self.u8(0);
-                self.i64(*i);
-            }
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(u8::from(*b));
-            }
-            Value::Str(s) => {
-                self.u8(2);
-                self.str(s.as_str())?;
-            }
-            Value::Ip(ip) => {
-                self.u8(3);
-                self.u32(*ip);
-            }
-            Value::Prefix(p) => {
-                self.u8(4);
-                self.u32(p.addr());
-                self.u8(p.len());
-            }
-            Value::Sum(s) => {
-                self.u8(5);
-                self.u64(*s);
-            }
-            Value::Time(t) => {
-                self.u8(6);
-                self.u64(*t);
-            }
+    /// Writes a LEB128 varint: seven bits a byte, low bits first, the top
+    /// bit set on every byte but the last. The encoding is minimal, so
+    /// every value has exactly one.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v as u8) | 0x80);
+            v >>= 7;
         }
-        Ok(())
+        self.buf.push(v as u8);
     }
 
-    /// Writes one [`Tuple`]: table name, arity, then every field. A name
-    /// or string field of 4 GiB or more, or an arity past `u32::MAX`, is
-    /// an [`Error::Codec`], and the encoder then holds part of the tuple.
-    pub fn tuple(&mut self, t: &Tuple) -> Result<()> {
-        self.str(t.table.as_str())?;
-        self.length("tuple arity", t.args.len())?;
-        for v in &t.args {
-            self.value(v)?;
-        }
-        Ok(())
+    /// Writes a signed integer as the varint of its zigzag image (0, −1,
+    /// 1, −2, … → 0, 1, 2, 3, …), so small magnitudes of either sign take
+    /// one byte.
+    #[inline]
+    pub fn zigzag(&mut self, v: i64) {
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Writes a UTF-8 string: its byte length as a varint, then the bytes.
+    pub fn str(&mut self, s: &str) {
+        self.varint(s.len() as u64);
+        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -223,11 +182,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True when the cursor has consumed every byte.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
@@ -237,6 +198,7 @@ impl<'a> Dec<'a> {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::Codec {
@@ -275,23 +237,36 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self, context: &'static str) -> Result<u8> {
-        Ok(self.take(1, context)?[0])
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(Error::Codec {
+                context,
+                detail: format!("truncated: needed 1 byte at offset {}, none left", self.pos),
+            }),
+        }
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, context: &'static str) -> Result<u16> {
         let b = self.take(2, context)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, context: &'static str) -> Result<u32> {
         let b = self.take(4, context)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, context: &'static str) -> Result<u64> {
         let b = self.take(8, context)?;
         Ok(u64::from_le_bytes([
@@ -299,129 +274,127 @@ impl<'a> Dec<'a> {
         ]))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self, context: &'static str) -> Result<i64> {
-        let b = self.take(8, context)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    /// Reads a varint as [`Enc::varint`] writes it. Only the minimal
+    /// encoding is accepted: a varint with a trailing zero byte, or one
+    /// past 64 bits, is an overlong [`Error::Codec`], so a value reads
+    /// back from exactly one byte string.
+    #[inline]
+    pub fn varint(&mut self, context: &'static str) -> Result<u64> {
+        let first = self.u8(context)?;
+        if first < 0x80 {
+            return Ok(u64::from(first));
+        }
+        let mut v = u64::from(first & 0x7f);
+        for shift in (7..64).step_by(7) {
+            let b = self.u8(context)?;
+            if (shift == 63 && b > 1) || b == 0 {
+                return Err(Error::Codec {
+                    context,
+                    detail: format!("overlong varint ending at offset {}", self.pos),
+                });
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(Error::Codec {
+            context,
+            detail: format!("overlong varint ending at offset {}", self.pos),
+        })
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a signed integer as [`Enc::zigzag`] writes it.
+    #[inline]
+    pub fn zigzag(&mut self, context: &'static str) -> Result<i64> {
+        let z = self.varint(context)?;
+        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
+    /// Reads a string as [`Enc::str`] writes it.
     pub fn str(&mut self, context: &'static str) -> Result<&'a str> {
-        let len = self.u32(context)? as usize;
+        let len = self.varint(context)?;
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
         let bytes = self.take(len, context)?;
         std::str::from_utf8(bytes).map_err(|e| Error::Codec {
             context,
             detail: format!("invalid UTF-8: {e}"),
         })
     }
-
-    /// Reads a length-prefixed string as a [`Sym`].
-    pub fn sym(&mut self, context: &'static str) -> Result<Sym> {
-        Ok(Sym::new(self.str(context)?))
-    }
-
-    /// Reads one [`Value`].
-    pub fn value(&mut self) -> Result<Value> {
-        let tag = self.u8("value tag")?;
-        Ok(match tag {
-            0 => Value::Int(self.i64("int value")?),
-            1 => match self.u8("bool value")? {
-                0 => Value::Bool(false),
-                1 => Value::Bool(true),
-                other => {
-                    return Err(Error::Codec {
-                        context: "bool value",
-                        detail: format!("expected 0 or 1, found {other}"),
-                    })
-                }
-            },
-            2 => Value::Str(self.sym("str value")?),
-            3 => Value::Ip(self.u32("ip value")?),
-            4 => {
-                let addr = self.u32("prefix addr")?;
-                let len = self.u8("prefix len")?;
-                Value::Prefix(Prefix::new(addr, len).map_err(|e| Error::Codec {
-                    context: "prefix value",
-                    detail: e.to_string(),
-                })?)
-            }
-            5 => Value::Sum(self.u64("sum value")?),
-            6 => Value::Time(self.u64("time value")?),
-            other => {
-                return Err(Error::Codec {
-                    context: "value tag",
-                    detail: format!("unknown tag {other}"),
-                })
-            }
-        })
-    }
-
-    /// Reads one [`Tuple`].
-    pub fn tuple(&mut self) -> Result<Tuple> {
-        let table = self.sym("tuple table")?;
-        let arity = self.u32("tuple arity")? as usize;
-        // An absurd arity means corrupt bytes; refuse before reserving.
-        if arity > self.remaining() {
-            return Err(Error::Codec {
-                context: "tuple arity",
-                detail: format!("arity {arity} exceeds the {} bytes left", self.remaining()),
-            });
-        }
-        let mut args = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            args.push(self.value()?);
-        }
-        Ok(Tuple { table, args })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::{cidr, ip};
-    use crate::tuple;
-
-    fn roundtrip_value(v: &Value) -> Value {
-        let mut e = Enc::new();
-        e.value(v).unwrap();
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let got = d.value().expect("decodes");
-        assert!(d.is_exhausted(), "{v:?} left bytes behind");
-        got
-    }
 
     #[test]
-    fn values_roundtrip() {
-        for v in [
-            Value::Int(0),
-            Value::Int(i64::MIN),
-            Value::Int(i64::MAX),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::str(""),
-            Value::str("pktIn with spaces and ünïcode"),
-            Value::Ip(ip("10.0.0.1")),
-            Value::Prefix(cidr("10.0.0.0/8")),
-            Value::Prefix(cidr("0.0.0.0/0")),
-            Value::Sum(u64::MAX),
-            Value::Time(42),
-        ] {
-            assert_eq!(roundtrip_value(&v), v);
+    fn varints_roundtrip_minimally() {
+        let cases: [(u64, usize); 8] = [
+            (0, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ];
+        for (v, width) in cases {
+            let mut e = Enc::new();
+            e.varint(v);
+            assert_eq!(e.len(), width, "{v}");
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.varint("v").unwrap(), v);
+            assert!(d.is_exhausted());
+        }
+        for v in [0, -1, 1, -64, 63, 64, i64::MIN, i64::MAX] {
+            let mut e = Enc::new();
+            e.zigzag(v);
+            let width = e.len();
+            let bytes = e.into_bytes();
+            assert_eq!(Dec::new(&bytes).zigzag("z").unwrap(), v);
+            assert_eq!(width == 1, (-64..64).contains(&v), "{v}");
         }
     }
 
     #[test]
-    fn tuples_roundtrip() {
-        let t = tuple!("flowEntry", 5, "S1", true, cidr("4.3.2.0/23"));
+    fn overlong_and_truncated_varints_are_typed_errors() {
+        for bytes in [
+            // 0 and 127, padded.
+            &[0x80, 0x00][..],
+            &[0xff, 0x80, 0x00],
+            // Past 64 bits, and a tenth byte that continues.
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81],
+        ] {
+            match Dec::new(bytes).varint("v") {
+                Err(Error::Codec { detail, .. }) => {
+                    assert!(detail.contains("overlong"), "{detail}")
+                }
+                other => panic!("{bytes:02x?} read as {other:?}"),
+            }
+        }
+        for bytes in [&[][..], &[0x80], &[0xff, 0xff]] {
+            assert!(matches!(Dec::new(bytes).varint("v"), Err(Error::Codec { .. })));
+        }
+    }
+
+    #[test]
+    fn strings_roundtrip_and_refuse_bad_utf8() {
         let mut e = Enc::new();
-        e.tuple(&t).unwrap();
+        e.str("pktIn with spaces and ünïcode");
+        e.str("");
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.tuple().unwrap(), t);
+        assert_eq!(d.str("s").unwrap(), "pktIn with spaces and ünïcode");
+        assert_eq!(d.str("s").unwrap(), "");
         assert!(d.is_exhausted());
+        assert!(matches!(
+            Dec::new(&[2, 0xc3, 0x28]).str("s"),
+            Err(Error::Codec { detail, .. }) if detail.contains("UTF-8")
+        ));
+        assert!(matches!(Dec::new(&[5, b'a']).str("s"), Err(Error::Codec { .. })));
     }
 
     #[test]
@@ -442,29 +415,6 @@ mod tests {
                 wrong => panic!("version 2 read as version {other}: {wrong:?}"),
             }
         }
-    }
-
-    #[test]
-    fn truncation_is_a_typed_error() {
-        let mut e = Enc::new();
-        e.tuple(&tuple!("t", 1, 2, 3)).unwrap();
-        let bytes = e.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut d = Dec::new(&bytes[..cut]);
-            assert!(
-                matches!(d.tuple(), Err(Error::Codec { .. })),
-                "truncation at {cut} did not error"
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_tag_is_a_typed_error() {
-        let bytes = [7u8, 0, 0, 0];
-        assert!(matches!(
-            Dec::new(&bytes).value(),
-            Err(Error::Codec { context: "value tag", .. })
-        ));
     }
 
     #[test]

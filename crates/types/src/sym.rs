@@ -165,10 +165,9 @@ mod tests {
     fn equal_content_is_one_symbol() {
         let a = Sym::new("flowEntry");
         let b = Sym::from(String::from("flowEntry"));
-        let mut enc = crate::Enc::new();
-        enc.str("flowEntry").unwrap();
-        let bytes = enc.into_bytes();
-        let c = crate::Dec::new(&bytes).sym("name").expect("decodes");
+        // Text read out of a byte buffer, as a layer's dictionary is.
+        let bytes = b"flowEntry".to_vec();
+        let c = Sym::new(std::str::from_utf8(&bytes).unwrap());
         for s in [b, c] {
             assert_eq!(a, s);
             assert_eq!(a.as_str().as_ptr(), s.as_str().as_ptr());

@@ -35,7 +35,9 @@
 # replays a slice smaller than its log, closed in at most four rounds,
 # its log indexed at most once and cut once per round (its UPDATETREE
 # cuts nothing); a check that its MAKEAPPEAR key lookups hold no more rows
-# than the entries they replace; lint-clean clippy; and rustdoc without a warning.
+# than the entries they replace; a seeded fuzz of the layer reader; a
+# check that every repository path DESIGN.md cites exists; lint-clean
+# clippy; and rustdoc without a warning.
 # The sweep holds six invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery, the slice judge — and it must diagnose
@@ -174,6 +176,31 @@ finds_the_replaced_entry_by_key() {
     fi
 }
 step "campus finds the replaced entry by its key" finds_the_replaced_entry_by_key
+# A layer file is outside input. The layer reader is fed seeded mutations
+# of sealed DPLY v3 layers — bit flips, truncations, splices, dictionary
+# ids past the dictionary, overlong varints, huge arities — each
+# re-checksummed so that the decoder meets it, and every input must be a
+# typed codec error or a layer that re-encodes to the same bytes (the
+# suite ran it once; this step names it, and it takes well under 2 s).
+step "layer reader fuzz" cargo test --release -q -p dp-replay --test layer_codec
+# DESIGN.md describes the system as it stands: every repository path it
+# cites in backticks (`crates/…`, `tests/…`, `scripts/…`, `benchmark/…`,
+# the first word of a cited command) must exist.
+design_paths_exist() {
+    local cited path missing=0
+    while read -r cited; do
+        path="${cited%% *}"
+        if ! compgen -G "$path" >/dev/null; then
+            echo "DESIGN.md cites \`$cited\`, which does not exist" >&2
+            missing=1
+        fi
+    done < <(grep -oE '`(crates|tests|scripts|benchmark)/[^`]*`' DESIGN.md | tr -d '`' | sort -u)
+    if [[ "$missing" -ne 0 ]]; then
+        echo "check.sh: DESIGN.md cites a path that does not exist" >&2
+        return 1
+    fi
+}
+step "DESIGN.md cites existing paths" design_paths_exist
 # The separate metrics registry folded into dp-trace's aggregate in PR 14;
 # a second instrumentation system must not grow back beside it. (The
 # names are spelled in halves so this script passes its own gate.)

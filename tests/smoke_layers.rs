@@ -40,6 +40,28 @@ fn disk_store_digests_the_memory_stream() {
     );
 }
 
+/// The store's size on the test-scale campus (seed 7, 40 bulk entries
+/// per router): the bad log spilled into layers of `LAYER_EVENTS`, its
+/// bytes pinned exactly. Each layer names each name once, in its
+/// dictionary, so a record is its fields and a few one-byte ids.
+#[test]
+fn the_campus_store_pins_its_bytes_per_event() {
+    use diffprov::sdn::{campus, CampusConfig};
+    let exec = campus(&CampusConfig {
+        seed: 7,
+        bulk_entries_per_router: 40,
+        ..CampusConfig::default()
+    })
+    .scenario
+    .bad_exec;
+    let mut store = DurableStore::temp().unwrap();
+    exec.spill_into(&mut store).unwrap();
+    // 26.19 bytes per event.
+    assert_eq!(store.event_count(), 10_066);
+    assert_eq!(store.layer_count(), 3);
+    assert_eq!(store.layer_bytes(), 263_595);
+}
+
 /// A restart is the process dying and the store surviving: seal up to the
 /// boundary before the last packet, drop the handle, open the directory,
 /// seal the rest, and recover from the directory alone — the digest is
