@@ -238,8 +238,7 @@ impl Replayed {
             .collect();
         at.sort_unstable();
         at.dedup();
-        let mut part = EventLog::new();
-        at.into_iter().for_each(|p| part.push(events[p].clone()));
+        let part: EventLog = at.into_iter().map(|p| events[p].clone()).collect();
         let mut live = BTreeSet::new();
         for e in apply_changes(&part, delta, *inject_at).events().iter() {
             if e.node == *node && has_key(&e.tuple) {
@@ -283,22 +282,18 @@ impl Execution {
         }
     }
 
-    /// Attaches this execution's tracer to a freshly built engine.
-    pub(crate) fn configure<S: ProvenanceSink>(&self, engine: &mut Engine<S>) {
-        engine.set_tracer(self.tracer.clone());
-    }
-
     /// The recorder for a replaying engine, sharing the execution's tracer
     /// so batched provenance folds show up in the same trace.
     fn recorder(&self) -> GraphRecorder {
         GraphRecorder::with_tracer(self.tracer.clone())
     }
 
-    /// Schedules `log` — this execution's, or one cut or patched from it —
-    /// on a fresh engine over `sink` and runs it to quiescence.
-    fn run_into<S: ProvenanceSink>(&self, log: &EventLog, sink: S) -> Result<Engine<S>> {
+    /// Schedules `log` — this execution's, one cut or patched from it, or
+    /// a store's — on a fresh engine over `sink`, with this execution's
+    /// tracer, and runs it to quiescence.
+    pub(crate) fn run_into<S: ProvenanceSink>(&self, log: &EventLog, sink: S) -> Result<Engine<S>> {
         let mut engine = Engine::new(Arc::clone(&self.program), sink);
-        self.configure(&mut engine);
+        engine.set_tracer(self.tracer.clone());
         let span = self.tracer.span("replay.schedule");
         let scheduled = log.schedule_into(&mut engine)?;
         span.end_with(|agg| agg.add("replay.scheduled", scheduled as u64));
@@ -495,20 +490,14 @@ pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: Logical
         .filter(|ci| !hits.contains(&Some(*ci)))
         .filter_map(|ci| as_after((inject_at, changes[ci].node, BaseOp::Insert), ci))
         .collect();
+    let mut patched = events.iter().zip(&hits).map(|(e, hit)| match hit {
+        None => Some(e.clone()),
+        Some(ci) => as_after((e.due, e.node, e.op), *ci),
+    });
     let at = events.partition_point(|e| e.due <= inject_at);
-    let mut out = EventLog::new();
-    for (i, (e, hit)) in events.iter().zip(&hits).enumerate() {
-        if i == at {
-            injected.iter().for_each(|e| out.push(e.clone()));
-        }
-        match hit {
-            None => out.push(e.clone()),
-            Some(ci) => as_after((e.due, e.node, e.op), *ci).into_iter().for_each(|e| out.push(e)),
-        }
-    }
-    if at == events.len() {
-        injected.into_iter().for_each(|e| out.push(e));
-    }
+    let mut out: EventLog = patched.by_ref().take(at).flatten().collect();
+    out.extend(injected);
+    out.extend(patched.flatten());
     out
 }
 

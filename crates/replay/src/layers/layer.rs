@@ -76,14 +76,13 @@ pub const LAYER_MAGIC: &[u8; 4] = b"DPLY";
 /// The layer-format version, the only one the reader accepts.
 pub const LAYER_VERSION: u16 = 3;
 
-/// A sealed layer loaded back into memory, checksum-verified.
+/// A sealed layer file: where its run starts in the log, its size and its
+/// path. Its events are read into the store's log, not kept here.
 #[derive(Clone, Debug)]
 pub struct Layer {
     /// The number of events in the layers before this one: the replay
     /// position of its first event.
     pub first_seq: u64,
-    /// The events, in replay order.
-    pub events: Vec<BaseEvent>,
     /// Size of the layer file in bytes.
     pub file_bytes: u64,
     /// Where the layer was read from (or written to).
@@ -109,7 +108,6 @@ pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<
     seal_bytes(path, &bytes).map_err(|err| io_err("writing layer", path, err))?;
     Ok(Layer {
         first_seq,
-        events: events.to_vec(),
         file_bytes: bytes.len() as u64,
         path: path.to_path_buf(),
     })
@@ -275,8 +273,8 @@ fn malformed(context: &'static str, detail: String) -> Error {
 }
 
 /// Reads a layer file back: [`decode_layer`] over the file's bytes, its
-/// errors naming the file.
-pub fn read_layer(path: &Path) -> Result<Layer> {
+/// errors naming the file. Returns the layer and its events.
+pub fn read_layer(path: &Path) -> Result<(Layer, Vec<BaseEvent>)> {
     let bytes = std::fs::read(path).map_err(|err| io_err("reading layer", path, err))?;
     let (first_seq, events) = decode_layer(&bytes).map_err(|err| match err {
         Error::Codec { context, detail } => {
@@ -284,12 +282,12 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
         }
         other => other,
     })?;
-    Ok(Layer {
+    let layer = Layer {
         first_seq,
-        events,
         file_bytes: bytes.len() as u64,
         path: path.to_path_buf(),
-    })
+    };
+    Ok((layer, events))
 }
 
 /// Decodes a layer file's bytes into its `first_seq` and its events,

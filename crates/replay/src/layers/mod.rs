@@ -6,20 +6,25 @@
 //! ([`layer`]). Layer files are all the store holds: base events are
 //! persisted, everything else is rebuilt by replay.
 //!
-//! ## One read: concatenation
+//! ## One read: concatenation, into one log
 //!
 //! Each layer is named for its `first_seq`, the number of events sealed
 //! before it, and holds a run of the replay order. The layers read in
 //! `first_seq` order, one after another, *are* the log's replay order, so
-//! the one read of the stack (`DurableStore::events`) is a concatenation:
-//! no per-record sequence number, no merge. Nothing reads the store by
-//! node.
+//! the one read of the stack is a concatenation: no per-record sequence
+//! number, no merge, and nothing reads the store by node. The store keeps
+//! what it read as one [`EventLog`]: `open` moves each layer's decoded
+//! events into it, a seal appends the sealed run, and
+//! [`DurableStore::load_log`] hands out that log — a clone, sharing its
+//! events and the index a diagnosis builds on it. A layer keeps its place
+//! in the stack, its size and its path, not its events.
 //!
 //! ## Recovery
 //!
 //! Recovery is [`DurableStore::open`] (every layer file checksum-verified
 //! and validated, the layers tiling `0..n` with dues that never decrease)
-//! and a replay of the stack. Replay is deterministic in replay order, so
+//! and a replay of the store's log, on the path every whole-log replay
+//! takes. Replay is deterministic in replay order, so
 //! the recovered stream has one identity: its digest
 //! ([`Execution::recovered_stream_digest`]) equals the in-memory
 //! [`Execution::stream_digest`] and the oracle's
@@ -32,9 +37,8 @@ pub mod layer;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use dp_ndlog::{Engine, HashSink};
+use dp_ndlog::HashSink;
 use dp_trace::Tracer;
 use dp_types::{Error, LogicalTime, Result};
 
@@ -75,13 +79,15 @@ impl Drop for TempDir {
 /// A layered durable store: sealed layer files in one directory.
 ///
 /// Layers are immutable once sealed; the store only ever appends new
-/// files. [`DurableStore::open`] rebuilds the whole in-memory view from
-/// the directory alone — that *is* the recovery path, and every file is
+/// files. [`DurableStore::open`] rebuilds the store's log from the
+/// directory alone — that *is* the recovery path, and every file is
 /// checksum-verified eagerly so corruption surfaces as a typed
 /// [`Error::Codec`] before any event replays.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
+    /// The stack's events: the sealed log, in replay order.
+    log: EventLog,
     layers: Vec<Layer>,
     /// The tracer of the [`Execution`] that last spilled into this store
     /// (disabled until one does): times seals (`store.seal` spans) and
@@ -91,18 +97,17 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens (or initializes) the store at `dir`, loading and verifying
-    /// every layer file found there; any other file is ignored. In
-    /// `first_seq` order the layers must tile the log: each starts at the
-    /// number of events before it, and its first due is no earlier than
-    /// its predecessor's last. A layer file missing from the middle of the
-    /// stack, or present twice under two names, is a typed
-    /// [`Error::Codec`], not a shorter or longer
-    /// log.
+    /// Opens (or initializes) the store at `dir`, decoding and verifying
+    /// every layer file found there into the store's log; any other file
+    /// is ignored. In `first_seq` order the layers must tile the log: each
+    /// starts at the number of events before it, and its first due is no
+    /// earlier than its predecessor's last. A layer file missing from the
+    /// middle of the stack, or present twice under two names, is a typed
+    /// [`Error::Codec`], not a shorter or longer log.
     pub fn open(dir: &Path) -> Result<DurableStore> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Engine(format!("creating store dir {}: {e}", dir.display())))?;
-        let mut layers = Vec::new();
+        let mut read = Vec::new();
         let entries = std::fs::read_dir(dir)
             .map_err(|e| Error::Engine(format!("listing store dir {}: {e}", dir.display())))?;
         for entry in entries {
@@ -110,12 +115,13 @@ impl DurableStore {
                 entry.map_err(|e| Error::Engine(format!("listing store dir: {e}")))?;
             let path = entry.path();
             if path.extension().and_then(|e| e.to_str()) == Some("dply") {
-                layers.push(layer::read_layer(&path)?);
+                read.push(layer::read_layer(&path)?);
             }
         }
-        layers.sort_by_key(|l| l.first_seq);
-        let (mut seq, mut due) = (0, 0);
-        for l in &layers {
+        read.sort_by_key(|(l, _)| l.first_seq);
+        let (mut log, mut layers) = (EventLog::new(), Vec::with_capacity(read.len()));
+        for (l, events) in read {
+            let (seq, due) = (log.len() as u64, log.horizon());
             let broken = |detail: String| Error::Codec {
                 context: "layer stack",
                 detail: format!("{}: {detail}", l.path.display()),
@@ -127,17 +133,18 @@ impl DurableStore {
                     l.first_seq
                 )));
             }
-            if let Some(first) = l.events.first().filter(|e| e.due < due) {
+            if let Some(first) = events.first().filter(|e| e.due < due) {
                 return Err(broken(format!(
                     "starts at due {}, before its predecessor's last due {due}",
                     first.due
                 )));
             }
-            seq += l.events.len() as u64;
-            due = l.events.last().map_or(due, |e| e.due);
+            log.extend(events);
+            layers.push(l);
         }
         Ok(DurableStore {
             dir: dir.to_path_buf(),
+            log,
             layers,
             tracer: Tracer::disabled(),
             _temp: None,
@@ -160,17 +167,17 @@ impl DurableStore {
 
     /// Seals `events` — the next run of the log's replay order — into one
     /// immutable layer file, named for the number of events this handle
-    /// sees sealed before it. A batch whose dues decrease, or start before
-    /// the stack's last due, is not such a run: that is an `Err` with
-    /// nothing written. A handle behind its directory (another one sealed
-    /// after it was opened) would name its layer after one the directory
-    /// already holds: that too is an `Err` with nothing written, never a
-    /// replaced layer.
+    /// sees sealed before it, and appends them to the store's log. A batch
+    /// whose dues decrease, or start before the stack's last due, is not
+    /// such a run: that is an `Err` with nothing written. A handle behind
+    /// its directory (another one sealed after it was opened) would name
+    /// its layer after one the directory already holds: that too is an
+    /// `Err` with nothing written, never a replaced layer.
     pub fn seal_events(&mut self, events: &[BaseEvent]) -> Result<()> {
         let Some(head) = events.first() else {
             return Ok(());
         };
-        let last_due = self.events().next_back().map_or(0, |e| e.due);
+        let last_due = self.log.horizon();
         if head.due < last_due || events.windows(2).any(|w| w[1].due < w[0].due) {
             return Err(Error::Engine(format!(
                 "sealing into {}: the batch is not the next run of the replay order \
@@ -182,6 +189,7 @@ impl DurableStore {
         let first_seq = self.event_count();
         let path = self.dir.join(format!("layer-{first_seq:020}.dply"));
         self.layers.push(layer::write_layer(&path, first_seq, events)?);
+        self.log.extend(events.iter().cloned());
         let sealed = events.len() as u64;
         span.end_with(|agg| {
             agg.add("store.sealed_events", sealed);
@@ -200,7 +208,7 @@ impl DurableStore {
 
     /// Total events across all sealed layers.
     pub fn event_count(&self) -> u64 {
-        self.layers.iter().map(|l| l.events.len() as u64).sum()
+        self.log.len() as u64
     }
 
     /// Real on-disk bytes across all sealed layer files.
@@ -214,22 +222,10 @@ impl DurableStore {
         self.layer_bytes()
     }
 
-    /// The stack in the log's replay order — its layers one after
-    /// another — the one read of the stack, behind
-    /// [`DurableStore::load_log`] and
-    /// [`Execution::recovered_stream_digest`] alike.
-    fn events(&self) -> impl DoubleEndedIterator<Item = &BaseEvent> {
-        self.layers.iter().flat_map(|l| &l.events)
-    }
-
-    /// Rebuilds an in-memory [`EventLog`] from the layer stack — the
-    /// sealed log, event for event in replay order.
+    /// The sealed log, event for event in replay order: a clone of the
+    /// log the store holds, sharing its events and its index.
     pub fn load_log(&self) -> EventLog {
-        let mut log = EventLog::new();
-        for e in self.events() {
-            log.push(e.clone());
-        }
-        log
+        self.log.clone()
     }
 
     /// Shim for the frozen `benchmark/` (ROADMAP item 1 retires it): the
@@ -283,22 +279,17 @@ impl Execution {
         Ok((store, self.stream_digest()?))
     }
 
-    /// The recovery digest: replays the layer stack of `store` —
-    /// this execution contributes the program and the tracer, not its log
-    /// — and returns the `(digest, count)` of the provenance stream.
+    /// The recovery digest: replays the log `store` read from its layers,
+    /// on the path [`Execution::stream_digest`] takes — this execution
+    /// contributes the program and the tracer, not its log — and returns
+    /// the `(digest, count)` of the provenance stream.
     ///
     /// This is the crash-recovery proof obligation: for a store the log
     /// was sealed into, the result is bit-identical to
     /// [`Execution::stream_digest`].
     pub fn recovered_stream_digest(&self, store: &DurableStore) -> Result<(u64, u64)> {
         let span = self.tracer.span("store.recovery");
-        let mut engine = Engine::new(Arc::clone(&self.program), HashSink::default());
-        self.configure(&mut engine);
-        for e in store.events() {
-            e.schedule(&mut engine)?;
-        }
-        engine.run()?;
-        let sink = engine.into_sink();
+        let sink = self.run_into(&store.log, HashSink::default())?.into_sink();
         span.end();
         Ok((sink.digest(), sink.count))
     }

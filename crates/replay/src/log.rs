@@ -7,9 +7,14 @@
 //! time. This favors runtime performance: diagnostic queries take longer,
 //! but they are rare.
 //!
-//! An event holds its tuple behind an `Arc`, and everything downstream —
-//! a clone of the log, a patched log, the schedule handed to an engine or
-//! to the reference evaluator, the engine's tables, indexes and provenance
+//! A log's events exist once per process. The log is one `Arc` over its
+//! state, so a clone — the good and bad executions of one run, a tool's
+//! copy of an execution, the log a store hands out
+//! ([`crate::DurableStore::load_log`]) — is a reference count, and a
+//! clone that appends copies the events first and leaves its source as
+//! it was. An event holds its tuple behind an `Arc` too, and everything
+//! downstream — a patched log, the schedule handed to an engine or to the
+//! reference evaluator, the engine's tables, indexes and provenance
 //! events — takes that handle, not a copy: a logged base tuple is one
 //! allocation per event, per process. The engine holds it as it is, with
 //! no interner lookup; equal tuples logged by separate events stay
@@ -26,9 +31,9 @@
 //! time.
 //!
 //! A log keeps the index a diagnosis reads it through
-//! (`EventLog::index`): built on first use, shared by the log's clones,
-//! and dropped by the next append. Set-up pays nothing for it, and an
-//! append stays a push.
+//! (`EventLog::index`) beside its events: built on first use, shared with
+//! them by the log's clones, and dropped by the next write. Set-up pays
+//! nothing for it, and an append stays a push.
 
 use std::fmt;
 use std::ops::Deref;
@@ -64,20 +69,6 @@ pub struct BaseEvent {
     pub op: BaseOp,
 }
 
-impl BaseEvent {
-    /// Schedules this event's op on its located tuple at its due.
-    pub(crate) fn schedule<S: dp_ndlog::ProvenanceSink>(
-        &self,
-        engine: &mut dp_ndlog::Engine<S>,
-    ) -> Result<()> {
-        let (node, tuple) = (self.node, Arc::clone(&self.tuple));
-        match self.op {
-            BaseOp::Insert => engine.schedule_insert(self.due, node, tuple),
-            BaseOp::Delete => engine.schedule_delete(self.due, node, tuple),
-        }
-    }
-}
-
 /// An append-only log of base events, read back sorted by `due` (stable
 /// for equal times, preserving arrival order — determinism again).
 ///
@@ -86,11 +77,20 @@ impl BaseEvent {
 /// and the buffer's order *is* arrival order (inductively: it holds for
 /// appends, and every sort preserves it within a due), so the lazy path
 /// reads back exactly what eager insertion-sort produced.
-#[derive(Clone, Debug)]
-pub struct EventLog {
+///
+/// The log is one `Arc` over its state: a clone shares it, and a write
+/// copies it first if it is shared ([`Arc::make_mut`]) and drops its
+/// index. Bulk producers append through [`Extend`] or [`FromIterator`],
+/// which pay that check once per batch instead of once per event.
+#[derive(Clone, Default)]
+pub struct EventLog(Arc<State>);
+
+#[derive(Clone, Default)]
+struct State {
     events: Vec<BaseEvent>,
-    /// True when `events` is already in replay order.
-    sorted: bool,
+    /// True when an append came before an earlier one's due: `events` is
+    /// not in replay order.
+    unsorted: bool,
     /// Largest `due` ever pushed.
     max_due: LogicalTime,
     /// Elements moved while maintaining replay order (one per sorted
@@ -98,30 +98,21 @@ pub struct EventLog {
     /// tests: a linear-ish ingest keeps this O(n), the old per-push
     /// `Vec::insert` scheme would have counted O(n²) shifts.
     effort: u64,
-    /// The index of the events as they stand, for one program. The log's
-    /// clones share it until one of them appends, so one memo means one
-    /// content ([`EventLog::same`]).
-    memo: Arc<Memo>,
+    /// The index of the events as they stand, for one program.
+    index: OnceLock<(Arc<Program>, Arc<Index>)>,
 }
 
-#[derive(Default)]
-struct Memo(OnceLock<(Arc<Program>, Arc<Index>)>);
-
-impl fmt::Debug for Memo {
+impl fmt::Debug for EventLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.get().is_some() { "Memo(indexed)" } else { "Memo" })
+        f.debug_list().entries(self.events().iter()).finish()
     }
 }
 
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog {
-            events: Vec::new(),
-            sorted: true,
-            max_due: 0,
-            effort: 0,
-            memo: Arc::default(),
-        }
+impl State {
+    fn push(&mut self, event: BaseEvent) {
+        self.unsorted |= event.due < self.max_due;
+        self.max_due = self.max_due.max(event.due);
+        self.events.push(event);
     }
 }
 
@@ -189,6 +180,14 @@ impl EventLog {
         EventLog::default()
     }
 
+    /// The state, to write: copied first if a clone shares it, its index
+    /// dropped (it indexes the events before the write).
+    fn state_mut(&mut self) -> &mut State {
+        let state = Arc::make_mut(&mut self.0);
+        state.index.take();
+        state
+    }
+
     /// The events in replay order.
     ///
     /// Borrows when the log is already ordered (always true right after
@@ -196,10 +195,10 @@ impl EventLog {
     /// otherwise returns an owned sorted copy. Mutating paths should
     /// normalize first so repeated reads stay allocation-free.
     pub fn events(&self) -> EventsView<'_> {
-        if self.sorted {
-            EventsView(ViewInner::Borrowed(&self.events))
+        if !self.0.unsorted {
+            EventsView(ViewInner::Borrowed(&self.0.events))
         } else {
-            let mut copy = self.events.clone();
+            let mut copy = self.0.events.clone();
             sort_events(&mut copy);
             EventsView(ViewInner::Owned(copy))
         }
@@ -208,45 +207,46 @@ impl EventLog {
     /// Restores replay order in place, making subsequent [`EventLog::events`]
     /// reads borrow. A no-op on an already-ordered log.
     pub fn normalize(&mut self) {
-        if !self.sorted {
-            self.effort += self.events.len() as u64;
-            sort_events(&mut self.events);
-            self.sorted = true;
+        if self.0.unsorted {
+            let state = self.state_mut();
+            state.effort += state.events.len() as u64;
+            sort_events(&mut state.events);
+            state.unsorted = false;
         }
     }
 
     /// Elements moved so far to maintain replay order (see the struct
     /// docs); asserted by regression tests instead of wall time.
     pub fn reorder_effort(&self) -> u64 {
-        self.effort
+        self.0.effort
     }
 
     /// Number of logged events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.0.events.len()
     }
 
     /// True when nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.0.events.is_empty()
     }
 
     /// The replay horizon: the largest due time ever logged.
     pub fn horizon(&self) -> LogicalTime {
-        self.max_due
+        self.0.max_due
     }
 
     /// True if `other` is this log or a clone of it that neither has
-    /// appended to since: then both hold the same events. (Two logs built
+    /// written to since: then both hold the same events. (Two logs built
     /// apart can hold the same events and still be two.)
     pub fn same(&self, other: &EventLog) -> bool {
-        Arc::ptr_eq(&self.memo, &other.memo)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The index of this log for `program` (the `slice` module's
     /// [`Index`]), built by the first call (span `replay.slice_index`,
     /// counter `replay.index_events`, the events it read) and kept until
-    /// the log is appended to. A clone shares it. Asked for by another
+    /// the log is written to. A clone shares it. Asked for by another
     /// program than the one it was built for, it is built afresh and not
     /// kept.
     pub(crate) fn index(&self, program: &Arc<Program>, tracer: &Tracer) -> Arc<Index> {
@@ -257,7 +257,7 @@ impl EventLog {
             span.end_with(|agg| agg.add("replay.index_events", events.len() as u64));
             index
         };
-        let (built_for, index) = self.memo.0.get_or_init(|| (Arc::clone(program), build()));
+        let (built_for, index) = self.0.index.get_or_init(|| (Arc::clone(program), build()));
         if Arc::ptr_eq(built_for, program) {
             Arc::clone(index)
         } else {
@@ -267,17 +267,7 @@ impl EventLog {
 
     /// Appends an event in O(1); replay order is restored lazily.
     pub fn push(&mut self, event: BaseEvent) {
-        // A memo shared or built holds the log without this event.
-        if Arc::strong_count(&self.memo) > 1 || self.memo.0.get().is_some() {
-            self.memo = Arc::default();
-        }
-        if let Some(last) = self.events.last() {
-            if event.due < last.due {
-                self.sorted = false;
-            }
-        }
-        self.max_due = self.max_due.max(event.due);
-        self.events.push(event);
+        self.state_mut().push(event);
     }
 
     /// Convenience: log an insertion.
@@ -332,9 +322,30 @@ impl EventLog {
     ) -> Result<usize> {
         let events = self.events();
         for e in events.iter() {
-            e.schedule(engine)?;
+            let (node, tuple) = (e.node, Arc::clone(&e.tuple));
+            match e.op {
+                BaseOp::Insert => engine.schedule_insert(e.due, node, tuple)?,
+                BaseOp::Delete => engine.schedule_delete(e.due, node, tuple)?,
+            }
         }
         Ok(events.len())
+    }
+}
+
+impl Extend<BaseEvent> for EventLog {
+    /// Appends the events in order, as [`EventLog::push`] would, with one
+    /// write to the state for the batch.
+    fn extend<I: IntoIterator<Item = BaseEvent>>(&mut self, events: I) {
+        let state = self.state_mut();
+        events.into_iter().for_each(|e| state.push(e));
+    }
+}
+
+impl FromIterator<BaseEvent> for EventLog {
+    fn from_iter<I: IntoIterator<Item = BaseEvent>>(events: I) -> Self {
+        let mut log = EventLog::new();
+        log.extend(events);
+        log
     }
 }
 

@@ -222,11 +222,7 @@ impl Cut {
         }
         tracer.counter("replay.cut_tested", tested);
         held.sort_unstable();
-        let mut out = EventLog::new();
-        for at in held {
-            out.push(log[at as usize].clone());
-        }
-        (out, dropped)
+        (held.into_iter().map(|at| log[at as usize].clone()).collect(), dropped)
     }
 
     /// Widens the cut by what `engine` held and read outside it: the

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use dp_ndlog::testsupport::nodegen;
 use dp_ndlog::Program;
-use dp_replay::layers::layer::{read_layer, Layer};
+use dp_replay::layers::layer::read_layer;
 use dp_replay::{BaseEvent, BaseOp, DurableStore, EventLog, Execution};
 use dp_types::codec::{fnv64, Enc};
 use dp_types::{tuple, DetRng, Error, FieldType, Schema, SchemaRegistry, TableKind};
@@ -150,9 +150,10 @@ fn assert_recovered(dir: &Path, exec: &Execution, shape: &mut Shape, case: &str)
         exec.reference_stream_digest().unwrap(),
         "{case}: vs the reference evaluator"
     );
-    let layers: Vec<Layer> = layer_files(dir).iter().map(|p| read_layer(p).unwrap()).collect();
+    let layers: Vec<Vec<BaseEvent>> =
+        layer_files(dir).iter().map(|p| read_layer(p).unwrap().1).collect();
     shape.layers = shape.layers.max(layers.len());
-    shape.mixed |= layers.iter().any(|l| l.events.iter().any(|e| e.node != l.events[0].node));
+    shape.mixed |= layers.iter().any(|l| l.iter().any(|e| e.node != l[0].node));
 }
 
 /// The nine repro scenarios.

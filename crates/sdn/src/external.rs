@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use dp_ndlog::{Program, StatefulBuiltin};
 use dp_replay::Execution;
-use dp_types::{LogicalTime, NodeId, Prefix, Result, Tuple, Value};
+use dp_types::{LogicalTime, NodeId, Prefix, Result, SchemaRegistry, Tuple, Value};
 
 use crate::program::{pkt_in, sdn_schemas, BestMatch};
 use crate::topology::Topology;
@@ -69,14 +69,28 @@ pub struct PacketObservation {
     pub len: i64,
 }
 
-/// The OpenFlow *specification* program for external mode: the same
-/// match-action rules, but with `flowEntry` as a **mutable base** table
+/// The rules of the OpenFlow *specification* program ([`spec_program`]):
+/// the SDN program's match-action rules without the controller layer.
+pub const SPEC_RULES: &str = "\
+ingress pktAt(@S, Pid, Src, Dst, Pr, Len) :- pktIn(@S, Pid, Src, Dst, Pr, Len).
+fwd     pktOut(@S, Pid, Src, Dst, Pr, Len, Pt) :-
+            pktAt(@S, Pid, Src, Dst, Pr, Len),
+            flowEntry(@S, Rid, Prio, SM, DM, Pt),
+            prefix_contains(SM, Src), prefix_contains(DM, Dst),
+            best_match!(S, Src, Dst, Prio).
+move    pktAt(@N, Pid, Src, Dst, Pr, Len) :-
+            pktOut(@S, Pid, Src, Dst, Pr, Len, Pt), link(@S, Pt, N).
+dlvr    deliver(@H, Pid, Src, Dst, Pr, Len) :-
+            pktOut(@S, Pid, Src, Dst, Pr, Len, Pt), host(@S, Pt, H).
+";
+
+/// The schemas of the specification program: the SDN program's, with
+/// `flowEntry` redeclared as a **mutable base** table, keyed by cookie
 /// (dumped state is the configuration; there is no controller to derive
 /// it from).
-pub fn spec_program() -> Result<Arc<Program>> {
+pub fn spec_schemas() -> SchemaRegistry {
     use dp_types::TableKind::*;
     let mut reg = sdn_schemas();
-    // Redeclare flowEntry as dumped (mutable base) state, keyed by cookie.
     reg.declare(
         dp_types::Schema::new(
             "flowEntry",
@@ -91,22 +105,15 @@ pub fn spec_program() -> Result<Arc<Program>> {
         )
         .with_key([0]),
     );
+    reg
+}
+
+/// The OpenFlow *specification* program for external mode: the same
+/// match-action rules over [`spec_schemas`].
+pub fn spec_program() -> Result<Arc<Program>> {
     let best_match: Arc<dyn StatefulBuiltin> = Arc::new(BestMatch::new(None));
-    Program::builder(reg)
-        .rules_text(
-            "\
-ingress pktAt(@S, Pid, Src, Dst, Pr, Len) :- pktIn(@S, Pid, Src, Dst, Pr, Len).
-fwd     pktOut(@S, Pid, Src, Dst, Pr, Len, Pt) :-
-            pktAt(@S, Pid, Src, Dst, Pr, Len),
-            flowEntry(@S, Rid, Prio, SM, DM, Pt),
-            prefix_contains(SM, Src), prefix_contains(DM, Dst),
-            best_match!(S, Src, Dst, Prio).
-move    pktAt(@N, Pid, Src, Dst, Pr, Len) :-
-            pktOut(@S, Pid, Src, Dst, Pr, Len, Pt), link(@S, Pt, N).
-dlvr    deliver(@H, Pid, Src, Dst, Pr, Len) :-
-            pktOut(@S, Pid, Src, Dst, Pr, Len, Pt), host(@S, Pt, H).
-",
-        )?
+    Program::builder(spec_schemas())
+        .rules_text(SPEC_RULES)?
         .builtin(best_match)
         .build()
 }

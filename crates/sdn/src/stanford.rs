@@ -163,16 +163,16 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             entry_count += 1;
             // Bulk specific /24 routes within the zone, same next hop:
             // table inflation without behavioural change.
-            for j in 0..cfg.bulk_entries_per_router {
+            exec.log.extend((0..cfg.bulk_entries_per_router).map(|j| {
                 let sub = prefix(zone.addr() | ((j as u32 & 0xff) << 8), 24);
                 let e = Arc::new(cfg_entry(rid, r, 6, any, sub, port));
                 if cfg.update_churn_rounds > 0 {
                     churn_entries.push(Arc::clone(&e));
                 }
-                exec.log.insert(T_CONFIG, ctl, e);
                 rid += 1;
-                entry_count += 1;
-            }
+                BaseEvent { due: T_CONFIG, node: ctl, tuple: e, op: BaseOp::Insert }
+            }));
+            entry_count += cfg.bulk_entries_per_router;
         }
     }
 
@@ -258,14 +258,13 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             // in the order entries, packets.
             for (t, op) in [(t_del, BaseOp::Delete), (t_re, BaseOp::Insert)] {
                 let entries = churn_entries.iter().map(|e| (&ctl, e));
-                for (node, tuple) in entries.chain(churn_packets.iter().map(|(n, p)| (n, p))) {
-                    exec.log.push(BaseEvent {
-                        due: t,
-                        node: *node,
-                        tuple: Arc::clone(tuple),
-                        op,
-                    });
-                }
+                let events = entries.chain(churn_packets.iter().map(|(n, p)| (n, p)));
+                exec.log.extend(events.map(|(node, tuple)| BaseEvent {
+                    due: t,
+                    node: *node,
+                    tuple: Arc::clone(tuple),
+                    op,
+                }));
             }
         }
     }
