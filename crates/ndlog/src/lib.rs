@@ -54,4 +54,4 @@ pub use program::{
 };
 pub use reference::ScheduledOp;
 pub use sink::{BodyRef, HashSink, NullSink, ProvEvent, ProvenanceSink, VecSink};
-pub use slice::{Needs, Place, Share, SlicePlan};
+pub use slice::{Fields, Needs, Place, Share, SlicePlan};

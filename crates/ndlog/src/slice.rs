@@ -106,6 +106,35 @@ pub enum Place {
     Arg(usize),
 }
 
+/// A tuple as a slice plan reads it: its table and its fields by column.
+/// A [`Tuple`] is one; so is a logged record read where it lies, without
+/// building the tuple.
+pub trait Fields {
+    /// The tuple's table.
+    fn table(&self) -> Sym;
+    /// How many fields it has.
+    fn arity(&self) -> usize;
+    /// Field `col`, or `None` past the arity.
+    fn field(&self, col: usize) -> Option<Value>;
+}
+
+impl Fields for Tuple {
+    #[inline]
+    fn table(&self) -> Sym {
+        self.table
+    }
+
+    #[inline]
+    fn arity(&self) -> usize {
+        self.args.len()
+    }
+
+    #[inline]
+    fn field(&self, col: usize) -> Option<Value> {
+        self.args.get(col).cloned()
+    }
+}
+
 /// Which of a table's base events a slice keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Share {
@@ -120,15 +149,15 @@ pub enum Share {
 impl Share {
     /// What `tuple` at `node`, a tuple of a table with this share, needs
     /// for a slice to hold it ([`SlicePlan::needs`]).
-    pub fn needs(self, node: &NodeId, tuple: &Tuple) -> Needs {
+    pub fn needs(self, node: &NodeId, tuple: &impl Fields) -> Needs {
         match self {
-            Share::Key(col) => match tuple.args.get(col) {
-                Some(v) => Needs::Key(v.clone()),
+            Share::Key(col) => match tuple.field(col) {
+                Some(v) => Needs::Key(v),
                 None => Needs::Nothing,
             },
             Share::Owner(Place::Loc) => Needs::Owner(node.0),
-            Share::Owner(Place::Arg(i)) => match tuple.args.get(i) {
-                Some(Value::Str(s)) => Needs::Owner(*s),
+            Share::Owner(Place::Arg(i)) => match tuple.field(i) {
+                Some(Value::Str(s)) => Needs::Owner(s),
                 _ => Needs::Nothing,
             },
             Share::Whole => Needs::Nothing,
@@ -186,8 +215,8 @@ impl SlicePlan {
     /// True if `tuple` passes its table's guard against `addrs`: each
     /// guarded column's prefix contains one of the addresses. A tuple of a
     /// table without a guard always passes.
-    pub fn covers(&self, tuple: &Tuple, addrs: &BTreeSet<u32>) -> bool {
-        self.guard(&tuple.table).iter().all(|&c| match tuple.args.get(c).map(Value::as_prefix) {
+    pub fn covers(&self, tuple: &impl Fields, addrs: &BTreeSet<u32>) -> bool {
+        self.guard(&tuple.table()).iter().all(|&c| match tuple.field(c).map(|v| v.as_prefix()) {
             Some(Ok(p)) => addrs.range(p.addr()..=p.last()).next().is_some(),
             _ => true,
         })
@@ -204,8 +233,8 @@ impl SlicePlan {
     /// What `tuple` at `node` needs for a slice to hold it. An owner
     /// column that does not hold a name is no node's, and the tuple is
     /// held by every slice.
-    pub fn needs(&self, node: &NodeId, tuple: &Tuple) -> Needs {
-        self.share(&tuple.table).needs(node, tuple)
+    pub fn needs(&self, node: &NodeId, tuple: &impl Fields) -> Needs {
+        self.share(&tuple.table()).needs(node, tuple)
     }
 
     /// The plan of a program: its schemas, rules, whether it has natives

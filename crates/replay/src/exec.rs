@@ -138,9 +138,9 @@ impl Replayed {
     /// tuple the cut holds, or `exec`'s log — or 0 if there is none.
     pub fn first_due(&self, exec: &Execution, node: &NodeId, tuple: &Tuple) -> LogicalTime {
         let held = self.slice.as_ref().and_then(|s| s.log.as_ref());
-        let events = held.unwrap_or(&exec.log).events();
-        let first = events.iter().find(|e| e.node == *node && *e.tuple == *tuple);
-        first.map_or(0, |e| e.due)
+        let log = held.unwrap_or(&exec.log).reader();
+        let first = log.iter().find(|e| e.node() == *node && e.is(tuple));
+        first.map_or(0, |e| e.due())
     }
 
     /// The recorded provenance graph.
@@ -214,10 +214,12 @@ impl Replayed {
     /// engine can miss a row that another owner keeps at the same node.
     ///
     /// The log's index gives the events of the key, and every event of
-    /// each `before` a change gives the key. The patched log's events of the
-    /// key are these patched, and the insertions of the changes no logged
-    /// event matched — which `apply_changes` injects into this part of the
-    /// log as into the whole of it.
+    /// each `before` a change gives the key (counter `replay.key_events`):
+    /// only these are read as events, from a log backed by layers too. The
+    /// patched log's events of the key are these patched, and the
+    /// insertions of the changes no logged event matched — which
+    /// `apply_changes` injects into this part of the log as into the whole
+    /// of it.
     pub fn base_tuples_by_key(
         &self,
         exec: &Execution,
@@ -225,7 +227,7 @@ impl Replayed {
         like: &Tuple,
     ) -> Vec<Arc<Tuple>> {
         let index = exec.log.index(&exec.program, &exec.tracer);
-        let events = exec.log.events();
+        let log = exec.log.reader();
         let key = exec.program.schemas.get(&like.table).and_then(|s| s.key.as_deref());
         let has_key = |t: &Tuple| {
             t.table == like.table && key.unwrap_or(&[]).iter().all(|&c| t.get(c) == like.get(c))
@@ -234,11 +236,12 @@ impl Replayed {
         let into_key = |c: &&TupleChange| c.node == *node && c.after.as_ref().is_some_and(has_key);
         let befores = delta.iter().filter(into_key).filter_map(|c| c.before.as_ref());
         let mut at: Vec<usize> = (std::iter::once(like).chain(befores))
-            .flat_map(|t| index.by_key(&exec.program, &events, node, t).collect::<Vec<_>>())
+            .flat_map(|t| index.by_key(&exec.program, &log, node, t).collect::<Vec<_>>())
             .collect();
         at.sort_unstable();
         at.dedup();
-        let part: EventLog = at.into_iter().map(|p| events[p].clone()).collect();
+        exec.tracer.counter("replay.key_events", at.len() as u64);
+        let part = log.log_of(at, &exec.tracer);
         let mut live = BTreeSet::new();
         for e in apply_changes(&part, delta, *inject_at).events().iter() {
             if e.node == *node && has_key(&e.tuple) {
@@ -372,7 +375,7 @@ impl Execution {
         if slice.cut.admit_changes(plan, delta) {
             slice.log = None;
         }
-        let events = self.log.events();
+        let events = self.log.reader();
         let (mut cuts, mut spent, mut index) = (Cuts::default(), 0, None);
         loop {
             let log = match slice.log.take() {

@@ -35,31 +35,39 @@
 //! number of records carry it: a packet's record is 22 bytes, a
 //! MapReduce record a few more than its fields.
 //!
-//! The footer word leaves a place for an index of the records (owners,
-//! keys, guarded prefixes → record offsets) that an `open` could read
-//! without decoding them; version 3 writes none, and a nonzero word is
-//! refused.
+//! The footer word leaves a place for derived data a reader could use
+//! without walking the records; version 3 writes none, and a nonzero word
+//! is refused.
 //!
-//! ## One read, checksum first
+//! ## Checked at open, decoded on read
 //!
-//! [`decode_layer`] is the one reader. It verifies the whole-file
-//! checksum before it decodes a single record, so truncation and bit rot
-//! surface as [`Error::Codec`] before any event is replayed, never as a
-//! panic mid-recovery. FNV-1a is no secret, so a file that passes it is
-//! still outside input: every field is then checked — the version (3
-//! exactly), a record count and arities the bytes left can hold, minimal
-//! varints, a due that fits in 64 bits, dictionary ids in range and in
-//! first-use order, a dictionary without repeats or unused entries, valid
-//! UTF-8, an op, tag or bool that names one of its values, a prefix
-//! without host bits, no trailing bytes — so a layer that opens is one
-//! [`LayerEncoder`] writes, byte for byte, and anything else is a typed
-//! [`Error::Codec`].
+//! [`Layer::from_bytes`] is the one reader, and it reads in two parts. At
+//! open it checks the file — the whole-file checksum first, so truncation
+//! and bit rot surface as [`Error::Codec`] before anything else is read,
+//! never as a panic mid-recovery. FNV-1a is no secret, so a file that
+//! passes it is still outside input: every record is then walked and
+//! every field checked — the version (3 exactly), a record count and
+//! arities the bytes left can hold, minimal varints, a due that fits in
+//! 64 bits, dictionary ids in range and in first-use order, a dictionary
+//! without repeats or unused entries, valid UTF-8, an op, tag or bool that
+//! names one of its values, a prefix without host bits, no trailing bytes
+//! — so a layer that opens is one [`LayerEncoder`] writes, byte for byte,
+//! and anything else is a typed [`Error::Codec`]. The walk builds nothing:
+//! it interns the dictionary once and keeps the file's bytes, where each
+//! record starts (4 bytes a record) and every 64th record's due.
+//!
+//! On read, a record is decoded from those bytes where it lies: its node
+//! and table, one field, or the whole [`BaseEvent`] ([`Layer::event`]).
+//! The bytes were accepted whole, so a read checks nothing and cannot
+//! fail; a log backed by layers ([`crate::EventLog`]) turns into events
+//! only the records a reader asks for.
 //!
 //! A seal is atomic: the bytes go to a temporary name, are synced, and
 //! are linked under the layer's name only if that name is free. A crash
 //! leaves either the whole layer or a `.tmp` file that `open` ignores.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -76,9 +84,13 @@ pub const LAYER_MAGIC: &[u8; 4] = b"DPLY";
 /// The layer-format version, the only one the reader accepts.
 pub const LAYER_VERSION: u16 = 3;
 
-/// A sealed layer file: where its run starts in the log, its size and its
-/// path. Its events are read into the store's log, not kept here.
-#[derive(Clone, Debug)]
+/// Records per due a layer keeps: a record's due is the kept one at or
+/// before it plus fewer than this many Δdues.
+const DUE_STRIDE: usize = 64;
+
+/// A sealed layer: its place in the stack, its file, and its records as
+/// the file holds them — checked when the layer was read or written, and
+/// decoded on read (module docs).
 pub struct Layer {
     /// The number of events in the layers before this one: the replay
     /// position of its first event.
@@ -87,6 +99,27 @@ pub struct Layer {
     pub file_bytes: u64,
     /// Where the layer was read from (or written to).
     pub path: PathBuf,
+    /// The file's bytes, as the check accepted them.
+    bytes: Vec<u8>,
+    /// The dictionary, each name interned once.
+    names: Vec<Sym>,
+    /// Where each record starts in `bytes`.
+    starts: Vec<u32>,
+    /// The due of every [`DUE_STRIDE`]th record, from the first.
+    dues: Vec<LogicalTime>,
+    /// The last record's due.
+    last_due: LogicalTime,
+}
+
+impl fmt::Debug for Layer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Layer")
+            .field("first_seq", &self.first_seq)
+            .field("records", &self.starts.len())
+            .field("file_bytes", &self.file_bytes)
+            .field("path", &self.path)
+            .finish()
+    }
 }
 
 fn io_err(context: &'static str, path: &Path, e: std::io::Error) -> Error {
@@ -97,7 +130,8 @@ fn io_err(context: &'static str, path: &Path, e: std::io::Error) -> Error {
 /// `first_seq`, and seals it at `path`, which must not exist: a sealed
 /// layer is never overwritten, so a handle numbering its seal from a
 /// stale count gets an error, not the file. `events` must be non-empty
-/// and in replay order.
+/// and in replay order. The layer keeps the bytes it wrote, walked as an
+/// open walks them (the checksum, just computed, is not summed again).
 pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<Layer> {
     assert!(!events.is_empty(), "a layer holds at least one event");
     let mut enc = LayerEncoder::default();
@@ -106,11 +140,7 @@ pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<
     }
     let bytes = enc.finish(first_seq)?;
     seal_bytes(path, &bytes).map_err(|err| io_err("writing layer", path, err))?;
-    Ok(Layer {
-        first_seq,
-        file_bytes: bytes.len() as u64,
-        path: path.to_path_buf(),
-    })
+    Layer::walked(bytes, path.to_path_buf())
 }
 
 /// The one encoder of a logged event: it appends `DPLY` version 3
@@ -223,19 +253,23 @@ impl LayerEncoder {
             context: "layer record count",
             detail: format!("{} records exceed u32::MAX", self.count),
         })?;
-        let mut e = Enc::new();
-        e.header(LAYER_MAGIC, LAYER_VERSION);
-        e.u64(first_seq);
-        e.u32(count);
-        e.varint(self.names.len() as u64);
+        let mut head = Enc::new();
+        head.header(LAYER_MAGIC, LAYER_VERSION);
+        head.u64(first_seq);
+        head.u32(count);
+        head.varint(self.names.len() as u64);
         for name in &self.names {
-            e.str(name.as_str());
+            head.str(name.as_str());
         }
-        e.extend(self.records.bytes());
-        e.u32(0);
-        let sum = fnv64(e.bytes());
-        e.u64(sum);
-        Ok(e.into_bytes())
+        // The file in one allocation of its size: a layer keeps it.
+        let records = self.records.bytes();
+        let mut bytes = Vec::with_capacity(head.len() + records.len() + 12);
+        bytes.extend_from_slice(head.bytes());
+        bytes.extend_from_slice(records);
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        let sum = fnv64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        Ok(bytes)
     }
 }
 
@@ -272,224 +306,472 @@ fn malformed(context: &'static str, detail: String) -> Error {
     Error::Codec { context, detail }
 }
 
-/// Reads a layer file back: [`decode_layer`] over the file's bytes, its
-/// errors naming the file. Returns the layer and its events.
-pub fn read_layer(path: &Path) -> Result<(Layer, Vec<BaseEvent>)> {
+/// Reads a layer file back and checks it ([`Layer::from_bytes`]), its
+/// errors naming the file.
+pub fn read_layer(path: &Path) -> Result<Layer> {
     let bytes = std::fs::read(path).map_err(|err| io_err("reading layer", path, err))?;
-    let (first_seq, events) = decode_layer(&bytes).map_err(|err| match err {
+    let mut layer = Layer::from_bytes(bytes).map_err(|err| match err {
         Error::Codec { context, detail } => {
             malformed(context, format!("{}: {detail}", path.display()))
         }
         other => other,
     })?;
-    let layer = Layer {
-        first_seq,
-        file_bytes: bytes.len() as u64,
-        path: path.to_path_buf(),
-    };
-    Ok((layer, events))
+    layer.path = path.to_path_buf();
+    Ok(layer)
 }
 
-/// Decodes a layer file's bytes into its `first_seq` and its events,
-/// verifying the whole-file checksum before a single record is decoded,
-/// and then every field (the module docs list the checks). Each violation
-/// is a typed [`Error::Codec`]; what decodes re-encodes to `bytes`.
-pub fn decode_layer(bytes: &[u8]) -> Result<(u64, Vec<BaseEvent>)> {
-    if bytes.len() < 12 {
+impl Layer {
+    /// Checks a layer file's bytes — the checksum before anything else,
+    /// then every record and field (the module docs list the checks) —
+    /// and keeps them, with where each record starts. Each violation is a
+    /// typed [`Error::Codec`]; no record is decoded. The layer's path is
+    /// empty ([`read_layer`] sets it).
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Layer> {
+        if bytes.len() < 12 || bytes.len() > u32::MAX as usize {
+            return Err(malformed(
+                "layer file",
+                format!(
+                    "{} bytes cannot hold a footer word and a checksum, or are past 4 GiB",
+                    bytes.len()
+                ),
+            ));
+        }
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
+        let stored = Dec::new(sum).u64("layer checksum")?;
+        if fnv64(body) != stored {
+            return Err(malformed("layer checksum", "checksum mismatch".into()));
+        }
+        Layer::walked(bytes, PathBuf::new())
+    }
+
+    /// Checks everything of a layer file at least 12 bytes long but its
+    /// checksum, and keeps it.
+    fn walked(bytes: Vec<u8>, path: PathBuf) -> Result<Layer> {
+        let body = &bytes[..bytes.len() - 8];
+        let (body, footer) = body.split_at(body.len() - 4);
+        let footer = Dec::new(footer).u32("layer footer")?;
+        if footer != 0 {
+            return Err(malformed(
+                "layer footer",
+                format!("a footer of {footer} bytes, where version {LAYER_VERSION} writes none"),
+            ));
+        }
+        let mut d = Dec::new(body);
+        d.header(LAYER_MAGIC, LAYER_VERSION)?;
+        let first_seq = d.u64("layer first-seq")?;
+        let count = d.u32("layer record count")? as usize;
+        let names = dictionary(&mut d)?;
+        // Refuse before reserving: the count is a header field's word.
+        if count == 0 || count > d.remaining() / MIN_RECORD_BYTES {
+            return Err(malformed(
+                "layer record count",
+                format!(
+                    "{count} records is none, or more than the {} bytes left can hold",
+                    d.remaining()
+                ),
+            ));
+        }
+        let walk = walk(body, d.position(), count, names.len())?;
+        Ok(Layer {
+            first_seq,
+            file_bytes: bytes.len() as u64,
+            path,
+            bytes,
+            names,
+            starts: walk.starts,
+            dues: walk.dues,
+            last_due: walk.last_due,
+        })
+    }
+
+    /// How many records the layer holds (at least one).
+    pub fn records(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The first record's due.
+    pub fn first_due(&self) -> LogicalTime {
+        self.dues[0]
+    }
+
+    /// The last record's due.
+    pub fn last_due(&self) -> LogicalTime {
+        self.last_due
+    }
+
+    /// Record `i` decoded as the event it logs. `i` must be below
+    /// [`Layer::records`].
+    pub fn event(&self, i: usize) -> BaseEvent {
+        self.record(i).event()
+    }
+
+    /// Record `i` with its header read. `i` must be below
+    /// [`Layer::records`].
+    #[inline]
+    pub(crate) fn record(&self, i: usize) -> Record<'_> {
+        let mut at = self.starts[i] as usize;
+        varint_at(&self.bytes, &mut at);
+        let op = match self.bytes[at] {
+            0 => BaseOp::Insert,
+            _ => BaseOp::Delete,
+        };
+        at += 1;
+        let node = NodeId(self.name_at(&mut at));
+        let table = self.name_at(&mut at);
+        let arity = varint_at(&self.bytes, &mut at) as usize;
+        Record { layer: self, i, op, node, table, arity, fields: at }
+    }
+
+    /// Record `i`'s due: the kept due at or before it plus the Δdues
+    /// between.
+    fn due(&self, i: usize) -> LogicalTime {
+        let kept = i / DUE_STRIDE;
+        let after = self.starts[kept * DUE_STRIDE + 1..=i].iter();
+        self.dues[kept] + after.map(|&s| varint_at(&self.bytes, &mut (s as usize))).sum::<u64>()
+    }
+
+    #[inline]
+    fn name_at(&self, at: &mut usize) -> Sym {
+        self.names[varint_at(&self.bytes, at) as usize]
+    }
+
+    /// The field at `*at`, moving past it.
+    #[inline]
+    fn value_at(&self, at: &mut usize) -> Value {
+        let b = &self.bytes;
+        *at += 1;
+        match b[*at - 1] {
+            0 => {
+                let z = varint_at(b, at);
+                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+            }
+            1 => {
+                *at += 1;
+                Value::Bool(b[*at - 1] == 1)
+            }
+            2 => Value::Str(self.name_at(at)),
+            3 => Value::Ip(u32::from_le_bytes(fixed_at(b, at))),
+            4 => {
+                let addr = u32::from_le_bytes(fixed_at(b, at));
+                *at += 1;
+                match Prefix::new(addr, b[*at - 1]) {
+                    Ok(p) => Value::Prefix(p),
+                    Err(_) => unreachable!("the check refuses a prefix longer than 32"),
+                }
+            }
+            5 => Value::Sum(u64::from_le_bytes(fixed_at(b, at))),
+            _ => Value::Time(varint_at(b, at)),
+        }
+    }
+
+    /// Moves `*at` past the field there.
+    #[inline]
+    fn skip_at(&self, at: &mut usize) {
+        *at += 1;
+        match self.bytes[*at - 1] {
+            0 | 2 | 6 => {
+                varint_at(&self.bytes, at);
+            }
+            1 => *at += 1,
+            3 => *at += 4,
+            4 => *at += 5,
+            _ => *at += 8,
+        }
+    }
+}
+
+/// One record of a [`Layer`], its header read: an event's op, node, table
+/// and arity, and where its fields start.
+#[derive(Clone, Copy)]
+pub(crate) struct Record<'a> {
+    layer: &'a Layer,
+    /// The record's place in the layer.
+    i: usize,
+    op: BaseOp,
+    pub(crate) node: NodeId,
+    pub(crate) table: Sym,
+    pub(crate) arity: usize,
+    /// Where the first field starts in the layer's bytes.
+    fields: usize,
+}
+
+impl Record<'_> {
+    /// Field `col`, or `None` past the arity.
+    #[inline]
+    pub(crate) fn field(&self, col: usize) -> Option<Value> {
+        (col < self.arity).then(|| {
+            let mut at = self.fields;
+            (0..col).for_each(|_| self.layer.skip_at(&mut at));
+            self.layer.value_at(&mut at)
+        })
+    }
+
+    /// The record's due.
+    pub(crate) fn due(&self) -> LogicalTime {
+        self.layer.due(self.i)
+    }
+
+    /// The event the record logs.
+    pub(crate) fn event(&self) -> BaseEvent {
+        let mut at = self.fields;
+        let args = (0..self.arity).map(|_| self.layer.value_at(&mut at)).collect();
+        BaseEvent {
+            due: self.due(),
+            node: self.node,
+            tuple: Arc::new(Tuple { table: self.table, args }),
+            op: self.op,
+        }
+    }
+}
+
+/// Reads the varint at `*at` of bytes the check accepted, moving past it.
+#[inline]
+fn varint_at(b: &[u8], at: &mut usize) -> u64 {
+    let first = b[*at];
+    *at += 1;
+    if first < 0x80 {
+        return u64::from(first);
+    }
+    let (mut v, mut shift) = (u64::from(first & 0x7f), 7);
+    loop {
+        let byte = b[*at];
+        *at += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Reads the `N` bytes at `*at` of bytes the check accepted, moving past
+/// them.
+#[inline]
+fn fixed_at<const N: usize>(b: &[u8], at: &mut usize) -> [u8; N] {
+    let mut bytes = [0; N];
+    bytes.copy_from_slice(&b[*at..*at + N]);
+    *at += N;
+    bytes
+}
+
+/// Reads the dictionary at `d`'s cursor, each name interned once.
+fn dictionary(d: &mut Dec<'_>) -> Result<Vec<Sym>> {
+    let n = d.varint("layer dictionary")?;
+    // Each name takes at least its length byte.
+    if n > d.remaining() as u64 {
         return Err(malformed(
-            "layer file",
-            format!(
-                "{} bytes cannot hold a footer word and a checksum",
-                bytes.len()
-            ),
+            "layer dictionary",
+            format!("{n} names exceed the {} bytes left", d.remaining()),
         ));
     }
-    let (body, sum) = bytes.split_at(bytes.len() - 8);
-    let stored = Dec::new(sum).u64("layer checksum")?;
-    if fnv64(body) != stored {
-        return Err(malformed("layer checksum", "checksum mismatch".into()));
+    let mut names = Vec::with_capacity(n as usize);
+    // Names from a file: the default hasher, whose seed a crafted
+    // dictionary cannot collide against.
+    let mut seen = HashSet::with_capacity(n as usize);
+    for _ in 0..n {
+        let name = Sym::new(d.str("layer dictionary")?);
+        if !seen.insert(name) {
+            return Err(malformed(
+                "layer dictionary",
+                format!("{name:?} is filed twice"),
+            ));
+        }
+        names.push(name);
     }
-    let (body, footer) = body.split_at(body.len() - 4);
-    let footer = Dec::new(footer).u32("layer footer")?;
-    if footer != 0 {
-        return Err(malformed(
-            "layer footer",
-            format!("a footer of {footer} bytes, where version {LAYER_VERSION} writes none"),
-        ));
-    }
-    let mut d = Dec::new(body);
-    d.header(LAYER_MAGIC, LAYER_VERSION)?;
-    let first_seq = d.u64("layer first-seq")?;
-    let count = d.u32("layer record count")? as usize;
-    let mut r = Records::new(d)?;
-    // Refuse before reserving: the count is a header field's word.
-    if count == 0 || count > r.d.remaining() / MIN_RECORD_BYTES {
-        return Err(malformed(
-            "layer record count",
-            format!(
-                "{count} records is none, or more than the {} bytes left can hold",
-                r.d.remaining()
-            ),
-        ));
-    }
-    let mut events = Vec::with_capacity(count);
-    let mut due: LogicalTime = 0;
-    for _ in 0..count {
-        let delta = r.d.varint("record due")?;
+    Ok(names)
+}
+
+/// What a walk of a layer's records keeps.
+struct Walk {
+    starts: Vec<u32>,
+    dues: Vec<LogicalTime>,
+    last_due: LogicalTime,
+}
+
+/// Walks the `count` records of `body` from `from` to its end, checking
+/// every field and keeping where each record starts and every
+/// [`DUE_STRIDE`]th due; `names` is the dictionary's length. One loop:
+/// each read names only what went wrong ([`Bad`]), and the walk turns it
+/// into a typed [`Error::Codec`] on failure alone.
+fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
+    let mut c = Cursor { b: body, pos: from };
+    let mut starts = Vec::with_capacity(count);
+    let mut dues = Vec::with_capacity(count.div_ceil(DUE_STRIDE));
+    let (mut due, mut used): (LogicalTime, usize) = (0, 0);
+    // A dictionary id: one the records used before, or the next unused
+    // one.
+    let mut name = |c: &mut Cursor<'_>, context: &'static str| -> Result<()> {
+        let id = c.varint().map_err(|bad| c.fail(context, bad))?;
+        if id >= names as u64 {
+            return Err(malformed(
+                context,
+                format!("id {id} is past the dictionary's {names} names"),
+            ));
+        }
+        let id = id as usize;
+        if id > used {
+            return Err(malformed(
+                context,
+                format!("id {id} is used before id {used}, out of first-use order"),
+            ));
+        }
+        used += usize::from(id == used);
+        Ok(())
+    };
+    for i in 0..count {
+        starts.push(c.pos as u32);
+        let delta = c.varint().map_err(|bad| c.fail("record due", bad))?;
         due = due
             .checked_add(delta)
             .ok_or_else(|| malformed("record due", format!("due {due} + {delta} overflows")))?;
-        let op = match r.d.u8("record op")? {
-            0 => BaseOp::Insert,
-            1 => BaseOp::Delete,
+        if i % DUE_STRIDE == 0 {
+            dues.push(due);
+        }
+        match c.u8().map_err(|bad| c.fail("record op", bad))? {
+            0 | 1 => {}
             other => {
                 return Err(malformed(
                     "record op",
                     format!("expected 0 or 1, found {other}"),
                 ))
             }
-        };
-        let node = NodeId(r.name("record node")?);
-        let table = r.name("record table")?;
-        let arity = r.d.varint("record arity")?;
-        if arity.saturating_mul(MIN_FIELD_BYTES as u64) > r.d.remaining() as u64 {
+        }
+        name(&mut c, "record node")?;
+        name(&mut c, "record table")?;
+        let arity = c.varint().map_err(|bad| c.fail("record arity", bad))?;
+        if arity.saturating_mul(MIN_FIELD_BYTES as u64) > c.remaining() as u64 {
             return Err(malformed(
                 "record arity",
                 format!(
                     "arity {arity} exceeds what the {} bytes left can hold",
-                    r.d.remaining()
+                    c.remaining()
                 ),
             ));
         }
-        let mut args = Vec::with_capacity(arity as usize);
         for _ in 0..arity {
-            args.push(r.value()?);
-        }
-        events.push(BaseEvent {
-            due,
-            node,
-            tuple: Arc::new(Tuple { table, args }),
-            op,
-        });
-    }
-    if !r.d.is_exhausted() {
-        return Err(malformed(
-            "layer file",
-            format!(
-                "{} trailing byte(s) before the footer word",
-                r.d.remaining()
-            ),
-        ));
-    }
-    if r.used != r.names.len() {
-        return Err(malformed(
-            "layer dictionary",
-            format!(
-                "{} of its {} names no record uses",
-                r.names.len() - r.used,
-                r.names.len()
-            ),
-        ));
-    }
-    Ok((first_seq, events))
-}
-
-/// The records of a layer, after its dictionary.
-struct Records<'a> {
-    d: Dec<'a>,
-    /// The dictionary, each name interned once.
-    names: Vec<Sym>,
-    /// The names the records have used so far: ids below it.
-    used: usize,
-}
-
-impl<'a> Records<'a> {
-    /// Reads the dictionary at `d`'s cursor.
-    fn new(mut d: Dec<'a>) -> Result<Records<'a>> {
-        let n = d.varint("layer dictionary")?;
-        // Each name takes at least its length byte.
-        if n > d.remaining() as u64 {
-            return Err(malformed(
-                "layer dictionary",
-                format!("{n} names exceed the {} bytes left", d.remaining()),
-            ));
-        }
-        let mut names = Vec::with_capacity(n as usize);
-        // Names from a file: the default hasher, whose seed a crafted
-        // dictionary cannot collide against.
-        let mut seen = HashSet::with_capacity(n as usize);
-        for _ in 0..n {
-            let name = Sym::new(d.str("layer dictionary")?);
-            if !seen.insert(name) {
-                return Err(malformed(
-                    "layer dictionary",
-                    format!("{name:?} is filed twice"),
-                ));
-            }
-            names.push(name);
-        }
-        Ok(Records { d, names, used: 0 })
-    }
-
-    /// Reads a dictionary id: one the records used before, or the next
-    /// unused one.
-    fn name(&mut self, context: &'static str) -> Result<Sym> {
-        let id = self.d.varint(context)?;
-        if id >= self.names.len() as u64 {
-            return Err(malformed(
-                context,
-                format!(
-                    "id {id} is past the dictionary's {} names",
-                    self.names.len()
-                ),
-            ));
-        }
-        let id = id as usize;
-        if id > self.used {
-            return Err(malformed(
-                context,
-                format!(
-                    "id {id} is used before id {}, out of first-use order",
-                    self.used
-                ),
-            ));
-        }
-        self.used += usize::from(id == self.used);
-        Ok(self.names[id])
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.d.u8("field tag")? {
-            0 => Value::Int(self.d.zigzag("int field")?),
-            1 => match self.d.u8("bool field")? {
-                0 => Value::Bool(false),
-                1 => Value::Bool(true),
-                other => {
-                    return Err(malformed(
-                        "bool field",
-                        format!("expected 0 or 1, found {other}"),
-                    ))
+            match c.u8().map_err(|bad| c.fail("field tag", bad))? {
+                0 => {
+                    c.varint().map_err(|bad| c.fail("int field", bad))?;
                 }
-            },
-            2 => Value::Str(self.name("str field")?),
-            3 => Value::Ip(self.d.u32("ip field")?),
-            4 => {
-                let addr = self.d.u32("prefix field")?;
-                let len = self.d.u8("prefix field")?;
-                match Prefix::new(addr, len) {
-                    Ok(p) if p.addr() == addr => Value::Prefix(p),
-                    _ => {
+                1 => match c.u8().map_err(|bad| c.fail("bool field", bad))? {
+                    0 | 1 => {}
+                    other => {
+                        return Err(malformed(
+                            "bool field",
+                            format!("expected 0 or 1, found {other}"),
+                        ))
+                    }
+                },
+                2 => name(&mut c, "str field")?,
+                3 => {
+                    c.fixed::<4>().map_err(|bad| c.fail("ip field", bad))?;
+                }
+                4 => {
+                    let addr = c.fixed::<4>().map_err(|bad| c.fail("prefix field", bad))?;
+                    let addr = u32::from_le_bytes(addr);
+                    let len = c.u8().map_err(|bad| c.fail("prefix field", bad))?;
+                    if !Prefix::new(addr, len).is_ok_and(|p| p.addr() == addr) {
                         return Err(malformed(
                             "prefix field",
                             format!("{addr:#010x}/{len} is longer than 32 or has host bits set"),
-                        ))
+                        ));
                     }
                 }
+                5 => {
+                    c.fixed::<8>().map_err(|bad| c.fail("sum field", bad))?;
+                }
+                6 => {
+                    c.varint().map_err(|bad| c.fail("time field", bad))?;
+                }
+                other => return Err(malformed("field tag", format!("unknown tag {other}"))),
             }
-            5 => Value::Sum(self.d.u64("sum field")?),
-            6 => Value::Time(self.d.varint("time field")?),
-            other => return Err(malformed("field tag", format!("unknown tag {other}"))),
-        })
+        }
+    }
+    if c.remaining() != 0 {
+        return Err(malformed(
+            "layer file",
+            format!("{} trailing byte(s) before the footer word", c.remaining()),
+        ));
+    }
+    if used != names {
+        return Err(malformed(
+            "layer dictionary",
+            format!("{} of its {names} names no record uses", names - used),
+        ));
+    }
+    Ok(Walk { starts, dues, last_due: due })
+}
+
+/// What went wrong with one read of a [`Cursor`].
+#[derive(Clone, Copy)]
+enum Bad {
+    /// The bytes ran out: this many were needed.
+    Short(usize),
+    /// A varint longer than its value's minimal encoding, or past 64 bits.
+    Overlong,
+}
+
+/// The walk's cursor: [`Dec`]'s reads, each failing with a [`Bad`] the
+/// walk gives its context.
+struct Cursor<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.b.len() - self.pos
+    }
+
+    #[inline(always)]
+    fn u8(&mut self) -> std::result::Result<u8, Bad> {
+        let byte = *self.b.get(self.pos).ok_or(Bad::Short(1))?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    #[inline(always)]
+    fn fixed<const N: usize>(&mut self) -> std::result::Result<[u8; N], Bad> {
+        let bytes = *self.b[self.pos..].first_chunk().ok_or(Bad::Short(N))?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    /// A varint as [`Dec::varint`] reads it: the minimal encoding only.
+    #[inline(always)]
+    fn varint(&mut self) -> std::result::Result<u64, Bad> {
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(u64::from(first));
+        }
+        let (mut v, mut shift) = (u64::from(first & 0x7f), 7);
+        loop {
+            let b = self.u8()?;
+            if (shift == 63 && b > 1) || b == 0 {
+                return Err(Bad::Overlong);
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// The typed error of `bad`, read for `context` at the cursor.
+    #[cold]
+    fn fail(&self, context: &'static str, bad: Bad) -> Error {
+        malformed(
+            context,
+            match bad {
+                Bad::Short(n) => format!(
+                    "truncated: needed {n} byte(s) at offset {}, only {} left",
+                    self.pos,
+                    self.remaining()
+                ),
+                Bad::Overlong => format!("overlong varint ending at offset {}", self.pos),
+            },
+        )
     }
 }
 

@@ -6,25 +6,26 @@
 //! ([`layer`]). Layer files are all the store holds: base events are
 //! persisted, everything else is rebuilt by replay.
 //!
-//! ## One read: concatenation, into one log
+//! ## One read: concatenation, of the layers themselves
 //!
 //! Each layer is named for its `first_seq`, the number of events sealed
 //! before it, and holds a run of the replay order. The layers read in
 //! `first_seq` order, one after another, *are* the log's replay order, so
 //! the one read of the stack is a concatenation: no per-record sequence
 //! number, no merge, and nothing reads the store by node. The store keeps
-//! what it read as one [`EventLog`]: `open` moves each layer's decoded
-//! events into it, a seal appends the sealed run, and
-//! [`DurableStore::load_log`] hands out that log — a clone, sharing its
-//! events and the index a diagnosis builds on it. A layer keeps its place
-//! in the stack, its size and its path, not its events.
+//! its layers — each file's bytes, checked, with where its records start
+//! ([`layer`]) — as one [`EventLog`] backed by them: `open` appends each
+//! layer it checked, a seal appends the layer it wrote, and
+//! [`DurableStore::load_log`] hands out that log — a clone, sharing the
+//! layers and the index a diagnosis builds on it. No record becomes an
+//! event until a reader of the log asks for it.
 //!
 //! ## Recovery
 //!
 //! Recovery is [`DurableStore::open`] (every layer file checksum-verified
-//! and validated, the layers tiling `0..n` with dues that never decrease)
-//! and a replay of the store's log, on the path every whole-log replay
-//! takes. Replay is deterministic in replay order, so
+//! and every record checked, the layers tiling `0..n` with dues that never
+//! decrease) and a replay of the store's log, on the path every whole-log
+//! replay takes, which decodes each record once. Replay is deterministic in replay order, so
 //! the recovered stream has one identity: its digest
 //! ([`Execution::recovered_stream_digest`]) equals the in-memory
 //! [`Execution::stream_digest`] and the oracle's
@@ -37,6 +38,7 @@ pub mod layer;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dp_ndlog::HashSink;
 use dp_trace::Tracer;
@@ -81,14 +83,13 @@ impl Drop for TempDir {
 /// Layers are immutable once sealed; the store only ever appends new
 /// files. [`DurableStore::open`] rebuilds the store's log from the
 /// directory alone — that *is* the recovery path, and every file is
-/// checksum-verified eagerly so corruption surfaces as a typed
-/// [`Error::Codec`] before any event replays.
+/// checksum-verified and checked eagerly so corruption surfaces as a
+/// typed [`Error::Codec`] before any event replays.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    /// The stack's events: the sealed log, in replay order.
+    /// The sealed log, backed by the stack's layers in replay order.
     log: EventLog,
-    layers: Vec<Layer>,
     /// The tracer of the [`Execution`] that last spilled into this store
     /// (disabled until one does): times seals (`store.seal` spans) and
     /// carries the store's size levels.
@@ -97,13 +98,14 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens (or initializes) the store at `dir`, decoding and verifying
-    /// every layer file found there into the store's log; any other file
-    /// is ignored. In `first_seq` order the layers must tile the log: each
-    /// starts at the number of events before it, and its first due is no
-    /// earlier than its predecessor's last. A layer file missing from the
-    /// middle of the stack, or present twice under two names, is a typed
-    /// [`Error::Codec`], not a shorter or longer log.
+    /// Opens (or initializes) the store at `dir`, checking every layer
+    /// file found there ([`layer::read_layer`]) into the store's log; any
+    /// other file is ignored. No record is decoded. In `first_seq` order
+    /// the layers must tile the log: each starts at the number of events
+    /// before it, and its first due is no earlier than its predecessor's
+    /// last. A layer file missing from the middle of the stack, or present
+    /// twice under two names, is a typed [`Error::Codec`], not a shorter or
+    /// longer log.
     pub fn open(dir: &Path) -> Result<DurableStore> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Engine(format!("creating store dir {}: {e}", dir.display())))?;
@@ -118,9 +120,9 @@ impl DurableStore {
                 read.push(layer::read_layer(&path)?);
             }
         }
-        read.sort_by_key(|(l, _)| l.first_seq);
-        let (mut log, mut layers) = (EventLog::new(), Vec::with_capacity(read.len()));
-        for (l, events) in read {
+        read.sort_by_key(|l| l.first_seq);
+        let mut log = EventLog::new();
+        for l in read {
             let (seq, due) = (log.len() as u64, log.horizon());
             let broken = |detail: String| Error::Codec {
                 context: "layer stack",
@@ -133,19 +135,17 @@ impl DurableStore {
                     l.first_seq
                 )));
             }
-            if let Some(first) = events.first().filter(|e| e.due < due) {
+            if l.first_due() < due {
                 return Err(broken(format!(
                     "starts at due {}, before its predecessor's last due {due}",
-                    first.due
+                    l.first_due()
                 )));
             }
-            log.extend(events);
-            layers.push(l);
+            log.append_layer(Arc::new(l));
         }
         Ok(DurableStore {
             dir: dir.to_path_buf(),
             log,
-            layers,
             tracer: Tracer::disabled(),
             _temp: None,
         })
@@ -167,7 +167,8 @@ impl DurableStore {
 
     /// Seals `events` — the next run of the log's replay order — into one
     /// immutable layer file, named for the number of events this handle
-    /// sees sealed before it, and appends them to the store's log. A batch
+    /// sees sealed before it, and appends the layer, its bytes as written,
+    /// to the store's log: the store keeps no copy of the events. A batch
     /// whose dues decrease, or start before the stack's last due, is not
     /// such a run: that is an `Err` with nothing written. A handle behind
     /// its directory (another one sealed after it was opened) would name
@@ -188,8 +189,8 @@ impl DurableStore {
         let span = self.tracer.span("store.seal");
         let first_seq = self.event_count();
         let path = self.dir.join(format!("layer-{first_seq:020}.dply"));
-        self.layers.push(layer::write_layer(&path, first_seq, events)?);
-        self.log.extend(events.iter().cloned());
+        let layer = layer::write_layer(&path, first_seq, events)?;
+        self.log.append_layer(Arc::new(layer));
         let sealed = events.len() as u64;
         span.end_with(|agg| {
             agg.add("store.sealed_events", sealed);
@@ -203,7 +204,7 @@ impl DurableStore {
 
     /// Number of sealed layer files.
     pub fn layer_count(&self) -> usize {
-        self.layers.len()
+        self.log.layers().len()
     }
 
     /// Total events across all sealed layers.
@@ -213,7 +214,7 @@ impl DurableStore {
 
     /// Real on-disk bytes across all sealed layer files.
     pub fn layer_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.file_bytes).sum()
+        self.log.layers().iter().map(|l| l.file_bytes).sum()
     }
 
     /// Real on-disk bytes of the whole store: layer files are all it
@@ -223,7 +224,7 @@ impl DurableStore {
     }
 
     /// The sealed log, event for event in replay order: a clone of the
-    /// log the store holds, sharing its events and its index.
+    /// log the store holds, sharing its layers and its index.
     pub fn load_log(&self) -> EventLog {
         self.log.clone()
     }

@@ -34,15 +34,29 @@
 //! (`EventLog::index`) beside its events: built on first use, shared with
 //! them by the log's clones, and dropped by the next write. Set-up pays
 //! nothing for it, and an append stays a push.
+//!
+//! A log a store hands out holds no events: it holds the store's sealed
+//! layers ([`crate::Layer`]), the bytes the store wrote or opened, checked
+//! when they were, each record decoded where it lies when a reader asks
+//! for it. The index, a slice's cut and MAKEAPPEAR's key lookup read a
+//! log through one positional accessor (`EventLog::reader`): an event's
+//! node, table and fields, or the event — the same code for both
+//! storages — so a diagnosis from a store turns into events only the
+//! records its cuts hold and its key lookups find (counter
+//! `store.records_decoded`). [`EventLog::events`] on layers decodes the
+//! whole log into an owned [`EventsView`], the path of every whole-log
+//! reader; a write copies the events out first, as it does from a shared
+//! log, and leaves the layers to the store.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use dp_ndlog::Program;
+use dp_ndlog::{Fields, Program};
 use dp_trace::Tracer;
-use dp_types::{LogicalTime, NodeId, Result, Tuple};
+use dp_types::{LogicalTime, NodeId, Result, Sym, Tuple, Value};
 
+use crate::layers::layer::{Layer, Record};
 use crate::slice::Index;
 
 /// Whether a base event inserts or deletes its tuple.
@@ -87,9 +101,9 @@ pub struct EventLog(Arc<State>);
 
 #[derive(Clone, Default)]
 struct State {
-    events: Vec<BaseEvent>,
-    /// True when an append came before an earlier one's due: `events` is
-    /// not in replay order.
+    storage: Storage,
+    /// True when an append came before an earlier one's due: the events
+    /// are not in replay order.
     unsorted: bool,
     /// Largest `due` ever pushed.
     max_due: LogicalTime,
@@ -108,11 +122,40 @@ impl fmt::Debug for EventLog {
     }
 }
 
+/// Where a log's events are. Either way the state is the size it is for
+/// the events alone, so an in-memory log allocates as it always has.
+#[derive(Clone)]
+enum Storage {
+    /// The events, in arrival order.
+    Events(Vec<BaseEvent>),
+    /// The sealed layers the log reads its events from, tiling it in
+    /// replay order: a store's log.
+    Layers(Arc<[Arc<Layer>]>),
+}
+
+impl Default for Storage {
+    fn default() -> Self {
+        Storage::Events(Vec::new())
+    }
+}
+
 impl State {
+    /// The events, to write: a log backed by layers decodes them first,
+    /// leaving the layers to the store and to the log's clones.
+    fn events_mut(&mut self) -> &mut Vec<BaseEvent> {
+        if let Storage::Layers(layers) = &self.storage {
+            self.storage = Storage::Events(decode(layers));
+        }
+        match &mut self.storage {
+            Storage::Events(events) => events,
+            Storage::Layers(_) => unreachable!("decoded above"),
+        }
+    }
+
     fn push(&mut self, event: BaseEvent) {
         self.unsorted |= event.due < self.max_due;
         self.max_due = self.max_due.max(event.due);
-        self.events.push(event);
+        self.events_mut().push(event);
     }
 }
 
@@ -170,6 +213,16 @@ impl<'a, 'b> IntoIterator for &'b EventsView<'a> {
     }
 }
 
+/// How many records `layers`, tiling a log, hold.
+fn layered_len(layers: &[Arc<Layer>]) -> usize {
+    layers.last().map_or(0, |l| l.first_seq as usize + l.records())
+}
+
+/// Every record of `layers`, decoded, in replay order.
+fn decode(layers: &[Arc<Layer>]) -> Vec<BaseEvent> {
+    layers.iter().flat_map(|l| (0..l.records()).map(|i| l.event(i))).collect()
+}
+
 fn sort_events(events: &mut [BaseEvent]) {
     events.sort_by_key(|e| e.due); // sort_by_key is stable: arrival order within a due
 }
@@ -188,19 +241,68 @@ impl EventLog {
         state
     }
 
+    /// Appends a sealed layer, the next run of the log's replay order, to
+    /// a log that is empty or backed by layers (a store's): the layer
+    /// starts at the log's length, at a due no earlier than its horizon
+    /// (the store checks both).
+    pub(crate) fn append_layer(&mut self, layer: Arc<Layer>) {
+        debug_assert!(self.is_empty() || !self.layers().is_empty(), "the log holds events");
+        debug_assert_eq!(layer.first_seq, self.len() as u64);
+        debug_assert!(layer.first_due() >= self.horizon());
+        let layers = self.layers().iter().cloned().chain([Arc::clone(&layer)]).collect();
+        let state = self.state_mut();
+        state.max_due = state.max_due.max(layer.last_due());
+        state.storage = Storage::Layers(layers);
+    }
+
+    /// The sealed layers the log reads its events from: empty for a log
+    /// that holds its events.
+    pub fn layers(&self) -> &[Arc<Layer>] {
+        match &self.0.storage {
+            Storage::Events(_) => &[],
+            Storage::Layers(layers) => layers,
+        }
+    }
+
     /// The events in replay order.
     ///
     /// Borrows when the log is already ordered (always true right after
     /// [`EventLog::normalize`], or when every append arrived in order);
     /// otherwise returns an owned sorted copy. Mutating paths should
-    /// normalize first so repeated reads stay allocation-free.
+    /// normalize first so repeated reads stay allocation-free. A log
+    /// backed by layers decodes every record into an owned view.
     pub fn events(&self) -> EventsView<'_> {
-        if !self.0.unsorted {
-            EventsView(ViewInner::Borrowed(&self.0.events))
-        } else {
-            let mut copy = self.0.events.clone();
-            sort_events(&mut copy);
-            EventsView(ViewInner::Owned(copy))
+        self.view(&Tracer::disabled())
+    }
+
+    /// [`EventLog::events`], counting the records it decodes on `tracer`
+    /// (`store.records_decoded`).
+    fn view(&self, tracer: &Tracer) -> EventsView<'_> {
+        match &self.0.storage {
+            Storage::Layers(layers) => {
+                let events = decode(layers);
+                tracer.counter("store.records_decoded", events.len() as u64);
+                EventsView(ViewInner::Owned(events))
+            }
+            Storage::Events(events) if !self.0.unsorted => {
+                EventsView(ViewInner::Borrowed(events))
+            }
+            Storage::Events(events) => {
+                let mut copy = events.clone();
+                sort_events(&mut copy);
+                EventsView(ViewInner::Owned(copy))
+            }
+        }
+    }
+
+    /// The log's events by position in replay order: the one accessor the
+    /// index, a cut and a key lookup read a log through, whichever storage
+    /// holds it (module docs). A log with unsorted appends pending is read
+    /// through a sorted copy, as [`EventLog::events`] reads it.
+    pub(crate) fn reader(&self) -> Reader<'_> {
+        match &self.0.storage {
+            Storage::Events(_) => Reader::Events(self.events()),
+            Storage::Layers(layers) => Reader::Layers(layers),
         }
     }
 
@@ -209,8 +311,10 @@ impl EventLog {
     pub fn normalize(&mut self) {
         if self.0.unsorted {
             let state = self.state_mut();
-            state.effort += state.events.len() as u64;
-            sort_events(&mut state.events);
+            let events = state.events_mut();
+            let moved = events.len() as u64;
+            sort_events(events);
+            state.effort += moved;
             state.unsorted = false;
         }
     }
@@ -223,12 +327,15 @@ impl EventLog {
 
     /// Number of logged events.
     pub fn len(&self) -> usize {
-        self.0.events.len()
+        match &self.0.storage {
+            Storage::Events(events) => events.len(),
+            Storage::Layers(layers) => layered_len(layers),
+        }
     }
 
     /// True when nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.0.events.is_empty()
+        self.len() == 0
     }
 
     /// The replay horizon: the largest due time ever logged.
@@ -252,9 +359,9 @@ impl EventLog {
     pub(crate) fn index(&self, program: &Arc<Program>, tracer: &Tracer) -> Arc<Index> {
         let build = || {
             let span = tracer.span("replay.slice_index");
-            let events = self.events();
-            let index = Arc::new(Index::of(program, &events));
-            span.end_with(|agg| agg.add("replay.index_events", events.len() as u64));
+            let log = self.reader();
+            let index = Arc::new(Index::of(program, &log));
+            span.end_with(|agg| agg.add("replay.index_events", log.len() as u64));
             index
         };
         let (built_for, index) = self.0.index.get_or_init(|| (Arc::clone(program), build()));
@@ -320,7 +427,7 @@ impl EventLog {
         &self,
         engine: &mut dp_ndlog::Engine<S>,
     ) -> Result<usize> {
-        let events = self.events();
+        let events = self.view(engine.tracer());
         for e in events.iter() {
             let (node, tuple) = (e.node, Arc::clone(&e.tuple));
             match e.op {
@@ -329,6 +436,135 @@ impl EventLog {
             }
         }
         Ok(events.len())
+    }
+}
+
+/// An [`EventLog`]'s events by position in replay order
+/// ([`EventLog::reader`]).
+pub(crate) enum Reader<'a> {
+    /// A log that holds its events.
+    Events(EventsView<'a>),
+    /// A log backed by sealed layers.
+    Layers(&'a [Arc<Layer>]),
+}
+
+/// One event of a [`Reader`]: a logged event, or a layer's record read
+/// where it lies.
+#[derive(Clone, Copy)]
+pub(crate) enum Logged<'a> {
+    Event(&'a BaseEvent),
+    Record(Record<'a>),
+}
+
+impl Reader<'_> {
+    /// How many events the log holds.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Reader::Events(events) => events.len(),
+            Reader::Layers(layers) => layered_len(layers),
+        }
+    }
+
+    /// The event at position `at`, which must be below the length.
+    #[inline]
+    pub(crate) fn get(&self, at: usize) -> Logged<'_> {
+        match self {
+            Reader::Events(events) => Logged::Event(&events[at]),
+            Reader::Layers(layers) => {
+                let l = &layers[layers.partition_point(|l| l.first_seq as usize <= at) - 1];
+                Logged::Record(l.record(at - l.first_seq as usize))
+            }
+        }
+    }
+
+    /// Every event, in replay order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Logged<'_>> {
+        let (events, layers) = match self {
+            Reader::Events(events) => (&events[..], &[][..]),
+            Reader::Layers(layers) => (&[][..], *layers),
+        };
+        let records =
+            layers.iter().flat_map(|l| (0..l.records()).map(|i| Logged::Record(l.record(i))));
+        events.iter().map(Logged::Event).chain(records)
+    }
+
+    /// The log of the events at `positions`, ascending, counting the
+    /// records it decodes on `tracer` (`store.records_decoded`).
+    pub(crate) fn log_of(
+        &self,
+        positions: impl IntoIterator<Item = usize>,
+        tracer: &Tracer,
+    ) -> EventLog {
+        let log: EventLog = positions.into_iter().map(|at| self.get(at).event()).collect();
+        if let Reader::Layers(_) = self {
+            tracer.counter("store.records_decoded", log.len() as u64);
+        }
+        log
+    }
+}
+
+impl Logged<'_> {
+    /// The node the event's tuple lives on.
+    #[inline]
+    pub(crate) fn node(&self) -> NodeId {
+        match self {
+            Logged::Event(e) => e.node,
+            Logged::Record(r) => r.node,
+        }
+    }
+
+    /// The event's due.
+    pub(crate) fn due(&self) -> LogicalTime {
+        match self {
+            Logged::Event(e) => e.due,
+            Logged::Record(r) => r.due(),
+        }
+    }
+
+    /// True if the event's tuple is `tuple`.
+    pub(crate) fn is(&self, tuple: &Tuple) -> bool {
+        match self {
+            Logged::Event(e) => *e.tuple == *tuple,
+            Logged::Record(r) => {
+                r.table == tuple.table
+                    && r.arity == tuple.args.len()
+                    && tuple.args.iter().enumerate().all(|(c, v)| r.field(c).as_ref() == Some(v))
+            }
+        }
+    }
+
+    /// The event, decoded from a record.
+    pub(crate) fn event(&self) -> BaseEvent {
+        match self {
+            Logged::Event(e) => BaseEvent::clone(e),
+            Logged::Record(r) => r.event(),
+        }
+    }
+}
+
+impl Fields for Logged<'_> {
+    #[inline]
+    fn table(&self) -> Sym {
+        match self {
+            Logged::Event(e) => e.tuple.table,
+            Logged::Record(r) => r.table,
+        }
+    }
+
+    #[inline]
+    fn arity(&self) -> usize {
+        match self {
+            Logged::Event(e) => e.tuple.args.len(),
+            Logged::Record(r) => r.arity,
+        }
+    }
+
+    #[inline]
+    fn field(&self, col: usize) -> Option<Value> {
+        match self {
+            Logged::Event(e) => e.tuple.args.get(col).cloned(),
+            Logged::Record(r) => r.field(col),
+        }
     }
 }
 

@@ -57,11 +57,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
-use dp_ndlog::{Engine, Needs, Program, ProvenanceSink, Share, SlicePlan, TupleChange};
+use dp_ndlog::{Engine, Fields, Needs, Program, ProvenanceSink, Share, SlicePlan, TupleChange};
 use dp_trace::Tracer;
 use dp_types::{NodeId, Prefix, Sym, Tuple, Value, WordHasher};
 
-use crate::log::{BaseEvent, EventLog};
+use crate::log::{EventLog, Reader};
 
 /// What a slice keeps: the queried keys, the owner set and the addresses
 /// a guarded tuple must cover.
@@ -110,14 +110,16 @@ impl Cut {
 
     /// Widens the addresses by a key-group tuple's, or by the prefixes of
     /// a guarded tuple the guard does not pass yet; true if they grew.
-    fn cover(&mut self, plan: &SlicePlan, tuple: &Tuple) -> bool {
-        let addrs: Vec<u32> = match plan.share(&tuple.table) {
-            Share::Key(_) => tuple.args.iter().filter_map(|v| v.as_ip().ok()).collect(),
+    fn cover(&mut self, plan: &SlicePlan, tuple: &impl Fields) -> bool {
+        let addrs: Vec<u32> = match plan.share(&tuple.table()) {
+            Share::Key(_) => {
+                (0..tuple.arity()).filter_map(|c| tuple.field(c)?.as_ip().ok()).collect()
+            }
             _ if plan.covers(tuple, &self.addrs) => Vec::new(),
             _ => plan
-                .guard(&tuple.table)
+                .guard(&tuple.table())
                 .iter()
-                .filter_map(|&c| Some(tuple.args.get(c)?.as_prefix().ok()?.addr()))
+                .filter_map(|&c| Some(tuple.field(c)?.as_prefix().ok()?.addr()))
                 .collect(),
         };
         addrs.into_iter().fold(false, |grew, a| self.addrs.insert(a) | grew)
@@ -157,26 +159,28 @@ impl Cut {
     /// out. The nodes where a queried key enters join the owners first, and
     /// the addresses of its base tuples join the addresses. Counted: the
     /// guarded events it tested (`replay.cut_tested`), and those it filed
-    /// for an owner no cut had tested (`replay.index_events`).
+    /// for an owner no cut had tested (`replay.index_events`). Only the
+    /// events it holds are decoded from a log backed by layers.
     pub(crate) fn log(
         &mut self,
         plan: &SlicePlan,
         index: &Index,
-        log: &[BaseEvent],
+        log: &Reader<'_>,
         tracer: &Tracer,
     ) -> (EventLog, usize) {
         let mut keyed: Vec<u32> = Vec::new();
         for key in &self.keys {
             let of_key = |at: &&u32| {
-                let e = &log[**at as usize];
-                matches!(plan.needs(&e.node, &e.tuple), Needs::Key(k) if k == *key)
+                let e = log.get(**at as usize);
+                matches!(plan.needs(&e.node(), &e), Needs::Key(k) if k == *key)
             };
             let filed = index.keyed.get(hash_of(WordHasher::default(), [key]));
             keyed.extend(filed.iter().filter(of_key));
         }
         for &at in &keyed {
-            self.owners.insert(log[at as usize].node.0);
-            self.cover(plan, &log[at as usize].tuple);
+            let e = log.get(at as usize);
+            self.owners.insert(e.node().0);
+            self.cover(plan, &e);
         }
         let mut held: Vec<u32> = index.always.clone();
         held.extend(keyed);
@@ -208,11 +212,11 @@ impl Cut {
             let before = held.len();
             for net in nets {
                 for &at in filed.by_addr.get(net) {
-                    let tuple = &log[at as usize].tuple;
-                    let best = best_prefix(plan.guard(&tuple.table), tuple);
+                    let e = log.get(at as usize);
+                    let best = best_prefix(plan.guard(&e.table()), &e);
                     if best.is_some_and(|p| p.addr() == net) {
                         tested += 1;
-                        if plan.covers(tuple, &self.addrs) {
+                        if plan.covers(&e, &self.addrs) {
                             held.push(at);
                         }
                     }
@@ -222,7 +226,7 @@ impl Cut {
         }
         tracer.counter("replay.cut_tested", tested);
         held.sort_unstable();
-        (held.into_iter().map(|at| log[at as usize].clone()).collect(), dropped)
+        (log.log_of(held.into_iter().map(|at| at as usize), tracer), dropped)
     }
 
     /// Widens the cut by what `engine` held and read outside it: the
@@ -296,11 +300,11 @@ struct Filed {
 }
 
 impl Filed {
-    fn of(plan: &SlicePlan, guarded: &[u32], log: &[BaseEvent]) -> Filed {
+    fn of(plan: &SlicePlan, guarded: &[u32], log: &Reader<'_>) -> Filed {
         let (mut by_addr, mut lens, mut open) = (Vec::new(), 0u64, Vec::new());
         for &at in guarded {
-            let tuple = &log[at as usize].tuple;
-            match best_prefix(plan.guard(&tuple.table), tuple) {
+            let e = log.get(at as usize);
+            match best_prefix(plan.guard(&e.table()), &e) {
                 Some(p) => {
                     by_addr.push((p.addr(), at));
                     lens |= 1 << p.len();
@@ -356,7 +360,7 @@ impl Posting {
 }
 
 /// `site`'s hash continued by `values`, cut to 32 bits.
-fn hash_of<'v>(mut site: WordHasher, values: impl IntoIterator<Item = &'v Value>) -> u32 {
+fn hash_of<V: Hash>(mut site: WordHasher, values: impl IntoIterator<Item = V>) -> u32 {
     values.into_iter().for_each(|v| v.hash(&mut site));
     site.finish() as u32
 }
@@ -370,8 +374,8 @@ fn site(node: &NodeId, table: &Sym) -> WordHasher {
 
 /// The most specific prefix among `tuple`'s guarded columns, if one holds
 /// a prefix.
-fn best_prefix(guard: &[usize], tuple: &Tuple) -> Option<Prefix> {
-    let prefixes = guard.iter().filter_map(|&c| tuple.args.get(c)?.as_prefix().ok());
+fn best_prefix(guard: &[usize], tuple: &impl Fields) -> Option<Prefix> {
+    let prefixes = guard.iter().filter_map(|&c| tuple.field(c)?.as_prefix().ok());
     prefixes.max_by_key(|p| p.len())
 }
 
@@ -381,15 +385,16 @@ fn key_of<'p>(program: &'p Program, table: &Sym) -> &'p [usize] {
 }
 
 impl Index {
-    /// Reads `log` once: each run of one table's events at one node
-    /// resolves the table's share, guard and key once.
-    pub(crate) fn of(program: &Program, log: &[BaseEvent]) -> Index {
+    /// Reads `log` once, by its events' nodes, tables and fields: each
+    /// run of one table's events at one node resolves the table's share,
+    /// guard and key once.
+    pub(crate) fn of(program: &Program, log: &Reader<'_>) -> Index {
         let plan = program.slice_plan();
         let mut index = Index::default();
         let (mut keyed, mut by_key) = (Vec::new(), Vec::with_capacity(log.len()));
         let (mut slots, mut run, mut slot) = (BTreeMap::new(), None, usize::MAX);
         for (at, e) in log.iter().enumerate() {
-            let (node, table) = (e.node, e.tuple.table);
+            let (node, table) = (e.node(), e.table());
             let (share, guarded, key, at_site) = match run {
                 Some((n, t, resolved)) if n == node && t == table => resolved,
                 _ => {
@@ -401,8 +406,8 @@ impl Index {
                 }
             };
             let at = at as u32;
-            by_key.push(hash_of(at_site, key.iter().filter_map(|&c| e.tuple.args.get(c))));
-            let owner = match share.needs(&node, &e.tuple) {
+            by_key.push(hash_of(at_site, key.iter().filter_map(|&c| e.field(c))));
+            let owner = match share.needs(&node, &e) {
                 Needs::Key(k) => {
                     keyed.push((hash_of(WordHasher::default(), [&k]), at));
                     continue;
@@ -439,17 +444,17 @@ impl Index {
     pub(crate) fn by_key<'a>(
         &'a self,
         program: &'a Program,
-        log: &'a [BaseEvent],
+        log: &'a Reader<'_>,
         node: &'a NodeId,
         tuple: &'a Tuple,
     ) -> impl Iterator<Item = usize> + 'a {
         let key = key_of(program, &tuple.table);
         let hash = hash_of(site(node, &tuple.table), key.iter().filter_map(|&c| tuple.args.get(c)));
         self.by_key.get(hash).iter().map(|&at| at as usize).filter(move |&at| {
-            let e = &log[at];
-            e.node == *node
-                && e.tuple.table == tuple.table
-                && key.iter().all(|&c| e.tuple.args.get(c) == tuple.args.get(c))
+            let e = log.get(at);
+            e.node() == *node
+                && e.table() == tuple.table
+                && key.iter().all(|&c| e.field(c).as_ref() == tuple.args.get(c))
         })
     }
 }
@@ -468,7 +473,7 @@ pub fn cut_log(
 ) -> (EventLog, usize) {
     let mut cut = Cut { keys, owners, addrs, guarded };
     let index = exec.log.index(&exec.program, &exec.tracer);
-    cut.log(exec.program.slice_plan(), &index, &exec.log.events(), &exec.tracer)
+    cut.log(exec.program.slice_plan(), &index, &exec.log.reader(), &exec.tracer)
 }
 
 /// The slice a [`crate::Replayed`] holds: the cut and the cut's log,

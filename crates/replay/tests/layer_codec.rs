@@ -1,26 +1,33 @@
 //! Properties of the `DPLY` version 3 layer record, and a seeded fuzz of
 //! the layer reader.
 //!
-//! Seeded random events round-trip through `LayerEncoder` and
-//! `decode_layer`, and encode to exactly the bytes the format's
-//! specification spells out (`dply::layer`). The reader is then fed what a
-//! damaged or hostile file can hold — bit flips, truncations, splices of
-//! two layers, dictionary ids past the dictionary, overlong varints, huge
-//! arities — each re-checksummed, so that it reaches the decoder and not
-//! only the checksum. Every input gives a typed `Error::Codec` or a layer
+//! Seeded random events round-trip through `LayerEncoder` and the layer
+//! reader (`Layer::from_bytes`), and encode to exactly the bytes the
+//! format's specification spells out (`dply::layer`). The reader is then
+//! fed what a damaged or hostile file can hold — bit flips, truncations,
+//! splices of two layers, dictionary ids past the dictionary, overlong
+//! varints, huge arities — each re-checksummed, so that it reaches the
+//! decoder and not only the checksum. Every input gives a typed `Error::Codec` or a layer
 //! that re-encodes to the same bytes; a panic fails the test, and the
 //! decoder reads each byte once, so no input can hang it.
+//!
+//! The reader checks a layer at open (`Layer::from_bytes`) and decodes a
+//! record when it is read (`Layer::event`). Each input is also held to
+//! the one-pass whole decode at the end of this file: the check accepts
+//! exactly what the whole decode accepts, refuses the rest with the same
+//! `Error::Codec` context, and every record read by position is the
+//! whole decode's record there.
 
 mod dply;
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use dp_replay::layers::layer::{decode_layer, LayerEncoder};
+use dp_replay::layers::layer::{Layer, LayerEncoder};
 use dp_replay::{BaseEvent, BaseOp};
-use dp_types::codec::fnv64;
+use dp_types::codec::{fnv64, Dec};
 use dp_types::prefix::Prefix;
-use dp_types::{DetRng, Error, NodeId, Sym, Tuple, Value};
+use dp_types::{DetRng, Error, LogicalTime, NodeId, Result, Sym, Tuple, Value};
 use dply::Tweak;
 
 fn random_value(rng: &mut DetRng) -> Value {
@@ -105,9 +112,37 @@ fn rechecksum(mut pre: Vec<u8>) -> Vec<u8> {
     pre
 }
 
+/// Reads `bytes` as an open does and decodes every record: the layer's
+/// `first_seq` and its events.
+fn decode_layer(bytes: &[u8]) -> Result<(u64, Vec<BaseEvent>)> {
+    let layer = Layer::from_bytes(bytes.to_vec())?;
+    Ok((layer.first_seq, (0..layer.records()).map(|i| layer.event(i)).collect()))
+}
+
+/// Checks `bytes` as an open does and holds the outcome to the whole
+/// decode's: both accept, with the same records at every position, or
+/// both refuse, for the same context.
+fn agrees_with_the_whole_decode(bytes: &[u8], case: &str) {
+    match (Layer::from_bytes(bytes.to_vec()), whole_decode(bytes)) {
+        (Ok(layer), Ok((first_seq, events))) => {
+            assert_eq!(layer.first_seq, first_seq, "{case}: first-seq");
+            assert_eq!(layer.records(), events.len(), "{case}: records");
+            for (i, e) in events.iter().enumerate() {
+                assert!(layer.event(i) == *e, "{case}: record {i} reads otherwise by position");
+            }
+        }
+        (Err(Error::Codec { context: open, .. }), Err(Error::Codec { context: whole, .. })) => {
+            assert_eq!(open, whole, "{case}: refused for another reason");
+        }
+        (open, whole) => panic!("{case}: open gave {open:?}, the whole decode {whole:?}"),
+    }
+}
+
 /// Decodes `bytes`: a typed error (false), or a layer that re-encodes to
-/// `bytes` exactly (true). Anything else fails the test.
+/// `bytes` exactly (true). Anything else fails the test, and so does an
+/// open that departs from the whole decode.
 fn decodes(bytes: &[u8], case: &str) -> bool {
+    agrees_with_the_whole_decode(bytes, case);
     match decode_layer(bytes) {
         Ok((first_seq, events)) => {
             assert!(encode(first_seq, &events) == bytes, "{case}: re-encodes to other bytes");
@@ -130,6 +165,32 @@ fn random_layers_roundtrip_and_match_the_specification() {
         let (read_seq, read) = decode_layer(&bytes).unwrap();
         assert_eq!(read_seq, first_seq, "case {case}");
         assert!(read == events, "case {case}: the events read back differ");
+        agrees_with_the_whole_decode(&bytes, &format!("case {case}"));
+    }
+}
+
+/// Records read one at a time, in any order, are the events written:
+/// layers of up to 300 records, so that a read crosses the dues a layer
+/// keeps (one every 64 records) and sums the Δdues after one.
+#[test]
+fn records_read_by_position_are_the_events_written() {
+    let mut rng = DetRng::seed_from_u64(0x5EED_0F0F_F5E7);
+    for case in 0..60 {
+        let mut events = Vec::new();
+        while events.len() < rng.gen_range_usize(1, 300) {
+            let mut run = random_events(&mut rng);
+            let after = events.last().map_or(0, |e: &BaseEvent| e.due);
+            run.iter_mut().for_each(|e| e.due += after);
+            events.extend(run);
+        }
+        let layer = Layer::from_bytes(encode(7, &events)).unwrap();
+        assert_eq!(layer.records(), events.len(), "case {case}");
+        assert_eq!(layer.first_due(), events[0].due, "case {case}");
+        assert_eq!(layer.last_due(), events[events.len() - 1].due, "case {case}");
+        for _ in 0..events.len() {
+            let i = rng.gen_range_usize(0, events.len());
+            assert!(layer.event(i) == events[i], "case {case}: record {i}");
+        }
     }
 }
 
@@ -245,3 +306,223 @@ fn seeded_mutations_fail_typed_or_reencode_exactly() {
     // read (inside an address or a sum, say) and re-encoded byte for byte.
     assert!(0 < read && read < flips, "{read} of {flips} bit flips decoded");
 }
+
+// ---------------------------------------------------------------------
+// The reference: the one-pass whole decode.
+// ---------------------------------------------------------------------
+
+/// The fewest bytes a record can take: a one-byte due delta, op, node,
+/// table and arity.
+const MIN_RECORD_BYTES: usize = 5;
+
+/// The fewest bytes a field can take: its tag and a one-byte payload.
+const MIN_FIELD_BYTES: usize = 2;
+
+fn malformed(context: &'static str, detail: String) -> Error {
+    Error::Codec { context, detail }
+}
+
+/// The whole decode, as the layer reader made it in one pass before it
+/// was split into a check at open and a decode on read: a layer file's
+/// bytes into its `first_seq` and its events, the whole-file checksum
+/// verified before a single record is decoded, and then every field,
+/// building each event as it goes. The split reader is held to it.
+fn whole_decode(bytes: &[u8]) -> Result<(u64, Vec<BaseEvent>)> {
+    if bytes.len() < 12 {
+        return Err(malformed(
+            "layer file",
+            format!(
+                "{} bytes cannot hold a footer word and a checksum",
+                bytes.len()
+            ),
+        ));
+    }
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    let stored = Dec::new(sum).u64("layer checksum")?;
+    if fnv64(body) != stored {
+        return Err(malformed("layer checksum", "checksum mismatch".into()));
+    }
+    let (body, footer) = body.split_at(body.len() - 4);
+    let footer = Dec::new(footer).u32("layer footer")?;
+    if footer != 0 {
+        return Err(malformed(
+            "layer footer",
+            format!("a footer of {footer} bytes, where version 3 writes none"),
+        ));
+    }
+    let mut d = Dec::new(body);
+    d.header(b"DPLY", 3)?;
+    let first_seq = d.u64("layer first-seq")?;
+    let count = d.u32("layer record count")? as usize;
+    let mut r = Records::new(d)?;
+    // Refuse before reserving: the count is a header field's word.
+    if count == 0 || count > r.d.remaining() / MIN_RECORD_BYTES {
+        return Err(malformed(
+            "layer record count",
+            format!(
+                "{count} records is none, or more than the {} bytes left can hold",
+                r.d.remaining()
+            ),
+        ));
+    }
+    let mut events = Vec::with_capacity(count);
+    let mut due: LogicalTime = 0;
+    for _ in 0..count {
+        let delta = r.d.varint("record due")?;
+        due = due
+            .checked_add(delta)
+            .ok_or_else(|| malformed("record due", format!("due {due} + {delta} overflows")))?;
+        let op = match r.d.u8("record op")? {
+            0 => BaseOp::Insert,
+            1 => BaseOp::Delete,
+            other => {
+                return Err(malformed(
+                    "record op",
+                    format!("expected 0 or 1, found {other}"),
+                ))
+            }
+        };
+        let node = NodeId(r.name("record node")?);
+        let table = r.name("record table")?;
+        let arity = r.d.varint("record arity")?;
+        if arity.saturating_mul(MIN_FIELD_BYTES as u64) > r.d.remaining() as u64 {
+            return Err(malformed(
+                "record arity",
+                format!(
+                    "arity {arity} exceeds what the {} bytes left can hold",
+                    r.d.remaining()
+                ),
+            ));
+        }
+        let mut args = Vec::with_capacity(arity as usize);
+        for _ in 0..arity {
+            args.push(r.value()?);
+        }
+        events.push(BaseEvent {
+            due,
+            node,
+            tuple: Arc::new(Tuple { table, args }),
+            op,
+        });
+    }
+    if !r.d.is_exhausted() {
+        return Err(malformed(
+            "layer file",
+            format!(
+                "{} trailing byte(s) before the footer word",
+                r.d.remaining()
+            ),
+        ));
+    }
+    if r.used != r.names.len() {
+        return Err(malformed(
+            "layer dictionary",
+            format!(
+                "{} of its {} names no record uses",
+                r.names.len() - r.used,
+                r.names.len()
+            ),
+        ));
+    }
+    Ok((first_seq, events))
+}
+
+/// The records of a layer, after its dictionary.
+struct Records<'a> {
+    d: Dec<'a>,
+    /// The dictionary, each name interned once.
+    names: Vec<Sym>,
+    /// The names the records have used so far: ids below it.
+    used: usize,
+}
+
+impl<'a> Records<'a> {
+    /// Reads the dictionary at `d`'s cursor.
+    fn new(mut d: Dec<'a>) -> Result<Records<'a>> {
+        let n = d.varint("layer dictionary")?;
+        // Each name takes at least its length byte.
+        if n > d.remaining() as u64 {
+            return Err(malformed(
+                "layer dictionary",
+                format!("{n} names exceed the {} bytes left", d.remaining()),
+            ));
+        }
+        let mut names = Vec::with_capacity(n as usize);
+        // Names from a file: the default hasher, whose seed a crafted
+        // dictionary cannot collide against.
+        let mut seen = HashSet::with_capacity(n as usize);
+        for _ in 0..n {
+            let name = Sym::new(d.str("layer dictionary")?);
+            if !seen.insert(name) {
+                return Err(malformed(
+                    "layer dictionary",
+                    format!("{name:?} is filed twice"),
+                ));
+            }
+            names.push(name);
+        }
+        Ok(Records { d, names, used: 0 })
+    }
+
+    /// Reads a dictionary id: one the records used before, or the next
+    /// unused one.
+    fn name(&mut self, context: &'static str) -> Result<Sym> {
+        let id = self.d.varint(context)?;
+        if id >= self.names.len() as u64 {
+            return Err(malformed(
+                context,
+                format!(
+                    "id {id} is past the dictionary's {} names",
+                    self.names.len()
+                ),
+            ));
+        }
+        let id = id as usize;
+        if id > self.used {
+            return Err(malformed(
+                context,
+                format!(
+                    "id {id} is used before id {}, out of first-use order",
+                    self.used
+                ),
+            ));
+        }
+        self.used += usize::from(id == self.used);
+        Ok(self.names[id])
+    }
+
+    fn value(&mut self) -> Result<Value> {
+        Ok(match self.d.u8("field tag")? {
+            0 => Value::Int(self.d.zigzag("int field")?),
+            1 => match self.d.u8("bool field")? {
+                0 => Value::Bool(false),
+                1 => Value::Bool(true),
+                other => {
+                    return Err(malformed(
+                        "bool field",
+                        format!("expected 0 or 1, found {other}"),
+                    ))
+                }
+            },
+            2 => Value::Str(self.name("str field")?),
+            3 => Value::Ip(self.d.u32("ip field")?),
+            4 => {
+                let addr = self.d.u32("prefix field")?;
+                let len = self.d.u8("prefix field")?;
+                match Prefix::new(addr, len) {
+                    Ok(p) if p.addr() == addr => Value::Prefix(p),
+                    _ => {
+                        return Err(malformed(
+                            "prefix field",
+                            format!("{addr:#010x}/{len} is longer than 32 or has host bits set"),
+                        ))
+                    }
+                }
+            }
+            5 => Value::Sum(self.d.u64("sum field")?),
+            6 => Value::Time(self.d.varint("time field")?),
+            other => return Err(malformed("field tag", format!("unknown tag {other}"))),
+        })
+    }
+}
+

@@ -149,17 +149,17 @@ fn brute_cut(
     let plan = exec.program.slice_plan();
     let events = exec.log.events();
     for e in events.iter() {
-        if matches!(plan.needs(&e.node, &e.tuple), Needs::Key(k) if keys.contains(&k)) {
+        if matches!(plan.needs(&e.node, &*e.tuple), Needs::Key(k) if keys.contains(&k)) {
             owners.insert(e.node.0);
             addrs.extend(e.tuple.args.iter().filter_map(|v| v.as_ip().ok()));
         }
     }
     let (mut held, mut dropped) = (Vec::new(), 0);
     for e in events.iter() {
-        let holds = match plan.needs(&e.node, &e.tuple) {
+        let holds = match plan.needs(&e.node, &*e.tuple) {
             Needs::Key(k) => keys.contains(&k),
             Needs::Owner(o) if owners.contains(&o) => {
-                let covers = !guarded || plan.covers(&e.tuple, &addrs);
+                let covers = !guarded || plan.covers(&*e.tuple, &addrs);
                 dropped += usize::from(!covers);
                 covers
             }

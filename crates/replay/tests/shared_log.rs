@@ -2,11 +2,12 @@
 //!
 //! An [`EventLog`] is one `Arc` over its events, so cloning an execution
 //! to attach a tracer, or to hand the good and bad runs one log, is a
-//! reference count, and a store hands out the log it holds: opening a
-//! store decodes its layers into that log, and loading it afterwards
-//! copies nothing. Both are counted by a counting global allocator on the
-//! test-scale campus (bulk 40, seed 7: 10 066 events, 32 bytes each, so a
-//! copy of its events is ≈322 KB).
+//! reference count, and a store hands out the log it holds: a log backed
+//! by the store's layers, which opening the store checks without building
+//! a tuple and sealing keeps as the bytes it wrote, and which loading
+//! copies nothing of. All of it is counted by a counting global allocator
+//! on the test-scale campus (bulk 40, seed 7: 10 066 events, 32 bytes
+//! each, so a copy of its events is ≈322 KB, and its tuples take more).
 //!
 //! This file is its own test binary, and the counters are per thread and
 //! switched on by each test for its own thread only.
@@ -100,5 +101,50 @@ fn loading_an_opened_store_copies_no_events() {
     assert!(
         log.events() == exec.log.events(),
         "the loaded log is the sealed one"
+    );
+}
+
+
+/// Bytes a layer keeps beside its file per record: where the record
+/// starts (4) and, every 64th record, its due (8).
+fn kept_per_records(records: u64) -> u64 {
+    4 * records + records.div_ceil(64) * 8
+}
+
+#[test]
+fn spilling_keeps_the_bytes_it_wrote_and_copies_no_event() {
+    let exec = campus_exec();
+    let mut store = DurableStore::temp().unwrap();
+    let (_, spilled) = allocated(|| exec.spill_into(&mut store).unwrap());
+    // The layer files' bytes, kept; the encoder's record buffer, at most
+    // twice the records it holds (it grows by doubling); where each record
+    // starts; and the dictionaries, paths and file handles of three seals.
+    let (bytes, records) = (store.layer_bytes(), store.event_count());
+    let bound = 3 * bytes + kept_per_records(records) + 32 * 1024;
+    assert!(
+        spilled <= bound,
+        "spilling {records} events into {bytes} layer bytes allocated {spilled} bytes, \
+         more than the {bound} the layers and the encoder take"
+    );
+    assert!(
+        store.load_log().events() == exec.log.events(),
+        "the store's log is the spilled one"
+    );
+}
+
+#[test]
+fn opening_a_store_builds_no_tuple() {
+    let exec = campus_exec();
+    let mut store = DurableStore::temp().unwrap();
+    exec.spill_into(&mut store).unwrap();
+    let (opened, open) = allocated(|| DurableStore::open(store.dir()).unwrap());
+    // The files' bytes, where each record starts, the dictionaries and
+    // the directory listing: a tuple per record would take ≈1.7 MB more.
+    let (bytes, records) = (opened.layer_bytes(), opened.event_count());
+    let bound = bytes + kept_per_records(records) + 16 * 1024;
+    assert!(
+        open <= bound,
+        "opening {records} events in {bytes} layer bytes allocated {open} bytes, \
+         more than the {bound} the checked files take"
     );
 }

@@ -150,8 +150,13 @@ fn assert_recovered(dir: &Path, exec: &Execution, shape: &mut Shape, case: &str)
         exec.reference_stream_digest().unwrap(),
         "{case}: vs the reference evaluator"
     );
-    let layers: Vec<Vec<BaseEvent>> =
-        layer_files(dir).iter().map(|p| read_layer(p).unwrap().1).collect();
+    let layers: Vec<Vec<BaseEvent>> = layer_files(dir)
+        .iter()
+        .map(|p| {
+            let layer = read_layer(p).unwrap();
+            (0..layer.records()).map(|i| layer.event(i)).collect()
+        })
+        .collect();
     shape.layers = shape.layers.max(layers.len());
     shape.mixed |= layers.iter().any(|l| l.iter().any(|e| e.node != l[0].node));
 }
@@ -300,6 +305,37 @@ fn a_stale_handle_cannot_overwrite_a_sealed_layer() {
         exec.recovered_stream_digest(&reopened).unwrap(),
         exec.stream_digest().unwrap()
     );
+}
+
+/// A loaded log is backed by the store's layers, and writing to it
+/// decodes its events out first: the written log holds the sealed events
+/// and the new one, and the store — its log, its layers and its next seal
+/// — is as it was. The same holds for the log of a store that sealed it.
+#[test]
+fn a_write_to_a_loaded_log_leaves_the_store_as_it_was() {
+    let exec = execution(7);
+    let mut rng = DetRng::seed_from_u64(0x10AD);
+    let mut store = sealed(&exec.log, &mut rng);
+    let reopened = DurableStore::open(store.dir()).unwrap();
+    for (case, handle) in [("sealed", &store), ("reopened", &reopened)] {
+        let mut log = handle.load_log();
+        assert_eq!(log.layers().len(), handle.layer_count(), "{case}: backed by the layers");
+        log.insert(log.horizon() + 1, "n1", tuple!("in", 99));
+        assert!(log.layers().is_empty(), "{case}: the written log holds its events");
+        let events = log.events();
+        assert_eq!(events.len(), exec.log.len() + 1, "{case}");
+        assert!(events[..exec.log.len()] == exec.log.events()[..], "{case}: the sealed events");
+        assert!(handle.load_log().events() == exec.log.events(), "{case}: the store's log");
+    }
+    let next = BaseEvent {
+        due: exec.log.horizon() + 1,
+        node: "n1".into(),
+        tuple: Arc::new(tuple!("in", 100)),
+        op: BaseOp::Insert,
+    };
+    store.seal_events(&[next]).unwrap();
+    let grown = DurableStore::open(store.dir()).unwrap();
+    assert_eq!(grown.event_count(), exec.log.len() as u64 + 1, "the next seal follows on");
 }
 
 /// A seal is the next run of the replay order, or nothing: a batch whose

@@ -29,6 +29,7 @@ impl Prefix {
     /// Creates a prefix, normalizing the address by masking off host bits.
     ///
     /// Returns an error if `len > 32`.
+    #[inline]
     pub fn new(addr: u32, len: u8) -> Result<Self, Error> {
         if len > 32 {
             return Err(Error::Parse(format!("prefix length {len} > 32")));
@@ -50,6 +51,7 @@ impl Prefix {
     }
 
     /// The (masked) base address.
+    #[inline]
     pub fn addr(&self) -> u32 {
         self.addr
     }
@@ -61,6 +63,7 @@ impl Prefix {
     }
 
     /// The prefix length in bits.
+    #[inline]
     pub fn len(&self) -> u8 {
         self.len
     }

@@ -35,7 +35,9 @@
 # replays a slice smaller than its log, closed in at most four rounds,
 # its log indexed at most once and cut once per round (its UPDATETREE
 # cuts nothing); a check that its MAKEAPPEAR key lookups hold no more rows
-# than the entries they replace; a seeded fuzz of the layer reader; a
+# than the entries they replace; a check that a cold diagnosis from a
+# store decodes no record at open and no more than its slice and its key
+# lookups need; a seeded fuzz of the layer reader; a
 # seeded fuzz of the NDlog parser; a check that every repository path
 # DESIGN.md cites exists, and every `Type::name` it cites names something
 # in the code; a grep gate against a store that holds its events beside
@@ -178,6 +180,15 @@ finds_the_replaced_entry_by_key() {
     fi
 }
 step "campus finds the replaced entry by its key" finds_the_replaced_entry_by_key
+# A cold diagnosis decodes its slice: the campus at 40 and 400 bulk entries
+# per router is spilled into a store, reopened and diagnosed from the
+# directory alone. Opening checks every record and decodes none, the
+# diagnosis decodes at most four times the events its slice holds plus
+# those its key lookups find, and the recovery digest, a whole-log reader,
+# decodes every record once — read off the `store.records_decoded`
+# counter (the suite ran it once; this step names it).
+step "a cold diagnosis decodes its slice" cargo test --release -q --test end_to_end \
+    -- --exact a_cold_diagnosis_decodes_its_slice
 # A layer file is outside input. The layer reader is fed seeded mutations
 # of sealed DPLY v3 layers — bit flips, truncations, splices, dictionary
 # ids past the dictionary, overlong varints, huge arities — each

@@ -308,6 +308,112 @@ fn a_diagnosis_folds_the_whole_log_a_counted_number_of_times() {
     assert_eq!(reads, [(true, 0); 3]);
 }
 
+/// The cold diagnosis from a store, timed (EXPERIMENTS.md's row of that
+/// name): the campus at `campus_durable`'s inputs (418 bulk entries per
+/// router, 400 packets: 101 086 events) and at Section 6.7's scale (3 130
+/// per router: 751 966 events) is spilled into a store, then opened and
+/// diagnosed from the directory eleven times; the medians and quartiles
+/// of open, diagnosis and both are printed. Run it alone, in release:
+/// `cargo test --release --test end_to_end -- --ignored --nocapture
+/// a_cold_diagnosis_from_the_store_is_timed`.
+#[test]
+#[ignore = "a timing, not a check: run it alone"]
+fn a_cold_diagnosis_from_the_store_is_timed() {
+    use diffprov::replay::{DurableStore, Execution};
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::DiffProv;
+    use std::time::Instant;
+    for bulk in [418, 3_130] {
+        let s = campus(&CampusConfig {
+            seed: 7,
+            bulk_entries_per_router: bulk,
+            background_packets: 400,
+            ..CampusConfig::default()
+        })
+        .scenario;
+        let mut store = DurableStore::temp().unwrap();
+        s.bad_exec.spill_into(&mut store).unwrap();
+        let (mut open, mut diagnose, mut total) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..11 {
+            let t0 = Instant::now();
+            let opened = DurableStore::open(store.dir()).unwrap();
+            let mut exec = Execution::new(std::sync::Arc::clone(&s.bad_exec.program));
+            exec.log = opened.load_log();
+            let t1 = Instant::now();
+            let report = DiffProv::default().diagnose(&exec, &s.good_event, &exec, &s.bad_event);
+            assert!(report.unwrap().verified, "bulk {bulk}");
+            let t2 = Instant::now();
+            open.push((t1 - t0).as_secs_f64() * 1e3);
+            diagnose.push((t2 - t1).as_secs_f64() * 1e3);
+            total.push((t2 - t0).as_secs_f64() * 1e3);
+        }
+        let quartiles = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            format!("{:.1} [{:.1}, {:.1}] ms", v[5], v[2], v[8])
+        };
+        println!(
+            "{} events, {} layer bytes: open {}, diagnosis {}, both {}",
+            s.bad_exec.log.len(),
+            store.layer_bytes(),
+            quartiles(&mut open),
+            quartiles(&mut diagnose),
+            quartiles(&mut total)
+        );
+    }
+}
+
+/// A diagnosis from a store turns into events only what it reads: at 40
+/// and 400 bulk entries per router, the campus is spilled into a store,
+/// reopened and diagnosed from the reopened log alone. Opening decodes no
+/// record — the log it hands out is backed by the layers — the diagnosis
+/// decodes at most four times the events its slice holds plus those its
+/// key lookups find, and a whole-log reader, the recovery digest, decodes
+/// every record once (counter `store.records_decoded`).
+#[test]
+fn a_cold_diagnosis_decodes_its_slice() {
+    use diffprov::replay::{DurableStore, Execution};
+    use diffprov::sdn::{campus, CampusConfig};
+    use diffprov::trace::Tracer;
+    use diffprov::DiffProv;
+    for bulk in [40, 400] {
+        let s = campus(&CampusConfig {
+            seed: 7,
+            bulk_entries_per_router: bulk,
+            background_packets: 100,
+            ..CampusConfig::default()
+        })
+        .scenario;
+        let mut store = DurableStore::temp().unwrap();
+        s.bad_exec.spill_into(&mut store).unwrap();
+        let tracer = Tracer::aggregate_only();
+        let opened = DurableStore::open(store.dir()).unwrap();
+        let mut exec = Execution::new(std::sync::Arc::clone(&s.bad_exec.program));
+        exec.log = opened.load_log();
+        exec.tracer = tracer.clone();
+        let logged = exec.log.len() as u64;
+        assert_eq!(logged, s.bad_exec.log.len() as u64, "bulk {bulk}");
+        assert_eq!(exec.log.layers().len(), opened.layer_count(), "bulk {bulk}: backed by layers");
+        assert_eq!(tracer.aggregate().counter("store.records_decoded"), 0, "bulk {bulk}: open");
+
+        let report = DiffProv::default().diagnose(&exec, &s.good_event, &exec, &s.bad_event);
+        let report = report.unwrap();
+        assert!(report.verified, "bulk {bulk}: {report}");
+        let agg = tracer.aggregate();
+        let decoded = agg.counter("store.records_decoded");
+        let held = agg.counter("replay.slice_events");
+        let found = agg.counter("replay.key_events");
+        assert!(held > 0 && held * 20 < logged, "bulk {bulk}: a slice of {held} of {logged}");
+        assert!(
+            decoded <= 4 * held + found,
+            "bulk {bulk}: {decoded} records decoded for a slice of {held} and {found} found by key"
+        );
+
+        exec.recovered_stream_digest(&opened).unwrap();
+        let whole = tracer.aggregate().counter("store.records_decoded") - decoded;
+        assert_eq!(whole, logged, "bulk {bulk}: the recovery digest decodes every record once");
+    }
+}
+
 /// A diagnosis's reads outside its slice do not grow with the log: on the
 /// campus at 40 and at 400 bulk entries per router, a repeat diagnosis of
 /// a log reads no index events, and the guarded events its cuts test stay
