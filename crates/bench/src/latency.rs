@@ -15,8 +15,7 @@ use dp_ndlog::{Engine, NullSink, ProvEvent, ProvenanceSink};
 use dp_replay::layers::layer::LayerEncoder;
 use dp_replay::{BaseOp, Execution};
 use dp_sdn::TraceConfig;
-use dp_types::codec::fnv64;
-use dp_types::Result;
+use dp_types::{fnv64, Result};
 
 use crate::storage::border_execution;
 

@@ -7,8 +7,7 @@
 //! so "the buggy mapper drops the first word of each line" has a clean,
 //! queryable effect on specific word counts.
 
-use dp_types::codec::fnv64;
-use dp_types::DetRng;
+use dp_types::{fnv64, DetRng};
 
 /// One input file: a name, its lines, and a content checksum (the paper's
 /// HDFS file checksum, used by the replay engine to identify inputs).

@@ -22,8 +22,9 @@ use std::sync::Arc;
 
 use dp_ndlog::expr::hash_value;
 use dp_ndlog::{Emitter, NativeRule, NodeView, Program};
-use dp_types::codec::fnv64;
-use dp_types::{FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, Tuple, TupleRef, Value};
+use dp_types::{
+    fnv64, FieldType, NodeId, Result, Schema, SchemaRegistry, Sym, Tuple, TupleRef, Value,
+};
 
 /// Checksum of the correct mapper implementation ("bytecode signature").
 pub const GOOD_MAPPER: u64 = 0x600d_600d_600d_600d;

@@ -28,8 +28,7 @@
 
 use std::fmt;
 
-use dp_types::codec::fnv64;
-use dp_types::{Error, Prefix, Result, Sym, Value};
+use dp_types::{fnv64, Error, Prefix, Result, Sym, Value};
 
 /// A variable binding environment: `(name, value)` pairs sorted by name,
 /// with the map operations the workspace uses (see the module docs).

@@ -29,11 +29,18 @@
 //!                       5 sum: u64          6 time: var
 //! ```
 //!
-//! `var` is a minimal LEB128 varint and `str` a varint length and UTF-8
-//! bytes ([`dp_types::codec`]). A record names each name by its id, so a
-//! layer turns a name into a symbol once, in its dictionary, whatever
-//! number of records carry it: a packet's record is 22 bytes, a
-//! MapReduce record a few more than its fields.
+//! `var` is a minimal LEB128 varint (seven bits a byte, low bits first,
+//! the top bit set on every byte but the last), `str` a varint length and
+//! UTF-8 bytes, and every fixed-width word little-endian, so a value has
+//! one encoding and a file can be compared and checksummed byte for byte.
+//! A record names each name by its id, so a layer turns a name into a
+//! symbol once, in its dictionary, whatever number of records carry it: a
+//! packet's record is 22 bytes, a MapReduce record a few more than its
+//! fields.
+//!
+//! The format is this module's alone: [`LayerEncoder`] writes it into a
+//! byte vector, and one checked cursor reads every byte of it back, from
+//! the checksum and the header to the last field.
 //!
 //! The footer word leaves a place for derived data a reader could use
 //! without walking the records; version 3 writes none, and a nonzero word
@@ -42,9 +49,11 @@
 //! ## Checked at open, decoded on read
 //!
 //! [`Layer::from_bytes`] is the one reader, and it reads in two parts. At
-//! open it checks the file — the whole-file checksum first, so truncation
-//! and bit rot surface as [`Error::Codec`] before anything else is read,
-//! never as a panic mid-recovery. FNV-1a is no secret, so a file that
+//! open it checks the file through one cursor, each of whose reads names
+//! only what went wrong and becomes a typed [`Error::Codec`], with the
+//! read's context, on failure alone — the whole-file checksum first, so
+//! truncation and bit rot surface before anything else is read, never as
+//! a panic mid-recovery. FNV-1a is no secret, so a file that
 //! passes it is still outside input: every record is then walked and
 //! every field checked — the version (3 exactly), a record count and
 //! arities the bytes left can hold, minimal varints, a due that fits in
@@ -74,8 +83,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dp_types::codec::{fnv64, Dec, Enc};
-use dp_types::{Error, LogicalTime, NodeId, Prefix, Result, Sym, Tuple, Value, WordBuildHasher};
+use dp_types::{
+    fnv64, Error, LogicalTime, NodeId, Prefix, Result, Sym, Tuple, Value, WordBuildHasher,
+};
 
 use crate::log::{BaseEvent, BaseOp};
 
@@ -155,7 +165,7 @@ pub struct LayerEncoder {
     /// The dictionary, in first-use order.
     names: Vec<Sym>,
     /// The records so far.
-    records: Enc,
+    records: Vec<u8>,
     /// How many records `records` holds.
     count: usize,
     /// The last record's due.
@@ -179,14 +189,14 @@ impl LayerEncoder {
         })?;
         self.due = due;
         self.count += 1;
-        self.records.varint(delta);
-        self.records.u8(match op {
+        put_varint(&mut self.records, delta);
+        self.records.push(match op {
             BaseOp::Insert => 0,
             BaseOp::Delete => 1,
         });
         self.name(node.0);
         self.name(tuple.table);
-        self.records.varint(tuple.args.len() as u64);
+        put_varint(&mut self.records, tuple.args.len() as u64);
         for v in &tuple.args {
             self.value(v);
         }
@@ -200,40 +210,39 @@ impl LayerEncoder {
             names.push(name);
             names.len() as u64 - 1
         });
-        self.records.varint(id);
+        put_varint(&mut self.records, id);
     }
 
     fn value(&mut self, v: &Value) {
         let r = &mut self.records;
         match *v {
             Value::Int(i) => {
-                r.u8(0);
-                r.zigzag(i);
+                r.push(0);
+                // The zigzag image (0, −1, 1, −2, … → 0, 1, 2, 3, …): small
+                // magnitudes of either sign take one byte.
+                put_varint(r, ((i << 1) ^ (i >> 63)) as u64);
             }
-            Value::Bool(b) => {
-                r.u8(1);
-                r.u8(u8::from(b));
-            }
+            Value::Bool(b) => r.extend_from_slice(&[1, u8::from(b)]),
             Value::Str(s) => {
-                r.u8(2);
+                r.push(2);
                 self.name(s);
             }
             Value::Ip(ip) => {
-                r.u8(3);
-                r.u32(ip);
+                r.push(3);
+                r.extend_from_slice(&ip.to_le_bytes());
             }
             Value::Prefix(p) => {
-                r.u8(4);
-                r.u32(p.addr());
-                r.u8(p.len());
+                r.push(4);
+                r.extend_from_slice(&p.addr().to_le_bytes());
+                r.push(p.len());
             }
             Value::Sum(s) => {
-                r.u8(5);
-                r.u64(s);
+                r.push(5);
+                r.extend_from_slice(&s.to_le_bytes());
             }
             Value::Time(t) => {
-                r.u8(6);
-                r.varint(t);
+                r.push(6);
+                put_varint(r, t);
             }
         }
     }
@@ -253,24 +262,38 @@ impl LayerEncoder {
             context: "layer record count",
             detail: format!("{} records exceed u32::MAX", self.count),
         })?;
-        let mut head = Enc::new();
-        head.header(LAYER_MAGIC, LAYER_VERSION);
-        head.u64(first_seq);
-        head.u32(count);
-        head.varint(self.names.len() as u64);
+        let mut head = [
+            &LAYER_MAGIC[..],
+            &LAYER_VERSION.to_le_bytes(),
+            &first_seq.to_le_bytes(),
+            &count.to_le_bytes(),
+        ]
+        .concat();
+        put_varint(&mut head, self.names.len() as u64);
         for name in &self.names {
-            head.str(name.as_str());
+            let name = name.as_str();
+            put_varint(&mut head, name.len() as u64);
+            head.extend_from_slice(name.as_bytes());
         }
         // The file in one allocation of its size: a layer keeps it.
-        let records = self.records.bytes();
-        let mut bytes = Vec::with_capacity(head.len() + records.len() + 12);
-        bytes.extend_from_slice(head.bytes());
-        bytes.extend_from_slice(records);
+        let mut bytes = Vec::with_capacity(head.len() + self.records.len() + 12);
+        bytes.extend_from_slice(&head);
+        bytes.extend_from_slice(&self.records);
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let sum = fnv64(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         Ok(bytes)
     }
+}
+
+/// Appends `v` as a minimal varint.
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// Writes `bytes` to a temporary name unique to this call, syncs it,
@@ -337,7 +360,7 @@ impl Layer {
             ));
         }
         let (body, sum) = bytes.split_at(bytes.len() - 8);
-        let stored = Dec::new(sum).u64("layer checksum")?;
+        let stored = u64::from_le_bytes(Cursor::new(sum).read("layer checksum", Cursor::fixed)?);
         if fnv64(body) != stored {
             return Err(malformed("layer checksum", "checksum mismatch".into()));
         }
@@ -347,31 +370,44 @@ impl Layer {
     /// Checks everything of a layer file at least 12 bytes long but its
     /// checksum, and keeps it.
     fn walked(bytes: Vec<u8>, path: PathBuf) -> Result<Layer> {
-        let body = &bytes[..bytes.len() - 8];
-        let (body, footer) = body.split_at(body.len() - 4);
-        let footer = Dec::new(footer).u32("layer footer")?;
+        let (body, footer) = bytes[..bytes.len() - 8].split_at(bytes.len() - 12);
+        let footer = u32::from_le_bytes(Cursor::new(footer).read("layer footer", Cursor::fixed)?);
         if footer != 0 {
             return Err(malformed(
                 "layer footer",
                 format!("a footer of {footer} bytes, where version {LAYER_VERSION} writes none"),
             ));
         }
-        let mut d = Dec::new(body);
-        d.header(LAYER_MAGIC, LAYER_VERSION)?;
-        let first_seq = d.u64("layer first-seq")?;
-        let count = d.u32("layer record count")? as usize;
-        let names = dictionary(&mut d)?;
+        let mut c = Cursor::new(body);
+        let magic: [u8; 4] = c.read("header magic", Cursor::fixed)?;
+        if magic != *LAYER_MAGIC {
+            return Err(malformed(
+                "header magic",
+                format!("expected {LAYER_MAGIC:02x?}, found {magic:02x?}"),
+            ));
+        }
+        // A format has one reader, for its one version.
+        let version = u16::from_le_bytes(c.read("header version", Cursor::fixed)?);
+        if version != LAYER_VERSION {
+            return Err(malformed(
+                "header version",
+                format!("found version {version}, expected version {LAYER_VERSION}"),
+            ));
+        }
+        let first_seq = u64::from_le_bytes(c.read("layer first-seq", Cursor::fixed)?);
+        let count = u32::from_le_bytes(c.read("layer record count", Cursor::fixed)?) as usize;
+        let names = dictionary(&mut c)?;
         // Refuse before reserving: the count is a header field's word.
-        if count == 0 || count > d.remaining() / MIN_RECORD_BYTES {
+        if count == 0 || count > c.remaining() / MIN_RECORD_BYTES {
             return Err(malformed(
                 "layer record count",
                 format!(
                     "{count} records is none, or more than the {} bytes left can hold",
-                    d.remaining()
+                    c.remaining()
                 ),
             ));
         }
-        let walk = walk(body, d.position(), count, names.len())?;
+        let walk = walk(c, count, names.len())?;
         Ok(Layer {
             first_seq,
             file_bytes: bytes.len() as u64,
@@ -554,14 +590,14 @@ fn fixed_at<const N: usize>(b: &[u8], at: &mut usize) -> [u8; N] {
     bytes
 }
 
-/// Reads the dictionary at `d`'s cursor, each name interned once.
-fn dictionary(d: &mut Dec<'_>) -> Result<Vec<Sym>> {
-    let n = d.varint("layer dictionary")?;
+/// Reads the dictionary at `c`, each name interned once.
+fn dictionary(c: &mut Cursor<'_>) -> Result<Vec<Sym>> {
+    let n = c.read("layer dictionary", Cursor::varint)?;
     // Each name takes at least its length byte.
-    if n > d.remaining() as u64 {
+    if n > c.remaining() as u64 {
         return Err(malformed(
             "layer dictionary",
-            format!("{n} names exceed the {} bytes left", d.remaining()),
+            format!("{n} names exceed the {} bytes left", c.remaining()),
         ));
     }
     let mut names = Vec::with_capacity(n as usize);
@@ -569,7 +605,7 @@ fn dictionary(d: &mut Dec<'_>) -> Result<Vec<Sym>> {
     // dictionary cannot collide against.
     let mut seen = HashSet::with_capacity(n as usize);
     for _ in 0..n {
-        let name = Sym::new(d.str("layer dictionary")?);
+        let name = Sym::new(c.read("layer dictionary", Cursor::str)?);
         if !seen.insert(name) {
             return Err(malformed(
                 "layer dictionary",
@@ -588,20 +624,17 @@ struct Walk {
     last_due: LogicalTime,
 }
 
-/// Walks the `count` records of `body` from `from` to its end, checking
+/// Walks the `count` records from `c` to the end of its bytes, checking
 /// every field and keeping where each record starts and every
-/// [`DUE_STRIDE`]th due; `names` is the dictionary's length. One loop:
-/// each read names only what went wrong ([`Bad`]), and the walk turns it
-/// into a typed [`Error::Codec`] on failure alone.
-fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
-    let mut c = Cursor { b: body, pos: from };
+/// [`DUE_STRIDE`]th due; `names` is the dictionary's length.
+fn walk(mut c: Cursor<'_>, count: usize, names: usize) -> Result<Walk> {
     let mut starts = Vec::with_capacity(count);
     let mut dues = Vec::with_capacity(count.div_ceil(DUE_STRIDE));
     let (mut due, mut used): (LogicalTime, usize) = (0, 0);
     // A dictionary id: one the records used before, or the next unused
     // one.
     let mut name = |c: &mut Cursor<'_>, context: &'static str| -> Result<()> {
-        let id = c.varint().map_err(|bad| c.fail(context, bad))?;
+        let id = c.read(context, Cursor::varint)?;
         if id >= names as u64 {
             return Err(malformed(
                 context,
@@ -620,14 +653,14 @@ fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
     };
     for i in 0..count {
         starts.push(c.pos as u32);
-        let delta = c.varint().map_err(|bad| c.fail("record due", bad))?;
+        let delta = c.read("record due", Cursor::varint)?;
         due = due
             .checked_add(delta)
             .ok_or_else(|| malformed("record due", format!("due {due} + {delta} overflows")))?;
         if i % DUE_STRIDE == 0 {
             dues.push(due);
         }
-        match c.u8().map_err(|bad| c.fail("record op", bad))? {
+        match c.read("record op", Cursor::u8)? {
             0 | 1 => {}
             other => {
                 return Err(malformed(
@@ -638,7 +671,7 @@ fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
         }
         name(&mut c, "record node")?;
         name(&mut c, "record table")?;
-        let arity = c.varint().map_err(|bad| c.fail("record arity", bad))?;
+        let arity = c.read("record arity", Cursor::varint)?;
         if arity.saturating_mul(MIN_FIELD_BYTES as u64) > c.remaining() as u64 {
             return Err(malformed(
                 "record arity",
@@ -649,11 +682,11 @@ fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
             ));
         }
         for _ in 0..arity {
-            match c.u8().map_err(|bad| c.fail("field tag", bad))? {
+            match c.read("field tag", Cursor::u8)? {
                 0 => {
-                    c.varint().map_err(|bad| c.fail("int field", bad))?;
+                    c.read("int field", Cursor::varint)?;
                 }
-                1 => match c.u8().map_err(|bad| c.fail("bool field", bad))? {
+                1 => match c.read("bool field", Cursor::u8)? {
                     0 | 1 => {}
                     other => {
                         return Err(malformed(
@@ -664,12 +697,12 @@ fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
                 },
                 2 => name(&mut c, "str field")?,
                 3 => {
-                    c.fixed::<4>().map_err(|bad| c.fail("ip field", bad))?;
+                    c.read("ip field", Cursor::fixed::<4>)?;
                 }
                 4 => {
-                    let addr = c.fixed::<4>().map_err(|bad| c.fail("prefix field", bad))?;
+                    let addr = c.read("prefix field", Cursor::fixed::<4>)?;
                     let addr = u32::from_le_bytes(addr);
-                    let len = c.u8().map_err(|bad| c.fail("prefix field", bad))?;
+                    let len = c.read("prefix field", Cursor::u8)?;
                     if !Prefix::new(addr, len).is_ok_and(|p| p.addr() == addr) {
                         return Err(malformed(
                             "prefix field",
@@ -678,10 +711,10 @@ fn walk(body: &[u8], from: usize, count: usize, names: usize) -> Result<Walk> {
                     }
                 }
                 5 => {
-                    c.fixed::<8>().map_err(|bad| c.fail("sum field", bad))?;
+                    c.read("sum field", Cursor::fixed::<8>)?;
                 }
                 6 => {
-                    c.varint().map_err(|bad| c.fail("time field", bad))?;
+                    c.read("time field", Cursor::varint)?;
                 }
                 other => return Err(malformed("field tag", format!("unknown tag {other}"))),
             }
@@ -709,18 +742,35 @@ enum Bad {
     Short(usize),
     /// A varint longer than its value's minimal encoding, or past 64 bits.
     Overlong,
+    /// A string that is not UTF-8.
+    Utf8,
 }
 
-/// The walk's cursor: [`Dec`]'s reads, each failing with a [`Bad`] the
-/// walk gives its context.
+/// The one checked reader of a layer file's bytes: each read fails with a
+/// [`Bad`], which [`Cursor::read`] turns into the typed error of the
+/// read's context on failure alone.
 struct Cursor<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    fn new(b: &'a [u8]) -> Self {
+        Cursor { b, pos: 0 }
+    }
+
     fn remaining(&self) -> usize {
         self.b.len() - self.pos
+    }
+
+    /// `read` at the cursor, its [`Bad`] the typed error for `context`.
+    #[inline(always)]
+    fn read<T>(
+        &mut self,
+        context: &'static str,
+        read: impl FnOnce(&mut Self) -> std::result::Result<T, Bad>,
+    ) -> Result<T> {
+        read(self).map_err(|bad| self.fail(context, bad))
     }
 
     #[inline(always)]
@@ -730,6 +780,7 @@ impl Cursor<'_> {
         Ok(byte)
     }
 
+    /// `N` bytes: a fixed-width word, little-endian, or the magic.
     #[inline(always)]
     fn fixed<const N: usize>(&mut self) -> std::result::Result<[u8; N], Bad> {
         let bytes = *self.b[self.pos..].first_chunk().ok_or(Bad::Short(N))?;
@@ -737,7 +788,9 @@ impl Cursor<'_> {
         Ok(bytes)
     }
 
-    /// A varint as [`Dec::varint`] reads it: the minimal encoding only.
+    /// A varint, in its minimal encoding only: one with a trailing zero
+    /// byte, or past 64 bits, is overlong, so a value reads back from
+    /// exactly one byte string.
     #[inline(always)]
     fn varint(&mut self) -> std::result::Result<u64, Bad> {
         let first = self.u8()?;
@@ -758,6 +811,17 @@ impl Cursor<'_> {
         }
     }
 
+    /// A varint byte length and that many bytes of UTF-8.
+    fn str(&mut self) -> std::result::Result<&'a str, Bad> {
+        let len = usize::try_from(self.varint()?).unwrap_or(usize::MAX);
+        if len > self.remaining() {
+            return Err(Bad::Short(len));
+        }
+        let bytes = &self.b[self.pos..self.pos + len];
+        self.pos += len;
+        std::str::from_utf8(bytes).map_err(|_| Bad::Utf8)
+    }
+
     /// The typed error of `bad`, read for `context` at the cursor.
     #[cold]
     fn fail(&self, context: &'static str, bad: Bad) -> Error {
@@ -770,6 +834,7 @@ impl Cursor<'_> {
                     self.remaining()
                 ),
                 Bad::Overlong => format!("overlong varint ending at offset {}", self.pos),
+                Bad::Utf8 => format!("invalid UTF-8 before offset {}", self.pos),
             },
         )
     }

@@ -30,4 +30,4 @@ pub mod testsupport {
     pub use crate::slice::cut_log;
 }
 pub use layers::{Checkpoint, DurableStore, Layer};
-pub use log::{BaseEvent, BaseOp, EventLog, EventsView};
+pub use log::{BaseEvent, BaseOp, EventLog};

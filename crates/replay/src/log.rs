@@ -23,7 +23,7 @@
 //! Appends are O(1): the log buffers arrivals in arrival order and
 //! restores the replay order — stable sort by `due`, arrival order within
 //! a due — lazily, either in place ([`EventLog::normalize`]) or in the
-//! [`EventsView`] a read of a still-dirty log returns. The naive
+//! sorted copy a read of a still-dirty log returns. The naive
 //! alternative (binary-search + `Vec::insert` per event) is O(n) per
 //! out-of-order arrival, which turned the reordered-install schedules
 //! dp-sim generates into quadratic ingest; [`EventLog::reorder_effort`]
@@ -44,12 +44,12 @@
 //! storages — so a diagnosis from a store turns into events only the
 //! records its cuts hold and its key lookups find (counter
 //! `store.records_decoded`). [`EventLog::events`] on layers decodes the
-//! whole log into an owned [`EventsView`], the path of every whole-log
+//! whole log into an owned copy, the path of every whole-log
 //! reader; a write copies the events out first, as it does from a shared
 //! log, and leaves the layers to the store.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use dp_ndlog::{Fields, Program};
@@ -159,60 +159,6 @@ impl State {
     }
 }
 
-/// The events of an [`EventLog`] in replay order.
-///
-/// Borrows the log's buffer when it is already ordered; for a log with
-/// unsorted appends still pending, the view owns a sorted copy instead, so
-/// reads never require `&mut` access. Dereferences to `[BaseEvent]`.
-#[derive(Clone, Debug)]
-pub struct EventsView<'a>(ViewInner<'a>);
-
-#[derive(Clone, Debug)]
-enum ViewInner<'a> {
-    Borrowed(&'a [BaseEvent]),
-    Owned(Vec<BaseEvent>),
-}
-
-impl Deref for EventsView<'_> {
-    type Target = [BaseEvent];
-
-    fn deref(&self) -> &[BaseEvent] {
-        match &self.0 {
-            ViewInner::Borrowed(s) => s,
-            ViewInner::Owned(v) => v,
-        }
-    }
-}
-
-impl AsRef<[BaseEvent]> for EventsView<'_> {
-    fn as_ref(&self) -> &[BaseEvent] {
-        self
-    }
-}
-
-impl PartialEq for EventsView<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for EventsView<'_> {}
-
-impl PartialEq<[BaseEvent]> for EventsView<'_> {
-    fn eq(&self, other: &[BaseEvent]) -> bool {
-        **self == *other
-    }
-}
-
-impl<'a, 'b> IntoIterator for &'b EventsView<'a> {
-    type Item = &'b BaseEvent;
-    type IntoIter = std::slice::Iter<'b, BaseEvent>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// How many records `layers`, tiling a log, hold.
 fn layered_len(layers: &[Arc<Layer>]) -> usize {
     layers.last().map_or(0, |l| l.first_seq as usize + l.records())
@@ -270,27 +216,25 @@ impl EventLog {
     /// [`EventLog::normalize`], or when every append arrived in order);
     /// otherwise returns an owned sorted copy. Mutating paths should
     /// normalize first so repeated reads stay allocation-free. A log
-    /// backed by layers decodes every record into an owned view.
-    pub fn events(&self) -> EventsView<'_> {
+    /// backed by layers decodes every record into an owned copy.
+    pub fn events(&self) -> Cow<'_, [BaseEvent]> {
         self.view(&Tracer::disabled())
     }
 
     /// [`EventLog::events`], counting the records it decodes on `tracer`
     /// (`store.records_decoded`).
-    fn view(&self, tracer: &Tracer) -> EventsView<'_> {
+    fn view(&self, tracer: &Tracer) -> Cow<'_, [BaseEvent]> {
         match &self.0.storage {
             Storage::Layers(layers) => {
                 let events = decode(layers);
                 tracer.counter("store.records_decoded", events.len() as u64);
-                EventsView(ViewInner::Owned(events))
+                Cow::Owned(events)
             }
-            Storage::Events(events) if !self.0.unsorted => {
-                EventsView(ViewInner::Borrowed(events))
-            }
+            Storage::Events(events) if !self.0.unsorted => Cow::Borrowed(events),
             Storage::Events(events) => {
                 let mut copy = events.clone();
                 sort_events(&mut copy);
-                EventsView(ViewInner::Owned(copy))
+                Cow::Owned(copy)
             }
         }
     }
@@ -443,7 +387,7 @@ impl EventLog {
 /// ([`EventLog::reader`]).
 pub(crate) enum Reader<'a> {
     /// A log that holds its events.
-    Events(EventsView<'a>),
+    Events(Cow<'a, [BaseEvent]>),
     /// A log backed by sealed layers.
     Layers(&'a [Arc<Layer>]),
 }

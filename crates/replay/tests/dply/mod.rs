@@ -3,11 +3,16 @@
 //! for the tests that pin the format byte for byte and state files the
 //! encoder never writes. The dictionary is filed in first-use order and
 //! every varint of the records goes through one function, so a test can
-//! replace any one of them or write it overlong.
+//! replace any one of them or write it overlong. The primitives it
+//! writes with, and the checked reads the reference decoder of
+//! `layer_codec.rs` makes, are spelled out in `codec.rs` beside it, apart
+//! from the reader under test.
 
+pub mod codec;
+
+use codec::Enc;
 use dp_replay::{BaseEvent, BaseOp};
-use dp_types::codec::{fnv64, Enc};
-use dp_types::{Sym, Value};
+use dp_types::{fnv64, Sym, Value};
 
 /// One varint of the records to write wrong, counted from 0 among those
 /// of its kind.

@@ -25,9 +25,9 @@ use std::sync::Arc;
 
 use dp_replay::layers::layer::{Layer, LayerEncoder};
 use dp_replay::{BaseEvent, BaseOp};
-use dp_types::codec::{fnv64, Dec};
 use dp_types::prefix::Prefix;
-use dp_types::{DetRng, Error, LogicalTime, NodeId, Result, Sym, Tuple, Value};
+use dp_types::{fnv64, DetRng, Error, LogicalTime, NodeId, Result, Sym, Tuple, Value};
+use dply::codec::Dec;
 use dply::Tweak;
 
 fn random_value(rng: &mut DetRng) -> Value {
@@ -167,6 +167,35 @@ fn random_layers_roundtrip_and_match_the_specification() {
         assert!(read == events, "case {case}: the events read back differ");
         agrees_with_the_whole_decode(&bytes, &format!("case {case}"));
     }
+    // The widest fields: a due delta of u64::MAX from 0, both ends of an
+    // int's zigzag image and the largest time, ten varint bytes each, and
+    // the largest sum.
+    let widest = Tuple::new(
+        "edge",
+        vec![
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Time(u64::MAX),
+            Value::Sum(u64::MAX),
+        ],
+    );
+    let events = [BaseEvent {
+        due: u64::MAX,
+        node: NodeId::new("n1"),
+        tuple: Arc::new(widest),
+        op: BaseOp::Insert,
+    }];
+    let bytes = encode(u64::MAX, &events);
+    // Header 18, dictionary `n1 edge` 9, the record (a 10-byte due delta,
+    // op, ids, arity; three tagged 10-byte varints and a tagged sum),
+    // footer word and checksum.
+    assert_eq!(bytes.len(), 18 + 9 + (10 + 4 + 3 * 11 + 9) + 12);
+    let spec = dply::layer(u64::MAX, 1, &events, Tweak::None);
+    assert!(bytes == spec, "the widest fields: the encoder departs from the specification");
+    let (read_seq, read) = decode_layer(&bytes).unwrap();
+    assert_eq!(read_seq, u64::MAX);
+    assert!(read == events, "the widest fields read back otherwise");
+    agrees_with_the_whole_decode(&bytes, "the widest fields");
 }
 
 /// Records read one at a time, in any order, are the events written:

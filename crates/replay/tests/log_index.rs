@@ -401,7 +401,7 @@ fn a_clone_that_appends_leaves_its_source_and_its_index() {
     assert!(clone.log.same(&s.bad_exec.log) && same_run(&clone, &s.bad_exec));
     clone.log.insert(1, "s9", pkt_in(123_456, 1, 2, 6, 64));
     assert!(!clone.log.same(&s.bad_exec.log) && !same_run(&clone, &s.bad_exec));
-    assert!(s.bad_exec.log.events() == before[..], "the source's events are unchanged");
+    assert!(*s.bad_exec.log.events() == before[..], "the source's events are unchanged");
     assert_eq!(clone.log.len(), before.len() + 1);
     assert!(s.diagnose().unwrap().verified);
     assert_eq!(builds(&tracer), 1, "the source's index is intact");

@@ -180,7 +180,7 @@ fn apply_changes_is_rewrite_append_and_stable_sort() {
             }
         }
         want.sort_by_key(|e| e.due);
-        assert_eq!(apply_changes(&log, &changes, inject_at).events(), want[..]);
+        assert_eq!(apply_changes(&log, &changes, inject_at).events(), want);
     }
 }
 

@@ -28,8 +28,8 @@ use dp_ndlog::testsupport::nodegen;
 use dp_ndlog::Program;
 use dp_replay::layers::layer::read_layer;
 use dp_replay::{BaseEvent, BaseOp, DurableStore, EventLog, Execution};
-use dp_types::codec::{fnv64, Enc};
-use dp_types::{tuple, DetRng, Error, FieldType, Schema, SchemaRegistry, TableKind};
+use dp_types::{fnv64, tuple, DetRng, Error, FieldType, Schema, SchemaRegistry, TableKind};
+use dply::codec::Enc;
 use dply::Tweak;
 
 fn program() -> Arc<Program> {
@@ -425,8 +425,9 @@ fn layer_name(first_seq: u64) -> String {
 
 /// FNV-1a is not a secret, so a file that passes its checksum can still
 /// say anything. Each thing the decoder and the concatenated read take
-/// for granted — a record count the bytes hold exactly, at least one
-/// record, minimal varints, dues that fit in 64 bits and never decrease
+/// for granted — the magic and version 3, a record count the bytes hold
+/// exactly, at least one record, minimal varints that fit in 64 bits,
+/// dues that fit in 64 bits and never decrease
 /// across the stack, dictionary ids in range and in first-use order, a
 /// dictionary without repeats or unused names, UTF-8 names, an op and tags
 /// that name one of their values, arities the file can hold, no trailing
@@ -464,7 +465,11 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
         dply::frame(&body, 0)
     };
     let tweaked = |tweak| dply::layer(0, 3, &in_events(&records), tweak);
+    // Each case's context, and after a colon what its detail says.
     for (case, want, bytes) in [
+        ("a magic that is not DPLY", "header magic", edited(&|b| b[0] = b'X')),
+        ("a file numbered 2", "header version: found version 2", edited(&|b| b[4] = 2)),
+        ("a file numbered 4", "header version: found version 4", edited(&|b| b[4] = 4)),
         // Would reserve count × size_of::<BaseEvent>() on the header's word.
         ("a record count of u32::MAX", "layer record count", dply_v3(0, u32::MAX, &records)),
         ("a record count past the records", "record due", dply_v3(0, 4, &records)),
@@ -476,6 +481,10 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
         ("a first-seq past the events before it", "layer stack", dply_v3(1, 3, &records)),
         ("an overlong due delta", "record due", tweaked(Tweak::Overlong(0))),
         ("an overlong dictionary id", "record node", tweaked(Tweak::Overlong(1))),
+        ("a dictionary id past 64 bits", "record node: overlong", edited(&|b| {
+            let wide = [0xff; 9].into_iter().chain([0x02]);
+            b.splice(records_at + 2..records_at + 3, wide);
+        })),
         ("a node id past the dictionary", "record node", tweaked(Tweak::Id(0, 3))),
         ("a table id far past it", "record table", tweaked(Tweak::Id(1, u64::MAX))),
         ("an id used before the ids below it", "record node", tweaked(Tweak::Id(0, 1))),
@@ -494,8 +503,12 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
         ("a footer", "layer footer", dply::frame(dply::body(&sound), 4)),
     ] {
         std::fs::write(&path, bytes).unwrap();
+        let (want, says) = want.split_once(": ").unwrap_or((want, ""));
         match DurableStore::open(dir) {
-            Err(Error::Codec { context, .. }) => assert_eq!(context, want, "{case}"),
+            Err(Error::Codec { context, detail }) => {
+                assert_eq!(context, want, "{case}");
+                assert!(detail.contains(says), "{case}: {detail}");
+            }
             Err(other) => panic!("{case}: expected a codec error, got {other}"),
             Ok(_) => panic!("{case}: opened cleanly"),
         }
@@ -590,7 +603,7 @@ fn a_torn_seal_leaves_the_store_open_and_sealable() {
     std::fs::write(&torn, &whole[..whole.len() / 2]).unwrap();
 
     let reopened = DurableStore::open(scratch.dir()).unwrap();
-    assert!(reopened.load_log().events() == events[..cut], "the sealed prefix changed");
+    assert!(*reopened.load_log().events() == events[..cut], "the sealed prefix changed");
     store.seal_events(&events[cut..]).unwrap();
     assert_eq!(std::fs::read(scratch.dir().join(layer_name(cut as u64))).unwrap(), whole);
     assert_recovered(scratch.dir(), &exec, &mut Shape::default(), "after a torn seal");

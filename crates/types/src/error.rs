@@ -81,7 +81,10 @@ mod tests {
             table: Sym::new("flowEntry"),
             message: "arity 3, got 2".into(),
         };
-        assert_eq!(e.to_string(), "schema error in table flowEntry: arity 3, got 2");
+        assert_eq!(
+            e.to_string(),
+            "schema error in table flowEntry: arity 3, got 2"
+        );
         let e = Error::UnknownTable(Sym::new("nope"));
         assert!(e.to_string().contains("nope"));
     }

@@ -14,6 +14,10 @@
 //! * [`NodeId`] — identity of a node in the distributed system (a switch, a
 //!   controller, a MapReduce worker).
 //! * [`LogicalTime`] — the deterministic logical clock used throughout.
+//! * [`fnv64`] — the one FNV-1a of the workspace: the layer files'
+//!   checksum, and the content hash of NDlog's `hash` builtin and of the
+//!   MapReduce checksums. The layer format itself is
+//!   `dp_replay::layers::layer`'s alone.
 //!
 //! The crate is deliberately free of dependencies so that the whole workspace
 //! shares one vocabulary without pulling an engine into scope.
@@ -22,7 +26,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod error;
 pub mod idtable;
 pub mod prefix;
@@ -33,7 +36,6 @@ pub mod trie;
 pub mod tuple;
 pub mod value;
 
-pub use codec::{fnv64, Dec, Enc, Fnv64};
 pub use error::{Error, Result};
 pub use idtable::{IdTable, Probe};
 pub use prefix::Prefix;
@@ -51,3 +53,27 @@ pub use value::Value;
 /// discovery (Section 4.2, "the APPEAR vertex with the highest timestamp")
 /// well defined.
 pub type LogicalTime = u64;
+
+/// FNV-1a (64-bit) of `bytes`.
+///
+/// Not cryptographic: it defends against truncation and bit rot, not
+/// adversaries, as the paper's prototype assumes a trusted logging
+/// substrate.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv64;
+
+    #[test]
+    fn fnv_matches_reference_vector() {
+        // FNV-1a("a") from the reference implementation; "" is the
+        // offset basis.
+        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+    }
+}

@@ -106,7 +106,10 @@ impl Schema {
             kind,
             fields: fields
                 .into_iter()
-                .map(|(n, ty)| FieldDecl { name: Sym::new(n), ty })
+                .map(|(n, ty)| FieldDecl {
+                    name: Sym::new(n),
+                    ty,
+                })
                 .collect(),
             key: None,
         }
@@ -211,7 +214,10 @@ impl SchemaRegistry {
 
     /// True if DiffProv may propose changes to tuples of this table.
     pub fn is_mutable(&self, table: &Sym) -> bool {
-        matches!(self.get(table).map(|s| s.kind), Some(TableKind::MutableBase))
+        matches!(
+            self.get(table).map(|s| s.kind),
+            Some(TableKind::MutableBase)
+        )
     }
 
     /// Validates a tuple against its declared schema.

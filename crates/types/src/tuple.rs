@@ -309,7 +309,10 @@ mod tests {
         assert_ne!(h(&tuple!("t", 1, 2)), h(&tuple!("t", 2, 1)));
         assert_ne!(h(&tuple!("t", 1)), h(&tuple!("t", 1, 0)));
         assert_ne!(h(&tuple!("t", 1)), h(&tuple!("u", 1)));
-        assert_ne!(h(&tuple!("t", Value::Int(1))), h(&tuple!("t", Value::Time(1))));
+        assert_ne!(
+            h(&tuple!("t", Value::Int(1))),
+            h(&tuple!("t", Value::Time(1)))
+        );
     }
 
     #[test]

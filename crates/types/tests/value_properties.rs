@@ -118,7 +118,10 @@ fn prefix_covers_consistency() {
 fn display_is_stable_for_key_examples() {
     // These exact renderings appear in documentation and operator output;
     // changing them is a compatibility break worth noticing.
-    assert_eq!(Value::Ip(dp_types::prefix::ip("4.3.2.1")).to_string(), "4.3.2.1");
+    assert_eq!(
+        Value::Ip(dp_types::prefix::ip("4.3.2.1")).to_string(),
+        "4.3.2.1"
+    );
     assert_eq!(
         Value::Prefix(dp_types::prefix::cidr("4.3.2.0/23")).to_string(),
         "4.3.2.0/23"

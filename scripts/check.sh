@@ -41,7 +41,11 @@
 # seeded fuzz of the NDlog parser; a check that every repository path
 # DESIGN.md cites exists, and every `Type::name` it cites names something
 # in the code; a grep gate against a store that holds its events beside
-# its log; lint-clean clippy; and rustdoc without a warning.
+# its log; a grep gate against the layer format outside its one module (a
+# general-purpose encoder or decoder, an incremental checksum, a varint
+# reader or writer anywhere else under crates/*/src); rustfmt on dp-types
+# (the crates formatted so far); lint-clean clippy; and rustdoc without a
+# warning.
 # The sweep holds six invariants: digest
 # determinism, graph well-formedness, baseline deliveries, duplicate
 # invisibility, durable recovery, the slice judge — and it must diagnose
@@ -413,6 +417,21 @@ step "gate: a logged event has one encoding" absent \
     "a second encoding of a logged event reappeared" \
     "Storage""Model|value_""bytes|event_""bytes" \
     crates src
+# The layer format is one module's: crates/replay/src/layers/layer.rs
+# writes a layer into a byte vector and reads every byte of one back
+# through one checked cursor. The general-purpose encoder and decoder that
+# read half the file beside that cursor (`dp_types::codec`, deleted with
+# its unused incremental checksum), or a varint reader or writer anywhere
+# else under crates/*/src, would be a second copy of the format's rules.
+# (Spelled in halves so this script passes its own gate.)
+one_layer_module() {
+    if grep -rnE "struct (E""nc|D""ec|Fnv""64)\b|fn [a-z_]*(var""int|zig""zag)" crates/*/src |
+        grep -v '^crates/replay/src/layers/layer\.rs:'; then
+        echo "check.sh: the layer format is read or written outside its module (see above)" >&2
+        return 1
+    fi
+}
+step "gate: the layer format is one module's" one_layer_module
 # The engine names a row by id: a live tuple is one row of its table, and
 # index buckets, trie entries, derivation bodies and dependents hold
 # `(node, table, row)` ids, not the tuple's `Arc`. An `Arc`-keyed row type,
@@ -458,6 +477,10 @@ one_diagnosis_path() {
         absent "the diagnosis replays a whole log directly"             "\.re""play\(\)" crates/core/src/align.rs
 }
 step "gate: a diagnosis replays its slice" one_diagnosis_path
+# Formatting, for the crates rustfmt-clean so far: dp-types. The rest of
+# the workspace still differs from rustfmt's output, so the gate widens
+# crate by crate.
+step "rustfmt dp-types" cargo fmt -p dp-types --check
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 step "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
