@@ -5,18 +5,18 @@
 //! written a layer is never modified, and the stack is read back by
 //! concatenating its layers in `first_seq` order.
 //!
-//! ## File format (`DPLY` version 3)
+//! ## File format (`DPLY` version 4)
 //!
 //! ```text
-//! "DPLY" u16=3          header (magic + version)
+//! "DPLY" u16=4          header (magic + version)
 //! u64    first_seq      events in the layers before this one
 //! u32    count          records
 //! var    names          the dictionary: every node name, table name and
 //! names × str           string value the records use, once each, in the
 //!                       order the records first use them
 //! count × record
-//! u32    footer         footer bytes before this word: 0 in version 3
-//! u64    fnv64(everything above)
+//! u32    footer         footer bytes before this word: 0 in version 4
+//! u64    checksum(everything above)
 //!
 //! record  var Δdue      due − the previous record's due (the first's − 0)
 //!         u8  op        0 insert, 1 delete
@@ -36,34 +36,50 @@
 //! A record names each name by its id, so a layer turns a name into a
 //! symbol once, in its dictionary, whatever number of records carry it: a
 //! packet's record is 22 bytes, a MapReduce record a few more than its
-//! fields.
+//! fields. Version 3 differs in its version number and its checksum
+//! (FNV-1a 64) and in no other byte; it has no reader.
+//!
+//! The checksum reads a word at a step. With `r(a, w) = rotl(a + w·P2,
+//! 31)·P1`, XXH64's round, four lanes take each 32-byte block, one
+//! little-endian word each; a value starting at the length then takes, by
+//! `r`, the four lanes, each word after the blocks and the last 0–7 bytes
+//! zero-padded to a word; an xorshift-multiply mix ends it. `r` is a
+//! bijection of `w` for any `a`, and of `a` for any `w`, and each lane
+//! and word enters one chain of such steps once, the mix being a
+//! bijection too. So two files of one length that differ only inside one
+//! word have different checksums: every single-byte change is caught by
+//! construction. Other changes, truncation among them, are caught as a
+//! 64-bit mix catches them, with no such guarantee; the walk below checks
+//! what a file says.
 //!
 //! The format is this module's alone: [`LayerEncoder`] writes it into a
-//! byte vector, and one checked cursor reads every byte of it back, from
-//! the checksum and the header to the last field.
+//! byte vector, and [`Layer::from_bytes`] reads every byte of it back,
+//! from the header and the checksum to the last field.
 //!
 //! The footer word leaves a place for derived data a reader could use
-//! without walking the records; version 3 writes none, and a nonzero word
+//! without walking the records; version 4 writes none, and a nonzero word
 //! is refused.
 //!
 //! ## Checked at open, decoded on read
 //!
 //! [`Layer::from_bytes`] is the one reader, and it reads in two parts. At
-//! open it checks the file through one cursor, each of whose reads names
-//! only what went wrong and becomes a typed [`Error::Codec`], with the
-//! read's context, on failure alone — the whole-file checksum first, so
-//! truncation and bit rot surface before anything else is read, never as
-//! a panic mid-recovery. FNV-1a is no secret, so a file that
-//! passes it is still outside input: every record is then walked and
-//! every field checked — the version (3 exactly), a record count and
-//! arities the bytes left can hold, minimal varints, a due that fits in
-//! 64 bits, dictionary ids in range and in first-use order, a dictionary
-//! without repeats or unused entries, valid UTF-8, an op, tag or bool that
-//! names one of its values, a prefix without host bits, no trailing bytes
-//! — so a layer that opens is one [`LayerEncoder`] writes, byte for byte,
-//! and anything else is a typed [`Error::Codec`]. The walk builds nothing:
-//! it interns the dictionary once and keeps the file's bytes, where each
-//! record starts (4 bytes a record) and every 64th record's due.
+//! open it checks the file, each read naming only what went wrong and
+//! becoming a typed [`Error::Codec`], with the read's context, on failure
+//! alone, in this order: a length that holds a footer word and a
+//! checksum; the magic and the version (4 exactly), so a file of another
+//! version is refused by its number; the whole-file checksum, so
+//! truncation and bit rot surface before a record is read, never as a
+//! panic mid-recovery; the footer word. The checksum is no secret, so a
+//! file that passes it is still outside input: every record is then
+//! walked and every field checked — a record count and arities the bytes
+//! left can hold, minimal varints, a due that fits in 64 bits, dictionary
+//! ids in range and in first-use order, a dictionary without repeats or
+//! unused entries, valid UTF-8, an op, tag or bool that names one of its
+//! values, a prefix without host bits, no trailing bytes — so a layer that
+//! opens is one [`LayerEncoder`] writes, byte for byte, and anything else
+//! is a typed [`Error::Codec`]. The walk builds nothing: it interns the
+//! dictionary once and keeps the file's bytes, where each record starts (4
+//! bytes a record) and every 64th record's due.
 //!
 //! On read, a record is decoded from those bytes where it lies: its node
 //! and table, one field, or the whole [`BaseEvent`] ([`Layer::event`]).
@@ -83,16 +99,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dp_types::{
-    fnv64, Error, LogicalTime, NodeId, Prefix, Result, Sym, Tuple, Value, WordBuildHasher,
-};
+use dp_types::{Error, LogicalTime, NodeId, Prefix, Result, Sym, Tuple, Value, WordBuildHasher};
 
 use crate::log::{BaseEvent, BaseOp};
 
 /// Layer-file magic.
 pub const LAYER_MAGIC: &[u8; 4] = b"DPLY";
 /// The layer-format version, the only one the reader accepts.
-pub const LAYER_VERSION: u16 = 3;
+pub const LAYER_VERSION: u16 = 4;
 
 /// Records per due a layer keeps: a record's due is the kept one at or
 /// before it plus fewer than this many Δdues.
@@ -140,8 +154,8 @@ fn io_err(context: &'static str, path: &Path, e: std::io::Error) -> Error {
 /// `first_seq`, and seals it at `path`, which must not exist: a sealed
 /// layer is never overwritten, so a handle numbering its seal from a
 /// stale count gets an error, not the file. `events` must be non-empty
-/// and in replay order. The layer keeps the bytes it wrote, walked as an
-/// open walks them (the checksum, just computed, is not summed again).
+/// and in replay order. The layer keeps the bytes it wrote, checked as
+/// an open checks them.
 pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<Layer> {
     assert!(!events.is_empty(), "a layer holds at least one event");
     let mut enc = LayerEncoder::default();
@@ -150,10 +164,12 @@ pub fn write_layer(path: &Path, first_seq: u64, events: &[BaseEvent]) -> Result<
     }
     let bytes = enc.finish(first_seq)?;
     seal_bytes(path, &bytes).map_err(|err| io_err("writing layer", path, err))?;
-    Layer::walked(bytes, path.to_path_buf())
+    let mut layer = Layer::from_bytes(bytes)?;
+    layer.path = path.to_path_buf();
+    Ok(layer)
 }
 
-/// The one encoder of a logged event: it appends `DPLY` version 3
+/// The one encoder of a logged event: it appends `DPLY` version 4
 /// records, keeping the layer's dictionary and the previous record's due,
 /// and [`LayerEncoder::finish`] frames them as a layer file. Layer files
 /// are written by it, and the runtime logging engine's cost (Figures 5
@@ -280,10 +296,50 @@ impl LayerEncoder {
         bytes.extend_from_slice(&head);
         bytes.extend_from_slice(&self.records);
         bytes.extend_from_slice(&0u32.to_le_bytes());
-        let sum = fnv64(&bytes);
+        let sum = checksum(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         Ok(bytes)
     }
+}
+
+/// The checksum's multipliers, XXH64's primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One step of the checksum, XXH64's round: a bijection of `w` for any
+/// `acc`, and of `acc` for any `w`.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The layer checksum (module docs): four lanes take each 32-byte block,
+/// a little-endian word each; then one value, starting at the length,
+/// takes the four lanes, the tail's words and its last bytes zero-padded
+/// to a word, a step each, and is mixed by a bijection.
+fn checksum(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, w) in lanes.iter_mut().zip(words) {
+            *lane = round(*lane, u64::from_le_bytes(*w));
+        }
+    }
+    let (words, rest) = tail.as_chunks::<8>();
+    let mut last = [0; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    let words = words.iter().chain([&last]).map(|w| u64::from_le_bytes(*w));
+    let h = lanes
+        .into_iter()
+        .chain(words)
+        .fold(bytes.len() as u64, round);
+    let h = (h ^ h >> 33).wrapping_mul(P2);
+    let h = (h ^ h >> 29).wrapping_mul(P3);
+    h ^ h >> 32
 }
 
 /// Appends `v` as a minimal varint.
@@ -344,11 +400,11 @@ pub fn read_layer(path: &Path) -> Result<Layer> {
 }
 
 impl Layer {
-    /// Checks a layer file's bytes — the checksum before anything else,
-    /// then every record and field (the module docs list the checks) —
-    /// and keeps them, with where each record starts. Each violation is a
-    /// typed [`Error::Codec`]; no record is decoded. The layer's path is
-    /// empty ([`read_layer`] sets it).
+    /// Checks a layer file's bytes — its magic and version, then the
+    /// checksum, then every record and field (the module docs list the
+    /// checks) — and keeps them, with where each record starts. Each
+    /// violation is a typed [`Error::Codec`]; no record is decoded. The
+    /// layer's path is empty ([`read_layer`] sets it).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Layer> {
         if bytes.len() < 12 || bytes.len() > u32::MAX as usize {
             return Err(malformed(
@@ -359,25 +415,7 @@ impl Layer {
                 ),
             ));
         }
-        let (body, sum) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(Cursor::new(sum).read("layer checksum", Cursor::fixed)?);
-        if fnv64(body) != stored {
-            return Err(malformed("layer checksum", "checksum mismatch".into()));
-        }
-        Layer::walked(bytes, PathBuf::new())
-    }
-
-    /// Checks everything of a layer file at least 12 bytes long but its
-    /// checksum, and keeps it.
-    fn walked(bytes: Vec<u8>, path: PathBuf) -> Result<Layer> {
-        let (body, footer) = bytes[..bytes.len() - 8].split_at(bytes.len() - 12);
-        let footer = u32::from_le_bytes(Cursor::new(footer).read("layer footer", Cursor::fixed)?);
-        if footer != 0 {
-            return Err(malformed(
-                "layer footer",
-                format!("a footer of {footer} bytes, where version {LAYER_VERSION} writes none"),
-            ));
-        }
+        let (body, tail) = bytes.split_at(bytes.len() - 12);
         let mut c = Cursor::new(body);
         let magic: [u8; 4] = c.read("header magic", Cursor::fixed)?;
         if magic != *LAYER_MAGIC {
@@ -386,12 +424,25 @@ impl Layer {
                 format!("expected {LAYER_MAGIC:02x?}, found {magic:02x?}"),
             ));
         }
-        // A format has one reader, for its one version.
+        // A format has one reader, for its one version: read before the
+        // checksum, so a file of another version is refused by name.
         let version = u16::from_le_bytes(c.read("header version", Cursor::fixed)?);
         if version != LAYER_VERSION {
             return Err(malformed(
                 "header version",
                 format!("found version {version}, expected version {LAYER_VERSION}"),
+            ));
+        }
+        let mut t = Cursor::new(tail);
+        let footer = u32::from_le_bytes(t.read("layer footer", Cursor::fixed)?);
+        let stored = u64::from_le_bytes(t.read("layer checksum", Cursor::fixed)?);
+        if checksum(&bytes[..bytes.len() - 8]) != stored {
+            return Err(malformed("layer checksum", "checksum mismatch".into()));
+        }
+        if footer != 0 {
+            return Err(malformed(
+                "layer footer",
+                format!("a footer of {footer} bytes, where version {LAYER_VERSION} writes none"),
             ));
         }
         let first_seq = u64::from_le_bytes(c.read("layer first-seq", Cursor::fixed)?);
@@ -411,7 +462,7 @@ impl Layer {
         Ok(Layer {
             first_seq,
             file_bytes: bytes.len() as u64,
-            path,
+            path: PathBuf::new(),
             bytes,
             names,
             starts: walk.starts,
@@ -455,7 +506,15 @@ impl Layer {
         let node = NodeId(self.name_at(&mut at));
         let table = self.name_at(&mut at);
         let arity = varint_at(&self.bytes, &mut at) as usize;
-        Record { layer: self, i, op, node, table, arity, fields: at }
+        Record {
+            layer: self,
+            i,
+            op,
+            node,
+            table,
+            arity,
+            fields: at,
+        }
     }
 
     /// Record `i`'s due: the kept due at or before it plus the Δdues
@@ -463,7 +522,10 @@ impl Layer {
     fn due(&self, i: usize) -> LogicalTime {
         let kept = i / DUE_STRIDE;
         let after = self.starts[kept * DUE_STRIDE + 1..=i].iter();
-        self.dues[kept] + after.map(|&s| varint_at(&self.bytes, &mut (s as usize))).sum::<u64>()
+        self.dues[kept]
+            + after
+                .map(|&s| varint_at(&self.bytes, &mut (s as usize)))
+                .sum::<u64>()
     }
 
     #[inline]
@@ -550,11 +612,16 @@ impl Record<'_> {
     /// The event the record logs.
     pub(crate) fn event(&self) -> BaseEvent {
         let mut at = self.fields;
-        let args = (0..self.arity).map(|_| self.layer.value_at(&mut at)).collect();
+        let args = (0..self.arity)
+            .map(|_| self.layer.value_at(&mut at))
+            .collect();
         BaseEvent {
             due: self.due(),
             node: self.node,
-            tuple: Arc::new(Tuple { table: self.table, args }),
+            tuple: Arc::new(Tuple {
+                table: self.table,
+                args,
+            }),
             op: self.op,
         }
     }
@@ -732,7 +799,11 @@ fn walk(mut c: Cursor<'_>, count: usize, names: usize) -> Result<Walk> {
             format!("{} of its {names} names no record uses", names - used),
         ));
     }
-    Ok(Walk { starts, dues, last_due: due })
+    Ok(Walk {
+        starts,
+        dues,
+        last_due: due,
+    })
 }
 
 /// What went wrong with one read of a [`Cursor`].

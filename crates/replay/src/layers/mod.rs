@@ -94,6 +94,11 @@ pub struct DurableStore {
     /// (disabled until one does): times seals (`store.seal` spans) and
     /// carries the store's size levels.
     tracer: Tracer,
+    /// What `open` read: the bytes whose checksum it verified
+    /// (`store.bytes_checked`) and the records it walked
+    /// (`store.records_walked`).
+    bytes_checked: u64,
+    records_walked: u64,
     _temp: Option<TempDir>,
 }
 
@@ -121,6 +126,8 @@ impl DurableStore {
             }
         }
         read.sort_by_key(|l| l.first_seq);
+        let bytes_checked = read.iter().map(|l| l.file_bytes).sum();
+        let records_walked = read.iter().map(|l| l.records() as u64).sum();
         let mut log = EventLog::new();
         for l in read {
             let (seq, due) = (log.len() as u64, log.horizon());
@@ -147,6 +154,8 @@ impl DurableStore {
             dir: dir.to_path_buf(),
             log,
             tracer: Tracer::disabled(),
+            bytes_checked,
+            records_walked,
             _temp: None,
         })
     }
@@ -215,6 +224,18 @@ impl DurableStore {
     /// Real on-disk bytes across all sealed layer files.
     pub fn layer_bytes(&self) -> u64 {
         self.log.layers().iter().map(|l| l.file_bytes).sum()
+    }
+
+    /// `store.bytes_checked`: the bytes whose checksum `open` verified,
+    /// every byte of every layer file it found.
+    pub fn bytes_checked(&self) -> u64 {
+        self.bytes_checked
+    }
+
+    /// `store.records_walked`: the records `open` walked and checked,
+    /// every record of every layer file it found.
+    pub fn records_walked(&self) -> u64 {
+        self.records_walked
     }
 
     /// Real on-disk bytes of the whole store: layer files are all it

@@ -1,15 +1,57 @@
 //! The primitives of the layer format, spelled out for the tests apart
 //! from the reader they check: little-endian fixed-width words, a 4-byte
-//! magic and a `u16` version, minimal LEB128 varints, zigzag integers and
-//! varint-length UTF-8 strings. `Enc` writes them (the specification's
-//! writer, and files of the retired versions); `Dec` reads them, checked,
-//! for the reference decoder of `layer_codec.rs`.
+//! magic and a `u16` version, minimal LEB128 varints, zigzag integers,
+//! varint-length UTF-8 strings and the checksum. `Enc` writes them (the
+//! specification's writer, and files of the retired versions); `Dec`
+//! reads them, checked, for the reference decoder of `layer_codec.rs`;
+//! `checksum` sums them.
 
 // Each test file that includes `dply` uses a part of this: the store's
 // tests write with `Enc` and never read with `Dec`.
 #![allow(dead_code)]
 
 use dp_types::{Error, Result};
+
+/// The layer checksum as the format's specification states it, word by
+/// word: with `r(a, w) = rotl(a + w·P2, 31)·P1` (XXH64's round), four
+/// accumulators take each whole 32-byte stripe, one little-endian word
+/// each; a value starting at the length takes, by `r`, the four
+/// accumulators, every whole word after the stripes and the last 0–7
+/// bytes zero-padded to a word; then `h ^= h >> 33; h ·= P2; h ^= h >> 29;
+/// h ·= P3; h ^= h >> 32`. Words are assembled here byte by byte, apart
+/// from the layer module's chunked reads.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 11400714785074694791;
+    const P2: u64 = 14029467366897019727;
+    const P3: u64 = 1609587929392839161;
+    // The little-endian word at `at`, zero past the end.
+    let word = |at: usize| {
+        (0..8).rev().fold(0u64, |v, i| v << 8 | u64::from(*bytes.get(at + i).unwrap_or(&0)))
+    };
+    let r = |a: u64, w: u64| a.wrapping_add(w.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1);
+    let stripes = bytes.len() / 32;
+    let mut acc = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+    for s in 0..stripes {
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = r(*a, word(32 * s + 8 * l));
+        }
+    }
+    let mut h = bytes.len() as u64;
+    for a in acc {
+        h = r(h, a);
+    }
+    let mut at = 32 * stripes;
+    while bytes.len() - at >= 8 {
+        h = r(h, word(at));
+        at += 8;
+    }
+    h = r(h, word(at));
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ h >> 32
+}
 
 /// An append-only encoder over a growable byte buffer.
 #[derive(Default)]

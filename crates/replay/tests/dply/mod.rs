@@ -1,7 +1,7 @@
-//! The `DPLY` version 3 layer format written out by hand from its
+//! The `DPLY` version 4 layer format written out by hand from its
 //! specification (the module docs of `crates/replay/src/layers/layer.rs`),
 //! for the tests that pin the format byte for byte and state files the
-//! encoder never writes. The dictionary is filed in first-use order and
+//! encoder never writes — version 3's among them. The dictionary is filed in first-use order and
 //! every varint of the records goes through one function, so a test can
 //! replace any one of them or write it overlong. The primitives it
 //! writes with, and the checked reads the reference decoder of
@@ -10,7 +10,7 @@
 
 pub mod codec;
 
-use codec::Enc;
+use codec::{checksum, Enc};
 use dp_replay::{BaseEvent, BaseOp};
 use dp_types::{fnv64, Sym, Value};
 
@@ -133,7 +133,7 @@ pub fn layer(first_seq: u64, count: u32, events: &[BaseEvent], tweak: Tweak) -> 
         }
     }
     let mut e = Enc::new();
-    e.header(b"DPLY", 3);
+    e.header(b"DPLY", 4);
     e.u64(first_seq);
     e.u32(count);
     e.varint(names.len() as u64);
@@ -150,9 +150,20 @@ pub fn frame(body: &[u8], footer: u32) -> Vec<u8> {
     let mut e = Enc::new();
     e.extend(body);
     e.u32(footer);
-    let sum = fnv64(e.bytes());
+    let sum = checksum(e.bytes());
     e.u64(sum);
     e.into_bytes()
+}
+
+/// The version 3 file of the same records as the version 4 `file`:
+/// version 3 differs in its version number and its checksum, FNV-1a 64
+/// over everything before it, and in no other byte.
+pub fn as_v3(file: &[u8]) -> Vec<u8> {
+    let mut pre = file[..file.len() - 8].to_vec();
+    pre[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let sum = fnv64(&pre);
+    pre.extend(sum.to_le_bytes());
+    pre
 }
 
 /// A layer file's bytes before its footer word.

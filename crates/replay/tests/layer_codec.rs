@@ -1,9 +1,11 @@
-//! Properties of the `DPLY` version 3 layer record, and a seeded fuzz of
+//! Properties of the `DPLY` version 4 layer record, and a seeded fuzz of
 //! the layer reader.
 //!
 //! Seeded random events round-trip through `LayerEncoder` and the layer
 //! reader (`Layer::from_bytes`), and encode to exactly the bytes the
-//! format's specification spells out (`dply::layer`). The reader is then
+//! format's specification spells out (`dply::layer`), whose checksum the
+//! specification computes for itself (`dply::codec::checksum`); the same
+//! records as version 3 wrote them are refused by their version. The reader is then
 //! fed what a damaged or hostile file can hold — bit flips, truncations,
 //! splices of two layers, dictionary ids past the dictionary, overlong
 //! varints, huge arities — each re-checksummed, so that it reaches the
@@ -26,8 +28,8 @@ use std::sync::Arc;
 use dp_replay::layers::layer::{Layer, LayerEncoder};
 use dp_replay::{BaseEvent, BaseOp};
 use dp_types::prefix::Prefix;
-use dp_types::{fnv64, DetRng, Error, LogicalTime, NodeId, Result, Sym, Tuple, Value};
-use dply::codec::Dec;
+use dp_types::{DetRng, Error, LogicalTime, NodeId, Result, Sym, Tuple, Value};
+use dply::codec::{checksum, Dec};
 use dply::Tweak;
 
 fn random_value(rng: &mut DetRng) -> Value {
@@ -107,7 +109,7 @@ fn dictionary_len(events: &[BaseEvent]) -> u64 {
 
 /// `pre` (a layer file's bytes before its checksum) with a valid checksum.
 fn rechecksum(mut pre: Vec<u8>) -> Vec<u8> {
-    let sum = fnv64(&pre);
+    let sum = checksum(&pre);
     pre.extend(sum.to_le_bytes());
     pre
 }
@@ -166,6 +168,12 @@ fn random_layers_roundtrip_and_match_the_specification() {
         assert_eq!(read_seq, first_seq, "case {case}");
         assert!(read == events, "case {case}: the events read back differ");
         agrees_with_the_whole_decode(&bytes, &format!("case {case}"));
+        // The same records as version 3 wrote them, under FNV-1a: refused
+        // by their version, not by the checksum.
+        match decode_layer(&dply::as_v3(&bytes)) {
+            Err(Error::Codec { context, .. }) => assert_eq!(context, "header version"),
+            other => panic!("case {case}: version 3 read as {other:?}"),
+        }
     }
     // The widest fields: a due delta of u64::MAX from 0, both ends of an
     // int's zigzag image and the largest time, ten varint bytes each, and
@@ -238,6 +246,59 @@ fn truncated_layers_are_typed_errors() {
             let file = rechecksum(pre[..cut].to_vec());
             assert!(!decodes(&file, &format!("case {case}, re-checksummed at {cut}")));
         }
+    }
+}
+
+/// The specification's checksum, pinned on inputs that end in each kind
+/// of step — the length alone, a short tail, a block and a tail word, two
+/// blocks. The encoder's is held to it byte for byte by the round-trip
+/// test above.
+#[test]
+fn the_specification_checksum_is_pinned() {
+    assert_eq!(checksum(b""), 0x7E56_417D_62AD_B570);
+    assert_eq!(checksum(b"DPLY"), 0x3605_1FE9_9087_DAEA);
+    assert_eq!(checksum(&[7; 45]), 0x61D4_4682_F15B_2C74);
+    assert_eq!(checksum(&(0..64).collect::<Vec<u8>>()), 0xBF19_17B7_A9ED_6C0F);
+}
+
+/// Every single-byte change is caught by the checksum, left as it was:
+/// each byte of a small layer replaced by each of its 255 other values is
+/// refused — in the magic or the version by name, anywhere else by the
+/// checksum, before the walk reads a record — and the layer cut at every
+/// length is refused with a typed `Error::Codec`. The layer is long
+/// enough that its checksum takes whole blocks, a tail word and a padded
+/// last word.
+#[test]
+fn every_single_byte_change_and_every_cut_is_refused() {
+    // The first seed whose layer's summed bytes end in a word and a few
+    // bytes after their whole blocks.
+    let tails = |pre: usize| pre > 64 && pre % 32 > 8 && !pre.is_multiple_of(8);
+    let layer = |seed| {
+        let mut events = random_events(&mut DetRng::seed_from_u64(seed));
+        events.truncate(4);
+        encode(3, &events)
+    };
+    let bytes = (0..).map(layer).find(|b| tails(b.len() - 8)).unwrap();
+    let refused = |bad: &[u8], case: &str| match Layer::from_bytes(bad.to_vec()) {
+        Err(Error::Codec { context, .. }) => context,
+        Err(other) => panic!("{case}: not a codec error: {other}"),
+        Ok(_) => panic!("{case}: opened"),
+    };
+    for at in 0..bytes.len() {
+        let want = match at {
+            0..4 => "header magic",
+            4..6 => "header version",
+            _ => "layer checksum",
+        };
+        for v in (0..=u8::MAX).filter(|&v| v != bytes[at]) {
+            let mut bad = bytes.clone();
+            bad[at] = v;
+            let case = format!("byte {at} set to {v}");
+            assert_eq!(refused(&bad, &case), want, "{case}");
+        }
+    }
+    for cut in 0..bytes.len() {
+        refused(&bytes[..cut], &format!("cut at {cut}"));
     }
 }
 
@@ -353,9 +414,10 @@ fn malformed(context: &'static str, detail: String) -> Error {
 
 /// The whole decode, as the layer reader made it in one pass before it
 /// was split into a check at open and a decode on read: a layer file's
-/// bytes into its `first_seq` and its events, the whole-file checksum
-/// verified before a single record is decoded, and then every field,
-/// building each event as it goes. The split reader is held to it.
+/// bytes into its `first_seq` and its events, the magic and version read
+/// first, then the whole-file checksum verified before a single record is
+/// decoded, and then every field, building each event as it goes. The
+/// split reader is held to it.
 fn whole_decode(bytes: &[u8]) -> Result<(u64, Vec<BaseEvent>)> {
     if bytes.len() < 12 {
         return Err(malformed(
@@ -366,21 +428,21 @@ fn whole_decode(bytes: &[u8]) -> Result<(u64, Vec<BaseEvent>)> {
             ),
         ));
     }
-    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    let (pre, sum) = bytes.split_at(bytes.len() - 8);
+    let (body, footer) = pre.split_at(pre.len() - 4);
+    let mut d = Dec::new(body);
+    d.header(b"DPLY", 4)?;
     let stored = Dec::new(sum).u64("layer checksum")?;
-    if fnv64(body) != stored {
+    if checksum(pre) != stored {
         return Err(malformed("layer checksum", "checksum mismatch".into()));
     }
-    let (body, footer) = body.split_at(body.len() - 4);
     let footer = Dec::new(footer).u32("layer footer")?;
     if footer != 0 {
         return Err(malformed(
             "layer footer",
-            format!("a footer of {footer} bytes, where version 3 writes none"),
+            format!("a footer of {footer} bytes, where version 4 writes none"),
         ));
     }
-    let mut d = Dec::new(body);
-    d.header(b"DPLY", 3)?;
     let first_seq = d.u64("layer first-seq")?;
     let count = d.u32("layer record count")? as usize;
     let mut r = Records::new(d)?;

@@ -13,8 +13,8 @@
 //! this comparison is where the disk path is held to the memory path.
 //!
 //! A store file is outside input: corruption of any layer, a well-formed
-//! checksum over malformed contents, a layer of the retired versions 1
-//! and 2, and a stack with a layer missing or present twice must each
+//! checksum over malformed contents, a layer of the retired versions 1,
+//! 2 and 3, and a stack with a layer missing or present twice must each
 //! surface as a typed `Error::Codec` from `open`, never as a panic, an
 //! abort, or a shorter replay. A seal torn before it was linked under its name is not
 //! a layer: it blocks neither `open` nor the next seal.
@@ -410,11 +410,11 @@ fn in_events(records: &[(u64, &str)]) -> Vec<BaseEvent> {
     records.iter().enumerate().map(|(i, &(due, node))| in_(i, due, node)).collect()
 }
 
-/// A hand-built `DPLY` version 3 file — written from the format's
+/// A hand-built `DPLY` version 4 file — written from the format's
 /// specification by `dply::layer`, not by the encoder — whose records
 /// insert `in(i)` for the `i`-th `(due, node)` given, with the header
 /// fields as given and a **valid** checksum.
-fn dply_v3(first_seq: u64, count: u32, records: &[(u64, &str)]) -> Vec<u8> {
+fn dply_v4(first_seq: u64, count: u32, records: &[(u64, &str)]) -> Vec<u8> {
     dply::layer(first_seq, count, &in_events(records), Tweak::None)
 }
 
@@ -423,9 +423,9 @@ fn layer_name(first_seq: u64) -> String {
     format!("layer-{first_seq:020}.dply")
 }
 
-/// FNV-1a is not a secret, so a file that passes its checksum can still
-/// say anything. Each thing the decoder and the concatenated read take
-/// for granted — the magic and version 3, a record count the bytes hold
+/// The checksum is not a secret, so a file that passes it can still say
+/// anything. Each thing the decoder and the concatenated read take for
+/// granted — the magic and version 4, a record count the bytes hold
 /// exactly, at least one record, minimal varints that fit in 64 bits,
 /// dues that fit in 64 bits and never decrease
 /// across the stack, dictionary ids in range and in first-use order, a
@@ -444,7 +444,7 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
     // sealing the same events writes — header 18 bytes, the dictionary
     // `n1 in n2` 10, three 7-byte records, the footer word and the
     // checksum.
-    let sound = dply_v3(0, 3, &records);
+    let sound = dply_v4(0, 3, &records);
     assert_eq!(sound.len(), 18 + 10 + 3 * 7 + 4 + 8);
     std::fs::write(&path, &sound).unwrap();
     let opened = DurableStore::open(dir).unwrap();
@@ -452,7 +452,7 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
     let log = opened.load_log();
     let mut sealed = DurableStore::temp().unwrap();
     sealed.seal_events(&log.events()).unwrap();
-    assert_eq!(std::fs::read(&layer_files(sealed.dir())[0]).unwrap(), sound, "DPLY v3 moved");
+    assert_eq!(std::fs::read(&layer_files(sealed.dir())[0]).unwrap(), sound, "DPLY v4 moved");
 
     // Offsets into `sound`: the dictionary's name count, its first name's
     // text, the last name's last byte, the dictionary's end (the first
@@ -469,16 +469,17 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
     for (case, want, bytes) in [
         ("a magic that is not DPLY", "header magic", edited(&|b| b[0] = b'X')),
         ("a file numbered 2", "header version: found version 2", edited(&|b| b[4] = 2)),
-        ("a file numbered 4", "header version: found version 4", edited(&|b| b[4] = 4)),
+        ("a file numbered 3", "header version: found version 3", edited(&|b| b[4] = 3)),
+        ("a file numbered 5", "header version: found version 5", edited(&|b| b[4] = 5)),
         // Would reserve count × size_of::<BaseEvent>() on the header's word.
-        ("a record count of u32::MAX", "layer record count", dply_v3(0, u32::MAX, &records)),
-        ("a record count past the records", "record due", dply_v3(0, 4, &records)),
-        ("a record count short of the records", "layer file", dply_v3(0, 2, &records)),
-        ("no records", "layer record count", dply_v3(0, 0, &[])),
+        ("a record count of u32::MAX", "layer record count", dply_v4(0, u32::MAX, &records)),
+        ("a record count past the records", "record due", dply_v4(0, 4, &records)),
+        ("a record count short of the records", "layer file", dply_v4(0, 2, &records)),
+        ("no records", "layer record count", dply_v4(0, 0, &[])),
         // Dues are deltas, so records out of due order cannot be written;
         // the sum of the deltas can still leave 64 bits.
         ("a due that overflows", "record due", tweaked(Tweak::Due(2, u64::MAX))),
-        ("a first-seq past the events before it", "layer stack", dply_v3(1, 3, &records)),
+        ("a first-seq past the events before it", "layer stack", dply_v4(1, 3, &records)),
         ("an overlong due delta", "record due", tweaked(Tweak::Overlong(0))),
         ("an overlong dictionary id", "record node", tweaked(Tweak::Overlong(1))),
         ("a dictionary id past 64 bits", "record node: overlong", edited(&|b| {
@@ -518,10 +519,10 @@ fn malformed_layers_with_valid_checksums_are_typed_errors() {
     assert_eq!(DurableStore::open(dir).unwrap().event_count(), 3, "in(false) is a record");
 
     // Two layers, each in order, the second starting before the first ends.
-    std::fs::write(&path, dply_v3(0, 3, &records)).unwrap();
-    std::fs::write(dir.join(layer_name(3)), dply_v3(3, 1, &[(4, "n2")])).unwrap();
+    std::fs::write(&path, dply_v4(0, 3, &records)).unwrap();
+    std::fs::write(dir.join(layer_name(3)), dply_v4(3, 1, &[(4, "n2")])).unwrap();
     assert_codec_error(dir, "a layer starting before its predecessor's last due");
-    std::fs::write(dir.join(layer_name(3)), dply_v3(3, 1, &[(5, "n2")])).unwrap();
+    std::fs::write(dir.join(layer_name(3)), dply_v4(3, 1, &[(5, "n2")])).unwrap();
     assert_eq!(DurableStore::open(dir).unwrap().event_count(), 4, "an equal due continues the run");
 }
 
@@ -533,9 +534,10 @@ fn old_str(e: &mut Enc, s: &str) {
 
 /// Version 1 wrote one file per node, each record tagged with its sequence
 /// number for a k-way merge; version 2 one file per seal, each record
-/// spelling out its node, its table name and fixed-width fields. There is
-/// no reader for either: a version 1 or 2 file, checksum and all, is a
-/// typed error that names its version.
+/// spelling out its node, its table name and fixed-width fields; version
+/// 3 the records of version 4 under an FNV-1a checksum. There is no reader
+/// for any of them: a version 1, 2 or 3 file, checksum and all, is a
+/// typed error that names its version, read before the checksum.
 #[test]
 fn a_version_1_layer_is_a_typed_error() {
     let mut v1 = Enc::new();
@@ -565,13 +567,18 @@ fn a_version_1_layer_is_a_typed_error() {
     v2.u8(0);
     v2.u64(0);
 
-    for (version, mut e) in [(1, v1), (2, v2)] {
+    let [v1, v2] = [v1, v2].map(|mut e| {
         let sum = fnv64(e.bytes());
         e.u64(sum);
+        e.into_bytes()
+    });
+    let v3 = dply::as_v3(&dply_v4(0, 3, &[(1, "n1"), (1, "n2"), (5, "n1")]));
+    for (version, file) in [(1, v1), (2, v2), (3, v3)] {
         let scratch = DurableStore::temp().unwrap();
-        std::fs::write(scratch.dir().join(layer_name(0)), e.into_bytes()).unwrap();
+        std::fs::write(scratch.dir().join(layer_name(0)), file).unwrap();
         match DurableStore::open(scratch.dir()) {
-            Err(Error::Codec { detail, .. }) => {
+            Err(Error::Codec { context, detail }) => {
+                assert_eq!(context, "header version", "version {version}");
                 assert!(detail.contains(&format!("found version {version}")), "{detail}")
             }
             Err(other) => panic!("expected a codec error, got {other}"),

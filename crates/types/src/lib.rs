@@ -14,9 +14,9 @@
 //! * [`NodeId`] — identity of a node in the distributed system (a switch, a
 //!   controller, a MapReduce worker).
 //! * [`LogicalTime`] — the deterministic logical clock used throughout.
-//! * [`fnv64`] — the one FNV-1a of the workspace: the layer files'
-//!   checksum, and the content hash of NDlog's `hash` builtin and of the
-//!   MapReduce checksums. The layer format itself is
+//! * [`fnv64`] — the one FNV-1a of the workspace: the content hash of
+//!   NDlog's `hash` builtin, of the MapReduce checksums and of the §6.4
+//!   checksum experiment. The layer format, its checksum included, is
 //!   `dp_replay::layers::layer`'s alone.
 //!
 //! The crate is deliberately free of dependencies so that the whole workspace

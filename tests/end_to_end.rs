@@ -368,7 +368,10 @@ fn a_cold_diagnosis_from_the_store_is_timed() {
 /// record — the log it hands out is backed by the layers — the diagnosis
 /// decodes at most four times the events its slice holds plus those its
 /// key lookups find, and a whole-log reader, the recovery digest, decodes
-/// every record once (counter `store.records_decoded`).
+/// every record once (counter `store.records_decoded`). What `open` reads
+/// is in the size of the log, the listed exceptions: it checksums every
+/// layer byte (`store.bytes_checked`) and walks every record
+/// (`store.records_walked`).
 #[test]
 fn a_cold_diagnosis_decodes_its_slice() {
     use diffprov::replay::{DurableStore, Execution};
@@ -394,6 +397,8 @@ fn a_cold_diagnosis_decodes_its_slice() {
         assert_eq!(logged, s.bad_exec.log.len() as u64, "bulk {bulk}");
         assert_eq!(exec.log.layers().len(), opened.layer_count(), "bulk {bulk}: backed by layers");
         assert_eq!(tracer.aggregate().counter("store.records_decoded"), 0, "bulk {bulk}: open");
+        assert_eq!(opened.bytes_checked(), store.layer_bytes(), "bulk {bulk}: bytes checked");
+        assert_eq!(opened.records_walked(), logged, "bulk {bulk}: records walked");
 
         let report = DiffProv::default().diagnose(&exec, &s.good_event, &exec, &s.bad_event);
         let report = report.unwrap();
